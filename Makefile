@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt-check staticcheck test race bench-smoke cover bench bench-pr2 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples
+.PHONY: ci build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr2 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples
 
-ci: build vet fmt-check staticcheck docs-check check-bench test race bench-smoke cover
+ci: build vet fmt-check staticcheck docs-check check-bench test race stress bench-smoke cover
 
 # Every scripts/bench_prN.sh must have its BENCH_PRN.json committed —
 # a measurement script without a recorded report is an unfinished PR.
@@ -41,17 +41,24 @@ test:
 # Race stage over the concurrency-heavy layers: the comm rendezvous /
 # async-handle machinery, the SPMD parallel engines (including the
 # Hybrid-STOP core engine's overlap paths), the elastic fault-tolerant
-# training loop in internal/train, the inference subsystem's dynamic
-# request batcher + concurrent rollout workers in internal/infer, and
-# the serving resilience layer in internal/serve (admission queue,
-# replica failover, chaos tests) plus orbit-serve's SIGTERM drain. The
-# async cross-talk, batcher edge-case, and serving chaos tests are
-# specifically written to be meaningful under -race. internal/guard
+# training loop in internal/train, the inference subsystem's concurrent
+# rollout workers in internal/infer, and the serving resilience layer
+# in internal/serve (admission queue, replica-pull batching, replica
+# failover, chaos tests) plus orbit-serve's SIGTERM drain. The async
+# cross-talk, batcher model, and serving chaos tests are specifically
+# written to be meaningful under -race. internal/guard
 # adds the training-run supervisor: the watchdog goroutine's verdicts
 # racing live rank goroutines (the stalled-TP-rank recovery test is
 # written for this stage) and the rollback/replay loop.
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/quant/... ./internal/nn/... ./internal/fft/... ./internal/afno/... ./internal/optim/... ./internal/comm/... ./internal/parallel/... ./internal/core/... ./internal/pp/... ./internal/train/... ./internal/guard/... ./internal/infer/... ./internal/plan/... ./internal/serve/... ./cmd/orbit-serve/...
+
+# Timing-luck gate over the serving path: twenty runs at one and at two
+# Ps. A test that passes by winning a race with a timer, or only when
+# the host has a spare core, fails here instead of on a reviewer's
+# 2-core machine.
+stress:
+	$(GO) test -count=20 -cpu 1,2 ./internal/serve/... ./internal/infer/... ./cmd/orbit-serve/...
 
 # Documentation gates: every package must carry a package comment
 # (scripts/check_pkgdoc.sh), and the checker proves it can fail via

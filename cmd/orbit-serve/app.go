@@ -26,7 +26,6 @@ type options struct {
 	ckptPath     string
 	trainSteps   int
 	maxBatch     int
-	maxWait      time.Duration
 	tp           int
 	quantize     string
 	stepsCap     int
@@ -45,6 +44,7 @@ type app struct {
 	opts  options
 	model *orbit.Model
 	sc    *orbit.ScoreCache
+	pool  []*orbit.ServeReplica
 	fs    *orbit.ForecastServer
 	srv   *http.Server
 	ln    net.Listener
@@ -143,7 +143,6 @@ func newApp(opts options) (*app, error) {
 
 	fs, err := orbit.NewForecastServer(orbit.ServeConfig{
 		MaxBatch:     opts.maxBatch,
-		MaxWait:      opts.maxWait,
 		QueueCap:     opts.queueCap,
 		MaxSteps:     opts.stepsCap,
 		DegradeDepth: opts.degradeDepth,
@@ -155,7 +154,7 @@ func newApp(opts options) (*app, error) {
 		return nil, err
 	}
 
-	a := &app{opts: opts, model: model, sc: sc, fs: fs, done: make(chan struct{})}
+	a := &app{opts: opts, model: model, sc: sc, pool: pool, fs: fs, done: make(chan struct{})}
 	a.srv = &http.Server{Addr: opts.addr, Handler: a.handler()}
 	return a, nil
 }
@@ -166,8 +165,8 @@ type forecastRequest struct {
 	Steps    int    `json:"steps"`
 	Priority string `json:"priority,omitempty"`
 	// DeadlineMs bounds how long the request may wait end to end; on
-	// expiry the server answers 504 and the request stops occupying
-	// queue or batch slots.
+	// expiry the server answers 504 and the request gives its queue slot
+	// back at once.
 	DeadlineMs int `json:"deadline_ms,omitempty"`
 }
 
@@ -271,7 +270,6 @@ func (a *app) handler() http.Handler {
 			"params":     a.model.NumParams(),
 			"lead_hours": a.sc.LeadHours(),
 			"max_batch":  a.fs.Config().MaxBatch,
-			"max_wait":   a.fs.Config().MaxWait.String(),
 			"queue_cap":  a.fs.Config().QueueCap,
 			"replicas":   a.opts.replicas,
 			"tp":         a.opts.tp,
@@ -366,11 +364,11 @@ func (a *app) run() error {
 }
 
 // shutdown drains gracefully. The forecast server closes first: Close
-// flushes the pending batch and answers every admitted request, so
-// in-flight HTTP handlers (blocked in fs.Do) complete — even requests
-// parked waiting for their batch to fill. Only then does the HTTP
-// server shut down, which waits for those handlers to write their
-// responses. The reverse order would stall Shutdown on parked batches.
+// stops admission and returns once every admitted request has been
+// answered, so in-flight HTTP handlers (blocked in fs.Do) complete —
+// requests still queued behind busy replicas included. Only then does
+// the HTTP server shut down, which waits for those handlers to write
+// their responses.
 func (a *app) shutdown() {
 	// Idempotent: a direct shutdown call and the signal handler may
 	// both fire (and a second signal must not re-drain).

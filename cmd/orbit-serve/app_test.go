@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -123,7 +125,6 @@ func TestServeQuantized(t *testing.T) {
 		addr:       "127.0.0.1:0",
 		trainSteps: 1,
 		maxBatch:   2,
-		maxWait:    time.Millisecond,
 		stepsCap:   4,
 		replicas:   1,
 		quantize:   "q4",
@@ -171,25 +172,34 @@ func TestServeQuantized(t *testing.T) {
 }
 
 // TestServeDrainAndOverload boots the full server on a loopback port
-// and drives it end to end: validation (400), overload shedding (429
-// with Retry-After), deadline expiry (504), and — the graceful
-// shutdown satellite — SIGTERM while requests are parked in an
-// unfilled batch, which must drain them with real responses before the
-// process exits.
+// and drives it end to end: validation (400), deadline expiry (504)
+// that gives its queue slot straight back, overload shedding (429 with
+// Retry-After), and — the graceful shutdown satellite — SIGTERM while
+// requests are queued behind busy replicas, which must drain them with
+// real responses before the process exits.
 func TestServeDrainAndOverload(t *testing.T) {
+	// Every batch that reaches a replica is held on its worker until the
+	// test releases it, so the queue state below is exact, not timed.
+	const replicas, queued = 2, 2
+	workers := replicas * runtime.GOMAXPROCS(0) // an engine plans one worker per P
 	a, err := newApp(options{
 		addr:       "127.0.0.1:0",
 		trainSteps: 1, // model quality is irrelevant here
 		maxBatch:   4,
-		// Parked requests would wait 10s for their batch — only the
-		// SIGTERM drain can answer them quickly, which is the point.
-		maxWait:  10 * time.Second,
-		stepsCap: 8,
-		replicas: 2,
-		queueCap: 2,
+		stepsCap:   8,
+		replicas:   replicas,
+		queueCap:   workers + queued,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var held atomic.Int64
+	release := make(chan struct{})
+	for _, r := range a.pool {
+		r.AfterRun = func() {
+			held.Add(1)
+			<-release
+		}
 	}
 	if err := a.listen(); err != nil {
 		t.Fatal(err)
@@ -197,6 +207,15 @@ func TestServeDrainAndOverload(t *testing.T) {
 	base := "http://" + a.ln.Addr().String()
 	runErr := make(chan error, 1)
 	go func() { runErr <- a.run() }()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for end := time.Now().Add(20 * time.Second); !cond(); {
+			if time.Now().After(end) {
+				t.Fatalf("timed out waiting for %s: %+v", what, a.fs.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	// Liveness and config surfaces.
 	resp, err := http.Get(base + "/healthz")
@@ -213,7 +232,7 @@ func TestServeDrainAndOverload(t *testing.T) {
 		t.Fatalf("stats decode: %v", err)
 	}
 	resp.Body.Close()
-	if st.QueueCap != 2 || st.Replicas != 2 || st.HealthyReplicas != 2 {
+	if st.QueueCap != workers+queued || st.Replicas != 2 || st.HealthyReplicas != 2 {
 		t.Fatalf("stats misreport the pool: %+v", st)
 	}
 
@@ -230,32 +249,32 @@ func TestServeDrainAndOverload(t *testing.T) {
 		}
 	}
 
-	// Deadline expiry: a 1ms budget against a 10s batch window answers
-	// 504 (or 200 in the unlikely race where the flush wins); either
-	// way it must answer fast, not park for 10s.
-	t0 := time.Now()
-	code, _, _ := postForecast(t, base, `{"start": 0, "steps": 1, "deadline_ms": 1}`)
-	if code != http.StatusGatewayTimeout && code != http.StatusOK {
-		t.Fatalf("deadline request: got %d, want 504 (or rarely 200)", code)
+	// Occupy every replica worker, one request (one held batch) each.
+	answered := make(chan int, workers+queued)
+	post := func(i int) {
+		go func() {
+			code, _, _ := postForecast(t, base, fmt.Sprintf(`{"start": %d, "steps": 1}`, i))
+			answered <- code
+		}()
 	}
-	if e := time.Since(t0); e > 5*time.Second {
-		t.Fatalf("deadline request took %v", e)
+	for i := 0; i < workers; i++ {
+		post(i)
+		waitFor("a batch per worker", func() bool { return held.Load() == int64(i+1) })
 	}
 
-	// Park two requests (filling the queue to its cap of 2); they can
-	// only be answered by the SIGTERM drain.
-	parked := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			code, _, _ := postForecast(t, base, fmt.Sprintf(`{"start": %d, "steps": 1}`, i))
-			parked <- code
-		}(i)
+	// Deadline expiry: a 1ms budget behind busy replicas answers 504,
+	// and the slot it held is free again when the answer arrives.
+	if code, m, _ := postForecast(t, base, `{"start": 0, "steps": 1, "deadline_ms": 1}`); code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline request: got %d (%v), want 504", code, m)
 	}
-	for end := time.Now().Add(10 * time.Second); a.fs.Stats().QueueDepth < 2; {
-		if time.Now().After(end) {
-			t.Fatalf("parked requests never admitted: %+v", a.fs.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if st := a.fs.Stats(); st.QueueDepth != workers {
+		t.Fatalf("expired request still holds a queue slot: %+v", st)
+	}
+
+	// Fill the queue to its cap; these can only be answered by the drain.
+	for i := 0; i < queued; i++ {
+		post(workers + i)
+		waitFor("admission", func() bool { return a.fs.Stats().QueueDepth == workers+i+1 })
 	}
 
 	// Overload: the queue is at capacity, so the next request sheds.
@@ -267,19 +286,29 @@ func TestServeDrainAndOverload(t *testing.T) {
 		t.Fatal("429 reply missing Retry-After")
 	}
 
-	// Graceful shutdown: SIGTERM must drain the parked batch — both
-	// requests answered 200 — and run() must return cleanly.
+	// Graceful shutdown: SIGTERM closes admission (503 instead of 429)
+	// with two requests still queued; once the replicas are released the
+	// drain must answer every admitted request 200, and run() must return
+	// cleanly.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	waitFor("admission to close", func() bool {
+		code, _, _ := postForecast(t, base, `{"start": 6, "steps": 1}`)
+		return code == http.StatusServiceUnavailable
+	})
+	if st := a.fs.Stats(); st.QueueDepth != workers+queued || st.Completed != 0 {
+		t.Fatalf("queued requests not waiting for the drain: %+v", st)
+	}
+	close(release)
+	for i := 0; i < workers+queued; i++ {
 		select {
-		case code := <-parked:
+		case code := <-answered:
 			if code != http.StatusOK {
-				t.Fatalf("parked request dropped with %d during drain", code)
+				t.Fatalf("admitted request dropped with %d during drain", code)
 			}
 		case <-time.After(20 * time.Second):
-			t.Fatal("parked request never answered: drain lost it")
+			t.Fatal("admitted request never answered: drain lost it")
 		}
 	}
 	select {

@@ -2,8 +2,9 @@
 // quickly fine-tunes) an ORBIT model, wires a pool of batched
 // inference replicas behind an overload-safe admission queue, and
 // answers concurrent rollout requests over an HTTP/JSON API with
-// dynamic max-batch/max-wait coalescing, deadline propagation, and
-// replica failover.
+// dynamic batching (requests that arrive while every replica is busy
+// share its next forward batch), deadline propagation, and replica
+// failover.
 //
 // Usage:
 //
@@ -41,7 +42,6 @@ func main() {
 	flag.StringVar(&opts.ckptPath, "ckpt", "", "checkpoint file to serve (empty: fine-tune a demo model)")
 	flag.IntVar(&opts.trainSteps, "train-steps", 150, "fine-tuning steps for the demo model (no -ckpt)")
 	flag.IntVar(&opts.maxBatch, "max-batch", 8, "dynamic batching: max coalesced requests per forward batch")
-	flag.DurationVar(&opts.maxWait, "max-wait", 2*time.Millisecond, "dynamic batching: max time a request waits for its batch to fill")
 	flag.IntVar(&opts.tp, "tp", 0, "tensor-parallel trunk width per replica over the simulated cluster (0 = single device)")
 	flag.StringVar(&opts.quantize, "quantize", "", "serve block-quantized weights: int8 or q4 (empty = float32)")
 	flag.IntVar(&opts.stepsCap, "steps-cap", 40, "largest rollout horizon a request may ask for")
@@ -58,8 +58,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("orbit-serve: %d-parameter model on %s (%d replicas, max-batch %d, max-wait %v, queue-cap %d, tp %d)",
-		a.model.NumParams(), opts.addr, opts.replicas, a.fs.Config().MaxBatch, a.fs.Config().MaxWait, a.fs.Config().QueueCap, opts.tp)
+	log.Printf("orbit-serve: %d-parameter model on %s (%d replicas, max-batch %d, queue-cap %d, tp %d)",
+		a.model.NumParams(), opts.addr, opts.replicas, a.fs.Config().MaxBatch, a.fs.Config().QueueCap, opts.tp)
 	if err := a.run(); err != nil {
 		log.Fatal(err)
 	}

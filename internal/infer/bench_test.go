@@ -54,10 +54,12 @@ func TestRolloutStepAllocs(t *testing.T) {
 	}
 	w := eng.acquire()
 	defer eng.release(w)
-	// Warm this worker at the exact batch size.
-	eng.rolloutChunk(w, ics, 2, leads, 0, nil)
+	// Warm this worker at every batch size the ragged horizons shrink
+	// the live prefix through.
+	steps := []int{3, 1, 2, 3}
+	eng.rolloutChunk(w, ics, steps, leads, 0, nil)
 	allocs := testing.AllocsPerRun(10, func() {
-		eng.rolloutChunk(w, ics, 3, leads, 0, nil)
+		eng.rolloutChunk(w, ics, steps, leads, 0, nil)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state rollout step allocates %.1f objects/run, want 0", allocs)
@@ -143,11 +145,12 @@ func BenchmarkRolloutStepUnscored(b *testing.B) {
 	}
 	w := eng.acquire()
 	defer eng.release(w)
-	eng.rolloutChunk(w, ics, 1, leads, 0, nil)
+	steps := []int{1, 1, 1, 1, 1, 1, 1, 1}
+	eng.rolloutChunk(w, ics, steps, leads, 0, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.rolloutChunk(w, ics, 1, leads, 0, nil)
+		eng.rolloutChunk(w, ics, steps, leads, 0, nil)
 	}
 	b.ReportMetric(float64(8*b.N)/b.Elapsed().Seconds(), "sample-steps/sec")
 }

@@ -63,6 +63,7 @@ type worker struct {
 	states []*tensor.Tensor // [C, H, W] rollout states
 	preds  []*tensor.Tensor // [OutC, H, W] composed predictions
 	leads  []float64
+	order  []int // slot → sample of the running chunk, longest horizon first
 }
 
 // NewEngine plans an inference engine over a (typically loaded) model.
@@ -138,6 +139,7 @@ func (e *Engine) acquire() *worker {
 			w.states = append(w.states, tensor.New(mc.Channels, mc.Height, mc.Width))
 			w.preds = append(w.preds, tensor.New(mc.OutChannels, mc.Height, mc.Width))
 			w.leads = append(w.leads, 0)
+			w.order = append(w.order, 0)
 		}
 		return w
 	}
@@ -191,43 +193,83 @@ type StepFunc func(sample, step int, pred *tensor.Tensor)
 // Rollout runs one autoregressive rollout: the initial condition is
 // advanced `steps` times, each step predicting leadHours ahead.
 func (e *Engine) Rollout(ic *tensor.Tensor, steps int, leadHours float64, fn StepFunc) {
-	e.RolloutBatch([]*tensor.Tensor{ic}, steps, []float64{leadHours}, fn)
+	e.RolloutRagged([]*tensor.Tensor{ic}, []int{steps}, []float64{leadHours}, fn)
 }
 
-// RolloutBatch rolls out a batch of initial conditions. Samples are
-// fused into per-worker forward batches of up to Cfg.MaxBatch and the
-// chunks run concurrently on up to Cfg.Workers workers; each sample's
-// trajectory is bit-identical to a single-sample rollout.
+// RolloutBatch rolls every initial condition out to the same horizon.
 func (e *Engine) RolloutBatch(ics []*tensor.Tensor, steps int, leads []float64, fn StepFunc) {
-	if len(ics) != len(leads) {
-		panic(fmt.Sprintf("infer: %d initial conditions, %d leads", len(ics), len(leads)))
+	each := make([]int, len(ics))
+	for i := range each {
+		each[i] = steps
 	}
+	e.RolloutRagged(ics, each, leads, fn)
+}
+
+// RolloutRagged rolls out a batch of initial conditions, sample i for
+// steps[i] steps. Samples are fused into per-worker forward batches of
+// up to Cfg.MaxBatch and the chunks run concurrently on up to
+// Cfg.Workers workers; a sample leaves its fused batch after its own
+// last step, and each sample's trajectory is bit-identical to a
+// single-sample rollout.
+func (e *Engine) RolloutRagged(ics []*tensor.Tensor, steps []int, leads []float64, fn StepFunc) {
+	if len(ics) != len(leads) || len(ics) != len(steps) {
+		panic(fmt.Sprintf("infer: %d initial conditions, %d horizons, %d leads", len(ics), len(steps), len(leads)))
+	}
+	// Fork-join over chunks; the last one (the only one, for a batch of
+	// up to MaxBatch) runs on the caller's goroutine.
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(ics); lo += e.Cfg.MaxBatch {
 		hi := min(lo+e.Cfg.MaxBatch, len(ics))
+		if hi == len(ics) {
+			e.runChunk(ics, steps, leads, lo, hi, fn)
+			break
+		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			w := e.acquire()
-			defer e.release(w)
-			e.rolloutChunk(w, ics[lo:hi], steps, leads[lo:hi], lo, fn)
-		}(lo, hi)
+			e.runChunk(ics, steps, leads, lo, hi, fn)
+		}()
 	}
 	wg.Wait()
 }
 
-// rolloutChunk advances one worker's fused sub-batch through all
-// steps. The steady-state loop performs no heap allocations: states,
-// predictions, and every forward intermediate live in worker-owned
-// buffers.
-func (e *Engine) rolloutChunk(w *worker, ics []*tensor.Tensor, steps int, leads []float64, base int, fn StepFunc) {
-	n := len(ics)
-	for b, ic := range ics {
-		w.states[b].CopyFrom(ic)
-		w.leads[b] = leads[b]
+// runChunk rolls samples [lo, hi) out on the next free worker.
+func (e *Engine) runChunk(ics []*tensor.Tensor, steps []int, leads []float64, lo, hi int, fn StepFunc) {
+	w := e.acquire()
+	defer e.release(w)
+	e.rolloutChunk(w, ics[lo:hi], steps[lo:hi], leads[lo:hi], lo, fn)
+}
+
+// rolloutChunk advances one worker's fused sub-batch, sample i for
+// steps[i] steps. Slots are ordered longest horizon first, so the
+// samples still rolling are always a prefix of the worker's buffers
+// and each forward runs over exactly the live ones. The steady-state
+// loop performs no heap allocations: states, predictions, the slot
+// order and every forward intermediate live in worker-owned buffers.
+func (e *Engine) rolloutChunk(w *worker, ics []*tensor.Tensor, steps []int, leads []float64, base int, fn StepFunc) {
+	// Stable insertion sort (the chunk is at most MaxBatch wide): equal
+	// horizons keep their submission order.
+	order := w.order[:len(ics)]
+	for i := range order {
+		b := i
+		for ; b > 0 && steps[order[b-1]] < steps[i]; b-- {
+			order[b] = order[b-1]
+		}
+		order[b] = i
+	}
+	for b, i := range order {
+		w.states[b].CopyFrom(ics[i])
+		w.leads[b] = leads[i]
 	}
 	hw := e.Model.Config.Height * e.Model.Config.Width
-	for s := 0; s < steps; s++ {
+	n := len(order)
+	for s := 0; ; s++ {
+		for n > 0 && steps[order[n-1]] <= s {
+			n--
+		}
+		if n == 0 {
+			return
+		}
 		outs := e.forward(w, w.states[:n], w.leads[:n])
 		for b := 0; b < n; b++ {
 			od, pd, sd := outs[b].Data(), w.preds[b].Data(), w.states[b].Data()
@@ -252,7 +294,7 @@ func (e *Engine) rolloutChunk(w *worker, ics []*tensor.Tensor, steps int, leads 
 				copy(sd[c*hw:(c+1)*hw], pd[i*hw:(i+1)*hw])
 			}
 			if fn != nil {
-				fn(base+b, s, w.preds[b])
+				fn(base+order[b], s, w.preds[b])
 			}
 		}
 	}

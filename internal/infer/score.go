@@ -104,16 +104,53 @@ func (sc *ScoreCache) LeadHours() float64 {
 	return float64(sc.DS.LeadSteps) * 24 / climate.StepsPerDay
 }
 
+// RequestError reports a rollout request rejected by validation —
+// a start index outside the dataset window or a non-positive horizon.
+// The serving layer returns it (never panics) at admission, so callers
+// with bad indices fail there instead of deep inside the engine; match
+// it with errors.As.
+type RequestError struct {
+	Start, Steps int
+	Reason       string
+}
+
+func (e *RequestError) Error() string {
+	return fmt.Sprintf("infer: bad request (start %d, steps %d): %s", e.Start, e.Steps, e.Reason)
+}
+
 // CheckStart validates a rollout start index against the dataset
-// window, returning a *RequestError outside [0, DS.Len()). Batcher and
-// the serving layer call it at admission; ScoredRolloutBatch calls it
-// again so even direct engine callers fail fast with a typed error
-// instead of panicking deep inside the rollout.
+// window, returning a *RequestError outside [0, DS.Len()). The serving
+// layer calls it at admission; ScoredRolloutBatch calls it again so
+// even direct engine callers fail fast with a typed error instead of
+// panicking deep inside the rollout.
 func (sc *ScoreCache) CheckStart(start int) error {
 	if n := sc.DS.Len(); start < 0 || start >= n {
 		return &RequestError{Start: start, Reason: fmt.Sprintf("start outside [0,%d)", n)}
 	}
 	return nil
+}
+
+// Warm fills the truth and climatology caches for a steps-long rollout
+// from start. Callers warm before fanning a batch out, so every
+// trajectory from the same window reuses one generated tensor.
+func (sc *ScoreCache) Warm(start, steps int) {
+	for k := 1; k <= steps; k++ {
+		sc.TruthAt(start + k*sc.DS.LeadSteps)
+		sc.ClimAt(start + k*sc.DS.LeadSteps)
+	}
+}
+
+// Score scores the (0-based) step-th prediction of the rollout from
+// start against its verifying truth and climatology.
+func (sc *ScoreCache) Score(start, step int, pred *tensor.Tensor) StepScore {
+	idx := start + (step+1)*sc.DS.LeadSteps
+	truth := sc.TruthAt(idx)
+	return StepScore{
+		Step:      step,
+		LeadHours: float64(step+1) * sc.LeadHours(),
+		RMSE:      metrics.WeightedRMSE(pred, truth),
+		ACC:       metrics.WeightedACC(pred, truth, sc.ClimAt(idx)),
+	}
 }
 
 // ScoredRollout rolls out from the dataset sample at index start and
@@ -143,26 +180,10 @@ func (e *Engine) ScoredRolloutBatch(sc *ScoreCache, starts []int, steps int) [][
 		ics[i] = sc.InputAt(s)
 		leads[i] = lead
 		scores[i] = make([]StepScore, steps)
-	}
-	// Warm the shared caches before fanning out: every trajectory from
-	// the same window reuses one generated truth/climatology tensor.
-	for _, s := range starts {
-		for k := 0; k < steps; k++ {
-			idx := s + (k+1)*sc.DS.LeadSteps
-			sc.TruthAt(idx)
-			sc.ClimAt(idx)
-		}
+		sc.Warm(s, steps)
 	}
 	e.RolloutBatch(ics, steps, leads, func(sample, step int, pred *tensor.Tensor) {
-		idx := starts[sample] + (step+1)*sc.DS.LeadSteps
-		truth := sc.TruthAt(idx)
-		clim := sc.ClimAt(idx)
-		scores[sample][step] = StepScore{
-			Step:      step,
-			LeadHours: float64(step+1) * lead,
-			RMSE:      metrics.WeightedRMSE(pred, truth),
-			ACC:       metrics.WeightedACC(pred, truth, clim),
-		}
+		scores[sample][step] = sc.Score(starts[sample], step, pred)
 	})
 	return scores
 }

@@ -4,24 +4,24 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"orbit/internal/cluster"
 	"orbit/internal/infer"
 )
 
 // TestChaosTPReplicaKilledMidBatch is the serving chaos drill: two
-// TP=2 replicas, and PR 3's cluster fault injector arms a time-kill on
-// a device of replica 0's simulated machine. The device's simulated
-// clock only advances while a forward is in flight, so the kill fires
-// *during* replica 0's first batch and latches at the post-batch
-// health check — the batch's results are discarded and retried on
-// replica 1. Both replicas shard the same model with the same TP
-// width, so the reduction order is identical and the retried results
-// must be bit-identical to a run that never saw a fault. No request
-// may be lost.
+// TP=2 replicas, each first plugged with one held request so that the
+// eight requests of the drill queue; then PR 3's cluster fault injector
+// arms a time-kill on a device of replica 0's simulated machine, a hair
+// past the device's current simulated clock. The clock only advances
+// while a forward is in flight, so the kill fires *during* replica 0's
+// next batch — the first four queued requests — and latches at the
+// post-batch health check: the batch's results are discarded and
+// retried on replica 1. Both replicas shard the same model with the
+// same TP width, so the reduction order is identical and the retried
+// results must be bit-identical to a run that never saw a fault. No
+// request may be lost.
 func TestChaosTPReplicaKilledMidBatch(t *testing.T) {
 	m, sc := fixtureModel(t, 29)
 
@@ -34,57 +34,51 @@ func TestChaosTPReplicaKilledMidBatch(t *testing.T) {
 
 	repA := newReplica(t, 0, m, sc, 4, 2)
 	repB := newReplica(t, 1, m, sc, 4, 2)
-	inj := cluster.NewFaultInjector()
-	// Any forward advances the simulated clocks well past this, so the
-	// first batch placed on replica A is guaranteed to straddle the
-	// kill.
-	inj.KillDeviceAtTime(0, 1e-12)
-	inj.Arm(repA.Engine.Machine())
-
-	s, err := NewServer(Config{MaxBatch: 4, MaxWait: 100 * time.Millisecond}, []*Replica{repA, repB})
+	gA, gB := gateReplica(repA), gateReplica(repB)
+	s, err := NewServer(Config{MaxBatch: 4}, []*Replica{repA, repB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
+	plugs := plug(t, s, gA, gB)
 	const n = 8
-	resps := make([]*Response, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := s.Do(context.Background(), Request{Start: i, Steps: 1 + i%3})
-			if err != nil {
-				t.Errorf("request %d lost to the fault: %v", i, err)
-				return
-			}
-			resps[i] = r
-		}(i)
+	queued := make([]<-chan outcome, n)
+	for i := range queued {
+		queued[i] = submit(t, s, context.Background(), Request{Start: i, Steps: 1 + i%3}, 3+i)
 	}
-	wg.Wait()
+	// A's plug is past its forward, so it still passes its health check;
+	// any further forward on A straddles the kill.
+	inj := cluster.NewFaultInjector()
+	inj.KillDeviceAtTime(0, repA.Engine.Machine().Devices[0].Clock()+1e-12)
+	inj.Arm(repA.Engine.Machine())
+	gA.open()
+	waitFor(t, "the failed-over batch to reach replica B", func() bool { return gB.held.Load() == 2 })
+	gB.open()
 
-	failedOver := 0
-	for i, r := range resps {
-		if r == nil {
-			t.Fatalf("request %d never answered", i)
+	for i, p := range plugs {
+		if o := <-p; o.err != nil || o.resp.Retries != 0 || o.resp.Replica != i {
+			t.Fatalf("plug %d: %+v, %v", i, o.resp, o.err)
 		}
+	}
+	for i, q := range queued {
+		o := <-q
+		if o.err != nil {
+			t.Fatalf("request %d lost to the fault: %v", i, o.err)
+		}
+		r := o.resp
 		if !reflect.DeepEqual(r.Scores, want[i]) {
 			t.Fatalf("request %d: post-failover scores differ from the no-fault baseline (replica %d, retries %d)",
 				i, r.Replica, r.Retries)
 		}
-		if r.Retries > 0 {
-			failedOver++
-			if r.Replica != repB.ID {
-				t.Fatalf("request %d retried onto replica %d, want the healthy replica %d", i, r.Replica, repB.ID)
-			}
+		// Requests 0–3 were the batch on A when it died; 4–7 went
+		// straight to B once its plug cleared.
+		if wantRetries := 1 - i/4; r.Retries != wantRetries || r.Replica != repB.ID || r.Coalesced != 4 {
+			t.Fatalf("request %d: %+v; want a batch of 4 on replica %d after %d failovers", i, r, repB.ID, wantRetries)
 		}
 	}
-	if failedOver == 0 {
-		t.Fatal("fault injection never forced a failover — the chaos drill tested nothing")
-	}
 	st := s.Stats()
-	if st.ReplicaFailures < 1 || st.Retries < 1 {
+	if st.ReplicaFailures != 1 || st.Retries != 1 {
 		t.Fatalf("failover not recorded in stats: %+v", st)
 	}
 	if st.HealthyReplicas != 1 {
@@ -106,7 +100,7 @@ func TestChaosPoolExhaustion(t *testing.T) {
 	m, sc := fixtureModel(t, 30)
 	repA := newReplica(t, 0, m, sc, 4, 2)
 	repB := newReplica(t, 1, m, sc, 4, 2)
-	s, err := NewServer(Config{MaxBatch: 4, MaxWait: time.Millisecond}, []*Replica{repA, repB})
+	s, err := NewServer(Config{MaxBatch: 4}, []*Replica{repA, repB})
 	if err != nil {
 		t.Fatal(err)
 	}

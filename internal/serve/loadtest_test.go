@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 )
@@ -29,15 +28,15 @@ type benchReport struct {
 		Replicas     int     `json:"replicas"`
 		MaxBatch     int     `json:"max_batch"`
 		QueueCap     int     `json:"queue_cap"`
-		MaxWaitMs    float64 `json:"max_wait_ms"`
 		BatchCostMs  float64 `json:"pinned_batch_cost_ms"`
 		SweepSeconds float64 `json:"seconds_per_point"`
 	} `json:"config"`
 	SaturationRPS float64      `json:"saturation_rps"`
 	Sweep         []sweepPoint `json:"sweep"`
-	// Unprotected2x drives a bare infer.Batcher (no admission control)
-	// at the same 2× offered load: nothing sheds, so the queue — and the
-	// latency of every request — grows with the length of the overload.
+	// Unprotected2x drives the same server with the admission bound
+	// removed at the same 2× offered load: nothing sheds, so the queue —
+	// and the latency of every request — grows with the length of the
+	// overload.
 	Unprotected2x struct {
 		OfferedRPS float64 `json:"offered_rps"`
 		Served     int64   `json:"served"`
@@ -72,7 +71,6 @@ func TestLoadSweep(t *testing.T) {
 	const (
 		maxBatch  = 8
 		queueCap  = 32
-		maxWait   = 2 * time.Millisecond
 		batchCost = 2 * time.Millisecond
 		window    = 2 * time.Second
 	)
@@ -86,26 +84,20 @@ func TestLoadSweep(t *testing.T) {
 	for i := 0; i < fixDSLen; i++ {
 		replicas[0].Engine.ScoredRollout(sc, i, 1)
 	}
-	// The cost serializes per replica (a replica is one accelerator: one
-	// batch at a time), so pool capacity is replicas×MaxBatch/batchCost
-	// no matter how deep the queue — queueing buys latency, not
-	// throughput, exactly as on real hardware.
+	// The cost serializes per replica (one engine worker: a replica is
+	// one accelerator, one batch at a time), so pool capacity is
+	// replicas×MaxBatch/batchCost no matter how deep the queue — queueing
+	// buys latency, not throughput, exactly as on real hardware.
 	for _, r := range replicas {
-		var mu sync.Mutex
-		r.afterRun = func() {
-			mu.Lock()
-			time.Sleep(batchCost)
-			mu.Unlock()
-		}
+		r.AfterRun = func() { time.Sleep(batchCost) }
 	}
-	cfg := Config{MaxBatch: maxBatch, QueueCap: queueCap, MaxWait: maxWait}
+	cfg := Config{MaxBatch: maxBatch, QueueCap: queueCap}
 
 	var report benchReport
 	report.Bench = "pr6_serving_resilience_load_sweep"
 	report.Config.Replicas = len(replicas)
 	report.Config.MaxBatch = maxBatch
 	report.Config.QueueCap = queueCap
-	report.Config.MaxWaitMs = float64(maxWait) / float64(time.Millisecond)
 	report.Config.BatchCostMs = float64(batchCost) / float64(time.Millisecond)
 	report.Config.SweepSeconds = window.Seconds()
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"orbit/internal/infer"
-	"orbit/internal/metrics"
 	"orbit/internal/tensor"
 )
 
@@ -42,11 +41,13 @@ type Replica struct {
 	causeMu sync.Mutex
 	cause   error
 
-	// afterRun, when set, fires between the forward and the post-batch
-	// health check — the test hook that makes "killed mid-batch"
-	// deterministic for single-device replicas (TP replicas use real
-	// cluster fault injection instead).
-	afterRun func()
+	// AfterRun, when set, fires between the forward and the post-batch
+	// health check. It is a test hook: killing the replica in it makes
+	// "killed mid-batch" deterministic for single-device replicas (TP
+	// replicas use real cluster fault injection instead), and blocking
+	// in it holds a batch on its worker so that later requests queue.
+	// Set it before the replica serves.
+	AfterRun func()
 }
 
 // NewReplica wires a pool replica over an engine and its score cache.
@@ -107,16 +108,13 @@ func (r *Replica) run(batch []*call) error {
 	}
 	n := len(batch)
 	ics := make([]*tensor.Tensor, n)
+	steps := make([]int, n)
 	leads := make([]float64, n)
 	lead := r.Scores.LeadHours()
-	leadSteps := r.Scores.DS.LeadSteps
-	maxSteps := 0
 	for i, c := range batch {
 		ics[i] = r.Scores.InputAt(c.req.Start)
+		steps[i] = c.req.Steps
 		leads[i] = lead
-		if c.req.Steps > maxSteps {
-			maxSteps = c.req.Steps
-		}
 		// Fresh result buffers per attempt: a retried batch must not
 		// leak a dead replica's partial results.
 		if c.degraded {
@@ -125,51 +123,34 @@ func (r *Replica) run(batch []*call) error {
 		} else {
 			c.scores = make([]infer.StepScore, c.req.Steps)
 			c.means = nil
-			// Warm the shared truth/climatology caches before the
-			// fan-out, as infer.ScoredRolloutBatch does.
-			for k := 0; k < c.req.Steps; k++ {
-				idx := c.req.Start + (k+1)*leadSteps
-				r.Scores.TruthAt(idx)
-				r.Scores.ClimAt(idx)
-			}
+			r.Scores.Warm(c.req.Start, c.req.Steps)
 		}
 	}
 	mc := r.Engine.Model.Config
 	hw := mc.Height * mc.Width
-	r.Engine.RolloutBatch(ics, maxSteps, leads, func(sample, step int, pred *tensor.Tensor) {
+	// Each request rolls for its own horizon and leaves the fused batch
+	// after its last step.
+	r.Engine.RolloutRagged(ics, steps, leads, func(sample, step int, pred *tensor.Tensor) {
 		c := batch[sample]
-		if step >= c.req.Steps {
-			// Riding along past its own horizon for the batch's sake;
-			// no scoring work.
+		if !c.degraded {
+			c.scores[step] = r.Scores.Score(c.req.Start, step, pred)
 			return
 		}
-		if c.degraded {
-			// Raw-rollout summary: per-channel spatial means, no truth
-			// or climatology generation.
-			m := make([]float64, mc.OutChannels)
-			pd := pred.Data()
-			for ch := 0; ch < mc.OutChannels; ch++ {
-				var sum float64
-				for _, v := range pd[ch*hw : (ch+1)*hw] {
-					sum += float64(v)
-				}
-				m[ch] = sum / float64(hw)
+		// Raw-rollout summary: per-channel spatial means, no truth or
+		// climatology generation.
+		m := make([]float64, mc.OutChannels)
+		pd := pred.Data()
+		for ch := 0; ch < mc.OutChannels; ch++ {
+			var sum float64
+			for _, v := range pd[ch*hw : (ch+1)*hw] {
+				sum += float64(v)
 			}
-			c.means[step] = m
-			return
+			m[ch] = sum / float64(hw)
 		}
-		idx := c.req.Start + (step+1)*leadSteps
-		truth := r.Scores.TruthAt(idx)
-		clim := r.Scores.ClimAt(idx)
-		c.scores[step] = infer.StepScore{
-			Step:      step,
-			LeadHours: float64(step+1) * lead,
-			RMSE:      metrics.WeightedRMSE(pred, truth),
-			ACC:       metrics.WeightedACC(pred, truth, clim),
-		}
+		c.means[step] = m
 	})
-	if r.afterRun != nil {
-		r.afterRun()
+	if r.AfterRun != nil {
+		r.AfterRun()
 	}
 	return r.checkErr()
 }

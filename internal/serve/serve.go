@@ -1,5 +1,5 @@
 // Package serve is the serving resilience layer: a bounded admission
-// queue with priority-aware load shedding, deadline-aware batch
+// queue with priority-aware load shedding, work-conserving batch
 // formation, graceful degradation under overload, and a health-checked
 // replica pool that retries a failed batch on a healthy replica — the
 // overload-safe, fault-tolerant front end the ROADMAP's "millions of
@@ -8,9 +8,11 @@
 // Dataflow:
 //
 //	Do(ctx, req) ── admission (capacity / priority shed, degrade mark)
-//	            └─► pending queue ── batch formation (MaxBatch fill or
-//	                             timer capped by tightest deadline)
-//	                             └─► dispatch ── healthy replica
+//	            └─► pending queue ── a replica worker is free: it takes
+//	                             up to MaxBatch live calls (an idle
+//	                             worker takes a lone call at once; calls
+//	                             pile up only behind busy workers)
+//	                             └─► dispatch ── that replica
 //	                                         ├─ ok: deliver responses
 //	                                         └─ replica dead: jittered
 //	                                            backoff, retry whole
@@ -25,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,8 +120,10 @@ type Config struct {
 	// MaxBatch is the coalesced batch width (default: the smallest
 	// replica engine's fused batch width).
 	MaxBatch int
-	// MaxWait is the batch fill horizon (default 2ms). A member
-	// deadline tighter than MaxWait flushes the batch early.
+	// MaxWait is no longer read: batches form when a replica worker
+	// frees up, so there is no fill window left to bound. The field
+	// stays only because the benchmark (frozen for this change) sets
+	// it; it goes with the next benchmark change.
 	MaxWait time.Duration
 	// QueueCap bounds admitted-but-unfinished requests; beyond it
 	// admission sheds with ErrOverloaded (default 4×MaxBatch). This is
@@ -153,16 +158,18 @@ type Server struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// mu guards the one queue → batch → replica state machine: the
+	// pending queue, each call's answered flag, the replicas' busy
+	// workers, and the admission depth.
 	mu       sync.Mutex
-	pending  []*call
-	timer    *time.Timer
-	timerAt  time.Time
-	gen      uint64
-	depth    int // admitted, not yet completed
+	pending  []*call // admitted, waiting for a free replica worker (FIFO)
+	busy     []int   // per replica: engine workers running a batch
+	running  int     // sum of busy
+	depth    int     // admitted callers not yet answered
 	maxDepth int
 	rr       int // round-robin replica cursor
 	closed   bool
-	inflight sync.WaitGroup
+	inflight sync.WaitGroup // unanswered calls and running batches
 
 	st counters
 }
@@ -172,6 +179,7 @@ type call struct {
 	ctx      context.Context
 	degraded bool
 	admitted time.Time
+	answered bool // guarded by Server.mu; set once, by whoever answers the caller
 	scores   []infer.StepScore
 	means    [][]float64
 	ch       chan callResult
@@ -205,9 +213,6 @@ func NewServer(cfg Config, replicas []*Replica) (*Server, error) {
 			}
 		}
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 2 * time.Millisecond
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4 * cfg.MaxBatch
 	}
@@ -227,6 +232,7 @@ func NewServer(cfg Config, replicas []*Replica) (*Server, error) {
 		cfg:      cfg,
 		replicas: replicas,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		busy:     make([]int, len(replicas)),
 	}, nil
 }
 
@@ -283,77 +289,39 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 	s.st.accepted.Add(1)
 	s.inflight.Add(1)
 	s.pending = append(s.pending, c)
-	switch {
-	case len(s.pending) >= s.cfg.MaxBatch:
-		batch := s.takeLocked()
-		s.mu.Unlock()
-		s.runBatch(batch)
-	case len(s.pending) == 1:
-		wait := s.cfg.MaxWait
-		if dl, ok := ctx.Deadline(); ok {
-			if until := time.Until(dl); until < wait {
-				wait = until
-			}
-		}
-		s.armLocked(wait)
-		s.mu.Unlock()
-	default:
-		if dl, ok := ctx.Deadline(); ok && dl.Before(s.timerAt) {
-			s.armLocked(time.Until(dl))
-		}
-		s.mu.Unlock()
-	}
+	s.scheduleLocked()
+	s.mu.Unlock()
 	select {
 	case r := <-c.ch:
 		return r.resp, r.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
-}
-
-// armLocked (re)arms the flush timer; caller holds s.mu.
-func (s *Server) armLocked(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.gen++
-	gen := s.gen
-	if s.timer != nil {
-		s.timer.Stop()
-	}
-	s.timerAt = time.Now().Add(d)
-	s.timer = time.AfterFunc(d, func() { s.flushTimer(gen) })
-}
-
-// takeLocked claims the pending batch; caller holds s.mu.
-func (s *Server) takeLocked() []*call {
-	batch := s.pending
-	s.pending = nil
-	s.gen++
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	return batch
-}
-
-func (s *Server) flushTimer(gen uint64) {
+	// The caller is giving up: it leaves depth now, not when a batch
+	// gets round to noticing. A call still queued is unlinked and never
+	// reaches a replica; one already in a running batch has its result
+	// discarded on delivery.
 	s.mu.Lock()
-	if gen != s.gen {
-		s.mu.Unlock()
+	if i := slices.Index(s.pending, c); i >= 0 {
+		s.pending = slices.Delete(s.pending, i, i+1)
+		s.st.droppedExpired.Add(1)
+	}
+	s.answerLocked(c, nil, ctx.Err())
+	s.mu.Unlock()
+	// If a reply or an error won the race for the call, that is its one
+	// answer.
+	r := <-c.ch
+	return r.resp, r.err
+}
+
+// answerLocked answers an admitted call, once: the first answer leaves
+// depth, is counted and reaches the caller; a later one (a batch
+// finishing after its caller gave up) is dropped. Caller holds s.mu.
+func (s *Server) answerLocked(c *call, resp *Response, err error) {
+	if c.answered {
 		return
 	}
-	batch := s.takeLocked()
-	s.mu.Unlock()
-	s.runBatch(batch)
-}
-
-// deliver completes one admitted call: depth bookkeeping, latency
-// observation, and the (buffered, never-blocking) result send.
-func (s *Server) deliver(c *call, resp *Response, err error) {
-	s.mu.Lock()
+	c.answered = true
 	s.depth--
-	s.mu.Unlock()
 	if err != nil {
 		s.st.failed.Add(1)
 	} else {
@@ -363,59 +331,110 @@ func (s *Server) deliver(c *call, resp *Response, err error) {
 		}
 		s.st.latency.observe(time.Since(c.admitted))
 	}
-	c.ch <- callResult{resp: resp, err: err}
+	c.ch <- callResult{resp: resp, err: err} // buffered; the one send
 	s.inflight.Done()
 }
 
-// runBatch drops expired members, then dispatches the batch to the
-// replica pool with failover.
-func (s *Server) runBatch(batch []*call) {
-	if len(batch) == 0 {
-		return
-	}
-	live := batch[:0]
-	for _, c := range batch {
-		if err := c.ctx.Err(); err != nil {
-			s.st.droppedExpired.Add(1)
-			s.deliver(c, nil, err)
-			continue
+// scheduleLocked is the work-conserving step, run after every arrival
+// and every batch completion: while calls are pending and a healthy
+// replica has a free worker, form a batch for it. A batch therefore
+// grows only while every worker is busy. Caller holds s.mu.
+func (s *Server) scheduleLocked() {
+	for len(s.pending) > 0 {
+		i := s.freeReplicaLocked()
+		if i < 0 {
+			if s.running == 0 {
+				// No batch will come back to reschedule: the pool is dead.
+				for _, c := range s.pending {
+					s.answerLocked(c, nil, ErrNoHealthyReplica)
+				}
+				s.pending = nil
+			}
+			return
 		}
-		live = append(live, c)
+		batch := s.takeLocked()
+		if len(batch) == 0 {
+			return
+		}
+		s.busy[i]++
+		s.running++
+		s.inflight.Add(1)
+		s.st.batches.Add(1)
+		go s.runBatch(i, batch)
 	}
-	if len(live) == 0 {
-		return
-	}
-	s.st.batches.Add(1)
-	s.dispatch(live)
 }
 
-// dispatch places a batch on a healthy replica; when the replica dies
-// (before, during, or after the forward) the whole batch is retried on
-// the next healthy replica after a jittered exponential backoff. A
+// freeReplicaLocked returns the index of the next healthy replica,
+// round-robin, with an engine worker not running a batch, or -1.
+// Caller holds s.mu.
+func (s *Server) freeReplicaLocked() int {
+	n := len(s.replicas)
+	for k := 0; k < n; k++ {
+		i := (s.rr + k) % n
+		if r := s.replicas[i]; s.busy[i] < r.Engine.Cfg.Workers && r.Healthy() {
+			s.rr = (i + 1) % n
+			return i
+		}
+	}
+	return -1
+}
+
+// takeLocked forms a batch from the head of the queue: up to MaxBatch
+// calls whose context is still live; expired ones are answered on the
+// way. Caller holds s.mu.
+func (s *Server) takeLocked() []*call {
+	batch := make([]*call, 0, min(len(s.pending), s.cfg.MaxBatch))
+	k := 0
+	for ; k < len(s.pending) && len(batch) < s.cfg.MaxBatch; k++ {
+		c := s.pending[k]
+		if err := c.ctx.Err(); err != nil {
+			s.st.droppedExpired.Add(1)
+			s.answerLocked(c, nil, err)
+			continue
+		}
+		batch = append(batch, c)
+	}
+	s.pending = slices.Delete(s.pending, 0, k)
+	return batch
+}
+
+// runBatch runs one batch on replica i's free worker, then hands the
+// worker back and reschedules.
+func (s *Server) runBatch(i int, batch []*call) {
+	s.dispatch(s.replicas[i], batch)
+	s.mu.Lock()
+	s.busy[i]--
+	s.running--
+	s.scheduleLocked()
+	s.mu.Unlock()
+	s.inflight.Done()
+}
+
+// answerAll answers every call of a batch with the same error.
+func (s *Server) answerAll(batch []*call, err error) {
+	s.mu.Lock()
+	for _, c := range batch {
+		s.answerLocked(c, nil, err)
+	}
+	s.mu.Unlock()
+}
+
+// dispatch runs a batch on replica r; when the replica dies (before,
+// during, or after the forward) the whole batch is retried on the
+// next healthy replica after a jittered exponential backoff. A
 // replica's results are delivered only after it passes the post-batch
 // health check, so a batch from a dead replica is discarded and rerun
 // — which is why retried results are bit-identical to a no-fault run
 // and no request is ever lost.
-func (s *Server) dispatch(batch []*call) {
-	tried := make(map[int]bool)
+func (s *Server) dispatch(r *Replica, batch []*call) {
+	var tried map[int]bool // replicas that failed this batch
 	retries := 0
-	var lastErr error
 	for {
-		r := s.pick(tried)
-		if r == nil {
-			err := ErrNoHealthyReplica
-			if lastErr != nil {
-				err = fmt.Errorf("%w (last failure: %v)", ErrNoHealthyReplica, lastErr)
-			}
-			for _, c := range batch {
-				s.deliver(c, nil, err)
-			}
-			return
-		}
 		err := r.run(batch)
 		if err == nil {
+			s.mu.Lock()
 			for _, c := range batch {
-				s.deliver(c, &Response{
+				s.answerLocked(c, &Response{
 					Start:     c.req.Start,
 					Steps:     c.req.Steps,
 					Coalesced: len(batch),
@@ -426,42 +445,52 @@ func (s *Server) dispatch(batch []*call) {
 					Means:     c.means,
 				}, nil)
 			}
+			s.mu.Unlock()
 			return
 		}
 		r.markDead(err)
 		s.st.replicaFailures.Add(1)
+		if tried == nil {
+			tried = make(map[int]bool)
+		}
 		tried[r.ID] = true
-		lastErr = err
 		retries++
 		if retries > s.cfg.MaxRetries {
-			ferr := fmt.Errorf("serve: batch failed after %d failovers: %w", retries-1, err)
-			for _, c := range batch {
-				s.deliver(c, nil, ferr)
-			}
+			s.answerAll(batch, fmt.Errorf("serve: batch failed after %d failovers: %w", retries-1, err))
 			return
 		}
 		s.st.retries.Add(1)
 		time.Sleep(s.backoff(retries))
-		// Deadlines may have expired during the backoff; drop those
-		// members before occupying another replica.
+		// Callers may have given up or expired during the backoff; drop
+		// them before occupying another replica.
+		s.mu.Lock()
 		live := batch[:0]
 		for _, c := range batch {
+			if c.answered {
+				continue
+			}
 			if cerr := c.ctx.Err(); cerr != nil {
 				s.st.droppedExpired.Add(1)
-				s.deliver(c, nil, cerr)
+				s.answerLocked(c, nil, cerr)
 				continue
 			}
 			live = append(live, c)
 		}
-		batch = live
-		if len(batch) == 0 {
+		s.mu.Unlock()
+		if batch = live; len(batch) == 0 {
+			return
+		}
+		if r = s.pick(tried); r == nil {
+			s.answerAll(batch, fmt.Errorf("%w (last failure: %v)", ErrNoHealthyReplica, err))
 			return
 		}
 	}
 }
 
-// pick returns the next healthy replica not yet tried for this batch,
-// round-robin, or nil when none remains.
+// pick returns the next healthy replica that has not failed this
+// batch, round-robin, or nil when none remains. A failed-over batch
+// keeps the dead replica's worker and queues for a worker of the one
+// it lands on inside that replica's engine.
 func (s *Server) pick(tried map[int]bool) *Replica {
 	s.mu.Lock()
 	start := s.rr
@@ -491,19 +520,13 @@ func (s *Server) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * j)
 }
 
-// Close stops admission, drains the pending batch, and waits until
-// every in-flight request has received its response — the graceful
-// shutdown path orbit-serve runs on SIGTERM.
+// Close stops admission and waits until every admitted request has
+// been answered — the graceful shutdown path orbit-serve runs on
+// SIGTERM. Queued calls need no flush: the replica workers keep
+// pulling until the queue is empty.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.inflight.Wait()
-		return
-	}
 	s.closed = true
-	batch := s.takeLocked()
 	s.mu.Unlock()
-	s.runBatch(batch)
 	s.inflight.Wait()
 }

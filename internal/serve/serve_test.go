@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,229 +34,257 @@ func fixtureModel(tb testing.TB, seed uint64) (*vit.Model, *infer.ScoreCache) {
 	return m, infer.NewScoreCache(ds, nil)
 }
 
-// newReplica builds one pool replica over the model. tp == 0 is a
-// single-device engine; tp >= 2 shards the trunk over a simulated
+// newReplica builds one pool replica over the model, with one engine
+// worker (a replica is one accelerator: one batch at a time), so a
+// single held batch makes the replica busy at any GOMAXPROCS. tp == 0
+// is a single-device engine; tp >= 2 shards the trunk over a simulated
 // cluster (its own machine per replica, like a real pod).
 func newReplica(tb testing.TB, id int, m *vit.Model, sc *infer.ScoreCache, maxBatch, tp int) *Replica {
 	tb.Helper()
-	eng, err := infer.NewEngine(m, infer.Config{MaxBatch: maxBatch, TP: tp})
+	eng, err := infer.NewEngine(m, infer.Config{MaxBatch: maxBatch, TP: tp, Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return NewReplica(id, eng, sc)
 }
 
-// TestServerServesAndCoalesces proves the happy path end to end:
-// concurrent requests coalesce into fused batches, and every response
-// is bit-identical to a direct engine rollout of the same sample.
+// gate holds every batch that reaches its replica on the replica's
+// worker (in AfterRun: forward done, results not yet delivered) until
+// it is opened, so requests behind it queue deterministically.
+type gate struct {
+	held atomic.Int64 // batches that have reached the gate
+	ch   chan struct{}
+}
+
+func gateReplica(r *Replica) *gate {
+	g := &gate{ch: make(chan struct{})}
+	r.AfterRun = func() {
+		g.held.Add(1)
+		<-g.ch
+	}
+	return g
+}
+
+func (g *gate) open() { close(g.ch) }
+
+// waitFor polls an observable condition; tests wait on server state,
+// never on elapsed time.
+func waitFor(tb testing.TB, what string, cond func() bool) {
+	tb.Helper()
+	for end := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(end) {
+			tb.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+type outcome struct {
+	resp *Response
+	err  error
+}
+
+// submit sends a request on its own goroutine and returns once the
+// server has admitted it (depth reaches wantDepth).
+func submit(tb testing.TB, s *Server, ctx context.Context, req Request, wantDepth int) <-chan outcome {
+	tb.Helper()
+	done := make(chan outcome, 1)
+	go func() {
+		r, err := s.Do(ctx, req)
+		done <- outcome{r, err}
+	}()
+	waitFor(tb, "admission", func() bool { return s.Stats().QueueDepth >= wantDepth })
+	return done
+}
+
+// plug sends one request per gated replica and waits until each is held
+// at its gate: every worker of the pool is then busy, and what follows
+// queues. Replicas are plugged in pool order (the round-robin order).
+func plug(tb testing.TB, s *Server, gates ...*gate) []<-chan outcome {
+	tb.Helper()
+	var plugs []<-chan outcome
+	for i, g := range gates {
+		plugs = append(plugs, submit(tb, s, context.Background(), Request{Start: fixDSLen - 1 - i, Steps: 1}, i+1))
+		waitFor(tb, "plug held at its gate", func() bool { return g.held.Load() == 1 })
+	}
+	return plugs
+}
+
+// TestServerServesAndCoalesces proves the happy path end to end: a
+// request that finds the replica idle runs at once and alone, requests
+// that arrive while it is busy coalesce into one fused batch — each
+// rolled out for its own horizon — and every response is bit-identical
+// to a direct engine rollout of the same sample.
 func TestServerServesAndCoalesces(t *testing.T) {
 	m, sc := fixtureModel(t, 21)
 	rep := newReplica(t, 0, m, sc, 8, 0)
-	s, err := NewServer(Config{MaxBatch: 8, MaxWait: 300 * time.Millisecond}, []*Replica{rep})
+	g := gateReplica(rep)
+	s, err := NewServer(Config{MaxBatch: 8}, []*Replica{rep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
+	lone := plug(t, s, g)[0]
 	const n = 8
-	resps := make([]*Response, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := s.Do(context.Background(), Request{Start: i, Steps: 2})
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			resps[i] = r
-		}(i)
+	queued := make([]<-chan outcome, n)
+	for i := range queued {
+		queued[i] = submit(t, s, context.Background(), Request{Start: i, Steps: 1 + i%3}, 2+i)
 	}
-	wg.Wait()
+	if st := s.Stats(); st.Batches != 1 {
+		t.Fatalf("requests behind a busy replica formed a batch early: %+v", st)
+	}
+	g.open()
 
+	if o := <-lone; o.err != nil || o.resp.Coalesced != 1 {
+		t.Fatalf("request to an idle replica: %+v, %v; want it served alone", o.resp, o.err)
+	}
 	ref, err := infer.NewEngine(m, infer.Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coalesced := 0
-	for i, r := range resps {
-		if r == nil {
-			t.Fatalf("request %d lost", i)
+	for i, q := range queued {
+		o := <-q
+		if o.err != nil {
+			t.Fatalf("request %d: %v", i, o.err)
 		}
-		if r.Degraded || r.Retries != 0 {
-			t.Fatalf("request %d unexpectedly degraded/retried: %+v", i, r)
+		r := o.resp
+		if r.Degraded || r.Retries != 0 || r.Coalesced != n {
+			t.Fatalf("request %d: %+v; want one undegraded batch of %d", i, r, n)
 		}
-		want := ref.ScoredRollout(sc, i, 2)
-		if !reflect.DeepEqual(r.Scores, want) {
+		if want := ref.ScoredRollout(sc, i, 1+i%3); !reflect.DeepEqual(r.Scores, want) {
 			t.Fatalf("request %d scores differ from direct rollout", i)
 		}
-		if r.Coalesced > coalesced {
-			coalesced = r.Coalesced
-		}
-	}
-	if coalesced < 2 {
-		t.Fatalf("no coalescing observed (max reported %d)", coalesced)
 	}
 	st := s.Stats()
-	if st.Accepted != n || st.Completed != n || st.Failed != 0 {
+	if st.Accepted != n+1 || st.Completed != n+1 || st.Failed != 0 || st.Batches != 2 || st.QueueDepth != 0 {
 		t.Fatalf("stats accounting wrong: %+v", st)
 	}
 }
 
-// TestAdmissionCapacity proves the hard queue bound: a burst beyond
-// QueueCap sheds with ErrOverloaded, every accepted request completes,
-// and the queue never exceeds its capacity.
+// TestAdmissionCapacity proves the hard queue bound: with QueueCap
+// callers waiting, every further request sheds with ErrOverloaded,
+// every accepted request completes, and the queue never exceeds its
+// capacity.
 func TestAdmissionCapacity(t *testing.T) {
 	m, sc := fixtureModel(t, 22)
 	rep := newReplica(t, 0, m, sc, 4, 0)
-	// Slow the replica down so the burst outruns service and the queue
-	// actually fills — otherwise the tiny model drains faster than 64
-	// goroutines can pile up.
-	rep.afterRun = func() { time.Sleep(20 * time.Millisecond) }
-	s, err := NewServer(Config{MaxBatch: 4, QueueCap: 8, MaxWait: time.Millisecond}, []*Replica{rep})
+	g := gateReplica(rep)
+	s, err := NewServer(Config{MaxBatch: 4, QueueCap: 8}, []*Replica{rep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	const burst = 64
-	var served, shed atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := s.Do(context.Background(), Request{Start: i % fixDSLen, Steps: 1})
-			switch {
-			case err == nil:
-				served.Add(1)
-			case errors.Is(err, ErrOverloaded):
-				shed.Add(1)
-			default:
-				t.Errorf("request %d: %v", i, err)
-			}
-		}(i)
+	admitted := plug(t, s, g)
+	for i := 1; i < 8; i++ {
+		admitted = append(admitted, submit(t, s, context.Background(), Request{Start: i, Steps: 1}, i+1))
 	}
-	wg.Wait()
+	const extra = 56
+	for i := 0; i < extra; i++ {
+		if _, err := s.Do(context.Background(), Request{Start: i, Steps: 1}); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("request %d against a full queue: got %v, want ErrOverloaded", i, err)
+		}
+	}
+	g.open()
+	for i, a := range admitted {
+		if o := <-a; o.err != nil {
+			t.Fatalf("admitted request %d: %v", i, o.err)
+		}
+	}
 	st := s.Stats()
-	if shed.Load() == 0 {
-		t.Fatal("64-deep burst against an 8-deep queue shed nothing")
-	}
-	if served.Load()+shed.Load() != burst {
-		t.Fatalf("requests lost: %d served + %d shed != %d", served.Load(), shed.Load(), burst)
-	}
-	if st.MaxQueueDepth > 8 {
-		t.Fatalf("queue depth %d exceeded capacity 8", st.MaxQueueDepth)
-	}
-	if st.ShedCapacity != shed.Load() {
-		t.Fatalf("shed accounting: counter %d, observed %d", st.ShedCapacity, shed.Load())
+	if st.MaxQueueDepth != 8 || st.ShedCapacity != extra || st.Completed != 8 {
+		t.Fatalf("capacity accounting: %+v", st)
 	}
 }
 
-// parkRequest submits a request on a goroutine and waits until the
-// server has admitted it into the pending queue (depth reaches want).
-func parkRequest(t *testing.T, s *Server, req Request, want int) <-chan error {
+// closeWhileHeld starts Close, waits until admission is closed, and
+// only then opens the gates: whatever is still queued at that point is
+// served by the drain, not before it.
+func closeWhileHeld(t *testing.T, s *Server, gates ...*gate) {
 	t.Helper()
-	done := make(chan error, 1)
+	closed := make(chan struct{})
 	go func() {
-		_, err := s.Do(context.Background(), req)
-		done <- err
+		s.Close()
+		close(closed)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().QueueDepth < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("request never admitted (depth %d, want %d)", s.Stats().QueueDepth, want)
-		}
-		time.Sleep(time.Millisecond)
+	waitFor(t, "admission to close", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.closed
+	})
+	if _, err := s.Do(context.Background(), Request{Start: 0, Steps: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Do on a closing server: got %v, want ErrClosed", err)
 	}
-	return done
+	for _, g := range gates {
+		g.open()
+	}
+	<-closed
 }
 
 // TestPriorityShedding proves low-priority requests shed at the
-// watermark while normal traffic is still admitted.
+// watermark while normal traffic is still admitted, and that Close
+// drains what is queued.
 func TestPriorityShedding(t *testing.T) {
 	m, sc := fixtureModel(t, 23)
 	rep := newReplica(t, 0, m, sc, 16, 0)
-	s, err := NewServer(Config{
-		MaxBatch: 16, QueueCap: 8, ShedLowDepth: 2,
-		MaxWait: 10 * time.Second, // only Close flushes; the queue parks
-	}, []*Replica{rep})
+	g := gateReplica(rep)
+	s, err := NewServer(Config{MaxBatch: 16, QueueCap: 8, ShedLowDepth: 2}, []*Replica{rep})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	d1 := parkRequest(t, s, Request{Start: 0, Steps: 1}, 1)
-	d2 := parkRequest(t, s, Request{Start: 1, Steps: 1}, 2)
+	d1 := plug(t, s, g)[0]
+	d2 := submit(t, s, context.Background(), Request{Start: 1, Steps: 1}, 2)
 	// Depth is now 2 — at the low watermark, below capacity.
 	if _, err := s.Do(context.Background(), Request{Start: 2, Steps: 1, Priority: PriorityLow}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("low-priority request at watermark: got %v, want ErrOverloaded", err)
 	}
-	d3 := parkRequest(t, s, Request{Start: 3, Steps: 1, Priority: PriorityNormal}, 3)
-	st := s.Stats()
-	if st.ShedPriority != 1 {
+	d3 := submit(t, s, context.Background(), Request{Start: 3, Steps: 1, Priority: PriorityNormal}, 3)
+	if st := s.Stats(); st.ShedPriority != 1 {
 		t.Fatalf("priority sheds = %d, want 1", st.ShedPriority)
 	}
-	s.Close() // drains the parked batch
-	for i, d := range []<-chan error{d1, d2, d3} {
-		if err := <-d; err != nil {
-			t.Fatalf("parked request %d: %v", i, err)
+	closeWhileHeld(t, s, g)
+	for i, d := range []<-chan outcome{d1, d2, d3} {
+		if o := <-d; o.err != nil {
+			t.Fatalf("queued request %d: %v", i, o.err)
 		}
-	}
-	if _, err := s.Do(context.Background(), Request{Start: 0, Steps: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-Close Do: got %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
 }
 
 // TestDegradedMode proves graceful degradation: above DegradeDepth,
 // normal requests get raw rollouts (means, no scores) while
-// high-priority requests keep full scoring.
+// high-priority requests keep full scoring — in the same fused batch.
 func TestDegradedMode(t *testing.T) {
 	m, sc := fixtureModel(t, 24)
 	rep := newReplica(t, 0, m, sc, 16, 0)
-	s, err := NewServer(Config{
-		MaxBatch: 16, QueueCap: 16, DegradeDepth: 1,
-		MaxWait: 10 * time.Second,
-	}, []*Replica{rep})
+	g := gateReplica(rep)
+	s, err := NewServer(Config{MaxBatch: 16, QueueCap: 16, DegradeDepth: 1}, []*Replica{rep})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 
-	results := make([]*Response, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	submit := func(i int, req Request, wantDepth int) {
-		t.Helper()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = s.Do(context.Background(), req)
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for s.Stats().QueueDepth < wantDepth {
-			if time.Now().After(deadline) {
-				t.Errorf("request %d never admitted", i)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
+	pending := []<-chan outcome{
+		submit(t, s, context.Background(), Request{Start: 0, Steps: 2}, 1),                         // depth 0 at admission: full scoring
+		submit(t, s, context.Background(), Request{Start: 1, Steps: 2}, 2),                         // depth 1: degraded
+		submit(t, s, context.Background(), Request{Start: 2, Steps: 2, Priority: PriorityHigh}, 3), // high: never degraded
 	}
-	submit(0, Request{Start: 0, Steps: 2}, 1)                         // depth 0 at admission: full scoring
-	submit(1, Request{Start: 1, Steps: 2}, 2)                         // depth 1: degraded
-	submit(2, Request{Start: 2, Steps: 2, Priority: PriorityHigh}, 3) // high: never degraded
-	s.Close()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	g.open()
+	var results []*Response
+	for i, p := range pending {
+		o := <-p
+		if o.err != nil {
+			t.Fatalf("request %d: %v", i, o.err)
 		}
+		results = append(results, o.resp)
 	}
 	if results[0].Degraded || results[0].Scores == nil {
 		t.Fatalf("first request (empty queue) should be fully scored: %+v", results[0])
 	}
-	if !results[1].Degraded || results[1].Scores != nil {
-		t.Fatalf("queued normal request should be degraded: %+v", results[1])
+	if !results[1].Degraded || results[1].Scores != nil || results[1].Coalesced != 2 {
+		t.Fatalf("queued normal request should be degraded, batched with the high-priority one: %+v", results[1])
 	}
 	if len(results[1].Means) != 2 || len(results[1].Means[0]) != m.Config.OutChannels {
 		t.Fatalf("degraded response means malformed: %v", results[1].Means)
@@ -272,56 +299,64 @@ func TestDegradedMode(t *testing.T) {
 
 // TestFailoverMidBatchBitIdentical kills a single-device replica
 // between its forward and the post-batch health check (the
-// deterministic "mid-batch" hook), and proves the batch retried on the
-// surviving replica returns results bit-identical to a no-fault run —
-// with no request lost.
+// deterministic "mid-batch" hook) while it runs a full batch, and
+// proves the batch retried on the surviving replica returns results
+// bit-identical to a no-fault run — with no request lost.
 func TestFailoverMidBatchBitIdentical(t *testing.T) {
 	m, sc := fixtureModel(t, 25)
 	repA := newReplica(t, 0, m, sc, 4, 0)
 	repB := newReplica(t, 1, m, sc, 4, 0)
-	var once sync.Once
-	repA.afterRun = func() { once.Do(func() { repA.Kill() }) }
-	s, err := NewServer(Config{MaxBatch: 4, MaxWait: 200 * time.Millisecond}, []*Replica{repA, repB})
+	gA, gB := gateReplica(repA), gateReplica(repB)
+	holdA := repA.AfterRun
+	var runsA atomic.Int64
+	repA.AfterRun = func() {
+		if runsA.Add(1) == 2 {
+			repA.Kill() // the batch after the plug dies mid-flight
+		}
+		holdA()
+	}
+	s, err := NewServer(Config{MaxBatch: 4}, []*Replica{repA, repB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
+	plugs := plug(t, s, gA, gB)
 	const n = 4
-	resps := make([]*Response, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := s.Do(context.Background(), Request{Start: 10 + i, Steps: 1 + i%2})
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			resps[i] = r
-		}(i)
+	queued := make([]<-chan outcome, n)
+	for i := range queued {
+		queued[i] = submit(t, s, context.Background(), Request{Start: 10 + i, Steps: 1 + i%2}, 3+i)
 	}
-	wg.Wait()
+	// A's plug completes, A takes the four queued requests as one batch
+	// and dies under it; the retry lands on B, which is released last.
+	gA.open()
+	waitFor(t, "the failed-over batch to reach replica B", func() bool { return gB.held.Load() == 2 })
+	gB.open()
 
+	for i, p := range plugs {
+		if o := <-p; o.err != nil || o.resp.Retries != 0 {
+			t.Fatalf("plug %d: %+v, %v", i, o.resp, o.err)
+		}
+	}
 	ref, err := infer.NewEngine(m, infer.Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range resps {
-		if r == nil {
-			t.Fatalf("request %d lost across the failover", i)
+	for i, q := range queued {
+		o := <-q
+		if o.err != nil {
+			t.Fatalf("request %d lost across the failover: %v", i, o.err)
 		}
-		if r.Retries < 1 || r.Replica != repB.ID {
-			t.Fatalf("request %d not failed over: replica %d, retries %d", i, r.Replica, r.Retries)
+		r := o.resp
+		if r.Retries != 1 || r.Replica != repB.ID || r.Coalesced != n {
+			t.Fatalf("request %d not failed over as one batch: %+v", i, r)
 		}
-		want := ref.ScoredRollout(sc, 10+i, 1+i%2)
-		if !reflect.DeepEqual(r.Scores, want) {
+		if want := ref.ScoredRollout(sc, 10+i, 1+i%2); !reflect.DeepEqual(r.Scores, want) {
 			t.Fatalf("request %d: retried scores differ from the no-fault rollout", i)
 		}
 	}
 	st := s.Stats()
-	if st.ReplicaFailures < 1 || st.Retries < 1 {
+	if st.ReplicaFailures != 1 || st.Retries != 1 {
 		t.Fatalf("failover not recorded: %+v", st)
 	}
 	if st.HealthyReplicas != 1 {
@@ -338,13 +373,16 @@ func TestNoHealthyReplica(t *testing.T) {
 	m, sc := fixtureModel(t, 26)
 	rep := newReplica(t, 0, m, sc, 4, 0)
 	rep.Kill()
-	s, err := NewServer(Config{MaxBatch: 4, MaxWait: time.Millisecond}, []*Replica{rep})
+	s, err := NewServer(Config{MaxBatch: 4}, []*Replica{rep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	if _, err := s.Do(context.Background(), Request{Start: 0, Steps: 1}); !errors.Is(err, ErrNoHealthyReplica) {
 		t.Fatalf("got %v, want ErrNoHealthyReplica", err)
+	}
+	if st := s.Stats(); st.QueueDepth != 0 || st.Failed != 1 {
+		t.Fatalf("failed request still holds a slot: %+v", st)
 	}
 }
 
@@ -353,7 +391,7 @@ func TestNoHealthyReplica(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	m, sc := fixtureModel(t, 27)
 	rep := newReplica(t, 0, m, sc, 4, 0)
-	s, err := NewServer(Config{MaxBatch: 4, MaxWait: time.Millisecond, MaxSteps: 10}, []*Replica{rep})
+	s, err := NewServer(Config{MaxBatch: 4, MaxSteps: 10}, []*Replica{rep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +409,18 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation proves (a) an expired context is rejected at
-// admission, (b) a canceled queued request is dropped at batch
-// formation without occupying a slot, and (c) a member deadline
-// tighter than MaxWait caps the batch's wait horizon.
+// TestDeadlinePropagation proves a caller that stops waiting stops
+// holding capacity, at once: (a) an expired context is rejected at
+// admission; (b) a request canceled while queued is unlinked — its
+// slot is free when Do returns — and one found expired at batch
+// formation is dropped; neither reaches a replica; (c) a request
+// abandoned while its batch is running leaves depth when Do returns
+// and its late result is dropped, not counted.
 func TestDeadlinePropagation(t *testing.T) {
 	m, sc := fixtureModel(t, 28)
 	rep := newReplica(t, 0, m, sc, 8, 0)
-	s, err := NewServer(Config{MaxBatch: 8, QueueCap: 16, MaxWait: 10 * time.Second}, []*Replica{rep})
+	g := gateReplica(rep)
+	s, err := NewServer(Config{MaxBatch: 8, QueueCap: 16}, []*Replica{rep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,51 +431,64 @@ func TestDeadlinePropagation(t *testing.T) {
 	if _, err := s.Do(expired, Request{Start: 0, Steps: 1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired context admitted: %v", err)
 	}
-
-	// Park a request, cancel it, then let a tight-deadline request
-	// flush the batch: the canceled member must be dropped, the live
-	// member served alone well before the 10s MaxWait.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Do(ctx2, Request{Start: 1, Steps: 1})
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().QueueDepth < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel2()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled request returned %v", err)
+	if st := s.Stats(); st.Accepted != 0 {
+		t.Fatalf("expired context was admitted: %+v", st)
 	}
 
-	start := time.Now()
-	ctx3, cancel3 := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel3()
-	r, err := s.Do(ctx3, Request{Start: 2, Steps: 1})
-	elapsed := time.Since(start)
-	if elapsed > 5*time.Second {
-		t.Fatalf("tight-deadline request waited %v against a 10s MaxWait: deadline did not cap the batch horizon", elapsed)
+	running, abandon := context.WithCancel(context.Background())
+	held := submit(t, s, running, Request{Start: 0, Steps: 1}, 1)
+	waitFor(t, "the first batch to be held", func() bool { return g.held.Load() == 1 })
+
+	queuedCtx, cancelQueued := context.WithCancel(context.Background())
+	canceled := submit(t, s, queuedCtx, Request{Start: 1, Steps: 1}, 2)
+	cancelQueued()
+	if o := <-canceled; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("canceled request returned %v", o.err)
 	}
-	if err == nil {
-		if r.Coalesced != 1 {
-			t.Fatalf("canceled member occupied a batch slot: coalesced %d", r.Coalesced)
-		}
-	} else if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("tight-deadline request: %v", err)
+	if st := s.Stats(); st.QueueDepth != 1 || st.DroppedExpired != 1 || st.Failed != 1 {
+		t.Fatalf("canceled queued request still holds its slot: %+v", st)
 	}
-	// The flush that drops the canceled member runs concurrently with
-	// Do's deadline return; poll for its bookkeeping.
-	for end := time.Now().Add(5 * time.Second); s.Stats().DroppedExpired < 1; {
-		if time.Now().After(end) {
-			t.Fatalf("expired drop never counted: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
+
+	// A caller that is slow to notice its own deadline: Err reports it,
+	// Done has not fired yet. Batch formation must drop the call.
+	stale := &staleCtx{Context: context.Background()}
+	staleDone := submit(t, s, stale, Request{Start: 2, Steps: 1}, 2)
+	stale.expired.Store(true)
+
+	live := submit(t, s, context.Background(), Request{Start: 3, Steps: 1}, 3)
+	abandon()
+	if o := <-held; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("request abandoned mid-batch returned %v", o.err)
 	}
+	if st := s.Stats(); st.QueueDepth != 2 || st.Failed != 2 {
+		t.Fatalf("abandoned running request still holds its slot: %+v", st)
+	}
+
+	g.open()
+	if o := <-staleDone; !errors.Is(o.err, context.DeadlineExceeded) {
+		t.Fatalf("request past its deadline at batch formation returned %v", o.err)
+	}
+	if o := <-live; o.err != nil || o.resp.Coalesced != 1 {
+		t.Fatalf("live request: %+v, %v; want it served alone (dropped members take no batch slot)", o.resp, o.err)
+	}
+	st := s.Stats()
+	if st.Batches != 2 || st.Completed != 1 || st.Failed != 3 || st.DroppedExpired != 2 || st.QueueDepth != 0 {
+		t.Fatalf("late result of an abandoned call was counted, or a dropped call ran: %+v", st)
+	}
+}
+
+// staleCtx is a context whose deadline has passed (once expired is set)
+// without its Done channel having fired.
+type staleCtx struct {
+	context.Context
+	expired atomic.Bool
+}
+
+func (c *staleCtx) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // TestParsePriority pins the wire names.

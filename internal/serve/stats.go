@@ -72,8 +72,10 @@ type Stats struct {
 	// ShedPriority counts low-priority requests shed at the watermark.
 	ShedCapacity int64 `json:"shed_capacity"`
 	ShedPriority int64 `json:"shed_priority"`
-	// DroppedExpired counts requests whose deadline passed before (or
-	// between) batch placements — dead clients that never held a slot.
+	// DroppedExpired counts requests whose caller gave up (deadline or
+	// cancellation) while they were queued, or waiting out a failover
+	// backoff: dead clients dropped before a replica ran them. They are
+	// also counted in Failed.
 	DroppedExpired int64 `json:"dropped_expired"`
 	// Degraded counts responses served without scoring under overload.
 	Degraded int64 `json:"degraded"`

@@ -58,8 +58,6 @@
 package orbit
 
 import (
-	"time"
-
 	"orbit/internal/ckpt"
 	"orbit/internal/climate"
 	"orbit/internal/cluster"
@@ -287,16 +285,6 @@ type RolloutScore = infer.StepScore
 // rollout scoring needs, per model.
 type ScoreCache = infer.ScoreCache
 
-// RolloutBatcher coalesces concurrent rollout requests into fused
-// batches (max-batch / max-wait dynamic batching).
-type RolloutBatcher = infer.Batcher
-
-// RolloutRequest and RolloutResponse are the serving units.
-type (
-	RolloutRequest  = infer.Request
-	RolloutResponse = infer.Response
-)
-
 // NewInferenceEngine plans an inference engine over a model.
 func NewInferenceEngine(m *Model, cfg InferConfig) (*InferenceEngine, error) {
 	return infer.NewEngine(m, cfg)
@@ -366,19 +354,14 @@ func NewScoreCache(ds *climate.Dataset, chans []int) *ScoreCache {
 	return infer.NewScoreCache(ds, chans)
 }
 
-// NewRolloutBatcher wires dynamic request batching over an engine.
-func NewRolloutBatcher(eng *InferenceEngine, sc *ScoreCache, maxBatch int, maxWait time.Duration) *RolloutBatcher {
-	return infer.NewBatcher(eng, sc, maxBatch, maxWait)
-}
-
-// RolloutRequestError is the typed validation error the batcher and
-// the forecast server return for a bad start index or horizon; match
-// it with errors.As.
+// RolloutRequestError is the typed validation error the forecast
+// server returns for a bad start index or horizon; match it with
+// errors.As.
 type RolloutRequestError = infer.RequestError
 
 // --- resilient serving (admission control, deadlines, failover) ---
 
-// ServeConfig tunes the resilient serving front end: batch formation,
+// ServeConfig tunes the resilient serving front end: the batch width,
 // the bounded admission queue, priority shedding, degraded mode, and
 // failover retry policy.
 type ServeConfig = serve.Config
@@ -415,8 +398,8 @@ type ServeReplica = serve.Replica
 type ServeStats = serve.Stats
 
 // ForecastServer is the overload-safe, fault-tolerant serving front
-// end: bounded admission queue, deadline-aware batch formation, and a
-// replica pool with bit-identical batch failover.
+// end: bounded admission queue, batches formed as replica workers free
+// up, and a replica pool with bit-identical batch failover.
 type ForecastServer = serve.Server
 
 // Serving error classes for HTTP mapping (429 / 503).

@@ -2,7 +2,8 @@
 # CI entry point: build, vet, gofmt check, staticcheck (when the
 # binary is installed — the hosted workflow installs it), full tests,
 # a race-detector pass over the communication / parallelism / elastic-
-# training / serving layers (including the serving chaos tests), a
+# training / serving layers (including the serving chaos tests), the
+# -count=20 -cpu 1,2 stress pass over the serving path, a
 # one-iteration benchmark smoke over the attention hot path, and the
 # coverage gate for the checkpoint, cluster fault-injection, and
 # inference/serving packages.
