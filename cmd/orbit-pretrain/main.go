@@ -197,11 +197,11 @@ func runGuarded(layoutSpec string, nodes, dim, heads, layers, tokens, globalBatc
 			GlobalBatch: globalBatch, Opts: cfg.Opts,
 		}
 		// Plan against the same (scaled) machine the elastic job will
-		// simulate on — see ElasticConfig.ComputeScale. The 4D planner
-		// searches a strict superset of the 3D space, so it picks a
-		// pipelined layout only when the replayed schedule (bubbles
-		// included) wins or when only pipelining fits device memory.
-		best, err := orbit.BestPlan4(w, orbit.ScaledPlanShape(nodes, computeScale), orbit.PlanConstraints{})
+		// simulate on — see ElasticConfig.ComputeScale. The planner
+		// searches all four axes, so it picks a pipelined layout only
+		// when the replayed schedule (bubbles included) beats every
+		// PP=1 layout or when only pipelining fits device memory.
+		best, err := orbit.BestPlan(w, orbit.ScaledPlanShape(nodes, computeScale), orbit.PlanConstraints{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,7 +7,8 @@
 // simulated cluster: every power-of-two (TP, FSDP, DDP) layout is
 // both predicted (internal/plan's replay of the comm clock model) and
 // actually simulated (real SPMD engines over simulated devices), and
-// the planner's top choice is graded against the measured optimum.
+// the planner's top choice over all four axes (TP, PP, FSDP, DDP) is
+// graded against the measured optimum.
 //
 // Usage:
 //
@@ -74,8 +75,8 @@ func main() {
 
 // runAuto compares planner predictions against ground-truth
 // simulation over the power-of-two grid, then grades the planner's
-// unconstrained choice (which may pick non-power-of-two extents or
-// different knobs) against the grid optimum.
+// unconstrained choice (which may pick non-power-of-two extents,
+// different knobs, or pipeline stages) against the grid optimum.
 func runAuto(nodes, globalBatch int, computeScale float64, cores int) {
 	w := orbit.PlanWorkload{
 		Dim: 32, Heads: 4, Layers: 3, Tokens: 16, QKNorm: true,
@@ -95,7 +96,7 @@ func runAuto(nodes, globalBatch int, computeScale float64, cores int) {
 			w.GlobalBatch, shape.Devices())
 		return
 	}
-	fmt.Printf("%-4s %-5s %-4s %-6s %14s %14s %8s\n", "TP", "FSDP", "DDP", "micro", "predicted(ms)", "simulated(ms)", "err%")
+	fmt.Printf("%-4s %-4s %-5s %-4s %-6s %14s %14s %8s\n", "TP", "PP", "FSDP", "DDP", "micro", "predicted(ms)", "simulated(ms)", "err%")
 	var optTime = math.Inf(1)
 	var optRow string
 	var maxErr, sumErr float64
@@ -103,8 +104,8 @@ func runAuto(nodes, globalBatch int, computeScale float64, cores int) {
 	for _, cand := range grid {
 		meas := orbit.SimulatePlan(w, shape, cand, 2)
 		if meas.Err != nil {
-			fmt.Printf("%-4d %-5d %-4d %-6d %14s %14s %8s  (%v)\n",
-				cand.Layout.TP, cand.Layout.FSDP, cand.Layout.DDP, cand.Knobs.MicroBatches,
+			fmt.Printf("%-4d %-4d %-5d %-4d %-6d %14s %14s %8s  (%v)\n",
+				cand.Layout.TP, cand.Layout.PP, cand.Layout.FSDP, cand.Layout.DDP, cand.Knobs.MicroBatches,
 				"-", "-", "-", meas.Err)
 			continue
 		}
@@ -115,13 +116,13 @@ func runAuto(nodes, globalBatch int, computeScale float64, cores int) {
 		if errPct > maxErr {
 			maxErr = errPct
 		}
-		row := fmt.Sprintf("%-4d %-5d %-4d %-6d %14.3f %14.3f %7.2f%%",
-			cand.Layout.TP, cand.Layout.FSDP, cand.Layout.DDP, cand.Knobs.MicroBatches,
+		row := fmt.Sprintf("%-4d %-4d %-5d %-4d %-6d %14.3f %14.3f %7.2f%%",
+			cand.Layout.TP, cand.Layout.PP, cand.Layout.FSDP, cand.Layout.DDP, cand.Knobs.MicroBatches,
 			1e3*pred, 1e3*meas.StepTime, errPct)
 		fmt.Println(row)
 		if meas.StepTime < optTime {
 			optTime = meas.StepTime
-			optRow = fmt.Sprintf("TP=%d FSDP=%d DDP=%d", cand.Layout.TP, cand.Layout.FSDP, cand.Layout.DDP)
+			optRow = fmt.Sprintf("TP=%d PP=%d FSDP=%d DDP=%d", cand.Layout.TP, cand.Layout.PP, cand.Layout.FSDP, cand.Layout.DDP)
 		}
 	}
 	if priced == 0 {
@@ -131,12 +132,15 @@ func runAuto(nodes, globalBatch int, computeScale float64, cores int) {
 			sumErr/float64(priced), maxErr, priced)
 	}
 
+	// The search has the pipeline axis open: a PP>1 layout wins only
+	// when the replayed 1F1B schedule (bubbles included) beats every
+	// PP=1 layout or when only pipelining fits the device memory.
 	best, err := orbit.BestPlan(w, shape, orbit.PlanConstraints{})
 	if err != nil {
 		fmt.Printf("planner failed: %v\n", err)
 		return
 	}
-	chosen := orbit.SimulatePlan(w, shape, best.Candidate, 2)
+	chosen := orbit.SimulatePlan(w, shape, best.Candidate4, 2)
 	fmt.Printf("\nplanner choice: %s\n", best)
 	if chosen.Err == nil && !math.IsInf(optTime, 1) {
 		gap := 100 * (chosen.StepTime/optTime - 1)
@@ -144,26 +148,4 @@ func runAuto(nodes, globalBatch int, computeScale float64, cores int) {
 		fmt.Printf("planner choice simulated at %.3f ms: %+.2f%% vs grid optimum\n", 1e3*chosen.StepTime, gap)
 	}
 	fmt.Printf("\nexplanation of the chosen plan:\n%s\n", best.Explain())
-
-	// 4D: repeat the search with the pipeline axis open. PP=1
-	// candidates are priced by the identical 3D replay, so the 4D
-	// choice differs only when the replayed 1F1B schedule (bubbles
-	// included) beats every 3D layout or when only pipelining fits
-	// the device memory.
-	best4, err := orbit.BestPlan4(w, shape, orbit.PlanConstraints{})
-	if err != nil {
-		fmt.Printf("4D planner failed: %v\n", err)
-		return
-	}
-	fmt.Printf("4D planner choice (TPxPPxFSDPxDDP search): %s\n", best4)
-	if best4.Layout.PP > 1 {
-		m4 := orbit.SimulatePlan4(w, shape, best4.Candidate4, 2)
-		if m4.Err == nil {
-			gap := 100 * (m4.StepTime/optTime - 1)
-			fmt.Printf("4D choice simulated at %.3f ms: %+.2f%% vs 3D grid optimum (predicted pipeline wait %.3f ms)\n",
-				1e3*m4.StepTime, gap, 1e3*best4.Pred.PPWait)
-		}
-	} else {
-		fmt.Printf("pipelining buys nothing on this shape: the 4D search kept PP=1\n")
-	}
 }

@@ -106,11 +106,11 @@ func TestBenchPR10(t *testing.T) {
 	}
 	cm := ScaledShape(1, 1e-3)
 	knobs := Knobs{PrefetchDepth: 1, MicroBatches: 1}
-	mem3 := Predict(wm, cm, Candidate{Layout: core.Layout{TP: 4, FSDP: 1, DDP: 1}, Knobs: knobs}).DeviceBytes
+	mem3 := Predict4(wm, cm, Candidate4{Layout: pp.Layout{TP: 4, PP: 1, FSDP: 1, DDP: 1}, Knobs: knobs}).DeviceBytes
 	mem4 := Predict4(wm, cm, Candidate4{Layout: pp.Layout{TP: 4, PP: 2, FSDP: 1, DDP: 1}, Knobs: knobs}).DeviceBytes
 	cm.Spec.MemPerGPU = (mem3 + mem4) / 2
 	best3Str := "OOM: no 3D layout fits"
-	if best3, err := Best(wm, cm, Constraints{}); err == nil {
+	if best3, err := Best4(wm, cm, Constraints{FixPP: 1}); err == nil {
 		best3Str = best3.String()
 	}
 	best4, err := Best4(wm, cm, Constraints{})

@@ -1,53 +1,65 @@
 // Package plan is the parallelism auto-planner: given a model
 // configuration and a simulated cluster shape, it enumerates every
-// valid Hybrid-STOP layout (TP, FSDP, DDP) together with its tuning
-// knobs (FSDP prefetch depth, DDP gradient-bucket size, the implied
-// micro-batch count), predicts each candidate's per-step time and
-// per-device memory, and returns a ranked plan set with a
+// valid Hybrid-STOP layout (TP, PP, FSDP, DDP) together with its
+// tuning knobs (FSDP prefetch depth, DDP gradient-bucket size, the
+// implied micro-batch count), predicts each candidate's per-step time
+// and per-device memory, and returns a ranked plan set with a
 // machine-readable explanation of every prediction. It closes the
 // loop the ORBIT paper closes by hand in Sec. IV: instead of the user
-// picking the split between tensor, sharded-data, and data
+// picking the split between tensor, pipeline, sharded-data, and data
 // parallelism per run, the planner picks it from the model.
+//
+// There is one planner path. The four axes are orthogonal extents of
+// one rank grid, so an unpipelined (TP, FSDP, DDP) layout is simply
+// the PP=1 row of the same search space, priced by the same replay
+// and simulated on the same engines as every pipelined layout.
 //
 // # How predictions are made
 //
-// Step time comes from replaying the engine's exact communication
-// schedule against the overlap-aware clock model of internal/comm:
-// the predictor walks the same program core.Engine executes — gather
-// posts (with prefetch depth), the TP activation all-reduces inside
-// each block, the asynchronous gradient reduce-scatters that drain
-// behind backward compute, and the outer DDP bucket all-reduces —
-// charging each collective the identical α–β ring cost over the
-// identical per-group link parameters (Infinity Fabric within a node,
-// Slingshot across), serializing in-flight collectives on each
-// group's single communication stream, and charging block compute
-// with the same core.BlockFLOPs the functional engine charges to the
-// simulated device clocks. Because predictor and simulator share both
-// the cost formulas and the program structure, predictions track the
+// Step time comes from replaying the engines' exact instruction
+// stream against the overlap-aware clock model of internal/comm: the
+// predictor walks each rank's 1F1B schedule slots as pp.Engine.RunStep
+// does and, inside each slot, the program core.Engine executes —
+// gather posts (with prefetch depth), the TP activation all-reduces
+// inside each block, the asynchronous gradient reduce-scatters that
+// drain behind backward compute, the outer DDP bucket all-reduces,
+// and the cross-stage activation/gradient transfers — charging each
+// collective the identical α–β ring cost over the identical per-group
+// link parameters (Infinity Fabric within a node, Slingshot across),
+// serializing in-flight collectives on each group's single
+// communication stream, and charging block compute with the same
+// core.BlockFLOPs the functional engine charges to the simulated
+// device clocks. Pipeline bubbles are not a formula: a stage idling
+// in warm-up accrues wait time on the first transfer it consumes
+// (Prediction.PPWait), and a single-stage schedule has no transfers
+// at all. Because predictor and simulator share both the cost
+// formulas and the program structure, predictions track the
 // functional simulation tightly; the calibration tests in this
-// package pin the agreement across a layout grid (within 15%, in
+// package pin the agreement across layout grids (within 15%, in
 // practice far closer) and require the planner's top choice to land
 // within a few percent of the brute-force grid-sweep optimum.
 //
 // Memory comes from two models. The simulated-accounting prediction
 // (Prediction.DeviceBytes) replays the engine's exact Alloc/Free
-// sequence — persistent fp32 chunk weights+gradients, gather staging
-// (depth+1 layer buffers live under prefetch), activation residency
-// under checkpointing — and must equal cluster.Device.MemPeak to the
-// byte (pinned by test). The analytic breakdown (MemBreakdown)
-// additionally itemizes what a real training process holds —
-// parameters, gradients, AdamW moments, activations, gather staging —
-// which is what a capacity decision on real hardware needs.
+// sequence — persistent fp32 chunk weights+gradients of the rank's
+// stage, gather staging (depth+1 layer buffers live under prefetch),
+// activation residency under checkpointing — and must equal
+// cluster.Device.MemPeak to the byte (pinned by test). The analytic
+// breakdown (MemBreakdown) additionally itemizes what a real training
+// process holds — parameters, gradients, AdamW moments, activations,
+// gather staging — which is what a capacity decision on real hardware
+// needs.
 //
 // # Key types
 //
 // Workload describes the transformer stack and global batch;
-// ClusterShape the machine. Enumerate produces Candidates (layout +
-// Knobs), Predict prices one, Rank prices and sorts all of them, and
-// Best returns the winner. Simulate/Sweep run the real functional
+// ClusterShape the machine. Enumerate4 produces Candidate4s (layout +
+// Knobs), Predict4 prices one, Rank4 prices and sorts all of them,
+// and Best4 returns the winner; Constraints.FixPP = 1 restricts the
+// search to unpipelined layouts. Simulate4 runs the real functional
 // engines over the simulated cluster for ground truth — that is what
 // `orbit-scaling -auto` compares the planner against, and what the
-// elastic trainer consults (via Best with a FixTP constraint, since
+// elastic trainer consults (via Best4 with a FixTP constraint, since
 // TP shards cannot reshard across a checkpoint reload) when it
 // rebuilds after a node loss.
 package plan
@@ -59,6 +71,7 @@ import (
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
+	"orbit/internal/pp"
 )
 
 // Workload is the functional training job being planned: the
@@ -151,15 +164,15 @@ type Knobs struct {
 	MicroBatches int `json:"micro_batches"`
 }
 
-// Candidate is one point of the planning space.
-type Candidate struct {
-	Layout core.Layout `json:"layout"`
-	Knobs  Knobs       `json:"knobs"`
+// Candidate4 is one point of the planning space.
+type Candidate4 struct {
+	Layout pp.Layout `json:"layout"`
+	Knobs  Knobs     `json:"knobs"`
 }
 
 // Options applies the candidate's knobs to a base option set,
 // producing exactly what the engine should run with.
-func (c Candidate) Options(base core.Options) core.Options {
+func (c Candidate4) Options(base core.Options) core.Options {
 	o := base
 	o.Prefetch = c.Knobs.PrefetchDepth > 0
 	o.PrefetchDepth = c.Knobs.PrefetchDepth
@@ -173,8 +186,8 @@ type Constraints struct {
 	// uses this on rebuild: TP shards partition individual weight
 	// matrices, so a checkpoint cannot reshard across a TP change.
 	FixTP int
-	// FixPP pins the pipeline-stage count in the 4D enumeration
-	// (> 0; ignored by the 3D Enumerate). PP is normally left free
+	// FixPP pins the pipeline-stage count (> 0); FixPP = 1 is the
+	// unpipelined (TP, FSDP, DDP) search. PP is normally left free
 	// even on rebuild — ckpt.ReshardPP regroups stage shards
 	// losslessly, so a checkpoint survives any PP change.
 	FixPP int
@@ -194,11 +207,54 @@ var (
 	DefaultBucketBytes    = []int{0, 1 << 20}
 )
 
-// Enumerate lists every candidate satisfying the structural rules:
+// microBatches derives the per-data-rank micro-batch count a layout
+// implies — the elastic trainer's contract: the global batch is fixed
+// and must divide evenly over the FSDP·DDP data ranks. Predict4 and
+// Simulate4 both derive the count from the workload (never from the
+// informational Knobs.MicroBatches field), so a hand-built candidate
+// cannot make them disagree.
+func microBatches(w Workload, layout core.Layout) (int, error) {
+	dataRanks := layout.FSDP * layout.DDP
+	if w.GlobalBatch%dataRanks != 0 {
+		return 0, fmt.Errorf("plan: global batch %d not divisible by %d data ranks (FSDP %d × DDP %d)",
+			w.GlobalBatch, dataRanks, layout.FSDP, layout.DDP)
+	}
+	return w.GlobalBatch / dataRanks, nil
+}
+
+// Plan4 is a priced candidate.
+type Plan4 struct {
+	Candidate4
+	Pred Prediction `json:"prediction"`
+}
+
+// Explain renders the plan and the full reasoning behind its
+// prediction as indented JSON — the machine-readable justification a
+// scheduler (or a human) can audit.
+func (p Plan4) Explain() string {
+	b, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		return fmt.Sprintf("plan: %v", err)
+	}
+	return string(b)
+}
+
+// String is a compact human-readable summary.
+func (p Plan4) String() string {
+	return fmt.Sprintf("TP=%d PP=%d FSDP=%d DDP=%d prefetch=%d bucket=%dB micro=%d: step %.3gs (pp wait %.3gs), %.2f GiB/device",
+		p.Layout.TP, p.Layout.PP, p.Layout.FSDP, p.Layout.DDP,
+		p.Knobs.PrefetchDepth, p.Knobs.DDPBucketBytes, p.Knobs.MicroBatches,
+		p.Pred.StepTime, p.Pred.PPWait, float64(p.Pred.DeviceBytes)/(1<<30))
+}
+
+// Enumerate4 lists every candidate satisfying the structural rules:
 // TP divides the head count (the paper's architectural limit on
-// tensor parallelism), the grid fits the device budget, and FSDP·DDP
-// divides the global batch.
-func Enumerate(w Workload, c ClusterShape, cons Constraints) ([]Candidate, error) {
+// tensor parallelism), PP ≤ Layers (a stage must own at least one
+// block), the grid fits the device budget, and FSDP·DDP divides the
+// global batch. PP>1 candidates appear only when the base
+// options carry LayerWrapping and ActivationCheckpoint — the
+// production configuration pipeline schedules require.
+func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,7 +273,8 @@ func Enumerate(w Workload, c ClusterShape, cons Constraints) ([]Candidate, error
 	if buckets == nil {
 		buckets = DefaultBucketBytes
 	}
-	var tps []int
+	pipeOK := w.Opts.LayerWrapping && w.Opts.ActivationCheckpoint
+	var out []Candidate4
 	for tp := 1; tp <= w.Heads && tp <= devs; tp++ {
 		if w.Heads%tp != 0 {
 			continue
@@ -225,88 +282,54 @@ func Enumerate(w Workload, c ClusterShape, cons Constraints) ([]Candidate, error
 		if cons.FixTP > 0 && tp != cons.FixTP {
 			continue
 		}
-		tps = append(tps, tp)
-	}
-	var out []Candidate
-	for _, tp := range tps {
-		for fsdp := 1; tp*fsdp <= devs; fsdp++ {
-			for ddp := 1; tp*fsdp*ddp <= devs; ddp++ {
-				if w.GlobalBatch%(fsdp*ddp) != 0 {
-					continue
-				}
-				micro := w.GlobalBatch / (fsdp * ddp)
-				for _, d := range depths {
-					for _, bb := range buckets {
-						if bb != 0 && ddp == 1 {
-							continue // bucketing is a no-op without a DDP level
+		for p := 1; p <= w.Layers && tp*p <= devs; p++ {
+			if cons.FixPP > 0 && p != cons.FixPP {
+				continue
+			}
+			if p > 1 && !pipeOK {
+				continue
+			}
+			for fsdp := 1; tp*p*fsdp <= devs; fsdp++ {
+				for ddp := 1; tp*p*fsdp*ddp <= devs; ddp++ {
+					if w.GlobalBatch%(fsdp*ddp) != 0 {
+						continue
+					}
+					micro := w.GlobalBatch / (fsdp * ddp)
+					for _, d := range depths {
+						for _, bb := range buckets {
+							if bb != 0 && ddp == 1 {
+								continue // bucketing is a no-op without a DDP level
+							}
+							out = append(out, Candidate4{
+								Layout: pp.Layout{TP: tp, PP: p, FSDP: fsdp, DDP: ddp},
+								Knobs:  Knobs{PrefetchDepth: d, DDPBucketBytes: bb, MicroBatches: micro},
+							})
 						}
-						out = append(out, Candidate{
-							Layout: core.Layout{TP: tp, FSDP: fsdp, DDP: ddp},
-							Knobs:  Knobs{PrefetchDepth: d, DDPBucketBytes: bb, MicroBatches: micro},
-						})
 					}
 				}
 			}
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("plan: no valid layout for %d devices (FixTP=%d, global batch %d)",
-			devs, cons.FixTP, w.GlobalBatch)
+		return nil, fmt.Errorf("plan: no valid layout for %d devices (FixTP=%d, FixPP=%d, global batch %d)",
+			devs, cons.FixTP, cons.FixPP, w.GlobalBatch)
 	}
 	return out, nil
 }
 
-// microBatches derives the per-data-rank micro-batch count a layout
-// implies — the elastic trainer's contract: the global batch is fixed
-// and must divide evenly over the FSDP·DDP data ranks. Predict and
-// Simulate both derive the count from the workload (never from the
-// informational Knobs.MicroBatches field), so a hand-built candidate
-// cannot make them disagree.
-func microBatches(w Workload, layout core.Layout) (int, error) {
-	dataRanks := layout.FSDP * layout.DDP
-	if w.GlobalBatch%dataRanks != 0 {
-		return 0, fmt.Errorf("plan: global batch %d not divisible by %d data ranks (FSDP %d × DDP %d)",
-			w.GlobalBatch, dataRanks, layout.FSDP, layout.DDP)
-	}
-	return w.GlobalBatch / dataRanks, nil
-}
-
-// Plan is a priced candidate.
-type Plan struct {
-	Candidate
-	Pred Prediction `json:"prediction"`
-}
-
-// Explain renders the plan and the full reasoning behind its
-// prediction as indented JSON — the machine-readable justification a
-// scheduler (or a human) can audit.
-func (p Plan) Explain() string {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Sprintf("plan: %v", err)
-	}
-	return string(b)
-}
-
-// String is a compact human-readable summary.
-func (p Plan) String() string {
-	return fmt.Sprintf("TP=%d FSDP=%d DDP=%d prefetch=%d bucket=%dB micro=%d: step %.3gs, %.2f GiB/device",
-		p.Layout.TP, p.Layout.FSDP, p.Layout.DDP,
-		p.Knobs.PrefetchDepth, p.Knobs.DDPBucketBytes, p.Knobs.MicroBatches,
-		p.Pred.StepTime, float64(p.Pred.DeviceBytes)/(1<<30))
-}
-
-// Rank prices every candidate and sorts by predicted step time;
+// Rank4 prices every candidate and sorts by predicted step time;
 // plans that would OOM the simulated device sort to the end. Ties
-// break toward lower per-device memory, then fewer occupied ranks.
-func Rank(w Workload, c ClusterShape, cons Constraints) ([]Plan, error) {
-	cands, err := Enumerate(w, c, cons)
+// break toward lower per-device memory, fewer occupied ranks, then
+// fewer stages (prefer the simpler composition when pipelining buys
+// nothing).
+func Rank4(w Workload, c ClusterShape, cons Constraints) ([]Plan4, error) {
+	cands, err := Enumerate4(w, c, cons)
 	if err != nil {
 		return nil, err
 	}
-	plans := make([]Plan, len(cands))
+	plans := make([]Plan4, len(cands))
 	for i, cand := range cands {
-		plans[i] = Plan{Candidate: cand, Pred: Predict(w, c, cand)}
+		plans[i] = Plan4{Candidate4: cand, Pred: Predict4(w, c, cand)}
 	}
 	sort.SliceStable(plans, func(i, j int) bool {
 		pi, pj := plans[i].Pred, plans[j].Pred
@@ -319,19 +342,22 @@ func Rank(w Workload, c ClusterShape, cons Constraints) ([]Plan, error) {
 		if pi.DeviceBytes != pj.DeviceBytes {
 			return pi.DeviceBytes < pj.DeviceBytes
 		}
-		return plans[i].Layout.Ranks() < plans[j].Layout.Ranks()
+		if plans[i].Layout.Ranks() != plans[j].Layout.Ranks() {
+			return plans[i].Layout.Ranks() < plans[j].Layout.Ranks()
+		}
+		return plans[i].Layout.PP < plans[j].Layout.PP
 	})
 	return plans, nil
 }
 
-// Best returns the top-ranked feasible plan.
-func Best(w Workload, c ClusterShape, cons Constraints) (Plan, error) {
-	plans, err := Rank(w, c, cons)
+// Best4 returns the top-ranked feasible plan.
+func Best4(w Workload, c ClusterShape, cons Constraints) (Plan4, error) {
+	plans, err := Rank4(w, c, cons)
 	if err != nil {
-		return Plan{}, err
+		return Plan4{}, err
 	}
 	if plans[0].Pred.OOM {
-		return Plan{}, fmt.Errorf("plan: every layout exceeds the %d-byte device memory", c.Spec.MemPerGPU)
+		return Plan4{}, fmt.Errorf("plan: every layout exceeds the %d-byte device memory", c.Spec.MemPerGPU)
 	}
 	return plans[0], nil
 }

@@ -9,6 +9,7 @@ import (
 	"orbit/internal/core"
 	"orbit/internal/nn"
 	"orbit/internal/parallel"
+	"orbit/internal/pp"
 	"orbit/internal/tensor"
 )
 
@@ -65,7 +66,7 @@ func newTestGroup(size int) *comm.Group {
 func TestEnumerateConstraints(t *testing.T) {
 	w := testWorkload()
 	c := Shape(2) // 16 devices
-	cands, err := Enumerate(w, c, Constraints{})
+	cands, err := Enumerate4(w, c, Constraints{FixPP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +75,9 @@ func TestEnumerateConstraints(t *testing.T) {
 	}
 	for _, cand := range cands {
 		l := cand.Layout
+		if l.PP != 1 {
+			t.Errorf("FixPP=1 enumeration produced PP=%d", l.PP)
+		}
 		if w.Heads%l.TP != 0 {
 			t.Errorf("TP=%d does not divide %d heads", l.TP, w.Heads)
 		}
@@ -91,7 +95,7 @@ func TestEnumerateConstraints(t *testing.T) {
 		}
 	}
 	// FixTP restricts to a single tensor extent.
-	fixed, err := Enumerate(w, c, Constraints{FixTP: 2})
+	fixed, err := Enumerate4(w, c, Constraints{FixTP: 2, FixPP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +105,7 @@ func TestEnumerateConstraints(t *testing.T) {
 		}
 	}
 	// MaxRanks caps the occupied devices (elastic shrink).
-	capped, err := Enumerate(w, c, Constraints{MaxRanks: 8})
+	capped, err := Enumerate4(w, c, Constraints{MaxRanks: 8, FixPP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,15 +120,15 @@ func TestEnumerateConstraints(t *testing.T) {
 // explanation that round-trips and exposes the prediction fields.
 func TestExplainIsMachineReadable(t *testing.T) {
 	w := testWorkload()
-	plans, err := Rank(w, Shape(1), Constraints{})
+	plans, err := Rank4(w, Shape(1), Constraints{FixPP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	top := plans[0]
 	var decoded struct {
-		Layout     core.Layout `json:"layout"`
-		Knobs      Knobs       `json:"knobs"`
-		Prediction Prediction  `json:"prediction"`
+		Layout     pp.Layout  `json:"layout"`
+		Knobs      Knobs      `json:"knobs"`
+		Prediction Prediction `json:"prediction"`
 	}
 	if err := json.Unmarshal([]byte(top.Explain()), &decoded); err != nil {
 		t.Fatalf("Explain is not valid JSON: %v", err)
@@ -148,7 +152,7 @@ func TestExplainIsMachineReadable(t *testing.T) {
 func TestBestIsFeasible(t *testing.T) {
 	w := testWorkload()
 	c := Shape(2)
-	best, err := Best(w, c, Constraints{})
+	best, err := Best4(w, c, Constraints{FixPP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

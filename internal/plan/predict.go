@@ -6,16 +6,26 @@ import (
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
+	"orbit/internal/pp"
 )
 
 // This file is the step-time predictor: a deterministic replay of the
-// exact collective schedule core.Engine executes, priced with the
-// identical cost semantics internal/comm charges to the simulated
-// device clocks — per-group α–β ring costs over the group's link
-// class, rendezvous at the latest poster's clock, serialization of
-// in-flight collectives on each group's single communication stream,
-// and wait-time attribution only for the gap local compute did not
-// already cover. No data moves; only clocks.
+// exact instruction stream the engines execute — each rank's 1F1B
+// schedule slots as pp.Engine.RunStep walks them, and inside each slot
+// core.Engine's collective schedule — priced with the identical cost
+// semantics internal/comm charges to the simulated device clocks:
+// per-group α–β ring costs over the group's link class, rendezvous at
+// the latest poster's clock, serialization of in-flight collectives on
+// each group's single communication stream, and wait-time attribution
+// only for the gap local compute did not already cover. Activation
+// receives block at consumption, sends post asynchronously and drain
+// at the end of the step, and a stale-cache backward re-runs the stage
+// forward for real before charging the cheaper (2×) backward — so
+// pipeline bubbles fall out of the replay rather than an analytic
+// S·(M+S−1) formula: a stage idling in warmup simply accrues wait time
+// on the first transfer it consumes, and that is what
+// Prediction.PPWait reports. A PP=1 layout is the same replay over a
+// single stage with no links. No data moves; only clocks.
 
 // simPending mirrors comm.pending for one in-flight collective.
 type simPending struct {
@@ -234,17 +244,25 @@ func runPrograms(progs [][]instr, devs []*simDev) error {
 	return nil
 }
 
-// rankCtx is everything one rank's program generation needs.
+// rankCtx is everything one rank's program generation needs: the
+// inner-grid communicators and per-block state over the rank's stage
+// slice (bufLive has one entry per stage block), plus the pipeline
+// link endpoints (nil where the topology has no such link).
 type rankCtx struct {
-	coord             core.Coord
-	tpG, fsdpG, ddpG  *simGroup
-	builder           *progBuilder
-	bufLive           []bool
-	gatherSeq, rsSeq  []int
-	chunkLen, flatLen int
-	gatherBytes       int64
-	actBytes          int64
-	fwdSec, bwdSec    float64
+	tpG, fsdpG, ddpG             *simGroup
+	fwdIn, fwdOut, bwdIn, bwdOut *simGroup
+	builder                      *progBuilder
+	bufLive                      []bool
+	gatherSeq, rsSeq             []int
+	chunkLen, flatLen            int
+	gatherBytes                  int64
+	actBytes                     int64
+	fwdSec                       float64
+	// bwdFresh is the backward charge when the forward cache is fresh
+	// (the recompute forward included under ActivationCheckpoint);
+	// bwdRecomputed the 2× charge after the schedule performed a real
+	// recompute forward.
+	bwdFresh, bwdRecomputed float64
 }
 
 func (rc *rankCtx) postGather(b int) {
@@ -269,13 +287,13 @@ func prefetchDepth(opts core.Options) int {
 	return 1
 }
 
-// stageForward emits one Engine.Forward pass over the rank's L-block
-// stack slice, mirroring core.Engine instruction for instruction. The
-// 3D predictor calls it with the whole stack; the 4D predictor with
-// one pipeline stage's slice (also as the real recompute the 1F1B
-// schedule performs on stale-cache backwards).
-func stageForward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arCost float64) {
+// stageForward emits one Engine.Forward pass over the rank's stage
+// slice, mirroring core.Engine instruction for instruction (also as
+// the real recompute the 1F1B schedule performs on stale-cache
+// backwards).
+func stageForward(rc *rankCtx, opts core.Options, depth int, arCost float64) {
 	bld := rc.builder
+	L := len(rc.bufLive)
 	if !opts.LayerWrapping {
 		for b := 0; b < L; b++ {
 			rc.postGather(b)
@@ -310,9 +328,10 @@ func stageForward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arCo
 
 // stageBackward emits one Engine.Backward pass (per-block compute at
 // bwdSec, TP reductions, the reduce-scatter drain, and the per-call
-// outer DDP reduction) over the rank's L-block stack slice.
-func stageBackward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arCost, qkCost, bwdSec float64) {
+// outer DDP reduction) over the rank's stage slice.
+func stageBackward(rc *rankCtx, w Workload, opts core.Options, depth int, arCost, qkCost, bwdSec float64) {
 	bld := rc.builder
+	L := len(rc.bufLive)
 	for b := L - 1; b >= 0; b-- {
 		if opts.LayerWrapping {
 			if !rc.bufLive[b] {
@@ -363,31 +382,84 @@ func stageBackward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arC
 	}
 }
 
-// buildStep emits one optimizer step (micros micro-batches of
-// forward+backward) for the rank, mirroring core.Engine and
-// train.RunElastic's per-rank step, instruction for instruction.
-func buildStep(rc *rankCtx, w Workload, opts core.Options, micros int) {
-	L := w.Layers
+// buildStep4 emits one rank's optimizer step: its stage's schedule
+// slots, mirroring pp.Engine.RunStep instruction for instruction.
+// actFloats is the float32 count of one cross-stage message (the
+// micro-batch activation shape).
+func buildStep4(rc *rankCtx, w Workload, opts core.Options, sched []pp.Op, actFloats int) {
+	bld := rc.builder
 	depth := prefetchDepth(opts)
 	arCost := rc.tpG.allReduceCost(w.Tokens * w.Dim)
 	qkCost := rc.tpG.allReduceCost(4 * (w.Dim / w.Heads))
-	for mu := 0; mu < micros; mu++ {
-		stageForward(rc, w, opts, L, depth, arCost)
-		stageBackward(rc, w, opts, L, depth, arCost, qkCost, rc.bwdSec)
+	type deferredSend struct {
+		g   *simGroup
+		seq int
+	}
+	lastFwd := -1
+	var sends []deferredSend
+	for _, op := range sched {
+		switch op.Kind {
+		case pp.Fwd:
+			if rc.fwdIn != nil {
+				bld.wait(rc.fwdIn, bld.post(rc.fwdIn, rc.fwdIn.p2pCost(actFloats)), phPP)
+			}
+			stageForward(rc, opts, depth, arCost)
+			lastFwd = op.Micro
+			if rc.fwdOut != nil {
+				sends = append(sends, deferredSend{rc.fwdOut, bld.post(rc.fwdOut, rc.fwdOut.p2pCost(actFloats))})
+			}
+		case pp.Bwd:
+			bwdSec := rc.bwdFresh
+			if lastFwd != op.Micro {
+				// Later micro-batches clobbered the stage's caches: the
+				// engine re-runs the forward for real (gathers, TP
+				// reductions, compute all charged), then pays the 2×
+				// backward.
+				stageForward(rc, opts, depth, arCost)
+				lastFwd = op.Micro
+				bwdSec = rc.bwdRecomputed
+			}
+			if rc.bwdIn != nil {
+				bld.wait(rc.bwdIn, bld.post(rc.bwdIn, rc.bwdIn.p2pCost(actFloats)), phPP)
+			}
+			stageBackward(rc, w, opts, depth, arCost, qkCost, bwdSec)
+			if rc.bwdOut != nil {
+				sends = append(sends, deferredSend{rc.bwdOut, bld.post(rc.bwdOut, rc.bwdOut.p2pCost(actFloats))})
+			}
+		}
+	}
+	for _, s := range sends {
+		bld.wait(s.g, s.seq, phPP)
 	}
 }
 
-// Predict prices one candidate: it replays two measured steps of the
-// engine's schedule (after one warm-up step, so stream and clock
+// Predict4 prices one candidate: it replays two measured steps of the
+// engines' schedule (after one warm-up step, so stream and clock
 // offsets reach their steady state) and reports the per-step time,
 // the per-phase breakdown of the critical rank, and both memory
 // models. The returned prediction is self-contained and
-// JSON-serializable — Plan.Explain renders it.
-func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
+// JSON-serializable — Plan4.Explain renders it.
+func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 	if err := w.Validate(); err != nil {
 		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
 	}
 	layout := cand.Layout
+	S := layout.PP
+	if S > w.Layers {
+		return Prediction{
+			Note:     fmt.Sprintf("PP=%d stages exceed %d layers", S, w.Layers),
+			OOM:      true,
+			StepTime: math.Inf(1),
+		}
+	}
+	opts := cand.Options(w.Opts)
+	if S > 1 && (!opts.LayerWrapping || !opts.ActivationCheckpoint) {
+		return Prediction{
+			Note:     "PP>1 requires LayerWrapping and ActivationCheckpoint",
+			OOM:      true,
+			StepTime: math.Inf(1),
+		}
+	}
 	R := layout.Ranks()
 	if R > c.Devices() {
 		return Prediction{
@@ -396,13 +468,25 @@ func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
 			StepTime: math.Inf(1),
 		}
 	}
+	inner := layout.Inner()
+	micros, err := microBatches(w, inner)
+	if err != nil {
+		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+	}
+	stages, err := pp.UniformPartition(w.Layers, S)
+	if err != nil {
+		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+	}
+	scheds, err := pp.ScheduleFor(pp.Schedule1F1B, S, 1, micros)
+	if err != nil {
+		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+	}
 	gpn := c.GPUsPerNode
 	spec := c.Spec
+	innerN := inner.Ranks()
 
-	// Communicator grid, exactly as core.BuildGroups lays it out.
-	tpGroups := make(map[[2]int]*simGroup)
-	fsdpGroups := make(map[[2]int]*simGroup)
-	ddpGroups := make(map[[2]int]*simGroup)
+	// Per-stage inner communicator grids over the stage's contiguous
+	// device window, exactly as pp.Build lays them out.
 	members := func(n int, rankOf func(i int) int) []int {
 		ms := make([]int, n)
 		for i := range ms {
@@ -410,67 +494,101 @@ func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
 		}
 		return ms
 	}
-	for d := 0; d < layout.DDP; d++ {
-		for f := 0; f < layout.FSDP; f++ {
-			tpGroups[[2]int{d, f}] = newSimGroup(members(layout.TP, func(t int) int {
-				return layout.RankOf(core.Coord{T: t, F: f, D: d})
-			}), gpn, spec)
+	tpGroups := make(map[[3]int]*simGroup)
+	fsdpGroups := make(map[[3]int]*simGroup)
+	ddpGroups := make(map[[3]int]*simGroup)
+	for p := 0; p < S; p++ {
+		base := p * innerN
+		for d := 0; d < inner.DDP; d++ {
+			for f := 0; f < inner.FSDP; f++ {
+				tpGroups[[3]int{p, d, f}] = newSimGroup(members(inner.TP, func(t int) int {
+					return base + inner.RankOf(core.Coord{T: t, F: f, D: d})
+				}), gpn, spec)
+			}
+			for t := 0; t < inner.TP; t++ {
+				fsdpGroups[[3]int{p, d, t}] = newSimGroup(members(inner.FSDP, func(f int) int {
+					return base + inner.RankOf(core.Coord{T: t, F: f, D: d})
+				}), gpn, spec)
+			}
 		}
-		for t := 0; t < layout.TP; t++ {
-			fsdpGroups[[2]int{d, t}] = newSimGroup(members(layout.FSDP, func(f int) int {
-				return layout.RankOf(core.Coord{T: t, F: f, D: d})
-			}), gpn, spec)
+		for f := 0; f < inner.FSDP; f++ {
+			for t := 0; t < inner.TP; t++ {
+				ddpGroups[[3]int{p, f, t}] = newSimGroup(members(inner.DDP, func(d int) int {
+					return base + inner.RankOf(core.Coord{T: t, F: f, D: d})
+				}), gpn, spec)
+			}
 		}
 	}
-	for f := 0; f < layout.FSDP; f++ {
-		for t := 0; t < layout.TP; t++ {
-			ddpGroups[[2]int{f, t}] = newSimGroup(members(layout.DDP, func(d int) int {
-				return layout.RankOf(core.Coord{T: t, F: f, D: d})
-			}), gpn, spec)
+	// One two-rank link group per (adjacent-stage pair, direction,
+	// inner rank), as pp.Build wires them (no wrap link without
+	// interleaving).
+	fwdLinks := make([][]*simGroup, S)
+	bwdLinks := make([][]*simGroup, S)
+	for s := 0; s+1 < S; s++ {
+		fwdLinks[s] = make([]*simGroup, innerN)
+		bwdLinks[s] = make([]*simGroup, innerN)
+		for r := 0; r < innerN; r++ {
+			up, down := s*innerN+r, (s+1)*innerN+r
+			fwdLinks[s][r] = newSimGroup([]int{up, down}, gpn, spec)
+			bwdLinks[s][r] = newSimGroup([]int{down, up}, gpn, spec)
 		}
 	}
 
-	opts := cand.Options(w.Opts)
 	rate := spec.PeakFLOPS * spec.Efficiency
 	fwdFLOPs := core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
+	// cluster.Device.Compute is charged mult·FLOPs per backward block:
+	// two forward-equivalents of gradient math, plus the recompute
+	// forward under activation checkpointing.
 	bwdMult := int64(2)
 	if opts.ActivationCheckpoint {
 		bwdMult = 3
 	}
-
 	devs := make([]*simDev, R)
 	rcs := make([]*rankCtx, R)
+	maxStage := 0
 	for r := 0; r < R; r++ {
-		coord := layout.CoordOf(r)
-		numel := blockShardNumel(w.Dim, w.Heads, layout.TP, coord.T, w.QKNorm)
+		c4 := layout.CoordOf(r)
+		r3 := inner.RankOf(core.Coord{T: c4.T, F: c4.F, D: c4.D})
+		rng := stages[c4.P]
+		L := rng[1] - rng[0]
+		if L > maxStage {
+			maxStage = L
+		}
+		numel := blockShardNumel(w.Dim, w.Heads, layout.TP, c4.T, w.QKNorm)
 		flat := flatLenFor(numel, layout.FSDP)
 		rc := &rankCtx{
-			coord:       coord,
-			tpG:         tpGroups[[2]int{coord.D, coord.F}],
-			fsdpG:       fsdpGroups[[2]int{coord.D, coord.T}],
-			ddpG:        ddpGroups[[2]int{coord.F, coord.T}],
-			builder:     &progBuilder{seq: make(map[*simGroup]int)},
-			bufLive:     make([]bool, w.Layers),
-			gatherSeq:   make([]int, w.Layers),
-			rsSeq:       make([]int, w.Layers),
-			chunkLen:    flat / layout.FSDP,
-			flatLen:     flat,
-			gatherBytes: int64(flat) * paramBytesFor(opts.MixedPrecision),
-			actBytes:    actBytesFor(w.Dim, w.Heads, layout.TP),
-			fwdSec:      float64(fwdFLOPs) / rate,
-			bwdSec:      float64(bwdMult*fwdFLOPs) / rate,
+			tpG:           tpGroups[[3]int{c4.P, c4.D, c4.F}],
+			fsdpG:         fsdpGroups[[3]int{c4.P, c4.D, c4.T}],
+			ddpG:          ddpGroups[[3]int{c4.P, c4.F, c4.T}],
+			builder:       &progBuilder{seq: make(map[*simGroup]int)},
+			bufLive:       make([]bool, L),
+			gatherSeq:     make([]int, L),
+			rsSeq:         make([]int, L),
+			chunkLen:      flat / layout.FSDP,
+			flatLen:       flat,
+			gatherBytes:   int64(flat) * paramBytesFor(opts.MixedPrecision),
+			actBytes:      actBytesFor(w.Dim, w.Heads, layout.TP),
+			fwdSec:        float64(fwdFLOPs) / rate,
+			bwdFresh:      float64(bwdMult*fwdFLOPs) / rate,
+			bwdRecomputed: float64(2*fwdFLOPs) / rate,
+		}
+		if c4.P > 0 {
+			rc.fwdIn = fwdLinks[c4.P-1][r3]
+			rc.bwdOut = bwdLinks[c4.P-1][r3]
+		}
+		if c4.P+1 < S {
+			rc.fwdOut = fwdLinks[c4.P][r3]
+			rc.bwdIn = bwdLinks[c4.P][r3]
 		}
 		rcs[r] = rc
 		devs[r] = &simDev{capacity: spec.MemPerGPU}
-		// NewEngine's persistent allocation: fp32 chunk weights+grads.
-		devs[r].mem = int64(w.Layers) * int64(rc.chunkLen) * 8
+		// NewEngine's persistent allocation: fp32 chunk weights+grads
+		// for the stage's blocks only.
+		devs[r].mem = int64(L) * int64(rc.chunkLen) * 8
 		devs[r].peak = devs[r].mem
 	}
 
-	micros, err := microBatches(w, layout)
-	if err != nil {
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
-	}
+	actFloats := w.Tokens * w.Dim
 	maxClock := func() float64 {
 		m := 0.0
 		for _, d := range devs {
@@ -483,7 +601,7 @@ func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
 	runStep := func() error {
 		progs := make([][]instr, R)
 		for r, rc := range rcs {
-			buildStep(rc, w, opts, micros)
+			buildStep4(rc, w, opts, scheds[layout.CoordOf(r).P], actFloats)
 			progs[r] = rc.builder.take()
 		}
 		return runPrograms(progs, devs)
@@ -505,8 +623,6 @@ func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
 	}
 	stepTime := (maxClock() - warm) / measured
 
-	// Breakdown from the critical (latest-clock) rank's steady-state
-	// deltas.
 	crit := 0
 	for r, d := range devs {
 		if d.clock > devs[crit].clock {
@@ -521,6 +637,7 @@ func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
 		TPWait:      (cd.waits[phTP] - wd.waits[phTP]) / measured,
 		RSWait:      (cd.waits[phRS] - wd.waits[phRS]) / measured,
 		DDPWait:     (cd.waits[phDDP] - wd.waits[phDDP]) / measured,
+		PPWait:      (cd.waits[phPP] - wd.waits[phPP]) / measured,
 	}
 	for _, d := range devs {
 		if d.peak > pred.DeviceBytes {
@@ -530,7 +647,11 @@ func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
 			pred.OOM = true
 		}
 	}
-	pred.Memory = analyticMemory(w, layout, opts)
+	// Analytic breakdown for the heaviest stage (the largest block
+	// count; per-block chunk sizes are stage-independent).
+	w4 := w
+	w4.Layers = maxStage
+	pred.Memory = analyticMemory(w4, inner, opts)
 	if pred.OOM {
 		pred.Note = "predicted device memory exceeds capacity"
 	}

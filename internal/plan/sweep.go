@@ -4,20 +4,20 @@ import (
 	"fmt"
 	"sync"
 
-	"orbit/internal/core"
 	"orbit/internal/nn"
+	"orbit/internal/pp"
 	"orbit/internal/tensor"
 )
 
 // Ground truth for the planner: run the real functional Hybrid-STOP
 // engines over the simulated cluster and measure what the clocks
-// actually do. This is what calibration tests compare Predict
+// actually do. This is what calibration tests compare Predict4
 // against, and what `orbit-scaling -auto` sweeps to grade the
 // planner's choice.
 
-// Measured is one grid point of a brute-force sweep.
-type Measured struct {
-	Candidate
+// Measured4 is one grid point of a brute-force sweep.
+type Measured4 struct {
+	Candidate4
 	// StepTime is the simulated seconds per steady-state optimizer
 	// step, measured as the MaxClock delta over measured steps after
 	// one warm-up step.
@@ -28,14 +28,14 @@ type Measured struct {
 	Err error `json:"-"`
 }
 
-// Simulate runs `measured` real engine steps of the candidate (after
-// one warm-up step) and returns the observed step time and memory
-// peak. The functional math runs for real — gradients flow, clocks
-// advance — but no optimizer step is taken: parameter values do not
-// affect the communication schedule, and the planner only needs the
-// clocks.
-func Simulate(w Workload, c ClusterShape, cand Candidate, measured int) Measured {
-	out := Measured{Candidate: cand}
+// Simulate4 runs `measured` real engine steps of the candidate (after
+// one warm-up step) through the 1F1B schedule and returns the
+// observed step time and memory peak. The functional math runs for
+// real — gradients flow, clocks advance — but no optimizer step is
+// taken: parameter values do not affect the communication schedule,
+// and the planner only needs the clocks.
+func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measured4 {
+	out := Measured4{Candidate4: cand}
 	if err := w.Validate(); err != nil {
 		out.Err = err
 		return out
@@ -48,59 +48,52 @@ func Simulate(w Workload, c ClusterShape, cand Candidate, measured int) Measured
 		out.Err = fmt.Errorf("plan: layout needs %d devices, cluster has %d", layout.Ranks(), c.Devices())
 		return out
 	}
+	stages, err := pp.UniformPartition(w.Layers, layout.PP)
+	if err != nil {
+		out.Err = err
+		return out
+	}
 	m := c.Machine()
-	groups, err := core.BuildGroups(layout, m)
-	if err != nil {
-		out.Err = err
-		return out
-	}
 	opts := cand.Options(w.Opts)
-	engines := make([]*core.Engine, layout.Ranks())
-	for r := range engines {
-		rng := tensor.NewRNG(1007)
-		ref := make([]*nn.TransformerBlock, w.Layers)
-		for i := range ref {
-			ref[i] = nn.NewTransformerBlock(fmt.Sprintf("plan%d", i), w.Dim, w.Heads, w.QKNorm, rng)
-		}
-		e, err := core.NewEngine(r, layout, groups[r], ref, opts, m.Devices[r])
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		engines[r] = e
+	rng := tensor.NewRNG(1007)
+	ref := make([]*nn.TransformerBlock, w.Layers)
+	for i := range ref {
+		ref[i] = nn.NewTransformerBlock(fmt.Sprintf("plan%d", i), w.Dim, w.Heads, w.QKNorm, rng)
 	}
-	dataRanks := layout.FSDP * layout.DDP
-	micros, err := microBatches(w, layout)
+	engines, err := pp.Build(layout, 1, stages, m, ref, opts)
 	if err != nil {
 		out.Err = err
 		return out
 	}
-	rng := tensor.NewRNG(1009)
+	inner := layout.Inner()
+	dataRanks := inner.FSDP * inner.DDP
+	micros, err := microBatches(w, inner)
+	if err != nil {
+		out.Err = err
+		return out
+	}
+	drng := tensor.NewRNG(1009)
 	xs := make([]*tensor.Tensor, dataRanks)
 	gs := make([]*tensor.Tensor, dataRanks)
 	for i := range xs {
-		xs[i] = tensor.Randn(rng, 1, w.Tokens, w.Dim)
-		gs[i] = tensor.Randn(rng, 1, w.Tokens, w.Dim)
+		xs[i] = tensor.Randn(drng, 1, w.Tokens, w.Dim)
+		gs[i] = tensor.Randn(drng, 1, w.Tokens, w.Dim)
 	}
 	step := func() error {
-		errs := make([]error, layout.Ranks())
+		errs := make([]error, len(engines))
 		var wg sync.WaitGroup
 		for r := range engines {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
 				e := engines[rank]
-				d := e.Coord.D*layout.FSDP + e.Coord.F
-				for mu := 0; mu < micros; mu++ {
-					if _, err := e.Forward(xs[d]); err != nil {
-						errs[rank] = err
-						return
-					}
-					if _, err := e.Backward(gs[d]); err != nil {
-						errs[rank] = err
-						return
-					}
-				}
+				d := e.Coord.D*inner.FSDP + e.Coord.F
+				_, err := e.RunStep(pp.Schedule1F1B, micros, pp.StepIO{
+					Shape:    []int{w.Tokens, w.Dim},
+					Input:    func(mu int) *tensor.Tensor { return xs[d] },
+					LossGrad: func(mu int, y *tensor.Tensor) (float64, *tensor.Tensor) { return 0, gs[d] },
+				})
+				errs[rank] = err
 			}(r)
 		}
 		wg.Wait()
@@ -127,24 +120,14 @@ func Simulate(w Workload, c ClusterShape, cand Candidate, measured int) Measured
 	return out
 }
 
-// Sweep measures every candidate (sequentially — each simulation
-// already fans out one goroutine per rank).
-func Sweep(w Workload, c ClusterShape, cands []Candidate, measured int) []Measured {
-	out := make([]Measured, len(cands))
-	for i, cand := range cands {
-		out[i] = Simulate(w, c, cand, measured)
-	}
-	return out
-}
-
 // GridCandidates is the classic power-of-two sweep grid at a fixed
-// knob setting: every (TP, FSDP, DDP) with power-of-two extents that
-// occupies the whole cluster and divides the global batch. This is
-// the brute-force baseline `orbit-scaling -auto` grades the planner
-// against; Enumerate explores a superset.
-func GridCandidates(w Workload, c ClusterShape, knobs Knobs) []Candidate {
+// knob setting: every unpipelined (TP, FSDP, DDP) with power-of-two
+// extents that occupies the whole cluster and divides the global
+// batch. This is the brute-force baseline `orbit-scaling -auto` grades
+// the planner against; Enumerate4 explores a superset.
+func GridCandidates(w Workload, c ClusterShape, knobs Knobs) []Candidate4 {
 	devs := c.Devices()
-	var out []Candidate
+	var out []Candidate4
 	for tp := 1; tp <= w.Heads && tp <= devs; tp *= 2 {
 		if w.Heads%tp != 0 || devs%tp != 0 {
 			continue
@@ -163,7 +146,7 @@ func GridCandidates(w Workload, c ClusterShape, knobs Knobs) []Candidate {
 			if ddp == 1 {
 				k.DDPBucketBytes = 0
 			}
-			out = append(out, Candidate{Layout: core.Layout{TP: tp, FSDP: fsdp, DDP: ddp}, Knobs: k})
+			out = append(out, Candidate4{Layout: pp.Layout{TP: tp, PP: 1, FSDP: fsdp, DDP: ddp}, Knobs: k})
 		}
 	}
 	return out

@@ -116,13 +116,13 @@ type ElasticConfig struct {
 
 	// AutoPlan consults the parallelism auto-planner (internal/plan)
 	// on every rebuild after a node loss, replacing the fixed
-	// ShrinkLayout heuristic: the planner enumerates every layout that
+	// ShrinkLayout4 heuristic: the planner enumerates every layout that
 	// fits the surviving devices (TP pinned — TP shards partition
 	// individual weight matrices and cannot reshard across a
 	// checkpoint reload), predicts step time and memory with the comm
 	// clock model, and adopts the fastest plan's layout and tuning
 	// knobs. When no planner layout is feasible the job falls back to
-	// ShrinkLayout, so fault recovery never regresses.
+	// ShrinkLayout4, so fault recovery never regresses.
 	AutoPlan bool
 
 	Opts core.Options
@@ -149,26 +149,6 @@ type ElasticResult struct {
 	FinalPP int
 	// FinalNodes is the surviving machine size.
 	FinalNodes int
-}
-
-// ShrinkLayout reduces a layout to at most `ranks` ranks, preserving
-// TP and halving DDP before FSDP (outer levels are cheapest to drop).
-func ShrinkLayout(l core.Layout, ranks int) (core.Layout, error) {
-	for l.Ranks() > ranks {
-		switch {
-		case l.DDP > 1 && l.DDP%2 == 0:
-			l.DDP /= 2
-		case l.DDP > 1:
-			l.DDP = 1
-		case l.FSDP > 1 && l.FSDP%2 == 0:
-			l.FSDP /= 2
-		case l.FSDP > 1:
-			l.FSDP = 1
-		default:
-			return l, fmt.Errorf("train: cannot shrink layout TP=%d below %d ranks", l.TP, l.Ranks())
-		}
-	}
-	return l, nil
 }
 
 // ShrinkLayout4 reduces a 4D layout to at most `ranks` ranks,
@@ -397,13 +377,12 @@ func (j *elasticJob) handleFault() error {
 // chooseLayout picks the post-fault (layout, PP) for the surviving
 // machine: the auto-planner's fastest predicted plan when AutoPlan is
 // set (TP pinned, since the sharded checkpoint cannot reshard across
-// a TP change; PP is free — ReshardPP regroups blocks losslessly),
-// the DDP-before-PP-before-FSDP shrink heuristic otherwise — and as
-// the fallback when the planner finds no feasible layout at the
-// surviving device count. A pipelined job consults the 4D planner so
-// the rebuilt layout may trade stages for data ranks (or vice versa);
-// a plain 3D job keeps consulting the 3D planner, whose choices are
-// unchanged.
+// a TP change), the DDP-before-PP-before-FSDP shrink heuristic
+// otherwise — and as the fallback when the planner finds no feasible
+// layout at the surviving device count. A pipelined job leaves PP
+// free, so the rebuilt layout may trade stages for data ranks (or
+// vice versa; ReshardPP regroups blocks losslessly); an unpipelined
+// job pins PP=1 and keeps searching exactly the (TP, FSDP, DDP) space.
 func (j *elasticJob) chooseLayout() (core.Layout, int, error) {
 	if j.cfg.AutoPlan {
 		w := plan.Workload{
@@ -413,23 +392,16 @@ func (j *elasticJob) chooseLayout() (core.Layout, int, error) {
 		}
 		shape := plan.ClusterShape{Nodes: j.nodes, GPUsPerNode: j.gpn, Spec: j.spec()}
 		cons := plan.Constraints{FixTP: j.layout.TP}
-		if j.pp > 1 {
-			best, err := plan.Best4(w, shape, cons)
-			if err == nil {
-				j.cfg.Opts = best.Options(j.cfg.Opts)
-				j.event(j.step, "plan", best.String())
-				return best.Layout.Inner(), best.Layout.PP, nil
-			}
-			j.event(j.step, "plan", fmt.Sprintf("planner found no feasible layout (%v), falling back to ShrinkLayout4", err))
-		} else {
-			best, err := plan.Best(w, shape, cons)
-			if err == nil {
-				j.cfg.Opts = best.Options(j.cfg.Opts)
-				j.event(j.step, "plan", best.String())
-				return best.Layout, 1, nil
-			}
-			j.event(j.step, "plan", fmt.Sprintf("planner found no feasible layout (%v), falling back to ShrinkLayout", err))
+		if j.pp == 1 {
+			cons.FixPP = 1
 		}
+		best, err := plan.Best4(w, shape, cons)
+		if err == nil {
+			j.cfg.Opts = best.Options(j.cfg.Opts)
+			j.event(j.step, "plan", best.String())
+			return best.Layout.Inner(), best.Layout.PP, nil
+		}
+		j.event(j.step, "plan", fmt.Sprintf("planner found no feasible layout (%v), falling back to ShrinkLayout4", err))
 	}
 	l4, err := ShrinkLayout4(j.layout4(), j.nodes*j.gpn)
 	if err != nil {

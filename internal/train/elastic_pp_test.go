@@ -140,6 +140,11 @@ func TestShrinkLayout4(t *testing.T) {
 		{pp.Layout{TP: 2, PP: 2, FSDP: 2, DDP: 4}, 2, pp.Layout{TP: 2, PP: 1, FSDP: 1, DDP: 1}},
 		{pp.Layout{TP: 1, PP: 4, FSDP: 1, DDP: 1}, 2, pp.Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}},
 		{pp.Layout{TP: 1, PP: 3, FSDP: 2, DDP: 1}, 2, pp.Layout{TP: 1, PP: 1, FSDP: 2, DDP: 1}},
+		// Unpipelined layouts: DDP halves before FSDP.
+		{pp.Layout{TP: 2, PP: 1, FSDP: 4, DDP: 2}, 8, pp.Layout{TP: 2, PP: 1, FSDP: 4, DDP: 1}},
+		{pp.Layout{TP: 2, PP: 1, FSDP: 4, DDP: 1}, 4, pp.Layout{TP: 2, PP: 1, FSDP: 2, DDP: 1}},
+		{pp.Layout{TP: 1, PP: 1, FSDP: 1, DDP: 8}, 2, pp.Layout{TP: 1, PP: 1, FSDP: 1, DDP: 2}},
+		{pp.Layout{TP: 2, PP: 1, FSDP: 1, DDP: 1}, 4, pp.Layout{TP: 2, PP: 1, FSDP: 1, DDP: 1}},
 	}
 	for _, tc := range cases {
 		got, err := ShrinkLayout4(tc.in, tc.ranks)

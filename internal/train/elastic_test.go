@@ -308,29 +308,3 @@ func TestRunElasticNoNodesLeft(t *testing.T) {
 		t.Fatal("expected an error when the last node dies")
 	}
 }
-
-func TestShrinkLayout(t *testing.T) {
-	cases := []struct {
-		in    core.Layout
-		ranks int
-		want  core.Layout
-	}{
-		{core.Layout{TP: 2, FSDP: 4, DDP: 2}, 8, core.Layout{TP: 2, FSDP: 4, DDP: 1}},
-		{core.Layout{TP: 2, FSDP: 4, DDP: 1}, 4, core.Layout{TP: 2, FSDP: 2, DDP: 1}},
-		{core.Layout{TP: 1, FSDP: 1, DDP: 8}, 2, core.Layout{TP: 1, FSDP: 1, DDP: 2}},
-		{core.Layout{TP: 2, FSDP: 1, DDP: 1}, 4, core.Layout{TP: 2, FSDP: 1, DDP: 1}},
-	}
-	for _, c := range cases {
-		got, err := ShrinkLayout(c.in, c.ranks)
-		if err != nil {
-			t.Errorf("ShrinkLayout(%+v, %d): %v", c.in, c.ranks, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ShrinkLayout(%+v, %d) = %+v, want %+v", c.in, c.ranks, got, c.want)
-		}
-	}
-	if _, err := (ShrinkLayout(core.Layout{TP: 4, FSDP: 1, DDP: 1}, 2)); err == nil {
-		t.Error("expected error shrinking below the TP extent")
-	}
-}

@@ -474,10 +474,10 @@ func BuildPipeline(l Layout4, chunks int, stageRanges [][2]int, m *cluster.Machi
 	return pp.Build(l, chunks, stageRanges, m, ref, opts)
 }
 
-// ShrinkLayout4 degrades a 4D layout onto fewer ranks, collapsing DDP
+// ShrinkLayout degrades a 4D layout onto fewer ranks, collapsing DDP
 // first (pure throughput), then PP (lossless to reshard), then FSDP;
 // TP is pinned by the sharded checkpoint format.
-func ShrinkLayout4(l Layout4, ranks int) (Layout4, error) {
+func ShrinkLayout(l Layout4, ranks int) (Layout4, error) {
 	return train.ShrinkLayout4(l, ranks)
 }
 
@@ -491,23 +491,25 @@ type PlanWorkload = plan.Workload
 // ClusterShape is the simulated machine a plan targets.
 type ClusterShape = plan.ClusterShape
 
-// PlanConstraints restricts the planner's search (pinned TP, capped
-// rank count, knob grids).
+// PlanConstraints restricts the planner's search (pinned TP or PP,
+// capped rank count, knob grids).
 type PlanConstraints = plan.Constraints
 
 // PlanKnobs are the tuning parameters enumerated alongside each
 // layout (prefetch depth, DDP bucket size, implied micro-batches).
 type PlanKnobs = plan.Knobs
 
-// PlanCandidate is one (layout, knobs) point of the planning space.
-type PlanCandidate = plan.Candidate
+// PlanCandidate is one (layout, knobs) point of the planning space;
+// an unpipelined layout is the PP=1 row.
+type PlanCandidate = plan.Candidate4
 
 // ParallelPlan is one priced candidate: layout, tuning knobs, and the
-// machine-readable step-time/memory prediction (see Explain).
-type ParallelPlan = plan.Plan
+// machine-readable step-time/memory prediction (see Explain), which
+// includes the un-hidden pipeline-bubble wait (PPWait).
+type ParallelPlan = plan.Plan4
 
 // PlanMeasured is one grid point of a brute-force simulated sweep.
-type PlanMeasured = plan.Measured
+type PlanMeasured = plan.Measured4
 
 // PlanShape returns a Frontier-spec cluster shape of n nodes.
 func PlanShape(nodes int) ClusterShape { return plan.Shape(nodes) }
@@ -532,69 +534,40 @@ func ScaledPlanShapeCores(nodes int, computeScale float64, cores int) ClusterSha
 func KernelCoreSpeedup(cores int) float64 { return plan.KernelCoreSpeedup(cores) }
 
 // BestPlan returns the auto-planner's top-ranked feasible plan for
-// the workload on the cluster.
+// the workload on the cluster. The search covers all four axes;
+// PlanConstraints.FixPP = 1 restricts it to unpipelined layouts. A
+// PP>1 layout wins only when the replayed 1F1B schedule (bubbles
+// included) actually beats every PP=1 candidate, or when only
+// pipelining fits the device memory.
 func BestPlan(w PlanWorkload, c ClusterShape, cons PlanConstraints) (ParallelPlan, error) {
-	return plan.Best(w, c, cons)
+	return plan.Best4(w, c, cons)
 }
 
-// RankPlans prices every valid (TP, FSDP, DDP, knobs) candidate and
-// returns them sorted by predicted step time.
+// RankPlans prices every valid (TP, PP, FSDP, DDP, knobs) candidate
+// and returns them sorted by predicted step time.
 func RankPlans(w PlanWorkload, c ClusterShape, cons PlanConstraints) ([]ParallelPlan, error) {
-	return plan.Rank(w, c, cons)
+	return plan.Rank4(w, c, cons)
 }
 
-// PredictPlan prices one candidate with the planner's replay of the
-// comm clock model, without running the functional engines.
+// PredictPlan prices one candidate with the planner's
+// instruction-level replay of its schedule on the comm clock model,
+// without running the functional engines.
 func PredictPlan(w PlanWorkload, c ClusterShape, cand PlanCandidate) plan.Prediction {
-	return plan.Predict(w, c, cand)
+	return plan.Predict4(w, c, cand)
 }
 
 // SimulatePlan measures a candidate by running the real functional
 // engines over the simulated cluster — the ground truth the planner's
 // predictions are calibrated against.
-func SimulatePlan(w PlanWorkload, c ClusterShape, cand plan.Candidate, steps int) PlanMeasured {
-	return plan.Simulate(w, c, cand, steps)
-}
-
-// PlanGrid returns the classic power-of-two sweep grid for a
-// brute-force comparison (`orbit-scaling -auto`).
-func PlanGrid(w PlanWorkload, c ClusterShape, knobs plan.Knobs) []plan.Candidate {
-	return plan.GridCandidates(w, c, knobs)
-}
-
-// PlanCandidate4 is one point of the 4D planning space.
-type PlanCandidate4 = plan.Candidate4
-
-// ParallelPlan4 is a priced 4D candidate; its prediction includes the
-// un-hidden pipeline-bubble wait (PPWait).
-type ParallelPlan4 = plan.Plan4
-
-// BestPlan4 returns the 4D auto-planner's top-ranked feasible plan.
-// The search space is a strict superset of BestPlan's: PP=1
-// candidates are priced by the identical 3D replay, so a PP>1 layout
-// wins only when the replayed 1F1B schedule (bubbles included)
-// actually beats every 3D candidate, or when only pipelining fits the
-// device memory.
-func BestPlan4(w PlanWorkload, c ClusterShape, cons PlanConstraints) (ParallelPlan4, error) {
-	return plan.Best4(w, c, cons)
-}
-
-// RankPlans4 prices every valid 4D candidate, sorted by predicted
-// step time.
-func RankPlans4(w PlanWorkload, c ClusterShape, cons PlanConstraints) ([]ParallelPlan4, error) {
-	return plan.Rank4(w, c, cons)
-}
-
-// PredictPlan4 prices one 4D candidate by instruction-level replay of
-// its pipeline schedule.
-func PredictPlan4(w PlanWorkload, c ClusterShape, cand PlanCandidate4) plan.Prediction {
-	return plan.Predict4(w, c, cand)
-}
-
-// SimulatePlan4 measures a 4D candidate by running the real pipelined
-// engines over the simulated cluster.
-func SimulatePlan4(w PlanWorkload, c ClusterShape, cand PlanCandidate4, steps int) plan.Measured4 {
+func SimulatePlan(w PlanWorkload, c ClusterShape, cand PlanCandidate, steps int) PlanMeasured {
 	return plan.Simulate4(w, c, cand, steps)
+}
+
+// PlanGrid returns the classic power-of-two (TP, FSDP, DDP) sweep
+// grid, as PP=1 candidates, for a brute-force comparison
+// (`orbit-scaling -auto`).
+func PlanGrid(w PlanWorkload, c ClusterShape, knobs PlanKnobs) []PlanCandidate {
+	return plan.GridCandidates(w, c, knobs)
 }
 
 // --- scaling analysis ---

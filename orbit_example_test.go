@@ -40,10 +40,11 @@ func Example_quickstart() {
 }
 
 // Example_bestPlan asks the parallelism auto-planner for the fastest
-// Hybrid-STOP layout and tuning knobs on a 16-GPU simulated cluster.
-// The cluster's compute throughput is scaled down so the toy-sized
-// functional workload sees a production compute-to-communication
-// ratio (see plan.ScaledShape).
+// Hybrid-STOP layout (TP x PP x FSDP x DDP; PP=1 means no pipelining)
+// and tuning knobs on a 16-GPU simulated cluster. The cluster's
+// compute throughput is scaled down so the toy-sized functional
+// workload sees a production compute-to-communication ratio (see
+// plan.ScaledShape).
 func Example_bestPlan() {
 	w := orbit.PlanWorkload{
 		Dim: 32, Heads: 4, Layers: 3, Tokens: 16, QKNorm: true,
@@ -55,14 +56,14 @@ func Example_bestPlan() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("layout: TP=%d FSDP=%d DDP=%d\n", best.Layout.TP, best.Layout.FSDP, best.Layout.DDP)
+	fmt.Printf("layout: TP=%d PP=%d FSDP=%d DDP=%d\n", best.Layout.TP, best.Layout.PP, best.Layout.FSDP, best.Layout.DDP)
 	fmt.Printf("knobs: prefetch depth %d, DDP bucket %d KiB, %d micro-batches\n",
 		best.Knobs.PrefetchDepth, best.Knobs.DDPBucketBytes>>10, best.Knobs.MicroBatches)
 	// The prediction is machine-readable: best.Explain() is JSON with
 	// step time, per-phase communication waits, and both memory models.
 	fmt.Printf("prediction is feasible: %v\n", !best.Pred.OOM)
 	// Output:
-	// layout: TP=1 FSDP=8 DDP=2
+	// layout: TP=1 PP=1 FSDP=8 DDP=2
 	// knobs: prefetch depth 2, DDP bucket 1024 KiB, 4 micro-batches
 	// prediction is feasible: true
 }
