@@ -434,7 +434,7 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 		// reproduce bit-identical values. The memory model above still
 		// reflects the discard, and the analytic model (internal/perf)
 		// charges the recompute FLOPs; re-running it functionally would
-		// only burn host time. (parallel.Pipeline must recompute: its
+		// only burn host time. (pp.Engine.RunStep must recompute: its
 		// stages stream several micro-batches through the same blocks,
 		// clobbering the caches.)
 		// Two forward-equivalents of gradient math, plus the recompute

@@ -17,7 +17,7 @@
 // reused on its next call (ggml-style destination passing): the
 // returned tensor is valid until that layer's next Forward or
 // Backward respectively — callers that need a value to survive longer
-// must copy it (see parallel.Pipeline's cross-stage sends). In
+// must copy it (see pp.Engine.RunStep's cross-stage sends). In
 // exchange, a steady-state transformer forward+backward step performs
 // zero heap allocations (asserted by this package's AllocsPerRun
 // tests). A layer instance is not safe for concurrent use; the
