@@ -21,6 +21,7 @@ package pp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"orbit/internal/core"
@@ -78,11 +79,13 @@ func ParseLayout(spec string) (Layout, error) {
 	parts := strings.Split(strings.ToLower(strings.TrimSpace(spec)), "x")
 	vals := make([]int, 0, len(parts))
 	for _, p := range parts {
-		var v int
-		if _, err := fmt.Sscanf(p, "%d", &v); err != nil {
+		// Unsigned and whole-field: a sign, a space or any trailing
+		// byte is an error, never a silently truncated extent.
+		v, err := strconv.ParseUint(p, 10, 31)
+		if err != nil {
 			return Layout{}, fmt.Errorf("pp: bad layout %q (want TPxFSDPxDDP or TPxPPxFSDPxDDP)", spec)
 		}
-		vals = append(vals, v)
+		vals = append(vals, int(v))
 	}
 	var l Layout
 	switch len(vals) {

@@ -2,6 +2,7 @@ package pp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"orbit/internal/cluster"
@@ -28,11 +29,34 @@ func TestParseLayout(t *testing.T) {
 			t.Fatalf("ParseLayout(%q) = %+v, want %+v", c.spec, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "2", "2x4", "2x4x8x16x32", "axbxc", "2x0x4x8", "-1x1x1x1"} {
+	for _, bad := range []string{
+		"", "2", "2x4", "2x4x8x16x32", "axbxc", "2x0x4x8", "-1x1x1x1",
+		"2.5x2x2", "2junkx2x2", "2 3x2x2", "+2x2x2", "2x2x2x", "x2x2x2", "2x 2x2", "99999999999x1x1",
+	} {
 		if _, err := ParseLayout(bad); err == nil {
 			t.Fatalf("ParseLayout(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseLayout: whatever ParseLayout accepts is a pure
+// digits-and-x spec (no sign, space, fraction or trailing junk inside
+// it) and round-trips through String. The seed corpus is committed
+// under testdata/fuzz and runs in `make fuzz-smoke`.
+func FuzzParseLayout(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		l, err := ParseLayout(spec)
+		if err != nil {
+			return
+		}
+		if strings.Trim(strings.ToLower(strings.TrimSpace(spec)), "0123456789x") != "" {
+			t.Fatalf("ParseLayout(%q) accepted a spec with bytes other than digits and x: %+v", spec, l)
+		}
+		back, err := ParseLayout(l.String())
+		if err != nil || back != l {
+			t.Fatalf("ParseLayout(%q) = %+v does not round-trip: String() = %q -> %+v, %v", spec, l, l.String(), back, err)
+		}
+	})
 }
 
 func TestLayoutString(t *testing.T) {

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI entry point: build, vet, gofmt check, staticcheck (when the
+# CI entry point: build, the bench/ module's vet + self-tests (it is
+# outside `./...`), vet, gofmt check, staticcheck (when the
 # binary is installed — the hosted workflow installs it), full tests,
 # a race-detector pass over the communication / parallelism / elastic-
 # training / serving layers (including the serving chaos tests), the
