@@ -251,9 +251,9 @@ func (p Plan4) String() string {
 // TP divides the head count (the paper's architectural limit on
 // tensor parallelism), PP ≤ Layers (a stage must own at least one
 // block), the grid fits the device budget, and FSDP·DDP divides the
-// global batch. PP>1 candidates appear only when the base
-// options carry LayerWrapping and ActivationCheckpoint — the
-// production configuration pipeline schedules require.
+// global batch. PP>1 candidates appear only when the base options
+// carry LayerWrapping and ActivationCheckpoint — the production
+// configuration pipeline schedules require.
 func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -433,6 +433,12 @@ func buildStep4(rc *rankCtx, w Workload, opts core.Options, sched []pp.Op, actFl
 	}
 }
 
+// infeasible is the prediction of a candidate that cannot run at all;
+// Rank4 sorts it last.
+func infeasible(note string) Prediction {
+	return Prediction{Note: note, OOM: true, StepTime: math.Inf(1)}
+}
+
 // Predict4 prices one candidate: it replays two measured steps of the
 // engines' schedule (after one warm-up step, so stream and clock
 // offsets reach their steady state) and reports the per-step time,
@@ -441,45 +447,30 @@ func buildStep4(rc *rankCtx, w Workload, opts core.Options, sched []pp.Op, actFl
 // JSON-serializable — Plan4.Explain renders it.
 func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 	if err := w.Validate(); err != nil {
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+		return infeasible(err.Error())
 	}
 	layout := cand.Layout
 	S := layout.PP
-	if S > w.Layers {
-		return Prediction{
-			Note:     fmt.Sprintf("PP=%d stages exceed %d layers", S, w.Layers),
-			OOM:      true,
-			StepTime: math.Inf(1),
-		}
-	}
 	opts := cand.Options(w.Opts)
 	if S > 1 && (!opts.LayerWrapping || !opts.ActivationCheckpoint) {
-		return Prediction{
-			Note:     "PP>1 requires LayerWrapping and ActivationCheckpoint",
-			OOM:      true,
-			StepTime: math.Inf(1),
-		}
+		return infeasible("PP>1 requires LayerWrapping and ActivationCheckpoint")
 	}
 	R := layout.Ranks()
 	if R > c.Devices() {
-		return Prediction{
-			Note:     fmt.Sprintf("layout needs %d devices, cluster has %d", R, c.Devices()),
-			OOM:      true,
-			StepTime: math.Inf(1),
-		}
+		return infeasible(fmt.Sprintf("layout needs %d devices, cluster has %d", R, c.Devices()))
 	}
 	inner := layout.Inner()
 	micros, err := microBatches(w, inner)
 	if err != nil {
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+		return infeasible(err.Error())
 	}
-	stages, err := pp.UniformPartition(w.Layers, S)
+	stages, err := pp.UniformPartition(w.Layers, S) // rejects S > Layers
 	if err != nil {
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+		return infeasible(err.Error())
 	}
 	scheds, err := pp.ScheduleFor(pp.Schedule1F1B, S, 1, micros)
 	if err != nil {
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+		return infeasible(err.Error())
 	}
 	gpn := c.GPUsPerNode
 	spec := c.Spec
@@ -609,7 +600,7 @@ func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 
 	const measured = 2
 	if err := runStep(); err != nil { // warm-up
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+		return infeasible(err.Error())
 	}
 	warm := maxClock()
 	var warmDevs []simDev
@@ -618,7 +609,7 @@ func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 	}
 	for i := 0; i < measured; i++ {
 		if err := runStep(); err != nil {
-			return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+			return infeasible(err.Error())
 		}
 	}
 	stepTime := (maxClock() - warm) / measured

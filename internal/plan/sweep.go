@@ -44,10 +44,6 @@ func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measur
 		measured = 2
 	}
 	layout := cand.Layout
-	if layout.Ranks() > c.Devices() {
-		out.Err = fmt.Errorf("plan: layout needs %d devices, cluster has %d", layout.Ranks(), c.Devices())
-		return out
-	}
 	stages, err := pp.UniformPartition(w.Layers, layout.PP)
 	if err != nil {
 		out.Err = err
