@@ -88,12 +88,14 @@ examples:
 cover:
 	sh scripts/check_coverage.sh
 
-# One-iteration sanity pass over the attention hot path: catches
-# regressions that only appear under the benchmark harness (buffer
-# reuse across iterations, kernel dispatch) without paying full
+# One-iteration sanity pass over the attention hot path and the
+# planner's query family: catches regressions that only appear under
+# the benchmark harness (buffer reuse across iterations, kernel
+# dispatch, the replay scratch across candidates) without paying full
 # benchmark time in CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$' -benchtime=1x ./internal/plan/
 
 # Full hot-path benchmark set with allocation counters — compare
 # against BENCH_PR1.json (interleave seed and PR runs when updating

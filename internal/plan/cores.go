@@ -5,19 +5,21 @@ package plan
 // rank's cores, so a rank's effective throughput is no longer the
 // single-core clock that PR 1's benchmarks calibrated. The planner
 // prices layouts against Spec.PeakFLOPS; these helpers scale that
-// clock by the measured multicore kernel speedup so layout pricing
-// reflects threaded ranks (ROADMAP item 3, closed by PR 8).
+// clock by a modeled multicore kernel speedup so layout pricing
+// reflects threaded ranks.
 
-// kernelSerialFraction is the Amdahl serial fraction fit to the PR 8
-// kernel sweep (BENCH_PR8.json): packing, dispatch, and the softmax
-// row reductions that stay on the calling goroutine. See
-// docs/PERFORMANCE.md for the measurement protocol.
+// kernelSerialFraction is the Amdahl serial fraction assumed for the
+// threaded kernels: packing, dispatch, and the softmax row reductions
+// that stay on the calling goroutine. It is an UNVALIDATED model
+// constant: the PR 8 kernel sweep (BENCH_PR8.json) ran on a one-core
+// host, where extra workers time-share the core, so no measurement
+// has been fitted to it (ROADMAP item 1a).
 const kernelSerialFraction = 0.08
 
 // KernelCoreSpeedup returns the modeled throughput multiplier of the
 // threaded kernels on `cores` cores relative to one core:
-// S(c) = 1 / (s + (1-s)/c), Amdahl's law with the serial fraction fit
-// from the matmul+attention sweep. cores <= 1 returns 1.
+// S(c) = 1 / (s + (1-s)/c), Amdahl's law with the assumed serial
+// fraction above. cores <= 1 returns 1.
 func KernelCoreSpeedup(cores int) float64 {
 	if cores <= 1 {
 		return 1

@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
@@ -26,43 +28,50 @@ import (
 // on the first transfer it consumes, and that is what
 // Prediction.PPWait reports. A PP=1 layout is the same replay over a
 // single stage with no links. No data moves; only clocks.
+//
+// The replay is compiled once and run on a quotient. A rank's step
+// program depends only on its stage and on whether it is TP rank 0
+// (which owns the unsharded output biases, hence a longer shard), and
+// not on the step number: every gather buffer is released and every
+// post is waited by the end of a step. So a candidate compiles at most
+// 2·S programs whose collectives name a role (tp, fsdp, ddp, or one of
+// the four stage links) rather than a group, with step-relative
+// sequence numbers; the memory high-water mark is clock-independent
+// and is folded while compiling. The ranks are then partitioned by
+// colour refinement into classes that provably share every clock
+// value, and one representative per class is replayed against
+// quotient groups that count each post with the class's multiplicity.
+// The identity partition (replay.identity) is the full per-rank replay
+// through the same code; tests use it as the reference.
 
-// simPending mirrors comm.pending for one in-flight collective.
-type simPending struct {
-	cost, tmax, completion float64
-	posted, waited         int
-	done                   bool
-}
+// Roles: which of a rank's communicators an instruction addresses.
+const (
+	roleTP = iota
+	roleFSDP
+	roleDDP
+	roleFwdIn // activation link from the previous stage
+	roleFwdOut
+	roleBwdIn // gradient link from the next stage
+	roleBwdOut
+	roleCount
+)
 
-// simGroup mirrors comm.Group: a communicator with one serialized
-// stream and link parameters chosen by whether its members share a
-// node (Infinity Fabric) or span nodes (Slingshot).
+// Collective kinds a cost slot can price.
+const (
+	costAllGather = iota
+	costAllReduce
+	costReduceScatter
+	costP2P
+)
+
+// simGroup mirrors comm.Group: a communicator with link parameters
+// chosen by whether its members share a node (Infinity Fabric) or
+// span nodes (Slingshot). Its members are the size entries of
+// replay.members starting at first.
 type simGroup struct {
-	size       int
-	lat, bw    float64
-	streamFree float64
-	pend       map[int]*simPending
-}
-
-func newSimGroup(members []int, gpn int, spec cluster.Spec) *simGroup {
-	g := &simGroup{
-		size: len(members),
-		lat:  spec.InterNodeLatency,
-		bw:   spec.InterNodeBandwidth,
-		pend: make(map[int]*simPending),
-	}
-	sameNode := true
-	for _, r := range members[1:] {
-		if r/gpn != members[0]/gpn {
-			sameNode = false
-			break
-		}
-	}
-	if sameNode {
-		g.lat = spec.IntraNodeLatency
-		g.bw = spec.IntraNodeBandwidth
-	}
-	return g
+	size    int
+	lat, bw float64
+	first   int
 }
 
 // ring mirrors comm.Group.ringCost.
@@ -74,13 +83,20 @@ func (g *simGroup) ring(bytes int) float64 {
 	return (p - 1) * (g.lat + float64(bytes)/p/g.bw)
 }
 
-func (g *simGroup) allGatherCost(shardLen int) float64 { return g.ring(4 * shardLen * g.size) }
-func (g *simGroup) allReduceCost(n int) float64        { return 2 * g.ring(4*n) }
-func (g *simGroup) reduceScatterCost(n int) float64    { return g.ring(4 * n) }
-
-// p2pCost mirrors comm.Group.p2pCost: the store-and-forward price of
-// one point-to-point message over the group's link class.
-func (g *simGroup) p2pCost(n int) float64 { return g.lat + float64(4*n)/g.bw }
+// cost prices one collective over the group's link class, mirroring
+// comm.Group's allGather/allReduce/reduceScatter/p2p costs (p2p is the
+// store-and-forward price of one point-to-point message).
+func (g *simGroup) cost(kind uint8, n int) float64 {
+	switch kind {
+	case costAllGather:
+		return g.ring(4 * n * g.size)
+	case costAllReduce:
+		return 2 * g.ring(4*n)
+	case costReduceScatter:
+		return g.ring(4 * n)
+	}
+	return g.lat + float64(4*n)/g.bw
+}
 
 // Wait-phase attribution labels.
 const (
@@ -97,166 +113,95 @@ const (
 	opPost = iota
 	opWait
 	opCompute
-	opAlloc
-	opFree
 )
 
+// costSlot is one distinct collective price a program posts: the role
+// picks the group whose size and link class price it, so the slot is
+// evaluated once per rank class, not per instruction.
+type costSlot struct {
+	role, kind uint8
+	n          int
+}
+
 type instr struct {
-	op, phase uint8
-	g         *simGroup
-	seq       int
-	cost      float64 // collective cost (post) or seconds (compute)
-	bytes     int64   // alloc/free
+	op, phase, role, slot uint8
+	seq                   int32   // step-relative posting index on the role's group
+	sec                   float64 // compute seconds
 }
 
-// progBuilder accumulates one rank's program; posting sequence
-// numbers per group continue across steps, exactly like comm.Group's
-// per-rank counters.
-type progBuilder struct {
+// program is one rank class's compiled optimizer step. While it is
+// being compiled it is also the accumulator: posts counts the posts
+// per role so far, mem the running device bytes.
+type program struct {
 	instrs []instr
-	seq    map[*simGroup]int
+	slots  []costSlot
+	posts  [roleCount]int32
+	// mem/peak mirror cluster.Device's accounting of the step's
+	// Alloc/Free sequence over the persistent chunk weights+grads.
+	mem, peak int64
 }
 
-func (b *progBuilder) post(g *simGroup, cost float64) int {
-	s := b.seq[g]
-	b.seq[g] = s + 1
-	b.instrs = append(b.instrs, instr{op: opPost, g: g, seq: s, cost: cost})
+func (p *program) slot(role, kind uint8, n int) uint8 {
+	s := costSlot{role, kind, n}
+	for i := range p.slots {
+		if p.slots[i] == s {
+			return uint8(i)
+		}
+	}
+	p.slots = append(p.slots, s)
+	return uint8(len(p.slots) - 1)
+}
+
+func (p *program) post(slot uint8) int32 {
+	role := p.slots[slot].role
+	s := p.posts[role]
+	p.posts[role] = s + 1
+	p.instrs = append(p.instrs, instr{op: opPost, role: role, slot: slot, seq: s})
 	return s
 }
 
-func (b *progBuilder) wait(g *simGroup, seq int, phase uint8) {
-	b.instrs = append(b.instrs, instr{op: opWait, g: g, seq: seq, phase: phase})
+func (p *program) wait(role uint8, seq int32, phase uint8) {
+	p.instrs = append(p.instrs, instr{op: opWait, role: role, seq: seq, phase: phase})
 }
 
 // sync is a post immediately followed by its wait (the synchronous
 // destination-passing collectives the TP block uses).
-func (b *progBuilder) sync(g *simGroup, cost float64, phase uint8) {
-	b.wait(g, b.post(g, cost), phase)
+func (p *program) sync(slot, phase uint8) {
+	p.wait(p.slots[slot].role, p.post(slot), phase)
 }
 
-func (b *progBuilder) compute(sec float64) {
-	b.instrs = append(b.instrs, instr{op: opCompute, cost: sec})
+func (p *program) compute(sec float64) {
+	p.instrs = append(p.instrs, instr{op: opCompute, sec: sec})
 }
 
-func (b *progBuilder) alloc(bytes int64) {
-	b.instrs = append(b.instrs, instr{op: opAlloc, bytes: bytes})
+func (p *program) alloc(bytes int64) {
+	p.mem += bytes
+	p.peak = max(p.peak, p.mem)
 }
 
-func (b *progBuilder) free(bytes int64) {
-	b.instrs = append(b.instrs, instr{op: opFree, bytes: bytes})
-}
+func (p *program) free(bytes int64) { p.mem -= bytes }
 
-func (b *progBuilder) take() []instr {
-	out := b.instrs
-	b.instrs = nil
-	return out
-}
+// noSlot marks a stage link the topology does not have.
+const noSlot = math.MaxUint8
 
-// simDev mirrors cluster.Device's clock and memory accounting.
-type simDev struct {
-	clock     float64
-	mem, peak int64
-	capacity  int64
-	oom       bool
-	compute   float64
-	waits     [phCount]float64
-}
-
-// runPrograms executes one SPMD round of per-rank instruction lists
-// against the shared groups, advancing clocks with comm's rendezvous
-// and stream rules. Ranks advance until they block on a wait whose
-// collective has not fully posted; the round-robin repeats until all
-// programs retire.
-func runPrograms(progs [][]instr, devs []*simDev) error {
-	ptr := make([]int, len(progs))
-	for {
-		progress := false
-		for r := range progs {
-			d := devs[r]
-			for ptr[r] < len(progs[r]) {
-				in := &progs[r][ptr[r]]
-				if in.op == opWait {
-					p := in.g.pend[in.seq]
-					if p == nil || !p.done {
-						break // rendezvous incomplete; try other ranks
-					}
-					if p.completion > d.clock {
-						d.waits[in.phase] += p.completion - d.clock
-						d.clock = p.completion
-					}
-					p.waited++
-					if p.waited == in.g.size {
-						delete(in.g.pend, in.seq)
-					}
-				} else {
-					switch in.op {
-					case opPost:
-						g := in.g
-						p := g.pend[in.seq]
-						if p == nil {
-							p = &simPending{cost: in.cost}
-							g.pend[in.seq] = p
-						} else if p.cost != in.cost {
-							return fmt.Errorf("plan: replay ordering violation: cost %v posted against %v at seq %d",
-								in.cost, p.cost, in.seq)
-						}
-						if d.clock > p.tmax {
-							p.tmax = d.clock
-						}
-						p.posted++
-						if p.posted == g.size {
-							start := p.tmax
-							if g.streamFree > start {
-								start = g.streamFree
-							}
-							p.completion = start + p.cost
-							g.streamFree = p.completion
-							p.done = true
-						}
-					case opCompute:
-						d.clock += in.cost
-						d.compute += in.cost
-					case opAlloc:
-						d.mem += in.bytes
-						if d.mem > d.peak {
-							d.peak = d.mem
-						}
-						if d.mem > d.capacity {
-							d.oom = true
-						}
-					case opFree:
-						d.mem -= in.bytes
-					}
-				}
-				ptr[r]++
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	for r := range progs {
-		if ptr[r] != len(progs[r]) {
-			return fmt.Errorf("plan: replay deadlock: rank %d stuck at instruction %d/%d", r, ptr[r], len(progs[r]))
-		}
-	}
-	return nil
-}
-
-// rankCtx is everything one rank's program generation needs: the
-// inner-grid communicators and per-block state over the rank's stage
-// slice (bufLive has one entry per stage block), plus the pipeline
-// link endpoints (nil where the topology has no such link).
-type rankCtx struct {
-	tpG, fsdpG, ddpG             *simGroup
-	fwdIn, fwdOut, bwdIn, bwdOut *simGroup
-	builder                      *progBuilder
+// progCtx is everything one program's generation needs: the cost
+// slots of its collectives, per-block state over the stage slice
+// (bufLive has one entry per stage block), and the pipeline link
+// slots (noSlot where the stage has no such link).
+type progCtx struct {
+	*program
+	w                            Workload
+	layout                       pp.Layout
+	opts                         core.Options
+	depth                        int
+	gather, rs, ar, qk           uint8
+	fwdIn, fwdOut, bwdIn, bwdOut uint8
+	ddp                          []uint8 // one slot per outer all-reduce; empty without a DDP level
+	lens                         []int   // per-block chunk lengths, for DDP bucket planning
 	bufLive                      []bool
-	gatherSeq, rsSeq             []int
-	chunkLen, flatLen            int
-	gatherBytes                  int64
-	actBytes                     int64
+	gatherSeq, rsSeq             []int32
+	sends                        []instr // deferred send waits
+	gatherBytes, actBytes        int64
 	fwdSec                       float64
 	// bwdFresh is the backward charge when the forward cache is fresh
 	// (the recompute forward included under ActivationCheckpoint);
@@ -265,15 +210,15 @@ type rankCtx struct {
 	bwdFresh, bwdRecomputed float64
 }
 
-func (rc *rankCtx) postGather(b int) {
-	rc.builder.alloc(rc.gatherBytes)
-	rc.gatherSeq[b] = rc.builder.post(rc.fsdpG, rc.fsdpG.allGatherCost(rc.chunkLen))
-	rc.bufLive[b] = true
+func (pc *progCtx) postGather(b int) {
+	pc.alloc(pc.gatherBytes)
+	pc.gatherSeq[b] = pc.post(pc.gather)
+	pc.bufLive[b] = true
 }
 
-func (rc *rankCtx) release(b int) {
-	rc.builder.free(rc.gatherBytes)
-	rc.bufLive[b] = false
+func (pc *progCtx) release(b int) {
+	pc.free(pc.gatherBytes)
+	pc.bufLive[b] = false
 }
 
 // prefetchDepth derives the in-flight gather depth the options imply.
@@ -287,150 +232,571 @@ func prefetchDepth(opts core.Options) int {
 	return 1
 }
 
-// stageForward emits one Engine.Forward pass over the rank's stage
-// slice, mirroring core.Engine instruction for instruction (also as
-// the real recompute the 1F1B schedule performs on stale-cache
-// backwards).
-func stageForward(rc *rankCtx, opts core.Options, depth int, arCost float64) {
-	bld := rc.builder
-	L := len(rc.bufLive)
-	if !opts.LayerWrapping {
+// stageForward emits one Engine.Forward pass over the stage slice,
+// mirroring core.Engine instruction for instruction (also as the real
+// recompute the 1F1B schedule performs on stale-cache backwards).
+func (pc *progCtx) stageForward() {
+	L := len(pc.bufLive)
+	wrap := pc.opts.LayerWrapping
+	if !wrap {
 		for b := 0; b < L; b++ {
-			rc.postGather(b)
+			pc.postGather(b)
 		}
 		for b := 0; b < L; b++ {
-			bld.wait(rc.fsdpG, rc.gatherSeq[b], phGather)
+			pc.wait(roleFSDP, pc.gatherSeq[b], phGather)
 		}
 	}
 	for b := 0; b < L; b++ {
-		if opts.LayerWrapping {
-			if !rc.bufLive[b] {
-				rc.postGather(b)
+		if wrap {
+			if !pc.bufLive[b] {
+				pc.postGather(b)
 			}
-			for k := 1; k <= depth && b+k < L; k++ {
-				if !rc.bufLive[b+k] {
-					rc.postGather(b + k)
+			for k := 1; k <= pc.depth && b+k < L; k++ {
+				if !pc.bufLive[b+k] {
+					pc.postGather(b + k)
 				}
 			}
-			bld.wait(rc.fsdpG, rc.gatherSeq[b], phGather)
+			pc.wait(roleFSDP, pc.gatherSeq[b], phGather)
 		}
-		if !opts.ActivationCheckpoint {
-			bld.alloc(rc.actBytes)
+		if !pc.opts.ActivationCheckpoint {
+			pc.alloc(pc.actBytes)
 		}
-		bld.compute(rc.fwdSec)
-		bld.sync(rc.tpG, arCost, phTP) // attention partial sum
-		bld.sync(rc.tpG, arCost, phTP) // MLP partial sum
-		if opts.LayerWrapping {
-			rc.release(b)
+		pc.compute(pc.fwdSec)
+		pc.sync(pc.ar, phTP) // attention partial sum
+		pc.sync(pc.ar, phTP) // MLP partial sum
+		if wrap {
+			pc.release(b)
 		}
 	}
 }
 
 // stageBackward emits one Engine.Backward pass (per-block compute at
 // bwdSec, TP reductions, the reduce-scatter drain, and the per-call
-// outer DDP reduction) over the rank's stage slice.
-func stageBackward(rc *rankCtx, w Workload, opts core.Options, depth int, arCost, qkCost, bwdSec float64) {
-	bld := rc.builder
-	L := len(rc.bufLive)
+// outer DDP reduction) over the stage slice.
+func (pc *progCtx) stageBackward(bwdSec float64) {
+	L := len(pc.bufLive)
 	for b := L - 1; b >= 0; b-- {
-		if opts.LayerWrapping {
-			if !rc.bufLive[b] {
-				rc.postGather(b)
+		if pc.opts.LayerWrapping {
+			if !pc.bufLive[b] {
+				pc.postGather(b)
 			}
-			for k := 1; k <= depth && b-k >= 0; k++ {
-				if !rc.bufLive[b-k] {
-					rc.postGather(b - k)
+			for k := 1; k <= pc.depth && b-k >= 0; k++ {
+				if !pc.bufLive[b-k] {
+					pc.postGather(b - k)
 				}
 			}
-			bld.wait(rc.fsdpG, rc.gatherSeq[b], phGather)
+			pc.wait(roleFSDP, pc.gatherSeq[b], phGather)
 		}
-		if !opts.ActivationCheckpoint {
-			bld.free(rc.actBytes)
+		if !pc.opts.ActivationCheckpoint {
+			pc.free(pc.actBytes)
 		}
-		bld.compute(bwdSec)
-		bld.sync(rc.tpG, arCost, phTP) // MLP input-gradient sum
-		if w.QKNorm && rc.tpG.size > 1 {
-			bld.sync(rc.tpG, qkCost, phTP) // packed QK-norm grads
+		pc.compute(bwdSec)
+		pc.sync(pc.ar, phTP) // MLP input-gradient sum
+		if pc.qk != noSlot {
+			pc.sync(pc.qk, phTP) // packed QK-norm grads
 		}
-		bld.sync(rc.tpG, arCost, phTP) // attention input-gradient sum
-		rc.rsSeq[b] = bld.post(rc.fsdpG, rc.fsdpG.reduceScatterCost(rc.flatLen))
-		rc.release(b)
+		pc.sync(pc.ar, phTP) // attention input-gradient sum
+		pc.rsSeq[b] = pc.post(pc.rs)
+		pc.release(b)
 	}
 	for b := 0; b < L; b++ {
-		bld.wait(rc.fsdpG, rc.rsSeq[b], phRS)
+		pc.wait(roleFSDP, pc.rsSeq[b], phRS)
 	}
 	// --- outer DDP gradient reduction ---
-	if rc.ddpG.size > 1 {
-		lens := make([]int, L)
-		for i := range lens {
-			lens[i] = rc.chunkLen
-		}
-		if opts.DDPBucketBytes > 0 {
-			var bucketLens []int
-			for _, r := range core.BucketRanges(lens, opts.DDPBucketBytes) {
-				bucketLens = append(bucketLens, (r[1]-r[0])*rc.chunkLen)
-			}
-			lens = bucketLens
-		}
-		seqs := make([]int, len(lens))
-		for i, n := range lens {
-			seqs[i] = bld.post(rc.ddpG, rc.ddpG.allReduceCost(n))
-		}
-		for _, s := range seqs {
-			bld.wait(rc.ddpG, s, phDDP)
-		}
+	first := pc.posts[roleDDP]
+	for _, s := range pc.ddp {
+		pc.post(s)
+	}
+	for i := range pc.ddp {
+		pc.wait(roleDDP, first+int32(i), phDDP)
 	}
 }
 
-// buildStep4 emits one rank's optimizer step: its stage's schedule
-// slots, mirroring pp.Engine.RunStep instruction for instruction.
-// actFloats is the float32 count of one cross-stage message (the
-// micro-batch activation shape).
-func buildStep4(rc *rankCtx, w Workload, opts core.Options, sched []pp.Op, actFloats int) {
-	bld := rc.builder
-	depth := prefetchDepth(opts)
-	arCost := rc.tpG.allReduceCost(w.Tokens * w.Dim)
-	qkCost := rc.tpG.allReduceCost(4 * (w.Dim / w.Heads))
-	type deferredSend struct {
-		g   *simGroup
-		seq int
+// recv is a blocking receive on a stage link; send posts and defers
+// its wait to the end of the step. Both are no-ops on a missing link.
+func (pc *progCtx) recv(slot uint8) {
+	if slot != noSlot {
+		pc.sync(slot, phPP)
 	}
+}
+
+func (pc *progCtx) send(slot uint8) {
+	if slot != noSlot {
+		role := pc.slots[slot].role
+		pc.sends = append(pc.sends, instr{op: opWait, role: role, seq: pc.post(slot), phase: phPP})
+	}
+}
+
+// buildStep4 emits one program's optimizer step: its stage's schedule
+// slots, mirroring pp.Engine.RunStep instruction for instruction.
+func (pc *progCtx) buildStep4(sched []pp.Op) {
 	lastFwd := -1
-	var sends []deferredSend
+	pc.sends = pc.sends[:0]
 	for _, op := range sched {
 		switch op.Kind {
 		case pp.Fwd:
-			if rc.fwdIn != nil {
-				bld.wait(rc.fwdIn, bld.post(rc.fwdIn, rc.fwdIn.p2pCost(actFloats)), phPP)
-			}
-			stageForward(rc, opts, depth, arCost)
+			pc.recv(pc.fwdIn)
+			pc.stageForward()
 			lastFwd = op.Micro
-			if rc.fwdOut != nil {
-				sends = append(sends, deferredSend{rc.fwdOut, bld.post(rc.fwdOut, rc.fwdOut.p2pCost(actFloats))})
-			}
+			pc.send(pc.fwdOut)
 		case pp.Bwd:
-			bwdSec := rc.bwdFresh
+			bwdSec := pc.bwdFresh
 			if lastFwd != op.Micro {
 				// Later micro-batches clobbered the stage's caches: the
 				// engine re-runs the forward for real (gathers, TP
 				// reductions, compute all charged), then pays the 2×
 				// backward.
-				stageForward(rc, opts, depth, arCost)
+				pc.stageForward()
 				lastFwd = op.Micro
-				bwdSec = rc.bwdRecomputed
+				bwdSec = pc.bwdRecomputed
 			}
-			if rc.bwdIn != nil {
-				bld.wait(rc.bwdIn, bld.post(rc.bwdIn, rc.bwdIn.p2pCost(actFloats)), phPP)
+			pc.recv(pc.bwdIn)
+			pc.stageBackward(bwdSec)
+			pc.send(pc.bwdOut)
+		}
+	}
+	pc.instrs = append(pc.instrs, pc.sends...)
+}
+
+// simDev mirrors cluster.Device's clock (memory is folded into the
+// program at compile time).
+type simDev struct {
+	clock   float64
+	compute float64
+	waits   [phCount]float64
+}
+
+// simClass is one symmetry class of ranks: the clock its members
+// share, the program they run, and per role the quotient group the
+// representative posts to, with how many members of the class sit in
+// one such group.
+type simClass struct {
+	simDev
+	prog *program
+	pc   int
+	// costs is the offset in replay.costs of the program's cost slots
+	// as priced on the representative's groups.
+	costs int
+	group [roleCount]int32
+	mult  [roleCount]int32
+}
+
+// quotGroup is the run state of one class of equivalent groups: the
+// single serialized stream and this step's pending collectives, the
+// posts entries of replay.pend from pend on, indexed by step-relative
+// sequence number.
+type quotGroup struct {
+	size        int32
+	pend, posts int32
+	streamFree  float64
+}
+
+// simPending mirrors comm.pending for one in-flight collective.
+type simPending struct {
+	cost, tmax, completion float64
+	posted                 int32
+}
+
+// replay is the scratch one pricing pass reuses across candidates:
+// compiled programs, the concrete rank/group topology, the colouring,
+// and the quotient run state. The zero value is ready to use.
+type replay struct {
+	// identity replays every rank as its own class — the full replay,
+	// which the differential test holds the quotient to.
+	identity bool
+
+	progs []program
+	ctx   progCtx
+
+	// Concrete topology: members holds rank<<3|role entries group by
+	// group; bind[rank*roleCount+role] is the rank's group for a role
+	// (-1 where it has none); progOf[rank] indexes progs.
+	groups  []simGroup
+	members []int32
+	bind    []int32
+	progOf  []int32
+
+	// Colour refinement: rank colours (and the next round's), group
+	// colours, the sorted member-colour signature of every group
+	// (parallel to members), and the index permutation being sorted.
+	colour, next []int32
+	gcolour      []int32
+	sig          []int32
+	order        []int32
+
+	classes []simClass
+	qgroups []quotGroup
+	pend    []simPending
+	costs   []float64
+	warm    []simDev
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough (growth is amortized). Contents are unspecified.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// compile emits into p the step program of a stage of L blocks for TP
+// rank class tc (0 owns the output biases); first and last say which
+// stage links exist.
+func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last bool) {
+	w, layout, opts := pc.w, pc.layout, pc.opts
+	flat := flatLenFor(blockShardNumel(w.Dim, w.Heads, layout.TP, tc, w.QKNorm), layout.FSDP)
+	chunkLen := flat / layout.FSDP
+	// NewEngine's persistent allocation: fp32 chunk weights+grads for
+	// the stage's blocks only.
+	persistent := int64(L) * int64(chunkLen) * 8
+	*p = program{instrs: p.instrs[:0], slots: p.slots[:0], mem: persistent, peak: persistent}
+	pc.program = p
+	pc.bufLive = resize(pc.bufLive, L)
+	clear(pc.bufLive)
+	pc.gatherSeq = resize(pc.gatherSeq, L)
+	pc.rsSeq = resize(pc.rsSeq, L)
+	pc.gatherBytes = int64(flat) * paramBytesFor(opts.MixedPrecision)
+
+	pc.gather = p.slot(roleFSDP, costAllGather, chunkLen)
+	pc.rs = p.slot(roleFSDP, costReduceScatter, flat)
+	pc.ar = p.slot(roleTP, costAllReduce, w.Tokens*w.Dim)
+	pc.qk = noSlot
+	if w.QKNorm && layout.TP > 1 {
+		pc.qk = p.slot(roleTP, costAllReduce, 4*(w.Dim/w.Heads))
+	}
+	actFloats := w.Tokens * w.Dim // one cross-stage message: the micro-batch activation
+	pc.fwdIn, pc.fwdOut, pc.bwdIn, pc.bwdOut = noSlot, noSlot, noSlot, noSlot
+	if !first {
+		pc.fwdIn = p.slot(roleFwdIn, costP2P, actFloats)
+		pc.bwdOut = p.slot(roleBwdOut, costP2P, actFloats)
+	}
+	if !last {
+		pc.fwdOut = p.slot(roleFwdOut, costP2P, actFloats)
+		pc.bwdIn = p.slot(roleBwdIn, costP2P, actFloats)
+	}
+	pc.ddp = pc.ddp[:0]
+	if layout.DDP > 1 {
+		if opts.DDPBucketBytes > 0 {
+			pc.lens = resize(pc.lens, L)
+			for i := range pc.lens {
+				pc.lens[i] = chunkLen
 			}
-			stageBackward(rc, w, opts, depth, arCost, qkCost, bwdSec)
-			if rc.bwdOut != nil {
-				sends = append(sends, deferredSend{rc.bwdOut, bld.post(rc.bwdOut, rc.bwdOut.p2pCost(actFloats))})
+			for _, r := range core.BucketRanges(pc.lens, opts.DDPBucketBytes) {
+				pc.ddp = append(pc.ddp, p.slot(roleDDP, costAllReduce, (r[1]-r[0])*chunkLen))
+			}
+		} else {
+			s := p.slot(roleDDP, costAllReduce, chunkLen)
+			for b := 0; b < L; b++ {
+				pc.ddp = append(pc.ddp, s)
 			}
 		}
 	}
-	for _, s := range sends {
-		bld.wait(s.g, s.seq, phPP)
+	// Per schedule op at most a recompute forward (7 per block) and a
+	// backward (11 per block, two per outer all-reduce), the link
+	// post/wait pairs and one deferred send wait.
+	p.instrs = slices.Grow(p.instrs, len(sched)*(18*L+2*len(pc.ddp)+4))
+	pc.buildStep4(sched)
+}
+
+// newGroup opens an empty group; join adds its members; wire prices
+// its links once they are all in.
+func (sc *replay) newGroup() int32 {
+	sc.groups = append(sc.groups, simGroup{first: len(sc.members)})
+	return int32(len(sc.groups) - 1)
+}
+
+func (sc *replay) join(g int32, rank int, role int) {
+	sc.members = append(sc.members, int32(rank<<3|role))
+	sc.bind[rank*roleCount+role] = g
+	sc.groups[g].size++
+}
+
+func (sc *replay) wire(gi int32, gpn int, spec cluster.Spec) {
+	g := &sc.groups[gi]
+	g.lat, g.bw = spec.IntraNodeLatency, spec.IntraNodeBandwidth
+	node := int(sc.members[g.first]>>3) / gpn
+	for _, m := range sc.members[g.first+1 : g.first+g.size] {
+		if int(m>>3)/gpn != node {
+			g.lat, g.bw = spec.InterNodeLatency, spec.InterNodeBandwidth
+			break
+		}
 	}
+}
+
+// buildTopology lays out the per-stage inner communicator grids over
+// each stage's contiguous device window and one two-rank link group
+// per (adjacent-stage pair, direction, inner rank), exactly as
+// pp.Build wires them (no wrap link without interleaving).
+func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
+	R := layout.Ranks()
+	sc.groups, sc.members = sc.groups[:0], sc.members[:0]
+	sc.bind = resize(sc.bind, R*roleCount)
+	for i := range sc.bind {
+		sc.bind[i] = -1
+	}
+	for p := 0; p < layout.PP; p++ {
+		for d := 0; d < layout.DDP; d++ {
+			for f := 0; f < layout.FSDP; f++ {
+				g := sc.newGroup()
+				for t := 0; t < layout.TP; t++ {
+					sc.join(g, layout.RankOf(pp.Coord{T: t, P: p, F: f, D: d}), roleTP)
+				}
+				sc.wire(g, gpn, spec)
+			}
+			for t := 0; t < layout.TP; t++ {
+				g := sc.newGroup()
+				for f := 0; f < layout.FSDP; f++ {
+					sc.join(g, layout.RankOf(pp.Coord{T: t, P: p, F: f, D: d}), roleFSDP)
+				}
+				sc.wire(g, gpn, spec)
+			}
+		}
+		for f := 0; f < layout.FSDP; f++ {
+			for t := 0; t < layout.TP; t++ {
+				g := sc.newGroup()
+				for d := 0; d < layout.DDP; d++ {
+					sc.join(g, layout.RankOf(pp.Coord{T: t, P: p, F: f, D: d}), roleDDP)
+				}
+				sc.wire(g, gpn, spec)
+			}
+		}
+	}
+	innerN := layout.Inner().Ranks()
+	for up := 0; up+innerN < R; up++ {
+		down := up + innerN
+		g := sc.newGroup()
+		sc.join(g, up, roleFwdOut)
+		sc.join(g, down, roleFwdIn)
+		sc.wire(g, gpn, spec)
+		g = sc.newGroup()
+		sc.join(g, down, roleBwdOut)
+		sc.join(g, up, roleBwdIn)
+		sc.wire(g, gpn, spec)
+	}
+}
+
+// cmpGroups orders groups by (size, link class, member signature);
+// equal means the two groups are interchangeable under the current
+// rank colouring.
+func (sc *replay) cmpGroups(a, b int32) int {
+	ga, gb := &sc.groups[a], &sc.groups[b]
+	if c := cmp.Compare(ga.size, gb.size); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ga.lat, gb.lat); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ga.bw, gb.bw); c != 0 {
+		return c
+	}
+	return slices.Compare(sc.sig[ga.first:ga.first+ga.size], sc.sig[gb.first:gb.first+gb.size])
+}
+
+// cmpRanks orders ranks by (colour, colour of each role's group).
+func (sc *replay) cmpRanks(a, b int32) int {
+	if c := cmp.Compare(sc.colour[a], sc.colour[b]); c != 0 {
+		return c
+	}
+	ba, bb := sc.bind[a*roleCount:(a+1)*roleCount], sc.bind[b*roleCount:(b+1)*roleCount]
+	for role := range ba {
+		ca, cb := int32(-1), int32(-1)
+		if ba[role] >= 0 {
+			ca = sc.gcolour[ba[role]]
+		}
+		if bb[role] >= 0 {
+			cb = sc.gcolour[bb[role]]
+		}
+		if c := cmp.Compare(ca, cb); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// sortedIDs sorts sc.order[:n] = 0..n-1 by cmp and writes dense ids
+// (equal elements share one) into ids, returning how many there are.
+func (sc *replay) sortedIDs(n int, ids []int32, less func(a, b int32) int) int {
+	sc.order = resize(sc.order, n)
+	for i := range sc.order {
+		sc.order[i] = int32(i)
+	}
+	slices.SortFunc(sc.order, less)
+	id := int32(0)
+	for i, x := range sc.order {
+		if i > 0 && less(sc.order[i-1], x) != 0 {
+			id++
+		}
+		ids[x] = id
+	}
+	return int(id) + 1
+}
+
+// partition colours the ranks so that equally coloured ranks share
+// every clock value of the replay, by colour refinement: ranks start
+// coloured by program, a group's colour is its size, link class and
+// the sorted multiset of its members' (colour, role) pairs, and a
+// rank's next colour is its colour plus the colour of each role's
+// group — until no class splits. At that fixed point two ranks of one
+// colour run the same program against groups whose members, role for
+// role, are again equally coloured, and rendezvous time, stream
+// serialization and completion are functions of exactly those. On
+// return gcolour identifies the classes of equivalent groups; the
+// count of them is returned.
+func (sc *replay) partition(R int) (groupClasses int) {
+	sc.colour = resize(sc.colour, R)
+	sc.next = resize(sc.next, R)
+	sc.gcolour = resize(sc.gcolour, len(sc.groups))
+	sc.sig = resize(sc.sig, len(sc.members))
+	colours := len(sc.progs)
+	copy(sc.colour, sc.progOf)
+	if sc.identity {
+		colours = R
+		for r := range sc.colour {
+			sc.colour[r] = int32(r)
+		}
+	}
+	for {
+		for i, m := range sc.members {
+			sc.sig[i] = sc.colour[m>>3]<<3 | m&7
+		}
+		for i := range sc.groups {
+			g := &sc.groups[i]
+			slices.Sort(sc.sig[g.first : g.first+g.size])
+		}
+		groupClasses = sc.sortedIDs(len(sc.groups), sc.gcolour, sc.cmpGroups)
+		n := sc.sortedIDs(R, sc.next, sc.cmpRanks)
+		sc.colour, sc.next = sc.next, sc.colour
+		if n == colours {
+			return groupClasses
+		}
+		colours = n
+	}
+}
+
+// bindClasses makes one simClass per colour, represented by its lowest
+// rank (in rank order, so the critical-rank tie-break is that of the
+// full replay), prices its program's cost slots on the
+// representative's groups, and sizes the quotient groups' pending
+// tables.
+func (sc *replay) bindClasses(R, groupClasses int) {
+	sc.classes, sc.costs = sc.classes[:0], sc.costs[:0]
+	sc.qgroups = resize(sc.qgroups, groupClasses)
+	clear(sc.qgroups)
+	seen := sc.next // colours are dense and < R
+	clear(seen)
+	for r := 0; r < R; r++ {
+		col := sc.colour[r]
+		if seen[col] != 0 {
+			continue
+		}
+		seen[col] = 1
+		cl := simClass{prog: &sc.progs[sc.progOf[r]], costs: len(sc.costs)}
+		for role := 0; role < roleCount; role++ {
+			gi := sc.bind[r*roleCount+role]
+			cl.group[role] = -1
+			if gi < 0 {
+				continue
+			}
+			g := &sc.groups[gi]
+			for _, m := range sc.members[g.first : g.first+g.size] {
+				if sc.colour[m>>3] == col && int(m&7) == role {
+					cl.mult[role]++
+				}
+			}
+			qi := sc.gcolour[gi]
+			cl.group[role] = qi
+			q := &sc.qgroups[qi]
+			q.size, q.posts = int32(g.size), max(q.posts, cl.prog.posts[role])
+		}
+		for _, s := range cl.prog.slots {
+			g := &sc.groups[sc.bind[r*roleCount+int(s.role)]]
+			sc.costs = append(sc.costs, g.cost(s.kind, s.n))
+		}
+		sc.classes = append(sc.classes, cl)
+	}
+	pend := int32(0)
+	for qi := range sc.qgroups {
+		sc.qgroups[qi].pend = pend
+		pend += sc.qgroups[qi].posts
+	}
+	sc.pend = resize(sc.pend, int(pend))
+}
+
+// runStep replays one optimizer step of every class representative
+// against the quotient groups, advancing clocks with comm's
+// rendezvous and stream rules. A class advances until it blocks on a
+// wait whose collective has not fully posted; the round-robin repeats
+// until all programs retire.
+func (sc *replay) runStep() error {
+	clear(sc.pend)
+	for ci := range sc.classes {
+		sc.classes[ci].pc = 0
+	}
+	for progress := true; progress; {
+		progress = false
+		for ci := range sc.classes {
+			c := &sc.classes[ci]
+			instrs, costs := c.prog.instrs, sc.costs[c.costs:]
+			pc := c.pc
+		run:
+			for ; pc < len(instrs); pc++ {
+				in := &instrs[pc]
+				switch in.op {
+				case opCompute:
+					c.clock += in.sec
+					c.compute += in.sec
+				case opPost:
+					g := &sc.qgroups[c.group[in.role]]
+					p := &sc.pend[g.pend+in.seq]
+					cost := costs[in.slot]
+					if p.posted == 0 {
+						p.cost = cost
+					} else if p.cost != cost {
+						return fmt.Errorf("plan: replay ordering violation: cost %v posted against %v at seq %d",
+							cost, p.cost, in.seq)
+					}
+					if c.clock > p.tmax {
+						p.tmax = c.clock
+					}
+					p.posted += c.mult[in.role]
+					if p.posted == g.size {
+						start := p.tmax
+						if g.streamFree > start {
+							start = g.streamFree
+						}
+						p.completion = start + p.cost
+						g.streamFree = p.completion
+					}
+				case opWait:
+					g := &sc.qgroups[c.group[in.role]]
+					p := &sc.pend[g.pend+in.seq]
+					if p.posted != g.size {
+						break run // rendezvous incomplete; try other classes
+					}
+					if p.completion > c.clock {
+						c.waits[in.phase] += p.completion - c.clock
+						c.clock = p.completion
+					}
+				}
+			}
+			if pc != c.pc {
+				c.pc = pc
+				progress = true
+			}
+		}
+	}
+	for ci := range sc.classes {
+		if c := &sc.classes[ci]; c.pc != len(c.prog.instrs) {
+			return fmt.Errorf("plan: replay deadlock: class %d stuck at instruction %d/%d", ci, c.pc, len(c.prog.instrs))
+		}
+	}
+	return nil
+}
+
+func (sc *replay) maxClock() float64 {
+	m := 0.0
+	for i := range sc.classes {
+		if c := sc.classes[i].clock; c > m {
+			m = c
+		}
+	}
+	return m
 }
 
 // infeasible is the prediction of a candidate that cannot run at all;
@@ -446,10 +812,21 @@ func infeasible(note string) Prediction {
 // models. The returned prediction is self-contained and
 // JSON-serializable — Plan4.Explain renders it.
 func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
+	var sc replay
+	return sc.predict(w, c, cand)
+}
+
+func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Prediction {
 	if err := w.Validate(); err != nil {
 		return infeasible(err.Error())
 	}
 	layout := cand.Layout
+	if err := layout.Validate(); err != nil {
+		return infeasible(err.Error())
+	}
+	if w.Heads%layout.TP != 0 {
+		return infeasible(fmt.Sprintf("plan: TP %d does not divide %d heads", layout.TP, w.Heads))
+	}
 	S := layout.PP
 	opts := cand.Options(w.Opts)
 	if S > 1 && (!opts.LayerWrapping || !opts.ActivationCheckpoint) {
@@ -472,58 +849,7 @@ func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 	if err != nil {
 		return infeasible(err.Error())
 	}
-	gpn := c.GPUsPerNode
 	spec := c.Spec
-	innerN := inner.Ranks()
-
-	// Per-stage inner communicator grids over the stage's contiguous
-	// device window, exactly as pp.Build lays them out.
-	members := func(n int, rankOf func(i int) int) []int {
-		ms := make([]int, n)
-		for i := range ms {
-			ms[i] = rankOf(i)
-		}
-		return ms
-	}
-	tpGroups := make(map[[3]int]*simGroup)
-	fsdpGroups := make(map[[3]int]*simGroup)
-	ddpGroups := make(map[[3]int]*simGroup)
-	for p := 0; p < S; p++ {
-		base := p * innerN
-		for d := 0; d < inner.DDP; d++ {
-			for f := 0; f < inner.FSDP; f++ {
-				tpGroups[[3]int{p, d, f}] = newSimGroup(members(inner.TP, func(t int) int {
-					return base + inner.RankOf(core.Coord{T: t, F: f, D: d})
-				}), gpn, spec)
-			}
-			for t := 0; t < inner.TP; t++ {
-				fsdpGroups[[3]int{p, d, t}] = newSimGroup(members(inner.FSDP, func(f int) int {
-					return base + inner.RankOf(core.Coord{T: t, F: f, D: d})
-				}), gpn, spec)
-			}
-		}
-		for f := 0; f < inner.FSDP; f++ {
-			for t := 0; t < inner.TP; t++ {
-				ddpGroups[[3]int{p, f, t}] = newSimGroup(members(inner.DDP, func(d int) int {
-					return base + inner.RankOf(core.Coord{T: t, F: f, D: d})
-				}), gpn, spec)
-			}
-		}
-	}
-	// One two-rank link group per (adjacent-stage pair, direction,
-	// inner rank), as pp.Build wires them (no wrap link without
-	// interleaving).
-	fwdLinks := make([][]*simGroup, S)
-	bwdLinks := make([][]*simGroup, S)
-	for s := 0; s+1 < S; s++ {
-		fwdLinks[s] = make([]*simGroup, innerN)
-		bwdLinks[s] = make([]*simGroup, innerN)
-		for r := 0; r < innerN; r++ {
-			up, down := s*innerN+r, (s+1)*innerN+r
-			fwdLinks[s][r] = newSimGroup([]int{up, down}, gpn, spec)
-			bwdLinks[s][r] = newSimGroup([]int{down, up}, gpn, spec)
-		}
-	}
 
 	rate := spec.PeakFLOPS * spec.Efficiency
 	fwdFLOPs := core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
@@ -534,93 +860,61 @@ func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 	if opts.ActivationCheckpoint {
 		bwdMult = 3
 	}
-	devs := make([]*simDev, R)
-	rcs := make([]*rankCtx, R)
+	pc := &sc.ctx
+	pc.w, pc.layout, pc.opts = w, layout, opts
+	pc.depth = prefetchDepth(opts)
+	pc.actBytes = actBytesFor(w.Dim, w.Heads, layout.TP)
+	pc.fwdSec = float64(fwdFLOPs) / rate
+	pc.bwdFresh = float64(bwdMult*fwdFLOPs) / rate
+	pc.bwdRecomputed = float64(2*fwdFLOPs) / rate
+
+	// One program per (stage, TP rank 0 or not).
+	tcs := min(layout.TP, 2)
+	sc.progs = sc.progs[:cap(sc.progs)] // keep every compiled buffer for reuse
+	for len(sc.progs) < S*tcs {
+		sc.progs = append(sc.progs, program{})
+	}
+	sc.progs = sc.progs[:S*tcs]
 	maxStage := 0
-	for r := 0; r < R; r++ {
-		c4 := layout.CoordOf(r)
-		r3 := inner.RankOf(core.Coord{T: c4.T, F: c4.F, D: c4.D})
-		rng := stages[c4.P]
+	for p, rng := range stages {
 		L := rng[1] - rng[0]
-		if L > maxStage {
-			maxStage = L
+		maxStage = max(maxStage, L)
+		for tc := 0; tc < tcs; tc++ {
+			pc.compile(&sc.progs[p*tcs+tc], scheds[p], L, tc, p == 0, p == S-1)
 		}
-		numel := blockShardNumel(w.Dim, w.Heads, layout.TP, c4.T, w.QKNorm)
-		flat := flatLenFor(numel, layout.FSDP)
-		rc := &rankCtx{
-			tpG:           tpGroups[[3]int{c4.P, c4.D, c4.F}],
-			fsdpG:         fsdpGroups[[3]int{c4.P, c4.D, c4.T}],
-			ddpG:          ddpGroups[[3]int{c4.P, c4.F, c4.T}],
-			builder:       &progBuilder{seq: make(map[*simGroup]int)},
-			bufLive:       make([]bool, L),
-			gatherSeq:     make([]int, L),
-			rsSeq:         make([]int, L),
-			chunkLen:      flat / layout.FSDP,
-			flatLen:       flat,
-			gatherBytes:   int64(flat) * paramBytesFor(opts.MixedPrecision),
-			actBytes:      actBytesFor(w.Dim, w.Heads, layout.TP),
-			fwdSec:        float64(fwdFLOPs) / rate,
-			bwdFresh:      float64(bwdMult*fwdFLOPs) / rate,
-			bwdRecomputed: float64(2*fwdFLOPs) / rate,
-		}
-		if c4.P > 0 {
-			rc.fwdIn = fwdLinks[c4.P-1][r3]
-			rc.bwdOut = bwdLinks[c4.P-1][r3]
-		}
-		if c4.P+1 < S {
-			rc.fwdOut = fwdLinks[c4.P][r3]
-			rc.bwdIn = bwdLinks[c4.P][r3]
-		}
-		rcs[r] = rc
-		devs[r] = &simDev{capacity: spec.MemPerGPU}
-		// NewEngine's persistent allocation: fp32 chunk weights+grads
-		// for the stage's blocks only.
-		devs[r].mem = int64(L) * int64(rc.chunkLen) * 8
-		devs[r].peak = devs[r].mem
+	}
+	sc.progOf = resize(sc.progOf, R)
+	for r := range sc.progOf {
+		c4 := layout.CoordOf(r)
+		sc.progOf[r] = int32(c4.P*tcs + min(c4.T, tcs-1))
 	}
 
-	actFloats := w.Tokens * w.Dim
-	maxClock := func() float64 {
-		m := 0.0
-		for _, d := range devs {
-			if d.clock > m {
-				m = d.clock
-			}
-		}
-		return m
-	}
-	runStep := func() error {
-		progs := make([][]instr, R)
-		for r, rc := range rcs {
-			buildStep4(rc, w, opts, scheds[layout.CoordOf(r).P], actFloats)
-			progs[r] = rc.builder.take()
-		}
-		return runPrograms(progs, devs)
-	}
+	sc.buildTopology(layout, c.GPUsPerNode, spec)
+	sc.bindClasses(R, sc.partition(R))
 
 	const measured = 2
-	if err := runStep(); err != nil { // warm-up
+	if err := sc.runStep(); err != nil { // warm-up
 		return infeasible(err.Error())
 	}
-	warm := maxClock()
-	var warmDevs []simDev
-	for _, d := range devs {
-		warmDevs = append(warmDevs, *d)
+	warm := sc.maxClock()
+	sc.warm = sc.warm[:0]
+	for i := range sc.classes {
+		sc.warm = append(sc.warm, sc.classes[i].simDev)
 	}
 	for i := 0; i < measured; i++ {
-		if err := runStep(); err != nil {
+		if err := sc.runStep(); err != nil {
 			return infeasible(err.Error())
 		}
 	}
-	stepTime := (maxClock() - warm) / measured
+	stepTime := (sc.maxClock() - warm) / measured
 
 	crit := 0
-	for r, d := range devs {
-		if d.clock > devs[crit].clock {
-			crit = r
+	for i := range sc.classes {
+		if sc.classes[i].clock > sc.classes[crit].clock {
+			crit = i
 		}
 	}
-	cd, wd := devs[crit], warmDevs[crit]
+	cd, wd := &sc.classes[crit].simDev, &sc.warm[crit]
 	pred := Prediction{
 		StepTime:    stepTime,
 		ComputeTime: (cd.compute - wd.compute) / measured,
@@ -630,14 +924,12 @@ func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 		DDPWait:     (cd.waits[phDDP] - wd.waits[phDDP]) / measured,
 		PPWait:      (cd.waits[phPP] - wd.waits[phPP]) / measured,
 	}
-	for _, d := range devs {
-		if d.peak > pred.DeviceBytes {
-			pred.DeviceBytes = d.peak
-		}
-		if d.oom {
-			pred.OOM = true
-		}
+	for i := range sc.progs {
+		pred.DeviceBytes = max(pred.DeviceBytes, sc.progs[i].peak)
 	}
+	// Every program allocates gather staging above its persistent
+	// bytes, so the peak exceeds capacity exactly when some Alloc does.
+	pred.OOM = pred.DeviceBytes > spec.MemPerGPU
 	// Analytic breakdown for the heaviest stage (the largest block
 	// count; per-block chunk sizes are stage-independent).
 	w4 := w

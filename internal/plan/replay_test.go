@@ -1,0 +1,205 @@
+package plan
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"orbit/internal/core"
+	"orbit/internal/pp"
+)
+
+// benchFamily is the benchmark's plan_query family (bench/planq.go):
+// the BENCH_PR10 planner stack at two global batches on one and two
+// nodes, with the benchmark's knob grid.
+func benchFamily() (ws []Workload, cs []ClusterShape, cons Constraints) {
+	for _, nodes := range []int{1, 2} {
+		for _, gb := range []int{8, 16} {
+			ws = append(ws, Workload{Dim: 32, Heads: 4, Layers: 4, Tokens: 16, QKNorm: true, GlobalBatch: gb,
+				Opts: core.Options{LayerWrapping: true, ActivationCheckpoint: true}})
+			cs = append(cs, ScaledShape(nodes, 1e-3))
+		}
+	}
+	return ws, cs, Constraints{PrefetchDepths: []int{0, 1}, BucketBytes: []int{0}}
+}
+
+var benchSink Plan4
+
+// BenchmarkBest4Family is one pass over the four plan_query queries.
+func BenchmarkBest4Family(b *testing.B) {
+	ws, cs, cons := benchFamily()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for q := range ws {
+			p, err := Best4(ws[q], cs[q], cons)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = p
+		}
+	}
+}
+
+// TestRankAllocs: steady-state pricing allocates nothing but what
+// pp's partition and schedule return; the replay's programs, topology
+// and run state live in one scratch per Rank4 pass.
+func TestRankAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ws, cs, cons := benchFamily()
+	w, c := ws[3], cs[3] // GlobalBatch 16 on two nodes: the largest query
+	cands, err := Enumerate4(w, c, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Rank4(w, c, cons); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const perCandidate = 16
+	if per := allocs / float64(len(cands)); per > perCandidate {
+		t.Errorf("Rank4 made %.0f allocations over %d candidates (%.1f each, budget %d)",
+			allocs, len(cands), per, perCandidate)
+	}
+}
+
+// TestPredictRejectsMalformedLayouts: Predict4 is reachable with
+// hand-built candidates (orbit.PredictPlan), so a layout no engine can
+// build must come back infeasible, not panic or be priced.
+func TestPredictRejectsMalformedLayouts(t *testing.T) {
+	w := testWorkload() // 4 heads
+	c := ScaledShape(2, 1e-3)
+	for _, tc := range []struct {
+		name   string
+		layout pp.Layout
+	}{
+		{"zero value", pp.Layout{}},
+		{"FSDP 0", pp.Layout{TP: 1, PP: 1, FSDP: 0, DDP: 1}},
+		{"TP -1", pp.Layout{TP: -1, PP: 1, FSDP: 1, DDP: 1}},
+		{"TP 3 on 4 heads", pp.Layout{TP: 3, PP: 1, FSDP: 1, DDP: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pred := Predict4(w, c, Candidate4{Layout: tc.layout, Knobs: Knobs{PrefetchDepth: 1}})
+			if !pred.OOM || pred.Note == "" || !math.IsInf(pred.StepTime, 1) {
+				t.Errorf("priced as feasible: %+v", pred)
+			}
+		})
+	}
+}
+
+// randomTriple draws one (workload, shape, candidate) the engines can
+// build: 1–3 nodes, PP 1–3, FSDP 1–6 (so padded shards and groups
+// that straddle a node boundary occur), prefetch depth 0–2, bucketed
+// DDP, QK-norm on or off, and — at PP=1 only — layer wrapping and
+// activation checkpointing independently off.
+func randomTriple(rng *rand.Rand) (Workload, ClusterShape, Candidate4) {
+	for {
+		c := ScaledShape(1+rng.Intn(3), 1e-3)
+		heads := []int{2, 4}[rng.Intn(2)]
+		l := pp.Layout{
+			TP:   []int{1, 2, 4}[rng.Intn(3)],
+			PP:   1 + rng.Intn(3),
+			FSDP: 1 + rng.Intn(6),
+			DDP:  1 + rng.Intn(4),
+		}
+		if heads%l.TP != 0 || l.Ranks() > c.Devices() {
+			continue
+		}
+		micros := 1 + rng.Intn(4)
+		w := Workload{
+			Dim: 8 * heads, Heads: heads, Layers: l.PP + rng.Intn(3), Tokens: 8,
+			QKNorm:      rng.Intn(2) == 0,
+			GlobalBatch: l.FSDP * l.DDP * micros,
+			Opts:        core.DefaultOptions(),
+		}
+		if l.PP == 1 {
+			w.Opts.LayerWrapping = rng.Intn(4) != 0
+			w.Opts.ActivationCheckpoint = rng.Intn(4) != 0
+		}
+		k := Knobs{PrefetchDepth: rng.Intn(3), MicroBatches: micros}
+		if l.DDP > 1 {
+			k.DDPBucketBytes = []int{0, 1 << 10, 1 << 20}[rng.Intn(3)]
+		}
+		return w, c, Candidate4{Layout: l, Knobs: k}
+	}
+}
+
+// TestReplayClassesMatchFullReplay is the differential gate on the
+// class quotient: over seeded random triples, replaying one clock per
+// symmetry class must equal the identity-partition replay (every rank
+// its own class — the same code, no quotient) on every Prediction
+// field, bit for bit; a subsample is additionally held to the real
+// engines.
+func TestReplayClassesMatchFullReplay(t *testing.T) {
+	const triples, simulated = 240, 24
+	every := triples / simulated
+	if raceEnabled {
+		every *= 4 // the engines are slow under the race detector
+	}
+	rng := rand.New(rand.NewSource(15))
+	var ranks, classes, split int
+	for i := 0; i < triples; i++ {
+		w, c, cand := randomTriple(rng)
+		var quot replay
+		full := replay{identity: true}
+		got, want := quot.predict(w, c, cand), full.predict(w, c, cand)
+		if got != want {
+			t.Fatalf("triple %d %+v %+v on %d nodes:\n classes %+v\n full    %+v", i, w, cand, c.Nodes, got, want)
+		}
+		if got.OOM {
+			t.Fatalf("triple %d %+v %+v: generator drew an infeasible candidate: %s", i, w, cand, got.Note)
+		}
+		if len(full.classes) != cand.Layout.Ranks() {
+			t.Fatalf("triple %d: identity partition replayed %d clocks for %d ranks", i, len(full.classes), cand.Layout.Ranks())
+		}
+		ranks += len(full.classes)
+		classes += len(quot.classes)
+		if len(quot.classes) > len(quot.progs) {
+			split++
+		}
+		if i%every != 0 {
+			continue
+		}
+		m := Simulate4(w, c, cand, 2)
+		if m.Err != nil {
+			t.Fatalf("triple %d %+v %+v: %v", i, w, cand, m.Err)
+		}
+		if e := relErr(got.StepTime, m.StepTime); e > calibTolerance {
+			t.Errorf("triple %d %+v %+v: predicted %.6gs, simulated %.6gs (%.2f%% error)",
+				i, cand.Layout, cand.Knobs, got.StepTime, m.StepTime, 100*e)
+		}
+		if got.DeviceBytes != m.MemPeak {
+			t.Errorf("triple %d %+v %+v: predicted %d bytes, simulated peak %d",
+				i, cand.Layout, cand.Knobs, got.DeviceBytes, m.MemPeak)
+		}
+	}
+	t.Logf("%d triples: %d ranks replayed as %d classes; refinement split a program class in %d", triples, ranks, classes, split)
+	// The gate is vacuous unless the quotient actually merged ranks and
+	// the refinement actually split some program class.
+	if classes >= ranks || split == 0 {
+		t.Errorf("generator does not exercise the quotient: %d classes for %d ranks, %d refined", classes, ranks, split)
+	}
+}
+
+// TestReplayClassCountSymmetric: on a layout whose groups all fall the
+// same way across node boundaries, the replay runs one clock per
+// (stage, TP rank 0 or not) however many FSDP×DDP replicas there are.
+func TestReplayClassCountSymmetric(t *testing.T) {
+	w := Workload{
+		Dim: 32, Heads: 4, Layers: 4, Tokens: 16, QKNorm: true,
+		GlobalBatch: 32,
+		Opts:        core.DefaultOptions(),
+	}
+	c := ScaledShape(8, 1e-3)
+	l := pp.Layout{TP: 4, PP: 2, FSDP: 4, DDP: 2}
+	var sc replay
+	if pred := sc.predict(w, c, cand4(l, w.GlobalBatch)); pred.OOM {
+		t.Fatalf("%v infeasible: %s", l, pred.Note)
+	}
+	if got, limit := len(sc.classes), 2*l.PP*l.TP; got > limit {
+		t.Errorf("%v (%d ranks) replayed %d clocks, want <= %d", l, l.Ranks(), got, limit)
+	}
+}
