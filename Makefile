@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build bench-build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr2 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples
+.PHONY: ci build cross-build bench-build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr2 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples
 
-ci: build bench-build vet fmt-check staticcheck docs-check check-bench test race stress bench-smoke cover
+ci: build cross-build bench-build vet fmt-check staticcheck docs-check check-bench test race stress bench-smoke cover
 
 # Every scripts/bench_prN.sh must have its BENCH_PRN.json committed —
 # a measurement script without a recorded report is an unfinished PR.
@@ -14,6 +14,14 @@ check-bench:
 
 build:
 	$(GO) build ./...
+
+# The assembly kernels in internal/tensor are amd64-only; every one has
+# a portable counterpart (dot_other.go, mathvec_other.go) that no amd64
+# build compiles. Build the tree and vet that package for arm64 so a
+# kernel added without its counterpart fails here.
+cross-build:
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 # The benchmark is its own module (bench/go.mod, `replace orbit =>
 # ../`), so `./...` never compiles it: removing an export it imports
@@ -88,13 +96,14 @@ examples:
 cover:
 	sh scripts/check_coverage.sh
 
-# One-iteration sanity pass over the attention hot path and the
-# planner's query family: catches regressions that only appear under
-# the benchmark harness (buffer reuse across iterations, kernel
+# One-iteration sanity pass over the attention hot path, a transformer
+# block's forward+backward (the outer-product kernel's dispatch) and
+# the planner's query family: catches regressions that only appear
+# under the benchmark harness (buffer reuse across iterations, kernel
 # dispatch, the replay scratch across candidates) without paying full
 # benchmark time in CI.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$' -benchtime=1x ./internal/plan/
 
 # Full hot-path benchmark set with allocation counters — compare

@@ -376,6 +376,15 @@ func (g *Group) complete(p *pending) {
 			copy(dst, first)
 		}
 	case opReduce:
+		if size == 1 && !p.shared {
+			// One rank: the sum is the input and the mean divides by
+			// one. float32(float64(v)·1) is v, so a copy gives the
+			// general path's bits (but keeps the sign of a −0, which
+			// the scratch's 0+v drops) and is a no-op when dst aliases
+			// the input.
+			copy(p.dsts[0], p.ins[0])
+			break
+		}
 		if size == 2 && !p.shared {
 			// Two-rank fast path: one fused pass, no float64 scratch.
 			// float64(a)+float64(b) is exactly the scratch accumulation
@@ -412,6 +421,10 @@ func (g *Group) complete(p *pending) {
 			}
 		}
 	case opReduceScatter:
+		if size == 1 && !p.shared {
+			copy(p.dsts[0], p.ins[0]) // one rank owns the one chunk; see opReduce
+			break
+		}
 		if size == 2 && !p.shared {
 			// Two-rank fast path: each rank's chunk in one fused pass.
 			a, b := p.ins[0], p.ins[1]

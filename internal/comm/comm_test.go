@@ -246,6 +246,49 @@ func TestPropertyGatherScatterInverses(t *testing.T) {
 	}
 }
 
+// TestOneRankCollectivesAreCopies pins the size-1 case of every
+// destination-passing collective — a trainer whose FSDP or TP extent
+// is 1 still posts them — against the general float64-scratch path the
+// allocating forms take: same bits, separate or aliased destination.
+func TestOneRankCollectivesAreCopies(t *testing.T) {
+	g := newGroup(1)
+	in := []float32{0, 1, -1.5, 3.4e38, -3.4e38, 1e-45, 1.0000001, float32(math.Pi), 7}
+	same := func(what string, got, want []float32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Errorf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	into := map[string]func(rank int, buf, dst []float32){
+		"AllReduceSumInto":      g.AllReduceSumInto,
+		"AllReduceMeanInto":     g.AllReduceMeanInto,
+		"ReduceScatterSumInto":  g.ReduceScatterSumInto,
+		"ReduceScatterMeanInto": g.ReduceScatterMeanInto,
+		"AllGatherInto":         g.AllGatherInto,
+		"BroadcastInto":         g.BroadcastInto,
+	}
+	for name, f := range into {
+		dst := make([]float32, len(in))
+		f(0, in, dst)
+		same(name, dst, in)
+	}
+	same("AllReduceSum", g.AllReduceSum(0, in), in)
+	same("ReduceScatterMean", g.ReduceScatterMean(0, in), in)
+	for _, name := range []string{"AllReduceSumInto", "AllReduceMeanInto", "ReduceScatterSumInto", "ReduceScatterMeanInto"} {
+		buf := append([]float32(nil), in...)
+		into[name](0, buf, buf)
+		same(name+" in place", buf, in)
+	}
+	if g.Device(0).Clock() != 0 {
+		t.Errorf("one-rank collectives advanced the simulated clock to %v", g.Device(0).Clock())
+	}
+}
+
 func TestReduceScatterRejectsIndivisible(t *testing.T) {
 	g := newGroup(3)
 	done := make(chan bool, 3)

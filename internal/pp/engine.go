@@ -43,6 +43,7 @@ type Engine struct {
 	fwdIn, fwdOut, bwdIn, bwdOut *comm.Group
 
 	pool *comm.BufPool
+	step stepScratch
 }
 
 // Build stands up every rank of a 4D layout over the machine's first
@@ -176,6 +177,68 @@ type pendingSend struct {
 	buf []float32
 }
 
+// stepScratch is what RunStep needs besides its arguments: this
+// stage's op list and the per-(chunk, micro) bookkeeping tables. Both
+// depend only on (kind, micros), which a training run never changes
+// between steps, so they are built on the first step and reused.
+type stepScratch struct {
+	kind   ScheduleKind
+	micros int
+	ops    []Op // nil until the first RunStep
+
+	savedIn            [][]*tensor.Tensor // stage inputs per (chunk, micro)
+	savedBuf           [][][]float32      // pooled recv copies backing savedIn
+	localFwd, localBwd [][][]float32      // PP=1 hand-off between chunks
+	lastFwd            []int              // most recent forward micro per chunk
+	lastY              []*tensor.Tensor   // its output
+	sends              []pendingSend      // in-flight transfers, drained per step
+}
+
+// scratchFor returns the step scratch for (kind, micros) with its
+// tables cleared, rebuilding it when either changed.
+func (e *Engine) scratchFor(kind ScheduleKind, micros int) (*stepScratch, error) {
+	sc := &e.step
+	S, v := e.Layout.PP, e.ChunksPerStage
+	if sc.ops == nil || sc.kind != kind || sc.micros != micros {
+		scheds, err := ScheduleFor(kind, S, v, micros)
+		if err != nil {
+			return nil, err
+		}
+		*sc = stepScratch{
+			kind: kind, micros: micros, ops: scheds[e.Coord.P],
+			savedIn:  make([][]*tensor.Tensor, v),
+			savedBuf: make([][][]float32, v),
+			lastFwd:  make([]int, v),
+			lastY:    make([]*tensor.Tensor, v),
+		}
+		for c := 0; c < v; c++ {
+			sc.savedIn[c] = make([]*tensor.Tensor, micros)
+			sc.savedBuf[c] = make([][]float32, micros)
+		}
+		if S == 1 && v > 1 {
+			sc.localFwd = make([][][]float32, v)
+			sc.localBwd = make([][][]float32, v)
+			for c := 0; c < v; c++ {
+				sc.localFwd[c] = make([][]float32, micros)
+				sc.localBwd[c] = make([][]float32, micros)
+			}
+		}
+	}
+	// A completed step leaves every table empty; a step that returned
+	// an error part-way does not.
+	for c := 0; c < v; c++ {
+		clear(sc.savedIn[c])
+		clear(sc.savedBuf[c])
+		sc.lastFwd[c], sc.lastY[c] = -1, nil
+	}
+	for c := range sc.localFwd {
+		clear(sc.localFwd[c])
+		clear(sc.localBwd[c])
+	}
+	sc.sends = sc.sends[:0]
+	return sc, nil
+}
+
 // RunStep executes one optimizer step's worth of micro-batches
 // through this rank's schedule slots. All ranks of the grid must call
 // RunStep concurrently with the same kind and micros (SPMD). Sends
@@ -186,7 +249,7 @@ type pendingSend struct {
 func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, error) {
 	S, v := e.Layout.PP, e.ChunksPerStage
 	K := S * v
-	scheds, err := ScheduleFor(kind, S, v, micros)
+	sc, err := e.scratchFor(kind, micros)
 	if err != nil {
 		return 0, err
 	}
@@ -197,29 +260,12 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 	if n <= 0 {
 		return 0, fmt.Errorf("pp: bad step shape %v", io.Shape)
 	}
-
-	savedIn := make([][]*tensor.Tensor, v) // stage inputs per (chunk, micro)
-	savedBuf := make([][][]float32, v)     // pooled recv copies backing savedIn
-	var localFwd, localBwd [][][]float32   // PP=1 hand-off between chunks
-	lastFwd := make([]int, v)              // most recent forward micro per chunk
-	lastY := make([]*tensor.Tensor, v)     // its output
-	for c := 0; c < v; c++ {
-		savedIn[c] = make([]*tensor.Tensor, micros)
-		savedBuf[c] = make([][]float32, micros)
-		lastFwd[c] = -1
-	}
-	if S == 1 && v > 1 {
-		localFwd = make([][][]float32, v)
-		localBwd = make([][][]float32, v)
-		for c := 0; c < v; c++ {
-			localFwd[c] = make([][]float32, micros)
-			localBwd[c] = make([][]float32, micros)
-		}
-	}
-	var sends []pendingSend
+	savedIn, savedBuf := sc.savedIn, sc.savedBuf
+	localFwd, localBwd := sc.localFwd, sc.localBwd
+	lastFwd, lastY := sc.lastFwd, sc.lastY
 	var lossSum float64
 
-	for _, op := range scheds[e.Coord.P] {
+	for _, op := range sc.ops {
 		c, mu := op.Chunk, op.Micro
 		k := c*S + e.Coord.P // virtual stage index
 		switch op.Kind {
@@ -251,7 +297,7 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 				if S == 1 {
 					localFwd[c+1][mu] = buf
 				} else {
-					sends = append(sends, pendingSend{e.fwdOut.ISend(0, buf), buf})
+					sc.sends = append(sc.sends, pendingSend{e.fwdOut.ISend(0, buf), buf})
 				}
 			}
 		case Bwd:
@@ -300,7 +346,7 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 				if S == 1 {
 					localBwd[c-1][mu] = buf
 				} else {
-					sends = append(sends, pendingSend{e.bwdOut.ISend(0, buf), buf})
+					sc.sends = append(sc.sends, pendingSend{e.bwdOut.ISend(0, buf), buf})
 				}
 			}
 			if savedBuf[c][mu] != nil {
@@ -310,7 +356,7 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 			savedIn[c][mu] = nil
 		}
 	}
-	for _, s := range sends {
+	for _, s := range sc.sends {
 		s.h.Wait()
 		e.pool.Put(s.buf)
 	}

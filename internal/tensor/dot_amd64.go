@@ -5,7 +5,8 @@ package tensor
 // The hot dot-product micro-kernel has a hand-written AVX2+FMA
 // implementation: eight 8-lane fused multiply-add accumulators cover
 // the same 2×4 output block as the scalar kernel at eight elements per
-// instruction. Feature support (AVX2, FMA, and OS YMM state) is
+// instruction. The k-major outer-product kernel (outer.go) has one
+// too: eight accumulators hold a 4×16 output block. Feature support (AVX2, FMA, and OS YMM state) is
 // detected once at startup; every machine without it — and every
 // reduction shorter than one vector — takes the portable scalar path,
 // which remains the reference implementation the property tests
@@ -23,6 +24,13 @@ func dotBlock2x4(a0, a1, b *float32, k int, sums *[8]float32)
 //
 //go:noescape
 func dotBlock1x4(a0, b *float32, k int, sums *[4]float32)
+
+// outerTile4x16 accumulates one rows×16 block of tᵀ@u (t [k,m],
+// u [k,n], both read in place) into dst with row stride n; see the
+// kernel in dot_amd64.s and its driver outerRows.
+//
+//go:noescape
+func outerTile4x16(dst, t, u *float32, k, m, n, rows int, mask *int32, acc bool)
 
 // cpuHasAVX2FMA reports AVX2+FMA instruction support with OS-enabled
 // YMM state (CPUID + XGETBV).

@@ -156,6 +156,144 @@ done1:
 	VMOVUPS X0, (DX)
 	RET
 
+// OUTER_STEP is one operand row of outerTile4x16 once Y8:Y9 hold
+// u[i, 0:16]: four broadcasts of t[i, j], eight FMAs into the row
+// accumulator pairs Y0:Y1 … Y6:Y7, and the step to row i+1.
+#define OUTER_STEP \
+	VBROADCASTSS (SI), Y10; \
+	VBROADCASTSS (SI)(R10*1), Y11; \
+	VBROADCASTSS (SI)(R11*1), Y12; \
+	VBROADCASTSS (SI)(R12*1), Y13; \
+	VFMADD231PS  Y8, Y10, Y0; \
+	VFMADD231PS  Y9, Y10, Y1; \
+	VFMADD231PS  Y8, Y11, Y2; \
+	VFMADD231PS  Y9, Y11, Y3; \
+	VFMADD231PS  Y8, Y12, Y4; \
+	VFMADD231PS  Y9, Y12, Y5; \
+	VFMADD231PS  Y8, Y13, Y6; \
+	VFMADD231PS  Y9, Y13, Y7; \
+	ADDQ         R8, SI; \
+	ADDQ         R9, DI
+
+// OUTER_NEXT_ROW rotates the next output row's accumulators into
+// Y0:Y1 and advances dst one row.
+#define OUTER_NEXT_ROW \
+	VMOVAPS Y2, Y0; \
+	VMOVAPS Y3, Y1; \
+	VMOVAPS Y4, Y2; \
+	VMOVAPS Y5, Y3; \
+	VMOVAPS Y6, Y4; \
+	VMOVAPS Y7, Y5; \
+	ADDQ    R9, DX
+
+// func outerTile4x16(dst, t, u *float32, k, m, n, rows int, mask *int32, acc bool)
+//
+// Accumulates the rows×16 block of tᵀ@u whose corner is dst: for each
+// of the k operand rows, u[i, 0:16] is loaded once and multiplied into
+// one accumulator pair per output row by a broadcast of t[i, j] —
+//   acc[j] = fma(t[i*m+j], u[i*n : i*n+16], acc[j]),  i = 0 … k-1
+// — so every output element is one k-ordered FMA chain from zero,
+// whatever block it falls in. rows (1…4) is the number of valid output
+// rows: a short block re-reads its last valid t column, so nothing
+// outside t is touched, and stores only `rows` rows. mask (nil = all
+// 16 columns) points at 16 int32 lane masks for a short last panel:
+// masked lanes of u and dst are neither read nor written. acc selects
+// dst += block over dst = block.
+TEXT ·outerTile4x16(SB), NOSPLIT, $0-65
+	MOVQ    dst+0(FP), DX
+	MOVQ    t+8(FP), SI
+	MOVQ    u+16(FP), DI
+	MOVQ    k+24(FP), CX
+	MOVQ    m+32(FP), R8
+	MOVQ    n+40(FP), R9
+	MOVQ    rows+48(FP), AX
+	MOVQ    mask+56(FP), R13
+	MOVBLZX acc+64(FP), BX
+	SHLQ    $2, R8 // t row stride in bytes
+	SHLQ    $2, R9 // u and dst row stride in bytes
+
+	// Byte offsets of output rows 1…3 within a t row, clamped to the
+	// last valid one.
+	XORQ R10, R10
+	XORQ R11, R11
+	XORQ R12, R12
+	CMPQ AX, $2
+	JLT  offsets_done
+	MOVQ $4, R10
+	MOVQ $4, R11
+	MOVQ $4, R12
+	CMPQ AX, $3
+	JLT  offsets_done
+	MOVQ $8, R11
+	MOVQ $8, R12
+	CMPQ AX, $4
+	JLT  offsets_done
+	MOVQ $12, R12
+
+offsets_done:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  R13, R13
+	JNZ    masked
+
+outer_loop:
+	VMOVUPS      (DI), Y8
+	VMOVUPS      32(DI), Y9
+	OUTER_STEP
+	DECQ CX
+	JNZ  outer_loop
+
+	// Store one row per pass from Y0:Y1, rotating the next row's
+	// accumulators down.
+store_row:
+	TESTQ   BX, BX
+	JZ      store_plain
+	VADDPS  (DX), Y0, Y0
+	VADDPS  32(DX), Y1, Y1
+
+store_plain:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	OUTER_NEXT_ROW
+	DECQ    AX
+	JNZ     store_row
+	VZEROUPPER
+	RET
+
+masked:
+	VMOVDQU (R13), Y14
+	VMOVDQU 32(R13), Y15
+
+masked_loop:
+	VMASKMOVPS   (DI), Y14, Y8
+	VMASKMOVPS   32(DI), Y15, Y9
+	OUTER_STEP
+	DECQ CX
+	JNZ  masked_loop
+
+masked_store_row:
+	TESTQ      BX, BX
+	JZ         masked_store_plain
+	VMASKMOVPS (DX), Y14, Y8
+	VMASKMOVPS 32(DX), Y15, Y9
+	VADDPS     Y8, Y0, Y0
+	VADDPS     Y9, Y1, Y1
+
+masked_store_plain:
+	VMASKMOVPS Y0, Y14, (DX)
+	VMASKMOVPS Y1, Y15, 32(DX)
+	OUTER_NEXT_ROW
+	DECQ       AX
+	JNZ        masked_store_row
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX2FMA() bool
 TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
 	// CPUID leaf 1: ECX bit 12 = FMA, bit 27 = OSXSAVE, bit 28 = AVX.

@@ -14,3 +14,7 @@ func dotBlock2x4(a0, a1, b *float32, k int, sums *[8]float32) {
 func dotBlock1x4(a0, b *float32, k int, sums *[4]float32) {
 	panic("tensor: vector kernel unavailable")
 }
+
+func outerTile4x16(dst, t, u *float32, k, m, n, rows int, mask *int32, acc bool) {
+	panic("tensor: vector kernel unavailable")
+}

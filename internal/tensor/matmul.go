@@ -2,13 +2,20 @@ package tensor
 
 import "fmt"
 
-// All matrix products reduce to one packed dot-product kernel
-// (dotRange in pool.go): operands whose k-axis is not already
-// innermost are transposed once into a pooled packing buffer, and the
-// kernel then streams both panels contiguously with a 2×4 register
-// accumulator block. The *Into variants write into caller-owned
-// destinations so steady-state training steps allocate nothing; the
-// allocating forms below them are thin compatibility wrappers.
+// Matrix products run on one of two kernels, chosen per entry point by
+// where the operands' reduction axis k lies — never by size or flag:
+//
+//   - k innermost on both sides (t @ uᵀ, a cached packed weight, the
+//     quantized panels): the packed dot-product kernel (dotRange in
+//     pool.go) streams both panels contiguously into a 2×4 register
+//     block. t @ u has k outermost on the right only, so u is
+//     transposed once into a pooled packing buffer first.
+//   - k outermost on both sides (tᵀ @ u, every weight gradient): the
+//     outer-product kernel (outer.go) reads both operands in place.
+//
+// The *Into variants write into caller-owned destinations so
+// steady-state training steps allocate nothing; the allocating forms
+// below them are thin compatibility wrappers.
 
 func check2D(t, u *Tensor, op string) {
 	if len(t.shape) != 2 || len(u.shape) != 2 {
@@ -118,16 +125,16 @@ func MatMulTransBInto(dst, t, u *Tensor) *Tensor {
 
 // MatMulTransAInto computes dst = tᵀ @ u for ([k,m])ᵀ @ [k,n] -> [m,n].
 func MatMulTransAInto(dst, t, u *Tensor) *Tensor {
-	return matMulTransA(dst, t, u, dotOverwrite)
+	return matMulTransA(dst, t, u, false)
 }
 
 // MatMulTransAAccInto accumulates dst += tᵀ @ u — the weight-gradient
 // update dW += xᵀ @ dy, fused so no gradient temporary is allocated.
 func MatMulTransAAccInto(dst, t, u *Tensor) *Tensor {
-	return matMulTransA(dst, t, u, dotAccumulate)
+	return matMulTransA(dst, t, u, true)
 }
 
-func matMulTransA(dst, t, u *Tensor, mode dotMode) *Tensor {
+func matMulTransA(dst, t, u *Tensor, acc bool) *Tensor {
 	check2D(t, u, "MatMulTransAInto")
 	k, m := t.shape[0], t.shape[1]
 	k2, n := u.shape[0], u.shape[1]
@@ -135,15 +142,7 @@ func matMulTransA(dst, t, u *Tensor, mode dotMode) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dimension mismatch %vᵀ @ %v", t.shape, u.shape))
 	}
 	checkDst(dst, m, n, "MatMulTransAInto")
-	pa := getPack(k * m)
-	at := *pa
-	packTranspose(at, t.data, k, m)
-	pb := getPack(k * n)
-	bt := *pb
-	packTranspose(bt, u.data, k, n)
-	dispatchDot(dotTask{dst: dst.data, a: at, bt: bt, k: k, n: n, scale: 1, mode: mode}, m)
-	putPack(pb)
-	putPack(pa)
+	dispatchOuter(outerTask{dst: dst.data, t: t.data, u: u.data, k: k, m: m, n: n, acc: acc}, 1)
 	return dst
 }
 
@@ -199,19 +198,7 @@ func BatchedMatMulTransAInto(dst, t, u *Tensor) *Tensor {
 	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulTransAInto shapes %vᵀ @ %v -> %v", t.shape, u.shape, dst.shape))
 	}
-	pa := getPack(b * k * m)
-	at := *pa
-	pb := getPack(b * k * n)
-	bt := *pb
-	packBatched(at, t.data, b, k, m)
-	packBatched(bt, u.data, b, k, n)
-	dispatchDotBatched(batchedDotTask{
-		t: dotTask{k: k, n: n, scale: 1, mode: dotOverwrite}, m: m,
-		dst: dst.data, a: at, bt: bt,
-		dstStride: m * n, aStride: m * k, btStride: k * n,
-	}, b)
-	putPack(pb)
-	putPack(pa)
+	dispatchOuter(outerTask{dst: dst.data, t: t.data, u: u.data, k: k, m: m, n: n}, b)
 	return dst
 }
 

@@ -22,9 +22,8 @@ import (
 type dotMode uint8
 
 const (
-	dotOverwrite  dotMode = iota // dst[r,c] = scale·s
-	dotAccumulate                // dst[r,c] += scale·s
-	dotBias                      // dst[r,c] = bias[c] + scale·s
+	dotOverwrite dotMode = iota // dst[r,c] = scale·s
+	dotBias                     // dst[r,c] = bias[c] + scale·s
 )
 
 // dotTask is one packed-dot-product kernel invocation: compute
@@ -241,15 +240,6 @@ func dotRange(t *dotTask, r0, r1 int) {
 			case dotOverwrite:
 				o0[0], o0[1], o0[2], o0[3] = s00*sc, s01*sc, s02*sc, s03*sc
 				o1[0], o1[1], o1[2], o1[3] = s10*sc, s11*sc, s12*sc, s13*sc
-			case dotAccumulate:
-				o0[0] += s00 * sc
-				o0[1] += s01 * sc
-				o0[2] += s02 * sc
-				o0[3] += s03 * sc
-				o1[0] += s10 * sc
-				o1[1] += s11 * sc
-				o1[2] += s12 * sc
-				o1[3] += s13 * sc
 			case dotBias:
 				b := t.bias[c : c+4]
 				o0[0], o0[1], o0[2], o0[3] = b[0]+s00*sc, b[1]+s01*sc, b[2]+s02*sc, b[3]+s03*sc
@@ -283,11 +273,6 @@ func dotRange(t *dotTask, r0, r1 int) {
 			switch t.mode {
 			case dotOverwrite:
 				o[0], o[1], o[2], o[3] = s0*sc, s1*sc, s2*sc, s3*sc
-			case dotAccumulate:
-				o[0] += s0 * sc
-				o[1] += s1 * sc
-				o[2] += s2 * sc
-				o[3] += s3 * sc
 			case dotBias:
 				b := t.bias[c : c+4]
 				o[0], o[1], o[2], o[3] = b[0]+s0*sc, b[1]+s1*sc, b[2]+s2*sc, b[3]+s3*sc
@@ -311,8 +296,6 @@ func (t *dotTask) store1(r, c int, s float32) {
 	switch t.mode {
 	case dotOverwrite:
 		t.dst[r*t.n+c] = s * t.scale
-	case dotAccumulate:
-		t.dst[r*t.n+c] += s * t.scale
 	case dotBias:
 		t.dst[r*t.n+c] = t.bias[c] + s*t.scale
 	}

@@ -192,9 +192,20 @@ type elasticJob struct {
 	engines []*pp.Engine
 	opts    []*optim.AdamW
 	accum   [][][]float32 // [rank][block] micro-batch gradient accumulators
+	io      []rankIO      // [rank] sample and loss-gradient buffers
 	sched   optim.CosineSchedule
 	dataRNG *tensor.RNG
 	step    int // next step to run
+}
+
+// rankIO is one rank's data-plane buffers, reused every step: on
+// first-stage ranks one input per micro-batch (the pipeline engine
+// holds each until its backward), on last-stage ranks one buffer that
+// is in turn the micro-batch's target, its residual and the loss
+// gradient handed to the stage's backward.
+type rankIO struct {
+	x    []*tensor.Tensor
+	grad *tensor.Tensor
 }
 
 // layout4 is the full TP×PP×FSDP×DDP layout of the current build.
@@ -456,11 +467,22 @@ func (j *elasticJob) build(resume bool) error {
 	ranks := len(engines)
 	j.opts = make([]*optim.AdamW, ranks)
 	j.accum = make([][][]float32, ranks)
+	j.io = make([]rankIO, ranks)
+	micros := j.cfg.GlobalBatch / (j.layout.FSDP * j.layout.DDP)
 	for r, e := range engines {
 		j.opts[r] = optim.NewAdamW(e.Chunks(), j.cfg.WeightDecay)
 		j.accum[r] = make([][]float32, len(e.Chunks()))
 		for b, c := range e.Chunks() {
 			j.accum[r][b] = make([]float32, c.W.Len())
+		}
+		if e.Coord.P == 0 {
+			j.io[r].x = make([]*tensor.Tensor, micros)
+			for mu := range j.io[r].x {
+				j.io[r].x[mu] = tensor.New(j.cfg.Tokens, j.cfg.Dim)
+			}
+		}
+		if e.Coord.P == j.pp-1 {
+			j.io[r].grad = tensor.New(j.cfg.Tokens, j.cfg.Dim)
 		}
 	}
 	if h := j.cfg.Hooks; h != nil && h.OnBuild != nil {
@@ -764,21 +786,29 @@ func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossO
 		beat = h.OnBeat
 	}
 	invMicros := float32(1) / float32(micros)
+	io := &j.io[rank]
 	loss, err := e.RunStep(pp.Schedule1F1B, micros, pp.StepIO{
 		Shape: []int{j.cfg.Tokens, j.cfg.Dim},
 		Input: func(mu int) *tensor.Tensor {
 			beat(rank, j.step)
-			x, _ := elasticSample(stepSeed, dataRank*micros+mu, j.cfg.Tokens, j.cfg.Dim)
-			return x
+			elasticSample(io.x[mu], stepSeed, dataRank*micros+mu)
+			return io.x[mu]
 		},
 		LossGrad: func(mu int, y *tensor.Tensor) (float64, *tensor.Tensor) {
-			// The sample is a pure function of (stepSeed, index), so the
-			// last stage regenerates the target locally — no target ever
-			// crosses a stage link.
-			_, tgt := elasticSample(stepSeed, dataRank*micros+mu, j.cfg.Tokens, j.cfg.Dim)
-			diff := tensor.Sub(y, tgt)
-			loss := tensor.Dot(diff, diff) / float64(y.Len())
-			return loss / float64(micros), tensor.Scale(diff, 2/float32(y.Len())*invMicros)
+			// The sample is a pure function of (stepSeed, index), so a
+			// last stage that did not run Input regenerates it locally —
+			// no target ever crosses a stage link.
+			g := io.grad
+			if c.P == 0 {
+				copy(g.Data(), io.x[mu].Data())
+			} else {
+				elasticSample(g, stepSeed, dataRank*micros+mu)
+			}
+			g.ScaleInPlace(0.5)     // the target
+			tensor.SubInto(g, y, g) // the residual
+			loss := tensor.Dot(g, g) / float64(y.Len())
+			g.ScaleInPlace(2 / float32(y.Len()) * invMicros)
+			return loss / float64(micros), g
 		},
 		OnMicroGrads: func(chunk, mu int) {
 			if c.P != 0 {
@@ -806,19 +836,17 @@ func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossO
 	return nil
 }
 
-// elasticSample generates the deterministic sample for a global index
-// at a step: a pure function of (stepSeed, g), independent of how many
-// ranks the batch is spread over. The target is 0.5·x, a contraction
-// the residual blocks can learn, so losses visibly decrease.
-func elasticSample(stepSeed uint64, g, tokens, dim int) (x, tgt *tensor.Tensor) {
+// elasticSample fills x with the deterministic sample input for a
+// global index at a step: a pure function of (stepSeed, g),
+// independent of how many ranks the batch is spread over. Its target
+// is 0.5·x, a contraction the residual blocks can learn, so losses
+// visibly decrease.
+func elasticSample(x *tensor.Tensor, stepSeed uint64, g int) {
 	r := tensor.NewRNG(stepSeed ^ (uint64(g)+1)*0x9E3779B97F4A7C15)
-	x = tensor.Randn(r, 1, tokens, dim)
-	tgt = tensor.New(tokens, dim)
-	xd, td := x.Data(), tgt.Data()
-	for i, v := range xd {
-		td[i] = 0.5 * v
+	xd := x.Data()
+	for i := range xd {
+		xd[i] = float32(r.Norm())
 	}
-	return x, tgt
 }
 
 func (j *elasticJob) event(step int, kind, detail string) {

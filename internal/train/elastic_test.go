@@ -7,6 +7,7 @@ import (
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
+	"orbit/internal/tensor"
 )
 
 func elasticBase(t *testing.T, layout core.Layout, nodes, gpn int) ElasticConfig {
@@ -289,7 +290,8 @@ func TestEngineSurfacesDeadDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.KillDevice(0)
-	x, _ := elasticSample(1, 0, 5, 8)
+	x := tensor.New(5, 8)
+	elasticSample(x, 1, 0)
 	_, err = e.Forward(x)
 	var dead *cluster.DeadDeviceError
 	if !errors.As(err, &dead) {

@@ -29,13 +29,15 @@
 //     MatMulTransAInto, MatMulTransBInto, SoftmaxInto, ConcatInto, …)
 //     writing into caller-owned buffers; the allocating forms remain
 //     as thin wrappers.
-//   - Matrix products reduce to one packed dot-product micro-kernel:
-//     operands whose reduction axis is not innermost are transposed
-//     once into pooled packing buffers, then a 2×4 register-blocked
-//     kernel streams both panels. On amd64 with AVX2+FMA the block
-//     runs in assembly at eight lanes per instruction (runtime
-//     feature detection; the portable scalar kernel is the reference
-//     the property tests compare against).
+//   - Matrix products run on one of two micro-kernels, fixed per
+//     entry point by operand layout: a 2×4 register-blocked dot
+//     kernel streams panels whose reduction axis is innermost (a
+//     right operand that is not is transposed once into a pooled
+//     packing buffer), and a 4×16 outer-product kernel computes tᵀ@u
+//     — every weight gradient — reading both operands in place. On
+//     amd64 with AVX2+FMA both run in assembly at eight lanes per
+//     instruction (runtime feature detection; the portable scalar
+//     kernels are the reference the property tests compare against).
 //   - Large dispatches run on a lazily-started persistent worker pool
 //     shared by all kernels — no per-call goroutine fan-out.
 //   - Modules (Linear, LayerNorm, MLP, attention) own their output
