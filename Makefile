@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci build cross-build bench-build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr2 bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples
+.PHONY: ci build cross-build bench-build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples
 
 ci: build cross-build bench-build vet fmt-check staticcheck docs-check check-bench test race stress bench-smoke cover
 
@@ -111,13 +111,6 @@ bench-smoke:
 # that file; the host's absolute speed drifts).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMul256$$|BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$|BenchmarkHybridSTOPStep$$' -benchmem -benchtime=1s .
-
-# Interleaved baseline-vs-PR measurement of the distributed hot path
-# (Hybrid-STOP step + comm collectives), medians recorded into
-# BENCH_PR2.json — same protocol as BENCH_PR1.json. BASELINE pins the
-# PR 1 tip by default; override with BASELINE=<ref>.
-bench-pr2:
-	sh scripts/bench_pr2.sh
 
 # Serving-throughput measurement of the inference subsystem (batched
 # scored rollouts vs the sequential single-sample path), medians

@@ -20,7 +20,6 @@ import (
 	"orbit/internal/core"
 	"orbit/internal/metrics"
 	"orbit/internal/nn"
-	"orbit/internal/parallel"
 	"orbit/internal/perf"
 	"orbit/internal/tensor"
 	"orbit/internal/vit"
@@ -183,24 +182,6 @@ func BenchmarkWeightedMSE(b *testing.B) {
 	}
 }
 
-func BenchmarkAllReduce8Ranks(b *testing.B) {
-	m := cluster.NewMachine(cluster.Frontier(), 1, 0)
-	g := comm.NewGroup(m.Devices)
-	buf := make([]float32, 1<<14)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < 8; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				g.AllReduceSum(rank, buf)
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
 // benchSPMD runs body once per rank per iteration on persistent rank
 // goroutines, so the measured allocations are the collectives' own,
 // not goroutine-spawn overhead.
@@ -338,47 +319,6 @@ func BenchmarkHybridSTOPStep(b *testing.B) {
 					return
 				}
 				if _, err := engines[rank].Backward(gs[c.F]); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
-// BenchmarkFSDPStep measures the vanilla-FSDP baseline step for
-// comparison with Hybrid-STOP.
-func BenchmarkFSDPStep(b *testing.B) {
-	m := cluster.NewMachine(cluster.Frontier(), 1, 2)
-	g := comm.NewGroup(m.Devices)
-	engines := make([]*parallel.FSDP, 2)
-	for r := 0; r < 2; r++ {
-		rng := tensor.NewRNG(11)
-		units := []nn.Layer{
-			nn.NewTransformerBlock("b0", 32, 4, true, rng),
-			nn.NewTransformerBlock("b1", 32, 4, true, rng),
-		}
-		e, err := parallel.NewFSDP(r, g, units, true, m.Devices[r])
-		if err != nil {
-			b.Fatal(err)
-		}
-		engines[r] = e
-	}
-	rng := tensor.NewRNG(12)
-	xs := []*tensor.Tensor{tensor.Randn(rng, 1, 16, 32), tensor.Randn(rng, 1, 16, 32)}
-	gs := []*tensor.Tensor{tensor.Randn(rng, 1, 16, 32), tensor.Randn(rng, 1, 16, 32)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if _, err := engines[rank].Forward(xs[rank]); err != nil {
-					b.Error(err)
-					return
-				}
-				if _, err := engines[rank].Backward(gs[rank]); err != nil {
 					b.Error(err)
 				}
 			}(r)

@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # Serving-throughput benchmark for the inference subsystem, recorded
-# into BENCH_PR4.json. Unlike bench_pr2.sh no baseline worktree is
-# needed: the sequential single-sample baseline — the pre-subsystem
-# serving path (per-request Forecaster.Predict with uncached truth and
-# climatology generation) — still exists in this tree and is
-# benchmarked in the same binary and session, so the ratios are
-# interleaved-fair by construction. Medians over ROUNDS rounds.
+# into BENCH_PR4.json. No baseline worktree is needed: the sequential
+# single-sample baseline — the pre-subsystem serving path (per-request
+# Forecaster.Predict with uncached truth and climatology generation) —
+# still exists in this tree and is benchmarked in the same binary and
+# session, so the ratios are interleaved-fair by construction. Medians
+# over ROUNDS rounds.
 set -eu
 cd "$(dirname "$0")/.."
 
