@@ -55,10 +55,10 @@ test:
 	$(GO) test ./...
 
 # Race stage over the concurrency-heavy layers: the comm rendezvous /
-# async-handle machinery, the SPMD parallel engines (including the
-# Hybrid-STOP core engine's overlap paths), the elastic fault-tolerant
-# training loop in internal/train, the inference subsystem's concurrent
-# rollout workers in internal/infer, and the serving resilience layer
+# async-handle machinery, the tensor-parallel block and the Hybrid-STOP
+# core engine's overlap paths, the elastic fault-tolerant training loop
+# in internal/train, the inference subsystem's concurrent rollout
+# workers in internal/infer, and the serving resilience layer
 # in internal/serve (admission queue, replica-pull batching, replica
 # failover, chaos tests) plus orbit-serve's SIGTERM drain. The async
 # cross-talk, batcher model, and serving chaos tests are specifically

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"orbit/internal/cluster"
 	"orbit/internal/nn"
 	"orbit/internal/optim"
-	"orbit/internal/parallel"
 	"orbit/internal/tensor"
 )
 
@@ -275,12 +275,23 @@ func biasShard(b *tensor.Tensor, k, kTotal int) *tensor.Tensor {
 }
 
 func TestHybridSTOPMatchesSerialTPxFSDP(t *testing.T) {
-	layout := Layout{TP: 2, FSDP: 2, DDP: 1}
-	for _, opts := range []Options{
-		{LayerWrapping: true},
-		{LayerWrapping: true, ActivationCheckpoint: true},
-		{LayerWrapping: false},
+	hybrid := Layout{TP: 2, FSDP: 2, DDP: 1}
+	for _, tc := range []struct {
+		layout Layout
+		opts   Options
+	}{
+		{hybrid, Options{LayerWrapping: true}},
+		{hybrid, Options{LayerWrapping: true, ActivationCheckpoint: true}},
+		{hybrid, Options{LayerWrapping: false}},
+		// The baselines are corners of the same grid: TP=1 is FSDP
+		// (vanilla when nothing is enabled), TP=FSDP=1 is DDP.
+		{Layout{TP: 1, FSDP: 4, DDP: 1}, Options{}},
+		{Layout{TP: 1, FSDP: 4, DDP: 1}, DefaultOptions()},
+		{Layout{TP: 1, FSDP: 1, DDP: 4}, Options{}},
+		{Layout{TP: 1, FSDP: 1, DDP: 4}, Options{DDPBucketBytes: 256}},
+		{Layout{TP: 1, FSDP: 2, DDP: 2}, DefaultOptions()},
 	} {
+		layout, opts := tc.layout, tc.opts
 		engines, _ := buildEngines(t, layout, opts, 77)
 		xs, targets := testBatch(78, layout.FSDP*layout.DDP)
 
@@ -290,7 +301,7 @@ func TestHybridSTOPMatchesSerialTPxFSDP(t *testing.T) {
 		losses := hybridStep(engines, layout, xs, targets)
 		for r, l := range losses {
 			if math.Abs(l-serialLoss) > 1e-5*(1+math.Abs(serialLoss)) {
-				t.Errorf("opts %+v rank %d loss %v vs serial %v", opts, r, l, serialLoss)
+				t.Errorf("%+v opts %+v rank %d loss %v vs serial %v", layout, opts, r, l, serialLoss)
 			}
 		}
 		verifyChunkGrads(t, engines, layout, serial, 1e-3)
@@ -364,47 +375,40 @@ func TestDDPReplicasStayConsistent(t *testing.T) {
 func TestHybridSTOPPeakBelowVanillaFSDP(t *testing.T) {
 	// The headline memory claim: Hybrid-STOP never gathers the full
 	// model, so its peak is below vanilla FSDP's on the same stack and
-	// rank count.
-	ranks := 4
-	mF := cluster.NewMachine(cluster.Frontier(), 1, ranks)
-	gF, err := BuildGroups(Layout{TP: 1, FSDP: ranks, DDP: 1}, mF)
+	// rank count. Vanilla FSDP is the TP=1 slice of the grid with layer
+	// wrapping off; the hybrid side runs the same options, so the gap is
+	// the 1/TP shard alone.
+	opts := DefaultOptions()
+	opts.LayerWrapping = false
+	xs, targets := testBatch(11, 4)
+	peak := func(layout Layout) int64 {
+		engines, m := buildEngines(t, layout, opts, 10)
+		n := layout.FSDP * layout.DDP
+		hybridStep(engines, layout, xs[:n], targets[:n])
+		return m.MaxMemPeak()
+	}
+	fsdpPeak := peak(Layout{TP: 1, FSDP: 4, DDP: 1})
+	hybridPeak := peak(Layout{TP: 2, FSDP: 2, DDP: 1})
+	if hybridPeak >= fsdpPeak {
+		t.Errorf("Hybrid-STOP peak %d should be below vanilla FSDP peak %d", hybridPeak, fsdpPeak)
+	}
+}
+
+func TestNewEngineOOMOnTinyDevice(t *testing.T) {
+	// A device too small for the rank's persistent chunk fails at
+	// construction with the cluster's OOM error, not at the first step.
+	tiny := cluster.Frontier()
+	tiny.MemPerGPU = 1 << 10
+	layout := Layout{TP: 1, FSDP: 2, DDP: 1}
+	m := cluster.NewMachine(tiny, 1, 0)
+	groups, err := BuildGroups(layout, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = gF
-	// Vanilla FSDP (no layer wrapping): use the parallel package.
-	fsdpEngines := make([]*parallel.FSDP, ranks)
-	for r := 0; r < ranks; r++ {
-		blocks := buildStack(10)
-		units := make([]nn.Layer, len(blocks))
-		for i, b := range blocks {
-			units[i] = b
-		}
-		e, err := parallel.NewFSDP(r, gF[0].FSDP, units, false, mF.Devices[r])
-		if err != nil {
-			t.Fatal(err)
-		}
-		fsdpEngines[r] = e
-	}
-	xs, targets := testBatch(11, ranks)
-	runSPMD(ranks, func(rank int) {
-		y, err := fsdpEngines[rank].Forward(xs[rank])
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		_, grad := mseLoss(y, targets[rank])
-		fsdpEngines[rank].Backward(grad)
-	})
-	fsdpPeak := mF.MaxMemPeak()
-
-	layout := Layout{TP: 2, FSDP: 2, DDP: 1}
-	engines, mH := buildEngines(t, layout, DefaultOptions(), 10)
-	hybridStep(engines, layout, xs[:2], targets[:2])
-	hybridPeak := mH.MaxMemPeak()
-
-	if hybridPeak >= fsdpPeak {
-		t.Errorf("Hybrid-STOP peak %d should be below vanilla FSDP peak %d", hybridPeak, fsdpPeak)
+	_, err = NewEngine(0, layout, groups[0], buildStack(7), DefaultOptions(), m.Devices[0])
+	var oom *cluster.OOMError
+	if !errors.As(err, &oom) {
+		t.Fatalf("NewEngine on a 1 KiB device returned %v, want *cluster.OOMError", err)
 	}
 }
 

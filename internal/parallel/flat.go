@@ -1,13 +1,18 @@
-// Package parallel implements the distributed-training baselines the
-// ORBIT paper compares against (Sec. II "State of the Art"): fully
-// sharded data parallelism (FSDP, Fig. 2), Megatron-style tensor
-// parallelism, and distributed data parallelism (DDP). Each engine
-// runs as a real SPMD program over the simulated cluster — goroutine
-// ranks exchanging data through comm collectives — and is verified to
-// produce gradients numerically equal to the serial reference model.
+// Package parallel holds the two building blocks Hybrid-STOP shares
+// with everything else that touches a sharded transformer: the
+// Megatron-style tensor-parallel block (tp.go — column/row-sharded
+// attention and MLP with one all-reduce per sub-layer, the paper's
+// Eqn. 2) and the flat-parameter helpers (this file) that pack a
+// parameter list into the zero-padded vector FSDP chunks are cut from.
+// internal/core composes them into the TP×FSDP×DDP engine,
+// internal/infer merges and serves TP shards with them, and
+// internal/plan counts the same shard sizes.
 //
-// The paper's own contribution, Hybrid-STOP, composes these
-// mechanisms and lives in internal/core.
+// The baselines the paper compares against (Sec. II "State of the
+// Art") are not engines of their own: they are corners of the one rank
+// grid. Fully sharded data parallelism (Fig. 2) is core.Layout{TP: 1}
+// — vanilla FSDP with core.Options.LayerWrapping off — and distributed
+// data parallelism is core.Layout{TP: 1, FSDP: 1}.
 package parallel
 
 import (
@@ -43,12 +48,7 @@ func FlattenParamsInto(dst []float32, params []*nn.Param) []float32 {
 	return dst
 }
 
-// FlattenGrads is FlattenParams for the gradient tensors.
-func FlattenGrads(params []*nn.Param, multiple int) []float32 {
-	return FlattenGradsInto(make([]float32, NumelPadded(params, multiple)), params)
-}
-
-// FlattenGradsInto is the destination-passing FlattenGrads.
+// FlattenGradsInto is FlattenParamsInto for the gradient tensors.
 func FlattenGradsInto(dst []float32, params []*nn.Param) []float32 {
 	off := 0
 	for _, p := range params {

@@ -9,7 +9,6 @@ import (
 	"orbit/internal/cluster"
 	"orbit/internal/comm"
 	"orbit/internal/nn"
-	"orbit/internal/optim"
 	"orbit/internal/tensor"
 )
 
@@ -86,169 +85,6 @@ func testBatch(seed uint64, n int) (xs, targets []*tensor.Tensor) {
 		targets = append(targets, tensor.Randn(rng, 1, testTokens, testDim))
 	}
 	return xs, targets
-}
-
-// --- FSDP ---
-
-func newFSDPRanks(t *testing.T, ranks int, layerWrapping bool) ([]*FSDP, *cluster.Machine) {
-	t.Helper()
-	m := cluster.NewMachine(cluster.Frontier(), 1, ranks)
-	g := comm.NewGroup(m.Devices)
-	engines := make([]*FSDP, ranks)
-	for r := 0; r < ranks; r++ {
-		// Each rank builds an identical replica from the same seed.
-		blocks := buildStack(7)
-		units := make([]nn.Layer, len(blocks))
-		for i, b := range blocks {
-			units[i] = b
-		}
-		e, err := NewFSDP(r, g, units, layerWrapping, m.Devices[r])
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[r] = e
-	}
-	return engines, m
-}
-
-func TestFSDPMatchesSerial(t *testing.T) {
-	for _, wrap := range []bool{false, true} {
-		ranks := 2
-		engines, _ := newFSDPRanks(t, ranks, wrap)
-		xs, targets := testBatch(11, ranks)
-
-		serial := buildStack(7)
-		serialLoss := serialForwardBackward(serial, xs, targets)
-		serialFlat := make([][]float32, testLayers)
-		for u, b := range serial {
-			serialFlat[u] = FlattenGrads(b.Params(), ranks)
-		}
-
-		losses := make([]float64, ranks)
-		runSPMD(ranks, func(rank int) {
-			y, err := engines[rank].Forward(xs[rank])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			loss, grad := mseLoss(y, targets[rank])
-			losses[rank] = loss
-			if _, err := engines[rank].Backward(grad); err != nil {
-				t.Error(err)
-			}
-		})
-
-		meanLoss := (losses[0] + losses[1]) / 2
-		if math.Abs(meanLoss-serialLoss) > 1e-5 {
-			t.Errorf("wrap=%v: FSDP loss %v vs serial %v", wrap, meanLoss, serialLoss)
-		}
-		for u := 0; u < testLayers; u++ {
-			chunk := len(serialFlat[u]) / ranks
-			for r := 0; r < ranks; r++ {
-				got := engines[r].ShardParams()[u].Grad.Data()
-				for i := 0; i < chunk; i++ {
-					want := serialFlat[u][r*chunk+i]
-					if math.Abs(float64(got[i]-want)) > 1e-5 {
-						t.Fatalf("wrap=%v: unit %d rank %d grad[%d] = %v, want %v", wrap, u, r, i, got[i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestFSDPTrainingMatchesSerialTrajectory(t *testing.T) {
-	ranks := 2
-	engines, _ := newFSDPRanks(t, ranks, true)
-	serial := buildStack(7)
-	serialOpt := optim.NewAdamW(stackParams(serial), 0)
-
-	var rankOpts []*optim.AdamW
-	for r := 0; r < ranks; r++ {
-		rankOpts = append(rankOpts, optim.NewAdamW(engines[r].ShardParams(), 0))
-	}
-
-	for step := 0; step < 3; step++ {
-		xs, targets := testBatch(uint64(100+step), ranks)
-		serialLoss := serialForwardBackward(serial, xs, targets)
-		// Serial AdamW sees averaged batch grads (already averaged).
-		serialOpt.Step(1e-3)
-
-		losses := make([]float64, ranks)
-		runSPMD(ranks, func(rank int) {
-			y, _ := engines[rank].Forward(xs[rank])
-			loss, grad := mseLoss(y, targets[rank])
-			losses[rank] = loss
-			engines[rank].Backward(grad)
-			rankOpts[rank].Step(1e-3)
-		})
-		mean := (losses[0] + losses[1]) / 2
-		if math.Abs(mean-serialLoss) > 1e-4*(1+math.Abs(serialLoss)) {
-			t.Fatalf("step %d: FSDP loss %v vs serial %v", step, mean, serialLoss)
-		}
-	}
-}
-
-func TestFSDPWithoutWrappingHoldsFullModel(t *testing.T) {
-	engines, m := newFSDPRanks(t, 2, false)
-	xs, targets := testBatch(12, 2)
-	runSPMD(2, func(rank int) {
-		y, err := engines[rank].Forward(xs[rank])
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// Mid-step: all units' gathered params resident at once.
-		if engines[rank].HeldBytes() == 0 {
-			t.Error("vanilla FSDP should hold gathered parameters")
-		}
-		_, grad := mseLoss(y, targets[rank])
-		engines[rank].Backward(grad)
-		if engines[rank].HeldBytes() != 0 {
-			t.Error("all gathered parameters should be released after backward")
-		}
-	})
-	if m.MaxMemPeak() == 0 {
-		t.Error("memory accounting should record a peak")
-	}
-}
-
-func TestFSDPLayerWrappingLowersPeak(t *testing.T) {
-	noWrap, mNo := newFSDPRanks(t, 2, false)
-	wrap, mYes := newFSDPRanks(t, 2, true)
-	xs, targets := testBatch(13, 2)
-	runSPMD(2, func(rank int) {
-		y, _ := noWrap[rank].Forward(xs[rank])
-		_, g := mseLoss(y, targets[rank])
-		noWrap[rank].Backward(g)
-	})
-	runSPMD(2, func(rank int) {
-		y, _ := wrap[rank].Forward(xs[rank])
-		_, g := mseLoss(y, targets[rank])
-		wrap[rank].Backward(g)
-	})
-	if mYes.MaxMemPeak() >= mNo.MaxMemPeak() {
-		t.Errorf("layer wrapping peak %d should be below vanilla %d", mYes.MaxMemPeak(), mNo.MaxMemPeak())
-	}
-}
-
-func TestFSDPOOMOnTinyDevice(t *testing.T) {
-	tiny := cluster.Spec{GPUsPerNode: 2, MemPerGPU: 1 << 10, PeakFLOPS: 1e12, Efficiency: 1,
-		IntraNodeBandwidth: 1e9, IntraNodeLatency: 1e-6, InterNodeBandwidth: 1e9, InterNodeLatency: 1e-6}
-	m := cluster.NewMachine(tiny, 1, 2)
-	g := comm.NewGroup(m.Devices)
-	var constructErr error
-	runSPMD(2, func(rank int) {
-		blocks := buildStack(7)
-		units := []nn.Layer{blocks[0], blocks[1]}
-		_, err := NewFSDP(rank, g, units, true, m.Devices[rank])
-		if rank == 0 {
-			constructErr = err
-		}
-	})
-	if constructErr == nil {
-		t.Fatal("expected OOM constructing FSDP on a 1 KiB device")
-	}
 }
 
 // --- Tensor parallelism ---
@@ -372,87 +208,6 @@ func TestTPRejectsIndivisibleHeads(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	ref := nn.NewMultiHeadAttention("x", 12, 3, false, rng)
 	NewShardedAttention(ref, 0, 2)
-}
-
-func TestMaxTPSize(t *testing.T) {
-	if MaxTPSize(64) != 64 {
-		t.Error("TP is limited by the head count")
-	}
-}
-
-// --- DDP ---
-
-func TestDDPMatchesSerial(t *testing.T) {
-	ranks := 2
-	m := cluster.NewMachine(cluster.Frontier(), 1, ranks)
-	g := comm.NewGroup(m.Devices)
-
-	xs, targets := testBatch(41, ranks)
-	serial := buildStack(40)
-	serialLoss := serialForwardBackward(serial, xs, targets)
-
-	replicas := make([][]*nn.TransformerBlock, ranks)
-	engines := make([]*DDP, ranks)
-	for r := 0; r < ranks; r++ {
-		replicas[r] = buildStack(40)
-		engines[r] = NewDDP(r, g, stackParams(replicas[r]))
-	}
-
-	losses := make([]float64, ranks)
-	runSPMD(ranks, func(rank int) {
-		engines[rank].SyncInitialWeights()
-		nn.ZeroGrads(engines[rank].Params)
-		h := xs[rank]
-		for _, b := range replicas[rank] {
-			h = b.Forward(h)
-		}
-		loss, grad := mseLoss(h, targets[rank])
-		dy := grad
-		for i := testLayers - 1; i >= 0; i-- {
-			dy = replicas[rank][i].Backward(dy)
-		}
-		engines[rank].AllReduceGradients()
-		losses[rank] = engines[rank].AverageLoss(loss)
-	})
-
-	for r := 0; r < ranks; r++ {
-		if math.Abs(losses[r]-serialLoss) > 1e-5 {
-			t.Errorf("rank %d averaged loss %v vs serial %v", r, losses[r], serialLoss)
-		}
-	}
-	// After the all-reduce, every replica's grads equal the serial
-	// batch-averaged grads.
-	serialPs := stackParams(serial)
-	for r := 0; r < ranks; r++ {
-		ps := stackParams(replicas[r])
-		for i := range ps {
-			if !tensor.AllClose(ps[i].Grad, serialPs[i].Grad, 1e-4, 1e-5) {
-				t.Fatalf("rank %d param %s grad mismatch", r, ps[i].Name)
-			}
-		}
-	}
-}
-
-func TestDDPSyncInitialWeights(t *testing.T) {
-	ranks := 3
-	m := cluster.NewMachine(cluster.Frontier(), 1, ranks)
-	g := comm.NewGroup(m.Devices)
-	replicas := make([][]*nn.TransformerBlock, ranks)
-	engines := make([]*DDP, ranks)
-	for r := 0; r < ranks; r++ {
-		replicas[r] = buildStack(uint64(50 + r)) // deliberately different
-		engines[r] = NewDDP(r, g, stackParams(replicas[r]))
-	}
-	runSPMD(ranks, func(rank int) { engines[rank].SyncInitialWeights() })
-	ref := stackParams(replicas[0])
-	for r := 1; r < ranks; r++ {
-		ps := stackParams(replicas[r])
-		for i := range ps {
-			if !tensor.AllClose(ps[i].W, ref[i].W, 0, 0) {
-				t.Fatalf("rank %d param %s not synced", r, ps[i].Name)
-			}
-		}
-	}
 }
 
 // --- flatten helpers ---

@@ -264,8 +264,3 @@ func (b *TPBlock) Params() []*nn.Param {
 	ps = append(ps, b.MLP.Params()...)
 	return ps
 }
-
-// MaxTPSize returns the largest legal tensor-parallel group for a
-// block: the number of attention heads (the architectural scalability
-// limit of tensor parallelism the paper contrasts with Hybrid-STOP).
-func MaxTPSize(heads int) int { return heads }

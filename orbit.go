@@ -8,10 +8,11 @@
 //     synthetic CMIP6/ERA5-like climate data (NewModel, Pretrain,
 //     NewTrainer, EvalACC, checkpointing via SaveModel/LoadModel).
 //
-//   - Parallelism: the paper's Hybrid-STOP algorithm and its
-//     baselines run as real SPMD programs over a simulated
-//     Frontier-like cluster (NewCluster, NewHybridSTOP, the
-//     internal/core and internal/parallel packages).
+//   - Parallelism: the paper's Hybrid-STOP algorithm runs as a real
+//     SPMD program over a simulated Frontier-like cluster
+//     (NewCluster, NewHybridSTOP, the internal/core engine); its FSDP
+//     and DDP baselines are the TP=1 and TP=FSDP=1 layouts of the
+//     same engine.
 //
 //   - Scaling analysis: the calibrated analytical model that
 //     regenerates the paper's Frontier-scale tables and figures
