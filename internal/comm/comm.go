@@ -8,22 +8,21 @@
 // nodes) — the distinction that drives ORBIT's hierarchical mapping of
 // tensor-parallel groups to nodes (paper Sec. III-B, Fig. 4).
 //
-// # Synchronous, destination-passing, and asynchronous APIs
+// # Destination-passing collectives, synchronous and asynchronous
 //
-// Every collective exists in three forms:
+// There is one protocol: the caller supplies the output buffer, so a
+// collective is allocation-free in steady state. For the reduction
+// collectives dst may alias the rank's own input (in-place reduction);
+// for all-gather and broadcast dst must not overlap any rank's input.
+// Every collective has two entry points onto it:
 //
-//   - Allocating (AllGather, AllReduceSum, …): returns a fresh result
-//     buffer. Convenient for tests and cold paths; allocates per call.
-//   - Destination-passing (AllGatherInto, AllReduceSumInto, …): the
-//     caller supplies the output buffer and the call is
-//     allocation-free in steady state. For the reduction collectives
-//     dst may alias the rank's own input (in-place reduction); for
-//     all-gather and broadcast dst must not overlap any rank's input.
 //   - Asynchronous (IAllGather, IAllReduceSum, …): posts the
 //     collective and returns a Handle immediately so the rank can keep
 //     computing while the transfer is in flight. Handle.Wait blocks
 //     until the collective completed and settles the rank's simulated
 //     clock.
+//   - Synchronous (AllGatherInto, AllReduceSumInto, …): the same post
+//     followed by Wait.
 //
 // # Async handle protocol and buffer ownership
 //
@@ -104,10 +103,6 @@ type pending struct {
 	posted int
 	waited int
 	done   bool
-	// shared marks the allocating legacy protocol: complete builds one
-	// freshly allocated result delivered to every rank (per-rank chunks
-	// for reduce-scatter) instead of filling caller destinations.
-	shared bool
 	// completion = max(tmax, stream-free time) + cost, fixed when the
 	// last rank posts.
 	completion float64
@@ -270,17 +265,6 @@ func (g *Group) recycle(p *pending) {
 // rank to arrive executes the data movement and fixes the completion
 // time. Returns a handle the rank must Wait on exactly once.
 func (g *Group) post(op opKind, rank int, in, dst []float32, scale, cost float64) Handle {
-	return g.postMode(op, rank, in, dst, scale, cost, false)
-}
-
-// postShared is post under the legacy shared-result protocol: the
-// result is built once into fresh storage at completion and handed to
-// every rank through waitShared.
-func (g *Group) postShared(op opKind, rank int, in []float32, scale, cost float64) Handle {
-	return g.postMode(op, rank, in, nil, scale, cost, true)
-}
-
-func (g *Group) postMode(op opKind, rank int, in, dst []float32, scale, cost float64, shared bool) Handle {
 	clk := g.devices[rank].Clock()
 	g.mu.Lock()
 	if g.poisoned {
@@ -290,11 +274,6 @@ func (g *Group) postMode(op opKind, rank int, in, dst []float32, scale, cost flo
 	seq := g.postSeq[rank]
 	g.postSeq[rank]++
 	p := g.pendingFor(seq, op, scale, cost)
-	if p.posted == 0 {
-		p.shared = shared
-	} else if p.shared != shared {
-		panic(fmt.Sprintf("comm: collective ordering violation at seq %d: shared and destination-passing %v mixed", seq, op))
-	}
 	p.ins[rank] = in
 	p.dsts[rank] = dst
 	if clk > p.tmax {
@@ -306,33 +285,6 @@ func (g *Group) postMode(op opKind, rank int, in, dst []float32, scale, cost flo
 	}
 	g.mu.Unlock()
 	return Handle{g: g, p: p, rank: rank}
-}
-
-// waitShared is Wait for the legacy shared-result protocol, returning
-// this rank's result buffer.
-func (h Handle) waitShared() []float32 {
-	g := h.g
-	d := g.devices[h.rank]
-	g.mu.Lock()
-	p := h.p
-	for !p.done {
-		if g.poisoned {
-			g.mu.Unlock()
-			panic(Poisoned{})
-		}
-		d.BeginCommWait()
-		g.cond.Wait()
-		d.EndCommWait()
-	}
-	completion := p.completion
-	out := p.dsts[h.rank]
-	p.waited++
-	if p.waited == len(g.devices) {
-		g.recycle(p)
-	}
-	g.mu.Unlock()
-	d.AdvanceTo(completion, 0)
-	return out
 }
 
 // complete runs the collective's data movement into the destination
@@ -355,17 +307,6 @@ func (g *Group) complete(p *pending) {
 				panic(fmt.Sprintf("comm: AllGather shard size mismatch at rank %d: %d vs %d", r, len(b), n))
 			}
 		}
-		if p.shared {
-			// Legacy protocol: one result buffer delivered to all ranks.
-			full := make([]float32, n*size)
-			for r, b := range p.ins {
-				copy(full[r*n:], b)
-			}
-			for r := range p.dsts {
-				p.dsts[r] = full
-			}
-			break
-		}
 		// Assemble once into the first destination, then replicate with
 		// bulk copies instead of re-walking the shards per rank.
 		first := p.dsts[0]
@@ -376,7 +317,7 @@ func (g *Group) complete(p *pending) {
 			copy(dst, first)
 		}
 	case opReduce:
-		if size == 1 && !p.shared {
+		if size == 1 {
 			// One rank: the sum is the input and the mean divides by
 			// one. float32(float64(v)·1) is v, so a copy gives the
 			// general path's bits (but keeps the sign of a −0, which
@@ -385,10 +326,11 @@ func (g *Group) complete(p *pending) {
 			copy(p.dsts[0], p.ins[0])
 			break
 		}
-		if size == 2 && !p.shared {
+		if size == 2 {
 			// Two-rank fast path: one fused pass, no float64 scratch.
 			// float64(a)+float64(b) is exactly the scratch accumulation
-			// 0+a+b, so results are bit-identical to the general path.
+			// 0+a+b, so results are bit-identical to the general path
+			// (but for −0 + −0, which keeps its sign as above).
 			a, b := p.ins[0], p.ins[1]
 			if len(a) != len(b) {
 				panic(fmt.Sprintf("comm: reduction size mismatch: %d vs %d", len(a), len(b)))
@@ -403,29 +345,19 @@ func (g *Group) complete(p *pending) {
 			break
 		}
 		sum := g.reduce(p.ins)
-		var first []float32
-		if p.shared {
-			first = make([]float32, len(sum))
-			for r := range p.dsts {
-				p.dsts[r] = first
-			}
-		} else {
-			first = p.dsts[0]
-		}
+		first := p.dsts[0]
 		for i, v := range sum {
 			first[i] = float32(v * p.scale)
 		}
-		if !p.shared {
-			for _, dst := range p.dsts[1:] {
-				copy(dst, first)
-			}
+		for _, dst := range p.dsts[1:] {
+			copy(dst, first)
 		}
 	case opReduceScatter:
-		if size == 1 && !p.shared {
+		if size == 1 {
 			copy(p.dsts[0], p.ins[0]) // one rank owns the one chunk; see opReduce
 			break
 		}
-		if size == 2 && !p.shared {
+		if size == 2 {
 			// Two-rank fast path: each rank's chunk in one fused pass.
 			a, b := p.ins[0], p.ins[1]
 			if len(a) != len(b) {
@@ -444,11 +376,7 @@ func (g *Group) complete(p *pending) {
 		}
 		sum := g.reduce(p.ins)
 		chunk := len(sum) / size
-		for r := range p.dsts {
-			if p.shared {
-				p.dsts[r] = make([]float32, chunk)
-			}
-			dst := p.dsts[r]
+		for r, dst := range p.dsts {
 			off := r * chunk
 			for i := 0; i < chunk; i++ {
 				dst[i] = float32(sum[off+i] * p.scale)
@@ -456,13 +384,6 @@ func (g *Group) complete(p *pending) {
 		}
 	case opBroadcast:
 		root := p.ins[0]
-		if p.shared {
-			// Legacy protocol: every rank receives the root's buffer.
-			for r := range p.dsts {
-				p.dsts[r] = root
-			}
-			break
-		}
 		for r, dst := range p.dsts {
 			if len(dst) != len(root) {
 				panic(fmt.Sprintf("comm: Broadcast buffer at rank %d has %d elements, root has %d", r, len(dst), len(root)))
@@ -626,62 +547,9 @@ func (g *Group) Barrier(rank int) {
 	g.post(opBarrier, rank, nil, nil, 1, float64(len(g.devices)-1)*g.latency).Wait()
 }
 
-// --- allocating convenience wrappers (legacy shared-result protocol:
-// one result buffer is built at completion and delivered to every
-// rank, so a p-rank collective costs one assembly, not p) ---
-
-// AllGather concatenates equal-length shards by rank order and
-// returns the full buffer to every rank. All ranks receive the same
-// freshly allocated backing buffer.
-func (g *Group) AllGather(rank int, shard []float32) []float32 {
-	cost := g.ringCost(4 * len(shard) * len(g.devices))
-	return g.postShared(opAllGather, rank, shard, 1, cost).waitShared()
-}
-
-// AllReduceSum sums equal-length buffers elementwise, delivering the
-// sum to every rank. Accumulation is in float64 for reproducibility
-// independent of rank count.
-func (g *Group) AllReduceSum(rank int, buf []float32) []float32 {
-	cost := 2 * g.ringCost(4*len(buf))
-	return g.postShared(opReduce, rank, buf, 1, cost).waitShared()
-}
-
-// AllReduceMean averages equal-length buffers elementwise.
-func (g *Group) AllReduceMean(rank int, buf []float32) []float32 {
-	cost := 2 * g.ringCost(4*len(buf))
-	return g.postShared(opReduce, rank, buf, 1/float64(len(g.devices)), cost).waitShared()
-}
-
-// ReduceScatterSum sums buffers elementwise and scatters contiguous
-// chunks: rank r receives chunk r of the sum. Buffer length must be
-// divisible by the group size.
-func (g *Group) ReduceScatterSum(rank int, buf []float32) []float32 {
-	p := len(g.devices)
-	if len(buf)%p != 0 {
-		panic(fmt.Sprintf("comm: ReduceScatter length %d not divisible by %d ranks", len(buf), p))
-	}
-	return g.postShared(opReduceScatter, rank, buf, 1, g.ringCost(4*len(buf))).waitShared()
-}
-
-// ReduceScatterMean is ReduceScatterSum divided by the rank count.
-func (g *Group) ReduceScatterMean(rank int, buf []float32) []float32 {
-	p := len(g.devices)
-	if len(buf)%p != 0 {
-		panic(fmt.Sprintf("comm: ReduceScatter length %d not divisible by %d ranks", len(buf), p))
-	}
-	return g.postShared(opReduceScatter, rank, buf, 1/float64(p), g.ringCost(4*len(buf))).waitShared()
-}
-
-// Broadcast delivers rank 0's buffer to every rank. All ranks must
-// pass buffers of the root's length (non-root contents are ignored),
-// mirroring MPI_Bcast semantics; the returned slice is the root's
-// buffer itself.
-func (g *Group) Broadcast(rank int, buf []float32) []float32 {
-	return g.postShared(opBroadcast, rank, buf, 1, g.ringCost(4*len(buf))).waitShared()
-}
-
 // AllReduceScalar sums one float64 across ranks (loss reporting).
 func (g *Group) AllReduceScalar(rank int, v float64) float64 {
-	out := g.AllReduceSum(rank, []float32{float32(v)})
-	return float64(out[0])
+	buf := []float32{float32(v)}
+	g.AllReduceSumInto(rank, buf, buf)
+	return float64(buf[0])
 }

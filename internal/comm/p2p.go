@@ -14,8 +14,7 @@ package comm
 //
 // Unlike the ring collectives, a point-to-point message pays the plain
 // store-and-forward cost latency + bytes/bandwidth on the link class
-// the group spans — the same charge internal/parallel's GPipe baseline
-// applied to its pooled cross-stage copies.
+// the group spans.
 
 // p2pCost is the store-and-forward cost of one point-to-point message.
 func (g *Group) p2pCost(bytes int) float64 {
