@@ -271,6 +271,19 @@ func (g *Group) post(op opKind, rank int, in, dst []float32, scale, cost float64
 		g.mu.Unlock()
 		panic(Poisoned{})
 	}
+	// pendingFor and complete panic on an SPMD violation. The panic must
+	// not take the lock with it: peers blocked in Wait would never wake
+	// and a later Poison would deadlock, turning a loud failure into a
+	// hang. Poison the group on the way out instead — its state is
+	// inconsistent — so the peers unwind too.
+	posted := false
+	defer func() {
+		if !posted {
+			g.poisoned = true
+			g.cond.Broadcast()
+		}
+		g.mu.Unlock()
+	}()
 	seq := g.postSeq[rank]
 	g.postSeq[rank]++
 	p := g.pendingFor(seq, op, scale, cost)
@@ -283,7 +296,7 @@ func (g *Group) post(op opKind, rank int, in, dst []float32, scale, cost float64
 	if p.posted == len(g.devices) {
 		g.complete(p)
 	}
-	g.mu.Unlock()
+	posted = true
 	return Handle{g: g, p: p, rank: rank}
 }
 

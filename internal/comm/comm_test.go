@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"orbit/internal/cluster"
 )
@@ -394,6 +395,55 @@ func TestFastPathsMatchGeneralReduction(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPanicInsidePostPoisonsGroup: an SPMD violation is detected by
+// the rank that posts second, inside post with the group lock held —
+// by pendingFor (mismatched collectives) or by complete (a send nobody
+// sent). The panic must leave the group poisoned and unlocked, so the
+// peer already blocked on the collective unwinds with Poisoned and the
+// Poison call of an unwinding step driver returns, instead of both
+// hanging on a mutex its owner never released.
+func TestPanicInsidePostPoisonsGroup(t *testing.T) {
+	buf, dst := make([]float32, 4), make([]float32, 4)
+	for _, tc := range []struct {
+		name          string
+		first, second func(g *Group) Handle
+	}{
+		{"ordering violation in pendingFor",
+			func(g *Group) Handle { return g.IAllReduceSum(0, buf, dst) },
+			func(g *Group) Handle { return g.IAllGather(1, buf, make([]float32, 8)) }},
+		{"send without a sender in complete",
+			func(g *Group) Handle { return g.IRecv(0, dst) },
+			func(g *Group) Handle { return g.IRecv(1, make([]float32, 4)) }},
+	} {
+		g := newGroup(2)
+		h := tc.first(g)
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s: second post did not panic", tc.name)
+				} else if _, ok := r.(Poisoned); ok {
+					t.Errorf("%s: second post panicked Poisoned, want the violation's own message", tc.name)
+				}
+			}()
+			tc.second(g)
+		}()
+		unwound := make(chan any, 1)
+		go func() {
+			defer func() { unwound <- recover() }()
+			g.Poison() // what train.RunElastic's unwind calls on every group
+			h.Wait()
+		}()
+		select {
+		case r := <-unwound:
+			if _, ok := r.(Poisoned); !ok {
+				t.Errorf("%s: first rank's Wait ended with %v, want a Poisoned panic", tc.name, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Poison/Wait still blocked after 10 s: the panic left the group mutex locked", tc.name)
 		}
 	}
 }
