@@ -37,7 +37,9 @@
 // an MPI communicator); matching is by per-rank posting sequence
 // number, so several collectives may be in flight at once and Waits
 // may be issued in any order. Posting mismatched operation kinds at
-// the same sequence position is an ordering violation and panics.
+// the same sequence position is an ordering violation: the post that
+// finds it panics and leaves the group poisoned, so the peers already
+// waiting unwind with Poisoned (poison.go) instead of hanging.
 //
 // # Overlap cost model
 //
