@@ -1,0 +1,42 @@
+package tensor
+
+import (
+	"fmt"
+	"testing"
+)
+
+// BenchmarkMatMulKernel runs the matrix kernel at the shapes the bench
+// workloads meet — the linear layers of a training micro-batch (32
+// token rows, D = 64), the fused serving batch (256 rows) and one
+// sample's four attention heads — and reports GFLOP/s, so a kernel
+// regression has a one-line reproducer:
+//
+//	go test ./internal/tensor -run '^$' -bench MatMulKernel
+func BenchmarkMatMulKernel(b *testing.B) {
+	rng := NewRNG(7)
+	type row struct {
+		name  string
+		flops int64
+		call  func()
+	}
+	var rows []row
+	for _, s := range [][3]int{{32, 64, 64}, {32, 64, 192}, {32, 64, 256}, {32, 256, 64}, {256, 64, 256}} {
+		m, k, n := s[0], s[1], s[2]
+		dst, t, u := New(m, n), Randn(rng, 1, m, k), Randn(rng, 1, k, n)
+		rows = append(rows, row{fmt.Sprintf("[%d,%d]@[%d,%d]", m, k, k, n), MatMulFLOPs(m, k, n), func() { MatMulInto(dst, t, u) }})
+	}
+	const heads, tokens, hd = 4, 32, 16
+	q, kh := Randn(rng, 1, heads, tokens, hd), Randn(rng, 1, heads, tokens, hd)
+	probs, out := New(heads, tokens, tokens), New(heads, tokens, hd)
+	rows = append(rows,
+		row{"4x[32,16]@[16,32]", heads * MatMulFLOPs(tokens, hd, tokens), func() { BatchedMatMulTransBScaledInto(probs, q, kh, 0.25) }},
+		row{"4x[32,32]@[32,16]", heads * MatMulFLOPs(tokens, tokens, hd), func() { BatchedMatMulInto(out, probs, kh) }})
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.call()
+			}
+			b.ReportMetric(float64(r.flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

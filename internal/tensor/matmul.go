@@ -142,7 +142,9 @@ func matMulTransA(dst, t, u *Tensor, acc bool) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dimension mismatch %vᵀ @ %v", t.shape, u.shape))
 	}
 	checkDst(dst, m, n, "MatMulTransAInto")
-	dispatchOuter(outerTask{dst: dst.data, t: t.data, u: u.data, k: k, m: m, n: n, acc: acc}, 1)
+	o := mulTransATask(dst.data, t.data, u.data, m, k, n)
+	o.acc = acc
+	dispatchOuter(o, 1)
 	return dst
 }
 
@@ -198,7 +200,7 @@ func BatchedMatMulTransAInto(dst, t, u *Tensor) *Tensor {
 	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulTransAInto shapes %vᵀ @ %v -> %v", t.shape, u.shape, dst.shape))
 	}
-	dispatchOuter(outerTask{dst: dst.data, t: t.data, u: u.data, k: k, m: m, n: n}, b)
+	dispatchOuter(mulTransATask(dst.data, t.data, u.data, m, k, n), b)
 	return dst
 }
 

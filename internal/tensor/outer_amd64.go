@@ -25,12 +25,13 @@ func dotBlock2x4(a0, a1, b *float32, k int, sums *[8]float32)
 //go:noescape
 func dotBlock1x4(a0, b *float32, k int, sums *[4]float32)
 
-// outerTile4x16 accumulates one rows×16 block of tᵀ@u (t [k,m],
-// u [k,n], both read in place) into dst with row stride n; see the
-// kernel in dot_amd64.s and its driver outerRows.
+// outerTile4x16 computes one rows×16 block of L@u — L(i, j) =
+// t[i*tk + j*tr], u and dst with row strides un and dn — and stores it
+// scaled, biased or accumulated; see the kernel in outer_amd64.s and
+// its driver product.rows.
 //
 //go:noescape
-func outerTile4x16(dst, t, u *float32, k, m, n, rows int, mask *int32, acc bool)
+func outerTile4x16(dst, t, u *float32, k, tk, tr, un, dn, rows int, mask *int32, bias *float32, scale float32, acc bool)
 
 // cpuHasAVX2FMA reports AVX2+FMA instruction support with OS-enabled
 // YMM state (CPUID + XGETBV).

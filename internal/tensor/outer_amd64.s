@@ -156,9 +156,10 @@ done1:
 	VMOVUPS X0, (DX)
 	RET
 
-// OUTER_STEP is one operand row of outerTile4x16 once Y8:Y9 hold
-// u[i, 0:16]: four broadcasts of t[i, j], eight FMAs into the row
-// accumulator pairs Y0:Y1 … Y6:Y7, and the step to row i+1.
+// OUTER_STEP is one reduction step of outerTile4x16 once Y8:Y9 hold
+// u[i, 0:16]: four broadcasts of the left operand's element (i, j),
+// eight FMAs into the row accumulator pairs Y0:Y1 … Y6:Y7, and the
+// step to i+1.
 #define OUTER_STEP \
 	VBROADCASTSS (SI), Y10; \
 	VBROADCASTSS (SI)(R10*1), Y11; \
@@ -175,60 +176,66 @@ done1:
 	ADDQ         R8, SI; \
 	ADDQ         R9, DI
 
-// OUTER_NEXT_ROW rotates the next output row's accumulators into
-// Y0:Y1 and advances dst one row.
-#define OUTER_NEXT_ROW \
-	VMOVAPS Y2, Y0; \
-	VMOVAPS Y3, Y1; \
-	VMOVAPS Y4, Y2; \
-	VMOVAPS Y5, Y3; \
-	VMOVAPS Y6, Y4; \
-	VMOVAPS Y7, Y5; \
-	ADDQ    R9, DX
+// OUTER_ALL applies one two-operand instruction to the eight
+// accumulators, even registers from a, odd ones from b.
+#define OUTER_ALL(op, a, b) \
+	op a, Y0, Y0; \
+	op b, Y1, Y1; \
+	op a, Y2, Y2; \
+	op b, Y3, Y3; \
+	op a, Y4, Y4; \
+	op b, Y5, Y5; \
+	op a, Y6, Y6; \
+	op b, Y7, Y7
 
-// func outerTile4x16(dst, t, u *float32, k, m, n, rows int, mask *int32, acc bool)
+// func outerTile4x16(dst, t, u *float32, k, tk, tr, un, dn, rows int, mask *int32, bias *float32, scale float32, acc bool)
 //
-// Accumulates the rows×16 block of tᵀ@u whose corner is dst: for each
-// of the k operand rows, u[i, 0:16] is loaded once and multiplied into
-// one accumulator pair per output row by a broadcast of t[i, j] —
-//   acc[j] = fma(t[i*m+j], u[i*n : i*n+16], acc[j]),  i = 0 … k-1
+// Computes the rows×16 block of L@u whose corner is dst, where element
+// (i, j) of the left operand L is t[i*tk + j*tr] and row i of u starts
+// at u[i*un]: for each of the k reduction steps, u[i, 0:16] is loaded
+// once and multiplied into one accumulator pair per output row by a
+// broadcast of L(i, j) —
+//   acc[j] = fma(t[i*tk + j*tr], u[i*un : i*un+16], acc[j]),  i = 0 … k-1
 // — so every output element is one k-ordered FMA chain from zero,
-// whatever block it falls in. rows (1…4) is the number of valid output
-// rows: a short block re-reads its last valid t column, so nothing
-// outside t is touched, and stores only `rows` rows. mask (nil = all
-// 16 columns) points at 16 int32 lane masks for a short last panel:
-// masked lanes of u and dst are neither read nor written. acc selects
-// dst += block over dst = block.
-TEXT ·outerTile4x16(SB), NOSPLIT, $0-65
-	MOVQ    dst+0(FP), DX
-	MOVQ    t+8(FP), SI
-	MOVQ    u+16(FP), DI
-	MOVQ    k+24(FP), CX
-	MOVQ    m+32(FP), R8
-	MOVQ    n+40(FP), R9
-	MOVQ    rows+48(FP), AX
-	MOVQ    mask+56(FP), R13
-	MOVBLZX acc+64(FP), BX
-	SHLQ    $2, R8 // t row stride in bytes
-	SHLQ    $2, R9 // u and dst row stride in bytes
+// whatever block it falls in. k must be at least 1. rows (1…4) is the
+// number of valid output rows: a short block re-reads its last valid
+// row of L, so nothing outside t is touched, and stores only `rows`
+// rows, dn elements apart. mask (nil = all 16 columns) points at 16
+// int32 lane masks for a short last panel: masked lanes of u, bias and
+// dst are neither read nor written. The store applies, in this order,
+// ·scale (skipped when it is 1), +bias[0:16] (nil = none) and +dst
+// (acc), each separately rounded.
+TEXT ·outerTile4x16(SB), NOSPLIT, $0-93
+	MOVQ dst+0(FP), DX
+	MOVQ t+8(FP), SI
+	MOVQ u+16(FP), DI
+	MOVQ k+24(FP), CX
+	MOVQ tk+32(FP), R8
+	MOVQ tr+40(FP), BX
+	MOVQ un+48(FP), R9
+	MOVQ rows+64(FP), AX
+	MOVQ mask+72(FP), R13
+	SHLQ $2, R8 // step of t per reduction index, in bytes
+	SHLQ $2, BX // step of t per output row, in bytes
+	SHLQ $2, R9 // u row stride in bytes
 
-	// Byte offsets of output rows 1…3 within a t row, clamped to the
-	// last valid one.
+	// Byte offsets of output rows 1…3 within the left operand, clamped
+	// to the last valid one.
 	XORQ R10, R10
 	XORQ R11, R11
 	XORQ R12, R12
 	CMPQ AX, $2
 	JLT  offsets_done
-	MOVQ $4, R10
-	MOVQ $4, R11
-	MOVQ $4, R12
+	MOVQ BX, R10
+	MOVQ BX, R11
+	MOVQ BX, R12
 	CMPQ AX, $3
 	JLT  offsets_done
-	MOVQ $8, R11
-	MOVQ $8, R12
+	ADDQ BX, R11
+	MOVQ R11, R12
 	CMPQ AX, $4
 	JLT  offsets_done
-	MOVQ $12, R12
+	ADDQ BX, R12
 
 offsets_done:
 	VXORPS Y0, Y0, Y0
@@ -242,55 +249,82 @@ offsets_done:
 	TESTQ  R13, R13
 	JNZ    masked
 
+	// Full panel: plain loads of u, and an all-ones mask for the loads
+	// of the store phase.
+	VPCMPEQD Y14, Y14, Y14
+	VMOVDQA  Y14, Y15
+
 outer_loop:
-	VMOVUPS      (DI), Y8
-	VMOVUPS      32(DI), Y9
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
 	OUTER_STEP
-	DECQ CX
-	JNZ  outer_loop
-
-	// Store one row per pass from Y0:Y1, rotating the next row's
-	// accumulators down.
-store_row:
-	TESTQ   BX, BX
-	JZ      store_plain
-	VADDPS  (DX), Y0, Y0
-	VADDPS  32(DX), Y1, Y1
-
-store_plain:
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	OUTER_NEXT_ROW
-	DECQ    AX
-	JNZ     store_row
-	VZEROUPPER
-	RET
+	DECQ    CX
+	JNZ     outer_loop
+	JMP     finish
 
 masked:
 	VMOVDQU (R13), Y14
 	VMOVDQU 32(R13), Y15
 
 masked_loop:
-	VMASKMOVPS   (DI), Y14, Y8
-	VMASKMOVPS   32(DI), Y15, Y9
+	VMASKMOVPS (DI), Y14, Y8
+	VMASKMOVPS 32(DI), Y15, Y9
 	OUTER_STEP
-	DECQ CX
-	JNZ  masked_loop
+	DECQ       CX
+	JNZ        masked_loop
 
-masked_store_row:
+	// The chains are complete; SI, DI, CX, BX and R8…R12 are free.
+finish:
+	MOVL scale+88(FP), CX
+	CMPL CX, $0x3f800000 // 1.0
+	JEQ  scaled
+	VBROADCASTSS scale+88(FP), Y8
+	OUTER_ALL(VMULPS, Y8, Y8)
+
+scaled:
+	MOVQ  bias+80(FP), SI
+	TESTQ SI, SI
+	JZ    biased
+	VMASKMOVPS (SI), Y14, Y8
+	VMASKMOVPS 32(SI), Y15, Y9
+	OUTER_ALL(VADDPS, Y8, Y9)
+
+biased:
+	MOVQ    dn+56(FP), R9
+	SHLQ    $2, R9 // dst row stride in bytes
+	MOVBLZX acc+92(FP), BX
+
+	// Store one row per pass from Y0:Y1, rotating the next row's
+	// accumulators down.
+store_row:
 	TESTQ      BX, BX
-	JZ         masked_store_plain
+	JZ         store
 	VMASKMOVPS (DX), Y14, Y8
 	VMASKMOVPS 32(DX), Y15, Y9
 	VADDPS     Y8, Y0, Y0
 	VADDPS     Y9, Y1, Y1
 
-masked_store_plain:
+store:
+	TESTQ      R13, R13
+	JNZ        store_masked
+	VMOVUPS    Y0, (DX)
+	VMOVUPS    Y1, 32(DX)
+	JMP        next_row
+
+store_masked:
 	VMASKMOVPS Y0, Y14, (DX)
 	VMASKMOVPS Y1, Y15, 32(DX)
-	OUTER_NEXT_ROW
-	DECQ       AX
-	JNZ        masked_store_row
+
+next_row:
+	VMOVAPS Y2, Y0
+	VMOVAPS Y3, Y1
+	VMOVAPS Y4, Y2
+	VMOVAPS Y5, Y3
+	VMOVAPS Y6, Y4
+	VMOVAPS Y7, Y5
+	ADDQ    R9, DX
+	DECQ    AX
+	JNZ     store_row
 	VZEROUPPER
 	RET
 
