@@ -24,7 +24,7 @@ import (
 // Three arms, each comparing f32 against int8 and Q4_0:
 //
 //   - the serving-shaped matmul ([128,256] @ [256,256]) through the
-//     packed f32 kernel vs the dequant-fused quantized kernel —
+//     f32 product vs the dequant-fused quantized one —
 //     GFLOP/s and the weight-stream GB/s each format moves, plus an
 //     asserted 0 allocs/op for the fused kernel's steady state;
 //   - the frozen golden rollout served end to end from each format
@@ -49,7 +49,6 @@ func TestBenchPR9(t *testing.T) {
 	x := tensor.Randn(rng, 1, m0, k0).Reshape(m0, k0)
 	w := tensor.Randn(rng, 1, k0, n0).Reshape(k0, n0)
 	dst := tensor.New(m0, n0)
-	bt := tensor.PackTransposedInto(make([]float32, k0*n0), w)
 	qi8 := tensor.QuantizeTensor(w, tensor.QuantInt8)
 	qq4 := tensor.QuantizeTensor(w, tensor.QuantQ4)
 
@@ -58,7 +57,7 @@ func TestBenchPR9(t *testing.T) {
 		wBytes int
 		call   func()
 	}{
-		{"f32", 4 * k0 * n0, func() { tensor.MatMulPackedBInto(dst, x, bt, n0, nil) }},
+		{"f32", 4 * k0 * n0, func() { tensor.MatMulInto(dst, x, w) }},
 		{"int8", qi8.Bytes(), func() { tensor.MatMulQuantInto(dst, x, qi8, nil) }},
 		{"q4_0", qq4.Bytes(), func() { tensor.MatMulQuantInto(dst, x, qq4, nil) }},
 	}
@@ -171,7 +170,7 @@ func TestBenchPR9(t *testing.T) {
 		"bench":     "pr9_block_quantized_inference",
 		"date":      time.Now().UTC().Format("2006-01-02"),
 		"reps":      reps,
-		"benchmark": "f32 vs int8 vs Q4_0: [128,256]@[256,256] matmul (packed f32 kernel vs dequant-fused kernel), frozen golden rollout served end to end, and checkpoint bytes; arms interleaved per round, medians",
+		"benchmark": "f32 vs int8 vs Q4_0: [128,256]@[256,256] matmul (f32 product vs dequant-fused product), frozen golden rollout served end to end, and checkpoint bytes; arms interleaved per round, medians",
 		"matmul": map[string]any{
 			"shape":                      fmt.Sprintf("[%d,%d] @ [%d,%d]", m0, k0, k0, n0),
 			"formats":                    matmul,

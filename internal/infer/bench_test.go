@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"runtime"
 	"testing"
 
 	"orbit/internal/climate"
@@ -63,6 +64,41 @@ func TestRolloutStepAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state rollout step allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestF32PlanHoldsOneCopyOfTheWeights pins what plan.ServingMemory
+// prices an f32 replica at: the model's weights once, plus the plan's
+// activation buffers. NewPlan allocates those buffers; the first
+// forward at MaxBatch then builds its tensor headers and nothing
+// weight-sized — the kernel reads the model's weights in place, so a
+// plan that grew by as much as one block's weights would be keeping a
+// second copy of them.
+func TestF32PlanHoldsOneCopyOfTheWeights(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; see race_off_test.go")
+	}
+	const maxBatch = 4
+	eng, _, _ := serveFixture(t, maxBatch)
+	m := eng.Model
+	var xs []*tensor.Tensor
+	var leads []float64
+	rng := tensor.NewRNG(5)
+	for b := 0; b < maxBatch; b++ {
+		xs = append(xs, tensor.Randn(rng, 1, m.Config.Channels, m.Config.Height, m.Config.Width))
+		leads = append(leads, 24)
+	}
+	var blockBytes uint64
+	for _, par := range m.Blocks[0].Params() {
+		blockBytes += 4 * uint64(par.W.Len())
+	}
+	var before, after runtime.MemStats
+	p := NewPlan(m, maxBatch)
+	runtime.ReadMemStats(&before)
+	p.Forward(xs, leads)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= blockBytes {
+		t.Fatalf("first forward of an f32 plan allocated %d bytes beyond its activation buffers; one block's weights are %d", grew, blockBytes)
 	}
 }
 

@@ -27,52 +27,31 @@ import (
 	"orbit/internal/vit"
 )
 
-// packedW caches the packed transpose of a weight matrix (the dot
-// kernel's operand layout), refreshed when the weight's version
-// changes — weights only move on explicit loads, so in steady state
-// every forward skips the repack.
-type packedW struct {
-	buf []float32
-	ver uint64
-}
-
-func (p *packedW) of(w *tensor.Tensor) []float32 {
-	if p.ver != w.Version()+1 {
-		if cap(p.buf) < w.Len() {
-			p.buf = make([]float32, w.Len())
-		}
-		p.buf = p.buf[:w.Len()]
-		tensor.PackTransposedInto(p.buf, w)
-		p.ver = w.Version() + 1
-	}
-	return p.buf
-}
-
 // siteW is one matmul site's weight operand. When the plan serves a
 // block-quantized checkpoint the site holds the weight's quantized
-// container and the dequant-fused kernel reads it directly — no f32
-// copy of the matrix exists in the plan at all, which is where the
-// quantized-serving memory win comes from (the packed transpose was a
-// per-worker full-precision copy of every weight). Otherwise the site
-// falls back to the lazily packed f32 transpose.
+// container and the dequant-fused kernel reads it directly. Otherwise
+// q is nil and the kernel reads the model's own float32 weight in
+// place. Either way the plan holds no weight-sized buffer of its own:
+// an f32 plan costs its activations, a quantized one never
+// materializes a float32 matrix beyond a 16-column strip.
 type siteW struct {
-	pk packedW
-	q  *tensor.Quantized
+	q *tensor.Quantized
 }
 
-// matmul runs dst = x·W + bias through whichever operand the site
-// holds. Both paths are bit-identical for the same underlying f32
-// weight values (the fused quantized kernel reproduces the packed
-// kernel's exact reduction order over the dequantized panels).
-func (s *siteW) matmul(dst, x *tensor.Tensor, w *tensor.Tensor, n int, bias *tensor.Tensor) *tensor.Tensor {
+// matmul runs dst = x·W + bias (nil = none) through whichever operand
+// the site holds. Both paths are bit-identical for the same underlying
+// f32 weight values: the fused quantized kernel runs every output
+// element through the same reduction chain as the f32 product over the
+// dequantized weight.
+func (s *siteW) matmul(dst, x, w, bias *tensor.Tensor) *tensor.Tensor {
 	if s.q != nil {
 		return tensor.MatMulQuantInto(dst, x, s.q, bias)
 	}
-	return tensor.MatMulPackedBInto(dst, x, s.pk.of(w), n, bias)
+	return tensor.MatMulBiasInto(dst, x, w, bias)
 }
 
-// blockPacked holds the weight operands of one transformer block.
-type blockPacked struct {
+// blockSites holds the weight operands of one transformer block.
+type blockSites struct {
 	wq, wk, wv, wo, fc1, fc2 siteW
 }
 
@@ -121,7 +100,7 @@ type Plan struct {
 	aggK   siteW
 	aggV   siteW
 	leadW  siteW
-	blocks []blockPacked
+	blocks []blockSites
 	headW  siteW
 
 	// Backing arrays sized for MaxBatch, shared by every batchBufs.
@@ -148,7 +127,7 @@ func NewPlan(m *vit.Model, maxBatch int) *Plan {
 // weight containers (keyed by parameter name, as LoadModelQuantized
 // returns them) through the dequant-fused kernel. Weights without a
 // container — norms, biases, embeddings, and any matrix the saver left
-// float32 — use the packed f32 path. A nil or empty map degenerates to
+// float32 — are read from the model in place. A nil or empty map degenerates to
 // NewPlan.
 func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan {
 	if maxBatch < 1 {
@@ -168,7 +147,7 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 		hd:       cfg.EmbedDim / cfg.Heads,
 		outC:     cfg.OutChannels,
 		patchW:   make([]siteW, cfg.Channels),
-		blocks:   make([]blockPacked, len(m.Blocks)),
+		blocks:   make([]blockSites, len(m.Blocks)),
 		sized:    make(map[int]*batchBufs),
 	}
 	if len(qs) > 0 {
@@ -188,13 +167,13 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 		p.aggV.q = byTensor[m.Agg.WV.Weight.W]
 		p.leadW.q = byTensor[m.Lead.Proj.Weight.W]
 		for li, blk := range m.Blocks {
-			pk := &p.blocks[li]
-			pk.wq.q = byTensor[blk.Attn.WQ.Weight.W]
-			pk.wk.q = byTensor[blk.Attn.WK.Weight.W]
-			pk.wv.q = byTensor[blk.Attn.WV.Weight.W]
-			pk.wo.q = byTensor[blk.Attn.WO.Weight.W]
-			pk.fc1.q = byTensor[blk.MLP.FC1.Weight.W]
-			pk.fc2.q = byTensor[blk.MLP.FC2.Weight.W]
+			ws := &p.blocks[li]
+			ws.wq.q = byTensor[blk.Attn.WQ.Weight.W]
+			ws.wk.q = byTensor[blk.Attn.WK.Weight.W]
+			ws.wv.q = byTensor[blk.Attn.WV.Weight.W]
+			ws.wo.q = byTensor[blk.Attn.WO.Weight.W]
+			ws.fc1.q = byTensor[blk.MLP.FC1.Weight.W]
+			ws.fc2.q = byTensor[blk.MLP.FC2.Weight.W]
 		}
 		p.headW.q = byTensor[m.Head.Proj.Weight.W]
 	}
@@ -302,14 +281,13 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 	m := p.Model
 
 	// Patch embedding, fused over the batch per channel: samples stack
-	// along the token rows, so one packed matmul per channel replaces
-	// n (and the model path's per-call weight repack disappears).
+	// along the token rows, so one matmul per channel replaces n.
 	hw := p.h * p.w
 	for c := 0; c < p.c; c++ {
 		for b, x := range xs {
 			p.extractPatches(x.Data()[c*hw:(c+1)*hw], bb.patches.Data()[b*p.t*p.p*p.p:])
 		}
-		p.patchW[c].matmul(bb.eC[c], bb.patches, m.Patch.Weights[c].W, p.d, m.Patch.Biases[c].W)
+		p.patchW[c].matmul(bb.eC[c], bb.patches, m.Patch.Weights[c].W, m.Patch.Biases[c].W)
 	}
 
 	// Variable aggregation over t' = n·T fused token positions.
@@ -334,11 +312,11 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 	// per-sample.
 	scale := float32(1 / math.Sqrt(float64(p.hd)))
 	for li, blk := range m.Blocks {
-		pk := &p.blocks[li]
+		ws := &p.blocks[li]
 		lnInto(bb.lnBuf, bb.x, blk.LN1)
-		pk.wq.matmul(bb.q, bb.lnBuf, blk.Attn.WQ.Weight.W, p.d, blk.Attn.WQ.Bias.W)
-		pk.wk.matmul(bb.k, bb.lnBuf, blk.Attn.WK.Weight.W, p.d, blk.Attn.WK.Bias.W)
-		pk.wv.matmul(bb.v, bb.lnBuf, blk.Attn.WV.Weight.W, p.d, blk.Attn.WV.Bias.W)
+		ws.wq.matmul(bb.q, bb.lnBuf, blk.Attn.WQ.Weight.W, blk.Attn.WQ.Bias.W)
+		ws.wk.matmul(bb.k, bb.lnBuf, blk.Attn.WK.Weight.W, blk.Attn.WK.Bias.W)
+		ws.wv.matmul(bb.v, bb.lnBuf, blk.Attn.WV.Weight.W, blk.Attn.WV.Bias.W)
 		for b := 0; b < n; b++ {
 			tensor.SplitHeadsInto(bb.qhB[b], bb.qRows[b], p.heads)
 			tensor.SplitHeadsInto(bb.khB[b], bb.kRows[b], p.heads)
@@ -354,19 +332,19 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 		for b := 0; b < n; b++ {
 			tensor.MergeHeadsInto(bb.concatRows[b], bb.outHB[b], p.heads)
 		}
-		pk.wo.matmul(bb.attnOut, bb.concat, blk.Attn.WO.Weight.W, p.d, blk.Attn.WO.Bias.W)
+		ws.wo.matmul(bb.attnOut, bb.concat, blk.Attn.WO.Weight.W, blk.Attn.WO.Bias.W)
 		tensor.AddInto(bb.h, bb.x, bb.attnOut)
 
 		lnInto(bb.lnBuf, bb.h, blk.LN2)
-		pk.fc1.matmul(bb.fc1, bb.lnBuf, blk.MLP.FC1.Weight.W, 4*p.d, blk.MLP.FC1.Bias.W)
+		ws.fc1.matmul(bb.fc1, bb.lnBuf, blk.MLP.FC1.Weight.W, blk.MLP.FC1.Bias.W)
 		tensor.GELUCachedInto(bb.g, bb.th, bb.fc1)
-		pk.fc2.matmul(bb.mlpOut, bb.g, blk.MLP.FC2.Weight.W, p.d, blk.MLP.FC2.Bias.W)
+		ws.fc2.matmul(bb.mlpOut, bb.g, blk.MLP.FC2.Weight.W, blk.MLP.FC2.Bias.W)
 		tensor.AddInto(bb.x, bb.h, bb.mlpOut)
 	}
 
 	// Prediction head: fused norm + projection, per-sample unpatchify.
 	lnInto(bb.lnBuf, bb.x, m.Head.Norm)
-	p.headW.matmul(bb.headTok, bb.lnBuf, m.Head.Proj.Weight.W, p.p*p.p*p.outC, m.Head.Proj.Bias.W)
+	p.headW.matmul(bb.headTok, bb.lnBuf, m.Head.Proj.Weight.W, m.Head.Proj.Bias.W)
 	for b := 0; b < n; b++ {
 		p.unpatchify(bb.headTok.Data()[b*p.t*p.p*p.p*p.outC:], bb.outs[b].Data())
 	}
@@ -428,8 +406,8 @@ func (p *Plan) aggregate(bb *batchBufs, n int) {
 			}
 		}
 	}
-	p.aggK.matmul(bb.kMat, bb.e, agg.WK.Weight.W, d, nil)
-	p.aggV.matmul(bb.vMat, bb.e, agg.WV.Weight.W, d, nil)
+	p.aggK.matmul(bb.kMat, bb.e, agg.WK.Weight.W, nil)
+	p.aggV.matmul(bb.vMat, bb.e, agg.WV.Weight.W, nil)
 
 	scale := float32(1 / math.Sqrt(float64(d)))
 	q := agg.Query.W.Data()
@@ -493,7 +471,7 @@ func (p *Plan) leadInto(rows []float32, leadHours float64) {
 		fd[2*i+1] = float32(math.Cos(leadHours * freq))
 	}
 	proj := p.Model.Lead.Proj
-	p.leadW.matmul(p.leadOff, p.leadFeat, proj.Weight.W, d, proj.Bias.W)
+	p.leadW.matmul(p.leadOff, p.leadFeat, proj.Weight.W, proj.Bias.W)
 	off := p.leadOff.Data()
 	for t := 0; t < p.t; t++ {
 		base := t * d

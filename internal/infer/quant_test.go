@@ -68,7 +68,7 @@ func TestQuantServingBitIdentity(t *testing.T) {
 		for s := range want {
 			for i := range want[s] {
 				if got[s][i] != want[s][i] {
-					t.Fatalf("%s: step %d value %d: quantized engine %v, dequantized f32 engine %v — fused kernel diverged from the packed path",
+					t.Fatalf("%s: step %d value %d: quantized engine %v, dequantized f32 engine %v — fused kernel diverged from the f32 product",
 						kind, s, i, got[s][i], want[s][i])
 				}
 			}

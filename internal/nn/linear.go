@@ -19,12 +19,11 @@ type Linear struct {
 	y  *tensor.Tensor // owned output buffer
 	dx *tensor.Tensor // owned input-gradient buffer
 
-	// wt caches the packed transpose of Weight (the dot kernel's
-	// operand layout), valid while wtVer == Weight.W.Version()+1.
-	// Weights only change at optimizer steps / weight loads, so the
-	// forward matmul skips its per-call repack in steady state —
-	// llama.go's persistent-context idiom.
-	wt    []float32
+	// wt caches Wᵀ [out, in], the right operand of dx = dy·Wᵀ, valid
+	// while wtVer == Weight.W.Version()+1. Weights only change at
+	// optimizer steps / weight loads, so the micro-batches of a step
+	// share one transpose — llama.go's persistent-context idiom.
+	wt    *tensor.Tensor
 	wtVer uint64
 }
 
@@ -66,20 +65,11 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	l.x = x
 	l.y = tensor.Ensure(l.y, x.Dim(0), l.Out)
-	if l.wtVer != l.Weight.W.Version()+1 {
-		if cap(l.wt) < l.In*l.Out {
-			l.wt = make([]float32, l.In*l.Out)
-		}
-		l.wt = l.wt[:l.In*l.Out]
-		tensor.PackTransposedInto(l.wt, l.Weight.W)
-		l.wtVer = l.Weight.W.Version() + 1
-	}
 	var bias *tensor.Tensor
 	if l.Bias != nil {
 		bias = l.Bias.W
 	}
-	tensor.MatMulPackedBInto(l.y, x, l.wt, l.Out, bias)
-	return l.y
+	return tensor.MatMulBiasInto(l.y, x, l.Weight.W, bias)
 }
 
 // Backward accumulates dW += xᵀdy, db += Σrows dy directly into the
@@ -90,8 +80,12 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.Bias != nil {
 		tensor.SumRowsAccInto(l.Bias.Grad, dy)
 	}
+	if l.wtVer != l.Weight.W.Version()+1 {
+		l.wt = tensor.TransposeInto(tensor.Ensure(l.wt, l.Out, l.In), l.Weight.W)
+		l.wtVer = l.Weight.W.Version() + 1
+	}
 	l.dx = tensor.Ensure(l.dx, dy.Dim(0), l.In)
-	return tensor.MatMulTransBInto(l.dx, dy, l.Weight.W)
+	return tensor.MatMulInto(l.dx, dy, l.wt)
 }
 
 // Params returns the layer's trainable parameters.

@@ -55,7 +55,7 @@ func checkParamGrads(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 		for i := 0; i < n; i += step {
 			orig := p.W.Data()[i]
 			// Raw Data() writes must Bump so version-keyed kernel
-			// caches (the linear packed-weight transpose) refresh.
+			// caches (the linear layer's weight transpose) refresh.
 			p.W.Data()[i] = orig + eps
 			p.W.Bump()
 			lp := tensor.Dot(layer.Forward(x), g)

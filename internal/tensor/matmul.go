@@ -43,8 +43,12 @@ func MatMulInto(dst, t, u *Tensor) *Tensor {
 }
 
 // MatMulBiasInto computes dst = t @ u + bias, broadcasting the
-// length-n bias over rows — the fused linear-layer forward.
+// length-n bias over rows — the fused linear-layer forward. A nil bias
+// adds nothing.
 func MatMulBiasInto(dst, t, u, bias *Tensor) *Tensor {
+	if bias == nil {
+		return MatMulInto(dst, t, u)
+	}
 	check2D(t, u, "MatMulBiasInto")
 	m, k := t.shape[0], t.shape[1]
 	k2, n := u.shape[0], u.shape[1]

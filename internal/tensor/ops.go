@@ -170,27 +170,21 @@ func (t *Tensor) Norm() float64 {
 	return math.Sqrt(s)
 }
 
+// TransposeInto writes the transpose of the 2-D tensor t [rows, cols]
+// into dst [cols, rows]. A layer whose weight feeds a t @ uᵀ product
+// keeps the transpose and refreshes it when Tensor.Version moves.
+func TransposeInto(dst, t *Tensor) *Tensor {
+	check2D(dst, t, "TransposeInto")
+	rows, cols := t.shape[0], t.shape[1]
+	checkDst(dst, cols, rows, "TransposeInto")
+	packTranspose(dst.data, t.data, rows, cols)
+	return dst
+}
+
 // Transpose returns the transpose of a 2-D tensor.
 func Transpose(t *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Transpose requires a 2-D tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols, rows)
-	// Blocked transpose for cache friendliness on large matrices.
-	const bs = 32
-	for r0 := 0; r0 < rows; r0 += bs {
-		r1 := min(r0+bs, rows)
-		for c0 := 0; c0 < cols; c0 += bs {
-			c1 := min(c0+bs, cols)
-			for r := r0; r < r1; r++ {
-				for c := c0; c < c1; c++ {
-					out.data[c*rows+r] = t.data[r*cols+c]
-				}
-			}
-		}
-	}
-	return out
+	check2D(t, t, "Transpose")
+	return TransposeInto(New(t.shape[1], t.shape[0]), t)
 }
 
 // SoftmaxInto applies a numerically stable softmax along the last

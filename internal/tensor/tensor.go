@@ -74,8 +74,8 @@ func panicBadShape(shape []int) {
 }
 
 // Version returns the tensor's mutation counter, used by kernels that
-// cache derived forms of stable tensors (e.g. a linear layer's packed
-// weight transpose). The counter advances on every mutating Tensor
+// cache derived forms of stable tensors (e.g. a linear layer's weight
+// transpose). The counter advances on every mutating Tensor
 // method; writers that modify the raw Data() slice directly must call
 // Bump themselves (the optimizers and the parallel unflatten path do).
 func (t *Tensor) Version() uint64 { return t.ver }
