@@ -2,16 +2,17 @@ package tensor
 
 import "fmt"
 
-// Matrix products run on one of two kernels, chosen per entry point by
-// where the operands' reduction axis k lies — never by size or flag:
+// Every matrix product runs on the one micro-kernel of outer.go, which
+// wants its right operand row-major [k, n] and reads its left operand
+// through two strides. What an entry point has to do first follows
+// from where its operands' reduction axis k lies — never from a size
+// or a flag:
 //
-//   - k innermost on both sides (t @ uᵀ, a cached packed weight, the
-//     quantized panels): the packed dot-product kernel (dotRange in
-//     pool.go) streams both panels contiguously into a 2×4 register
-//     block. t @ u has k outermost on the right only, so u is
-//     transposed once into a pooled packing buffer first.
-//   - k outermost on both sides (tᵀ @ u, every weight gradient): the
-//     outer-product kernel (outer.go) reads both operands in place.
+//   - t @ u and tᵀ @ u (forward products, weight gradients, attention's
+//     P·V, dS·K, dV and dK): nothing; both operands are read in place.
+//   - t @ uᵀ (attention's Q·Kᵀ and dO·Vᵀ): u [n, k] is transposed once
+//     into a pooled buffer. A caller whose u is stable across calls
+//     keeps the transpose itself (TransposeInto) and calls t @ u.
 //
 // The *Into variants write into caller-owned destinations so
 // steady-state training steps allocate nothing; the allocating forms
@@ -31,90 +32,41 @@ func checkDst(dst *Tensor, m, n int, op string) {
 
 // MatMulInto computes dst = t @ u for [m,k] @ [k,n] -> [m,n].
 func MatMulInto(dst, t, u *Tensor) *Tensor {
-	check2D(t, u, "MatMulInto")
-	m, k := t.shape[0], t.shape[1]
-	k2, n := u.shape[0], u.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %v @ %v", t.shape, u.shape))
-	}
-	checkDst(dst, m, n, "MatMulInto")
-	mmPacked(dst.data, t.data, u.data, m, k, n, nil, dotOverwrite)
-	return dst
+	return matMulBias(dst, t, u, nil, "MatMulInto")
 }
 
 // MatMulBiasInto computes dst = t @ u + bias, broadcasting the
 // length-n bias over rows — the fused linear-layer forward. A nil bias
 // adds nothing.
 func MatMulBiasInto(dst, t, u, bias *Tensor) *Tensor {
-	if bias == nil {
-		return MatMulInto(dst, t, u)
-	}
-	check2D(t, u, "MatMulBiasInto")
+	return matMulBias(dst, t, u, bias, "MatMulBiasInto")
+}
+
+func matMulBias(dst, t, u, bias *Tensor, op string) *Tensor {
+	check2D(t, u, op)
 	m, k := t.shape[0], t.shape[1]
 	k2, n := u.shape[0], u.shape[1]
-	if k != k2 || bias.Len() != n {
-		panic(fmt.Sprintf("tensor: MatMulBiasInto shapes %v @ %v + %v", t.shape, u.shape, bias.shape))
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v @ %v", op, t.shape, u.shape))
 	}
-	checkDst(dst, m, n, "MatMulBiasInto")
-	mmPacked(dst.data, t.data, u.data, m, k, n, bias.data, dotBias)
+	checkDst(dst, m, n, op)
+	dispatchOuter(mulTask(dst.data, t.data, u.data, biasData(bias, n, op), m, k, n), 1)
 	return dst
 }
 
-// mmPacked runs dst = a @ b (a: m×k, b: k×n) by packing bᵀ and
-// dispatching the dot kernel.
-func mmPacked(dst, a, b []float32, m, k, n int, bias []float32, mode dotMode) {
-	pb := getPack(k * n)
-	bt := *pb
-	packTranspose(bt, b, k, n)
-	dispatchDot(dotTask{dst: dst, a: a, bt: bt, bias: bias, k: k, n: n, scale: 1, mode: mode}, m)
-	putPack(pb)
+// biasData returns the values of an optional length-n bias.
+func biasData(bias *Tensor, n int, op string) []float32 {
+	if bias == nil {
+		return nil
+	}
+	if bias.Len() != n {
+		panic(fmt.Sprintf("tensor: %s bias %v, want length %d", op, bias.shape, n))
+	}
+	return bias.data
 }
 
-// PackTransposedInto writes uᵀ ([k,n] → n contiguous panels of length
-// k) into dst — the operand layout the dot kernel streams. Callers
-// with stable operands (layer weights between optimizer steps) cache
-// the result and feed it to MatMulPackedBInto, skipping the per-call
-// repack; pair with Tensor.Version to know when to refresh.
-func PackTransposedInto(dst []float32, u *Tensor) []float32 {
-	if len(u.shape) != 2 {
-		panic(fmt.Sprintf("tensor: PackTransposedInto requires a 2-D tensor, got %v", u.shape))
-	}
-	if len(dst) != u.Len() {
-		panic(fmt.Sprintf("tensor: PackTransposedInto destination %d, want %d", len(dst), u.Len()))
-	}
-	packTranspose(dst, u.data, u.shape[0], u.shape[1])
-	return dst
-}
-
-// MatMulPackedBInto computes dst = t @ B (+ bias when non-nil) where
-// bt is B's packed transpose from PackTransposedInto and n is B's
-// column count: [m,k] @ [k,n] -> [m,n] with no per-call packing.
-func MatMulPackedBInto(dst, t *Tensor, bt []float32, n int, bias *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulPackedBInto requires a 2-D input, got %v", t.shape))
-	}
-	m, k := t.shape[0], t.shape[1]
-	if len(bt) != k*n {
-		panic(fmt.Sprintf("tensor: MatMulPackedBInto packed operand %d, want %d×%d", len(bt), k, n))
-	}
-	checkDst(dst, m, n, "MatMulPackedBInto")
-	mode := dotOverwrite
-	var bd []float32
-	if bias != nil {
-		if bias.Len() != n {
-			panic(fmt.Sprintf("tensor: MatMulPackedBInto bias %v, want length %d", bias.shape, n))
-		}
-		mode = dotBias
-		bd = bias.data
-	}
-	dispatchDot(dotTask{dst: dst.data, a: t.data, bt: bt, bias: bd, k: k, n: n, scale: 1, mode: mode}, m)
-	return dst
-}
-
-// MatMulTransBInto computes dst = t @ uᵀ for [m,k] @ ([n,k])ᵀ -> [m,n]
-// without materializing the transpose: u's layout is already the
-// packed panel the dot kernel wants. This is the hot path of attention
-// (Q @ Kᵀ) and of input-gradient computation.
+// MatMulTransBInto computes dst = t @ uᵀ for [m,k] @ ([n,k])ᵀ -> [m,n],
+// transposing u into a pooled buffer first.
 func MatMulTransBInto(dst, t, u *Tensor) *Tensor {
 	check2D(t, u, "MatMulTransBInto")
 	m, k := t.shape[0], t.shape[1]
@@ -123,7 +75,10 @@ func MatMulTransBInto(dst, t, u *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto inner dimension mismatch %v @ %vᵀ", t.shape, u.shape))
 	}
 	checkDst(dst, m, n, "MatMulTransBInto")
-	dispatchDot(dotTask{dst: dst.data, a: t.data, bt: u.data, k: k, n: n, scale: 1, mode: dotOverwrite}, m)
+	ut := getPack(k * n)
+	packTranspose(*ut, u.data, n, k)
+	dispatchOuter(mulTask(dst.data, t.data, *ut, nil, m, k, n), 1)
+	putPack(ut)
 	return dst
 }
 
@@ -169,31 +124,25 @@ func BatchedMatMulInto(dst, t, u *Tensor) *Tensor {
 	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulInto shapes %v @ %v -> %v", t.shape, u.shape, dst.shape))
 	}
-	pb := getPack(b * k * n)
-	bt := *pb
-	packBatched(bt, u.data, b, k, n)
-	dispatchDotBatched(batchedDotTask{
-		t: dotTask{k: k, n: n, scale: 1, mode: dotOverwrite}, m: m,
-		dst: dst.data, a: t.data, bt: bt,
-		dstStride: m * n, aStride: m * k, btStride: k * n,
-	}, b)
-	putPack(pb)
+	dispatchOuter(mulTask(dst.data, t.data, u.data, nil, m, k, n), b)
 	return dst
 }
 
 // BatchedMatMulTransBScaledInto computes dst[i] = scale·(t[i] @ u[i]ᵀ)
-// batchwise: [b,m,k] @ ([b,n,k])ᵀ -> [b,m,n]. With scale = 1/√d this
-// is the fused attention-score kernel for all heads at once.
+// batchwise: [b,m,k] @ ([b,n,k])ᵀ -> [b,m,n], transposing every u[i]
+// into a pooled buffer first. With scale = 1/√d this is the fused
+// attention-score kernel for all heads at once.
 func BatchedMatMulTransBScaledInto(dst, t, u *Tensor, scale float32) *Tensor {
 	b, m, k, n, k2 := checkBatched(dst, t, u, "BatchedMatMulTransBScaledInto")
 	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulTransBScaledInto shapes %v @ %vᵀ -> %v", t.shape, u.shape, dst.shape))
 	}
-	dispatchDotBatched(batchedDotTask{
-		t: dotTask{k: k, n: n, scale: scale, mode: dotOverwrite}, m: m,
-		dst: dst.data, a: t.data, bt: u.data,
-		dstStride: m * n, aStride: m * k, btStride: n * k,
-	}, b)
+	ut := getPack(b * k * n)
+	packBatched(*ut, u.data, b, n, k)
+	o := mulTask(dst.data, t.data, *ut, nil, m, k, n)
+	o.scale = scale
+	dispatchOuter(o, b)
+	putPack(ut)
 	return dst
 }
 

@@ -263,3 +263,55 @@ func TestOuterZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMatMulZeroExtents drives every product entry point with one
+// extent at zero. New rejects such shapes, so the tensors are built by
+// hand; what is pinned is that the kernels stay safe if that rule is
+// ever relaxed: an empty reduction writes zeros (plus bias, plus what
+// dst held when accumulating) without entering the assembly loop —
+// which counts down from k and would run 2⁶⁴ times from zero — and an
+// empty output touches nothing.
+func TestMatMulZeroExtents(t *testing.T) {
+	rng := NewRNG(1605)
+	filled := func(shape ...int) *Tensor {
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		return &Tensor{shape: shape, data: Randn(rng, 1, n+1).data[:n]}
+	}
+	for _, s := range [][3]int{{0, 3, 5}, {4, 0, 5}, {4, 3, 0}, {4, 0, 21}} {
+		m, k, n := s[0], s[1], s[2]
+		what := fmt.Sprintf("m=%d k=%d n=%d", m, k, n)
+		bias := filled(n)
+		// want is the value of every output element when k = 0.
+		check := func(name string, got *Tensor, want func(i int) float32) {
+			t.Helper()
+			if k != 0 {
+				return
+			}
+			for i, v := range got.data {
+				if v != want(i) {
+					t.Fatalf("%s %s: element %d is %v, want %v", name, what, i, v, want(i))
+				}
+			}
+		}
+		zero := func(int) float32 { return 0 }
+		check("MatMulInto", MatMulInto(filled(m, n), filled(m, k), filled(k, n)), zero)
+		check("MatMulBiasInto", MatMulBiasInto(filled(m, n), filled(m, k), filled(k, n), bias), func(i int) float32 { return bias.data[i%n] })
+		check("MatMulTransBInto", MatMulTransBInto(filled(m, n), filled(m, k), filled(n, k)), zero)
+		check("MatMulTransAInto", MatMulTransAInto(filled(m, n), filled(k, m), filled(k, n)), zero)
+		acc := filled(m, n)
+		before := append([]float32(nil), acc.data...)
+		check("MatMulTransAAccInto", MatMulTransAAccInto(acc, filled(k, m), filled(k, n)), func(i int) float32 { return before[i] })
+		for _, b := range []int{0, 2} {
+			check("BatchedMatMulInto", BatchedMatMulInto(filled(b, m, n), filled(b, m, k), filled(b, k, n)), zero)
+			check("BatchedMatMulTransBScaledInto", BatchedMatMulTransBScaledInto(filled(b, m, n), filled(b, m, k), filled(b, n, k), 0.5), zero)
+			check("BatchedMatMulTransAInto", BatchedMatMulTransAInto(filled(b, m, n), filled(b, k, m), filled(b, k, n)), zero)
+		}
+	}
+	// A quantized weight has at least one row and one column; its
+	// input may still have no rows.
+	q := QuantizeTensor(Randn(rng, 1, 32, 40), QuantInt8)
+	MatMulQuantInto(filled(0, 40), filled(0, 32), q, nil)
+}

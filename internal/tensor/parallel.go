@@ -7,7 +7,7 @@ import (
 
 // This file is the intra-rank parallel runtime: a reusable
 // ParallelFor / task-queue API over the persistent worker pool that
-// every hot kernel (packed dot products, batched attention products,
+// every hot kernel (matrix products, single and batched,
 // softmax/GELU, LayerNorm, the FFT, the AFNO spectral multiply, the
 // optimizer updates) dispatches through.
 //

@@ -38,6 +38,15 @@ func DequantizeTensor(q *Quantized) *Tensor {
 	return t
 }
 
+// dotMode selects how the dot micro-kernel's last user writes its
+// register accumulators back to the destination.
+type dotMode uint8
+
+const (
+	dotOverwrite dotMode = iota // dst[r,c] = s
+	dotBias                     // dst[r,c] = bias[c] + s
+)
+
 // quantDotTask is one dequant-fused matmul dispatch: dst = a·W (+bias)
 // where W lives in a quantized container. The Job item space is groups
 // of four output columns — the same global 4-column grouping dotRange

@@ -5,44 +5,45 @@ import (
 	"testing"
 )
 
-// TestMatMulQuantMatchesPackedF32 pins the fused kernel's core
-// contract: MatMulQuantInto is bit-identical to MatMulPackedBInto over
-// the dequantized weight — same micro-kernel, same 4-column grouping,
-// same scalar tails — across shapes that hit the partial-group and
-// partial-row paths, with and without bias, for both formats.
-func TestMatMulQuantMatchesPackedF32(t *testing.T) {
+// TestMatMulQuantMatchesF32 pins the fused kernel's core contract:
+// MatMulQuantInto is bit-identical to MatMulBiasInto over
+// DequantizeTensor(q) — same micro-kernel, same chain, whatever strip
+// or panel an element falls in — across shapes that hit the partial
+// column group, the masked panel and short row blocks, with and
+// without bias, for both formats, at every worker count.
+func TestMatMulQuantMatchesF32(t *testing.T) {
 	var seed uint64 = 1100
 	shapes := []struct{ m, k, n int }{
 		{1, 32, 32},   // single row
 		{8, 32, 32},   // block-sized
-		{5, 33, 7},    // odd everything: partial blocks, n%4 tail, odd rows
+		{5, 33, 7},    // odd everything: partial blocks, one masked group, odd rows
 		{16, 128, 96}, // over the parallel threshold with larger k
-		{3, 8, 4},     // minimal vector-eligible k
-		{2, 7, 5},     // scalar-only k
+		{3, 8, 4},     // minimal k of one vector
+		{2, 7, 5},     // k below one vector
+		{9, 40, 53},   // three full groups and a 5-column tail
 	}
-	for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
-		for _, sh := range shapes {
-			seed++
-			x := randMat(seed, sh.m, sh.k)
-			w := randMat(seed+500, sh.k, sh.n)
-			bias := randMat(seed+900, 1, sh.n)
-			q := QuantizeTensor(w, kind)
-			deq := DequantizeTensor(q)
-			packed := make([]float32, sh.k*sh.n)
-			PackTransposedInto(packed, deq)
-			for _, withBias := range []bool{false, true} {
-				var b *Tensor
-				if withBias {
-					b = bias
-				}
-				got := New(sh.m, sh.n)
-				want := New(sh.m, sh.n)
-				MatMulQuantInto(got, x, q, b)
-				MatMulPackedBInto(want, x, packed, sh.n, b)
-				for i := range got.Data() {
-					if got.Data()[i] != want.Data()[i] {
-						t.Fatalf("%s m=%d k=%d n=%d bias=%v: element %d quant=%g f32=%g (must be bit-identical)",
-							kind, sh.m, sh.k, sh.n, withBias, i, got.Data()[i], want.Data()[i])
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
+			for _, sh := range shapes {
+				seed++
+				x := randMat(seed, sh.m, sh.k)
+				w := randMat(seed+500, sh.k, sh.n)
+				bias := randMat(seed+900, 1, sh.n)
+				q := QuantizeTensor(w, kind)
+				deq := DequantizeTensor(q)
+				for _, b := range []*Tensor{nil, bias} {
+					got := New(sh.m, sh.n)
+					want := New(sh.m, sh.n)
+					MatMulQuantInto(got, x, q, b)
+					MatMulBiasInto(want, x, deq, b)
+					for i := range got.Data() {
+						if got.Data()[i] != want.Data()[i] {
+							t.Fatalf("GOMAXPROCS=%d %s m=%d k=%d n=%d bias=%v: element %d quant=%g f32=%g (must be bit-identical)",
+								procs, kind, sh.m, sh.k, sh.n, b != nil, i, got.Data()[i], want.Data()[i])
+						}
 					}
 				}
 			}
