@@ -5,10 +5,9 @@
 // A Quantized container holds a 2-D weight matrix [rows, cols] whose
 // reduction axis (rows) is the inner dimension of a matmul. Storage is
 // panel-major: column c of the logical matrix is a contiguous
-// quantized panel of `rows` elements — exactly the operand layout the
-// packed dot-product micro-kernel streams, so the dequant-fused matmul
-// in internal/tensor reconstructs panels straight into kernel operands
-// with no transpose.
+// quantized panel of `rows` elements, so each scale block runs along
+// the reduction axis and the dequant-fused matmul in internal/tensor
+// reconstructs a group of panels as the columns of one kernel operand.
 //
 // Per 32-element block:
 //
@@ -288,42 +287,44 @@ func (q *Quantized) Scales() []float32 { return q.scales }
 // float32 scales.
 func (q *Quantized) Bytes() int { return len(q.data) + 4*len(q.scales) }
 
-// DequantPanelsInto reconstructs panels [c0, c1) contiguously into dst
-// (each panel is `rows` float32 values). This is the fused matmul's
-// inner dequantization; it allocates nothing.
+// DequantPanelsInto reconstructs panels [c0, c1) into dst as the
+// row-major [rows, c1-c0] strip of the matrix they are the columns of:
+// element i of panel c lands at dst[i*(c1-c0) + c-c0] — the right
+// operand of a matmul over those columns, reduction axis outermost.
+// This is the fused matmul's inner dequantization; it allocates
+// nothing.
 func (q *Quantized) DequantPanelsInto(dst []float32, c0, c1 int) {
-	rows := q.rows
-	if c0 < 0 || c1 > q.cols || c0 > c1 || len(dst) < (c1-c0)*rows {
+	rows, w := q.rows, c1-c0
+	if c0 < 0 || c1 > q.cols || c0 > c1 || len(dst) < w*rows {
 		panic(fmt.Sprintf("quant: DequantPanelsInto [%d, %d) of %d cols into %d values", c0, c1, q.cols, len(dst)))
 	}
 	nb := BlocksPerPanel(rows)
 	pb := PanelBytes(q.kind, rows)
 	for c := c0; c < c1; c++ {
-		out := dst[(c-c0)*rows : (c-c0+1)*rows]
+		out := dst[c-c0:]
 		ps := q.scales[c*nb : (c+1)*nb]
+		pd := q.data[c*pb : (c+1)*pb]
 		switch q.kind {
 		case Int8:
-			pd := q.data[c*pb : (c+1)*pb]
 			for b := 0; b < nb; b++ {
 				d := ps[b]
 				lo := b * Block
 				hi := min(lo+Block, rows)
 				for i := lo; i < hi; i++ {
-					out[i] = float32(int8(pd[i])) * d
+					out[i*w] = float32(int8(pd[i])) * d
 				}
 			}
 		case Q4_0:
-			pd := q.data[c*pb : (c+1)*pb]
 			for b := 0; b < nb; b++ {
 				d := ps[b]
 				base := b * Block
 				for j := 0; j < Block/2; j++ {
 					v := pd[b*Block/2+j]
 					if i := base + 2*j; i < rows {
-						out[i] = float32(int(v&0x0f)-8) * d
+						out[i*w] = float32(int(v&0x0f)-8) * d
 					}
 					if i := base + 2*j + 1; i < rows {
-						out[i] = float32(int(v>>4)-8) * d
+						out[i*w] = float32(int(v>>4)-8) * d
 					}
 				}
 			}
@@ -337,11 +338,5 @@ func (q *Quantized) DequantizeInto(dst []float32) {
 	if len(dst) != q.rows*q.cols {
 		panic(fmt.Sprintf("quant: DequantizeInto %d values, shape [%d, %d]", len(dst), q.rows, q.cols))
 	}
-	panel := make([]float32, q.rows)
-	for c := 0; c < q.cols; c++ {
-		q.DequantPanelsInto(panel, c, c+1)
-		for i, v := range panel {
-			dst[i*q.cols+c] = v
-		}
-	}
+	q.DequantPanelsInto(dst, 0, q.cols)
 }

@@ -118,8 +118,8 @@ func TestQ4ExtremeValue(t *testing.T) {
 	}
 }
 
-// TestDequantPanels: panel reconstruction matches the full matrix
-// gathered column-wise, for a range that crosses panels.
+// TestDequantPanels: a range of panels reconstructs as those columns
+// of the full matrix, row-major.
 func TestDequantPanels(t *testing.T) {
 	const rows, cols = 40, 9
 	w := randWeight(rand.New(rand.NewSource(3)), rows, cols)
@@ -130,7 +130,7 @@ func TestDequantPanels(t *testing.T) {
 	q.DequantPanelsInto(panels, 2, 6)
 	for c := 2; c < 6; c++ {
 		for i := 0; i < rows; i++ {
-			if got, want := panels[(c-2)*rows+i], full[i*cols+c]; got != want {
+			if got, want := panels[i*4+c-2], full[i*cols+c]; got != want {
 				t.Fatalf("panel %d element %d: %g, full matrix says %g", c, i, got, want)
 			}
 		}

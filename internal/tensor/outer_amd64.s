@@ -2,160 +2,6 @@
 
 #include "textflag.h"
 
-// func dotBlock2x4(a0, a1, b *float32, k int, sums *[8]float32)
-//
-// Accumulates the 2x4 dot-product block
-//   sums[j]   = sum_i a0[i] * b[j*k+i]
-//   sums[4+j] = sum_i a1[i] * b[j*k+i]
-// over i in [0, k&^7) with eight YMM accumulators (one per output).
-// The scalar tail (k % 8 elements) is the caller's responsibility.
-TEXT ·dotBlock2x4(SB), NOSPLIT, $0-40
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DI
-	MOVQ b+16(FP), R8
-	MOVQ k+24(FP), CX
-	MOVQ sums+32(FP), DX
-
-	// b row pointers: R9 = b1, R10 = b2, R11 = b3 at stride 4k bytes.
-	MOVQ CX, AX
-	SHLQ $2, AX
-	LEAQ (R8)(AX*1), R9
-	LEAQ (R9)(AX*1), R10
-	LEAQ (R10)(AX*1), R11
-
-	SHRQ $3, CX
-	JZ   done
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-
-loop:
-	VMOVUPS (SI), Y8
-	VMOVUPS (DI), Y9
-	VMOVUPS (R8), Y10
-	VMOVUPS (R9), Y11
-	VMOVUPS (R10), Y12
-	VMOVUPS (R11), Y13
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y9, Y10, Y4
-	VFMADD231PS Y8, Y11, Y1
-	VFMADD231PS Y9, Y11, Y5
-	VFMADD231PS Y8, Y12, Y2
-	VFMADD231PS Y9, Y12, Y6
-	VFMADD231PS Y8, Y13, Y3
-	VFMADD231PS Y9, Y13, Y7
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ CX
-	JNZ  loop
-
-	// Horizontally reduce each accumulator into sums[0..7].
-	VEXTRACTF128 $1, Y0, X8
-	VADDPS       X8, X0, X0
-	VEXTRACTF128 $1, Y1, X8
-	VADDPS       X8, X1, X1
-	VEXTRACTF128 $1, Y2, X8
-	VADDPS       X8, X2, X2
-	VEXTRACTF128 $1, Y3, X8
-	VADDPS       X8, X3, X3
-	VEXTRACTF128 $1, Y4, X8
-	VADDPS       X8, X4, X4
-	VEXTRACTF128 $1, Y5, X8
-	VADDPS       X8, X5, X5
-	VEXTRACTF128 $1, Y6, X8
-	VADDPS       X8, X6, X6
-	VEXTRACTF128 $1, Y7, X8
-	VADDPS       X8, X7, X7
-
-	// Pairwise horizontal adds collapse (X0..X3) and (X4..X7) into one
-	// register of four sums each.
-	VHADDPS X1, X0, X0 // [s0a s0b s1a s1b]
-	VHADDPS X3, X2, X2 // [s2a s2b s3a s3b]
-	VHADDPS X2, X0, X0 // [s0 s1 s2 s3]
-	VHADDPS X5, X4, X4
-	VHADDPS X7, X6, X6
-	VHADDPS X6, X4, X4 // [s4 s5 s6 s7]
-
-	VMOVUPS X0, (DX)
-	VMOVUPS X4, 16(DX)
-	VZEROUPPER
-	RET
-
-done:
-	VXORPS X0, X0, X0
-	VMOVUPS X0, (DX)
-	VMOVUPS X0, 16(DX)
-	RET
-
-// func dotBlock1x4(a0, b *float32, k int, sums *[4]float32)
-TEXT ·dotBlock1x4(SB), NOSPLIT, $0-32
-	MOVQ a0+0(FP), SI
-	MOVQ b+8(FP), R8
-	MOVQ k+16(FP), CX
-	MOVQ sums+24(FP), DX
-
-	MOVQ CX, AX
-	SHLQ $2, AX
-	LEAQ (R8)(AX*1), R9
-	LEAQ (R9)(AX*1), R10
-	LEAQ (R10)(AX*1), R11
-
-	SHRQ $3, CX
-	JZ   done1
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-loop1:
-	VMOVUPS (SI), Y8
-	VMOVUPS (R8), Y10
-	VMOVUPS (R9), Y11
-	VMOVUPS (R10), Y12
-	VMOVUPS (R11), Y13
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y8, Y11, Y1
-	VFMADD231PS Y8, Y12, Y2
-	VFMADD231PS Y8, Y13, Y3
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ CX
-	JNZ  loop1
-
-	VEXTRACTF128 $1, Y0, X8
-	VADDPS       X8, X0, X0
-	VEXTRACTF128 $1, Y1, X8
-	VADDPS       X8, X1, X1
-	VEXTRACTF128 $1, Y2, X8
-	VADDPS       X8, X2, X2
-	VEXTRACTF128 $1, Y3, X8
-	VADDPS       X8, X3, X3
-	VHADDPS X1, X0, X0
-	VHADDPS X3, X2, X2
-	VHADDPS X2, X0, X0
-	VMOVUPS X0, (DX)
-	VZEROUPPER
-	RET
-
-done1:
-	VXORPS X0, X0, X0
-	VMOVUPS X0, (DX)
-	RET
-
 // OUTER_STEP is one reduction step of outerTile4x16 once Y8:Y9 hold
 // u[i, 0:16]: four broadcasts of the left operand's element (i, j),
 // eight FMAs into the row accumulator pairs Y0:Y1 … Y6:Y7, and the
