@@ -16,7 +16,7 @@ build:
 	$(GO) build ./...
 
 # The assembly kernels in internal/tensor are amd64-only; every one has
-# a portable counterpart (dot_other.go, mathvec_other.go) that no amd64
+# a portable counterpart (outer_other.go, mathvec_other.go) that no amd64
 # build compiles. Build the tree and vet that package for arm64 so a
 # kernel added without its counterpart fails here.
 cross-build:
@@ -31,8 +31,13 @@ bench-build:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench .
 
+# vet's asmdecl pass checks every assembly frame against its Go
+# declaration. The grep keeps R14 and R15 out of the kernels: they are
+# g and, under -dynlink, the GOT base, and the assembler accepts both
+# silently.
 vet:
 	$(GO) vet ./...
+	! grep -nE '\bR1[45]\b' internal/tensor/*.s
 
 # Fails when any file needs gofmt; prints the offenders.
 fmt-check:
@@ -97,13 +102,15 @@ cover:
 	sh scripts/check_coverage.sh
 
 # One-iteration sanity pass over the attention hot path, a transformer
-# block's forward+backward (the outer-product kernel's dispatch) and
-# the planner's query family: catches regressions that only appear
+# block's forward+backward, the matrix kernel at the workload shapes
+# (GFLOP/s per shape: the one-line reproducer of a kernel regression)
+# and the planner's query family: catches regressions that only appear
 # under the benchmark harness (buffer reuse across iterations, kernel
 # dispatch, the replay scratch across candidates) without paying full
 # benchmark time in CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=1x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$' -benchtime=1x ./internal/plan/
 
 # Full hot-path benchmark set with allocation counters — compare
