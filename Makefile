@@ -102,15 +102,16 @@ cover:
 	sh scripts/check_coverage.sh
 
 # One-iteration sanity pass over the attention hot path, a transformer
-# block's forward+backward, the matrix kernel at the workload shapes
-# (GFLOP/s per shape: the one-line reproducer of a kernel regression)
-# and the planner's query family: catches regressions that only appear
-# under the benchmark harness (buffer reuse across iterations, kernel
-# dispatch, the replay scratch across candidates) without paying full
-# benchmark time in CI.
+# block's forward+backward and the planner's query family: catches
+# regressions that only appear under the benchmark harness (buffer
+# reuse across iterations, kernel dispatch, the replay scratch across
+# candidates) without paying full benchmark time in CI. The matrix
+# kernel runs 2000 calls per workload shape (under a second in all) so
+# that the GFLOP/s it prints mean something: the one-line reproducer of
+# a kernel regression.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=2000x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$' -benchtime=1x ./internal/plan/
 
 # Full hot-path benchmark set with allocation counters — compare

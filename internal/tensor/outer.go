@@ -58,8 +58,12 @@ func mulTransATask(dst, t, u []float32, m, k, n int) outerTask {
 	return outerTask{product{dst: dst, t: t, u: u, k: k, n: n, tk: m, tr: 1, un: n, dn: n, scale: 1}, m}
 }
 
-// outerRowBlock is the kernel's register-block height in output rows.
-const outerRowBlock = 4
+// outerRowBlock and outerColPanel are the kernel's register-block
+// height in output rows and width in output columns.
+const (
+	outerRowBlock = 4
+	outerColPanel = 16
+)
 
 // blocks is the number of row blocks per panel.
 func (o *outerTask) blocks() int { return (o.m + outerRowBlock - 1) / outerRowBlock }
@@ -95,7 +99,7 @@ func dispatchOuter(o outerTask, batch int) {
 
 // outerMask holds the lane masks of a short last column panel:
 // outerMask[16-w:] is w enabled lanes followed by 16-w disabled ones.
-var outerMask = [32]int32{
+var outerMask = [2 * outerColPanel]int32{
 	-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
 }
 
@@ -111,10 +115,10 @@ func (p *product) rows(r0, r1 int) {
 		p.rowsPortable(r0, r1)
 		return
 	}
-	for c := 0; c < p.n; c += 16 {
+	for c := 0; c < p.n; c += outerColPanel {
 		var mask *int32
-		if w := p.n - c; w < 16 {
-			mask = &outerMask[16-w]
+		if w := p.n - c; w < outerColPanel {
+			mask = &outerMask[outerColPanel-w]
 		}
 		var bias *float32
 		if p.bias != nil {

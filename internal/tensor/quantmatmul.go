@@ -38,21 +38,17 @@ func DequantizeTensor(q *Quantized) *Tensor {
 	return t
 }
 
-// quantColGroup is the column width of one dequantized strip: the
-// kernel's register-block width, so a strip is one column panel.
-const quantColGroup = 16
-
 // quantTask is one dequant-fused matmul dispatch: dst = a·W (+bias)
-// where W lives in a quantized container. The Job item space is groups
-// of quantColGroup output columns: a group's panels are dequantized
-// exactly once per dispatch, into the tile's own [k, 16] strip of the
-// scratch, and all m rows sweep that strip through the matrix kernel
-// as a product whose u is the strip and whose dst is the group's
-// columns. An output element's chain does not depend on the panel it
-// falls in (outer.go), so the result is bit-identical to MatMulBiasInto
-// over the dequantized weight, at any worker count.
+// where W lives in a quantized container. The Job item space is the
+// kernel's 16-column panels: the 16 quantized columns of one are
+// dequantized exactly once per dispatch, into the tile's own [k, 16]
+// strip of the scratch, and all m rows sweep that strip through the
+// matrix kernel as a product whose u is the strip and whose dst is
+// those columns. An output element's chain does not depend on the
+// panel it falls in (outer.go), so the result is bit-identical to
+// MatMulBiasInto over the dequantized weight, at any worker count.
 type quantTask struct {
-	product // dst, t, bias and strides of the whole product; u and n are set per group
+	product // dst, t, bias and strides of the whole product; u, n and un are set per column panel
 	scratch []float32
 	q       *Quantized
 	m       int
@@ -60,13 +56,13 @@ type quantTask struct {
 
 var quantTaskPool = sync.Pool{New: func() any { return new(quantTask) }}
 
-// Tile implements Job over column groups.
+// Tile implements Job over column panels.
 func (t *quantTask) Tile(tile, g0, g1 int) {
 	n := t.q.Cols()
-	strip := t.scratch[tile*quantColGroup*t.k : (tile+1)*quantColGroup*t.k]
+	strip := t.scratch[tile*outerColPanel*t.k : (tile+1)*outerColPanel*t.k]
 	for g := g0; g < g1; g++ {
-		c := g * quantColGroup
-		w := min(quantColGroup, n-c)
+		c := g * outerColPanel
+		w := min(outerColPanel, n-c)
 		t.q.DequantPanelsInto(strip, c, c+w)
 		p := t.product
 		p.dst, p.u, p.n, p.un = p.dst[c:], strip, w, w
@@ -79,7 +75,7 @@ func (t *quantTask) Tile(tile, g0, g1 int) {
 
 // MatMulQuantInto computes dst = t·W (+ bias) where W is a quantized
 // [k, n] weight, fusing block dequantization into the matrix kernel:
-// each tile dequantizes its column groups into pooled scratch and runs
+// each tile dequantizes its column panels into pooled scratch and runs
 // them through the same kernel as the f32 path. The steady state
 // allocates nothing and the result is bit-identical to MatMulBiasInto
 // over the dequantized weight at any worker count.
@@ -94,10 +90,10 @@ func MatMulQuantInto(dst, t *Tensor, q *Quantized, bias *Tensor) *Tensor {
 	n := q.Cols()
 	checkDst(dst, m, n, "MatMulQuantInto")
 	if m == 0 {
-		return dst // no row to slice a column group out of
+		return dst // no row to slice a column panel out of
 	}
-	groups := (n + quantColGroup - 1) / quantColGroup
-	scratch := getPack(NumTiles(groups) * quantColGroup * k)
+	groups := (n + outerColPanel - 1) / outerColPanel
+	scratch := getPack(NumTiles(groups) * outerColPanel * k)
 	qt := quantTaskPool.Get().(*quantTask)
 	*qt = quantTask{product: mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), m, k, n).product,
 		scratch: *scratch, q: q, m: m}
