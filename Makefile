@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci build cross-build bench-build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples
+.PHONY: ci build cross-build bench-build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples loc
 
 ci: build cross-build bench-build vet fmt-check staticcheck docs-check check-bench test race stress bench-smoke cover
 
@@ -170,3 +170,8 @@ fuzz-smoke:
 # intentional numerics changes, called out in the PR.
 golden:
 	$(GO) test -run 'TestGolden' ./internal/infer/
+
+# Non-test .go, .s and _test.go lines per package and in total, outside
+# bench/. Not a gate: CHANGES.md quotes it before -> after.
+loc:
+	@sh scripts/loc.sh
