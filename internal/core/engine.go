@@ -151,7 +151,7 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		t := int64(0)
 		if dev != nil {
 			dim := int64(rb.LN1.Dim)
-			t = 8*4*dim*dimTokensHint + 4*int64(b.Attn.LocalHeads)*dimTokensHint*dimTokensHint
+			t = 8*4*dim*dimTokensHint + 4*int64(b.Attn.Heads)*dimTokensHint*dimTokensHint
 		}
 		e.actBytes = append(e.actBytes, t)
 

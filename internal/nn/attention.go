@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"orbit/internal/tensor"
 )
@@ -12,11 +13,19 @@ import (
 // the ORBIT/ViT-22B stabilization that contains attention-logit growth
 // (paper Sec. III-B, "Architecture Optimization").
 //
-// All heads are computed in one batched head-major pass through the
-// shared AttentionCore: no per-head Split/Concat copies or
-// temporaries are allocated, scratch buffers live on the core and are
-// reused across steps, and a steady-state Forward+Backward allocates
-// nothing.
+// The projections need not be square: a tensor-parallel shard is this
+// type with Heads = H/K local heads over column shards of W_Q/W_K/W_V
+// [Dim, Heads·HeadDim] and the matching row shard of W_O, whose bias
+// is nil on every rank but the one that owns it (parallel.NewTPBlock
+// builds it from the exported fields). The serial block and the shard
+// therefore run the same code and cannot drift apart.
+//
+// All heads are computed in one batched head-major pass: Q/K/V are
+// regrouped once into [H, T, d] stacks, every per-head product goes
+// through the batched kernels and the context is merged back to
+// token-major — no per-head Split/Concat copies. Scratch is owned by
+// the module and reused across steps, so a steady-state
+// Forward+Backward allocates nothing.
 type MultiHeadAttention struct {
 	Dim, Heads, HeadDim int
 	QKNorm              bool
@@ -24,7 +33,17 @@ type MultiHeadAttention struct {
 	WQ, WK, WV, WO *Linear
 	QNorm, KNorm   *LayerNorm // per-head LN over HeadDim, nil unless QKNorm
 
-	core AttentionCore
+	qh, kh, vh *tensor.Tensor // regrouped projections [H, T, d]
+	qn, kn     *tensor.Tensor // effective (post-norm) Q/K stacks
+	probs      *tensor.Tensor // softmax outputs [H, T, T]
+	outH       *tensor.Tensor // per-head context [H, T, d]
+	concat     *tensor.Tensor // merged context [T, H·d]
+	maxLogit   float32        // max |scaled logit| of the last Forward
+
+	dOutH         *tensor.Tensor // upstream per-head gradient [H, T, d]
+	dProbs        *tensor.Tensor // dp then ds, in place [H, T, T]
+	dqh, dkh, dvh *tensor.Tensor // head-major grads [H, T, d]
+	dq, dk, dv    *tensor.Tensor // token-major grads [T, H·d]
 }
 
 // NewMultiHeadAttention builds an attention block. dim must be
@@ -47,24 +66,72 @@ func NewMultiHeadAttention(name string, dim, heads int, qkNorm bool, rng *tensor
 		a.QNorm = NewLayerNorm(name+".qnorm", a.HeadDim)
 		a.KNorm = NewLayerNorm(name+".knorm", a.HeadDim)
 	}
-	a.core = AttentionCore{Heads: heads, HeadDim: a.HeadDim, QNorm: a.QNorm, KNorm: a.KNorm}
 	return a
 }
 
-// Forward computes self-attention over x: [T, D] -> [T, D].
+// Forward computes self-attention over x: [T, D] -> [T, D]. The
+// maximum |scaled logit| is captured while the scores are cache-
+// resident (see MaxAttentionLogit).
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkRank("MultiHeadAttention", x, 2)
-	concat := a.core.Forward(a.WQ.Forward(x), a.WK.Forward(x), a.WV.Forward(x))
-	return a.WO.Forward(concat)
+	q, k, v := a.WQ.Forward(x), a.WK.Forward(x), a.WV.Forward(x)
+	t, h, hd := q.Dim(0), a.Heads, a.HeadDim
+	a.qh = tensor.SplitHeadsInto(tensor.Ensure(a.qh, h, t, hd), q, h)
+	a.kh = tensor.SplitHeadsInto(tensor.Ensure(a.kh, h, t, hd), k, h)
+	a.vh = tensor.SplitHeadsInto(tensor.Ensure(a.vh, h, t, hd), v, h)
+	if a.QKNorm {
+		// One LN over the [H, T, d] stack normalizes every head's every
+		// token vector; the per-head parameters are shared across heads.
+		a.qn = a.QNorm.Forward(a.qh)
+		a.kn = a.KNorm.Forward(a.kh)
+	} else {
+		a.qn, a.kn = a.qh, a.kh
+	}
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	a.probs = tensor.Ensure(a.probs, h, t, t)
+	tensor.BatchedMatMulTransBScaledInto(a.probs, a.qn, a.kn, scale)
+	a.maxLogit = a.probs.MaxAbs()
+	tensor.SoftmaxInto(a.probs, a.probs)
+	a.outH = tensor.Ensure(a.outH, h, t, hd)
+	tensor.BatchedMatMulInto(a.outH, a.probs, a.vh)
+	a.concat = tensor.MergeHeadsInto(tensor.Ensure(a.concat, t, h*hd), a.outH, h)
+	return a.WO.Forward(a.concat)
 }
 
 // Backward propagates gradients through the attention block,
 // accumulating parameter gradients, and returns dL/dx.
 func (a *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dq, dk, dv := a.core.Backward(a.WO.Backward(dy))
-	dx := a.WQ.Backward(dq)
-	dx.AddInPlace(a.WK.Backward(dk))
-	dx.AddInPlace(a.WV.Backward(dv))
+	dConcat := a.WO.Backward(dy)
+	t, h, hd := dConcat.Dim(0), a.Heads, a.HeadDim
+	a.dOutH = tensor.SplitHeadsInto(tensor.Ensure(a.dOutH, h, t, hd), dConcat, h)
+
+	// dV_h = P_hᵀ dOut_h; dP_h = dOut_h V_hᵀ; dS_h = softmax'(P_h, dP_h).
+	a.dvh = tensor.Ensure(a.dvh, h, t, hd)
+	tensor.BatchedMatMulTransAInto(a.dvh, a.probs, a.dOutH)
+	a.dProbs = tensor.Ensure(a.dProbs, h, t, t)
+	tensor.BatchedMatMulTransBScaledInto(a.dProbs, a.dOutH, a.vh, 1)
+	tensor.SoftmaxBackwardInto(a.dProbs, a.probs, a.dProbs)
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	a.dProbs.ScaleInPlace(scale)
+
+	// dQ_h = dS_h K_h; dK_h = dS_hᵀ Q_h (post-norm Q/K).
+	a.dqh = tensor.Ensure(a.dqh, h, t, hd)
+	tensor.BatchedMatMulInto(a.dqh, a.dProbs, a.kn)
+	a.dkh = tensor.Ensure(a.dkh, h, t, hd)
+	tensor.BatchedMatMulTransAInto(a.dkh, a.dProbs, a.qn)
+
+	dqh, dkh := a.dqh, a.dkh
+	if a.QKNorm {
+		dqh = a.QNorm.Backward(dqh)
+		dkh = a.KNorm.Backward(dkh)
+	}
+	a.dq = tensor.MergeHeadsInto(tensor.Ensure(a.dq, t, h*hd), dqh, h)
+	a.dk = tensor.MergeHeadsInto(tensor.Ensure(a.dk, t, h*hd), dkh, h)
+	a.dv = tensor.MergeHeadsInto(tensor.Ensure(a.dv, t, h*hd), a.dvh, h)
+
+	dx := a.WQ.Backward(a.dq)
+	dx.AddInPlace(a.WK.Backward(a.dk))
+	dx.AddInPlace(a.WV.Backward(a.dv))
 	return dx
 }
 
@@ -81,9 +148,8 @@ func (a *MultiHeadAttention) Params() []*Param {
 	return ps
 }
 
-// MaxAttentionLogit returns the largest |logit| observed in the most
-// recent forward pass. The value is captured while the scores are
-// still resident in cache, so calling this is free — the seed
-// implementation recomputed Q·Kᵀ for every head on each call. Used by
-// tests and diagnostics to demonstrate the QK-norm containment effect.
-func (a *MultiHeadAttention) MaxAttentionLogit() float32 { return a.core.MaxLogit() }
+// MaxAttentionLogit returns the largest |scaled logit| observed in the
+// most recent forward pass. The value is captured while the scores are
+// still resident in cache, so calling this is free. Used by tests and
+// diagnostics to demonstrate the QK-norm containment effect.
+func (a *MultiHeadAttention) MaxAttentionLogit() float32 { return a.maxLogit }

@@ -105,6 +105,25 @@ func TestTPBlockMatchesSerial(t *testing.T) {
 			blocks[r] = make([]*TPBlock, testLayers)
 			for i := range ref {
 				blocks[r][i] = NewTPBlock(r, g, ref[i])
+				b := blocks[r][i]
+				// The row-parallel output biases live on rank 0 alone.
+				if (b.Attn.WO.Bias == nil) != (r > 0) || (b.MLP.FC2.Bias == nil) != (r > 0) {
+					t.Errorf("tp=%d rank %d: output bias presence WO=%v FC2=%v, want only on rank 0",
+						tp, r, b.Attn.WO.Bias != nil, b.MLP.FC2.Bias != nil)
+				}
+				if tp > 1 {
+					continue
+				}
+				// K = 1: the shard is the reference, parameter for parameter.
+				got, want := b.Params(), ref[i].Params()
+				if len(got) != len(want) {
+					t.Fatalf("tp=1 block %d: %d params, reference has %d", i, len(got), len(want))
+				}
+				for j := range want {
+					if !tensor.AllClose(got[j].W, want[j].W, 0, 0) {
+						t.Errorf("tp=1 block %d: %s differs from reference %s", i, got[j].Name, want[j].Name)
+					}
+				}
 			}
 		}
 
@@ -128,6 +147,11 @@ func TestTPBlockMatchesSerial(t *testing.T) {
 			if math.Abs(losses[r]-serialLoss) > 1e-4*(1+math.Abs(serialLoss)) {
 				t.Errorf("tp=%d rank %d loss %v vs serial %v", tp, r, losses[r], serialLoss)
 			}
+		}
+		// One rank runs the serial block's own code over the serial
+		// weights: not close, equal.
+		if tp == 1 && losses[0] != serialLoss {
+			t.Errorf("tp=1 loss %v differs from serial %v in bits", losses[0], serialLoss)
 		}
 
 		// Input gradients match the serial stack's.
@@ -207,7 +231,7 @@ func TestTPRejectsIndivisibleHeads(t *testing.T) {
 	}()
 	rng := tensor.NewRNG(1)
 	ref := nn.NewMultiHeadAttention("x", 12, 3, false, rng)
-	NewShardedAttention(ref, 0, 2)
+	shardAttention(ref, 0, 2)
 }
 
 // --- flatten helpers ---
