@@ -8,14 +8,19 @@
 //
 // The layer contract differs from package nn: nn modules cache
 // activations for a later Backward, so their forward pass pays for
-// memory inference never uses. The Plan in this file re-implements the
-// model forward with inference-only buffers and a fused batch
-// dimension (B samples run as one [B·T, D] token matrix through every
-// linear layer and as a [B·H, T, d] stack through attention). Every
-// floating-point operation is kept in the exact order of the serial
-// vit.Model.Forward, so a Plan's output is bit-identical to the
-// training-path forward for each sample — the equivalence suite pins
-// this.
+// memory inference never uses. The Plan in this file runs the model
+// forward over inference-only buffers with a fused batch dimension
+// (B samples run as one [B·T, D] token matrix through every linear
+// layer and as a [B·H, T, d] stack through attention). It owns that
+// orchestration — buffer planning, batch fusion, the quantized weight
+// operands — and none of the arithmetic: every matrix product is a
+// tensor kernel and every other leaf (layer-norm rows, the
+// aggregation's score/softmax/mix, lead-time features, patch extract,
+// unpatchify) is the destination-passing kernel in package nn that the
+// nn modules themselves wrap, called here without their backward
+// caches. A layer's rounding sequence is therefore defined in one
+// place, and a Plan's output is bit-identical to the serial
+// vit.Model.Forward for each sample — the equivalence suite pins this.
 package infer
 
 import (
@@ -79,6 +84,7 @@ type batchBufs struct {
 	headTok    *tensor.Tensor   // [n·T, P²·OutC]
 
 	// Per-sample views for the token-major ⇄ head-major regroups.
+	xRows               []*tensor.Tensor // [T, D] rows of x
 	qRows, kRows, vRows []*tensor.Tensor // [T, D] rows of q/k/v
 	qhB, khB, vhB       []*tensor.Tensor // [H, T, d] slices of qh/kh/vh
 	outHB               []*tensor.Tensor // [H, T, d] slices of outH
@@ -110,7 +116,7 @@ type Plan struct {
 	probsB, outHB, concatB, attnB, hB []float32
 	fc1B, thB, gB, mlpB, headB        []float32
 	outsB                             []float32
-	scoresRow, alphaRow               []float32
+	aggRow                            []float32 // one token's aggregation weights
 	leadFeat, leadOff                 *tensor.Tensor
 
 	sized map[int]*batchBufs
@@ -196,8 +202,7 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 	p.gB = make([]float32, B*T*4*D)
 	p.headB = make([]float32, B*T*pp*p.outC)
 	p.outsB = make([]float32, B*p.outC*p.h*p.w)
-	p.scoresRow = make([]float32, C)
-	p.alphaRow = make([]float32, C)
+	p.aggRow = make([]float32, C)
 	p.leadFeat = tensor.New(1, D)
 	p.leadOff = tensor.New(1, D)
 	return p
@@ -250,6 +255,7 @@ func (p *Plan) bufs(n int) *batchBufs {
 		rows := func(back []float32) *tensor.Tensor {
 			return tensor.FromSlice(back[b*T*D:(b+1)*T*D], T, D)
 		}
+		bb.xRows = append(bb.xRows, rows(p.xB))
 		bb.qRows = append(bb.qRows, rows(p.qB))
 		bb.kRows = append(bb.kRows, rows(p.kB))
 		bb.vRows = append(bb.vRows, rows(p.vB))
@@ -285,13 +291,28 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 	hw := p.h * p.w
 	for c := 0; c < p.c; c++ {
 		for b, x := range xs {
-			p.extractPatches(x.Data()[c*hw:(c+1)*hw], bb.patches.Data()[b*p.t*p.p*p.p:])
+			nn.ExtractPatches(bb.patches.Data()[b*p.t*p.p*p.p:], x.Data()[c*hw:(c+1)*hw], p.h, p.w, p.p)
 		}
 		p.patchW[c].matmul(bb.eC[c], bb.patches, m.Patch.Weights[c].W, m.Patch.Biases[c].W)
 	}
 
-	// Variable aggregation over t' = n·T fused token positions.
-	p.aggregate(bb, n)
+	// Variable aggregation over n·T fused token positions. The patch
+	// stage wrote emb into e, so e[c,t,:] = emb[c,t,:] + varEmbed[c,:]
+	// runs in place.
+	tTot := n * p.t
+	ed, ve := bb.e.Data(), m.Agg.VarEmbed.W.Data()
+	for ci := 0; ci < p.c; ci++ {
+		vb := ci * p.d
+		for ti := 0; ti < tTot; ti++ {
+			base := (ci*tTot + ti) * p.d
+			for k := 0; k < p.d; k++ {
+				ed[base+k] += ve[vb+k]
+			}
+		}
+	}
+	p.aggK.matmul(bb.kMat, bb.e, m.Agg.WK.Weight.W, nil)
+	p.aggV.matmul(bb.vMat, bb.e, m.Agg.WV.Weight.W, nil)
+	nn.AggregateTokens(bb.x.Data(), nil, p.aggRow, bb.kMat.Data(), bb.vMat.Data(), m.Agg.Query.W.Data(), tTot, 0, tTot)
 
 	// Positional embedding per sample, lead-time conditioning per
 	// sample (leads may differ across a coalesced batch).
@@ -304,7 +325,9 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 		}
 	}
 	for b := 0; b < n; b++ {
-		p.leadInto(xd[b*p.t*p.d:(b+1)*p.t*p.d], leads[b])
+		nn.LeadTimeFeatures(p.leadFeat.Data(), leads[b])
+		p.leadW.matmul(p.leadOff, p.leadFeat, m.Lead.Proj.Weight.W, m.Lead.Proj.Bias.W)
+		tensor.AddRowVectorInto(bb.xRows[b], bb.xRows[b], p.leadOff)
 	}
 
 	// Transformer blocks, token rows fused across the batch; attention
@@ -313,7 +336,7 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 	scale := float32(1 / math.Sqrt(float64(p.hd)))
 	for li, blk := range m.Blocks {
 		ws := &p.blocks[li]
-		lnInto(bb.lnBuf, bb.x, blk.LN1)
+		layerNorm(bb.lnBuf, bb.x, blk.LN1)
 		ws.wq.matmul(bb.q, bb.lnBuf, blk.Attn.WQ.Weight.W, blk.Attn.WQ.Bias.W)
 		ws.wk.matmul(bb.k, bb.lnBuf, blk.Attn.WK.Weight.W, blk.Attn.WK.Bias.W)
 		ws.wv.matmul(bb.v, bb.lnBuf, blk.Attn.WV.Weight.W, blk.Attn.WV.Bias.W)
@@ -323,8 +346,8 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 			tensor.SplitHeadsInto(bb.vhB[b], bb.vRows[b], p.heads)
 		}
 		if blk.Attn.QKNorm {
-			lnInto(bb.qn, bb.qh, blk.Attn.QNorm)
-			lnInto(bb.kn, bb.kh, blk.Attn.KNorm)
+			layerNorm(bb.qn, bb.qh, blk.Attn.QNorm)
+			layerNorm(bb.kn, bb.kh, blk.Attn.KNorm)
 		}
 		tensor.BatchedMatMulTransBScaledInto(bb.probs, bb.qn, bb.kn, scale)
 		tensor.SoftmaxInto(bb.probs, bb.probs)
@@ -335,7 +358,7 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 		ws.wo.matmul(bb.attnOut, bb.concat, blk.Attn.WO.Weight.W, blk.Attn.WO.Bias.W)
 		tensor.AddInto(bb.h, bb.x, bb.attnOut)
 
-		lnInto(bb.lnBuf, bb.h, blk.LN2)
+		layerNorm(bb.lnBuf, bb.h, blk.LN2)
 		ws.fc1.matmul(bb.fc1, bb.lnBuf, blk.MLP.FC1.Weight.W, blk.MLP.FC1.Bias.W)
 		tensor.GELUCachedInto(bb.g, bb.th, bb.fc1)
 		ws.fc2.matmul(bb.mlpOut, bb.g, blk.MLP.FC2.Weight.W, blk.MLP.FC2.Bias.W)
@@ -343,170 +366,16 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 	}
 
 	// Prediction head: fused norm + projection, per-sample unpatchify.
-	lnInto(bb.lnBuf, bb.x, m.Head.Norm)
+	layerNorm(bb.lnBuf, bb.x, m.Head.Norm)
 	p.headW.matmul(bb.headTok, bb.lnBuf, m.Head.Proj.Weight.W, m.Head.Proj.Bias.W)
 	for b := 0; b < n; b++ {
-		p.unpatchify(bb.headTok.Data()[b*p.t*p.p*p.p*p.outC:], bb.outs[b].Data())
+		nn.Unpatchify(bb.outs[b].Data(), bb.headTok.Data()[b*p.t*p.p*p.p*p.outC:], p.outC, p.h, p.w, p.p)
 	}
 	return bb.outs[:n]
 }
 
-// extractPatches tokenizes one channel image [H, W] into [T, P²] rows
-// at dst (nn.PatchEmbed.extractPatches's exact layout).
-func (p *Plan) extractPatches(img, dst []float32) {
-	ps := p.p
-	rows, cols := p.h/ps, p.w/ps
-	for pr := 0; pr < rows; pr++ {
-		for pc := 0; pc < cols; pc++ {
-			base := (pr*cols + pc) * ps * ps
-			for i := 0; i < ps; i++ {
-				src := (pr*ps+i)*p.w + pc*ps
-				copy(dst[base+i*ps:base+(i+1)*ps], img[src:src+ps])
-			}
-		}
-	}
-}
-
-// unpatchify scatters [T, P²·OutC] token outputs into [OutC, H, W]
-// (nn.PredictionHead.unpatchify's exact layout).
-func (p *Plan) unpatchify(tok, out []float32) {
-	ps := p.p
-	cols := p.w / ps
-	hw := p.h * p.w
-	pp := ps * ps
-	for t := 0; t < p.t; t++ {
-		pr, pc := t/cols, t%cols
-		rowBase := t * pp * p.outC
-		for c := 0; c < p.outC; c++ {
-			for i := 0; i < ps; i++ {
-				dst := c*hw + (pr*ps+i)*p.w + pc*ps
-				src := rowBase + c*pp + i*ps
-				copy(out[dst:dst+ps], tok[src:src+ps])
-			}
-		}
-	}
-}
-
-// aggregate is nn.VariableAggregation.Forward fused over n·T token
-// positions, writing the aggregated stream into bb.x. The scalar loop
-// structure (and therefore the float op order) matches the module.
-func (p *Plan) aggregate(bb *batchBufs, n int) {
-	agg := p.Model.Agg
-	c, tTot, d := p.c, n*p.t, p.d
-	ed := bb.e.Data()
-	ve := agg.VarEmbed.W.Data()
-	// e[c,t,:] = emb[c,t,:] + varEmbed[c,:]; emb was written into e by
-	// the patch stage, so the add runs in place.
-	for ci := 0; ci < c; ci++ {
-		vb := ci * d
-		for ti := 0; ti < tTot; ti++ {
-			base := (ci*tTot + ti) * d
-			for k := 0; k < d; k++ {
-				ed[base+k] += ve[vb+k]
-			}
-		}
-	}
-	p.aggK.matmul(bb.kMat, bb.e, agg.WK.Weight.W, nil)
-	p.aggV.matmul(bb.vMat, bb.e, agg.WV.Weight.W, nil)
-
-	scale := float32(1 / math.Sqrt(float64(d)))
-	q := agg.Query.W.Data()
-	kd := bb.kMat.Data()
-	vd := bb.vMat.Data()
-	od := bb.x.Data()
-	for i := range od[:tTot*d] {
-		od[i] = 0
-	}
-	for ti := 0; ti < tTot; ti++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ci*tTot + ti) * d
-			var s float32
-			for k := 0; k < d; k++ {
-				s += kd[base+k] * q[k]
-			}
-			p.scoresRow[ci] = s * scale
-		}
-		softmaxRowInto(p.scoresRow, p.alphaRow)
-		ob := od[ti*d : (ti+1)*d]
-		for ci := 0; ci < c; ci++ {
-			a := p.alphaRow[ci]
-			vb := vd[(ci*tTot+ti)*d : (ci*tTot+ti+1)*d]
-			for k := 0; k < d; k++ {
-				ob[k] += a * vb[k]
-			}
-		}
-	}
-}
-
-// softmaxRowInto mirrors the aggregation module's private softmax
-// (float64 accumulation, max-subtracted) exactly.
-func softmaxRowInto(in, out []float32) {
-	maxv := in[0]
-	for _, v := range in[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for i, v := range in {
-		e := math.Exp(float64(v - maxv))
-		out[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range out {
-		out[i] *= inv
-	}
-}
-
-// leadInto adds the projected lead-time embedding to one sample's T
-// token rows (nn.LeadTimeEmbedding.ForwardWithLead's math, with the
-// sinusoidal features and projection landing in plan-owned buffers).
-func (p *Plan) leadInto(rows []float32, leadHours float64) {
-	d := p.d
-	fd := p.leadFeat.Data()
-	for i := 0; i < d/2; i++ {
-		freq := math.Pow(10000, -2*float64(i)/float64(d))
-		fd[2*i] = float32(math.Sin(leadHours * freq))
-		fd[2*i+1] = float32(math.Cos(leadHours * freq))
-	}
-	proj := p.Model.Lead.Proj
-	p.leadW.matmul(p.leadOff, p.leadFeat, proj.Weight.W, proj.Bias.W)
-	off := p.leadOff.Data()
-	for t := 0; t < p.t; t++ {
-		base := t * d
-		for k := 0; k < d; k++ {
-			rows[base+k] += off[k]
-		}
-	}
-}
-
-// lnInto is the inference-mode layer norm: it writes only the output
-// (no cached x̂/rstd for a backward that never comes), with the exact
-// float32 rounding sequence of nn.LayerNorm.Forward.
-func lnInto(dst, x *tensor.Tensor, ln *nn.LayerNorm) {
-	dim := ln.Dim
-	rows := x.Len() / dim
-	g, b := ln.Gamma.W.Data(), ln.Beta.W.Data()
-	xd, od := x.Data(), dst.Data()
-	for r := 0; r < rows; r++ {
-		xr := xd[r*dim : (r+1)*dim]
-		var mean float64
-		for _, v := range xr {
-			mean += float64(v)
-		}
-		mean /= float64(dim)
-		var variance float64
-		for _, v := range xr {
-			d := float64(v) - mean
-			variance += d * d
-		}
-		variance /= float64(dim)
-		rstd := 1 / math.Sqrt(variance+ln.Eps)
-		or := od[r*dim : (r+1)*dim]
-		for c, v := range xr {
-			h := float32((float64(v) - mean) * rstd)
-			or[c] = h*g[c] + b[c]
-		}
-	}
+// layerNorm writes ln's normalization of every ln.Dim-wide row of x to
+// dst through nn's row kernel, keeping none of the backward caches.
+func layerNorm(dst, x *tensor.Tensor, ln *nn.LayerNorm) {
+	nn.LayerNormRows(dst.Data(), nil, nil, x.Data(), ln.Gamma.W.Data(), ln.Beta.W.Data(), ln.Eps, 0, x.Len()/ln.Dim)
 }

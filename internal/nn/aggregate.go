@@ -26,6 +26,8 @@ type VariableAggregation struct {
 	kMat  *tensor.Tensor // keys [C*T, D]
 	vMat  *tensor.Tensor // values [C*T, D]
 	alpha *tensor.Tensor // attention weights [T, C]
+	out   *tensor.Tensor // owned output buffer [T, D]
+	row   []float32      // one token's scores, then weights
 	tOut  int
 }
 
@@ -51,8 +53,8 @@ func (va *VariableAggregation) Forward(x *tensor.Tensor) *tensor.Tensor {
 	va.tOut = t
 
 	// e[c,t,:] = x[c,t,:] + varEmbed[c,:]
-	e := tensor.New(c*t, d)
-	ed := e.Data()
+	va.e = tensor.Ensure(va.e, c*t, d)
+	ed := va.e.Data()
 	xd := x.Data()
 	ve := va.VarEmbed.W.Data()
 	for ci := 0; ci < c; ci++ {
@@ -64,44 +66,62 @@ func (va *VariableAggregation) Forward(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	va.e = e
 
-	va.kMat = va.WK.Forward(e) // [C*T, D]
-	va.vMat = va.WV.Forward(e) // [C*T, D]
+	va.kMat = va.WK.Forward(va.e) // [C*T, D]
+	va.vMat = va.WV.Forward(va.e) // [C*T, D]
 
+	va.alpha = tensor.Ensure(va.alpha, t, c)
+	va.out = tensor.Ensure(va.out, t, d)
+	if cap(va.row) < c {
+		va.row = make([]float32, c)
+	}
+	AggregateTokens(va.out.Data(), va.alpha.Data(), va.row[:c],
+		va.kMat.Data(), va.vMat.Data(), va.Query.W.Data(), t, 0, t)
+	return va.out
+}
+
+// AggregateTokens is the aggregation's cross-attention over tokens
+// [t0, t1) of `tokens`: with C = len(row) channels and D = len(q), k
+// and v are channel-major [C·tokens, D] and, per token t,
+//
+//	row[c]   = softmax_c((k[c,t,:] · q) / √D)
+//	out[t,:] = Σ_c row[c] · v[c,t,:]
+//
+// row is one token's scratch; alpha [tokens, C], when not nil, keeps
+// every token's weights (the module's backward cache). Like
+// LayerNormRows it is the one definition of this rounding sequence —
+// float32 dot and mix in channel order, float64 softmax sum — shared by
+// VariableAggregation.Forward and infer.Plan; tokens are independent,
+// so out does not depend on how [t0, t1) is split or on alpha.
+func AggregateTokens(out, alpha, row, k, v, q []float32, tokens, t0, t1 int) {
+	c, d := len(row), len(q)
 	scale := float32(1 / math.Sqrt(float64(d)))
-	q := va.Query.W.Data()
-	// scores[t, c] = (k[c,t,:] · q) * scale, softmax over c.
-	va.alpha = tensor.New(t, c)
-	kd := va.kMat.Data()
-	scoresRow := make([]float32, c)
-	out := tensor.New(t, d)
-	od := out.Data()
-	vd := va.vMat.Data()
-	for ti := 0; ti < t; ti++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ci*t + ti) * d
+	for ti := t0; ti < t1; ti++ {
+		for ci := range row {
+			kb := k[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
 			var s float32
-			for k := 0; k < d; k++ {
-				s += kd[base+k] * q[k]
+			for j, qv := range q {
+				s += kb[j] * qv
 			}
-			scoresRow[ci] = s * scale
+			row[ci] = s * scale
 		}
-		ar := va.alpha.Row(ti)
-		softmaxRowInto(scoresRow, ar)
-		// out[t,:] = Σ_c α[t,c] * v[c,t,:]
-		ob := od[ti*d : (ti+1)*d]
-		for ci := 0; ci < c; ci++ {
-			a := ar[ci]
-			vb := vd[(ci*t+ti)*d : (ci*t+ti+1)*d]
-			for k := 0; k < d; k++ {
-				ob[k] += a * vb[k]
+		softmaxRowInto(row, row)
+		if alpha != nil {
+			copy(alpha[ti*c:(ti+1)*c], row)
+		}
+		ob := out[ti*d : (ti+1)*d]
+		clear(ob)
+		for ci, a := range row {
+			vb := v[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
+			for j := range ob {
+				ob[j] += a * vb[j]
 			}
 		}
 	}
-	return out
 }
 
+// softmaxRowInto writes the max-subtracted softmax of in to out (which
+// may be in itself), accumulating the normalizer in float64.
 func softmaxRowInto(in, out []float32) {
 	maxv := in[0]
 	for _, v := range in[1:] {

@@ -54,3 +54,30 @@ func TestAttentionForwardZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state attention forward allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestStemForwardZeroAllocs pins the model stem — per-channel patch
+// embedding, variable aggregation, positional and lead-time embedding —
+// to the buffer-ownership convention the blocks follow: intermediates
+// and results live in module-owned buffers, so a steady-state forward
+// allocates nothing.
+func TestStemForwardZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; zero-alloc assertion only valid in normal builds")
+	}
+	rng := tensor.NewRNG(42)
+	const channels, height, width, patch, dim = 3, 8, 8, 2, 16
+	pe := NewPatchEmbed("z", channels, height, width, patch, dim, rng)
+	agg := NewVariableAggregation("z", channels, dim, rng)
+	pos := NewPositionalEmbedding("z", pe.Tokens, dim, rng)
+	lead := NewLeadTimeEmbedding("z", dim, rng)
+	x := tensor.Randn(rng, 1, channels, height, width)
+	stem := func() {
+		lead.ForwardWithLead(pos.Forward(agg.Forward(pe.Forward(x))), 24)
+	}
+	for i := 0; i < 3; i++ {
+		stem()
+	}
+	if allocs := testing.AllocsPerRun(10, stem); allocs != 0 {
+		t.Errorf("steady-state stem forward allocates %.1f objects, want 0", allocs)
+	}
+}

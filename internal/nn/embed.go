@@ -11,6 +11,8 @@ import (
 type PositionalEmbedding struct {
 	Tokens, Dim int
 	Embed       *Param // [T, D]
+
+	out *tensor.Tensor // owned output buffer
 }
 
 // NewPositionalEmbedding builds a learned positional embedding
@@ -25,7 +27,8 @@ func NewPositionalEmbedding(name string, tokens, dim int, rng *tensor.RNG) *Posi
 // Forward adds the embedding: [T, D] -> [T, D].
 func (p *PositionalEmbedding) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkRank("PositionalEmbedding", x, 2)
-	return tensor.Add(x, p.Embed.W)
+	p.out = tensor.Ensure(p.out, x.Shape()...)
+	return tensor.AddInto(p.out, x, p.Embed.W)
 }
 
 // Backward accumulates the embedding gradient and passes dy through.
@@ -46,6 +49,7 @@ type LeadTimeEmbedding struct {
 	Proj *Linear
 
 	feat *tensor.Tensor // cached sinusoidal features [1, Dim]
+	out  *tensor.Tensor // owned output buffer
 }
 
 // NewLeadTimeEmbedding builds the lead-time conditioning module.
@@ -53,25 +57,27 @@ func NewLeadTimeEmbedding(name string, dim int, rng *tensor.RNG) *LeadTimeEmbedd
 	return &LeadTimeEmbedding{Dim: dim, Proj: NewLinear(name+".proj", dim, dim, true, rng)}
 }
 
-// Features computes the sinusoidal encoding of a lead time in hours.
-func (l *LeadTimeEmbedding) Features(leadHours float64) *tensor.Tensor {
-	f := tensor.New(1, l.Dim)
-	d := f.Data()
-	for i := 0; i < l.Dim/2; i++ {
-		freq := math.Pow(10000, -2*float64(i)/float64(l.Dim))
-		d[2*i] = float32(math.Sin(leadHours * freq))
-		d[2*i+1] = float32(math.Cos(leadHours * freq))
+// LeadTimeFeatures writes the sinusoidal encoding of a lead time in
+// hours into dst: sin and cos of leadHours·10000^(−2i/D) interleaved,
+// D = len(dst). The one definition, shared with infer.Plan.
+func LeadTimeFeatures(dst []float32, leadHours float64) {
+	dim := len(dst)
+	for i := 0; i < dim/2; i++ {
+		freq := math.Pow(10000, -2*float64(i)/float64(dim))
+		dst[2*i] = float32(math.Sin(leadHours * freq))
+		dst[2*i+1] = float32(math.Cos(leadHours * freq))
 	}
-	return f
 }
 
 // ForwardWithLead adds the projected lead-time embedding to every
 // token of x [T, D].
 func (l *LeadTimeEmbedding) ForwardWithLead(x *tensor.Tensor, leadHours float64) *tensor.Tensor {
 	checkRank("LeadTimeEmbedding", x, 2)
-	l.feat = l.Features(leadHours)
+	l.feat = tensor.Ensure(l.feat, 1, l.Dim)
+	LeadTimeFeatures(l.feat.Data(), leadHours)
 	off := l.Proj.Forward(l.feat) // [1, D]
-	return tensor.AddRowVector(x, off.Reshape(l.Dim))
+	l.out = tensor.Ensure(l.out, x.Shape()...)
+	return tensor.AddRowVectorInto(l.out, x, off)
 }
 
 // Backward accumulates projection gradients (the offset receives the

@@ -33,19 +33,25 @@ type LayerNorm struct {
 	bwd lnBwdJob // persistent backward job + per-tile reduction scratch
 }
 
-// lnFwdJob normalizes rows [r0, r1). Rows are independent, so any
-// tile split produces the serial result bit-for-bit.
-type lnFwdJob struct {
-	xd, hd, od, g, b []float32
-	rstd             []float64
-	dim              int
-	eps              float64
-}
-
-func (j *lnFwdJob) Tile(_, r0, r1 int) {
-	dim := j.dim
+// LayerNormRows is the layer-norm forward over rows [r0, r1) of x, each
+// len(gamma) wide: out = (x-μ)/√(σ²+ε)·γ + β, statistics in float64,
+// x̂ rounded to float32 before the affine step. It is the one
+// definition of that rounding sequence: LayerNorm.Forward tiles it
+// through ParallelFor and keeps x̂ and 1/σ for Backward, inference
+// (infer.Plan) runs it serially on its own buffers with xhat and rstd
+// nil. The operands are explicit and nothing is retained, so callers
+// may share weights across goroutines; rows are independent, so any
+// split of [r0, r1) and either choice of caches produce the same bits
+// in out.
+func LayerNormRows(out, xhat []float32, rstd []float64, x, gamma, beta []float32, eps float64, r0, r1 int) {
+	dim := len(gamma)
+	if xhat == nil {
+		// No x̂ wanted: let its store land in out, where the affine
+		// store that follows overwrites it — one loop body either way.
+		xhat = out
+	}
 	for r := r0; r < r1; r++ {
-		xr := j.xd[r*dim : (r+1)*dim]
+		xr := x[r*dim : (r+1)*dim]
 		var mean float64
 		for _, v := range xr {
 			mean += float64(v)
@@ -57,16 +63,29 @@ func (j *lnFwdJob) Tile(_, r0, r1 int) {
 			variance += d * d
 		}
 		variance /= float64(dim)
-		rstd := 1 / math.Sqrt(variance+j.eps)
-		j.rstd[r] = rstd
-		hr := j.hd[r*dim : (r+1)*dim]
-		or := j.od[r*dim : (r+1)*dim]
+		rs := 1 / math.Sqrt(variance+eps)
+		if rstd != nil {
+			rstd[r] = rs
+		}
+		hr := xhat[r*dim : (r+1)*dim]
+		or := out[r*dim : (r+1)*dim]
 		for c, v := range xr {
-			h := float32((float64(v) - mean) * rstd)
+			h := float32((float64(v) - mean) * rs)
 			hr[c] = h
-			or[c] = h*j.g[c] + j.b[c]
+			or[c] = h*gamma[c] + beta[c]
 		}
 	}
+}
+
+// lnFwdJob is LayerNormRows with its operands bound, for ParallelFor.
+type lnFwdJob struct {
+	xd, hd, od, g, b []float32
+	rstd             []float64
+	eps              float64
+}
+
+func (j *lnFwdJob) Tile(_, r0, r1 int) {
+	LayerNormRows(j.od, j.hd, j.rstd, j.xd, j.g, j.b, j.eps, r0, r1)
 }
 
 // lnBwdJob computes per-row input gradients and accumulates the
@@ -142,7 +161,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.fwd = lnFwdJob{
 		xd: x.Data(), hd: l.xhat.Data(), od: l.out.Data(),
 		g: l.Gamma.W.Data(), b: l.Beta.W.Data(),
-		rstd: l.rstd, dim: dim, eps: l.Eps,
+		rstd: l.rstd, eps: l.Eps,
 	}
 	tensor.ParallelFor(rows, rows*dim*8, &l.fwd)
 	return l.out

@@ -254,7 +254,8 @@ func TestPatchExtractScatterAdjoint(t *testing.T) {
 	rng := tensor.NewRNG(15)
 	pe := NewPatchEmbed("t", 1, 6, 8, 2, 4, rng)
 	img := tensor.Randn(rng, 1, 6, 8)
-	patches := pe.extractPatches(img.Data())
+	patches := tensor.New(pe.Tokens, 2*2)
+	ExtractPatches(patches.Data(), img.Data(), 6, 8, 2)
 	back := make([]float32, 48)
 	pe.scatterPatches(patches, back)
 	for i, v := range img.Data() {
@@ -287,7 +288,7 @@ func TestPatchifyUnpatchifyAdjoint(t *testing.T) {
 	h := NewPredictionHead("t", 2, 4, 8, 2, 6, rng)
 	tok := tensor.Randn(rng, 1, h.Tokens, 2*2*2)
 	field := tensor.New(2, 4, 8)
-	h.unpatchify(tok, field)
+	Unpatchify(field.Data(), tok.Data(), 2, 4, 8, 2)
 	tok2 := tensor.New(h.Tokens, 2*2*2)
 	h.patchify(field, tok2)
 	if !tensor.AllClose(tok.Reshape(h.Tokens, 8), tok2, 0, 0) {
@@ -336,7 +337,7 @@ func TestLeadTimeEmbeddingDistinguishesLeads(t *testing.T) {
 	rng := tensor.NewRNG(22)
 	l := NewLeadTimeEmbedding("t", 8, rng)
 	x := tensor.New(3, 8)
-	y1 := l.ForwardWithLead(x, 24)
+	y1 := l.ForwardWithLead(x, 24).Clone() // the result is valid until the next call
 	y2 := l.ForwardWithLead(x, 720)
 	if tensor.AllClose(y1, y2, 1e-6, 1e-6) {
 		t.Error("different lead times should produce different embeddings")

@@ -19,6 +19,8 @@ type PatchEmbed struct {
 	Biases  []*Param // per channel: [D]
 
 	patches []*tensor.Tensor // cached raw patches per channel [T, P*P]
+	out     *tensor.Tensor   // owned output buffer [C, T, D]
+	emb     []*tensor.Tensor // per-channel [T, D] views of out
 }
 
 // NewPatchEmbed builds per-channel patch projections.
@@ -38,26 +40,24 @@ func NewPatchEmbed(name string, channels, height, width, patch, dim int, rng *te
 	return pe
 }
 
-// extractPatches converts one channel image [H, W] to [T, P*P].
-func (pe *PatchEmbed) extractPatches(img []float32) *tensor.Tensor {
-	p := pe.Patch
-	rows, cols := pe.Height/p, pe.Width/p
-	out := tensor.New(pe.Tokens, p*p)
-	d := out.Data()
+// ExtractPatches tokenizes one channel image [H, W] into its
+// (H/P)·(W/P) row-major P×P patches, one [P·P] row of dst each. The
+// one definition of the token layout, shared with infer.Plan.
+func ExtractPatches(dst, img []float32, height, width, patch int) {
+	p := patch
+	rows, cols := height/p, width/p
 	for pr := 0; pr < rows; pr++ {
 		for pc := 0; pc < cols; pc++ {
-			tok := pr*cols + pc
-			base := tok * p * p
+			base := (pr*cols + pc) * p * p
 			for i := 0; i < p; i++ {
-				src := (pr*p+i)*pe.Width + pc*p
-				copy(d[base+i*p:base+(i+1)*p], img[src:src+p])
+				src := (pr*p+i)*width + pc*p
+				copy(dst[base+i*p:base+(i+1)*p], img[src:src+p])
 			}
 		}
 	}
-	return out
 }
 
-// scatterPatches is the inverse of extractPatches: accumulates [T,P*P]
+// scatterPatches is the inverse of ExtractPatches: accumulates [T,P*P]
 // patch values back into an [H, W] image.
 func (pe *PatchEmbed) scatterPatches(patches *tensor.Tensor, img []float32) {
 	p := pe.Patch
@@ -81,17 +81,22 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dim(0) != pe.Channels || x.Dim(1) != pe.Height || x.Dim(2) != pe.Width {
 		panic(fmt.Sprintf("nn: PatchEmbed input %v, want [%d %d %d]", x.Shape(), pe.Channels, pe.Height, pe.Width))
 	}
-	out := tensor.New(pe.Channels, pe.Tokens, pe.Dim)
-	pe.patches = make([]*tensor.Tensor, pe.Channels)
 	hw := pe.Height * pe.Width
 	td := pe.Tokens * pe.Dim
-	for c := 0; c < pe.Channels; c++ {
-		patches := pe.extractPatches(x.Data()[c*hw : (c+1)*hw])
-		pe.patches[c] = patches
-		emb := tensor.AddRowVector(tensor.MatMul(patches, pe.Weights[c].W), pe.Biases[c].W)
-		copy(out.Data()[c*td:(c+1)*td], emb.Data())
+	if pe.out == nil {
+		// The geometry is fixed at construction, so the buffers and the
+		// per-channel views of out are built once.
+		pe.out = tensor.New(pe.Channels, pe.Tokens, pe.Dim)
+		for c := 0; c < pe.Channels; c++ {
+			pe.patches = append(pe.patches, tensor.New(pe.Tokens, pe.Patch*pe.Patch))
+			pe.emb = append(pe.emb, tensor.FromSlice(pe.out.Data()[c*td:(c+1)*td], pe.Tokens, pe.Dim))
+		}
 	}
-	return out
+	for c := 0; c < pe.Channels; c++ {
+		ExtractPatches(pe.patches[c].Data(), x.Data()[c*hw:(c+1)*hw], pe.Height, pe.Width, pe.Patch)
+		tensor.MatMulBiasInto(pe.emb[c], pe.patches[c], pe.Weights[c].W, pe.Biases[c].W)
+	}
+	return pe.out
 }
 
 // Backward accumulates per-channel weight gradients and returns the
@@ -141,12 +146,14 @@ func NewPredictionHead(name string, outChannels, height, width, patch, dim int, 
 	}
 }
 
-// Forward maps [T, D] -> [Cout, H, W].
+// Forward maps [T, D] -> [Cout, H, W]. Unlike the other layers' the
+// result is a fresh tensor: it is the model's prediction, which
+// callers keep across Forward calls.
 func (h *PredictionHead) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkRank("PredictionHead", x, 2)
 	y := h.Proj.Forward(h.Norm.Forward(x)) // [T, P*P*Cout]
 	out := tensor.New(h.OutChannels, h.Height, h.Width)
-	h.unpatchify(y, out)
+	Unpatchify(out.Data(), y.Data(), h.OutChannels, h.Height, h.Width, h.Patch)
 	return out
 }
 
@@ -158,30 +165,29 @@ func (h *PredictionHead) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return h.Norm.Backward(h.Proj.Backward(dTok))
 }
 
-// unpatchify scatters [T, P*P*Cout] token outputs into [Cout, H, W].
+// Unpatchify scatters [T, P*P*Cout] token outputs into [Cout, H, W].
 // Per token, the projection output is laid out channel-major then
-// row-major within the patch.
-func (h *PredictionHead) unpatchify(tok *tensor.Tensor, out *tensor.Tensor) {
-	p := h.Patch
-	cols := h.Width / p
-	hw := h.Height * h.Width
+// row-major within the patch. The one definition of the output layout,
+// shared with infer.Plan.
+func Unpatchify(out, tok []float32, outChannels, height, width, patch int) {
+	p := patch
+	cols := width / p
+	hw := height * width
 	pp := p * p
-	td := tok.Data()
-	od := out.Data()
-	for t := 0; t < h.Tokens; t++ {
+	for t := 0; t < (height/p)*cols; t++ {
 		pr, pc := t/cols, t%cols
-		rowBase := t * pp * h.OutChannels
-		for c := 0; c < h.OutChannels; c++ {
+		rowBase := t * pp * outChannels
+		for c := 0; c < outChannels; c++ {
 			for i := 0; i < p; i++ {
-				dst := c*hw + (pr*p+i)*h.Width + pc*p
+				dst := c*hw + (pr*p+i)*width + pc*p
 				src := rowBase + c*pp + i*p
-				copy(od[dst:dst+p], td[src:src+p])
+				copy(out[dst:dst+p], tok[src:src+p])
 			}
 		}
 	}
 }
 
-// patchify is the exact adjoint of unpatchify.
+// patchify is the exact adjoint of Unpatchify.
 func (h *PredictionHead) patchify(field *tensor.Tensor, tok *tensor.Tensor) {
 	p := h.Patch
 	cols := h.Width / p

@@ -85,9 +85,10 @@ func (t *Tensor) AddScaled(u *Tensor, s float32) {
 }
 
 // AddRowVectorInto computes dst = t + v with the length-cols vector v
-// broadcast over rows. dst may alias t.
+// ([cols] or a single row [1, cols]) broadcast over rows. dst may
+// alias t.
 func AddRowVectorInto(dst, t, v *Tensor) *Tensor {
-	if len(t.shape) != 2 || len(v.shape) != 1 || v.shape[0] != t.shape[1] {
+	if len(t.shape) != 2 || v.Len() != t.shape[1] || v.shape[len(v.shape)-1] != t.shape[1] {
 		panic(fmt.Sprintf("tensor: AddRowVectorInto shapes %v, %v", t.shape, v.shape))
 	}
 	dst.mustMatch(t, "AddRowVectorInto")
