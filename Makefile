@@ -139,8 +139,8 @@ bench-pr7:
 	sh scripts/bench_pr7.sh
 
 # Intra-rank kernel-scaling measurement: matmul + fused attention at
-# GOMAXPROCS 1/2/4/8 with speedups vs the single-worker arm and the
-# planner's Amdahl clock model, recorded into BENCH_PR8.json.
+# GOMAXPROCS 1/2/4/8 with speedups vs the single-worker arm, recorded
+# into BENCH_PR8.json.
 bench-pr8:
 	sh scripts/bench_pr8.sh
 

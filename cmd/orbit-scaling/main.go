@@ -38,12 +38,11 @@ func main() {
 	nodes := flag.Int("nodes", 2, "simulated cluster size in nodes for -auto (8 GPUs per node)")
 	globalBatch := flag.Int("global-batch", 64, "fixed global batch the -auto workload micro-batches over the data ranks")
 	computeScale := flag.Float64("compute-scale", 1e-3, "device-throughput scale for -auto: the functional workload is toy-sized, so scaling compute down restores a production compute/communication ratio (1 = full-speed Frontier)")
-	cores := flag.Int("cores", 1, "cores per rank for -auto: scales the compute clock by the modeled multicore kernel speedup (Amdahl fit, see docs/PERFORMANCE.md)")
 	flag.Parse()
 
 	ran := false
 	if *auto {
-		runAuto(*nodes, *globalBatch, *computeScale, *cores)
+		runAuto(*nodes, *globalBatch, *computeScale)
 		ran = true
 	}
 	if *all || *fig == 5 {
@@ -77,17 +76,16 @@ func main() {
 // simulation over the power-of-two grid, then grades the planner's
 // unconstrained choice (which may pick non-power-of-two extents,
 // different knobs, or pipeline stages) against the grid optimum.
-func runAuto(nodes, globalBatch int, computeScale float64, cores int) {
+func runAuto(nodes, globalBatch int, computeScale float64) {
 	w := orbit.PlanWorkload{
 		Dim: 32, Heads: 4, Layers: 3, Tokens: 16, QKNorm: true,
 		GlobalBatch: globalBatch,
 		Opts:        orbit.DefaultOptions(),
 	}
-	shape := orbit.ScaledPlanShapeCores(nodes, computeScale, cores)
+	shape := orbit.ScaledPlanShape(nodes, computeScale)
 	fmt.Printf("Parallelism auto-planner vs. brute-force grid sweep\n")
-	fmt.Printf("cluster: %d nodes x %d GPUs (%s spec, compute x%g, %d cores/rank [x%.2f], %d devices); workload: dim %d, %d heads, %d layers, %d tokens, global batch %d\n\n",
-		shape.Nodes, shape.GPUsPerNode, shape.Spec.Name, computeScale, cores,
-		orbit.KernelCoreSpeedup(cores), shape.Devices(),
+	fmt.Printf("cluster: %d nodes x %d GPUs (%s spec, compute x%g, %d devices); workload: dim %d, %d heads, %d layers, %d tokens, global batch %d\n\n",
+		shape.Nodes, shape.GPUsPerNode, shape.Spec.Name, computeScale, shape.Devices(),
 		w.Dim, w.Heads, w.Layers, w.Tokens, w.GlobalBatch)
 
 	grid := orbit.PlanGrid(w, shape, orbit.PlanKnobs{PrefetchDepth: 1})

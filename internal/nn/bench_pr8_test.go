@@ -22,14 +22,10 @@ import (
 // fused multi-head attention forward (dim 256, 8 heads, 128 tokens) —
 // at GOMAXPROCS ∈ {1, 2, 4, 8}, interleaving repetitions and taking
 // medians. Speedups are relative to the GOMAXPROCS=1 arm of the same
-// run. The report also carries the Amdahl model the planner's
-// cores-aware clock uses (plan.KernelCoreSpeedup, serial fraction
-// 0.08) and the host's core count: on hosts with fewer physical cores
-// than a sweep point, the measured arm for that point cannot scale —
-// extra workers time-share the same cores — so the model row is the
-// prediction for real multicore hardware and `host_cores` says how
-// much of the sweep was physically realizable. Reproduce on an 8-core
-// host with `make bench-pr8` to observe the ≥5x points directly.
+// run. The report also carries the host's core count: on hosts with
+// fewer physical cores than a sweep point, the measured arm for that
+// point cannot scale — extra workers time-share the same cores — so
+// `host_cores` says how much of the sweep was physically realizable.
 func TestBenchPR8(t *testing.T) {
 	out := os.Getenv("ORBIT_BENCH_PR8")
 	if out == "" {
@@ -90,14 +86,6 @@ func TestBenchPR8(t *testing.T) {
 		}
 		return s
 	}
-	// The Amdahl fit behind plan.KernelCoreSpeedup (duplicated rather
-	// than imported: plan depends on this package transitively).
-	const serialFraction = 0.08
-	model := map[string]float64{}
-	for _, procs := range procsSweep {
-		model[fmt.Sprintf("%d", procs)] = round3(1 / (serialFraction + (1-serialFraction)/float64(procs)))
-	}
-
 	report := map[string]any{
 		"bench":      "pr8_intra_rank_parallel_kernels",
 		"date":       time.Now().UTC().Format("2006-01-02"),
@@ -112,14 +100,9 @@ func TestBenchPR8(t *testing.T) {
 			"ms_per_4_calls": roundMap(attnMS),
 			"speedup":        speedups(attnMS),
 		},
-		"amdahl_model": map[string]any{
-			"serial_fraction": serialFraction,
-			"modeled_speedup": model,
-			"description":     "plan.KernelCoreSpeedup: S(c) = 1/(s + (1-s)/c); the planner's cores-aware compute clock. Measured speedups track this only up to the host's physical core count — beyond it, extra workers time-share cores and measured speedup flattens at ~1x per additional worker.",
-		},
 	}
 	if runtime.NumCPU() < 8 {
-		report["note"] = fmt.Sprintf("host has %d core(s): sweep points above that count cannot show real scaling here; run `make bench-pr8` on an 8-core host for the measured >=5x matmul/attention points", runtime.NumCPU())
+		report["note"] = fmt.Sprintf("host has %d core(s): sweep points above that count cannot show real scaling here; run `make bench-pr8` on an 8-core host", runtime.NumCPU())
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -524,18 +524,6 @@ func ScaledPlanShape(nodes int, computeScale float64) ClusterShape {
 	return plan.ScaledShape(nodes, computeScale)
 }
 
-// ScaledPlanShapeCores is ScaledPlanShape with the compute clock
-// additionally multiplied by the modeled multicore kernel speedup —
-// the shape of a cluster whose ranks run the threaded kernels on
-// `cores` cores each (see plan.ScaledShapeCores).
-func ScaledPlanShapeCores(nodes int, computeScale float64, cores int) ClusterShape {
-	return plan.ScaledShapeCores(nodes, computeScale, cores)
-}
-
-// KernelCoreSpeedup is the modeled multicore throughput multiplier of
-// the threaded kernels (Amdahl fit from BENCH_PR8.json).
-func KernelCoreSpeedup(cores int) float64 { return plan.KernelCoreSpeedup(cores) }
-
 // BestPlan returns the auto-planner's top-ranked feasible plan for
 // the workload on the cluster. The search covers all four axes;
 // PlanConstraints.FixPP = 1 restricts it to unpipelined layouts. A

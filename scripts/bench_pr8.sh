@@ -3,9 +3,7 @@
 # BENCH_PR8.json. Drives the env-gated TestBenchPR8 in internal/nn:
 # 256^3 matmul and fused attention forward timed at GOMAXPROCS
 # 1/2/4/8 (median of interleaved reps), speedups vs the single-worker
-# arm, plus the Amdahl model behind the planner's cores-aware clock.
-# Measured scaling saturates at the host's physical core count; run on
-# an 8-core host to observe the >=5x matmul/attention points directly.
+# arm. Measured scaling saturates at the host's physical core count.
 set -eu
 cd "$(dirname "$0")/.."
 
