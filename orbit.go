@@ -68,7 +68,6 @@ import (
 	"orbit/internal/experiments"
 	"orbit/internal/guard"
 	"orbit/internal/infer"
-	"orbit/internal/nn"
 	"orbit/internal/perf"
 	"orbit/internal/plan"
 	"orbit/internal/pp"
@@ -123,9 +122,6 @@ func SaveTrainerState(path string, t *Trainer, half bool) error {
 	return ckpt.SaveTrainState(path, t.CaptureState(), half)
 }
 
-// LoadTrainerState reads a training-state checkpoint.
-func LoadTrainerState(path string) (*TrainState, error) { return ckpt.LoadTrainState(path) }
-
 // RestoreTrainer rebuilds a trainer from a loaded training state.
 func RestoreTrainer(st *TrainState, cfg TrainConfig) (*Trainer, error) {
 	return train.RestoreTrainer(st, cfg)
@@ -170,12 +166,6 @@ func LoadLatestTrainerState(path string) (*TrainState, string, []string, error) 
 	return ckpt.LoadLatestValidState(path)
 }
 
-// CheckpointCorruptError is the typed error every checkpoint reader
-// returns when a file fails integrity verification (CRC32C section or
-// shard-digest mismatch, truncation, malformed structure); match it
-// with errors.As to distinguish corruption from usage errors.
-type CheckpointCorruptError = ckpt.CorruptError
-
 // --- training-run supervision ---
 
 // GuardConfig configures a supervised training run: the wrapped
@@ -187,18 +177,6 @@ type GuardConfig = guard.Config
 // GuardResult reports a supervised run: merged losses across rollback
 // attempts, supervisor events, and the per-attempt elastic results.
 type GuardResult = guard.Result
-
-// GuardEvent is one supervisor decision (divergence, rollback, salt,
-// watchdog-kill, giveup).
-type GuardEvent = guard.Event
-
-// DivergenceError describes the unhealthy step that triggered a
-// rollback (non-finite loss/grad norm, or a gradient-norm spike).
-type DivergenceError = guard.DivergenceError
-
-// TrainHooks are the observation points RunGuarded composes with; user
-// code may layer its own on GuardConfig.Elastic.Hooks.
-type TrainHooks = train.Hooks
 
 // RunGuarded executes a training run under the full supervisor:
 // checkpoint-integrity fallback, numerical-health rollback, and the
@@ -281,9 +259,6 @@ type InferConfig = infer.Config
 // passes that are bit-identical per sample to Model.Forward.
 type InferenceEngine = infer.Engine
 
-// RolloutScore is one rollout step's wRMSE/wACC against climatology.
-type RolloutScore = infer.StepScore
-
 // ScoreCache caches the normalized truth and climatology tensors
 // rollout scoring needs, per model.
 type ScoreCache = infer.ScoreCache
@@ -297,14 +272,6 @@ func NewInferenceEngine(m *Model, cfg InferConfig) (*InferenceEngine, error) {
 // v2 weights-only or training-state) for inference.
 func LoadInferenceModel(path string) (*Model, error) { return infer.LoadModel(path) }
 
-// LoadInferenceTrunk builds a model from cfg and installs the
-// transformer trunk of a sharded distributed checkpoint directory,
-// resharding as needed.
-func LoadInferenceTrunk(dir string, cfg ModelConfig, seed uint64) (*Model, error) {
-	m, _, err := infer.LoadModelWithTrunk(dir, cfg, seed)
-	return m, err
-}
-
 // QuantKind selects a block-quantized weight format: int8 or Q4_0,
 // one float32 scale per 32 weights.
 type QuantKind = quant.Kind
@@ -313,13 +280,6 @@ type QuantKind = quant.Kind
 // inference engine reads it through dequant-fused kernels.
 type QuantizedWeight = quant.Quantized
 
-// Quantized weight formats: QuantInt8 stores 1.125 bytes/param,
-// QuantQ4 0.625 (6.4x smaller than float32).
-const (
-	QuantInt8 = quant.Int8
-	QuantQ4   = quant.Q4_0
-)
-
 // ParseQuantKind maps CLI spellings ("int8", "i8", "q4", "q4_0") to a
 // QuantKind.
 func ParseQuantKind(s string) (QuantKind, error) { return quant.ParseKind(s) }
@@ -327,13 +287,6 @@ func ParseQuantKind(s string) (QuantKind, error) { return quant.ParseKind(s) }
 // ErrNotQuantized reports that LoadQuantizedModel was given a
 // structurally valid checkpoint of a non-quantized kind.
 var ErrNotQuantized = ckpt.ErrNotQuantized
-
-// SaveQuantizedCheckpoint writes the model with its matmul weights
-// block-quantized at kind — 3.5–6.4x smaller than a float32
-// checkpoint, CRC-protected like every ORBT v3 file.
-func SaveQuantizedCheckpoint(path string, m *Model, kind QuantKind) error {
-	return ckpt.SaveQuantized(path, m, kind)
-}
 
 // LoadQuantizedModel reads a quantized checkpoint, returning the
 // dequantized model and the quantized containers (pass them as
@@ -369,24 +322,14 @@ type RolloutRequestError = infer.RequestError
 // failover retry policy.
 type ServeConfig = serve.Config
 
-// ServeRequest and ServeResponse are the resilient serving units; the
-// response is annotated with the replica, retry count, and degraded
-// flag the resilience machinery produced.
-type (
-	ServeRequest  = serve.Request
-	ServeResponse = serve.Response
-)
+// ServeRequest is the resilient serving unit; its response is
+// annotated with the replica, retry count, and degraded flag the
+// resilience machinery produced.
+type ServeRequest = serve.Request
 
 // RequestPriority orders requests under overload: low sheds first,
 // high is never served degraded.
 type RequestPriority = serve.Priority
-
-// Request priorities.
-const (
-	PriorityLow    = serve.PriorityLow
-	PriorityNormal = serve.PriorityNormal
-	PriorityHigh   = serve.PriorityHigh
-)
 
 // ParseRequestPriority maps a wire name ("", "low", "normal", "high")
 // to a RequestPriority.
@@ -454,35 +397,9 @@ func BuildGroups(l Layout, m *cluster.Machine) ([]*core.Groups, error) {
 // degenerates to the classic Hybrid-STOP Layout.
 type Layout4 = pp.Layout
 
-// PipelineEngine is one rank's stage of a pipelined Hybrid-STOP run;
-// RunStep executes its slots of a 1F1B or interleaved micro-batch
-// schedule.
-type PipelineEngine = pp.Engine
-
 // ParseLayout parses "TPxFSDPxDDP" (PP=1 implied) or
 // "TPxPPxFSDPxDDP" into a 4D layout.
 func ParseLayout(spec string) (Layout4, error) { return pp.ParseLayout(spec) }
-
-// PartitionStages cuts per-block costs into contiguous, non-empty
-// pipeline stages minimizing the bottleneck stage cost, with a
-// deterministic earliest-cut tie-break.
-func PartitionStages(cost []int64, stages int) ([][2]int, error) {
-	return pp.Partition(cost, stages)
-}
-
-// BuildPipeline constructs one pp.Engine per rank of the 4D layout
-// over the simulated machine. PP>1 (or chunks>1) requires
-// Options.LayerWrapping and Options.ActivationCheckpoint.
-func BuildPipeline(l Layout4, chunks int, stageRanges [][2]int, m *cluster.Machine, ref []*nn.TransformerBlock, opts Options) ([]*PipelineEngine, error) {
-	return pp.Build(l, chunks, stageRanges, m, ref, opts)
-}
-
-// ShrinkLayout degrades a 4D layout onto fewer ranks, collapsing DDP
-// first (pure throughput), then PP (lossless to reshard), then FSDP;
-// TP is pinned by the sharded checkpoint format.
-func ShrinkLayout(l Layout4, ranks int) (Layout4, error) {
-	return train.ShrinkLayout4(l, ranks)
-}
 
 // --- parallelism auto-planner ---
 
@@ -514,11 +431,8 @@ type ParallelPlan = plan.Plan4
 // PlanMeasured is one grid point of a brute-force simulated sweep.
 type PlanMeasured = plan.Measured4
 
-// PlanShape returns a Frontier-spec cluster shape of n nodes.
-func PlanShape(nodes int) ClusterShape { return plan.Shape(nodes) }
-
-// ScaledPlanShape is PlanShape with device compute throughput scaled
-// down, restoring a production compute-to-communication ratio for the
+// ScaledPlanShape is a Frontier-spec cluster shape of n nodes with
+// device compute throughput scaled down, restoring a production compute-to-communication ratio for the
 // toy-sized functional workloads (see plan.ScaledShape).
 func ScaledPlanShape(nodes int, computeScale float64) ClusterShape {
 	return plan.ScaledShape(nodes, computeScale)
@@ -532,12 +446,6 @@ func ScaledPlanShape(nodes int, computeScale float64) ClusterShape {
 // pipelining fits the device memory.
 func BestPlan(w PlanWorkload, c ClusterShape, cons PlanConstraints) (ParallelPlan, error) {
 	return plan.Best4(w, c, cons)
-}
-
-// RankPlans prices every valid (TP, PP, FSDP, DDP, knobs) candidate
-// and returns them sorted by predicted step time.
-func RankPlans(w PlanWorkload, c ClusterShape, cons PlanConstraints) ([]ParallelPlan, error) {
-	return plan.Rank4(w, c, cons)
 }
 
 // PredictPlan prices one candidate with the planner's
@@ -609,9 +517,6 @@ var (
 	Fig10        = experiments.Fig10
 	FormatFig10  = experiments.FormatFig10
 )
-
-// Scale selects the cost of the empirical experiment runs.
-type Scale = experiments.Scale
 
 // QuickScale finishes in seconds; FullScale in minutes.
 var (
