@@ -157,12 +157,13 @@ bench-pr9:
 bench-pr10:
 	sh scripts/bench_pr10.sh
 
-# Runs the checkpoint and layout-flag fuzz targets over their
-# committed seed corpus (no new fuzzing): regressions in the hardened
-# parsers fail fast.
+# Runs the checkpoint, layout-flag and forecast-body fuzz targets over
+# their committed seed corpus (no new fuzzing): regressions in the
+# hardened parsers fail fast.
 fuzz-smoke:
 	$(GO) test -run 'FuzzLoadModel|FuzzLoadManifest' ./internal/ckpt/
 	$(GO) test -run 'FuzzParseLayout' ./internal/pp/
+	$(GO) test -run 'FuzzForecastBody' ./cmd/orbit-serve/
 
 # Golden-value conformance: the frozen checkpoint's rollout must match
 # the checked-in values to 1e-6. Regenerate with

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
@@ -170,6 +171,34 @@ type forecastRequest struct {
 	DeadlineMs int `json:"deadline_ms,omitempty"`
 }
 
+// maxForecastBody caps the bytes read from a /v1/forecast body. The
+// request is three small fields; the cap only has to be far above any
+// honest encoding of them and far below what a client could use to
+// pin a handler on an endless upload.
+const maxForecastBody = 64 << 10
+
+// decodeForecast reads exactly one JSON forecast request from the
+// body, at most maxForecastBody bytes of it. Anything after the value
+// but whitespace — and a deadline too long for a time.Duration — is an
+// error; a body over the cap fails with *http.MaxBytesError.
+func decodeForecast(w http.ResponseWriter, r *http.Request) (forecastRequest, error) {
+	var req forecastRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxForecastBody))
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the request object")
+		}
+		return req, err
+	}
+	if int64(req.DeadlineMs) > math.MaxInt64/int64(time.Millisecond) {
+		return req, fmt.Errorf("deadline_ms %d out of range", req.DeadlineMs)
+	}
+	return req, nil
+}
+
 // drainEstimator tracks the serving pipeline's completion rate from
 // successive Stats().Completed observations, so an overload response
 // can tell the client when the queue will plausibly have drained
@@ -280,9 +309,14 @@ func (a *app) handler() http.Handler {
 		writeJSON(w, http.StatusOK, a.fs.Stats())
 	})
 	mux.HandleFunc("POST /v1/forecast", func(w http.ResponseWriter, r *http.Request) {
-		var req forecastRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("bad request: %v", err)})
+		req, err := decodeForecast(w, r)
+		if err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, code, map[string]any{"error": fmt.Sprintf("bad request: %v", err)})
 			return
 		}
 		prio, err := orbit.ParseRequestPriority(req.Priority)
