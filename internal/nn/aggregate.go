@@ -40,6 +40,7 @@ func NewVariableAggregation(name string, channels, dim int, rng *tensor.RNG) *Va
 		Query:    NewParam(name+".query", tensor.Randn(rng, 0.02, dim)),
 		WK:       NewLinear(name+".wk", dim, dim, false, rng),
 		WV:       NewLinear(name+".wv", dim, dim, false, rng),
+		row:      make([]float32, channels),
 	}
 }
 
@@ -72,10 +73,7 @@ func (va *VariableAggregation) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 	va.alpha = tensor.Ensure(va.alpha, t, c)
 	va.out = tensor.Ensure(va.out, t, d)
-	if cap(va.row) < c {
-		va.row = make([]float32, c)
-	}
-	AggregateTokens(va.out.Data(), va.alpha.Data(), va.row[:c],
+	AggregateTokens(va.out.Data(), va.alpha.Data(), va.row,
 		va.kMat.Data(), va.vMat.Data(), va.Query.W.Data(), t, 0, t)
 	return va.out
 }

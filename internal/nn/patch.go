@@ -171,10 +171,10 @@ func (h *PredictionHead) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // shared with infer.Plan.
 func Unpatchify(out, tok []float32, outChannels, height, width, patch int) {
 	p := patch
-	cols := width / p
+	rows, cols := height/p, width/p
 	hw := height * width
 	pp := p * p
-	for t := 0; t < (height/p)*cols; t++ {
+	for t := 0; t < rows*cols; t++ {
 		pr, pc := t/cols, t%cols
 		rowBase := t * pp * outChannels
 		for c := 0; c < outChannels; c++ {
