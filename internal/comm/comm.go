@@ -58,6 +58,7 @@ import (
 	"sync"
 
 	"orbit/internal/cluster"
+	"orbit/internal/tensor"
 )
 
 // opKind tags the collective operation a pending record carries, so
@@ -342,21 +343,11 @@ func (g *Group) complete(p *pending) {
 			break
 		}
 		if size == 2 {
-			// Two-rank fast path: one fused pass, no float64 scratch.
-			// float64(a)+float64(b) is exactly the scratch accumulation
-			// 0+a+b, so results are bit-identical to the general path
-			// (but for −0 + −0, which keeps its sign as above).
-			a, b := p.ins[0], p.ins[1]
-			if len(a) != len(b) {
-				panic(fmt.Sprintf("comm: reduction size mismatch: %d vs %d", len(a), len(b)))
-			}
-			d0, d1 := p.dsts[0], p.dsts[1]
-			sc := p.scale
-			for i, av := range a {
-				v := float32((float64(av) + float64(b[i])) * sc)
-				d0[i] = v
-				d1[i] = v
-			}
+			// Each dst may be its rank's own input: the first takes the
+			// reduction before the second is overwritten with it.
+			sameLen(p.ins)
+			reduceTwo(p.dsts[0], p.ins[0], p.ins[1], p.scale)
+			copy(p.dsts[1], p.dsts[0])
 			break
 		}
 		sum := g.reduce(p.ins)
@@ -373,19 +364,9 @@ func (g *Group) complete(p *pending) {
 			break
 		}
 		if size == 2 {
-			// Two-rank fast path: each rank's chunk in one fused pass.
-			a, b := p.ins[0], p.ins[1]
-			if len(a) != len(b) {
-				panic(fmt.Sprintf("comm: reduction size mismatch: %d vs %d", len(a), len(b)))
-			}
-			chunk := len(a) / 2
-			sc := p.scale
-			for r := 0; r < 2; r++ {
-				dst := p.dsts[r]
-				off := r * chunk
-				for i := 0; i < chunk; i++ {
-					dst[i] = float32((float64(a[off+i]) + float64(b[off+i])) * sc)
-				}
+			chunk := sameLen(p.ins) / 2
+			for r, dst := range p.dsts {
+				reduceTwo(dst, p.ins[0][r*chunk:(r+1)*chunk], p.ins[1][r*chunk:(r+1)*chunk], p.scale)
 			}
 			break
 		}
@@ -435,15 +416,34 @@ func (g *Group) complete(p *pending) {
 	g.cond.Broadcast()
 }
 
-// reduce sums rank buffers into the shared float64 scratch. Caller
-// holds g.mu; the scratch is fully consumed before the lock drops.
-func (g *Group) reduce(bufs [][]float32) []float64 {
+// reduceTwo is the two-rank reduction, one fused pass with no float64
+// scratch: dst = float32((float64(a)+float64(b))·scale), dst free to be
+// a or b. float64(a)+float64(b) is exactly the scratch accumulation
+// 0+a+b, so the bits are the general path's (but for −0 + −0, which
+// keeps its sign as the one-rank copy does). The loop is the
+// definition; tensor.Sum2ScaledVec is its vector form and takes the
+// leading whole vectors where the CPU has it.
+func reduceTwo(dst, a, b []float32, scale float64) {
+	for i := tensor.Sum2ScaledVec(dst, a, b, scale); i < len(dst); i++ {
+		dst[i] = float32((float64(a[i]) + float64(b[i])) * scale)
+	}
+}
+
+// sameLen returns the one length every rank's buffer must have.
+func sameLen(bufs [][]float32) int {
 	n := len(bufs[0])
 	for r, b := range bufs {
 		if len(b) != n {
 			panic(fmt.Sprintf("comm: reduction size mismatch at rank %d: %d vs %d", r, len(b), n))
 		}
 	}
+	return n
+}
+
+// reduce sums rank buffers into the shared float64 scratch. Caller
+// holds g.mu; the scratch is fully consumed before the lock drops.
+func (g *Group) reduce(bufs [][]float32) []float64 {
+	n := sameLen(bufs)
 	if cap(g.scratch) < n {
 		g.scratch = make([]float64, n)
 	}

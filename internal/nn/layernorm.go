@@ -23,7 +23,6 @@ type LayerNorm struct {
 	Gamma *Param // [dim]
 	Beta  *Param // [dim]
 
-	x    *tensor.Tensor // cached input
 	xhat *tensor.Tensor // cached normalized input
 	rstd []float64      // cached reciprocal std per row
 	out  *tensor.Tensor // owned output buffer
@@ -42,7 +41,10 @@ type LayerNorm struct {
 // nil. The operands are explicit and nothing is retained, so callers
 // may share weights across goroutines; rows are independent, so any
 // split of [r0, r1) and either choice of caches produce the same bits
-// in out.
+// in out. The loop below is the definition; tensor.LayerNormRowsVec is
+// its vector form, four rows at a time with one row per lane so that
+// each row's sums keep this loop's order, and takes the leading groups
+// of four rows where the CPU has it.
 func LayerNormRows(out, xhat []float32, rstd []float64, x, gamma, beta []float32, eps float64, r0, r1 int) {
 	dim := len(gamma)
 	if xhat == nil {
@@ -50,6 +52,7 @@ func LayerNormRows(out, xhat []float32, rstd []float64, x, gamma, beta []float32
 		// store that follows overwrites it — one loop body either way.
 		xhat = out
 	}
+	r0 += tensor.LayerNormRowsVec(out, xhat, rstd, x, gamma, beta, eps, r0, r1)
 	for r := r0; r < r1; r++ {
 		xr := x[r*dim : (r+1)*dim]
 		var mean float64
@@ -77,35 +80,43 @@ func LayerNormRows(out, xhat []float32, rstd []float64, x, gamma, beta []float32
 	}
 }
 
-// lnFwdJob is LayerNormRows with its operands bound, for ParallelFor.
+// lnGroup is the dispatch item of LayerNorm's forward and of its input
+// gradient: a fixed group of rows, the vector kernels' four. Were the
+// item one row, NumTiles would hand every tile of a 32-row block a
+// single row and the four-row kernels would never run. Rows are
+// independent in both passes, so the grouping moves no bit.
+const lnGroup = 4
+
+// lnCost weights one element of a LayerNorm pass (forward, or backward
+// with its share of the dγ/dβ reduction) against the dispatch
+// threshold; see docs/PERFORMANCE.md, "The dispatch threshold".
+const lnCost = 2
+
+// lnFwdJob is LayerNormRows with its operands bound, for ParallelFor
+// over groups of lnGroup rows.
 type lnFwdJob struct {
 	xd, hd, od, g, b []float32
 	rstd             []float64
 	eps              float64
 }
 
-func (j *lnFwdJob) Tile(_, r0, r1 int) {
-	LayerNormRows(j.od, j.hd, j.rstd, j.xd, j.g, j.b, j.eps, r0, r1)
+func (j *lnFwdJob) Tile(_, g0, g1 int) {
+	LayerNormRows(j.od, j.hd, j.rstd, j.xd, j.g, j.b, j.eps, g0*lnGroup, min(g1*lnGroup, len(j.rstd)))
 }
 
-// lnBwdJob computes per-row input gradients and accumulates the
-// cross-row dγ/dβ reduction into PER-TILE partials (tile t owns
-// dg/db/dh[t*dim:(t+1)*dim]). Backward merges the partials serially
-// in tile order, so the reduction sequence is a function of the fixed
-// tile decomposition only — bit-identical at any worker count.
+// lnBwdJob computes the input gradient of rows grouped as in the
+// forward. The loop is the definition; tensor.LayerNormDxVec is its
+// vector form (one row per lane for the two row sums).
 type lnBwdJob struct {
 	dyd, hd, dxd, g []float32
 	rstd            []float64
-	dim             int
-	dg, db          []float32 // [tiles*dim] partial parameter gradients
-	dh              []float64 // [tiles*dim] per-row dxhat scratch
+	pg, pb          []float32 // [dim] partial dγ/dβ of one run of rows
 }
 
-func (j *lnBwdJob) Tile(tile, r0, r1 int) {
-	dim := j.dim
-	dg := j.dg[tile*dim : (tile+1)*dim]
-	db := j.db[tile*dim : (tile+1)*dim]
-	dh := j.dh[tile*dim : (tile+1)*dim]
+func (j *lnBwdJob) Tile(_, g0, g1 int) {
+	dim := len(j.g)
+	r0, r1 := g0*lnGroup, min(g1*lnGroup, len(j.rstd))
+	r0 += tensor.LayerNormDxVec(j.dxd, j.dyd, j.hd, j.g, j.rstd, r0, r1)
 	invD := 1 / float64(dim)
 	for r := r0; r < r1; r++ {
 		dyr := j.dyd[r*dim : (r+1)*dim]
@@ -114,16 +125,51 @@ func (j *lnBwdJob) Tile(tile, r0, r1 int) {
 		var sumDh, sumDhH float64
 		for c, dyv := range dyr {
 			d := float64(dyv) * float64(j.g[c])
-			dh[c] = d
 			sumDh += d
 			sumDhH += d * float64(hr[c])
-			dg[c] += dyv * hr[c]
-			db[c] += dyv
 		}
 		rstd := j.rstd[r]
 		a, b := invD*sumDh, invD*sumDhH
-		for c, d := range dh {
+		for c, dyv := range dyr {
+			d := float64(dyv) * float64(j.g[c])
 			dxr[c] = float32(rstd * (d - a - float64(hr[c])*b))
+		}
+	}
+}
+
+// paramGrads adds this backward's dγ/dβ to dg and db. The reduction
+// runs across rows, so its order is fixed as a function of the row
+// count alone: runs of ⌈rows / NumTiles(rows)⌉ rows are summed from
+// zero — float32 multiply, then add — and each run's partial is added
+// to the gradient, runs in order. (That is the tile-ordered merge of
+// per-tile partials, minus the all-zero partials of trailing empty
+// tiles: g + 0 is g unless g is −0, and a sum begun at +0 never is.)
+// The loop is the definition; tensor.LayerNormParamGradVec is its
+// vector form and takes the leading whole vectors of columns.
+func (j *lnBwdJob) paramGrads(dg, db []float32) {
+	dim, rows := len(j.g), len(j.rstd)
+	if rows == 0 {
+		return
+	}
+	chunk := (rows + tensor.NumTiles(rows) - 1) / tensor.NumTiles(rows)
+	c0 := tensor.LayerNormParamGradVec(dg, db, j.dyd, j.hd, rows, chunk)
+	if c0 == dim {
+		return
+	}
+	pg, pb := j.pg[:dim], j.pb[:dim]
+	for r0 := 0; r0 < rows; r0 += chunk {
+		clear(pg[c0:])
+		clear(pb[c0:])
+		for r := r0; r < min(r0+chunk, rows); r++ {
+			for c := c0; c < dim; c++ {
+				dyv := j.dyd[r*dim+c]
+				pg[c] += dyv * j.hd[r*dim+c]
+				pb[c] += dyv
+			}
+		}
+		for c := c0; c < dim; c++ {
+			dg[c] += pg[c]
+			db[c] += pb[c]
 		}
 	}
 }
@@ -151,7 +197,6 @@ func (l *LayerNorm) rows(x *tensor.Tensor, op string) int {
 // Forward normalizes every trailing-dimension vector of x.
 func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	rows, dim := l.rows(x, "Forward"), l.Dim
-	l.x = x
 	l.xhat = tensor.Ensure(l.xhat, x.Shape()...)
 	if cap(l.rstd) < rows {
 		l.rstd = make([]float64, rows)
@@ -163,45 +208,27 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 		g: l.Gamma.W.Data(), b: l.Beta.W.Data(),
 		rstd: l.rstd, eps: l.Eps,
 	}
-	tensor.ParallelFor(rows, rows*dim*8, &l.fwd)
+	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, rows*dim*lnCost, &l.fwd)
 	return l.out
 }
 
 // Backward computes input gradients and accumulates dγ, dβ using the
 // standard layer-norm backward:
 // dx = rstd/D · (D·dxhat − Σdxhat − xhat·Σ(dxhat⊙xhat)) with
-// dxhat = dy ⊙ γ.
-//
-// dγ/dβ reduce across every row, so tiles accumulate partials that
-// are merged here in fixed tile order — the one reduction in the
-// threaded kernels whose sequence differs from the old single-pass
-// serial loop, chosen so results cannot depend on the worker count.
+// dxhat = dy ⊙ γ. dx is dispatched over row groups; dγ/dβ reduce across
+// every row and are summed on the caller in a fixed order
+// (lnBwdJob.paramGrads), so neither depends on the worker count.
 func (l *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	rows, dim := l.rows(dy, "Backward"), l.Dim
 	l.dx = tensor.Ensure(l.dx, dy.Shape()...)
-	tiles := tensor.NumTiles(rows)
-	if cap(l.bwd.dg) < tiles*dim {
-		l.bwd.dg = make([]float32, tiles*dim)
-		l.bwd.db = make([]float32, tiles*dim)
-		l.bwd.dh = make([]float64, tiles*dim)
+	if cap(l.bwd.pg) < dim {
+		l.bwd.pg = make([]float32, dim)
+		l.bwd.pb = make([]float32, dim)
 	}
-	l.bwd.dg = l.bwd.dg[:tiles*dim]
-	l.bwd.db = l.bwd.db[:tiles*dim]
-	l.bwd.dh = l.bwd.dh[:tiles*dim]
-	clear(l.bwd.dg)
-	clear(l.bwd.db)
 	l.bwd.dyd, l.bwd.hd, l.bwd.dxd = dy.Data(), l.xhat.Data(), l.dx.Data()
-	l.bwd.g, l.bwd.rstd, l.bwd.dim = l.Gamma.W.Data(), l.rstd, dim
-	tensor.ParallelFor(rows, rows*dim*8, &l.bwd)
-	dg, db := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
-	for t := 0; t < tiles; t++ {
-		pg := l.bwd.dg[t*dim : (t+1)*dim]
-		pb := l.bwd.db[t*dim : (t+1)*dim]
-		for c := 0; c < dim; c++ {
-			dg[c] += pg[c]
-			db[c] += pb[c]
-		}
-	}
+	l.bwd.g, l.bwd.rstd = l.Gamma.W.Data(), l.rstd[:rows]
+	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, rows*dim*lnCost, &l.bwd)
+	l.bwd.paramGrads(l.Gamma.Grad.Data(), l.Beta.Grad.Data())
 	return l.dx
 }
 

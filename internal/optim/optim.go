@@ -46,23 +46,26 @@ type AdamW struct {
 // adamwJob applies the AdamW update over elements [j0, j1) of one
 // parameter. Each element's update reads and writes only its own
 // w/g/m/v cells, so any tile split is bit-identical to the serial
-// loop.
+// loop. The loop below is the definition of the update; tensor.AdamWVec
+// is its vector form (same operations, same bits) and takes the tile's
+// leading whole vectors where the CPU has it.
 type adamwJob struct {
-	w, g, m, v            []float32
-	beta1, beta2, eps, wd float64
-	bc1, bc2, lr          float64
+	w, g, m, v []float32
+	c          tensor.AdamWCoef
 }
 
 func (a *adamwJob) Tile(_, j0, j1 int) {
+	c := &a.c
+	j0 += tensor.AdamWVec(a.w[j0:j1], a.g[j0:j1], a.m[j0:j1], a.v[j0:j1], c)
 	for j := j0; j < j1; j++ {
 		gj := float64(a.g[j])
-		mj := a.beta1*float64(a.m[j]) + (1-a.beta1)*gj
-		vj := a.beta2*float64(a.v[j]) + (1-a.beta2)*gj*gj
+		mj := c.Beta1*float64(a.m[j]) + (1-c.Beta1)*gj
+		vj := c.Beta2*float64(a.v[j]) + (1-c.Beta2)*gj*gj
 		a.m[j] = float32(mj)
 		a.v[j] = float32(vj)
-		mhat := mj / a.bc1
-		vhat := vj / a.bc2
-		upd := a.lr * (mhat/(math.Sqrt(vhat)+a.eps) + a.wd*float64(a.w[j]))
+		mhat := mj / c.BC1
+		vhat := vj / c.BC2
+		upd := c.LR * (mhat/(math.Sqrt(vhat)+c.Eps) + c.WD*float64(a.w[j]))
 		a.w[j] = float32(float64(a.w[j]) - upd)
 	}
 }
@@ -94,8 +97,7 @@ func (a *AdamW) Step(lr float64) {
 	for i, p := range a.params {
 		a.job = adamwJob{
 			w: p.W.Data(), g: p.Grad.Data(), m: a.m[i].Data(), v: a.v[i].Data(),
-			beta1: a.Beta1, beta2: a.Beta2, eps: a.Eps, wd: a.WeightDecay,
-			bc1: bc1, bc2: bc2, lr: lr,
+			c: tensor.AdamWCoef{Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, WD: a.WeightDecay, BC1: bc1, BC2: bc2, LR: lr},
 		}
 		n := p.W.Len()
 		tensor.ParallelFor(n, n*optimCost, &a.job)

@@ -1,0 +1,24 @@
+//go:build !amd64
+
+package tensor
+
+// useFMA is never true off amd64, so rowvec.go's wrappers return 0 and
+// their callers' scalar loops do all the work.
+
+func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef) {
+	panic("tensor: vector kernel unavailable")
+}
+
+func sum2Vec(dst, a, b *float32, n int, scale float64) { panic("tensor: vector kernel unavailable") }
+
+func lnFwdVec(out, xhat *float32, rstd *float64, x, gamma, beta *float32, eps float64, dim, groups int) {
+	panic("tensor: vector kernel unavailable")
+}
+
+func lnDxVec(dx, dy, xhat, gamma *float32, rstd *float64, dim, groups int) {
+	panic("tensor: vector kernel unavailable")
+}
+
+func lnParamGradVec(dg, db, dy, xhat *float32, dim, cols, rows, chunk int) {
+	panic("tensor: vector kernel unavailable")
+}
