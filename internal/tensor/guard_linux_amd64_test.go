@@ -1,0 +1,149 @@
+package tensor
+
+import (
+	"fmt"
+	"runtime/debug"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// The assembly kernels take raw pointers, so a kernel that reads or
+// writes a few elements past an operand normally lands inside the same
+// Go allocation and nothing notices. Here every operand lies flush
+// against an unmapped page — its end against the page after it, then
+// its start against the page before it — and every tail of every
+// kernel runs: one element too far is a fault.
+
+// guarded is a span of memory between two PROT_NONE pages.
+type guarded struct{ data []byte }
+
+func newGuarded(t *testing.T, bytes int) *guarded {
+	t.Helper()
+	page := syscall.Getpagesize()
+	span := (bytes + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, span+2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	for _, fence := range [][]byte{mem[:page], mem[page+span:]} {
+		if err := syscall.Mprotect(fence, syscall.PROT_NONE); err != nil {
+			t.Skipf("mprotect: %v", err)
+		}
+	}
+	return &guarded{mem[page : page+span]}
+}
+
+// guardedSlice returns n elements of g ending at the fence after it
+// (atEnd) or starting at the fence before it, filled with small values.
+func guardedSlice[T float32 | float64](g *guarded, n int, atEnd bool) []T {
+	if n == 0 {
+		return []T{}
+	}
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	off := 0
+	if atEnd {
+		off = len(g.data) - n*size
+	}
+	s := unsafe.Slice((*T)(unsafe.Pointer(&g.data[off])), n)
+	for i := range s {
+		s[i] = T(i%7) - 3
+	}
+	return s
+}
+
+// underFences runs sweep with each placement; a fault inside it fails
+// the test with the case that was running.
+func underFences(t *testing.T, sweep func(atEnd bool, running *string)) {
+	t.Helper()
+	if !useFMA {
+		t.Skip("vector kernels unavailable on this CPU")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, atEnd := range []bool{true, false} {
+		var running string
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s (operands at the %s fence): %v", running, map[bool]string{true: "upper", false: "lower"}[atEnd], r)
+				}
+			}()
+			sweep(atEnd, &running)
+		}()
+	}
+}
+
+// TestOuterTileStaysInsideOperands sweeps every m%4 row tail and every
+// n%16 column tail of outerTile4x16 through product.rows, both left
+// operand layouts, with and without bias and accumulation.
+func TestOuterTileStaysInsideOperands(t *testing.T) {
+	const maxM, maxN, maxK = 9, 33, 5
+	gd, gt, gu, gb := newGuarded(t, 4*maxM*maxN), newGuarded(t, 4*maxM*maxK), newGuarded(t, 4*maxK*maxN), newGuarded(t, 4*maxN)
+	underFences(t, func(atEnd bool, running *string) {
+		for m := 1; m <= maxM; m++ {
+			for n := 1; n <= maxN; n++ {
+				for _, k := range []int{1, maxK} {
+					for variant := 0; variant < 8; variant++ {
+						transA, withBias, acc := variant&1 != 0, variant&2 != 0, variant&4 != 0
+						*running = fmt.Sprintf("outerTile4x16 m=%d k=%d n=%d transA=%v bias=%v acc=%v", m, k, n, transA, withBias, acc)
+						p := product{
+							dst: guardedSlice[float32](gd, m*n, atEnd), t: guardedSlice[float32](gt, m*k, atEnd),
+							u: guardedSlice[float32](gu, k*n, atEnd), k: k, n: n, tk: 1, tr: k, un: n, dn: n, scale: 0.5, acc: acc,
+						}
+						if transA {
+							p.tk, p.tr = m, 1
+						}
+						if withBias {
+							p.bias = guardedSlice[float32](gb, n, atEnd)
+						}
+						p.rows(0, m)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestRowKernelsStayInsideOperands sweeps every length tail of the
+// AdamW and two-rank reduce kernels and every row-group and column
+// tail of the LayerNorm kernels.
+func TestRowKernelsStayInsideOperands(t *testing.T) {
+	const maxN, maxRows, maxDim = 21, 9, 24
+	var g [6]*guarded
+	for i := range g {
+		g[i] = newGuarded(t, 8*maxRows*maxDim)
+	}
+	underFences(t, func(atEnd bool, running *string) {
+		f32 := func(i, n int) []float32 { return guardedSlice[float32](g[i], n, atEnd) }
+		coef := &AdamWCoef{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WD: 0.01, BC1: 0.1, BC2: 0.001, LR: 1e-3}
+		for n := 0; n <= maxN; n++ {
+			*running = fmt.Sprintf("adamwVec n=%d", n)
+			AdamWVec(f32(0, n), f32(1, n), f32(2, n), f32(3, n), coef)
+			*running = fmt.Sprintf("sum2Vec n=%d", n)
+			Sum2ScaledVec(f32(0, n), f32(1, n), f32(2, n), 0.5)
+			a := f32(1, n)
+			Sum2ScaledVec(a, a, f32(2, n), 0.5)
+		}
+		for dim := 4; dim <= maxDim; dim += 4 {
+			for rows := 1; rows <= maxRows; rows++ {
+				n := rows * dim
+				rstd := guardedSlice[float64](g[5], rows, atEnd)
+				for i := range rstd {
+					rstd[i] = 1
+				}
+				*running = fmt.Sprintf("lnFwdVec [%d,%d]", rows, dim)
+				LayerNormRowsVec(f32(0, n), f32(1, n), rstd, f32(2, n), f32(3, dim), f32(4, dim), 1e-5, 0, rows)
+				out := f32(0, n)
+				LayerNormRowsVec(out, out, nil, f32(2, n), f32(3, dim), f32(4, dim), 1e-5, 0, rows)
+				*running = fmt.Sprintf("lnDxVec [%d,%d]", rows, dim)
+				LayerNormDxVec(f32(0, n), f32(1, n), f32(2, n), f32(3, dim), rstd, 0, rows)
+				for chunk := 1; chunk <= 4; chunk++ {
+					*running = fmt.Sprintf("lnParamGradVec [%d,%d] chunk=%d", rows, dim, chunk)
+					LayerNormParamGradVec(f32(3, dim), f32(4, dim), f32(0, n), f32(1, n), rows, chunk)
+				}
+			}
+		}
+	})
+}
