@@ -16,8 +16,8 @@ build:
 	$(GO) build ./...
 
 # The assembly kernels in internal/tensor are amd64-only; every one has
-# a portable counterpart (outer_other.go, mathvec_other.go) that no amd64
-# build compiles. Build the tree and vet that package for arm64 so a
+# a portable counterpart (outer_other.go, mathvec_other.go,
+# rowvec_other.go) that no amd64 build compiles. Build the tree and vet that package for arm64 so a
 # kernel added without its counterpart fails here.
 cross-build:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
@@ -108,10 +108,13 @@ cover:
 # candidates) without paying full benchmark time in CI. The matrix
 # kernel runs 2000 calls per workload shape (under a second in all) so
 # that the GFLOP/s it prints mean something: the one-line reproducer of
-# a kernel regression.
+# a kernel regression. The row kernels (AdamW, two-rank reduce,
+# LayerNorm forward / backward) print ns per element at the workload
+# sizes the same way, assembly off and on, on one P.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=2000x ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'BenchmarkRowKernels$$' -benchtime=2000x -cpu 1 ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$' -benchtime=1x ./internal/plan/
 
 # Full hot-path benchmark set with allocation counters — compare

@@ -87,9 +87,11 @@ func LayerNormRows(out, xhat []float32, rstd []float64, x, gamma, beta []float32
 // independent in both passes, so the grouping moves no bit.
 const lnGroup = 4
 
-// lnCost weights one element of a LayerNorm pass (forward, or backward
-// with its share of the dγ/dβ reduction) against the dispatch
-// threshold; see docs/PERFORMANCE.md, "The dispatch threshold".
+// lnCost weights one element of a LayerNorm pass against the dispatch
+// threshold: the vector kernels' ≈ 1.0–1.3 ns (forward, and backward
+// with its dγ/dβ reduction) on the host where the scalar loops' 3.2–5.4
+// ns carried a weight of 8, so the serial/parallel cutover stays at the
+// same wall time (docs/PERFORMANCE.md, "The dispatch threshold").
 const lnCost = 2
 
 // lnFwdJob is LayerNormRows with its operands bound, for ParallelFor

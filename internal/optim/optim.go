@@ -70,9 +70,12 @@ func (a *adamwJob) Tile(_, j0, j1 int) {
 	}
 }
 
-// optimCost weights one optimizer-update element (float64 math plus a
-// square root) against the dispatch threshold.
-const optimCost = 8
+// optimCost weights one optimizer-update element against the dispatch
+// threshold: the vector AdamW update's 3.3 ns on the host where the
+// scalar loop's 9.3 ns carried a weight of 8, so the serial/parallel
+// cutover stays at the same wall time (docs/PERFORMANCE.md, "The
+// dispatch threshold").
+const optimCost = 3
 
 // NewAdamW builds an AdamW optimizer with standard defaults
 // (β1=0.9, β2=0.999, ε=1e-8).
