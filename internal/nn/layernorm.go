@@ -29,7 +29,7 @@ type LayerNorm struct {
 	dx   *tensor.Tensor // owned input-gradient buffer
 
 	fwd lnFwdJob // persistent forward job (zero-alloc dispatch)
-	bwd lnBwdJob // persistent backward job + per-tile reduction scratch
+	bwd lnBwdJob // persistent backward job + dγ/dβ run scratch
 }
 
 // LayerNormRows is the layer-norm forward over rows [r0, r1) of x, each
@@ -158,6 +158,9 @@ func (j *lnBwdJob) paramGrads(dg, db []float32) {
 	if c0 == dim {
 		return
 	}
+	if cap(j.pg) < dim {
+		j.pg, j.pb = make([]float32, dim), make([]float32, dim)
+	}
 	pg, pb := j.pg[:dim], j.pb[:dim]
 	for r0 := 0; r0 < rows; r0 += chunk {
 		clear(pg[c0:])
@@ -223,10 +226,6 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (l *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	rows, dim := l.rows(dy, "Backward"), l.Dim
 	l.dx = tensor.Ensure(l.dx, dy.Shape()...)
-	if cap(l.bwd.pg) < dim {
-		l.bwd.pg = make([]float32, dim)
-		l.bwd.pb = make([]float32, dim)
-	}
 	l.bwd.dyd, l.bwd.hd, l.bwd.dxd = dy.Data(), l.xhat.Data(), l.dx.Data()
 	l.bwd.g, l.bwd.rstd = l.Gamma.W.Data(), l.rstd[:rows]
 	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, rows*dim*lnCost, &l.bwd)
