@@ -1,6 +1,7 @@
 package train
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -65,15 +66,10 @@ func TestTrainTrajectoryGolden(t *testing.T) {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		h := fnv.New64a()
-		var word [4]byte
 		for _, sh := range shards { // (P, T, F) order
 			for _, b := range sh.Blocks {
 				for _, vals := range [][]float32{b.W, b.M, b.V} {
-					for _, v := range vals {
-						u := math.Float32bits(v)
-						word = [4]byte{byte(u), byte(u >> 8), byte(u >> 16), byte(u >> 24)}
-						h.Write(word[:])
-					}
+					binary.Write(h, binary.LittleEndian, vals)
 				}
 			}
 		}
