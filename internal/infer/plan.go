@@ -79,7 +79,7 @@ type batchBufs struct {
 	concat     *tensor.Tensor   // [n·T, D]
 	attnOut    *tensor.Tensor   // [n·T, D]
 	h          *tensor.Tensor   // [n·T, D] post-attention residual
-	fc1, th, g *tensor.Tensor   // [n·T, 4D] MLP pre-activation, tanh cache, GELU out
+	fc1        *tensor.Tensor   // [n·T, 4D] MLP pre-activation, then its GELU in place
 	mlpOut     *tensor.Tensor   // [n·T, D]
 	headTok    *tensor.Tensor   // [n·T, P²·OutC]
 
@@ -114,7 +114,7 @@ type Plan struct {
 	xB, lnB, qB, kB, vB               []float32
 	qhB, khB, vhB, qnB, knB           []float32
 	probsB, outHB, concatB, attnB, hB []float32
-	fc1B, thB, gB, mlpB, headB        []float32
+	fc1B, mlpB, headB                 []float32
 	outsB                             []float32
 	aggRow                            []float32 // one token's aggregation weights
 	leadFeat, leadOff                 *tensor.Tensor
@@ -198,8 +198,6 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 	}
 	p.probsB = make([]float32, B*p.heads*T*T)
 	p.fc1B = make([]float32, B*T*4*D)
-	p.thB = make([]float32, B*T*4*D)
-	p.gB = make([]float32, B*T*4*D)
 	p.headB = make([]float32, B*T*pp*p.outC)
 	p.outsB = make([]float32, B*p.outC*p.h*p.w)
 	p.aggRow = make([]float32, C)
@@ -237,8 +235,6 @@ func (p *Plan) bufs(n int) *batchBufs {
 		attnOut: tensor.FromSlice(p.attnB[:n*T*D], n*T, D),
 		h:       tensor.FromSlice(p.hB[:n*T*D], n*T, D),
 		fc1:     tensor.FromSlice(p.fc1B[:n*T*4*D], n*T, 4*D),
-		th:      tensor.FromSlice(p.thB[:n*T*4*D], n*T, 4*D),
-		g:       tensor.FromSlice(p.gB[:n*T*4*D], n*T, 4*D),
 		mlpOut:  tensor.FromSlice(p.mlpB[:n*T*D], n*T, D),
 		headTok: tensor.FromSlice(p.headB[:n*T*pp*p.outC], n*T, pp*p.outC),
 	}
@@ -360,8 +356,8 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 
 		layerNorm(bb.lnBuf, bb.h, blk.LN2)
 		ws.fc1.matmul(bb.fc1, bb.lnBuf, blk.MLP.FC1.Weight.W, blk.MLP.FC1.Bias.W)
-		tensor.GELUCachedInto(bb.g, bb.th, bb.fc1)
-		ws.fc2.matmul(bb.mlpOut, bb.g, blk.MLP.FC2.Weight.W, blk.MLP.FC2.Bias.W)
+		tensor.GELUCachedInto(bb.fc1, nil, bb.fc1)
+		ws.fc2.matmul(bb.mlpOut, bb.fc1, blk.MLP.FC2.Weight.W, blk.MLP.FC2.Bias.W)
 		tensor.AddInto(bb.x, bb.h, bb.mlpOut)
 	}
 

@@ -2,43 +2,51 @@ package tensor
 
 import "sync"
 
-// Row-wise and elementwise kernel dispatch. Softmax and the GELU
-// family are embarrassingly parallel — each output row (softmax) or
-// element (GELU) depends only on its own inputs — so they split over
-// the ParallelFor runtime with no cross-tile reduction at all. Each
-// tile runs exactly the serial loop over its own range, and the
-// vectorized exp/tanh slice kernels are bit-identical to their scalar
-// references per element, so results do not depend on where tile
+// Row-wise and elementwise kernel dispatch. Softmax and GELU are
+// embarrassingly parallel — each output row (softmax) or element (GELU)
+// depends only on its own inputs — so they split over the ParallelFor
+// runtime with no cross-tile reduction at all. Each tile runs exactly
+// the serial loop over its own range. The loops below are the
+// definitions; elemvec.go's vector forms take each tile's leading whole
+// vectors (GELU) or groups of four rows (softmax) and are bit-identical
+// to them per element, so results do not depend on where tile
 // boundaries fall: any worker count produces the same bits.
 //
-// elemCost* weight the per-element arithmetic when comparing against
-// parallelThreshold (which is calibrated in multiply-adds): a
-// transcendental costs far more than a fused multiply-add, so these
-// kernels go parallel at smaller tensors than a matmul would.
-
+// elemCost* weight one element against parallelThreshold (which is
+// calibrated in multiply-adds). They are the weights the scalar loops
+// carried (16 for a pass with an exp32 or tanh32 per element, 4 for
+// softmax's backward, 8 for GELU's) times the vector kernels' ns per
+// element over the scalar loops', rounded down, so that no
+// serial/parallel cutover comes earlier in wall time than it did
+// (docs/PERFORMANCE.md, "The dispatch threshold").
 const (
-	elemCostTranscendental = 16 // exp/tanh polynomial kernels
-	elemCostArithmetic     = 4  // plain multiply-add loops
+	elemCostTranscendental = 6 // softmax and GELU forward
+	elemCostArithmetic     = 1 // softmax and GELU backward
 )
+
+// softmaxGroup is the dispatch item of softmax and its backward: a fixed
+// group of rows, the vector kernels' four. Were the item one row,
+// NumTiles would hand every tile of a 64-row tensor two rows and the
+// four-row kernels would never run. Rows are independent, so the
+// grouping moves no bit.
+const softmaxGroup = 4
 
 type elemKind uint8
 
 const (
 	elemSoftmax elemKind = iota
 	elemSoftmaxBwd
-	elemGELU
-	elemGELUBwd
 	elemGELUCached
 	elemGELUBwdCached
 )
 
 // elemJob is one row-wise or elementwise kernel invocation. For the
-// softmax kinds items are rows of width cols; for the GELU kinds
-// items are flat elements.
+// softmax kinds items are groups of softmaxGroup rows of width cols;
+// for the GELU kinds items are flat elements.
 type elemJob struct {
 	kind           elemKind
 	x, th, dy, out []float32
-	cols           int
+	rows, cols     int
 }
 
 // Tile implements Job. Each case is the unchanged serial loop
@@ -46,12 +54,17 @@ type elemJob struct {
 func (j *elemJob) Tile(_, i0, i1 int) {
 	switch j.kind {
 	case elemSoftmax:
-		for r := i0; r < i1; r++ {
-			softmaxRow(j.x[r*j.cols:(r+1)*j.cols], j.out[r*j.cols:(r+1)*j.cols])
+		cols := j.cols
+		r0, r1 := i0*softmaxGroup, min(i1*softmaxGroup, j.rows)
+		r0 += softmaxRows(j.out, j.x, cols, r0, r1)
+		for r := r0; r < r1; r++ {
+			softmaxRow(j.x[r*cols:(r+1)*cols], j.out[r*cols:(r+1)*cols])
 		}
 	case elemSoftmaxBwd:
 		cols := j.cols
-		for r := i0; r < i1; r++ {
+		r0, r1 := i0*softmaxGroup, min(i1*softmaxGroup, j.rows)
+		r0 += softmaxBwdRows(j.out, j.x, j.dy, cols, r0, r1)
+		for r := r0; r < r1; r++ {
 			yr := j.x[r*cols : (r+1)*cols]
 			dr := j.dy[r*cols : (r+1)*cols]
 			or := j.out[r*cols : (r+1)*cols]
@@ -63,29 +76,22 @@ func (j *elemJob) Tile(_, i0, i1 int) {
 				or[i] = yr[i] * (dr[i] - float32(dot))
 			}
 		}
-	case elemGELU:
-		x, d := j.x[i0:i1], j.out[i0:i1]
-		for i, v := range x {
-			d[i] = geluScalar(v)
-		}
-	case elemGELUBwd:
-		x, dyd, d := j.x[i0:i1], j.dy[i0:i1], j.out[i0:i1]
-		for i, v := range x {
-			d[i] = dyd[i] * geluGradScalar(v)
-		}
 	case elemGELUCached:
-		x, td, d := j.x[i0:i1], j.th[i0:i1], j.out[i0:i1]
-		for i, v := range x {
-			td[i] = geluC0 * (v + geluC1*v*v*v)
+		x, d := j.x[i0:i1], j.out[i0:i1]
+		td := d // no cache wanted: the tanh store lands in out and is overwritten
+		if j.th != nil {
+			td = j.th[i0:i1]
 		}
-		tanhSlice(td, td)
-		for i, v := range x {
-			d[i] = 0.5 * v * (1 + td[i])
+		for i := geluSlice(d, td, x); i < len(x); i++ {
+			v := x[i]
+			t := tanh32(geluC0 * (v + geluC1*v*v*v))
+			td[i] = t
+			d[i] = 0.5 * v * (1 + t)
 		}
 	case elemGELUBwdCached:
 		x, td, dyd, d := j.x[i0:i1], j.th[i0:i1], j.dy[i0:i1], j.out[i0:i1]
-		for i, v := range x {
-			t := td[i]
+		for i := geluBwdSlice(d, x, td, dyd); i < len(x); i++ {
+			v, t := x[i], td[i]
 			sech2 := 1 - t*t
 			du := float32(geluC0) * (1 + 3*geluC1*v*v)
 			d[i] = dyd[i] * (0.5*(1+t) + 0.5*v*sech2*du)

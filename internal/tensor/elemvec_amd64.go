@@ -1,0 +1,33 @@
+//go:build amd64
+
+package tensor
+
+// The kernels of elemvec.go, in elemvec_amd64.s; n, cols, r8 and c8
+// arrive already rounded to whole vectors.
+
+//go:noescape
+func geluVec(dst, th, x *float32, n int)
+
+//go:noescape
+func geluBwdVec(dst, x, th, dy *float32, n int)
+
+//go:noescape
+func softmaxVec(out, in *float32, cols, groups int)
+
+//go:noescape
+func softmaxBwdVec(out, y, dy *float32, cols, groups int)
+
+//go:noescape
+func addVec(dst, a, b *float32, n int)
+
+//go:noescape
+func scaleVec(dst *float32, n int, s float32)
+
+//go:noescape
+func maxAbsVec(p *float32, n int) uint32
+
+//go:noescape
+func sumRowsVec(dst, t *float32, rows, cols, stride int)
+
+//go:noescape
+func transposeVec(dst, src *float32, rows, cols, r8, c8 int)

@@ -1,0 +1,18 @@
+//go:build !amd64
+
+package tensor
+
+// useFMA is never true off amd64, so elemvec.go's wrappers return 0 and
+// their callers' scalar loops do all the work.
+
+func geluVec(dst, th, x *float32, n int)                  { panic("tensor: vector kernel unavailable") }
+func geluBwdVec(dst, x, th, dy *float32, n int)           { panic("tensor: vector kernel unavailable") }
+func softmaxVec(out, in *float32, cols, groups int)       { panic("tensor: vector kernel unavailable") }
+func softmaxBwdVec(out, y, dy *float32, cols, groups int) { panic("tensor: vector kernel unavailable") }
+func addVec(dst, a, b *float32, n int)                    { panic("tensor: vector kernel unavailable") }
+func scaleVec(dst *float32, n int, s float32)             { panic("tensor: vector kernel unavailable") }
+func maxAbsVec(p *float32, n int) uint32                  { panic("tensor: vector kernel unavailable") }
+func sumRowsVec(dst, t *float32, rows, cols, stride int)  { panic("tensor: vector kernel unavailable") }
+func transposeVec(dst, src *float32, rows, cols, r8, c8 int) {
+	panic("tensor: vector kernel unavailable")
+}

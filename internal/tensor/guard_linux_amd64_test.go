@@ -147,3 +147,56 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 		}
 	})
 }
+
+// TestElemKernelsStayInsideOperands sweeps every length tail of the
+// GELU, streaming and exp kernels (expVec has been in no such test
+// since it was written; tanh32's vector form now runs inside geluVec),
+// every row-group tail and width of the softmax kernels, every column
+// tail of the bias-gradient sum and every rows%8 × cols%8 edge of the
+// transpose.
+func TestElemKernelsStayInsideOperands(t *testing.T) {
+	const maxN, maxRows, maxCols = 21, 9, 41
+	var g [4]*guarded
+	for i := range g {
+		g[i] = newGuarded(t, 4*maxRows*maxCols)
+	}
+	underFences(t, func(atEnd bool, running *string) {
+		f32 := func(i, n int) []float32 { return guardedSlice[float32](g[i], n, atEnd) }
+		for n := 0; n <= maxN; n++ {
+			*running = fmt.Sprintf("expVec n=%d", n)
+			expSlice(f32(0, n), f32(1, n))
+			*running = fmt.Sprintf("geluVec n=%d", n)
+			geluSlice(f32(0, n), f32(1, n), f32(2, n))
+			x := f32(2, n)
+			geluSlice(x, x, x)
+			*running = fmt.Sprintf("geluBwdVec n=%d", n)
+			dy := f32(3, n)
+			geluBwdSlice(dy, f32(0, n), f32(1, n), dy)
+			*running = fmt.Sprintf("addVec n=%d", n)
+			addSlices(f32(0, n), f32(1, n), f32(2, n))
+			AddVec(f32(0, n), f32(1, n))
+			*running = fmt.Sprintf("scaleVec n=%d", n)
+			scaleSlice(f32(0, n), 0.5)
+			*running = fmt.Sprintf("maxAbsVec n=%d", n)
+			maxAbsSlice(f32(0, n))
+		}
+		for rows := 1; rows <= maxRows; rows++ {
+			for cols := 1; cols <= maxCols; cols++ {
+				n := rows * cols
+				if cols%8 == 0 {
+					*running = fmt.Sprintf("softmaxVec [%d,%d]", rows, cols)
+					softmaxRows(f32(0, n), f32(1, n), cols, 0, rows)
+					x := f32(1, n)
+					softmaxRows(x, x, cols, 0, rows)
+					*running = fmt.Sprintf("softmaxBwdVec [%d,%d]", rows, cols)
+					dy := f32(2, n)
+					softmaxBwdRows(dy, f32(1, n), dy, cols, 0, rows)
+				}
+				*running = fmt.Sprintf("sumRowsVec [%d,%d]", rows, cols)
+				sumRowsCols(f32(0, cols), f32(1, n), rows, cols)
+				*running = fmt.Sprintf("transposeVec [%d,%d]", rows, cols)
+				transposeBlocks(f32(0, n), f32(1, n), rows, cols)
+			}
+		}
+	})
+}

@@ -155,14 +155,25 @@ func TestElementwiseIntoParity(t *testing.T) {
 	dy := Randn(rng, 1, 7, 13)
 	requireClose(t, SoftmaxBackwardInto(New(7, 13), sm, dy), SoftmaxBackward(sm, dy), "SoftmaxBackwardInto")
 
-	requireClose(t, GELUInto(New(7, 13), x), GELU(x), "GELUInto")
-	requireClose(t, GELUBackwardInto(New(7, 13), x, dy), GELUBackward(x, dy), "GELUBackwardInto")
-
-	// Cached-tanh GELU matches the direct form exactly.
-	g := New(7, 13)
+	// Cached-tanh GELU matches the direct form exactly, with the cache
+	// and without it, and in place over its input.
+	wantG, wantDx := New(7, 13), New(7, 13)
+	for i, v := range x.Data() {
+		wantG.Data()[i] = geluScalar(v)
+		wantDx.Data()[i] = dy.Data()[i] * geluGradScalar(v)
+	}
+	requireSame := func(got, want *Tensor, what string) {
+		t.Helper()
+		if !AllClose(got, want, 0, 0) {
+			t.Fatalf("%s: max diff %g from the direct form", what, MaxDiff(got, want))
+		}
+	}
 	th := New(7, 13)
-	requireClose(t, GELUCachedInto(g, th, x), GELU(x), "GELUCachedInto")
-	requireClose(t, GELUBackwardCachedInto(New(7, 13), x, th, dy), GELUBackward(x, dy), "GELUBackwardCachedInto")
+	requireSame(GELUCachedInto(New(7, 13), th, x), wantG, "GELUCachedInto")
+	requireSame(GELUCachedInto(New(7, 13), nil, x), wantG, "GELUCachedInto without a cache")
+	xc = x.Clone()
+	requireSame(GELUCachedInto(xc, nil, xc), wantG, "GELUCachedInto in place")
+	requireSame(GELUBackwardCachedInto(New(7, 13), x, th, dy), wantDx, "GELUBackwardCachedInto")
 
 	v := Randn(rng, 1, 13)
 	requireClose(t, AddRowVectorInto(New(7, 13), x, v), AddRowVector(x, v), "AddRowVectorInto")

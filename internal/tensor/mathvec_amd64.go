@@ -2,24 +2,18 @@
 
 package tensor
 
-// Vectorized transcendentals for the softmax and GELU hot loops:
-// 8-lane AVX2 implementations of exp32 and tanh32 that execute the
-// scalar polynomials operation-for-operation (separate multiply and
-// add, no FMA contraction), so every lane produces the exact bits of
-// the scalar reference — asserted by TestVecTranscendentalsMatchScalar.
-// Kernels process n&^7 elements; callers handle the scalar tail.
+// Vectorized exp32 for softmax's rows: an 8-lane AVX2 implementation
+// that executes the scalar polynomial operation-for-operation (separate
+// multiply and add, no FMA contraction), so every lane produces the
+// exact bits of the scalar reference — asserted by
+// TestVecTranscendentalsMatchScalar. tanh32's vector form is a macro
+// beside it (mathvec_amd64.h) that the GELU kernel runs in registers.
 
 // expVec writes exp32(src[i]) into dst[i] for i in [0, n&^7).
 // dst may alias src.
 //
 //go:noescape
 func expVec(dst, src *float32, n int)
-
-// tanhVec writes tanh32(src[i]) into dst[i] for i in [0, n&^7).
-// dst may alias src.
-//
-//go:noescape
-func tanhVec(dst, src *float32, n int)
 
 // expSlice computes dst[i] = exp32(src[i]) over whole slices, using
 // the vector kernel for the aligned body when available.
@@ -32,19 +26,5 @@ func expSlice(dst, src []float32) {
 	}
 	for ; i < n; i++ {
 		dst[i] = exp32(src[i])
-	}
-}
-
-// tanhSlice computes dst[i] = tanh32(src[i]) over whole slices, using
-// the vector kernel for the aligned body when available.
-func tanhSlice(dst, src []float32) {
-	n := len(src)
-	i := 0
-	if useFMA && n >= 8 {
-		tanhVec(&dst[0], &src[0], n)
-		i = n &^ 7
-	}
-	for ; i < n; i++ {
-		dst[i] = tanh32(src[i])
 	}
 }

@@ -1,11 +1,10 @@
 //go:build amd64
 
 #include "textflag.h"
+#include "mathvec_amd64.h"
 
-// 8-lane AVX2 exp32 / tanh32. Every arithmetic step mirrors the scalar
-// implementations in mathfast.go with separate multiply and add (no
-// FMA contraction), so each lane computes the scalar function's exact
-// bits — the cross-path equality the tensor property tests assert.
+// 8-lane AVX2 exp32, and the constants of the exp32 / tanh32 macros in
+// mathvec_amd64.h, which hold the arithmetic.
 
 // Constant pool (float32 bit patterns; see mathfast.go for values).
 DATA mvc_log2e+0(SB)/4, $0x3fb8aa3b  // 1.44269504…
@@ -61,49 +60,6 @@ GLOBL mvc_th2(SB), RODATA|NOPTR, $4
 GLOBL mvc_th3(SB), RODATA|NOPTR, $4
 GLOBL mvc_th4(SB), RODATA|NOPTR, $4
 
-// EXPCORE computes Y5 = exp-polynomial(Y1) without range clamps,
-// clobbering Y2, Y3, Y4. Mirrors exp32's op sequence exactly:
-//   nf = floor(a·log2e + 0.5); r = a − nf·C1 − nf·C2;
-//   p = Horner(r); p = p·r·r + r + 1; Y5 = p · 2^nf.
-#define EXPCORE \
-	VBROADCASTSS mvc_log2e(SB), Y2 \
-	VMULPS       Y2, Y1, Y2        \
-	VBROADCASTSS mvc_half(SB), Y3  \
-	VADDPS       Y3, Y2, Y2        \
-	VROUNDPS     $1, Y2, Y2        \
-	VBROADCASTSS mvc_expc1(SB), Y3 \
-	VMULPS       Y3, Y2, Y3        \
-	VSUBPS       Y3, Y1, Y4        \
-	VBROADCASTSS mvc_expc2(SB), Y3 \
-	VMULPS       Y3, Y2, Y3        \
-	VSUBPS       Y3, Y4, Y4        \
-	VBROADCASTSS mvc_ep0(SB), Y5   \
-	VBROADCASTSS mvc_ep1(SB), Y3   \
-	VMULPS       Y4, Y5, Y5        \
-	VADDPS       Y3, Y5, Y5        \
-	VBROADCASTSS mvc_ep2(SB), Y3   \
-	VMULPS       Y4, Y5, Y5        \
-	VADDPS       Y3, Y5, Y5        \
-	VBROADCASTSS mvc_ep3(SB), Y3   \
-	VMULPS       Y4, Y5, Y5        \
-	VADDPS       Y3, Y5, Y5        \
-	VBROADCASTSS mvc_ep4(SB), Y3   \
-	VMULPS       Y4, Y5, Y5        \
-	VADDPS       Y3, Y5, Y5        \
-	VBROADCASTSS mvc_ep5(SB), Y3   \
-	VMULPS       Y4, Y5, Y5        \
-	VADDPS       Y3, Y5, Y5        \
-	VMULPS       Y4, Y5, Y5        \
-	VMULPS       Y4, Y5, Y5        \
-	VADDPS       Y4, Y5, Y5        \
-	VBROADCASTSS mvc_one(SB), Y3   \
-	VADDPS       Y3, Y5, Y5        \
-	VCVTTPS2DQ   Y2, Y2            \
-	VPBROADCASTD mvc_i127(SB), Y3  \
-	VPADDD       Y3, Y2, Y2        \
-	VPSLLD       $23, Y2, Y2       \
-	VMULPS       Y2, Y5, Y5
-
 // func expVec(dst, src *float32, n int)
 TEXT ·expVec(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
@@ -116,17 +72,7 @@ eloop:
 	VMOVUPS (SI), Y0 // x (kept for the clamp blends)
 	VMOVUPS Y0, Y1
 	EXPCORE
-
-	// x > 88.376… → MaxFloat32; x < −87.336… → 0.
-	VBROADCASTSS mvc_maxarg(SB), Y2
-	VCMPPS       $0x0e, Y2, Y0, Y3 // GT_OS
-	VBROADCASTSS mvc_maxf32(SB), Y4
-	VBLENDVPS    Y3, Y4, Y5, Y5
-	VBROADCASTSS mvc_minarg(SB), Y2
-	VCMPPS       $0x01, Y2, Y0, Y3 // LT_OS
-	VXORPS       Y4, Y4, Y4
-	VBLENDVPS    Y3, Y4, Y5, Y5
-
+	EXPCLAMP
 	VMOVUPS Y5, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
@@ -134,74 +80,5 @@ eloop:
 	JNZ     eloop
 
 edone:
-	VZEROUPPER
-	RET
-
-// func tanhVec(dst, src *float32, n int)
-TEXT ·tanhVec(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $3, CX
-	JZ   tdone
-
-tloop:
-	VMOVUPS (SI), Y0 // x, preserved throughout
-
-	// Small-|x| minimax polynomial: res1 = Horner(z)·z·x + x, z = x².
-	VMULPS       Y0, Y0, Y1
-	VBROADCASTSS mvc_th0(SB), Y7
-	VBROADCASTSS mvc_th1(SB), Y3
-	VMULPS       Y1, Y7, Y7
-	VADDPS       Y3, Y7, Y7
-	VBROADCASTSS mvc_th2(SB), Y3
-	VMULPS       Y1, Y7, Y7
-	VADDPS       Y3, Y7, Y7
-	VBROADCASTSS mvc_th3(SB), Y3
-	VMULPS       Y1, Y7, Y7
-	VADDPS       Y3, Y7, Y7
-	VBROADCASTSS mvc_th4(SB), Y3
-	VMULPS       Y1, Y7, Y7
-	VADDPS       Y3, Y7, Y7
-	VMULPS       Y1, Y7, Y7
-	VMULPS       Y0, Y7, Y7
-	VADDPS       Y0, Y7, Y7
-
-	// mask625 = |x| < 0.625 (kept in Y6 across the exp core).
-	VBROADCASTSS mvc_absmask(SB), Y2
-	VANDPS       Y0, Y2, Y6
-	VBROADCASTSS mvc_c0625(SB), Y2
-	VCMPPS       $0x01, Y2, Y6, Y6
-
-	// Large-|x| identity: res2 = 1 − 2/(e^{2x}+1). Lanes beyond the
-	// exp core's range are overridden by the ±9 saturation blends
-	// below, exactly as the scalar branch structure does.
-	VADDPS Y0, Y0, Y1
-	EXPCORE
-	VBROADCASTSS mvc_one(SB), Y2
-	VADDPS       Y2, Y5, Y5
-	VBROADCASTSS mvc_two(SB), Y3
-	VDIVPS       Y5, Y3, Y5
-	VSUBPS       Y5, Y2, Y5 // res2 = 1 − 2/(e+1)
-
-	VBLENDVPS Y6, Y7, Y5, Y5 // |x| < 0.625 → polynomial
-
-	// Saturation: x > 9 → 1; x < −9 → −1.
-	VBROADCASTSS mvc_nine(SB), Y2
-	VCMPPS       $0x0e, Y2, Y0, Y3
-	VBROADCASTSS mvc_one(SB), Y4
-	VBLENDVPS    Y3, Y4, Y5, Y5
-	VBROADCASTSS mvc_negnine(SB), Y2
-	VCMPPS       $0x01, Y2, Y0, Y3
-	VBROADCASTSS mvc_negone(SB), Y4
-	VBLENDVPS    Y3, Y4, Y5, Y5
-
-	VMOVUPS Y5, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     tloop
-
-tdone:
 	VZEROUPPER
 	RET

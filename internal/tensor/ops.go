@@ -9,9 +9,9 @@ import (
 func AddInto(dst, t, u *Tensor) *Tensor {
 	t.mustMatch(u, "AddInto")
 	dst.mustMatch(t, "AddInto")
-	d, ud := dst.data, u.data
-	for i, v := range t.data {
-		d[i] = v + ud[i]
+	d, td, ud := dst.data, t.data, u.data
+	for i := addSlices(d, td, ud); i < len(d); i++ {
+		d[i] = td[i] + ud[i]
 	}
 	return dst
 }
@@ -62,15 +62,15 @@ func Scale(t *Tensor, s float32) *Tensor {
 func (t *Tensor) AddInPlace(u *Tensor) {
 	t.ver++
 	t.mustMatch(u, "AddInPlace")
-	for i, v := range u.data {
-		t.data[i] += v
+	for i := AddVec(t.data, u.data); i < len(u.data); i++ {
+		t.data[i] += u.data[i]
 	}
 }
 
 // ScaleInPlace multiplies t by s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	t.ver++
-	for i := range t.data {
+	for i := scaleSlice(t.data, s); i < len(t.data); i++ {
 		t.data[i] *= s
 	}
 }
@@ -121,9 +121,10 @@ func SumRowsAccInto(dst, t *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SumRowsAccInto destination %v, want %d elements", dst.shape, cols))
 	}
 	d := dst.data
-	for r := 0; r < rows; r++ {
+	c0 := sumRowsCols(d, t.data, rows, cols)
+	for r := 0; r < rows && c0 < cols; r++ {
 		tr := t.data[r*cols : (r+1)*cols]
-		for c := 0; c < cols; c++ {
+		for c := c0; c < cols; c++ {
 			d[c] += tr[c]
 		}
 	}
@@ -194,8 +195,8 @@ func SoftmaxInto(dst, t *Tensor) *Tensor {
 	dst.mustMatch(t, "SoftmaxInto")
 	cols := t.shape[len(t.shape)-1]
 	rows := len(t.data) / cols
-	dispatchElem(elemJob{kind: elemSoftmax, x: t.data, out: dst.data, cols: cols},
-		rows, len(t.data)*elemCostTranscendental)
+	dispatchElem(elemJob{kind: elemSoftmax, x: t.data, out: dst.data, rows: rows, cols: cols},
+		(rows+softmaxGroup-1)/softmaxGroup, len(t.data)*elemCostTranscendental)
 	return dst
 }
 
@@ -236,8 +237,8 @@ func SoftmaxBackwardInto(dst, y, dy *Tensor) *Tensor {
 	dst.mustMatch(y, "SoftmaxBackward")
 	cols := y.shape[len(y.shape)-1]
 	rows := len(y.data) / cols
-	dispatchElem(elemJob{kind: elemSoftmaxBwd, x: y.data, dy: dy.data, out: dst.data, cols: cols},
-		rows, len(y.data)*elemCostArithmetic)
+	dispatchElem(elemJob{kind: elemSoftmaxBwd, x: y.data, dy: dy.data, out: dst.data, rows: rows, cols: cols},
+		(rows+softmaxGroup-1)/softmaxGroup, len(y.data)*elemCostArithmetic)
 	return dst
 }
 
@@ -247,55 +248,25 @@ func SoftmaxBackward(y, dy *Tensor) *Tensor {
 	return SoftmaxBackwardInto(New(y.shape...), y, dy)
 }
 
-// GELUInto applies the tanh-approximate GELU into dst (may alias t).
-func GELUInto(dst, t *Tensor) *Tensor {
-	dst.mustMatch(t, "GELUInto")
-	dispatchElem(elemJob{kind: elemGELU, x: t.data, out: dst.data},
-		len(t.data), len(t.data)*elemCostTranscendental)
-	return dst
-}
-
-// GELU applies the tanh-approximate Gaussian error linear unit.
-func GELU(t *Tensor) *Tensor {
-	return GELUInto(New(t.shape...), t)
-}
-
 const (
 	geluC0 = 0.7978845608028654 // sqrt(2/pi)
 	geluC1 = 0.044715
 )
 
-func geluScalar(x float32) float32 {
-	return 0.5 * x * (1 + tanh32(geluC0*(x+geluC1*x*x*x)))
-}
-
-// GELUBackwardInto computes dst = dy ⊙ gelu'(x) given the
-// pre-activation x. dst may alias dy.
-func GELUBackwardInto(dst, x, dy *Tensor) *Tensor {
-	x.mustMatch(dy, "GELUBackward")
-	dst.mustMatch(x, "GELUBackward")
-	dispatchElem(elemJob{kind: elemGELUBwd, x: x.data, dy: dy.data, out: dst.data},
-		len(x.data), len(x.data)*elemCostTranscendental)
-	return dst
-}
-
-// GELUBackward returns dL/dx given the pre-activation x and dL/dy.
-func GELUBackward(x, dy *Tensor) *Tensor {
-	return GELUBackwardInto(New(x.shape...), x, dy)
-}
-
-// GELUCachedInto computes dst = gelu(x) while storing tanh(u) (the
-// expensive inner transcendental) into th, so the backward pass can
-// reconstruct the derivative without recomputing any tanh. dst may
-// alias x; th must not alias either.
+// GELUCachedInto computes dst = gelu(x), the tanh-approximate Gaussian
+// error linear unit 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), while
+// storing tanh(u) (the expensive inner transcendental) into th, so the
+// backward pass can reconstruct the derivative without recomputing any
+// tanh. th may be nil when no backward pass follows (inference); dst
+// may alias x; th must not alias either.
 func GELUCachedInto(dst, th, x *Tensor) *Tensor {
 	dst.mustMatch(x, "GELUCachedInto")
-	th.mustMatch(x, "GELUCachedInto")
-	// Each tile stages the tanh arguments in th, runs the (vectorized)
-	// slice tanh in place, then finishes the gate — same per-element
-	// operations as the fused scalar loop, so results are bit-identical.
-	dispatchElem(elemJob{kind: elemGELUCached, x: x.data, th: th.data, out: dst.data},
-		len(x.data), len(x.data)*elemCostTranscendental)
+	j := elemJob{kind: elemGELUCached, x: x.data, out: dst.data}
+	if th != nil {
+		th.mustMatch(x, "GELUCachedInto")
+		j.th = th.data
+	}
+	dispatchElem(j, len(x.data), len(x.data)*elemCostTranscendental)
 	return dst
 }
 
@@ -308,16 +279,8 @@ func GELUBackwardCachedInto(dst, x, th, dy *Tensor) *Tensor {
 	dst.mustMatch(x, "GELUBackwardCached")
 	th.mustMatch(x, "GELUBackwardCached")
 	dispatchElem(elemJob{kind: elemGELUBwdCached, x: x.data, th: th.data, dy: dy.data, out: dst.data},
-		len(x.data), len(x.data)*elemCostArithmetic*2)
+		len(x.data), len(x.data)*elemCostArithmetic)
 	return dst
-}
-
-func geluGradScalar(x float32) float32 {
-	u := geluC0 * (x + geluC1*x*x*x)
-	th := tanh32(u)
-	sech2 := 1 - th*th
-	du := float32(geluC0) * (1 + 3*geluC1*x*x)
-	return 0.5*(1+th) + 0.5*x*sech2*du
 }
 
 // concatShape validates Concat inputs and returns the output shape.

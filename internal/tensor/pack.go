@@ -54,26 +54,27 @@ func getPack(n int) *[]float32 {
 func putPack(p *[]float32) { packPool.Put(p) }
 
 // packTranspose writes srcᵀ into dst: src is [rows, cols] row-major,
-// dst becomes [cols, rows]. Matrices that fit in L1 take a direct
-// two-loop pass; larger ones are blocked for cache friendliness.
+// dst becomes [cols, rows]. transposeBlocks takes the leading corner of
+// whole 8×8 blocks; the loop — the definition — does the right and
+// bottom edges, which is everything with the CPU gate off.
 func packTranspose(dst, src []float32, rows, cols int) {
+	r8, c8 := transposeBlocks(dst, src, rows, cols)
+	transposeRange(dst, src, rows, cols, 0, r8, c8, cols)
+	transposeRange(dst, src, rows, cols, r8, rows, 0, cols)
+}
+
+// transposeRange writes dst[c·rows+r] = src[r·cols+c] over rows
+// [r0, r1) and columns [c0, c1), in 32×32 blocks so that a matrix
+// beyond L1 stays cache friendly.
+func transposeRange(dst, src []float32, rows, cols, r0, r1, c0, c1 int) {
 	const bs = 32
-	if rows*cols <= 4096 {
-		for r := 0; r < rows; r++ {
-			row := src[r*cols : r*cols+cols]
-			for c, v := range row {
-				dst[c*rows+r] = v
-			}
-		}
-		return
-	}
-	for r0 := 0; r0 < rows; r0 += bs {
-		r1 := min(r0+bs, rows)
-		for c0 := 0; c0 < cols; c0 += bs {
-			c1 := min(c0+bs, cols)
-			for r := r0; r < r1; r++ {
+	for rb := r0; rb < r1; rb += bs {
+		re := min(rb+bs, r1)
+		for cb := c0; cb < c1; cb += bs {
+			ce := min(cb+bs, c1)
+			for r := rb; r < re; r++ {
 				row := src[r*cols : r*cols+cols]
-				for c := c0; c < c1; c++ {
+				for c := cb; c < ce; c++ {
 					dst[c*rows+r] = row[c]
 				}
 			}

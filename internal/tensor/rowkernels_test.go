@@ -12,12 +12,13 @@ import (
 	"orbit/internal/tensor"
 )
 
-// Contract of the row kernels (rowvec_amd64.s): each equals, bit for
-// bit, the scalar loop it is the vector form of — optim's AdamW update,
-// comm's two-rank reduce, nn's LayerNorm forward and backward. The
-// loops live in those packages, so every test drives the owner's
-// public entry point twice, CPU gate off (the loop alone) and on
-// (kernel body, loop tail), and compares bits.
+// Contract of the row kernels (rowvec_amd64.s, elemvec_amd64.s): each
+// equals, bit for bit, the scalar loop it is the vector form of —
+// optim's AdamW update, comm's two-rank reduce, nn's LayerNorm forward
+// and backward, and this package's GELU, softmax, streaming and
+// transpose loops. The float64 loops live in those packages, so every
+// test drives the owner's public entry point twice, CPU gate off (the
+// loop alone) and on (kernel body, loop tail), and compares bits.
 
 // bothWays returns f's result with the assembly kernels off and on.
 func bothWays[T any](t *testing.T, f func() T) (scalar, vector T) {
@@ -108,16 +109,19 @@ func TestAdamWVecMatchesScalar(t *testing.T) {
 	}
 }
 
+// special holds ±0, the smallest and largest denormal, ±Inf, NaN and
+// ±MaxFloat32.
+var special = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.Float32frombits(1), -math.Float32frombits(1), math.Float32frombits(0x007fffff),
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.MaxFloat32, -math.MaxFloat32,
+}
+
 // reduceInputs returns two rank buffers of n elements: every pairing of
 // the special values (±0, the smallest and largest denormal, ±Inf, NaN,
 // ±MaxFloat32) first, magnitudes after.
 func reduceInputs(rng *tensor.RNG, n int) (a, b []float32) {
-	special := []float32{
-		0, float32(math.Copysign(0, -1)),
-		math.Float32frombits(1), -math.Float32frombits(1), math.Float32frombits(0x007fffff),
-		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
-		math.MaxFloat32, -math.MaxFloat32,
-	}
 	a, b = magnitudes(rng, n), magnitudes(rng, n)
 	for i := 0; i < n && i < len(special)*len(special); i++ {
 		a[i], b[i] = special[i/len(special)], special[i%len(special)]
@@ -246,8 +250,274 @@ func TestLayerNormBackwardVecMatchesScalar(t *testing.T) {
 	}
 }
 
-// BenchmarkRowKernels prints ns per element of the four row loops at
-// the bench workloads' sizes, assembly on and off — the one-line
+// geluInputs returns n pre-activations: twelve decades of either sign,
+// a grid over [-12, 12], and ulp-by-ulp walks across the four inputs at
+// which the tanh argument √(2/π)·(x + 0.044715·x³) crosses tanh32's
+// branch boundaries ±0.625 and ±9.
+func geluInputs(rng *tensor.RNG, n int) []float32 {
+	x := magnitudes(rng, n)
+	for i := 0; i < n/4; i++ {
+		x[i] = float32(24*rng.Float64() - 12)
+	}
+	at := n / 4
+	for _, edge := range []float64{0.625, 9} {
+		lo, hi := 0.0, 16.0
+		for k := 0; k < 60; k++ {
+			if mid := (lo + hi) / 2; 0.7978845608028654*(mid+0.044715*mid*mid*mid) < edge {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		for _, sign := range []float32{1, -1} {
+			v := sign * float32(lo)
+			for k := 0; k < 100; k++ {
+				v = math.Nextafter32(v, 0)
+			}
+			for k := 0; k < 200 && at < n; k++ {
+				x[at] = v
+				v = math.Nextafter32(v, sign*float32(math.Inf(1)))
+				at++
+			}
+		}
+	}
+	return x
+}
+
+// gelu runs the cached pair over x and dy: forward with the cache,
+// forward without it and in place over x, backward into dy.
+func gelu(x, dy []float32) []float32 {
+	n := len(x)
+	xt, dyt := tensor.FromSlice(append([]float32(nil), x...), n), tensor.FromSlice(append([]float32(nil), dy...), n)
+	out, th := tensor.FromSlice(sentinel(n), n), tensor.FromSlice(sentinel(n), n)
+	tensor.GELUCachedInto(out, th, xt)
+	tensor.GELUBackwardCachedInto(dyt, xt, th, dyt)
+	tensor.GELUCachedInto(xt, nil, xt)
+	return append(append(append(out.Data(), th.Data()...), xt.Data()...), dyt.Data()...)
+}
+
+// TestGELUVecMatchesScalar covers every length 1…40 (each n%8 tail, one
+// to five vectors) and a 4 099-element tensor, which ParallelFor cuts
+// into tiles that start anywhere in a vector; then every special value
+// in every lane and tail position of x and of dy. A NaN activation must
+// come out of both passes as NaN, kernel and loop alike: the guard's
+// sentinel is a NaN that survives to the loss.
+func TestGELUVecMatchesScalar(t *testing.T) {
+	rng := tensor.NewRNG(83)
+	x, dy := geluInputs(rng, 4099), magnitudes(rng, 4099)
+	for n := 1; n <= 41; n++ {
+		if n == 41 {
+			n = len(x)
+		}
+		scalar, vector := bothWays(t, func() []float32 { return gelu(x[len(x)-n:], dy[:n]) })
+		sameBits(t, fmt.Sprintf("GELU n=%d (out, tanh, in place, dx)", n), vector, scalar, false)
+	}
+	const n = 23
+	for p := 0; p < n; p++ {
+		for _, v := range special {
+			for _, into := range []string{"x", "dy"} {
+				xs, dys := tensor.Randn(rng, 2, n).Data(), tensor.Randn(rng, 1, n).Data()
+				if into == "x" {
+					xs[p] = v
+				} else {
+					dys[p] = v
+				}
+				scalar, vector := bothWays(t, func() []float32 { return gelu(xs, dys) })
+				what := fmt.Sprintf("GELU with %v at %s[%d]", v, into, p)
+				sameBits(t, what+" (out, tanh, in place, dx)", vector, scalar, true)
+				for _, got := range [][]float32{scalar, vector} {
+					for part := 0; part < 4 && v != v; part++ {
+						if o := got[part*n+p]; o == o && (into == "x" || part == 3) {
+							t.Fatalf("%s: the NaN is gone from output %d: %v", what, part, o)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// softmax runs SoftmaxInto and SoftmaxBackwardInto over [rows, cols]
+// logits x and upstream gradient dy, each into a separate destination
+// and in place (the backward over dy, as attention calls it).
+func softmax(x, dy []float32, rows, cols int) []float32 {
+	clone := func(s []float32) *tensor.Tensor { return tensor.FromSlice(append([]float32(nil), s...), rows, cols) }
+	xt, dyt := clone(x), clone(dy)
+	y, dx := clone(sentinel(rows*cols)), clone(sentinel(rows*cols))
+	tensor.SoftmaxInto(y, xt)
+	tensor.SoftmaxInto(xt, xt)
+	tensor.SoftmaxBackwardInto(dx, y, dyt)
+	tensor.SoftmaxBackwardInto(dyt, y, dyt)
+	return append(append(append(y.Data(), xt.Data()...), dx.Data()...), dyt.Data()...)
+}
+
+// TestSoftmaxVecMatchesScalar sweeps every width 1…80 (a width that is
+// not a multiple of 8 takes the row loop under either setting) × 1…13
+// rows — the four-row body and the one- to three-row tail — plus three
+// shapes whose tiles hold several groups. Row 0 is constant (every
+// element the maximum, every probability equal) and meets an upstream
+// gradient of cancelling pairs ±2^k at random columns: the float64 dot
+// then keeps or loses the small terms between a pair depending on the
+// order it adds in, which is the only way that order reaches a float32.
+// (The forward's sum has no such row — its terms are positive, and a
+// changed order is a last-bit change of a float64 behind
+// float32(1/sum).) Row 1 is all -Inf, row 2's maximum is a tie between
+// +0 and -0 in both orders across lanes, row 3 has logits far enough
+// below the maximum for exp32 to clamp to 0.
+func TestSoftmaxVecMatchesScalar(t *testing.T) {
+	rng := tensor.NewRNG(84)
+	shapes := [][2]int{{64, 32}, {200, 8}, {259, 16}}
+	for cols := 1; cols <= 80; cols++ {
+		for rows := 1; rows <= 13; rows++ {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	for _, s := range shapes {
+		rows, cols := s[0], s[1]
+		x, dy := tensor.Randn(rng, 3, rows, cols).Data(), tensor.Randn(rng, 1, rows, cols).Data()
+		for k, perm := 0, rng.Perm(cols); k+1 < cols*2/3; k += 2 {
+			dy[perm[k]] = float32(math.Ldexp(1+rng.Float64(), 10+rng.Intn(60)))
+			dy[perm[k+1]] = -dy[perm[k]]
+		}
+		for c := 0; c < cols; c++ {
+			x[c] = 1.5
+			if rows > 3 {
+				x[cols+c] = float32(math.Inf(-1))
+				x[2*cols+c] = float32(math.Copysign(0, float64(c%3-1))) * float32(c%2) // -0, +0 and negatives of it
+				x[3*cols+c] *= 40
+			}
+		}
+		scalar, vector := bothWays(t, func() []float32 { return softmax(x, dy, rows, cols) })
+		sameBits(t, fmt.Sprintf("softmax [%d,%d] (y, in place, dx, dx in place)", rows, cols), vector, scalar, true)
+	}
+}
+
+// TestSoftmaxVecSpecialValues puts every special value at every
+// position of a [5,16] tensor (the four-row kernel's two vectors of
+// every lane, and the row loop's row 4) and of a [5,11] one (the row
+// loop with expVec's three-element tail), in the logits and in the
+// upstream gradient. A NaN logit must turn its whole row of
+// probabilities into NaN under both settings.
+func TestSoftmaxVecSpecialValues(t *testing.T) {
+	rng := tensor.NewRNG(85)
+	const rows = 5
+	for _, cols := range []int{16, 11} {
+		for p := 0; p < rows*cols; p++ {
+			for _, v := range special {
+				for _, into := range []string{"x", "dy"} {
+					x, dy := tensor.Randn(rng, 3, rows, cols).Data(), tensor.Randn(rng, 1, rows, cols).Data()
+					if into == "x" {
+						x[p] = v
+					} else {
+						dy[p] = v
+					}
+					scalar, vector := bothWays(t, func() []float32 { return softmax(x, dy, rows, cols) })
+					what := fmt.Sprintf("softmax [%d,%d] with %v at %s[%d]", rows, cols, v, into, p)
+					sameBits(t, what, vector, scalar, true)
+					for _, got := range [][]float32{scalar, vector} {
+						for c := p / cols * cols; c < (p/cols+1)*cols && v != v && into == "x"; c++ {
+							if got[c] == got[c] {
+								t.Fatalf("%s: probability %d of the row is %v, not NaN", what, c, got[c])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamingVecMatchesScalar runs the float32 streaming loops over
+// every length 1…40 and 4 099: AddInto into a third tensor and into
+// either operand, AddInPlace, AddVec plus its caller's tail,
+// ScaleInPlace, MaxAbs; the first elements pair every special value
+// with every other. A NaN must come out of each as a NaN.
+func TestStreamingVecMatchesScalar(t *testing.T) {
+	for n := 1; n <= 41; n++ {
+		if n == 41 {
+			n = 4099
+		}
+		run := func() []float32 {
+			a, b := reduceInputs(tensor.NewRNG(uint64(n)), n)
+			at, bt := tensor.FromSlice(a, n), tensor.FromSlice(b, n)
+			out := append([]float32(nil), tensor.AddInto(tensor.FromSlice(sentinel(n), n), at, bt).Data()...)
+			out = append(out, tensor.AddInto(at.Clone(), at, bt).Data()...)
+			ca, cb := at.Clone(), bt.Clone()
+			out = append(out, tensor.AddInto(ca, ca, bt).Data()...)
+			out = append(out, tensor.AddInto(cb, at, cb).Data()...)
+			ca = at.Clone()
+			ca.AddInPlace(bt)
+			acc := append([]float32(nil), a...)
+			for i := tensor.AddVec(acc, b); i < n; i++ {
+				acc[i] += b[i]
+			}
+			out = append(append(out, ca.Data()...), acc...)
+			ca = at.Clone()
+			ca.ScaleInPlace(0.17677669)
+			return append(append(out, ca.Data()...), bt.MaxAbs(), tensor.FromSlice(magnitudes(tensor.NewRNG(uint64(n)), n), n).MaxAbs())
+		}
+		scalar, vector := bothWays(t, run)
+		sameBits(t, fmt.Sprintf("streaming n=%d (four AddInto, AddInPlace, AddVec, ScaleInPlace, two MaxAbs)", n), vector, scalar, true)
+		if nan := scalar[len(scalar)-2]; n > 7 && nan == nan {
+			t.Fatalf("MaxAbs over a NaN is %v", nan)
+		}
+	}
+}
+
+// TestSumRowsVecMatchesScalar accumulates the bias gradient twice (the
+// second pass adds to the first's result) over every width 1…40 — each
+// cols%8 tail, the 32-column blocks and the 8-column ones after them —
+// and over row counts from 1 up, with magnitudes twelve decades apart
+// so that a changed row order would show.
+func TestSumRowsVecMatchesScalar(t *testing.T) {
+	for cols := 1; cols <= 72; cols++ {
+		for _, rows := range []int{1, 2, 3, 7, 32, 129} {
+			run := func() []float32 {
+				rng := tensor.NewRNG(uint64(cols*1000 + rows))
+				dst := tensor.FromSlice(magnitudes(rng, cols), cols)
+				src := tensor.FromSlice(magnitudes(rng, rows*cols), rows, cols)
+				src.Data()[rng.Intn(rows*cols)] = float32(math.NaN())
+				tensor.SumRowsAccInto(dst, src)
+				return append([]float32(nil), tensor.SumRowsAccInto(dst, src).Data()...)
+			}
+			scalar, vector := bothWays(t, run)
+			sameBits(t, fmt.Sprintf("SumRowsAccInto [%d,%d]", rows, cols), vector, scalar, true)
+		}
+	}
+}
+
+// TestTransposeVecMatchesScalar transposes every shape 1…20 × 1…20 —
+// each rows%8 and cols%8 edge around zero, one and two blocks — and
+// three larger ones, checking both settings against the definition as
+// well as against each other.
+func TestTransposeVecMatchesScalar(t *testing.T) {
+	shapes := [][2]int{{64, 256}, {70, 131}, {257, 33}}
+	for rows := 1; rows <= 20; rows++ {
+		for cols := 1; cols <= 20; cols++ {
+			shapes = append(shapes, [2]int{rows, cols})
+		}
+	}
+	for _, s := range shapes {
+		rows, cols := s[0], s[1]
+		src := tensor.New(rows, cols)
+		for i := range src.Data() {
+			src.Data()[i] = float32(i + 1)
+		}
+		scalar, vector := bothWays(t, func() []float32 {
+			return append([]float32(nil), tensor.TransposeInto(tensor.FromSlice(sentinel(rows*cols), cols, rows), src).Data()...)
+		})
+		sameBits(t, fmt.Sprintf("TransposeInto [%d,%d]", rows, cols), vector, scalar, false)
+		for i, v := range vector {
+			if c, r := i/rows, i%rows; v != float32(r*cols+c+1) {
+				t.Fatalf("TransposeInto [%d,%d]: dst[%d,%d] = %v, want %v", rows, cols, c, r, v, r*cols+c+1)
+			}
+		}
+	}
+}
+
+// BenchmarkRowKernels prints ns per element of the float64 row loops
+// and of the float32 elementwise loops at the bench workloads' sizes
+// (TP2's halves included), assembly on and off — the one-line
 // reproducer of a row-kernel regression:
 //
 //	go test ./internal/tensor -run '^$' -bench RowKernels -cpu 1
@@ -280,6 +550,30 @@ func BenchmarkRowKernels(b *testing.B) {
 		rows = append(rows,
 			row{fmt.Sprintf("LayerNormFwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { ln.Forward(x) }},
 			row{fmt.Sprintf("LayerNormBwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { ln.Backward(dy) }})
+	}
+	for _, s := range [][2]int{{32, 256}, {32, 128}} {
+		x, dy := tensor.Randn(rng, 1, s[0], s[1]), tensor.Randn(rng, 1, s[0], s[1])
+		out, th := tensor.New(s[0], s[1]), tensor.New(s[0], s[1])
+		rows = append(rows,
+			row{fmt.Sprintf("GELUFwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.GELUCachedInto(out, th, x) }},
+			row{fmt.Sprintf("GELUBwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.GELUBackwardCachedInto(out, x, th, dy) }})
+	}
+	for _, s := range [][2]int{{128, 32}, {64, 32}} {
+		x, dy := tensor.Randn(rng, 1, s[0], s[1]), tensor.Randn(rng, 1, s[0], s[1])
+		y, dx := tensor.Softmax(x), tensor.New(s[0], s[1])
+		rows = append(rows,
+			row{fmt.Sprintf("SoftmaxFwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.SoftmaxInto(y, x) }},
+			row{fmt.Sprintf("SoftmaxBwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.SoftmaxBackwardInto(dx, y, dy) }})
+	}
+	sa, sb, sd, bias := tensor.Randn(rng, 1, 32, 64), tensor.Randn(rng, 1, 32, 64), tensor.New(32, 64), tensor.New(64)
+	rows = append(rows,
+		row{"AddInto/[32,64]", 32 * 64, func() { tensor.AddInto(sd, sa, sb) }},
+		row{"ScaleInPlace/[32,64]", 32 * 64, func() { sd.ScaleInPlace(1) }},
+		row{"SumRowsAccInto/[32,64]", 32 * 64, func() { tensor.SumRowsAccInto(bias, sa) }},
+		row{"MaxAbs/[32,64]", 32 * 64, func() { sa.MaxAbs() }})
+	for _, s := range [][2]int{{64, 64}, {64, 256}} {
+		src, dst := tensor.Randn(rng, 1, s[0], s[1]), tensor.New(s[1], s[0])
+		rows = append(rows, row{fmt.Sprintf("Transpose/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.TransposeInto(dst, src) }})
 	}
 	defer tensor.SetVector(true)
 	for _, r := range rows {

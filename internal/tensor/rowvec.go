@@ -43,9 +43,9 @@ func Sum2ScaledVec(dst, a, b []float32, scale float64) int {
 
 // rowGroups returns how many rows of [r0, r1), dim wide, the four-row
 // kernels take: whole groups of four, and only when dim is a multiple
-// of the four lanes.
-func rowGroups(dim, r0, r1 int) int {
-	if !useFMA || dim == 0 || dim%4 != 0 || r1-r0 < 4 {
+// of the kernel's lanes.
+func rowGroups(dim, lanes, r0, r1 int) int {
+	if !useFMA || dim == 0 || dim%lanes != 0 || r1-r0 < 4 {
 		return 0
 	}
 	return (r1 - r0) &^ 3
@@ -55,7 +55,7 @@ func rowGroups(dim, r0, r1 int) int {
 // over the leading groups of four rows of [r0, r1).
 func LayerNormRowsVec(out, xhat []float32, rstd []float64, x, gamma, beta []float32, eps float64, r0, r1 int) int {
 	dim := len(gamma)
-	rows := rowGroups(dim, r0, r1)
+	rows := rowGroups(dim, 4, r0, r1)
 	if rows == 0 {
 		return 0
 	}
@@ -73,7 +73,7 @@ func LayerNormRowsVec(out, xhat []float32, rstd []float64, x, gamma, beta []floa
 // leading groups of four rows of [r0, r1).
 func LayerNormDxVec(dx, dy, xhat, gamma []float32, rstd []float64, r0, r1 int) int {
 	dim := len(gamma)
-	rows := rowGroups(dim, r0, r1)
+	rows := rowGroups(dim, 4, r0, r1)
 	if rows == 0 {
 		return 0
 	}

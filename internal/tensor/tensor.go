@@ -201,8 +201,8 @@ func (t *Tensor) String() string {
 // The scan is branchless on the sign (clearing the IEEE sign bit)
 // so it runs at streaming speed on random-sign data.
 func (t *Tensor) MaxAbs() float32 {
-	var m uint32
-	for _, v := range t.data {
+	m, n := maxAbsSlice(t.data)
+	for _, v := range t.data[n:] {
 		if b := math.Float32bits(v) &^ (1 << 31); b > m {
 			m = b
 		}

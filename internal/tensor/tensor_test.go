@@ -251,9 +251,27 @@ func TestSoftmaxBackwardNumerical(t *testing.T) {
 	}
 }
 
+// geluScalar and geluGradScalar are the direct (uncached) form of the
+// activation and of its derivative: the reference the cached pair is
+// compared against.
+func geluScalar(x float32) float32 {
+	return 0.5 * x * (1 + tanh32(geluC0*(x+geluC1*x*x*x)))
+}
+
+func geluGradScalar(x float32) float32 {
+	u := geluC0 * (x + geluC1*x*x*x)
+	th := tanh32(u)
+	sech2 := 1 - th*th
+	du := float32(geluC0) * (1 + 3*geluC1*x*x)
+	return 0.5*(1+th) + 0.5*x*sech2*du
+}
+
+// gelu is GELUCachedInto without a cache, into a new tensor.
+func gelu(x *Tensor) *Tensor { return GELUCachedInto(New(x.shape...), nil, x) }
+
 func TestGELUValues(t *testing.T) {
-	x := FromSlice([]float32{0, 1, -1, 3}, 4)
-	y := GELU(x)
+	x := FromSlice([]float32{0, 1, -1, 3, 0.5, -2.5, 7, -7, 12, -12, 1e-4}, 11)
+	y := gelu(x)
 	if y.At(0) != 0 {
 		t.Errorf("GELU(0) = %v", y.At(0))
 	}
@@ -266,20 +284,30 @@ func TestGELUValues(t *testing.T) {
 	if math.Abs(float64(y.At(3))-2.9964) > 1e-3 {
 		t.Errorf("GELU(3) = %v, want ~2.9964", y.At(3))
 	}
+	for i, v := range x.Data() {
+		if want := geluScalar(v); y.At(i) != want {
+			t.Errorf("GELU(%v) = %v, the direct form gives %v", v, y.At(i), want)
+		}
+	}
 }
 
 func TestGELUBackwardNumerical(t *testing.T) {
 	r := NewRNG(14)
 	x := Randn(r, 1, 10)
 	dy := Ones(10)
-	dx := GELUBackward(x, dy)
+	th := New(10)
+	GELUCachedInto(New(10), th, x)
+	dx := GELUBackwardCachedInto(New(10), x, th, dy)
 	const eps = 1e-3
 	for i := range x.Data() {
 		orig := x.Data()[i]
+		if want := geluGradScalar(orig); dx.At(i) != want {
+			t.Fatalf("gelu grad[%d] = %v, the direct form gives %v", i, dx.At(i), want)
+		}
 		x.Data()[i] = orig + eps
-		lp := GELU(x).Sum()
+		lp := gelu(x).Sum()
 		x.Data()[i] = orig - eps
-		lm := GELU(x).Sum()
+		lm := gelu(x).Sum()
 		x.Data()[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-float64(dx.Data()[i])) > 1e-2 {

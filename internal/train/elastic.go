@@ -823,8 +823,8 @@ func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossO
 			for b, cp := range e.Stage[chunk].Chunks() {
 				g := cp.Grad.Data()
 				a := accum[off+b]
-				for i, v := range g {
-					a[i] += v
+				for i := tensor.AddVec(a, g); i < len(g); i++ {
+					a[i] += g[i]
 				}
 			}
 		},
