@@ -17,8 +17,9 @@ build:
 
 # The assembly kernels in internal/tensor are amd64-only; every one has
 # a portable counterpart (outer_other.go, mathvec_other.go,
-# rowvec_other.go) that no amd64 build compiles. Build the tree and vet that package for arm64 so a
-# kernel added without its counterpart fails here.
+# rowvec_other.go, elemvec_other.go) that no amd64 build compiles. Build
+# the tree and vet that package for arm64 so a kernel added without its
+# counterpart fails here.
 cross-build:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor/
@@ -37,7 +38,7 @@ bench-build:
 # silently.
 vet:
 	$(GO) vet ./...
-	! grep -nE '\bR1[45]\b' internal/tensor/*.s
+	! grep -nE '\bR1[45]\b' internal/tensor/*.s internal/tensor/*.h
 
 # Fails when any file needs gofmt; prints the offenders.
 fmt-check:
@@ -74,12 +75,14 @@ test:
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/quant/... ./internal/nn/... ./internal/fft/... ./internal/afno/... ./internal/optim/... ./internal/comm/... ./internal/parallel/... ./internal/core/... ./internal/pp/... ./internal/train/... ./internal/guard/... ./internal/infer/... ./internal/plan/... ./internal/serve/... ./cmd/orbit-serve/...
 
-# Timing-luck gate over the serving path: twenty runs at one and at two
-# Ps. A test that passes by winning a race with a timer, or only when
-# the host has a spare core, fails here instead of on a reviewer's
-# 2-core machine.
+# Timing-luck gate over the serving path and the training side (the
+# collectives, the pipeline and Hybrid-STOP engines, the elastic loop
+# and its supervisor): twenty runs at one and at two Ps. A test that
+# passes by winning a race with a timer, or only when the host has a
+# spare core, fails here instead of on a reviewer's 2-core machine.
 stress:
 	$(GO) test -count=20 -cpu 1,2 ./internal/serve/... ./internal/infer/... ./cmd/orbit-serve/...
+	$(GO) test -count=20 -cpu 1,2 ./internal/comm/... ./internal/pp/... ./internal/core/... ./internal/train/... ./internal/guard/...
 
 # Documentation gates: every package must carry a package comment
 # (scripts/check_pkgdoc.sh), and the checker proves it can fail via
@@ -109,8 +112,10 @@ cover:
 # kernel runs 2000 calls per workload shape (under a second in all) so
 # that the GFLOP/s it prints mean something: the one-line reproducer of
 # a kernel regression. The row kernels (AdamW, two-rank reduce,
-# LayerNorm forward / backward) print ns per element at the workload
-# sizes the same way, assembly off and on, on one P.
+# LayerNorm forward / backward) and the float32 elementwise ones (GELU,
+# softmax, adds, scale, bias-gradient sum, transpose) print ns per
+# element at the workload sizes the same way, assembly off and on, on
+# one P.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=2000x ./internal/tensor/

@@ -92,13 +92,29 @@ func TestF32PlanHoldsOneCopyOfTheWeights(t *testing.T) {
 	for _, par := range m.Blocks[0].Params() {
 		blockBytes += 4 * uint64(par.W.Len())
 	}
-	var before, after runtime.MemStats
+	var start, before, after runtime.MemStats
+	runtime.ReadMemStats(&start)
 	p := NewPlan(m, maxBatch)
 	runtime.ReadMemStats(&before)
 	p.Forward(xs, leads)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= blockBytes {
 		t.Fatalf("first forward of an f32 plan allocated %d bytes beyond its activation buffers; one block's weights are %d", grew, blockBytes)
+	}
+	// The activation buffers NewPlan made, float32s per sample: patches;
+	// per-channel embeddings, keys and values; thirteen [T,D] stages of a
+	// block (two more under QK-norm); the attention probabilities; the
+	// MLP's [T,4D] once — GELU runs in place over fc1, with no tanh cache
+	// and no output buffer of its own —; head tokens and the output.
+	cfg := m.Config
+	T, D, pp := cfg.Tokens(), cfg.EmbedDim, cfg.Patch*cfg.Patch
+	perSample := T*(pp+3*cfg.Channels*D+13*D+cfg.Heads*T+4*D+pp*cfg.OutChannels) + cfg.OutChannels*cfg.Height*cfg.Width
+	if cfg.QKNorm {
+		perSample += 2 * T * D
+	}
+	mlp := uint64(4 * maxBatch * T * 4 * D)
+	if held, want := before.TotalAlloc-start.TotalAlloc, uint64(4*maxBatch*perSample); held >= want+mlp/2 {
+		t.Fatalf("NewPlan allocated %d bytes, %d beyond the activation buffers; a second [B·T,4D] MLP buffer is %d", held, held-want, mlp)
 	}
 }
 

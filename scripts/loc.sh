@@ -1,18 +1,19 @@
 #!/usr/bin/env sh
-# Line counts per package and in total: non-test .go, .s and _test.go
-# lines of every directory outside bench/ (the benchmark is its own
-# module and is frozen between benchmark PRs). The table re-anchors and
-# simplicity PRs quote before -> after in CHANGES.md.
+# Line counts per package and in total: non-test .go, assembly (.s and
+# the .h two of them include) and _test.go lines of every directory
+# outside bench/ (the benchmark is its own module and is frozen between
+# benchmark PRs). The table re-anchors and simplicity PRs quote before
+# -> after in CHANGES.md.
 set -eu
 cd "$(dirname "$0")/.."
 
-find . -path ./bench -prune -o -path './.*' -prune -o -type f \( -name '*.go' -o -name '*.s' \) -print |
+find . -path ./bench -prune -o -path './.*' -prune -o -type f \( -name '*.go' -o -name '*.s' -o -name '*.h' \) -print |
 	xargs wc -l | awk '
 	$2 == "total" { next }
 	{
 		dir = $2; sub(/\/[^\/]*$/, "", dir); sub(/^\.\/?/, "", dir)
 		if (dir == "") dir = "."
-		kind = ($2 ~ /_test\.go$/) ? "test" : ($2 ~ /\.s$/) ? "asm" : "go"
+		kind = ($2 ~ /_test\.go$/) ? "test" : ($2 ~ /\.[sh]$/) ? "asm" : "go"
 		n[dir, kind] += $1; tot[kind] += $1; seen[dir] = 1
 	}
 	END {
