@@ -31,27 +31,27 @@ TEXT ·geluVec(SB), NOSPLIT, $0-32
 	MOVQ x+16(FP), SI
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
+	VBROADCASTSS ev_geluc1(SB), Y9
+	VBROADCASTSS ev_geluc0(SB), Y10
+	VBROADCASTSS mvc_half(SB), Y11
+	VBROADCASTSS mvc_one(SB), Y12
 
 gelu_loop:
-	VMOVUPS      (SI)(AX*4), Y8
-	VBROADCASTSS ev_geluc1(SB), Y0
-	VMULPS       Y8, Y0, Y0
-	VMULPS       Y8, Y0, Y0
-	VMULPS       Y8, Y0, Y0     // c1·x·x·x
-	VADDPS       Y0, Y8, Y0
-	VBROADCASTSS ev_geluc0(SB), Y1
-	VMULPS       Y0, Y1, Y0     // the tanh argument
+	VMOVUPS (SI)(AX*4), Y8
+	VMULPS  Y8, Y9, Y0
+	VMULPS  Y8, Y0, Y0
+	VMULPS  Y8, Y0, Y0          // c1·x·x·x
+	VADDPS  Y0, Y8, Y0
+	VMULPS  Y0, Y10, Y0         // the tanh argument
 	TANHCORE
-	VMOVUPS      Y5, (DX)(AX*4)
-	VBROADCASTSS mvc_half(SB), Y1
-	VMULPS       Y8, Y1, Y1     // 0.5·x
-	VBROADCASTSS mvc_one(SB), Y2
-	VADDPS       Y5, Y2, Y2     // 1 + t
-	VMULPS       Y2, Y1, Y1
-	VMOVUPS      Y1, (DI)(AX*4)
-	ADDQ         $8, AX
-	CMPQ         AX, CX
-	JLT          gelu_loop
+	VMOVUPS Y5, (DX)(AX*4)
+	VMULPS  Y8, Y11, Y1         // 0.5·x
+	VADDPS  Y5, Y12, Y2         // 1 + t
+	VMULPS  Y2, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     gelu_loop
 	VZEROUPPER
 	RET
 
@@ -245,9 +245,9 @@ sm_scalecol:
 
 // DOTCOL adds the four rows' products of one column (float32 y in a, dy
 // in b) to their float64 dots in Y12. Clobbers Y13, Y14.
-#define DOTCOL(a, b)      \
-	VCVTPS2PD a, Y13;     \
-	VCVTPS2PD b, Y14;     \
+#define DOTCOL(a, b)         \
+	VCVTPS2PD a, Y13;        \
+	VCVTPS2PD b, Y14;        \
 	VMULPD    Y14, Y13, Y13; \
 	VADDPD    Y13, Y12, Y12
 
