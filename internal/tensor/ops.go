@@ -122,10 +122,7 @@ func SumRowsAccInto(dst, t *Tensor) *Tensor {
 	}
 	d := dst.data
 	c0 := sumRowsCols(d, t.data, rows, cols)
-	if c0 == cols {
-		return dst
-	}
-	for r := 0; r < rows; r++ {
+	for r := 0; r < rows && c0 < cols; r++ {
 		tr := t.data[r*cols : (r+1)*cols]
 		for c := c0; c < cols; c++ {
 			d[c] += tr[c]
