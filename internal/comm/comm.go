@@ -11,9 +11,13 @@
 // # Destination-passing collectives, synchronous and asynchronous
 //
 // There is one protocol: the caller supplies the output buffer, so a
-// collective is allocation-free in steady state. For the reduction
-// collectives dst may alias the rank's own input (in-place reduction);
-// for all-gather and broadcast dst must not overlap any rank's input.
+// collective is allocation-free in steady state, and the NCCL in-place
+// forms are accepted: a reduction's dst may be the rank's own input, a
+// reduce-scatter's dst the rank's own chunk of its input, and an
+// all-gather's shard the rank's own slot of its dst
+// (dst[rank·n : (rank+1)·n]). The data movement skips whatever already
+// sits where it belongs, so an in-place collective on a one-rank group
+// moves nothing. No buffer may overlap another in any other way.
 // Every collective has two entry points onto it:
 //
 //   - Asynchronous (IAllGather, IAllReduceSum, …): posts the
@@ -323,23 +327,20 @@ func (g *Group) complete(p *pending) {
 				panic(fmt.Sprintf("comm: AllGather shard size mismatch at rank %d: %d vs %d", r, len(b), n))
 			}
 		}
-		// Assemble once into the first destination, then replicate with
-		// bulk copies instead of re-walking the shards per rank.
-		first := p.dsts[0]
-		for r, b := range p.ins {
-			copy(first[r*n:(r+1)*n], b)
-		}
-		for _, dst := range p.dsts[1:] {
-			copy(dst, first)
+		// A rank gathering in place already holds its own shard.
+		for _, dst := range p.dsts {
+			for r, b := range p.ins {
+				copyUnlessSame(dst[r*n:(r+1)*n], b)
+			}
 		}
 	case opReduce:
 		if size == 1 {
 			// One rank: the sum is the input and the mean divides by
 			// one. float32(float64(v)·1) is v, so a copy gives the
 			// general path's bits (but keeps the sign of a −0, which
-			// the scratch's 0+v drops) and is a no-op when dst aliases
-			// the input.
-			copy(p.dsts[0], p.ins[0])
+			// the scratch's 0+v drops), and an in-place call moves
+			// nothing.
+			copyUnlessSame(p.dsts[0], p.ins[0])
 			break
 		}
 		if size == 2 {
@@ -360,7 +361,7 @@ func (g *Group) complete(p *pending) {
 		}
 	case opReduceScatter:
 		if size == 1 {
-			copy(p.dsts[0], p.ins[0]) // one rank owns the one chunk; see opReduce
+			copyUnlessSame(p.dsts[0], p.ins[0]) // one rank owns the one chunk; see opReduce
 			break
 		}
 		if size == 2 {
@@ -416,6 +417,16 @@ func (g *Group) complete(p *pending) {
 	g.cond.Broadcast()
 }
 
+// copyUnlessSame copies src into dst unless the two are the same
+// memory already (an in-place collective's own shard): memmove does
+// not notice that on its own.
+func copyUnlessSame(dst, src []float32) {
+	if len(src) > 0 && len(dst) > 0 && &dst[0] == &src[0] {
+		return
+	}
+	copy(dst, src)
+}
+
 // reduceTwo is the two-rank reduction, one fused pass with no float64
 // scratch: dst = float32((float64(a)+float64(b))·scale), dst free to be
 // a or b. float64(a)+float64(b) is exactly the scratch accumulation
@@ -462,8 +473,8 @@ func (g *Group) reduce(bufs [][]float32) []float64 {
 // --- asynchronous collectives ---
 
 // IAllGather posts an all-gather: dst (length len(shard)×Size)
-// receives the rank-ordered concatenation of the shards. dst must not
-// overlap any rank's shard.
+// receives the rank-ordered concatenation of the shards. shard may be
+// the rank's own slot of dst (in place).
 func (g *Group) IAllGather(rank int, shard, dst []float32) Handle {
 	if len(dst) != len(shard)*len(g.devices) {
 		panic(fmt.Sprintf("comm: AllGather dst length %d, want %d×%d", len(dst), len(shard), len(g.devices)))

@@ -33,8 +33,8 @@ type Options struct {
 	MixedPrecision bool
 	// PrefetchDepth is how many upcoming layer gathers are kept in
 	// flight when Prefetch is enabled (≤ 0 means the classic depth of
-	// one). Deeper prefetch trades gather-staging memory — depth+1
-	// layer buffers live at once — for earlier posting, which matters
+	// one). Deeper prefetch trades device memory — depth+1 gathered
+	// layers live at once — for earlier posting, which matters
 	// in backward where re-gathers contend with gradient
 	// reduce-scatters on the FSDP group's single communication stream.
 	PrefetchDepth int
@@ -55,9 +55,14 @@ func DefaultOptions() Options {
 }
 
 // Engine is one rank's Hybrid-STOP instance over a transformer block
-// stack. The rank owns: (a) the TP shard of every block determined by
-// its T coordinate, (b) only the 1/FSDP flat chunk of that shard, and
-// (c) staging replicas that full shards are gathered into per layer.
+// stack. The rank owns the TP shard of every block determined by its T
+// coordinate, and of that shard only the 1/FSDP flat chunk: the rest is
+// gathered per layer. On the simulated device the gathered shard lives
+// from postGather to releaseBlock. On the host each block has one
+// persistent flat weight vector and one flat gradient vector (the
+// FlatParameter of PyTorch FSDP): the block's parameters and the rank's
+// chunk are all views of the two, so the FSDP collectives run in place
+// and nothing is copied between a rank's own buffers.
 type Engine struct {
 	Rank   int
 	Coord  Coord
@@ -67,8 +72,10 @@ type Engine struct {
 	Device *cluster.Device
 
 	blocks      []*parallel.TPBlock
-	blockParams [][]*nn.Param
-	chunks      []*nn.Param // rank-owned FSDP chunk per block
+	blockParams [][]*nn.Param // views of flatW / flatG at running offsets
+	chunks      []*nn.Param   // rank-owned FSDP chunk per block: [F·n, (F+1)·n) of both
+	flatW       [][]float32   // per block: the TP shard's weights, zero-padded to FSDP·n
+	flatG       [][]float32   // per block: its gradients, same layout
 	gatherBytes []int64
 	flatLen     []int
 	logicalLen  []int // unpadded flat length per block (checkpoint manifests)
@@ -76,27 +83,28 @@ type Engine struct {
 	savedInputs []*tensor.Tensor
 	heldAct     int64
 
-	// Communication staging: pooled gather/flatten buffers and the
-	// in-flight handles of the asynchronous collectives, so parameter
-	// gathers prefetch ahead of compute and gradient reductions drain
-	// behind it (paper Sec. III-B "Prefetching").
-	pool      *comm.BufPool
-	gatherBuf [][]float32
-	gatherH   []comm.Handle
-	rsBuf     [][]float32
-	rsH       []comm.Handle
-	ddpH      []comm.Handle
+	// The in-flight handles of the asynchronous collectives, so
+	// parameter gathers prefetch ahead of compute and gradient
+	// reductions drain behind it (paper Sec. III-B "Prefetching").
+	// gathered[b] holds from postGather to releaseBlock: the span the
+	// device accounts block b's gathered shard for.
+	gathered []bool
+	gatherH  []comm.Handle
+	rsH      []comm.Handle
+	ddpH     []comm.Handle
 	// ddpBuckets holds [start, end) chunk-index ranges when
 	// Opts.DDPBucketBytes coalesces the outer gradient reduction;
 	// ddpBuf stages each bucket's packed gradients (pooled).
 	ddpBuckets [][2]int
 	ddpBuf     [][]float32
-	// chunkSeen[b] is chunks[b].W.Version()+1 as of the last unflatten
-	// of block b (0 = never): when the rank's chunk hasn't changed, the
-	// gathered payload is bit-identical to what the staging replicas
-	// already hold — SPMD ranks step their optimizers together, so one
-	// rank's chunk version tracks the whole group's — and the unflatten
-	// copy is skipped. The collective itself still runs and is charged.
+	pool       *comm.BufPool
+	// chunkSeen[b] is chunks[b].W.Version()+1 as of the last completed
+	// gather of block b (0 = never): when the rank's chunk hasn't
+	// changed, a gather's payload is bit-identical to what flatW[b]
+	// already holds — SPMD ranks step their optimizers together, so one
+	// rank's chunk version tracks the whole group's — and the block's
+	// parameter versions stay put. The collective itself still runs and
+	// is charged.
 	chunkSeen []uint64
 	// recomputed marks that the caller just re-ran Forward to restore
 	// the module caches (pipeline schedules stream several micro-batches
@@ -138,10 +146,16 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		e.blockParams = append(e.blockParams, params)
 
 		flat := parallel.FlattenParams(params, groups.FSDP.Size())
+		grads := parallel.BindFlat(flat, params)
 		chunkLen := len(flat) / groups.FSDP.Size()
-		chunk := make([]float32, chunkLen)
-		copy(chunk, flat[e.Coord.F*chunkLen:(e.Coord.F+1)*chunkLen])
-		e.chunks = append(e.chunks, nn.NewParam(fmt.Sprintf("hstop.block%d.chunk", i), tensor.FromSlice(chunk, chunkLen)))
+		lo, hi := e.Coord.F*chunkLen, (e.Coord.F+1)*chunkLen
+		e.chunks = append(e.chunks, &nn.Param{
+			Name: fmt.Sprintf("hstop.block%d.chunk", i),
+			W:    tensor.FromSlice(flat[lo:hi], chunkLen),
+			Grad: tensor.FromSlice(grads[lo:hi], chunkLen),
+		})
+		e.flatW = append(e.flatW, flat)
+		e.flatG = append(e.flatG, grads)
 		e.gatherBytes = append(e.gatherBytes, int64(len(flat))*e.paramBytes())
 		e.flatLen = append(e.flatLen, len(flat))
 		e.logicalLen = append(e.logicalLen, parallel.NumelPadded(params, 1))
@@ -163,14 +177,13 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		}
 	}
 	e.savedInputs = make([]*tensor.Tensor, len(ref))
-	e.pool = comm.NewBufPool()
-	e.gatherBuf = make([][]float32, len(ref))
+	e.gathered = make([]bool, len(ref))
 	e.gatherH = make([]comm.Handle, len(ref))
-	e.rsBuf = make([][]float32, len(ref))
 	e.rsH = make([]comm.Handle, len(ref))
 	e.ddpH = make([]comm.Handle, len(ref))
 	e.chunkSeen = make([]uint64, len(ref))
 	if e.Opts.DDPBucketBytes > 0 {
+		e.pool = comm.NewBufPool()
 		e.ddpBuckets = BucketRanges(chunkLens(e.chunks), e.Opts.DDPBucketBytes)
 		e.ddpBuf = make([][]float32, len(e.ddpBuckets))
 	}
@@ -261,8 +274,8 @@ func (e *Engine) ExportChunks() [][]float32 {
 }
 
 // ImportChunks restores chunks written by ExportChunks (possibly
-// resharded by the checkpoint layer), invalidating the staged replicas
-// so the next gather materializes the restored weights.
+// resharded by the checkpoint layer); the next gather of each block
+// delivers the peers' restored chunks and moves the parameter versions.
 func (e *Engine) ImportChunks(chunks [][]float32) {
 	if len(chunks) != len(e.chunks) {
 		panic(fmt.Sprintf("core: ImportChunks got %d chunks for %d blocks", len(chunks), len(e.chunks)))
@@ -279,42 +292,42 @@ func (e *Engine) ImportChunks(chunks [][]float32) {
 }
 
 // postGather accounts block b's gather memory and posts the FSDP
-// all-gather of its TP-shard parameters into a pooled staging buffer.
-// Unlike vanilla FSDP this gathers a 1/TP shard, not the full model —
-// the core memory advantage of Hybrid-STOP.
+// all-gather of its TP-shard parameters, in place: the rank's chunk is
+// its own slot of flatW[b], so only the peers' chunks move. Unlike
+// vanilla FSDP this gathers a 1/TP shard, not the full model — the core
+// memory advantage of Hybrid-STOP.
 func (e *Engine) postGather(b int) error {
 	if e.Device != nil {
 		if err := e.Device.Alloc(e.gatherBytes[b]); err != nil {
 			return err
 		}
 	}
-	buf := e.pool.Get(e.flatLen[b])
-	e.gatherBuf[b] = buf
-	e.gatherH[b] = e.Groups.FSDP.IAllGather(e.Coord.F, e.chunks[b].W.Data(), buf)
+	e.gathered[b] = true
+	e.gatherH[b] = e.Groups.FSDP.IAllGather(e.Coord.F, e.chunks[b].W.Data(), e.flatW[b])
 	return nil
 }
 
-// waitGather completes block b's in-flight gather and materializes
-// the full shard parameters into the staging replica. The unflatten
-// copy is skipped while the rank's chunk version is unchanged (see
-// chunkSeen) — the gathered bytes are identical to what the replica
-// already holds.
+// waitGather completes block b's in-flight gather. The parameters are
+// views of flatW[b], so there is nothing to copy; their versions move
+// (Linear re-derives its cached transpose) only when the rank's chunk
+// version did — see chunkSeen.
 func (e *Engine) waitGather(b int) {
 	e.gatherH[b].Wait()
 	if seen := e.chunks[b].W.Version() + 1; e.chunkSeen[b] != seen {
-		parallel.UnflattenInto(e.gatherBuf[b], e.blockParams[b])
+		for _, p := range e.blockParams[b] {
+			p.W.Bump()
+		}
 		e.chunkSeen[b] = seen
 	}
 }
 
-// releaseBlock frees block b's gathered staging copy, returning the
-// buffer to the pool.
+// releaseBlock frees block b's gathered shard on the device. The host
+// vector persists, which is what lets an unchanged re-gather skip work.
 func (e *Engine) releaseBlock(b int) {
 	if e.Device != nil {
 		e.Device.Free(e.gatherBytes[b])
 	}
-	e.pool.Put(e.gatherBuf[b])
-	e.gatherBuf[b] = nil
+	e.gathered[b] = false
 }
 
 // chargeCompute advances the rank's simulated device clock by `mult`
@@ -354,13 +367,13 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	depth := e.prefetchDepth()
 	for b, blk := range e.blocks {
 		if e.Opts.LayerWrapping {
-			if e.gatherBuf[b] == nil {
+			if !e.gathered[b] {
 				if err := e.postGather(b); err != nil {
 					return nil, err
 				}
 			}
 			for k := 1; k <= depth && b+k < len(e.blocks); k++ {
-				if e.gatherBuf[b+k] != nil {
+				if e.gathered[b+k] {
 					continue
 				}
 				if err := e.postGather(b + k); err != nil {
@@ -403,13 +416,13 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	depth := e.prefetchDepth()
 	for b := len(e.blocks) - 1; b >= 0; b-- {
 		if e.Opts.LayerWrapping {
-			if e.gatherBuf[b] == nil {
+			if !e.gathered[b] {
 				if err := e.postGather(b); err != nil {
 					return nil, err
 				}
 			}
 			for k := 1; k <= depth && b-k >= 0; k++ {
-				if e.gatherBuf[b-k] != nil {
+				if e.gathered[b-k] {
 					continue
 				}
 				if err := e.postGather(b - k); err != nil {
@@ -418,8 +431,8 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 			// The re-gather's collective ran (and charged the simulated
 			// clocks), but its payload is bit-identical to what Forward
-			// already unflattened — chunks only change at optimizer
-			// steps — so the unflatten copy is skipped.
+			// gathered — chunks only change at optimizer steps — so no
+			// parameter version moves.
 			e.gatherH[b].Wait()
 		}
 		if !e.Opts.ActivationCheckpoint && e.Device != nil {
@@ -448,19 +461,14 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 			mult = 3
 		}
 		e.chargeCompute(b, dy, mult)
-		nn.ZeroGrads(e.blockParams[b])
+		clear(e.flatG[b]) // every parameter gradient of the block, and the chunk's
 		dy = e.blocks[b].Backward(dy)
-		flat := parallel.FlattenGradsInto(e.pool.Get(e.flatLen[b]), e.blockParams[b])
-		e.rsBuf[b] = flat
-		e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, flat, e.chunks[b].Grad.Data())
+		// In place: the rank's chunk gradient is its own slot of flatG[b].
+		e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.chunks[b].Grad.Data())
 		e.releaseBlock(b)
 	}
 	for b := range e.blocks {
-		if e.rsBuf[b] != nil {
-			e.rsH[b].Wait()
-			e.pool.Put(e.rsBuf[b])
-			e.rsBuf[b] = nil
-		}
+		e.rsH[b].Wait()
 	}
 	// Outer DDP level: one gradient reduction per step (Fig. 4), all
 	// chunks (or coalesced buckets of chunks, when DDPBucketBytes is

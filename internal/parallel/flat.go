@@ -32,56 +32,46 @@ import (
 // padded with zeros to a multiple of `multiple` so it can be sharded
 // evenly. The layout is the natural parameter order.
 func FlattenParams(params []*nn.Param, multiple int) []float32 {
-	return FlattenParamsInto(make([]float32, NumelPadded(params, multiple)), params)
-}
-
-// FlattenParamsInto is the destination-passing FlattenParams: dst must
-// have the NumelPadded length and is returned for convenience. The
-// padding tail is zeroed explicitly so pooled (dirty) buffers shard
-// identically to fresh ones.
-func FlattenParamsInto(dst []float32, params []*nn.Param) []float32 {
+	flat := make([]float32, NumelPadded(params, multiple))
 	off := 0
 	for _, p := range params {
-		copy(dst[off:], p.W.Data())
-		off += p.W.Len()
+		off += copy(flat[off:], p.W.Data())
 	}
-	if off > len(dst) {
-		panic(fmt.Sprintf("parallel: flat destination too short: %d < %d", len(dst), off))
-	}
-	for i := off; i < len(dst); i++ {
-		dst[i] = 0
-	}
-	return dst
+	return flat
 }
 
-// FlattenGradsInto is FlattenParamsInto for the gradient tensors.
-func FlattenGradsInto(dst []float32, params []*nn.Param) []float32 {
+// BindFlat makes the parameters views of two flat vectors: each W
+// becomes the tensor over its running offset of flat — the vector
+// FlattenParams built from these parameters, so no value moves — and
+// each Grad the tensor over the same offset of a second, zero vector of
+// the same length, which is returned. From here on the flat vectors are
+// the storage: a collective that writes flat has written the weights
+// (and owes each W a Bump), clearing the gradient vector zeroes every
+// Grad, and the padding tails stay zero because no view reaches them.
+func BindFlat(flat []float32, params []*nn.Param) (grads []float32) {
+	grads = make([]float32, len(flat))
 	off := 0
 	for _, p := range params {
-		copy(dst[off:], p.Grad.Data())
-		off += p.Grad.Len()
+		end := off + p.W.Len()
+		shape := p.W.Shape()
+		p.W = tensor.FromSlice(flat[off:end:end], shape...)
+		p.Grad = tensor.FromSlice(grads[off:end:end], shape...)
+		off = end
 	}
-	if off > len(dst) {
-		panic(fmt.Sprintf("parallel: flat destination too short: %d < %d", len(dst), off))
-	}
-	for i := off; i < len(dst); i++ {
-		dst[i] = 0
-	}
-	return dst
+	return grads
 }
 
 // UnflattenInto copies a flat vector back into parameter weights,
 // bumping each weight tensor's version (the values may differ, so
 // version-keyed kernel caches must refresh).
 func UnflattenInto(flat []float32, params []*nn.Param) {
+	if want := NumelPadded(params, 1); want > len(flat) {
+		panic(fmt.Sprintf("parallel: flat vector too short: %d < %d", len(flat), want))
+	}
 	off := 0
 	for _, p := range params {
-		copy(p.W.Data(), flat[off:off+p.W.Len()])
+		off += copy(p.W.Data(), flat[off:off+p.W.Len()])
 		p.W.Bump()
-		off += p.W.Len()
-	}
-	if off > len(flat) {
-		panic(fmt.Sprintf("parallel: flat vector too short: %d < %d", len(flat), off))
 	}
 }
 
