@@ -327,8 +327,12 @@ func (g *Group) complete(p *pending) {
 				panic(fmt.Sprintf("comm: AllGather shard size mismatch at rank %d: %d vs %d", r, len(b), n))
 			}
 		}
-		// A rank gathering in place already holds its own shard.
+		// A rank gathering in place already holds its own shard, and a
+		// rank that posted no destination receives nothing.
 		for _, dst := range p.dsts {
+			if dst == nil {
+				continue
+			}
 			for r, b := range p.ins {
 				copyUnlessSame(dst[r*n:(r+1)*n], b)
 			}
@@ -474,9 +478,11 @@ func (g *Group) reduce(bufs [][]float32) []float64 {
 
 // IAllGather posts an all-gather: dst (length len(shard)×Size)
 // receives the rank-ordered concatenation of the shards. shard may be
-// the rank's own slot of dst (in place).
+// the rank's own slot of dst (in place). A rank that already holds the
+// payload passes a nil dst: it contributes its shard, is charged and
+// waits like its peers, and receives nothing.
 func (g *Group) IAllGather(rank int, shard, dst []float32) Handle {
-	if len(dst) != len(shard)*len(g.devices) {
+	if dst != nil && len(dst) != len(shard)*len(g.devices) {
 		panic(fmt.Sprintf("comm: AllGather dst length %d, want %d×%d", len(dst), len(shard), len(g.devices)))
 	}
 	cost := g.ringCost(4 * len(shard) * len(g.devices))

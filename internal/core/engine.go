@@ -293,17 +293,23 @@ func (e *Engine) ImportChunks(chunks [][]float32) {
 
 // postGather accounts block b's gather memory and posts the FSDP
 // all-gather of its TP-shard parameters, in place: the rank's chunk is
-// its own slot of flatW[b], so only the peers' chunks move. Unlike
-// vanilla FSDP this gathers a 1/TP shard, not the full model — the core
-// memory advantage of Hybrid-STOP.
+// its own slot of flatW[b], so only the peers' chunks move — and not
+// even those when chunkSeen says flatW[b] holds this payload already
+// (every re-gather between two optimizer steps): the rank then posts
+// no destination. Unlike vanilla FSDP this gathers a 1/TP shard, not
+// the full model — the core memory advantage of Hybrid-STOP.
 func (e *Engine) postGather(b int) error {
 	if e.Device != nil {
 		if err := e.Device.Alloc(e.gatherBytes[b]); err != nil {
 			return err
 		}
 	}
+	dst := e.flatW[b]
+	if e.chunkSeen[b] == e.chunks[b].W.Version()+1 {
+		dst = nil
+	}
 	e.gathered[b] = true
-	e.gatherH[b] = e.Groups.FSDP.IAllGather(e.Coord.F, e.chunks[b].W.Data(), e.flatW[b])
+	e.gatherH[b] = e.Groups.FSDP.IAllGather(e.Coord.F, e.chunks[b].W.Data(), dst)
 	return nil
 }
 
