@@ -191,21 +191,37 @@ type elasticJob struct {
 	machine *cluster.Machine
 	engines []*pp.Engine
 	opts    []*optim.AdamW
-	accum   [][][]float32 // [rank][block] micro-batch gradient accumulators
-	io      []rankIO      // [rank] sample and loss-gradient buffers
+	accum   [][][]float32    // [rank][block] micro-batch gradient accumulators
+	samples []sampleSlot     // [global sample] the current step's inputs
+	grad    []*tensor.Tensor // [rank] last-stage target / residual / loss gradient
 	sched   optim.CosineSchedule
 	dataRNG *tensor.RNG
 	step    int // next step to run
 }
 
-// rankIO is one rank's data-plane buffers, reused every step: on
-// first-stage ranks one input per micro-batch (the pipeline engine
-// holds each until its backward), on last-stage ranks one buffer that
-// is in turn the micro-batch's target, its residual and the loss
-// gradient handed to the stage's backward.
-type rankIO struct {
-	x    []*tensor.Tensor
-	grad *tensor.Tensor
+// sampleSlot is one sample of the global batch, drawn once per step by
+// whichever rank asks first: its TP peers, and the last stage that
+// derives the target from it, read the same tensor. seed is the step
+// seed x was drawn for (not the step number, so a rolled-back or salted
+// step can never read a stale draw).
+type sampleSlot struct {
+	mu    sync.Mutex
+	seed  uint64
+	drawn bool
+	x     *tensor.Tensor
+}
+
+// sample returns global sample g of the step whose seed is stepSeed.
+// The tensor is shared and read-only; it holds until the next step.
+func (j *elasticJob) sample(stepSeed uint64, g int) *tensor.Tensor {
+	s := &j.samples[g]
+	s.mu.Lock()
+	if !s.drawn || s.seed != stepSeed {
+		elasticSample(s.x, stepSeed, g)
+		s.seed, s.drawn = stepSeed, true
+	}
+	s.mu.Unlock()
+	return s.x
 }
 
 // layout4 is the full TP×PP×FSDP×DDP layout of the current build.
@@ -467,22 +483,19 @@ func (j *elasticJob) build(resume bool) error {
 	ranks := len(engines)
 	j.opts = make([]*optim.AdamW, ranks)
 	j.accum = make([][][]float32, ranks)
-	j.io = make([]rankIO, ranks)
-	micros := j.cfg.GlobalBatch / (j.layout.FSDP * j.layout.DDP)
+	j.grad = make([]*tensor.Tensor, ranks)
+	j.samples = make([]sampleSlot, j.cfg.GlobalBatch)
+	for g := range j.samples {
+		j.samples[g].x = tensor.New(j.cfg.Tokens, j.cfg.Dim)
+	}
 	for r, e := range engines {
 		j.opts[r] = optim.NewAdamW(e.Chunks(), j.cfg.WeightDecay)
 		j.accum[r] = make([][]float32, len(e.Chunks()))
 		for b, c := range e.Chunks() {
 			j.accum[r][b] = make([]float32, c.W.Len())
 		}
-		if e.Coord.P == 0 {
-			j.io[r].x = make([]*tensor.Tensor, micros)
-			for mu := range j.io[r].x {
-				j.io[r].x[mu] = tensor.New(j.cfg.Tokens, j.cfg.Dim)
-			}
-		}
 		if e.Coord.P == j.pp-1 {
-			j.io[r].grad = tensor.New(j.cfg.Tokens, j.cfg.Dim)
+			j.grad[r] = tensor.New(j.cfg.Tokens, j.cfg.Dim)
 		}
 	}
 	if h := j.cfg.Hooks; h != nil && h.OnBuild != nil {
@@ -786,24 +799,18 @@ func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossO
 		beat = h.OnBeat
 	}
 	invMicros := float32(1) / float32(micros)
-	io := &j.io[rank]
 	loss, err := e.RunStep(pp.Schedule1F1B, micros, pp.StepIO{
 		Shape: []int{j.cfg.Tokens, j.cfg.Dim},
 		Input: func(mu int) *tensor.Tensor {
 			beat(rank, j.step)
-			elasticSample(io.x[mu], stepSeed, dataRank*micros+mu)
-			return io.x[mu]
+			return j.sample(stepSeed, dataRank*micros+mu)
 		},
 		LossGrad: func(mu int, y *tensor.Tensor) (float64, *tensor.Tensor) {
-			// The sample is a pure function of (stepSeed, index), so a
-			// last stage that did not run Input regenerates it locally —
-			// no target ever crosses a stage link.
-			g := io.grad
-			if c.P == 0 {
-				copy(g.Data(), io.x[mu].Data())
-			} else {
-				elasticSample(g, stepSeed, dataRank*micros+mu)
-			}
+			// The sample is a pure function of (stepSeed, index), so no
+			// target ever crosses a stage link: the last stage reads the
+			// step's draw, or makes it.
+			g := j.grad[rank]
+			copy(g.Data(), j.sample(stepSeed, dataRank*micros+mu).Data())
 			g.ScaleInPlace(0.5)     // the target
 			tensor.SubInto(g, y, g) // the residual
 			loss := tensor.Dot(g, g) / float64(y.Len())
