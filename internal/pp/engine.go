@@ -2,6 +2,7 @@ package pp
 
 import (
 	"fmt"
+	"slices"
 
 	"orbit/internal/cluster"
 	"orbit/internal/comm"
@@ -178,62 +179,65 @@ type pendingSend struct {
 }
 
 // stepScratch is what RunStep needs besides its arguments: this
-// stage's op list and the per-(chunk, micro) bookkeeping tables. Both
-// depend only on (kind, micros), which a training run never changes
-// between steps, so they are built on the first step and reused.
+// stage's op list, the tensors its cross-stage traffic lands in and the
+// per-(chunk, micro) bookkeeping tables. All depend only on (kind,
+// micros, shape), which a training run never changes between steps, so
+// they are built on the first step and reused.
 type stepScratch struct {
 	kind   ScheduleKind
 	micros int
+	shape  []int
 	ops    []Op // nil until the first RunStep
 
-	savedIn            [][]*tensor.Tensor // stage inputs per (chunk, micro)
-	savedBuf           [][][]float32      // pooled recv copies backing savedIn
-	localFwd, localBwd [][][]float32      // PP=1 hand-off between chunks
-	lastFwd            []int              // most recent forward micro per chunk
-	lastY              []*tensor.Tensor   // its output
-	sends              []pendingSend      // in-flight transfers, drained per step
+	// Where the upstream stage's activation (in) and the downstream
+	// stage's gradient (dyIn) of each (chunk, micro) are received, or,
+	// with PP=1, where the neighbouring chunk writes them. nil where the
+	// virtual stage has no such neighbour.
+	in, dyIn [][]*tensor.Tensor
+	savedIn  [][]*tensor.Tensor // stage inputs per (chunk, micro): Input's tensor or in's
+	lastFwd  []int              // most recent forward micro per chunk
+	lastY    []*tensor.Tensor   // its output
+	sends    []pendingSend      // in-flight transfers, drained per step
 }
 
-// scratchFor returns the step scratch for (kind, micros) with its
-// tables cleared, rebuilding it when either changed.
-func (e *Engine) scratchFor(kind ScheduleKind, micros int) (*stepScratch, error) {
+// scratchFor returns the step scratch for (kind, micros, shape) with
+// its tables cleared, rebuilding it when any of the three changed.
+func (e *Engine) scratchFor(kind ScheduleKind, micros int, shape []int) (*stepScratch, error) {
 	sc := &e.step
 	S, v := e.Layout.PP, e.ChunksPerStage
-	if sc.ops == nil || sc.kind != kind || sc.micros != micros {
+	if sc.ops == nil || sc.kind != kind || sc.micros != micros || !slices.Equal(sc.shape, shape) {
 		scheds, err := ScheduleFor(kind, S, v, micros)
 		if err != nil {
 			return nil, err
 		}
 		*sc = stepScratch{
-			kind: kind, micros: micros, ops: scheds[e.Coord.P],
-			savedIn:  make([][]*tensor.Tensor, v),
-			savedBuf: make([][][]float32, v),
-			lastFwd:  make([]int, v),
-			lastY:    make([]*tensor.Tensor, v),
+			kind: kind, micros: micros, shape: slices.Clone(shape), ops: scheds[e.Coord.P],
+			in:      make([][]*tensor.Tensor, v),
+			dyIn:    make([][]*tensor.Tensor, v),
+			savedIn: make([][]*tensor.Tensor, v),
+			lastFwd: make([]int, v),
+			lastY:   make([]*tensor.Tensor, v),
 		}
 		for c := 0; c < v; c++ {
+			sc.in[c] = make([]*tensor.Tensor, micros)
+			sc.dyIn[c] = make([]*tensor.Tensor, micros)
 			sc.savedIn[c] = make([]*tensor.Tensor, micros)
-			sc.savedBuf[c] = make([][]float32, micros)
-		}
-		if S == 1 && v > 1 {
-			sc.localFwd = make([][][]float32, v)
-			sc.localBwd = make([][][]float32, v)
-			for c := 0; c < v; c++ {
-				sc.localFwd[c] = make([][]float32, micros)
-				sc.localBwd[c] = make([][]float32, micros)
+			k := c*S + e.Coord.P
+			for mu := 0; mu < micros; mu++ {
+				if k > 0 {
+					sc.in[c][mu] = tensor.New(shape...)
+				}
+				if k < S*v-1 {
+					sc.dyIn[c][mu] = tensor.New(shape...)
+				}
 			}
 		}
 	}
-	// A completed step leaves every table empty; a step that returned
-	// an error part-way does not.
+	// A completed step leaves the tables empty; a step that returned an
+	// error part-way does not.
 	for c := 0; c < v; c++ {
 		clear(sc.savedIn[c])
-		clear(sc.savedBuf[c])
 		sc.lastFwd[c], sc.lastY[c] = -1, nil
-	}
-	for c := range sc.localFwd {
-		clear(sc.localFwd[c])
-		clear(sc.localBwd[c])
 	}
 	sc.sends = sc.sends[:0]
 	return sc, nil
@@ -249,10 +253,6 @@ func (e *Engine) scratchFor(kind ScheduleKind, micros int) (*stepScratch, error)
 func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, error) {
 	S, v := e.Layout.PP, e.ChunksPerStage
 	K := S * v
-	sc, err := e.scratchFor(kind, micros)
-	if err != nil {
-		return 0, err
-	}
 	n := 1
 	for _, d := range io.Shape {
 		n *= d
@@ -260,9 +260,11 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 	if n <= 0 {
 		return 0, fmt.Errorf("pp: bad step shape %v", io.Shape)
 	}
-	savedIn, savedBuf := sc.savedIn, sc.savedBuf
-	localFwd, localBwd := sc.localFwd, sc.localBwd
-	lastFwd, lastY := sc.lastFwd, sc.lastY
+	sc, err := e.scratchFor(kind, micros, io.Shape)
+	if err != nil {
+		return 0, err
+	}
+	savedIn, lastFwd, lastY := sc.savedIn, sc.lastFwd, sc.lastY
 	var lossSum float64
 
 	for _, op := range sc.ops {
@@ -270,20 +272,11 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 		k := c*S + e.Coord.P // virtual stage index
 		switch op.Kind {
 		case Fwd:
-			var x *tensor.Tensor
-			switch {
-			case k == 0:
+			x := sc.in[c][mu] // with PP=1, chunk c-1 wrote it
+			if k == 0 {
 				x = io.Input(mu)
-			case S == 1:
-				buf := localFwd[c][mu]
-				localFwd[c][mu] = nil
-				savedBuf[c][mu] = buf
-				x = tensor.FromSlice(buf, io.Shape...)
-			default:
-				buf := e.pool.Get(n)
-				e.fwdIn.IRecv(1, buf).Wait()
-				savedBuf[c][mu] = buf
-				x = tensor.FromSlice(buf, io.Shape...)
+			} else if S > 1 {
+				e.fwdIn.IRecv(1, x.Data()).Wait()
 			}
 			savedIn[c][mu] = x
 			y, err := e.Stage[c].Forward(x)
@@ -291,12 +284,14 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 				return 0, err
 			}
 			lastFwd[c], lastY[c] = mu, y
+			// y is module-owned and overwritten before the rendezvous,
+			// so a send copies it out.
 			if k < K-1 {
-				buf := e.pool.Get(n)
-				copy(buf, y.Data())
 				if S == 1 {
-					localFwd[c+1][mu] = buf
+					copy(sc.in[c+1][mu].Data(), y.Data())
 				} else {
+					buf := e.pool.Get(n)
+					copy(buf, y.Data())
 					sc.sends = append(sc.sends, pendingSend{e.fwdOut.ISend(0, buf), buf})
 				}
 			}
@@ -314,44 +309,29 @@ func (e *Engine) RunStep(kind ScheduleKind, micros int, io StepIO) (float64, err
 				lastFwd[c], lastY[c] = mu, y
 				e.Stage[c].NoteRecomputed()
 			}
-			var dy *tensor.Tensor
-			var gbuf []float32
-			switch {
-			case k == K-1:
-				loss, g := io.LossGrad(mu, lastY[c])
+			dy := sc.dyIn[c][mu] // with PP=1, chunk c+1 wrote it
+			if k == K-1 {
+				var loss float64
+				loss, dy = io.LossGrad(mu, lastY[c])
 				lossSum += loss
-				dy = g
-			case S == 1:
-				gbuf = localBwd[c][mu]
-				localBwd[c][mu] = nil
-				dy = tensor.FromSlice(gbuf, io.Shape...)
-			default:
-				gbuf = e.pool.Get(n)
-				e.bwdIn.IRecv(1, gbuf).Wait()
-				dy = tensor.FromSlice(gbuf, io.Shape...)
+			} else if S > 1 {
+				e.bwdIn.IRecv(1, dy.Data()).Wait()
 			}
 			dx, err := e.Stage[c].Backward(dy)
 			if err != nil {
 				return 0, err
 			}
-			if gbuf != nil {
-				e.pool.Put(gbuf)
-			}
 			if io.OnMicroGrads != nil {
 				io.OnMicroGrads(c, mu)
 			}
 			if k > 0 {
-				buf := e.pool.Get(n)
-				copy(buf, dx.Data())
 				if S == 1 {
-					localBwd[c-1][mu] = buf
+					copy(sc.dyIn[c-1][mu].Data(), dx.Data())
 				} else {
+					buf := e.pool.Get(n)
+					copy(buf, dx.Data())
 					sc.sends = append(sc.sends, pendingSend{e.bwdOut.ISend(0, buf), buf})
 				}
-			}
-			if savedBuf[c][mu] != nil {
-				e.pool.Put(savedBuf[c][mu])
-				savedBuf[c][mu] = nil
 			}
 			savedIn[c][mu] = nil
 		}
