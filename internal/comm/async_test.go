@@ -198,6 +198,11 @@ func TestIntoCollectivesZeroAlloc(t *testing.T) {
 				h1.Wait()
 				h2.Wait()
 				g.ReduceScatterMeanInto(rank, gathers[rank], bufs[rank])
+				// The in-place forms and the nil destination.
+				own := gathers[rank][rank<<10 : (rank+1)<<10]
+				g.AllGatherInto(rank, own, gathers[rank])
+				g.AllGatherInto(rank, own, nil)
+				g.ReduceScatterMeanInto(rank, gathers[rank], own)
 				jobs[rank].done <- struct{}{}
 			}
 		}(r)

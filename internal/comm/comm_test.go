@@ -326,7 +326,8 @@ func TestReduceScatterRejectsIndivisible(t *testing.T) {
 // float32 but not the float64 accumulator) and random finite bit
 // patterns must agree bit for bit, with the one documented exception:
 // where every rank contributes −0 the fast paths keep the sign that the
-// scratch's 0+(−0) drops.
+// scratch's 0+(−0) drops. Every row runs out of place and in place (dst
+// the rank's own input, or its own chunk of it).
 func TestFastPathsMatchGeneralReduction(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	edge := []float32{0, negZero, 1e-45, -1e-45, 1.1754942e-38, math.MaxFloat32, -math.MaxFloat32, 1, -1.5, float32(math.Pi)}
@@ -362,37 +363,162 @@ func TestFastPathsMatchGeneralReduction(t *testing.T) {
 			{"reduce-scatter sum", g.IReduceScatterSum, 1, true},
 			{"reduce-scatter mean", g.IReduceScatterMean, 1 / float64(size), true},
 		} {
-			chunk := n
-			if tc.scatter {
-				chunk = n / size
-			}
-			dsts := make([][]float32, size)
-			handles := make([]Handle, size)
-			for r := range dsts {
-				dsts[r] = make([]float32, chunk)
-				handles[r] = tc.post(r, ins[r], dsts[r])
-			}
-			for _, h := range handles {
-				h.Wait()
-			}
-			for r, dst := range dsts {
-				off := 0
+			for _, inPlace := range []bool{false, true} {
+				chunk := n
 				if tc.scatter {
-					off = r * chunk
+					chunk = n / size
 				}
-				for i, got := range dst {
-					want := float32(sum[off+i] * tc.scale)
-					allNegZero := true
-					for _, in := range ins {
-						allNegZero = allNegZero && math.Float32bits(in[off+i]) == math.Float32bits(negZero)
+				dsts := make([][]float32, size)
+				handles := make([]Handle, size)
+				for r := range dsts {
+					off := 0
+					if tc.scatter {
+						off = r * chunk
 					}
-					if allNegZero {
-						want = negZero
+					buf := ins[r]
+					dsts[r] = make([]float32, chunk)
+					if inPlace {
+						buf = append([]float32(nil), ins[r]...)
+						dsts[r] = buf[off : off+chunk]
 					}
-					if math.Float32bits(got) != math.Float32bits(want) {
-						t.Errorf("%d-rank %s, rank %d element %d: got %v (%#08x), general path gives %v (%#08x)",
-							size, tc.name, r, off+i, got, math.Float32bits(got), want, math.Float32bits(want))
+					handles[r] = tc.post(r, buf, dsts[r])
+				}
+				for _, h := range handles {
+					h.Wait()
+				}
+				for r, dst := range dsts {
+					off := 0
+					if tc.scatter {
+						off = r * chunk
 					}
+					for i, got := range dst {
+						want := float32(sum[off+i] * tc.scale)
+						allNegZero := true
+						for _, in := range ins {
+							allNegZero = allNegZero && math.Float32bits(in[off+i]) == math.Float32bits(negZero)
+						}
+						if allNegZero {
+							want = negZero
+						}
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Errorf("%d-rank %s (in place: %v), rank %d element %d: got %v (%#08x), general path gives %v (%#08x)",
+								size, tc.name, inPlace, r, off+i, got, math.Float32bits(got), want, math.Float32bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInPlaceCollectivesMatchOutOfPlace: the NCCL in-place forms — an
+// all-gather whose shard is the rank's own slot of dst, a reduce-scatter
+// whose dst is the rank's own chunk of its input, an all-reduce onto its
+// input — give the bits of the same call with separate buffers, at
+// every group size that takes a different path through complete (the
+// one-rank skip, the two-rank fused pass, the float64 scratch).
+func TestInPlaceCollectivesMatchOutOfPlace(t *testing.T) {
+	const chunk = 37 // odd, so the vector kernels leave a tail
+	rng := rand.New(rand.NewSource(23))
+	for size := 1; size <= 4; size++ {
+		g := newGroup(size)
+		full := make([][]float32, size) // rank r's [size·chunk] input
+		for r := range full {
+			full[r] = make([]float32, size*chunk)
+			for i := range full[r] {
+				full[r][i] = math.Float32frombits(rng.Uint32() &^ (1 << 23))
+			}
+		}
+		own := func(r int, buf []float32) []float32 { return buf[r*chunk : (r+1)*chunk] }
+		whole := func(_ int, buf []float32) []float32 { return buf }
+		for _, tc := range []struct {
+			name string
+			post func(rank int, buf, dst []float32) Handle
+			// in and dst select the rank's input and destination out of a
+			// [size·chunk] buffer; out of place dst comes from a second one.
+			in, dst func(r int, buf []float32) []float32
+		}{
+			{"all-gather", g.IAllGather, own, whole},
+			{"reduce-scatter sum", g.IReduceScatterSum, whole, own},
+			{"reduce-scatter mean", g.IReduceScatterMean, whole, own},
+			{"all-reduce sum", g.IAllReduceSum, whole, whole},
+			{"all-reduce mean", g.IAllReduceMean, whole, whole},
+		} {
+			run := func(inPlace bool) [][]float32 {
+				outs := make([][]float32, size)
+				runSPMD(size, func(r int) {
+					buf := append([]float32(nil), full[r]...)
+					dstBuf := buf
+					if !inPlace {
+						dstBuf = make([]float32, size*chunk)
+					}
+					outs[r] = tc.dst(r, dstBuf)
+					tc.post(r, tc.in(r, buf), outs[r]).Wait()
+				})
+				return outs
+			}
+			want, got := run(false), run(true)
+			for r := range want {
+				for i := range want[r] {
+					if math.Float32bits(got[r][i]) != math.Float32bits(want[r][i]) {
+						t.Fatalf("%d-rank %s, rank %d element %d: in place %v, out of place %v",
+							size, tc.name, r, i, got[r][i], want[r][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllGatherNilDestination: a rank that posts no destination still
+// contributes its shard and pays for the collective, its peers receive
+// everything, and nothing of its own is written.
+func TestAllGatherNilDestination(t *testing.T) {
+	const chunk = 5
+	for size := 1; size <= 4; size++ {
+		// Rank 0 passes nil and gathers in place otherwise; the last rank
+		// gathers out of place.
+		run := func(nilRank0 bool) (bufs [][]float32, clocks []float64) {
+			g := newGroup(size)
+			bufs = make([][]float32, size)
+			clocks = make([]float64, size)
+			runSPMD(size, func(r int) {
+				buf := make([]float32, size*chunk)
+				for i := range buf {
+					buf[i] = -1 // never gathered
+				}
+				shard := buf[r*chunk : (r+1)*chunk]
+				for i := range shard {
+					shard[i] = float32(10*r + i)
+				}
+				dst := buf
+				switch {
+				case r == 0 && nilRank0:
+					dst = nil
+				case r == size-1 && r > 0:
+					dst = make([]float32, size*chunk)
+				}
+				g.IAllGather(r, shard, dst).Wait()
+				bufs[r], clocks[r] = buf, g.Device(r).Clock()
+				if dst != nil {
+					bufs[r] = dst
+				}
+			})
+			return bufs, clocks
+		}
+		_, withClocks := run(false)
+		got, clocks := run(true)
+		for r := 0; r < size; r++ {
+			if clocks[r] != withClocks[r] {
+				t.Errorf("%d ranks: rank %d finished at %v with rank 0's destination nil, at %v with it", size, r, clocks[r], withClocks[r])
+			}
+			for i, v := range got[r] {
+				want := float32(10*(i/chunk) + i%chunk)
+				if r == 0 && i >= chunk {
+					want = -1 // untouched: only its own shard is there
+				}
+				if v != want {
+					t.Errorf("%d ranks: rank %d element %d = %v, want %v", size, r, i, v, want)
 				}
 			}
 		}

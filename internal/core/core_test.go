@@ -445,3 +445,60 @@ func TestMoreFSDPShardsLowerPersistentMemory(t *testing.T) {
 			e4[0].Chunks()[0].W.Len(), e2[0].Chunks()[0].W.Len())
 	}
 }
+
+// TestEngineParamsAreViewsOfOneBuffer pins the flat-parameter layout:
+// every weight and gradient of a block is the view at its running
+// offset of the block's two flat vectors, the rank's chunk is the slice
+// [F·n, (F+1)·n) of both, and no step — gathers, reduce-scatters, the
+// optimizer — re-points a tensor or writes the padding tail. With every
+// tensor a view, the parameter state an engine holds on the host is
+// exactly 2·Σ flatLen floats: there is no staging copy beside it.
+func TestEngineParamsAreViewsOfOneBuffer(t *testing.T) {
+	layout := Layout{TP: 2, FSDP: 3, DDP: 1} // 476 / 460 floats per shard: both pad
+	engines, _ := buildEngines(t, layout, DefaultOptions(), 31)
+	check := func(when string) {
+		t.Helper()
+		for r, e := range engines {
+			if e.pool != nil {
+				t.Errorf("%s: rank %d holds a staging pool without DDP bucketing", when, r)
+			}
+			for b := range e.blocks {
+				flatW, flatG := e.flatW[b], e.flatG[b]
+				if len(flatW) != e.flatLen[b] || len(flatG) != e.flatLen[b] {
+					t.Fatalf("%s: rank %d block %d flat vectors hold %d / %d floats, want %d", when, r, b, len(flatW), len(flatG), e.flatLen[b])
+				}
+				off := 0
+				for i, p := range e.blockParams[b] {
+					if &p.W.Data()[0] != &flatW[off] || &p.Grad.Data()[0] != &flatG[off] {
+						t.Errorf("%s: rank %d block %d param %d (%s) is not the view at offset %d", when, r, b, i, p.Name, off)
+					}
+					off += p.W.Len()
+				}
+				if off != e.logicalLen[b] || off == len(flatW) {
+					t.Fatalf("%s: rank %d block %d params cover %d of %d floats, want %d and a padding tail", when, r, b, off, len(flatW), e.logicalLen[b])
+				}
+				for i := off; i < len(flatW); i++ {
+					if flatW[i] != 0 || flatG[i] != 0 {
+						t.Errorf("%s: rank %d block %d padding[%d] = %v / %v, want 0", when, r, b, i, flatW[i], flatG[i])
+					}
+				}
+				n := len(flatW) / layout.FSDP
+				c := e.chunks[b]
+				if c.W.Len() != n || c.Grad.Len() != n || &c.W.Data()[0] != &flatW[e.Coord.F*n] || &c.Grad.Data()[0] != &flatG[e.Coord.F*n] {
+					t.Errorf("%s: rank %d block %d chunk is not [F·n, (F+1)·n) of the flat vectors", when, r, b)
+				}
+			}
+		}
+	}
+	check("after NewEngine")
+	opts := make([]*optim.AdamW, layout.Ranks())
+	for r := range opts {
+		opts[r] = optim.NewAdamW(engines[r].Chunks(), 0)
+	}
+	for step := 0; step < 2; step++ {
+		xs, targets := testBatch(uint64(32+step), layout.FSDP)
+		hybridStep(engines, layout, xs, targets)
+		runSPMD(layout.Ranks(), func(rank int) { opts[rank].Step(1e-3) })
+	}
+	check("after two steps")
+}

@@ -3,6 +3,8 @@ package parallel
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -255,5 +257,56 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	}
 	if NumelPadded(ps, 4) != 20 {
 		t.Errorf("NumelPadded = %d", NumelPadded(ps, 4))
+	}
+}
+
+// TestUnflattenIntoRejectsShortVector: a vector shorter than the
+// parameters is refused with the helper's own message before anything
+// is copied, not by a slice-bounds fault half-way through.
+func TestUnflattenIntoRejectsShortVector(t *testing.T) {
+	ps := []*nn.Param{
+		nn.NewParam("a", tensor.Ones(3, 4)),
+		nn.NewParam("b", tensor.Ones(5)),
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "flat vector too short: 16 < 17") {
+			t.Errorf("UnflattenInto of 16 values into 17 panicked with %q", msg)
+		}
+		if ps[0].W.Data()[0] != 1 || ps[0].W.Version() != 0 {
+			t.Error("UnflattenInto wrote a parameter before refusing the vector")
+		}
+	}()
+	UnflattenInto(make([]float32, 16), ps)
+}
+
+// TestBindFlatMakesParamsViews: after BindFlat every weight and
+// gradient lives in the two flat vectors at its running offset, with
+// its values and shape unchanged.
+func TestBindFlatMakesParamsViews(t *testing.T) {
+	rng := tensor.NewRNG(61)
+	ps := []*nn.Param{
+		nn.NewParam("a", tensor.Randn(rng, 1, 3, 4)),
+		nn.NewParam("b", tensor.Randn(rng, 1, 5)),
+	}
+	orig := []*tensor.Tensor{ps[0].W.Clone(), ps[1].W.Clone()}
+	flat := FlattenParams(ps, 4)
+	grads := BindFlat(flat, ps)
+	if len(grads) != len(flat) {
+		t.Fatalf("gradient vector has %d elements, weights %d", len(grads), len(flat))
+	}
+	off := 0
+	for i, p := range ps {
+		if &p.W.Data()[0] != &flat[off] || &p.Grad.Data()[0] != &grads[off] {
+			t.Errorf("param %d is not the view at offset %d", i, off)
+		}
+		if !tensor.AllClose(p.W, orig[i], 0, 0) || !slices.Equal(p.W.Shape(), orig[i].Shape()) || !slices.Equal(p.Grad.Shape(), orig[i].Shape()) {
+			t.Errorf("param %d changed value or shape", i)
+		}
+		off += p.W.Len()
+	}
+	flat[12], grads[12] = 7, 9 // first element of b
+	if ps[1].W.Data()[0] != 7 || ps[1].Grad.Data()[0] != 9 {
+		t.Error("a write to the flat vectors did not reach the parameter")
 	}
 }
