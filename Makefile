@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci build cross-build bench-build vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples loc
+.PHONY: ci build cross-build bench-build bench-residue vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples loc
 
 ci: build cross-build bench-build vet fmt-check staticcheck docs-check check-bench test race stress bench-smoke cover
 
@@ -184,3 +184,13 @@ golden:
 # bench/. Not a gate: CHANGES.md quotes it before -> after.
 loc:
 	@sh scripts/loc.sh
+
+# Where the linker put the benchmark's reference kernel. Its speed
+# depends on the address mod 64, so `op_p50_ms` / `setup_s` of two
+# builds compare only when both print the same residue (PERFORMANCE.md,
+# "Reading and reproducing the benchmark reports"; ROADMAP 1(b) removes
+# the need).
+bench-residue:
+	@bash bench/run.sh -h >/dev/null 2>&1 # builds exactly what the benchmark runs
+	@addr=$$($(GO) tool nm .bench_build/orbit-bench | awk '$$3 == "main.(*refKernel).run" { print $$1 }'); \
+	echo "main.(*refKernel).run 0x$$addr mod 64 = $$((0x$$addr % 64))"

@@ -10,6 +10,7 @@ import (
 	"orbit/internal/cluster"
 	"orbit/internal/nn"
 	"orbit/internal/optim"
+	"orbit/internal/parallel"
 	"orbit/internal/tensor"
 )
 
@@ -452,7 +453,7 @@ func TestMoreFSDPShardsLowerPersistentMemory(t *testing.T) {
 // [F·n, (F+1)·n) of both, and no step — gathers, reduce-scatters, the
 // optimizer — re-points a tensor or writes the padding tail. With every
 // tensor a view, the parameter state an engine holds on the host is
-// exactly 2·Σ flatLen floats: there is no staging copy beside it.
+// exactly 2·Σ len(flatW[b]) floats: there is no staging copy beside it.
 func TestEngineParamsAreViewsOfOneBuffer(t *testing.T) {
 	layout := Layout{TP: 2, FSDP: 3, DDP: 1} // 476 / 460 floats per shard: both pad
 	engines, _ := buildEngines(t, layout, DefaultOptions(), 31)
@@ -464,8 +465,8 @@ func TestEngineParamsAreViewsOfOneBuffer(t *testing.T) {
 			}
 			for b := range e.blocks {
 				flatW, flatG := e.flatW[b], e.flatG[b]
-				if len(flatW) != e.flatLen[b] || len(flatG) != e.flatLen[b] {
-					t.Fatalf("%s: rank %d block %d flat vectors hold %d / %d floats, want %d", when, r, b, len(flatW), len(flatG), e.flatLen[b])
+				if want := parallel.NumelPadded(e.blockParams[b], layout.FSDP); len(flatW) != want || len(flatG) != want {
+					t.Fatalf("%s: rank %d block %d flat vectors hold %d / %d floats, want %d", when, r, b, len(flatW), len(flatG), want)
 				}
 				off := 0
 				for i, p := range e.blockParams[b] {

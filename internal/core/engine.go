@@ -77,7 +77,6 @@ type Engine struct {
 	flatW       [][]float32   // per block: the TP shard's weights, zero-padded to FSDP·n
 	flatG       [][]float32   // per block: its gradients, same layout
 	gatherBytes []int64
-	flatLen     []int
 	logicalLen  []int // unpadded flat length per block (checkpoint manifests)
 	actBytes    []int64
 	savedInputs []*tensor.Tensor
@@ -157,7 +156,6 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		e.flatW = append(e.flatW, flat)
 		e.flatG = append(e.flatG, grads)
 		e.gatherBytes = append(e.gatherBytes, int64(len(flat))*e.paramBytes())
-		e.flatLen = append(e.flatLen, len(flat))
 		e.logicalLen = append(e.logicalLen, parallel.NumelPadded(params, 1))
 
 		// Rough per-block activation footprint: token embeddings at
@@ -473,8 +471,8 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 		e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.chunks[b].Grad.Data())
 		e.releaseBlock(b)
 	}
-	for b := range e.blocks {
-		e.rsH[b].Wait()
+	for _, h := range e.rsH {
+		h.Wait()
 	}
 	// Outer DDP level: one gradient reduction per step (Fig. 4), all
 	// chunks (or coalesced buckets of chunks, when DDPBucketBytes is
