@@ -371,12 +371,7 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	depth := e.prefetchDepth()
 	for b, blk := range e.blocks {
 		if e.Opts.LayerWrapping {
-			if !e.gathered[b] {
-				if err := e.postGather(b); err != nil {
-					return nil, err
-				}
-			}
-			for k := 1; k <= depth && b+k < len(e.blocks); k++ {
+			for k := 0; k <= depth && b+k < len(e.blocks); k++ {
 				if e.gathered[b+k] {
 					continue
 				}
@@ -420,12 +415,7 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	depth := e.prefetchDepth()
 	for b := len(e.blocks) - 1; b >= 0; b-- {
 		if e.Opts.LayerWrapping {
-			if !e.gathered[b] {
-				if err := e.postGather(b); err != nil {
-					return nil, err
-				}
-			}
-			for k := 1; k <= depth && b-k >= 0; k++ {
+			for k := 0; k <= depth && b-k >= 0; k++ {
 				if e.gathered[b-k] {
 					continue
 				}
