@@ -3,7 +3,8 @@ package comm
 import "math/bits"
 
 // BufPool is a size-bucketed free list of float32 buffers for the
-// gather/flatten staging the parallel engines do around collectives.
+// copies the parallel engines stage around collectives (a pipeline
+// stage's sends, a DDP bucket's packed gradients).
 // Like tensor.Workspace it buckets by power-of-two capacity, so a Get
 // is served by any previously Put buffer of the same size class and
 // reaches steady-state zero allocations. Contents of a Get buffer are

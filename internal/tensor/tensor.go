@@ -77,7 +77,8 @@ func panicBadShape(shape []int) {
 // cache derived forms of stable tensors (e.g. a linear layer's weight
 // transpose). The counter advances on every mutating Tensor
 // method; writers that modify the raw Data() slice directly must call
-// Bump themselves (the optimizers and the parallel unflatten path do).
+// Bump themselves (the optimizers, parallel.UnflattenInto and the
+// Hybrid-STOP engine's in-place gather do).
 func (t *Tensor) Version() uint64 { return t.ver }
 
 // Bump records an out-of-band mutation of the tensor's contents.
