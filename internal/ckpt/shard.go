@@ -156,7 +156,7 @@ func (m *Manifest) Validate() error {
 	if l.PP < 0 || l.PP > maxShardExtent {
 		return fmt.Errorf("ckpt: implausible stage count %d", l.PP)
 	}
-	if err := m.validateStageBlocks(); err != nil {
+	if err := m.validateStages(); err != nil {
 		return err
 	}
 	if m.Step < 0 || m.OptStep < 0 {
@@ -187,11 +187,11 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// validateStageBlocks rejects stage coordinates that could misdirect
+// validateStages rejects stage coordinates that could misdirect
 // the loader: a multi-stage manifest must carry exactly one block
 // range per stage, and the ranges must tile the block list in order —
 // no out-of-range end, no overlap, no gap, no empty stage.
-func (m *Manifest) validateStageBlocks() error {
+func (m *Manifest) validateStages() error {
 	stages := m.Layout.Stages()
 	if len(m.StageBlocks) == 0 {
 		if stages > 1 {

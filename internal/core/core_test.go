@@ -460,8 +460,8 @@ func TestEngineParamsAreViewsOfOneBuffer(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for r, e := range engines {
-			if e.pool != nil {
-				t.Errorf("%s: rank %d holds a staging pool without DDP bucketing", when, r)
+			if e.ddpBuf != nil {
+				t.Errorf("%s: rank %d holds bucket buffers without DDPBucketBytes", when, r)
 			}
 			for b := range e.blocks {
 				flatW, flatG := e.flatW[b], e.flatG[b]

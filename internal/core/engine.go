@@ -12,18 +12,15 @@ import (
 
 // Options enables the training optimizations of paper Sec. III-B /
 // Table I. LayerWrapping and ActivationCheckpoint change the
-// functional engine's memory behaviour; Prefetch and MixedPrecision
-// primarily affect the analytical performance model (the functional
-// engine stays numerically fp32 so equivalence tests remain exact,
-// and prefetching changes when communication happens, not what it
-// computes).
+// functional engine's memory behaviour; PrefetchDepth and
+// MixedPrecision primarily affect the analytical performance model
+// (the functional engine stays numerically fp32 so equivalence tests
+// remain exact, and prefetching changes when communication happens,
+// not what it computes).
 type Options struct {
 	// LayerWrapping gathers FSDP shards one transformer layer at a
 	// time instead of the whole model (Sec. III-B "Layer Wrapping").
 	LayerWrapping bool
-	// Prefetch overlaps the next layer's shard gather with the current
-	// layer's compute (Sec. III-B "Prefetching").
-	Prefetch bool
 	// ActivationCheckpoint discards per-block activations in forward
 	// and recomputes them during backward (Sec. III-B).
 	ActivationCheckpoint bool
@@ -32,9 +29,10 @@ type Options struct {
 	// communication and gather-buffer bytes.
 	MixedPrecision bool
 	// PrefetchDepth is how many upcoming layer gathers are kept in
-	// flight when Prefetch is enabled (≤ 0 means the classic depth of
-	// one). Deeper prefetch trades device memory — depth+1 gathered
-	// layers live at once — for earlier posting, which matters
+	// flight ahead of the current layer's compute (Sec. III-B
+	// "Prefetching"; 0 = off, 1 = the classic overlap of the next
+	// layer's gather). Deeper prefetch trades device memory — depth+1
+	// gathered layers live at once — for earlier posting, which matters
 	// in backward where re-gathers contend with gradient
 	// reduce-scatters on the FSDP group's single communication stream.
 	PrefetchDepth int
@@ -51,7 +49,7 @@ type Options struct {
 // DefaultOptions enables everything, as the paper's production
 // configuration does (last column of Table I).
 func DefaultOptions() Options {
-	return Options{LayerWrapping: true, Prefetch: true, ActivationCheckpoint: true, MixedPrecision: true}
+	return Options{LayerWrapping: true, ActivationCheckpoint: true, MixedPrecision: true, PrefetchDepth: 1}
 }
 
 // Engine is one rank's Hybrid-STOP instance over a transformer block
@@ -93,10 +91,10 @@ type Engine struct {
 	ddpH     []comm.Handle
 	// ddpBuckets holds [start, end) chunk-index ranges when
 	// Opts.DDPBucketBytes coalesces the outer gradient reduction;
-	// ddpBuf stages each bucket's packed gradients (pooled).
+	// ddpBuf[i] is bucket i's persistent packed-gradient buffer (every
+	// bucket is in flight at once, so each needs its own).
 	ddpBuckets [][2]int
 	ddpBuf     [][]float32
-	pool       *comm.BufPool
 	// chunkSeen[b] is chunks[b].W.Version()+1 as of the last completed
 	// gather of block b (0 = never): when the rank's chunk hasn't
 	// changed, a gather's payload is bit-identical to what flatW[b]
@@ -130,6 +128,9 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.PrefetchDepth < 0 {
+		return nil, fmt.Errorf("core: negative prefetch depth %d", opts.PrefetchDepth)
+	}
 	e := &Engine{
 		Rank:   rank,
 		Coord:  layout.CoordOf(rank),
@@ -139,6 +140,9 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		Device: dev,
 	}
 	for i, rb := range ref {
+		if rb.Attn.Heads%layout.TP != 0 {
+			return nil, fmt.Errorf("core: %d heads not divisible by TP size %d", rb.Attn.Heads, layout.TP)
+		}
 		b := parallel.NewTPBlock(e.Coord.T, groups.TP, rb)
 		e.blocks = append(e.blocks, b)
 		params := b.Params()
@@ -181,20 +185,20 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 	e.ddpH = make([]comm.Handle, len(ref))
 	e.chunkSeen = make([]uint64, len(ref))
 	if e.Opts.DDPBucketBytes > 0 {
-		e.pool = comm.NewBufPool()
-		e.ddpBuckets = BucketRanges(chunkLens(e.chunks), e.Opts.DDPBucketBytes)
-		e.ddpBuf = make([][]float32, len(e.ddpBuckets))
+		lens := make([]int, len(e.chunks))
+		for i, c := range e.chunks {
+			lens[i] = c.W.Len()
+		}
+		e.ddpBuckets = BucketRanges(lens, e.Opts.DDPBucketBytes)
+		for _, r := range e.ddpBuckets {
+			n := 0
+			for _, l := range lens[r[0]:r[1]] {
+				n += l
+			}
+			e.ddpBuf = append(e.ddpBuf, make([]float32, n))
+		}
 	}
 	return e, nil
-}
-
-// chunkLens returns the per-block owned-chunk lengths.
-func chunkLens(chunks []*nn.Param) []int {
-	lens := make([]int, len(chunks))
-	for i, c := range chunks {
-		lens[i] = c.W.Len()
-	}
-	return lens
 }
 
 // BucketRanges greedily coalesces consecutive chunks into buckets of
@@ -214,18 +218,6 @@ func BucketRanges(lens []int, bucketBytes int) [][2]int {
 	}
 	out = append(out, [2]int{start, len(lens)})
 	return out
-}
-
-// prefetchDepth returns how many gathers ahead of the current layer
-// the engine keeps in flight (0 when prefetching is off).
-func (e *Engine) prefetchDepth() int {
-	if !e.Opts.Prefetch {
-		return 0
-	}
-	if e.Opts.PrefetchDepth > 1 {
-		return e.Opts.PrefetchDepth
-	}
-	return 1
 }
 
 // BlockFLOPs counts the floating-point operations one rank executes
@@ -354,7 +346,7 @@ func (e *Engine) chargeCompute(b int, x *tensor.Tensor, mult int64) {
 // Forward runs the rank's local sample through the sharded stack.
 // Ranks in the same TP group must pass identical x (they share the
 // data batch); ranks differing in F or D pass their own samples.
-// With Prefetch, the next PrefetchDepth blocks' parameter gathers are
+// The next PrefetchDepth blocks' parameter gathers are
 // posted before the current block computes, hiding the transfers
 // behind compute.
 func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -368,7 +360,7 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			e.waitGather(b)
 		}
 	}
-	depth := e.prefetchDepth()
+	depth := e.Opts.PrefetchDepth
 	for b, blk := range e.blocks {
 		if e.Opts.LayerWrapping {
 			for k := 0; k <= depth && b+k < len(e.blocks); k++ {
@@ -412,7 +404,7 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // drained before the outer DDP-group averaging. Gradients land in
 // Chunks()[b].Grad, complete when Backward returns.
 func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
-	depth := e.prefetchDepth()
+	depth := e.Opts.PrefetchDepth
 	for b := len(e.blocks) - 1; b >= 0; b-- {
 		if e.Opts.LayerWrapping {
 			for k := 0; k <= depth && b-k >= 0; k++ {
@@ -492,38 +484,26 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 // gathers, and TP reductions.
 func (e *Engine) NoteRecomputed() { e.recomputed = true }
 
-// ddpBucketedReduce packs consecutive chunk gradients into pooled
-// flat buckets, averages each bucket across the DDP group in place,
-// and scatters the results back. Elementwise float64 accumulation
-// makes the bucketed reduction bit-identical to the per-chunk one;
-// only the number of latency-bound ring setups changes.
+// ddpBucketedReduce packs consecutive chunk gradients into the
+// buckets' flat buffers, averages each bucket across the DDP group in
+// place, and scatters the results back. Elementwise float64
+// accumulation makes the bucketed reduction bit-identical to the
+// per-chunk one; only the number of latency-bound ring setups changes.
 func (e *Engine) ddpBucketedReduce() {
 	for i, r := range e.ddpBuckets {
-		n := 0
-		for b := r[0]; b < r[1]; b++ {
-			n += e.chunks[b].Grad.Len()
-		}
-		buf := e.pool.Get(n)
+		buf := e.ddpBuf[i]
 		off := 0
-		for b := r[0]; b < r[1]; b++ {
-			g := e.chunks[b].Grad.Data()
-			copy(buf[off:], g)
-			off += len(g)
+		for _, c := range e.chunks[r[0]:r[1]] {
+			off += copy(buf[off:], c.Grad.Data())
 		}
-		e.ddpBuf[i] = buf
 		e.ddpH[i] = e.Groups.DDP.IAllReduceMean(e.Coord.D, buf, buf)
 	}
 	for i, r := range e.ddpBuckets {
 		e.ddpH[i].Wait()
-		buf := e.ddpBuf[i]
 		off := 0
-		for b := r[0]; b < r[1]; b++ {
-			g := e.chunks[b].Grad.Data()
-			copy(g, buf[off:off+len(g)])
-			off += len(g)
+		for _, c := range e.chunks[r[0]:r[1]] {
+			off += copy(c.Grad.Data(), e.ddpBuf[i][off:])
 		}
-		e.pool.Put(buf)
-		e.ddpBuf[i] = nil
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"orbit/internal/cluster"
 	"orbit/internal/tensor"
 )
 
@@ -65,12 +66,21 @@ func TestPrefetchDepthBitIdentical(t *testing.T) {
 	base := engineStepGrads(t, layout, DefaultOptions())
 	for _, depth := range []int{0, 2, 3} {
 		opts := DefaultOptions()
-		opts.Prefetch = depth > 0
 		opts.PrefetchDepth = depth
 		got := engineStepGrads(t, layout, opts)
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("prefetch depth %d gradients differ from depth-1 baseline", depth)
 		}
+	}
+	// A negative depth would post no gather before waiting on it.
+	opts := DefaultOptions()
+	opts.PrefetchDepth = -1
+	groups, err := BuildGroups(layout, cluster.NewMachine(cluster.Frontier(), 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(0, layout, groups[0], buildStack(77), opts, nil); err == nil {
+		t.Fatal("NewEngine accepted prefetch depth -1")
 	}
 }
 

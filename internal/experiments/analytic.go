@@ -81,7 +81,7 @@ func TableI() []TableIRow {
 		{Name: "none", Opts: core.Options{}, MicroBatch: 1},
 		{Name: "+layer wrapping", Opts: core.Options{LayerWrapping: true}, MicroBatch: 1, Paper: 0.97},
 		{Name: "+mixed precision", Opts: core.Options{LayerWrapping: true, MixedPrecision: true}, MicroBatch: 1, Paper: 0.49},
-		{Name: "+prefetching", Opts: core.Options{LayerWrapping: true, MixedPrecision: true, Prefetch: true}, MicroBatch: 1, Paper: 0.40},
+		{Name: "+prefetching", Opts: core.Options{LayerWrapping: true, MixedPrecision: true, PrefetchDepth: 1}, MicroBatch: 1, Paper: 0.40},
 		{Name: "+activation ckpt", Opts: core.DefaultOptions(), MicroBatch: 3, Paper: 0.17},
 	}
 	for i := range rows {

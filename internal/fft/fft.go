@@ -174,9 +174,9 @@ func Inverse2D(g *Grid) { transform2D(g, true) }
 // enough that the panel stays cache-resident.
 const colPanel = 8
 
-// colBufPool recycles the column-panel scratch buffers (stored as
+// colPanelPool recycles the column-panel scratch buffers (stored as
 // pointers so Put does not allocate an interface box).
-var colBufPool = sync.Pool{New: func() any { return new([]complex128) }}
+var colPanelPool = sync.Pool{New: func() any { return new([]complex128) }}
 
 // rowsJob transforms rows [r0, r1) of a grid — each row is an
 // independent 1-D FFT, so any tile split is bit-identical to the
@@ -204,7 +204,7 @@ type panelsJob struct {
 
 func (j *panelsJob) Tile(_, p0, p1 int) {
 	g := j.g
-	bufp := colBufPool.Get().(*[]complex128)
+	bufp := colPanelPool.Get().(*[]complex128)
 	if cap(*bufp) < colPanel*g.H {
 		*bufp = make([]complex128, colPanel*g.H)
 	}
@@ -231,7 +231,7 @@ func (j *panelsJob) Tile(_, p0, p1 int) {
 			}
 		}
 	}
-	colBufPool.Put(bufp)
+	colPanelPool.Put(bufp)
 }
 
 var (

@@ -175,7 +175,7 @@ func TestTableICalibration(t *testing.T) {
 	}{
 		{core.Options{LayerWrapping: true}, 1, 0.97},
 		{core.Options{LayerWrapping: true, MixedPrecision: true}, 1, 0.49},
-		{core.Options{LayerWrapping: true, MixedPrecision: true, Prefetch: true}, 1, 0.40},
+		{core.Options{LayerWrapping: true, MixedPrecision: true, PrefetchDepth: 1}, 1, 0.40},
 		{core.DefaultOptions(), 3, 0.17},
 	}
 	prev := math.Inf(1)
@@ -272,7 +272,7 @@ func TestPrefetchAndMixedPrecisionSpeedup(t *testing.T) {
 	layout := core.Layout{TP: 8, FSDP: 64, DDP: 1}
 	base := Step(s, Plan{Layout: layout, Opts: core.Options{LayerWrapping: true}, MicroBatch: 1}, frontier, 0)
 	bf := Step(s, Plan{Layout: layout, Opts: core.Options{LayerWrapping: true, MixedPrecision: true}, MicroBatch: 1}, frontier, 0)
-	pf := Step(s, Plan{Layout: layout, Opts: core.Options{LayerWrapping: true, MixedPrecision: true, Prefetch: true}, MicroBatch: 1}, frontier, 0)
+	pf := Step(s, Plan{Layout: layout, Opts: core.Options{LayerWrapping: true, MixedPrecision: true, PrefetchDepth: 1}, MicroBatch: 1}, frontier, 0)
 	if !(bf.StepTime() < base.StepTime() && pf.StepTime() < bf.StepTime()) {
 		t.Errorf("optimizations should stack: %v, %v, %v", base.StepTime(), bf.StepTime(), pf.StepTime())
 	}

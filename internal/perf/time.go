@@ -120,7 +120,7 @@ func Step(s Shape, plan Plan, spec cluster.Spec, globalBatch int) StepBreakdown 
 	fsdpBytes := shardBytes * (2*gB + 4)
 	perLayerLat := float64(3*s.Layers) * spec.InterNodeLatency * cong
 	fsdpComm := ringTime(fsdp, fsdpBytes, spec.InterNodeBandwidth, 0)*cong + perLayerLat*float64(fsdp-1)/math.Max(1, float64(fsdp))
-	if plan.Opts.Prefetch {
+	if plan.Opts.PrefetchDepth > 0 {
 		// The asynchronous double-buffered gather pipeline removes
 		// per-layer bubbles and overlaps transfers with compute.
 		fsdpComm *= 1 - PrefetchHide

@@ -65,13 +65,7 @@ func analyticMemory(w Workload, layout core.Layout, opts core.Options) MemBreakd
 	owned := int64(w.Layers) * int64(flat/layout.FSDP)
 	live := int64(w.Layers)
 	if opts.LayerWrapping {
-		live = 1
-		if opts.Prefetch {
-			live = 2
-			if opts.PrefetchDepth > 1 {
-				live = int64(opts.PrefetchDepth) + 1
-			}
-		}
+		live = int64(opts.PrefetchDepth) + 1
 	}
 	m := MemBreakdown{
 		ParamBytes:  bytesFor(owned, w.ParamDtype),

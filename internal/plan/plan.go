@@ -170,8 +170,7 @@ func (c ClusterShape) Machine() *cluster.Machine {
 // Knobs are the tuning parameters enumerated alongside each layout.
 type Knobs struct {
 	// PrefetchDepth is how many layer gathers stay in flight ahead of
-	// compute (0 disables prefetch; maps onto core.Options.Prefetch /
-	// PrefetchDepth).
+	// compute (0 disables prefetch; maps onto core.Options.PrefetchDepth).
 	PrefetchDepth int `json:"prefetch_depth"`
 	// DDPBucketBytes coalesces the outer gradient all-reduce into
 	// buckets of this many bytes (0 = one collective per block chunk).
@@ -192,7 +191,6 @@ type Candidate4 struct {
 // producing exactly what the engine should run with.
 func (c Candidate4) Options(base core.Options) core.Options {
 	o := base
-	o.Prefetch = c.Knobs.PrefetchDepth > 0
 	o.PrefetchDepth = c.Knobs.PrefetchDepth
 	o.DDPBucketBytes = c.Knobs.DDPBucketBytes
 	return o

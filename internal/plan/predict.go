@@ -221,17 +221,6 @@ func (pc *progCtx) release(b int) {
 	pc.bufLive[b] = false
 }
 
-// prefetchDepth derives the in-flight gather depth the options imply.
-func prefetchDepth(opts core.Options) int {
-	if !opts.Prefetch {
-		return 0
-	}
-	if opts.PrefetchDepth > 1 {
-		return opts.PrefetchDepth
-	}
-	return 1
-}
-
 // stageForward emits one Engine.Forward pass over the stage slice,
 // mirroring core.Engine instruction for instruction (also as the real
 // recompute the 1F1B schedule performs on stale-cache backwards).
@@ -522,7 +511,7 @@ func (sc *replay) wire(gi int32, gpn int, spec cluster.Spec) {
 // buildTopology lays out the per-stage inner communicator grids over
 // each stage's contiguous device window and one two-rank link group
 // per (adjacent-stage pair, direction, inner rank), exactly as
-// pp.Build wires them (no wrap link without interleaving).
+// pp.Build wires them.
 func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
 	R := layout.Ranks()
 	sc.groups, sc.members = sc.groups[:0], sc.members[:0]
@@ -862,7 +851,7 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 	}
 	pc := &sc.ctx
 	pc.w, pc.layout, pc.opts = w, layout, opts
-	pc.depth = prefetchDepth(opts)
+	pc.depth = opts.PrefetchDepth
 	pc.actBytes = actBytesFor(w.Dim, w.Heads, layout.TP)
 	pc.fwdSec = float64(fwdFLOPs) / rate
 	pc.bwdFresh = float64(bwdMult*fwdFLOPs) / rate

@@ -56,7 +56,7 @@ func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measur
 	for i := range ref {
 		ref[i] = nn.NewTransformerBlock(fmt.Sprintf("plan%d", i), w.Dim, w.Heads, w.QKNorm, rng)
 	}
-	engines, err := pp.Build(layout, 1, stages, m, ref, opts)
+	engines, err := pp.Build(layout, stages, m, ref, opts)
 	if err != nil {
 		out.Err = err
 		return out
@@ -84,7 +84,7 @@ func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measur
 				defer wg.Done()
 				e := engines[rank]
 				d := e.Coord.D*inner.FSDP + e.Coord.F
-				_, err := e.RunStep(pp.Schedule1F1B, micros, pp.StepIO{
+				_, err := e.RunStep(micros, pp.StepIO{
 					Shape:    []int{w.Tokens, w.Dim},
 					Input:    func(mu int) *tensor.Tensor { return xs[d] },
 					LossGrad: func(mu int, y *tensor.Tensor) (float64, *tensor.Tensor) { return 0, gs[d] },

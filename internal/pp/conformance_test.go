@@ -138,20 +138,17 @@ func runReference(t *testing.T, l3 core.Layout, layers, micros int, qk bool, opt
 	return res
 }
 
-// runPipeline executes one step of a 4D layout under the given
-// schedule and collects the same observables, mapping each chunk
-// engine's blocks back to global block indices.
-func runPipeline(t *testing.T, l Layout, chunks int, kind ScheduleKind, layers, micros int, qk bool, opts core.Options) (stepResult, *cluster.Machine) {
+// runPipeline executes one 1F1B step of a 4D layout and collects the
+// same observables, mapping each stage engine's blocks back to global
+// block indices.
+func runPipeline(t *testing.T, l Layout, layers, micros int, qk bool, opts core.Options) (stepResult, *cluster.Machine) {
 	t.Helper()
-	if chunks < 1 {
-		chunks = 1
-	}
 	m := cluster.NewMachine(cluster.Frontier(), (l.Ranks()+7)/8, 0)
-	stages, err := UniformPartition(layers, l.PP*chunks)
+	stages, err := UniformPartition(layers, l.PP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines, err := Build(l, chunks, stages, m, confStack(layers, qk), opts)
+	engines, err := Build(l, stages, m, confStack(layers, qk), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,23 +162,20 @@ func runPipeline(t *testing.T, l Layout, chunks int, kind ScheduleKind, layers, 
 			defer wg.Done()
 			e := engines[rank]
 			d := e.Coord.D*l.FSDP + e.Coord.F
-			accum := make(map[[2]int][]float32) // (chunk, local block)
-			for c, ce := range e.Stage {
-				for b, p := range ce.Chunks() {
-					accum[[2]int{c, b}] = make([]float32, p.Grad.Len())
-				}
+			accum := make([][]float32, len(e.Stage.Chunks())) // per local block
+			for b, p := range e.Stage.Chunks() {
+				accum[b] = make([]float32, p.Grad.Len())
 			}
-			loss, err := e.RunStep(kind, micros, StepIO{
+			loss, err := e.RunStep(micros, StepIO{
 				Shape: []int{confTokens, confDim},
 				Input: func(mu int) *tensor.Tensor { return sampleX(d, mu) },
 				LossGrad: func(mu int, y *tensor.Tensor) (float64, *tensor.Tensor) {
 					return lossGrad(y)
 				},
-				OnMicroGrads: func(c, mu int) {
-					for b, p := range e.Stage[c].Chunks() {
-						a := accum[[2]int{c, b}]
+				OnMicroGrads: func(mu int) {
+					for b, p := range e.Stage.Chunks() {
 						for i, v := range p.Grad.Data() {
-							a[i] += v
+							accum[b][i] += v
 						}
 					}
 				},
@@ -195,12 +189,9 @@ func runPipeline(t *testing.T, l Layout, chunks int, kind ScheduleKind, layers, 
 				res.loss[[2]int{e.Coord.F, e.Coord.D}] = loss
 			}
 			if e.Coord.D == 0 {
-				for c := range e.Stage {
-					start := e.StageRanges[c*l.PP+e.Coord.P][0]
-					for b, p := range e.Stage[c].Chunks() {
-						_ = p
-						res.grads[[3]int{e.Coord.T, e.Coord.F, start + b}] = accum[[2]int{c, b}]
-					}
+				start := stages[e.Coord.P][0]
+				for b := range accum {
+					res.grads[[3]int{e.Coord.T, e.Coord.F, start + b}] = accum[b]
 				}
 			}
 			mu.Unlock()
@@ -253,7 +244,6 @@ func assertBitIdentical(t *testing.T, label string, want, got stepResult) {
 func confOpts(depth int) core.Options {
 	return core.Options{
 		LayerWrapping:        true,
-		Prefetch:             true,
 		ActivationCheckpoint: true,
 		PrefetchDepth:        depth,
 	}
@@ -280,29 +270,7 @@ func TestScheduleConformance1F1B(t *testing.T) {
 		l := Layout{TP: tp, PP: S, FSDP: fsdp, DDP: ddp}
 		label := fmt.Sprintf("iter %d: %s layers=%d micros=%d depth=%d qk=%v", it, l, layers, micros, depth, qk)
 		want := runReference(t, l.Inner(), layers, micros, qk, opts)
-		got, _ := runPipeline(t, l, 1, Schedule1F1B, layers, micros, qk, opts)
-		assertBitIdentical(t, label, want, got)
-	}
-}
-
-// TestScheduleConformanceInterleaved covers the interleaved
-// virtual-stage placement, including the wrap links that close the
-// virtual ring.
-func TestScheduleConformanceInterleaved(t *testing.T) {
-	r := rand.New(rand.NewSource(1337))
-	for it := 0; it < 10; it++ {
-		S := 1 + r.Intn(3)
-		v := 1 + r.Intn(2)
-		tp := 1 << r.Intn(2)
-		fsdp := 1 << r.Intn(2)
-		layers := S*v + r.Intn(3)
-		micros := 1 + r.Intn(3)
-		qk := r.Intn(2) == 0
-		opts := confOpts(1 + r.Intn(2))
-		l := Layout{TP: tp, PP: S, FSDP: fsdp, DDP: 1}
-		label := fmt.Sprintf("iter %d: %s v=%d layers=%d micros=%d qk=%v", it, l, v, layers, micros, qk)
-		want := runReference(t, l.Inner(), layers, micros, qk, opts)
-		got, _ := runPipeline(t, l, v, ScheduleInterleaved, layers, micros, qk, opts)
+		got, _ := runPipeline(t, l, layers, micros, qk, opts)
 		assertBitIdentical(t, label, want, got)
 	}
 }
@@ -344,7 +312,7 @@ func TestPP1BitIdenticalTo3D(t *testing.T) {
 		wg.Wait()
 
 		want := runReference(t, l.Inner(), layers, micros, qk, opts)
-		got, mPP := runPipeline(t, l, 1, Schedule1F1B, layers, micros, qk, opts)
+		got, mPP := runPipeline(t, l, layers, micros, qk, opts)
 		assertBitIdentical(t, fmt.Sprintf("pp1 qk=%v", qk), want, got)
 		if mPP.MaxClock() != m3.MaxClock() {
 			t.Fatalf("qk=%v: PP=1 clock %v != 3D clock %v (schedule changed for the unused axis)",

@@ -1,20 +1,19 @@
 // Package pp adds pipeline parallelism as a first-class fourth axis
-// over the Hybrid-STOP engine: the transformer stack is partitioned
-// into balanced-FLOPs stages (ROADMAP item 4, the last missing engine
-// axis), each stage runs its own inner TP×FSDP×DDP grid from
-// internal/core, and micro-batches stream through the stages under a
-// 1F1B or interleaved virtual-stage schedule. Cross-stage activation
-// and gradient transfers ride internal/comm's point-to-point
-// send/recv handles — one dedicated two-rank group per (link,
-// direction), posted asynchronously so stage compute overlaps the
-// transfer — which keeps the whole 4D composition on the same SPMD
-// rendezvous discipline (and the same poison/unwind fault machinery)
-// as the 3D engine.
+// over the Hybrid-STOP engine: the transformer stack is cut into
+// contiguous stages of near-equal block counts (UniformPartition), each
+// rank holds one core.Engine running its stage's inner TP×FSDP×DDP
+// grid, and micro-batches stream through the stages under the 1F1B
+// schedule. Cross-stage activation and gradient transfers ride
+// internal/comm's point-to-point send/recv handles — one dedicated
+// two-rank group per (link, direction), posted asynchronously so stage
+// compute overlaps the transfer — which keeps the whole 4D composition
+// on the same SPMD rendezvous discipline (and the same poison/unwind
+// fault machinery) as the 3D engine.
 //
 // Pipeline schedules are the most ordering-sensitive parallelism
 // form: a 1F1B bug corrupts gradients silently instead of crashing.
 // The package is therefore gated by a schedule-conformance layer
-// (conformance_test.go): every schedule must produce losses and
+// (conformance_test.go): the schedule must produce losses and
 // per-parameter gradients bit-identical to the single-stage
 // reference, and PP=1 layouts must be bit-identical to the 3D engine.
 package pp

@@ -2,100 +2,29 @@ package pp
 
 import "fmt"
 
-// Partition cuts per-block costs into `stages` contiguous, non-empty
-// ranges minimizing the maximum stage cost — the balanced-FLOPs cut.
-// Among all minimizing partitions the result is deterministic: each
-// stage takes the smallest end index that still admits an optimal
-// completion, so the cut vector is lexicographically smallest and
-// identical on every rank (SPMD construction depends on it).
-func Partition(cost []int64, stages int) ([][2]int, error) {
-	n := len(cost)
+// UniformPartition cuts count equal-cost blocks — the ViT case, where
+// every transformer block prices identically — into stages contiguous,
+// non-empty ranges with the optimal bottleneck q = ⌈count/stages⌉.
+// Among all optimal cuts it takes the earliest: stage s ends at the
+// smallest index that still leaves the S−1−s later stages at most q
+// blocks each, max(start+1, count − (S−1−s)·q). Leading stages are
+// therefore as small as optimality permits, which suits 1F1B (early
+// stages hold the most in-flight micro-batches), and every rank
+// derives the identical cut (SPMD construction depends on it).
+func UniformPartition(count, stages int) ([][2]int, error) {
 	if stages < 1 {
 		return nil, fmt.Errorf("pp: need at least one stage, got %d", stages)
 	}
-	if n < stages {
-		return nil, fmt.Errorf("pp: cannot cut %d blocks into %d non-empty stages", n, stages)
+	if count < stages {
+		return nil, fmt.Errorf("pp: cannot cut %d blocks into %d non-empty stages", count, stages)
 	}
-	for i, c := range cost {
-		if c < 0 {
-			return nil, fmt.Errorf("pp: negative cost %d at block %d", c, i)
-		}
-	}
-	// Binary-search the optimal bottleneck M between the largest single
-	// block and the total, using the greedy piece-count feasibility
-	// check.
-	lo, hi := int64(0), int64(0)
-	for _, c := range cost {
-		hi += c
-		if c > lo {
-			lo = c
-		}
-	}
-	feasible := func(m int64) bool { return minPieces(cost, m) <= stages }
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	opt := lo
-	// Greedy left-to-right reconstruction with the earliest feasible
-	// cut: stage s ends at the smallest e such that its cost fits under
-	// opt and the suffix still splits into the remaining stages.
-	out := make([][2]int, 0, stages)
+	q := (count + stages - 1) / stages
+	out := make([][2]int, stages)
 	start := 0
-	for s := 0; s < stages; s++ {
-		remaining := stages - s - 1
-		if remaining == 0 {
-			out = append(out, [2]int{start, n})
-			break
-		}
-		end := start + 1
-		var sum int64 = cost[start]
-		for {
-			suffix := cost[end:]
-			if sum <= opt && len(suffix) >= remaining && minPieces(suffix, opt) <= remaining {
-				break
-			}
-			sum += cost[end]
-			end++
-		}
-		out = append(out, [2]int{start, end})
+	for s := range out {
+		end := max(start+1, count-(stages-1-s)*q)
+		out[s] = [2]int{start, end}
 		start = end
 	}
 	return out, nil
-}
-
-// minPieces is the greedy minimum number of contiguous pieces with
-// per-piece sum ≤ m (treating any single block > m as infeasible by
-// returning a count larger than len(cost)).
-func minPieces(cost []int64, m int64) int {
-	pieces, cur := 1, int64(0)
-	for _, c := range cost {
-		if c > m {
-			return len(cost) + 1
-		}
-		if cur+c > m {
-			pieces++
-			cur = 0
-		}
-		cur += c
-	}
-	return pieces
-}
-
-// UniformPartition is Partition for equal-cost blocks — the ViT case,
-// where every transformer block prices identically — cutting count
-// blocks into stages ranges with optimal bottleneck ⌈count/stages⌉.
-// The earliest-cut tie-break keeps leading stages as small as
-// optimality permits, which suits 1F1B: early stages hold the most
-// in-flight micro-batches.
-func UniformPartition(count, stages int) ([][2]int, error) {
-	cost := make([]int64, count)
-	for i := range cost {
-		cost[i] = 1
-	}
-	return Partition(cost, stages)
 }

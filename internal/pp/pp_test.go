@@ -103,109 +103,83 @@ func TestRankCoordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartitionBalance pins UniformPartition's earliest-cut ranges:
+// leading stages are as small as the optimal bottleneck permits.
 func TestPartitionBalance(t *testing.T) {
 	cases := []struct {
-		cost   []int64
-		stages int
-		want   [][2]int
+		count, stages int
+		want          [][2]int
 	}{
-		// Uniform costs: smaller stages first (earliest-cut tie-break).
-		{[]int64{1, 1, 1, 1, 1}, 2, [][2]int{{0, 2}, {2, 5}}},
+		// Smaller stages first (earliest-cut tie-break).
+		{5, 2, [][2]int{{0, 2}, {2, 5}}},
 		// Earliest feasible cut: stage 0 keeps only what optimality
 		// forces on it (the suffix still splits under the bottleneck).
-		{[]int64{1, 1, 1, 1, 1, 1, 1}, 3, [][2]int{{0, 1}, {1, 4}, {4, 7}}},
-		// Skewed: the heavy block gets its own stage.
-		{[]int64{10, 1, 1, 1}, 2, [][2]int{{0, 1}, {1, 4}}},
-		{[]int64{1, 1, 1, 10}, 2, [][2]int{{0, 3}, {3, 4}}},
+		{7, 3, [][2]int{{0, 1}, {1, 4}, {4, 7}}},
 		// One stage = whole stack.
-		{[]int64{3, 1, 4}, 1, [][2]int{{0, 3}}},
+		{3, 1, [][2]int{{0, 3}}},
 		// Stages = blocks: singletons.
-		{[]int64{2, 2, 2}, 3, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
-		// Zero-cost blocks are legal.
-		{[]int64{0, 0, 5, 0}, 2, [][2]int{{0, 1}, {1, 4}}},
+		{3, 3, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
 	}
 	for _, c := range cases {
-		got, err := Partition(c.cost, c.stages)
+		got, err := UniformPartition(c.count, c.stages)
 		if err != nil {
-			t.Fatalf("Partition(%v, %d): %v", c.cost, c.stages, err)
+			t.Fatalf("UniformPartition(%d, %d): %v", c.count, c.stages, err)
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("Partition(%v, %d) = %v, want %v", c.cost, c.stages, got, c.want)
+			t.Fatalf("UniformPartition(%d, %d) = %v, want %v", c.count, c.stages, got, c.want)
 		}
 	}
 }
 
+// TestPartitionOptimalBottleneck: every cut is a contiguous non-empty
+// cover whose largest stage is the brute-force optimum.
 func TestPartitionOptimalBottleneck(t *testing.T) {
-	cost := []int64{3, 1, 4, 1, 5, 9, 2, 6}
-	for stages := 1; stages <= len(cost); stages++ {
-		cuts, err := Partition(cost, stages)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cuts) != stages {
-			t.Fatalf("stages=%d: %d ranges", stages, len(cuts))
-		}
-		// Contiguous non-empty cover.
-		prev := 0
-		var bottleneck int64
-		for _, rng := range cuts {
-			if rng[0] != prev || rng[1] <= rng[0] {
-				t.Fatalf("stages=%d: bad range %v in %v", stages, rng, cuts)
+	for count := 1; count <= 9; count++ {
+		for stages := 1; stages <= count; stages++ {
+			cuts, err := UniformPartition(count, stages)
+			if err != nil {
+				t.Fatal(err)
 			}
-			prev = rng[1]
-			var s int64
-			for _, v := range cost[rng[0]:rng[1]] {
-				s += v
+			if len(cuts) != stages {
+				t.Fatalf("%d/%d: %d ranges", count, stages, len(cuts))
 			}
-			if s > bottleneck {
-				bottleneck = s
+			prev, bottleneck := 0, 0
+			for _, rng := range cuts {
+				if rng[0] != prev || rng[1] <= rng[0] {
+					t.Fatalf("%d/%d: bad range %v in %v", count, stages, rng, cuts)
+				}
+				prev = rng[1]
+				bottleneck = max(bottleneck, rng[1]-rng[0])
 			}
-		}
-		if prev != len(cost) {
-			t.Fatalf("stages=%d: cover ends at %d", stages, prev)
-		}
-		// Optimality: no brute-force partition does better.
-		if best := bruteBottleneck(cost, stages); bottleneck != best {
-			t.Fatalf("stages=%d: bottleneck %d, optimum %d", stages, bottleneck, best)
+			if prev != count {
+				t.Fatalf("%d/%d: cover ends at %d", count, stages, prev)
+			}
+			if best := bruteBottleneck(count, stages); bottleneck != best {
+				t.Fatalf("%d/%d: bottleneck %d, optimum %d", count, stages, bottleneck, best)
+			}
 		}
 	}
 }
 
-// bruteBottleneck exhaustively minimizes the max stage cost.
-func bruteBottleneck(cost []int64, stages int) int64 {
+// bruteBottleneck exhaustively minimizes the largest stage of count
+// unit-cost blocks cut into stages contiguous pieces.
+func bruteBottleneck(count, stages int) int {
 	if stages == 1 {
-		var s int64
-		for _, v := range cost {
-			s += v
-		}
-		return s
+		return count
 	}
-	best := int64(1) << 62
-	for cut := 1; cut <= len(cost)-stages+1; cut++ {
-		var head int64
-		for _, v := range cost[:cut] {
-			head += v
-		}
-		rest := bruteBottleneck(cost[cut:], stages-1)
-		if rest > head {
-			head = rest
-		}
-		if head < best {
-			best = head
-		}
+	best := count
+	for cut := 1; cut <= count-stages+1; cut++ {
+		best = min(best, max(cut, bruteBottleneck(count-cut, stages-1)))
 	}
 	return best
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition([]int64{1, 2}, 0); err == nil {
+	if _, err := UniformPartition(2, 0); err == nil {
 		t.Fatal("stages=0 accepted")
 	}
-	if _, err := Partition([]int64{1}, 2); err == nil {
+	if _, err := UniformPartition(1, 2); err == nil {
 		t.Fatal("more stages than blocks accepted")
-	}
-	if _, err := Partition([]int64{1, -1}, 1); err == nil {
-		t.Fatal("negative cost accepted")
 	}
 }
 
@@ -220,66 +194,126 @@ func TestUniformPartition(t *testing.T) {
 	}
 }
 
+// TestUniformPartitionMatchesPartition is the differential test of the
+// closed form against the balanced-cost partition it replaced
+// (binary-searched bottleneck, greedy earliest-cut reconstruction),
+// kept below as the reference, over unit costs.
+func TestUniformPartitionMatchesPartition(t *testing.T) {
+	for count := 1; count <= 64; count++ {
+		cost := make([]int64, count)
+		for i := range cost {
+			cost[i] = 1
+		}
+		for stages := 1; stages <= count; stages++ {
+			got, err := UniformPartition(count, stages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refPartition(cost, stages); !reflect.DeepEqual(got, want) {
+				t.Fatalf("UniformPartition(%d, %d) = %v, reference %v", count, stages, got, want)
+			}
+		}
+	}
+}
+
+// refPartition cuts per-block costs into stages contiguous, non-empty
+// ranges minimizing the maximum stage cost; among all minimizing
+// partitions each stage takes the smallest end index that still admits
+// an optimal completion. Requires 1 ≤ stages ≤ len(cost).
+func refPartition(cost []int64, stages int) [][2]int {
+	n := len(cost)
+	var lo, hi int64
+	for _, c := range cost {
+		hi += c
+		lo = max(lo, c)
+	}
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; minPieces(cost, mid) <= stages {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	opt := lo
+	out := make([][2]int, 0, stages)
+	start := 0
+	for s := 0; s < stages; s++ {
+		remaining := stages - s - 1
+		if remaining == 0 {
+			return append(out, [2]int{start, n})
+		}
+		end := start + 1
+		sum := cost[start]
+		for !(sum <= opt && n-end >= remaining && minPieces(cost[end:], opt) <= remaining) {
+			sum += cost[end]
+			end++
+		}
+		out = append(out, [2]int{start, end})
+		start = end
+	}
+	return out
+}
+
+// minPieces is the greedy minimum number of contiguous pieces with
+// per-piece sum ≤ m (a count larger than len(cost) when a single block
+// exceeds m).
+func minPieces(cost []int64, m int64) int {
+	pieces, cur := 1, int64(0)
+	for _, c := range cost {
+		if c > m {
+			return len(cost) + 1
+		}
+		if cur+c > m {
+			pieces++
+			cur = 0
+		}
+		cur += c
+	}
+	return pieces
+}
+
 func TestScheduleFor1F1B(t *testing.T) {
 	scheds, err := ScheduleFor(Schedule1F1B, 3, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stage 0 (w=2): F0 F1 (F2,B0) (F3,B1) B2 B3.
-	want0 := []Op{{Fwd, 0, 0}, {Fwd, 0, 1}, {Fwd, 0, 2}, {Bwd, 0, 0}, {Fwd, 0, 3}, {Bwd, 0, 1}, {Bwd, 0, 2}, {Bwd, 0, 3}}
+	want0 := []Op{{Fwd, 0}, {Fwd, 1}, {Fwd, 2}, {Bwd, 0}, {Fwd, 3}, {Bwd, 1}, {Bwd, 2}, {Bwd, 3}}
 	if !reflect.DeepEqual(scheds[0], want0) {
 		t.Fatalf("stage 0: %v", scheds[0])
 	}
 	// Last stage (w=0): strict (F_i, B_i) pairs.
-	wantLast := []Op{{Fwd, 0, 0}, {Bwd, 0, 0}, {Fwd, 0, 1}, {Bwd, 0, 1}, {Fwd, 0, 2}, {Bwd, 0, 2}, {Fwd, 0, 3}, {Bwd, 0, 3}}
+	wantLast := []Op{{Fwd, 0}, {Bwd, 0}, {Fwd, 1}, {Bwd, 1}, {Fwd, 2}, {Bwd, 2}, {Fwd, 3}, {Bwd, 3}}
 	if !reflect.DeepEqual(scheds[2], wantLast) {
 		t.Fatalf("stage 2: %v", scheds[2])
 	}
 	for s, ops := range scheds {
-		checkScheduleComplete(t, s, ops, 1, 4)
+		checkScheduleComplete(t, s, ops, 4)
 	}
 }
 
-func TestScheduleForInterleaved(t *testing.T) {
-	scheds, err := ScheduleFor(ScheduleInterleaved, 2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Op{
-		{Fwd, 0, 0}, {Fwd, 0, 1}, {Fwd, 1, 0}, {Fwd, 1, 1},
-		{Bwd, 1, 0}, {Bwd, 1, 1}, {Bwd, 0, 0}, {Bwd, 0, 1},
-	}
-	for s := range scheds {
-		if !reflect.DeepEqual(scheds[s], want) {
-			t.Fatalf("stage %d: %v, want %v", s, scheds[s], want)
-		}
-		checkScheduleComplete(t, s, scheds[s], 2, 2)
-	}
-}
-
-// checkScheduleComplete asserts every (chunk, micro) appears exactly
-// once per kind, and each backward follows its forward.
-func checkScheduleComplete(t *testing.T, stage int, ops []Op, chunks, micros int) {
+// checkScheduleComplete asserts every micro appears exactly once per
+// kind, and each backward follows its forward.
+func checkScheduleComplete(t *testing.T, stage int, ops []Op, micros int) {
 	t.Helper()
-	fwdAt := make(map[[2]int]int)
-	bwdAt := make(map[[2]int]int)
+	fwdAt := make(map[int]int)
+	bwdAt := make(map[int]int)
 	for i, op := range ops {
-		k := [2]int{op.Chunk, op.Micro}
 		m := fwdAt
 		if op.Kind == Bwd {
 			m = bwdAt
 		}
-		if _, dup := m[k]; dup {
-			t.Fatalf("stage %d: duplicate %v%v", stage, op.Kind, k)
+		if _, dup := m[op.Micro]; dup {
+			t.Fatalf("stage %d: duplicate %v%d", stage, op.Kind, op.Micro)
 		}
-		m[k] = i
+		m[op.Micro] = i
 	}
-	if len(fwdAt) != chunks*micros || len(bwdAt) != chunks*micros {
-		t.Fatalf("stage %d: %d forwards, %d backwards, want %d each", stage, len(fwdAt), len(bwdAt), chunks*micros)
+	if len(fwdAt) != micros || len(bwdAt) != micros {
+		t.Fatalf("stage %d: %d forwards, %d backwards, want %d each", stage, len(fwdAt), len(bwdAt), micros)
 	}
-	for k, bi := range bwdAt {
-		if fi, ok := fwdAt[k]; !ok || fi > bi {
-			t.Fatalf("stage %d: backward %v before its forward", stage, k)
+	for mu, bi := range bwdAt {
+		if fi, ok := fwdAt[mu]; !ok || fi > bi {
+			t.Fatalf("stage %d: backward %d before its forward", stage, mu)
 		}
 	}
 }
@@ -300,9 +334,6 @@ func TestKindStrings(t *testing.T) {
 	if Fwd.String() != "F" || Bwd.String() != "B" {
 		t.Fatal("OpKind strings")
 	}
-	if Schedule1F1B.String() != "1f1b" || ScheduleInterleaved.String() != "interleaved" {
-		t.Fatal("ScheduleKind strings")
-	}
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -311,38 +342,38 @@ func TestBuildErrors(t *testing.T) {
 	m := cluster.NewMachine(cluster.Frontier(), 1, 0)
 
 	// Bad layout.
-	if _, err := Build(Layout{TP: 0, PP: 1, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 4}}, m, ref, opts); err == nil {
+	if _, err := Build(Layout{TP: 0, PP: 1, FSDP: 1, DDP: 1}, [][2]int{{0, 4}}, m, ref, opts); err == nil {
 		t.Fatal("zero TP accepted")
 	}
 	// PP>1 without wrapping/checkpointing.
 	bare := opts
 	bare.LayerWrapping = false
-	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 2}, {2, 4}}, m, ref, bare); err == nil {
+	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, [][2]int{{0, 2}, {2, 4}}, m, ref, bare); err == nil {
 		t.Fatal("PP=2 without layer wrapping accepted")
 	}
 	noCkpt := opts
 	noCkpt.ActivationCheckpoint = false
-	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 2}, {2, 4}}, m, ref, noCkpt); err == nil {
+	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, [][2]int{{0, 2}, {2, 4}}, m, ref, noCkpt); err == nil {
 		t.Fatal("PP=2 without activation checkpointing accepted")
 	}
 	// Wrong range count.
-	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 4}}, m, ref, opts); err == nil {
+	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, [][2]int{{0, 4}}, m, ref, opts); err == nil {
 		t.Fatal("1 range for 2 stages accepted")
 	}
 	// Non-contiguous / gapped cover.
-	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 2}, {3, 4}}, m, ref, opts); err == nil {
+	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, [][2]int{{0, 2}, {3, 4}}, m, ref, opts); err == nil {
 		t.Fatal("gapped ranges accepted")
 	}
 	// Empty stage.
-	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 4}, {4, 4}}, m, ref, opts); err == nil {
+	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, [][2]int{{0, 4}, {4, 4}}, m, ref, opts); err == nil {
 		t.Fatal("empty stage accepted")
 	}
 	// Incomplete cover.
-	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 2}, {2, 3}}, m, ref, opts); err == nil {
+	if _, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, [][2]int{{0, 2}, {2, 3}}, m, ref, opts); err == nil {
 		t.Fatal("incomplete cover accepted")
 	}
 	// Not enough devices: 4 stages × 8 ranks needs 32, machine has 8.
-	if _, err := Build(Layout{TP: 2, PP: 4, FSDP: 2, DDP: 2}, 1, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}, m, ref, opts); err == nil {
+	if _, err := Build(Layout{TP: 2, PP: 4, FSDP: 2, DDP: 2}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}, m, ref, opts); err == nil {
 		t.Fatal("oversubscribed machine accepted")
 	}
 }
@@ -356,7 +387,7 @@ func TestEngineAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines, err := Build(l, 1, stages, m, ref, opts)
+	engines, err := Build(l, stages, m, ref, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,10 +395,10 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatalf("%d engines, want %d", len(engines), l.Ranks())
 	}
 	e := engines[0]
-	if got := len(e.Chunks()); got != 2 {
+	if got := len(e.Stage.Chunks()); got != 2 {
 		t.Fatalf("stage 0 owns %d chunks, want 2", got)
 	}
-	if got := len(e.LogicalFlatLens()); got != 2 {
+	if got := len(e.Stage.LogicalFlatLens()); got != 2 {
 		t.Fatalf("stage 0 has %d flat lens, want 2", got)
 	}
 	// A 3D engine over the full stack must agree with the two stages'
@@ -380,7 +411,7 @@ func TestEngineAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := append(append([]int{}, engines[0].LogicalFlatLens()...), engines[l.Inner().Ranks()].LogicalFlatLens()...)
+	all := append(append([]int{}, engines[0].Stage.LogicalFlatLens()...), engines[l.Inner().Ranks()].Stage.LogicalFlatLens()...)
 	if !reflect.DeepEqual(all, e3.LogicalFlatLens()) {
 		t.Fatalf("stage flat lens %v != 3D %v", all, e3.LogicalFlatLens())
 	}
@@ -390,7 +421,7 @@ func TestPoisonCommUnblocksLinks(t *testing.T) {
 	ref := confStack(2, false)
 	opts := confOpts(1)
 	m := cluster.NewMachine(cluster.Frontier(), 1, 0)
-	engines, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, 1, [][2]int{{0, 1}, {1, 2}}, m, ref, opts)
+	engines, err := Build(Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}, [][2]int{{0, 1}, {1, 2}}, m, ref, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +431,7 @@ func TestPoisonCommUnblocksLinks(t *testing.T) {
 			t.Fatal("RunStep on a poisoned engine did not panic with comm.Poisoned")
 		}
 	}()
-	engines[1].RunStep(Schedule1F1B, 1, StepIO{
+	engines[1].RunStep(1, StepIO{
 		Shape:    []int{confTokens, confDim},
 		Input:    func(mu int) *tensor.Tensor { return sampleX(0, mu) },
 		LossGrad: func(mu int, y *tensor.Tensor) (float64, *tensor.Tensor) { return lossGrad(y) },

@@ -6,10 +6,10 @@ import "fmt"
 type OpKind uint8
 
 const (
-	// Fwd runs one micro-batch forward through one virtual chunk.
+	// Fwd runs one micro-batch forward through the stage.
 	Fwd OpKind = iota
 	// Bwd runs the matching backward (recomputing the forward first
-	// when later micro-batches have clobbered the chunk's caches).
+	// when later micro-batches have clobbered the stage's caches).
 	Bwd
 )
 
@@ -20,66 +20,44 @@ func (k OpKind) String() string {
 	return "B"
 }
 
-// Op is one slot of a stage's schedule: run Kind on virtual chunk
-// Chunk for micro-batch Micro. Schedules are pure data — deterministic
-// per-stage op lists — so the planner's instruction-level replay and
-// the functional engine execute the identical sequence by
-// construction.
+// Op is one slot of a stage's schedule: run Kind for micro-batch
+// Micro. Schedules are pure data — deterministic per-stage op lists —
+// so the planner's instruction-level replay and the functional engine
+// execute the identical sequence by construction.
 type Op struct {
 	Kind  OpKind
-	Chunk int
 	Micro int
 }
 
 // ScheduleKind selects the micro-batch schedule.
 type ScheduleKind uint8
 
-const (
-	// Schedule1F1B is the one-forward-one-backward schedule: stage s
-	// warms up with min(M, S−1−s) forwards, then alternates (forward,
-	// backward) pairs in steady state, then drains the remaining
-	// backwards. Backwards execute in ascending micro order on every
-	// stage, which is what keeps gradient accumulation bit-identical to
-	// the single-stage reference. Requires one chunk per stage.
-	Schedule1F1B ScheduleKind = iota
-	// ScheduleInterleaved is the interleaved virtual-stage placement:
-	// each stage owns `chunks` non-adjacent model chunks (virtual stage
-	// c·S+s lives on stage s), micro-batches stream depth-first through
-	// all S·chunks virtual stages in a forward phase and drain back in
-	// a reverse backward phase. Shorter per-virtual-stage transit
-	// shrinks the warmup/cooldown bubble relative to a plain cut of the
-	// same stack.
-	ScheduleInterleaved
-)
+// Schedule1F1B is the one-forward-one-backward schedule: stage s warms
+// up with min(M, S−1−s) forwards, then alternates (forward, backward)
+// pairs in steady state, then drains the remaining backwards.
+// Backwards execute in ascending micro order on every stage, which is
+// what keeps gradient accumulation bit-identical to the single-stage
+// reference. It is the only schedule.
+const Schedule1F1B ScheduleKind = 0
 
-func (k ScheduleKind) String() string {
-	if k == Schedule1F1B {
-		return "1f1b"
-	}
-	return "interleaved"
-}
-
-// ScheduleFor builds the per-stage op lists for S stages × chunks
-// virtual chunks × M micro-batches. Every stage's list is a
-// deterministic pure function of (kind, S, chunks, M); the
-// conformance suite proves each list gradient-equivalent to the
-// single-stage reference, and the per-(link, direction) transfer
-// orders the lists induce are ascending on both endpoints, which is
-// what makes the rendezvous transport deadlock-free.
+// ScheduleFor builds the per-stage 1F1B op lists for S stages × M
+// micro-batches; kind must be Schedule1F1B and chunks 1. Every stage's
+// list is a deterministic pure function of (S, M); the conformance
+// suite proves each list gradient-equivalent to the single-stage
+// reference, and the per-(link, direction) transfer orders the lists
+// induce are ascending on both endpoints, which is what makes the
+// rendezvous transport deadlock-free.
 func ScheduleFor(kind ScheduleKind, stages, chunks, micros int) ([][]Op, error) {
 	if stages < 1 || chunks < 1 || micros < 1 {
 		return nil, fmt.Errorf("pp: schedule needs positive stages/chunks/micros, got %d/%d/%d", stages, chunks, micros)
 	}
-	switch kind {
-	case Schedule1F1B:
-		if chunks != 1 {
-			return nil, fmt.Errorf("pp: 1F1B runs one chunk per stage, got %d", chunks)
-		}
-		return oneFOneB(stages, micros), nil
-	case ScheduleInterleaved:
-		return interleaved(stages, chunks, micros), nil
+	if kind != Schedule1F1B {
+		return nil, fmt.Errorf("pp: unknown schedule kind %d", kind)
 	}
-	return nil, fmt.Errorf("pp: unknown schedule kind %d", kind)
+	if chunks != 1 {
+		return nil, fmt.Errorf("pp: 1F1B runs one chunk per stage, got %d", chunks)
+	}
+	return oneFOneB(stages, micros), nil
 }
 
 // oneFOneB emits the classic 1F1B lists. Stage s of S:
@@ -90,42 +68,16 @@ func ScheduleFor(kind ScheduleKind, stages, chunks, micros int) ([][]Op, error) 
 func oneFOneB(stages, micros int) [][]Op {
 	out := make([][]Op, stages)
 	for s := 0; s < stages; s++ {
-		w := stages - 1 - s
-		if w > micros {
-			w = micros
-		}
+		w := min(stages-1-s, micros)
 		ops := make([]Op, 0, 2*micros)
 		for i := 0; i < w; i++ {
-			ops = append(ops, Op{Fwd, 0, i})
+			ops = append(ops, Op{Fwd, i})
 		}
 		for i := w; i < micros; i++ {
-			ops = append(ops, Op{Fwd, 0, i}, Op{Bwd, 0, i - w})
+			ops = append(ops, Op{Fwd, i}, Op{Bwd, i - w})
 		}
 		for i := micros - w; i < micros; i++ {
-			ops = append(ops, Op{Bwd, 0, i})
-		}
-		out[s] = ops
-	}
-	return out
-}
-
-// interleaved emits the virtual-stage lists: forwards for chunk 0
-// through chunk v−1 (ascending micros within each), then backwards
-// chunk v−1 down to chunk 0 — ascending micros within each chunk, so
-// per-parameter accumulation order matches the reference.
-func interleaved(stages, chunks, micros int) [][]Op {
-	out := make([][]Op, stages)
-	for s := 0; s < stages; s++ {
-		ops := make([]Op, 0, 2*chunks*micros)
-		for c := 0; c < chunks; c++ {
-			for i := 0; i < micros; i++ {
-				ops = append(ops, Op{Fwd, c, i})
-			}
-		}
-		for c := chunks - 1; c >= 0; c-- {
-			for i := 0; i < micros; i++ {
-				ops = append(ops, Op{Bwd, c, i})
-			}
+			ops = append(ops, Op{Bwd, i})
 		}
 		out[s] = ops
 	}

@@ -183,9 +183,7 @@ type elasticJob struct {
 	cfg     ElasticConfig
 	inj     *cluster.FaultInjector
 	res     *ElasticResult
-	layout  core.Layout // per-stage inner grid
-	pp      int         // pipeline stage count (≥ 1)
-	stages  [][2]int    // per-stage block ranges of the current build
+	layout  pp.Layout // the current build's TP×PP×FSDP×DDP grid
 	nodes   int
 	gpn     int
 	machine *cluster.Machine
@@ -224,11 +222,6 @@ func (j *elasticJob) sample(stepSeed uint64, g int) *tensor.Tensor {
 	return s.x
 }
 
-// layout4 is the full TP×PP×FSDP×DDP layout of the current build.
-func (j *elasticJob) layout4() pp.Layout {
-	return pp.Layout{TP: j.layout.TP, PP: j.pp, FSDP: j.layout.FSDP, DDP: j.layout.DDP}
-}
-
 // RunElastic executes an elastic fault-tolerant training run. inj may
 // be nil for a fault-free run (still checkpointing, still resumable).
 func RunElastic(cfg ElasticConfig, inj *cluster.FaultInjector) (*ElasticResult, error) {
@@ -261,7 +254,8 @@ func RunElastic(cfg ElasticConfig, inj *cluster.FaultInjector) (*ElasticResult, 
 	}
 	j := &elasticJob{
 		cfg: cfg, inj: inj,
-		layout: cfg.Layout, pp: cfg.PP, nodes: nodes, gpn: gpn,
+		layout: pp.Layout{TP: cfg.Layout.TP, PP: cfg.PP, FSDP: cfg.Layout.FSDP, DDP: cfg.Layout.DDP},
+		nodes:  nodes, gpn: gpn,
 		res: &ElasticResult{Losses: make([]float64, cfg.TotalSteps)},
 		sched: optim.CosineSchedule{
 			BaseLR: cfg.LR, MinLR: cfg.MinLR,
@@ -298,8 +292,8 @@ func RunElastic(cfg ElasticConfig, inj *cluster.FaultInjector) (*ElasticResult, 
 			j.event(0, "restart", "no checkpoint available, restarting from scratch")
 		}
 	}
-	j.res.FinalLayout = j.layout
-	j.res.FinalPP = j.pp
+	j.res.FinalLayout = j.layout.Inner()
+	j.res.FinalPP = j.layout.PP
 	j.res.FinalNodes = j.nodes
 	return j.res, nil
 }
@@ -308,8 +302,8 @@ func RunElastic(cfg ElasticConfig, inj *cluster.FaultInjector) (*ElasticResult, 
 // when no pipelining is active (so pre-PP logs are unchanged), the 4D
 // form otherwise.
 func (j *elasticJob) layoutStr() string {
-	if j.pp > 1 {
-		return fmt.Sprintf("TP=%d PP=%d FSDP=%d DDP=%d", j.layout.TP, j.pp, j.layout.FSDP, j.layout.DDP)
+	if j.layout.PP > 1 {
+		return fmt.Sprintf("TP=%d PP=%d FSDP=%d DDP=%d", j.layout.TP, j.layout.PP, j.layout.FSDP, j.layout.DDP)
 	}
 	return fmt.Sprintf("TP=%d FSDP=%d DDP=%d", j.layout.TP, j.layout.FSDP, j.layout.DDP)
 }
@@ -350,7 +344,7 @@ func (j *elasticJob) trainUntilFaultOrDone() (restart bool, err error) {
 			if err := j.save(); err != nil {
 				return false, err
 			}
-			j.event(j.step, "checkpoint", fmt.Sprintf("saved %d shards", j.pp*j.layout.TP*j.layout.FSDP))
+			j.event(j.step, "checkpoint", fmt.Sprintf("saved %d shards", j.layout.PP*j.layout.TP*j.layout.FSDP))
 		}
 	}
 	return false, nil
@@ -387,7 +381,7 @@ func (j *elasticJob) handleFault() error {
 	if j.nodes < 1 {
 		return fmt.Errorf("train: no healthy nodes left after fault at step %d", j.step)
 	}
-	newLayout, newPP, err := j.chooseLayout()
+	newLayout, err := j.chooseLayout()
 	if err != nil {
 		return err
 	}
@@ -396,12 +390,12 @@ func (j *elasticJob) handleFault() error {
 			j.cfg.GlobalBatch, newLayout.FSDP*newLayout.DDP)
 	}
 	j.res.Rebuilds++
-	j.layout, j.pp = newLayout, newPP
+	j.layout = newLayout
 	j.event(j.step, "rebuild", fmt.Sprintf("%d nodes, layout %s", j.nodes, j.layoutStr()))
 	return nil
 }
 
-// chooseLayout picks the post-fault (layout, PP) for the surviving
+// chooseLayout picks the post-fault layout for the surviving
 // machine: the auto-planner's fastest predicted plan when AutoPlan is
 // set (TP pinned, since the sharded checkpoint cannot reshard across
 // a TP change), the DDP-before-PP-before-FSDP shrink heuristic
@@ -410,7 +404,7 @@ func (j *elasticJob) handleFault() error {
 // free, so the rebuilt layout may trade stages for data ranks (or
 // vice versa; ReshardPP regroups blocks losslessly); an unpipelined
 // job pins PP=1 and keeps searching exactly the (TP, FSDP, DDP) space.
-func (j *elasticJob) chooseLayout() (core.Layout, int, error) {
+func (j *elasticJob) chooseLayout() (pp.Layout, error) {
 	if j.cfg.AutoPlan {
 		w := plan.Workload{
 			Dim: j.cfg.Dim, Heads: j.cfg.Heads, Layers: j.cfg.Layers,
@@ -419,22 +413,18 @@ func (j *elasticJob) chooseLayout() (core.Layout, int, error) {
 		}
 		shape := plan.ClusterShape{Nodes: j.nodes, GPUsPerNode: j.gpn, Spec: j.spec()}
 		cons := plan.Constraints{FixTP: j.layout.TP}
-		if j.pp == 1 {
+		if j.layout.PP == 1 {
 			cons.FixPP = 1
 		}
 		best, err := plan.Best4(w, shape, cons)
 		if err == nil {
 			j.cfg.Opts = best.Options(j.cfg.Opts)
 			j.event(j.step, "plan", best.String())
-			return best.Layout.Inner(), best.Layout.PP, nil
+			return best.Layout, nil
 		}
 		j.event(j.step, "plan", fmt.Sprintf("planner found no feasible layout (%v), falling back to ShrinkLayout4", err))
 	}
-	l4, err := ShrinkLayout4(j.layout4(), j.nodes*j.gpn)
-	if err != nil {
-		return core.Layout{}, 0, err
-	}
-	return l4.Inner(), l4.PP, nil
+	return ShrinkLayout4(j.layout, j.nodes*j.gpn)
 }
 
 // spec returns the machine specification of this job: Frontier, with
@@ -470,12 +460,11 @@ func (j *elasticJob) build(resume bool) error {
 	if j.inj != nil {
 		j.inj.Arm(j.machine)
 	}
-	stages, err := pp.UniformPartition(j.cfg.Layers, j.pp)
+	stages, err := pp.UniformPartition(j.cfg.Layers, j.layout.PP)
 	if err != nil {
 		return err
 	}
-	j.stages = stages
-	engines, err := pp.Build(j.layout4(), 1, stages, j.machine, j.refStack(), j.cfg.Opts)
+	engines, err := pp.Build(j.layout, stages, j.machine, j.refStack(), j.cfg.Opts)
 	if err != nil {
 		return err
 	}
@@ -489,12 +478,13 @@ func (j *elasticJob) build(resume bool) error {
 		j.samples[g].x = tensor.New(j.cfg.Tokens, j.cfg.Dim)
 	}
 	for r, e := range engines {
-		j.opts[r] = optim.NewAdamW(e.Chunks(), j.cfg.WeightDecay)
-		j.accum[r] = make([][]float32, len(e.Chunks()))
-		for b, c := range e.Chunks() {
+		chunks := e.Stage.Chunks()
+		j.opts[r] = optim.NewAdamW(chunks, j.cfg.WeightDecay)
+		j.accum[r] = make([][]float32, len(chunks))
+		for b, c := range chunks {
 			j.accum[r][b] = make([]float32, c.W.Len())
 		}
-		if e.Coord.P == j.pp-1 {
+		if e.Coord.P == j.layout.PP-1 {
 			j.grad[r] = tensor.New(j.cfg.Tokens, j.cfg.Dim)
 		}
 	}
@@ -502,7 +492,7 @@ func (j *elasticJob) build(resume bool) error {
 		// Before load(): the supervisor must see the machine (and, in
 		// tests, get a chance to corrupt a checkpoint) before the load
 		// path runs.
-		h.OnBuild(j.machine, j.layout4())
+		h.OnBuild(j.machine, j.layout)
 	}
 	if resume {
 		return j.load()
@@ -519,11 +509,11 @@ func (j *elasticJob) build(resume bool) error {
 // whatever chunking the options induce.
 func (j *elasticJob) stageLens() (lensTP [][]int, stageBlocks [][2]int) {
 	lensTP = make([][]int, j.layout.TP)
-	stageBlocks = make([][2]int, j.pp)
-	for p := 0; p < j.pp; p++ {
+	stageBlocks = make([][2]int, j.layout.PP)
+	for p := 0; p < j.layout.PP; p++ {
 		for t := 0; t < j.layout.TP; t++ {
-			rank := j.layout4().RankOf(pp.Coord{T: t, P: p})
-			lens := j.engines[rank].LogicalFlatLens()
+			rank := j.layout.RankOf(pp.Coord{T: t, P: p})
+			lens := j.engines[rank].Stage.LogicalFlatLens()
 			if t == 0 {
 				stageBlocks[p] = [2]int{len(lensTP[0]), len(lensTP[0]) + len(lens)}
 			}
@@ -549,8 +539,8 @@ func (j *elasticJob) save() error {
 		GlobalBatch: j.cfg.GlobalBatch,
 		RNG:         j.dataRNG.State(),
 	}
-	if j.pp > 1 {
-		man.Layout.PP = j.pp
+	if j.layout.PP > 1 {
+		man.Layout.PP = j.layout.PP
 		man.StageBlocks = stageBlocks
 	}
 	if j.layout.TP > 1 {
@@ -564,7 +554,7 @@ func (j *elasticJob) save() error {
 		if c.D != 0 {
 			continue // DDP replicas hold identical state
 		}
-		chunks := e.ExportChunks()
+		chunks := e.Stage.ExportChunks()
 		m, v := j.opts[r].Moments()
 		sh := &ckpt.RankShard{P: c.P, T: c.T, F: c.F}
 		for b := range chunks {
@@ -617,7 +607,7 @@ func (j *elasticJob) load() error {
 	// FSDP chunking of a block never depends on its stage), then
 	// Reshard re-chunks across any FSDP change within each stage row.
 	var newStages [][2]int
-	if j.pp > 1 {
+	if j.layout.PP > 1 {
 		newStages = stageBlocks
 	}
 	regrouped, err := ckpt.ReshardPP(man, shards, newStages)
@@ -627,8 +617,8 @@ func (j *elasticJob) load() error {
 	man2 := *man
 	man2.Layout.PP = 0
 	man2.StageBlocks = nil
-	if j.pp > 1 {
-		man2.Layout.PP = j.pp
+	if j.layout.PP > 1 {
+		man2.Layout.PP = j.layout.PP
 		man2.StageBlocks = newStages
 	}
 	reshards, err := ckpt.Reshard(&man2, regrouped, j.layout.FSDP)
@@ -642,7 +632,7 @@ func (j *elasticJob) load() error {
 		for b := range sh.Blocks {
 			w[b] = sh.Blocks[b].W
 		}
-		e.ImportChunks(w)
+		e.Stage.ImportChunks(w)
 		m, v := j.opts[r].Moments()
 		for b := range sh.Blocks {
 			copy(m[b].Data(), sh.Blocks[b].M)
@@ -734,7 +724,7 @@ func (j *elasticJob) runStep() (float64, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			for b, cp := range j.engines[rank].Chunks() {
+			for b, cp := range j.engines[rank].Stage.Chunks() {
 				copy(cp.Grad.Data(), j.accum[rank][b])
 			}
 			j.opts[rank].Step(lr)
@@ -799,7 +789,7 @@ func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossO
 		beat = h.OnBeat
 	}
 	invMicros := float32(1) / float32(micros)
-	loss, err := e.RunStep(pp.Schedule1F1B, micros, pp.StepIO{
+	loss, err := e.RunStep(micros, pp.StepIO{
 		Shape: []int{j.cfg.Tokens, j.cfg.Dim},
 		Input: func(mu int) *tensor.Tensor {
 			beat(rank, j.step)
@@ -817,19 +807,15 @@ func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossO
 			g.ScaleInPlace(2 / float32(y.Len()) * invMicros)
 			return loss / float64(micros), g
 		},
-		OnMicroGrads: func(chunk, mu int) {
+		OnMicroGrads: func(mu int) {
 			if c.P != 0 {
 				// Non-first stages never run Input; their per-micro
 				// heartbeat fires at each backward instead.
 				beat(rank, j.step)
 			}
-			off := 0
-			for i := 0; i < chunk; i++ {
-				off += len(e.Stage[i].Chunks())
-			}
-			for b, cp := range e.Stage[chunk].Chunks() {
+			for b, cp := range e.Stage.Chunks() {
 				g := cp.Grad.Data()
-				a := accum[off+b]
+				a := accum[b]
 				for i := tensor.AddVec(a, g); i < len(g); i++ {
 					a[i] += g[i]
 				}

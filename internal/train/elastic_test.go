@@ -3,6 +3,7 @@ package train
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"orbit/internal/cluster"
@@ -308,5 +309,17 @@ func TestRunElasticNoNodesLeft(t *testing.T) {
 	inj.KillNodeAtStep(0, 2)
 	if _, err := RunElastic(cfg, inj); err == nil {
 		t.Fatal("expected an error when the last node dies")
+	}
+}
+
+// TestRunElasticTPNotDividingHeads: an explicit layout whose TP does
+// not divide the head count is an error naming both, not a panic from
+// the tensor-parallel shard cut.
+func TestRunElasticTPNotDividingHeads(t *testing.T) {
+	cfg := elasticBase(t, core.Layout{TP: 3, FSDP: 1, DDP: 1}, 0, 0)
+	cfg.Dim, cfg.Heads = 8, 4
+	_, err := RunElastic(cfg, nil)
+	if err == nil || !strings.Contains(err.Error(), "4 heads") || !strings.Contains(err.Error(), "TP size 3") {
+		t.Fatalf("RunElastic with TP 3 over 4 heads: got %v, want an error naming the heads and the TP size", err)
 	}
 }

@@ -9,9 +9,7 @@ package vit
 import (
 	"fmt"
 
-	"orbit/internal/core"
 	"orbit/internal/nn"
-	"orbit/internal/pp"
 	"orbit/internal/tensor"
 )
 
@@ -74,24 +72,6 @@ var (
 // order.
 func PaperConfigs() []Config {
 	return []Config{ORBIT115M, ORBIT1B, ORBIT10B, ORBIT113B}
-}
-
-// StageBlocks cuts the config's transformer stack into `stages`
-// contiguous pipeline-stage block ranges using the balanced-FLOPs
-// partition. ORBIT blocks are homogeneous, so the cut degenerates to
-// the near-uniform split — but going through pp.Partition keeps the
-// deterministic tie-break (lexicographically smallest cut vector)
-// that the SPMD stage construction relies on, and stays correct if a
-// variant ever mixes block shapes.
-func (c Config) StageBlocks(stages int) ([][2]int, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	cost := make([]int64, c.Layers)
-	for i := range cost {
-		cost[i] = core.BlockFLOPs(c.Tokens(), c.EmbedDim, 1)
-	}
-	return pp.Partition(cost, stages)
 }
 
 // WithChannels returns a copy of c with a different channel count
