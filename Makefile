@@ -174,11 +174,17 @@ fuzz-smoke:
 	$(GO) test -run 'FuzzForecastBody' ./cmd/orbit-serve/
 
 # Golden-value conformance: the frozen checkpoint's rollout must match
-# the checked-in values to 1e-6. Regenerate with
-# `go test ./internal/infer -run TestGoldenRollout -update` — only for
-# intentional numerics changes, called out in the PR.
+# the checked-in values to 1e-6, and a five-step TP2×PP2×FSDP2 and
+# single-rank training run its stored losses and state hash exactly (on
+# amd64). Regenerate with `go test ./internal/infer -run
+# TestGoldenRollout -update` and `go test ./internal/train -run
+# TestTrainTrajectoryGolden -update` — only for intentional numerics
+# changes, in one commit, called out in the PR. -count=1: the runtime
+# reads GOMAXPROCS, not the test, so the test cache would hand CI's
+# `GOMAXPROCS=2 make golden` the result of the run before it.
 golden:
-	$(GO) test -run 'TestGolden' ./internal/infer/
+	$(GO) test -count=1 -run 'TestGolden' ./internal/infer/
+	$(GO) test -count=1 -run 'TestTrainTrajectoryGolden' ./internal/train/
 
 # Non-test .go, .s and _test.go lines per package and in total, outside
 # bench/. Not a gate: CHANGES.md quotes it before -> after.
