@@ -56,7 +56,7 @@ func TestLayerNormRowsSplitAndCacheInvariance(t *testing.T) {
 		const eps = 1e-5
 
 		// Reference: one call over every row, caches kept.
-		out, xhat, rstd := sentinel(rows*dim), sentinel(rows*dim), make([]float64, rows)
+		out, xhat, rstd := sentinel(rows*dim), sentinel(rows*dim), make([]float32, rows)
 		LayerNormRows(out, xhat, rstd, x, gamma, beta, eps, 0, rows)
 
 		// No caches.
@@ -67,7 +67,7 @@ func TestLayerNormRowsSplitAndCacheInvariance(t *testing.T) {
 		// Any split, with and without caches; rows outside [r0, r1)
 		// are not written.
 		cuts := randomSplit(rng, rows)
-		splitOut, splitHat, splitRstd := sentinel(rows*dim), sentinel(rows*dim), make([]float64, rows)
+		splitOut, splitHat, splitRstd := sentinel(rows*dim), sentinel(rows*dim), make([]float32, rows)
 		splitBare := sentinel(rows * dim)
 		for i := 0; i+1 < len(cuts); i++ {
 			before := append([]float32(nil), splitOut...)

@@ -24,7 +24,7 @@ type LayerNorm struct {
 	Beta  *Param // [dim]
 
 	xhat *tensor.Tensor // cached normalized input
-	rstd []float64      // cached reciprocal std per row
+	rstd []float32      // cached reciprocal std per row
 	out  *tensor.Tensor // owned output buffer
 	dx   *tensor.Tensor // owned input-gradient buffer
 
@@ -33,47 +33,47 @@ type LayerNorm struct {
 }
 
 // LayerNormRows is the layer-norm forward over rows [r0, r1) of x, each
-// len(gamma) wide: out = (x-μ)/√(σ²+ε)·γ + β, statistics in float64,
-// x̂ rounded to float32 before the affine step. It is the one
+// len(gamma) wide: out = (x-μ)/√(σ²+ε)·γ + β in float32. It is the one
 // definition of that rounding sequence: LayerNorm.Forward tiles it
 // through ParallelFor and keeps x̂ and 1/σ for Backward, inference
 // (infer.Plan) runs it serially on its own buffers with xhat and rstd
 // nil. The operands are explicit and nothing is retained, so callers
 // may share weights across goroutines; rows are independent, so any
 // split of [r0, r1) and either choice of caches produce the same bits
-// in out. The loop below is the definition; tensor.LayerNormRowsVec is
-// its vector form, four rows at a time with one row per lane so that
-// each row's sums keep this loop's order, and takes the leading groups
-// of four rows where the CPU has it.
-func LayerNormRows(out, xhat []float32, rstd []float64, x, gamma, beta []float32, eps float64, r0, r1 int) {
+// in out. Each row's two sums run in eight-lane order — column c into
+// partial sum c%8, the partials added by tensor.HSum8 — which is the
+// order tensor.LayerNormRowsVec keeps along the row in eight float32
+// lanes, four rows side by side. The loop below is the definition; the
+// vector form takes the leading groups of four rows where the CPU has
+// it and the width is whole vectors.
+func LayerNormRows(out, xhat, rstd, x, gamma, beta []float32, eps float64, r0, r1 int) {
 	dim := len(gamma)
 	if xhat == nil {
 		// No x̂ wanted: let its store land in out, where the affine
 		// store that follows overwrites it — one loop body either way.
 		xhat = out
 	}
-	r0 += tensor.LayerNormRowsVec(out, xhat, rstd, x, gamma, beta, eps, r0, r1)
+	e, n := float32(eps), float32(dim)
+	r0 += tensor.LayerNormRowsVec(out, xhat, rstd, x, gamma, beta, e, r0, r1)
 	for r := r0; r < r1; r++ {
 		xr := x[r*dim : (r+1)*dim]
-		var mean float64
-		for _, v := range xr {
-			mean += float64(v)
+		var s [8]float32
+		for c, v := range xr {
+			s[c&7] += v
 		}
-		mean /= float64(dim)
-		var variance float64
-		for _, v := range xr {
-			d := float64(v) - mean
-			variance += d * d
+		mean := tensor.HSum8(&s) / n
+		s = [8]float32{}
+		for c, v := range xr {
+			d := v - mean
+			s[c&7] += d * d
 		}
-		variance /= float64(dim)
-		rs := 1 / math.Sqrt(variance+eps)
+		rs := 1 / float32(math.Sqrt(float64(tensor.HSum8(&s)/n+e)))
 		if rstd != nil {
 			rstd[r] = rs
 		}
-		hr := xhat[r*dim : (r+1)*dim]
-		or := out[r*dim : (r+1)*dim]
+		hr, or := xhat[r*dim:(r+1)*dim], out[r*dim:(r+1)*dim]
 		for c, v := range xr {
-			h := float32((float64(v) - mean) * rs)
+			h := (v - mean) * rs
 			hr[c] = h
 			or[c] = h*gamma[c] + beta[c]
 		}
@@ -81,25 +81,27 @@ func LayerNormRows(out, xhat []float32, rstd []float64, x, gamma, beta []float32
 }
 
 // lnGroup is the dispatch item of LayerNorm's forward and of its input
-// gradient: a fixed group of rows, the vector kernels' four. Were the
-// item one row, NumTiles would hand every tile of a 32-row block a
-// single row and the four-row kernels would never run. Rows are
-// independent in both passes, so the grouping moves no bit.
-const lnGroup = 4
+// gradient: sixteen rows, four of the vector kernels' four-row groups.
+// A group's statistics are one chain of dependent operations (row sums,
+// divide, square root, reciprocal) that the CPU overlaps only with the
+// groups of the same call; were the item one row, NumTiles would hand
+// every tile of a 32-row block a single row, and the kernels would run
+// at most one group per call (docs/PERFORMANCE.md, "The row loops").
+// Rows are independent, so the grouping moves no bit.
+const lnGroup = 16
 
 // lnCost weights one element of a LayerNorm pass against the dispatch
-// threshold: the vector kernels' ≈ 1.0–1.3 ns (forward, and backward
-// with its dγ/dβ reduction) on the host where the scalar loops' 3.2–5.4
-// ns carried a weight of 8, so the serial/parallel cutover stays at the
-// same wall time (docs/PERFORMANCE.md, "The dispatch threshold").
-const lnCost = 2
+// threshold: the vector kernels' ≈ 0.35–0.6 ns (forward, and backward
+// with its dγ/dβ reduction) on the host where the scalar float64 loops'
+// 3.2–5.4 ns carried a weight of 8, rounded up to the smallest weight
+// there is (docs/PERFORMANCE.md, "The dispatch threshold").
+const lnCost = 1
 
 // lnFwdJob is LayerNormRows with its operands bound, for ParallelFor
 // over groups of lnGroup rows.
 type lnFwdJob struct {
-	xd, hd, od, g, b []float32
-	rstd             []float64
-	eps              float64
+	xd, hd, od, g, b, rstd []float32
+	eps                    float64
 }
 
 func (j *lnFwdJob) Tile(_, g0, g1 int) {
@@ -107,34 +109,31 @@ func (j *lnFwdJob) Tile(_, g0, g1 int) {
 }
 
 // lnBwdJob computes the input gradient of rows grouped as in the
-// forward. The loop is the definition; tensor.LayerNormDxVec is its
-// vector form (one row per lane for the two row sums).
+// forward. The loop is the definition, its row sums in the forward's
+// eight-lane order; tensor.LayerNormDxVec is its vector form.
 type lnBwdJob struct {
-	dyd, hd, dxd, g []float32
-	rstd            []float64
-	pg, pb          []float32 // [dim] partial dγ/dβ of one run of rows
+	dyd, hd, dxd, g, rstd []float32
+	pg, pb                []float32 // [dim] partial dγ/dβ of one run of rows
 }
 
 func (j *lnBwdJob) Tile(_, g0, g1 int) {
 	dim := len(j.g)
 	r0, r1 := g0*lnGroup, min(g1*lnGroup, len(j.rstd))
 	r0 += tensor.LayerNormDxVec(j.dxd, j.dyd, j.hd, j.g, j.rstd, r0, r1)
-	invD := 1 / float64(dim)
+	n := float32(dim)
 	for r := r0; r < r1; r++ {
 		dyr := j.dyd[r*dim : (r+1)*dim]
 		hr := j.hd[r*dim : (r+1)*dim][:dim]
 		dxr := j.dxd[r*dim : (r+1)*dim][:dim]
-		var sumDh, sumDhH float64
+		var s, sh [8]float32
 		for c, dyv := range dyr {
-			d := float64(dyv) * float64(j.g[c])
-			sumDh += d
-			sumDhH += d * float64(hr[c])
+			d := dyv * j.g[c]
+			s[c&7] += d
+			sh[c&7] += d * hr[c]
 		}
-		rstd := j.rstd[r]
-		a, b := invD*sumDh, invD*sumDhH
+		a, b, rs := tensor.HSum8(&s)/n, tensor.HSum8(&sh)/n, j.rstd[r]
 		for c, dyv := range dyr {
-			d := float64(dyv) * float64(j.g[c])
-			dxr[c] = float32(rstd * (d - a - float64(hr[c])*b))
+			dxr[c] = (dyv*j.g[c] - a - hr[c]*b) * rs
 		}
 	}
 }
@@ -204,7 +203,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	rows, dim := l.rows(x, "Forward"), l.Dim
 	l.xhat = tensor.Ensure(l.xhat, x.Shape()...)
 	if cap(l.rstd) < rows {
-		l.rstd = make([]float64, rows)
+		l.rstd = make([]float32, rows)
 	}
 	l.rstd = l.rstd[:rows]
 	l.out = tensor.Ensure(l.out, x.Shape()...)

@@ -44,11 +44,13 @@ type AdamW struct {
 }
 
 // adamwJob applies the AdamW update over elements [j0, j1) of one
-// parameter. Each element's update reads and writes only its own
-// w/g/m/v cells, so any tile split is bit-identical to the serial
-// loop. The loop below is the definition of the update; tensor.AdamWVec
-// is its vector form (same operations, same bits) and takes the tile's
-// leading whole vectors where the CPU has it.
+// parameter in float32, with Step's coefficients (the bias corrections
+// as reciprocals, so an element costs one division and one square
+// root). Each element's update reads and writes only its own w/g/m/v
+// cells, so any tile split is bit-identical to the serial loop. The
+// loop below is the definition of the update; tensor.AdamWVec is its
+// vector form (same operations, same bits) and takes the tile's leading
+// whole vectors where the CPU has it.
 type adamwJob struct {
 	w, g, m, v []float32
 	c          tensor.AdamWCoef
@@ -58,24 +60,21 @@ func (a *adamwJob) Tile(_, j0, j1 int) {
 	c := &a.c
 	j0 += tensor.AdamWVec(a.w[j0:j1], a.g[j0:j1], a.m[j0:j1], a.v[j0:j1], c)
 	for j := j0; j < j1; j++ {
-		gj := float64(a.g[j])
-		mj := c.Beta1*float64(a.m[j]) + (1-c.Beta1)*gj
-		vj := c.Beta2*float64(a.v[j]) + (1-c.Beta2)*gj*gj
-		a.m[j] = float32(mj)
-		a.v[j] = float32(vj)
-		mhat := mj / c.BC1
-		vhat := vj / c.BC2
-		upd := c.LR * (mhat/(math.Sqrt(vhat)+c.Eps) + c.WD*float64(a.w[j]))
-		a.w[j] = float32(float64(a.w[j]) - upd)
+		g := a.g[j]
+		m := c.B1*a.m[j] + c.C1*g
+		v := c.B2*a.v[j] + c.C2*g*g
+		a.m[j], a.v[j] = m, v
+		w := a.w[j]
+		a.w[j] = w - c.LR*((m*c.IBC1)/(float32(math.Sqrt(float64(v*c.IBC2)))+c.Eps)+c.WD*w)
 	}
 }
 
 // optimCost weights one optimizer-update element against the dispatch
-// threshold: the vector AdamW update's 3.3 ns on the host where the
-// scalar loop's 9.3 ns carried a weight of 8, so the serial/parallel
-// cutover stays at the same wall time (docs/PERFORMANCE.md, "The
-// dispatch threshold").
-const optimCost = 3
+// threshold: the vector AdamW update's ≈ 0.5 ns on the host where the
+// scalar float64 loop's 9.3 ns carried a weight of 8, rounded up to the
+// smallest weight there is (docs/PERFORMANCE.md, "The dispatch
+// threshold").
+const optimCost = 1
 
 // NewAdamW builds an AdamW optimizer with standard defaults
 // (β1=0.9, β2=0.999, ε=1e-8).
@@ -92,16 +91,17 @@ func NewAdamW(params []*nn.Param, weightDecay float64) *AdamW {
 	return a
 }
 
-// Step applies one AdamW update with bias correction.
+// Step applies one AdamW update with bias correction, in float32.
 func (a *AdamW) Step(lr float64) {
 	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	c := tensor.AdamWCoef{
+		B1: float32(a.Beta1), C1: float32(1 - a.Beta1), B2: float32(a.Beta2), C2: float32(1 - a.Beta2),
+		IBC1: float32(1 / (1 - math.Pow(a.Beta1, float64(a.step)))),
+		IBC2: float32(1 / (1 - math.Pow(a.Beta2, float64(a.step)))),
+		Eps:  float32(a.Eps), WD: float32(a.WeightDecay), LR: float32(lr),
+	}
 	for i, p := range a.params {
-		a.job = adamwJob{
-			w: p.W.Data(), g: p.Grad.Data(), m: a.m[i].Data(), v: a.v[i].Data(),
-			c: tensor.AdamWCoef{Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, WD: a.WeightDecay, BC1: bc1, BC2: bc2, LR: lr},
-		}
+		a.job = adamwJob{w: p.W.Data(), g: p.Grad.Data(), m: a.m[i].Data(), v: a.v[i].Data(), c: c}
 		n := p.W.Len()
 		tensor.ParallelFor(n, n*optimCost, &a.job)
 		p.W.Bump()

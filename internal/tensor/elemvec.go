@@ -1,8 +1,8 @@
 package tensor
 
-// Vector forms of the step's float32 loops, as rowvec.go holds the
-// float64 ones. The loops — the definitions — stay where they were:
-// elemJob.Tile and softmaxRow (elem.go, ops.go), AddInto, AddInPlace,
+// Vector forms of the step's elementwise float32 loops, as rowvec.go
+// holds its row loops. The loops — the definitions — stay where they
+// were: elemJob.Tile and softmaxRow (elem.go, ops.go), AddInto, AddInPlace,
 // ScaleInPlace, SumRowsAccInto (ops.go), MaxAbs (tensor.go),
 // packTranspose (pack.go) and train's gradient accumulate. Each
 // function here runs the leading whole vectors of one of them through
@@ -95,7 +95,7 @@ func geluBwdSlice(dst, x, th, dy []float32) int {
 // softmaxRows is softmaxRow over the leading groups of four rows of
 // [r0, r1), cols wide.
 func softmaxRows(out, in []float32, cols, r0, r1 int) int {
-	rows := rowGroups(cols, 8, r0, r1)
+	rows := rowGroups(cols, r0, r1)
 	if rows > 0 {
 		lo, hi := r0*cols, (r0+rows)*cols
 		softmaxVec(span(out, lo, hi), span(in, lo, hi), cols, rows/4)
@@ -106,7 +106,7 @@ func softmaxRows(out, in []float32, cols, r0, r1 int) int {
 // softmaxBwdRows is the elemSoftmaxBwd loop over the leading groups of
 // four rows of [r0, r1), cols wide.
 func softmaxBwdRows(out, y, dy []float32, cols, r0, r1 int) int {
-	rows := rowGroups(cols, 8, r0, r1)
+	rows := rowGroups(cols, r0, r1)
 	if rows > 0 {
 		lo, hi := r0*cols, (r0+rows)*cols
 		softmaxBwdVec(span(out, lo, hi), span(y, lo, hi), span(dy, lo, hi), cols, rows/4)

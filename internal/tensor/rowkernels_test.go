@@ -13,12 +13,15 @@ import (
 )
 
 // Contract of the row kernels (rowvec_amd64.s, elemvec_amd64.s): each
-// equals, bit for bit, the scalar loop it is the vector form of —
-// optim's AdamW update, comm's two-rank reduce, nn's LayerNorm forward
-// and backward, and this package's GELU, softmax, streaming and
-// transpose loops. The float64 loops live in those packages, so every
-// test drives the owner's public entry point twice, CPU gate off (the
-// loop alone) and on (kernel body, loop tail), and compares bits.
+// equals, bit for bit, the loop it is the vector form of — optim's
+// AdamW update, comm's two-rank reduce, nn's LayerNorm forward and
+// backward, and this package's GELU, softmax, streaming and transpose
+// loops. Those loops live in their owners' packages, so every test
+// drives the owner's public entry point twice, CPU gate off (the loop
+// alone) and on (kernel body, loop tail), and compares bits. AdamW and
+// LayerNorm were float64 loops before they were float32 ones; the old
+// loops are kept below (refAdamW, refLayerNormRows, refLayerNormDx) and
+// the new ones are held to a stated distance from them.
 
 // bothWays returns f's result with the assembly kernels off and on.
 func bothWays[T any](t *testing.T, f func() T) (scalar, vector T) {
@@ -71,42 +74,146 @@ func sentinel(n int) []float32 {
 	return s
 }
 
-// TestAdamWVecMatchesScalar steps one parameter of every length class:
-// below 97 elements Step's tiles are shorter than a vector (scalar
-// only), from there on the tile length walks through every n%4 tail
-// and tile starts fall anywhere in a vector. Gradients and second
-// moments include exact zeros; the step count covers the first bias
-// correction and one a million steps in, where both are 1 to within an
-// ulp. The second Step runs from the state the first one wrote.
+// adamwLengths holds one parameter length of every class: below 225
+// elements Step's tiles are shorter than a vector (loop only), from
+// 225 on the tile length walks through every n%8 tail (8 … 15 per tile)
+// and tile starts fall anywhere in a vector, then lengths whose tiles
+// hold several vectors.
+var adamwLengths = []int{1, 3, 7, 8, 9, 33, 97, 225, 257, 289, 321, 353, 385, 417, 449, 1000, 4099, 16389}
+
+// adamwState returns n weights, gradients and moments over twelve
+// decades: every fifth gradient and every seventh second moment is an
+// exact zero (with i%35 == 0: √0 + ε under a zero gradient).
+func adamwState(n int) (w, g, m, v []float32) {
+	rng := tensor.NewRNG(uint64(n))
+	w, g, m, v = magnitudes(rng, n), magnitudes(rng, n), magnitudes(rng, n), magnitudes(rng, n)
+	for i := range v {
+		v[i] *= v[i]
+		if i%5 == 0 {
+			g[i] = 0
+		}
+		if i%7 == 0 {
+			v[i] = 0
+		}
+	}
+	return w, g, m, v
+}
+
+// adamwStep runs optim.AdamW.Step over one parameter holding w, g, m, v
+// with the step count set to steps (so the update is step steps+1) and
+// returns the new w, m and v, concatenated.
+func adamwStep(w, g, m, v []float32, steps int, lr float64) []float32 {
+	n := len(w)
+	p := nn.NewParam("w", tensor.FromSlice(append([]float32(nil), w...), n))
+	copy(p.Grad.Data(), g)
+	opt := optim.NewAdamW([]*nn.Param{p}, 0.01)
+	om, ov := opt.Moments()
+	copy(om[0].Data(), m)
+	copy(ov[0].Data(), v)
+	opt.SetStepCount(steps)
+	opt.Step(lr)
+	out := append([]float32(nil), p.W.Data()...)
+	return append(append(out, om[0].Data()...), ov[0].Data()...)
+}
+
+// TestAdamWVecMatchesScalar steps one parameter of every length class
+// twice (the second Step runs from the state the first one wrote), at
+// the first bias correction and one a million steps in, where both
+// corrections are 1.
 func TestAdamWVecMatchesScalar(t *testing.T) {
-	for _, n := range []int{1, 3, 4, 7, 33, 97, 128, 131, 160, 161, 192, 195, 224, 230, 1000, 4099, 16389} {
+	for _, n := range adamwLengths {
 		for _, steps := range []int{0, 999999} {
 			run := func() []float32 {
-				rng := tensor.NewRNG(uint64(n))
-				p := nn.NewParam("w", tensor.FromSlice(magnitudes(rng, n), n))
-				opt := optim.NewAdamW([]*nn.Param{p}, 0.01)
-				m, v := opt.Moments()
-				copy(p.Grad.Data(), magnitudes(rng, n))
-				copy(m[0].Data(), magnitudes(rng, n))
-				for i, x := range magnitudes(rng, n) {
-					v[0].Data()[i] = x * x
-					if i%5 == 0 {
-						p.Grad.Data()[i] = 0
-					}
-					if i%7 == 0 {
-						v[0].Data()[i] = 0 // with i%35 == 0: √0 + ε under a zero gradient
-					}
-				}
-				opt.SetStepCount(steps)
-				opt.Step(1e-3)
-				opt.Step(3e-4)
-				out := append([]float32(nil), p.W.Data()...)
-				return append(append(out, m[0].Data()...), v[0].Data()...)
+				w, g, m, v := adamwState(n)
+				out := adamwStep(w, g, m, v, steps, 1e-3)
+				return adamwStep(out[:n], g, out[n:2*n], out[2*n:], steps+1, 3e-4)
 			}
 			scalar, vector := bothWays(t, run)
 			sameBits(t, fmt.Sprintf("AdamW n=%d after %d steps (w, m, v)", n, steps), vector, scalar, false)
 		}
 	}
+}
+
+// TestAdamWVecSpecialValues puts every special value at every position
+// of the first two tiles of a 257-element parameter (tiles of nine: a
+// vector's eight lanes and a one-element tail) in each of w, g, m and
+// v. A NaN there must leave a NaN weight under both settings: the
+// guard's sentinel is a NaN that survives.
+func TestAdamWVecSpecialValues(t *testing.T) {
+	const n = 257
+	for p := 0; p < 18; p++ {
+		for _, val := range special {
+			for k, into := range []string{"w", "g", "m", "v"} {
+				w, g, m, v := adamwState(n)
+				[][]float32{w, g, m, v}[k][p] = val
+				scalar, vector := bothWays(t, func() []float32 { return adamwStep(w, g, m, v, 0, 1e-3) })
+				what := fmt.Sprintf("AdamW with %v at %s[%d]", val, into, p)
+				sameBits(t, what+" (w, m, v)", vector, scalar, true)
+				for _, got := range [][]float32{scalar, vector} {
+					if val != val && got[p] == got[p] {
+						t.Fatalf("%s: the NaN is gone from the weight: %v", what, got[p])
+					}
+				}
+			}
+		}
+	}
+}
+
+// refAdamW is the AdamW update as a float64 loop, the definition before
+// the float32 one: moments and weight widened, the bias corrections
+// divided, the results narrowed. It also returns, per element, the
+// magnitude each result is a rounding-error multiple of — the sum of
+// the absolute values of the terms that make it up, so that a
+// cancelling m' = β1·m + (1-β1)·g is measured against its terms.
+func refAdamW(w, g, m, v []float32, beta1, beta2, eps, wd, lr float64, step int) (out, scale []float64) {
+	n := len(w)
+	bc1, bc2 := 1-math.Pow(beta1, float64(step)), 1-math.Pow(beta2, float64(step))
+	out, scale = make([]float64, 3*n), make([]float64, 3*n)
+	for j := range w {
+		gj, wj := float64(g[j]), float64(w[j])
+		mj := beta1*float64(m[j]) + (1-beta1)*gj
+		vj := beta2*float64(v[j]) + (1-beta2)*gj*gj
+		den := math.Sqrt(vj/bc2) + eps
+		upd := lr * (mj/bc1/den + wd*wj)
+		out[j], out[n+j], out[2*n+j] = float64(float32(wj-upd)), float64(float32(mj)), float64(float32(vj))
+		sm := math.Abs(beta1*float64(m[j])) + math.Abs((1-beta1)*gj)
+		scale[j] = math.Abs(wj) + lr*(sm/bc1/den+math.Abs(wd*wj))
+		scale[n+j], scale[2*n+j] = sm, vj
+	}
+	return out, scale
+}
+
+// TestAdamWFloat32WithinBoundOfFloat64 holds the float32 update to the
+// float64 one over the parameters of TestAdamWVecMatchesScalar, one
+// step from the same state at step 1 and step 10⁶: every w, m and v is
+// within adamwTol of the float64 result, in units of its term magnitude
+// (refAdamW). The bound is of order ten roundings of float32 (2⁻²⁴ ≈
+// 6e-8 each) over the chain m' → m'·ibc1 → ÷(√(v'·ibc2)+ε) → w - lr·(…).
+func TestAdamWFloat32WithinBoundOfFloat64(t *testing.T) {
+	const adamwTol = 1e-6
+	var worst float64
+	for _, n := range adamwLengths {
+		for _, steps := range []int{0, 999999} {
+			w, g, m, v := adamwState(n)
+			got := adamwStep(w, g, m, v, steps, 1e-3)
+			want, scale := refAdamW(w, g, m, v, 0.9, 0.999, 1e-8, 0.01, 1e-3, steps+1)
+			for i := range got {
+				if scale[i] == 0 {
+					if got[i] != 0 || want[i] != 0 {
+						t.Fatalf("AdamW n=%d step %d: element %d is %v, float64 loop %v, both terms zero", n, steps+1, i, got[i], want[i])
+					}
+					continue
+				}
+				e := math.Abs(float64(got[i])-want[i]) / scale[i]
+				worst = max(worst, e)
+				if e > adamwTol {
+					t.Fatalf("AdamW n=%d step %d: element %d (of w, m, v) is %v, float64 loop %v: %.3g of its term magnitude %v, bound %g",
+						n, steps+1, i, got[i], want[i], e, scale[i], adamwTol)
+				}
+			}
+		}
+	}
+	t.Logf("AdamW: largest distance from the float64 loop %.3g of the term magnitude (bound %g)", worst, adamwTol)
 }
 
 // special holds ±0, the smallest and largest denormal, ±Inf, NaN and
@@ -176,27 +283,38 @@ func TestSum2VecMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLayerNormRowsVecMatchesScalar sweeps every width 4…80 (a width
-// that is not a multiple of 4 takes the scalar loop under either
-// setting) and 1…13 rows, over the whole block and over an inner range
-// of it: the four-row body, the one- to three-row tail, and the rows
-// outside [r0, r1), which must keep their sentinels. Each is run with
-// both caches, with neither, and with xhat aliasing out.
+// lnInput returns a [rows, dim] LayerNorm input of scale 3 whose row 0
+// is constant (variance exactly 0) and whose row 1, where there is one,
+// sits at 100 (a mean 33 of its standard deviations from zero).
+func lnInput(rng *tensor.RNG, rows, dim int) []float32 {
+	x := tensor.Randn(rng, 3, rows, dim).Data()
+	for c := 0; c < dim; c++ {
+		x[c] = 1.5
+		if rows > 1 {
+			x[dim+c] += 100
+		}
+	}
+	return x
+}
+
+// TestLayerNormRowsVecMatchesScalar sweeps every width 1…80 (a width
+// that is not a multiple of 8 takes the loop under either setting) and
+// 1…13 rows, over the whole block and over an inner range of it: the
+// four-row groups, the one- to three-row tail, and the rows outside
+// [r0, r1), which must keep their sentinels. Each is run with both
+// caches, with neither, and with xhat aliasing out.
 func TestLayerNormRowsVecMatchesScalar(t *testing.T) {
 	rng := tensor.NewRNG(81)
-	for dim := 4; dim <= 80; dim++ {
+	for dim := 1; dim <= 80; dim++ {
 		for rows := 1; rows <= 13; rows++ {
-			x := tensor.Randn(rng, 3, rows, dim).Data()
-			for c := 0; c < dim; c++ {
-				x[c] = 1.5 // a constant row: variance exactly 0
-			}
+			x := lnInput(rng, rows, dim)
 			gamma, beta := tensor.Randn(rng, 1, dim).Data(), tensor.Randn(rng, 1, dim).Data()
 			r0 := rng.Intn(rows)
 			r1 := r0 + 1 + rng.Intn(rows-r0)
 			for _, r := range [][2]int{{0, rows}, {r0, r1}} {
 				for _, mode := range []string{"caches", "bare", "alias"} {
 					run := func() []float32 {
-						out, xhat, rstd := sentinel(rows*dim), sentinel(rows*dim), make([]float64, rows)
+						out, xhat, rstd := sentinel(rows*dim), sentinel(rows*dim), sentinel(rows)
 						switch mode {
 						case "bare":
 							nn.LayerNormRows(out, nil, nil, x, gamma, beta, 1e-5, r[0], r[1])
@@ -205,10 +323,7 @@ func TestLayerNormRowsVecMatchesScalar(t *testing.T) {
 						default:
 							nn.LayerNormRows(out, xhat, rstd, x, gamma, beta, 1e-5, r[0], r[1])
 						}
-						for _, v := range rstd {
-							out = append(out, float32(v), float32(v-float64(float32(v)))) // all 53 bits, in two halves
-						}
-						return append(out, xhat...)
+						return append(append(out, rstd...), xhat...)
 					}
 					scalar, vector := bothWays(t, run)
 					sameBits(t, fmt.Sprintf("LayerNormRows [%d,%d] rows %v %s (out, rstd, xhat)", rows, dim, r, mode), vector, scalar, false)
@@ -218,36 +333,216 @@ func TestLayerNormRowsVecMatchesScalar(t *testing.T) {
 	}
 }
 
+// lnBackwardRows lists the row counts the backward tests take: 1…13,
+// and counts in every regime of the dγ/dβ runs — one, two and four rows
+// per run (32, 64, 128 rows) and short last runs.
+var lnBackwardRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 31, 32, 33, 64, 65, 130, 259}
+
+// lnBackward runs LayerNorm forward over x, then backward twice (dy1,
+// dy2) from a nonzero dγ/dβ, and returns dx, dx, dγ, dβ.
+func lnBackward(x, dy1, dy2 *tensor.Tensor, gamma, beta, seed []float32) []float32 {
+	dim := len(gamma)
+	ln := nn.NewLayerNorm("t", dim)
+	copy(ln.Gamma.W.Data(), gamma)
+	copy(ln.Beta.W.Data(), beta)
+	copy(ln.Gamma.Grad.Data(), seed[:dim])
+	copy(ln.Beta.Grad.Data(), seed[dim:])
+	ln.Forward(x)
+	out := append([]float32(nil), ln.Backward(dy1).Data()...)
+	out = append(out, ln.Backward(dy2).Data()...)
+	return append(append(out, ln.Gamma.Grad.Data()...), ln.Beta.Grad.Data()...)
+}
+
 // TestLayerNormBackwardVecMatchesScalar compares dx, dγ and dβ of the
-// module's backward over widths with and without whole vectors (the
-// input gradient takes four columns at a time, the parameter gradients
-// eight) and over row counts in every regime of the dγ/dβ runs: one,
-// two and four rows per run (32, 64, 128 rows), short last runs, and
-// counts that leave the four-row kernel a tail. The gradients start
-// from a nonzero value and take two backward passes, so the += is
-// covered.
+// module's backward over every width 1…80 (the input gradient takes
+// groups of four rows of whole eight-lane vectors, the parameter
+// gradients the leading eight-column blocks) and lnBackwardRows, whose
+// larger counts cut into sixteen-row dispatch items with and without a
+// tail. The gradients take two backward passes, so the += is covered.
 func TestLayerNormBackwardVecMatchesScalar(t *testing.T) {
 	rng := tensor.NewRNG(82)
-	for _, dim := range []int{4, 6, 8, 9, 12, 16, 20, 36, 64, 72, 80} {
-		for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 13, 31, 32, 33, 64, 65, 100, 128, 130, 259} {
-			x, dy1, dy2 := tensor.Randn(rng, 2, rows, dim), tensor.Randn(rng, 1, rows, dim), tensor.Randn(rng, 1e-3, rows, dim)
+	for dim := 1; dim <= 80; dim++ {
+		for _, rows := range lnBackwardRows {
+			x := tensor.FromSlice(lnInput(rng, rows, dim), rows, dim)
+			dy1, dy2 := tensor.Randn(rng, 1, rows, dim), tensor.Randn(rng, 1e-3, rows, dim)
 			gamma, beta := tensor.Randn(rng, 1, dim).Data(), tensor.Randn(rng, 1, dim).Data()
 			seed := tensor.Randn(rng, 1, 2*dim).Data()
-			run := func() []float32 {
-				ln := nn.NewLayerNorm("t", dim)
-				copy(ln.Gamma.W.Data(), gamma)
-				copy(ln.Beta.W.Data(), beta)
-				copy(ln.Gamma.Grad.Data(), seed[:dim])
-				copy(ln.Beta.Grad.Data(), seed[dim:])
-				ln.Forward(x)
-				out := append([]float32(nil), ln.Backward(dy1).Data()...)
-				out = append(out, ln.Backward(dy2).Data()...)
-				return append(append(out, ln.Gamma.Grad.Data()...), ln.Beta.Grad.Data()...)
-			}
-			scalar, vector := bothWays(t, run)
+			scalar, vector := bothWays(t, func() []float32 { return lnBackward(x, dy1, dy2, gamma, beta, seed) })
 			sameBits(t, fmt.Sprintf("LayerNorm backward [%d,%d] (dx, dx, dγ, dβ)", rows, dim), vector, scalar, false)
 		}
 	}
+}
+
+// TestLayerNormVecSpecialValues puts every special value at every
+// position of a [5,16] block (two vectors a row) and of a [3,12] one
+// (the loop under either setting), in x, in dy and in γ, and runs the
+// module forward and backward. A NaN in a row of x must turn that row
+// of the output and of dx into NaN, and a NaN in dy that row of dx,
+// under both settings.
+func TestLayerNormVecSpecialValues(t *testing.T) {
+	rng := tensor.NewRNG(86)
+	for _, s := range [][2]int{{5, 16}, {3, 12}} {
+		rows, dim := s[0], s[1]
+		for p := 0; p < rows*dim; p++ {
+			for _, v := range special {
+				for _, into := range []string{"x", "dy", "gamma"} {
+					x, dy := tensor.Randn(rng, 3, rows, dim), tensor.Randn(rng, 1, rows, dim)
+					gamma, beta, seed := tensor.Randn(rng, 1, dim).Data(), tensor.Randn(rng, 1, dim).Data(), make([]float32, 2*dim)
+					switch into {
+					case "x":
+						x.Data()[p] = v
+					case "dy":
+						dy.Data()[p] = v
+					default:
+						gamma[p%dim] = v
+					}
+					run := func() []float32 {
+						ln := nn.NewLayerNorm("t", dim)
+						copy(ln.Gamma.W.Data(), gamma)
+						copy(ln.Beta.W.Data(), beta)
+						out := append([]float32(nil), ln.Forward(x).Data()...)
+						return append(out, lnBackward(x, dy, dy, gamma, beta, seed)...)
+					}
+					scalar, vector := bothWays(t, run)
+					what := fmt.Sprintf("LayerNorm [%d,%d] with %v at %s[%d]", rows, dim, v, into, p)
+					sameBits(t, what+" (out, dx, dx, dγ, dβ)", vector, scalar, true)
+					row := p / dim * dim
+					for _, got := range [][]float32{scalar, vector} {
+						for c := row; c < row+dim && v != v && into != "gamma"; c++ {
+							if o, d := got[c], got[rows*dim+c]; (into == "x" && o == o) || d == d {
+								t.Fatalf("%s: output %v, dx %v at column %d of the row, want NaN", what, o, d, c-row)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// refLayerNormRows is the LayerNorm forward as a float64 loop, the
+// definition before the float32 one: sequential float64 sums along the
+// row, x̂ rounded to float32 before the affine step. It returns out,
+// x̂ and 1/σ.
+func refLayerNormRows(x, gamma, beta []float32, eps float64, rows int) (out, xhat []float32, rstd []float64) {
+	dim := len(gamma)
+	out, xhat, rstd = make([]float32, rows*dim), make([]float32, rows*dim), make([]float64, rows)
+	for r := 0; r < rows; r++ {
+		xr := x[r*dim : (r+1)*dim]
+		var mean float64
+		for _, v := range xr {
+			mean += float64(v)
+		}
+		mean /= float64(dim)
+		var variance float64
+		for _, v := range xr {
+			d := float64(v) - mean
+			variance += d * d
+		}
+		variance /= float64(dim)
+		rstd[r] = 1 / math.Sqrt(variance+eps)
+		for c, v := range xr {
+			h := float32((float64(v) - mean) * rstd[r])
+			xhat[r*dim+c] = h
+			out[r*dim+c] = h*gamma[c] + beta[c]
+		}
+	}
+	return out, xhat, rstd
+}
+
+// refLayerNormDx is the LayerNorm input gradient as a float64 loop, the
+// definition before the float32 one, from the same x̂ and 1/σ. It also
+// returns each element's term magnitude rstd·(|d| + Σ|d|/dim +
+// |x̂|·Σ|d·x̂|/dim), d = dy·γ.
+func refLayerNormDx(dy, xhat, gamma, rstd []float32) (dx, scale []float64) {
+	dim, rows := len(gamma), len(rstd)
+	dx, scale = make([]float64, rows*dim), make([]float64, rows*dim)
+	invD := 1 / float64(dim)
+	for r := 0; r < rows; r++ {
+		var sumD, sumDH, absD, absDH float64
+		for c := 0; c < dim; c++ {
+			d := float64(dy[r*dim+c]) * float64(gamma[c])
+			sumD += d
+			sumDH += d * float64(xhat[r*dim+c])
+			absD += math.Abs(d)
+			absDH += math.Abs(d * float64(xhat[r*dim+c]))
+		}
+		rs, a, b := float64(rstd[r]), invD*sumD, invD*sumDH
+		for c := 0; c < dim; c++ {
+			d, h := float64(dy[r*dim+c])*float64(gamma[c]), float64(xhat[r*dim+c])
+			dx[r*dim+c] = float64(float32(rs * (d - a - h*b)))
+			scale[r*dim+c] = rs * (math.Abs(d) + invD*absD + math.Abs(h)*invD*absDH)
+		}
+	}
+	return dx, scale
+}
+
+// within fails when got, element i of what's part, is farther than
+// tol·scale from want, and returns the distance in units of scale.
+func within(t *testing.T, what, part string, i int, got float32, want, scale, tol float64) float64 {
+	e := math.Abs(float64(got) - want)
+	if e == 0 {
+		return 0
+	}
+	if e /= scale; !(e <= tol) {
+		t.Helper()
+		t.Fatalf("%s%s[%d] is %v, float64 loop %v: %.3g of its scale %v, bound %g", what, part, i, got, want, e, scale, tol)
+	}
+	return e
+}
+
+// TestLayerNormFloat32WithinBoundOfFloat64 holds the float32 forward and
+// input gradient to the float64 loops over every width 1…80 with
+// lnBackwardRows rows, constant and offset rows included (lnInput). The bound, lnTol, is in units of each
+// result's error scale: 1/σ for rstd; for x̂, |x̂| + (Σ|x|/dim)·rstd —
+// the second term is the float32 mean's error, which a row far from
+// zero carries into every x̂ of the row; for out, |γ| times x̂'s plus
+// |β|; for dx, refLayerNormDx's term magnitude. The float32 sums take
+// ⌈dim/8⌉ + 3 roundings along each lane and the tree.
+func TestLayerNormFloat32WithinBoundOfFloat64(t *testing.T) {
+	const lnTol = 1e-6
+	rng := tensor.NewRNG(87)
+	var worstFwd, worstBwd float64
+	for dim := 1; dim <= 80; dim++ {
+		for _, rows := range lnBackwardRows {
+			x := lnInput(rng, rows, dim)
+			gamma, beta := tensor.Randn(rng, 1, dim).Data(), tensor.Randn(rng, 1, dim).Data()
+			out, xhat, rstd := make([]float32, rows*dim), make([]float32, rows*dim), make([]float32, rows)
+			nn.LayerNormRows(out, xhat, rstd, x, gamma, beta, 1e-5, 0, rows)
+			wantOut, wantHat, wantRstd := refLayerNormRows(x, gamma, beta, 1e-5, rows)
+			what := fmt.Sprintf("LayerNorm [%d,%d] ", rows, dim)
+			for r := 0; r < rows; r++ {
+				var m1 float64
+				for _, v := range x[r*dim : (r+1)*dim] {
+					m1 += math.Abs(float64(v)) / float64(dim)
+				}
+				worstFwd = max(worstFwd, within(t, what, "rstd", r, rstd[r], wantRstd[r], wantRstd[r], lnTol))
+				for c := 0; c < dim; c++ {
+					i := r*dim + c
+					sh := math.Abs(float64(wantHat[i])) + m1*wantRstd[r]
+					worstFwd = max(worstFwd, within(t, what, "x̂", i, xhat[i], float64(wantHat[i]), sh, lnTol))
+					so := math.Abs(float64(gamma[c]))*sh + math.Abs(float64(beta[c]))
+					worstFwd = max(worstFwd, within(t, what, "out", i, out[i], float64(wantOut[i]), so, lnTol))
+				}
+			}
+
+			// The module's dx from these caches: its forward is this
+			// LayerNormRows call, bit for bit.
+			ln := nn.NewLayerNorm("t", dim)
+			copy(ln.Gamma.W.Data(), gamma)
+			copy(ln.Beta.W.Data(), beta)
+			xt, dy := tensor.FromSlice(x, rows, dim), tensor.Randn(rng, 1, rows, dim)
+			ln.Forward(xt)
+			dx := ln.Backward(dy).Data()
+			wantDx, scale := refLayerNormDx(dy.Data(), xhat, gamma, rstd)
+			for i := range dx {
+				if scale[i] > 0 {
+					worstBwd = max(worstBwd, within(t, what, "dx", i, dx[i], wantDx[i], scale[i], lnTol))
+				}
+			}
+		}
+	}
+	t.Logf("LayerNorm: largest distance from the float64 loops %.3g (forward), %.3g (dx) of the error scale (bound %g)", worstFwd, worstBwd, lnTol)
 }
 
 // geluInputs returns n pre-activations: twelve decades of either sign,
@@ -515,8 +810,8 @@ func TestTransposeVecMatchesScalar(t *testing.T) {
 	}
 }
 
-// BenchmarkRowKernels prints ns per element of the float64 row loops
-// and of the float32 elementwise loops at the bench workloads' sizes
+// BenchmarkRowKernels prints ns per element of the row loops (AdamW,
+// the two-rank reduce, LayerNorm) and of the float32 elementwise loops at the bench workloads' sizes
 // (TP2's halves included), assembly on and off — the one-line
 // reproducer of a row-kernel regression:
 //

@@ -1,17 +1,23 @@
 package tensor
 
-// Vector forms of the training step's float64 row loops. The loops
-// themselves — the definitions — stay with their owners: optim's
-// adamwJob.Tile, comm's reduceTwo, nn's LayerNormRows and LayerNorm
-// backward. Each function here runs the leading whole vectors of one
-// of them through an AVX2 kernel that reproduces the loop bit for bit
-// (rowvec_amd64.s) and returns how many items that was; the owner's
-// loop finishes the rest, which is everything when the CPU gate is off
-// or the build is not amd64.
+// Vector forms of the training step's row loops. The loops — the
+// definitions — stay with their owners: optim's adamwJob.Tile, comm's
+// reduceTwo, nn's LayerNormRows and LayerNorm backward. Each function
+// here runs the leading whole vectors (AdamW, the reduce) or groups of
+// four rows (LayerNorm) of one loop through an AVX2 kernel that
+// reproduces it bit for bit (rowvec_amd64.s) and returns how many items
+// that was; the owner's loop finishes the rest. The LayerNorm loops
+// keep each row sum in eight float32 partial sums, column c in sum c%8,
+// added by HSum8, so the kernels run along the row with no transpose.
 
-// AdamWCoef holds one AdamW step's coefficients (bias corrections BC1 =
-// 1-β1ᵗ and BC2 = 1-β2ᵗ included), in the order adamwVec reads them.
-type AdamWCoef struct{ Beta1, Beta2, Eps, WD, BC1, BC2, LR float64 }
+// AdamWCoef holds one AdamW step's float32 coefficients as adamwVec reads
+// them: β1, 1-β1, β2, 1-β2, 1/(1-β1ᵗ), 1/(1-β2ᵗ), ε, weight decay, rate.
+type AdamWCoef struct{ B1, C1, B2, C2, IBC1, IBC2, Eps, WD, LR float32 }
+
+// HSum8 is HSUM4's tree: partial sums i and i+4, then adjacent pairs.
+func HSum8(s *[8]float32) float32 {
+	return ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7]))
+}
 
 // span returns &s[lo] after checking that s[lo:hi] exists (lo < hi).
 func span(s []float32, lo, hi int) *float32 {
@@ -19,14 +25,13 @@ func span(s []float32, lo, hi int) *float32 {
 	return &s[lo]
 }
 
-// AdamWVec applies the update to the first len(w)&^3 elements of w and
+// AdamWVec applies the update to the first len(w)&^7 elements of w and
 // its gradient g and moments m, v.
 func AdamWVec(w, g, m, v []float32, c *AdamWCoef) int {
-	n := len(w) &^ 3
-	if !useFMA || n == 0 {
-		return 0
+	n := whole(len(w))
+	if n > 0 {
+		adamwVec(&w[0], span(g, 0, n), span(m, 0, n), span(v, 0, n), n, c)
 	}
-	adamwVec(&w[0], span(g, 0, n), span(m, 0, n), span(v, 0, n), n, c)
 	return n
 }
 
@@ -42,10 +47,9 @@ func Sum2ScaledVec(dst, a, b []float32, scale float64) int {
 }
 
 // rowGroups returns how many rows of [r0, r1), dim wide, the four-row
-// kernels take: whole groups of four, and only when dim is a multiple
-// of the kernel's lanes.
-func rowGroups(dim, lanes, r0, r1 int) int {
-	if !useFMA || dim == 0 || dim%lanes != 0 || r1-r0 < 4 {
+// kernels (LayerNorm, softmax) take: whole groups of four, dim%8 == 0.
+func rowGroups(dim, r0, r1 int) int {
+	if !useFMA || dim == 0 || dim%8 != 0 || r1-r0 < 4 {
 		return 0
 	}
 	return (r1 - r0) &^ 3
@@ -53,33 +57,29 @@ func rowGroups(dim, lanes, r0, r1 int) int {
 
 // LayerNormRowsVec is nn.LayerNormRows (same operands; xhat not nil)
 // over the leading groups of four rows of [r0, r1).
-func LayerNormRowsVec(out, xhat []float32, rstd []float64, x, gamma, beta []float32, eps float64, r0, r1 int) int {
+func LayerNormRowsVec(out, xhat, rstd, x, gamma, beta []float32, eps float32, r0, r1 int) int {
 	dim := len(gamma)
-	rows := rowGroups(dim, 4, r0, r1)
-	if rows == 0 {
-		return 0
+	rows := rowGroups(dim, r0, r1)
+	if rows > 0 {
+		lo, hi := r0*dim, (r0+rows)*dim
+		var rs *float32
+		if rstd != nil {
+			rs = span(rstd, r0, r0+rows)
+		}
+		lnFwdVec(span(out, lo, hi), span(xhat, lo, hi), rs, span(x, lo, hi), &gamma[0], span(beta, 0, dim), eps, dim, rows/4)
 	}
-	lo, hi := r0*dim, (r0+rows)*dim
-	var rs *float64
-	if rstd != nil {
-		_ = rstd[r0+rows-1]
-		rs = &rstd[r0]
-	}
-	lnFwdVec(span(out, lo, hi), span(xhat, lo, hi), rs, span(x, lo, hi), &gamma[0], span(beta, 0, dim), eps, dim, rows/4)
 	return rows
 }
 
 // LayerNormDxVec is the input gradient of LayerNorm backward over the
 // leading groups of four rows of [r0, r1).
-func LayerNormDxVec(dx, dy, xhat, gamma []float32, rstd []float64, r0, r1 int) int {
+func LayerNormDxVec(dx, dy, xhat, gamma, rstd []float32, r0, r1 int) int {
 	dim := len(gamma)
-	rows := rowGroups(dim, 4, r0, r1)
-	if rows == 0 {
-		return 0
+	rows := rowGroups(dim, r0, r1)
+	if rows > 0 {
+		lo, hi := r0*dim, (r0+rows)*dim
+		lnDxVec(span(dx, lo, hi), span(dy, lo, hi), span(xhat, lo, hi), &gamma[0], span(rstd, r0, r0+rows), dim, rows/4)
 	}
-	lo, hi := r0*dim, (r0+rows)*dim
-	_ = rstd[r0+rows-1]
-	lnDxVec(span(dx, lo, hi), span(dy, lo, hi), span(xhat, lo, hi), &gamma[0], &rstd[r0], dim, rows/4)
 	return rows
 }
 

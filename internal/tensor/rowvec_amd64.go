@@ -12,10 +12,10 @@ func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef)
 func sum2Vec(dst, a, b *float32, n int, scale float64)
 
 //go:noescape
-func lnFwdVec(out, xhat *float32, rstd *float64, x, gamma, beta *float32, eps float64, dim, groups int)
+func lnFwdVec(out, xhat, rstd, x, gamma, beta *float32, eps float32, dim, groups int)
 
 //go:noescape
-func lnDxVec(dx, dy, xhat, gamma *float32, rstd *float64, dim, groups int)
+func lnDxVec(dx, dy, xhat, gamma, rstd *float32, dim, groups int)
 
 //go:noescape
 func lnParamGradVec(dg, db, dy, xhat *float32, dim, cols, rows, chunk int)

@@ -2,22 +2,26 @@
 
 #include "textflag.h"
 
-// Four-lane AVX2 float64 forms of the training step's row loops: the
-// AdamW update (optim), the two-rank reduce (comm) and LayerNorm
-// forward / backward (nn). Each widens float32 to float64, runs the
-// scalar loop's IEEE operations one for one — separate multiply, add,
-// divide and square root, no FMA contraction — and narrows again, so
-// every lane holds the scalar loop's exact bits (rowkernels_test.go).
-// No kernel touches memory outside the element ranges it is given.
+// AVX2 forms of the training step's row loops: the AdamW update
+// (optim) and LayerNorm forward / backward (nn) in eight float32 lanes,
+// the two-rank reduce (comm) in four float64 lanes. Each runs its Go
+// loop's IEEE operations one for one — separate multiply, add, divide
+// and square root, no FMA contraction — so every lane holds the loop's
+// exact bits (rowkernels_test.go). The LayerNorm loops keep each row
+// sum in eight partial sums, column c in lane c%8, and add them by
+// tensor.HSum8's tree; the kernels run four rows side by side so that
+// the rows' dependency chains overlap and one HSUM4 and one packed
+// divide / square root serve all four. No kernel touches memory outside
+// the element ranges it is given.
 
-DATA rv_one+0(SB)/8, $0x3ff0000000000000 // 1.0
+DATA rv_one+0(SB)/8, $0x3ff0000000000000 // 1.0 (softmaxVec's too)
 GLOBL rv_one(SB), RODATA|NOPTR, $8
 
 // func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef)
 //
-// n (a multiple of 4) elements of optim's adamwJob.Tile:
+// n (a multiple of 8) elements of optim's adamwJob.Tile:
 //   m' = β1·m + (1-β1)·g;  v' = β2·v + ((1-β2)·g)·g
-//   w' = w - lr·((m'/bc1)/(√(v'/bc2)+ε) + wd·w)
+//   w' = w - lr·((m'·ibc1)/(√(v'·ibc2)+ε) + wd·w)
 TEXT ·adamwVec(SB), NOSPLIT, $0-48
 	MOVQ w+0(FP), DI
 	MOVQ grad+8(FP), SI
@@ -25,51 +29,42 @@ TEXT ·adamwVec(SB), NOSPLIT, $0-48
 	MOVQ v+24(FP), CX
 	MOVQ n+32(FP), BX
 	MOVQ c+40(FP), AX
-	VBROADCASTSD rv_one(SB), Y15
-	VBROADCASTSD 0(AX), Y7   // β1
-	VSUBPD       Y7, Y15, Y8 // 1-β1
-	VBROADCASTSD 8(AX), Y9   // β2
-	VSUBPD       Y9, Y15, Y10 // 1-β2
-	VBROADCASTSD 16(AX), Y11 // ε
-	VBROADCASTSD 24(AX), Y12 // wd
-	VBROADCASTSD 32(AX), Y13 // bc1
-	VBROADCASTSD 40(AX), Y14 // bc2
-	VBROADCASTSD 48(AX), Y15 // lr
-	SHRQ $2, BX
+	VBROADCASTSS 0(AX), Y7   // β1
+	VBROADCASTSS 4(AX), Y8   // 1-β1
+	VBROADCASTSS 8(AX), Y9   // β2
+	VBROADCASTSS 12(AX), Y10 // 1-β2
+	VBROADCASTSS 16(AX), Y11 // ibc1
+	VBROADCASTSS 20(AX), Y12 // ibc2
+	VBROADCASTSS 24(AX), Y13 // ε
+	VBROADCASTSS 28(AX), Y14 // wd
+	VBROADCASTSS 32(AX), Y15 // lr
+	XORQ AX, AX
 
 adamw_loop:
-	VCVTPS2PD  (SI), Y0     // g
-	VCVTPS2PD  (DX), Y1
-	VMULPD     Y7, Y1, Y1   // β1·m
-	VMULPD     Y8, Y0, Y2   // (1-β1)·g
-	VADDPD     Y2, Y1, Y1   // m'
-	VCVTPS2PD  (CX), Y3
-	VMULPD     Y9, Y3, Y3   // β2·v
-	VMULPD     Y10, Y0, Y4  // (1-β2)·g
-	VMULPD     Y0, Y4, Y4   // ·g
-	VADDPD     Y4, Y3, Y3   // v'
-	VCVTPD2PSY Y1, X5
-	VMOVUPS    X5, (DX)
-	VCVTPD2PSY Y3, X5
-	VMOVUPS    X5, (CX)
-	VDIVPD     Y13, Y1, Y1  // m'/bc1
-	VDIVPD     Y14, Y3, Y3  // v'/bc2
-	VSQRTPD    Y3, Y3
-	VADDPD     Y11, Y3, Y3  // +ε
-	VDIVPD     Y3, Y1, Y1
-	VCVTPS2PD  (DI), Y6     // w
-	VMULPD     Y12, Y6, Y2  // wd·w
-	VADDPD     Y2, Y1, Y1
-	VMULPD     Y15, Y1, Y1  // lr·(…)
-	VSUBPD     Y1, Y6, Y6
-	VCVTPD2PSY Y6, X5
-	VMOVUPS    X5, (DI)
-	ADDQ       $16, DI
-	ADDQ       $16, SI
-	ADDQ       $16, DX
-	ADDQ       $16, CX
-	DECQ       BX
-	JNZ        adamw_loop
+	VMOVUPS (SI)(AX*4), Y0     // g
+	VMULPS  (DX)(AX*4), Y7, Y1 // β1·m
+	VMULPS  Y0, Y8, Y2         // (1-β1)·g
+	VADDPS  Y2, Y1, Y1         // m'
+	VMULPS  (CX)(AX*4), Y9, Y3 // β2·v
+	VMULPS  Y0, Y10, Y4        // (1-β2)·g
+	VMULPS  Y0, Y4, Y4         // ·g
+	VADDPS  Y4, Y3, Y3         // v'
+	VMOVUPS Y1, (DX)(AX*4)
+	VMOVUPS Y3, (CX)(AX*4)
+	VMULPS  Y11, Y1, Y1        // m'·ibc1
+	VMULPS  Y12, Y3, Y3        // v'·ibc2
+	VSQRTPS Y3, Y3
+	VADDPS  Y13, Y3, Y3        // +ε
+	VDIVPS  Y3, Y1, Y1
+	VMOVUPS (DI)(AX*4), Y6     // w
+	VMULPS  Y6, Y14, Y2        // wd·w
+	VADDPS  Y2, Y1, Y1
+	VMULPS  Y15, Y1, Y1        // lr·(…)
+	VSUBPS  Y1, Y6, Y6
+	VMOVUPS Y6, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     adamw_loop
 	VZEROUPPER
 	RET
 
@@ -100,246 +95,247 @@ sum2_loop:
 	VZEROUPPER
 	RET
 
-// LOAD_COLS reads columns c…c+3 of four consecutive rows — p points at
-// row 0's column c, R12 is the row stride in bytes, R13 three times it
-// — and transposes them: X4…X7 become columns c…c+3, lane i = row i.
-// That puts one row in each float64 lane after widening, so a sum
-// *along* a row stays the scalar loop's sequential chain while four
-// rows advance together. Clobbers X12…X15.
-#define LOAD_COLS(p) \
-	VMOVUPS   (p), X4; \
-	VMOVUPS   (p)(R12*1), X5; \
-	VMOVUPS   (p)(R12*2), X6; \
-	VMOVUPS   (p)(R13*1), X7; \
-	VUNPCKLPS X5, X4, X12; \
-	VUNPCKHPS X5, X4, X13; \
-	VUNPCKLPS X7, X6, X14; \
-	VUNPCKHPS X7, X6, X15; \
-	VMOVLHPS  X14, X12, X4; \
-	VMOVHLPS  X12, X14, X5; \
-	VMOVLHPS  X15, X13, X6; \
-	VMOVHLPS  X13, X15, X7
+// HSUM4 leaves in xa the sums of ya, yb, yc, yd's eight lanes each (xa
+// … xd their low halves), lane k = row k, by tensor.HSum8's tree: lane
+// i + lane i+4, then adjacent pairs twice. Clobbers t and xb … xd.
+#define HSUM4(ya, yb, yc, yd, xa, xb, xc, xd, t) \
+	VEXTRACTF128 $1, ya, t; \
+	VADDPS       t, xa, xa; \
+	VEXTRACTF128 $1, yb, t; \
+	VADDPS       t, xb, xb; \
+	VEXTRACTF128 $1, yc, t; \
+	VADDPS       t, xc, xc; \
+	VEXTRACTF128 $1, yd, t; \
+	VADDPS       t, xd, xd; \
+	VHADDPS      xb, xa, xa; \
+	VHADDPS      xd, xc, xc; \
+	VHADDPS      xc, xa, xa
 
-// func lnFwdVec(out, xhat *float32, rstd *float64, x, gamma, beta *float32, eps float64, dim, groups int)
+// AFFINE is one row's share of a column vector in lnFwdVec: x̂ =
+// (x-μ)·rs stored at h, then x̂·γ + β (γ in Y8, β in Y9) stored at o.
+#define AFFINE(x, h, o, mu, rs, t) \
+	VMOVUPS x, t;      \
+	VSUBPS  mu, t, t;  \
+	VMULPS  rs, t, t;  \
+	VMOVUPS t, h;      \
+	VMULPS  Y8, t, t;  \
+	VADDPS  Y9, t, t;  \
+	VMOVUPS t, o
+
+// func lnFwdVec(out, xhat, rstd, x, gamma, beta *float32, eps float32, dim, groups int)
 //
 // nn.LayerNormRows over `groups` groups of four rows, dim (a multiple
-// of 4) wide. Per group: mean and variance with one row per lane, each
-// lane adding its row's columns in order; then x̂ = float32((x-μ)·rs)
-// and out = x̂·γ + β (float32 multiply, then add) along each row. rstd
+// of 8) wide. Per row: μ = Σx / dim, then σ² = Σ(x-μ)² / dim, each sum
+// in eight lanes along the row — the four rows' sums advance together
+// and share one HSUM4 and one divide; rs = 1/√(σ²+ε); then x̂ = (x-μ)·rs
+// and out = x̂·γ + β, a column vector of the four rows at a time. rstd
 // may be nil; xhat may be out (the x̂ store lands first).
-TEXT ·lnFwdVec(SB), NOSPLIT, $64-72
-	MOVQ out+0(FP), DI
-	MOVQ xhat+8(FP), R8
-	MOVQ rstd+16(FP), R9
-	MOVQ x+24(FP), SI
-	MOVQ gamma+32(FP), R10
-	MOVQ beta+40(FP), R11
-	MOVQ dim+56(FP), AX
-	MOVQ groups+64(FP), BX
-	VBROADCASTSD eps+48(FP), Y3
-	VCVTSI2SDQ   AX, X2, X2
-	VBROADCASTSD X2, Y2     // float64(dim)
-	MOVQ AX, R12
-	SHLQ $2, R12            // row stride in bytes
-	LEAQ (R12)(R12*2), R13
-	SHRQ $2, AX             // four-column blocks per row
+TEXT ·lnFwdVec(SB), NOSPLIT, $40-72
+	MOVQ         out+0(FP), DI
+	MOVQ         xhat+8(FP), R8
+	MOVQ         rstd+16(FP), R9
+	MOVQ         R9, rstd-40(SP)
+	MOVQ         x+24(FP), SI
+	MOVQ         gamma+32(FP), R10
+	MOVQ         beta+40(FP), R11
+	MOVQ         dim+56(FP), R12
+	MOVQ         groups+64(FP), BX
+	VBROADCASTSS eps+48(FP), X13
+	VCVTSI2SSQ   R12, X12, X12
+	VBROADCASTSS X12, X12          // float32(dim)
+	VBROADCASTSS mvc_one(SB), X14
+	SHLQ         $2, R12           // row stride in bytes
+	LEAQ         (R12)(R12*2), R13
 
 lnf_group:
-	VXORPD Y0, Y0, Y0
-	MOVQ   SI, DX
-	MOVQ   AX, CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, AX
+	LEAQ   (SI)(R12*1), CX         // the end of row 0
 
 lnf_mean:
-	LOAD_COLS(DX)
-	VCVTPS2PD X4, Y4
-	VADDPD    Y4, Y0, Y0
-	VCVTPS2PD X5, Y5
-	VADDPD    Y5, Y0, Y0
-	VCVTPS2PD X6, Y6
-	VADDPD    Y6, Y0, Y0
-	VCVTPS2PD X7, Y7
-	VADDPD    Y7, Y0, Y0
-	ADDQ      $16, DX
-	DECQ      CX
-	JNZ       lnf_mean
-	VDIVPD    Y2, Y0, Y0    // μ
-
-	VXORPD Y1, Y1, Y1
-	MOVQ   SI, DX
-	MOVQ   AX, CX
+	VADDPS (AX), Y0, Y0
+	VADDPS (AX)(R12*1), Y1, Y1
+	VADDPS (AX)(R12*2), Y2, Y2
+	VADDPS (AX)(R13*1), Y3, Y3
+	ADDQ   $32, AX
+	CMPQ   AX, CX
+	JLT    lnf_mean
+	HSUM4(Y0, Y1, Y2, Y3, X0, X1, X2, X3, X8)
+	VDIVPS       X12, X0, X0       // μ, lane = row
+	VMOVUPS      X0, mu-32(SP)
+	VBROADCASTSS mu-32(SP), Y4
+	VBROADCASTSS mu-28(SP), Y5
+	VBROADCASTSS mu-24(SP), Y6
+	VBROADCASTSS mu-20(SP), Y7
+	VXORPS       Y0, Y0, Y0
+	VXORPS       Y1, Y1, Y1
+	VXORPS       Y2, Y2, Y2
+	VXORPS       Y3, Y3, Y3
+	MOVQ         SI, AX
 
 lnf_var:
-	LOAD_COLS(DX)
-	VCVTPS2PD X4, Y4
-	VSUBPD    Y0, Y4, Y4
-	VMULPD    Y4, Y4, Y4
-	VADDPD    Y4, Y1, Y1
-	VCVTPS2PD X5, Y5
-	VSUBPD    Y0, Y5, Y5
-	VMULPD    Y5, Y5, Y5
-	VADDPD    Y5, Y1, Y1
-	VCVTPS2PD X6, Y6
-	VSUBPD    Y0, Y6, Y6
-	VMULPD    Y6, Y6, Y6
-	VADDPD    Y6, Y1, Y1
-	VCVTPS2PD X7, Y7
-	VSUBPD    Y0, Y7, Y7
-	VMULPD    Y7, Y7, Y7
-	VADDPD    Y7, Y1, Y1
-	ADDQ      $16, DX
-	DECQ      CX
-	JNZ       lnf_var
-	VDIVPD       Y2, Y1, Y1 // σ²
-	VADDPD       Y3, Y1, Y1
-	VSQRTPD      Y1, Y1
-	VBROADCASTSD rv_one(SB), Y5
-	VDIVPD       Y1, Y5, Y1 // rs = 1/√(σ²+ε)
-
-	VMOVUPD Y0, mean-64(SP)
-	VMOVUPD Y1, rs-32(SP)
+	VMOVUPS (AX), Y8
+	VSUBPS  Y4, Y8, Y8
+	VMULPS  Y8, Y8, Y8
+	VADDPS  Y8, Y0, Y0
+	VMOVUPS (AX)(R12*1), Y9
+	VSUBPS  Y5, Y9, Y9
+	VMULPS  Y9, Y9, Y9
+	VADDPS  Y9, Y1, Y1
+	VMOVUPS (AX)(R12*2), Y10
+	VSUBPS  Y6, Y10, Y10
+	VMULPS  Y10, Y10, Y10
+	VADDPS  Y10, Y2, Y2
+	VMOVUPS (AX)(R13*1), Y11
+	VSUBPS  Y7, Y11, Y11
+	VMULPS  Y11, Y11, Y11
+	VADDPS  Y11, Y3, Y3
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     lnf_var
+	HSUM4(Y0, Y1, Y2, Y3, X0, X1, X2, X3, X8)
+	VDIVPS  X12, X0, X0            // σ²
+	VADDPS  X13, X0, X0
+	VSQRTPS X0, X0
+	VDIVPS  X0, X14, X0            // rs
+	VMOVUPS X0, rs-16(SP)
+	MOVQ    rstd-40(SP), R9
 	TESTQ   R9, R9
 	JZ      lnf_affine
-	VMOVUPD Y1, (R9)
-	ADDQ    $32, R9
+	VMOVUPS X0, (R9)
+	ADDQ    $16, R9
+	MOVQ    R9, rstd-40(SP)
 
 lnf_affine:
-	XORQ CX, CX
-
-lnf_row:
-	VBROADCASTSD mean-64(SP)(CX*8), Y4
-	VBROADCASTSD rs-32(SP)(CX*8), Y5
+	VBROADCASTSS rs-16(SP), Y0
+	VBROADCASTSS rs-12(SP), Y1
+	VBROADCASTSS rs-8(SP), Y2
+	VBROADCASTSS rs-4(SP), Y3
 	XORQ         DX, DX
 
 lnf_col:
-	VCVTPS2PD  (SI)(DX*1), Y6
-	VSUBPD     Y4, Y6, Y6
-	VMULPD     Y5, Y6, Y6
-	VCVTPD2PSY Y6, X6       // x̂
-	VMOVUPS    X6, (R8)(DX*1)
-	VMULPS     (R10)(DX*1), X6, X6
-	VADDPS     (R11)(DX*1), X6, X6
-	VMOVUPS    X6, (DI)(DX*1)
-	ADDQ       $16, DX
-	CMPQ       DX, R12
-	JLT        lnf_col
-	ADDQ       R12, SI
-	ADDQ       R12, R8
-	ADDQ       R12, DI
-	INCQ       CX
-	CMPQ       CX, $4
-	JLT        lnf_row
-	DECQ       BX
-	JNZ        lnf_group
+	LEAQ    (SI)(DX*1), AX
+	LEAQ    (R8)(DX*1), CX
+	LEAQ    (DI)(DX*1), R9
+	VMOVUPS (R10)(DX*1), Y8
+	VMOVUPS (R11)(DX*1), Y9
+	AFFINE((AX), (CX), (R9), Y4, Y0, Y10)
+	AFFINE((AX)(R12*1), (CX)(R12*1), (R9)(R12*1), Y5, Y1, Y11)
+	AFFINE((AX)(R12*2), (CX)(R12*2), (R9)(R12*2), Y6, Y2, Y10)
+	AFFINE((AX)(R13*1), (CX)(R13*1), (R9)(R13*1), Y7, Y3, Y11)
+	ADDQ    $32, DX
+	CMPQ    DX, R12
+	JLT     lnf_col
+	LEAQ    (SI)(R12*4), SI
+	LEAQ    (R8)(R12*4), R8
+	LEAQ    (DI)(R12*4), DI
+	DECQ    BX
+	JNZ     lnf_group
 	VZEROUPPER
 	RET
 
-// func lnDxVec(dx, dy, xhat, gamma *float32, rstd *float64, dim, groups int)
+// DXROW is one row's share of a column vector in lnDxVec (γ in Y12):
+// ((dy·γ - a) - x̂·b)·rs stored at dx.
+#define DXROW(dy, h, dx, a, b, rs) \
+	VMULPS  dy, Y12, Y13;  \
+	VSUBPS  a, Y13, Y13;   \
+	VMULPS  h, b, Y14;     \
+	VSUBPS  Y14, Y13, Y13; \
+	VMULPS  rs, Y13, Y13;  \
+	VMOVUPS Y13, dx
+
+// DSUMS adds one row's share of a column vector (γ in Y13) to its Σd
+// and Σd·x̂ in lnDxVec. Clobbers t.
+#define DSUMS(dy, h, sd, sdh, t) \
+	VMULPS dy, Y13, t; \
+	VADDPS t, sd, sd;  \
+	VMULPS h, t, t;    \
+	VADDPS t, sdh, sdh
+
+// func lnDxVec(dx, dy, xhat, gamma, rstd *float32, dim, groups int)
 //
-// The input gradient of nn's lnBwdJob.Tile over `groups` groups of
-// four rows, dim (a multiple of 4) wide: with d = dy·γ in float64,
-//   dx = float32(rstd·((d - Σd/dim) - x̂·(Σd·x̂/dim)))
-// the two row sums taken with one row per lane as in lnFwdVec.
-TEXT ·lnDxVec(SB), NOSPLIT, $64-56
-	MOVQ dx+0(FP), DI
-	MOVQ dy+8(FP), SI
-	MOVQ xhat+16(FP), R8
-	MOVQ gamma+24(FP), R10
-	MOVQ rstd+32(FP), R9
-	MOVQ dim+40(FP), AX
-	MOVQ groups+48(FP), BX
-	VCVTSI2SDQ   AX, X2, X2
-	VMOVSD       rv_one(SB), X3
-	VDIVSD       X2, X3, X2
-	VBROADCASTSD X2, Y2     // 1/float64(dim)
-	MOVQ AX, R12
-	SHLQ $2, R12
-	LEAQ (R12)(R12*2), R13
-	SHRQ $2, AX
+// The input gradient of nn's lnBwdJob.Tile over `groups` groups of four
+// rows, dim (a multiple of 8) wide: with d = dy·γ, a = Σd / dim and
+// b = Σd·x̂ / dim (each sum in eight lanes along the row, four rows
+// together as in lnFwdVec),
+//   dx = ((d - a) - x̂·b)·rstd
+TEXT ·lnDxVec(SB), NOSPLIT, $32-56
+	MOVQ         dx+0(FP), DI
+	MOVQ         dy+8(FP), SI
+	MOVQ         xhat+16(FP), R8
+	MOVQ         gamma+24(FP), R10
+	MOVQ         rstd+32(FP), R9
+	MOVQ         dim+40(FP), R12
+	MOVQ         groups+48(FP), BX
+	VCVTSI2SSQ   R12, X12, X12
+	VBROADCASTSS X12, X12
+	VMOVUPS      X12, n-16(SP)     // float32(dim)
+	SHLQ         $2, R12
+	LEAQ         (R12)(R12*2), R13
 
 lnb_group:
-	VXORPD Y0, Y0, Y0       // Σd
-	VXORPD Y1, Y1, Y1       // Σd·x̂
-	MOVQ   SI, DX
-	MOVQ   R8, R11
-	MOVQ   AX, CX
+	VXORPS Y0, Y0, Y0              // Σd, rows 0…3
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4              // Σd·x̂
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ   DX, DX
 
 lnb_sums:
-	LOAD_COLS(DX)
-	VBROADCASTSS 0(R10), X12
-	VCVTPS2PD    X12, Y12
-	VCVTPS2PD    X4, Y8
-	VMULPD       Y12, Y8, Y8
-	VADDPD       Y8, Y0, Y0
-	VBROADCASTSS 4(R10), X12
-	VCVTPS2PD    X12, Y12
-	VCVTPS2PD    X5, Y9
-	VMULPD       Y12, Y9, Y9
-	VADDPD       Y9, Y0, Y0
-	VBROADCASTSS 8(R10), X12
-	VCVTPS2PD    X12, Y12
-	VCVTPS2PD    X6, Y10
-	VMULPD       Y12, Y10, Y10
-	VADDPD       Y10, Y0, Y0
-	VBROADCASTSS 12(R10), X12
-	VCVTPS2PD    X12, Y12
-	VCVTPS2PD    X7, Y11
-	VMULPD       Y12, Y11, Y11
-	VADDPD       Y11, Y0, Y0
-	LOAD_COLS(R11)
-	VCVTPS2PD X4, Y4
-	VMULPD    Y4, Y8, Y8
-	VADDPD    Y8, Y1, Y1
-	VCVTPS2PD X5, Y5
-	VMULPD    Y5, Y9, Y9
-	VADDPD    Y9, Y1, Y1
-	VCVTPS2PD X6, Y6
-	VMULPD    Y6, Y10, Y10
-	VADDPD    Y10, Y1, Y1
-	VCVTPS2PD X7, Y7
-	VMULPD    Y7, Y11, Y11
-	VADDPD    Y11, Y1, Y1
-	ADDQ      $16, DX
-	ADDQ      $16, R11
-	ADDQ      $16, R10
-	DECQ      CX
-	JNZ       lnb_sums
-	SUBQ      R12, R10      // γ walked one row's width
-
-	VMULPD  Y0, Y2, Y0
-	VMULPD  Y1, Y2, Y1
-	VMOVUPD Y0, a-64(SP)
-	VMOVUPD Y1, b-32(SP)
-	XORQ    CX, CX
-
-lnb_row:
-	VBROADCASTSD a-64(SP)(CX*8), Y4
-	VBROADCASTSD b-32(SP)(CX*8), Y5
-	VBROADCASTSD (R9)(CX*8), Y6
+	LEAQ    (SI)(DX*1), AX
+	LEAQ    (R8)(DX*1), CX
+	VMOVUPS (R10)(DX*1), Y13
+	DSUMS((AX), (CX), Y0, Y4, Y8)
+	DSUMS((AX)(R12*1), (CX)(R12*1), Y1, Y5, Y9)
+	DSUMS((AX)(R12*2), (CX)(R12*2), Y2, Y6, Y10)
+	DSUMS((AX)(R13*1), (CX)(R13*1), Y3, Y7, Y11)
+	ADDQ    $32, DX
+	CMPQ    DX, R12
+	JLT     lnb_sums
+	HSUM4(Y0, Y1, Y2, Y3, X0, X1, X2, X3, X8)
+	HSUM4(Y4, Y5, Y6, Y7, X4, X5, X6, X7, X8)
+	VDIVPS       n-16(SP), X0, X0  // a, lane = row
+	VDIVPS       n-16(SP), X4, X4  // b
+	VMOVUPS      X0, ab-32(SP)
+	VBROADCASTSS ab-32(SP), Y0
+	VBROADCASTSS ab-28(SP), Y1
+	VBROADCASTSS ab-24(SP), Y2
+	VBROADCASTSS ab-20(SP), Y3
+	VMOVUPS      X4, ab-32(SP)
+	VBROADCASTSS ab-32(SP), Y4
+	VBROADCASTSS ab-28(SP), Y5
+	VBROADCASTSS ab-24(SP), Y6
+	VBROADCASTSS ab-20(SP), Y7
+	VBROADCASTSS (R9), Y8
+	VBROADCASTSS 4(R9), Y9
+	VBROADCASTSS 8(R9), Y10
+	VBROADCASTSS 12(R9), Y11
 	XORQ         DX, DX
 
 lnb_col:
-	VCVTPS2PD  (SI)(DX*1), Y8
-	VCVTPS2PD  (R10)(DX*1), Y9
-	VMULPD     Y9, Y8, Y8   // d
-	VSUBPD     Y4, Y8, Y8
-	VCVTPS2PD  (R8)(DX*1), Y9
-	VMULPD     Y5, Y9, Y9
-	VSUBPD     Y9, Y8, Y8
-	VMULPD     Y6, Y8, Y8
-	VCVTPD2PSY Y8, X8
-	VMOVUPS    X8, (DI)(DX*1)
-	ADDQ       $16, DX
-	CMPQ       DX, R12
-	JLT        lnb_col
-	ADDQ       R12, SI
-	ADDQ       R12, R8
-	ADDQ       R12, DI
-	INCQ       CX
-	CMPQ       CX, $4
-	JLT        lnb_row
-	ADDQ       $32, R9
-	DECQ       BX
-	JNZ        lnb_group
+	LEAQ    (SI)(DX*1), AX
+	LEAQ    (R8)(DX*1), CX
+	LEAQ    (DI)(DX*1), R11
+	VMOVUPS (R10)(DX*1), Y12
+	DXROW((AX), (CX), (R11), Y0, Y4, Y8)
+	DXROW((AX)(R12*1), (CX)(R12*1), (R11)(R12*1), Y1, Y5, Y9)
+	DXROW((AX)(R12*2), (CX)(R12*2), (R11)(R12*2), Y2, Y6, Y10)
+	DXROW((AX)(R13*1), (CX)(R13*1), (R11)(R13*1), Y3, Y7, Y11)
+	ADDQ    $32, DX
+	CMPQ    DX, R12
+	JLT     lnb_col
+	LEAQ    (SI)(R12*4), SI
+	LEAQ    (R8)(R12*4), R8
+	LEAQ    (DI)(R12*4), DI
+	ADDQ    $16, R9
+	DECQ    BX
+	JNZ     lnb_group
 	VZEROUPPER
 	RET
 

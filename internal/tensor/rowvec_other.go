@@ -11,11 +11,11 @@ func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef) {
 
 func sum2Vec(dst, a, b *float32, n int, scale float64) { panic("tensor: vector kernel unavailable") }
 
-func lnFwdVec(out, xhat *float32, rstd *float64, x, gamma, beta *float32, eps float64, dim, groups int) {
+func lnFwdVec(out, xhat, rstd, x, gamma, beta *float32, eps float32, dim, groups int) {
 	panic("tensor: vector kernel unavailable")
 }
 
-func lnDxVec(dx, dy, xhat, gamma *float32, rstd *float64, dim, groups int) {
+func lnDxVec(dx, dy, xhat, gamma, rstd *float32, dim, groups int) {
 	panic("tensor: vector kernel unavailable")
 }
 
