@@ -10,8 +10,8 @@
 // one — separate multiply and add, no FMA contraction — so every lane
 // holds the loop's exact bits (rowkernels_test.go). Softmax's float64
 // row sums are sequential along a row, so those two kernels take four
-// rows at a time with one row per float64 lane, as lnFwdVec does. No
-// kernel touches memory outside the element ranges it is given.
+// rows at a time with one row per float64 lane. No kernel touches
+// memory outside the element ranges it is given.
 
 DATA ev_geluc0+0(SB)/4, $0x3f4c422a // float32(√(2/π))
 DATA ev_geluc1+0(SB)/4, $0x3d372713 // float32(0.044715)
@@ -19,6 +19,8 @@ DATA ev_geluc3+0(SB)/4, $0x3e095d4f // float32(3·0.044715)
 GLOBL ev_geluc0(SB), RODATA|NOPTR, $4
 GLOBL ev_geluc1(SB), RODATA|NOPTR, $4
 GLOBL ev_geluc3(SB), RODATA|NOPTR, $4
+DATA ev_one64+0(SB)/8, $0x3ff0000000000000 // 1.0
+GLOBL ev_one64(SB), RODATA|NOPTR, $8
 
 // func geluVec(dst, th, x *float32, n int)
 //
@@ -209,7 +211,7 @@ sm_block:
 	JLT  sm_block
 	ADDQ R13, SI            // the next group's first row
 
-	VBROADCASTSD rv_one(SB), Y0
+	VBROADCASTSD ev_one64(SB), Y0
 	VDIVPD       Y6, Y0, Y0
 	VCVTPD2PSY   Y0, X0     // float32(1/sum), lane = row
 	VMOVUPS      X0, row-16(SP)

@@ -14,9 +14,6 @@
 // divide / square root serve all four. No kernel touches memory outside
 // the element ranges it is given.
 
-DATA rv_one+0(SB)/8, $0x3ff0000000000000 // 1.0 (softmaxVec's too)
-GLOBL rv_one(SB), RODATA|NOPTR, $8
-
 // func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef)
 //
 // n (a multiple of 8) elements of optim's adamwJob.Tile:
