@@ -105,10 +105,12 @@ func TestOuterTileStaysInsideOperands(t *testing.T) {
 }
 
 // TestRowKernelsStayInsideOperands sweeps every length tail of the
-// AdamW and two-rank reduce kernels, the LayerNorm kernels over 1…9 rows
-// (none, one and two four-row groups) of one, two and three vectors
-// each, with and without the rstd cache and with x̂ in out, and the
-// dγ/dβ kernel's runs.
+// AdamW and two-rank reduce kernels, and the LayerNorm kernels over 1…9
+// rows (none, one and two four-row groups) of widths 4…24 in steps of
+// four: the forward and dx kernels, with and without the rstd cache and
+// with x̂ in out, at the widths of whole vectors, and the dγ/dβ kernel's
+// runs also at widths 12 and 20, where its row stride is not a whole
+// number of vectors.
 func TestRowKernelsStayInsideOperands(t *testing.T) {
 	const maxN, maxRows, maxDim = 21, 9, 24
 	var g [6]*guarded
@@ -126,7 +128,7 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 			a := f32(1, n)
 			Sum2ScaledVec(a, a, f32(2, n), 0.5)
 		}
-		for dim := 8; dim <= maxDim; dim += 8 {
+		for dim := 4; dim <= maxDim; dim += 4 {
 			for rows := 1; rows <= maxRows; rows++ {
 				n := rows * dim
 				*running = fmt.Sprintf("lnFwdVec [%d,%d]", rows, dim)

@@ -336,7 +336,7 @@ func TestLayerNormRowsVecMatchesScalar(t *testing.T) {
 // lnBackwardRows lists the row counts the backward tests take: 1…13,
 // and counts in every regime of the dγ/dβ runs — one, two and four rows
 // per run (32, 64, 128 rows) and short last runs.
-var lnBackwardRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 31, 32, 33, 64, 65, 130, 259}
+var lnBackwardRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 31, 32, 33, 64, 65, 100, 128, 130, 259}
 
 // lnBackward runs LayerNorm forward over x, then backward twice (dy1,
 // dy2) from a nonzero dγ/dβ, and returns dx, dx, dγ, dβ.
