@@ -254,6 +254,40 @@ func TestClimatologyCloseToTimeMean(t *testing.T) {
 	}
 }
 
+// allWorlds is every (registry, source) pair the generator serves, on
+// a small grid.
+func allWorlds() []*World {
+	var ws []*World
+	for _, vars := range [][]Variable{RegistrySmall(), Registry48(), Registry91()} {
+		for _, src := range append(CMIP6Sources(), ERA5Source()) {
+			ws = append(ws, NewWorld(vars, 8, 16, src))
+		}
+	}
+	return ws
+}
+
+// A Static channel never changes, so its anomaly against the
+// climatology must be exactly zero for every source, biased or not.
+func TestStaticClimatologyIsItsField(t *testing.T) {
+	for _, w := range allWorlds() {
+		clim, hw := w.Climatology().Data(), w.Height*w.Width
+		for _, step := range []int{0, 1234} {
+			f := w.Field(step).Data()
+			for vi, v := range w.Vars {
+				if v.Kind != Static {
+					continue
+				}
+				for i := vi * hw; i < (vi+1)*hw; i++ {
+					if math.Float32bits(clim[i]) != math.Float32bits(f[i]) {
+						t.Fatalf("%s/%d vars: %s climatology %v != field %v at step %d",
+							w.Source.Name, len(w.Vars), v.Name, clim[i], f[i], step)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestShardPartitionsSamples(t *testing.T) {
 	prop := func(seed uint64, ranksSel uint8) bool {
 		ranks := 1 + int(ranksSel)%4

@@ -194,9 +194,10 @@ func (w *World) Field(step int) *tensor.Tensor {
 }
 
 // Climatology returns the per-channel time-mean field used by the
-// wACC metric: the zonal-mean profile plus static geography, i.e. the
+// wACC metric: the zonal-mean profile plus the source bias, i.e. the
 // generator with seasonal, wave and noise terms averaged out (they are
-// all zero-mean in time).
+// all zero-mean in time). A Static channel never changes, so its
+// climatology is its field.
 func (w *World) Climatology() *tensor.Tensor {
 	out := tensor.New(len(w.Vars), w.Height, w.Width)
 	d := out.Data()
@@ -209,7 +210,7 @@ func (w *World) Climatology() *tensor.Tensor {
 			for c := 0; c < w.Width; c++ {
 				val := base
 				if v.Kind == Static {
-					val = w.value(vi, r, c, 0) - w.Source.Bias*v.Physics.WaveAmp
+					val = w.value(vi, r, c, 0)
 				}
 				d[i] = float32(val)
 				i++
