@@ -108,20 +108,26 @@ func TestWatchdogKillBudgetExhaustedKillsMachine(t *testing.T) {
 	w.watch(m, 2)
 	// Nothing ever progresses: the watchdog kills its one allowed
 	// victim, then — still no progress — gives up by killing the rest.
+	// A verdict kills before it notifies, so wait on the notification.
+	gaveUp := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(details) > 0 && strings.Contains(details[len(details)-1], "exhausted")
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for m.FirstDead() < 0 || m.Devices[0].Alive() || m.Devices[1].Alive() {
+	for !gaveUp() {
 		if time.Now().After(deadline) {
 			t.Fatal("watchdog never exhausted its budget")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	if m.FirstDead() < 0 || m.Devices[0].Alive() || m.Devices[1].Alive() {
+		t.Fatal("an exhausted budget must kill the whole machine")
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(details) < 2 {
 		t.Fatalf("want a kill and a giveup notification, got %v", details)
-	}
-	if !strings.Contains(details[len(details)-1], "exhausted") {
-		t.Fatalf("last notification should report the exhausted budget: %v", details)
 	}
 }
 
