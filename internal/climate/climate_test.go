@@ -255,12 +255,12 @@ func TestClimatologyCloseToTimeMean(t *testing.T) {
 }
 
 // allWorlds is every (registry, source) pair the generator serves, on
-// a small grid.
-func allWorlds() []*World {
+// a height × width grid.
+func allWorlds(height, width int) []*World {
 	var ws []*World
 	for _, vars := range [][]Variable{RegistrySmall(), Registry48(), Registry91()} {
 		for _, src := range append(CMIP6Sources(), ERA5Source()) {
-			ws = append(ws, NewWorld(vars, 8, 16, src))
+			ws = append(ws, NewWorld(vars, height, width, src))
 		}
 	}
 	return ws
@@ -269,7 +269,7 @@ func allWorlds() []*World {
 // A Static channel never changes, so its anomaly against the
 // climatology must be exactly zero for every source, biased or not.
 func TestStaticClimatologyIsItsField(t *testing.T) {
-	for _, w := range allWorlds() {
+	for _, w := range allWorlds(8, 16) {
 		clim, hw := w.Climatology().Data(), w.Height*w.Width
 		for _, step := range []int{0, 1234} {
 			f := w.Field(step).Data()
@@ -286,6 +286,118 @@ func TestStaticClimatologyIsItsField(t *testing.T) {
 			}
 		}
 	}
+}
+
+// value is the generator's closed form at grid point (row, col) and
+// time step (6-hourly index), every term recomputed from scratch: the
+// reference Field's tables must reproduce bit for bit.
+func (w *World) value(vi, row, col, step int) float64 {
+	v := &w.Vars[vi]
+	days := float64(step) / StepsPerDay
+	lat := -math.Pi/2 + (float64(row)+0.5)*math.Pi/float64(w.Height)
+	lon := 2 * math.Pi * float64(col) / float64(w.Width)
+
+	// Zonal-mean climatology: equator-to-pole gradient.
+	val := v.Physics.BaseMean - v.Physics.PoleDrop*math.Pow(math.Sin(lat), 2)
+
+	if v.Kind == Static {
+		// Static fields: frozen "geography" from the wave components.
+		for _, wp := range w.waves[vi] {
+			val += wp.amp * math.Sin(float64(wp.zonalWavenumber)*lon+wp.phase) *
+				math.Cos(float64(wp.meridionalMode)*lat)
+		}
+		return val
+	}
+
+	// Annual cycle, antisymmetric across hemispheres (seasons flip).
+	season := math.Sin(2*math.Pi*days/365.25) * math.Sin(lat)
+	val += v.Physics.SeasonalAmp * season * w.Source.AmpScale
+
+	// Travelling waves: the predictable anomaly signal.
+	for _, wp := range w.waves[vi] {
+		env := math.Cos(lat) * math.Cos(float64(wp.meridionalMode)*lat)
+		val += wp.amp * env * math.Sin(float64(wp.zonalWavenumber)*lon-wp.speed*days+wp.phase)
+	}
+
+	// Fast smooth pseudo-noise: hard to predict at long leads.
+	for _, nm := range w.noise[vi] {
+		val += nm.amp * math.Sin(float64(nm.kx)*lon+nm.phaseX+nm.freq*days) *
+			math.Sin(float64(nm.ky)*(lat+math.Pi/2))
+	}
+
+	// Systematic source bias, scaled by the variable's wave amplitude.
+	val += w.Source.Bias * v.Physics.WaveAmp
+	return val
+}
+
+// climatologyValue is ClimatologyAt's closed form on a non-Static
+// channel: the time-mean profile plus the source bias, rounded to
+// float32, and the season, which ClimatologyAt rounds on its own.
+func (w *World) climatologyValue(vi, row, step int) (mean float32, season float64) {
+	v := &w.Vars[vi]
+	days := float64(step) / StepsPerDay
+	lat := -math.Pi/2 + (float64(row)+0.5)*math.Pi/float64(w.Height)
+	base := v.Physics.BaseMean - v.Physics.PoleDrop*math.Pow(math.Sin(lat), 2) + w.Source.Bias*v.Physics.WaveAmp
+	return float32(base), v.Physics.SeasonalAmp * math.Sin(2*math.Pi*days/365.25) * math.Sin(lat) * w.Source.AmpScale
+}
+
+// Field's tables change no bit: every channel of every registry and
+// source, on a small grid (its middle row on the equator) and on the
+// serving benchmark's, at steps from the first to past sixty years of
+// 6-hourly data. Field and ClimatologyAt must equal the closed form in
+// float32, and their float64 forms must equal it before rounding: a
+// reordered float64 term almost never shows after the float32 store.
+func TestFieldMatchesClosedForm(t *testing.T) {
+	same32 := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	same64 := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, w := range append(allWorlds(5, 8), NewWorld(RegistrySmall(), 16, 32, ERA5Source())) {
+		n := len(w.Vars) * w.Height * w.Width
+		f64, clim64 := make([]float64, n), make([]float64, n)
+		for _, step := range []int{0, 1, 7, 1200, 1234, 5000, 99999} {
+			f, clim := w.Field(step).Data(), w.ClimatologyAt(step).Data()
+			field(w, step, f64)
+			climatologyAt(w, step, clim64)
+			i := 0
+			for vi, v := range w.Vars {
+				for r := 0; r < w.Height; r++ {
+					for c := 0; c < w.Width; c++ {
+						want := w.value(vi, r, c, step)
+						ok := same32(f[i], float32(want))
+						if v.Kind != Static {
+							mean, season := w.climatologyValue(vi, r, step)
+							ok = ok && same64(f64[i], want) &&
+								same32(clim[i], mean+float32(season)) && same64(clim64[i], float64(mean)+season)
+						}
+						if !ok {
+							t.Fatalf("%s/%d vars %s (%d,%d) step %d: Field %v (%v), ClimatologyAt %v (%v), closed-form field %v",
+								w.Source.Name, len(w.Vars), v.Name, r, c, step, f[i], f64[i], clim[i], clim64[i], want)
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkField times the two calls that fill a cold score cache,
+// Field and ClimatologyAt, on the serving benchmark's world (the eight
+// RegistrySmall channels on a 16×32 grid, ERA5), so a regression in
+// the data generator has a one-line reproducer:
+//
+//	go test ./internal/climate -run '^$' -bench Field
+func BenchmarkField(b *testing.B) {
+	w := NewWorld(RegistrySmall(), 16, 32, ERA5Source())
+	b.Run("Field", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w.Field(1234)
+		}
+	})
+	b.Run("ClimatologyAt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w.ClimatologyAt(1234)
+		}
+	})
 }
 
 func TestShardPartitionsSamples(t *testing.T) {

@@ -51,7 +51,10 @@ func ERA5Source() Source {
 
 // World generates climate fields on an equiangular lat-lon grid. All
 // fields are closed-form functions of time, so any 6-hourly step is
-// random-access computable and exactly reproducible.
+// random-access computable and exactly reproducible. Each term depends
+// on the row, on (column, step) or on the step only: NewWorld tabulates
+// the row factors, Static planes and climatology, and Field sums the
+// terms in the closed form's order, so every value keeps its bits.
 type World struct {
 	Vars   []Variable
 	Height int
@@ -62,7 +65,23 @@ type World struct {
 	waves [][]waveParam
 	// noise modes per variable
 	noise [][]noiseMode
+
+	lon    []float64   // [W] longitude of each column
+	sinLat []float64   // [H] sine of each row's latitude
+	rows   [][]rowTerm // [C][H]
+	clim   []float32   // [C,H,W] Climatology; a Static plane is the field
 }
+
+// rowTerm is one row of a variable: its zonal-mean base and its row
+// factors, amp·cos lat·cos(m·lat) per wave and sin(ky·(lat+π/2)) per
+// noise mode. Field multiplies them by the column factors of a step,
+// sin(k·lon − speed·days + phase) and amp·sin(kx·lon + phaseX + freq·days).
+type rowTerm struct {
+	base float64
+	f    factors
+}
+
+type factors [wavesPerVar + noisePerVar]float64
 
 // waveParam is one travelling planetary wave component.
 type waveParam struct {
@@ -92,7 +111,8 @@ const StepsPerDay = 4
 // NewWorld builds a generator for the given variable set, grid and
 // source.
 func NewWorld(vars []Variable, height, width int, src Source) *World {
-	w := &World{Vars: vars, Height: height, Width: width, Source: src}
+	w := &World{Vars: vars, Height: height, Width: width, Source: src,
+		lon: make([]float64, width), sinLat: make([]float64, height), clim: make([]float32, len(vars)*height*width)}
 	rng := tensor.NewRNG(src.Seed)
 	for vi, v := range vars {
 		vrng := tensor.NewRNG(rng.Uint64() ^ uint64(vi*2654435761))
@@ -132,65 +152,93 @@ func NewWorld(vars []Variable, height, width int, src Source) *World {
 			}
 		}
 		w.noise = append(w.noise, ns)
+		w.rows = append(w.rows, make([]rowTerm, height))
+	}
+
+	for c := range w.lon {
+		w.lon[c] = 2 * math.Pi * float64(c) / float64(width)
+	}
+	for r := range w.sinLat {
+		lat := -math.Pi/2 + (float64(r)+0.5)*math.Pi/float64(height)
+		w.sinLat[r] = math.Sin(lat)
+		for vi := range vars {
+			v, t := &vars[vi], &w.rows[vi][r]
+			// Zonal-mean climatology: equator-to-pole gradient.
+			t.base = v.Physics.BaseMean - v.Physics.PoleDrop*math.Pow(w.sinLat[r], 2)
+			for k, wp := range w.waves[vi] {
+				t.f[k] = wp.amp * (math.Cos(lat) * math.Cos(float64(wp.meridionalMode)*lat))
+			}
+			for k, nm := range w.noise[vi] {
+				t.f[wavesPerVar+k] = math.Sin(float64(nm.ky) * (lat + math.Pi/2))
+			}
+			clim := w.clim[(vi*height+r)*width:][:width]
+			for c, lon := range w.lon {
+				val := t.base + src.Bias*v.Physics.WaveAmp
+				if v.Kind == Static {
+					// Static fields: frozen "geography" from the wave
+					// components, with no season and no bias.
+					val = t.base
+					for _, wp := range w.waves[vi] {
+						val += wp.amp * math.Sin(float64(wp.zonalWavenumber)*lon+wp.phase) *
+							math.Cos(float64(wp.meridionalMode)*lat)
+					}
+				}
+				clim[c] = float32(val)
+			}
+		}
 	}
 	return w
-}
-
-// value computes variable vi at grid point (row, col) and time step
-// (6-hourly index).
-func (w *World) value(vi, row, col, step int) float64 {
-	v := &w.Vars[vi]
-	days := float64(step) / StepsPerDay
-	lat := -math.Pi/2 + (float64(row)+0.5)*math.Pi/float64(w.Height)
-	lon := 2 * math.Pi * float64(col) / float64(w.Width)
-
-	// Zonal-mean climatology: equator-to-pole gradient.
-	val := v.Physics.BaseMean - v.Physics.PoleDrop*math.Pow(math.Sin(lat), 2)
-
-	if v.Kind == Static {
-		// Static fields: frozen "geography" from the wave components.
-		for _, wp := range w.waves[vi] {
-			val += wp.amp * math.Sin(float64(wp.zonalWavenumber)*lon+wp.phase) *
-				math.Cos(float64(wp.meridionalMode)*lat)
-		}
-		return val
-	}
-
-	// Annual cycle, antisymmetric across hemispheres (seasons flip).
-	season := math.Sin(2*math.Pi*days/365.25) * math.Sin(lat)
-	val += v.Physics.SeasonalAmp * season * w.Source.AmpScale
-
-	// Travelling waves: the predictable anomaly signal.
-	for _, wp := range w.waves[vi] {
-		env := math.Cos(lat) * math.Cos(float64(wp.meridionalMode)*lat)
-		val += wp.amp * env * math.Sin(float64(wp.zonalWavenumber)*lon-wp.speed*days+wp.phase)
-	}
-
-	// Fast smooth pseudo-noise: hard to predict at long leads.
-	for _, nm := range w.noise[vi] {
-		val += nm.amp * math.Sin(float64(nm.kx)*lon+nm.phaseX+nm.freq*days) *
-			math.Sin(float64(nm.ky)*(lat+math.Pi/2))
-	}
-
-	// Systematic source bias, scaled by the variable's wave amplitude.
-	val += w.Source.Bias * v.Physics.WaveAmp
-	return val
 }
 
 // Field renders all channels at one time step: [C, H, W].
 func (w *World) Field(step int) *tensor.Tensor {
 	out := tensor.New(len(w.Vars), w.Height, w.Width)
-	d := out.Data()
-	i := 0
+	field(w, step, out.Data())
+	return out
+}
+
+// field writes Field(step) into d. Its float32 store hides almost any
+// reordered float64 term, so the tests also run it at float64.
+func field[T float32 | float64](w *World, step int, d []T) {
+	days := float64(step) / StepsPerDay
+	sinDay := math.Sin(2 * math.Pi * days / 365.25)
+	cols := make([]factors, w.Width)
 	for vi := range w.Vars {
-		for r := 0; r < w.Height; r++ {
-			for c := 0; c < w.Width; c++ {
-				d[i] = float32(w.value(vi, r, c, step))
-				i++
+		v, hw := &w.Vars[vi], w.Height*w.Width
+		if v.Kind == Static {
+			for i, x := range w.clim[vi*hw : (vi+1)*hw] {
+				d[vi*hw+i] = T(x)
+			}
+			continue
+		}
+		// One mode at a time along the columns, so that the octant
+		// branches inside math.Sin see a regular sequence.
+		// Travelling waves: the predictable anomaly signal.
+		for k, wp := range w.waves[vi] {
+			for c, lon := range w.lon {
+				cols[c][k] = math.Sin(float64(wp.zonalWavenumber)*lon - wp.speed*days + wp.phase)
+			}
+		}
+		// Fast smooth pseudo-noise: hard to predict at long leads.
+		for k, nm := range w.noise[vi] {
+			for c, lon := range w.lon {
+				cols[c][wavesPerVar+k] = nm.amp * math.Sin(float64(nm.kx)*lon+nm.phaseX+nm.freq*days)
+			}
+		}
+		// Systematic source bias, scaled by the variable's wave amplitude.
+		bias := w.Source.Bias * v.Physics.WaveAmp
+		for r := range w.rows[vi] {
+			f := &w.rows[vi][r].f
+			// Annual cycle, antisymmetric across hemispheres (seasons flip).
+			base := w.rows[vi][r].base + v.Physics.SeasonalAmp*(sinDay*w.sinLat[r])*w.Source.AmpScale
+			row := d[(vi*w.Height+r)*w.Width:][:len(cols)]
+			for c := range row {
+				x := &cols[c] // the closed form's order: waves, noise, bias
+				row[c] = T(base + f[0]*x[0] + f[1]*x[1] + f[2]*x[2] + f[3]*x[3] +
+					f[4]*x[4] + f[5]*x[5] + f[6]*x[6] + f[7]*x[7] + f[8]*x[8] + f[9]*x[9] + bias)
 			}
 		}
 	}
-	return out
 }
 
 // Climatology returns the per-channel time-mean field used by the
@@ -200,23 +248,7 @@ func (w *World) Field(step int) *tensor.Tensor {
 // climatology is its field.
 func (w *World) Climatology() *tensor.Tensor {
 	out := tensor.New(len(w.Vars), w.Height, w.Width)
-	d := out.Data()
-	i := 0
-	for vi := range w.Vars {
-		v := &w.Vars[vi]
-		for r := 0; r < w.Height; r++ {
-			lat := -math.Pi/2 + (float64(r)+0.5)*math.Pi/float64(w.Height)
-			base := v.Physics.BaseMean - v.Physics.PoleDrop*math.Pow(math.Sin(lat), 2) + w.Source.Bias*v.Physics.WaveAmp
-			for c := 0; c < w.Width; c++ {
-				val := base
-				if v.Kind == Static {
-					val = w.value(vi, r, c, 0)
-				}
-				d[i] = float32(val)
-				i++
-			}
-		}
-	}
+	copy(out.Data(), w.clim)
 	return out
 }
 
@@ -225,26 +257,32 @@ func (w *World) Climatology() *tensor.Tensor {
 // wACC evaluation subtracts, so the trivially predictable seasonal
 // march does not count as forecast skill.
 func (w *World) ClimatologyAt(step int) *tensor.Tensor {
-	out := w.Climatology()
+	out := tensor.New(len(w.Vars), w.Height, w.Width)
+	climatologyAt(w, step, out.Data())
+	return out
+}
+
+// climatologyAt writes ClimatologyAt(step) into d; tests run it at float64.
+func climatologyAt[T float32 | float64](w *World, step int, d []T) {
+	for i, x := range w.clim {
+		d[i] = T(x)
+	}
 	days := float64(step) / StepsPerDay
-	d := out.Data()
-	i := 0
+	sinDay := math.Sin(2 * math.Pi * days / 365.25)
 	for vi := range w.Vars {
 		v := &w.Vars[vi]
 		if v.Kind == Static {
-			i += w.Height * w.Width
 			continue
 		}
-		for r := 0; r < w.Height; r++ {
-			lat := -math.Pi/2 + (float64(r)+0.5)*math.Pi/float64(w.Height)
-			season := v.Physics.SeasonalAmp * math.Sin(2*math.Pi*days/365.25) * math.Sin(lat) * w.Source.AmpScale
-			for c := 0; c < w.Width; c++ {
-				d[i] += float32(season)
-				i++
+		for r, sinLat := range w.sinLat {
+			// Not Field's association: ((amp·sin day)·sin lat)·scale.
+			season := T(v.Physics.SeasonalAmp * sinDay * sinLat * w.Source.AmpScale)
+			row := d[(vi*w.Height+r)*w.Width:][:w.Width]
+			for c := range row {
+				row[c] += season
 			}
 		}
 	}
-	return out
 }
 
 // Stats returns per-channel normalization statistics (mean and
