@@ -29,3 +29,4 @@ check ./internal/guard/ 85
 check ./internal/pp/ 85
 check ./internal/infer/ 85
 check ./internal/serve/ 85
+check ./internal/climate/ 80
