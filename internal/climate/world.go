@@ -231,7 +231,7 @@ func field[T float32 | float64](w *World, step int, d []T) {
 			f := &w.rows[vi][r].f
 			// Annual cycle, antisymmetric across hemispheres (seasons flip).
 			base := w.rows[vi][r].base + v.Physics.SeasonalAmp*(sinDay*w.sinLat[r])*w.Source.AmpScale
-			row := d[(vi*w.Height+r)*w.Width:][:len(cols)]
+			row := d[(vi*w.Height+r)*w.Width:][:w.Width]
 			for c := range row {
 				x := &cols[c] // the closed form's order: waves, noise, bias
 				row[c] = T(base + f[0]*x[0] + f[1]*x[1] + f[2]*x[2] + f[3]*x[3] +
