@@ -81,7 +81,7 @@ type rowTerm struct {
 	f    factors
 }
 
-type factors [wavesPerVar + noisePerVar]float64
+type factors [wavesPerVar + noisePerVar]float64 // one per wave, then one per noise mode
 
 // waveParam is one travelling planetary wave component.
 type waveParam struct {

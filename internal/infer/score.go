@@ -20,10 +20,12 @@ type StepScore struct {
 // ScoreCache serves the tensors rollout scoring needs — normalized
 // input fields, channel-selected truth, and day-of-year climatology —
 // caching each per time step. Generating a synthetic truth field costs
-// ~5x a model forward, so serving throughput lives or dies on this
-// cache; it is shared safely across concurrent requests and is
-// per-model in the serving front end (normalization statistics differ
-// between models).
+// about 1 % of an eight-sample planned forward (a traced serve_steady
+// run of bench/run.sh: climate.field_gen_us 47 µs, infer.plan_forward_ms
+// 3.97 ms); the cache saves that, and concurrent requests read one
+// tensor per step. It is shared safely across concurrent requests and
+// is per-model in the serving front end (normalization statistics
+// differ between models).
 type ScoreCache struct {
 	DS    *climate.Dataset
 	Chans []int // the channels scored (the engine's output mapping)
