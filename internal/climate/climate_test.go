@@ -389,12 +389,12 @@ func TestFieldMatchesClosedForm(t *testing.T) {
 func BenchmarkField(b *testing.B) {
 	w := NewWorld(RegistrySmall(), 16, 32, ERA5Source())
 	b.Run("Field", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			w.Field(1234)
 		}
 	})
 	b.Run("ClimatologyAt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			w.ClimatologyAt(1234)
 		}
 	})
