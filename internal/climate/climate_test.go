@@ -289,7 +289,7 @@ func TestStaticClimatologyIsItsField(t *testing.T) {
 }
 
 // value is the generator's closed form at grid point (row, col) and
-// time step (6-hourly index), every term recomputed from scratch: the
+// time step (6-hourly index), every term recomputed at the point: the
 // reference Field's tables must reproduce bit for bit.
 func (w *World) value(vi, row, col, step int) float64 {
 	v := &w.Vars[vi]
