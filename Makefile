@@ -105,7 +105,8 @@ cover:
 	sh scripts/check_coverage.sh
 
 # One-iteration sanity pass over the attention hot path, a transformer
-# block's forward+backward and the planner's query family: catches
+# block's forward+backward, the planner's query family and the bench
+# model's planned forward (f32 and int8, batch 8): catches
 # regressions that only appear under the benchmark harness (buffer
 # reuse across iterations, kernel dispatch, the replay scratch across
 # candidates) without paying full benchmark time in CI. The matrix
@@ -121,6 +122,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=2000x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkRowKernels$$' -benchtime=2000x -cpu 1 ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$' -benchtime=1x ./internal/plan/
+	$(GO) test -run '^$$' -bench 'BenchmarkPlanForward$$' -benchtime=1x ./internal/infer/
 
 # Full hot-path benchmark set with allocation counters — compare
 # against BENCH_PR1.json (interleave seed and PR runs when updating

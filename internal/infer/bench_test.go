@@ -4,8 +4,10 @@ import (
 	"runtime"
 	"testing"
 
+	"orbit/internal/ckpt"
 	"orbit/internal/climate"
 	"orbit/internal/metrics"
+	"orbit/internal/quant"
 	"orbit/internal/tensor"
 	"orbit/internal/train"
 	"orbit/internal/vit"
@@ -102,13 +104,15 @@ func TestF32PlanHoldsOneCopyOfTheWeights(t *testing.T) {
 		t.Fatalf("first forward of an f32 plan allocated %d bytes beyond its activation buffers; one block's weights are %d", grew, blockBytes)
 	}
 	// The activation buffers NewPlan made, float32s per sample: patches;
-	// per-channel embeddings, keys and values; thirteen [T,D] stages of a
-	// block (two more under QK-norm); the attention probabilities; the
-	// MLP's [T,4D] once — GELU runs in place over fc1, with no tanh cache
-	// and no output buffer of its own —; head tokens and the output.
+	// per-channel embeddings — the aggregation scores and mixes them in
+	// place, with no per-channel keys or values —; the aggregation's mix;
+	// thirteen [T,D] stages of a block (two more under QK-norm); the
+	// attention probabilities; the MLP's [T,4D] once — GELU runs in place
+	// over fc1, with no tanh cache and no output buffer of its own —; head
+	// tokens and the output.
 	cfg := m.Config
 	T, D, pp := cfg.Tokens(), cfg.EmbedDim, cfg.Patch*cfg.Patch
-	perSample := T*(pp+3*cfg.Channels*D+13*D+cfg.Heads*T+4*D+pp*cfg.OutChannels) + cfg.OutChannels*cfg.Height*cfg.Width
+	perSample := T*(pp+cfg.Channels*D+D+13*D+cfg.Heads*T+4*D+pp*cfg.OutChannels) + cfg.OutChannels*cfg.Height*cfg.Width
 	if cfg.QKNorm {
 		perSample += 2 * T * D
 	}
@@ -205,6 +209,43 @@ func BenchmarkRolloutStepUnscored(b *testing.B) {
 		eng.rolloutChunk(w, ics, steps, leads, 0, nil)
 	}
 	b.ReportMetric(float64(8*b.N)/b.Elapsed().Seconds(), "sample-steps/sec")
+}
+
+// BenchmarkPlanForward times one planned forward of the bench model —
+// climate.RegistrySmall's eight variables on the 16×32 grid, vit.Tiny
+// widened to dim 64 and 4 layers, four output channels — over a batch
+// of 8, with f32 weights and with int8 containers. It is what
+// `bash bench/run.sh` reports as infer.plan_forward_ms, without bench/:
+//
+//	go test ./internal/infer -run '^$' -bench PlanForward
+func BenchmarkPlanForward(b *testing.B) {
+	cfg := vit.Tiny(len(climate.RegistrySmall()), 16, 32)
+	cfg.EmbedDim, cfg.Layers, cfg.OutChannels = 64, 4, 4
+	for _, kind := range []string{"f32", "int8"} {
+		b.Run(kind, func(b *testing.B) {
+			m, err := vit.New(cfg, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var qs map[string]*tensor.Quantized
+			if kind == "int8" {
+				if qs, err = ckpt.QuantizeModel(m, quant.Int8); err != nil {
+					b.Fatal(err)
+				}
+			}
+			p := NewPlanQ(m, 8, qs)
+			rng := tensor.NewRNG(9)
+			xs, leads := make([]*tensor.Tensor, 8), make([]float64, 8)
+			for i := range xs {
+				xs[i], leads[i] = tensor.Randn(rng, 1, cfg.Channels, cfg.Height, cfg.Width), 24
+			}
+			p.Forward(xs, leads)
+			b.ReportAllocs()
+			for b.Loop() {
+				p.Forward(xs, leads)
+			}
+		})
+	}
 }
 
 func byteSize(n int) string {

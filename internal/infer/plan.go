@@ -68,7 +68,7 @@ type batchBufs struct {
 	patches    *tensor.Tensor   // [n·T, P²] per-channel patch staging
 	e          *tensor.Tensor   // [C·n·T, D] aggregation input
 	eC         []*tensor.Tensor // per-channel [n·T, D] views of e
-	kMat, vMat *tensor.Tensor   // [C·n·T, D]
+	mix        *tensor.Tensor   // [n·T, D] aggregation mix, the value projection's input
 	x          *tensor.Tensor   // [n·T, D] token stream (stem out, block in/out)
 	lnBuf      *tensor.Tensor   // [n·T, D] layer-norm output
 	q, k, v    *tensor.Tensor   // [n·T, D]
@@ -103,20 +103,20 @@ type Plan struct {
 	c, h, w, p, t, d, heads, hd, outC int
 
 	patchW []siteW
-	aggK   siteW
 	aggV   siteW
 	leadW  siteW
 	blocks []blockSites
 	headW  siteW
 
 	// Backing arrays sized for MaxBatch, shared by every batchBufs.
-	patchesB, eB, kMatB, vMatB        []float32
+	patchesB, eB, mixB                []float32
 	xB, lnB, qB, kB, vB               []float32
 	qhB, khB, vhB, qnB, knB           []float32
 	probsB, outHB, concatB, attnB, hB []float32
 	fc1B, mlpB, headB                 []float32
 	outsB                             []float32
 	aggRow                            []float32 // one token's aggregation weights
+	aggKey                            []float32 // the aggregation's key W_K·q
 	leadFeat, leadOff                 *tensor.Tensor
 
 	sized map[int]*batchBufs
@@ -169,7 +169,6 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 		for c := range p.patchW {
 			p.patchW[c].q = byTensor[m.Patch.Weights[c].W]
 		}
-		p.aggK.q = byTensor[m.Agg.WK.Weight.W]
 		p.aggV.q = byTensor[m.Agg.WV.Weight.W]
 		p.leadW.q = byTensor[m.Lead.Proj.Weight.W]
 		for li, blk := range m.Blocks {
@@ -187,9 +186,7 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 	pp := p.p * p.p
 	p.patchesB = make([]float32, B*T*pp)
 	p.eB = make([]float32, C*B*T*D)
-	p.kMatB = make([]float32, C*B*T*D)
-	p.vMatB = make([]float32, C*B*T*D)
-	for _, buf := range []*[]float32{&p.xB, &p.lnB, &p.qB, &p.kB, &p.vB, &p.qhB, &p.khB, &p.vhB, &p.outHB, &p.concatB, &p.attnB, &p.hB, &p.mlpB} {
+	for _, buf := range []*[]float32{&p.mixB, &p.xB, &p.lnB, &p.qB, &p.kB, &p.vB, &p.qhB, &p.khB, &p.vhB, &p.outHB, &p.concatB, &p.attnB, &p.hB, &p.mlpB} {
 		*buf = make([]float32, B*T*D)
 	}
 	if cfg.QKNorm {
@@ -201,6 +198,7 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 	p.headB = make([]float32, B*T*pp*p.outC)
 	p.outsB = make([]float32, B*p.outC*p.h*p.w)
 	p.aggRow = make([]float32, C)
+	p.aggKey = make([]float32, D)
 	p.leadFeat = tensor.New(1, D)
 	p.leadOff = tensor.New(1, D)
 	return p
@@ -219,8 +217,7 @@ func (p *Plan) bufs(n int) *batchBufs {
 	bb := &batchBufs{
 		patches: tensor.FromSlice(p.patchesB[:n*T*pp], n*T, pp),
 		e:       tensor.FromSlice(p.eB[:C*n*T*D], C*n*T, D),
-		kMat:    tensor.FromSlice(p.kMatB[:C*n*T*D], C*n*T, D),
-		vMat:    tensor.FromSlice(p.vMatB[:C*n*T*D], C*n*T, D),
+		mix:     tensor.FromSlice(p.mixB[:n*T*D], n*T, D),
 		x:       tensor.FromSlice(p.xB[:n*T*D], n*T, D),
 		lnBuf:   tensor.FromSlice(p.lnB[:n*T*D], n*T, D),
 		q:       tensor.FromSlice(p.qB[:n*T*D], n*T, D),
@@ -294,7 +291,9 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 
 	// Variable aggregation over n·T fused token positions. The patch
 	// stage wrote emb into e, so e[c,t,:] = emb[c,t,:] + varEmbed[c,:]
-	// runs in place.
+	// runs in place. The key W_K·q reads the model's float32 W_K — under
+	// a quantized checkpoint the dequantized weight LoadModelQuantized
+	// returns — so W_K has no site; only the mix is projected, by W_V.
 	tTot := n * p.t
 	ed, ve := bb.e.Data(), m.Agg.VarEmbed.W.Data()
 	for ci := 0; ci < p.c; ci++ {
@@ -306,9 +305,9 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 			}
 		}
 	}
-	p.aggK.matmul(bb.kMat, bb.e, m.Agg.WK.Weight.W, nil)
-	p.aggV.matmul(bb.vMat, bb.e, m.Agg.WV.Weight.W, nil)
-	nn.AggregateTokens(bb.x.Data(), nil, p.aggRow, bb.kMat.Data(), bb.vMat.Data(), m.Agg.Query.W.Data(), tTot, 0, tTot)
+	nn.AggregationKey(p.aggKey, m.Agg.WK.Weight.W.Data(), m.Agg.Query.W.Data())
+	nn.AggregateTokens(bb.mix.Data(), nil, p.aggRow, ed, p.aggKey, tTot, 0, tTot)
+	p.aggV.matmul(bb.x, bb.mix, m.Agg.WV.Weight.W, nil)
 
 	// Positional embedding per sample, lead-time conditioning per
 	// sample (leads may differ across a coalesced batch).

@@ -14,20 +14,25 @@ import (
 // embedding so physically different variables remain distinguishable;
 // then, independently for every spatial token, a single learned query
 // attends over the C channel embeddings.
+// With one query no channel token needs projecting: the score
+// (e·W_K)·q is e·(W_K·q), and Σ_c α_c·(e_c·W_V) is (Σ_c α_c·e_c)·W_V,
+// so a call forms one key W_K·q and projects one [T, D] mix.
 type VariableAggregation struct {
 	Channels, Dim int
 
-	VarEmbed *Param // [C, D] learned per-variable identity embedding
-	Query    *Param // [D]
-	WK, WV   *Linear
+	VarEmbed *Param  // [C, D] learned per-variable identity embedding
+	Query    *Param  // [D]
+	WK       *Linear // only WK.Weight is read: the key is W_K·q
+	WV       *Linear
 
 	// caches
 	e     *tensor.Tensor // input + varEmbed, [C*T, D] view
-	kMat  *tensor.Tensor // keys [C*T, D]
-	vMat  *tensor.Tensor // values [C*T, D]
 	alpha *tensor.Tensor // attention weights [T, C]
-	out   *tensor.Tensor // owned output buffer [T, D]
-	row   []float32      // one token's scores, then weights
+	mix   *tensor.Tensor // Σ_c α·e, [T, D]
+	de    *tensor.Tensor // owned input-gradient buffer [C, T, D]
+	kq    []float32      // W_K·q
+	dkq   []float32      // its gradient
+	row   []float32      // one token's scores, then weights, then their gradients
 	tOut  int
 }
 
@@ -40,6 +45,8 @@ func NewVariableAggregation(name string, channels, dim int, rng *tensor.RNG) *Va
 		Query:    NewParam(name+".query", tensor.Randn(rng, 0.02, dim)),
 		WK:       NewLinear(name+".wk", dim, dim, false, rng),
 		WV:       NewLinear(name+".wv", dim, dim, false, rng),
+		kq:       make([]float32, dim),
+		dkq:      make([]float32, dim),
 		row:      make([]float32, channels),
 	}
 }
@@ -55,51 +62,58 @@ func (va *VariableAggregation) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 	// e[c,t,:] = x[c,t,:] + varEmbed[c,:]
 	va.e = tensor.Ensure(va.e, c*t, d)
-	ed := va.e.Data()
-	xd := x.Data()
-	ve := va.VarEmbed.W.Data()
-	for ci := 0; ci < c; ci++ {
-		for ti := 0; ti < t; ti++ {
-			base := (ci*t + ti) * d
-			vb := ci * d
-			for k := 0; k < d; k++ {
-				ed[base+k] = xd[base+k] + ve[vb+k]
-			}
+	ed, xd, ve := va.e.Data(), x.Data(), va.VarEmbed.W.Data()
+	for r := 0; r < c*t; r++ {
+		for k, v := range ve[r/t*d : (r/t+1)*d] {
+			ed[r*d+k] = xd[r*d+k] + v
 		}
 	}
 
-	va.kMat = va.WK.Forward(va.e) // [C*T, D]
-	va.vMat = va.WV.Forward(va.e) // [C*T, D]
-
+	AggregationKey(va.kq, va.WK.Weight.W.Data(), va.Query.W.Data())
 	va.alpha = tensor.Ensure(va.alpha, t, c)
-	va.out = tensor.Ensure(va.out, t, d)
-	AggregateTokens(va.out.Data(), va.alpha.Data(), va.row,
-		va.kMat.Data(), va.vMat.Data(), va.Query.W.Data(), t, 0, t)
-	return va.out
+	va.mix = tensor.Ensure(va.mix, t, d)
+	AggregateTokens(va.mix.Data(), va.alpha.Data(), va.row, ed, va.kq, t, 0, t)
+	return va.WV.Forward(va.mix)
+}
+
+// AggregationKey writes the aggregation's one key vector,
+// kq[i] = Σ_j W_K[i,j]·q[j] summed in j order, for the row-major
+// [D, D] key projection wk and the query q.
+func AggregationKey(kq, wk, q []float32) {
+	d := len(q)
+	for i := range kq {
+		wr := wk[i*d : (i+1)*d]
+		var s float32
+		for j, qv := range q {
+			s += wr[j] * qv
+		}
+		kq[i] = s
+	}
 }
 
 // AggregateTokens is the aggregation's cross-attention over tokens
-// [t0, t1) of `tokens`: with C = len(row) channels and D = len(q), k
-// and v are channel-major [C·tokens, D] and, per token t,
+// [t0, t1) of `tokens`: with C = len(row) channels and D = len(kq), e
+// is channel-major [C·tokens, D] and, per token t,
 //
-//	row[c]   = softmax_c((k[c,t,:] · q) / √D)
-//	out[t,:] = Σ_c row[c] · v[c,t,:]
+//	row[c]   = softmax_c((e[c,t,:] · kq) / √D)
+//	out[t,:] = Σ_c row[c] · e[c,t,:]
 //
-// row is one token's scratch; alpha [tokens, C], when not nil, keeps
-// every token's weights (the module's backward cache). Like
-// LayerNormRows it is the one definition of this rounding sequence —
-// float32 dot and mix in channel order, float64 softmax sum — shared by
-// VariableAggregation.Forward and infer.Plan; tokens are independent,
-// so out does not depend on how [t0, t1) is split or on alpha.
-func AggregateTokens(out, alpha, row, k, v, q []float32, tokens, t0, t1 int) {
-	c, d := len(row), len(q)
+// out is the mix the value projection then maps. row is one token's
+// scratch; alpha [tokens, C], when not nil, keeps every token's weights
+// (the module's backward cache). Like LayerNormRows it is the one
+// definition of this rounding sequence — float32 dot and mix in channel
+// order, float64 softmax sum — shared by VariableAggregation.Forward
+// and infer.Plan; tokens are independent, so out does not depend on how
+// [t0, t1) is split or on alpha.
+func AggregateTokens(out, alpha, row, e, kq []float32, tokens, t0, t1 int) {
+	c, d := len(row), len(kq)
 	scale := float32(1 / math.Sqrt(float64(d)))
 	for ti := t0; ti < t1; ti++ {
 		for ci := range row {
-			kb := k[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
+			eb := e[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
 			var s float32
-			for j, qv := range q {
-				s += kb[j] * qv
+			for j, kv := range kq {
+				s += eb[j] * kv
 			}
 			row[ci] = s * scale
 		}
@@ -110,9 +124,9 @@ func AggregateTokens(out, alpha, row, k, v, q []float32, tokens, t0, t1 int) {
 		ob := out[ti*d : (ti+1)*d]
 		clear(ob)
 		for ci, a := range row {
-			vb := v[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
+			eb := e[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
 			for j := range ob {
-				ob[j] += a * vb[j]
+				ob[j] += a * eb[j]
 			}
 		}
 	}
@@ -146,72 +160,55 @@ func (va *VariableAggregation) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	c, t, d := va.Channels, va.tOut, va.Dim
 	scale := float32(1 / math.Sqrt(float64(d)))
 
-	dK := tensor.New(c*t, d)
-	dV := tensor.New(c*t, d)
-	dq := va.Query.Grad.Data()
-	q := va.Query.W.Data()
-	kd := va.kMat.Data()
-	vd := va.vMat.Data()
-	dyd := dy.Data()
-	dkd := dK.Data()
-	dvd := dV.Data()
-
-	dAlphaRow := make([]float32, c)
-	dScoreRow := make([]float32, c)
+	dmd := va.WV.Backward(dy).Data() // dmix [T, D]
+	va.de = tensor.Ensure(va.de, c, t, d)
+	ded, ed, dved := va.de.Data(), va.e.Data(), va.VarEmbed.Grad.Data()
+	dr := va.row
+	clear(va.dkq)
 	for ti := 0; ti < t; ti++ {
-		dout := dyd[ti*d : (ti+1)*d]
+		dmix := dmd[ti*d : (ti+1)*d]
 		ar := va.alpha.Row(ti)
-		// dα[c] = dout · v[c,t,:]; dv[c,t,:] += α[c]*dout
-		for ci := 0; ci < c; ci++ {
-			base := (ci*t + ti) * d
+		// dα[c] = dmix · e[c,t,:]
+		for ci := range dr {
+			eb := ed[(ci*t+ti)*d : (ci*t+ti+1)*d]
 			var s float32
-			vb := vd[base : base+d]
-			dvb := dvd[base : base+d]
-			a := ar[ci]
-			for k := 0; k < d; k++ {
-				s += dout[k] * vb[k]
-				dvb[k] += a * dout[k]
+			for k, g := range dmix {
+				s += g * eb[k]
 			}
-			dAlphaRow[ci] = s
+			dr[ci] = s
 		}
-		// softmax backward over the channel axis
+		// softmax backward over the channel axis, in place: ds[c]
 		var dot float64
-		for ci := 0; ci < c; ci++ {
-			dot += float64(ar[ci]) * float64(dAlphaRow[ci])
+		for ci, a := range ar {
+			dot += float64(a) * float64(dr[ci])
 		}
-		for ci := 0; ci < c; ci++ {
-			dScoreRow[ci] = ar[ci] * (dAlphaRow[ci] - float32(dot)) * scale
+		for ci, a := range ar {
+			dr[ci] = a * (dr[ci] - float32(dot)) * scale
 		}
-		// dk[c,t,:] += ds[c]*q ; dq += ds[c]*k[c,t,:]
-		for ci := 0; ci < c; ci++ {
-			ds := dScoreRow[ci]
+		// de[c,t,:] = α[c]·dmix + ds[c]·kq, which dx is and dVarEmbed[c]
+		// sums over tokens; dkq += ds[c]·e[c,t,:]
+		for ci, a := range ar {
+			ds := dr[ci]
 			base := (ci*t + ti) * d
-			kb := kd[base : base+d]
-			dkb := dkd[base : base+d]
-			for k := 0; k < d; k++ {
-				dkb[k] += ds * q[k]
-				dq[k] += ds * kb[k]
+			eb, deb, dvb := ed[base:base+d], ded[base:base+d], dved[ci*d:(ci+1)*d]
+			for k, g := range dmix {
+				deb[k] = a*g + ds*va.kq[k]
+				dvb[k] += deb[k]
+				va.dkq[k] += ds * eb[k]
 			}
 		}
 	}
 
-	dE := va.WK.Backward(dK)
-	dE.AddInPlace(va.WV.Backward(dV))
-
-	// Gradient of the variable embedding: sum dE over tokens per
-	// channel; dx equals dE reshaped.
-	dved := va.VarEmbed.Grad.Data()
-	ded := dE.Data()
-	for ci := 0; ci < c; ci++ {
-		for ti := 0; ti < t; ti++ {
-			base := (ci*t + ti) * d
-			vb := ci * d
-			for k := 0; k < d; k++ {
-				dved[vb+k] += ded[base+k]
-			}
+	// kq = W_K·q: dW_K += dkq ⊗ q, dq += W_Kᵀ·dkq.
+	q, dq := va.Query.W.Data(), va.Query.Grad.Data()
+	wk, dwk := va.WK.Weight.W.Data(), va.WK.Weight.Grad.Data()
+	for i, g := range va.dkq {
+		for j, qv := range q {
+			dwk[i*d+j] += g * qv
+			dq[j] += wk[i*d+j] * g
 		}
 	}
-	return dE.Reshape(c, t, d)
+	return va.de
 }
 
 // Params returns the module's trainable parameters.

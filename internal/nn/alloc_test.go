@@ -55,6 +55,31 @@ func TestAttentionForwardZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAggregationStepZeroAllocs holds the variable aggregation to the
+// same rule as a block: after warmup its forward + backward allocates
+// nothing — the input gradient, the mix and the key live in
+// module-owned buffers.
+func TestAggregationStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; zero-alloc assertion only valid in normal builds")
+	}
+	rng := tensor.NewRNG(43)
+	const channels, tokens, dim = 3, 16, 16
+	agg := NewVariableAggregation("z", channels, dim, rng)
+	x := tensor.Randn(rng, 1, channels, tokens, dim)
+	g := tensor.Randn(rng, 1, tokens, dim)
+	step := func() {
+		agg.Forward(x)
+		agg.Backward(g)
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Errorf("steady-state aggregation fwd+bwd allocates %.1f objects per step, want 0", allocs)
+	}
+}
+
 // TestStemForwardZeroAllocs pins the model stem — per-channel patch
 // embedding, variable aggregation, positional and lead-time embedding —
 // to the buffer-ownership convention the blocks follow: intermediates

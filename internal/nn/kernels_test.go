@@ -97,13 +97,12 @@ func TestAggregateTokensSplitAndCacheInvariance(t *testing.T) {
 	rng := tensor.NewRNG(72)
 	for trial := 0; trial < 200; trial++ {
 		c, tokens, d := 1+int(rng.Uint64()%9), 1+int(rng.Uint64()%20), 1+int(rng.Uint64()%33)
-		k := tensor.Randn(rng, 2, c*tokens, d).Data()
-		v := tensor.Randn(rng, 2, c*tokens, d).Data()
-		q := tensor.Randn(rng, 1, d).Data()
+		e := tensor.Randn(rng, 2, c*tokens, d).Data()
+		kq := tensor.Randn(rng, 1, d).Data()
 		row := make([]float32, c)
 
 		out, alpha := sentinel(tokens*d), sentinel(tokens*c)
-		AggregateTokens(out, alpha, row, k, v, q, tokens, 0, tokens)
+		AggregateTokens(out, alpha, row, e, kq, tokens, 0, tokens)
 		for ti := 0; ti < tokens; ti++ {
 			var s float64
 			for _, a := range alpha[ti*c : (ti+1)*c] {
@@ -115,15 +114,15 @@ func TestAggregateTokensSplitAndCacheInvariance(t *testing.T) {
 		}
 
 		bare := sentinel(tokens * d)
-		AggregateTokens(bare, nil, row, k, v, q, tokens, 0, tokens)
+		AggregateTokens(bare, nil, row, e, kq, tokens, 0, tokens)
 		sameBits(t, "out without alpha", bare, out)
 
 		cuts := randomSplit(rng, tokens)
 		splitOut, splitAlpha, splitBare := sentinel(tokens*d), sentinel(tokens*c), sentinel(tokens*d)
 		for i := 0; i+1 < len(cuts); i++ {
 			before := append([]float32(nil), splitOut...)
-			AggregateTokens(splitOut, splitAlpha, row, k, v, q, tokens, cuts[i], cuts[i+1])
-			AggregateTokens(splitBare, nil, row, k, v, q, tokens, cuts[i], cuts[i+1])
+			AggregateTokens(splitOut, splitAlpha, row, e, kq, tokens, cuts[i], cuts[i+1])
+			AggregateTokens(splitBare, nil, row, e, kq, tokens, cuts[i], cuts[i+1])
 			sameBits(t, "tokens below the range", splitOut[:cuts[i]*d], before[:cuts[i]*d])
 			sameBits(t, "tokens above the range", splitOut[cuts[i+1]*d:], before[cuts[i+1]*d:])
 		}
