@@ -15,11 +15,11 @@
 // orchestration — buffer planning, batch fusion, the quantized weight
 // operands — and none of the arithmetic: every matrix product is a
 // tensor kernel and every other leaf (layer-norm rows, the
-// aggregation's score/softmax/mix, lead-time features, patch extract,
-// unpatchify) is the destination-passing kernel in package nn that the
-// nn modules themselves wrap, called here without their backward
-// caches. A layer's rounding sequence is therefore defined in one
-// place, and a Plan's output is bit-identical to the serial
+// aggregation's key and score/softmax/mix, lead-time features, patch
+// extract, unpatchify) is the destination-passing kernel in package
+// nn that the nn modules themselves wrap, called here without their
+// backward caches. A layer's rounding sequence is therefore defined in
+// one place, and a Plan's output is bit-identical to the serial
 // vit.Model.Forward for each sample — the equivalence suite pins this.
 package infer
 

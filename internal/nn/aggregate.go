@@ -163,8 +163,8 @@ func (va *VariableAggregation) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dmd := va.WV.Backward(dy).Data() // dmix [T, D]
 	va.de = tensor.Ensure(va.de, c, t, d)
 	ded, ed, dved := va.de.Data(), va.e.Data(), va.VarEmbed.Grad.Data()
-	dr := va.row
-	clear(va.dkq)
+	dr, kq, dkq := va.row, va.kq, va.dkq
+	clear(dkq)
 	for ti := 0; ti < t; ti++ {
 		dmix := dmd[ti*d : (ti+1)*d]
 		ar := va.alpha.Row(ti)
@@ -192,9 +192,9 @@ func (va *VariableAggregation) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			base := (ci*t + ti) * d
 			eb, deb, dvb := ed[base:base+d], ded[base:base+d], dved[ci*d:(ci+1)*d]
 			for k, g := range dmix {
-				deb[k] = a*g + ds*va.kq[k]
+				deb[k] = a*g + ds*kq[k]
 				dvb[k] += deb[k]
-				va.dkq[k] += ds * eb[k]
+				dkq[k] += ds * eb[k]
 			}
 		}
 	}
@@ -202,7 +202,7 @@ func (va *VariableAggregation) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// kq = W_K·q: dW_K += dkq ⊗ q, dq += W_Kᵀ·dkq.
 	q, dq := va.Query.W.Data(), va.Query.Grad.Data()
 	wk, dwk := va.WK.Weight.W.Data(), va.WK.Weight.Grad.Data()
-	for i, g := range va.dkq {
+	for i, g := range dkq {
 		for j, qv := range q {
 			dwk[i*d+j] += g * qv
 			dq[j] += wk[i*d+j] * g
