@@ -1,15 +1,14 @@
-// Package optim provides the optimizers and learning-rate schedules
+// Package optim provides the optimizer and learning-rate schedules
 // used to train ORBIT models: AdamW (the standard for ViT training),
-// plain SGD with momentum (as a baseline), cosine-with-warmup LR
-// scheduling, and global gradient-norm clipping.
+// cosine-with-warmup LR scheduling, and global gradient-norm clipping.
 //
-// Optimizers operate on nn.Param lists and keep their state (AdamW's
+// AdamW operates on an nn.Param list and keeps its state (the
 // first/second moments, the step count) per parameter in
 // registration order. That state is exported and restorable —
 // Moments, StepCount, SetStepCount — which is what lets sharded
 // checkpoints capture a mid-run optimizer exactly and resume with a
 // bit-identical loss trajectory (internal/ckpt, internal/train).
-// Invariant: an optimizer steps every parameter it was built with,
+// Invariant: AdamW steps every parameter it was built with,
 // every call; partial steps would desynchronize the moment tensors
 // from the weights they track.
 package optim
@@ -20,15 +19,6 @@ import (
 	"orbit/internal/nn"
 	"orbit/internal/tensor"
 )
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the current gradients and the
-	// given learning rate.
-	Step(lr float64)
-	// Params returns the parameter set being optimized.
-	Params() []*nn.Param
-}
 
 // AdamW implements decoupled weight-decay Adam (Loshchilov & Hutter),
 // the optimizer used by ClimaX/ORBIT fine-tuning and pre-training.
@@ -128,56 +118,6 @@ func (a *AdamW) SetStepCount(n int) { a.step = n }
 // parameter (two float32 moments); the perf model uses this to compute
 // sharded memory footprints.
 const StateBytesPerParam = 8
-
-// SGD implements stochastic gradient descent with classical momentum.
-type SGD struct {
-	Momentum float64
-
-	params []*nn.Param
-	vel    []*tensor.Tensor
-	job    sgdJob // persistent update job (zero-alloc dispatch)
-}
-
-// sgdJob applies the momentum-SGD update over elements [j0, j1) of
-// one parameter; elements are independent, so tiling is exact.
-type sgdJob struct {
-	w, g, v []float32
-	mu, lr  float64
-}
-
-func (s *sgdJob) Tile(_, j0, j1 int) {
-	for j := j0; j < j1; j++ {
-		vj := s.mu*float64(s.v[j]) + float64(s.g[j])
-		s.v[j] = float32(vj)
-		s.w[j] = float32(float64(s.w[j]) - s.lr*vj)
-	}
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(params []*nn.Param, momentum float64) *SGD {
-	s := &SGD{Momentum: momentum, params: params}
-	for _, p := range params {
-		s.vel = append(s.vel, tensor.New(p.W.Shape()...))
-	}
-	return s
-}
-
-// Step applies w ← w − lr·(μ·vel + g).
-func (s *SGD) Step(lr float64) {
-	for i, p := range s.params {
-		s.job = sgdJob{w: p.W.Data(), g: p.Grad.Data(), v: s.vel[i].Data(), mu: s.Momentum, lr: lr}
-		n := p.W.Len()
-		tensor.ParallelFor(n, n*optimCost, &s.job)
-		p.W.Bump()
-	}
-}
-
-// Params returns the optimized parameter set.
-func (s *SGD) Params() []*nn.Param { return s.params }
-
-// Velocity exposes the momentum buffers, aligned with Params(), for
-// checkpointing (live state, like AdamW.Moments).
-func (s *SGD) Velocity() []*tensor.Tensor { return s.vel }
 
 // ClipGradNorm scales all gradients so the global L2 norm does not
 // exceed maxNorm; returns the pre-clip norm.

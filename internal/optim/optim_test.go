@@ -30,18 +30,6 @@ func TestAdamWConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := quadParam(5)
-	opt := NewSGD([]*nn.Param{p}, 0.9)
-	for i := 0; i < 300; i++ {
-		setQuadGrad(p, -1)
-		opt.Step(0.01)
-	}
-	if math.Abs(float64(p.W.At(0))+1) > 0.05 {
-		t.Errorf("SGD converged to %v, want -1", p.W.At(0))
-	}
-}
-
 func TestAdamWFirstStepIsLRSized(t *testing.T) {
 	// With bias correction, the first Adam step has magnitude ≈ lr
 	// regardless of gradient scale.

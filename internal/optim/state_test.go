@@ -47,14 +47,3 @@ func TestAdamWStateRoundTrip(t *testing.T) {
 		t.Errorf("restored run diverged: %v != %v", got, want)
 	}
 }
-
-func TestSGDVelocityExposed(t *testing.T) {
-	p := quadParam(1)
-	s := NewSGD([]*nn.Param{p}, 0.9)
-	p.Grad.Data()[0] = 2
-	s.Step(0.1)
-	vel := s.Velocity()
-	if len(vel) != 1 || vel[0].Data()[0] != 2 {
-		t.Errorf("Velocity = %v, want [2]", vel[0].Data())
-	}
-}
