@@ -87,10 +87,6 @@ func (j *specBwdJob) Tile(_, i0, i1 int) {
 	}
 }
 
-// specMulCost weights a complex128 multiply-accumulate against the
-// dispatch threshold (calibrated in float32 multiply-adds).
-const specMulCost = 8
-
 // NewSpectralLayer initializes multipliers near identity (1 + noise).
 func NewSpectralLayer(name string, dim, h, w int, rng *tensor.RNG) *SpectralLayer {
 	re := tensor.Randn(rng, 0.02, dim, h, w)
@@ -129,7 +125,7 @@ func (l *SpectralLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
 		fft.Forward2D(g)
 		l.u[d].CopyFrom(g)
 		l.mul = specMulJob{data: g.Data, wre: wre[d*hw : (d+1)*hw], wim: wim[d*hw : (d+1)*hw]}
-		tensor.ParallelFor(hw, hw*specMulCost, &l.mul)
+		tensor.ParallelFor(hw, tensor.OpSpectralMul.Flops(hw), &l.mul)
 		fft.Inverse2D(g)
 		g.Real(l.out.Data()[d*hw : (d+1)*hw])
 	}
@@ -152,7 +148,7 @@ func (l *SpectralLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			wre: wre[d*hw : (d+1)*hw], wim: wim[d*hw : (d+1)*hw],
 			gre: gre[d*hw : (d+1)*hw], gim: gim[d*hw : (d+1)*hw],
 		}
-		tensor.ParallelFor(hw, hw*specMulCost, &l.bmul)
+		tensor.ParallelFor(hw, tensor.OpSpectralMulBwd.Flops(hw), &l.bmul)
 		fft.Inverse2D(gu)
 		gu.Real(l.dx.Data()[d*hw : (d+1)*hw])
 	}

@@ -240,13 +240,11 @@ var (
 )
 
 func transform2D(g *Grid, inverse bool) {
-	// An n-point FFT costs ~5·n·log2(n) real flops; complex128 work is
-	// heavy per element, so weight the dispatch estimate accordingly.
-	flops := 5 * g.H * g.W * bits.Len(uint(g.H*g.W))
+	work := g.H * g.W * bits.Len(uint(g.H*g.W)) // tensor.OpFFTRows says what is charged
 	// Rows: already contiguous, one item per row.
 	rj := rowsJobPool.Get().(*rowsJob)
 	rj.g, rj.inverse = g, inverse
-	tensor.ParallelFor(g.H, flops, rj)
+	tensor.ParallelFor(g.H, tensor.OpFFTRows.Flops(work), rj)
 	rj.g = nil
 	rowsJobPool.Put(rj)
 	// Columns: gather a panel of colPanel columns into contiguous
@@ -255,7 +253,7 @@ func transform2D(g *Grid, inverse bool) {
 	// column; panels parallelize with per-tile scratch.
 	pj := panelsJobPool.Get().(*panelsJob)
 	pj.g, pj.inverse = g, inverse
-	tensor.ParallelFor((g.W+colPanel-1)/colPanel, flops, pj)
+	tensor.ParallelFor((g.W+colPanel-1)/colPanel, tensor.OpFFTCols.Flops(work), pj)
 	pj.g = nil
 	panelsJobPool.Put(pj)
 }

@@ -90,13 +90,6 @@ func LayerNormRows(out, xhat, rstd, x, gamma, beta []float32, eps float64, r0, r
 // Rows are independent, so the grouping moves no bit.
 const lnGroup = 16
 
-// lnCost weights one element of a LayerNorm pass against the dispatch
-// threshold: the vector kernels' ≈ 0.35–0.6 ns (forward, and backward
-// with its dγ/dβ reduction) on the host where the scalar float64 loops'
-// 3.2–5.4 ns carried a weight of 8, rounded up to the smallest weight
-// there is (docs/PERFORMANCE.md, "The dispatch threshold").
-const lnCost = 1
-
 // lnFwdJob is LayerNormRows with its operands bound, for ParallelFor
 // over groups of lnGroup rows.
 type lnFwdJob struct {
@@ -212,7 +205,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 		g: l.Gamma.W.Data(), b: l.Beta.W.Data(),
 		rstd: l.rstd, eps: l.Eps,
 	}
-	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, rows*dim*lnCost, &l.fwd)
+	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, tensor.OpLayerNorm.Flops(rows*dim), &l.fwd)
 	return l.out
 }
 
@@ -227,7 +220,7 @@ func (l *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	l.dx = tensor.Ensure(l.dx, dy.Shape()...)
 	l.bwd.dyd, l.bwd.hd, l.bwd.dxd = dy.Data(), l.xhat.Data(), l.dx.Data()
 	l.bwd.g, l.bwd.rstd = l.Gamma.W.Data(), l.rstd[:rows]
-	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, rows*dim*lnCost, &l.bwd)
+	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, tensor.OpLayerNormBwd.Flops(rows*dim), &l.bwd)
 	l.bwd.paramGrads(l.Gamma.Grad.Data(), l.Beta.Grad.Data())
 	return l.dx
 }

@@ -59,13 +59,6 @@ func (a *adamwJob) Tile(_, j0, j1 int) {
 	}
 }
 
-// optimCost weights one optimizer-update element against the dispatch
-// threshold: the vector AdamW update's ≈ 0.5 ns on the host where the
-// scalar float64 loop's 9.3 ns carried a weight of 8, rounded up to the
-// smallest weight there is (docs/PERFORMANCE.md, "The dispatch
-// threshold").
-const optimCost = 1
-
 // NewAdamW builds an AdamW optimizer with standard defaults
 // (β1=0.9, β2=0.999, ε=1e-8).
 func NewAdamW(params []*nn.Param, weightDecay float64) *AdamW {
@@ -93,7 +86,7 @@ func (a *AdamW) Step(lr float64) {
 	for i, p := range a.params {
 		a.job = adamwJob{w: p.W.Data(), g: p.Grad.Data(), m: a.m[i].Data(), v: a.v[i].Data(), c: c}
 		n := p.W.Len()
-		tensor.ParallelFor(n, n*optimCost, &a.job)
+		tensor.ParallelFor(n, tensor.OpAdamW.Flops(n), &a.job)
 		p.W.Bump()
 	}
 }

@@ -11,18 +11,6 @@ import "sync"
 // vectors (GELU) or groups of four rows (softmax) and are bit-identical
 // to them per element, so results do not depend on where tile
 // boundaries fall: any worker count produces the same bits.
-//
-// elemCost* weight one element against parallelThreshold (which is
-// calibrated in multiply-adds). They are the weights the scalar loops
-// carried (16 for a pass with an exp32 or tanh32 per element, 4 for
-// softmax's backward, 8 for GELU's) times the vector kernels' ns per
-// element over the scalar loops', rounded down, so that no
-// serial/parallel cutover comes earlier in wall time than it did
-// (docs/PERFORMANCE.md, "The dispatch threshold").
-const (
-	elemCostTranscendental = 6 // softmax and GELU forward
-	elemCostArithmetic     = 1 // softmax and GELU backward
-)
 
 // softmaxGroup is the dispatch item of softmax and its backward: a fixed
 // group of rows, the vector kernels' four. Were the item one row,
@@ -31,20 +19,11 @@ const (
 // grouping moves no bit.
 const softmaxGroup = 4
 
-type elemKind uint8
-
-const (
-	elemSoftmax elemKind = iota
-	elemSoftmaxBwd
-	elemGELUCached
-	elemGELUBwdCached
-)
-
 // elemJob is one row-wise or elementwise kernel invocation. For the
 // softmax kinds items are groups of softmaxGroup rows of width cols;
 // for the GELU kinds items are flat elements.
 type elemJob struct {
-	kind           elemKind
+	kind           OpKind // OpSoftmax, OpSoftmaxBwd, OpGELU or OpGELUBwd
 	x, th, dy, out []float32
 	rows, cols     int
 }
@@ -53,14 +32,14 @@ type elemJob struct {
 // restricted to [i0, i1).
 func (j *elemJob) Tile(_, i0, i1 int) {
 	switch j.kind {
-	case elemSoftmax:
+	case OpSoftmax:
 		cols := j.cols
 		r0, r1 := i0*softmaxGroup, min(i1*softmaxGroup, j.rows)
 		r0 += softmaxRows(j.out, j.x, cols, r0, r1)
 		for r := r0; r < r1; r++ {
 			softmaxRow(j.x[r*cols:(r+1)*cols], j.out[r*cols:(r+1)*cols])
 		}
-	case elemSoftmaxBwd:
+	case OpSoftmaxBwd:
 		cols := j.cols
 		r0, r1 := i0*softmaxGroup, min(i1*softmaxGroup, j.rows)
 		r0 += softmaxBwdRows(j.out, j.x, j.dy, cols, r0, r1)
@@ -76,7 +55,7 @@ func (j *elemJob) Tile(_, i0, i1 int) {
 				or[i] = yr[i] * (dr[i] - float32(dot))
 			}
 		}
-	case elemGELUCached:
+	case OpGELU:
 		x, d := j.x[i0:i1], j.out[i0:i1]
 		td := d // no cache wanted: the tanh store lands in out and is overwritten
 		if j.th != nil {
@@ -88,7 +67,7 @@ func (j *elemJob) Tile(_, i0, i1 int) {
 			td[i] = t
 			d[i] = 0.5 * v * (1 + t)
 		}
-	case elemGELUBwdCached:
+	case OpGELUBwd:
 		x, td, dyd, d := j.x[i0:i1], j.th[i0:i1], j.dy[i0:i1], j.out[i0:i1]
 		for i := geluBwdSlice(d, x, td, dyd); i < len(x); i++ {
 			v, t := x[i], td[i]
@@ -101,13 +80,12 @@ func (j *elemJob) Tile(_, i0, i1 int) {
 
 var elemJobPool = sync.Pool{New: func() any { return new(elemJob) }}
 
-// dispatchElem runs an elemJob over n items with the given arithmetic
-// estimate, borrowing a pooled instance so the steady state allocates
-// nothing.
-func dispatchElem(j elemJob, n, flops int) {
+// dispatchElem runs an elemJob over n items, `work` units of its kind,
+// through a pooled instance so the steady state allocates nothing.
+func dispatchElem(j elemJob, n, work int) {
 	e := elemJobPool.Get().(*elemJob)
 	*e = j
-	ParallelFor(n, flops, e)
+	ParallelFor(n, j.kind.Flops(work), e)
 	*e = elemJob{}
 	elemJobPool.Put(e)
 }

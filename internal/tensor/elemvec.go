@@ -72,7 +72,7 @@ func transposeBlocks(dst, src []float32, rows, cols int) (r8, c8 int) {
 	return r8, c8
 }
 
-// geluSlice is the elemGELUCached loop over the first len(x)&^7
+// geluSlice is the OpGELU loop over the first len(x)&^7
 // elements.
 func geluSlice(dst, th, x []float32) int {
 	n := whole(len(x))
@@ -82,7 +82,7 @@ func geluSlice(dst, th, x []float32) int {
 	return n
 }
 
-// geluBwdSlice is the elemGELUBwdCached loop over the first len(x)&^7
+// geluBwdSlice is the OpGELUBwd loop over the first len(x)&^7
 // elements.
 func geluBwdSlice(dst, x, th, dy []float32) int {
 	n := whole(len(x))
@@ -103,7 +103,7 @@ func softmaxRows(out, in []float32, cols, r0, r1 int) int {
 	return rows
 }
 
-// softmaxBwdRows is the elemSoftmaxBwd loop over the leading groups of
+// softmaxBwdRows is the OpSoftmaxBwd loop over the leading groups of
 // four rows of [r0, r1), cols wide.
 func softmaxBwdRows(out, y, dy []float32, cols, r0, r1 int) int {
 	rows := rowGroups(cols, r0, r1)

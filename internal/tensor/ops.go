@@ -195,8 +195,8 @@ func SoftmaxInto(dst, t *Tensor) *Tensor {
 	dst.mustMatch(t, "SoftmaxInto")
 	cols := t.shape[len(t.shape)-1]
 	rows := len(t.data) / cols
-	dispatchElem(elemJob{kind: elemSoftmax, x: t.data, out: dst.data, rows: rows, cols: cols},
-		(rows+softmaxGroup-1)/softmaxGroup, len(t.data)*elemCostTranscendental)
+	dispatchElem(elemJob{kind: OpSoftmax, x: t.data, out: dst.data, rows: rows, cols: cols},
+		(rows+softmaxGroup-1)/softmaxGroup, len(t.data))
 	return dst
 }
 
@@ -237,8 +237,8 @@ func SoftmaxBackwardInto(dst, y, dy *Tensor) *Tensor {
 	dst.mustMatch(y, "SoftmaxBackward")
 	cols := y.shape[len(y.shape)-1]
 	rows := len(y.data) / cols
-	dispatchElem(elemJob{kind: elemSoftmaxBwd, x: y.data, dy: dy.data, out: dst.data, rows: rows, cols: cols},
-		(rows+softmaxGroup-1)/softmaxGroup, len(y.data)*elemCostArithmetic)
+	dispatchElem(elemJob{kind: OpSoftmaxBwd, x: y.data, dy: dy.data, out: dst.data, rows: rows, cols: cols},
+		(rows+softmaxGroup-1)/softmaxGroup, len(y.data))
 	return dst
 }
 
@@ -261,12 +261,12 @@ const (
 // may alias x; th must not alias either.
 func GELUCachedInto(dst, th, x *Tensor) *Tensor {
 	dst.mustMatch(x, "GELUCachedInto")
-	j := elemJob{kind: elemGELUCached, x: x.data, out: dst.data}
+	j := elemJob{kind: OpGELU, x: x.data, out: dst.data}
 	if th != nil {
 		th.mustMatch(x, "GELUCachedInto")
 		j.th = th.data
 	}
-	dispatchElem(j, len(x.data), len(x.data)*elemCostTranscendental)
+	dispatchElem(j, len(x.data), len(x.data))
 	return dst
 }
 
@@ -278,8 +278,8 @@ func GELUBackwardCachedInto(dst, x, th, dy *Tensor) *Tensor {
 	x.mustMatch(dy, "GELUBackwardCached")
 	dst.mustMatch(x, "GELUBackwardCached")
 	th.mustMatch(x, "GELUBackwardCached")
-	dispatchElem(elemJob{kind: elemGELUBwdCached, x: x.data, th: th.data, dy: dy.data, out: dst.data},
-		len(x.data), len(x.data)*elemCostArithmetic)
+	dispatchElem(elemJob{kind: OpGELUBwd, x: x.data, th: th.data, dy: dy.data, out: dst.data},
+		len(x.data), len(x.data))
 	return dst
 }
 

@@ -92,7 +92,7 @@ var outerTaskPool = sync.Pool{New: func() any { return new(outerTask) }}
 func dispatchOuter(o outerTask, batch int) {
 	p := outerTaskPool.Get().(*outerTask)
 	*p = o
-	ParallelFor(batch*o.blocks(), batch*o.m*o.k*o.n, p)
+	ParallelFor(batch*o.blocks(), OpMatMul.Flops(batch*o.m*o.k*o.n), p)
 	*p = outerTask{}
 	outerTaskPool.Put(p)
 }

@@ -31,7 +31,7 @@ var packBatchPool = sync.Pool{New: func() any { return new(packBatch) }}
 func packBatched(dst, src []float32, batch, rows, cols int) {
 	p := packBatchPool.Get().(*packBatch)
 	*p = packBatch{dst: dst, src: src, rows: rows, cols: cols}
-	ParallelFor(batch, batch*rows*cols, p)
+	ParallelFor(batch, OpTranspose.Flops(batch*rows*cols), p)
 	*p = packBatch{}
 	packBatchPool.Put(p)
 }

@@ -7,9 +7,7 @@ import (
 
 // This file is the intra-rank parallel runtime: a reusable
 // ParallelFor / task-queue API over the persistent worker pool that
-// every hot kernel (matrix products, single and batched,
-// softmax/GELU, LayerNorm, the FFT, the AFNO spectral multiply, the
-// optimizer updates) dispatches through.
+// every hot kernel, each an OpKind, dispatches through.
 //
 // # Determinism rule: fixed tile ownership
 //
@@ -30,7 +28,7 @@ import (
 // as a pointer-shaped interface, so a steady-state dispatch performs
 // no heap allocations: callers keep their Job implementations in
 // long-lived structs (or package-level sync.Pools) and the WaitGroups
-// are recycled. TestParallelForAllocs asserts the steady state.
+// are recycled. TestParallelForZeroAllocs asserts the steady state.
 
 // Job is one parallel kernel invocation. Tile computes items
 // [i0, i1) of tile `tile`; implementations must be safe for
@@ -78,15 +76,58 @@ func tileBounds(n, tiles, t int) (i0, i1 int) {
 	return i0, i1
 }
 
-// parallelThreshold is the minimum per-dispatch arithmetic (in
-// multiply-add equivalents) below which a kernel stays on the calling
-// goroutine; cross-worker handoff costs more than it saves on small
-// work. Exported knobs live in docs/PERFORMANCE.md.
+// parallelThreshold is the least estimated arithmetic (OpKind.Flops)
+// of a dispatch that forks: below it, cross-worker handoff costs more
+// than it saves. It is a constant, not a knob.
 const parallelThreshold = 1 << 16
 
+// OpKind names a kernel that dispatches through ParallelFor; Flops, its
+// work × weight in multiply-adds, is the runtime's one cost policy. A
+// row or elementwise weight is the scalar loop's × the kernel's ns per
+// element ÷ the loop's, rounded so that no cutover comes earlier in
+// wall time, and never below 1 (docs/PERFORMANCE.md, "The dispatch
+// threshold"). Kind (unit of work): weight.
+//
+//   - OpMatMul, OpQuantMatMul (a multiply-add), OpTranspose (an element): 1
+//   - OpSoftmax, OpGELU (an element): 6 = 16 × 1.46 ÷ 3.7 ns (GELU: 9.75)
+//   - OpSoftmaxBwd, OpGELUBwd: 1 = 4 × 0.62 ÷ 1.75, 8 × 0.31 ÷ 1.85
+//   - OpLayerNorm, OpLayerNormBwd, OpAdamW: 1 = 8 × 0.32–0.6 ÷ 3.2–4.1,
+//     8 × 0.38–0.49 ÷ 5.1–5.5 and 8 × 0.5 ÷ 9.3, rounded up
+//   - OpFFTRows, OpFFTCols (a point × bits.Len(H·W), which is log2 + 1;
+//     each pass is charged the whole transform): 5, of 5·n·log2 n
+//   - OpSpectralMul, OpSpectralMulBwd (a bin's complex128 multiply): 8
+type OpKind uint8
+
+const (
+	OpMatMul OpKind = iota
+	OpQuantMatMul
+	OpTranspose
+	OpSoftmax
+	OpSoftmaxBwd
+	OpGELU
+	OpGELUBwd
+	OpLayerNorm
+	OpLayerNormBwd
+	OpAdamW
+	OpFFTRows
+	OpFFTCols
+	OpSpectralMul
+	OpSpectralMulBwd
+	OpCount
+)
+
+var opWeight = [OpCount]int{
+	OpMatMul: 1, OpQuantMatMul: 1, OpTranspose: 1, OpSoftmax: 6, OpSoftmaxBwd: 1, OpGELU: 6,
+	OpGELUBwd: 1, OpLayerNorm: 1, OpLayerNormBwd: 1, OpAdamW: 1, OpFFTRows: 5, OpFFTCols: 5,
+	OpSpectralMul: 8, OpSpectralMulBwd: 8,
+}
+
+// Flops is the arithmetic estimate ParallelFor takes for `work` units
+// of kind k.
+func (k OpKind) Flops(work int) int { return work * opWeight[k] }
+
 // ParallelFor runs job.Tile over [0, n) split into NumTiles(n) fixed
-// tiles. `flops` estimates the dispatch's total arithmetic (in
-// multiply-add equivalents): below parallelThreshold, or when the
+// tiles. Below parallelThreshold flops (OpKind.Flops), or when the
 // runtime allows a single worker, every tile runs serially in tile
 // order on the caller — the same decomposition, so results are
 // identical either way. The caller always executes the final tile

@@ -94,48 +94,24 @@ func (j *sumJob) total(tiles int) float64 {
 	return s
 }
 
-// TestParallelForDeterministicAcrossWorkerCounts runs kernels big
-// enough to take the forked path at GOMAXPROCS 1, 4 and 8 and demands
-// bit-identical results: the fixed tile decomposition means the
-// reduction sequence cannot move with the worker count.
+// TestParallelForDeterministicAcrossWorkerCounts runs a reduction
+// over per-tile partials on the forked path at GOMAXPROCS 1, 4 and 8
+// and demands the same sum: the fixed tile decomposition means the
+// reduction sequence cannot move with the worker count. Every OpKind's
+// kernel gets the same sweep in opkind_test.go.
 func TestParallelForDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	rng := NewRNG(11)
-	const m, k, n = 96, 64, 96 // m·k·n well above parallelThreshold
-	a := Randn(rng, 1, m, k)
-	b := Randn(rng, 1, k, n)
-	sm := Randn(rng, 1, 512, 256) // softmax input above threshold
-	run := func() ([]float32, []float32, float64) {
-		mm := MatMulInto(New(m, n), a, b)
-		sx := Softmax(sm)
-		j := &sumJob{data: sm.Data()}
-		items := len(j.data)
-		ParallelFor(items, 1<<30, j)
-		mmCopy := append([]float32(nil), mm.Data()...)
-		sxCopy := append([]float32(nil), sx.Data()...)
-		return mmCopy, sxCopy, j.total(NumTiles(items))
-	}
-	var refMM, refSX []float32
-	var refSum float64
+	j := &sumJob{data: Randn(NewRNG(11), 1, 512, 256).Data()}
+	items := len(j.data)
+	var ref float64
 	for i, procs := range []int{1, 4, 8} {
 		runtime.GOMAXPROCS(procs)
-		mm, sx, sum := run()
+		ParallelFor(items, 1<<30, j)
+		sum := j.total(NumTiles(items))
 		if i == 0 {
-			refMM, refSX, refSum = mm, sx, sum
-			continue
-		}
-		for c := range mm {
-			if mm[c] != refMM[c] {
-				t.Fatalf("GOMAXPROCS=%d: matmul diverges at %d: %v != %v", procs, c, mm[c], refMM[c])
-			}
-		}
-		for c := range sx {
-			if sx[c] != refSX[c] {
-				t.Fatalf("GOMAXPROCS=%d: softmax diverges at %d", procs, c)
-			}
-		}
-		if sum != refSum {
-			t.Fatalf("GOMAXPROCS=%d: tiled reduction %v != %v", procs, sum, refSum)
+			ref = sum
+		} else if sum != ref {
+			t.Fatalf("GOMAXPROCS=%d: tiled reduction %v != %v", procs, sum, ref)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func MatMulQuantInto(dst, t *Tensor, q *Quantized, bias *Tensor) *Tensor {
 	qt := quantTaskPool.Get().(*quantTask)
 	*qt = quantTask{product: mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), m, k, n).product,
 		scratch: *scratch, q: q, m: m}
-	ParallelFor(groups, m*k*n, qt)
+	ParallelFor(groups, OpQuantMatMul.Flops(m*k*n), qt)
 	*qt = quantTask{}
 	quantTaskPool.Put(qt)
 	putPack(scratch)

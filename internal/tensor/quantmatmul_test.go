@@ -51,35 +51,6 @@ func TestMatMulQuantMatchesF32(t *testing.T) {
 	}
 }
 
-// TestMatMulQuantDeterministic sweeps GOMAXPROCS over the values the
-// parallel runtime's determinism contract covers: the fused kernel's
-// tile decomposition is a pure function of n, so results are
-// bit-identical at any worker count.
-func TestMatMulQuantDeterministic(t *testing.T) {
-	const m, k, n = 24, 96, 64
-	x := randMat(1201, m, k)
-	q := QuantizeTensor(randMat(1202, k, n), QuantQ4)
-	bias := randMat(1203, 1, n)
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var ref []float32
-	for _, procs := range []int{1, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		dst := New(m, n)
-		MatMulQuantInto(dst, x, q, bias)
-		if ref == nil {
-			ref = append([]float32(nil), dst.Data()...)
-			continue
-		}
-		for i, v := range dst.Data() {
-			if v != ref[i] {
-				t.Fatalf("GOMAXPROCS=%d: element %d = %g, GOMAXPROCS=1 got %g", procs, i, v, ref[i])
-			}
-		}
-	}
-}
-
 // TestMatMulQuantAllocs asserts the 0 allocs/op steady state on both
 // the serial path and (via forkTiles-sized work) the pooled parallel
 // path. AllocsPerRun pins GOMAXPROCS to 1, so the large shape below
