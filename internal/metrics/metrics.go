@@ -52,7 +52,7 @@ func WeightedMSE(pred, target *tensor.Tensor) (loss float64, grad *tensor.Tensor
 }
 
 // WeightedMSEInto is WeightedMSE writing the gradient into a
-// caller-owned buffer (typically from a tensor.Workspace), so the
+// caller-owned buffer (the trainer keeps one, via tensor.Ensure), so the
 // training loop's per-sample loss evaluation allocates nothing.
 func WeightedMSEInto(grad, pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	if !pred.SameShape(target) {

@@ -206,33 +206,6 @@ func TestConcatSplitHeadsRoundTrip(t *testing.T) {
 	requireClose(t, back, x, "MergeHeads(SplitHeads) identity")
 }
 
-// TestWorkspaceReuse verifies the size-bucketed pool recycles
-// buffers: a Get after Put of the same size class returns the pooled
-// tensor rather than allocating.
-func TestWorkspaceReuse(t *testing.T) {
-	ws := NewWorkspace()
-	a := ws.Get(16, 16)
-	data := &a.Data()[0]
-	ws.Put(a)
-	b := ws.Get(4, 33) // 132 <= 256: same size class as 16*16
-	if &b.Data()[0] != data {
-		t.Error("workspace did not reuse pooled buffer within a size class")
-	}
-	if b.Dim(0) != 4 || b.Dim(1) != 33 {
-		t.Errorf("workspace returned wrong shape %v", b.Shape())
-	}
-	ws.Put(b)
-	if n, _ := ws.Stats(); n != 1 {
-		t.Errorf("pool holds %d tensors, want 1", n)
-	}
-	z := ws.GetZeroed(8, 8)
-	for _, v := range z.Data() {
-		if v != 0 {
-			t.Fatal("GetZeroed returned dirty buffer")
-		}
-	}
-}
-
 // TestEnsureReuses verifies Ensure keeps storage when capacity allows
 // and allocates otherwise.
 func TestEnsureReuses(t *testing.T) {

@@ -51,6 +51,26 @@ func Full(v float32, shape ...int) *Tensor {
 // Ones allocates a tensor filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
+// Ensure returns a tensor of the given shape, reusing t's header and
+// backing storage when its capacity allows and allocating a fresh
+// tensor otherwise. It is the idiom for module-owned scratch buffers:
+//
+//	l.y = tensor.Ensure(l.y, rows, cols)
+//
+// After the first call with a given shape the buffer is stable, so a
+// steady-state training step performs no heap allocations. Contents
+// are unspecified after Ensure; kernels writing into the buffer must
+// not assume it is zeroed.
+func Ensure(t *Tensor, shape ...int) *Tensor {
+	n := checkShape(shape)
+	if t == nil || cap(t.data) < n || cap(t.shape) < len(shape) {
+		return New(shape...)
+	}
+	t.shape = append(t.shape[:0], shape...)
+	t.data = t.data[:n]
+	return t
+}
+
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")

@@ -75,10 +75,9 @@ type LossPoint struct {
 	Loss    float64
 }
 
-// Trainer drives gradient steps on a ViT model. Per-sample
-// temporaries (loss gradients, residual targets) come from a
-// size-bucketed tensor.Workspace so steady-state steps reuse the same
-// buffers instead of allocating.
+// Trainer drives gradient steps on a ViT model. The per-sample loss
+// gradient and residual target live in two trainer-owned buffers
+// (tensor.Ensure), reused across samples and steps.
 type Trainer struct {
 	Model  *vit.Model
 	Opt    *optim.AdamW
@@ -86,10 +85,10 @@ type Trainer struct {
 	Cfg    Config
 	Scaler *bf16.GradScaler
 
-	ws      *tensor.Workspace
-	batch   []climate.Sample // reused per-step batch staging
-	step    int
-	samples int
+	grad, residual *tensor.Tensor
+	batch          []climate.Sample // reused per-step batch staging
+	step           int
+	samples        int
 	// order/dataIdx are the persistent shuffled data stream Run walks;
 	// they live on the trainer (not in Run) so CaptureState can record
 	// the position and a restored trainer continues mid-stream.
@@ -118,7 +117,6 @@ func NewTrainer(m *vit.Model, cfg Config) *Trainer {
 			WarmupSteps: cfg.WarmupSteps, TotalSteps: cfg.TotalSteps,
 		},
 		Cfg: cfg,
-		ws:  tensor.NewWorkspace(),
 	}
 	if cfg.MixedPrecision {
 		t.Scaler = bf16.NewGradScaler()
@@ -144,25 +142,20 @@ func (t *Trainer) Step(batch []climate.Sample) float64 {
 	}
 	for _, s := range batch {
 		target := s.Target
-		var residual *tensor.Tensor
 		if t.Cfg.ResidualChans != nil {
-			residual = t.ws.Get(target.Shape()...)
-			target = tensor.SubInto(residual, target, climate.SelectChannels(s.Input, t.Cfg.ResidualChans))
+			t.residual = tensor.Ensure(t.residual, target.Shape()...)
+			target = tensor.SubInto(t.residual, target, climate.SelectChannels(s.Input, t.Cfg.ResidualChans))
 		}
 		pred := t.Model.Forward(s.Input, s.LeadHours)
-		grad := t.ws.Get(pred.Shape()...)
-		loss, _ := metrics.WeightedMSEInto(grad, pred, target)
+		t.grad = tensor.Ensure(t.grad, pred.Shape()...)
+		loss, _ := metrics.WeightedMSEInto(t.grad, pred, target)
 		total += loss
-		grad.ScaleInPlace(scale * lossScale)
+		t.grad.ScaleInPlace(scale * lossScale)
 		if t.Scaler != nil {
 			// Gradients flow through bf16 as they would on hardware.
-			bf16.RoundTensorInPlace(grad)
+			bf16.RoundTensorInPlace(t.grad)
 		}
-		t.Model.Backward(grad)
-		t.ws.Put(grad)
-		if residual != nil {
-			t.ws.Put(residual)
-		}
+		t.Model.Backward(t.grad)
 	}
 	params := t.Model.Params()
 	if t.Scaler != nil {

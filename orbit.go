@@ -46,8 +46,8 @@
 //     tensor is valid until the module's next call. Multi-head
 //     attention computes all heads in one batched head-major pass
 //     with no per-head Split/Concat copies, and caches the maximum
-//     attention logit during Forward. Transient, shape-varying values
-//     come from tensor.Workspace, a size-bucketed free-list pool.
+//     attention logit during Forward. Every buffer is grown in place
+//     by tensor.Ensure; there is no free-list pool.
 //   - The FFT caches twiddle-factor and bit-reversal tables per size
 //     and transforms 2-D grids in column panels, feeding the AFNO
 //     spectral layer's reused grid buffers.
