@@ -93,8 +93,8 @@ const parallelThreshold = 1 << 16
 //   - OpSoftmaxBwd, OpGELUBwd: 1 = 4 × 0.62 ÷ 1.75, 8 × 0.31 ÷ 1.85
 //   - OpLayerNorm, OpLayerNormBwd, OpAdamW: 1 = 8 × 0.32–0.6 ÷ 3.2–4.1,
 //     8 × 0.38–0.49 ÷ 5.1–5.5 and 8 × 0.5 ÷ 9.3, rounded up
-//   - OpFFTRows, OpFFTCols (a point × bits.Len(H·W), which is log2 + 1;
-//     each pass is charged the whole transform): 5, of 5·n·log2 n
+//   - OpFFTRows, OpFFTCols (H·W·bits.Len(H·W) per pass, the whole 2-D
+//     transform, where bits.Len(n) is log2 n + 1): 5, of ~5·n·log2 n flops
 //   - OpSpectralMul, OpSpectralMulBwd (a bin's complex128 multiply): 8
 type OpKind uint8
 

@@ -30,3 +30,4 @@ check ./internal/pp/ 85
 check ./internal/infer/ 85
 check ./internal/serve/ 85
 check ./internal/climate/ 80
+check ./internal/tensor/ 85
