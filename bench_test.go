@@ -122,9 +122,10 @@ func BenchmarkMatMul256(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	x := tensor.Randn(rng, 1, 256, 256)
 	y := tensor.Randn(rng, 1, 256, 256)
+	z := tensor.New(256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		tensor.MatMulInto(z, x, y)
 	}
 	b.SetBytes(4 * 256 * 256 * 2)
 }

@@ -109,9 +109,10 @@ func main() {
 
 // mse returns mean squared error and its gradient.
 func mse(y, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	diff := tensor.Sub(y, target)
+	diff := tensor.SubInto(tensor.New(y.Shape()...), y, target)
 	loss := tensor.Dot(diff, diff) / float64(y.Len())
-	return loss, tensor.Scale(diff, float32(2)/float32(y.Len()))
+	diff.ScaleInPlace(float32(2) / float32(y.Len()))
+	return loss, diff
 }
 
 // serialStep runs the reference stack over the batch with averaged

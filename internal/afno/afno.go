@@ -229,7 +229,7 @@ func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
 		m.hidden = append(m.hidden, field)
 		mixed := m.Spectral[i].Forward(field)
 		mlpOut := m.Mixers[i].Forward(pixelsToTensor(mixed))
-		field = tensor.Add(field, tensorToPixels(mlpOut, h, w))
+		field = tensor.AddInto(tensor.New(field.Shape()...), field, tensorToPixels(mlpOut, h, w))
 	}
 	return tensorToPixels(m.Decoder.Forward(pixelsToTensor(field)), h, w)
 }
@@ -241,7 +241,7 @@ func (m *Model) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	for i := len(m.Spectral) - 1; i >= 0; i-- {
 		dMlp := m.Mixers[i].Backward(pixelsToTensor(dField))
 		dMixed := m.Spectral[i].Backward(tensorToPixels(dMlp, h, w))
-		dField = tensor.Add(dField, dMixed)
+		dField = tensor.AddInto(dField, dField, dMixed)
 	}
 	return tensorToPixels(m.Encoder.Backward(pixelsToTensor(dField)), h, w)
 }

@@ -109,14 +109,14 @@ func TestWeightedACCPerfectAndAnti(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	clim := tensor.Randn(rng, 1, 1, 6, 8)
 	anom := tensor.Randn(rng, 1, 1, 6, 8)
-	target := tensor.Add(clim, anom)
+	target := tensor.AddInto(tensor.New(1, 6, 8), clim, anom)
 
 	acc := WeightedACC(target.Clone(), target, clim)
 	if math.Abs(acc[0]-1) > 1e-9 {
 		t.Errorf("perfect forecast wACC = %v, want 1", acc[0])
 	}
 
-	anti := tensor.Sub(clim, anom)
+	anti := tensor.SubInto(tensor.New(1, 6, 8), clim, anom)
 	acc = WeightedACC(anti, target, clim)
 	if math.Abs(acc[0]+1) > 1e-9 {
 		t.Errorf("anti-correlated forecast wACC = %v, want -1", acc[0])
@@ -128,7 +128,7 @@ func TestWeightedACCClimatologyIsZeroish(t *testing.T) {
 	// variance) anomaly; the implementation reports 0.
 	rng := tensor.NewRNG(4)
 	clim := tensor.Randn(rng, 1, 1, 6, 8)
-	target := tensor.Add(clim, tensor.Randn(rng, 1, 1, 6, 8))
+	target := tensor.AddInto(tensor.New(1, 6, 8), clim, tensor.Randn(rng, 1, 1, 6, 8))
 	acc := WeightedACC(clim.Clone(), target, clim)
 	if acc[0] != 0 {
 		t.Errorf("climatology forecast wACC = %v, want 0", acc[0])
@@ -142,10 +142,11 @@ func TestWeightedACCScaleInvariant(t *testing.T) {
 		clim := tensor.Randn(rng, 1, 1, 4, 6)
 		anomP := tensor.Randn(rng, 1, 1, 4, 6)
 		anomT := tensor.Randn(rng, 1, 1, 4, 6)
-		pred := tensor.Add(clim, anomP)
-		target := tensor.Add(clim, anomT)
+		pred := tensor.AddInto(tensor.New(1, 4, 6), clim, anomP)
+		target := tensor.AddInto(tensor.New(1, 4, 6), clim, anomT)
 		a1 := WeightedACC(pred, target, clim)[0]
-		scaled := tensor.Add(clim, tensor.Scale(anomP, 7))
+		anomP.ScaleInPlace(7)
+		scaled := tensor.AddInto(tensor.New(1, 4, 6), clim, anomP)
 		a2 := WeightedACC(scaled, target, clim)[0]
 		return math.Abs(a1-a2) < 1e-6
 	}

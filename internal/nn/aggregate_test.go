@@ -27,7 +27,9 @@ func refAggregate(x, varEmbed, q, wk, wv, dy *tensor.Tensor) aggResult {
 	for i := range ed {
 		ed[i] = xd[i] + ve[i/(t*d)*d+i%d]
 	}
-	kd, vd, qd := tensor.MatMul(e, wk).Data(), tensor.MatMul(e, wv).Data(), q.Data()
+	kd := tensor.MatMulInto(tensor.New(c*t, d), e, wk).Data()
+	vd := tensor.MatMulInto(tensor.New(c*t, d), e, wv).Data()
+	qd := q.Data()
 	scale := float32(1 / math.Sqrt(float64(d)))
 
 	r := aggResult{out: make([]float32, t*d), dq: make([]float32, d), dve: make([]float32, c*d)}
@@ -74,8 +76,10 @@ func refAggregate(x, varEmbed, q, wk, wv, dy *tensor.Tensor) aggResult {
 			}
 		}
 	}
-	r.dwk, r.dwv = tensor.MatMulTransA(e, dK).Data(), tensor.MatMulTransA(e, dV).Data()
-	r.dx = tensor.Add(tensor.MatMulTransB(dK, wk), tensor.MatMulTransB(dV, wv)).Data()
+	r.dwk = tensor.MatMulTransAInto(tensor.New(d, d), e, dK).Data()
+	r.dwv = tensor.MatMulTransAInto(tensor.New(d, d), e, dV).Data()
+	dx := tensor.MatMulTransBInto(tensor.New(c*t, d), dK, wk)
+	r.dx = tensor.AddInto(dx, dx, tensor.MatMulTransBInto(tensor.New(c*t, d), dV, wv)).Data()
 	for i, g := range r.dx {
 		r.dve[i/(t*d)*d+i%d] += g
 	}

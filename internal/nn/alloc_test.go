@@ -82,9 +82,9 @@ func TestAggregationStepZeroAllocs(t *testing.T) {
 
 // TestStemForwardZeroAllocs pins the model stem — per-channel patch
 // embedding, variable aggregation, positional and lead-time embedding —
-// to the buffer-ownership convention the blocks follow: intermediates
-// and results live in module-owned buffers, so a steady-state forward
-// allocates nothing.
+// to the buffer-ownership convention the blocks follow: intermediates,
+// results and gradients live in module-owned buffers, so a steady-state
+// forward and backward allocates nothing.
 func TestStemForwardZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; zero-alloc assertion only valid in normal builds")
@@ -96,13 +96,15 @@ func TestStemForwardZeroAllocs(t *testing.T) {
 	pos := NewPositionalEmbedding("z", pe.Tokens, dim, rng)
 	lead := NewLeadTimeEmbedding("z", dim, rng)
 	x := tensor.Randn(rng, 1, channels, height, width)
+	g := tensor.Randn(rng, 1, pe.Tokens, dim)
 	stem := func() {
 		lead.ForwardWithLead(pos.Forward(agg.Forward(pe.Forward(x))), 24)
+		pe.Backward(agg.Backward(pos.Backward(lead.Backward(g))))
 	}
 	for i := 0; i < 3; i++ {
 		stem()
 	}
 	if allocs := testing.AllocsPerRun(10, stem); allocs != 0 {
-		t.Errorf("steady-state stem forward allocates %.1f objects, want 0", allocs)
+		t.Errorf("steady-state stem forward and backward allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // naiveAttention recomputes multi-head attention the way the seed
-// implementation did — per-head Split/Concat with allocating kernels —
-// from the same weights, serving as the reference the fused batched
-// path must match.
+// implementation did — one 2-D product chain per head over Split
+// copies, the head outputs copied side by side — from the same
+// weights, serving as the reference the fused batched path must match.
 func naiveAttention(a *MultiHeadAttention, x *tensor.Tensor) *tensor.Tensor {
 	t := x.Dim(0)
-	q := tensor.AddRowVector(tensor.MatMul(x, a.WQ.Weight.W), a.WQ.Bias.W)
-	k := tensor.AddRowVector(tensor.MatMul(x, a.WK.Weight.W), a.WK.Bias.W)
-	v := tensor.AddRowVector(tensor.MatMul(x, a.WV.Weight.W), a.WV.Bias.W)
+	q := tensor.MatMulBiasInto(tensor.New(t, a.Dim), x, a.WQ.Weight.W, a.WQ.Bias.W)
+	k := tensor.MatMulBiasInto(tensor.New(t, a.Dim), x, a.WK.Weight.W, a.WK.Bias.W)
+	v := tensor.MatMulBiasInto(tensor.New(t, a.Dim), x, a.WV.Weight.W, a.WV.Bias.W)
 	if a.QKNorm {
 		q = naiveLayerNorm(a.QNorm, q.Reshape(t*a.Heads, a.HeadDim)).Reshape(t, a.Dim)
 		k = naiveLayerNorm(a.KNorm, k.Reshape(t*a.Heads, a.HeadDim)).Reshape(t, a.Dim)
@@ -24,14 +24,16 @@ func naiveAttention(a *MultiHeadAttention, x *tensor.Tensor) *tensor.Tensor {
 	kh := tensor.Split(k, 1, a.Heads)
 	vh := tensor.Split(v, 1, a.Heads)
 	scale := float32(1 / math.Sqrt(float64(a.HeadDim)))
-	outHeads := make([]*tensor.Tensor, a.Heads)
+	concat := tensor.New(t, a.Dim)
 	for h := 0; h < a.Heads; h++ {
-		s := tensor.MatMulTransB(qh[h], kh[h])
+		s := tensor.MatMulTransBInto(tensor.New(t, t), qh[h], kh[h])
 		s.ScaleInPlace(scale)
-		outHeads[h] = tensor.MatMul(tensor.Softmax(s), vh[h])
+		o := tensor.MatMulInto(tensor.New(t, a.HeadDim), tensor.SoftmaxInto(s, s), vh[h])
+		for r := 0; r < t; r++ {
+			copy(concat.Row(r)[h*a.HeadDim:], o.Row(r))
+		}
 	}
-	concat := tensor.Concat(1, outHeads...)
-	return tensor.AddRowVector(tensor.MatMul(concat, a.WO.Weight.W), a.WO.Bias.W)
+	return tensor.MatMulBiasInto(tensor.New(t, a.Dim), concat, a.WO.Weight.W, a.WO.Bias.W)
 }
 
 // naiveLayerNorm applies ln's parameters with fresh float64 math,
@@ -101,14 +103,14 @@ func TestFusedAttentionMaxLogitMatchesScores(t *testing.T) {
 	a.Forward(x)
 
 	// Recompute scores naively.
-	q := tensor.AddRowVector(tensor.MatMul(x, a.WQ.Weight.W), a.WQ.Bias.W)
-	k := tensor.AddRowVector(tensor.MatMul(x, a.WK.Weight.W), a.WK.Bias.W)
+	q := tensor.MatMulBiasInto(tensor.New(5, a.Dim), x, a.WQ.Weight.W, a.WQ.Bias.W)
+	k := tensor.MatMulBiasInto(tensor.New(5, a.Dim), x, a.WK.Weight.W, a.WK.Bias.W)
 	scale := float32(1 / math.Sqrt(float64(a.HeadDim)))
 	var want float32
 	qh := tensor.Split(q, 1, a.Heads)
 	kh := tensor.Split(k, 1, a.Heads)
 	for h := 0; h < a.Heads; h++ {
-		s := tensor.MatMulTransB(qh[h], kh[h])
+		s := tensor.MatMulTransBInto(tensor.New(5, 5), qh[h], kh[h])
 		s.ScaleInPlace(scale)
 		if v := s.MaxAbs(); v > want {
 			want = v

@@ -50,6 +50,7 @@ type LeadTimeEmbedding struct {
 
 	feat *tensor.Tensor // cached sinusoidal features [1, Dim]
 	out  *tensor.Tensor // owned output buffer
+	dOff *tensor.Tensor // owned offset gradient [1, Dim]
 }
 
 // NewLeadTimeEmbedding builds the lead-time conditioning module.
@@ -83,8 +84,9 @@ func (l *LeadTimeEmbedding) ForwardWithLead(x *tensor.Tensor, leadHours float64)
 // Backward accumulates projection gradients (the offset receives the
 // sum of dy over tokens) and passes dy through to the tokens.
 func (l *LeadTimeEmbedding) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dOff := tensor.SumRows(dy).Reshape(1, l.Dim)
-	l.Proj.Backward(dOff)
+	l.dOff = tensor.Ensure(l.dOff, 1, l.Dim)
+	l.dOff.Zero()
+	l.Proj.Backward(tensor.SumRowsAccInto(l.dOff, dy))
 	return dy
 }
 

@@ -115,7 +115,8 @@ func TestLinearGradAccumulates(t *testing.T) {
 	first := l.Weight.Grad.Clone()
 	l.Forward(x)
 	l.Backward(g)
-	want := tensor.Scale(first, 2)
+	want := first.Clone()
+	want.ScaleInPlace(2)
 	if !tensor.AllClose(l.Weight.Grad, want, 1e-5, 1e-6) {
 		t.Error("gradients should accumulate across Backward calls")
 	}

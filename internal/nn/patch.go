@@ -21,6 +21,13 @@ type PatchEmbed struct {
 	patches []*tensor.Tensor // cached raw patches per channel [T, P*P]
 	out     *tensor.Tensor   // owned output buffer [C, T, D]
 	emb     []*tensor.Tensor // per-channel [T, D] views of out
+
+	dy       []float32        // the gradient dEmb views
+	dEmb     []*tensor.Tensor // per-channel [T, D] views of dy
+	dW       *tensor.Tensor   // one channel's weight gradient [P*P, D]
+	dB       *tensor.Tensor   // one channel's bias gradient [D]
+	dPatches *tensor.Tensor   // one channel's patch gradient [T, P*P]
+	dx       *tensor.Tensor   // owned input gradient [C, H, W]
 }
 
 // NewPatchEmbed builds per-channel patch projections.
@@ -100,20 +107,34 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward accumulates per-channel weight gradients and returns the
-// gradient with respect to the input field [C, H, W].
+// gradient with respect to the input field [C, H, W] in a module-owned
+// buffer.
 func (pe *PatchEmbed) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	checkRank("PatchEmbed", dy, 3)
-	dx := tensor.New(pe.Channels, pe.Height, pe.Width)
 	hw := pe.Height * pe.Width
 	td := pe.Tokens * pe.Dim
-	for c := 0; c < pe.Channels; c++ {
-		dEmb := tensor.FromSlice(dy.Data()[c*td:(c+1)*td], pe.Tokens, pe.Dim)
-		pe.Weights[c].Grad.AddInPlace(tensor.MatMulTransA(pe.patches[c], dEmb))
-		pe.Biases[c].Grad.AddInPlace(tensor.SumRows(dEmb))
-		dPatches := tensor.MatMulTransB(dEmb, pe.Weights[c].W)
-		pe.scatterPatches(dPatches, dx.Data()[c*hw:(c+1)*hw])
+	if pe.dx == nil {
+		pe.dW = tensor.New(pe.Patch*pe.Patch, pe.Dim)
+		pe.dB = tensor.New(pe.Dim)
+		pe.dPatches = tensor.New(pe.Tokens, pe.Patch*pe.Patch)
+		pe.dx = tensor.New(pe.Channels, pe.Height, pe.Width)
 	}
-	return dx
+	if d := dy.Data(); len(pe.dy) != len(d) || &pe.dy[0] != &d[0] {
+		// Like Forward's views of out, the views of dy are rebuilt only
+		// when the caller hands in a different gradient buffer.
+		pe.dy, pe.dEmb = d, pe.dEmb[:0]
+		for c := 0; c < pe.Channels; c++ {
+			pe.dEmb = append(pe.dEmb, tensor.FromSlice(d[c*td:(c+1)*td], pe.Tokens, pe.Dim))
+		}
+	}
+	for c, dEmb := range pe.dEmb {
+		pe.Weights[c].Grad.AddInPlace(tensor.MatMulTransAInto(pe.dW, pe.patches[c], dEmb))
+		pe.dB.Zero()
+		pe.Biases[c].Grad.AddInPlace(tensor.SumRowsAccInto(pe.dB, dEmb))
+		tensor.MatMulTransBInto(pe.dPatches, dEmb, pe.Weights[c].W)
+		pe.scatterPatches(pe.dPatches, pe.dx.Data()[c*hw:(c+1)*hw])
+	}
+	return pe.dx
 }
 
 // Params returns all per-channel projections.

@@ -129,8 +129,9 @@ func TestAdamWTrainsLinearRegression(t *testing.T) {
 		}
 		nn.ZeroGrads(l.Params())
 		y := l.Forward(x)
-		diff := tensor.Sub(y, target)
-		l.Backward(tensor.Scale(diff, 2.0/8))
+		diff := tensor.SubInto(tensor.New(8, 1), y, target)
+		diff.ScaleInPlace(2.0 / 8)
+		l.Backward(diff)
 		opt.Step(0.05)
 	}
 	if w := l.Weight.W.At(0, 0); math.Abs(float64(w)-2) > 0.1 {

@@ -14,9 +14,8 @@ import "fmt"
 //     into a pooled buffer. A caller whose u is stable across calls
 //     keeps the transpose itself (TransposeInto) and calls t @ u.
 //
-// The *Into variants write into caller-owned destinations so
-// steady-state training steps allocate nothing; the allocating forms
-// below them are thin compatibility wrappers.
+// Every entry point writes into a caller-owned destination, so
+// steady-state training steps allocate nothing.
 
 func check2D(t, u *Tensor, op string) {
 	if len(t.shape) != 2 || len(u.shape) != 2 {
@@ -155,35 +154,6 @@ func BatchedMatMulTransAInto(dst, t, u *Tensor) *Tensor {
 	}
 	dispatchOuter(mulTransATask(dst.data, t.data, u.data, m, k, n), b)
 	return dst
-}
-
-// --- allocating compatibility wrappers ---
-
-// MatMul returns t @ u for 2-D tensors [m,k] @ [k,n] -> [m,n].
-func MatMul(t, u *Tensor) *Tensor {
-	check2D(t, u, "MatMul")
-	return MatMulInto(New(t.shape[0], u.shape[1]), t, u)
-}
-
-// MatMulTransB returns t @ uᵀ for [m,k] @ ([n,k])ᵀ -> [m,n].
-func MatMulTransB(t, u *Tensor) *Tensor {
-	check2D(t, u, "MatMulTransB")
-	return MatMulTransBInto(New(t.shape[0], u.shape[0]), t, u)
-}
-
-// MatMulTransA returns tᵀ @ u for ([k,m])ᵀ @ [k,n] -> [m,n].
-func MatMulTransA(t, u *Tensor) *Tensor {
-	check2D(t, u, "MatMulTransA")
-	return MatMulTransAInto(New(t.shape[1], u.shape[1]), t, u)
-}
-
-// BatchedMatMul multiplies two 3-D tensors batchwise:
-// [b,m,k] @ [b,k,n] -> [b,m,n].
-func BatchedMatMul(t, u *Tensor) *Tensor {
-	if len(t.shape) != 3 || len(u.shape) != 3 {
-		panic(fmt.Sprintf("tensor: BatchedMatMul shapes %v @ %v", t.shape, u.shape))
-	}
-	return BatchedMatMulInto(New(t.shape[0], t.shape[1], u.shape[2]), t, u)
 }
 
 // MatMulFLOPs returns the floating-point operation count of an

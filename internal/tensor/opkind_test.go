@@ -84,12 +84,12 @@ func opSweeps() map[tensor.OpKind]opSweep {
 			dst := tensor.BatchedMatMulTransBScaledInto(tensor.New(8, 32, 32), randn(6, 8, 32, 256), randn(7, 8, 32, 256), 0.125)
 			return f64([]*tensor.Tensor{dst})
 		}},
-		tensor.OpSoftmax: {"Softmax", rows / 4, rows * cols, func() []float64 {
-			return f64([]*tensor.Tensor{tensor.Softmax(randn(8, rows, cols))})
+		tensor.OpSoftmax: {"SoftmaxInto", rows / 4, rows * cols, func() []float64 {
+			return f64([]*tensor.Tensor{tensor.SoftmaxInto(tensor.New(rows, cols), randn(8, rows, cols))})
 		}},
-		tensor.OpSoftmaxBwd: {"SoftmaxBackward", rows / 4, rows * cols, func() []float64 {
-			y := tensor.Softmax(randn(9, rows, cols))
-			return f64([]*tensor.Tensor{tensor.SoftmaxBackward(y, randn(10, rows, cols))})
+		tensor.OpSoftmaxBwd: {"SoftmaxBackwardInto", rows / 4, rows * cols, func() []float64 {
+			y := tensor.SoftmaxInto(tensor.New(rows, cols), randn(9, rows, cols))
+			return f64([]*tensor.Tensor{tensor.SoftmaxBackwardInto(tensor.New(rows, cols), y, randn(10, rows, cols))})
 		}},
 		tensor.OpGELU: {"GELUCachedInto", rows * cols, rows * cols, func() []float64 {
 			x := randn(11, rows, cols)

@@ -16,12 +16,6 @@ func AddInto(dst, t, u *Tensor) *Tensor {
 	return dst
 }
 
-// Add returns t + u elementwise.
-func Add(t, u *Tensor) *Tensor {
-	t.mustMatch(u, "Add")
-	return AddInto(New(t.shape...), t, u)
-}
-
 // SubInto computes dst = t - u elementwise. dst may alias t or u.
 func SubInto(dst, t, u *Tensor) *Tensor {
 	t.mustMatch(u, "SubInto")
@@ -31,31 +25,6 @@ func SubInto(dst, t, u *Tensor) *Tensor {
 		d[i] = v - ud[i]
 	}
 	return dst
-}
-
-// Sub returns t - u elementwise.
-func Sub(t, u *Tensor) *Tensor {
-	t.mustMatch(u, "Sub")
-	return SubInto(New(t.shape...), t, u)
-}
-
-// Mul returns t * u elementwise (Hadamard product).
-func Mul(t, u *Tensor) *Tensor {
-	t.mustMatch(u, "Mul")
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = v * u.data[i]
-	}
-	return out
-}
-
-// Scale returns t * s.
-func Scale(t *Tensor, s float32) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = v * s
-	}
-	return out
 }
 
 // AddInPlace accumulates u into t.
@@ -72,15 +41,6 @@ func (t *Tensor) ScaleInPlace(s float32) {
 	t.ver++
 	for i := scaleSlice(t.data, s); i < len(t.data); i++ {
 		t.data[i] *= s
-	}
-}
-
-// AddScaled accumulates s*u into t (axpy).
-func (t *Tensor) AddScaled(u *Tensor, s float32) {
-	t.ver++
-	t.mustMatch(u, "AddScaled")
-	for i, v := range u.data {
-		t.data[i] += s * v
 	}
 }
 
@@ -104,12 +64,6 @@ func AddRowVectorInto(dst, t, v *Tensor) *Tensor {
 	return dst
 }
 
-// AddRowVector adds a length-cols vector to every row of a 2-D tensor,
-// returning a new tensor. This is the bias-add used by linear layers.
-func AddRowVector(t *Tensor, v *Tensor) *Tensor {
-	return AddRowVectorInto(New(t.shape...), t, v)
-}
-
 // SumRowsAccInto accumulates dst += Σrows t for a 2-D tensor into the
 // length-cols vector dst — the fused bias-gradient reduction.
 func SumRowsAccInto(dst, t *Tensor) *Tensor {
@@ -129,15 +83,6 @@ func SumRowsAccInto(dst, t *Tensor) *Tensor {
 		}
 	}
 	return dst
-}
-
-// SumRows reduces a 2-D tensor over its rows, producing a length-cols
-// vector. This is the bias-gradient reduction.
-func SumRows(t *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: SumRows requires a 2-D tensor")
-	}
-	return SumRowsAccInto(New(t.shape[1]), t)
 }
 
 // Sum returns the sum of all elements, accumulated in float64.
@@ -183,12 +128,6 @@ func TransposeInto(dst, t *Tensor) *Tensor {
 	return dst
 }
 
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(t *Tensor) *Tensor {
-	check2D(t, t, "Transpose")
-	return TransposeInto(New(t.shape[1], t.shape[0]), t)
-}
-
 // SoftmaxInto applies a numerically stable softmax along the last
 // dimension, writing into dst. dst may alias t (in-place softmax).
 func SoftmaxInto(dst, t *Tensor) *Tensor {
@@ -198,12 +137,6 @@ func SoftmaxInto(dst, t *Tensor) *Tensor {
 	dispatchElem(elemJob{kind: OpSoftmax, x: t.data, out: dst.data, rows: rows, cols: cols},
 		(rows+softmaxGroup-1)/softmaxGroup, len(t.data))
 	return dst
-}
-
-// Softmax applies a numerically stable softmax along the last
-// dimension, returning a new tensor.
-func Softmax(t *Tensor) *Tensor {
-	return SoftmaxInto(New(t.shape...), t)
 }
 
 func softmaxRow(in, out []float32) {
@@ -242,12 +175,6 @@ func SoftmaxBackwardInto(dst, y, dy *Tensor) *Tensor {
 	return dst
 }
 
-// SoftmaxBackward computes the gradient of a softmax output: given
-// y = softmax(x) and dL/dy, returns dL/dx = y ⊙ (dy − sum(dy ⊙ y)).
-func SoftmaxBackward(y, dy *Tensor) *Tensor {
-	return SoftmaxBackwardInto(New(y.shape...), y, dy)
-}
-
 const (
 	geluC0 = 0.7978845608028654 // sqrt(2/pi)
 	geluC1 = 0.044715
@@ -281,69 +208,6 @@ func GELUBackwardCachedInto(dst, x, th, dy *Tensor) *Tensor {
 	dispatchElem(elemJob{kind: OpGELUBwd, x: x.data, th: th.data, dy: dy.data, out: dst.data},
 		len(x.data), len(x.data))
 	return dst
-}
-
-// concatShape validates Concat inputs and returns the output shape.
-func concatShape(dim int, ts []*Tensor) []int {
-	if len(ts) == 0 {
-		panic("tensor: Concat of zero tensors")
-	}
-	rank := ts[0].Rank()
-	if dim < 0 || dim >= rank {
-		panic(fmt.Sprintf("tensor: Concat dim %d out of range for rank %d", dim, rank))
-	}
-	outShape := append([]int(nil), ts[0].shape...)
-	total := 0
-	for _, t := range ts {
-		if t.Rank() != rank {
-			panic("tensor: Concat rank mismatch")
-		}
-		for i := range t.shape {
-			if i != dim && t.shape[i] != outShape[i] {
-				panic(fmt.Sprintf("tensor: Concat shape mismatch %v vs %v at dim %d", t.shape, outShape, i))
-			}
-		}
-		total += t.shape[dim]
-	}
-	outShape[dim] = total
-	return outShape
-}
-
-// ConcatInto concatenates tensors along dimension dim into dst, which
-// must already have the concatenated shape.
-func ConcatInto(dst *Tensor, dim int, ts ...*Tensor) *Tensor {
-	rank := ts[0].Rank()
-	if dst.Rank() != rank {
-		panic("tensor: ConcatInto destination rank mismatch")
-	}
-	// Elements are copied in contiguous runs of inner*dimSize.
-	inner := 1
-	for i := dim + 1; i < rank; i++ {
-		inner *= dst.shape[i]
-	}
-	outer := 1
-	for i := 0; i < dim; i++ {
-		outer *= dst.shape[i]
-	}
-	outRun := dst.shape[dim] * inner
-	off := 0
-	for _, t := range ts {
-		run := t.shape[dim] * inner
-		for o := 0; o < outer; o++ {
-			copy(dst.data[o*outRun+off:o*outRun+off+run], t.data[o*run:(o+1)*run])
-		}
-		off += run
-	}
-	if off != outRun {
-		panic(fmt.Sprintf("tensor: ConcatInto inputs fill %d of %d along dim %d", off, outRun, dim))
-	}
-	return dst
-}
-
-// Concat concatenates tensors along dimension dim. All inputs must
-// agree on every other dimension.
-func Concat(dim int, ts ...*Tensor) *Tensor {
-	return ConcatInto(New(concatShape(dim, ts)...), dim, ts...)
 }
 
 // SplitHeadsInto regroups a token-major sequence [T, H·d] into the

@@ -127,7 +127,7 @@ func TestBatchedMatMulMatchesUnbatched(t *testing.T) {
 	for h := 0; h < b; h++ {
 		xh := FromSlice(x.Data()[h*m*k:(h+1)*m*k], m, k)
 		yh := FromSlice(y.Data()[h*k*n:(h+1)*k*n], k, n)
-		want := MatMul(xh, yh)
+		want := MatMulInto(New(m, n), xh, yh)
 		gh := got.Data()[h*m*n : (h+1)*m*n]
 		for i, v := range want.Data() {
 			if gh[i] != v {

@@ -855,7 +855,7 @@ func BenchmarkRowKernels(b *testing.B) {
 	}
 	for _, s := range [][2]int{{128, 32}, {64, 32}} {
 		x, dy := tensor.Randn(rng, 1, s[0], s[1]), tensor.Randn(rng, 1, s[0], s[1])
-		y, dx := tensor.Softmax(x), tensor.New(s[0], s[1])
+		y, dx := tensor.SoftmaxInto(tensor.New(s[0], s[1]), x), tensor.New(s[0], s[1])
 		rows = append(rows,
 			row{fmt.Sprintf("SoftmaxFwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.SoftmaxInto(y, x) }},
 			row{fmt.Sprintf("SoftmaxBwd/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.SoftmaxBackwardInto(dx, y, dy) }})

@@ -76,47 +76,44 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestAddSubMulScale(t *testing.T) {
+func TestAddSubScale(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{4, 3, 2, 1}, 2, 2)
-	if got := Add(a, b).Data(); got[0] != 5 || got[3] != 5 {
-		t.Errorf("Add = %v", got)
+	if got := AddInto(New(2, 2), a, b).Data(); got[0] != 5 || got[3] != 5 {
+		t.Errorf("AddInto = %v", got)
 	}
-	if got := Sub(a, b).Data(); got[0] != -3 || got[3] != 3 {
-		t.Errorf("Sub = %v", got)
+	if got := SubInto(New(2, 2), a, b).Data(); got[0] != -3 || got[3] != 3 {
+		t.Errorf("SubInto = %v", got)
 	}
-	if got := Mul(a, b).Data(); got[0] != 4 || got[3] != 4 {
-		t.Errorf("Mul = %v", got)
-	}
-	if got := Scale(a, 2).Data(); got[3] != 8 {
-		t.Errorf("Scale = %v", got)
+	if a.ScaleInPlace(2); a.Data()[3] != 8 {
+		t.Errorf("ScaleInPlace = %v", a.Data())
 	}
 }
 
 func TestAddRowVectorAndSumRows(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	v := FromSlice([]float32{10, 20, 30}, 3)
-	y := AddRowVector(x, v)
+	y := AddRowVectorInto(New(2, 3), x, v)
 	want := []float32{11, 22, 33, 14, 25, 36}
 	for i, w := range want {
 		if y.Data()[i] != w {
-			t.Fatalf("AddRowVector[%d] = %v, want %v", i, y.Data()[i], w)
+			t.Fatalf("AddRowVectorInto[%d] = %v, want %v", i, y.Data()[i], w)
 		}
 	}
-	s := SumRows(x)
+	s := SumRowsAccInto(New(3), x)
 	if s.At(0) != 5 || s.At(1) != 7 || s.At(2) != 9 {
-		t.Errorf("SumRows = %v", s.Data())
+		t.Errorf("SumRowsAccInto = %v", s.Data())
 	}
 }
 
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := MatMulInto(New(2, 2), a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data()[i] != w {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, c.Data()[i], w)
+			t.Fatalf("MatMulInto[%d] = %v, want %v", i, c.Data()[i], w)
 		}
 	}
 }
@@ -127,17 +124,17 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulInto(New(2, 3), New(2, 3), New(2, 3))
 }
 
 func TestMatMulTransBMatchesExplicitTranspose(t *testing.T) {
 	r := NewRNG(7)
 	a := Randn(r, 1, 5, 9)
 	b := Randn(r, 1, 4, 9)
-	got := MatMulTransB(a, b)
-	want := MatMul(a, Transpose(b))
+	got := MatMulTransBInto(New(5, 4), a, b)
+	want := MatMulInto(New(5, 4), a, TransposeInto(New(9, 4), b))
 	if !AllClose(got, want, 1e-5, 1e-5) {
-		t.Errorf("MatMulTransB mismatch, max diff %g", MaxDiff(got, want))
+		t.Errorf("MatMulTransBInto mismatch, max diff %g", MaxDiff(got, want))
 	}
 }
 
@@ -145,10 +142,10 @@ func TestMatMulTransAMatchesExplicitTranspose(t *testing.T) {
 	r := NewRNG(8)
 	a := Randn(r, 1, 9, 5)
 	b := Randn(r, 1, 9, 4)
-	got := MatMulTransA(a, b)
-	want := MatMul(Transpose(a), b)
+	got := MatMulTransAInto(New(5, 4), a, b)
+	want := MatMulInto(New(5, 4), TransposeInto(New(5, 9), a), b)
 	if !AllClose(got, want, 1e-5, 1e-5) {
-		t.Errorf("MatMulTransA mismatch, max diff %g", MaxDiff(got, want))
+		t.Errorf("MatMulTransAInto mismatch, max diff %g", MaxDiff(got, want))
 	}
 }
 
@@ -159,7 +156,7 @@ func TestMatMulLargeParallelMatchesSmallPath(t *testing.T) {
 	m, k, n := 64, 48, 56
 	a := Randn(r, 1, m, k)
 	b := Randn(r, 1, k, n)
-	got := MatMul(a, b)
+	got := MatMulInto(New(m, n), a, b)
 	want := New(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -171,7 +168,7 @@ func TestMatMulLargeParallelMatchesSmallPath(t *testing.T) {
 		}
 	}
 	if !AllClose(got, want, 1e-4, 1e-4) {
-		t.Errorf("parallel MatMul mismatch, max diff %g", MaxDiff(got, want))
+		t.Errorf("parallel MatMulInto mismatch, max diff %g", MaxDiff(got, want))
 	}
 }
 
@@ -179,24 +176,21 @@ func TestBatchedMatMul(t *testing.T) {
 	r := NewRNG(10)
 	a := Randn(r, 1, 3, 4, 5)
 	b := Randn(r, 1, 3, 5, 6)
-	c := BatchedMatMul(a, b)
-	if c.Dim(0) != 3 || c.Dim(1) != 4 || c.Dim(2) != 6 {
-		t.Fatalf("BatchedMatMul shape %v", c.Shape())
-	}
+	c := BatchedMatMulInto(New(3, 4, 6), a, b)
 	// Check batch 1 against 2-D matmul.
 	a1 := FromSlice(a.Data()[1*20:2*20], 4, 5)
 	b1 := FromSlice(b.Data()[1*30:2*30], 5, 6)
-	want := MatMul(a1, b1)
+	want := MatMulInto(New(4, 6), a1, b1)
 	got := FromSlice(c.Data()[1*24:2*24], 4, 6)
 	if !AllClose(got, want, 1e-5, 1e-5) {
-		t.Error("BatchedMatMul batch slice mismatch")
+		t.Error("BatchedMatMulInto batch slice mismatch")
 	}
 }
 
 func TestTransposeInvolution(t *testing.T) {
 	r := NewRNG(11)
 	a := Randn(r, 1, 37, 53) // odd sizes exercise blocked edges
-	b := Transpose(Transpose(a))
+	b := TransposeInto(New(37, 53), TransposeInto(New(53, 37), a))
 	if !AllClose(a, b, 0, 0) {
 		t.Error("transpose twice should be identity")
 	}
@@ -205,7 +199,7 @@ func TestTransposeInvolution(t *testing.T) {
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	r := NewRNG(12)
 	x := Randn(r, 3, 5, 7)
-	y := Softmax(x)
+	y := SoftmaxInto(New(5, 7), x)
 	for row := 0; row < 5; row++ {
 		var s float64
 		for c := 0; c < 7; c++ {
@@ -223,7 +217,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxStableForLargeLogits(t *testing.T) {
 	x := FromSlice([]float32{1000, 1001, 999}, 1, 3)
-	y := Softmax(x)
+	y := SoftmaxInto(New(1, 3), x)
 	if y.HasNaNOrInf() {
 		t.Fatal("softmax overflowed on large logits")
 	}
@@ -233,16 +227,16 @@ func TestSoftmaxBackwardNumerical(t *testing.T) {
 	r := NewRNG(13)
 	x := Randn(r, 1, 2, 5)
 	dy := Randn(r, 1, 2, 5)
-	y := Softmax(x)
-	dx := SoftmaxBackward(y, dy)
+	y := SoftmaxInto(New(2, 5), x)
+	dx := SoftmaxBackwardInto(New(2, 5), y, dy)
 	// Numerical gradient via central differences on sum(dy*softmax(x)).
 	const eps = 1e-3
 	for i := range x.Data() {
 		orig := x.Data()[i]
 		x.Data()[i] = orig + eps
-		lp := Dot(Softmax(x), dy)
+		lp := Dot(SoftmaxInto(New(2, 5), x), dy)
 		x.Data()[i] = orig - eps
-		lm := Dot(Softmax(x), dy)
+		lm := Dot(SoftmaxInto(New(2, 5), x), dy)
 		x.Data()[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-float64(dx.Data()[i])) > 1e-2 {
@@ -313,24 +307,6 @@ func TestGELUBackwardNumerical(t *testing.T) {
 		if math.Abs(num-float64(dx.Data()[i])) > 1e-2 {
 			t.Fatalf("gelu grad[%d]: numerical %v vs analytic %v", i, num, dx.Data()[i])
 		}
-	}
-}
-
-func TestConcatSplitRoundTrip(t *testing.T) {
-	r := NewRNG(15)
-	x := Randn(r, 1, 4, 6)
-	parts := Split(x, 1, 3)
-	if len(parts) != 3 || parts[0].Dim(1) != 2 {
-		t.Fatalf("Split shapes: %v", parts[0].Shape())
-	}
-	back := Concat(1, parts...)
-	if !AllClose(back, x, 0, 0) {
-		t.Error("Concat(Split(x)) != x along dim 1")
-	}
-	parts0 := Split(x, 0, 2)
-	back0 := Concat(0, parts0...)
-	if !AllClose(back0, x, 0, 0) {
-		t.Error("Concat(Split(x)) != x along dim 0")
 	}
 }
 

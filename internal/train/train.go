@@ -306,7 +306,7 @@ func (t *Trainer) Forecaster() Forecaster {
 func (f Forecaster) Predict(input *tensor.Tensor, leadHours float64) *tensor.Tensor {
 	out := f.Model.Forward(input, leadHours)
 	if f.ResidualChans != nil {
-		out = tensor.Add(out, climate.SelectChannels(input, f.ResidualChans))
+		tensor.AddInto(out, out, climate.SelectChannels(input, f.ResidualChans))
 	}
 	return out
 }

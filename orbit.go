@@ -26,10 +26,9 @@
 // implementation spent more time in the garbage collector than in
 // floating point:
 //
-//   - Every kernel has a destination-passing form (MatMulInto,
-//     MatMulTransAInto, MatMulTransBInto, SoftmaxInto, ConcatInto, …)
-//     writing into caller-owned buffers; the allocating forms remain
-//     as thin wrappers.
+//   - Every kernel is destination-passing (MatMulInto,
+//     MatMulTransAInto, MatMulTransBInto, SoftmaxInto, AddInto, …),
+//     writing into caller-owned buffers.
 //   - Matrix products run on one of two micro-kernels, fixed per
 //     entry point by operand layout: a 2×4 register-blocked dot
 //     kernel streams panels whose reduction axis is innermost (a

@@ -105,8 +105,8 @@ func TestPublicClusterAndHybridSTOP(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			diff := tensor.Sub(y, targets[c.F])
-			grad := tensor.Scale(diff, 2.0/float32(y.Len()))
+			grad := tensor.SubInto(tensor.New(y.Shape()...), y, targets[c.F])
+			grad.ScaleInPlace(2.0 / float32(y.Len()))
 			if _, err := engines[rank].Backward(grad); err != nil {
 				t.Error(err)
 			}
