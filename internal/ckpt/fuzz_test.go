@@ -318,7 +318,6 @@ func fuzzSeedManifest(f *testing.F) []byte {
 		Version:     int(Version),
 		Layout:      ShardLayout{TP: 1, FSDP: 2, DDP: 1},
 		FlatLens:    []int{64, 64},
-		Block:       &BlockSpec{Dim: 8, Heads: 2, QKNorm: true},
 		Step:        3,
 		OptStep:     3,
 		GlobalBatch: 4,

@@ -69,16 +69,6 @@ func (l ShardLayout) Stages() int {
 	return l.PP
 }
 
-// BlockSpec records the transformer-block geometry a sharded
-// checkpoint was trained with, so a forward-only consumer (the
-// inference engine) can rebuild the serial block stack without access
-// to the training configuration.
-type BlockSpec struct {
-	Dim    int  `json:"dim"`
-	Heads  int  `json:"heads"`
-	QKNorm bool `json:"qk_norm"`
-}
-
 // Manifest is the checkpoint directory's metadata.
 type Manifest struct {
 	Version int         `json:"version"`
@@ -94,9 +84,6 @@ type Manifest struct {
 	// FlatLens for every row) when TP == 1 or for checkpoints written
 	// before the field existed.
 	FlatLensTP [][]int `json:"flat_lens_tp,omitempty"`
-	// Block is the block geometry the stack was built with (optional;
-	// present in checkpoints written since the inference engine landed).
-	Block *BlockSpec `json:"block,omitempty"`
 	// Step is the number of completed training steps.
 	Step int `json:"step"`
 	// OptStep is the per-rank optimizer step counter.

@@ -27,6 +27,8 @@ func validTrainState(t *testing.T) *TrainState {
 
 // buildShards fabricates a TP×FSDP checkpoint whose logical flat
 // vectors are sequential values, so any slicing mistake is visible.
+// As in a real TP checkpoint, rows T > 0 are shorter than row 0: they
+// lack the two output biases, which live only on row 0.
 func buildShards(tp, fsdp int, flatLens []int) (*Manifest, []*RankShard) {
 	man := &Manifest{
 		Layout:      ShardLayout{TP: tp, FSDP: fsdp, DDP: 1},
@@ -37,17 +39,20 @@ func buildShards(tp, fsdp int, flatLens []int) (*Manifest, []*RankShard) {
 		RNG:         tensor.NewRNG(3).State(),
 	}
 	if tp > 1 {
-		// Real TP rows have unequal lengths and must record them;
-		// this fabricated checkpoint's rows are uniform.
-		for t := 0; t < tp; t++ {
-			man.FlatLensTP = append(man.FlatLensTP, flatLens)
+		man.FlatLensTP = append(man.FlatLensTP, flatLens)
+		for t := 1; t < tp; t++ {
+			var short []int
+			for _, l := range flatLens {
+				short = append(short, l-2)
+			}
+			man.FlatLensTP = append(man.FlatLensTP, short)
 		}
 	}
 	var shards []*RankShard
 	for t := 0; t < tp; t++ {
 		for f := 0; f < fsdp; f++ {
 			sh := &RankShard{T: t, F: f}
-			for b, l := range flatLens {
+			for b, l := range man.FlatLensFor(t) {
 				chunkLen := PaddedLen(l, fsdp) / fsdp
 				blk := BlockShard{
 					W: make([]float32, chunkLen),
@@ -110,7 +115,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 
 // TestReshardHalvesExactly checks 4→2 resharding reproduces the
 // logical flat vector bit-identically — including when padding
-// boundaries move (flat length 10: F=4 pads to 12, F=2 pads to 10).
+// boundaries move (flat length 10: F=4 pads to 12, F=2 pads to 10) and
+// for TP rows of unequal length (row 1's blocks are 8 and 4 long).
 func TestReshardHalvesExactly(t *testing.T) {
 	man, shards := buildShards(2, 4, []int{10, 6})
 	newShards, err := Reshard(man, shards, 2)
@@ -121,7 +127,7 @@ func TestReshardHalvesExactly(t *testing.T) {
 		t.Fatalf("%d shards after reshard, want 4", len(newShards))
 	}
 	for tp := 0; tp < 2; tp++ {
-		for b, l := range man.FlatLens {
+		for b, l := range man.FlatLensFor(tp) {
 			chunkLen := PaddedLen(l, 2) / 2
 			for f := 0; f < 2; f++ {
 				sh := newShards[tp*2+f]

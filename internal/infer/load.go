@@ -5,10 +5,6 @@ import (
 	"os"
 
 	"orbit/internal/ckpt"
-	"orbit/internal/cluster"
-	"orbit/internal/comm"
-	"orbit/internal/nn"
-	"orbit/internal/parallel"
 	"orbit/internal/tensor"
 	"orbit/internal/vit"
 )
@@ -24,7 +20,7 @@ func LoadModel(path string) (*vit.Model, error) {
 	}
 	if st.IsDir() {
 		if ckpt.HasManifest(path) {
-			return nil, fmt.Errorf("infer: %s is a sharded distributed checkpoint; use LoadBlocks or LoadModelWithTrunk", path)
+			return nil, fmt.Errorf("infer: %s holds elastic training state (a sharded transformer stack with no embedding or head), which cannot be served", path)
 		}
 		return nil, fmt.Errorf("infer: %s is a directory without a checkpoint manifest", path)
 	}
@@ -48,157 +44,4 @@ func LoadModelQuantized(path string) (*vit.Model, map[string]*tensor.Quantized, 
 		return nil, nil, fmt.Errorf("infer: %s is a directory, not a quantized checkpoint", path)
 	}
 	return ckpt.LoadQuantized(path)
-}
-
-// LoadBlocks reconstructs the serial transformer-block stack of a
-// sharded distributed checkpoint (the PR 3 format): shards are
-// resharded to FSDP=1 through the exact reshard path elastic resume
-// uses, each TP row is unflattened into its Megatron column/row
-// shards, and the shards merge back into full serial blocks. The
-// manifest must carry the block geometry (checkpoints written since
-// ckpt.BlockSpec landed do).
-func LoadBlocks(dir string) ([]*nn.TransformerBlock, *ckpt.Manifest, error) {
-	man, shards, err := ckpt.LoadSharded(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if man.Block == nil {
-		return nil, nil, fmt.Errorf("infer: manifest in %s lacks block geometry (pre-inference checkpoint?)", dir)
-	}
-	spec := *man.Block
-	if spec.Dim <= 0 || spec.Heads <= 0 || spec.Dim%spec.Heads != 0 {
-		return nil, nil, fmt.Errorf("infer: implausible block geometry dim=%d heads=%d", spec.Dim, spec.Heads)
-	}
-	tp := man.Layout.TP
-	if spec.Heads%tp != 0 {
-		return nil, nil, fmt.Errorf("infer: %d heads not divisible by checkpoint TP=%d", spec.Heads, tp)
-	}
-	flat, err := ckpt.Reshard(man, shards, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	layers := len(man.FlatLens)
-	rng := tensor.NewRNG(1)
-	serial := make([]*nn.TransformerBlock, layers)
-	for l := range serial {
-		serial[l] = nn.NewTransformerBlock(fmt.Sprintf("block%d", l), spec.Dim, spec.Heads, spec.QKNorm, rng)
-	}
-	if tp == 1 {
-		// A TP=1 shard's flat layout is the serial block's own
-		// parameter order.
-		for l, blk := range serial {
-			w := flat[0].Blocks[l].W
-			if want := parallel.NumelPadded(blk.Params(), 1); len(w) < want {
-				return nil, nil, fmt.Errorf("infer: block %d flat length %d, geometry needs %d", l, len(w), want)
-			}
-			parallel.UnflattenInto(flat[0].Blocks[l].W, blk.Params())
-		}
-		return serial, man, nil
-	}
-
-	// TP>1: rebuild each rank's TPBlock shard, unflatten the
-	// checkpoint row into it, then merge the Megatron shards back into
-	// the full serial weights.
-	machine := cluster.NewMachine(cluster.Frontier(), 1, tp)
-	group := comm.NewGroup(machine.Devices[:tp])
-	for l, blk := range serial {
-		tpBlocks := make([]*parallel.TPBlock, tp)
-		for t := 0; t < tp; t++ {
-			tpBlocks[t] = parallel.NewTPBlock(t, group, blk)
-			w := flat[t].Blocks[l].W
-			if want := parallel.NumelPadded(tpBlocks[t].Params(), 1); len(w) < want {
-				return nil, nil, fmt.Errorf("infer: block %d TP row %d flat length %d, geometry needs %d", l, t, len(w), want)
-			}
-			parallel.UnflattenInto(w, tpBlocks[t].Params())
-		}
-		mergeTPBlock(blk, tpBlocks)
-	}
-	return serial, man, nil
-}
-
-// LoadModelWithTrunk builds a model from cfg and installs the
-// transformer trunk from a sharded distributed checkpoint. The stem
-// and head come from the seed initialization — elastic distributed
-// training shards only the block stack, so that is all a sharded
-// checkpoint carries.
-func LoadModelWithTrunk(dir string, cfg vit.Config, seed uint64) (*vit.Model, *ckpt.Manifest, error) {
-	blocks, man, err := LoadBlocks(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.Layers != len(blocks) {
-		return nil, nil, fmt.Errorf("infer: config has %d layers, checkpoint has %d", cfg.Layers, len(blocks))
-	}
-	if cfg.EmbedDim != man.Block.Dim || cfg.Heads != man.Block.Heads || cfg.QKNorm != man.Block.QKNorm {
-		return nil, nil, fmt.Errorf("infer: config geometry (%d dim, %d heads, qknorm=%v) does not match checkpoint (%d, %d, %v)",
-			cfg.EmbedDim, cfg.Heads, cfg.QKNorm, man.Block.Dim, man.Block.Heads, man.Block.QKNorm)
-	}
-	m, err := vit.New(cfg, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	for l := range blocks {
-		parallel.CopyWeights(m.Blocks[l].Params(), blocks[l].Params())
-	}
-	return m, man, nil
-}
-
-// mergeTPBlock writes a TP group's shards back into the serial block:
-// column-parallel weights (W_Q/W_K/W_V, FC1) re-interleave along
-// columns, row-parallel weights (W_O, FC2) concatenate along rows,
-// replicated parameters (layer norms, QK-norms, output biases) come
-// from rank 0.
-func mergeTPBlock(dst *nn.TransformerBlock, shards []*parallel.TPBlock) {
-	k := len(shards)
-	dst.LN1.Gamma.W.CopyFrom(shards[0].LN1.Gamma.W)
-	dst.LN1.Beta.W.CopyFrom(shards[0].LN1.Beta.W)
-	dst.LN2.Gamma.W.CopyFrom(shards[0].LN2.Gamma.W)
-	dst.LN2.Beta.W.CopyFrom(shards[0].LN2.Beta.W)
-	if dst.Attn.QKNorm {
-		dst.Attn.QNorm.Gamma.W.CopyFrom(shards[0].Attn.QNorm.Gamma.W)
-		dst.Attn.QNorm.Beta.W.CopyFrom(shards[0].Attn.QNorm.Beta.W)
-		dst.Attn.KNorm.Gamma.W.CopyFrom(shards[0].Attn.KNorm.Gamma.W)
-		dst.Attn.KNorm.Beta.W.CopyFrom(shards[0].Attn.KNorm.Beta.W)
-	}
-	for t, sh := range shards {
-		mergeCols(dst.Attn.WQ.Weight.W, sh.Attn.WQ.Weight.W, t, k)
-		mergeColsVec(dst.Attn.WQ.Bias.W, sh.Attn.WQ.Bias.W, t, k)
-		mergeCols(dst.Attn.WK.Weight.W, sh.Attn.WK.Weight.W, t, k)
-		mergeColsVec(dst.Attn.WK.Bias.W, sh.Attn.WK.Bias.W, t, k)
-		mergeCols(dst.Attn.WV.Weight.W, sh.Attn.WV.Weight.W, t, k)
-		mergeColsVec(dst.Attn.WV.Bias.W, sh.Attn.WV.Bias.W, t, k)
-		mergeRows(dst.Attn.WO.Weight.W, sh.Attn.WO.Weight.W, t, k)
-		mergeCols(dst.MLP.FC1.Weight.W, sh.MLP.FC1.Weight.W, t, k)
-		mergeColsVec(dst.MLP.FC1.Bias.W, sh.MLP.FC1.Bias.W, t, k)
-		mergeRows(dst.MLP.FC2.Weight.W, sh.MLP.FC2.Weight.W, t, k)
-	}
-	dst.Attn.WO.Bias.W.CopyFrom(shards[0].Attn.WO.Bias.W)
-	dst.MLP.FC2.Bias.W.CopyFrom(shards[0].MLP.FC2.Bias.W)
-}
-
-// mergeCols writes column shard t of k into dst's column range.
-func mergeCols(dst, shard *tensor.Tensor, t, k int) {
-	rows, cols := dst.Dim(0), dst.Dim(1)
-	part := cols / k
-	dd, sd := dst.Data(), shard.Data()
-	for r := 0; r < rows; r++ {
-		copy(dd[r*cols+t*part:r*cols+(t+1)*part], sd[r*part:(r+1)*part])
-	}
-	dst.Bump()
-}
-
-// mergeColsVec writes bias shard t of k into dst's range.
-func mergeColsVec(dst, shard *tensor.Tensor, t, k int) {
-	part := dst.Len() / k
-	copy(dst.Data()[t*part:(t+1)*part], shard.Data())
-	dst.Bump()
-}
-
-// mergeRows writes row shard t of k into dst's row range.
-func mergeRows(dst, shard *tensor.Tensor, t, k int) {
-	rows, cols := dst.Dim(0), dst.Dim(1)
-	part := rows / k
-	copy(dst.Data()[t*part*cols:(t+1)*part*cols], shard.Data())
-	dst.Bump()
 }

@@ -533,7 +533,6 @@ func (j *elasticJob) save() error {
 	man := &ckpt.Manifest{
 		Layout:      ckpt.ShardLayout{TP: j.layout.TP, FSDP: j.layout.FSDP, DDP: j.layout.DDP},
 		FlatLens:    lensTP[0],
-		Block:       &ckpt.BlockSpec{Dim: j.cfg.Dim, Heads: j.cfg.Heads, QKNorm: true},
 		Step:        j.step,
 		OptStep:     j.opts[0].StepCount(),
 		GlobalBatch: j.cfg.GlobalBatch,
