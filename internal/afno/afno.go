@@ -246,9 +246,6 @@ func (m *Model) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return tensorToPixels(m.Encoder.Backward(pixelsToTensor(dField)), h, w)
 }
 
-// Params returns all trainable parameters.
-func (m *Model) Params() []*nn.Param { return m.params }
-
 // ZeroGrads clears gradient accumulators.
 func (m *Model) ZeroGrads() { nn.ZeroGrads(m.params) }
 

@@ -52,39 +52,12 @@ const MaxValue = 3.3895313892515355e38
 // SmallestNormal is the smallest positive normal bfloat16 (~1.18e-38).
 const SmallestNormal = 1.1754943508222875e-38
 
-// RoundTensor rounds every element of t to bfloat16 precision,
-// returning a new tensor. This models storing activations/weights in
-// bf16.
-func RoundTensor(t *tensor.Tensor) *tensor.Tensor {
-	out := t.Clone()
-	RoundTensorInPlace(out)
-	return out
-}
-
-// RoundTensorInPlace rounds every element of t to bf16 precision.
+// RoundTensorInPlace rounds every element of t to bf16 precision,
+// modelling weights or activations stored in bf16.
 func RoundTensorInPlace(t *tensor.Tensor) {
 	d := t.Data()
 	for i, v := range d {
 		d[i] = Round(v)
 	}
 	t.Bump()
-}
-
-// Pack converts a float32 slice to raw bf16 values. Used by the
-// checkpoint writer to halve parameter storage, as bf16 training does.
-func Pack(src []float32) []BF16 {
-	out := make([]BF16, len(src))
-	for i, v := range src {
-		out[i] = FromFloat32(v)
-	}
-	return out
-}
-
-// Unpack widens raw bf16 values back to float32.
-func Unpack(src []BF16) []float32 {
-	out := make([]float32, len(src))
-	for i, v := range src {
-		out[i] = v.Float32()
-	}
-	return out
 }

@@ -37,9 +37,6 @@ func NewGradScaler() *GradScaler {
 	}
 }
 
-// ScaleLoss returns loss multiplied by the current scale.
-func (s *GradScaler) ScaleLoss(loss float64) float64 { return loss * s.Scale }
-
 // Unscale divides gradients by the current scale in place and reports
 // whether all of them are finite. Call before the optimizer step.
 func (s *GradScaler) Unscale(grads []*tensor.Tensor) (finite bool) {

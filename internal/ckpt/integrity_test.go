@@ -82,7 +82,7 @@ func TestBitFlipSweepTrainState(t *testing.T) {
 func TestBitFlipSweepShardFile(t *testing.T) {
 	dir := t.TempDir()
 	man, shards := buildShards(1, 1, []int{8, 6})
-	if err := SaveSharded(dir, man, shards); err != nil {
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
 	shardPath := filepath.Join(dir, ShardFileName(man.Step, 0, 0))
@@ -120,7 +120,7 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
 		man, shards := buildShards(1, 2, []int{8})
-		if err := SaveSharded(dir, man, shards); err != nil {
+		if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 			t.Fatal(err)
 		}
 		return dir

@@ -250,15 +250,9 @@ func GenManifestName(step int) string {
 	return fmt.Sprintf("manifest-s%d.json", step)
 }
 
-// SaveSharded writes a complete sharded checkpoint into dir, retaining
-// only the newest generation (SaveShardedKeep with keep=1).
-func SaveSharded(dir string, man *Manifest, shards []*RankShard) error {
-	return SaveShardedKeep(dir, man, shards, 1)
-}
-
 // SaveShardedKeep writes a complete sharded checkpoint into dir,
 // creating it if needed, and retains the newest `keep` generations
-// (keep <= 1 behaves like SaveSharded). Shard files (step-scoped
+// (keep <= 1 keeps only the newest). Shard files (step-scoped
 // names, atomically renamed into place) are written first — each
 // file's CRC32C digest is recorded in the manifest — then the
 // step-scoped generation manifest, then ManifestName commits as the

@@ -79,7 +79,7 @@ func buildShards(tp, fsdp int, flatLens []int) (*Manifest, []*RankShard) {
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	man, shards := buildShards(2, 4, []int{10, 6})
-	if err := SaveSharded(dir, man, shards); err != nil {
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !HasManifest(dir) {
@@ -195,7 +195,7 @@ func TestReshardSameLayoutIsIdentity(t *testing.T) {
 func TestLoadShardedIncompleteDir(t *testing.T) {
 	dir := t.TempDir()
 	man, shards := buildShards(1, 2, []int{8})
-	if err := SaveSharded(dir, man, shards); err != nil {
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, ShardFileName(man.Step, 0, 1))); err != nil {
@@ -216,7 +216,7 @@ func TestLoadShardedIncompleteDir(t *testing.T) {
 func TestOverwritingSaveKeepsOldCheckpointLoadable(t *testing.T) {
 	dir := t.TempDir()
 	man1, shards1 := buildShards(1, 2, []int{8})
-	if err := SaveSharded(dir, man1, shards1); err != nil {
+	if err := SaveShardedKeep(dir, man1, shards1, 1); err != nil {
 		t.Fatal(err)
 	}
 	old1 := filepath.Join(dir, ShardFileName(man1.Step, 0, 0))
@@ -228,7 +228,7 @@ func TestOverwritingSaveKeepsOldCheckpointLoadable(t *testing.T) {
 	man2, shards2 := buildShards(1, 2, []int{8})
 	man2.Step = man1.Step + 4
 	shards2[0].Blocks[0].W[0] = 777 // distinguishable content
-	if err := SaveSharded(dir, man2, shards2); err != nil {
+	if err := SaveShardedKeep(dir, man2, shards2, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The step-4-later save wrote different file names, so a crash
@@ -293,7 +293,7 @@ func TestSaveTrainStatePreservesOldOnError(t *testing.T) {
 func TestShardFileCorruptedMagic(t *testing.T) {
 	dir := t.TempDir()
 	man, shards := buildShards(1, 1, []int{4})
-	if err := SaveSharded(dir, man, shards); err != nil {
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, ShardFileName(man.Step, 0, 0))

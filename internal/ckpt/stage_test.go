@@ -63,7 +63,7 @@ func buildStageShards(pp, tp, fsdp int, flatLens []int, stages [][2]int) (*Manif
 func TestStageShardedSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	man, shards := buildStageShards(2, 2, 2, []int{10, 6, 8}, [][2]int{{0, 1}, {1, 3}})
-	if err := SaveSharded(dir, man, shards); err != nil {
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Multi-stage saves use the stage-scoped file names.
@@ -97,7 +97,7 @@ func TestStageShardedSaveLoadRoundTrip(t *testing.T) {
 func TestStageShardCRCFlip(t *testing.T) {
 	dir := t.TempDir()
 	man, shards := buildStageShards(2, 1, 2, []int{10, 6}, [][2]int{{0, 1}, {1, 2}})
-	if err := SaveSharded(dir, man, shards); err != nil {
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, StageShardFileName(man.Step, 1, 0, 0))

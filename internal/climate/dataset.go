@@ -136,16 +136,3 @@ func (c *PretrainCorpus) At(i int) Sample {
 	s := len(c.Sets)
 	return c.Sets[i%s].At((i / s) % c.Sets[i%s].Len())
 }
-
-// Stats returns the shared normalization statistics.
-func (c *PretrainCorpus) Stats() *Stats { return c.Sets[0].Stats }
-
-// Shard returns the sample indices assigned to DDP rank `rank` of
-// `ranks` for one epoch with the given seed: a deterministic
-// permutation split into contiguous per-rank chunks, mirroring a
-// DistributedSampler.
-func Shard(n, rank, ranks int, seed uint64) []int {
-	perm := tensor.NewRNG(seed).Perm(n)
-	per := n / ranks
-	return perm[rank*per : (rank+1)*per]
-}

@@ -153,8 +153,3 @@ func IndexOf(vars []Variable, name string) int {
 	}
 	return -1
 }
-
-// FineTuneOutputs is the set of output variables evaluated in the
-// paper's Fig. 9: geopotential at 500 hPa, temperature at 850 hPa,
-// 2-metre temperature and 10-metre zonal wind.
-var FineTuneOutputs = []string{"geopotential_500", "temperature_850", "t2m", "u10"}

@@ -337,16 +337,3 @@ func (s *Stats) Normalize(f *tensor.Tensor) {
 		}
 	}
 }
-
-// Denormalize inverts Normalize for the given channel subset mapping:
-// channel i of f corresponds to stats index chans[i].
-func (s *Stats) Denormalize(f *tensor.Tensor, chans []int) {
-	hw := f.Dim(1) * f.Dim(2)
-	d := f.Data()
-	for i, src := range chans {
-		m, std := float32(s.Mean[src]), float32(s.Std[src])
-		for j := i * hw; j < (i+1)*hw; j++ {
-			d[j] = d[j]*std + m
-		}
-	}
-}

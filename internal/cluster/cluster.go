@@ -114,8 +114,8 @@ type Device struct {
 	commWait atomic.Int32
 }
 
-// Kill marks the device dead immediately. Subsequent Alloc,
-// ComputeChecked, and CheckAlive calls return *DeadDeviceError.
+// Kill marks the device dead immediately. Subsequent Alloc and
+// CheckAlive calls return *DeadDeviceError.
 // Operations blocked on a stall are woken and return the error — a
 // kill is the only way a stalled rank's step ever terminates.
 func (d *Device) Kill() {
@@ -141,9 +141,9 @@ func (d *Device) KillAtTime(t float64) {
 // time trigger: a device whose clock passed the deadline mid-step
 // "dies" silently and is noticed at the next CheckAlive — the way a
 // node crash is noticed by the job's health monitor, not by the
-// in-flight collective. Alloc/ComputeChecked only observe the latched
-// flag, so SPMD peers of a just-dead rank cannot be left stranded in
-// a rendezvous mid-step.
+// in-flight collective. Alloc only observes the latched flag, so SPMD
+// peers of a just-dead rank cannot be left stranded in a rendezvous
+// mid-step.
 func (d *Device) evalDeathLocked() bool {
 	if d.killAtTime > 0 && d.clock >= d.killAtTime {
 		d.dead = true
@@ -188,32 +188,6 @@ func (d *Device) Alloc(bytes int64) error {
 	return nil
 }
 
-// ComputeChecked is Compute with a health check: it records the work
-// and advances the clock only when the device is alive, returning
-// *DeadDeviceError otherwise (the error a kernel launch on a crashed
-// GPU would produce).
-func (d *Device) ComputeChecked(flops int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dead {
-		return &DeadDeviceError{Device: d.ID, Node: d.Node}
-	}
-	if err := d.waitWhileStalledLocked(); err != nil {
-		return err
-	}
-	d.flops += flops
-	d.clock += float64(flops) / (d.Spec.PeakFLOPS * d.Spec.Efficiency)
-	d.touchProgress()
-	return nil
-}
-
-// MustAlloc is Alloc for callers that treat OOM as fatal.
-func (d *Device) MustAlloc(bytes int64) {
-	if err := d.Alloc(bytes); err != nil {
-		panic(err)
-	}
-}
-
 // Free releases bytes of device memory.
 func (d *Device) Free(bytes int64) {
 	d.mu.Lock()
@@ -240,7 +214,7 @@ func (d *Device) MemPeak() int64 {
 
 // Compute records flops of work and advances the device clock by the
 // corresponding time at sustained throughput. A stalled device parks
-// the caller like the checked variants; if the stall ends in a kill,
+// the caller like Alloc; if the stall ends in a kill,
 // Compute returns silently having done no work and the death surfaces
 // at the caller's next checked operation.
 func (d *Device) Compute(flops int64) {
@@ -288,16 +262,6 @@ func (d *Device) AdvanceTo(t, commCost float64) float64 {
 	d.clock += commCost
 	d.commTime += commCost
 	return d.clock
-}
-
-// ResetStats clears counters but keeps allocations.
-func (d *Device) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.flops = 0
-	d.clock = 0
-	d.commTime = 0
-	d.memPeak = d.memUsed
 }
 
 // Machine is a collection of simulated devices with node structure.

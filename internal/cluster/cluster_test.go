@@ -48,9 +48,13 @@ func TestAllocFreeAccounting(t *testing.T) {
 
 func TestPeakTracksHighWater(t *testing.T) {
 	d := &Device{Spec: Spec{MemPerGPU: 100}}
-	d.MustAlloc(70)
+	if err := d.Alloc(70); err != nil {
+		t.Fatal(err)
+	}
 	d.Free(70)
-	d.MustAlloc(10)
+	if err := d.Alloc(10); err != nil {
+		t.Fatal(err)
+	}
 	if d.MemPeak() != 70 {
 		t.Errorf("MemPeak = %d, want 70", d.MemPeak())
 	}
@@ -94,19 +98,6 @@ func TestAdvanceToSynchronizes(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	d := &Device{Spec: Spec{PeakFLOPS: 1, Efficiency: 1, MemPerGPU: 100}}
-	d.MustAlloc(40)
-	d.Compute(10)
-	d.ResetStats()
-	if d.Clock() != 0 || d.FLOPs() != 0 {
-		t.Error("ResetStats should clear clock and flops")
-	}
-	if d.MemUsed() != 40 || d.MemPeak() != 40 {
-		t.Error("ResetStats should keep live allocations")
-	}
-}
-
 func TestSameNode(t *testing.T) {
 	m := NewMachine(Frontier(), 2, 0)
 	if !SameNode(m.Devices[:8]) {
@@ -121,7 +112,9 @@ func TestMachineAggregates(t *testing.T) {
 	m := NewMachine(Spec{PeakFLOPS: 1, Efficiency: 1, MemPerGPU: 100, GPUsPerNode: 2}, 2, 0)
 	m.Devices[0].Compute(3)
 	m.Devices[3].Compute(7)
-	m.Devices[1].MustAlloc(55)
+	if err := m.Devices[1].Alloc(55); err != nil {
+		t.Fatal(err)
+	}
 	if m.MaxClock() != 7 {
 		t.Errorf("MaxClock = %v", m.MaxClock())
 	}

@@ -23,10 +23,10 @@ func TestStallBlocksUntilResume(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- d.ComputeChecked(1e6) }()
+	go func() { done <- d.Alloc(1 << 10) }()
 	select {
 	case err := <-done:
-		t.Fatalf("ComputeChecked returned %v while stalled, want blocked", err)
+		t.Fatalf("Alloc returned %v while stalled, want blocked", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 
@@ -34,10 +34,10 @@ func TestStallBlocksUntilResume(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("ComputeChecked after Resume: %v", err)
+			t.Fatalf("Alloc after Resume: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("ComputeChecked still blocked after Resume")
+		t.Fatal("Alloc still blocked after Resume")
 	}
 	if d.Stalled() {
 		t.Error("device still stalled after Resume")
@@ -112,9 +112,7 @@ func TestLastProgressAdvancesOnCompletedOps(t *testing.T) {
 		t.Fatal("LastProgress non-zero before any operation")
 	}
 	before := time.Now()
-	if err := d.ComputeChecked(1e6); err != nil {
-		t.Fatal(err)
-	}
+	d.Compute(1e6)
 	p1 := d.LastProgress()
 	if p1.IsZero() || p1.Before(before.Add(-time.Second)) {
 		t.Fatalf("LastProgress = %v after Compute, want recent wall-clock time", p1)

@@ -197,12 +197,12 @@ func TestIntoCollectivesZeroAlloc(t *testing.T) {
 				h2 := g.IAllGather(rank, bufs[rank], gathers[rank])
 				h1.Wait()
 				h2.Wait()
-				g.ReduceScatterMeanInto(rank, gathers[rank], bufs[rank])
+				g.IReduceScatterMean(rank, gathers[rank], bufs[rank]).Wait()
 				// The in-place forms and the nil destination.
 				own := gathers[rank][rank<<10 : (rank+1)<<10]
 				g.AllGatherInto(rank, own, gathers[rank])
 				g.AllGatherInto(rank, own, nil)
-				g.ReduceScatterMeanInto(rank, gathers[rank], own)
+				g.IReduceScatterMean(rank, gathers[rank], own).Wait()
 				jobs[rank].done <- struct{}{}
 			}
 		}(r)

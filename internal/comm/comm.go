@@ -1,7 +1,7 @@
 // Package comm implements the collective-communication layer of the
-// simulated machine: the operations RCCL provides on Frontier
-// (all-gather, reduce-scatter, all-reduce, broadcast, barrier),
-// executed functionally by goroutine ranks with real data movement,
+// simulated machine: the operations RCCL provides on Frontier that
+// the trainer uses (all-gather, reduce-scatter, all-reduce and
+// point-to-point send/recv), executed functionally by goroutine ranks with real data movement,
 // plus an α–β ring cost model that charges each collective to the
 // participating devices' simulated clocks according to the link type
 // the group spans (Infinity Fabric within a node, Slingshot across
@@ -74,9 +74,7 @@ const (
 	opAllGather
 	opReduce        // all-reduce; scale distinguishes sum from mean
 	opReduceScatter // reduce-scatter; scale distinguishes sum from mean
-	opBroadcast
-	opBarrier
-	opSend // point-to-point send/recv rendezvous (p2p.go)
+	opSend          // point-to-point send/recv rendezvous (p2p.go)
 )
 
 func (o opKind) String() string {
@@ -87,10 +85,6 @@ func (o opKind) String() string {
 		return "all-reduce"
 	case opReduceScatter:
 		return "reduce-scatter"
-	case opBroadcast:
-		return "broadcast"
-	case opBarrier:
-		return "barrier"
 	case opSend:
 		return "send"
 	}
@@ -383,16 +377,6 @@ func (g *Group) complete(p *pending) {
 				dst[i] = float32(sum[off+i] * p.scale)
 			}
 		}
-	case opBroadcast:
-		root := p.ins[0]
-		for r, dst := range p.dsts {
-			if len(dst) != len(root) {
-				panic(fmt.Sprintf("comm: Broadcast buffer at rank %d has %d elements, root has %d", r, len(dst), len(root)))
-			}
-			copy(dst, root)
-		}
-	case opBarrier:
-		// No data movement.
 	case opSend:
 		// Exactly one rank posted with a source buffer (ISend); every
 		// rank that posted a destination (IRecv) receives a copy.
@@ -535,12 +519,6 @@ func (g *Group) iReduceScatter(rank int, buf, dst []float32, scale float64) Hand
 	return g.post(opReduceScatter, rank, buf, dst, scale, cost)
 }
 
-// IBroadcast posts a broadcast of rank 0's buffer; every rank's dst
-// must have the root buffer's length (rank 0's dst may alias buf).
-func (g *Group) IBroadcast(rank int, buf, dst []float32) Handle {
-	return g.post(opBroadcast, rank, buf, dst, 1, g.ringCost(4*len(buf)))
-}
-
 // --- synchronous destination-passing collectives ---
 
 // AllGatherInto is the synchronous form of IAllGather.
@@ -553,30 +531,9 @@ func (g *Group) AllReduceSumInto(rank int, buf, dst []float32) {
 	g.IAllReduceSum(rank, buf, dst).Wait()
 }
 
-// AllReduceMeanInto is the synchronous form of IAllReduceMean.
-func (g *Group) AllReduceMeanInto(rank int, buf, dst []float32) {
-	g.IAllReduceMean(rank, buf, dst).Wait()
-}
-
 // ReduceScatterSumInto is the synchronous form of IReduceScatterSum.
 func (g *Group) ReduceScatterSumInto(rank int, buf, dst []float32) {
 	g.IReduceScatterSum(rank, buf, dst).Wait()
-}
-
-// ReduceScatterMeanInto is the synchronous form of IReduceScatterMean.
-func (g *Group) ReduceScatterMeanInto(rank int, buf, dst []float32) {
-	g.IReduceScatterMean(rank, buf, dst).Wait()
-}
-
-// BroadcastInto is the synchronous form of IBroadcast.
-func (g *Group) BroadcastInto(rank int, buf, dst []float32) {
-	g.IBroadcast(rank, buf, dst).Wait()
-}
-
-// Barrier synchronizes all ranks (and their clocks) without moving
-// data.
-func (g *Group) Barrier(rank int) {
-	g.post(opBarrier, rank, nil, nil, 1, float64(len(g.devices)-1)*g.latency).Wait()
 }
 
 // AllReduceScalar sums one float64 across ranks (loss reporting).

@@ -142,11 +142,3 @@ func BuildGroupsOver(l Layout, window []*cluster.Device) ([]*Groups, error) {
 	}
 	return views, nil
 }
-
-// TPWithinNode reports whether every TP group fits inside one node
-// under the contiguous mapping — the condition the paper's
-// hierarchical placement guarantees by construction when
-// TP ≤ GPUs/node and divides it evenly.
-func TPWithinNode(l Layout, gpusPerNode int) bool {
-	return l.TP <= gpusPerNode && gpusPerNode%l.TP == 0
-}

@@ -120,18 +120,6 @@ func FormatFig8(curves []Fig8Curve) string {
 	return b.String()
 }
 
-// FinalLoss returns the mean of the last k losses of a curve.
-func FinalLoss(c Fig8Curve, k int) float64 {
-	if k > len(c.Points) {
-		k = len(c.Points)
-	}
-	var s float64
-	for _, p := range c.Points[len(c.Points)-k:] {
-		s += p.Loss
-	}
-	return s / float64(k)
-}
-
 // Fig9Result holds wACC per variable for one model at one lead.
 type Fig9Result struct {
 	Model    string
@@ -325,20 +313,6 @@ func FormatFig9(results []Fig9Result) string {
 	}
 	b.WriteString("paper: ORBIT ≥ comparators at 14/30 days; competitive at 1 day; FourCastNet offers 1-day only\n")
 	return b.String()
-}
-
-// MeanACCFor averages a model's wACC over variables at a lead.
-func MeanACCFor(results []Fig9Result, model string, leadDays int) (float64, bool) {
-	for _, r := range results {
-		if r.Model == model && r.LeadDays == leadDays && r.Offered {
-			var s float64
-			for _, v := range r.ACC {
-				s += v
-			}
-			return s / float64(len(r.ACC)), true
-		}
-	}
-	return 0, false
 }
 
 // Fig10Row records the fine-tuning data efficiency of one model size.

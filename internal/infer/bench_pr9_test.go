@@ -46,8 +46,8 @@ func TestBenchPR9(t *testing.T) {
 	const m0, k0, n0 = 128, 256, 256
 	const callsPerSample = 8
 	rng := tensor.NewRNG(99)
-	x := tensor.Randn(rng, 1, m0, k0).Reshape(m0, k0)
-	w := tensor.Randn(rng, 1, k0, n0).Reshape(k0, n0)
+	x := tensor.Randn(rng, 1, m0, k0)
+	w := tensor.Randn(rng, 1, k0, n0)
 	dst := tensor.New(m0, n0)
 	qi8 := tensor.QuantizeTensor(w, tensor.QuantInt8)
 	qq4 := tensor.QuantizeTensor(w, tensor.QuantQ4)

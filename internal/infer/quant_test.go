@@ -156,8 +156,7 @@ func TestQuantPlanAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPlanQ(mq, 2, qs)
-	cfg := mq.Config
-	xs := []*tensor.Tensor{goldenIC().Reshape(cfg.Channels, cfg.Height, cfg.Width), goldenIC().Reshape(cfg.Channels, cfg.Height, cfg.Width)}
+	xs := []*tensor.Tensor{goldenIC(), goldenIC()}
 	leads := []float64{goldenLead, goldenLead}
 	p.Forward(xs, leads) // prime packing, size-2 headers, pools
 	if allocs := testing.AllocsPerRun(10, func() { p.Forward(xs, leads) }); allocs > 0 {

@@ -17,8 +17,8 @@ func naiveAttention(a *MultiHeadAttention, x *tensor.Tensor) *tensor.Tensor {
 	k := tensor.MatMulBiasInto(tensor.New(t, a.Dim), x, a.WK.Weight.W, a.WK.Bias.W)
 	v := tensor.MatMulBiasInto(tensor.New(t, a.Dim), x, a.WV.Weight.W, a.WV.Bias.W)
 	if a.QKNorm {
-		q = naiveLayerNorm(a.QNorm, q.Reshape(t*a.Heads, a.HeadDim)).Reshape(t, a.Dim)
-		k = naiveLayerNorm(a.KNorm, k.Reshape(t*a.Heads, a.HeadDim)).Reshape(t, a.Dim)
+		q = naiveLayerNorm(a.QNorm, q, a.HeadDim)
+		k = naiveLayerNorm(a.KNorm, k, a.HeadDim)
 	}
 	qh := tensor.Split(q, 1, a.Heads)
 	kh := tensor.Split(k, 1, a.Heads)
@@ -36,14 +36,13 @@ func naiveAttention(a *MultiHeadAttention, x *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMulBiasInto(tensor.New(t, a.Dim), concat, a.WO.Weight.W, a.WO.Bias.W)
 }
 
-// naiveLayerNorm applies ln's parameters with fresh float64 math,
-// without touching ln's caches.
-func naiveLayerNorm(ln *LayerNorm, x *tensor.Tensor) *tensor.Tensor {
-	rows, dim := x.Dim(0), x.Dim(1)
-	out := tensor.New(rows, dim)
+// naiveLayerNorm applies ln's parameters to every dim-long row of x
+// with fresh float64 math, without touching ln's caches.
+func naiveLayerNorm(ln *LayerNorm, x *tensor.Tensor, dim int) *tensor.Tensor {
+	out := tensor.New(x.Shape()...)
 	g, b := ln.Gamma.W.Data(), ln.Beta.W.Data()
-	for r := 0; r < rows; r++ {
-		xr := x.Row(r)
+	for r := 0; r < x.Len()/dim; r++ {
+		xr := x.Data()[r*dim : (r+1)*dim]
 		var mean float64
 		for _, v := range xr {
 			mean += float64(v)
@@ -56,7 +55,7 @@ func naiveLayerNorm(ln *LayerNorm, x *tensor.Tensor) *tensor.Tensor {
 		}
 		variance /= float64(dim)
 		rstd := 1 / math.Sqrt(variance+ln.Eps)
-		or := out.Row(r)
+		or := out.Data()[r*dim : (r+1)*dim]
 		for c, v := range xr {
 			or[c] = float32((float64(v)-mean)*rstd)*g[c] + b[c]
 		}

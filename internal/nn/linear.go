@@ -95,12 +95,3 @@ func (l *Linear) Params() []*Param {
 	}
 	return []*Param{l.Weight, l.Bias}
 }
-
-// FLOPs returns the forward FLOP count for `rows` input rows.
-func (l *Linear) FLOPs(rows int) int64 {
-	f := tensor.MatMulFLOPs(rows, l.In, l.Out)
-	if l.Bias != nil {
-		f += int64(rows) * int64(l.Out)
-	}
-	return f
-}

@@ -51,16 +51,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // NumEl returns the parameter count.
 func (p *Param) NumEl() int { return p.W.Len() }
 
-// Layer is a differentiable module. Backward must be called after
-// Forward with the gradient of the loss with respect to Forward's
-// output; it accumulates parameter gradients and returns the gradient
-// with respect to the input.
-type Layer interface {
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	Backward(dy *tensor.Tensor) *tensor.Tensor
-	Params() []*Param
-}
-
 // ZeroGrads clears all gradients of a parameter set.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {

@@ -91,11 +91,8 @@ func (a *AdamW) Step(lr float64) {
 	}
 }
 
-// Params returns the optimized parameter set.
-func (a *AdamW) Params() []*nn.Param { return a.params }
-
 // Moments exposes the first and second moment estimates, aligned with
-// Params(), for checkpointing. The returned tensors are the live
+// the optimized parameters, for checkpointing. The returned tensors are the live
 // optimizer state: write into their Data() to restore a checkpoint.
 func (a *AdamW) Moments() (m, v []*tensor.Tensor) { return a.m, a.v }
 
@@ -106,11 +103,6 @@ func (a *AdamW) StepCount() int { return a.step }
 // SetStepCount restores the step counter from a checkpoint so bias
 // correction continues exactly where the saved run left off.
 func (a *AdamW) SetStepCount(n int) { a.step = n }
-
-// StateBytesPerParam is the optimizer-state footprint AdamW adds per
-// parameter (two float32 moments); the perf model uses this to compute
-// sharded memory footprints.
-const StateBytesPerParam = 8
 
 // ClipGradNorm scales all gradients so the global L2 norm does not
 // exceed maxNorm; returns the pre-clip norm.
@@ -150,9 +142,3 @@ func (c CosineSchedule) LR(step int) float64 {
 	progress := float64(step-c.WarmupSteps) / float64(c.TotalSteps-c.WarmupSteps)
 	return c.MinLR + 0.5*(c.BaseLR-c.MinLR)*(1+math.Cos(math.Pi*progress))
 }
-
-// ConstantSchedule returns a fixed learning rate.
-type ConstantSchedule float64
-
-// LR returns the constant rate.
-func (c ConstantSchedule) LR(int) float64 { return float64(c) }

@@ -109,13 +109,6 @@ func TestCosineScheduleShape(t *testing.T) {
 	}
 }
 
-func TestConstantSchedule(t *testing.T) {
-	s := ConstantSchedule(0.3)
-	if s.LR(0) != 0.3 || s.LR(1e6) != 0.3 {
-		t.Error("constant schedule should be constant")
-	}
-}
-
 func TestAdamWTrainsLinearRegression(t *testing.T) {
 	// End-to-end sanity: a linear layer fits y = 2x + 1.
 	rng := tensor.NewRNG(42)

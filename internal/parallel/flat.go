@@ -3,8 +3,8 @@
 // Megatron-style tensor-parallel block (tp.go) and the flat-parameter
 // helpers (this file) that pack a parameter list into the zero-padded
 // vector FSDP chunks are cut from. internal/core composes them into
-// the TP×FSDP×DDP engine, internal/infer merges and serves TP shards
-// with them, and internal/plan counts the same shard sizes.
+// the TP×FSDP×DDP engine, internal/infer serves TP shards with them,
+// and internal/plan counts the same shard sizes.
 //
 // A TP shard has no forward or backward of its own: it is an
 // nn.MultiHeadAttention over H/K heads and an nn.MLP built from
@@ -61,20 +61,6 @@ func BindFlat(flat []float32, params []*nn.Param) (grads []float32) {
 	return grads
 }
 
-// UnflattenInto copies a flat vector back into parameter weights,
-// bumping each weight tensor's version (the values may differ, so
-// version-keyed kernel caches must refresh).
-func UnflattenInto(flat []float32, params []*nn.Param) {
-	if want := NumelPadded(params, 1); want > len(flat) {
-		panic(fmt.Sprintf("parallel: flat vector too short: %d < %d", len(flat), want))
-	}
-	off := 0
-	for _, p := range params {
-		off += copy(p.W.Data(), flat[off:off+p.W.Len()])
-		p.W.Bump()
-	}
-}
-
 // NumelPadded returns the padded flat length used by Flatten*.
 func NumelPadded(params []*nn.Param, multiple int) int {
 	n := 0
@@ -82,17 +68,6 @@ func NumelPadded(params []*nn.Param, multiple int) int {
 		n += p.W.Len()
 	}
 	return ((n + multiple - 1) / multiple) * multiple
-}
-
-// CopyWeights copies weight values from src params into dst params
-// (shapes must match pairwise).
-func CopyWeights(dst, src []*nn.Param) {
-	if len(dst) != len(src) {
-		panic("parallel: CopyWeights param count mismatch")
-	}
-	for i := range dst {
-		dst[i].W.CopyFrom(src[i].W)
-	}
 }
 
 // shardOfBias returns shard k of K of a bias vector [n].

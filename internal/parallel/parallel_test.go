@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -252,33 +251,13 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	orig := []*tensor.Tensor{ps[0].W.Clone(), ps[1].W.Clone()}
 	ps[0].W.Zero()
 	ps[1].W.Zero()
-	UnflattenInto(flat, ps)
+	BindFlat(flat, ps)
 	if !tensor.AllClose(ps[0].W, orig[0], 0, 0) || !tensor.AllClose(ps[1].W, orig[1], 0, 0) {
-		t.Error("unflatten did not restore weights")
+		t.Error("the views of the flat vector do not hold the weights")
 	}
 	if NumelPadded(ps, 4) != 20 {
 		t.Errorf("NumelPadded = %d", NumelPadded(ps, 4))
 	}
-}
-
-// TestUnflattenIntoRejectsShortVector: a vector shorter than the
-// parameters is refused with the helper's own message before anything
-// is copied, not by a slice-bounds fault half-way through.
-func TestUnflattenIntoRejectsShortVector(t *testing.T) {
-	ps := []*nn.Param{
-		nn.NewParam("a", tensor.Ones(3, 4)),
-		nn.NewParam("b", tensor.Ones(5)),
-	}
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "flat vector too short: 16 < 17") {
-			t.Errorf("UnflattenInto of 16 values into 17 panicked with %q", msg)
-		}
-		if ps[0].W.Data()[0] != 1 || ps[0].W.Version() != 0 {
-			t.Error("UnflattenInto wrote a parameter before refusing the vector")
-		}
-	}()
-	UnflattenInto(make([]float32, 16), ps)
 }
 
 // TestBindFlatMakesParamsViews: after BindFlat every weight and

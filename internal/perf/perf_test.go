@@ -289,7 +289,8 @@ func TestEpochTimeMatchesPaperOrder(t *testing.T) {
 	opts := core.DefaultOptions()
 	s := FromConfig(vit.ORBIT113B)
 	plan := DefaultPlanFor(s, 49152, frontier, opts)
-	hours := EpochTime(s, plan, frontier, 1_200_000, 0) / 3600
+	b := Step(s, plan, frontier, 0)
+	hours := 1_200_000 / float64(b.SamplesPerStep) * b.StepTime() / 3600
 	if hours < 0.2 || hours > 4 {
 		t.Errorf("113 B epoch = %0.2f h, paper reports 0.8 h", hours)
 	}

@@ -160,14 +160,6 @@ func Step(s Shape, plan Plan, spec cluster.Spec, globalBatch int) StepBreakdown 
 	}
 }
 
-// EpochTime returns the wall-clock time to process `samples`
-// observations (the paper's 1.2 M-sample pre-training epoch).
-func EpochTime(s Shape, plan Plan, spec cluster.Spec, samples int, globalBatch int) float64 {
-	b := Step(s, plan, spec, globalBatch)
-	steps := float64(samples) / float64(b.SamplesPerStep)
-	return steps * b.StepTime()
-}
-
 // StrongScalingEfficiency returns T_base·N_base / (T_N·N): the
 // paper's Fig. 7 metric with the 512-GPU run as the 100 % baseline.
 func StrongScalingEfficiency(baseTime float64, baseGPUs int, t float64, gpus int) float64 {

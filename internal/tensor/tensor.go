@@ -5,8 +5,8 @@
 // (PyTorch) used by the ORBIT paper.
 //
 // Tensors are row-major and always contiguous. Shapes are immutable
-// after construction; Reshape returns a view sharing the backing
-// slice. All operations check shapes and panic on mismatch — shape
+// after construction; FromSlice wraps a slice of another tensor as a
+// view sharing its storage. All operations check shapes and panic on mismatch — shape
 // errors are programming bugs, not runtime conditions.
 package tensor
 
@@ -97,8 +97,8 @@ func panicBadShape(shape []int) {
 // cache derived forms of stable tensors (e.g. a linear layer's weight
 // transpose). The counter advances on every mutating Tensor
 // method; writers that modify the raw Data() slice directly must call
-// Bump themselves (the optimizers, parallel.UnflattenInto and the
-// Hybrid-STOP engine's in-place gather do).
+// Bump themselves (the optimizers and the Hybrid-STOP engine's
+// in-place gather do).
 func (t *Tensor) Version() uint64 { return t.ver }
 
 // Bump records an out-of-band mutation of the tensor's contents.
@@ -145,16 +145,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.data, t.data)
 	return c
-}
-
-// Reshape returns a view with a new shape sharing the same data. The
-// volume must match.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
 
 // Row returns a view of row r of a 2-D tensor as a length-cols slice.

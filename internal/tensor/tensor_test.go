@@ -49,24 +49,6 @@ func TestAtOutOfBoundsPanics(t *testing.T) {
 	New(2, 2).At(2, 0)
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	y := x.Reshape(4)
-	y.Set(9, 0)
-	if x.At(0, 0) != 9 {
-		t.Error("Reshape should share backing data")
-	}
-}
-
-func TestReshapeVolumeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for volume mismatch")
-		}
-	}()
-	New(2, 2).Reshape(3)
-}
-
 func TestCloneIndependent(t *testing.T) {
 	x := FromSlice([]float32{1, 2}, 2)
 	y := x.Clone()

@@ -347,23 +347,6 @@ func EvalACC(f Forecaster, ds *climate.Dataset, chans []int, nEval int) []float6
 	return sums
 }
 
-// EvalLoss returns mean wMSE over nEval evenly spaced samples.
-func EvalLoss(m *vit.Model, ds *climate.Dataset, nEval int) float64 {
-	var total float64
-	stride := ds.Len() / nEval
-	if stride < 1 {
-		stride = 1
-		nEval = ds.Len()
-	}
-	for i := 0; i < nEval; i++ {
-		s := ds.At(i * stride)
-		pred := m.Forward(s.Input, s.LeadHours)
-		loss, _ := metrics.WeightedMSE(pred, s.Target)
-		total += loss
-	}
-	return total / float64(nEval)
-}
-
 // SamplesToTarget fine-tunes until the validation mean wACC first
 // reaches `target` and returns the number of samples consumed, or the
 // total consumed if maxSteps is exhausted first. This is the Fig. 10
@@ -378,30 +361,6 @@ func SamplesToTarget(t *Trainer, data DataSource, val *climate.Dataset, chans []
 		if (s+1)%checkEvery == 0 {
 			if metrics.MeanACC(EvalACC(t.Forecaster(), val, chans, 4)) >= target {
 				return t.Samples()
-			}
-		}
-	}
-	return t.Samples()
-}
-
-// SamplesToConverge fine-tunes until the validation wACC improves by
-// less than tol over a patience window (or maxSteps is hit) and
-// returns the number of samples consumed — the Fig. 10 measurement.
-func SamplesToConverge(t *Trainer, data DataSource, val *climate.Dataset, chans []int, tol float64, checkEvery, maxSteps int) int {
-	best := -2.0
-	bestAt := 0
-	rng := tensor.NewRNG(t.Cfg.Seed + 99)
-	order := rng.Perm(data.Len())
-	idx := 0
-	for s := 0; s < maxSteps; s++ {
-		t.Step(t.nextBatch(data, order, &idx))
-		if (s+1)%checkEvery == 0 {
-			acc := metrics.MeanACC(EvalACC(t.Forecaster(), val, chans, 4))
-			if acc > best+tol {
-				best = acc
-				bestAt = t.Samples()
-			} else if t.Samples()-bestAt >= 3*checkEvery*t.Cfg.BatchSize {
-				return bestAt
 			}
 		}
 	}

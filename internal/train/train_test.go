@@ -145,24 +145,3 @@ func TestFinetuningBeatsClimatology(t *testing.T) {
 		t.Errorf("fine-tuned wACC %v should beat climatology (0)", mean)
 	}
 }
-
-func TestEvalLossFiniteAndPositive(t *testing.T) {
-	ds, _ := smallData(t)
-	m, _ := vit.New(tinyCfg(), 8)
-	l := EvalLoss(m, ds, 4)
-	if l <= 0 || l != l {
-		t.Errorf("EvalLoss = %v", l)
-	}
-}
-
-func TestSamplesToConvergeTerminates(t *testing.T) {
-	ds, _ := smallData(t)
-	val, _ := smallData(t)
-	m, _ := vit.New(tinyCfg(), 9)
-	tc := quickTC()
-	tr := NewTrainer(m, tc)
-	n := SamplesToConverge(tr, ds, val, []int{1, 2}, 1e-3, 5, 60)
-	if n <= 0 || n > 60*tc.BatchSize {
-		t.Errorf("SamplesToConverge = %d", n)
-	}
-}
