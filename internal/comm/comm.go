@@ -1,12 +1,13 @@
 // Package comm implements the collective-communication layer of the
 // simulated machine: the operations RCCL provides on Frontier that
 // the trainer uses (all-gather, reduce-scatter, all-reduce and
-// point-to-point send/recv), executed functionally by goroutine ranks with real data movement,
-// plus an α–β ring cost model that charges each collective to the
-// participating devices' simulated clocks according to the link type
-// the group spans (Infinity Fabric within a node, Slingshot across
-// nodes) — the distinction that drives ORBIT's hierarchical mapping of
-// tensor-parallel groups to nodes (paper Sec. III-B, Fig. 4).
+// point-to-point send/recv), executed functionally by goroutine ranks
+// with real data movement, plus an α–β ring cost model that charges
+// each collective to the participating devices' simulated clocks
+// according to the link type the group spans (Infinity Fabric within
+// a node, Slingshot across nodes) — the distinction that drives
+// ORBIT's hierarchical mapping of tensor-parallel groups to nodes
+// (paper Sec. III-B, Fig. 4).
 //
 // # Destination-passing collectives, synchronous and asynchronous
 //

@@ -22,7 +22,7 @@ type PatchEmbed struct {
 	out     *tensor.Tensor   // owned output buffer [C, T, D]
 	emb     []*tensor.Tensor // per-channel [T, D] views of out
 
-	dy       []float32        // the gradient dEmb views
+	dy       []float32        // the gradient the dEmb views cover
 	dEmb     []*tensor.Tensor // per-channel [T, D] views of dy
 	dW       *tensor.Tensor   // one channel's weight gradient [P*P, D]
 	dB       *tensor.Tensor   // one channel's bias gradient [D]

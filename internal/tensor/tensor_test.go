@@ -292,6 +292,25 @@ func TestGELUBackwardNumerical(t *testing.T) {
 	}
 }
 
+// TestSplitParts checks Split's part shapes and, along dim 0, that the
+// parts tile x; TestSplitHeadsRoundTrip pins the parts' values along
+// dim 1.
+func TestSplitParts(t *testing.T) {
+	r := NewRNG(15)
+	x := Randn(r, 1, 4, 6)
+	parts := Split(x, 1, 3)
+	if len(parts) != 3 || parts[0].Dim(1) != 2 {
+		t.Fatalf("Split shapes: %v", parts[0].Shape())
+	}
+	var rows []float32
+	for _, p := range Split(x, 0, 2) {
+		rows = append(rows, p.Data()...)
+	}
+	if !AllClose(FromSlice(rows, 4, 6), x, 0, 0) {
+		t.Error("the dim-0 parts of x, end to end, are not x")
+	}
+}
+
 func TestRowColumnShards(t *testing.T) {
 	x := FromSlice([]float32{
 		1, 2, 3, 4,
