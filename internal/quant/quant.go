@@ -291,12 +291,23 @@ func (q *Quantized) Bytes() int { return len(q.data) + 4*len(q.scales) }
 // row-major [rows, c1-c0] strip of the matrix they are the columns of:
 // element i of panel c lands at dst[i*(c1-c0) + c-c0] — the right
 // operand of a matmul over those columns, reduction axis outermost.
-// This is the fused matmul's inner dequantization; it allocates
-// nothing.
+// This is the fused matmul's inner dequantization on the portable path;
+// it allocates nothing.
 func (q *Quantized) DequantPanelsInto(dst []float32, c0, c1 int) {
-	rows, w := q.rows, c1-c0
-	if c0 < 0 || c1 > q.cols || c0 > c1 || len(dst) < w*rows {
-		panic(fmt.Sprintf("quant: DequantPanelsInto [%d, %d) of %d cols into %d values", c0, c1, q.cols, len(dst)))
+	q.DequantRowsInto(dst, c1-c0, c0, c1, 0)
+}
+
+// DequantRowsInto reconstructs rows [r0, rows) of panels [c0, c1):
+// element i of panel c lands at dst[i*stride + c-c0]. Every element is
+// float32(q_i)·d, one conversion and one multiply, so a vector strip
+// writer that covers the leading rows and panels and finishes the rest
+// here writes DequantPanelsInto's bits.
+func (q *Quantized) DequantRowsInto(dst []float32, stride, c0, c1, r0 int) {
+	rows := q.rows
+	if c0 < 0 || c1 > q.cols || c0 > c1 || r0 < 0 || stride < c1-c0 ||
+		(c0 < c1 && r0 < rows && len(dst) < (rows-1)*stride+c1-c0) {
+		panic(fmt.Sprintf("quant: DequantRowsInto rows [%d, %d) of panels [%d, %d) of %d, stride %d, into %d values",
+			r0, rows, c0, c1, q.cols, stride, len(dst)))
 	}
 	nb := BlocksPerPanel(rows)
 	pb := PanelBytes(q.kind, rows)
@@ -306,27 +317,13 @@ func (q *Quantized) DequantPanelsInto(dst []float32, c0, c1 int) {
 		pd := q.data[c*pb : (c+1)*pb]
 		switch q.kind {
 		case Int8:
-			for b := 0; b < nb; b++ {
-				d := ps[b]
-				lo := b * Block
-				hi := min(lo+Block, rows)
-				for i := lo; i < hi; i++ {
-					out[i*w] = float32(int8(pd[i])) * d
-				}
+			for i := r0; i < rows; i++ {
+				out[i*stride] = float32(int8(pd[i])) * ps[i/Block]
 			}
 		case Q4_0:
-			for b := 0; b < nb; b++ {
-				d := ps[b]
-				base := b * Block
-				for j := 0; j < Block/2; j++ {
-					v := pd[b*Block/2+j]
-					if i := base + 2*j; i < rows {
-						out[i*w] = float32(int(v&0x0f)-8) * d
-					}
-					if i := base + 2*j + 1; i < rows {
-						out[i*w] = float32(int(v>>4)-8) * d
-					}
-				}
+			for i := r0; i < rows; i++ {
+				v := pd[i/2] >> (4 * (i & 1)) & 0x0f
+				out[i*stride] = float32(int(v)-8) * ps[i/Block]
 			}
 		}
 	}

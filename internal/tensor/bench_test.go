@@ -8,7 +8,9 @@ import (
 // BenchmarkMatMulKernel runs the matrix kernel at the shapes the bench
 // workloads meet — the linear layers of a training micro-batch (32
 // token rows, D = 64), the fused serving batch (256 rows) and one
-// sample's four attention heads — and reports GFLOP/s, so a kernel
+// sample's four attention heads, and the quantized weights of the int8
+// serving path at the two linear-layer shapes, whose per-call strip
+// writing is counted in their time — and reports GFLOP/s, so a kernel
 // regression has a one-line reproducer:
 //
 //	go test ./internal/tensor -run '^$' -bench MatMulKernel
@@ -24,6 +26,12 @@ func BenchmarkMatMulKernel(b *testing.B) {
 		m, k, n := s[0], s[1], s[2]
 		dst, t, u := New(m, n), Randn(rng, 1, m, k), Randn(rng, 1, k, n)
 		rows = append(rows, row{fmt.Sprintf("[%d,%d]@[%d,%d]", m, k, k, n), MatMulFLOPs(m, k, n), func() { MatMulInto(dst, t, u) }})
+		if k == 64 && n == 256 {
+			for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
+				q := QuantizeTensor(u, kind)
+				rows = append(rows, row{fmt.Sprintf("%s/[%d,%d]@[%d,%d]", kind, m, k, k, n), MatMulFLOPs(m, k, n), func() { MatMulQuantInto(dst, t, q, nil) }})
+			}
+		}
 	}
 	const heads, tokens, hd = 4, 32, 16
 	q, kh := Randn(rng, 1, heads, tokens, hd), Randn(rng, 1, heads, tokens, hd)

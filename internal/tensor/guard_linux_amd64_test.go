@@ -6,6 +6,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"orbit/internal/quant"
 )
 
 // The assembly kernels take raw pointers, so a kernel that reads or
@@ -48,6 +50,19 @@ func guardedSlice(g *guarded, n int, atEnd bool) []float32 {
 	s := unsafe.Slice((*float32)(unsafe.Pointer(&g.data[off])), n)
 	for i := range s {
 		s[i] = float32(i%7) - 3
+	}
+	return s
+}
+
+// guardedBytes is guardedSlice for bytes: n of them, every value.
+func guardedBytes(g *guarded, n int, atEnd bool) []byte {
+	off := 0
+	if atEnd {
+		off = len(g.data) - n
+	}
+	s := g.data[off : off+n : off+n]
+	for i := range s {
+		s[i] = byte(i * 37)
 	}
 	return s
 }
@@ -148,16 +163,18 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 
 // TestElemKernelsStayInsideOperands sweeps every length tail of the
 // GELU, streaming and exp kernels (expVec has been in no such test
-// since it was written; tanh32's vector form now runs inside geluVec),
-// every row-group tail and width of the softmax kernels, every column
-// tail of the bias-gradient sum and every rows%8 × cols%8 edge of the
-// transpose.
+// since it was written), every row-group tail and width of the softmax
+// kernels, every column tail of the bias-gradient sum, every rows%8 ×
+// cols%8 edge of the transpose, and the quantized strip writer over
+// row tails, partial scale blocks and partial column groups, its last
+// panel's bytes and scales against the fence.
 func TestElemKernelsStayInsideOperands(t *testing.T) {
-	const maxN, maxRows, maxCols = 21, 9, 41
+	const maxN, maxRows, maxCols, maxK = 21, 9, 41, 40
 	var g [4]*guarded
 	for i := range g {
 		g[i] = newGuarded(t, 4*maxRows*maxCols)
 	}
+	gs := newGuarded(t, 4*maxK*outerColPanel)
 	underFences(t, func(atEnd bool, running *string) {
 		f32 := func(i, n int) []float32 { return guardedSlice(g[i], n, atEnd) }
 		for n := 0; n <= maxN; n++ {
@@ -177,6 +194,22 @@ func TestElemKernelsStayInsideOperands(t *testing.T) {
 			scaleSlice(f32(0, n), 0.5)
 			*running = fmt.Sprintf("maxAbsVec n=%d", n)
 			maxAbsSlice(f32(0, n))
+		}
+		for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
+			for _, k := range []int{8, 33, maxK} {
+				for _, n := range []int{8, 13, 16, 24} {
+					*running = fmt.Sprintf("dequantVec %s k=%d n=%d", kind, k, n)
+					pb, nb := quant.PanelBytes(kind, k), quant.BlocksPerPanel(k)
+					q, err := quant.FromParts(kind, k, n, guardedBytes(g[0], n*pb, atEnd), f32(1, n*nb))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for c := 0; c < n; c += outerColPanel {
+						w := min(outerColPanel, n-c)
+						dequantStrip(guardedSlice(gs, k*w, atEnd), q, c, w)
+					}
+				}
+			}
 		}
 		for rows := 1; rows <= maxRows; rows++ {
 			for cols := 1; cols <= maxCols; cols++ {

@@ -63,7 +63,7 @@ func (t *quantTask) Tile(tile, g0, g1 int) {
 	for g := g0; g < g1; g++ {
 		c := g * outerColPanel
 		w := min(outerColPanel, n-c)
-		t.q.DequantPanelsInto(strip, c, c+w)
+		dequantStrip(strip, t.q, c, w)
 		p := t.product
 		p.dst, p.u, p.n, p.un = p.dst[c:], strip, w, w
 		if p.bias != nil {
@@ -71,6 +71,30 @@ func (t *quantTask) Tile(tile, g0, g1 int) {
 		}
 		p.rows(0, t.m)
 	}
+}
+
+// dequantStrip writes panels [c, c+w) of q into strip as the row-major
+// [k, w] operand of their product: the vector kernel takes the leading
+// k&^7 rows of the leading w&^7 panels, eight by eight, and
+// DequantRowsInto the row and column tails — all of it with the CPU
+// gate off. Each element is float32(q)·d either way, so the strip holds
+// q.DequantPanelsInto's bits.
+func dequantStrip(strip []float32, q *Quantized, c, w int) {
+	k := q.Rows()
+	k8, w8 := whole(k), whole(w)
+	if k8 == 0 || w8 == 0 {
+		q.DequantPanelsInto(strip, c, c+w)
+		return
+	}
+	pb, nb := quant.PanelBytes(q.Kind(), k), quant.BlocksPerPanel(k)
+	data, scales := q.Data(), q.Scales()
+	_ = strip[(k8-1)*w+w8-1]
+	for j := 0; j < w8; j += 8 {
+		p := c + j
+		dequantVec(&strip[j], &data[p*pb], &scales[p*nb], k8, w, pb, nb, q.Kind() == QuantQ4)
+	}
+	q.DequantRowsInto(strip, w, c, c+w8, k8)
+	q.DequantRowsInto(strip[w8:], w, c+w8, c+w, 0)
 }
 
 // MatMulQuantInto computes dst = t·W (+ bias) where W is a quantized

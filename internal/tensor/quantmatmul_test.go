@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
 	"testing"
+
+	"orbit/internal/quant"
 )
 
 // TestMatMulQuantMatchesF32 pins the fused kernel's core contract:
@@ -49,6 +52,87 @@ func TestMatMulQuantMatchesF32(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stripScales cycles through the block scales the strip writer must
+// carry bit for bit: zero, the smallest and largest denormals,
+// ±MaxFloat32/127 (where an int8 code of ±128 overflows) and ordinary
+// values of either sign.
+var stripScales = []float32{0, math.Float32frombits(1), math.Float32frombits(0x007fffff),
+	math.MaxFloat32 / 127, -math.MaxFloat32 / 127, 0.0123, -3.5e-4, 1}
+
+// TestDequantStripMatchesPanels compares every column group of the
+// strip writer with q.DequantPanelsInto under Float32bits, CPU gate off
+// and on, for both formats: the bytes are every value in every lane
+// (at k = 256, n = 133 each byte value meets each byte%8 and panel%8,
+// which the test checks), k covers whole and partial scale blocks, and
+// n ends in a partial 16-column group with and without a whole
+// eight-panel half.
+func TestDequantStripMatchesPanels(t *testing.T) {
+	if !useFMA {
+		t.Skip("vector kernels unavailable on this CPU")
+	}
+	defer func() { useFMA = true }()
+	for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
+		for _, k := range []int{32, 40, 64, 96, 256} {
+			for _, n := range []int{76, 133} {
+				pb, nb := quant.PanelBytes(kind, k), quant.BlocksPerPanel(k)
+				data, scales := make([]byte, n*pb), make([]float32, n*nb)
+				for i := range data {
+					c, j := i/pb, i%pb
+					data[i] = byte(j/8 + pb/8*(c/8) + j%8 + 3*(c%8))
+				}
+				for i := range scales {
+					scales[i] = stripScales[(i*5+i/nb)%len(stripScales)]
+				}
+				q, err := quant.FromParts(kind, k, n, data, scales)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var seen [256][8][8]bool
+				for c := 0; c < n; c += outerColPanel {
+					w := min(outerColPanel, n-c)
+					want := make([]float32, k*w)
+					q.DequantPanelsInto(want, c, c+w)
+					for _, vector := range []bool{false, true} {
+						useFMA = vector
+						got := sentinelStrip(k * w)
+						dequantStrip(got, q, c, w)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%s k=%d n=%d panels [%d, %d) vector=%v: row %d panel %d is %v (%#x), DequantPanelsInto %v (%#x)",
+									kind, k, n, c, c+w, vector, i/w, c+i%w, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+							}
+						}
+					}
+					for p := c; p < c+w&^7; p++ {
+						for i := 0; i < pb; i++ {
+							seen[data[p*pb+i]][i%8][p%8] = true
+						}
+					}
+				}
+				if k == 256 && n == 133 {
+					for v := range seen {
+						for r := range seen[v] {
+							for p, ok := range seen[v][r] {
+								if !ok {
+									t.Fatalf("%s k=%d n=%d: byte %#x never at byte%%8 = %d, panel%%8 = %d", kind, k, n, v, r, p)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func sentinelStrip(n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32(math.NaN())
+	}
+	return s
 }
 
 // TestMatMulQuantAllocs asserts the 0 allocs/op steady state on both
