@@ -108,7 +108,7 @@ func TestF32PlanHoldsOneCopyOfTheWeights(t *testing.T) {
 	// place, with no per-channel keys or values —; the aggregation's mix;
 	// thirteen [T,D] stages of a block (two more under QK-norm); the
 	// attention probabilities; the MLP's [T,4D] once — GELU runs in place
-	// over fc1, with no tanh cache and no output buffer of its own —; head
+	// over fc1, with no σ cache and no output buffer of its own —; head
 	// tokens and the output.
 	cfg := m.Config
 	T, D, pp := cfg.Tokens(), cfg.EmbedDim, cfg.Patch*cfg.Patch

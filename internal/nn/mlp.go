@@ -9,10 +9,10 @@ import "orbit/internal/tensor"
 type MLP struct {
 	FC1, FC2 *Linear
 
-	h  *tensor.Tensor // cached pre-activation for GELU backward
-	g  *tensor.Tensor // owned GELU output buffer
-	th *tensor.Tensor // cached tanh values from the GELU forward
-	dh *tensor.Tensor // owned pre-activation gradient buffer
+	h   *tensor.Tensor // cached pre-activation for GELU backward
+	g   *tensor.Tensor // owned GELU output buffer
+	sig *tensor.Tensor // cached σ(2u) values from the GELU forward
+	dh  *tensor.Tensor // owned pre-activation gradient buffer
 }
 
 // NewMLP builds an MLP with the given input and hidden widths.
@@ -24,20 +24,20 @@ func NewMLP(name string, dim, hidden int, rng *tensor.RNG) *MLP {
 }
 
 // Forward computes the feed-forward transform on [rows, dim]. The
-// GELU's tanh values are cached so Backward reconstructs the
-// derivative arithmetically instead of re-evaluating tanh.
+// GELU's σ(2u) values are cached so Backward reconstructs the
+// derivative arithmetically instead of re-evaluating the exponential.
 func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor {
 	m.h = m.FC1.Forward(x)
 	m.g = tensor.Ensure(m.g, m.h.Shape()...)
-	m.th = tensor.Ensure(m.th, m.h.Shape()...)
-	return m.FC2.Forward(tensor.GELUCachedInto(m.g, m.th, m.h))
+	m.sig = tensor.Ensure(m.sig, m.h.Shape()...)
+	return m.FC2.Forward(tensor.GELUCachedInto(m.g, m.sig, m.h))
 }
 
 // Backward propagates through FC2, GELU, FC1.
 func (m *MLP) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dGelu := m.FC2.Backward(dy)
 	m.dh = tensor.Ensure(m.dh, m.h.Shape()...)
-	return m.FC1.Backward(tensor.GELUBackwardCachedInto(m.dh, m.h, m.th, dGelu))
+	return m.FC1.Backward(tensor.GELUBackwardCachedInto(m.dh, m.h, m.sig, dGelu))
 }
 
 // Params returns both projections' parameters.

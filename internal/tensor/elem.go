@@ -23,9 +23,9 @@ const softmaxGroup = 4
 // softmax kinds items are groups of softmaxGroup rows of width cols;
 // for the GELU kinds items are flat elements.
 type elemJob struct {
-	kind           OpKind // OpSoftmax, OpSoftmaxBwd, OpGELU or OpGELUBwd
-	x, th, dy, out []float32
-	rows, cols     int
+	kind            OpKind // OpSoftmax, OpSoftmaxBwd, OpGELU or OpGELUBwd
+	x, sig, dy, out []float32
+	rows, cols      int
 }
 
 // Tile implements Job. Each case is the unchanged serial loop
@@ -57,23 +57,22 @@ func (j *elemJob) Tile(_, i0, i1 int) {
 		}
 	case OpGELU:
 		x, d := j.x[i0:i1], j.out[i0:i1]
-		td := d // no cache wanted: the tanh store lands in out and is overwritten
-		if j.th != nil {
-			td = j.th[i0:i1]
+		sd := d // no cache wanted: the σ store lands in out and is overwritten
+		if j.sig != nil {
+			sd = j.sig[i0:i1]
 		}
-		for i := geluSlice(d, td, x); i < len(x); i++ {
+		for i := geluSlice(d, sd, x); i < len(x); i++ {
 			v := x[i]
-			t := tanh32(geluC0 * (v + geluC1*v*v*v))
-			td[i] = t
-			d[i] = 0.5 * v * (1 + t)
+			s := 1 / (1 + exp32(v*(geluK0+geluK1*v*v)))
+			sd[i] = s
+			d[i] = v * s
 		}
 	case OpGELUBwd:
-		x, td, dyd, d := j.x[i0:i1], j.th[i0:i1], j.dy[i0:i1], j.out[i0:i1]
-		for i := geluBwdSlice(d, x, td, dyd); i < len(x); i++ {
-			v, t := x[i], td[i]
-			sech2 := 1 - t*t
-			du := float32(geluC0) * (1 + 3*geluC1*v*v)
-			d[i] = dyd[i] * (0.5*(1+t) + 0.5*v*sech2*du)
+		x, sd, dyd, d := j.x[i0:i1], j.sig[i0:i1], j.dy[i0:i1], j.out[i0:i1]
+		for i := geluBwdSlice(d, x, sd, dyd); i < len(x); i++ {
+			v, s := x[i], sd[i]
+			dz := geluK0 + geluK3*v*v
+			d[i] = dyd[i] * (s - v*s*(1-s)*dz)
 		}
 	}
 }

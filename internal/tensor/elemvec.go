@@ -74,20 +74,20 @@ func transposeBlocks(dst, src []float32, rows, cols int) (r8, c8 int) {
 
 // geluSlice is the OpGELU loop over the first len(x)&^7
 // elements.
-func geluSlice(dst, th, x []float32) int {
+func geluSlice(dst, sig, x []float32) int {
 	n := whole(len(x))
 	if n > 0 {
-		geluVec(span(dst, 0, n), span(th, 0, n), &x[0], n)
+		geluVec(span(dst, 0, n), span(sig, 0, n), &x[0], n)
 	}
 	return n
 }
 
 // geluBwdSlice is the OpGELUBwd loop over the first len(x)&^7
 // elements.
-func geluBwdSlice(dst, x, th, dy []float32) int {
+func geluBwdSlice(dst, x, sig, dy []float32) int {
 	n := whole(len(x))
 	if n > 0 {
-		geluBwdVec(span(dst, 0, n), &x[0], span(th, 0, n), span(dy, 0, n), n)
+		geluBwdVec(span(dst, 0, n), &x[0], span(sig, 0, n), span(dy, 0, n), n)
 	}
 	return n
 }

@@ -6,10 +6,10 @@ package tensor
 // arrive already rounded to whole vectors.
 
 //go:noescape
-func geluVec(dst, th, x *float32, n int)
+func geluVec(dst, sig, x *float32, n int)
 
 //go:noescape
-func geluBwdVec(dst, x, th, dy *float32, n int)
+func geluBwdVec(dst, x, sig, dy *float32, n int)
 
 //go:noescape
 func softmaxVec(out, in *float32, cols, groups int)

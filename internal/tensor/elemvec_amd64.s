@@ -13,85 +13,79 @@
 // rows at a time with one row per float64 lane. No kernel touches
 // memory outside the element ranges it is given.
 
-DATA ev_geluc0+0(SB)/4, $0x3f4c422a // float32(√(2/π))
-DATA ev_geluc1+0(SB)/4, $0x3d372713 // float32(0.044715)
-DATA ev_geluc3+0(SB)/4, $0x3e095d4f // float32(3·0.044715)
-GLOBL ev_geluc0(SB), RODATA|NOPTR, $4
-GLOBL ev_geluc1(SB), RODATA|NOPTR, $4
-GLOBL ev_geluc3(SB), RODATA|NOPTR, $4
+DATA ev_geluk0+0(SB)/4, $0xbfcc422a // float32(-2·√(2/π))
+DATA ev_geluk1+0(SB)/4, $0xbd922279 // float32(-2·√(2/π)·0.044715)
+DATA ev_geluk3+0(SB)/4, $0xbe5b33b6 // float32(3·the above)
+GLOBL ev_geluk0(SB), RODATA|NOPTR, $4
+GLOBL ev_geluk1(SB), RODATA|NOPTR, $4
+GLOBL ev_geluk3(SB), RODATA|NOPTR, $4
 DATA ev_one64+0(SB)/8, $0x3ff0000000000000 // 1.0
 GLOBL ev_one64(SB), RODATA|NOPTR, $8
 
-// func geluVec(dst, th, x *float32, n int)
+// func geluVec(dst, sig, x *float32, n int)
 //
-// n (a multiple of 8) elements of elemGELUCached:
-//   t = tanh32(c0·(x + c1·x·x·x));  th = t;  dst = 0.5·x·(1 + t)
-// dst may be x, and th may be dst (the th store lands first).
+// n (a multiple of 8) elements of the OpGELU loop:
+//   s = 1/(1 + exp32(x·(k0 + k1·x·x)));  sig = s;  dst = x·s
+// dst may be x, and sig may be dst (the sig store lands first).
 TEXT ·geluVec(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
-	MOVQ th+8(FP), DX
+	MOVQ sig+8(FP), DX
 	MOVQ x+16(FP), SI
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
-	VBROADCASTSS ev_geluc1(SB), Y9
-	VBROADCASTSS ev_geluc0(SB), Y10
-	VBROADCASTSS mvc_half(SB), Y11
+	VBROADCASTSS ev_geluk1(SB), Y9
+	VBROADCASTSS ev_geluk0(SB), Y10
 	VBROADCASTSS mvc_one(SB), Y12
 
 gelu_loop:
 	VMOVUPS (SI)(AX*4), Y8
 	VMULPS  Y8, Y9, Y0
 	VMULPS  Y8, Y0, Y0
-	VMULPS  Y8, Y0, Y0          // c1·x·x·x
-	VADDPS  Y0, Y8, Y0
-	VMULPS  Y0, Y10, Y0         // the tanh argument
-	TANHCORE
+	VADDPS  Y0, Y10, Y0
+	VMULPS  Y0, Y8, Y0          // the exponent z = -2u
+	VMOVAPS Y0, Y1
+	EXPCORE
+	EXPCLAMP
+	VADDPS  Y5, Y12, Y5
+	VDIVPS  Y5, Y12, Y5         // s = σ(2u)
 	VMOVUPS Y5, (DX)(AX*4)
-	VMULPS  Y8, Y11, Y1         // 0.5·x
-	VADDPS  Y5, Y12, Y2         // 1 + t
-	VMULPS  Y2, Y1, Y1
-	VMOVUPS Y1, (DI)(AX*4)
+	VMULPS  Y5, Y8, Y5
+	VMOVUPS Y5, (DI)(AX*4)
 	ADDQ    $8, AX
 	CMPQ    AX, CX
 	JLT     gelu_loop
 	VZEROUPPER
 	RET
 
-// func geluBwdVec(dst, x, th, dy *float32, n int)
+// func geluBwdVec(dst, x, sig, dy *float32, n int)
 //
-// n (a multiple of 8) elements of elemGELUBwdCached, t the cached tanh:
-//   dst = dy·(0.5·(1+t) + 0.5·x·(1-t·t)·(c0·(1 + c3·x·x)))
+// n (a multiple of 8) elements of the OpGELUBwd loop, s the cached σ:
+//   dst = dy·(s - x·s·(1-s)·(k0 + k3·x·x))
 // dst may be dy.
 TEXT ·geluBwdVec(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
-	MOVQ th+16(FP), DX
+	MOVQ sig+16(FP), DX
 	MOVQ dy+24(FP), BX
 	MOVQ n+32(FP), CX
 	XORQ AX, AX
 	VBROADCASTSS mvc_one(SB), Y8
-	VBROADCASTSS mvc_half(SB), Y9
-	VBROADCASTSS ev_geluc0(SB), Y10
-	VBROADCASTSS ev_geluc3(SB), Y11
+	VBROADCASTSS ev_geluk0(SB), Y10
+	VBROADCASTSS ev_geluk3(SB), Y11
 
 gelub_loop:
 	VMOVUPS (SI)(AX*4), Y0      // x
-	VMOVUPS (DX)(AX*4), Y1      // t
-	VMULPS  Y1, Y1, Y2
-	VSUBPS  Y2, Y8, Y2          // sech² = 1 - t·t
-	VMULPS  Y0, Y11, Y3
-	VMULPS  Y0, Y3, Y3          // c3·x·x
-	VADDPS  Y3, Y8, Y3
-	VMULPS  Y3, Y10, Y3         // du
-	VADDPS  Y1, Y8, Y4
-	VMULPS  Y4, Y9, Y4          // 0.5·(1+t)
-	VMULPS  Y0, Y9, Y5
-	VMULPS  Y2, Y5, Y5
-	VMULPS  Y3, Y5, Y5          // 0.5·x·sech²·du
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (BX)(AX*4), Y6
-	VMULPS  Y4, Y6, Y6
-	VMOVUPS Y6, (DI)(AX*4)
+	VMOVUPS (DX)(AX*4), Y1      // s
+	VMULPS  Y0, Y11, Y2
+	VMULPS  Y0, Y2, Y2
+	VADDPS  Y2, Y10, Y2         // z' = dz/dx
+	VMULPS  Y1, Y0, Y3
+	VSUBPS  Y1, Y8, Y4          // 1 - s
+	VMULPS  Y4, Y3, Y3
+	VMULPS  Y2, Y3, Y3
+	VSUBPS  Y3, Y1, Y3
+	VMULPS  (BX)(AX*4), Y3, Y3
+	VMOVUPS Y3, (DI)(AX*4)
 	ADDQ    $8, AX
 	CMPQ    AX, CX
 	JLT     gelub_loop

@@ -5,8 +5,8 @@ package tensor
 // useFMA is never true off amd64, so elemvec.go's wrappers return 0 and
 // their callers' scalar loops do all the work.
 
-func geluVec(dst, th, x *float32, n int)                  { panic("tensor: vector kernel unavailable") }
-func geluBwdVec(dst, x, th, dy *float32, n int)           { panic("tensor: vector kernel unavailable") }
+func geluVec(dst, sig, x *float32, n int)                 { panic("tensor: vector kernel unavailable") }
+func geluBwdVec(dst, x, sig, dy *float32, n int)          { panic("tensor: vector kernel unavailable") }
 func softmaxVec(out, in *float32, cols, groups int)       { panic("tensor: vector kernel unavailable") }
 func softmaxBwdVec(out, y, dy *float32, cols, groups int) { panic("tensor: vector kernel unavailable") }
 func addVec(dst, a, b *float32, n int)                    { panic("tensor: vector kernel unavailable") }

@@ -2,11 +2,10 @@ package tensor
 
 import "math"
 
-// Fast float32 transcendentals for the softmax and GELU hot loops.
-// Both are Cephes-style range-reduced polynomials with relative error
-// around 1e-7 — two decimal orders tighter than the 1e-5 parity bound
-// the kernel property tests enforce — and cost a handful of multiply-
-// adds instead of a float64 library call per element.
+// The fast float32 exponential of the softmax and GELU hot loops: a
+// Cephes-style range-reduced polynomial with relative error around
+// 1e-7 that costs a handful of multiply-adds instead of a float64
+// library call per element.
 
 const (
 	expC1 = 0.693359375     // ln2 high part
@@ -40,30 +39,4 @@ func exp32(x float32) float32 {
 	p = p*r*r + r + 1
 	// Scale by 2^n through the exponent bits.
 	return p * math.Float32frombits(uint32(int32(nf)+127)<<23)
-}
-
-// tanh32 returns tanh(x) for float32 x: a minimax polynomial on
-// |x| < 0.625 (where the exp identity cancels catastrophically) and
-// tanh(x) = 1 − 2/(e^{2x}+1) beyond.
-func tanh32(x float32) float32 {
-	ax := x
-	if ax < 0 {
-		ax = -ax
-	}
-	if ax < 0.625 {
-		z := x * x
-		p := float32(-5.70498872745e-3)
-		p = p*z + 2.06390887954e-2
-		p = p*z - 5.37397155531e-2
-		p = p*z + 1.33314422036e-1
-		p = p*z - 3.33332819422e-1
-		return p*z*x + x
-	}
-	if x > 9 {
-		return 1
-	}
-	if x < -9 {
-		return -1
-	}
-	return 1 - 2/(exp32(2*x)+1)
 }

@@ -6,8 +6,9 @@ package tensor
 // that executes the scalar polynomial operation-for-operation (separate
 // multiply and add, no FMA contraction), so every lane produces the
 // exact bits of the scalar reference — asserted by
-// TestVecTranscendentalsMatchScalar. tanh32's vector form is a macro
-// beside it (mathvec_amd64.h) that the GELU kernel runs in registers.
+// TestVecTranscendentalsMatchScalar. Its arithmetic is a macro
+// (mathvec_amd64.h) that the GELU and softmax kernels also run in
+// registers.
 
 // expVec writes exp32(src[i]) into dst[i] for i in [0, n&^7).
 // dst may alias src.

@@ -9,17 +9,15 @@ import (
 // scalar reference bit-for-bit: the vector code mirrors every multiply
 // and add without FMA contraction, so each lane must produce the exact
 // float32 the scalar function returns — including around the exp range
-// clamps. tanh32's vector form lives inside the GELU kernel;
-// TestGELUVecMatchesScalar walks it across its branch boundaries
-// (±0.625, ±9).
+// clamps. The GELU kernel runs the same macros;
+// TestGELUVecMatchesScalar walks it across the clamps.
 func TestVecTranscendentalsMatchScalar(t *testing.T) {
 	if !useFMA {
 		t.Skip("vector kernels unavailable on this CPU")
 	}
 	var inputs []float32
 	for _, v := range []float32{
-		0, 1e-12, -1e-12, 0.1, -0.1, 0.624, 0.625, 0.626, -0.624, -0.625, -0.626,
-		1, -1, 3.5, -3.5, 8.99, 9.0, 9.01, -8.99, -9.0, -9.01,
+		0, 1e-12, -1e-12, 0.1, -0.1, 1, -1, 3.5, -3.5,
 		20, -20, 44, -44, 87, -87, 88.3, -87.3, 88.5, -87.4, 200, -200,
 		float32(math.Inf(1)), float32(math.Inf(-1)),
 	} {

@@ -175,37 +175,45 @@ func SoftmaxBackwardInto(dst, y, dy *Tensor) *Tensor {
 	return dst
 }
 
+// The tanh-approximate GELU 0.5·x·(1 + tanh u), u = √(2/π)·(x +
+// 0.044715·x³), is x·σ(2u) = x / (1 + e^z) with z = −2u =
+// x·(geluK0 + geluK1·x²): one exponential and one divide. Its
+// derivative is σ + x·σ(1−σ)·2u′ = σ − x·σ(1−σ)·z′, z′ = geluK0 +
+// geluK3·x².
 const (
-	geluC0 = 0.7978845608028654 // sqrt(2/pi)
+	geluC0 = 0.7978845608028654 // √(2/π)
 	geluC1 = 0.044715
+	geluK0 = -2 * geluC0
+	geluK1 = -2 * geluC0 * geluC1
+	geluK3 = 3 * geluK1
 )
 
 // GELUCachedInto computes dst = gelu(x), the tanh-approximate Gaussian
-// error linear unit 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), while
-// storing tanh(u) (the expensive inner transcendental) into th, so the
-// backward pass can reconstruct the derivative without recomputing any
-// tanh. th may be nil when no backward pass follows (inference); dst
-// may alias x; th must not alias either.
-func GELUCachedInto(dst, th, x *Tensor) *Tensor {
+// error linear unit 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))) in its
+// one-exponential form x·σ(2u), while storing σ(2u) (the expensive
+// inner transcendental) into sig, so the backward pass can reconstruct
+// the derivative without another exponential. sig may be nil when no
+// backward pass follows (inference); dst may alias x; sig must not
+// alias either.
+func GELUCachedInto(dst, sig, x *Tensor) *Tensor {
 	dst.mustMatch(x, "GELUCachedInto")
 	j := elemJob{kind: OpGELU, x: x.data, out: dst.data}
-	if th != nil {
-		th.mustMatch(x, "GELUCachedInto")
-		j.th = th.data
+	if sig != nil {
+		sig.mustMatch(x, "GELUCachedInto")
+		j.sig = sig.data
 	}
 	dispatchElem(j, len(x.data), len(x.data))
 	return dst
 }
 
-// GELUBackwardCachedInto computes dst = dy ⊙ gelu'(x) using the tanh
-// values cached by GELUCachedInto: with th = tanh(u),
-// gelu'(x) = ½(1+th) + ½·x·(1−th²)·u' and no transcendental is
-// evaluated. dst may alias dy.
-func GELUBackwardCachedInto(dst, x, th, dy *Tensor) *Tensor {
+// GELUBackwardCachedInto computes dst = dy ⊙ gelu'(x) using the σ(2u)
+// values cached by GELUCachedInto: gelu'(x) = σ + x·σ(1−σ)·2u′ and no
+// transcendental is evaluated. dst may alias dy.
+func GELUBackwardCachedInto(dst, x, sig, dy *Tensor) *Tensor {
 	x.mustMatch(dy, "GELUBackwardCached")
 	dst.mustMatch(x, "GELUBackwardCached")
-	th.mustMatch(x, "GELUBackwardCached")
-	dispatchElem(elemJob{kind: OpGELUBwd, x: x.data, th: th.data, dy: dy.data, out: dst.data},
+	sig.mustMatch(x, "GELUBackwardCached")
+	dispatchElem(elemJob{kind: OpGELUBwd, x: x.data, sig: sig.data, dy: dy.data, out: dst.data},
 		len(x.data), len(x.data))
 	return dst
 }

@@ -546,34 +546,35 @@ func TestLayerNormFloat32WithinBoundOfFloat64(t *testing.T) {
 }
 
 // geluInputs returns n pre-activations: twelve decades of either sign,
-// a grid over [-12, 12], and ulp-by-ulp walks across the four inputs at
-// which the tanh argument √(2/π)·(x + 0.044715·x³) crosses tanh32's
-// branch boundaries ±0.625 and ±9.
+// a grid over [-12, 12], and ulp-by-ulp walks across the two inputs at
+// which the exponent z = −2·√(2/π)·(x + 0.044715·x³) crosses exp32's
+// clamps: z = 88.376… at x ≈ −10.1, z = −87.337… at x ≈ 10.0.
 func geluInputs(rng *tensor.RNG, n int) []float32 {
 	x := magnitudes(rng, n)
 	for i := 0; i < n/4; i++ {
 		x[i] = float32(24*rng.Float64() - 12)
 	}
 	at := n / 4
-	for _, edge := range []float64{0.625, 9} {
+	for _, edge := range []struct {
+		z    float64
+		sign float32
+	}{{88.3762626647949, -1}, {87.3365478515625, 1}} {
 		lo, hi := 0.0, 16.0
 		for k := 0; k < 60; k++ {
-			if mid := (lo + hi) / 2; 0.7978845608028654*(mid+0.044715*mid*mid*mid) < edge {
+			if mid := (lo + hi) / 2; 2*0.7978845608028654*(mid+0.044715*mid*mid*mid) < edge.z {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
-		for _, sign := range []float32{1, -1} {
-			v := sign * float32(lo)
-			for k := 0; k < 100; k++ {
-				v = math.Nextafter32(v, 0)
-			}
-			for k := 0; k < 200 && at < n; k++ {
-				x[at] = v
-				v = math.Nextafter32(v, sign*float32(math.Inf(1)))
-				at++
-			}
+		v := edge.sign * float32(lo)
+		for k := 0; k < 100; k++ {
+			v = math.Nextafter32(v, 0)
+		}
+		for k := 0; k < 200 && at < n; k++ {
+			x[at] = v
+			v = math.Nextafter32(v, edge.sign*float32(math.Inf(1)))
+			at++
 		}
 	}
 	return x
@@ -605,7 +606,7 @@ func TestGELUVecMatchesScalar(t *testing.T) {
 			n = len(x)
 		}
 		scalar, vector := bothWays(t, func() []float32 { return gelu(x[len(x)-n:], dy[:n]) })
-		sameBits(t, fmt.Sprintf("GELU n=%d (out, tanh, in place, dx)", n), vector, scalar, false)
+		sameBits(t, fmt.Sprintf("GELU n=%d (out, σ, in place, dx)", n), vector, scalar, false)
 	}
 	const n = 23
 	for p := 0; p < n; p++ {
@@ -619,7 +620,7 @@ func TestGELUVecMatchesScalar(t *testing.T) {
 				}
 				scalar, vector := bothWays(t, func() []float32 { return gelu(xs, dys) })
 				what := fmt.Sprintf("GELU with %v at %s[%d]", v, into, p)
-				sameBits(t, what+" (out, tanh, in place, dx)", vector, scalar, true)
+				sameBits(t, what+" (out, σ, in place, dx)", vector, scalar, true)
 				for _, got := range [][]float32{scalar, vector} {
 					for part := 0; part < 4 && v != v; part++ {
 						if o := got[part*n+p]; o == o && (into == "x" || part == 3) {

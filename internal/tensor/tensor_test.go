@@ -227,26 +227,117 @@ func TestSoftmaxBackwardNumerical(t *testing.T) {
 	}
 }
 
-// geluScalar and geluGradScalar are the direct (uncached) form of the
-// activation and of its derivative: the reference the cached pair is
-// compared against.
-func geluScalar(x float32) float32 {
-	return 0.5 * x * (1 + tanh32(geluC0*(x+geluC1*x*x*x)))
+// geluRef and geluGradRef are the tanh-approximate GELU and its
+// derivative in float64, as x·σ(2u) with u = √(2/π)·(x + 0.044715·x³):
+// the same function as 0.5·x·(1 + tanh u), in the form that does not
+// cancel where tanh u → −1. geluGradRef also returns the magnitude of
+// the derivative's two terms σ and x·σ(1−σ)·2u′, which cancel near
+// x ≈ −0.75: the scale its error is measured against.
+func geluRef(x float32) float64 {
+	s, _, _ := sigmoid2u(x)
+	return float64(x) * s
 }
 
-func geluGradScalar(x float32) float32 {
-	u := geluC0 * (x + geluC1*x*x*x)
-	th := tanh32(u)
-	sech2 := 1 - th*th
-	du := float32(geluC0) * (1 + 3*geluC1*x*x)
-	return 0.5*(1+th) + 0.5*x*sech2*du
+func geluGradRef(x float32) (grad, scale float64) {
+	v := float64(x)
+	s, sds, du := sigmoid2u(x)
+	return s + v*sds*du, s + math.Abs(v*sds*du)
+}
+
+// sigmoid2u returns σ(2u), σ(1−σ) and 2u′ at x, from e^−|2u| so that
+// neither overflows.
+func sigmoid2u(x float32) (s, sds, du float64) {
+	v := float64(x)
+	a := 2 * geluC0 * (v + geluC1*v*v*v)
+	e := math.Exp(-math.Abs(a))
+	s, sds = 1/(1+e), e/((1+e)*(1+e))
+	if a < 0 {
+		s = e / (1 + e)
+	}
+	return s, sds, 2 * geluC0 * (1 + 3*geluC1*v*v)
+}
+
+// geluTol bounds the float32 GELU's error relative to the float64 one
+// (its derivative's, relative to geluGradRef's scale): a few roundings
+// of the argument z = −2u pass through e^z as an absolute error in z,
+// so the bound grows with |z|.
+func geluTol(x float32) float64 {
+	v := float64(x)
+	return 4e-7 * (2 + math.Abs(2*geluC0*(v+geluC1*v*v*v)))
+}
+
+// geluWithin fails unless got[i] is GELU(x[i]) — or, given dy, its
+// derivative times dy[i] — within geluTol of the float64 reference, and
+// returns the largest error in units of the bound. Below 1e-30 in
+// magnitude the error must be absolute: within 1e-30 plus what the
+// float32 form's floor on σ gives. e^z saturates at MaxFloat32 (z >
+// 88.38, x < −10.1), so σ bottoms out at 1/(1+MaxFloat32) ≈ 2.9e-39,
+// not 0.
+func geluWithin(t *testing.T, what string, got, x, dy []float32) (worst float64) {
+	t.Helper()
+	const sigMin = 1 / (1 + math.MaxFloat32)
+	for i, v := range x {
+		want, scale := geluRef(v), math.Abs(geluRef(v))
+		floor := math.Abs(float64(v)) * sigMin
+		if dy != nil {
+			g, sc := geluGradRef(v)
+			_, _, du := sigmoid2u(v)
+			want, scale = g*float64(dy[i]), sc*math.Abs(float64(dy[i]))
+			floor = math.Abs(float64(dy[i])) * sigMin * (1 + math.Abs(float64(v)*du))
+		}
+		err := math.Abs(float64(got[i]) - want)
+		if scale < 1e-30 {
+			if !(err <= 1e-30+2*floor) {
+				t.Fatalf("%s(%v) = %v, float64 %v: absolute error %.3g over %.3g", what, v, got[i], want, err, 1e-30+2*floor)
+			}
+			continue
+		}
+		if r := err / scale / geluTol(v); !(r <= 1) {
+			t.Fatalf("%s(%v) = %v, float64 %v: relative error %.3g over the bound %.3g", what, v, got[i], want, err/scale, geluTol(v))
+		} else {
+			worst = max(worst, r)
+		}
+	}
+	return worst
+}
+
+// geluGrid is x ∈ [−12, 12] in steps of 1/256, then values of either
+// sign over twelve decades, 1e-6 … 1e6.
+func geluGrid() []float32 {
+	var x []float32
+	for i := -12 * 256; i <= 12*256; i++ {
+		x = append(x, float32(i)/256)
+	}
+	rng := NewRNG(16)
+	for i := 0; i < 4096; i++ {
+		x = append(x, float32(rng.Norm()*math.Pow(10, 12*rng.Float64()-6)))
+	}
+	return x
 }
 
 // gelu is GELUCachedInto without a cache, into a new tensor.
 func gelu(x *Tensor) *Tensor { return GELUCachedInto(New(x.shape...), nil, x) }
 
+// TestGELUWithinBoundOfFloat64 holds the forward and backward pass,
+// kernel and loop, to the float64 function over geluGrid. The tanh form
+// 0.5·x·(1 + tanh u) fails it on the negative tail: 1 + tanh u cancels
+// from x ≈ −3 and is 0 at x = −5, where GELU is −2.3e-7.
+func TestGELUWithinBoundOfFloat64(t *testing.T) {
+	xs := geluGrid()
+	n := len(xs)
+	x, dy, sig := FromSlice(xs, n), Ones(n), New(n)
+	defer SetVector(true)
+	for _, vector := range []bool{false, true} {
+		SetVector(vector)
+		y := GELUCachedInto(New(n), sig, x)
+		fwd := geluWithin(t, "gelu", y.Data(), xs, nil)
+		bwd := geluWithin(t, "gelu'", GELUBackwardCachedInto(New(n), x, sig, dy).Data(), xs, dy.Data())
+		t.Logf("vector=%v: largest error %.3g (forward), %.3g (backward) of the bound", useFMA, fwd, bwd)
+	}
+}
+
 func TestGELUValues(t *testing.T) {
-	x := FromSlice([]float32{0, 1, -1, 3, 0.5, -2.5, 7, -7, 12, -12, 1e-4}, 11)
+	x := FromSlice([]float32{0, 1, -1, 3, 0.5, -2.5, 7, -7, 12, -12, 1e-4, -5}, 12)
 	y := gelu(x)
 	if y.At(0) != 0 {
 		t.Errorf("GELU(0) = %v", y.At(0))
@@ -260,11 +351,7 @@ func TestGELUValues(t *testing.T) {
 	if math.Abs(float64(y.At(3))-2.9964) > 1e-3 {
 		t.Errorf("GELU(3) = %v, want ~2.9964", y.At(3))
 	}
-	for i, v := range x.Data() {
-		if want := geluScalar(v); y.At(i) != want {
-			t.Errorf("GELU(%v) = %v, the direct form gives %v", v, y.At(i), want)
-		}
-	}
+	geluWithin(t, "gelu", y.Data(), x.Data(), nil)
 }
 
 func TestGELUBackwardNumerical(t *testing.T) {
@@ -274,12 +361,10 @@ func TestGELUBackwardNumerical(t *testing.T) {
 	th := New(10)
 	GELUCachedInto(New(10), th, x)
 	dx := GELUBackwardCachedInto(New(10), x, th, dy)
+	geluWithin(t, "gelu'", dx.Data(), x.Data(), dy.Data())
 	const eps = 1e-3
 	for i := range x.Data() {
 		orig := x.Data()[i]
-		if want := geluGradScalar(orig); dx.At(i) != want {
-			t.Fatalf("gelu grad[%d] = %v, the direct form gives %v", i, dx.At(i), want)
-		}
 		x.Data()[i] = orig + eps
 		lp := gelu(x).Sum()
 		x.Data()[i] = orig - eps
