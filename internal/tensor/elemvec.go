@@ -2,7 +2,8 @@ package tensor
 
 // Vector forms of the step's elementwise float32 loops, as rowvec.go
 // holds its row loops. The loops — the definitions — stay where they
-// were: elemJob.Tile and softmaxRow (elem.go, ops.go), AddInto, AddInPlace,
+// were: exp32's in expSlice (below), elemJob.Tile and softmaxRow
+// (elem.go, ops.go), AddInto, AddInPlace,
 // ScaleInPlace, SumRowsAccInto (ops.go), MaxAbs (tensor.go),
 // packTranspose (pack.go) and train's gradient accumulate. Each
 // function here runs the leading whole vectors of one of them through
@@ -18,6 +19,18 @@ func whole(n int) int {
 		return 0
 	}
 	return n &^ 7
+}
+
+// expSlice writes exp32(src[i]) to dst[i], the leading whole vectors
+// through the kernel; dst may be src.
+func expSlice(dst, src []float32) {
+	n := whole(len(src))
+	if n > 0 {
+		expVec(span(dst, 0, n), &src[0], n)
+	}
+	for i := n; i < len(src); i++ {
+		dst[i] = exp32(src[i])
+	}
 }
 
 // AddVec adds src to the first len(dst)&^7 elements of dst.

@@ -2,8 +2,12 @@
 
 package tensor
 
-// The kernels of elemvec.go, in elemvec_amd64.s; n, cols, r8 and c8
-// arrive already rounded to whole vectors.
+// The kernels of elemvec.go and of quantmatmul.go's dequantStrip, in
+// elemvec_amd64.s; n, cols, r8, c8 and rows arrive already rounded to
+// whole vectors.
+
+//go:noescape
+func expVec(dst, src *float32, n int)
 
 //go:noescape
 func geluVec(dst, sig, x *float32, n int)
@@ -31,3 +35,6 @@ func sumRowsVec(dst, t *float32, rows, cols, stride int)
 
 //go:noescape
 func transposeVec(dst, src *float32, rows, cols, r8, c8 int)
+
+//go:noescape
+func dequantVec(dst *float32, data *byte, scales *float32, rows, stride, pb, nb int, q4 bool)

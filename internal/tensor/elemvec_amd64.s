@@ -3,15 +3,50 @@
 #include "textflag.h"
 #include "mathvec_amd64.h"
 
-// Eight-lane AVX2 forms of the step's float32 loops: GELU forward and
-// backward, softmax forward and backward (elem.go), the streaming adds,
-// scale, bias-gradient sum and |max| scan (ops.go, tensor.go) and the
-// transpose (pack.go). Each runs the Go loop's IEEE operations one for
-// one — separate multiply and add, no FMA contraction — so every lane
-// holds the loop's exact bits (rowkernels_test.go). Softmax's float64
+// Eight-lane AVX2 forms of the step's float32 loops: exp32 (mathfast.go),
+// GELU forward and backward, softmax forward and backward (elem.go), the
+// streaming adds,
+// scale, bias-gradient sum and |max| scan (ops.go, tensor.go), the
+// transpose (pack.go) and the quantized strip writer (quantmatmul.go).
+// Each runs the Go loop's IEEE operations one for one — separate
+// multiply and add, no FMA contraction — so every lane holds the loop's
+// exact bits (rowkernels_test.go, quantmatmul_test.go). Softmax's float64
 // row sums are sequential along a row, so those two kernels take four
 // rows at a time with one row per float64 lane. No kernel touches
 // memory outside the element ranges it is given.
+
+// The constants of the exp32 macros in mathvec_amd64.h (float32 bit
+// patterns; see mathfast.go for values).
+DATA mvc_log2e+0(SB)/4, $0x3fb8aa3b  // 1.44269504…
+DATA mvc_half+0(SB)/4, $0x3f000000   // 0.5, also float32(expP5)
+DATA mvc_expc1+0(SB)/4, $0x3f318000  // ln2 high part
+DATA mvc_expc2+0(SB)/4, $0xb95e8083  // ln2 low part
+DATA mvc_ep0+0(SB)/4, $0x39506967
+DATA mvc_ep1+0(SB)/4, $0x3ab743ce
+DATA mvc_ep2+0(SB)/4, $0x3c088908
+DATA mvc_ep3+0(SB)/4, $0x3d2aa9c1
+DATA mvc_ep4+0(SB)/4, $0x3e2aaaaa
+DATA mvc_one+0(SB)/4, $0x3f800000
+DATA mvc_maxarg+0(SB)/4, $0x42b0c0a5 // 88.3762626647949
+DATA mvc_minarg+0(SB)/4, $0xc2aeac50 // -87.3365478515625
+DATA mvc_maxf32+0(SB)/4, $0x7f7fffff // MaxFloat32
+DATA mvc_i127+0(SB)/4, $0x0000007f   // exponent bias (integer)
+DATA mvc_absmask+0(SB)/4, $0x7fffffff
+GLOBL mvc_log2e(SB), RODATA|NOPTR, $4
+GLOBL mvc_half(SB), RODATA|NOPTR, $4
+GLOBL mvc_expc1(SB), RODATA|NOPTR, $4
+GLOBL mvc_expc2(SB), RODATA|NOPTR, $4
+GLOBL mvc_ep0(SB), RODATA|NOPTR, $4
+GLOBL mvc_ep1(SB), RODATA|NOPTR, $4
+GLOBL mvc_ep2(SB), RODATA|NOPTR, $4
+GLOBL mvc_ep3(SB), RODATA|NOPTR, $4
+GLOBL mvc_ep4(SB), RODATA|NOPTR, $4
+GLOBL mvc_one(SB), RODATA|NOPTR, $4
+GLOBL mvc_maxarg(SB), RODATA|NOPTR, $4
+GLOBL mvc_minarg(SB), RODATA|NOPTR, $4
+GLOBL mvc_maxf32(SB), RODATA|NOPTR, $4
+GLOBL mvc_i127(SB), RODATA|NOPTR, $4
+GLOBL mvc_absmask(SB), RODATA|NOPTR, $4
 
 DATA ev_geluk0+0(SB)/4, $0xbfcc422a // float32(-2·√(2/π))
 DATA ev_geluk1+0(SB)/4, $0xbd922279 // float32(-2·√(2/π)·0.044715)
@@ -21,6 +56,27 @@ GLOBL ev_geluk1(SB), RODATA|NOPTR, $4
 GLOBL ev_geluk3(SB), RODATA|NOPTR, $4
 DATA ev_one64+0(SB)/8, $0x3ff0000000000000 // 1.0
 GLOBL ev_one64(SB), RODATA|NOPTR, $8
+
+// func expVec(dst, src *float32, n int)
+//
+// exp32 over n (a multiple of 8) elements; dst may be src.
+TEXT ·expVec(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+exp_loop:
+	VMOVUPS (SI)(AX*4), Y0 // x, kept for EXPCLAMP
+	VMOVAPS Y0, Y1
+	EXPCORE
+	EXPCLAMP
+	VMOVUPS Y5, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     exp_loop
+	VZEROUPPER
+	RET
 
 // func geluVec(dst, sig, x *float32, n int)
 //
@@ -94,7 +150,8 @@ gelub_loop:
 
 // COLS4x8 transposes columns c…c+7 of four rows held in r0…r3 (lane =
 // column) into o0…o3 = columns c|c+4, c+1|c+5, c+2|c+6, c+3|c+7, one
-// column per 128-bit half with lane = row. Destroys r0.
+// column per 128-bit half with lane = row. Destroys r0; o0 may be r2 or
+// r3 and o3 may be r1.
 #define COLS4x8(r0, r1, r2, r3, o0, o1, o2, o3) \
 	VUNPCKLPS r1, r0, o2; \
 	VUNPCKHPS r1, r0, o3; \
@@ -448,12 +505,18 @@ sumrows_done:
 	VZEROUPPER
 	RET
 
+// HALVES loads the four columns at lo (row r+i) and hi (row r+4+i) into
+// the two halves of y.
+#define HALVES(lo, hi, y, x) \
+	VMOVUPS     lo, x \
+	VINSERTF128 $1, hi, y, y
+
 // func transposeVec(dst, src *float32, rows, cols, r8, c8 int)
 //
 // dst[c·rows + r] = src[r·cols + c] over r < r8, c < c8 (multiples of
 // 8), one 8×8 block at a time: each YMM loads columns c…c+3 (then
-// c+4…c+7) of rows r+i and r+4+i into its two halves, so two rounds of
-// in-lane unpacks leave one whole column of the block per register.
+// c+4…c+7) of rows r+i and r+4+i into its two halves, so COLS4x8 leaves
+// one whole column of the block per register.
 TEXT ·transposeVec(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), AX
 	MOVQ src+8(FP), R8
@@ -475,46 +538,24 @@ tr_rows:
 tr_block:
 	LEAQ (SI)(R12*4), DX    // row r+4
 	LEAQ (DI)(R10*4), R9    // dst row c+4
-	VMOVUPS     (SI), X0
-	VMOVUPS     (SI)(R12*1), X1
-	VMOVUPS     (SI)(R12*2), X2
-	VMOVUPS     (SI)(R13*1), X3
-	VMOVUPS     16(SI), X4
-	VMOVUPS     16(SI)(R12*1), X5
-	VMOVUPS     16(SI)(R12*2), X6
-	VMOVUPS     16(SI)(R13*1), X7
-	VINSERTF128 $1, (DX), Y0, Y0
-	VINSERTF128 $1, (DX)(R12*1), Y1, Y1
-	VINSERTF128 $1, (DX)(R12*2), Y2, Y2
-	VINSERTF128 $1, (DX)(R13*1), Y3, Y3
-	VINSERTF128 $1, 16(DX), Y4, Y4
-	VINSERTF128 $1, 16(DX)(R12*1), Y5, Y5
-	VINSERTF128 $1, 16(DX)(R12*2), Y6, Y6
-	VINSERTF128 $1, 16(DX)(R13*1), Y7, Y7
-	VUNPCKLPS   Y1, Y0, Y8
-	VUNPCKHPS   Y1, Y0, Y9
-	VUNPCKLPS   Y3, Y2, Y10
-	VUNPCKHPS   Y3, Y2, Y11
-	VUNPCKLPD   Y10, Y8, Y0
-	VUNPCKHPD   Y10, Y8, Y1
-	VUNPCKLPD   Y11, Y9, Y2
-	VUNPCKHPD   Y11, Y9, Y3
-	VMOVUPS     Y0, (DI)
-	VMOVUPS     Y1, (DI)(R10*1)
-	VMOVUPS     Y2, (DI)(R10*2)
-	VMOVUPS     Y3, (DI)(R11*1)
-	VUNPCKLPS   Y5, Y4, Y8
-	VUNPCKHPS   Y5, Y4, Y9
-	VUNPCKLPS   Y7, Y6, Y10
-	VUNPCKHPS   Y7, Y6, Y11
-	VUNPCKLPD   Y10, Y8, Y4
-	VUNPCKHPD   Y10, Y8, Y5
-	VUNPCKLPD   Y11, Y9, Y6
-	VUNPCKHPD   Y11, Y9, Y7
-	VMOVUPS     Y4, (R9)
-	VMOVUPS     Y5, (R9)(R10*1)
-	VMOVUPS     Y6, (R9)(R10*2)
-	VMOVUPS     Y7, (R9)(R11*1)
+	HALVES((SI), (DX), Y0, X0)
+	HALVES((SI)(R12*1), (DX)(R12*1), Y1, X1)
+	HALVES((SI)(R12*2), (DX)(R12*2), Y2, X2)
+	HALVES((SI)(R13*1), (DX)(R13*1), Y3, X3)
+	HALVES(16(SI), 16(DX), Y4, X4)
+	HALVES(16(SI)(R12*1), 16(DX)(R12*1), Y5, X5)
+	HALVES(16(SI)(R12*2), 16(DX)(R12*2), Y6, X6)
+	HALVES(16(SI)(R13*1), 16(DX)(R13*1), Y7, X7)
+	COLS4x8(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	VMOVUPS     Y8, (DI)
+	VMOVUPS     Y9, (DI)(R10*1)
+	VMOVUPS     Y10, (DI)(R10*2)
+	VMOVUPS     Y11, (DI)(R11*1)
+	COLS4x8(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VMOVUPS     Y8, (R9)
+	VMOVUPS     Y9, (R9)(R10*1)
+	VMOVUPS     Y10, (R9)(R10*2)
+	VMOVUPS     Y11, (R9)(R11*1)
 	ADDQ        $32, SI
 	LEAQ        (DI)(R10*8), DI
 	DECQ        CX
@@ -523,5 +564,99 @@ tr_block:
 	ADDQ        $32, AX
 	DECQ        BX
 	JNZ         tr_rows
+	VZEROUPPER
+	RET
+
+// The strip writer's constants: int32 lanes 0…7, then 0xF and 8.
+DATA ev_dq+0(SB)/8, $0x0000000100000000
+DATA ev_dq+8(SB)/8, $0x0000000300000002
+DATA ev_dq+16(SB)/8, $0x0000000500000004
+DATA ev_dq+24(SB)/8, $0x0000000700000006
+DATA ev_dq+32(SB)/8, $0x000000080000000f
+GLOBL ev_dq(SB), RODATA|NOPTR, $40
+
+// PANELS widens panel p's eight codes into Yp with SXBD (int8) or
+// NIBBLES (Q4_0: row 2j, 2j+1 in the low, high nibble of byte j; q-8).
+#define PANELS(w) \
+	w((SI), Y0)        \
+	w((SI)(R8*1), Y1)  \
+	w((SI)(R8*2), Y2)  \
+	w((SI)(R9*1), Y3)  \
+	w((R10), Y4)       \
+	w((R10)(R8*1), Y5) \
+	w((R10)(R8*2), Y6) \
+	w((R10)(R9*1), Y7)
+#define SXBD(m, y) VPMOVSXBD m, y
+#define NIBBLES(m, y) \
+	VPBROADCASTD m, y      \
+	VPSRLVD      Y13, y, y \
+	VPAND        Y14, y, y \
+	VPSUBD       Y15, y, y
+
+// ROWS converts rows r (low halves of a, b: panels 0…3, 4…7) and r+4
+// (high halves), scales them by Y11 and stores them at lo, hi.
+#define ROWS(a, b, lo, hi) \
+	VPERM2F128 $0x20, b, a, Y10 \
+	VPERM2F128 $0x31, b, a, b   \
+	VCVTDQ2PS  Y10, Y10         \
+	VCVTDQ2PS  b, b             \
+	VMULPS     Y11, Y10, Y10    \
+	VMULPS     Y11, b, b        \
+	VMOVUPS    Y10, lo          \
+	VMOVUPS    b, hi
+
+// func dequantVec(dst *float32, data *byte, scales *float32, rows, stride, pb, nb int, q4 bool)
+//
+// float32(q)·d, DequantPanelsInto's bits, over rows [0, rows) (a
+// multiple of 8) of eight panels into dst[i·stride + p], eight rows at a
+// time: PANELS, COLS4x8, ROWS; the block scales gathered every 32 rows.
+TEXT ·dequantVec(SB), NOSPLIT, $0-57
+	MOVQ         dst+0(FP), DI
+	MOVQ         data+8(FP), SI
+	MOVQ         scales+16(FP), DX
+	MOVQ         stride+32(FP), CX
+	MOVQ         pb+40(FP), R8
+	SHLQ         $2, CX           // dst row stride in bytes
+	LEAQ         (CX)(CX*2), BX
+	LEAQ         (R8)(R8*2), R9
+	VMOVDQU      ev_dq(SB), Y12
+	VPSLLD       $2, Y12, Y13     // nibble shifts 0, 4, …, 28
+	VPBROADCASTD nb+48(FP), Y11
+	VPMULLD      Y11, Y12, Y12    // panel p's scales at p·nb
+	VPBROADCASTD ev_dq+32(SB), Y14
+	VPBROADCASTD ev_dq+36(SB), Y15
+	XORQ         AX, AX
+
+dq_block:
+	TESTQ      $31, AX
+	JNZ        dq_widen
+	VPCMPEQD   Y10, Y10, Y10
+	VGATHERDPS Y10, (DX)(Y12*4), Y11
+	ADDQ       $4, DX
+
+dq_widen:
+	LEAQ      (SI)(R8*4), R10
+	CMPB      q4+56(FP), $0
+	JNE       dq_q4
+	PANELS(SXBD)
+	ADDQ      $8, SI
+	JMP       dq_rows
+
+dq_q4:
+	PANELS(NIBBLES)
+	ADDQ $4, SI
+
+dq_rows:
+	COLS4x8(Y0, Y1, Y2, Y3, Y2, Y8, Y9, Y1)
+	COLS4x8(Y4, Y5, Y6, Y7, Y6, Y0, Y3, Y5)
+	LEAQ (DI)(CX*4), R10
+	ROWS(Y2, Y6, (DI), (R10))
+	ROWS(Y8, Y0, (DI)(CX*1), (R10)(CX*1))
+	ROWS(Y9, Y3, (DI)(CX*2), (R10)(CX*2))
+	ROWS(Y1, Y5, (DI)(BX*1), (R10)(BX*1))
+	LEAQ (DI)(CX*8), DI
+	ADDQ $8, AX
+	CMPQ AX, rows+24(FP)
+	JLT  dq_block
 	VZEROUPPER
 	RET

@@ -1,10 +1,10 @@
-// The exp32 lane arithmetic of mathfast.go as assembler macros, shared
-// by mathvec_amd64.s (expVec) and elemvec_amd64.s (the GELU and softmax
-// kernels, which keep the value in registers between the exponential
-// and the loop around it). Every step mirrors the
+// The exp32 lane arithmetic of mathfast.go as assembler macros for
+// elemvec_amd64.s: expVec, and the GELU and softmax kernels, which keep
+// the value in registers between the exponential and the loop around
+// it. Every step mirrors the
 // scalar function with separate multiply and add (no FMA contraction),
 // so each lane computes its exact bits. The constants are
-// mathvec_amd64.s's.
+// elemvec_amd64.s's.
 
 // EXPCORE computes Y5 = exp-polynomial(Y1) without range clamps,
 // clobbering Y2, Y3, Y4. Mirrors exp32's op sequence exactly:
@@ -35,7 +35,7 @@
 	VBROADCASTSS mvc_ep4(SB), Y3   \
 	VMULPS       Y4, Y5, Y5        \
 	VADDPS       Y3, Y5, Y5        \
-	VBROADCASTSS mvc_ep5(SB), Y3   \
+	VBROADCASTSS mvc_half(SB), Y3  \
 	VMULPS       Y4, Y5, Y5        \
 	VADDPS       Y3, Y5, Y5        \
 	VMULPS       Y4, Y5, Y5        \
