@@ -35,7 +35,8 @@ func quantizable(p *nn.Param) bool {
 // SaveQuantized writes a kindQuantWeights checkpoint: the model's
 // matmul weights block-quantized at `kind` (scale per 32 elements),
 // everything else float32, in the ORBT v3 container with per-section
-// CRC32C. The write is atomic like Save.
+// CRC32C. The write is atomic like Save; a non-finite weight to
+// quantize fails it, naming the parameter, and writes nothing.
 func SaveQuantized(path string, m *vit.Model, kind quant.Kind) error {
 	if !kind.Valid() {
 		return fmt.Errorf("ckpt: SaveQuantized with invalid quant kind %d", kind)
@@ -71,7 +72,9 @@ func SaveQuantized(path string, m *vit.Model, kind quant.Kind) error {
 		for _, p := range params {
 			var err error
 			if quantizable(p) {
-				err = writeQuantParam(cw, p, kind)
+				if err = finiteWeights(p); err == nil {
+					err = writeQuantParam(cw, p, kind)
+				}
 			} else {
 				err = writeParam(cw, p, false)
 			}
@@ -84,6 +87,19 @@ func SaveQuantized(path string, m *vit.Model, kind quant.Kind) error {
 		}
 		return nil
 	})
+}
+
+// finiteWeights fails for a weight holding a NaN or an Inf. Quantizing
+// one does not fail on its own: a NaN becomes a finite wrong code
+// (-127·d under int8, +8·|d| under Q4_0) and an Inf makes its block
+// scale Inf, which quant.FromParts then refuses to load.
+func finiteWeights(p *nn.Param) error {
+	for i, v := range p.W.Data() {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("element %d is %v: a quantized weight must be finite", i, v)
+		}
+	}
+	return nil
 }
 
 // writeQuantParam emits one block-quantized parameter section: the
@@ -179,10 +195,18 @@ func readQuantParam(r io.Reader, p *nn.Param, dt uint8, qout map[string]*quant.Q
 // LoadQuantized round trip would yield — and the containers come back
 // keyed by parameter name, ready for the inference engine. This is the
 // serve-time path for quantizing a float32 checkpoint without writing
-// a quantized file first.
+// a quantized file first. A non-finite weight to quantize fails it,
+// naming the parameter, before any weight changes.
 func QuantizeModel(m *vit.Model, kind quant.Kind) (map[string]*quant.Quantized, error) {
 	if !kind.Valid() {
 		return nil, fmt.Errorf("ckpt: QuantizeModel with invalid quant kind %d", kind)
+	}
+	for _, p := range m.Params() {
+		if quantizable(p) {
+			if err := finiteWeights(p); err != nil {
+				return nil, fmt.Errorf("ckpt: quantizing %s: %w", p.Name, err)
+			}
+		}
 	}
 	qs := make(map[string]*quant.Quantized)
 	for _, p := range m.Params() {

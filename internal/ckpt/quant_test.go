@@ -2,10 +2,13 @@ package ckpt
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"orbit/internal/nn"
 	"orbit/internal/quant"
 	"orbit/internal/tensor"
 	"orbit/internal/vit"
@@ -189,6 +192,53 @@ func TestSaveQuantizedInvalidKind(t *testing.T) {
 	m, _ := vit.New(vit.Tiny(2, 8, 8), 1)
 	if err := SaveQuantized(filepath.Join(t.TempDir(), "x.orbt"), m, quant.Kind(9)); err == nil {
 		t.Error("invalid kind accepted")
+	}
+}
+
+// TestQuantizeRejectsNonFiniteWeights: a NaN or an Inf in the last
+// weight to quantize fails QuantizeModel and SaveQuantized with that
+// parameter's name; QuantizeModel changes no weight, not even the ones
+// before it, and SaveQuantized leaves no file. Quantized as it stands, a
+// NaN would come back as a finite weight and an Inf would write a file
+// LoadQuantized refuses.
+func TestQuantizeRejectsNonFiniteWeights(t *testing.T) {
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, kind := range []quant.Kind{quant.Int8, quant.Q4_0} {
+			m, err := vit.New(vit.Tiny(2, 8, 8), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var target *nn.Param
+			for _, p := range m.Params() {
+				if quantizable(p) {
+					target = p
+				}
+			}
+			target.W.Data()[5] = bad
+			before := map[string][]float32{}
+			for _, p := range m.Params() {
+				before[p.Name] = append([]float32(nil), p.W.Data()...)
+			}
+			path := filepath.Join(t.TempDir(), "bad.orbt")
+			err = SaveQuantized(path, m, kind)
+			if err == nil || !strings.Contains(err.Error(), target.Name) {
+				t.Errorf("%s with %v: SaveQuantized error %v, want one naming %s", kind, bad, err, target.Name)
+			}
+			if _, statErr := os.Stat(path); !errors.Is(statErr, os.ErrNotExist) {
+				t.Errorf("%s with %v: SaveQuantized left a file (stat: %v)", kind, bad, statErr)
+			}
+			qs, err := QuantizeModel(m, kind)
+			if err == nil || qs != nil || !strings.Contains(err.Error(), target.Name) {
+				t.Errorf("%s with %v: QuantizeModel = %d containers, error %v; want an error naming %s", kind, bad, len(qs), err, target.Name)
+			}
+			for _, p := range m.Params() {
+				for i, v := range p.W.Data() {
+					if w := before[p.Name][i]; math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("%s with %v: QuantizeModel changed %s[%d] from %v to %v before failing", kind, bad, p.Name, i, w, v)
+					}
+				}
+			}
+		}
 	}
 }
 
