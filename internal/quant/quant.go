@@ -317,13 +317,25 @@ func (q *Quantized) DequantRowsInto(dst []float32, stride, c0, c1, r0 int) {
 		pd := q.data[c*pb : (c+1)*pb]
 		switch q.kind {
 		case Int8:
-			for i := r0; i < rows; i++ {
-				out[i*stride] = float32(int8(pd[i])) * ps[i/Block]
+			for b := r0 / Block; b < nb; b++ {
+				d := ps[b]
+				for i := max(b*Block, r0); i < min((b+1)*Block, rows); i++ {
+					out[i*stride] = float32(int8(pd[i])) * d
+				}
 			}
 		case Q4_0:
-			for i := r0; i < rows; i++ {
-				v := pd[i/2] >> (4 * (i & 1)) & 0x0f
-				out[i*stride] = float32(int(v)-8) * ps[i/Block]
+			for b := r0 / Block; b < nb; b++ {
+				d := ps[b]
+				base := b * Block
+				for j := 0; j < Block/2; j++ {
+					v := pd[b*Block/2+j]
+					if i := base + 2*j; i >= r0 && i < rows {
+						out[i*stride] = float32(int(v&0x0f)-8) * d
+					}
+					if i := base + 2*j + 1; i >= r0 && i < rows {
+						out[i*stride] = float32(int(v>>4)-8) * d
+					}
+				}
 			}
 		}
 	}
