@@ -319,7 +319,8 @@ func (q *Quantized) DequantRowsInto(dst []float32, stride, c0, c1, r0 int) {
 		case Int8:
 			for b := r0 / Block; b < nb; b++ {
 				d := ps[b]
-				for i := max(b*Block, r0); i < min((b+1)*Block, rows); i++ {
+				base := b * Block
+				for i := max(base, r0); i < min(base+Block, rows); i++ {
 					out[i*stride] = float32(int8(pd[i])) * d
 				}
 			}
