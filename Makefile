@@ -16,8 +16,8 @@ build:
 	$(GO) build ./...
 
 # The assembly kernels in internal/tensor are amd64-only; every one has
-# a portable counterpart (outer_other.go, mathvec_other.go,
-# rowvec_other.go, elemvec_other.go) that no amd64 build compiles. Build
+# a portable counterpart (outer_other.go, rowvec_other.go,
+# elemvec_other.go) that no amd64 build compiles. Build
 # the tree and vet that package for arm64 so a kernel added without its
 # counterpart fails here.
 cross-build:

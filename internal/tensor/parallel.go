@@ -89,7 +89,8 @@ const parallelThreshold = 1 << 16
 // threshold"). Kind (unit of work): weight.
 //
 //   - OpMatMul, OpQuantMatMul (a multiply-add), OpTranspose (an element): 1
-//   - OpSoftmax, OpGELU (an element): 6 = 16 × 1.46 ÷ 3.7 ns (GELU: 9.75)
+//   - OpSoftmax, OpGELU (an element): 6 = 16 × 1.46 ÷ 3.7 ns (GELU: 16 ×
+//     1.4–1.9 ÷ 3.2 = 7–9.5, one exp32 per element)
 //   - OpSoftmaxBwd, OpGELUBwd: 1 = 4 × 0.62 ÷ 1.75, 8 × 0.31 ÷ 1.85
 //   - OpLayerNorm, OpLayerNormBwd, OpAdamW: 1 = 8 × 0.32–0.6 ÷ 3.2–4.1,
 //     8 × 0.38–0.49 ÷ 5.1–5.5 and 8 × 0.5 ÷ 9.3, rounded up
