@@ -60,6 +60,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"orbit/internal/cluster"
@@ -333,29 +334,33 @@ func (g *Group) complete(p *pending) {
 			}
 		}
 	case opReduce:
-		if size == 1 {
+		// The reduction lands in the first destination posted and is
+		// copied to the later ones; a nil one receives nothing, and
+		// with no destination posted nothing is computed.
+		out := slices.IndexFunc(p.dsts, func(d []float32) bool { return d != nil })
+		if out < 0 {
+			break
+		}
+		first := p.dsts[out]
+		switch size {
+		case 1:
 			// One rank: the sum is the input and the mean divides by
 			// one. float32(float64(v)·1) is v, so a copy gives the
 			// general path's bits (but keeps the sign of a −0, which
 			// the scratch's 0+v drops), and an in-place call moves
 			// nothing.
-			copyUnlessSame(p.dsts[0], p.ins[0])
-			break
-		}
-		if size == 2 {
+			copyUnlessSame(first, p.ins[0])
+		case 2:
 			// Each dst may be its rank's own input: the first takes the
 			// reduction before the second is overwritten with it.
 			sameLen(p.ins)
-			reduceTwo(p.dsts[0], p.ins[0], p.ins[1], p.scale)
-			copy(p.dsts[1], p.dsts[0])
-			break
+			reduceTwo(first, p.ins[0], p.ins[1], p.scale)
+		default:
+			for i, v := range g.reduce(p.ins) {
+				first[i] = float32(v * p.scale)
+			}
 		}
-		sum := g.reduce(p.ins)
-		first := p.dsts[0]
-		for i, v := range sum {
-			first[i] = float32(v * p.scale)
-		}
-		for _, dst := range p.dsts[1:] {
+		for _, dst := range p.dsts[out+1:] {
 			copy(dst, first)
 		}
 	case opReduceScatter:
@@ -476,9 +481,13 @@ func (g *Group) IAllGather(rank int, shard, dst []float32) Handle {
 
 // IAllReduceSum posts an elementwise float64-accumulated sum of
 // equal-length buffers; dst (same length as buf) may alias buf for an
-// in-place reduction.
+// in-place reduction. As in IAllGather, a rank that wants only the
+// collective's cost passes a nil dst: it is charged and waits like its
+// peers and receives nothing, while its buf still counts toward the
+// peers' results. When no rank posts a destination, nothing is read or
+// computed.
 func (g *Group) IAllReduceSum(rank int, buf, dst []float32) Handle {
-	if len(dst) != len(buf) {
+	if dst != nil && len(dst) != len(buf) {
 		panic(fmt.Sprintf("comm: AllReduce dst length %d, want %d", len(dst), len(buf)))
 	}
 	cost := 2 * g.ringCost(4*len(buf)) // reduce-scatter + all-gather phases
@@ -487,7 +496,7 @@ func (g *Group) IAllReduceSum(rank int, buf, dst []float32) Handle {
 
 // IAllReduceMean is IAllReduceSum divided by the rank count.
 func (g *Group) IAllReduceMean(rank int, buf, dst []float32) Handle {
-	if len(dst) != len(buf) {
+	if dst != nil && len(dst) != len(buf) {
 		panic(fmt.Sprintf("comm: AllReduce dst length %d, want %d", len(dst), len(buf)))
 	}
 	cost := 2 * g.ringCost(4*len(buf))

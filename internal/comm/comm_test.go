@@ -492,6 +492,116 @@ func TestAllGatherNilDestination(t *testing.T) {
 	}
 }
 
+// TestAllReduceNilDestination: an all-reduce that every rank posts with
+// a nil destination (a charge-only stage forward's TP all-reduces)
+// charges and waits each rank exactly as the same posts with buffers,
+// touches no input and allocates nothing — on the one-rank copy, the
+// two-rank fused pass and the float64 scratch. In a post mixing nil and
+// non-nil destinations, each rank that posted one receives the
+// reduction over every rank's input, bit for bit what it receives when
+// every rank posts one.
+func TestAllReduceNilDestination(t *testing.T) {
+	const n = 37 // odd, so the two-rank vector pass leaves a tail
+	rng := rand.New(rand.NewSource(31))
+	for _, size := range []int{1, 2, 4} {
+		ins := make([][]float32, size)
+		kept := make([][]float32, size)
+		for r := range ins {
+			ins[r] = make([]float32, n)
+			for i := range ins[r] {
+				ins[r][i] = rng.Float32() - 0.5
+			}
+			kept[r] = append([]float32(nil), ins[r]...)
+		}
+		post := func(g *Group, r int, sum, mean []float32) {
+			g.IAllReduceSum(r, ins[r], sum).Wait()
+			g.IAllReduceMean(r, ins[r], mean).Wait()
+		}
+		type result struct {
+			sums, means  [][]float32
+			clock, commT []float64
+		}
+		// run posts with destinations on the ranks has selects.
+		run := func(has func(r int) bool) result {
+			g := newGroup(size)
+			res := result{make([][]float32, size), make([][]float32, size), make([]float64, size), make([]float64, size)}
+			runSPMD(size, func(r int) {
+				if has(r) {
+					res.sums[r], res.means[r] = make([]float32, n), make([]float32, n)
+				}
+				post(g, r, res.sums[r], res.means[r])
+				res.clock[r], res.commT[r] = g.Device(r).Clock(), g.Device(r).CommTime()
+			})
+			return res
+		}
+		all := run(func(int) bool { return true })
+		for _, tc := range []struct {
+			name string
+			has  func(r int) bool
+		}{
+			{"no rank", func(int) bool { return false }},
+			{"all but rank 0", func(r int) bool { return r > 0 }},
+			{"rank 0 only", func(r int) bool { return r == 0 }},
+		} {
+			got := run(tc.has)
+			for r := 0; r < size; r++ {
+				if got.clock[r] != all.clock[r] || got.commT[r] != all.commT[r] {
+					t.Errorf("%d ranks, destinations on %s: rank %d clock / comm time %v / %v, with every destination %v / %v",
+						size, tc.name, r, got.clock[r], got.commT[r], all.clock[r], all.commT[r])
+				}
+				if !tc.has(r) {
+					continue
+				}
+				for i := 0; i < n; i++ {
+					if math.Float32bits(got.sums[r][i]) != math.Float32bits(all.sums[r][i]) ||
+						math.Float32bits(got.means[r][i]) != math.Float32bits(all.means[r][i]) {
+						t.Fatalf("%d ranks, destinations on %s: rank %d element %d = %v / %v, with every destination %v / %v",
+							size, tc.name, r, i, got.sums[r][i], got.means[r][i], all.sums[r][i], all.means[r][i])
+					}
+				}
+			}
+		}
+		for r := range ins {
+			for i := range ins[r] {
+				if math.Float32bits(ins[r][i]) != math.Float32bits(kept[r][i]) {
+					t.Fatalf("%d ranks: rank %d input element %d changed to %v from %v", size, r, i, ins[r][i], kept[r][i])
+				}
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		// Persistent rank goroutines, so AllocsPerRun sees the
+		// collectives alone.
+		g := newGroup(size)
+		start, done := make([]chan struct{}, size), make(chan struct{})
+		for r := range start {
+			start[r] = make(chan struct{})
+			go func() {
+				for range start[r] {
+					post(g, r, nil, nil)
+					done <- struct{}{}
+				}
+			}()
+		}
+		step := func() {
+			for _, c := range start {
+				c <- struct{}{}
+			}
+			for range start {
+				<-done
+			}
+		}
+		step() // warm the pending free list
+		if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
+			t.Errorf("%d ranks: nil-destination all-reduces allocate %.1f objects per step, want 0", size, allocs)
+		}
+		for _, c := range start {
+			close(c)
+		}
+	}
+}
+
 // TestPanicInsidePostPoisonsGroup: an SPMD violation is detected by
 // the rank that posts second, inside post with the group lock held —
 // by pendingFor (mismatched collectives) or by complete (a send nobody

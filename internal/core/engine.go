@@ -77,8 +77,10 @@ type Engine struct {
 	gatherBytes []int64
 	logicalLen  []int // unpadded flat length per block (checkpoint manifests)
 	actBytes    []int64
-	savedInputs []*tensor.Tensor
 	heldAct     int64
+	// sets holds the activation sets (UseActivationSet); blocks is the
+	// one Forward, ChargeForward and Backward run on.
+	sets [][]*parallel.TPBlock
 
 	// The in-flight handles of the asynchronous collectives, so
 	// parameter gathers prefetch ahead of compute and gradient
@@ -103,12 +105,10 @@ type Engine struct {
 	// parameter versions stay put. The collective itself still runs and
 	// is charged.
 	chunkSeen []uint64
-	// recomputed marks that the caller just re-ran Forward to restore
-	// the module caches (pipeline schedules stream several micro-batches
-	// through one engine, clobbering them); the next Backward then
-	// charges two forward-equivalents instead of three, because the
-	// recompute already paid its own compute and communication. Cleared
-	// when that Backward returns. See NoteRecomputed.
+	// recomputed marks that the caller just charged the recompute
+	// forward with ChargeForward; the next Backward then charges two
+	// forward-equivalents instead of three. Cleared when that Backward
+	// returns. See NoteRecomputed.
 	recomputed bool
 }
 
@@ -178,7 +178,7 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 			}
 		}
 	}
-	e.savedInputs = make([]*tensor.Tensor, len(ref))
+	e.sets = [][]*parallel.TPBlock{e.blocks}
 	e.gathered = make([]bool, len(ref))
 	e.gatherH = make([]comm.Handle, len(ref))
 	e.rsH = make([]comm.Handle, len(ref))
@@ -350,6 +350,22 @@ func (e *Engine) chargeCompute(b int, x *tensor.Tensor, mult int64) {
 // posted before the current block computes, hiding the transfers
 // behind compute.
 func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
+	return e.forward(x, true)
+}
+
+// ChargeForward is Forward without the arithmetic: the same gathers
+// (payload-free, as every re-gather between two optimizer steps is),
+// compute charges and TP all-reduces (posted with no destination), so
+// the simulated clocks advance exactly as under Forward while the
+// active set's caches keep what they hold. It is the recompute of
+// activation checkpointing, whose values those caches already are.
+func (e *Engine) ChargeForward(x *tensor.Tensor) error {
+	_, err := e.forward(x, false)
+	return err
+}
+
+// forward is Forward, or ChargeForward when run is false.
+func (e *Engine) forward(x *tensor.Tensor, run bool) (*tensor.Tensor, error) {
 	if !e.Opts.LayerWrapping {
 		for b := range e.blocks {
 			if err := e.postGather(b); err != nil {
@@ -373,21 +389,20 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 			e.waitGather(b)
 		}
-		if e.Opts.ActivationCheckpoint {
-			// Keep only the block input; interior activations are
-			// recomputed in backward.
-			e.savedInputs[b] = x
-		} else {
-			e.savedInputs[b] = x
-			if e.Device != nil {
-				if err := e.Device.Alloc(e.actBytes[b]); err != nil {
-					return nil, err
-				}
-				e.heldAct += e.actBytes[b]
+		if !e.Opts.ActivationCheckpoint && e.Device != nil {
+			// Without checkpointing the interior activations stay
+			// resident until the block's backward.
+			if err := e.Device.Alloc(e.actBytes[b]); err != nil {
+				return nil, err
 			}
+			e.heldAct += e.actBytes[b]
 		}
 		e.chargeCompute(b, x, 1)
-		x = blk.Forward(x)
+		if run {
+			x = blk.Forward(x)
+		} else {
+			blk.ChargeForward(x)
+		}
 		if e.Opts.LayerWrapping {
 			e.releaseBlock(b)
 		}
@@ -425,23 +440,17 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 			e.Device.Free(e.actBytes[b])
 			e.heldAct -= e.actBytes[b]
 		}
-		// With activation checkpointing the real system would recompute
-		// the block forward here (trading compute for memory,
-		// Sec. III-B); the functional engine's module caches are still
-		// resident from Forward — each rank runs one sample per step,
-		// so nothing has overwritten them — and the recompute would
-		// reproduce bit-identical values. The memory model above still
-		// reflects the discard, and the analytic model (internal/perf)
-		// charges the recompute FLOPs; re-running it functionally would
-		// only burn host time. (pp.Engine.RunStep must recompute: its
-		// stages stream several micro-batches through the same blocks,
-		// clobbering the caches.)
-		// Two forward-equivalents of gradient math, plus the recompute
-		// forward that activation checkpointing re-executes (the
-		// functional engine reuses its resident caches — see above —
-		// but the clock pays for the recompute the real system runs).
-		// When the caller already re-ran Forward for real (pipeline
-		// stages, NoteRecomputed), that recompute charged itself.
+		// With activation checkpointing the real system recomputes the
+		// block forward here (trading compute for memory, Sec. III-B).
+		// The functional engine never re-runs that arithmetic: the
+		// active set still holds this micro-batch's caches from its
+		// Forward, and the recompute would reproduce them bit for bit.
+		// The clock pays for it all the same — as a third
+		// forward-equivalent beside the two of gradient math, or, when
+		// the caller charged it with ChargeForward just before (a
+		// pipeline stage whose backward follows other micro-batches'
+		// forwards; NoteRecomputed), there. The memory model above
+		// reflects the discard either way.
 		mult := int64(2)
 		if e.Opts.ActivationCheckpoint && !e.recomputed {
 			mult = 3
@@ -475,14 +484,31 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return dy, nil
 }
 
-// NoteRecomputed marks that the caller re-ran Forward immediately
-// before the next Backward to restore clobbered module caches — the
-// real recompute a pipeline stage performs when later micro-batches
-// have streamed through the engine since this one's forward. The next
-// Backward charges two forward-equivalents (the gradient math) instead
-// of three; the recompute Forward already charged its own compute,
-// gathers, and TP reductions.
+// NoteRecomputed marks that the caller ran ChargeForward immediately
+// before the next Backward — the recompute a pipeline stage pays when
+// other micro-batches ran forward since this one did. That Backward
+// charges two forward-equivalents (the gradient math) instead of
+// three; ChargeForward already charged the recompute's compute,
+// gathers and TP all-reduces.
 func (e *Engine) NoteRecomputed() { e.recomputed = true }
+
+// UseActivationSet points Forward, ChargeForward and Backward at
+// activation set k (set 0 until called), creating the sets up to k on
+// first use. A set's blocks share every parameter with set 0's — the
+// same nn.Params, views of the same flat vectors — so the collectives
+// and the optimizer see one copy, and hold their own module caches: a
+// pipeline stage keeps each in-flight micro-batch's activations in a
+// set of its own until that micro-batch's backward.
+func (e *Engine) UseActivationSet(k int) {
+	for len(e.sets) <= k {
+		set := make([]*parallel.TPBlock, len(e.blocks))
+		for b, blk := range e.sets[0] {
+			set[b] = blk.Twin()
+		}
+		e.sets = append(e.sets, set)
+	}
+	e.blocks = e.sets[k]
+}
 
 // ddpBucketedReduce packs consecutive chunk gradients into the
 // buckets' flat buffers, averages each bucket across the DDP group in

@@ -109,6 +109,27 @@ func NewTPBlock(rank int, group *comm.Group, ref *nn.TransformerBlock) *TPBlock 
 	}
 }
 
+// Twin returns a block over b's parameters — the same nn.Params, so the
+// same weights and gradient accumulators — with activation caches and
+// scratch of its own: one micro-batch can run forward through the twin
+// while b still holds another's activations for its backward.
+func (b *TPBlock) Twin() *TPBlock {
+	lin := func(l *nn.Linear) *nn.Linear {
+		return &nn.Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias}
+	}
+	norm := func(l *nn.LayerNorm) *nn.LayerNorm {
+		if l == nil {
+			return nil
+		}
+		return &nn.LayerNorm{Dim: l.Dim, Eps: l.Eps, Gamma: l.Gamma, Beta: l.Beta}
+	}
+	a := b.Attn
+	return &TPBlock{Rank: b.Rank, Group: b.Group, LN1: norm(b.LN1), LN2: norm(b.LN2),
+		Attn: &nn.MultiHeadAttention{Dim: a.Dim, Heads: a.Heads, HeadDim: a.HeadDim, QKNorm: a.QKNorm,
+			WQ: lin(a.WQ), WK: lin(a.WK), WV: lin(a.WV), WO: lin(a.WO), QNorm: norm(a.QNorm), KNorm: norm(a.KNorm)},
+		MLP: &nn.MLP{FC1: lin(b.MLP.FC1), FC2: lin(b.MLP.FC2)}}
+}
+
 // allReduceInPlace sums a tensor across the TP group in place (the
 // reduction collectives permit dst aliasing the rank's input).
 func (b *TPBlock) allReduceInPlace(t *tensor.Tensor) *tensor.Tensor {
@@ -125,6 +146,14 @@ func (b *TPBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 	partial = b.allReduceInPlace(b.MLP.Forward(b.LN2.Forward(b.h)))
 	b.y = tensor.Ensure(b.y, x.Shape()...)
 	return tensor.AddInto(b.y, b.h, partial)
+}
+
+// ChargeForward posts Forward's two all-reduces, same length and same
+// order, with no destination: the group is charged and waits as in
+// Forward and nothing is computed. x, Forward's input, sizes the posts.
+func (b *TPBlock) ChargeForward(x *tensor.Tensor) {
+	b.Group.AllReduceSumInto(b.Rank, x.Data(), nil)
+	b.Group.AllReduceSumInto(b.Rank, x.Data(), nil)
 }
 
 // Backward propagates the replicated upstream gradient and returns a

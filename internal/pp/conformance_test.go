@@ -251,16 +251,23 @@ func confOpts(depth int) core.Options {
 
 // TestScheduleConformance1F1B is the property test over random
 // (stages, micro-batches, depth, inner grid) configurations: 1F1B
-// must be bit-identical to the single-stage reference.
+// must be bit-identical to the single-stage reference. With up to six
+// micro-batches over up to three stages, stage s's min(S − s, micros)
+// activation sets rotate whenever micros > S − s, so a backward that
+// ran on another micro-batch's set fails here.
 func TestScheduleConformance1F1B(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	for it := 0; it < 12; it++ {
+	rotations := 0
+	for it := 0; it < 24; it++ {
 		S := 1 + r.Intn(3)
 		tp := 1 << r.Intn(2)
 		fsdp := 1 << r.Intn(2)
 		ddp := 1 << r.Intn(2)
 		layers := S + r.Intn(4)
-		micros := 1 + r.Intn(3)
+		micros := 1 + r.Intn(6)
+		if S > 1 && micros > 2 {
+			rotations++
+		}
 		depth := 1 + r.Intn(2)
 		qk := r.Intn(2) == 0
 		opts := confOpts(depth)
@@ -272,6 +279,9 @@ func TestScheduleConformance1F1B(t *testing.T) {
 		want := runReference(t, l.Inner(), layers, micros, qk, opts)
 		got, _ := runPipeline(t, l, layers, micros, qk, opts)
 		assertBitIdentical(t, label, want, got)
+	}
+	if rotations == 0 {
+		t.Fatal("no configuration rotated a stage's activation sets")
 	}
 }
 

@@ -48,7 +48,7 @@ type Engine struct {
 // The 1F1B schedule streams several micro-batches through one engine
 // before their backwards run, so layouts with PP > 1 require
 // LayerWrapping and ActivationCheckpoint (the recompute the schedule
-// performs is only accounted correctly under the production
+// charges is only accounted correctly under the production
 // configuration both the paper and DefaultOptions use).
 func Build(l Layout, stageRanges [][2]int, m *cluster.Machine, ref []*nn.TransformerBlock, opts core.Options) ([]*Engine, error) {
 	if err := l.Validate(); err != nil {
@@ -154,8 +154,9 @@ type stepScratch struct {
 	// in-flight send reads. nil where the stage has no such link.
 	in, dyIn, ySend, dxSend []*tensor.Tensor
 	savedIn                 []*tensor.Tensor // stage input per micro: Input's tensor or in's
+	y                       []*tensor.Tensor // stage output per micro, owned by its activation set
+	holder                  []int            // per activation set: 1 + the micro it holds, 0 when free
 	lastFwd                 int              // most recent forward micro
-	lastY                   *tensor.Tensor   // its output
 	sends                   []comm.Handle    // in-flight transfers, drained per step
 }
 
@@ -172,6 +173,22 @@ func perMicro(link *comm.Group, micros int, shape []int) []*tensor.Tensor {
 	return out
 }
 
+// inFlight is the most micro-batches ops holds between their forward
+// and their backward — under 1F1B min(stages − s, micros) on stage s —
+// and so the number of activation sets the stage needs.
+func inFlight(ops []Op) int {
+	n, most := 0, 0
+	for _, op := range ops {
+		if op.Kind == Fwd {
+			n++
+			most = max(most, n)
+		} else {
+			n--
+		}
+	}
+	return most
+}
+
 // scratchFor returns the step scratch for (micros, shape) with its
 // bookkeeping cleared, rebuilding it when either changed.
 func (e *Engine) scratchFor(micros int, shape []int) (*stepScratch, error) {
@@ -181,19 +198,23 @@ func (e *Engine) scratchFor(micros int, shape []int) (*stepScratch, error) {
 		if err != nil {
 			return nil, err
 		}
+		ops := scheds[e.Coord.P]
 		*sc = stepScratch{
-			micros: micros, shape: slices.Clone(shape), ops: scheds[e.Coord.P],
+			micros: micros, shape: slices.Clone(shape), ops: ops,
 			in:      perMicro(e.fwdIn, micros, shape),
 			dyIn:    perMicro(e.bwdIn, micros, shape),
 			ySend:   perMicro(e.fwdOut, micros, shape),
 			dxSend:  perMicro(e.bwdOut, micros, shape),
 			savedIn: make([]*tensor.Tensor, micros),
+			y:       make([]*tensor.Tensor, micros),
+			holder:  make([]int, inFlight(ops)),
 		}
 	}
 	// A completed step leaves the tables empty; a step that returned an
 	// error part-way does not.
 	clear(sc.savedIn)
-	sc.lastFwd, sc.lastY = -1, nil
+	clear(sc.holder)
+	sc.lastFwd = -1
 	sc.sends = sc.sends[:0]
 	return sc, nil
 }
@@ -212,6 +233,10 @@ func (sc *stepScratch) send(link *comm.Group, buf, src *tensor.Tensor) {
 // downstream transfer overlaps this stage's remaining compute;
 // receives block at consumption. The returned loss is the sum over
 // micro-batches on last-stage ranks and 0 elsewhere.
+//
+// Each micro-batch's forward runs on a free activation set of the
+// stage and its backward on the same set, which still holds the
+// micro-batch's activations: no stage forward is re-run on the host.
 func (e *Engine) RunStep(micros int, io StepIO) (float64, error) {
 	for _, d := range io.Shape {
 		if d <= 0 {
@@ -236,32 +261,38 @@ func (e *Engine) RunStep(micros int, io StepIO) (float64, error) {
 				e.fwdIn.IRecv(1, x.Data()).Wait()
 			}
 			sc.savedIn[mu] = x
+			k := slices.Index(sc.holder, 0) // the op list sized the sets: one is free
+			sc.holder[k] = mu + 1
+			e.Stage.UseActivationSet(k)
 			y, err := e.Stage.Forward(x)
 			if err != nil {
 				return 0, err
 			}
-			sc.lastFwd, sc.lastY = mu, y
+			sc.lastFwd, sc.y[mu] = mu, y
 			if !last {
 				sc.send(e.fwdOut, sc.ySend[mu], y)
 			}
 		case Bwd:
+			k := slices.Index(sc.holder, mu+1)
+			if k < 0 {
+				panic(fmt.Sprintf("pp: no activation set holds micro-batch %d at its backward", mu))
+			}
+			e.Stage.UseActivationSet(k)
 			if sc.lastFwd != mu {
-				// Later micro-batches clobbered the stage's module caches:
-				// re-run the stage forward for real (re-gathers, TP
-				// reductions, compute all charged) to restore them —
-				// that is the recompute 1F1B actually pays on non-final
-				// stages.
-				y, err := e.Stage.Forward(sc.savedIn[mu])
-				if err != nil {
+				// Other micro-batches ran forward since this one: the
+				// real stage recomputes its checkpointed forward here.
+				// The set already holds those values, so only the cost
+				// is paid — gathers, TP all-reduces and compute.
+				if err := e.Stage.ChargeForward(sc.savedIn[mu]); err != nil {
 					return 0, err
 				}
-				sc.lastFwd, sc.lastY = mu, y
+				sc.lastFwd = mu
 				e.Stage.NoteRecomputed()
 			}
 			var dy *tensor.Tensor
 			if last {
 				var loss float64
-				loss, dy = io.LossGrad(mu, sc.lastY)
+				loss, dy = io.LossGrad(mu, sc.y[mu])
 				lossSum += loss
 			} else {
 				dy = sc.dyIn[mu]
@@ -277,7 +308,7 @@ func (e *Engine) RunStep(micros int, io StepIO) (float64, error) {
 			if !first {
 				sc.send(e.bwdOut, sc.dxSend[mu], dx)
 			}
-			sc.savedIn[mu] = nil
+			sc.savedIn[mu], sc.holder[k] = nil, 0
 		}
 	}
 	for _, h := range sc.sends {

@@ -8,8 +8,8 @@ type OpKind uint8
 const (
 	// Fwd runs one micro-batch forward through the stage.
 	Fwd OpKind = iota
-	// Bwd runs the matching backward (recomputing the forward first
-	// when later micro-batches have clobbered the stage's caches).
+	// Bwd runs the matching backward (charging the recomputed forward
+	// first when later micro-batches ran forward since).
 	Bwd
 )
 
