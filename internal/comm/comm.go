@@ -60,7 +60,6 @@ package comm
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"orbit/internal/cluster"
@@ -337,8 +336,11 @@ func (g *Group) complete(p *pending) {
 		// The reduction lands in the first destination posted and is
 		// copied to the later ones; a nil one receives nothing, and
 		// with no destination posted nothing is computed.
-		out := slices.IndexFunc(p.dsts, func(d []float32) bool { return d != nil })
-		if out < 0 {
+		out := 0
+		for out < size && p.dsts[out] == nil {
+			out++
+		}
+		if out == size {
 			break
 		}
 		first := p.dsts[out]

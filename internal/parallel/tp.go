@@ -114,20 +114,23 @@ func NewTPBlock(rank int, group *comm.Group, ref *nn.TransformerBlock) *TPBlock 
 // scratch of its own: one micro-batch can run forward through the twin
 // while b still holds another's activations for its backward.
 func (b *TPBlock) Twin() *TPBlock {
-	lin := func(l *nn.Linear) *nn.Linear {
-		return &nn.Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias}
-	}
-	norm := func(l *nn.LayerNorm) *nn.LayerNorm {
-		if l == nil {
-			return nil
-		}
-		return &nn.LayerNorm{Dim: l.Dim, Eps: l.Eps, Gamma: l.Gamma, Beta: l.Beta}
-	}
 	a := b.Attn
-	return &TPBlock{Rank: b.Rank, Group: b.Group, LN1: norm(b.LN1), LN2: norm(b.LN2),
+	return &TPBlock{Rank: b.Rank, Group: b.Group, LN1: twinNorm(b.LN1), LN2: twinNorm(b.LN2),
 		Attn: &nn.MultiHeadAttention{Dim: a.Dim, Heads: a.Heads, HeadDim: a.HeadDim, QKNorm: a.QKNorm,
-			WQ: lin(a.WQ), WK: lin(a.WK), WV: lin(a.WV), WO: lin(a.WO), QNorm: norm(a.QNorm), KNorm: norm(a.KNorm)},
-		MLP: &nn.MLP{FC1: lin(b.MLP.FC1), FC2: lin(b.MLP.FC2)}}
+			WQ: twinLinear(a.WQ), WK: twinLinear(a.WK), WV: twinLinear(a.WV), WO: twinLinear(a.WO),
+			QNorm: twinNorm(a.QNorm), KNorm: twinNorm(a.KNorm)},
+		MLP: &nn.MLP{FC1: twinLinear(b.MLP.FC1), FC2: twinLinear(b.MLP.FC2)}}
+}
+
+func twinLinear(l *nn.Linear) *nn.Linear {
+	return &nn.Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias}
+}
+
+func twinNorm(l *nn.LayerNorm) *nn.LayerNorm {
+	if l == nil {
+		return nil
+	}
+	return &nn.LayerNorm{Dim: l.Dim, Eps: l.Eps, Gamma: l.Gamma, Beta: l.Beta}
 }
 
 // allReduceInPlace sums a tensor across the TP group in place (the
