@@ -21,8 +21,9 @@ import (
 // each group's single communication stream, and wait-time attribution
 // only for the gap local compute did not already cover. Activation
 // receives block at consumption, sends post asynchronously and drain
-// at the end of the step, and a stale-cache backward re-runs the stage
-// forward for real before charging the cheaper (2×) backward — so
+// at the end of the step, and a backward that follows other
+// micro-batches' forwards charges the recomputed stage forward before
+// the cheaper (2×) backward — so
 // pipeline bubbles fall out of the replay rather than an analytic
 // S·(M+S−1) formula: a stage idling in warmup simply accrues wait time
 // on the first transfer it consumes, and that is what
@@ -331,10 +332,9 @@ func (pc *progCtx) buildStep4(sched []pp.Op) {
 		case pp.Bwd:
 			bwdSec := pc.bwdFresh
 			if lastFwd != op.Micro {
-				// Later micro-batches clobbered the stage's caches: the
-				// engine re-runs the forward for real (gathers, TP
-				// reductions, compute all charged), then pays the 2×
-				// backward.
+				// Later micro-batches ran forward since this one: the
+				// engine charges the recompute forward (gathers, TP
+				// reductions, compute), then pays the 2× backward.
 				pc.stageForward()
 				lastFwd = op.Micro
 				bwdSec = pc.bwdRecomputed
