@@ -105,10 +105,9 @@ type Engine struct {
 	// parameter versions stay put. The collective itself still runs and
 	// is charged.
 	chunkSeen []uint64
-	// recomputed marks that the caller just charged the recompute
-	// forward with ChargeForward; the next Backward then charges two
-	// forward-equivalents instead of three. Cleared when that Backward
-	// returns. See NoteRecomputed.
+	// recomputed marks that ChargeForward just charged the recompute
+	// forward; the next Backward then charges two forward-equivalents
+	// instead of three. Cleared when that Backward returns.
 	recomputed bool
 }
 
@@ -358,10 +357,15 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // compute charges and TP all-reduces (posted with no destination), so
 // the simulated clocks advance exactly as under Forward while the
 // active set's caches keep what they hold. It is the recompute of
-// activation checkpointing, whose values those caches already are.
+// activation checkpointing, whose values those caches already are, so
+// the next Backward charges two forward-equivalents (the gradient
+// math) instead of three.
 func (e *Engine) ChargeForward(x *tensor.Tensor) error {
-	_, err := e.forward(x, false)
-	return err
+	if _, err := e.forward(x, false); err != nil {
+		return err
+	}
+	e.recomputed = true
+	return nil
 }
 
 // forward is Forward, or ChargeForward when run is false.
@@ -449,8 +453,8 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 		// forward-equivalent beside the two of gradient math, or, when
 		// the caller charged it with ChargeForward just before (a
 		// pipeline stage whose backward follows other micro-batches'
-		// forwards; NoteRecomputed), there. The memory model above
-		// reflects the discard either way.
+		// forwards), there. The memory model above reflects the discard
+		// either way.
 		mult := int64(2)
 		if e.Opts.ActivationCheckpoint && !e.recomputed {
 			mult = 3
@@ -483,14 +487,6 @@ func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	e.recomputed = false
 	return dy, nil
 }
-
-// NoteRecomputed marks that the caller ran ChargeForward immediately
-// before the next Backward — the recompute a pipeline stage pays when
-// other micro-batches ran forward since this one did. That Backward
-// charges two forward-equivalents (the gradient math) instead of
-// three; ChargeForward already charged the recompute's compute,
-// gathers and TP all-reduces.
-func (e *Engine) NoteRecomputed() { e.recomputed = true }
 
 // UseActivationSet points Forward, ChargeForward and Backward at
 // activation set k (set 0 until called), creating the sets up to k on

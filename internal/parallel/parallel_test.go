@@ -225,6 +225,65 @@ func TestTPShardGradientsMatchSerialShards(t *testing.T) {
 	}
 }
 
+// A twin shares its block's parameters and keeps caches of its own:
+// two micro-batches interleaved over a block and its twin (forward 0,
+// forward 1, backward 0, backward 1) give the bits of one block running
+// them one after the other, gradients included. A module field Twin
+// failed to carry over would compute set 1 differently from set 0.
+func TestTPBlockTwinMatchesBlock(t *testing.T) {
+	bits := func(ts ...*tensor.Tensor) []uint32 {
+		var out []uint32
+		for _, t := range ts {
+			for _, v := range t.Data() {
+				out = append(out, math.Float32bits(v))
+			}
+		}
+		return out
+	}
+	for _, qkNorm := range []bool{false, true} {
+		for _, tp := range []int{1, 2} {
+			ref := nn.NewTransformerBlock("ref", testDim, testHeads, qkNorm, tensor.NewRNG(41))
+			xs, dys := testBatch(42, 2)
+			g := comm.NewGroup(cluster.NewMachine(cluster.Frontier(), 1, tp).Devices)
+			// run returns each rank's outputs, input gradients and
+			// accumulated parameter gradients, in bits.
+			run := func(twin bool) [][]uint32 {
+				out := make([][]uint32, tp)
+				runSPMD(tp, func(rank int) {
+					b := NewTPBlock(rank, g, ref)
+					var ys, dxs [2]*tensor.Tensor
+					if twin {
+						tw := b.Twin()
+						if !slices.Equal(tw.Params(), b.Params()) {
+							t.Errorf("qkNorm=%v tp=%d rank %d: twin does not share the block's params", qkNorm, tp, rank)
+						}
+						ys[0] = b.Forward(xs[0]).Clone()
+						ys[1] = tw.Forward(xs[1]).Clone()
+						dxs[0] = b.Backward(dys[0]).Clone()
+						dxs[1] = tw.Backward(dys[1]).Clone()
+					} else {
+						for i := range xs {
+							ys[i] = b.Forward(xs[i]).Clone()
+							dxs[i] = b.Backward(dys[i]).Clone()
+						}
+					}
+					out[rank] = bits(ys[0], ys[1], dxs[0], dxs[1])
+					for _, p := range b.Params() {
+						out[rank] = append(out[rank], bits(p.Grad)...)
+					}
+				})
+				return out
+			}
+			want, got := run(false), run(true)
+			for r := range tp {
+				if !slices.Equal(got[r], want[r]) {
+					t.Errorf("qkNorm=%v tp=%d rank %d: block + twin differ from one block in bits", qkNorm, tp, r)
+				}
+			}
+		}
+	}
+}
+
 func TestTPRejectsIndivisibleHeads(t *testing.T) {
 	defer func() {
 		if recover() == nil {

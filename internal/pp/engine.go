@@ -179,12 +179,12 @@ func perMicro(link *comm.Group, micros int, shape []int) []*tensor.Tensor {
 func inFlight(ops []Op) int {
 	n, most := 0, 0
 	for _, op := range ops {
-		if op.Kind == Fwd {
-			n++
-			most = max(most, n)
-		} else {
+		if op.Kind == Bwd {
 			n--
+			continue
 		}
+		n++
+		most = max(most, n)
 	}
 	return most
 }
@@ -287,7 +287,6 @@ func (e *Engine) RunStep(micros int, io StepIO) (float64, error) {
 					return 0, err
 				}
 				sc.lastFwd = mu
-				e.Stage.NoteRecomputed()
 			}
 			var dy *tensor.Tensor
 			if last {
