@@ -521,7 +521,7 @@ func TestAllReduceNilDestination(t *testing.T) {
 			sums, means  [][]float32
 			clock, commT []float64
 		}
-		// run posts with destinations on the ranks has selects.
+		// run posts with destinations on the ranks that has selects.
 		run := func(has func(r int) bool) result {
 			g := newGroup(size)
 			res := result{make([][]float32, size), make([][]float32, size), make([]float64, size), make([]float64, size)}
