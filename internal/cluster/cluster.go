@@ -58,6 +58,12 @@ func Frontier() Spec {
 	}
 }
 
+// ComputeSeconds is the time flops of work take at sustained
+// throughput.
+func (s Spec) ComputeSeconds(flops int64) float64 {
+	return float64(flops) / (s.PeakFLOPS * s.Efficiency)
+}
+
 // OOMError reports a simulated out-of-memory condition.
 type OOMError struct {
 	Device    int
@@ -224,7 +230,7 @@ func (d *Device) Compute(flops int64) {
 		return
 	}
 	d.flops += flops
-	d.clock += float64(flops) / (d.Spec.PeakFLOPS * d.Spec.Efficiency)
+	d.clock += d.Spec.ComputeSeconds(flops)
 	d.touchProgress()
 }
 
@@ -250,18 +256,15 @@ func (d *Device) CommTime() float64 {
 }
 
 // AdvanceTo moves the clock forward to at least t, attributing the
-// extra wait plus commCost to communication, and returns the new
-// clock value. Collectives use this to synchronize group members.
-func (d *Device) AdvanceTo(t, commCost float64) float64 {
+// wait to communication. Collectives use this to synchronize group
+// members.
+func (d *Device) AdvanceTo(t float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if t > d.clock {
 		d.commTime += t - d.clock
 		d.clock = t
 	}
-	d.clock += commCost
-	d.commTime += commCost
-	return d.clock
 }
 
 // Machine is a collection of simulated devices with node structure.

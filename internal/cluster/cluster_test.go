@@ -84,17 +84,14 @@ func TestComputeAdvancesClock(t *testing.T) {
 func TestAdvanceToSynchronizes(t *testing.T) {
 	d := &Device{Spec: Spec{PeakFLOPS: 1, Efficiency: 1}}
 	d.Compute(2) // clock = 2
-	got := d.AdvanceTo(5, 0.5)
-	if got != 5.5 {
-		t.Errorf("AdvanceTo = %v, want 5.5", got)
+	d.AdvanceTo(5)
+	if d.Clock() != 5 || d.CommTime() != 3 { // 3 of wait
+		t.Errorf("AdvanceTo(5): clock %v, comm %v, want 5, 3", d.Clock(), d.CommTime())
 	}
-	if d.CommTime() != 3.5 { // 3 wait + 0.5 transfer
-		t.Errorf("CommTime = %v, want 3.5", d.CommTime())
-	}
-	// Advancing to the past only adds the comm cost.
-	got = d.AdvanceTo(1, 0.25)
-	if got != 5.75 {
-		t.Errorf("AdvanceTo(past) = %v, want 5.75", got)
+	// Advancing to the past moves nothing.
+	d.AdvanceTo(1)
+	if d.Clock() != 5 || d.CommTime() != 3 {
+		t.Errorf("AdvanceTo(past): clock %v, comm %v, want 5, 3", d.Clock(), d.CommTime())
 	}
 }
 

@@ -131,7 +131,7 @@ func TestAsyncCollectivesSerializeOnGroupStream(t *testing.T) {
 	buf := make([]float32, 1<<18)
 	dst := make([]float32, 1<<18)
 	dst2 := make([]float32, 1<<18)
-	cost := 2 * g.ringCost(4*len(buf))
+	cost := g.cost(AllReduce, len(buf))
 	runSPMD(2, func(rank int) {
 		h1 := g.IAllReduceSum(rank, buf, dst)
 		h2 := g.IAllReduceSum(rank, buf, dst2)

@@ -51,11 +51,12 @@
 // A collective starts once every rank has posted it and the group's
 // single communication stream is free (in-flight collectives on one
 // group serialize, as on one RCCL stream), and completes one modeled
-// ring-cost later. Wait advances the waiting rank's clock to the
-// completion time, attributing the idle gap to communication — a rank
-// whose compute already advanced its clock past the completion time
-// pays nothing, which is exactly the overlap the paper's prefetching
-// and bucketing optimizations exploit (Sec. III-B).
+// cost later — Link.Cost and Rendezvous (cost.go), the rules the
+// planner's replay calls too. Wait advances the waiting rank's clock to
+// the completion time, attributing the idle gap to communication — a
+// rank whose compute already advanced its clock past the completion
+// time pays nothing, which is exactly the overlap the paper's
+// prefetching and bucketing optimizations exploit (Sec. III-B).
 package comm
 
 import (
@@ -66,50 +67,20 @@ import (
 	"orbit/internal/tensor"
 )
 
-// opKind tags the collective operation a pending record carries, so
-// SPMD ordering violations fail loudly instead of mixing data.
-type opKind uint8
-
-const (
-	opNone opKind = iota
-	opAllGather
-	opReduce        // all-reduce; scale distinguishes sum from mean
-	opReduceScatter // reduce-scatter; scale distinguishes sum from mean
-	opSend          // point-to-point send/recv rendezvous (p2p.go)
-)
-
-func (o opKind) String() string {
-	switch o {
-	case opAllGather:
-		return "all-gather"
-	case opReduce:
-		return "all-reduce"
-	case opReduceScatter:
-		return "reduce-scatter"
-	case opSend:
-		return "send"
-	}
-	return "none"
-}
-
 // pending is one in-flight collective: per-rank input and destination
-// buffers, the rendezvous count, and the modeled completion time.
-// Records are recycled through the group's free list once every rank
-// has waited, so steady-state collectives allocate nothing.
+// buffers and its Rendezvous. The op kind, scale and cost must agree
+// across ranks, so SPMD ordering violations fail loudly instead of
+// mixing data. Records are recycled through the group's free list once
+// every rank has waited, so steady-state collectives allocate nothing.
 type pending struct {
+	Rendezvous
 	seq    int
-	op     opKind
+	op     Kind
 	scale  float64 // applied to reductions (1 = sum, 1/p = mean)
-	cost   float64
-	tmax   float64 // latest post-time clock among the ranks
-	posted int
 	waited int
 	done   bool
-	// completion = max(tmax, stream-free time) + cost, fixed when the
-	// last rank posts.
-	completion float64
-	ins        [][]float32
-	dsts       [][]float32
+	ins    [][]float32
+	dsts   [][]float32
 }
 
 // Handle identifies a posted collective for one rank. Wait must be
@@ -141,13 +112,13 @@ func (h Handle) Wait() {
 		g.cond.Wait()
 		d.EndCommWait()
 	}
-	completion := p.completion
+	completion := p.Completion
 	p.waited++
 	if p.waited == len(g.devices) {
 		g.recycle(p)
 	}
 	g.mu.Unlock()
-	d.AdvanceTo(completion, 0)
+	d.AdvanceTo(completion)
 }
 
 // Group is a communicator over a fixed set of simulated devices. All
@@ -155,9 +126,7 @@ func (h Handle) Wait() {
 // times in the same order (SPMD), exactly like an MPI communicator.
 type Group struct {
 	devices []*cluster.Device
-
-	latency   float64 // per-message link latency for this group's span
-	bandwidth float64 // per-link bandwidth in bytes/s
+	link    Link // the link class the group spans
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -180,16 +149,10 @@ func NewGroup(devices []*cluster.Device) *Group {
 	if len(devices) == 0 {
 		panic("comm: empty group")
 	}
-	spec := devices[0].Spec
 	g := &Group{
-		devices:   devices,
-		latency:   spec.InterNodeLatency,
-		bandwidth: spec.InterNodeBandwidth,
-		postSeq:   make([]int, len(devices)),
-	}
-	if cluster.SameNode(devices) {
-		g.latency = spec.IntraNodeLatency
-		g.bandwidth = spec.IntraNodeBandwidth
+		devices: devices,
+		link:    LinkFor(devices[0].Spec, cluster.SameNode(devices)),
+		postSeq: make([]int, len(devices)),
 	}
 	g.cond = sync.NewCond(&g.mu)
 	return g
@@ -201,27 +164,22 @@ func (g *Group) Size() int { return len(g.devices) }
 // Device returns the device behind a rank.
 func (g *Group) Device(rank int) *cluster.Device { return g.devices[rank] }
 
-// ringCost models a bandwidth-optimal ring collective moving
-// (p-1)/p × bytes per rank in p−1 latency-bound steps.
-func (g *Group) ringCost(bytes int) float64 {
-	p := float64(len(g.devices))
-	if p == 1 {
-		return 0
-	}
-	return (p - 1) * (g.latency + float64(bytes)/p/g.bandwidth)
+// cost prices one of the group's collectives over n elements per rank.
+func (g *Group) cost(kind Kind, n int) float64 {
+	return g.link.Cost(kind, len(g.devices), n)
 }
 
 // pendingFor locates (or creates) the in-flight record for a posting
 // sequence number. Caller holds g.mu.
-func (g *Group) pendingFor(seq int, op opKind, scale, cost float64) *pending {
+func (g *Group) pendingFor(seq int, op Kind, scale, cost float64) *pending {
 	for _, p := range g.inflight {
 		if p.seq == seq {
-			if p.op != op || p.scale != scale || p.cost != cost {
+			if p.op != op || p.scale != scale || p.Cost != cost {
 				// Op kind, reduction scale (sum vs mean), and modeled
 				// cost (a function of buffer length) must agree across
 				// ranks; any divergence is an SPMD ordering violation.
 				panic(fmt.Sprintf("comm: collective ordering violation at seq %d: %v(scale %v, cost %v) posted against %v(scale %v, cost %v)",
-					seq, op, scale, cost, p.op, p.scale, p.cost))
+					seq, op, scale, cost, p.op, p.scale, p.Cost))
 			}
 			return p
 		}
@@ -237,8 +195,8 @@ func (g *Group) pendingFor(seq int, op opKind, scale, cost float64) *pending {
 			dsts: make([][]float32, len(g.devices)),
 		}
 	}
-	p.seq, p.op, p.scale, p.cost = seq, op, scale, cost
-	p.tmax, p.posted, p.waited, p.done = 0, 0, 0, false
+	p.seq, p.op, p.scale, p.Rendezvous = seq, op, scale, Rendezvous{Cost: cost}
+	p.waited, p.done = 0, false
 	g.inflight = append(g.inflight, p)
 	return p
 }
@@ -250,7 +208,6 @@ func (g *Group) recycle(p *pending) {
 		p.ins[i] = nil
 		p.dsts[i] = nil
 	}
-	p.op = opNone
 	for i, q := range g.inflight {
 		if q == p {
 			last := len(g.inflight) - 1
@@ -266,7 +223,7 @@ func (g *Group) recycle(p *pending) {
 // post deposits one rank's buffers for its next collective; the last
 // rank to arrive executes the data movement and fixes the completion
 // time. Returns a handle the rank must Wait on exactly once.
-func (g *Group) post(op opKind, rank int, in, dst []float32, scale, cost float64) Handle {
+func (g *Group) post(op Kind, rank int, in, dst []float32, scale, cost float64) Handle {
 	clk := g.devices[rank].Clock()
 	g.mu.Lock()
 	if g.poisoned {
@@ -291,11 +248,7 @@ func (g *Group) post(op opKind, rank int, in, dst []float32, scale, cost float64
 	p := g.pendingFor(seq, op, scale, cost)
 	p.ins[rank] = in
 	p.dsts[rank] = dst
-	if clk > p.tmax {
-		p.tmax = clk
-	}
-	p.posted++
-	if p.posted == len(g.devices) {
+	if p.Post(clk, 1, len(g.devices), &g.streamFree) {
 		g.complete(p)
 	}
 	posted = true
@@ -303,19 +256,11 @@ func (g *Group) post(op opKind, rank int, in, dst []float32, scale, cost float64
 }
 
 // complete runs the collective's data movement into the destination
-// buffers and fixes its completion time on the group's communication
-// stream. Caller holds g.mu.
+// buffers once the last rank posted. Caller holds g.mu.
 func (g *Group) complete(p *pending) {
-	start := p.tmax
-	if g.streamFree > start {
-		start = g.streamFree
-	}
-	p.completion = start + p.cost
-	g.streamFree = p.completion
-
 	size := len(g.devices)
 	switch p.op {
-	case opAllGather:
+	case AllGather:
 		n := len(p.ins[0])
 		for r, b := range p.ins {
 			if len(b) != n {
@@ -332,7 +277,7 @@ func (g *Group) complete(p *pending) {
 				copyUnlessSame(dst[r*n:(r+1)*n], b)
 			}
 		}
-	case opReduce:
+	case AllReduce:
 		// The reduction lands in the first destination posted and is
 		// copied to the later ones; a nil one receives nothing, and
 		// with no destination posted nothing is computed.
@@ -365,9 +310,9 @@ func (g *Group) complete(p *pending) {
 		for _, dst := range p.dsts[out+1:] {
 			copy(dst, first)
 		}
-	case opReduceScatter:
+	case ReduceScatter:
 		if size == 1 {
-			copyUnlessSame(p.dsts[0], p.ins[0]) // one rank owns the one chunk; see opReduce
+			copyUnlessSame(p.dsts[0], p.ins[0]) // one rank owns the one chunk; see AllReduce
 			break
 		}
 		if size == 2 {
@@ -385,7 +330,7 @@ func (g *Group) complete(p *pending) {
 				dst[i] = float32(sum[off+i] * p.scale)
 			}
 		}
-	case opSend:
+	case P2P:
 		// Exactly one rank posted with a source buffer (ISend); every
 		// rank that posted a destination (IRecv) receives a copy.
 		var src []float32
@@ -477,8 +422,7 @@ func (g *Group) IAllGather(rank int, shard, dst []float32) Handle {
 	if dst != nil && len(dst) != len(shard)*len(g.devices) {
 		panic(fmt.Sprintf("comm: AllGather dst length %d, want %d×%d", len(dst), len(shard), len(g.devices)))
 	}
-	cost := g.ringCost(4 * len(shard) * len(g.devices))
-	return g.post(opAllGather, rank, shard, dst, 1, cost)
+	return g.post(AllGather, rank, shard, dst, 1, g.cost(AllGather, len(shard)))
 }
 
 // IAllReduceSum posts an elementwise float64-accumulated sum of
@@ -492,8 +436,7 @@ func (g *Group) IAllReduceSum(rank int, buf, dst []float32) Handle {
 	if dst != nil && len(dst) != len(buf) {
 		panic(fmt.Sprintf("comm: AllReduce dst length %d, want %d", len(dst), len(buf)))
 	}
-	cost := 2 * g.ringCost(4*len(buf)) // reduce-scatter + all-gather phases
-	return g.post(opReduce, rank, buf, dst, 1, cost)
+	return g.post(AllReduce, rank, buf, dst, 1, g.cost(AllReduce, len(buf)))
 }
 
 // IAllReduceMean is IAllReduceSum divided by the rank count.
@@ -501,8 +444,7 @@ func (g *Group) IAllReduceMean(rank int, buf, dst []float32) Handle {
 	if dst != nil && len(dst) != len(buf) {
 		panic(fmt.Sprintf("comm: AllReduce dst length %d, want %d", len(dst), len(buf)))
 	}
-	cost := 2 * g.ringCost(4*len(buf))
-	return g.post(opReduce, rank, buf, dst, 1/float64(len(g.devices)), cost)
+	return g.post(AllReduce, rank, buf, dst, 1/float64(len(g.devices)), g.cost(AllReduce, len(buf)))
 }
 
 // IReduceScatterSum posts a sum reduction scattering contiguous
@@ -527,8 +469,7 @@ func (g *Group) iReduceScatter(rank int, buf, dst []float32, scale float64) Hand
 	if len(dst) != len(buf)/p {
 		panic(fmt.Sprintf("comm: ReduceScatter dst length %d, want %d", len(dst), len(buf)/p))
 	}
-	cost := g.ringCost(4 * len(buf))
-	return g.post(opReduceScatter, rank, buf, dst, scale, cost)
+	return g.post(ReduceScatter, rank, buf, dst, scale, g.cost(ReduceScatter, len(buf)))
 }
 
 // --- synchronous destination-passing collectives ---

@@ -163,19 +163,55 @@ func TestIntraNodeGroupCheaperThanInterNode(t *testing.T) {
 	}
 }
 
-func TestRingCostScalesWithSizeAndRanks(t *testing.T) {
-	g2 := newGroup(2)
-	g8 := newGroup(8)
-	small := g2.ringCost(1 << 10)
-	big := g2.ringCost(1 << 24)
-	if small >= big {
-		t.Error("cost should grow with bytes")
+// TestLinkCostClosedForms holds every kind's price to its closed form,
+// bit for bit, on both link classes: the engines' clocks and the
+// planner's replay both read it, so no cross-check between the two can
+// see a wrong term here.
+func TestLinkCostClosedForms(t *testing.T) {
+	spec := cluster.Frontier()
+	const n = 3 << 10
+	for _, oneNode := range []bool{true, false} {
+		l := LinkFor(spec, oneNode)
+		a, b := spec.InterNodeLatency, spec.InterNodeBandwidth
+		if oneNode {
+			a, b = spec.IntraNodeLatency, spec.IntraNodeBandwidth
+		}
+		for _, p := range []int{1, 2, 8} {
+			fp := float64(p)
+			ring := func(bytes float64) float64 {
+				if p == 1 {
+					return 0
+				}
+				return (fp - 1) * (a + bytes/fp/b)
+			}
+			for _, c := range []struct {
+				kind Kind
+				want float64
+			}{
+				{AllGather, ring(4 * n * fp)},
+				{AllReduce, 2 * ring(4*n)},
+				{ReduceScatter, ring(4 * n)},
+				{P2P, a + 4*n/b},
+			} {
+				if got := l.Cost(c.kind, p, n); got != c.want {
+					t.Errorf("oneNode=%v %v over %d ranks: cost %v, want %v", oneNode, c.kind, p, got, c.want)
+				}
+			}
+		}
+		// The ring pays latency even for an empty payload, grows with
+		// bytes, and more ranks do not make it much cheaper.
+		if c := l.Cost(ReduceScatter, 2, 0); c <= 0 {
+			t.Errorf("oneNode=%v: empty reduce-scatter costs %v, want > 0", oneNode, c)
+		}
+		if l.Cost(ReduceScatter, 2, 1<<8) >= l.Cost(ReduceScatter, 2, 1<<22) {
+			t.Errorf("oneNode=%v: cost does not grow with bytes", oneNode)
+		}
+		if l.Cost(ReduceScatter, 8, 1<<22) <= l.Cost(ReduceScatter, 2, 1<<22)/4 {
+			t.Errorf("oneNode=%v: more ranks made the ring dramatically cheaper", oneNode)
+		}
 	}
-	if g8.ringCost(1<<24) <= g2.ringCost(1<<24)/4 {
-		t.Error("more ranks should not make a ring dramatically cheaper")
-	}
-	if g2.ringCost(0) <= 0 {
-		t.Error("nonzero latency even for empty payload")
+	if l := LinkFor(spec, true); newGroup(8).link != l || newGroup(9).link == l {
+		t.Error("NewGroup picks the wrong link class")
 	}
 }
 

@@ -16,11 +16,6 @@ package comm
 // store-and-forward cost latency + bytes/bandwidth on the link class
 // the group spans.
 
-// p2pCost is the store-and-forward cost of one point-to-point message.
-func (g *Group) p2pCost(bytes int) float64 {
-	return g.latency + float64(bytes)/g.bandwidth
-}
-
 // ISend posts a point-to-point send of buf to the group's receivers
 // (the ranks posting IRecv at the same sequence position). Ownership
 // of buf transfers to the communicator until Wait returns; the data is
@@ -30,7 +25,7 @@ func (g *Group) ISend(rank int, buf []float32) Handle {
 	if buf == nil {
 		panic("comm: ISend requires a non-nil buffer")
 	}
-	return g.post(opSend, rank, buf, nil, 1, g.p2pCost(4*len(buf)))
+	return g.post(P2P, rank, buf, nil, 1, g.cost(P2P, len(buf)))
 }
 
 // IRecv posts the receiving side of a point-to-point send: dst is
@@ -41,7 +36,7 @@ func (g *Group) IRecv(rank int, dst []float32) Handle {
 	if dst == nil {
 		panic("comm: IRecv requires a non-nil destination")
 	}
-	return g.post(opSend, rank, nil, dst, 1, g.p2pCost(4*len(dst)))
+	return g.post(P2P, rank, nil, dst, 1, g.cost(P2P, len(dst)))
 }
 
 // SendTo is the synchronous form of ISend.

@@ -76,11 +76,11 @@ func TestAsyncSendOverlapsCompute(t *testing.T) {
 	runSPMD(2, func(rank int) {
 		if rank == 0 {
 			h := g.ISend(0, []float32{1, 2, 3, 4})
-			m.Devices[0].AdvanceTo(computeSec, 0)
+			m.Devices[0].AdvanceTo(computeSec)
 			h.Wait()
 		} else {
 			h := g.IRecv(1, make([]float32, 4))
-			m.Devices[1].AdvanceTo(computeSec, 0)
+			m.Devices[1].AdvanceTo(computeSec)
 			h.Wait()
 		}
 	})

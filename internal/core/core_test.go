@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"orbit/internal/cluster"
+	"orbit/internal/comm"
 	"orbit/internal/nn"
 	"orbit/internal/optim"
 	"orbit/internal/parallel"
@@ -158,6 +159,38 @@ func TestHierarchicalMappingTPWithinNode(t *testing.T) {
 	}
 	if cluster.SameNode(devs) {
 		t.Error("FSDP group unexpectedly within one node")
+	}
+}
+
+// TestBuildGroupsWiresEachLine: rank r's group for an axis holds, at
+// position i, the rank whose coordinate on that axis is i and whose
+// other coordinates are r's, and every rank of one line shares the one
+// communicator.
+func TestBuildGroupsWiresEachLine(t *testing.T) {
+	l := Layout{TP: 2, FSDP: 3, DDP: 2}
+	m := cluster.NewMachine(cluster.Frontier(), 2, 0)
+	groups, err := BuildGroups(l, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, gs := range groups {
+		for axis, g := range []*comm.Group{gs.TP, gs.FSDP, gs.DDP} {
+			c := l.CoordOf(r)
+			at := [...]*int{&c.T, &c.F, &c.D}[axis]
+			if g.Size() != [...]int{l.TP, l.FSDP, l.DDP}[axis] {
+				t.Fatalf("rank %d axis %d: group of %d ranks", r, axis, g.Size())
+			}
+			for i := 0; i < g.Size(); i++ {
+				*at = i
+				peer := l.RankOf(c)
+				if g.Device(i) != m.Devices[peer] {
+					t.Errorf("rank %d axis %d: member %d is device %d, want %d", r, axis, i, g.Device(i).ID, peer)
+				}
+				if peers := [...]*comm.Group{groups[peer].TP, groups[peer].FSDP, groups[peer].DDP}; peers[axis] != g {
+					t.Errorf("rank %d axis %d: rank %d holds another communicator", r, axis, peer)
+				}
+			}
+		}
 	}
 }
 

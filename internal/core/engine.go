@@ -111,13 +111,23 @@ type Engine struct {
 	recomputed bool
 }
 
-// paramBytes is the functional engine's per-element staging cost:
+// ParamBytes is the per-element staging cost of a parameter gather:
 // bf16 gathers move and hold half the bytes of fp32.
-func (e *Engine) paramBytes() int64 {
-	if e.Opts.MixedPrecision {
+func ParamBytes(mixedPrecision bool) int64 {
+	if mixedPrecision {
 		return 2
 	}
 	return 4
+}
+
+// ActivationBytes is the rough per-block activation footprint the
+// engine charges when activation checkpointing is off: token
+// embeddings at each of ~8 interior stages plus the rank's local
+// attention maps. Engines process sequences of a few hundred tokens at
+// most in functional mode; 64 sizes the estimate.
+func ActivationBytes(dim, localHeads int) int64 {
+	const tokens = 64
+	return 8*4*int64(dim)*tokens + 4*int64(localHeads)*tokens*tokens
 }
 
 // NewEngine shards the reference blocks for this rank. Every rank
@@ -158,15 +168,12 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		})
 		e.flatW = append(e.flatW, flat)
 		e.flatG = append(e.flatG, grads)
-		e.gatherBytes = append(e.gatherBytes, int64(len(flat))*e.paramBytes())
+		e.gatherBytes = append(e.gatherBytes, int64(len(flat))*ParamBytes(opts.MixedPrecision))
 		e.logicalLen = append(e.logicalLen, parallel.NumelPadded(params, 1))
 
-		// Rough per-block activation footprint: token embeddings at
-		// each of ~8 interior stages plus local attention maps.
 		t := int64(0)
 		if dev != nil {
-			dim := int64(rb.LN1.Dim)
-			t = 8*4*dim*dimTokensHint + 4*int64(b.Attn.Heads)*dimTokensHint*dimTokensHint
+			t = ActivationBytes(rb.LN1.Dim, b.Attn.Heads)
 		}
 		e.actBytes = append(e.actBytes, t)
 
@@ -234,10 +241,6 @@ func BlockFLOPs(tokens, dim, tp int) int64 {
 	t, d := float64(tokens), float64(dim)
 	return int64((24*t*d*d + 4*t*t*d) / float64(tp))
 }
-
-// dimTokensHint sizes the activation estimate; engines process
-// sequences of a few hundred tokens at most in functional mode.
-const dimTokensHint = 64
 
 // Chunks exposes the rank-owned parameter chunks for the optimizer.
 func (e *Engine) Chunks() []*nn.Param { return e.chunks }

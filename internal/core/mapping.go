@@ -58,6 +58,31 @@ func (l Layout) CoordOf(rank int) Coord {
 	}
 }
 
+// Axis names one of the grid's three orthogonal group axes.
+type Axis int
+
+const (
+	AxisTP Axis = iota
+	AxisFSDP
+	AxisDDP
+)
+
+// Line returns the grid line through c along axis — the ranks of the
+// communicator c's rank joins for that axis — as the ranks
+// first + i·stride for i < size, in the order of the varying index.
+func (l Layout) Line(axis Axis, c Coord) (first, stride, size int) {
+	switch axis {
+	case AxisTP:
+		c.T = 0
+		return l.RankOf(c), 1, l.TP
+	case AxisFSDP:
+		c.F = 0
+		return l.RankOf(c), l.TP, l.FSDP
+	}
+	c.D = 0
+	return l.RankOf(c), l.TP * l.FSDP, l.DDP
+}
+
 // Groups holds one rank's three communicators.
 type Groups struct {
 	TP   *comm.Group // same (D,F), varying T: activation reductions
@@ -88,56 +113,27 @@ func BuildGroupsOver(l Layout, window []*cluster.Device) ([]*Groups, error) {
 		return nil, fmt.Errorf("core: layout needs %d devices, window has %d", n, len(window))
 	}
 	devs := window[:n]
-
-	tpGroups := make(map[[2]int]*comm.Group)
-	fsdpGroups := make(map[[2]int]*comm.Group)
-	ddpGroups := make(map[[2]int]*comm.Group)
-	all := comm.NewGroup(devs)
-
-	group := func(members []int) *comm.Group {
-		ds := make([]*cluster.Device, len(members))
-		for i, r := range members {
-			ds[i] = devs[r]
-		}
-		return comm.NewGroup(ds)
-	}
-
-	for d := 0; d < l.DDP; d++ {
-		for f := 0; f < l.FSDP; f++ {
-			members := make([]int, l.TP)
-			for t := 0; t < l.TP; t++ {
-				members[t] = l.RankOf(Coord{T: t, F: f, D: d})
-			}
-			tpGroups[[2]int{d, f}] = group(members)
-		}
-	}
-	for d := 0; d < l.DDP; d++ {
-		for t := 0; t < l.TP; t++ {
-			members := make([]int, l.FSDP)
-			for f := 0; f < l.FSDP; f++ {
-				members[f] = l.RankOf(Coord{T: t, F: f, D: d})
-			}
-			fsdpGroups[[2]int{d, t}] = group(members)
-		}
-	}
-	for f := 0; f < l.FSDP; f++ {
-		for t := 0; t < l.TP; t++ {
-			members := make([]int, l.DDP)
-			for d := 0; d < l.DDP; d++ {
-				members[d] = l.RankOf(Coord{T: t, F: f, D: d})
-			}
-			ddpGroups[[2]int{f, t}] = group(members)
-		}
-	}
-
 	views := make([]*Groups, n)
-	for r := 0; r < n; r++ {
-		c := l.CoordOf(r)
-		views[r] = &Groups{
-			TP:   tpGroups[[2]int{c.D, c.F}],
-			FSDP: fsdpGroups[[2]int{c.D, c.T}],
-			DDP:  ddpGroups[[2]int{c.F, c.T}],
-			All:  all,
+	all := comm.NewGroup(devs)
+	for r := range views {
+		views[r] = &Groups{All: all}
+	}
+	for axis := AxisTP; axis <= AxisDDP; axis++ {
+		for r := range views {
+			first, stride, size := l.Line(axis, l.CoordOf(r))
+			if first != r {
+				continue // joined when the line's first rank opened it
+			}
+			ds := make([]*cluster.Device, size)
+			for i := range ds {
+				ds[i] = devs[first+i*stride]
+			}
+			g := comm.NewGroup(ds)
+			for i := range ds {
+				m := views[first+i*stride]
+				fields := [...]**comm.Group{&m.TP, &m.FSDP, &m.DDP}
+				*fields[axis] = g
+			}
 		}
 	}
 	return views, nil

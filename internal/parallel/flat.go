@@ -67,6 +67,12 @@ func NumelPadded(params []*nn.Param, multiple int) int {
 	for _, p := range params {
 		n += p.W.Len()
 	}
+	return Padded(n, multiple)
+}
+
+// Padded rounds n elements up to a multiple of multiple: the flat
+// length FlattenParams gives n parameters chunked multiple ways.
+func Padded(n, multiple int) int {
 	return ((n + multiple - 1) / multiple) * multiple
 }
 

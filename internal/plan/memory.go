@@ -1,6 +1,9 @@
 package plan
 
-import "orbit/internal/core"
+import (
+	"orbit/internal/core"
+	"orbit/internal/parallel"
+)
 
 // Prediction is the machine-readable pricing of one candidate: the
 // predicted step time with its critical-rank breakdown (compute vs.
@@ -61,7 +64,7 @@ type MemBreakdown struct {
 // analyticMemory computes the breakdown for the heaviest rank (the
 // T = 0 row, which owns the unsharded output biases).
 func analyticMemory(w Workload, layout core.Layout, opts core.Options) MemBreakdown {
-	flat := flatLenFor(blockShardNumel(w.Dim, w.Heads, layout.TP, 0, w.QKNorm), layout.FSDP)
+	flat := parallel.Padded(blockShardNumel(w.Dim, w.Heads, layout.TP, 0, w.QKNorm), layout.FSDP)
 	owned := int64(w.Layers) * int64(flat/layout.FSDP)
 	live := int64(w.Layers)
 	if opts.LayerWrapping {
@@ -71,14 +74,14 @@ func analyticMemory(w Workload, layout core.Layout, opts core.Options) MemBreakd
 		ParamBytes:  bytesFor(owned, w.ParamDtype),
 		GradBytes:   bytesFor(owned, w.GradDtype),
 		MomentBytes: owned * 8,
-		GatherBytes: live * int64(flat) * paramBytesFor(opts.MixedPrecision),
+		GatherBytes: live * int64(flat) * core.ParamBytes(opts.MixedPrecision),
 	}
 	if w.GradDtype == DtypeNone {
 		// Forward-only workloads carry no AdamW state either.
 		m.MomentBytes = 0
 	}
 	if !opts.ActivationCheckpoint {
-		m.ActivationBytes = int64(w.Layers) * actBytesFor(w.Dim, w.Heads, layout.TP)
+		m.ActivationBytes = int64(w.Layers) * core.ActivationBytes(w.Dim, w.Heads/layout.TP)
 	}
 	m.TotalBytes = m.ParamBytes + m.GradBytes + m.MomentBytes + m.ActivationBytes + m.GatherBytes
 	return m
@@ -102,7 +105,7 @@ func ServingMemory(w Workload, dt Dtype) MemBreakdown {
 	residue := (total - 12*int64(d)*int64(d)) * 4 // norms + biases, always f32
 	m := MemBreakdown{
 		ParamBytes:      int64(w.Layers) * (matmul + residue),
-		ActivationBytes: actBytesFor(w.Dim, w.Heads, 1),
+		ActivationBytes: core.ActivationBytes(w.Dim, w.Heads),
 	}
 	m.TotalBytes = m.ParamBytes + m.ActivationBytes
 	return m

@@ -43,9 +43,9 @@ func TestShardNumel(t *testing.T) {
 					}
 					for _, fsdp := range []int{1, 2, 3, 4, 7} {
 						flat := parallel.FlattenParams(blk.Params(), fsdp)
-						if len(flat) != flatLenFor(want, fsdp) {
+						if len(flat) != parallel.Padded(want, fsdp) {
 							t.Errorf("dim=%d tp=%d rank=%d fsdp=%d: analytic flat len %d, real %d",
-								cfg.dim, tp, rank, fsdp, flatLenFor(want, fsdp), len(flat))
+								cfg.dim, tp, rank, fsdp, parallel.Padded(want, fsdp), len(flat))
 						}
 					}
 				}

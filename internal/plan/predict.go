@@ -7,28 +7,33 @@ import (
 	"slices"
 
 	"orbit/internal/cluster"
+	"orbit/internal/comm"
 	"orbit/internal/core"
+	"orbit/internal/parallel"
 	"orbit/internal/pp"
 )
 
 // This file is the step-time predictor: a deterministic replay of the
 // exact instruction stream the engines execute — each rank's 1F1B
 // schedule slots as pp.Engine.RunStep walks them, and inside each slot
-// core.Engine's collective schedule — priced with the identical cost
-// semantics internal/comm charges to the simulated device clocks:
-// per-group α–β ring costs over the group's link class, rendezvous at
-// the latest poster's clock, serialization of in-flight collectives on
-// each group's single communication stream, and wait-time attribution
-// only for the gap local compute did not already cover. Activation
-// receives block at consumption, sends post asynchronously and drain
-// at the end of the step, and a backward that follows other
+// core.Engine's collective schedule. It calls the rules the simulated
+// machine itself runs on rather than restating them: groups are wired
+// along core.Layout.Line, as core.BuildGroupsOver wires them; a
+// collective is priced by comm.Link.Cost over its group's link class
+// and completes by comm.Rendezvous.Post, at the latest poster's clock
+// and serialized on the group's one stream; compute takes
+// cluster.Spec.ComputeSeconds; device bytes come from
+// core.ParamBytes, core.ActivationBytes and parallel.Padded. A wait is
+// charged only for the gap local compute did not already cover.
+// Activation receives block at consumption, sends post asynchronously
+// and drain at the end of the step, and a backward that follows other
 // micro-batches' forwards charges the recomputed stage forward before
-// the cheaper (2×) backward — so
-// pipeline bubbles fall out of the replay rather than an analytic
-// S·(M+S−1) formula: a stage idling in warmup simply accrues wait time
-// on the first transfer it consumes, and that is what
-// Prediction.PPWait reports. A PP=1 layout is the same replay over a
-// single stage with no links. No data moves; only clocks.
+// the cheaper (2×) backward — so pipeline bubbles fall out of the
+// replay rather than an analytic S·(M+S−1) formula: a stage idling in
+// warmup simply accrues wait time on the first transfer it consumes,
+// and that is what Prediction.PPWait reports. A PP=1 layout is the
+// same replay over a single stage with no links. No data moves; only
+// clocks.
 //
 // The replay is compiled once and run on a quotient. A rank's step
 // program depends only on its stage and on whether it is TP rank 0
@@ -45,7 +50,8 @@ import (
 // The identity partition (replay.identity) is the full per-rank replay
 // through the same code; tests use it as the reference.
 
-// Roles: which of a rank's communicators an instruction addresses.
+// Roles: which of a rank's communicators an instruction addresses; the
+// first three are the inner grid's axes, in core.Axis order.
 const (
 	roleTP = iota
 	roleFSDP
@@ -57,46 +63,13 @@ const (
 	roleCount
 )
 
-// Collective kinds a cost slot can price.
-const (
-	costAllGather = iota
-	costAllReduce
-	costReduceScatter
-	costP2P
-)
-
-// simGroup mirrors comm.Group: a communicator with link parameters
-// chosen by whether its members share a node (Infinity Fabric) or
-// span nodes (Slingshot). Its members are the size entries of
-// replay.members starting at first.
+// simGroup is one communicator of the replay's topology: its members
+// are the size entries of replay.members starting at first, and link
+// is the link class they span.
 type simGroup struct {
-	size    int
-	lat, bw float64
-	first   int
-}
-
-// ring mirrors comm.Group.ringCost.
-func (g *simGroup) ring(bytes int) float64 {
-	if g.size == 1 {
-		return 0
-	}
-	p := float64(g.size)
-	return (p - 1) * (g.lat + float64(bytes)/p/g.bw)
-}
-
-// cost prices one collective over the group's link class, mirroring
-// comm.Group's allGather/allReduce/reduceScatter/p2p costs (p2p is the
-// store-and-forward price of one point-to-point message).
-func (g *simGroup) cost(kind uint8, n int) float64 {
-	switch kind {
-	case costAllGather:
-		return g.ring(4 * n * g.size)
-	case costAllReduce:
-		return 2 * g.ring(4*n)
-	case costReduceScatter:
-		return g.ring(4 * n)
-	}
-	return g.lat + float64(4*n)/g.bw
+	size  int
+	link  comm.Link
+	first int
 }
 
 // Wait-phase attribution labels.
@@ -120,8 +93,9 @@ const (
 // picks the group whose size and link class price it, so the slot is
 // evaluated once per rank class, not per instruction.
 type costSlot struct {
-	role, kind uint8
-	n          int
+	role uint8
+	kind comm.Kind
+	n    int
 }
 
 type instr struct {
@@ -137,12 +111,13 @@ type program struct {
 	instrs []instr
 	slots  []costSlot
 	posts  [roleCount]int32
-	// mem/peak mirror cluster.Device's accounting of the step's
-	// Alloc/Free sequence over the persistent chunk weights+grads.
+	// mem/peak are the device bytes of the step's Alloc/Free sequence
+	// over the persistent chunk weights+grads, as cluster.Device counts
+	// them.
 	mem, peak int64
 }
 
-func (p *program) slot(role, kind uint8, n int) uint8 {
+func (p *program) slot(role uint8, kind comm.Kind, n int) uint8 {
 	s := costSlot{role, kind, n}
 	for i := range p.slots {
 		if p.slots[i] == s {
@@ -223,8 +198,9 @@ func (pc *progCtx) release(b int) {
 }
 
 // stageForward emits one Engine.Forward pass over the stage slice,
-// mirroring core.Engine instruction for instruction (also as the real
-// recompute the 1F1B schedule performs on stale-cache backwards).
+// instruction for instruction as core.Engine posts it (also as the
+// recompute forward the 1F1B schedule charges on stale-cache
+// backwards).
 func (pc *progCtx) stageForward() {
 	L := len(pc.bufLive)
 	wrap := pc.opts.LayerWrapping
@@ -318,7 +294,7 @@ func (pc *progCtx) send(slot uint8) {
 }
 
 // buildStep4 emits one program's optimizer step: its stage's schedule
-// slots, mirroring pp.Engine.RunStep instruction for instruction.
+// slots, instruction for instruction as pp.Engine.RunStep walks them.
 func (pc *progCtx) buildStep4(sched []pp.Op) {
 	lastFwd := -1
 	pc.sends = pc.sends[:0]
@@ -347,8 +323,8 @@ func (pc *progCtx) buildStep4(sched []pp.Op) {
 	pc.instrs = append(pc.instrs, pc.sends...)
 }
 
-// simDev mirrors cluster.Device's clock (memory is folded into the
-// program at compile time).
+// simDev is a class's simulated clock, its compute time and its wait
+// time per phase (memory is folded into the program at compile time).
 type simDev struct {
 	clock   float64
 	compute float64
@@ -367,23 +343,17 @@ type simClass struct {
 	// as priced on the representative's groups.
 	costs int
 	group [roleCount]int32
-	mult  [roleCount]int32
+	mult  [roleCount]int
 }
 
 // quotGroup is the run state of one class of equivalent groups: the
-// single serialized stream and this step's pending collectives, the
-// posts entries of replay.pend from pend on, indexed by step-relative
+// single serialized stream and this step's collectives, the posts
+// entries of replay.pend from pend on, indexed by step-relative
 // sequence number.
 type quotGroup struct {
-	size        int32
+	size        int
 	pend, posts int32
 	streamFree  float64
-}
-
-// simPending mirrors comm.pending for one in-flight collective.
-type simPending struct {
-	cost, tmax, completion float64
-	posted                 int32
 }
 
 // replay is the scratch one pricing pass reuses across candidates:
@@ -415,7 +385,7 @@ type replay struct {
 
 	classes []simClass
 	qgroups []quotGroup
-	pend    []simPending
+	pend    []comm.Rendezvous
 	costs   []float64
 	warm    []simDev
 }
@@ -429,7 +399,7 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // stage links exist.
 func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last bool) {
 	w, layout, opts := pc.w, pc.layout, pc.opts
-	flat := flatLenFor(blockShardNumel(w.Dim, w.Heads, layout.TP, tc, w.QKNorm), layout.FSDP)
+	flat := parallel.Padded(blockShardNumel(w.Dim, w.Heads, layout.TP, tc, w.QKNorm), layout.FSDP)
 	chunkLen := flat / layout.FSDP
 	// NewEngine's persistent allocation: fp32 chunk weights+grads for
 	// the stage's blocks only.
@@ -440,24 +410,24 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 	clear(pc.bufLive)
 	pc.gatherSeq = resize(pc.gatherSeq, L)
 	pc.rsSeq = resize(pc.rsSeq, L)
-	pc.gatherBytes = int64(flat) * paramBytesFor(opts.MixedPrecision)
+	pc.gatherBytes = int64(flat) * core.ParamBytes(opts.MixedPrecision)
 
-	pc.gather = p.slot(roleFSDP, costAllGather, chunkLen)
-	pc.rs = p.slot(roleFSDP, costReduceScatter, flat)
-	pc.ar = p.slot(roleTP, costAllReduce, w.Tokens*w.Dim)
+	pc.gather = p.slot(roleFSDP, comm.AllGather, chunkLen)
+	pc.rs = p.slot(roleFSDP, comm.ReduceScatter, flat)
+	pc.ar = p.slot(roleTP, comm.AllReduce, w.Tokens*w.Dim)
 	pc.qk = noSlot
 	if w.QKNorm && layout.TP > 1 {
-		pc.qk = p.slot(roleTP, costAllReduce, 4*(w.Dim/w.Heads))
+		pc.qk = p.slot(roleTP, comm.AllReduce, 4*(w.Dim/w.Heads))
 	}
 	actFloats := w.Tokens * w.Dim // one cross-stage message: the micro-batch activation
 	pc.fwdIn, pc.fwdOut, pc.bwdIn, pc.bwdOut = noSlot, noSlot, noSlot, noSlot
 	if !first {
-		pc.fwdIn = p.slot(roleFwdIn, costP2P, actFloats)
-		pc.bwdOut = p.slot(roleBwdOut, costP2P, actFloats)
+		pc.fwdIn = p.slot(roleFwdIn, comm.P2P, actFloats)
+		pc.bwdOut = p.slot(roleBwdOut, comm.P2P, actFloats)
 	}
 	if !last {
-		pc.fwdOut = p.slot(roleFwdOut, costP2P, actFloats)
-		pc.bwdIn = p.slot(roleBwdIn, costP2P, actFloats)
+		pc.fwdOut = p.slot(roleFwdOut, comm.P2P, actFloats)
+		pc.bwdIn = p.slot(roleBwdIn, comm.P2P, actFloats)
 	}
 	pc.ddp = pc.ddp[:0]
 	if layout.DDP > 1 {
@@ -467,10 +437,10 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 				pc.lens[i] = chunkLen
 			}
 			for _, r := range core.BucketRanges(pc.lens, opts.DDPBucketBytes) {
-				pc.ddp = append(pc.ddp, p.slot(roleDDP, costAllReduce, (r[1]-r[0])*chunkLen))
+				pc.ddp = append(pc.ddp, p.slot(roleDDP, comm.AllReduce, (r[1]-r[0])*chunkLen))
 			}
 		} else {
-			s := p.slot(roleDDP, costAllReduce, chunkLen)
+			s := p.slot(roleDDP, comm.AllReduce, chunkLen)
 			for b := 0; b < L; b++ {
 				pc.ddp = append(pc.ddp, s)
 			}
@@ -483,8 +453,8 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 	pc.buildStep4(sched)
 }
 
-// newGroup opens an empty group; join adds its members; wire prices
-// its links once they are all in.
+// newGroup opens an empty group; join adds its members; wire picks
+// its link class once they are all in.
 func (sc *replay) newGroup() int32 {
 	sc.groups = append(sc.groups, simGroup{first: len(sc.members)})
 	return int32(len(sc.groups) - 1)
@@ -498,20 +468,21 @@ func (sc *replay) join(g int32, rank int, role int) {
 
 func (sc *replay) wire(gi int32, gpn int, spec cluster.Spec) {
 	g := &sc.groups[gi]
-	g.lat, g.bw = spec.IntraNodeLatency, spec.IntraNodeBandwidth
 	node := int(sc.members[g.first]>>3) / gpn
+	oneNode := true
 	for _, m := range sc.members[g.first+1 : g.first+g.size] {
 		if int(m>>3)/gpn != node {
-			g.lat, g.bw = spec.InterNodeLatency, spec.InterNodeBandwidth
+			oneNode = false
 			break
 		}
 	}
+	g.link = comm.LinkFor(spec, oneNode)
 }
 
-// buildTopology lays out the per-stage inner communicator grids over
-// each stage's contiguous device window and one two-rank link group
-// per (adjacent-stage pair, direction, inner rank), exactly as
-// pp.Build wires them.
+// buildTopology wires each stage's inner TP×FSDP×DDP grid over the
+// stage's contiguous device window, one group per core.Layout.Line as
+// core.BuildGroupsOver builds them, and one two-rank link group per
+// (adjacent-stage pair, direction, inner rank), as pp.Build does.
 func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
 	R := layout.Ranks()
 	sc.groups, sc.members = sc.groups[:0], sc.members[:0]
@@ -519,34 +490,23 @@ func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
 	for i := range sc.bind {
 		sc.bind[i] = -1
 	}
-	for p := 0; p < layout.PP; p++ {
-		for d := 0; d < layout.DDP; d++ {
-			for f := 0; f < layout.FSDP; f++ {
-				g := sc.newGroup()
-				for t := 0; t < layout.TP; t++ {
-					sc.join(g, layout.RankOf(pp.Coord{T: t, P: p, F: f, D: d}), roleTP)
+	inner := layout.Inner()
+	innerN := inner.Ranks()
+	for base := 0; base < R; base += innerN {
+		for axis := core.AxisTP; axis <= core.AxisDDP; axis++ {
+			for r := 0; r < innerN; r++ {
+				first, stride, size := inner.Line(axis, inner.CoordOf(r))
+				if first != r {
+					continue
 				}
-				sc.wire(g, gpn, spec)
-			}
-			for t := 0; t < layout.TP; t++ {
 				g := sc.newGroup()
-				for f := 0; f < layout.FSDP; f++ {
-					sc.join(g, layout.RankOf(pp.Coord{T: t, P: p, F: f, D: d}), roleFSDP)
-				}
-				sc.wire(g, gpn, spec)
-			}
-		}
-		for f := 0; f < layout.FSDP; f++ {
-			for t := 0; t < layout.TP; t++ {
-				g := sc.newGroup()
-				for d := 0; d < layout.DDP; d++ {
-					sc.join(g, layout.RankOf(pp.Coord{T: t, P: p, F: f, D: d}), roleDDP)
+				for i := 0; i < size; i++ {
+					sc.join(g, base+first+i*stride, int(axis))
 				}
 				sc.wire(g, gpn, spec)
 			}
 		}
 	}
-	innerN := layout.Inner().Ranks()
 	for up := 0; up+innerN < R; up++ {
 		down := up + innerN
 		g := sc.newGroup()
@@ -568,10 +528,10 @@ func (sc *replay) cmpGroups(a, b int32) int {
 	if c := cmp.Compare(ga.size, gb.size); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(ga.lat, gb.lat); c != 0 {
+	if c := cmp.Compare(ga.link.Latency, gb.link.Latency); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(ga.bw, gb.bw); c != 0 {
+	if c := cmp.Compare(ga.link.Bandwidth, gb.link.Bandwidth); c != 0 {
 		return c
 	}
 	return slices.Compare(sc.sig[ga.first:ga.first+ga.size], sc.sig[gb.first:gb.first+gb.size])
@@ -691,11 +651,11 @@ func (sc *replay) bindClasses(R, groupClasses int) {
 			qi := sc.gcolour[gi]
 			cl.group[role] = qi
 			q := &sc.qgroups[qi]
-			q.size, q.posts = int32(g.size), max(q.posts, cl.prog.posts[role])
+			q.size, q.posts = g.size, max(q.posts, cl.prog.posts[role])
 		}
 		for _, s := range cl.prog.slots {
 			g := &sc.groups[sc.bind[r*roleCount+int(s.role)]]
-			sc.costs = append(sc.costs, g.cost(s.kind, s.n))
+			sc.costs = append(sc.costs, g.link.Cost(s.kind, g.size, s.n))
 		}
 		sc.classes = append(sc.classes, cl)
 	}
@@ -708,10 +668,9 @@ func (sc *replay) bindClasses(R, groupClasses int) {
 }
 
 // runStep replays one optimizer step of every class representative
-// against the quotient groups, advancing clocks with comm's
-// rendezvous and stream rules. A class advances until it blocks on a
-// wait whose collective has not fully posted; the round-robin repeats
-// until all programs retire.
+// against the quotient groups, advancing clocks by comm.Rendezvous. A
+// class advances until it blocks on a wait whose collective has not
+// fully posted; the round-robin repeats until all programs retire.
 func (sc *replay) runStep() error {
 	clear(sc.pend)
 	for ci := range sc.classes {
@@ -734,33 +693,22 @@ func (sc *replay) runStep() error {
 					g := &sc.qgroups[c.group[in.role]]
 					p := &sc.pend[g.pend+in.seq]
 					cost := costs[in.slot]
-					if p.posted == 0 {
-						p.cost = cost
-					} else if p.cost != cost {
+					if p.Posted == 0 {
+						p.Cost = cost
+					} else if p.Cost != cost {
 						return fmt.Errorf("plan: replay ordering violation: cost %v posted against %v at seq %d",
-							cost, p.cost, in.seq)
+							cost, p.Cost, in.seq)
 					}
-					if c.clock > p.tmax {
-						p.tmax = c.clock
-					}
-					p.posted += c.mult[in.role]
-					if p.posted == g.size {
-						start := p.tmax
-						if g.streamFree > start {
-							start = g.streamFree
-						}
-						p.completion = start + p.cost
-						g.streamFree = p.completion
-					}
+					p.Post(c.clock, c.mult[in.role], g.size, &g.streamFree)
 				case opWait:
 					g := &sc.qgroups[c.group[in.role]]
 					p := &sc.pend[g.pend+in.seq]
-					if p.posted != g.size {
+					if p.Posted != g.size {
 						break run // rendezvous incomplete; try other classes
 					}
-					if p.completion > c.clock {
-						c.waits[in.phase] += p.completion - c.clock
-						c.clock = p.completion
+					if p.Completion > c.clock {
+						c.waits[in.phase] += p.Completion - c.clock
+						c.clock = p.Completion
 					}
 				}
 			}
@@ -840,7 +788,6 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 	}
 	spec := c.Spec
 
-	rate := spec.PeakFLOPS * spec.Efficiency
 	fwdFLOPs := core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
 	// cluster.Device.Compute is charged mult·FLOPs per backward block:
 	// two forward-equivalents of gradient math, plus the recompute
@@ -852,10 +799,10 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 	pc := &sc.ctx
 	pc.w, pc.layout, pc.opts = w, layout, opts
 	pc.depth = opts.PrefetchDepth
-	pc.actBytes = actBytesFor(w.Dim, w.Heads, layout.TP)
-	pc.fwdSec = float64(fwdFLOPs) / rate
-	pc.bwdFresh = float64(bwdMult*fwdFLOPs) / rate
-	pc.bwdRecomputed = float64(2*fwdFLOPs) / rate
+	pc.actBytes = core.ActivationBytes(w.Dim, w.Heads/layout.TP)
+	pc.fwdSec = spec.ComputeSeconds(fwdFLOPs)
+	pc.bwdFresh = spec.ComputeSeconds(bwdMult * fwdFLOPs)
+	pc.bwdRecomputed = spec.ComputeSeconds(2 * fwdFLOPs)
 
 	// One program per (stage, TP rank 0 or not).
 	tcs := min(layout.TP, 2)

@@ -28,29 +28,3 @@ func blockShardNumel(dim, heads, tp, t int, qkNorm bool) int {
 	}
 	return n
 }
-
-// flatLenFor pads a shard's parameter count to a multiple of the FSDP
-// extent, exactly as parallel.FlattenParams does before chunking.
-func flatLenFor(numel, fsdp int) int {
-	return (numel + fsdp - 1) / fsdp * fsdp
-}
-
-// dimTokensHint mirrors core's activation-footprint sizing constant.
-const dimTokensHint = 64
-
-// actBytesFor mirrors the engine's per-block activation estimate
-// (token embeddings at ~8 interior stages plus local attention maps),
-// charged to the device only when activation checkpointing is off.
-func actBytesFor(dim, heads, tp int) int64 {
-	d := int64(dim)
-	localHeads := int64(heads / tp)
-	return 8*4*d*dimTokensHint + 4*localHeads*dimTokensHint*dimTokensHint
-}
-
-// paramBytesFor mirrors the engine's gather staging precision.
-func paramBytesFor(mixed bool) int64 {
-	if mixed {
-		return 2
-	}
-	return 4
-}
