@@ -3,14 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build cross-build bench-build bench-residue vet fmt-check staticcheck test race stress bench-smoke cover bench bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 check-bench fuzz-smoke golden docs-check examples loc
+.PHONY: ci build cross-build bench-build bench-residue vet fmt-check staticcheck test race stress bench-smoke cover bench fuzz-smoke golden docs-check examples loc
 
-ci: build cross-build bench-build vet fmt-check staticcheck docs-check check-bench test race stress bench-smoke cover
-
-# Every scripts/bench_prN.sh must have its BENCH_PRN.json committed —
-# a measurement script without a recorded report is an unfinished PR.
-check-bench:
-	sh scripts/check_bench.sh
+ci: build cross-build bench-build vet fmt-check staticcheck docs-check test race stress bench-smoke cover
 
 build:
 	$(GO) build ./...
@@ -129,43 +124,6 @@ bench-smoke:
 # that file; the host's absolute speed drifts).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMul256$$|BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$|BenchmarkHybridSTOPStep$$' -benchmem -benchtime=1s .
-
-# Serving-throughput measurement of the inference subsystem (batched
-# scored rollouts vs the sequential single-sample path), medians
-# recorded into BENCH_PR4.json.
-bench-pr4:
-	sh scripts/bench_pr4.sh
-
-# Serving-resilience load test: offered-load sweep with p50/p99, shed
-# rate, and queue depth per point, protected vs unprotected at 2x
-# overload, recorded into BENCH_PR6.json.
-bench-pr6:
-	sh scripts/bench_pr6.sh
-
-# Training-resilience measurement: guarded vs unguarded step time
-# (supervision tax must stay under 5%) and v3 checkpoint
-# save/verified-load throughput, recorded into BENCH_PR7.json.
-bench-pr7:
-	sh scripts/bench_pr7.sh
-
-# Intra-rank kernel-scaling measurement: matmul + fused attention at
-# GOMAXPROCS 1/2/4/8 with speedups vs the single-worker arm, recorded
-# into BENCH_PR8.json.
-bench-pr8:
-	sh scripts/bench_pr8.sh
-
-# Block-quantization measurement: f32 vs int8 vs Q4_0 matmul GFLOP/s
-# and weight-stream GB/s, golden rollout serving throughput, and
-# checkpoint compression, recorded into BENCH_PR9.json.
-bench-pr9:
-	sh scripts/bench_pr9.sh
-
-# Pipeline-parallelism measurement: step time vs stages and
-# micro-batches (predicted vs engine-simulated, bubble fraction from
-# the 1F1B replay) and the memory-bound 4D-beats-3D shape, recorded
-# into BENCH_PR10.json.
-bench-pr10:
-	sh scripts/bench_pr10.sh
 
 # Runs the checkpoint, layout-flag and forecast-body fuzz targets over
 # their committed seed corpus (no new fuzzing): regressions in the

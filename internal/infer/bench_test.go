@@ -149,8 +149,8 @@ func sequentialForecast(f train.Forecaster, ds *climate.Dataset, chans []int, st
 // BenchmarkServeRollout measures served (scored) rollout throughput at
 // growing batch widths. One iteration = `batch` concurrent requests,
 // each a 4-step scored rollout; the recorded per-op time therefore
-// covers batch×4 forecast steps. scripts/bench_pr4.sh converts this to
-// sample-steps/second for BENCH_PR4.json.
+// covers batch×4 forecast steps; BENCH_PR4.json reports it as
+// sample-steps/second.
 func BenchmarkServeRollout(b *testing.B) {
 	for _, batch := range []int{1, 8, 32} {
 		b.Run(byteSize(batch), func(b *testing.B) {

@@ -61,11 +61,11 @@ func percentile(ds []time.Duration, p float64) float64 {
 // and records p50/p99, shed rate, and queue depth per point, plus an
 // unprotected (no admission control) baseline at 2×. Gated on
 // ORBIT_BENCH_PR6=<output path> because it runs for several seconds by
-// design; scripts/bench_pr6.sh drives it to produce BENCH_PR6.json.
+// design; it produced BENCH_PR6.json.
 func TestLoadSweep(t *testing.T) {
 	out := os.Getenv("ORBIT_BENCH_PR6")
 	if out == "" {
-		t.Skip("load sweep disabled; set ORBIT_BENCH_PR6=<output.json> (scripts/bench_pr6.sh)")
+		t.Skip("load sweep disabled; set ORBIT_BENCH_PR6=<output.json>")
 	}
 
 	const (
