@@ -1,12 +1,12 @@
-// Command orbit-bench regenerates every table and figure of the ORBIT
+// Command orbit-figures regenerates every table and figure of the ORBIT
 // paper's evaluation section in one run: the analytical scaling
 // results (Fig. 5, Table I, Fig. 6, Fig. 7) and the real-training
 // results (Fig. 8, Fig. 9, Fig. 10) at the chosen scale.
 //
 // Usage:
 //
-//	orbit-bench            # quick (seconds–minutes)
-//	orbit-bench -scale full
+//	orbit-figures          # quick (seconds–minutes)
+//	orbit-figures -scale full
 package main
 
 import (

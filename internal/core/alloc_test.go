@@ -8,11 +8,10 @@ import (
 	"orbit/internal/tensor"
 )
 
-// TestHybridSTOPStepSteadyStateAllocs pins the tentpole property of
-// the asynchronous pooled collectives: after warmup, a full
+// TestHybridSTOPStepSteadyStateAllocs: after warmup, a full
 // Hybrid-STOP training step (forward + backward on every rank of a
-// TP 2 × FSDP 2 grid) performs (near) zero heap allocations — the
-// gather/flatten staging, the pending-collective records, and the TP
+// TP 2 × FSDP 2 grid) performs zero heap allocations — the compiled
+// pass's step buffer, the pending-collective records and the TP
 // residual scratch must all recycle. Rank goroutines persist across
 // steps so the measurement sees only the engine's own behaviour.
 func TestHybridSTOPStepSteadyStateAllocs(t *testing.T) {
@@ -71,10 +70,8 @@ func TestHybridSTOPStepSteadyStateAllocs(t *testing.T) {
 		step() // warm module scratch, buffer pools, pending free lists
 	}
 	allocs := testing.AllocsPerRun(10, step)
-	// Acceptance bound from the PR issue: ≤ 10 allocations per whole
-	// 4-rank step, down from 367 before the async pooled collectives.
-	if allocs > 10 {
-		t.Errorf("steady-state Hybrid-STOP step allocates %.1f objects, want <= 10 (ideally 0)", allocs)
+	if allocs != 0 {
+		t.Errorf("steady-state Hybrid-STOP step allocates %.1f objects, want 0", allocs)
 	}
 	for r := range jobs {
 		close(jobs[r].start)

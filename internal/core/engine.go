@@ -46,6 +46,14 @@ type Options struct {
 	DDPBucketBytes int
 }
 
+// Validate rejects options no engine can run.
+func (o Options) Validate() error {
+	if o.PrefetchDepth < 0 {
+		return fmt.Errorf("core: negative prefetch depth %d", o.PrefetchDepth)
+	}
+	return nil
+}
+
 // DefaultOptions enables everything, as the paper's production
 // configuration does (last column of Table I).
 func DefaultOptions() Options {
@@ -56,7 +64,7 @@ func DefaultOptions() Options {
 // stack. The rank owns the TP shard of every block determined by its T
 // coordinate, and of that shard only the 1/FSDP flat chunk: the rest is
 // gathered per layer. On the simulated device the gathered shard lives
-// from postGather to releaseBlock. On the host each block has one
+// from its StepGather to its StepRelease. On the host each block has one
 // persistent flat weight vector and one flat gradient vector (the
 // FlatParameter of PyTorch FSDP): the block's parameters and the rank's
 // chunk are all views of the two, so the FSDP collectives run in place
@@ -77,24 +85,25 @@ type Engine struct {
 	gatherBytes []int64
 	logicalLen  []int // unpadded flat length per block (checkpoint manifests)
 	actBytes    []int64
-	heldAct     int64
 	// sets holds the activation sets (UseActivationSet); blocks is the
 	// one Forward, ChargeForward and Backward run on.
 	sets [][]*parallel.TPBlock
 
+	// pass is what the last compiled pass left live; steps is the
+	// buffer each pass compiles into and run executes.
+	pass  PassState
+	steps []Step
 	// The in-flight handles of the asynchronous collectives, so
 	// parameter gathers prefetch ahead of compute and gradient
 	// reductions drain behind it (paper Sec. III-B "Prefetching").
-	// gathered[b] holds from postGather to releaseBlock: the span the
-	// device accounts block b's gathered shard for.
-	gathered []bool
-	gatherH  []comm.Handle
-	rsH      []comm.Handle
-	ddpH     []comm.Handle
-	// ddpBuckets holds [start, end) chunk-index ranges when
-	// Opts.DDPBucketBytes coalesces the outer gradient reduction;
-	// ddpBuf[i] is bucket i's persistent packed-gradient buffer (every
-	// bucket is in flight at once, so each needs its own).
+	gatherH []comm.Handle
+	rsH     []comm.Handle
+	ddpH    []comm.Handle
+	// ddpN counts the outer DDP all-reduces per backward (0 without a
+	// DDP level). When Opts.DDPBucketBytes coalesces them, ddpBuckets
+	// holds [start, end) chunk ranges and ddpBuf[i] bucket i's packed
+	// gradients (every bucket is in flight at once).
+	ddpN       int
 	ddpBuckets [][2]int
 	ddpBuf     [][]float32
 	// chunkSeen[b] is chunks[b].W.Version()+1 as of the last completed
@@ -105,10 +114,6 @@ type Engine struct {
 	// parameter versions stay put. The collective itself still runs and
 	// is charged.
 	chunkSeen []uint64
-	// recomputed marks that ChargeForward just charged the recompute
-	// forward; the next Backward then charges two forward-equivalents
-	// instead of three. Cleared when that Backward returns.
-	recomputed bool
 }
 
 // ParamBytes is the per-element staging cost of a parameter gather:
@@ -137,8 +142,8 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.PrefetchDepth < 0 {
-		return nil, fmt.Errorf("core: negative prefetch depth %d", opts.PrefetchDepth)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		Rank:   rank,
@@ -185,12 +190,15 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		}
 	}
 	e.sets = [][]*parallel.TPBlock{e.blocks}
-	e.gathered = make([]bool, len(ref))
+	e.pass.Reset(len(ref))
 	e.gatherH = make([]comm.Handle, len(ref))
 	e.rsH = make([]comm.Handle, len(ref))
 	e.ddpH = make([]comm.Handle, len(ref))
 	e.chunkSeen = make([]uint64, len(ref))
-	if e.Opts.DDPBucketBytes > 0 {
+	if groups.DDP.Size() > 1 {
+		e.ddpN = len(ref)
+	}
+	if e.ddpN > 0 && e.Opts.DDPBucketBytes > 0 {
 		lens := make([]int, len(e.chunks))
 		for i, c := range e.chunks {
 			lens[i] = c.W.Len()
@@ -203,6 +211,7 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 			}
 			e.ddpBuf = append(e.ddpBuf, make([]float32, n))
 		}
+		e.ddpN = len(e.ddpBuckets)
 	}
 	return e, nil
 }
@@ -283,32 +292,26 @@ func (e *Engine) ImportChunks(chunks [][]float32) {
 	}
 }
 
-// postGather accounts block b's gather memory and posts the FSDP
-// all-gather of its TP-shard parameters, in place: the rank's chunk is
-// its own slot of flatW[b], so only the peers' chunks move — and not
-// even those when chunkSeen says flatW[b] holds this payload already
-// (every re-gather between two optimizer steps): the rank then posts
-// no destination. Unlike vanilla FSDP this gathers a 1/TP shard, not
-// the full model — the core memory advantage of Hybrid-STOP.
-func (e *Engine) postGather(b int) error {
-	if e.Device != nil {
-		if err := e.Device.Alloc(e.gatherBytes[b]); err != nil {
-			return err
-		}
-	}
+// postGather posts the FSDP all-gather of block b's TP-shard
+// parameters, in place: the rank's chunk is its own slot of flatW[b],
+// so only the peers' chunks move — and not even those when chunkSeen
+// says flatW[b] holds this payload already (every re-gather between two
+// optimizer steps): the rank then posts no destination. Unlike vanilla
+// FSDP this gathers a 1/TP shard, not the full model — the core memory
+// advantage of Hybrid-STOP.
+func (e *Engine) postGather(b int) {
 	dst := e.flatW[b]
 	if e.chunkSeen[b] == e.chunks[b].W.Version()+1 {
 		dst = nil
 	}
-	e.gathered[b] = true
 	e.gatherH[b] = e.Groups.FSDP.IAllGather(e.Coord.F, e.chunks[b].W.Data(), dst)
-	return nil
 }
 
 // waitGather completes block b's in-flight gather. The parameters are
 // views of flatW[b], so there is nothing to copy; their versions move
 // (Linear re-derives its cached transpose) only when the rank's chunk
-// version did — see chunkSeen.
+// version did — see chunkSeen. A backward re-gather never moves them:
+// chunks only change at optimizer steps.
 func (e *Engine) waitGather(b int) {
 	e.gatherH[b].Wait()
 	if seen := e.chunks[b].W.Version() + 1; e.chunkSeen[b] != seen {
@@ -319,13 +322,19 @@ func (e *Engine) waitGather(b int) {
 	}
 }
 
-// releaseBlock frees block b's gathered shard on the device. The host
-// vector persists, which is what lets an unchanged re-gather skip work.
-func (e *Engine) releaseBlock(b int) {
-	if e.Device != nil {
-		e.Device.Free(e.gatherBytes[b])
+// alloc and free account device bytes; the host vectors persist, which
+// is what lets an unchanged re-gather skip work.
+func (e *Engine) alloc(bytes int64) error {
+	if e.Device == nil {
+		return nil
 	}
-	e.gathered[b] = false
+	return e.Device.Alloc(bytes)
+}
+
+func (e *Engine) free(bytes int64) {
+	if e.Device != nil {
+		e.Device.Free(bytes)
+	}
 }
 
 // chargeCompute advances the rank's simulated device clock by `mult`
@@ -352,7 +361,8 @@ func (e *Engine) chargeCompute(b int, x *tensor.Tensor, mult int64) {
 // posted before the current block computes, hiding the transfers
 // behind compute.
 func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return e.forward(x, true)
+	e.steps = AppendForward(e.steps[:0], e.Opts, &e.pass, true)
+	return e.run(x)
 }
 
 // ChargeForward is Forward without the arithmetic: the same gathers
@@ -364,131 +374,89 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // the next Backward charges two forward-equivalents (the gradient
 // math) instead of three.
 func (e *Engine) ChargeForward(x *tensor.Tensor) error {
-	if _, err := e.forward(x, false); err != nil {
-		return err
-	}
-	e.recomputed = true
-	return nil
+	e.steps = AppendForward(e.steps[:0], e.Opts, &e.pass, false)
+	_, err := e.run(x)
+	return err
 }
 
-// forward is Forward, or ChargeForward when run is false.
-func (e *Engine) forward(x *tensor.Tensor, run bool) (*tensor.Tensor, error) {
-	if !e.Opts.LayerWrapping {
-		for b := range e.blocks {
-			if err := e.postGather(b); err != nil {
+// Backward propagates dy through the stack in reverse: per block it
+// re-gathers the shard (paper Fig. 3b, prefetching the next block's
+// gather while the current one computes), charges the checkpointed
+// recompute, computes shard gradients, and posts their FSDP
+// reduce-scatter asynchronously so the reduction overlaps earlier
+// blocks' backward compute; all reductions are drained before the
+// outer DDP-group averaging. Gradients land in Chunks()[b].Grad,
+// complete when Backward returns. The recompute is never re-run on the
+// host: the active set's caches already hold what it would reproduce.
+func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+	e.steps = AppendBackward(e.steps[:0], e.Opts, &e.pass, e.ddpN)
+	return e.run(dy)
+}
+
+// run executes the compiled pass in e.steps, threading x — the
+// activation forward, the gradient backward — through the blocks.
+func (e *Engine) run(x *tensor.Tensor) (*tensor.Tensor, error) {
+	for _, s := range e.steps {
+		b := s.Block
+		switch s.Op {
+		case StepGather:
+			if err := e.alloc(e.gatherBytes[b]); err != nil {
 				return nil, err
 			}
-		}
-		for b := range e.blocks {
+			e.postGather(b)
+		case StepAwaitGather:
 			e.waitGather(b)
-		}
-	}
-	depth := e.Opts.PrefetchDepth
-	for b, blk := range e.blocks {
-		if e.Opts.LayerWrapping {
-			for k := 0; k <= depth && b+k < len(e.blocks); k++ {
-				if e.gathered[b+k] {
-					continue
-				}
-				if err := e.postGather(b + k); err != nil {
-					return nil, err
-				}
-			}
-			e.waitGather(b)
-		}
-		if !e.Opts.ActivationCheckpoint && e.Device != nil {
-			// Without checkpointing the interior activations stay
-			// resident until the block's backward.
-			if err := e.Device.Alloc(e.actBytes[b]); err != nil {
+		case StepRelease:
+			e.free(e.gatherBytes[b])
+		case StepHold:
+			if err := e.alloc(e.actBytes[b]); err != nil {
 				return nil, err
 			}
-			e.heldAct += e.actBytes[b]
-		}
-		e.chargeCompute(b, x, 1)
-		if run {
-			x = blk.Forward(x)
-		} else {
-			blk.ChargeForward(x)
-		}
-		if e.Opts.LayerWrapping {
-			e.releaseBlock(b)
+		case StepDrop:
+			e.free(e.actBytes[b])
+		case StepForward:
+			e.chargeCompute(b, x, s.Mult)
+			x = e.blocks[b].Forward(x)
+		case StepRecompute:
+			e.chargeCompute(b, x, s.Mult)
+			e.blocks[b].ChargeForward(x)
+		case StepBackward:
+			e.chargeCompute(b, x, s.Mult)
+			clear(e.flatG[b]) // every parameter gradient of the block, and the chunk's
+			x = e.blocks[b].Backward(x)
+			// In place: the rank's chunk gradient is its own slot of flatG[b].
+			e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.chunks[b].Grad.Data())
+		case StepAwaitRS:
+			e.rsH[b].Wait()
+		case StepPostDDP: // one gradient reduction per step (Fig. 4)
+			buf, packed := e.ddpSpan(b)
+			off := 0
+			for _, c := range packed {
+				off += copy(buf[off:], c.Grad.Data())
+			}
+			e.ddpH[b] = e.Groups.DDP.IAllReduceMean(e.Coord.D, buf, buf)
+		case StepAwaitDDP:
+			e.ddpH[b].Wait()
+			buf, packed := e.ddpSpan(b)
+			off := 0
+			for _, c := range packed {
+				off += copy(c.Grad.Data(), buf[off:])
+			}
 		}
 	}
 	return x, nil
 }
 
-// Backward propagates dy through the stack in reverse: per block it
-// re-gathers the shard (paper Fig. 3b, prefetching the next block's
-// gather while the current one computes), optionally recomputes the
-// forward (activation checkpointing), computes shard gradients, and
-// posts their FSDP reduce-scatter asynchronously so the reduction
-// overlaps earlier blocks' backward compute; all reductions are
-// drained before the outer DDP-group averaging. Gradients land in
-// Chunks()[b].Grad, complete when Backward returns.
-func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
-	depth := e.Opts.PrefetchDepth
-	for b := len(e.blocks) - 1; b >= 0; b-- {
-		if e.Opts.LayerWrapping {
-			for k := 0; k <= depth && b-k >= 0; k++ {
-				if e.gathered[b-k] {
-					continue
-				}
-				if err := e.postGather(b - k); err != nil {
-					return nil, err
-				}
-			}
-			// The re-gather's collective ran (and charged the simulated
-			// clocks), but its payload is bit-identical to what Forward
-			// gathered — chunks only change at optimizer steps — so no
-			// parameter version moves.
-			e.gatherH[b].Wait()
-		}
-		if !e.Opts.ActivationCheckpoint && e.Device != nil {
-			e.Device.Free(e.actBytes[b])
-			e.heldAct -= e.actBytes[b]
-		}
-		// With activation checkpointing the real system recomputes the
-		// block forward here (trading compute for memory, Sec. III-B).
-		// The functional engine never re-runs that arithmetic: the
-		// active set still holds this micro-batch's caches from its
-		// Forward, and the recompute would reproduce them bit for bit.
-		// The clock pays for it all the same — as a third
-		// forward-equivalent beside the two of gradient math, or, when
-		// the caller charged it with ChargeForward just before (a
-		// pipeline stage whose backward follows other micro-batches'
-		// forwards), there. The memory model above reflects the discard
-		// either way.
-		mult := int64(2)
-		if e.Opts.ActivationCheckpoint && !e.recomputed {
-			mult = 3
-		}
-		e.chargeCompute(b, dy, mult)
-		clear(e.flatG[b]) // every parameter gradient of the block, and the chunk's
-		dy = e.blocks[b].Backward(dy)
-		// In place: the rank's chunk gradient is its own slot of flatG[b].
-		e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.chunks[b].Grad.Data())
-		e.releaseBlock(b)
+// ddpSpan returns outer all-reduce i's buffer and the chunks packed
+// into it: bucket i's, or chunk i's gradient reduced in place. The
+// elementwise float64 accumulation makes a bucket bit-identical to the
+// per-chunk reductions; only the number of ring setups changes.
+func (e *Engine) ddpSpan(i int) ([]float32, []*nn.Param) {
+	if e.ddpBuf == nil {
+		return e.chunks[i].Grad.Data(), nil
 	}
-	for _, h := range e.rsH {
-		h.Wait()
-	}
-	// Outer DDP level: one gradient reduction per step (Fig. 4), all
-	// chunks (or coalesced buckets of chunks, when DDPBucketBytes is
-	// set) posted in flight together and drained in order.
-	if e.Groups.DDP.Size() > 1 {
-		if len(e.ddpBuckets) > 0 {
-			e.ddpBucketedReduce()
-		} else {
-			for i, c := range e.chunks {
-				e.ddpH[i] = e.Groups.DDP.IAllReduceMean(e.Coord.D, c.Grad.Data(), c.Grad.Data())
-			}
-			for i := range e.chunks {
-				e.ddpH[i].Wait()
-			}
-		}
-	}
-	e.recomputed = false
-	return dy, nil
+	r := e.ddpBuckets[i]
+	return e.ddpBuf[i], e.chunks[r[0]:r[1]]
 }
 
 // UseActivationSet points Forward, ChargeForward and Backward at
@@ -507,29 +475,6 @@ func (e *Engine) UseActivationSet(k int) {
 		e.sets = append(e.sets, set)
 	}
 	e.blocks = e.sets[k]
-}
-
-// ddpBucketedReduce packs consecutive chunk gradients into the
-// buckets' flat buffers, averages each bucket across the DDP group in
-// place, and scatters the results back. Elementwise float64
-// accumulation makes the bucketed reduction bit-identical to the
-// per-chunk one; only the number of latency-bound ring setups changes.
-func (e *Engine) ddpBucketedReduce() {
-	for i, r := range e.ddpBuckets {
-		buf := e.ddpBuf[i]
-		off := 0
-		for _, c := range e.chunks[r[0]:r[1]] {
-			off += copy(buf[off:], c.Grad.Data())
-		}
-		e.ddpH[i] = e.Groups.DDP.IAllReduceMean(e.Coord.D, buf, buf)
-	}
-	for i, r := range e.ddpBuckets {
-		e.ddpH[i].Wait()
-		off := 0
-		for _, c := range e.chunks[r[0]:r[1]] {
-			off += copy(c.Grad.Data(), e.ddpBuf[i][off:])
-		}
-	}
 }
 
 // AverageLoss averages a local loss over all ranks. Every sample is

@@ -19,11 +19,12 @@
 // Step time comes from replaying the engines' exact instruction
 // stream against the overlap-aware clock model of internal/comm: the
 // predictor walks each rank's 1F1B schedule slots as pp.Engine.RunStep
-// does and, inside each slot, the program core.Engine executes —
-// gather posts (with prefetch depth), the TP activation all-reduces
-// inside each block, the asynchronous gradient reduce-scatters that
-// drain behind backward compute, the outer DDP bucket all-reduces,
-// and the cross-stage activation/gradient transfers — charging each
+// does and, inside each slot, lowers the stage pass core compiles for
+// core.Engine to execute (core.AppendForward / AppendBackward) — gather
+// posts (with prefetch depth), the TP activation all-reduces inside
+// each block, the asynchronous gradient reduce-scatters that drain
+// behind backward compute, the outer DDP bucket all-reduces — plus the
+// cross-stage activation/gradient transfers, charging each
 // collective the identical α–β ring cost over the identical per-group
 // link parameters (Infinity Fabric within a node, Slingshot across),
 // serializing in-flight collectives on each group's single
@@ -33,7 +34,7 @@
 // in warm-up accrues wait time on the first transfer it consumes
 // (Prediction.PPWait), and a single-stage schedule has no transfers
 // at all. Because predictor and simulator share both the cost
-// formulas and the program structure, predictions reproduce the
+// formulas and the compiled pass, predictions reproduce the
 // functional simulation: the calibration tests in this package hold
 // the agreement to 1% across layout grids (the observed error is
 // 0.00%) and require the planner's top choice to land within a few

@@ -16,7 +16,8 @@ import (
 // This file is the step-time predictor: a deterministic replay of the
 // exact instruction stream the engines execute — each rank's 1F1B
 // schedule slots as pp.Engine.RunStep walks them, and inside each slot
-// core.Engine's collective schedule. It calls the rules the simulated
+// the stage pass core compiles and core.Engine runs, lowered step by
+// step (progCtx.lower). It calls the rules the simulated
 // machine itself runs on rather than restating them: groups are wired
 // along core.Layout.Line, as core.BuildGroupsOver wires them; a
 // collective is priced by comm.Link.Cost over its group's link class
@@ -26,9 +27,9 @@ import (
 // core.ParamBytes, core.ActivationBytes and parallel.Padded. A wait is
 // charged only for the gap local compute did not already cover.
 // Activation receives block at consumption, sends post asynchronously
-// and drain at the end of the step, and a backward that follows other
-// micro-batches' forwards charges the recomputed stage forward before
-// the cheaper (2×) backward — so pipeline bubbles fall out of the
+// and drain at the end of the step, and a backward the schedule marks
+// pp.Op.Recompute charges the recomputed stage forward before the
+// cheaper (2×) backward — so pipeline bubbles fall out of the
 // replay rather than an analytic S·(M+S−1) formula: a stage idling in
 // warmup simply accrues wait time on the first transfer it consumes,
 // and that is what Prediction.PPWait reports. A PP=1 layout is the
@@ -161,120 +162,65 @@ func (p *program) free(bytes int64) { p.mem -= bytes }
 const noSlot = math.MaxUint8
 
 // progCtx is everything one program's generation needs: the cost
-// slots of its collectives, per-block state over the stage slice
-// (bufLive has one entry per stage block), and the pipeline link
-// slots (noSlot where the stage has no such link).
+// slots of its collectives, the pass state and step buffer core's
+// compiler fills, per-block posting indices over the stage slice, and
+// the pipeline link slots (noSlot where the stage has no such link).
 type progCtx struct {
 	*program
 	w                            Workload
 	layout                       pp.Layout
 	opts                         core.Options
-	depth                        int
+	spec                         cluster.Spec
 	gather, rs, ar, qk           uint8
 	fwdIn, fwdOut, bwdIn, bwdOut uint8
 	ddp                          []uint8 // one slot per outer all-reduce; empty without a DDP level
 	lens                         []int   // per-block chunk lengths, for DDP bucket planning
-	bufLive                      []bool
-	gatherSeq, rsSeq             []int32
+	pass                         core.PassState
+	steps                        []core.Step
+	gatherSeq, rsSeq, ddpSeq     []int32
 	sends                        []instr // deferred send waits
 	gatherBytes, actBytes        int64
-	fwdSec                       float64
-	// bwdFresh is the backward charge when the forward cache is fresh
-	// (the recompute forward included under ActivationCheckpoint);
-	// bwdRecomputed the 2× charge after the schedule performed a real
-	// recompute forward.
-	bwdFresh, bwdRecomputed float64
+	flops                        int64 // one block forward's FLOPs
 }
 
-func (pc *progCtx) postGather(b int) {
-	pc.alloc(pc.gatherBytes)
-	pc.gatherSeq[b] = pc.post(pc.gather)
-	pc.bufLive[b] = true
-}
-
-func (pc *progCtx) release(b int) {
-	pc.free(pc.gatherBytes)
-	pc.bufLive[b] = false
-}
-
-// stageForward emits one Engine.Forward pass over the stage slice,
-// instruction for instruction as core.Engine posts it (also as the
-// recompute forward the 1F1B schedule charges on stale-cache
-// backwards).
-func (pc *progCtx) stageForward() {
-	L := len(pc.bufLive)
-	wrap := pc.opts.LayerWrapping
-	if !wrap {
-		for b := 0; b < L; b++ {
-			pc.postGather(b)
-		}
-		for b := 0; b < L; b++ {
-			pc.wait(roleFSDP, pc.gatherSeq[b], phGather)
-		}
-	}
-	for b := 0; b < L; b++ {
-		if wrap {
-			if !pc.bufLive[b] {
-				pc.postGather(b)
-			}
-			for k := 1; k <= pc.depth && b+k < L; k++ {
-				if !pc.bufLive[b+k] {
-					pc.postGather(b + k)
-				}
-			}
-			pc.wait(roleFSDP, pc.gatherSeq[b], phGather)
-		}
-		if !pc.opts.ActivationCheckpoint {
+// lower appends the replay instructions of one pass compiled by core:
+// a collective becomes its post and wait, a block's compute its
+// charge and synchronous TP all-reduces, a device Alloc / Free a fold
+// into the memory high-water mark.
+func (pc *progCtx) lower(steps []core.Step) {
+	pc.steps = steps // keep the buffer for the next pass
+	for _, s := range steps {
+		switch s.Op {
+		case core.StepGather:
+			pc.alloc(pc.gatherBytes)
+			pc.gatherSeq[s.Block] = pc.post(pc.gather)
+		case core.StepAwaitGather:
+			pc.wait(roleFSDP, pc.gatherSeq[s.Block], phGather)
+		case core.StepRelease:
+			pc.free(pc.gatherBytes)
+		case core.StepHold:
 			pc.alloc(pc.actBytes)
-		}
-		pc.compute(pc.fwdSec)
-		pc.sync(pc.ar, phTP) // attention partial sum
-		pc.sync(pc.ar, phTP) // MLP partial sum
-		if wrap {
-			pc.release(b)
-		}
-	}
-}
-
-// stageBackward emits one Engine.Backward pass (per-block compute at
-// bwdSec, TP reductions, the reduce-scatter drain, and the per-call
-// outer DDP reduction) over the stage slice.
-func (pc *progCtx) stageBackward(bwdSec float64) {
-	L := len(pc.bufLive)
-	for b := L - 1; b >= 0; b-- {
-		if pc.opts.LayerWrapping {
-			if !pc.bufLive[b] {
-				pc.postGather(b)
-			}
-			for k := 1; k <= pc.depth && b-k >= 0; k++ {
-				if !pc.bufLive[b-k] {
-					pc.postGather(b - k)
-				}
-			}
-			pc.wait(roleFSDP, pc.gatherSeq[b], phGather)
-		}
-		if !pc.opts.ActivationCheckpoint {
+		case core.StepDrop:
 			pc.free(pc.actBytes)
+		case core.StepForward, core.StepRecompute:
+			pc.compute(pc.spec.ComputeSeconds(s.Mult * pc.flops))
+			pc.sync(pc.ar, phTP) // attention partial sum
+			pc.sync(pc.ar, phTP) // MLP partial sum
+		case core.StepBackward:
+			pc.compute(pc.spec.ComputeSeconds(s.Mult * pc.flops))
+			pc.sync(pc.ar, phTP) // MLP input-gradient sum
+			if pc.qk != noSlot {
+				pc.sync(pc.qk, phTP) // packed QK-norm grads
+			}
+			pc.sync(pc.ar, phTP) // attention input-gradient sum
+			pc.rsSeq[s.Block] = pc.post(pc.rs)
+		case core.StepAwaitRS:
+			pc.wait(roleFSDP, pc.rsSeq[s.Block], phRS)
+		case core.StepPostDDP:
+			pc.ddpSeq[s.Block] = pc.post(pc.ddp[s.Block])
+		case core.StepAwaitDDP:
+			pc.wait(roleDDP, pc.ddpSeq[s.Block], phDDP)
 		}
-		pc.compute(bwdSec)
-		pc.sync(pc.ar, phTP) // MLP input-gradient sum
-		if pc.qk != noSlot {
-			pc.sync(pc.qk, phTP) // packed QK-norm grads
-		}
-		pc.sync(pc.ar, phTP) // attention input-gradient sum
-		pc.rsSeq[b] = pc.post(pc.rs)
-		pc.release(b)
-	}
-	for b := 0; b < L; b++ {
-		pc.wait(roleFSDP, pc.rsSeq[b], phRS)
-	}
-	// --- outer DDP gradient reduction ---
-	first := pc.posts[roleDDP]
-	for _, s := range pc.ddp {
-		pc.post(s)
-	}
-	for i := range pc.ddp {
-		pc.wait(roleDDP, first+int32(i), phDDP)
 	}
 }
 
@@ -294,29 +240,22 @@ func (pc *progCtx) send(slot uint8) {
 }
 
 // buildStep4 emits one program's optimizer step: its stage's schedule
-// slots, instruction for instruction as pp.Engine.RunStep walks them.
+// slots in pp.Engine.RunStep's order — receive, the stage pass(es),
+// send — then the drain of the sends.
 func (pc *progCtx) buildStep4(sched []pp.Op) {
-	lastFwd := -1
 	pc.sends = pc.sends[:0]
 	for _, op := range sched {
 		switch op.Kind {
 		case pp.Fwd:
 			pc.recv(pc.fwdIn)
-			pc.stageForward()
-			lastFwd = op.Micro
+			pc.lower(core.AppendForward(pc.steps[:0], pc.opts, &pc.pass, true))
 			pc.send(pc.fwdOut)
 		case pp.Bwd:
-			bwdSec := pc.bwdFresh
-			if lastFwd != op.Micro {
-				// Later micro-batches ran forward since this one: the
-				// engine charges the recompute forward (gathers, TP
-				// reductions, compute), then pays the 2× backward.
-				pc.stageForward()
-				lastFwd = op.Micro
-				bwdSec = pc.bwdRecomputed
+			if op.Recompute {
+				pc.lower(core.AppendForward(pc.steps[:0], pc.opts, &pc.pass, false))
 			}
 			pc.recv(pc.bwdIn)
-			pc.stageBackward(bwdSec)
+			pc.lower(core.AppendBackward(pc.steps[:0], pc.opts, &pc.pass, len(pc.ddp)))
 			pc.send(pc.bwdOut)
 		}
 	}
@@ -406,10 +345,10 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 	persistent := int64(L) * int64(chunkLen) * 8
 	*p = program{instrs: p.instrs[:0], slots: p.slots[:0], mem: persistent, peak: persistent}
 	pc.program = p
-	pc.bufLive = resize(pc.bufLive, L)
-	clear(pc.bufLive)
+	pc.pass.Reset(L)
 	pc.gatherSeq = resize(pc.gatherSeq, L)
 	pc.rsSeq = resize(pc.rsSeq, L)
+	pc.ddpSeq = resize(pc.ddpSeq, L)
 	pc.gatherBytes = int64(flat) * core.ParamBytes(opts.MixedPrecision)
 
 	pc.gather = p.slot(roleFSDP, comm.AllGather, chunkLen)
@@ -450,6 +389,7 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 	// backward (11 per block, two per outer all-reduce), the link
 	// post/wait pairs and one deferred send wait.
 	p.instrs = slices.Grow(p.instrs, len(sched)*(18*L+2*len(pc.ddp)+4))
+	pc.steps = slices.Grow(pc.steps[:0], 6*L+2*len(pc.ddp)) // a backward, the longest pass
 	pc.buildStep4(sched)
 }
 
@@ -766,6 +706,9 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 	}
 	S := layout.PP
 	opts := cand.Options(w.Opts)
+	if err := opts.Validate(); err != nil {
+		return infeasible(err.Error())
+	}
 	if S > 1 && (!opts.LayerWrapping || !opts.ActivationCheckpoint) {
 		return infeasible("PP>1 requires LayerWrapping and ActivationCheckpoint")
 	}
@@ -788,21 +731,10 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 	}
 	spec := c.Spec
 
-	fwdFLOPs := core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
-	// cluster.Device.Compute is charged mult·FLOPs per backward block:
-	// two forward-equivalents of gradient math, plus the recompute
-	// forward under activation checkpointing.
-	bwdMult := int64(2)
-	if opts.ActivationCheckpoint {
-		bwdMult = 3
-	}
 	pc := &sc.ctx
-	pc.w, pc.layout, pc.opts = w, layout, opts
-	pc.depth = opts.PrefetchDepth
+	pc.w, pc.layout, pc.opts, pc.spec = w, layout, opts, spec
 	pc.actBytes = core.ActivationBytes(w.Dim, w.Heads/layout.TP)
-	pc.fwdSec = spec.ComputeSeconds(fwdFLOPs)
-	pc.bwdFresh = spec.ComputeSeconds(bwdMult * fwdFLOPs)
-	pc.bwdRecomputed = spec.ComputeSeconds(2 * fwdFLOPs)
+	pc.flops = core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
 
 	// One program per (stage, TP rank 0 or not).
 	tcs := min(layout.TP, 2)

@@ -73,18 +73,25 @@ func TestPredictRejectsMalformedLayouts(t *testing.T) {
 	w := testWorkload() // 4 heads
 	c := ScaledShape(2, 1e-3)
 	for _, tc := range []struct {
-		name   string
-		layout pp.Layout
+		name     string
+		layout   pp.Layout
+		prefetch int
+		note     string // "" accepts any note
 	}{
-		{"zero value", pp.Layout{}},
-		{"FSDP 0", pp.Layout{TP: 1, PP: 1, FSDP: 0, DDP: 1}},
-		{"TP -1", pp.Layout{TP: -1, PP: 1, FSDP: 1, DDP: 1}},
-		{"TP 3 on 4 heads", pp.Layout{TP: 3, PP: 1, FSDP: 1, DDP: 1}},
+		{"zero value", pp.Layout{}, 1, ""},
+		{"FSDP 0", pp.Layout{TP: 1, PP: 1, FSDP: 0, DDP: 1}, 1, ""},
+		{"TP -1", pp.Layout{TP: -1, PP: 1, FSDP: 1, DDP: 1}, 1, ""},
+		{"TP 3 on 4 heads", pp.Layout{TP: 3, PP: 1, FSDP: 1, DDP: 1}, 1, ""},
+		// core.NewEngine refuses it with the same message.
+		{"prefetch -1", pp.Layout{TP: 2, PP: 1, FSDP: 2, DDP: 2}, -1, "core: negative prefetch depth -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pred := Predict4(w, c, Candidate4{Layout: tc.layout, Knobs: Knobs{PrefetchDepth: 1}})
+			pred := Predict4(w, c, Candidate4{Layout: tc.layout, Knobs: Knobs{PrefetchDepth: tc.prefetch}})
 			if !pred.OOM || pred.Note == "" || !math.IsInf(pred.StepTime, 1) {
 				t.Errorf("priced as feasible: %+v", pred)
+			}
+			if tc.note != "" && pred.Note != tc.note {
+				t.Errorf("note %q, want %q", pred.Note, tc.note)
 			}
 		})
 	}

@@ -156,7 +156,6 @@ type stepScratch struct {
 	savedIn                 []*tensor.Tensor // stage input per micro: Input's tensor or in's
 	y                       []*tensor.Tensor // stage output per micro, owned by its activation set
 	holder                  []int            // per activation set: 1 + the micro it holds, 0 when free
-	lastFwd                 int              // most recent forward micro
 	sends                   []comm.Handle    // in-flight transfers, drained per step
 }
 
@@ -214,7 +213,6 @@ func (e *Engine) scratchFor(micros int, shape []int) (*stepScratch, error) {
 	// error part-way does not.
 	clear(sc.savedIn)
 	clear(sc.holder)
-	sc.lastFwd = -1
 	sc.sends = sc.sends[:0]
 	return sc, nil
 }
@@ -268,7 +266,7 @@ func (e *Engine) RunStep(micros int, io StepIO) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			sc.lastFwd, sc.y[mu] = mu, y
+			sc.y[mu] = y
 			if !last {
 				sc.send(e.fwdOut, sc.ySend[mu], y)
 			}
@@ -278,15 +276,13 @@ func (e *Engine) RunStep(micros int, io StepIO) (float64, error) {
 				panic(fmt.Sprintf("pp: no activation set holds micro-batch %d at its backward", mu))
 			}
 			e.Stage.UseActivationSet(k)
-			if sc.lastFwd != mu {
-				// Other micro-batches ran forward since this one: the
-				// real stage recomputes its checkpointed forward here.
-				// The set already holds those values, so only the cost
-				// is paid — gathers, TP all-reduces and compute.
+			if op.Recompute {
+				// The real stage recomputes its checkpointed forward
+				// here. The set already holds those values, so only the
+				// cost is paid — gathers, TP all-reduces and compute.
 				if err := e.Stage.ChargeForward(sc.savedIn[mu]); err != nil {
 					return 0, err
 				}
-				sc.lastFwd = mu
 			}
 			var dy *tensor.Tensor
 			if last {

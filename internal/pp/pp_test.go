@@ -277,18 +277,33 @@ func TestScheduleFor1F1B(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage 0 (w=2): F0 F1 (F2,B0) (F3,B1) B2 B3.
-	want0 := []Op{{Fwd, 0}, {Fwd, 1}, {Fwd, 2}, {Bwd, 0}, {Fwd, 3}, {Bwd, 1}, {Bwd, 2}, {Bwd, 3}}
+	// Stage 0 (w=2): F0 F1 (F2,B0) (F3,B1) B2 B3; every backward
+	// follows other forwards, so each recomputes.
+	want0 := []Op{{Fwd, 0, false}, {Fwd, 1, false}, {Fwd, 2, false}, {Bwd, 0, true},
+		{Fwd, 3, false}, {Bwd, 1, true}, {Bwd, 2, true}, {Bwd, 3, true}}
 	if !reflect.DeepEqual(scheds[0], want0) {
 		t.Fatalf("stage 0: %v", scheds[0])
 	}
-	// Last stage (w=0): strict (F_i, B_i) pairs.
-	wantLast := []Op{{Fwd, 0}, {Bwd, 0}, {Fwd, 1}, {Bwd, 1}, {Fwd, 2}, {Bwd, 2}, {Fwd, 3}, {Bwd, 3}}
+	// Last stage (w=0): strict (F_i, B_i) pairs, no recompute.
+	wantLast := []Op{{Fwd, 0, false}, {Bwd, 0, false}, {Fwd, 1, false}, {Bwd, 1, false},
+		{Fwd, 2, false}, {Bwd, 2, false}, {Fwd, 3, false}, {Bwd, 3, false}}
 	if !reflect.DeepEqual(scheds[2], wantLast) {
 		t.Fatalf("stage 2: %v", scheds[2])
 	}
 	for s, ops := range scheds {
 		checkScheduleComplete(t, s, ops, 4)
+	}
+	// Two stages, one micro-batch: stage 0 runs F0 B0, and B0 directly
+	// follows its own forward, so it does not recompute.
+	scheds, err = ScheduleFor(Schedule1F1B, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Op{{Fwd, 0, false}, {Bwd, 0, false}}
+	for s, ops := range scheds {
+		if !reflect.DeepEqual(ops, want) {
+			t.Fatalf("2 stages × 1 micro, stage %d: %v", s, ops)
+		}
 	}
 }
 

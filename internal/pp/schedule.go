@@ -8,8 +8,7 @@ type OpKind uint8
 const (
 	// Fwd runs one micro-batch forward through the stage.
 	Fwd OpKind = iota
-	// Bwd runs the matching backward (charging the recomputed forward
-	// first when later micro-batches ran forward since).
+	// Bwd runs the matching backward.
 	Bwd
 )
 
@@ -21,12 +20,16 @@ func (k OpKind) String() string {
 }
 
 // Op is one slot of a stage's schedule: run Kind for micro-batch
-// Micro. Schedules are pure data — deterministic per-stage op lists —
-// so the planner's instruction-level replay and the functional engine
-// execute the identical sequence by construction.
+// Micro. Recompute marks a backward that does not directly follow its
+// own micro-batch's forward: other forwards ran since, so the stage
+// charges its checkpointed forward again first (core.Engine's
+// ChargeForward). Schedules are pure data — deterministic per-stage op
+// lists — so the planner's instruction-level replay and the functional
+// engine execute the identical sequence by construction.
 type Op struct {
-	Kind  OpKind
-	Micro int
+	Kind      OpKind
+	Micro     int
+	Recompute bool
 }
 
 // ScheduleKind selects the micro-batch schedule.
@@ -71,13 +74,17 @@ func oneFOneB(stages, micros int) [][]Op {
 		w := min(stages-1-s, micros)
 		ops := make([]Op, 0, 2*micros)
 		for i := 0; i < w; i++ {
-			ops = append(ops, Op{Fwd, i})
+			ops = append(ops, Op{Kind: Fwd, Micro: i})
 		}
 		for i := w; i < micros; i++ {
-			ops = append(ops, Op{Fwd, i}, Op{Bwd, i - w})
+			ops = append(ops, Op{Kind: Fwd, Micro: i}, Op{Kind: Bwd, Micro: i - w})
 		}
 		for i := micros - w; i < micros; i++ {
-			ops = append(ops, Op{Bwd, i})
+			ops = append(ops, Op{Kind: Bwd, Micro: i})
+		}
+		for i := 1; i < len(ops); i++ {
+			prev := ops[i-1]
+			ops[i].Recompute = ops[i].Kind == Bwd && (prev.Kind != Fwd || prev.Micro != ops[i].Micro)
 		}
 		out[s] = ops
 	}
