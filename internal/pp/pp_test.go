@@ -305,15 +305,31 @@ func TestScheduleFor1F1B(t *testing.T) {
 			t.Fatalf("2 stages × 1 micro, stage %d: %v", s, ops)
 		}
 	}
+	for stages := 1; stages <= 6; stages++ {
+		for micros := 1; micros <= 8; micros++ {
+			scheds, err := ScheduleFor(Schedule1F1B, stages, 1, micros)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, ops := range scheds {
+				checkScheduleComplete(t, s, ops, micros)
+			}
+		}
+	}
 }
 
 // checkScheduleComplete asserts every micro appears exactly once per
-// kind, and each backward follows its forward.
+// kind, each backward follows its forward, and exactly the backwards
+// not directly after their own forward recompute.
 func checkScheduleComplete(t *testing.T, stage int, ops []Op, micros int) {
 	t.Helper()
 	fwdAt := make(map[int]int)
 	bwdAt := make(map[int]int)
 	for i, op := range ops {
+		fresh := i > 0 && ops[i-1] == Op{Kind: Fwd, Micro: op.Micro}
+		if op.Recompute != (op.Kind == Bwd && !fresh) {
+			t.Fatalf("stage %d: op %d (%v%d) has Recompute %v", stage, i, op.Kind, op.Micro, op.Recompute)
+		}
 		m := fwdAt
 		if op.Kind == Bwd {
 			m = bwdAt

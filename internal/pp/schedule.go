@@ -76,15 +76,14 @@ func oneFOneB(stages, micros int) [][]Op {
 		for i := 0; i < w; i++ {
 			ops = append(ops, Op{Kind: Fwd, Micro: i})
 		}
+		// A backward recomputes unless its own forward ran just before:
+		// in steady state when w > 0, in cooldown unless F0 B0 is the
+		// whole list.
 		for i := w; i < micros; i++ {
-			ops = append(ops, Op{Kind: Fwd, Micro: i}, Op{Kind: Bwd, Micro: i - w})
+			ops = append(ops, Op{Kind: Fwd, Micro: i}, Op{Kind: Bwd, Micro: i - w, Recompute: w > 0})
 		}
 		for i := micros - w; i < micros; i++ {
-			ops = append(ops, Op{Kind: Bwd, Micro: i})
-		}
-		for i := 1; i < len(ops); i++ {
-			prev := ops[i-1]
-			ops[i].Recompute = ops[i].Kind == Bwd && (prev.Kind != Fwd || prev.Micro != ops[i].Micro)
+			ops = append(ops, Op{Kind: Bwd, Micro: i, Recompute: micros > 1})
 		}
 		out[s] = ops
 	}
