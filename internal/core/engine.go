@@ -89,8 +89,7 @@ type Engine struct {
 	// one Forward, ChargeForward and Backward run on.
 	sets [][]*parallel.TPBlock
 
-	// pass is what the last compiled pass left live; steps is the
-	// buffer each pass compiles into and run executes.
+	// What the last compiled pass left live, and the buffer run executes.
 	pass  PassState
 	steps []Step
 	// The in-flight handles of the asynchronous collectives, so
@@ -322,8 +321,7 @@ func (e *Engine) waitGather(b int) {
 	}
 }
 
-// alloc and free account device bytes; the host vectors persist, which
-// is what lets an unchanged re-gather skip work.
+// alloc and free account device bytes; the host vectors persist.
 func (e *Engine) alloc(bytes int64) error {
 	if e.Device == nil {
 		return nil
@@ -447,10 +445,8 @@ func (e *Engine) run(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return x, nil
 }
 
-// ddpSpan returns outer all-reduce i's buffer and the chunks packed
-// into it: bucket i's, or chunk i's gradient reduced in place. The
-// elementwise float64 accumulation makes a bucket bit-identical to the
-// per-chunk reductions; only the number of ring setups changes.
+// ddpSpan returns outer all-reduce i's buffer and the chunks packed into
+// it: bucket i's (bit-identical to per-chunk reductions), or chunk i's.
 func (e *Engine) ddpSpan(i int) ([]float32, []*nn.Param) {
 	if e.ddpBuf == nil {
 		return e.chunks[i].Grad.Data(), nil

@@ -3,11 +3,10 @@ package core
 import "slices"
 
 // A stage pass — one Forward, ChargeForward or Backward over a rank's
-// block stack — is compiled to data before anything runs: Steps in the
-// order of the paper's Sec. III-B (gathers prefetched ahead of compute,
-// reduce-scatters drained behind the backward, the checkpointed
-// recompute charged). Engine executes the list; internal/plan lowers
-// the same list into its replay program, so the order exists once.
+// block stack — is compiled to data, in the order of the paper's Sec.
+// III-B: gathers prefetched ahead of compute, reduce-scatters drained
+// behind the backward, the checkpointed recompute charged. Engine runs
+// the list; internal/plan lowers it into its replay, so the order exists once.
 
 // StepOp is what one Step does to block Block.
 type StepOp uint8
@@ -50,17 +49,13 @@ func (ps *PassState) Reset(n int) {
 	ps.recomputed = false
 }
 
-func (ps *PassState) gather(dst []Step, b int) []Step {
-	ps.live[b] = true
-	return append(dst, Step{Op: StepGather, Block: b})
-}
-
 // prefetch posts the gathers of block b and of the next PrefetchDepth
 // blocks in direction dir that are not live yet, then awaits block b's.
 func (ps *PassState) prefetch(dst []Step, opts Options, b, dir int) []Step {
 	for k := 0; k <= opts.PrefetchDepth; k++ {
 		if n := b + dir*k; n >= 0 && n < len(ps.live) && !ps.live[n] {
-			dst = ps.gather(dst, n)
+			ps.live[n] = true
+			dst = append(dst, Step{Op: StepGather, Block: n})
 		}
 	}
 	return append(dst, Step{Op: StepAwaitGather, Block: b})
@@ -75,7 +70,8 @@ func AppendForward(dst []Step, opts Options, ps *PassState, run bool) []Step {
 	n := len(ps.live)
 	if !opts.LayerWrapping {
 		for b := 0; b < n; b++ {
-			dst = ps.gather(dst, b)
+			ps.live[b] = true
+			dst = append(dst, Step{Op: StepGather, Block: b})
 		}
 		for b := 0; b < n; b++ {
 			dst = append(dst, Step{Op: StepAwaitGather, Block: b})

@@ -103,10 +103,13 @@ func checkPassInvariants(t *testing.T, opts Options, n, ddp int) {
 	rsPosted := make([]bool, n)
 	liveCount, ddpPosts := 0, 0
 	recomputed := false
-	passes := "fbfb"
+	passes := "fbfbfb"
 	if opts.LayerWrapping && opts.ActivationCheckpoint { // what pp.Build requires to recompute
-		passes = "fbfcbfb"
+		passes = "fbfcbffcbcbfb" // every order a 1F1B stage runs
 	}
+	// The replay compiles each kind of pass once per program: a pass's
+	// steps may depend on its kind and the recompute mark, nothing else.
+	seen := map[string]string{}
 	for _, pass := range passes {
 		var steps []Step
 		if pass == 'b' {
@@ -114,6 +117,11 @@ func checkPassInvariants(t *testing.T, opts Options, n, ddp int) {
 		} else {
 			steps = AppendForward(nil, opts, &ps, pass == 'f')
 		}
+		key := fmt.Sprintf("%c recomputed=%v", pass, recomputed)
+		if prev, ok := seen[key]; ok && prev != passString(steps) {
+			t.Fatalf("pass %s compiled to\n%s\nafter\n%s", key, passString(steps), prev)
+		}
+		seen[key] = passString(steps)
 		computed := make([]int, n)
 		for i, s := range steps {
 			b := s.Block

@@ -176,19 +176,17 @@ type progCtx struct {
 	ddp                          []uint8 // one slot per outer all-reduce; empty without a DDP level
 	lens                         []int   // per-block chunk lengths, for DDP bucket planning
 	pass                         core.PassState
-	steps                        []core.Step
+	passes                       [4][]core.Step // see buildStep4
 	gatherSeq, rsSeq, ddpSeq     []int32
 	sends                        []instr // deferred send waits
 	gatherBytes, actBytes        int64
 	flops                        int64 // one block forward's FLOPs
 }
 
-// lower appends the replay instructions of one pass compiled by core:
-// a collective becomes its post and wait, a block's compute its
-// charge and synchronous TP all-reduces, a device Alloc / Free a fold
-// into the memory high-water mark.
+// lower appends the replay instructions of a pass compiled by core: a
+// collective's post and wait, a block's compute charge and synchronous TP
+// all-reduces, device Alloc / Free folded into the high-water mark.
 func (pc *progCtx) lower(steps []core.Step) {
-	pc.steps = steps // keep the buffer for the next pass
 	for _, s := range steps {
 		switch s.Op {
 		case core.StepGather:
@@ -241,21 +239,32 @@ func (pc *progCtx) send(slot uint8) {
 
 // buildStep4 emits one program's optimizer step: its stage's schedule
 // slots in pp.Engine.RunStep's order — receive, the stage pass(es),
-// send — then the drain of the sends.
-func (pc *progCtx) buildStep4(sched []pp.Op) {
+// send — then the drain of the sends. A pass's steps depend only on its
+// kind and on whether a recompute just preceded it (core's
+// TestStagePassInvariants holds the compiler to that), so each of the
+// four kinds is compiled once, in an order that reaches it.
+func (pc *progCtx) buildStep4(sched []pp.Op, L int) {
+	n, ddp := 6*L+2*len(pc.ddp), len(pc.ddp) // a backward is the longest pass
+	fwd := core.AppendForward(slices.Grow(pc.passes[0][:0], n), pc.opts, &pc.pass, true)
+	bwd := core.AppendBackward(slices.Grow(pc.passes[1][:0], n), pc.opts, &pc.pass, ddp)
+	rec := core.AppendForward(slices.Grow(pc.passes[2][:0], n), pc.opts, &pc.pass, false)
+	bwdRec := core.AppendBackward(slices.Grow(pc.passes[3][:0], n), pc.opts, &pc.pass, ddp)
+	pc.passes = [4][]core.Step{fwd, bwd, rec, bwdRec}
 	pc.sends = pc.sends[:0]
 	for _, op := range sched {
 		switch op.Kind {
 		case pp.Fwd:
 			pc.recv(pc.fwdIn)
-			pc.lower(core.AppendForward(pc.steps[:0], pc.opts, &pc.pass, true))
+			pc.lower(fwd)
 			pc.send(pc.fwdOut)
 		case pp.Bwd:
+			steps := bwd
 			if op.Recompute {
-				pc.lower(core.AppendForward(pc.steps[:0], pc.opts, &pc.pass, false))
+				pc.lower(rec)
+				steps = bwdRec
 			}
 			pc.recv(pc.bwdIn)
-			pc.lower(core.AppendBackward(pc.steps[:0], pc.opts, &pc.pass, len(pc.ddp)))
+			pc.lower(steps)
 			pc.send(pc.bwdOut)
 		}
 	}
@@ -389,8 +398,7 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 	// backward (11 per block, two per outer all-reduce), the link
 	// post/wait pairs and one deferred send wait.
 	p.instrs = slices.Grow(p.instrs, len(sched)*(18*L+2*len(pc.ddp)+4))
-	pc.steps = slices.Grow(pc.steps[:0], 6*L+2*len(pc.ddp)) // a backward, the longest pass
-	pc.buildStep4(sched)
+	pc.buildStep4(sched, L)
 }
 
 // newGroup opens an empty group; join adds its members; wire picks
