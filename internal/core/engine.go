@@ -373,8 +373,10 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // math) instead of three.
 func (e *Engine) ChargeForward(x *tensor.Tensor) error {
 	e.steps = AppendForward(e.steps[:0], e.Opts, &e.pass, false)
-	_, err := e.run(x)
-	return err
+	if _, err := e.run(x); err != nil {
+		return err
+	}
+	return nil
 }
 
 // Backward propagates dy through the stack in reverse: per block it

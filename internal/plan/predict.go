@@ -176,7 +176,7 @@ type progCtx struct {
 	ddp                          []uint8 // one slot per outer all-reduce; empty without a DDP level
 	lens                         []int   // per-block chunk lengths, for DDP bucket planning
 	pass                         core.PassState
-	passes                       [4][]core.Step // see buildStep4
+	steps                        []core.Step // the four compiled passes, see buildStep4
 	gatherSeq, rsSeq, ddpSeq     []int32
 	sends                        []instr // deferred send waits
 	gatherBytes, actBytes        int64
@@ -244,12 +244,11 @@ func (pc *progCtx) send(slot uint8) {
 // TestStagePassInvariants holds the compiler to that), so each of the
 // four kinds is compiled once, in an order that reaches it.
 func (pc *progCtx) buildStep4(sched []pp.Op, L int) {
-	n, ddp := 6*L+2*len(pc.ddp), len(pc.ddp) // a backward is the longest pass
-	fwd := core.AppendForward(slices.Grow(pc.passes[0][:0], n), pc.opts, &pc.pass, true)
-	bwd := core.AppendBackward(slices.Grow(pc.passes[1][:0], n), pc.opts, &pc.pass, ddp)
-	rec := core.AppendForward(slices.Grow(pc.passes[2][:0], n), pc.opts, &pc.pass, false)
-	bwdRec := core.AppendBackward(slices.Grow(pc.passes[3][:0], n), pc.opts, &pc.pass, ddp)
-	pc.passes = [4][]core.Step{fwd, bwd, rec, bwdRec}
+	pc.steps = slices.Grow(pc.steps[:0], 4*(6*L+2*len(pc.ddp))) // a backward, the longest pass, is ≤ 6L+2ddp
+	fwd := core.AppendForward(pc.steps, pc.opts, &pc.pass, true)
+	bwd := core.AppendBackward(fwd[len(fwd):], pc.opts, &pc.pass, len(pc.ddp))
+	rec := core.AppendForward(bwd[len(bwd):], pc.opts, &pc.pass, false)
+	bwdRec := core.AppendBackward(rec[len(rec):], pc.opts, &pc.pass, len(pc.ddp))
 	pc.sends = pc.sends[:0]
 	for _, op := range sched {
 		switch op.Kind {

@@ -279,14 +279,14 @@ func TestScheduleFor1F1B(t *testing.T) {
 	}
 	// Stage 0 (w=2): F0 F1 (F2,B0) (F3,B1) B2 B3; every backward
 	// follows other forwards, so each recomputes.
-	want0 := []Op{{Fwd, 0, false}, {Fwd, 1, false}, {Fwd, 2, false}, {Bwd, 0, true},
-		{Fwd, 3, false}, {Bwd, 1, true}, {Bwd, 2, true}, {Bwd, 3, true}}
+	want0 := []Op{{Fwd, false, 0}, {Fwd, false, 1}, {Fwd, false, 2}, {Bwd, true, 0},
+		{Fwd, false, 3}, {Bwd, true, 1}, {Bwd, true, 2}, {Bwd, true, 3}}
 	if !reflect.DeepEqual(scheds[0], want0) {
 		t.Fatalf("stage 0: %v", scheds[0])
 	}
 	// Last stage (w=0): strict (F_i, B_i) pairs, no recompute.
-	wantLast := []Op{{Fwd, 0, false}, {Bwd, 0, false}, {Fwd, 1, false}, {Bwd, 1, false},
-		{Fwd, 2, false}, {Bwd, 2, false}, {Fwd, 3, false}, {Bwd, 3, false}}
+	wantLast := []Op{{Fwd, false, 0}, {Bwd, false, 0}, {Fwd, false, 1}, {Bwd, false, 1},
+		{Fwd, false, 2}, {Bwd, false, 2}, {Fwd, false, 3}, {Bwd, false, 3}}
 	if !reflect.DeepEqual(scheds[2], wantLast) {
 		t.Fatalf("stage 2: %v", scheds[2])
 	}
@@ -299,7 +299,7 @@ func TestScheduleFor1F1B(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Op{{Fwd, 0, false}, {Bwd, 0, false}}
+	want := []Op{{Fwd, false, 0}, {Bwd, false, 0}}
 	for s, ops := range scheds {
 		if !reflect.DeepEqual(ops, want) {
 			t.Fatalf("2 stages × 1 micro, stage %d: %v", s, ops)

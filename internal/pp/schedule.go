@@ -28,8 +28,8 @@ func (k OpKind) String() string {
 // engine execute the identical sequence by construction.
 type Op struct {
 	Kind      OpKind
-	Micro     int
 	Recompute bool
+	Micro     int
 }
 
 // ScheduleKind selects the micro-batch schedule.
