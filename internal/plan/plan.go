@@ -3,8 +3,8 @@
 // valid Hybrid-STOP layout (TP, PP, FSDP, DDP) together with its
 // tuning knobs (FSDP prefetch depth, DDP gradient-bucket size, the
 // implied micro-batch count), predicts each candidate's per-step time
-// and per-device memory, and returns a ranked plan set with a
-// machine-readable explanation of every prediction. It closes the
+// and per-device memory, and returns the best plan with a
+// machine-readable explanation of its prediction. It closes the
 // loop the ORBIT paper closes by hand in Sec. IV: instead of the user
 // picking the split between tensor, pipeline, sharded-data, and data
 // parallelism per run, the planner picks it from the model.
@@ -69,24 +69,33 @@
 // gather staging — which is what a capacity decision on real hardware
 // needs.
 //
+// # Choosing a plan
+//
+// Best4 replays only the candidates that can win. In enumeration order
+// it drops those that cannot run or would OOM, known once their programs
+// compile, and those whose lower bound — the shortest solo run of any
+// compiled program, each collective at the cheapest price its ranks pay
+// and no partner to wait for — exceeds the best step time so far. Every
+// rank spends at least its program's solo run on each step, so no plan
+// that could win is dropped.
+//
 // # Key types
 //
 // Workload describes the transformer stack and global batch;
 // ClusterShape the machine. Enumerate4 produces Candidate4s (layout +
-// Knobs), Predict4 prices one, Rank4 prices and sorts all of them,
-// and Best4 returns the winner; Constraints.FixPP = 1 restricts the
-// search to unpipelined layouts. Simulate4 runs the real functional
-// engines over the simulated cluster for ground truth — that is what
-// `orbit-scaling -auto` compares the planner against, and what the
-// elastic trainer consults (via Best4 with a FixTP constraint, since
-// TP shards cannot reshard across a checkpoint reload) when it
-// rebuilds after a node loss.
+// Knobs), Predict4 prices one and Best4 returns the winner;
+// Constraints.FixPP = 1 restricts the search to unpipelined layouts.
+// Simulate4 runs the real functional engines over the simulated
+// cluster for ground truth — that is what `orbit-scaling -auto`
+// compares the planner against. The elastic trainer consults Best4
+// with a FixTP constraint (TP shards cannot reshard across a
+// checkpoint reload) when it rebuilds after a node loss.
 package plan
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
@@ -275,6 +284,11 @@ func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, err
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
+	for i, v := range []int{cons.FixTP, cons.FixPP, cons.MaxRanks} {
+		if v < 0 {
+			return nil, fmt.Errorf("plan: negative %s %d", [...]string{"FixTP", "FixPP", "MaxRanks"}[i], v)
+		}
+	}
 	devs := c.Devices()
 	if cons.MaxRanks > 0 && cons.MaxRanks < devs {
 		devs = cons.MaxRanks
@@ -286,6 +300,11 @@ func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, err
 	if depths == nil {
 		depths = DefaultPrefetchDepths
 	}
+	for _, d := range depths {
+		if err := (core.Options{PrefetchDepth: d}).Validate(); err != nil {
+			return nil, err
+		}
+	}
 	buckets := cons.BucketBytes
 	if buckets == nil {
 		buckets = DefaultBucketBytes
@@ -293,17 +312,11 @@ func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, err
 	pipeOK := w.Opts.LayerWrapping && w.Opts.ActivationCheckpoint
 	var out []Candidate4
 	for tp := 1; tp <= w.Heads && tp <= devs; tp++ {
-		if w.Heads%tp != 0 {
-			continue
-		}
-		if cons.FixTP > 0 && tp != cons.FixTP {
+		if w.Heads%tp != 0 || (cons.FixTP > 0 && tp != cons.FixTP) {
 			continue
 		}
 		for p := 1; p <= w.Layers && tp*p <= devs; p++ {
-			if cons.FixPP > 0 && p != cons.FixPP {
-				continue
-			}
-			if p > 1 && !pipeOK {
+			if (cons.FixPP > 0 && p != cons.FixPP) || (p > 1 && !pipeOK) {
 				continue
 			}
 			for fsdp := 1; tp*p*fsdp <= devs; fsdp++ {
@@ -334,48 +347,50 @@ func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, err
 	return out, nil
 }
 
-// Rank4 prices every candidate and sorts by predicted step time;
-// plans that would OOM the simulated device sort to the end. Ties
-// break toward lower per-device memory, fewer occupied ranks, then
-// fewer stages (prefer the simpler composition when pipelining buys
-// nothing).
-func Rank4(w Workload, c ClusterShape, cons Constraints) ([]Plan4, error) {
-	cands, err := Enumerate4(w, c, cons)
-	if err != nil {
-		return nil, err
+// ahead is the planner's order: plans that fit first, then shorter step
+// time, lower device memory, fewer ranks, then fewer stages (the simpler
+// composition when pipelining buys nothing).
+func ahead(a, b Plan4) bool {
+	if a.Pred.OOM != b.Pred.OOM {
+		return !a.Pred.OOM
 	}
-	plans := make([]Plan4, len(cands))
-	var sc replay // one scratch for the whole pass
-	for i, cand := range cands {
-		plans[i] = Plan4{Candidate4: cand, Pred: sc.predict(w, c, cand)}
-	}
-	sort.SliceStable(plans, func(i, j int) bool {
-		pi, pj := plans[i].Pred, plans[j].Pred
-		if pi.OOM != pj.OOM {
-			return !pi.OOM
-		}
-		if pi.StepTime != pj.StepTime {
-			return pi.StepTime < pj.StepTime
-		}
-		if pi.DeviceBytes != pj.DeviceBytes {
-			return pi.DeviceBytes < pj.DeviceBytes
-		}
-		if plans[i].Layout.Ranks() != plans[j].Layout.Ranks() {
-			return plans[i].Layout.Ranks() < plans[j].Layout.Ranks()
-		}
-		return plans[i].Layout.PP < plans[j].Layout.PP
-	})
-	return plans, nil
+	return cmp.Or(cmp.Compare(a.Pred.StepTime, b.Pred.StepTime), cmp.Compare(a.Pred.DeviceBytes, b.Pred.DeviceBytes),
+		cmp.Compare(a.Layout.Ranks(), b.Layout.Ranks()), cmp.Compare(a.Layout.PP, b.Layout.PP)) < 0
 }
 
-// Best4 returns the top-ranked feasible plan.
+// boundSlack: StepTime is a difference of clocks, so Best4 replays a
+// candidate whose bound ties the incumbent's at rounding level.
+const boundSlack = 1e-9
+
+// Best4 returns the plan no candidate is ahead of (the first among
+// equals). It replays only candidates whose bound (replay.bound) does
+// not exceed the incumbent's step time. That is sound: the rank with the
+// latest clock after the warm-up step runs its program twice in the
+// measured steps, each time for at least the program's solo run, since
+// every post is waited in its step and completes no earlier than the
+// rank's own post and earlier collectives on that stream plus the
+// cheapest price.
 func Best4(w Workload, c ClusterShape, cons Constraints) (Plan4, error) {
-	plans, err := Rank4(w, c, cons)
+	cands, err := Enumerate4(w, c, cons)
 	if err != nil {
 		return Plan4{}, err
 	}
-	if plans[0].Pred.OOM {
+	var sc replay // one scratch for the whole search
+	var best Plan4
+	found := false
+	for _, cand := range cands {
+		if sc.build(w, c, cand) != "" || sc.mem.OOM {
+			continue
+		}
+		if limit := best.Pred.StepTime * (1 + boundSlack); found && sc.bound(limit) > limit {
+			continue
+		}
+		if p := (Plan4{Candidate4: cand, Pred: sc.run()}); !p.Pred.OOM && (!found || ahead(p, best)) {
+			best, found = p, true
+		}
+	}
+	if !found {
 		return Plan4{}, fmt.Errorf("plan: every layout exceeds the %d-byte device memory", c.Spec.MemPerGPU)
 	}
-	return plans[0], nil
+	return best, nil
 }

@@ -2,6 +2,9 @@ package plan
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -116,11 +119,136 @@ func TestEnumerateConstraints(t *testing.T) {
 	}
 }
 
+// TestEnumerateRejectsBadConstraints: a negative pin, rank cap or
+// prefetch depth is an error naming the field, not "unpinned", "the
+// whole cluster" or a search that finds nothing to run.
+func TestEnumerateRejectsBadConstraints(t *testing.T) {
+	w := testWorkload()
+	for _, tc := range []struct {
+		cons Constraints
+		want string
+	}{
+		{Constraints{FixTP: -1}, "plan: negative FixTP -1"},
+		{Constraints{FixPP: -2}, "plan: negative FixPP -2"},
+		{Constraints{MaxRanks: -8}, "plan: negative MaxRanks -8"},
+		{Constraints{PrefetchDepths: []int{1, -1}}, "core: negative prefetch depth -1"},
+	} {
+		if _, err := Enumerate4(w, Shape(1), tc.cons); err == nil || err.Error() != tc.want {
+			t.Errorf("Enumerate4(%+v): error %v, want %q", tc.cons, err, tc.want)
+		}
+		if _, err := Best4(w, Shape(1), tc.cons); err == nil || err.Error() != tc.want {
+			t.Errorf("Best4(%+v): error %v, want %q", tc.cons, err, tc.want)
+		}
+	}
+}
+
+// rank4 is the exhaustive reference Best4 is held to: every candidate
+// replayed, then stably sorted by the planner's order.
+func rank4(w Workload, c ClusterShape, cons Constraints) ([]Plan4, error) {
+	cands, err := Enumerate4(w, c, cons)
+	if err != nil {
+		return nil, err
+	}
+	plans := make([]Plan4, len(cands))
+	var sc replay
+	for i, cand := range cands {
+		plans[i] = Plan4{Candidate4: cand, Pred: sc.predict(w, c, cand)}
+	}
+	sort.SliceStable(plans, func(i, j int) bool { return ahead(plans[i], plans[j]) })
+	return plans, nil
+}
+
+// exhaustiveBest is what Best4 returned when it ranked every
+// candidate: the head of rank4, or an error when nothing fits.
+func exhaustiveBest(w Workload, c ClusterShape, cons Constraints) (Plan4, error) {
+	plans, err := rank4(w, c, cons)
+	if err != nil {
+		return Plan4{}, err
+	}
+	if plans[0].Pred.OOM {
+		return Plan4{}, fmt.Errorf("plan: every layout exceeds the %d-byte device memory", c.Spec.MemPerGPU)
+	}
+	return plans[0], nil
+}
+
+// checkBest4 holds Best4 to the exhaustive reference on one query.
+func checkBest4(t *testing.T, w Workload, c ClusterShape, cons Constraints) Plan4 {
+	t.Helper()
+	got, gotErr := Best4(w, c, cons)
+	want, wantErr := exhaustiveBest(w, c, cons)
+	if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%+v on %d nodes (scale %g), %+v:\n Best4      %v (%v)\n exhaustive %v (%v)",
+			w, c.Nodes, c.Spec.PeakFLOPS, cons, got, gotErr, want, wantErr)
+	}
+	return got
+}
+
+// TestBest4MatchesExhaustive: pruning by the lower bound never changes
+// the answer. Over a grid of queries — node counts, global batches,
+// compute-to-link ratios, option sets, QK-norm and knob grids — and
+// three edge cases, Best4 returns exactly the head of the exhaustive
+// ranking, or the same error.
+func TestBest4MatchesExhaustive(t *testing.T) {
+	optSets := []core.Options{
+		{LayerWrapping: true, ActivationCheckpoint: true},
+		core.DefaultOptions(),
+		{MixedPrecision: true}, // unpipelined only
+	}
+	knobGrids := []Constraints{{}, {PrefetchDepths: []int{0, 1}, BucketBytes: []int{0}}}
+	for _, nodes := range []int{1, 2, 4} { // × 4 batches × 4 scales × 3 option sets × 2 × 2 = 576 queries
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			t.Parallel()
+			q := 0
+			for _, gb := range []int{4, 8, 16, 32} {
+				for _, scale := range []float64{1e-4, 1e-3, 1e-2, 1} {
+					for _, opts := range optSets {
+						for _, qk := range []bool{false, true} {
+							for _, cons := range knobGrids {
+								if q++; raceEnabled && q%8 != 0 {
+									continue // the replay is slow under the race detector
+								}
+								w := Workload{Dim: 32, Heads: 4, Layers: 4, Tokens: 16, QKNorm: qk, GlobalBatch: gb, Opts: opts}
+								checkBest4(t, w, ScaledShape(nodes, scale), cons)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+
+	// Only PP > 1 fits (TestMemoryBound4DBeats3D's shape).
+	w := Workload{Dim: 32, Heads: 4, Layers: 4, Tokens: 16, QKNorm: true, GlobalBatch: 1, Opts: core.DefaultOptions()}
+	c := ScaledShape(1, 1e-3)
+	knobs := Knobs{PrefetchDepth: 1, MicroBatches: 1}
+	mem3 := Predict4(w, c, Candidate4{Layout: pp.Layout{TP: 4, PP: 1, FSDP: 1, DDP: 1}, Knobs: knobs}).DeviceBytes
+	mem4 := Predict4(w, c, Candidate4{Layout: pp.Layout{TP: 4, PP: 2, FSDP: 1, DDP: 1}, Knobs: knobs}).DeviceBytes
+	c.Spec.MemPerGPU = (mem3 + mem4) / 2
+	if p := checkBest4(t, w, c, Constraints{}); p.Layout.PP <= 1 {
+		t.Errorf("memory-bound shape chose %+v", p.Layout)
+	}
+
+	// Nothing fits.
+	c.Spec.MemPerGPU = 1
+	checkBest4(t, w, c, Constraints{})
+
+	// An exact tie on step time: on one rank, prefetch depth changes
+	// only the memory, and the later candidate (depth 0) holds less. Its
+	// bound, the rank's solo run, lands one rounding step above the step
+	// time the replay measures as a difference of clocks, so it must be
+	// replayed, not pruned.
+	w = Workload{Dim: 32, Heads: 4, Layers: 2, Tokens: 16, QKNorm: true, GlobalBatch: 1, Opts: core.DefaultOptions()}
+	cons := Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}
+	if p := checkBest4(t, w, Shape(1), cons); p.Knobs.PrefetchDepth != 0 {
+		t.Errorf("tie broke toward prefetch depth %d, want the smaller footprint of depth 0", p.Knobs.PrefetchDepth)
+	}
+}
+
 // TestExplainIsMachineReadable: every ranked plan carries a JSON
 // explanation that round-trips and exposes the prediction fields.
 func TestExplainIsMachineReadable(t *testing.T) {
 	w := testWorkload()
-	plans, err := Rank4(w, Shape(1), Constraints{FixPP: 1})
+	plans, err := rank4(w, Shape(1), Constraints{FixPP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

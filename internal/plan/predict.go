@@ -13,42 +13,16 @@ import (
 	"orbit/internal/pp"
 )
 
-// This file is the step-time predictor: a deterministic replay of the
-// exact instruction stream the engines execute — each rank's 1F1B
-// schedule slots as pp.Engine.RunStep walks them, and inside each slot
-// the stage pass core compiles and core.Engine runs, lowered step by
-// step (progCtx.lower). It calls the rules the simulated
-// machine itself runs on rather than restating them: groups are wired
-// along core.Layout.Line, as core.BuildGroupsOver wires them; a
-// collective is priced by comm.Link.Cost over its group's link class
-// and completes by comm.Rendezvous.Post, at the latest poster's clock
-// and serialized on the group's one stream; compute takes
-// cluster.Spec.ComputeSeconds; device bytes come from
-// core.ParamBytes, core.ActivationBytes and parallel.Padded. A wait is
-// charged only for the gap local compute did not already cover.
-// Activation receives block at consumption, sends post asynchronously
-// and drain at the end of the step, and a backward the schedule marks
-// pp.Op.Recompute charges the recomputed stage forward before the
-// cheaper (2×) backward — so pipeline bubbles fall out of the
-// replay rather than an analytic S·(M+S−1) formula: a stage idling in
-// warmup simply accrues wait time on the first transfer it consumes,
-// and that is what Prediction.PPWait reports. A PP=1 layout is the
-// same replay over a single stage with no links. No data moves; only
-// clocks.
-//
-// The replay is compiled once and run on a quotient. A rank's step
-// program depends only on its stage and on whether it is TP rank 0
-// (which owns the unsharded output biases, hence a longer shard), and
-// not on the step number: every gather buffer is released and every
-// post is waited by the end of a step. So a candidate compiles at most
-// 2·S programs whose collectives name a role (tp, fsdp, ddp, or one of
-// the four stage links) rather than a group, with step-relative
-// sequence numbers; the memory high-water mark is clock-independent
-// and is folded while compiling. The ranks are then partitioned by
-// colour refinement into classes that provably share every clock
-// value, and one representative per class is replayed against
-// quotient groups that count each post with the class's multiplicity.
-// The identity partition (replay.identity) is the full per-rank replay
+// This file is the step-time predictor the package comment describes.
+// It calls the rules the simulated machine itself runs on rather than
+// restating them: groups are wired along core.Layout.Line, as
+// core.BuildGroupsOver wires them; a collective is priced by
+// comm.Link.Cost over its group's link class and completes by
+// comm.Rendezvous.Post; compute takes cluster.Spec.ComputeSeconds;
+// device bytes come from core.ParamBytes, core.ActivationBytes and
+// parallel.Padded. A program is step-invariant because every gather
+// buffer is released and every post waited by the end of a step. The
+// identity partition (replay.identity) is the full per-rank replay
 // through the same code; tests use it as the reference.
 
 // Roles: which of a rank's communicators an instruction addresses; the
@@ -335,6 +309,11 @@ type replay struct {
 	pend    []comm.Rendezvous
 	costs   []float64
 	warm    []simDev
+	mem     Prediction // build's half: the memory fields
+	// bound's scratch: spans[prog*roleCount+role] has bit i set when a
+	// rank running prog has its role group over the bound's links[i].
+	spans []uint8
+	done  []float64
 }
 
 // resize returns s with length n, reusing its backing array when it is
@@ -673,18 +652,19 @@ func (sc *replay) runStep() error {
 	return nil
 }
 
-func (sc *replay) maxClock() float64 {
-	m := 0.0
+// critical is the class with the latest clock, the first among equals.
+func (sc *replay) critical() int {
+	crit := 0
 	for i := range sc.classes {
-		if c := sc.classes[i].clock; c > m {
-			m = c
+		if sc.classes[i].clock > sc.classes[crit].clock {
+			crit = i
 		}
 	}
-	return m
+	return crit
 }
 
 // infeasible is the prediction of a candidate that cannot run at all;
-// Rank4 sorts it last.
+// it sorts after every plan that fits.
 func infeasible(note string) Prediction {
 	return Prediction{Note: note, OOM: true, StepTime: math.Inf(1)}
 }
@@ -696,45 +676,52 @@ func infeasible(note string) Prediction {
 // models. The returned prediction is self-contained and
 // JSON-serializable — Plan4.Explain renders it.
 func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
-	var sc replay
-	return sc.predict(w, c, cand)
+	return new(replay).predict(w, c, cand)
 }
 
 func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Prediction {
+	if note := sc.build(w, c, cand); note != "" {
+		return infeasible(note)
+	}
+	return sc.run()
+}
+
+// build, a prediction's first half, compiles the programs, fills sc.mem's
+// memory fields and wires the topology, or says why the candidate cannot run.
+func (sc *replay) build(w Workload, c ClusterShape, cand Candidate4) (note string) {
 	if err := w.Validate(); err != nil {
-		return infeasible(err.Error())
+		return err.Error()
 	}
 	layout := cand.Layout
 	if err := layout.Validate(); err != nil {
-		return infeasible(err.Error())
+		return err.Error()
 	}
 	if w.Heads%layout.TP != 0 {
-		return infeasible(fmt.Sprintf("plan: TP %d does not divide %d heads", layout.TP, w.Heads))
+		return fmt.Sprintf("plan: TP %d does not divide %d heads", layout.TP, w.Heads)
 	}
 	S := layout.PP
 	opts := cand.Options(w.Opts)
 	if err := opts.Validate(); err != nil {
-		return infeasible(err.Error())
+		return err.Error()
 	}
 	if S > 1 && (!opts.LayerWrapping || !opts.ActivationCheckpoint) {
-		return infeasible("PP>1 requires LayerWrapping and ActivationCheckpoint")
+		return "PP>1 requires LayerWrapping and ActivationCheckpoint"
 	}
 	R := layout.Ranks()
 	if R > c.Devices() {
-		return infeasible(fmt.Sprintf("layout needs %d devices, cluster has %d", R, c.Devices()))
+		return fmt.Sprintf("layout needs %d devices, cluster has %d", R, c.Devices())
 	}
-	inner := layout.Inner()
-	micros, err := microBatches(w, inner)
+	micros, err := microBatches(w, layout.Inner())
 	if err != nil {
-		return infeasible(err.Error())
+		return err.Error()
 	}
 	stages, err := pp.UniformPartition(w.Layers, S) // rejects S > Layers
 	if err != nil {
-		return infeasible(err.Error())
+		return err.Error()
 	}
 	scheds, err := pp.ScheduleFor(pp.Schedule1F1B, S, 1, micros)
 	if err != nil {
-		return infeasible(err.Error())
+		return err.Error()
 	}
 	spec := c.Spec
 
@@ -750,28 +737,98 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 		sc.progs = append(sc.progs, program{})
 	}
 	sc.progs = sc.progs[:S*tcs]
-	maxStage := 0
+	w4 := w // the heaviest stage, for the analytic breakdown
+	sc.mem, w4.Layers = Prediction{}, 0
 	for p, rng := range stages {
 		L := rng[1] - rng[0]
-		maxStage = max(maxStage, L)
+		w4.Layers = max(w4.Layers, L)
 		for tc := 0; tc < tcs; tc++ {
 			pc.compile(&sc.progs[p*tcs+tc], scheds[p], L, tc, p == 0, p == S-1)
+			sc.mem.DeviceBytes = max(sc.mem.DeviceBytes, sc.progs[p*tcs+tc].peak)
 		}
+	}
+	// Every program allocates gather staging above its persistent
+	// bytes, so the peak exceeds capacity exactly when some Alloc does.
+	sc.mem.OOM = sc.mem.DeviceBytes > spec.MemPerGPU
+	sc.mem.Memory = analyticMemory(w4, layout.Inner(), opts) // per-block chunks are stage-independent
+	if sc.mem.OOM {
+		sc.mem.Note = "predicted device memory exceeds capacity"
 	}
 	sc.progOf = resize(sc.progOf, R)
 	for r := range sc.progOf {
 		c4 := layout.CoordOf(r)
 		sc.progOf[r] = int32(c4.P*tcs + min(c4.T, tcs-1))
 	}
-
 	sc.buildTopology(layout, c.GPUsPerNode, spec)
+	return ""
+}
+
+// bound is Best4's lower bound on the step time of the candidate just
+// built: the shortest solo run of any program, each collective priced at
+// the cheaper link class a rank running it has, with no partner to wait
+// for. It stops once the bound's side of limit is settled and returns a
+// value on that side.
+func (sc *replay) bound(limit float64) float64 {
+	links := [2]comm.Link{comm.LinkFor(sc.ctx.spec, true), comm.LinkFor(sc.ctx.spec, false)}
+	extent := [roleCount]int{sc.ctx.layout.TP, sc.ctx.layout.FSDP, sc.ctx.layout.DDP, 2, 2, 2, 2}
+	sc.spans = resize(sc.spans, len(sc.progs)*roleCount)
+	clear(sc.spans)
+	for _, g := range sc.groups {
+		bit := uint8(1)
+		if g.link != links[0] {
+			bit = 2
+		}
+		for _, m := range sc.members[g.first : g.first+g.size] {
+			sc.spans[int(sc.progOf[m>>3])*roleCount+int(m&7)] |= bit
+		}
+	}
+	best := math.Inf(1)
+	for pi := range sc.progs {
+		p := &sc.progs[pi]
+		sc.costs = resize(sc.costs, len(p.slots)) // bindClasses rebuilds it
+		for i, s := range p.slots {
+			sc.costs[i] = math.Inf(1)
+			for k, link := range links {
+				if sc.spans[pi*roleCount+int(s.role)]&(1<<k) != 0 {
+					sc.costs[i] = min(sc.costs[i], link.Cost(s.kind, extent[s.role], s.n))
+				}
+			}
+		}
+		sc.done = resize(sc.done, int(slices.Max(p.posts[:]))*roleCount) // by seq, then role
+		clock, last := 0.0, [roleCount]float64{}
+		for _, in := range p.instrs {
+			switch in.op {
+			case opCompute:
+				clock += in.sec
+			case opPost:
+				last[in.role] = max(clock, last[in.role]) + sc.costs[in.slot]
+				sc.done[int(in.seq)*roleCount+int(in.role)] = last[in.role]
+			case opWait:
+				clock = max(clock, sc.done[int(in.seq)*roleCount+int(in.role)])
+			}
+			if clock > limit {
+				break // this program's solo run is above limit
+			}
+		}
+		if clock <= limit {
+			return clock
+		}
+		best = min(best, clock)
+	}
+	return best
+}
+
+// run, the second half, partitions the ranks into classes and replays a
+// warm-up and two measured steps.
+func (sc *replay) run() Prediction {
+	R := sc.ctx.layout.Ranks()
 	sc.bindClasses(R, sc.partition(R))
 
 	const measured = 2
 	if err := sc.runStep(); err != nil { // warm-up
 		return infeasible(err.Error())
 	}
-	warm := sc.maxClock()
+	warm := sc.classes[sc.critical()].clock
 	sc.warm = sc.warm[:0]
 	for i := range sc.classes {
 		sc.warm = append(sc.warm, sc.classes[i].simDev)
@@ -781,37 +838,15 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 			return infeasible(err.Error())
 		}
 	}
-	stepTime := (sc.maxClock() - warm) / measured
-
-	crit := 0
-	for i := range sc.classes {
-		if sc.classes[i].clock > sc.classes[crit].clock {
-			crit = i
-		}
-	}
+	crit := sc.critical()
 	cd, wd := &sc.classes[crit].simDev, &sc.warm[crit]
-	pred := Prediction{
-		StepTime:    stepTime,
-		ComputeTime: (cd.compute - wd.compute) / measured,
-		GatherWait:  (cd.waits[phGather] - wd.waits[phGather]) / measured,
-		TPWait:      (cd.waits[phTP] - wd.waits[phTP]) / measured,
-		RSWait:      (cd.waits[phRS] - wd.waits[phRS]) / measured,
-		DDPWait:     (cd.waits[phDDP] - wd.waits[phDDP]) / measured,
-		PPWait:      (cd.waits[phPP] - wd.waits[phPP]) / measured,
-	}
-	for i := range sc.progs {
-		pred.DeviceBytes = max(pred.DeviceBytes, sc.progs[i].peak)
-	}
-	// Every program allocates gather staging above its persistent
-	// bytes, so the peak exceeds capacity exactly when some Alloc does.
-	pred.OOM = pred.DeviceBytes > spec.MemPerGPU
-	// Analytic breakdown for the heaviest stage (the largest block
-	// count; per-block chunk sizes are stage-independent).
-	w4 := w
-	w4.Layers = maxStage
-	pred.Memory = analyticMemory(w4, inner, opts)
-	if pred.OOM {
-		pred.Note = "predicted device memory exceeds capacity"
-	}
+	pred := sc.mem
+	pred.StepTime = (cd.clock - warm) / measured
+	pred.ComputeTime = (cd.compute - wd.compute) / measured
+	pred.GatherWait = (cd.waits[phGather] - wd.waits[phGather]) / measured
+	pred.TPWait = (cd.waits[phTP] - wd.waits[phTP]) / measured
+	pred.RSWait = (cd.waits[phRS] - wd.waits[phRS]) / measured
+	pred.DDPWait = (cd.waits[phDDP] - wd.waits[phDDP]) / measured
+	pred.PPWait = (cd.waits[phPP] - wd.waits[phPP]) / measured
 	return pred
 }

@@ -43,7 +43,7 @@ func BenchmarkBest4Family(b *testing.B) {
 
 // TestRankAllocs: steady-state pricing allocates nothing but what
 // pp's partition and schedule return; the replay's programs, topology
-// and run state live in one scratch per Rank4 pass.
+// and run state live in one scratch per Best4 query.
 func TestRankAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -55,13 +55,13 @@ func TestRankAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Rank4(w, c, cons); err != nil {
+		if _, err := Best4(w, c, cons); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const perCandidate = 16
 	if per := allocs / float64(len(cands)); per > perCandidate {
-		t.Errorf("Rank4 made %.0f allocations over %d candidates (%.1f each, budget %d)",
+		t.Errorf("Best4 made %.0f allocations over %d candidates (%.1f each, budget %d)",
 			allocs, len(cands), per, perCandidate)
 	}
 }
@@ -188,6 +188,84 @@ func TestReplayClassesMatchFullReplay(t *testing.T) {
 	// the refinement actually split some program class.
 	if classes >= ranks || split == 0 {
 		t.Errorf("generator does not exercise the quotient: %d classes for %d ranks, %d refined", classes, ranks, split)
+	}
+}
+
+// TestReplayBoundIsLowerBound: the bound Best4 prunes on never
+// exceeds the step time the replay then predicts — over the seeded
+// triples of TestReplayClassesMatchFullReplay and every candidate of
+// the benchmark's query family — so pruning cannot drop a winner. It
+// is also not vacuous: on the family it prunes more than half of the
+// candidates.
+func TestReplayBoundIsLowerBound(t *testing.T) {
+	var sc replay
+	check := func(w Workload, c ClusterShape, cand Candidate4) (bound, step float64) {
+		t.Helper()
+		if note := sc.build(w, c, cand); note != "" {
+			t.Fatalf("%+v %+v: %s", w, cand, note)
+		}
+		bound, step = sc.bound(math.Inf(1)), sc.run().StepTime
+		if bound > step*(1+boundSlack) {
+			t.Fatalf("%+v %+v on %d nodes: bound %.17g exceeds step time %.17g", w, cand, c.Nodes, bound, step)
+		}
+		return bound, step
+	}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 240; i++ {
+		check(randomTriple(rng))
+	}
+	ws, cs, cons := benchFamily()
+	var cands, pruned int
+	for q := range ws {
+		all, err := Enumerate4(ws[q], cs[q], cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := math.Inf(1)
+		var bounds []float64
+		for _, cand := range all {
+			b, step := check(ws[q], cs[q], cand)
+			best = min(best, step)
+			bounds = append(bounds, b)
+		}
+		for _, b := range bounds {
+			if b > best*(1+boundSlack) {
+				pruned++
+			}
+		}
+		cands += len(all)
+	}
+	if 2*pruned <= cands {
+		t.Errorf("the bound exceeds the best step time on only %d of %d family candidates", pruned, cands)
+	}
+}
+
+// TestReplayBoundTakesTheCheapestRun: the bound is the solo run of the
+// fastest program at the cheaper link class its ranks have. On
+// TP1×PP2×FSDP6 over two nodes, stage 0's FSDP group sits on node 0 and
+// two of its six ranks reach stage 1 over Infinity Fabric; stage 1's
+// FSDP group straddles the nodes. Making Slingshot 1000× dearer must
+// then leave the bound where it was, though the step slows down by
+// orders of magnitude: neither a dearer price nor the slower program
+// may enter it.
+func TestReplayBoundTakesTheCheapestRun(t *testing.T) {
+	w := Workload{Dim: 32, Heads: 4, Layers: 4, Tokens: 16, QKNorm: true, GlobalBatch: 12, Opts: core.DefaultOptions()}
+	cand := Candidate4{Layout: pp.Layout{TP: 1, PP: 2, FSDP: 6, DDP: 1}, Knobs: Knobs{PrefetchDepth: 1}}
+	price := func(c ClusterShape) (bound, step float64) {
+		var sc replay
+		if note := sc.build(w, c, cand); note != "" {
+			t.Fatal(note)
+		}
+		return sc.bound(math.Inf(1)), sc.run().StepTime
+	}
+	c := ScaledShape(2, 1e-3)
+	bound, step := price(c)
+	c.Spec.InterNodeLatency *= 1e3
+	c.Spec.InterNodeBandwidth /= 1e3
+	dearBound, dearStep := price(c)
+	if dearBound != bound || dearStep < 100*step {
+		t.Errorf("Slingshot 1000× dearer: bound %g → %g, step %g → %g; want the bound unmoved and the step 100× slower",
+			bound, dearBound, step, dearStep)
 	}
 }
 
