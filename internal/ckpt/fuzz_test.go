@@ -342,10 +342,10 @@ func FuzzLoadManifest(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte("{}"))
 	f.Add([]byte("{"))
-	f.Add([]byte(`{"version":2,"layout":{"tp":-1,"fsdp":-1,"ddp":1},"flat_lens":[1],"shards":["x"]}`))
-	f.Add([]byte(`{"version":2,"layout":{"tp":1,"fsdp":1,"ddp":1},"flat_lens":[1],"shards":["../../etc/passwd"]}`))
-	f.Add([]byte(`{"version":2,"layout":{"tp":70000,"fsdp":70000,"ddp":1},"flat_lens":[1],"shards":[]}`))
-	f.Add([]byte(`{"version":2,"layout":{"tp":1,"fsdp":1,"ddp":1},"flat_lens":[99999999999],"shards":["s.bin"]}`))
+	f.Add([]byte(`{"version":3,"layout":{"tp":-1,"fsdp":-1,"ddp":1},"flat_lens":[1],"shards":["x"]}`))
+	f.Add([]byte(`{"version":3,"layout":{"tp":1,"fsdp":1,"ddp":1},"flat_lens":[1],"shards":["../../etc/passwd"]}`))
+	f.Add([]byte(`{"version":3,"layout":{"tp":70000,"fsdp":70000,"ddp":1},"flat_lens":[1],"shards":[]}`))
+	f.Add([]byte(`{"version":3,"layout":{"tp":1,"fsdp":1,"ddp":1},"flat_lens":[99999999999],"shards":["s.bin"]}`))
 	f.Add([]byte("ORBS\x02\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff"))
 	// PR-7 digest seeds: manifests carrying shard_crcs that cannot
 	// match (wrong digest, wrong count, absurd values).
@@ -387,6 +387,8 @@ func FuzzLoadManifest(f *testing.F) {
 			FlatLens: []int{8},
 			Step:     1,
 			Shards:   []string{"shard-s1-t0-f0.bin"},
+			// The bytes' true digest, so they reach readShard.
+			ShardCRCs: []uint32{crc32.Checksum(data, castagnoli)},
 		}
 		mj, _ := json.Marshal(man2)
 		if err := os.WriteFile(filepath.Join(dir2, ManifestName), mj, 0o644); err != nil {

@@ -172,6 +172,66 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	})
 }
 
+// TestManifestWithoutDigestsRejected: a manifest must carry the
+// current version and one digest per shard. Stripping the digests —
+// also behind a version downgraded to 2 — must not let a flipped shard
+// byte load as silently wrong moments.
+func TestManifestWithoutDigestsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		version int
+	}{{"stripped digests", int(Version)}, {"v2 stripped digests", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			man, shards := buildShards(1, 2, []int{8})
+			if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{ManifestName, GenManifestName(man.Step)} {
+				var m Manifest
+				data, _ := os.ReadFile(filepath.Join(dir, name))
+				if err := json.Unmarshal(data, &m); err != nil {
+					t.Fatal(err)
+				}
+				m.Version, m.ShardCRCs = tc.version, nil
+				out, _ := json.Marshal(&m)
+				if err := os.WriteFile(filepath.Join(dir, name), out, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shard := filepath.Join(dir, man.Shards[0])
+			data, _ := os.ReadFile(shard)
+			data[len(data)-1] ^= 0x10 // a byte of the last moment value
+			if err := os.WriteFile(shard, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, err := LoadShardedLatestValid(dir)
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("got %T (%v), want *CorruptError", err, err)
+			}
+		})
+	}
+}
+
+// TestShortShardChunkRejected: a chunk shorter than the manifest's flat
+// length implies, behind valid digests, is a corrupt checkpoint — an
+// error at load, not a panic in core.Engine.ImportChunks on resume.
+func TestShortShardChunkRejected(t *testing.T) {
+	dir := t.TempDir()
+	man, shards := buildShards(1, 2, []int{8, 6})
+	blk := &shards[0].Blocks[0]
+	blk.W, blk.M, blk.V = blk.W[1:], blk.M[1:], blk.V[1:]
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := LoadSharded(dir)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("got %T (%v), want *CorruptError", err, err)
+	}
+}
+
 func flipByte(t *testing.T, path string, off int) {
 	t.Helper()
 	data, err := os.ReadFile(path)

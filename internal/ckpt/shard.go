@@ -103,8 +103,9 @@ type Manifest struct {
 	// file names byte-identically).
 	Shards []string `json:"shards"`
 	// ShardCRCs carries the whole-file CRC32C digest of each shard,
-	// aligned with Shards. Written since format version 3; loads of
-	// older manifests (no digests) skip verification.
+	// aligned with Shards. Written since format version 3, the only
+	// version a load accepts: a manifest without a digest per shard is
+	// corrupt.
 	ShardCRCs []uint32 `json:"shard_crcs,omitempty"`
 }
 
@@ -167,9 +168,6 @@ func (m *Manifest) Validate() error {
 		if name == "" || name != filepath.Base(name) || name == "." || name == ".." {
 			return fmt.Errorf("ckpt: shard name %q is not a bare file name", name)
 		}
-	}
-	if len(m.ShardCRCs) != 0 && len(m.ShardCRCs) != len(m.Shards) {
-		return fmt.Errorf("ckpt: %d shard digests for %d shards", len(m.ShardCRCs), len(m.Shards))
 	}
 	return nil
 }
@@ -393,25 +391,25 @@ func readManifest(path string) (*Manifest, error) {
 	if err := json.Unmarshal(manJSON, &man); err != nil {
 		return nil, &CorruptError{Path: path, Section: "manifest", Err: err}
 	}
-	if man.Version < 2 || man.Version > int(Version) {
+	if man.Version != int(Version) {
 		return nil, &CorruptError{Path: path, Section: "manifest",
 			Err: fmt.Errorf("unsupported sharded version %d", man.Version)}
 	}
 	if err := man.Validate(); err != nil {
 		return nil, &CorruptError{Path: path, Section: "manifest", Err: err}
 	}
-	if want := man.Layout.Stages() * man.Layout.TP * man.Layout.FSDP; len(man.Shards) != want {
+	if want := man.Layout.Stages() * man.Layout.TP * man.Layout.FSDP; len(man.Shards) != want || len(man.ShardCRCs) != want {
 		return nil, &CorruptError{Path: path, Section: "manifest",
-			Err: fmt.Errorf("manifest lists %d shards for a %d×%d×%d grid", len(man.Shards), man.Layout.Stages(), man.Layout.TP, man.Layout.FSDP)}
+			Err: fmt.Errorf("manifest lists %d shards and %d digests for a %d×%d×%d grid",
+				len(man.Shards), len(man.ShardCRCs), man.Layout.Stages(), man.Layout.TP, man.Layout.FSDP)}
 	}
 	return &man, nil
 }
 
 // LoadSharded reads a checkpoint directory's committed (newest)
 // generation, returning the manifest and all shards in (T,F) order.
-// Shard digests, when the manifest carries them, are verified before
-// any shard byte is deserialized; corruption anywhere yields a
-// *CorruptError.
+// Every shard digest is verified before any shard byte is
+// deserialized; corruption anywhere yields a *CorruptError.
 func LoadSharded(dir string) (*Manifest, []*RankShard, error) {
 	return loadShardedFrom(dir, ManifestName)
 }
@@ -436,11 +434,9 @@ func loadShardedFrom(dir, manifestFile string) (*Manifest, []*RankShard, error) 
 					// environment.
 					return nil, nil, &CorruptError{Path: path, Section: "shard file", Err: err}
 				}
-				if len(man.ShardCRCs) > 0 {
-					if got := crc32.Checksum(data, castagnoli); got != man.ShardCRCs[i] {
-						return nil, nil, &CorruptError{Path: path, Section: "shard digest",
-							Err: fmt.Errorf("crc32c mismatch: manifest %08x, file %08x", man.ShardCRCs[i], got)}
-					}
+				if got := crc32.Checksum(data, castagnoli); got != man.ShardCRCs[i] {
+					return nil, nil, &CorruptError{Path: path, Section: "shard digest",
+						Err: fmt.Errorf("crc32c mismatch: manifest %08x, file %08x", man.ShardCRCs[i], got)}
 				}
 				sh, err := readShard(bytes.NewReader(data), path)
 				if err != nil {
@@ -457,6 +453,12 @@ func loadShardedFrom(dir, manifestFile string) (*Manifest, []*RankShard, error) 
 				if len(sh.Blocks) != rng[1]-rng[0] {
 					return nil, nil, &CorruptError{Path: path,
 						Err: fmt.Errorf("shard (%d,%d,%d) has %d blocks, stage owns %d", p, t, f, len(sh.Blocks), rng[1]-rng[0])}
+				}
+				for b, blk := range sh.Blocks {
+					if want := PaddedLen(man.FlatLensFor(t)[rng[0]+b], man.Layout.FSDP) / man.Layout.FSDP; len(blk.W) != want {
+						return nil, nil, &CorruptError{Path: path,
+							Err: fmt.Errorf("shard (%d,%d,%d) block %d chunk length %d, want %d", p, t, f, rng[0]+b, len(blk.W), want)}
+					}
 				}
 				shards = append(shards, sh)
 			}

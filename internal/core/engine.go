@@ -77,7 +77,7 @@ type Engine struct {
 	Opts   Options
 	Device *cluster.Device
 
-	blocks      []*parallel.TPBlock
+	blocks      []*nn.TransformerBlock
 	blockParams [][]*nn.Param // views of flatW / flatG at running offsets
 	chunks      []*nn.Param   // rank-owned FSDP chunk per block: [F·n, (F+1)·n) of both
 	flatW       [][]float32   // per block: the TP shard's weights, zero-padded to FSDP·n
@@ -87,7 +87,8 @@ type Engine struct {
 	actBytes    []int64
 	// sets holds the activation sets (UseActivationSet); blocks is the
 	// one Forward, ChargeForward and Backward run on.
-	sets [][]*parallel.TPBlock
+	sets [][]*nn.TransformerBlock
+	qk   bool // the backward sums the QK-norm gradients (QKNorm, TP > 1)
 
 	// What the last compiled pass left live, and the buffer run executes.
 	pass  PassState
@@ -96,6 +97,7 @@ type Engine struct {
 	// parameter gathers prefetch ahead of compute and gradient
 	// reductions drain behind it (paper Sec. III-B "Prefetching").
 	gatherH []comm.Handle
+	tpH     comm.Handle
 	rsH     []comm.Handle
 	ddpH    []comm.Handle
 	// ddpN counts the outer DDP all-reduces per backward (0 without a
@@ -156,7 +158,8 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		if rb.Attn.Heads%layout.TP != 0 {
 			return nil, fmt.Errorf("core: %d heads not divisible by TP size %d", rb.Attn.Heads, layout.TP)
 		}
-		b := parallel.NewTPBlock(e.Coord.T, groups.TP, rb)
+		b := parallel.NewTPBlock(e.Coord.T, layout.TP, rb)
+		e.qk = rb.Attn.QKNorm && layout.TP > 1
 		e.blocks = append(e.blocks, b)
 		params := b.Params()
 		e.blockParams = append(e.blockParams, params)
@@ -188,7 +191,7 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 			}
 		}
 	}
-	e.sets = [][]*parallel.TPBlock{e.blocks}
+	e.sets = [][]*nn.TransformerBlock{e.blocks}
 	e.pass.Reset(len(ref))
 	e.gatherH = make([]comm.Handle, len(ref))
 	e.rsH = make([]comm.Handle, len(ref))
@@ -344,7 +347,7 @@ func (e *Engine) free(bytes int64) {
 // Sec. III-B optimizations exploit). The functional math stays fp32
 // regardless of MixedPrecision; the charge model mirrors that.
 func (e *Engine) chargeCompute(b int, x *tensor.Tensor, mult int64) {
-	if e.Device == nil {
+	if e.Device == nil || mult == 0 {
 		return
 	}
 	dim := e.blocks[b].LN1.Dim
@@ -360,7 +363,7 @@ func (e *Engine) chargeCompute(b int, x *tensor.Tensor, mult int64) {
 // behind compute.
 func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	e.steps = AppendForward(e.steps[:0], e.Opts, &e.pass, true)
-	return e.run(x)
+	return e.run(x, true)
 }
 
 // ChargeForward is Forward without the arithmetic: the same gathers
@@ -373,10 +376,8 @@ func (e *Engine) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 // math) instead of three.
 func (e *Engine) ChargeForward(x *tensor.Tensor) error {
 	e.steps = AppendForward(e.steps[:0], e.Opts, &e.pass, false)
-	if _, err := e.run(x); err != nil {
-		return err
-	}
-	return nil
+	_, err := e.run(x, false)
+	return err
 }
 
 // Backward propagates dy through the stack in reverse: per block it
@@ -389,13 +390,15 @@ func (e *Engine) ChargeForward(x *tensor.Tensor) error {
 // complete when Backward returns. The recompute is never re-run on the
 // host: the active set's caches already hold what it would reproduce.
 func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
-	e.steps = AppendBackward(e.steps[:0], e.Opts, &e.pass, e.ddpN)
-	return e.run(dy)
+	e.steps = AppendBackward(e.steps[:0], e.Opts, &e.pass, e.ddpN, e.qk)
+	return e.run(dy, true)
 }
 
 // run executes the compiled pass in e.steps, threading x — the
 // activation forward, the gradient backward — through the blocks.
-func (e *Engine) run(x *tensor.Tensor) (*tensor.Tensor, error) {
+// Without compute no half runs and no join: the TP all-reduces post x
+// with no destination, so only the clocks move.
+func (e *Engine) run(x *tensor.Tensor, compute bool) (*tensor.Tensor, error) {
 	for _, s := range e.steps {
 		b := s.Block
 		switch s.Op {
@@ -414,17 +417,27 @@ func (e *Engine) run(x *tensor.Tensor) (*tensor.Tensor, error) {
 			}
 		case StepDrop:
 			e.free(e.actBytes[b])
-		case StepForward:
+		case StepCompute:
 			e.chargeCompute(b, x, s.Mult)
-			x = e.blocks[b].Forward(x)
-		case StepRecompute:
-			e.chargeCompute(b, x, s.Mult)
-			e.blocks[b].ChargeForward(x)
-		case StepBackward:
-			e.chargeCompute(b, x, s.Mult)
-			clear(e.flatG[b]) // every parameter gradient of the block, and the chunk's
-			x = e.blocks[b].Backward(x)
-			// In place: the rank's chunk gradient is its own slot of flatG[b].
+			if compute {
+				if s.Half == 2 {
+					clear(e.flatG[b]) // every parameter gradient of the block, and the chunk's
+				}
+				e.blocks[b].Half(int(s.Half), x)
+			}
+		case StepPostTP:
+			buf, dst := x.Data(), []float32(nil)
+			if compute {
+				buf = e.blocks[b].Partial(int(s.Half))
+				dst = buf
+			}
+			e.tpH = e.Groups.TP.IAllReduceSum(e.Coord.T, buf, dst)
+		case StepAwaitTP:
+			e.tpH.Wait()
+			if compute {
+				x = e.blocks[b].Join(int(s.Half))
+			}
+		case StepPostRS: // in place: the rank's chunk gradient is its own slot of flatG[b]
 			e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.chunks[b].Grad.Data())
 		case StepAwaitRS:
 			e.rsH[b].Wait()
@@ -466,7 +479,7 @@ func (e *Engine) ddpSpan(i int) ([]float32, []*nn.Param) {
 // set of its own until that micro-batch's backward.
 func (e *Engine) UseActivationSet(k int) {
 	for len(e.sets) <= k {
-		set := make([]*parallel.TPBlock, len(e.blocks))
+		set := make([]*nn.TransformerBlock, len(e.blocks))
 		for b, blk := range e.sets[0] {
 			set[b] = blk.Twin()
 		}

@@ -6,6 +6,7 @@ import (
 
 	"orbit/internal/cluster"
 	"orbit/internal/comm"
+	"orbit/internal/nn"
 	"orbit/internal/parallel"
 	"orbit/internal/tensor"
 	"orbit/internal/vit"
@@ -14,19 +15,19 @@ import (
 // TPForecaster runs a model's transformer trunk tensor-parallel over a
 // simulated cluster group, forward-only: the serving path for models
 // whose weights do not fit one device. Each TP rank owns the Megatron
-// column/row shard of every block (parallel.TPBlock) with no gradient
-// accumulators; the stem and head — a small fraction of the weights —
-// run replicated on the driver through a forward-only model replica.
-// Block outputs are all-reduced inside TPBlock.Forward, so every rank
-// holds the full activations and the driver's rank-0 stream feeds the
-// head.
+// column/row shard of every block (parallel.NewTPBlock) with no
+// gradient accumulators; the stem and head — a small fraction of the
+// weights — run replicated on the driver through a forward-only model
+// replica. Each block half's partial output is all-reduced before its
+// residual join, so every rank holds the full activations and the
+// driver's rank-0 stream feeds the head.
 type TPForecaster struct {
 	TP int
 
 	rep     *vit.Model // forward-only stem+head replica
 	machine *cluster.Machine
 	group   *comm.Group
-	ranks   [][]*parallel.TPBlock // [rank][layer]
+	ranks   [][]*nn.TransformerBlock // [rank][layer]
 
 	mu   sync.Mutex // one forward at a time through the shared group
 	outs []*tensor.Tensor
@@ -49,10 +50,10 @@ func NewTPForecaster(m *vit.Model, tp int) (*TPForecaster, error) {
 		machine: cluster.NewMachine(spec, 1, tp),
 	}
 	f.group = comm.NewGroup(f.machine.Devices[:tp])
-	f.ranks = make([][]*parallel.TPBlock, tp)
+	f.ranks = make([][]*nn.TransformerBlock, tp)
 	for r := 0; r < tp; r++ {
 		for _, ref := range m.Blocks {
-			b := parallel.NewTPBlock(r, f.group, ref)
+			b := parallel.NewTPBlock(r, tp, ref)
 			// Forward-only: drop the shard gradient mirrors.
 			for _, p := range b.Params() {
 				p.Grad = nil
@@ -112,7 +113,7 @@ func (f *TPForecaster) Forward(x *tensor.Tensor, leadHours float64) *tensor.Tens
 	tok = f.rep.Lead.ForwardWithLead(tok, leadHours)
 
 	// SPMD over the TP group: every rank walks its shard of the block
-	// stack; the per-block all-reduces rendezvous inside Forward.
+	// stack, summing each half's partial across the group in place.
 	var wg sync.WaitGroup
 	for r := 0; r < f.TP; r++ {
 		wg.Add(1)
@@ -120,7 +121,12 @@ func (f *TPForecaster) Forward(x *tensor.Tensor, leadHours float64) *tensor.Tens
 			defer wg.Done()
 			h := tok
 			for _, b := range f.ranks[r] {
-				h = b.Forward(h)
+				for k := 0; k < 2; k++ {
+					b.Half(k, h)
+					p := b.Partial(k)
+					f.group.AllReduceSumInto(r, p, p)
+					h = b.Join(k)
+				}
 			}
 			f.outs[r] = h
 		}(r)

@@ -46,15 +46,19 @@ func (m *MLP) Params() []*Param {
 }
 
 // TransformerBlock is one pre-norm transformer layer:
-// x = x + Attn(LN1(x)); x = x + MLP(LN2(x)).
+// x = x + Attn(LN1(x)); x = x + MLP(LN2(x)). A tensor-parallel shard
+// (parallel.NewTPBlock) is this type over cut weights: each sub-layer
+// then yields a partial sum its TP group adds up between Half and Join.
 type TransformerBlock struct {
 	LN1  *LayerNorm
 	Attn *MultiHeadAttention
 	LN2  *LayerNorm
 	MLP  *MLP
 
-	h, out *tensor.Tensor // owned residual-sum buffers
-	dh, dx *tensor.Tensor // owned backward buffers
+	in   *tensor.Tensor    // the running half's input, then its join's result
+	part *tensor.Tensor    // the running half's output
+	res  [4]*tensor.Tensor // owned results of Join 0–3: h, out, dh, dx
+	qk   []float32         // packed QK-norm gradients, Partial(4)
 }
 
 // NewTransformerBlock builds a block with hidden = 4×dim, matching the
@@ -70,18 +74,81 @@ func NewTransformerBlock(name string, dim, heads int, qkNorm bool, rng *tensor.R
 
 // Forward applies the block to a token sequence [T, D].
 func (b *TransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	b.h = tensor.Ensure(b.h, x.Shape()...)
-	tensor.AddInto(b.h, x, b.Attn.Forward(b.LN1.Forward(x)))
-	b.out = tensor.Ensure(b.out, x.Shape()...)
-	return tensor.AddInto(b.out, b.h, b.MLP.Forward(b.LN2.Forward(b.h)))
+	for h := 0; h < 2; h++ {
+		b.Half(h, x)
+		x = b.Join(h)
+	}
+	return x
 }
 
 // Backward propagates through both residual branches.
 func (b *TransformerBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	b.dh = tensor.Ensure(b.dh, dy.Shape()...)
-	tensor.AddInto(b.dh, dy, b.LN2.Backward(b.MLP.Backward(dy)))
-	b.dx = tensor.Ensure(b.dx, dy.Shape()...)
-	return tensor.AddInto(b.dx, b.dh, b.LN1.Backward(b.Attn.Backward(b.dh)))
+	for h := 2; h < 4; h++ {
+		b.Half(h, dy)
+		dy = b.Join(h)
+	}
+	return dy
+}
+
+// Half runs sub-layer h on x: 0 the attention forward, 1 the MLP
+// forward, 2 the MLP backward, 3 the attention backward. Its output
+// waits in Partial(h) for Join(h).
+func (b *TransformerBlock) Half(h int, x *tensor.Tensor) {
+	b.in = x
+	switch h {
+	case 0:
+		b.part = b.Attn.Forward(b.LN1.Forward(x))
+	case 1:
+		b.part = b.MLP.Forward(b.LN2.Forward(x))
+	case 2:
+		b.part = b.MLP.Backward(x)
+	case 3:
+		b.part = b.Attn.Backward(x)
+	}
+}
+
+// Partial returns the buffer a shard's TP group sums in place before
+// Join(h): half h's output, or for h = 4 the QK-norm parameter
+// gradients packed into one buffer (replicated parameters, but each
+// rank accumulates only its own heads' share; LN1 and LN2 see
+// replicated activations and need no sum).
+func (b *TransformerBlock) Partial(h int) []float32 {
+	if h < 4 {
+		return b.part.Data()
+	}
+	b.qk = b.qk[:0]
+	for _, g := range b.qkGrads() {
+		b.qk = append(b.qk, g.Data()...)
+	}
+	return b.qk
+}
+
+// Join completes half h: it adds the residual — through LN2 / LN1's
+// backward in halves 2 / 3 — into a block-owned buffer, valid until
+// the next Join(h), and returns it. Join(4) unpacks Partial(4) into the
+// QK-norm gradients and returns the last join's result unchanged.
+func (b *TransformerBlock) Join(h int) *tensor.Tensor {
+	p := b.part
+	switch h {
+	case 2:
+		p = b.LN2.Backward(p)
+	case 3:
+		p = b.LN1.Backward(p)
+	case 4:
+		off := 0
+		for _, g := range b.qkGrads() {
+			off += copy(g.Data(), b.qk[off:])
+		}
+		return b.in
+	}
+	b.res[h] = tensor.Ensure(b.res[h], b.in.Shape()...)
+	b.in = tensor.AddInto(b.res[h], b.in, p)
+	return b.in
+}
+
+func (b *TransformerBlock) qkGrads() [4]*tensor.Tensor {
+	q, k := b.Attn.QNorm, b.Attn.KNorm
+	return [4]*tensor.Tensor{q.Gamma.Grad, q.Beta.Grad, k.Gamma.Grad, k.Beta.Grad}
 }
 
 // Params returns all block parameters.
@@ -91,4 +158,28 @@ func (b *TransformerBlock) Params() []*Param {
 	ps = append(ps, b.LN2.Params()...)
 	ps = append(ps, b.MLP.Params()...)
 	return ps
+}
+
+// Twin returns a block over b's parameters — the same Params, so the
+// same weights and gradient accumulators — with caches of its own: one
+// micro-batch can run forward through the twin while b still holds
+// another's activations for its backward.
+func (b *TransformerBlock) Twin() *TransformerBlock {
+	a := b.Attn
+	return &TransformerBlock{LN1: twinNorm(b.LN1), LN2: twinNorm(b.LN2),
+		Attn: &MultiHeadAttention{Dim: a.Dim, Heads: a.Heads, HeadDim: a.HeadDim, QKNorm: a.QKNorm,
+			WQ: twinLinear(a.WQ), WK: twinLinear(a.WK), WV: twinLinear(a.WV), WO: twinLinear(a.WO),
+			QNorm: twinNorm(a.QNorm), KNorm: twinNorm(a.KNorm)},
+		MLP: &MLP{FC1: twinLinear(b.MLP.FC1), FC2: twinLinear(b.MLP.FC2)}}
+}
+
+func twinLinear(l *Linear) *Linear {
+	return &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias}
+}
+
+func twinNorm(l *LayerNorm) *LayerNorm {
+	if l == nil {
+		return nil
+	}
+	return &LayerNorm{Dim: l.Dim, Eps: l.Eps, Gamma: l.Gamma, Beta: l.Beta}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"orbit/internal/tensor"
@@ -235,6 +236,58 @@ func TestTransformerBlockPreservesShape(t *testing.T) {
 	y := b.Forward(x)
 	if !y.SameShape(x) {
 		t.Fatalf("block changed shape %v -> %v", x.Shape(), y.Shape())
+	}
+}
+
+// A twin shares its block's parameters and keeps caches of its own:
+// two micro-batches interleaved over a block and its twin (forward 0,
+// forward 1, backward 0, backward 1) give the bits of one block running
+// them one after the other, gradients included. A module field Twin
+// failed to carry over would compute set 1 differently from set 0.
+// A tensor-parallel shard is this type, so the same holds for it.
+func TestTransformerBlockTwinMatchesBlock(t *testing.T) {
+	bits := func(ts ...*tensor.Tensor) []uint32 {
+		var out []uint32
+		for _, t := range ts {
+			for _, v := range t.Data() {
+				out = append(out, math.Float32bits(v))
+			}
+		}
+		return out
+	}
+	for _, qkNorm := range []bool{false, true} {
+		rng := tensor.NewRNG(42)
+		xs := [2]*tensor.Tensor{tensor.Randn(rng, 1, 6, 8), tensor.Randn(rng, 1, 6, 8)}
+		dys := [2]*tensor.Tensor{tensor.Randn(rng, 1, 6, 8), tensor.Randn(rng, 1, 6, 8)}
+		// run returns the outputs, input gradients and accumulated
+		// parameter gradients, in bits.
+		run := func(twin bool) []uint32 {
+			b := NewTransformerBlock("ref", 8, 2, qkNorm, tensor.NewRNG(41))
+			var ys, dxs [2]*tensor.Tensor
+			if twin {
+				tw := b.Twin()
+				if !slices.Equal(tw.Params(), b.Params()) {
+					t.Errorf("qkNorm=%v: twin does not share the block's params", qkNorm)
+				}
+				ys[0] = b.Forward(xs[0]).Clone()
+				ys[1] = tw.Forward(xs[1]).Clone()
+				dxs[0] = b.Backward(dys[0]).Clone()
+				dxs[1] = tw.Backward(dys[1]).Clone()
+			} else {
+				for i := range xs {
+					ys[i] = b.Forward(xs[i]).Clone()
+					dxs[i] = b.Backward(dys[i]).Clone()
+				}
+			}
+			out := bits(ys[0], ys[1], dxs[0], dxs[1])
+			for _, p := range b.Params() {
+				out = append(out, bits(p.Grad)...)
+			}
+			return out
+		}
+		if !slices.Equal(run(true), run(false)) {
+			t.Errorf("qkNorm=%v: block + twin differ from one block in bits", qkNorm)
+		}
 	}
 }
 

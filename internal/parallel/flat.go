@@ -1,18 +1,17 @@
 // Package parallel holds the two building blocks Hybrid-STOP shares
 // with everything else that touches a sharded transformer: the
-// Megatron-style tensor-parallel block (tp.go) and the flat-parameter
+// Megatron-style tensor-parallel cut (tp.go) and the flat-parameter
 // helpers (this file) that pack a parameter list into the zero-padded
 // vector FSDP chunks are cut from. internal/core composes them into
 // the TP×FSDP×DDP engine, internal/infer serves TP shards with them,
 // and internal/plan counts the same shard sizes.
 //
-// A TP shard has no forward or backward of its own: it is an
-// nn.MultiHeadAttention over H/K heads and an nn.MLP built from
-// column/row cuts of the reference weights (the paper's Eqn. 2), so a
-// layer's arithmetic is defined once, in package nn. TPBlock owns only
-// what is tensor-parallel: the shard constructor (which rank carries
-// the unsharded output biases), the four all-reduces per block per
-// step, and the packed reduction of the replicated QK-norm gradients.
+// A TP shard has no forward or backward of its own: NewTPBlock builds
+// an nn.TransformerBlock over column/row cuts of the reference weights
+// (the paper's Eqn. 2; rank 0 carries the unsharded output biases), so
+// a layer's arithmetic is defined once, in package nn. Its all-reduces
+// are not here either: the block exposes each half's partial sum, and
+// core's stage pass orders the collectives around them.
 //
 // The baselines the paper compares against (Sec. II "State of the
 // Art") are not engines of their own: they are corners of the one rank

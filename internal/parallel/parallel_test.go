@@ -91,6 +91,23 @@ func testBatch(seed uint64, n int) (xs, targets []*tensor.Tensor) {
 
 // --- Tensor parallelism ---
 
+// tpHalves runs halves first and first+1 of rank's shard b as the
+// engine's stage pass orders them: each half, the group's in-place
+// all-reduce of its partial, the join — and before the attention
+// backward's all-reduce that of the packed QK-norm gradients.
+func tpHalves(b *nn.TransformerBlock, g *comm.Group, rank, first int, x *tensor.Tensor) *tensor.Tensor {
+	for h := first; h < first+2; h++ {
+		b.Half(h, x)
+		if h == 3 && b.Attn.QKNorm && g.Size() > 1 {
+			g.AllReduceSumInto(rank, b.Partial(4), b.Partial(4))
+			b.Join(4)
+		}
+		g.AllReduceSumInto(rank, b.Partial(h), b.Partial(h))
+		x = b.Join(h)
+	}
+	return x
+}
+
 func TestTPBlockMatchesSerial(t *testing.T) {
 	for _, tp := range []int{1, 2} {
 		serial := buildStack(21)
@@ -101,12 +118,12 @@ func TestTPBlockMatchesSerial(t *testing.T) {
 		serialLoss := serialForwardBackward(serial, xs, targets)
 
 		// Fresh reference (serialForwardBackward mutated grads only).
-		blocks := make([][]*TPBlock, tp)
+		blocks := make([][]*nn.TransformerBlock, tp)
 		for r := 0; r < tp; r++ {
 			ref := buildStack(21)
-			blocks[r] = make([]*TPBlock, testLayers)
+			blocks[r] = make([]*nn.TransformerBlock, testLayers)
 			for i := range ref {
-				blocks[r][i] = NewTPBlock(r, g, ref[i])
+				blocks[r][i] = NewTPBlock(r, tp, ref[i])
 				b := blocks[r][i]
 				// The row-parallel output biases live on rank 0 alone.
 				if (b.Attn.WO.Bias == nil) != (r > 0) || (b.MLP.FC2.Bias == nil) != (r > 0) {
@@ -134,13 +151,13 @@ func TestTPBlockMatchesSerial(t *testing.T) {
 		runSPMD(tp, func(rank int) {
 			h := xs[0]
 			for _, b := range blocks[rank] {
-				h = b.Forward(h)
+				h = tpHalves(b, g, rank, 0, h)
 			}
 			loss, grad := mseLoss(h, targets[0])
 			losses[rank] = loss
 			dy := grad
 			for i := testLayers - 1; i >= 0; i-- {
-				dy = blocks[rank][i].Backward(dy)
+				dy = tpHalves(blocks[rank][i], g, rank, 2, dy)
 			}
 			dxs[rank] = dy
 		})
@@ -186,21 +203,21 @@ func TestTPShardGradientsMatchSerialShards(t *testing.T) {
 
 	m := cluster.NewMachine(cluster.Frontier(), 1, tp)
 	g := comm.NewGroup(m.Devices)
-	blocks := make([][]*TPBlock, tp)
+	blocks := make([][]*nn.TransformerBlock, tp)
 	for r := 0; r < tp; r++ {
 		ref := buildStack(31)
-		blocks[r] = []*TPBlock{NewTPBlock(r, g, ref[0]), NewTPBlock(r, g, ref[1])}
+		blocks[r] = []*nn.TransformerBlock{NewTPBlock(r, tp, ref[0]), NewTPBlock(r, tp, ref[1])}
 	}
 	runSPMD(tp, func(rank int) {
 		h := xs[0]
 		for _, b := range blocks[rank] {
-			h = b.Forward(h)
+			h = tpHalves(b, g, rank, 0, h)
 		}
 		_, grad := mseLoss(h, targets[0])
 		grad.ScaleInPlace(1) // batch of one: serial averaging is a no-op
 		dy := grad
 		for i := testLayers - 1; i >= 0; i-- {
-			dy = blocks[rank][i].Backward(dy)
+			dy = tpHalves(blocks[rank][i], g, rank, 2, dy)
 		}
 	})
 
@@ -221,65 +238,6 @@ func TestTPShardGradientsMatchSerialShards(t *testing.T) {
 		gotLN := blocks[r][0].LN1.Gamma.Grad
 		if !tensor.AllClose(gotLN, wantLN, 1e-3, 1e-4) {
 			t.Errorf("rank %d LN1 grad mismatch", r)
-		}
-	}
-}
-
-// A twin shares its block's parameters and keeps caches of its own:
-// two micro-batches interleaved over a block and its twin (forward 0,
-// forward 1, backward 0, backward 1) give the bits of one block running
-// them one after the other, gradients included. A module field Twin
-// failed to carry over would compute set 1 differently from set 0.
-func TestTPBlockTwinMatchesBlock(t *testing.T) {
-	bits := func(ts ...*tensor.Tensor) []uint32 {
-		var out []uint32
-		for _, t := range ts {
-			for _, v := range t.Data() {
-				out = append(out, math.Float32bits(v))
-			}
-		}
-		return out
-	}
-	for _, qkNorm := range []bool{false, true} {
-		for _, tp := range []int{1, 2} {
-			ref := nn.NewTransformerBlock("ref", testDim, testHeads, qkNorm, tensor.NewRNG(41))
-			xs, dys := testBatch(42, 2)
-			g := comm.NewGroup(cluster.NewMachine(cluster.Frontier(), 1, tp).Devices)
-			// run returns each rank's outputs, input gradients and
-			// accumulated parameter gradients, in bits.
-			run := func(twin bool) [][]uint32 {
-				out := make([][]uint32, tp)
-				runSPMD(tp, func(rank int) {
-					b := NewTPBlock(rank, g, ref)
-					var ys, dxs [2]*tensor.Tensor
-					if twin {
-						tw := b.Twin()
-						if !slices.Equal(tw.Params(), b.Params()) {
-							t.Errorf("qkNorm=%v tp=%d rank %d: twin does not share the block's params", qkNorm, tp, rank)
-						}
-						ys[0] = b.Forward(xs[0]).Clone()
-						ys[1] = tw.Forward(xs[1]).Clone()
-						dxs[0] = b.Backward(dys[0]).Clone()
-						dxs[1] = tw.Backward(dys[1]).Clone()
-					} else {
-						for i := range xs {
-							ys[i] = b.Forward(xs[i]).Clone()
-							dxs[i] = b.Backward(dys[i]).Clone()
-						}
-					}
-					out[rank] = bits(ys[0], ys[1], dxs[0], dxs[1])
-					for _, p := range b.Params() {
-						out[rank] = append(out[rank], bits(p.Grad)...)
-					}
-				})
-				return out
-			}
-			want, got := run(false), run(true)
-			for r := range tp {
-				if !slices.Equal(got[r], want[r]) {
-					t.Errorf("qkNorm=%v tp=%d rank %d: block + twin differ from one block in bits", qkNorm, tp, r)
-				}
-			}
 		}
 	}
 }

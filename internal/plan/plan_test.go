@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"orbit/internal/comm"
 	"orbit/internal/core"
 	"orbit/internal/nn"
 	"orbit/internal/parallel"
@@ -34,7 +33,7 @@ func TestShardNumel(t *testing.T) {
 			ref := nn.NewTransformerBlock("ref", cfg.dim, cfg.heads, qk, tensor.NewRNG(3))
 			for tp := 1; tp <= cfg.heads; tp *= 2 {
 				for rank := 0; rank < tp; rank++ {
-					blk := parallel.NewTPBlock(rank, newTestGroup(tp), ref)
+					blk := parallel.NewTPBlock(rank, tp, ref)
 					got := 0
 					for _, p := range blk.Params() {
 						got += p.W.Len()
@@ -55,13 +54,6 @@ func TestShardNumel(t *testing.T) {
 			}
 		}
 	}
-}
-
-// newTestGroup builds a TP communicator over one node for shard
-// construction (costs irrelevant here).
-func newTestGroup(size int) *comm.Group {
-	m := Shape(1).Machine()
-	return comm.NewGroup(m.Devices[:size])
 }
 
 // TestEnumerateConstraints checks the structural rules of the search

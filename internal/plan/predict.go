@@ -20,7 +20,8 @@ import (
 // comm.Link.Cost over its group's link class and completes by
 // comm.Rendezvous.Post; compute takes cluster.Spec.ComputeSeconds;
 // device bytes come from core.ParamBytes, core.ActivationBytes and
-// parallel.Padded. A program is step-invariant because every gather
+// parallel.Padded; the stage pass, TP all-reduces included, is core's
+// compiled step list. A program is step-invariant because every gather
 // buffer is released and every post waited by the end of a step. The
 // identity partition (replay.identity) is the full per-rank replay
 // through the same code; tests use it as the reference.
@@ -115,12 +116,6 @@ func (p *program) wait(role uint8, seq int32, phase uint8) {
 	p.instrs = append(p.instrs, instr{op: opWait, role: role, seq: seq, phase: phase})
 }
 
-// sync is a post immediately followed by its wait (the synchronous
-// destination-passing collectives the TP block uses).
-func (p *program) sync(slot, phase uint8) {
-	p.wait(p.slots[slot].role, p.post(slot), phase)
-}
-
 func (p *program) compute(sec float64) {
 	p.instrs = append(p.instrs, instr{op: opCompute, sec: sec})
 }
@@ -152,16 +147,18 @@ type progCtx struct {
 	pass                         core.PassState
 	steps                        []core.Step // the four compiled passes, see buildStep4
 	gatherSeq, rsSeq, ddpSeq     []int32
+	tpSeq                        int32   // the TP all-reduce in flight
 	sends                        []instr // deferred send waits
 	gatherBytes, actBytes        int64
 	flops                        int64 // one block forward's FLOPs
 }
 
 // lower appends the replay instructions of a pass compiled by core: a
-// collective's post and wait, a block's compute charge and synchronous TP
-// all-reduces, device Alloc / Free folded into the high-water mark.
+// collective's post and wait, a block's compute charge, device Alloc /
+// Free folded into the high-water mark.
 func (pc *progCtx) lower(steps []core.Step) {
-	for _, s := range steps {
+	for i := range steps {
+		s := &steps[i] // not a copy: this loop is the replay's hottest
 		switch s.Op {
 		case core.StepGather:
 			pc.alloc(pc.gatherBytes)
@@ -174,17 +171,19 @@ func (pc *progCtx) lower(steps []core.Step) {
 			pc.alloc(pc.actBytes)
 		case core.StepDrop:
 			pc.free(pc.actBytes)
-		case core.StepForward, core.StepRecompute:
-			pc.compute(pc.spec.ComputeSeconds(s.Mult * pc.flops))
-			pc.sync(pc.ar, phTP) // attention partial sum
-			pc.sync(pc.ar, phTP) // MLP partial sum
-		case core.StepBackward:
-			pc.compute(pc.spec.ComputeSeconds(s.Mult * pc.flops))
-			pc.sync(pc.ar, phTP) // MLP input-gradient sum
-			if pc.qk != noSlot {
-				pc.sync(pc.qk, phTP) // packed QK-norm grads
+		case core.StepCompute:
+			if s.Mult > 0 {
+				pc.compute(pc.spec.ComputeSeconds(s.Mult * pc.flops))
 			}
-			pc.sync(pc.ar, phTP) // attention input-gradient sum
+		case core.StepPostTP:
+			slot := pc.ar
+			if s.Half == 4 {
+				slot = pc.qk // the packed QK-norm grads
+			}
+			pc.tpSeq = pc.post(slot)
+		case core.StepAwaitTP:
+			pc.wait(roleTP, pc.tpSeq, phTP)
+		case core.StepPostRS:
 			pc.rsSeq[s.Block] = pc.post(pc.rs)
 		case core.StepAwaitRS:
 			pc.wait(roleFSDP, pc.rsSeq[s.Block], phRS)
@@ -200,7 +199,7 @@ func (pc *progCtx) lower(steps []core.Step) {
 // its wait to the end of the step. Both are no-ops on a missing link.
 func (pc *progCtx) recv(slot uint8) {
 	if slot != noSlot {
-		pc.sync(slot, phPP)
+		pc.wait(pc.slots[slot].role, pc.post(slot), phPP)
 	}
 }
 
@@ -218,11 +217,12 @@ func (pc *progCtx) send(slot uint8) {
 // TestStagePassInvariants holds the compiler to that), so each of the
 // four kinds is compiled once, in an order that reaches it.
 func (pc *progCtx) buildStep4(sched []pp.Op, L int) {
-	pc.steps = slices.Grow(pc.steps[:0], 4*(6*L+2*len(pc.ddp))) // a backward, the longest pass, is ≤ 6L+2ddp
+	pc.steps = slices.Grow(pc.steps[:0], 4*(14*L+2*len(pc.ddp))) // a backward, the longest pass, is ≤ 14L+2ddp
+	qk := pc.qk != noSlot
 	fwd := core.AppendForward(pc.steps, pc.opts, &pc.pass, true)
-	bwd := core.AppendBackward(fwd[len(fwd):], pc.opts, &pc.pass, len(pc.ddp))
+	bwd := core.AppendBackward(fwd[len(fwd):], pc.opts, &pc.pass, len(pc.ddp), qk)
 	rec := core.AppendForward(bwd[len(bwd):], pc.opts, &pc.pass, false)
-	bwdRec := core.AppendBackward(rec[len(rec):], pc.opts, &pc.pass, len(pc.ddp))
+	bwdRec := core.AppendBackward(rec[len(rec):], pc.opts, &pc.pass, len(pc.ddp), qk)
 	pc.sends = pc.sends[:0]
 	for _, op := range sched {
 		switch op.Kind {
