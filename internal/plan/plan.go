@@ -71,13 +71,16 @@
 //
 // # Choosing a plan
 //
-// Best4 replays only the candidates that can win. In enumeration order
-// it drops those that cannot run or would OOM, known once their programs
-// compile, and those whose lower bound — the shortest solo run of any
-// compiled program, each collective at the cheapest price its ranks pay
-// and no partner to wait for — exceeds the best step time so far. Every
-// rank spends at least its program's solo run on each step, so no plan
-// that could win is dropped.
+// Best4 first bounds every candidate from its header alone — stages,
+// schedules and topology, no program compiled (replay.preBound); the
+// bound is +Inf when persistent bytes alone overflow the device. It
+// then walks them best bound first, stops at the first bound above the
+// best step time so far, and compiles only what it reaches; a compiled
+// candidate that would OOM, or whose solo-run bound (replay.bound) is
+// above that step time, is not replayed. Neither bound drops a plan
+// that could win: every rank spends at least its program's solo run on
+// each step — each collective at the cheapest price its ranks pay, no
+// partner to wait for — and the pre-compile bound is at most that run.
 //
 // # Key types
 //
@@ -96,6 +99,8 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
@@ -233,21 +238,6 @@ var (
 	DefaultBucketBytes    = []int{0, 1 << 20}
 )
 
-// microBatches derives the per-data-rank micro-batch count a layout
-// implies — the elastic trainer's contract: the global batch is fixed
-// and must divide evenly over the FSDP·DDP data ranks. Predict4 and
-// Simulate4 both derive the count from the workload (never from the
-// informational Knobs.MicroBatches field), so a hand-built candidate
-// cannot make them disagree.
-func microBatches(w Workload, layout core.Layout) (int, error) {
-	dataRanks := layout.FSDP * layout.DDP
-	if w.GlobalBatch%dataRanks != 0 {
-		return 0, fmt.Errorf("plan: global batch %d not divisible by %d data ranks (FSDP %d × DDP %d)",
-			w.GlobalBatch, dataRanks, layout.FSDP, layout.DDP)
-	}
-	return w.GlobalBatch / dataRanks, nil
-}
-
 // Plan4 is a priced candidate.
 type Plan4 struct {
 	Candidate4
@@ -263,6 +253,20 @@ func (p Plan4) Explain() string {
 		return fmt.Sprintf("plan: %v", err)
 	}
 	return string(b)
+}
+
+// MarshalJSON writes the +Inf StepTime of a candidate that cannot run
+// as null, since JSON has no infinity.
+func (p Prediction) MarshalJSON() ([]byte, error) {
+	type plain Prediction // the fields without this method
+	v := struct {
+		StepTime *float64 `json:"step_time_s"` // shadows plain's
+		plain
+	}{&p.StepTime, plain(p)}
+	if math.IsInf(p.StepTime, 0) {
+		v.StepTime = nil
+	}
+	return json.Marshal(v)
 }
 
 // String is a compact human-readable summary.
@@ -362,34 +366,53 @@ func ahead(a, b Plan4) bool {
 // candidate whose bound ties the incumbent's at rounding level.
 const boundSlack = 1e-9
 
-// Best4 returns the plan no candidate is ahead of (the first among
-// equals). It replays only candidates whose bound (replay.bound) does
-// not exceed the incumbent's step time. That is sound: the rank with the
-// latest clock after the warm-up step runs its program twice in the
-// measured steps, each time for at least the program's solo run, since
-// every post is waited in its step and completes no earlier than the
-// rank's own post and earlier collectives on that stream plus the
-// cheapest price.
+// Best4 returns the plan no candidate is ahead of, the first in
+// enumeration order among equals (see "Choosing a plan").
 func Best4(w Workload, c ClusterShape, cons Constraints) (Plan4, error) {
 	cands, err := Enumerate4(w, c, cons)
 	if err != nil {
 		return Plan4{}, err
 	}
 	var sc replay // one scratch for the whole search
-	var best Plan4
-	found := false
-	for _, cand := range cands {
-		if sc.build(w, c, cand) != "" || sc.mem.OOM {
-			continue
-		}
-		if limit := best.Pred.StepTime * (1 + boundSlack); found && sc.bound(limit) > limit {
-			continue
-		}
-		if p := (Plan4{Candidate4: cand, Pred: sc.run()}); !p.Pred.OOM && (!found || ahead(p, best)) {
-			best, found = p, true
+	order := make([]bounded, 0, len(cands))
+	for i, cand := range cands {
+		if sc.header(w, c, cand) == "" { // a +Inf bound (persistent bytes alone overflow) sorts last
+			order = append(order, bounded{sc.preBound(), i})
 		}
 	}
-	if !found {
+	slices.SortFunc(order, func(a, b bounded) int { return cmp.Or(cmp.Compare(a.pre, b.pre), cmp.Compare(a.i, b.i)) })
+	return sc.walk(w, c, cands, order)
+}
+
+// bounded is candidate i of an enumeration with a lower bound on its
+// step time.
+type bounded struct {
+	pre float64
+	i   int
+}
+
+// walk visits candidates in order, ascending in pre, until a bound
+// exceeds the incumbent's step time. A plan replaces the incumbent if it
+// is ahead, or equal and earlier in enumeration, so the order in which
+// walk meets equals does not matter.
+func (sc *replay) walk(w Workload, c ClusterShape, cands []Candidate4, order []bounded) (Plan4, error) {
+	var best Plan4
+	at := -1 // best's enumeration index
+	for _, b := range order {
+		limit := best.Pred.StepTime * (1 + boundSlack)
+		if at >= 0 && b.pre > limit {
+			break
+		}
+		sc.header(w, c, cands[b.i])
+		if sc.compile(); sc.mem.OOM || at >= 0 && sc.bound(limit) > limit {
+			continue
+		}
+		p := Plan4{Candidate4: cands[b.i], Pred: sc.run()}
+		if !p.Pred.OOM && (at < 0 || ahead(p, best) || !ahead(best, p) && b.i < at) {
+			best, at = p, b.i
+		}
+	}
+	if at < 0 {
 		return Plan4{}, fmt.Errorf("plan: every layout exceeds the %d-byte device memory", c.Spec.MemPerGPU)
 	}
 	return best, nil

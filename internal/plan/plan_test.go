@@ -3,6 +3,7 @@ package plan
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -236,6 +237,44 @@ func TestBest4MatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestBest4KeepsTheFirstAmongEquals: the walk's answer does not depend
+// on the order it meets equal plans in, nor on whether a bound equals the
+// incumbent's step time exactly.
+func TestBest4KeepsTheFirstAmongEquals(t *testing.T) {
+	// On stages of at most two blocks, prefetch depths 1 and 2 compile
+	// the same programs, so every depth-2 plan ties with the depth-1 plan
+	// enumerated just before it. Walked in reverse enumeration order under
+	// the trivial bound 0, the walk must still return the exhaustive head.
+	w := Workload{Dim: 32, Heads: 4, Layers: 2, Tokens: 16, QKNorm: true, GlobalBatch: 8, Opts: core.DefaultOptions()}
+	c := ScaledShape(1, 1e-3)
+	cons := Constraints{PrefetchDepths: []int{1, 2}}
+	cands, err := Enumerate4(w, c, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]bounded, len(cands))
+	for k := range order {
+		order[k] = bounded{0, len(cands) - 1 - k}
+	}
+	var sc replay
+	got, err := sc.walk(w, c, cands, order)
+	want, wantErr := exhaustiveBest(w, c, cons)
+	if !reflect.DeepEqual(got, want) || err != nil || wantErr != nil {
+		t.Errorf("reverse walk: %v (%v), exhaustive %v (%v)", got, err, want, wantErr)
+	}
+	if want.Knobs.PrefetchDepth != 1 {
+		t.Errorf("the exhaustive head has depth %d; the case needs its depth-2 twin behind it", want.Knobs.PrefetchDepth)
+	}
+
+	// On one rank with free compute every step time and both bounds are
+	// 0, so the later depth-0 candidate's bound equals the incumbent's
+	// step time exactly. It holds less, so it must still be replayed.
+	c.Spec.PeakFLOPS = math.Inf(1)
+	if p := checkBest4(t, w, c, Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}); p.Knobs.PrefetchDepth != 0 || p.Pred.StepTime != 0 {
+		t.Errorf("free compute chose %v, want depth 0 at step time 0", p)
+	}
+}
+
 // TestExplainIsMachineReadable: every ranked plan carries a JSON
 // explanation that round-trips and exposes the prediction fields.
 func TestExplainIsMachineReadable(t *testing.T) {
@@ -264,6 +303,28 @@ func TestExplainIsMachineReadable(t *testing.T) {
 	}
 	if !strings.Contains(top.Explain(), "step_time_s") {
 		t.Errorf("explanation missing step_time_s field")
+	}
+
+	// A candidate that cannot run has an infinite step time, which JSON
+	// cannot carry: it is null, and the note and OOM mark survive.
+	w.Opts = core.Options{}
+	bad := Plan4{Candidate4: Candidate4{Layout: pp.Layout{TP: 1, PP: 2, FSDP: 1, DDP: 1}}}
+	bad.Pred = Predict4(w, Shape(1), bad.Candidate4)
+	var decodedBad struct {
+		Prediction struct {
+			StepTime *float64 `json:"step_time_s"`
+			OOM      bool     `json:"oom"`
+			Note     string   `json:"note"`
+		} `json:"prediction"`
+	}
+	if err := json.Unmarshal([]byte(bad.Explain()), &decodedBad); err != nil {
+		t.Fatalf("an infeasible plan's explanation is not valid JSON: %v\n%s", err, bad.Explain())
+	}
+	if got := decodedBad.Prediction; got.StepTime != nil || !got.OOM || got.Note != bad.Pred.Note || got.Note == "" {
+		t.Errorf("infeasible explanation: step time %v, oom %v, note %q; want null, true, %q", got.StepTime, got.OOM, got.Note, bad.Pred.Note)
+	}
+	if !math.IsInf(bad.Pred.StepTime, 1) {
+		t.Errorf("infeasible StepTime %v, want +Inf", bad.Pred.StepTime)
 	}
 }
 

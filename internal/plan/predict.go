@@ -210,19 +210,29 @@ func (pc *progCtx) send(slot uint8) {
 	}
 }
 
-// buildStep4 emits one program's optimizer step: its stage's schedule
-// slots in pp.Engine.RunStep's order — receive, the stage pass(es),
-// send — then the drain of the sends. A pass's steps depend only on its
-// kind and on whether a recompute just preceded it (core's
-// TestStagePassInvariants holds the compiler to that), so each of the
-// four kinds is compiled once, in an order that reaches it.
-func (pc *progCtx) buildStep4(sched []pp.Op, L int) {
+// passes compiles the four pass kinds over L blocks: forward, plain
+// backward, charged recompute, the backward after it. A pass's steps
+// depend only on its kind and on whether a recompute just preceded it
+// (core's TestStagePassInvariants), and this order reaches each kind.
+func (pc *progCtx) passes(L int) (fwd, bwd, rec, bwdRec []core.Step) {
+	pc.pass.Reset(L)
 	pc.steps = slices.Grow(pc.steps[:0], 4*(14*L+2*len(pc.ddp))) // a backward, the longest pass, is ≤ 14L+2ddp
 	qk := pc.qk != noSlot
-	fwd := core.AppendForward(pc.steps, pc.opts, &pc.pass, true)
-	bwd := core.AppendBackward(fwd[len(fwd):], pc.opts, &pc.pass, len(pc.ddp), qk)
-	rec := core.AppendForward(bwd[len(bwd):], pc.opts, &pc.pass, false)
-	bwdRec := core.AppendBackward(rec[len(rec):], pc.opts, &pc.pass, len(pc.ddp), qk)
+	fwd = core.AppendForward(pc.steps, pc.opts, &pc.pass, true)
+	bwd = core.AppendBackward(fwd[len(fwd):], pc.opts, &pc.pass, len(pc.ddp), qk)
+	rec = core.AppendForward(bwd[len(bwd):], pc.opts, &pc.pass, false)
+	bwdRec = core.AppendBackward(rec[len(rec):], pc.opts, &pc.pass, len(pc.ddp), qk)
+	return fwd, bwd, rec, bwdRec
+}
+
+// buildStep4 emits the optimizer step of the program begun on L blocks:
+// its schedule slots in pp.Engine.RunStep's order — receive, the stage
+// pass(es), send — then the drain of the sends. Per slot that is at
+// most a recompute forward (7 per block) and a backward (11 per block,
+// two per outer all-reduce), the link post/wait pair and a send wait.
+func (pc *progCtx) buildStep4(sched []pp.Op, L int) {
+	pc.instrs = slices.Grow(pc.instrs, len(sched)*(18*L+2*len(pc.ddp)+4))
+	fwd, bwd, rec, bwdRec := pc.passes(L)
 	pc.sends = pc.sends[:0]
 	for _, op := range sched {
 		switch op.Kind {
@@ -242,6 +252,39 @@ func (pc *progCtx) buildStep4(sched []pp.Op, L int) {
 		}
 	}
 	pc.instrs = append(pc.instrs, pc.sends...)
+}
+
+// passSums is one lowered pass as preBound sees it: the compute seconds
+// it charges and its posts on pc.gather, pc.rs, pc.ar and pc.qk.
+type passSums struct {
+	compute float64
+	posts   [4]float64
+}
+
+// sumPasses lowers each pass kind of the program pc was begun on once
+// and sums it. For one workload and spec the sums depend only on L and
+// the TP extent (each pass gathers every block once at any prefetch
+// depth; DDP posts are not summed), so they are memoized per (L, TP).
+func (sc *replay) sumPasses(L int) [4]passSums {
+	pc, k := &sc.ctx, [2]int{L, sc.ctx.layout.TP}
+	s, ok := sc.sums[k]
+	if ok {
+		return s
+	}
+	fwd, bwd, rec, bwdRec := pc.passes(L)
+	for i, steps := range [4][]core.Step{fwd, bwd, rec, bwdRec} {
+		pc.instrs = pc.instrs[:0]
+		pc.lower(steps)
+		for _, in := range pc.instrs {
+			if in.op == opCompute {
+				s[i].compute += in.sec
+			} else if j := slices.Index([]uint8{pc.gather, pc.rs, pc.ar, pc.qk}, in.slot); in.op == opPost && j >= 0 {
+				s[i].posts[j]++ // once, where pc.qk shares pc.ar's slot
+			}
+		}
+	}
+	sc.sums[k] = s
+	return s
 }
 
 // simDev is a class's simulated clock, its compute time and its wait
@@ -287,6 +330,14 @@ type replay struct {
 
 	progs []program
 	ctx   progCtx
+	cut   cut     // the candidate's stages and schedules
+	tcs   int     // TP rank classes with a program of their own: 1 or 2
+	probe program // preBound's: one program's slots at a time
+	// Shared by a query's candidates, for memoW and memoSpec.
+	memoW    Workload
+	memoSpec cluster.Spec
+	cuts     map[[2]int]cut
+	sums     map[[2]int][4]passSums
 
 	// Concrete topology: members holds rank<<3|role entries group by
 	// group; bind[rank*roleCount+role] is the rank's group for a role
@@ -309,21 +360,56 @@ type replay struct {
 	pend    []comm.Rendezvous
 	costs   []float64
 	warm    []simDev
-	mem     Prediction // build's half: the memory fields
-	// bound's scratch: spans[prog*roleCount+role] has bit i set when a
-	// rank running prog has its role group over the bound's links[i].
+	mem     Prediction // compile's: the memory fields
+	// spans[prog*roleCount+role] has bit 1 (2) set when a rank running
+	// prog has its role group within a node (across nodes).
 	spans []uint8
 	done  []float64
+}
+
+// cut is the stage ranges and 1F1B schedules of S stages, and per stage
+// how many forwards, plain and recomputing backwards it runs.
+type cut struct {
+	stages [][2]int
+	scheds [][]pp.Op
+	runs   [][3]float64
+}
+
+// cutFor returns the cut of layers into S stages over micros
+// micro-batches, memoized per (S, micros).
+func (sc *replay) cutFor(layers, S, micros int) (c cut, note string) {
+	if c, ok := sc.cuts[[2]int{S, micros}]; ok {
+		return c, ""
+	}
+	var err error
+	if c.stages, err = pp.UniformPartition(layers, S); err != nil { // rejects S > Layers
+		return c, err.Error()
+	}
+	if c.scheds, err = pp.ScheduleFor(pp.Schedule1F1B, S, 1, micros); err != nil {
+		return c, err.Error()
+	}
+	c.runs = make([][3]float64, S)
+	for i, sched := range c.scheds {
+		for _, op := range sched {
+			k := int(op.Kind) // pp.Fwd 0, pp.Bwd 1
+			if op.Recompute {
+				k = 2
+			}
+			c.runs[i][k]++
+		}
+	}
+	sc.cuts[[2]int{S, micros}] = c
+	return c, ""
 }
 
 // resize returns s with length n, reusing its backing array when it is
 // large enough (growth is amortized). Contents are unspecified.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// compile emits into p the step program of a stage of L blocks for TP
-// rank class tc (0 owns the output biases); first and last say which
-// stage links exist.
-func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last bool) {
+// begin starts p as the step program of a stage of L blocks for TP
+// rank class tc (0 owns the output biases): device bytes and cost
+// slots. first and last say which stage links exist.
+func (pc *progCtx) begin(p *program, L, tc int, first, last bool) {
 	w, layout, opts := pc.w, pc.layout, pc.opts
 	flat := parallel.Padded(blockShardNumel(w.Dim, w.Heads, layout.TP, tc, w.QKNorm), layout.FSDP)
 	chunkLen := flat / layout.FSDP
@@ -332,7 +418,6 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 	persistent := int64(L) * int64(chunkLen) * 8
 	*p = program{instrs: p.instrs[:0], slots: p.slots[:0], mem: persistent, peak: persistent}
 	pc.program = p
-	pc.pass.Reset(L)
 	pc.gatherSeq = resize(pc.gatherSeq, L)
 	pc.rsSeq = resize(pc.rsSeq, L)
 	pc.ddpSeq = resize(pc.ddpSeq, L)
@@ -372,15 +457,11 @@ func (pc *progCtx) compile(p *program, sched []pp.Op, L, tc int, first, last boo
 			}
 		}
 	}
-	// Per schedule op at most a recompute forward (7 per block) and a
-	// backward (11 per block, two per outer all-reduce), the link
-	// post/wait pairs and one deferred send wait.
-	p.instrs = slices.Grow(p.instrs, len(sched)*(18*L+2*len(pc.ddp)+4))
-	pc.buildStep4(sched, L)
 }
 
 // newGroup opens an empty group; join adds its members; wire picks
-// its link class once they are all in.
+// its link class once they are all in and marks it in the spans of the
+// members' programs: bit 1 within a node, 2 across.
 func (sc *replay) newGroup() int32 {
 	sc.groups = append(sc.groups, simGroup{first: len(sc.members)})
 	return int32(len(sc.groups) - 1)
@@ -394,15 +475,17 @@ func (sc *replay) join(g int32, rank int, role int) {
 
 func (sc *replay) wire(gi int32, gpn int, spec cluster.Spec) {
 	g := &sc.groups[gi]
-	node := int(sc.members[g.first]>>3) / gpn
-	oneNode := true
+	node, bit := int(sc.members[g.first]>>3)/gpn, uint8(1)
 	for _, m := range sc.members[g.first+1 : g.first+g.size] {
 		if int(m>>3)/gpn != node {
-			oneNode = false
+			bit = 2
 			break
 		}
 	}
-	g.link = comm.LinkFor(spec, oneNode)
+	g.link = comm.LinkFor(spec, bit == 1)
+	for _, m := range sc.members[g.first : g.first+g.size] {
+		sc.spans[int(sc.progOf[m>>3])*roleCount+int(m&7)] |= bit
+	}
 }
 
 // buildTopology wires each stage's inner TP×FSDP×DDP grid over the
@@ -416,6 +499,8 @@ func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
 	for i := range sc.bind {
 		sc.bind[i] = -1
 	}
+	sc.spans = resize(sc.spans, len(sc.cut.stages)*sc.tcs*roleCount)
+	clear(sc.spans)
 	inner := layout.Inner()
 	innerN := inner.Ranks()
 	for base := 0; base < R; base += innerN {
@@ -680,15 +765,16 @@ func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 }
 
 func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Prediction {
-	if note := sc.build(w, c, cand); note != "" {
+	if note := sc.header(w, c, cand); note != "" {
 		return infeasible(note)
 	}
+	sc.compile()
 	return sc.run()
 }
 
-// build, a prediction's first half, compiles the programs, fills sc.mem's
-// memory fields and wires the topology, or says why the candidate cannot run.
-func (sc *replay) build(w Workload, c ClusterShape, cand Candidate4) (note string) {
+// header validates the candidate, cuts its stages, maps ranks to
+// programs and wires the topology, or says why it cannot run.
+func (sc *replay) header(w Workload, c ClusterShape, cand Candidate4) (note string) {
 	if err := w.Validate(); err != nil {
 		return err.Error()
 	}
@@ -711,89 +797,126 @@ func (sc *replay) build(w Workload, c ClusterShape, cand Candidate4) (note strin
 	if R > c.Devices() {
 		return fmt.Sprintf("layout needs %d devices, cluster has %d", R, c.Devices())
 	}
-	micros, err := microBatches(w, layout.Inner())
-	if err != nil {
-		return err.Error()
+	// The elastic trainer's contract: the global batch is fixed and
+	// divides over the FSDP·DDP data ranks. Predict4 and Simulate4 both
+	// take the micro-batch count from here, never from the informational
+	// Knobs.MicroBatches, so a hand-built candidate cannot split them.
+	dataRanks := layout.FSDP * layout.DDP
+	if w.GlobalBatch%dataRanks != 0 {
+		return fmt.Sprintf("plan: global batch %d not divisible by %d data ranks (FSDP %d × DDP %d)",
+			w.GlobalBatch, dataRanks, layout.FSDP, layout.DDP)
 	}
-	stages, err := pp.UniformPartition(w.Layers, S) // rejects S > Layers
-	if err != nil {
-		return err.Error()
+	if sc.memoW != w || sc.memoSpec != c.Spec {
+		sc.memoW, sc.memoSpec, sc.cuts, sc.sums = w, c.Spec, map[[2]int]cut{}, map[[2]int][4]passSums{}
 	}
-	scheds, err := pp.ScheduleFor(pp.Schedule1F1B, S, 1, micros)
-	if err != nil {
-		return err.Error()
+	if sc.cut, note = sc.cutFor(w.Layers, S, w.GlobalBatch/dataRanks); note != "" {
+		return note
 	}
-	spec := c.Spec
-
 	pc := &sc.ctx
-	pc.w, pc.layout, pc.opts, pc.spec = w, layout, opts, spec
+	pc.w, pc.layout, pc.opts, pc.spec = w, layout, opts, c.Spec
 	pc.actBytes = core.ActivationBytes(w.Dim, w.Heads/layout.TP)
 	pc.flops = core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
-
 	// One program per (stage, TP rank 0 or not).
-	tcs := min(layout.TP, 2)
-	sc.progs = sc.progs[:cap(sc.progs)] // keep every compiled buffer for reuse
-	for len(sc.progs) < S*tcs {
-		sc.progs = append(sc.progs, program{})
+	sc.tcs = min(layout.TP, 2)
+	sc.progOf = resize(sc.progOf, R)
+	for r := range sc.progOf {
+		c4 := layout.CoordOf(r)
+		sc.progOf[r] = int32(c4.P*sc.tcs + min(c4.T, sc.tcs-1))
 	}
-	sc.progs = sc.progs[:S*tcs]
-	w4 := w // the heaviest stage, for the analytic breakdown
+	sc.buildTopology(layout, c.GPUsPerNode, c.Spec)
+	return ""
+}
+
+// compile compiles the header's programs and fills sc.mem.
+func (sc *replay) compile() {
+	pc, S, tcs := &sc.ctx, len(sc.cut.stages), sc.tcs
+	sc.progs = resize(sc.progs, S*tcs)
+	w4 := pc.w // the heaviest stage, for the analytic breakdown
 	sc.mem, w4.Layers = Prediction{}, 0
-	for p, rng := range stages {
+	for p, rng := range sc.cut.stages {
 		L := rng[1] - rng[0]
 		w4.Layers = max(w4.Layers, L)
 		for tc := 0; tc < tcs; tc++ {
-			pc.compile(&sc.progs[p*tcs+tc], scheds[p], L, tc, p == 0, p == S-1)
+			pc.begin(&sc.progs[p*tcs+tc], L, tc, p == 0, p == S-1)
+			pc.buildStep4(sc.cut.scheds[p], L)
 			sc.mem.DeviceBytes = max(sc.mem.DeviceBytes, sc.progs[p*tcs+tc].peak)
 		}
 	}
 	// Every program allocates gather staging above its persistent
 	// bytes, so the peak exceeds capacity exactly when some Alloc does.
-	sc.mem.OOM = sc.mem.DeviceBytes > spec.MemPerGPU
-	sc.mem.Memory = analyticMemory(w4, layout.Inner(), opts) // per-block chunks are stage-independent
+	sc.mem.OOM = sc.mem.DeviceBytes > pc.spec.MemPerGPU
+	sc.mem.Memory = analyticMemory(w4, pc.layout.Inner(), pc.opts) // per-block chunks are stage-independent
 	if sc.mem.OOM {
 		sc.mem.Note = "predicted device memory exceeds capacity"
 	}
-	sc.progOf = resize(sc.progOf, R)
-	for r := range sc.progOf {
-		c4 := layout.CoordOf(r)
-		sc.progOf[r] = int32(c4.P*tcs + min(c4.T, tcs-1))
+}
+
+// price sets sc.costs to each of program pi's slots at the cheaper link
+// class its ranks have for the slot's role, over the role's extent.
+func (sc *replay) price(pi int, slots []costSlot) []float64 {
+	l, spec := sc.ctx.layout, sc.ctx.spec
+	extent := [roleCount]int{l.TP, l.FSDP, l.DDP, 2, 2, 2, 2}
+	sc.costs = resize(sc.costs, len(slots)) // bindClasses rebuilds it
+	for i, s := range slots {
+		sc.costs[i] = math.Inf(1)
+		for k, link := range [2]comm.Link{comm.LinkFor(spec, true), comm.LinkFor(spec, false)} {
+			if sc.spans[pi*roleCount+int(s.role)]&(1<<k) != 0 {
+				sc.costs[i] = min(sc.costs[i], link.Cost(s.kind, extent[s.role], s.n))
+			}
+		}
 	}
-	sc.buildTopology(layout, c.GPUsPerNode, spec)
-	return ""
+	return sc.costs
+}
+
+// preBound is Best4's bound from the header alone: the least over
+// programs of what a solo run (see bound) must spend — its compute plus
+// every TP all-reduce and receive (awaited right after their posts), or
+// a role's stream total (all awaited in the step) — from sumPasses
+// times the schedule's runs, plus the stage links. It is +Inf when a
+// program's persistent bytes alone exceed the device.
+func (sc *replay) preBound() float64 {
+	pc, p, S := &sc.ctx, &sc.probe, len(sc.cut.stages)
+	best := math.Inf(1)
+	for pi := 0; pi < S*sc.tcs; pi++ {
+		st := pi / sc.tcs
+		L := sc.cut.stages[st][1] - sc.cut.stages[st][0]
+		if pc.begin(p, L, pi%sc.tcs, st == 0, st == S-1); p.mem > pc.spec.MemPerGPU {
+			return math.Inf(1)
+		}
+		costs, sums, n := sc.price(pi, p.slots), sc.sumPasses(L), sc.cut.runs[st] // n: see cut.runs
+		var stream [roleCount]float64
+		add := func(slot uint8, times float64) {
+			if slot != noSlot {
+				stream[p.slots[slot].role] += times * costs[slot]
+			}
+		}
+		for j, slot := range [4]uint8{pc.gather, pc.rs, pc.ar, pc.qk} {
+			add(slot, n[0]*sums[0].posts[j]+n[1]*sums[1].posts[j]+n[2]*(sums[2].posts[j]+sums[3].posts[j]))
+		}
+		bwds := n[1] + n[2]
+		add(pc.fwdIn, n[0])
+		add(pc.fwdOut, n[0])
+		add(pc.bwdIn, bwds)
+		add(pc.bwdOut, bwds)
+		for _, slot := range pc.ddp {
+			add(slot, bwds)
+		}
+		compute := n[0]*sums[0].compute + n[1]*sums[1].compute + n[2]*(sums[2].compute+sums[3].compute)
+		serial := compute + stream[roleTP] + stream[roleFwdIn] + stream[roleBwdIn]
+		best = min(best, max(serial, slices.Max(stream[:])))
+	}
+	return best
 }
 
 // bound is Best4's lower bound on the step time of the candidate just
-// built: the shortest solo run of any program, each collective priced at
-// the cheaper link class a rank running it has, with no partner to wait
-// for. It stops once the bound's side of limit is settled and returns a
-// value on that side.
+// compiled: the shortest solo run of any program, each collective
+// priced by price, with no partner to wait for. It stops once the
+// bound's side of limit is settled and returns a value on that side.
 func (sc *replay) bound(limit float64) float64 {
-	links := [2]comm.Link{comm.LinkFor(sc.ctx.spec, true), comm.LinkFor(sc.ctx.spec, false)}
-	extent := [roleCount]int{sc.ctx.layout.TP, sc.ctx.layout.FSDP, sc.ctx.layout.DDP, 2, 2, 2, 2}
-	sc.spans = resize(sc.spans, len(sc.progs)*roleCount)
-	clear(sc.spans)
-	for _, g := range sc.groups {
-		bit := uint8(1)
-		if g.link != links[0] {
-			bit = 2
-		}
-		for _, m := range sc.members[g.first : g.first+g.size] {
-			sc.spans[int(sc.progOf[m>>3])*roleCount+int(m&7)] |= bit
-		}
-	}
 	best := math.Inf(1)
 	for pi := range sc.progs {
 		p := &sc.progs[pi]
-		sc.costs = resize(sc.costs, len(p.slots)) // bindClasses rebuilds it
-		for i, s := range p.slots {
-			sc.costs[i] = math.Inf(1)
-			for k, link := range links {
-				if sc.spans[pi*roleCount+int(s.role)]&(1<<k) != 0 {
-					sc.costs[i] = min(sc.costs[i], link.Cost(s.kind, extent[s.role], s.n))
-				}
-			}
-		}
+		costs := sc.price(pi, p.slots)
 		sc.done = resize(sc.done, int(slices.Max(p.posts[:]))*roleCount) // by seq, then role
 		clock, last := 0.0, [roleCount]float64{}
 		for _, in := range p.instrs {
@@ -801,7 +924,7 @@ func (sc *replay) bound(limit float64) float64 {
 			case opCompute:
 				clock += in.sec
 			case opPost:
-				last[in.role] = max(clock, last[in.role]) + sc.costs[in.slot]
+				last[in.role] = max(clock, last[in.role]) + costs[in.slot]
 				sc.done[int(in.seq)*roleCount+int(in.role)] = last[in.role]
 			case opWait:
 				clock = max(clock, sc.done[int(in.seq)*roleCount+int(in.role)])

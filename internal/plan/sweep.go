@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -36,19 +37,15 @@ type Measured4 struct {
 // and the planner only needs the clocks.
 func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measured4 {
 	out := Measured4{Candidate4: cand}
-	if err := w.Validate(); err != nil {
-		out.Err = err
+	var sc replay // refuses what Predict4 refuses, with the same note
+	if note := sc.header(w, c, cand); note != "" {
+		out.Err = errors.New(note)
 		return out
 	}
 	if measured < 1 {
 		measured = 2
 	}
 	layout := cand.Layout
-	stages, err := pp.UniformPartition(w.Layers, layout.PP)
-	if err != nil {
-		out.Err = err
-		return out
-	}
 	m := c.Machine()
 	opts := cand.Options(w.Opts)
 	rng := tensor.NewRNG(1007)
@@ -56,18 +53,14 @@ func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measur
 	for i := range ref {
 		ref[i] = nn.NewTransformerBlock(fmt.Sprintf("plan%d", i), w.Dim, w.Heads, w.QKNorm, rng)
 	}
-	engines, err := pp.Build(layout, stages, m, ref, opts)
+	engines, err := pp.Build(layout, sc.cut.stages, m, ref, opts)
 	if err != nil {
 		out.Err = err
 		return out
 	}
 	inner := layout.Inner()
 	dataRanks := inner.FSDP * inner.DDP
-	micros, err := microBatches(w, inner)
-	if err != nil {
-		out.Err = err
-		return out
-	}
+	micros := w.GlobalBatch / dataRanks // header checked it divides
 	drng := tensor.NewRNG(1009)
 	xs := make([]*tensor.Tensor, dataRanks)
 	gs := make([]*tensor.Tensor, dataRanks)
