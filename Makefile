@@ -127,9 +127,11 @@ bench:
 
 # Runs the checkpoint, layout-flag and forecast-body fuzz targets over
 # their committed seed corpus (no new fuzzing): regressions in the
-# hardened parsers fail fast.
+# hardened parsers fail fast. TestFuzzGuardSeeds holds each config-guard
+# seed to the guard it pins; TestGenerationRingsIgnoreGlobMetacharacters
+# holds the generation listers to names, not glob patterns.
 fuzz-smoke:
-	$(GO) test -run 'FuzzLoadModel|FuzzLoadManifest' ./internal/ckpt/
+	$(GO) test -run 'FuzzLoadModel|FuzzLoadManifest|TestFuzzGuardSeeds|TestGenerationRingsIgnoreGlobMetacharacters' ./internal/ckpt/
 	$(GO) test -run 'FuzzParseLayout' ./internal/pp/
 	$(GO) test -run 'FuzzForecastBody' ./cmd/orbit-serve/
 

@@ -14,13 +14,11 @@
 //     discipline. Shards reshard on load when the FSDP/DDP layout of
 //     the resumed run differs from the saved one.
 //
-// Format version history: version 1 files are weights-only with no
-// kind byte; version 2 adds a kind byte after the version field and
-// the training-state sections; version 3 appends a CRC32C checksum to
-// every section (and records per-shard digests in sharded manifests),
-// so loads verify integrity before deserializing — corruption yields
-// a typed *CorruptError, never silently-wrong weights. Version-1 and
-// version-2 files remain loadable.
+// Every file is format version 3: a CRC32C checksum follows every
+// section (and sharded manifests record a digest per shard), so loads
+// verify integrity before deserializing — corruption yields a typed
+// *CorruptError, never silently-wrong weights. Any other version is
+// rejected as corrupt.
 package ckpt
 
 import (
@@ -41,14 +39,13 @@ import (
 
 const magic = "ORBT"
 
-// Version is the current container format version written by Save and
-// SaveTrainState. Readers accept versions 1 through 3.
+// Version is the container format version every writer emits and the
+// only one the readers accept.
 const Version = uint32(3)
 
-// kind bytes distinguishing version-2+ payloads. kindQuantWeights
-// (version 3) stores the large matmul weights block-quantized (int8 or
-// Q4_0, see internal/quant) with norms, biases, and embeddings kept in
-// float32.
+// kind bytes distinguishing payloads. kindQuantWeights stores the
+// large matmul weights block-quantized (int8 or Q4_0, see
+// internal/quant) with norms, biases, and embeddings kept in float32.
 const (
 	kindWeights      = uint8(0)
 	kindTrain        = uint8(1)
@@ -69,8 +66,18 @@ const (
 // the same path.
 func Save(path string, m *vit.Model, half bool) error {
 	return atomicWrite(path, func(w io.Writer) error {
-		return write(w, m, half)
+		return writeModel(newCRCWriter(w), m, kindWeights, floatDtype(half))
 	})
+}
+
+// floatDtype stores every parameter as float32, or as bfloat16 when
+// half.
+func floatDtype(half bool) func(*nn.Param) uint8 {
+	dt := dtypeF32
+	if half {
+		dt = dtypeBF16
+	}
+	return func(*nn.Param) uint8 { return dt }
 }
 
 // atomicWrite streams a checkpoint into a temp file in path's
@@ -106,15 +113,12 @@ func atomicWrite(path string, body func(io.Writer) error) error {
 	return nil
 }
 
-func write(w io.Writer, m *vit.Model, half bool) error {
-	return writeModel(newCRCWriter(w), m, half, kindWeights)
-}
-
-// writeModel emits the common header + config + parameter sections,
-// each followed by its CRC32C (version 3). A caller continuing with
-// training-state sections must keep writing through the same
-// crcWriter so its section boundaries line up with the reader's.
-func writeModel(cw *crcWriter, m *vit.Model, half bool, kind uint8) error {
+// writeModel emits the header, config and parameter sections, each
+// followed by its CRC32C; dtype picks each parameter's stored dtype. A
+// caller continuing with training-state sections must keep writing
+// through the same crcWriter so its section boundaries line up with
+// the reader's.
+func writeModel(cw *crcWriter, m *vit.Model, kind uint8, dtype func(*nn.Param) uint8) error {
 	if _, err := cw.Write([]byte(magic)); err != nil {
 		return err
 	}
@@ -142,7 +146,7 @@ func writeModel(cw *crcWriter, m *vit.Model, half bool, kind uint8) error {
 		return err
 	}
 	for _, p := range params {
-		if err := writeParam(cw, p, half); err != nil {
+		if err := writeParam(cw, p, dtype(p)); err != nil {
 			return fmt.Errorf("ckpt: writing %s: %w", p.Name, err)
 		}
 		if err := cw.section(); err != nil {
@@ -152,7 +156,10 @@ func writeModel(cw *crcWriter, m *vit.Model, half bool, kind uint8) error {
 	return nil
 }
 
-func writeParam(w io.Writer, p *nn.Param, half bool) error {
+// writeParam emits one parameter section: the name / numel / dtype
+// prefix, then the values in dtype (the quantized dtypes through
+// writeQuantParam).
+func writeParam(w io.Writer, p *nn.Param, dt uint8) error {
 	name := []byte(p.Name)
 	if err := binary.Write(w, binary.LittleEndian, uint16(len(name))); err != nil {
 		return err
@@ -163,21 +170,20 @@ func writeParam(w io.Writer, p *nn.Param, half bool) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(p.W.Len())); err != nil {
 		return err
 	}
-	dt := dtypeF32
-	if half {
-		dt = dtypeBF16
-	}
 	if err := binary.Write(w, binary.LittleEndian, dt); err != nil {
 		return err
 	}
 	data := p.W.Data()
-	if half {
+	switch dt {
+	case dtypeBF16:
 		buf := make([]byte, 2*len(data))
 		for i, v := range data {
 			binary.LittleEndian.PutUint16(buf[2*i:], uint16(bf16.FromFloat32(v)))
 		}
 		_, err := w.Write(buf)
 		return err
+	case dtypeI8, dtypeQ4:
+		return writeQuantParam(w, p, dt)
 	}
 	buf := make([]byte, 4*len(data))
 	for i, v := range data {
@@ -187,13 +193,12 @@ func writeParam(w io.Writer, p *nn.Param, half bool) error {
 	return err
 }
 
-// Load reconstructs a model from a checkpoint file. It accepts
-// version-1 (weights-only) through version-3 files; for a
+// Load reconstructs a model from a checkpoint file of any kind; for a
 // training-state checkpoint, the trailing optimizer sections are
-// ignored and just the model is returned. Version-3 section checksums
-// are verified before deserializing; any structural or checksum
-// failure is reported as a *CorruptError (environmental errors from
-// opening the file pass through unwrapped).
+// ignored and just the model is returned. Section checksums are
+// verified before deserializing; any structural or checksum failure
+// — an unsupported version included — is reported as a *CorruptError
+// (environmental errors from opening the file pass through unwrapped).
 func Load(path string) (*vit.Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -218,31 +223,26 @@ func fileBudget(f *os.File) int64 {
 	return 0
 }
 
-// readHeader consumes the magic, version, and (for version ≥ 2) kind
-// byte.
-func readHeader(r io.Reader) (ver uint32, kind uint8, err error) {
+// readHeader consumes the magic, version, and kind byte.
+func readHeader(r io.Reader) (kind uint8, err error) {
 	head := make([]byte, 4)
 	if _, err := io.ReadFull(r, head); err != nil {
-		return 0, 0, fmt.Errorf("ckpt: truncated header: %w", err)
+		return 0, fmt.Errorf("ckpt: truncated header: %w", err)
 	}
 	if string(head) != magic {
-		return 0, 0, fmt.Errorf("ckpt: bad magic %q", head)
+		return 0, fmt.Errorf("ckpt: bad magic %q", head)
 	}
+	var ver uint32
 	if err := binary.Read(r, binary.LittleEndian, &ver); err != nil {
-		return 0, 0, fmt.Errorf("ckpt: truncated header: %w", err)
+		return 0, fmt.Errorf("ckpt: truncated header: %w", err)
 	}
-	switch ver {
-	case 1:
-		// Version 1 has no kind byte and is always weights-only.
-		return ver, kindWeights, nil
-	case 2, 3:
-		if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
-			return 0, 0, fmt.Errorf("ckpt: truncated header: %w", err)
-		}
-		return ver, kind, nil
-	default:
-		return 0, 0, fmt.Errorf("ckpt: unsupported version %d", ver)
+	if ver != Version {
+		return 0, fmt.Errorf("ckpt: unsupported version %d", ver)
 	}
+	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
+		return 0, fmt.Errorf("ckpt: truncated header: %w", err)
+	}
+	return kind, nil
 }
 
 // maxConfigJSON bounds the configuration section's declared length: a
@@ -301,17 +301,16 @@ func checkLoadable(cfg vit.Config, budget int64, kind uint8) error {
 
 // read parses the header + model sections, leaving the reader at any
 // trailing training-state sections. budget is the total file size,
-// bounding what the declared configuration may allocate. For
-// version-3 files every section checksum is verified before the
-// section's bytes are deserialized. Quantized parameters are always
-// dequantized into the model; a non-nil qout additionally collects
-// their containers by parameter name for the fused serving path.
+// bounding what the declared configuration may allocate. Every section
+// checksum is verified before the section's bytes are deserialized.
+// Quantized parameters are always dequantized into the model; a
+// non-nil qout additionally collects their containers by parameter
+// name for the fused serving path.
 func read(cr *crcReader, budget int64, qout map[string]*quant.Quantized) (*vit.Model, uint8, error) {
-	ver, kind, err := readHeader(cr)
+	kind, err := readHeader(cr)
 	if err != nil {
 		return nil, 0, err
 	}
-	cr.check = ver >= 3
 	var cfgLen uint32
 	if err := binary.Read(cr, binary.LittleEndian, &cfgLen); err != nil {
 		return nil, 0, err

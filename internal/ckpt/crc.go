@@ -8,11 +8,11 @@ import (
 	"io"
 )
 
-// Version-3 integrity layer. Every section of a single-file checkpoint
+// Integrity layer. Every section of a single-file checkpoint
 // (header+config, each parameter, the training meta, each optimizer
 // moment) is followed by the CRC32C of its bytes, and sharded
 // manifests record a whole-file CRC32C digest per shard. Loads verify
-// before deserializing: a flipped bit anywhere in a v3 checkpoint
+// before deserializing: a flipped bit anywhere in a checkpoint
 // surfaces as a typed *CorruptError instead of silently-wrong weights.
 // Castagnoli is the polynomial storage systems standardize on, and the
 // stdlib implementation is hardware-accelerated on amd64/arm64, so the
@@ -82,14 +82,11 @@ func (c *crcWriter) section() error {
 	return err
 }
 
-// crcReader mirrors crcWriter on the read side. check is false for
-// version-1/2 files, whose sections carry no checksums: section() is
-// then a no-op, so one reader serves every format version.
+// crcReader mirrors crcWriter on the read side.
 type crcReader struct {
-	r     io.Reader
-	path  string
-	sum   uint32
-	check bool
+	r    io.Reader
+	path string
+	sum  uint32
 }
 
 func newCRCReader(r io.Reader, path string) *crcReader { return &crcReader{r: r, path: path} }
@@ -104,9 +101,6 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // last boundary. The CRC bytes themselves are read from the underlying
 // stream, outside the running sum.
 func (c *crcReader) section(name string) error {
-	if !c.check {
-		return nil
-	}
 	sum := c.sum
 	c.sum = 0
 	var buf [4]byte

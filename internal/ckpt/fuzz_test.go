@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"orbit/internal/nn"
@@ -134,7 +136,7 @@ func quantEvilSeeds(f *testing.F) [][]byte {
 					return buf.Bytes()
 				}
 			} else {
-				writeParam(cw, p, false)
+				writeParam(cw, p, dtypeF32)
 			}
 			cw.section()
 		}
@@ -181,8 +183,7 @@ func quantEvilSeeds(f *testing.F) [][]byte {
 // v3SectionSeeds derives the PR-7 integrity corpus from a valid v3
 // file: truncations at section/CRC-trailer boundaries, flips inside
 // the config-section CRC, flips in the final section CRC, and a
-// version byte downgraded to 2 so the CRC trailers are misparsed as
-// payload.
+// version byte downgraded to 2.
 func v3SectionSeeds(f *testing.F, valid []byte) [][]byte {
 	f.Helper()
 	// Header layout: magic(4) + version uint32(4) + kind(1) + cfgLen
@@ -212,6 +213,64 @@ func v3SectionSeeds(f *testing.F, valid []byte) [][]byte {
 	}
 }
 
+// guardSeed is a FuzzLoadModel seed that pins one loader guard: name
+// is its twin in testdata/fuzz/FuzzLoadModel, guard a fragment of the
+// error that guard returns.
+type guardSeed struct {
+	name, guard string
+	data        []byte
+}
+
+// guardSeeds are the headers that trip each config guard: the length
+// cap (a prefix claiming 4 GiB, refused before any config byte is
+// read), checkLoadable (a ~100B-parameter model) and Validate (zero
+// patch, zero heads: the modulo panics it guards). Each config section
+// carries a valid CRC32C, so the load gets past the checksum to the
+// guard.
+func guardSeeds() []guardSeed {
+	header := func(cfg vit.Config) []byte {
+		cj, _ := json.Marshal(cfg)
+		var buf bytes.Buffer
+		cw := newCRCWriter(&buf)
+		cw.Write([]byte(magic))
+		binary.Write(cw, binary.LittleEndian, Version)
+		cw.Write([]byte{kindWeights})
+		binary.Write(cw, binary.LittleEndian, uint32(len(cj)))
+		cw.Write(cj)
+		cw.section()
+		return buf.Bytes()
+	}
+	return []guardSeed{
+		{"huge_cfg_len", "config section length", []byte("ORBT\x03\x00\x00\x00\x00\xff\xff\xff\xff")},
+		{"oom_cfg", "config declares", header(vit.Config{Name: "huge", Channels: 48, OutChannels: 48,
+			Height: 128, Width: 256, Patch: 8, EmbedDim: 16384, Layers: 512, Heads: 64, QKNorm: true})},
+		{"zero_patch_cfg", "bad grid", header(vit.Config{Channels: 1, OutChannels: 1, Height: 8, Width: 8, Patch: 0, EmbedDim: 8, Layers: 1, Heads: 2})},
+		{"zero_heads_cfg", "bad transformer shape", header(vit.Config{Channels: 1, OutChannels: 1, Height: 8, Width: 8, Patch: 4, EmbedDim: 8, Layers: 1, Heads: 0})},
+	}
+}
+
+// TestFuzzGuardSeeds: each committed guard seed equals its twin in
+// guardSeeds, and loading it fails in the guard it pins, not at the
+// header.
+func TestFuzzGuardSeeds(t *testing.T) {
+	for _, s := range guardSeeds() {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadModel", s.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		if data, err := strconv.Unquote(lit); err != nil || data != string(s.data) {
+			t.Errorf("%s: committed seed differs from guardSeeds (%v)", s.name, err)
+		}
+		path := filepath.Join(t.TempDir(), s.name)
+		if err := os.WriteFile(path, s.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(path)
+		wantCorrupt(t, err, s.guard)
+	}
+}
+
 // FuzzLoadModel feeds arbitrary bytes to the checkpoint file readers:
 // truncated, bit-flipped, and adversarial-length inputs must produce
 // errors — never a panic, and never an allocation the file's own size
@@ -227,24 +286,8 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(valid[:9])
 	f.Add([]byte("ORBT"))
 	f.Add([]byte("NOPE\x02\x00\x00\x00"))
-	// Version 2, kind 0, config-length prefix claiming 4 GiB.
-	f.Add([]byte("ORBT\x02\x00\x00\x00\x00\xff\xff\xff\xff"))
-	// A syntactically valid config declaring a ~100B-parameter model.
-	hugeCfg, _ := json.Marshal(vit.Config{Name: "huge", Channels: 48, OutChannels: 48,
-		Height: 128, Width: 256, Patch: 8, EmbedDim: 16384, Layers: 512, Heads: 64, QKNorm: true})
-	huge := append([]byte("ORBT\x02\x00\x00\x00\x00"), make([]byte, 4)...)
-	binary.LittleEndian.PutUint32(huge[9:], uint32(len(hugeCfg)))
-	huge = append(huge, hugeCfg...)
-	f.Add(huge)
-	// Zero patch and zero heads configs (the Validate modulo panics).
-	for _, cfg := range []vit.Config{
-		{Channels: 1, OutChannels: 1, Height: 8, Width: 8, Patch: 0, EmbedDim: 8, Layers: 1, Heads: 2},
-		{Channels: 1, OutChannels: 1, Height: 8, Width: 8, Patch: 4, EmbedDim: 8, Layers: 1, Heads: 0},
-	} {
-		cj, _ := json.Marshal(cfg)
-		b := append([]byte("ORBT\x02\x00\x00\x00\x00"), make([]byte, 4)...)
-		binary.LittleEndian.PutUint32(b[9:], uint32(len(cj)))
-		f.Add(append(b, cj...))
+	for _, s := range guardSeeds() {
+		f.Add(s.data)
 	}
 	// Bit flips across the valid checkpoint.
 	for off := 0; off < len(valid); off += 37 {
@@ -369,7 +412,7 @@ func FuzzLoadManifest(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		man, shards, err := LoadSharded(dir)
+		man, shards, err := loadShardedFrom(dir, ManifestName)
 		if err == nil {
 			// A manifest only loads when every declared shard resolved
 			// inside the directory.
@@ -397,7 +440,7 @@ func FuzzLoadManifest(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir2, "shard-s1-t0-f0.bin"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _ = LoadSharded(dir2) // must not panic
+		_, _, _ = loadShardedFrom(dir2, ManifestName) // must not panic
 
 		// Scenario 3: the same shard bytes behind a manifest whose
 		// digest is guaranteed wrong (the file's real CRC32C, inverted).
@@ -414,7 +457,7 @@ func FuzzLoadManifest(f *testing.F) {
 			t.Fatal(err)
 		}
 		var corrupt *CorruptError
-		if _, _, err := LoadSharded(dir3); err == nil {
+		if _, _, err := loadShardedFrom(dir3, ManifestName); err == nil {
 			t.Fatal("digest-mismatched shard loaded")
 		} else if !errors.As(err, &corrupt) {
 			t.Fatalf("digest mismatch produced %T, want *CorruptError: %v", err, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"orbit/internal/vit"
@@ -85,7 +86,7 @@ func TestBitFlipSweepShardFile(t *testing.T) {
 	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
-	shardPath := filepath.Join(dir, ShardFileName(man.Step, 0, 0))
+	shardPath := filepath.Join(dir, ShardFileName(man.Step, 0, 0, 0))
 	orig, err := os.ReadFile(shardPath)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestBitFlipSweepShardFile(t *testing.T) {
 		if err := os.WriteFile(shardPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := LoadSharded(dir)
+		_, _, err := loadShardedFrom(dir, ManifestName)
 		if err == nil {
 			t.Fatalf("shard byte %d: corrupted shard loaded without error", i)
 		}
@@ -108,7 +109,7 @@ func TestBitFlipSweepShardFile(t *testing.T) {
 	if err := os.WriteFile(shardPath, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSharded(dir); err != nil {
+	if _, _, err := loadShardedFrom(dir, ManifestName); err != nil {
 		t.Fatalf("restored shard does not load: %v", err)
 	}
 }
@@ -125,13 +126,9 @@ func TestManifestCorruptionDetected(t *testing.T) {
 		}
 		return dir
 	}
-	wantCorrupt := func(t *testing.T, dir string) {
-		t.Helper()
-		_, _, err := LoadSharded(dir)
-		var ce *CorruptError
-		if !errors.As(err, &ce) {
-			t.Fatalf("got %T (%v), want *CorruptError", err, err)
-		}
+	load := func(dir string) error {
+		_, _, err := loadShardedFrom(dir, ManifestName)
+		return err
 	}
 
 	t.Run("truncated manifest", func(t *testing.T) {
@@ -141,7 +138,7 @@ func TestManifestCorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wantCorrupt(t, dir)
+		wantCorrupt(t, load(dir), "")
 	})
 	t.Run("wrong shard digest", func(t *testing.T) {
 		dir := build(t)
@@ -156,7 +153,7 @@ func TestManifestCorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(p, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wantCorrupt(t, dir)
+		wantCorrupt(t, load(dir), "")
 	})
 	t.Run("missing shard file", func(t *testing.T) {
 		dir := build(t)
@@ -168,7 +165,7 @@ func TestManifestCorruptionDetected(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, man.Shards[1])); err != nil {
 			t.Fatal(err)
 		}
-		wantCorrupt(t, dir)
+		wantCorrupt(t, load(dir), "")
 	})
 }
 
@@ -206,10 +203,7 @@ func TestManifestWithoutDigestsRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, _, _, err := LoadShardedLatestValid(dir)
-			var ce *CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("got %T (%v), want *CorruptError", err, err)
-			}
+			wantCorrupt(t, err, "")
 		})
 	}
 }
@@ -225,10 +219,17 @@ func TestShortShardChunkRejected(t *testing.T) {
 	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := LoadSharded(dir)
+	_, _, err := loadShardedFrom(dir, ManifestName)
+	wantCorrupt(t, err, "chunk length")
+}
+
+// wantCorrupt fails the test unless err is a *CorruptError whose
+// message holds msg.
+func wantCorrupt(t *testing.T, err error, msg string) {
+	t.Helper()
 	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %T (%v), want *CorruptError", err, err)
+	if !errors.As(err, &ce) || !strings.Contains(err.Error(), msg) {
+		t.Errorf("got %T (%v), want a *CorruptError with %q", err, err, msg)
 	}
 }
 
@@ -298,7 +299,8 @@ func TestLoadLatestValidStateQuarantinesCorrupt(t *testing.T) {
 }
 
 func TestLoadLatestValidStateFallsBackToBase(t *testing.T) {
-	// A legacy layout: only the base file, no generation ring.
+	// A SaveTrainState save (what -keep 0 writes): only the base file,
+	// no generation ring.
 	base := filepath.Join(t.TempDir(), "state.orbt")
 	st := tinyTrainState(t)
 	if err := SaveTrainState(base, st, false); err != nil {
@@ -310,6 +312,49 @@ func TestLoadLatestValidStateFallsBackToBase(t *testing.T) {
 	}
 	if path != base || got.Meta.Step != st.Meta.Step || len(quarantined) != 0 {
 		t.Fatalf("base fallback: path=%s step=%d quarantined=%v", path, got.Meta.Step, quarantined)
+	}
+}
+
+// TestGenerationRingsIgnoreGlobMetacharacters: the rings list their
+// directory instead of globbing, so a '[' in the checkpoint path
+// neither stops pruning nor hides the valid generations, and a
+// generation manifest spelled manifest-s05.json loads under its own
+// name.
+func TestGenerationRingsIgnoreGlobMetacharacters(t *testing.T) {
+	root := t.TempDir()
+	base := filepath.Join(root, "run[1].orbt")
+	st := tinyTrainState(t)
+	for step := 1; step <= 4; step++ {
+		st.Meta.Step = step
+		if err := SaveTrainStateRetained(base, st, false, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ents, _ := os.ReadDir(root); len(ents) != 3 {
+		t.Errorf("%d files beside %s, want the base and two generations", len(ents), base)
+	}
+	flipByte(t, base, 900)
+	flipByte(t, stateGenPath(base, 4), 900)
+	if got, path, _, err := LoadLatestValidState(base); err != nil || path != stateGenPath(base, 3) {
+		t.Fatalf("loaded %v from %s (%v), want generation 3", got, path, err)
+	}
+	for _, dir := range []string{filepath.Join(root, "ck[1]"), filepath.Join(root, "ck")} {
+		man, shards := buildShards(1, 2, []int{8})
+		for step := 2; step <= 5; step++ {
+			man.Step = step
+			if err := SaveShardedKeep(dir, man, shards, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 7 {
+			t.Errorf("%s holds %d files, want 7 (two generations of a manifest and two shards, and manifest.json)", dir, len(ents))
+		}
+		if err := os.Rename(filepath.Join(dir, GenManifestName(5)), filepath.Join(dir, "manifest-s05.json")); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _, err := LoadShardedLatestValid(dir); err != nil || got.Step != 5 {
+			t.Fatalf("%s: loaded %v (%v), want step 5", dir, got, err)
+		}
 	}
 }
 
@@ -326,13 +371,7 @@ func TestLoadLatestValidStateAllCorrupt(t *testing.T) {
 	flipByte(t, stateGenPath(base, 2), 512)
 	flipByte(t, base, 512)
 	_, _, quarantined, err := LoadLatestValidState(base)
-	if err == nil {
-		t.Fatal("expected an error with every candidate corrupt")
-	}
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %T (%v), want wrapped *CorruptError", err, err)
-	}
+	wantCorrupt(t, err, "no valid checkpoint generation")
 	if len(quarantined) != 3 {
 		t.Fatalf("quarantined %d candidates, want 3: %v", len(quarantined), quarantined)
 	}
@@ -381,18 +420,18 @@ func TestSaveShardedKeepRetainsGenerations(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, GenManifestName(2))); !errors.Is(err, os.ErrNotExist) {
 		t.Error("generation s2 manifest not pruned (keep=2)")
 	}
-	if _, err := os.Stat(filepath.Join(dir, ShardFileName(2, 0, 0))); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(dir, ShardFileName(2, 0, 0, 0))); !errors.Is(err, os.ErrNotExist) {
 		t.Error("generation s2 shard files not pruned")
 	}
 	for _, step := range []int{4, 6} {
 		if _, err := os.Stat(filepath.Join(dir, GenManifestName(step))); err != nil {
 			t.Errorf("generation s%d manifest missing: %v", step, err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, ShardFileName(step, 0, 1))); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, ShardFileName(step, 0, 0, 1))); err != nil {
 			t.Errorf("generation s%d shards missing: %v", step, err)
 		}
 	}
-	got, _, err := LoadSharded(dir)
+	got, _, err := loadShardedFrom(dir, ManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +449,7 @@ func TestLoadShardedLatestValidFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flipByte(t, filepath.Join(dir, ShardFileName(4, 0, 0)), 40)
+	flipByte(t, filepath.Join(dir, ShardFileName(4, 0, 0, 0)), 40)
 	got, _, quarantined, err := LoadShardedLatestValid(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +464,7 @@ func TestLoadShardedLatestValidFallsBack(t *testing.T) {
 		t.Fatalf("corrupt generation manifest not renamed aside: %v", err)
 	}
 	// The commit pointer was repaired: a plain load now sees step 2.
-	repaired, _, err := LoadSharded(dir)
+	repaired, _, err := loadShardedFrom(dir, ManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,13 +482,12 @@ func TestLoadShardedLatestValidAllCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flipByte(t, filepath.Join(dir, ShardFileName(2, 0, 0)), 7)
-	flipByte(t, filepath.Join(dir, ShardFileName(4, 0, 0)), 7)
+	flipByte(t, filepath.Join(dir, ShardFileName(2, 0, 0, 0)), 7)
+	flipByte(t, filepath.Join(dir, ShardFileName(4, 0, 0, 0)), 7)
 	_, _, quarantined, err := LoadShardedLatestValid(dir)
-	if err == nil {
-		t.Fatal("expected an error with every generation corrupt")
-	}
-	if len(quarantined) != 2 {
-		t.Fatalf("quarantined %d generations, want 2: %v", len(quarantined), quarantined)
+	wantCorrupt(t, err, "no valid checkpoint generation")
+	// manifest.json survives, but nothing is left to resume from.
+	if len(quarantined) != 2 || HasManifest(dir) {
+		t.Fatalf("quarantined %v, HasManifest %v; want 2 generations and none left", quarantined, HasManifest(dir))
 	}
 }

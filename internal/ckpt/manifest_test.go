@@ -1,51 +1,42 @@
 package ckpt
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestReshardRejectsLegacyTPManifest pins the guard against silently
-// corrupting old checkpoints: a TP>1 manifest from before per-TP flat
-// lengths existed cannot be resharded — T>0 rows are shorter than the
-// recorded T=0 lengths, so stripping padding with them would misalign
-// every later parameter. Same-extent loads (no resharding) stay legal.
+// TestReshardRejectsLegacyTPManifest: a TP>1 manifest without per-TP
+// flat lengths cannot be resharded (T>0 rows are shorter than FlatLens,
+// so stripping padding with it would misalign every later parameter).
+// Its load is a *CorruptError naming flat_lens_tp, and Reshard refuses
+// the short rows; with the rows present the reshard succeeds.
 func TestReshardRejectsLegacyTPManifest(t *testing.T) {
-	man := &Manifest{
-		Version:  int(Version),
-		Layout:   ShardLayout{TP: 2, FSDP: 2, DDP: 1},
-		FlatLens: []int{64},
+	dir := t.TempDir()
+	man, shards := buildShards(2, 1, []int{8})
+	man.FlatLensTP = nil
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
+		t.Fatal(err)
 	}
-	shards := []*RankShard{
-		{T: 0, F: 0, Blocks: []BlockShard{{W: make([]float32, 32), M: make([]float32, 32), V: make([]float32, 32)}}},
-		{T: 0, F: 1, Blocks: []BlockShard{{W: make([]float32, 32), M: make([]float32, 32), V: make([]float32, 32)}}},
-		{T: 1, F: 0, Blocks: []BlockShard{{W: make([]float32, 24), M: make([]float32, 24), V: make([]float32, 24)}}},
-		{T: 1, F: 1, Blocks: []BlockShard{{W: make([]float32, 24), M: make([]float32, 24), V: make([]float32, 24)}}},
+	_, _, err := loadShardedFrom(dir, ManifestName)
+	wantCorrupt(t, err, "flat_lens_tp")
+	man = &Manifest{Layout: ShardLayout{TP: 2, FSDP: 2, DDP: 1}, FlatLens: []int{64}}
+	var grid []*RankShard
+	for _, n := range []int{32, 32, 24, 24} {
+		grid = append(grid, &RankShard{T: len(grid) / 2, F: len(grid) % 2, Blocks: []BlockShard{{W: make([]float32, n), M: make([]float32, n), V: make([]float32, n)}}})
 	}
-	if _, err := Reshard(man, shards, 2); err != nil {
-		t.Fatalf("same-extent reshard of a legacy manifest must stay legal: %v", err)
+	if _, err := Reshard(man, grid, 1); err == nil {
+		t.Error("resharding a TP>1 manifest without flat_lens_tp must be rejected")
 	}
-	_, err := Reshard(man, shards, 1)
-	if err == nil {
-		t.Fatal("resharding a legacy TP>1 manifest without flat_lens_tp must be rejected")
-	}
-	if !strings.Contains(err.Error(), "flat_lens_tp") {
-		t.Fatalf("error should name the missing field: %v", err)
-	}
-
-	// With per-TP lengths present the same reshard succeeds.
 	man.FlatLensTP = [][]int{{64}, {48}}
-	if _, err := Reshard(man, shards, 1); err != nil {
-		t.Fatalf("reshard with per-TP lengths: %v", err)
+	if _, err := Reshard(man, grid, 1); err != nil {
+		t.Errorf("reshard with per-TP lengths: %v", err)
 	}
 }
 
-// TestManifestValidate covers the corrupt-manifest rejections.
+// TestManifestValidate covers the corrupt-manifest rejections. A TP>1
+// manifest without a flat_lens_tp row per T is one of them.
 func TestManifestValidate(t *testing.T) {
 	good := Manifest{
 		Layout:   ShardLayout{TP: 1, FSDP: 1, DDP: 1},
 		FlatLens: []int{8},
-		Shards:   []string{"shard-s1-t0-f0.bin"},
+		Shards:   []string{"shard-s1-p0-t0-f0.bin"},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
@@ -60,6 +51,7 @@ func TestManifestValidate(t *testing.T) {
 		"dot shard":       func(m *Manifest) { m.Shards = []string{".."} },
 		"empty shard":     func(m *Manifest) { m.Shards = []string{""} },
 		"tp-row count":    func(m *Manifest) { m.FlatLensTP = [][]int{{8}, {8}} },
+		"tp2 no tp rows":  func(m *Manifest) { m.Layout.TP = 2 },
 	}
 	for name, mutate := range cases {
 		m := good

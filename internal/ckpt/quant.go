@@ -3,7 +3,6 @@ package ckpt
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,51 +40,18 @@ func SaveQuantized(path string, m *vit.Model, kind quant.Kind) error {
 	if !kind.Valid() {
 		return fmt.Errorf("ckpt: SaveQuantized with invalid quant kind %d", kind)
 	}
+	qdt := dtypeI8
+	if kind == quant.Q4_0 {
+		qdt = dtypeQ4
+	}
+	dtype := func(p *nn.Param) uint8 {
+		if quantizable(p) {
+			return qdt
+		}
+		return dtypeF32
+	}
 	return atomicWrite(path, func(w io.Writer) error {
-		cw := newCRCWriter(w)
-		if _, err := cw.Write([]byte(magic)); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, Version); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, kindQuantWeights); err != nil {
-			return err
-		}
-		cfgJSON, err := json.Marshal(m.Config)
-		if err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(cfgJSON))); err != nil {
-			return err
-		}
-		if _, err := cw.Write(cfgJSON); err != nil {
-			return err
-		}
-		if err := cw.section(); err != nil {
-			return err
-		}
-		params := m.Params()
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(params))); err != nil {
-			return err
-		}
-		for _, p := range params {
-			var err error
-			if quantizable(p) {
-				if err = finiteWeights(p); err == nil {
-					err = writeQuantParam(cw, p, kind)
-				}
-			} else {
-				err = writeParam(cw, p, false)
-			}
-			if err != nil {
-				return fmt.Errorf("ckpt: writing %s: %w", p.Name, err)
-			}
-			if err := cw.section(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeModel(newCRCWriter(w), m, kindQuantWeights, dtype)
 	})
 }
 
@@ -102,28 +68,18 @@ func finiteWeights(p *nn.Param) error {
 	return nil
 }
 
-// writeQuantParam emits one block-quantized parameter section: the
-// common name/numel prefix, the quantized dtype byte, the [rows, cols]
-// geometry, then the block scales and packed data. Scale and data
-// lengths are pure functions of (dtype, rows, cols), so the reader
-// never trusts a stored length.
-func writeQuantParam(w io.Writer, p *nn.Param, kind quant.Kind) error {
-	name := []byte(p.Name)
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(name))); err != nil {
+// writeQuantParam emits the body of a block-quantized parameter
+// section, after writeParam's name / numel / dtype prefix: the
+// [rows, cols] geometry, then the block scales and packed data. Scale
+// and data lengths are pure functions of (dtype, rows, cols), so the
+// reader never trusts a stored length. A non-finite weight fails it.
+func writeQuantParam(w io.Writer, p *nn.Param, dt uint8) error {
+	if err := finiteWeights(p); err != nil {
 		return err
 	}
-	if _, err := w.Write(name); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(p.W.Len())); err != nil {
-		return err
-	}
-	dt := dtypeI8
-	if kind == quant.Q4_0 {
-		dt = dtypeQ4
-	}
-	if err := binary.Write(w, binary.LittleEndian, dt); err != nil {
-		return err
+	kind := quant.Int8
+	if dt == dtypeQ4 {
+		kind = quant.Q4_0
 	}
 	rows, cols := p.W.Dim(0), p.W.Dim(1)
 	if err := binary.Write(w, binary.LittleEndian, uint32(rows)); err != nil {

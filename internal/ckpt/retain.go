@@ -1,12 +1,13 @@
 package ckpt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,31 +31,45 @@ func stateGenPath(base string, step int) string {
 	return fmt.Sprintf("%s.g%d", base, step)
 }
 
-type stateGen struct {
+// generation is one retained checkpoint generation: its step and the
+// file name it was found under.
+type generation struct {
 	step int
-	path string
+	name string
+}
+
+// generations lists the files in dir named prefix<step>suffix, newest
+// step first. It reads the directory instead of globbing, so a glob
+// metacharacter in dir or prefix stands for itself, and callers open
+// the listed name rather than re-deriving it from the step.
+func generations(dir, prefix, suffix string) []generation {
+	entries, _ := os.ReadDir(dir)
+	var gens []generation
+	for _, e := range entries {
+		digits, ok := strings.CutPrefix(e.Name(), prefix)
+		if !ok {
+			continue
+		}
+		if digits, ok = strings.CutSuffix(digits, suffix); !ok {
+			continue
+		}
+		if step, err := strconv.Atoi(digits); err == nil && step >= 0 {
+			gens = append(gens, generation{step: step, name: e.Name()})
+		}
+	}
+	slices.SortFunc(gens, func(a, b generation) int { return cmp.Compare(b.step, a.step) })
+	return gens
 }
 
 // stateGenerations lists base's retained generation files, newest
-// step first.
-func stateGenerations(base string) []stateGen {
-	matches, err := filepath.Glob(base + ".g*")
-	if err != nil {
-		return nil
+// step first, as paths.
+func stateGenerations(base string) []string {
+	dir := filepath.Dir(base)
+	var paths []string
+	for _, g := range generations(dir, filepath.Base(base)+".g", "") {
+		paths = append(paths, filepath.Join(dir, g.name))
 	}
-	var gens []stateGen
-	for _, path := range matches {
-		if strings.HasSuffix(path, quarantineSuffix) {
-			continue
-		}
-		step, err := strconv.Atoi(strings.TrimPrefix(path, base+".g"))
-		if err != nil || step < 0 {
-			continue
-		}
-		gens = append(gens, stateGen{step: step, path: path})
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].step > gens[j].step })
-	return gens
+	return paths
 }
 
 // SaveTrainStateRetained writes the training state to a step-scoped
@@ -75,10 +90,10 @@ func SaveTrainStateRetained(base string, st *TrainState, half bool, keep int) er
 	if err := copyFileAtomic(gen, base); err != nil {
 		return err
 	}
-	for i, g := range stateGenerations(base) {
+	for i, path := range stateGenerations(base) {
 		if i >= keep {
-			os.Remove(g.path)
-			os.Remove(g.path + quarantineSuffix)
+			os.Remove(path)
+			os.Remove(path + quarantineSuffix)
 		}
 	}
 	return nil
@@ -86,18 +101,14 @@ func SaveTrainStateRetained(base string, st *TrainState, half bool, keep int) er
 
 // LoadLatestValidState resumes from the newest generation of base
 // that passes integrity verification, trying base itself last (a
-// legacy checkpoint with no generation ring). A generation that fails
-// with *CorruptError is renamed aside with a ".quarantined" suffix
-// and skipped; other errors (a weights-only file, permissions) abort
-// immediately — they are usage or environment problems, not
-// corruption. Returns the state, the path it was loaded from, and
-// the quarantined paths.
+// SaveTrainState save, as `-keep 0` writes, has no generation ring).
+// A generation that fails with *CorruptError is renamed aside with a
+// ".quarantined" suffix and skipped; other errors (a weights-only
+// file, permissions) abort immediately — they are usage or environment
+// problems, not corruption. Returns the state, the path it was loaded
+// from, and the quarantined paths.
 func LoadLatestValidState(base string) (*TrainState, string, []string, error) {
-	var candidates []string
-	for _, g := range stateGenerations(base) {
-		candidates = append(candidates, g.path)
-	}
-	candidates = append(candidates, base)
+	candidates := append(stateGenerations(base), base)
 	var quarantined []string
 	var lastCorrupt error
 	for _, path := range candidates {

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -10,8 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"orbit/internal/tensor"
@@ -26,8 +26,10 @@ import (
 //
 // On disk a checkpoint is a directory:
 //
-//	manifest.json                layout, counters, RNG stream, flat lengths
-//	shard-s<STEP>-t<T>-f<F>.bin  per-rank chunk weights + optimizer moments
+//	manifest-s<STEP>.json             one generation's layout, counters,
+//	                                  RNG stream, flat lengths, digests
+//	manifest.json                     copy of the newest generation manifest
+//	shard-s<STEP>-p<P>-t<T>-f<F>.bin  per-rank chunk weights + optimizer moments
 //
 // Saves are crash-safe even when the directory already holds an older
 // checkpoint: shard file names are scoped by step, so a new save
@@ -51,8 +53,7 @@ const ManifestName = "manifest.json"
 
 // ShardLayout names the parallelism extents a sharded checkpoint was
 // saved under (mirrors core.Layout without importing it). PP is the
-// pipeline-stage count; zero means 1 (checkpoints written before the
-// pipeline axis existed omit the field).
+// pipeline-stage count; a single-stage save omits it, and zero means 1.
 type ShardLayout struct {
 	TP   int `json:"tp"`
 	PP   int `json:"pp,omitempty"`
@@ -60,8 +61,8 @@ type ShardLayout struct {
 	DDP  int `json:"ddp"`
 }
 
-// Stages returns the pipeline-stage count, treating the omitted
-// legacy field as 1.
+// Stages returns the pipeline-stage count, treating the omitted field
+// as 1.
 func (l ShardLayout) Stages() int {
 	if l.PP < 1 {
 		return 1
@@ -77,12 +78,10 @@ type Manifest struct {
 	// each block's T=0 TP shard; resharding needs it to strip and
 	// re-apply divisibility padding.
 	FlatLens []int `json:"flat_lens"`
-	// FlatLensTP carries per-T-rank logical flat lengths. TP shards are
-	// not all the same length — the unsharded output biases live only
-	// on rank T=0 — so resharding a TP>1 checkpoint needs the length of
-	// each T row, not just row 0. Omitted (and implied equal to
-	// FlatLens for every row) when TP == 1 or for checkpoints written
-	// before the field existed.
+	// FlatLensTP carries per-T-rank logical flat lengths, one row per T.
+	// TP shards are not all the same length — the unsharded output
+	// biases live only on rank T=0 — so a TP>1 manifest must carry every
+	// row. Omitted when TP == 1: the one row is FlatLens.
 	FlatLensTP [][]int `json:"flat_lens_tp,omitempty"`
 	// Step is the number of completed training steps.
 	Step int `json:"step"`
@@ -98,9 +97,8 @@ type Manifest struct {
 	// [0,len(FlatLens)) in order. Omitted when the checkpoint was saved
 	// with a single stage.
 	StageBlocks [][2]int `json:"stage_blocks,omitempty"`
-	// Shards lists the shard file names, one per (P,T,F) position with
-	// P slowest (PP=1 checkpoints keep the historical (T,F) order and
-	// file names byte-identically).
+	// Shards lists the shard file names, one per (P,T,F) position in
+	// (P,T,F) order.
 	Shards []string `json:"shards"`
 	// ShardCRCs carries the whole-file CRC32C digest of each shard,
 	// aligned with Shards. Written since format version 3, the only
@@ -109,12 +107,13 @@ type Manifest struct {
 	ShardCRCs []uint32 `json:"shard_crcs,omitempty"`
 }
 
-// FlatLensFor returns the logical flat lengths of TP row t.
+// FlatLensFor returns the logical flat lengths of TP row t; a TP=1
+// manifest's one row is FlatLens.
 func (m *Manifest) FlatLensFor(t int) []int {
-	if t < len(m.FlatLensTP) {
-		return m.FlatLensTP[t]
+	if len(m.FlatLensTP) == 0 {
+		return m.FlatLens
 	}
-	return m.FlatLens
+	return m.FlatLensTP[t]
 }
 
 // StageRange returns the [start,end) global block range stage p's
@@ -150,8 +149,8 @@ func (m *Manifest) Validate() error {
 	if m.Step < 0 || m.OptStep < 0 {
 		return fmt.Errorf("ckpt: negative step counters %d/%d", m.Step, m.OptStep)
 	}
-	if len(m.FlatLensTP) != 0 && len(m.FlatLensTP) != l.TP {
-		return fmt.Errorf("ckpt: %d per-TP length rows for TP=%d", len(m.FlatLensTP), l.TP)
+	if n := len(m.FlatLensTP); n != l.TP && (n != 0 || l.TP > 1) {
+		return fmt.Errorf("ckpt: %d per-TP length rows (flat_lens_tp) for TP=%d", n, l.TP)
 	}
 	rows := append([][]int{m.FlatLens}, m.FlatLensTP...)
 	for _, row := range rows {
@@ -214,24 +213,16 @@ type BlockShard struct {
 
 // RankShard is everything one (P,T,F) grid position owns. P is the
 // pipeline-stage coordinate; its identity is carried by the manifest
-// (shard order, file name, and digest), not the shard binary — the
-// on-disk shard format is unchanged from single-stage checkpoints.
+// (shard order, file name, and digest), not the shard binary.
 type RankShard struct {
 	P, T, F int
 	Blocks  []BlockShard
 }
 
-// ShardFileName returns the canonical shard file name for a grid
+// ShardFileName returns the shard file name for a (P,T,F) grid
 // position at a step. The step scope is what makes overwriting saves
 // crash-safe: the old manifest's files are never touched.
-func ShardFileName(step, t, f int) string {
-	return fmt.Sprintf("shard-s%d-t%d-f%d.bin", step, t, f)
-}
-
-// StageShardFileName is ShardFileName with the pipeline-stage
-// coordinate; used when the checkpoint has more than one stage
-// (single-stage saves keep the historical names byte-identically).
-func StageShardFileName(step, p, t, f int) string {
+func ShardFileName(step, p, t, f int) string {
 	return fmt.Sprintf("shard-s%d-p%d-t%d-f%d.bin", step, p, t, f)
 }
 
@@ -240,10 +231,8 @@ func StageShardFileName(step, p, t, f int) string {
 func PaddedLen(l, f int) int { return (l + f - 1) / f * f }
 
 // GenManifestName returns the step-scoped generation manifest name
-// inside a checkpoint dir. ManifestName stays the newest-commit
-// pointer (a byte-identical copy of the newest generation manifest)
-// so consumers that know nothing about retention — the inference
-// loader — keep working.
+// inside a checkpoint dir. ManifestName is the newest-commit pointer,
+// a byte-identical copy of the newest generation manifest.
 func GenManifestName(step int) string {
 	return fmt.Sprintf("manifest-s%d.json", step)
 }
@@ -271,21 +260,12 @@ func SaveShardedKeep(dir string, man *Manifest, shards []*RankShard, keep int) e
 	man.Version = int(Version)
 	man.Shards = man.Shards[:0]
 	man.ShardCRCs = man.ShardCRCs[:0]
-	ordered := append([]*RankShard(nil), shards...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].P != ordered[j].P {
-			return ordered[i].P < ordered[j].P
-		}
-		if ordered[i].T != ordered[j].T {
-			return ordered[i].T < ordered[j].T
-		}
-		return ordered[i].F < ordered[j].F
+	ordered := slices.Clone(shards)
+	slices.SortFunc(ordered, func(a, b *RankShard) int {
+		return cmp.Or(cmp.Compare(a.P, b.P), cmp.Compare(a.T, b.T), cmp.Compare(a.F, b.F))
 	})
 	for _, sh := range ordered {
-		name := ShardFileName(man.Step, sh.T, sh.F)
-		if stages > 1 {
-			name = StageShardFileName(man.Step, sh.P, sh.T, sh.F)
-		}
+		name := ShardFileName(man.Step, sh.P, sh.T, sh.F)
 		crc, err := writeShardFile(filepath.Join(dir, name), sh)
 		if err != nil {
 			return err
@@ -293,11 +273,20 @@ func SaveShardedKeep(dir string, man *Manifest, shards []*RankShard, keep int) e
 		man.Shards = append(man.Shards, name)
 		man.ShardCRCs = append(man.ShardCRCs, crc)
 	}
+	if err := writeManifest(dir, man, GenManifestName(man.Step), ManifestName); err != nil {
+		return err
+	}
+	gcGenerations(dir, man, keep)
+	return nil
+}
+
+// writeManifest writes man atomically under each of names in dir.
+func writeManifest(dir string, man *Manifest, names ...string) error {
 	manJSON, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{GenManifestName(man.Step), ManifestName} {
+	for _, name := range names {
 		err = atomicWrite(filepath.Join(dir, name), func(w io.Writer) error {
 			_, werr := w.Write(manJSON)
 			return werr
@@ -306,7 +295,6 @@ func SaveShardedKeep(dir string, man *Manifest, shards []*RankShard, keep int) e
 			return err
 		}
 	}
-	gcGenerations(dir, man, keep)
 	return nil
 }
 
@@ -318,9 +306,8 @@ func gcGenerations(dir string, cur *Manifest, keep int) {
 	for _, name := range cur.Shards {
 		live[name] = true
 	}
-	gens := shardGenerations(dir)
 	retained := 0
-	for _, g := range gens {
+	for _, g := range shardGenerations(dir) {
 		if g.step == cur.Step {
 			// The generation just written is always retained (and its
 			// shards are already in the live set).
@@ -328,15 +315,15 @@ func gcGenerations(dir string, cur *Manifest, keep int) {
 		}
 		if retained < keep-1 {
 			retained++
-			if man, err := readManifest(filepath.Join(dir, GenManifestName(g.step))); err == nil {
+			if man, err := readManifest(filepath.Join(dir, g.name)); err == nil {
 				for _, name := range man.Shards {
 					live[name] = true
 				}
 			}
 			continue
 		}
-		os.Remove(filepath.Join(dir, GenManifestName(g.step)))
-		os.Remove(filepath.Join(dir, GenManifestName(g.step)+quarantineSuffix))
+		os.Remove(filepath.Join(dir, g.name))
+		os.Remove(filepath.Join(dir, g.name+quarantineSuffix))
 	}
 	pruneStaleShards(dir, live)
 }
@@ -345,39 +332,19 @@ func gcGenerations(dir string, cur *Manifest, keep int) {
 // manifest references (leftovers from expired generations or crashed
 // attempts).
 func pruneStaleShards(dir string, live map[string]bool) {
-	matches, err := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
-	if err != nil {
-		return
-	}
-	for _, path := range matches {
-		if !live[filepath.Base(path)] {
-			os.Remove(path)
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".bin") && !live[name] {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
-}
-
-type shardGen struct {
-	step int
 }
 
 // shardGenerations lists the generation manifests in dir, newest step
 // first.
-func shardGenerations(dir string) []shardGen {
-	matches, err := filepath.Glob(filepath.Join(dir, "manifest-s*.json"))
-	if err != nil {
-		return nil
-	}
-	var gens []shardGen
-	for _, path := range matches {
-		base := filepath.Base(path)
-		step, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(base, "manifest-s"), ".json"))
-		if err != nil || step < 0 {
-			continue
-		}
-		gens = append(gens, shardGen{step: step})
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].step > gens[j].step })
-	return gens
+func shardGenerations(dir string) []generation {
+	return generations(dir, "manifest-s", ".json")
 }
 
 // readManifest parses and validates a manifest file. Structural
@@ -406,14 +373,10 @@ func readManifest(path string) (*Manifest, error) {
 	return &man, nil
 }
 
-// LoadSharded reads a checkpoint directory's committed (newest)
-// generation, returning the manifest and all shards in (T,F) order.
-// Every shard digest is verified before any shard byte is
-// deserialized; corruption anywhere yields a *CorruptError.
-func LoadSharded(dir string) (*Manifest, []*RankShard, error) {
-	return loadShardedFrom(dir, ManifestName)
-}
-
+// loadShardedFrom reads the generation manifestFile names in dir,
+// returning the manifest and all shards in (P,T,F) order. Every shard
+// digest is verified before any shard byte is deserialized; corruption
+// anywhere yields a *CorruptError.
 func loadShardedFrom(dir, manifestFile string) (*Manifest, []*RankShard, error) {
 	man, err := readManifest(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -473,23 +436,21 @@ func loadShardedFrom(dir, manifestFile string) (*Manifest, []*RankShard, error) 
 // ".quarantined" suffix so nothing loads it again — and the next
 // older generation is tried. On fallback the committed ManifestName
 // pointer is repaired to the good generation. Returns the manifest,
-// shards, and the quarantined manifest names. Directories written
-// before the generation ring existed (bare manifest.json only) load
-// through the same path.
+// shards, and the quarantined manifest names.
 func LoadShardedLatestValid(dir string) (*Manifest, []*RankShard, []string, error) {
 	gens := shardGenerations(dir)
 	if len(gens) == 0 {
-		man, shards, err := LoadSharded(dir)
-		return man, shards, nil, err
+		return nil, nil, nil, fmt.Errorf("ckpt: no checkpoint generation in %s: %w", dir, os.ErrNotExist)
 	}
 	var quarantined []string
 	var lastErr error
 	for _, g := range gens {
-		name := GenManifestName(g.step)
-		man, shards, err := loadShardedFrom(dir, name)
+		man, shards, err := loadShardedFrom(dir, g.name)
 		if err == nil {
 			if len(quarantined) > 0 {
-				repairCommitPointer(dir, man)
+				// Best-effort: the generation manifests stay the source
+				// of truth.
+				writeManifest(dir, man, ManifestName)
 			}
 			return man, shards, quarantined, nil
 		}
@@ -498,33 +459,25 @@ func LoadShardedLatestValid(dir string) (*Manifest, []*RankShard, []string, erro
 		if !errors.As(err, &ce) {
 			return nil, nil, quarantined, err
 		}
-		if os.Rename(filepath.Join(dir, name), filepath.Join(dir, name+quarantineSuffix)) == nil {
-			quarantined = append(quarantined, name)
+		if os.Rename(filepath.Join(dir, g.name), filepath.Join(dir, g.name+quarantineSuffix)) == nil {
+			quarantined = append(quarantined, g.name)
 		}
 	}
 	return nil, nil, quarantined, fmt.Errorf("ckpt: no valid checkpoint generation in %s: %w", dir, lastErr)
 }
 
-// repairCommitPointer rewrites ManifestName to point at the
-// generation that actually loaded, after newer generations were
-// quarantined. Best-effort: the generation manifests remain the
-// source of truth.
-func repairCommitPointer(dir string, man *Manifest) {
-	manJSON, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return
-	}
-	atomicWrite(filepath.Join(dir, ManifestName), func(w io.Writer) error {
-		_, werr := w.Write(manJSON)
-		return werr
-	})
+// HasManifest reports whether dir holds a generation manifest that
+// LoadShardedLatestValid would try; quarantined generations and a
+// bare commit pointer do not count.
+func HasManifest(dir string) bool {
+	return len(shardGenerations(dir)) > 0
 }
 
-// HasManifest reports whether dir contains a complete sharded
-// checkpoint.
-func HasManifest(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, ManifestName))
-	return err == nil
+// blockFields address a BlockShard's weight and moment chunks.
+var blockFields = []func(*BlockShard) *[]float32{
+	func(b *BlockShard) *[]float32 { return &b.W },
+	func(b *BlockShard) *[]float32 { return &b.M },
+	func(b *BlockShard) *[]float32 { return &b.V },
 }
 
 // Reshard redistributes a loaded checkpoint onto a new FSDP extent,
@@ -543,13 +496,6 @@ func Reshard(man *Manifest, shards []*RankShard, newFSDP int) ([]*RankShard, err
 	if newFSDP == man.Layout.FSDP {
 		return shards, nil
 	}
-	if man.Layout.TP > 1 && len(man.FlatLensTP) == 0 {
-		// Legacy TP>1 manifests recorded only the T=0 row's logical
-		// lengths, but T>0 rows are shorter (output biases live on rank
-		// 0 alone): stripping their padding with the T=0 lengths would
-		// silently corrupt every parameter past the first mismatch.
-		return nil, fmt.Errorf("ckpt: TP=%d manifest lacks per-TP flat lengths (flat_lens_tp); re-save the checkpoint before resharding", man.Layout.TP)
-	}
 	oldF := man.Layout.FSDP
 	out := make([]*RankShard, 0, stages*man.Layout.TP*newFSDP)
 	for pt := 0; pt < stages*man.Layout.TP; pt++ {
@@ -564,21 +510,11 @@ func Reshard(man *Manifest, shards []*RankShard, newFSDP int) ([]*RankShard, err
 		// T=0 (the unsharded output biases live only on rank 0). A
 		// stage's shards hold its block range's rows of that column.
 		for b, logical := range man.FlatLensFor(t)[rng[0]:rng[1]] {
-			for field := 0; field < 3; field++ {
-				pick := func(bs *BlockShard) []float32 {
-					switch field {
-					case 0:
-						return bs.W
-					case 1:
-						return bs.M
-					default:
-						return bs.V
-					}
-				}
+			for _, field := range blockFields {
 				// Reassemble the logical flat vector from the old chunks…
 				full := make([]float32, 0, PaddedLen(logical, oldF))
 				for _, sh := range row {
-					full = append(full, pick(&sh.Blocks[b])...)
+					full = append(full, *field(&sh.Blocks[b])...)
 				}
 				if len(full) < logical {
 					return nil, fmt.Errorf("ckpt: block %d flat length %d < logical %d", b, len(full), logical)
@@ -597,14 +533,7 @@ func Reshard(man *Manifest, shards []*RankShard, newFSDP int) ([]*RankShard, err
 						}
 						copy(chunk, full[lo:hi])
 					}
-					switch field {
-					case 0:
-						newRow[f].Blocks[b].W = chunk
-					case 1:
-						newRow[f].Blocks[b].M = chunk
-					default:
-						newRow[f].Blocks[b].V = chunk
-					}
+					*field(&newRow[f].Blocks[b]) = chunk
 				}
 			}
 		}
@@ -630,15 +559,9 @@ func ReshardPP(man *Manifest, shards []*RankShard, newStages [][2]int) ([]*RankS
 	if len(newStages) == 0 {
 		newStages = [][2]int{{0, len(man.FlatLens)}}
 	}
-	next := 0
-	for p, rng := range newStages {
-		if rng[0] != next || rng[1] <= rng[0] || rng[1] > len(man.FlatLens) {
-			return nil, fmt.Errorf("ckpt: new stage %d range %v does not tile %d blocks", p, rng, len(man.FlatLens))
-		}
-		next = rng[1]
-	}
-	if next != len(man.FlatLens) {
-		return nil, fmt.Errorf("ckpt: new stage ranges cover %d of %d blocks", next, len(man.FlatLens))
+	tiling := Manifest{Layout: ShardLayout{PP: len(newStages)}, FlatLens: man.FlatLens, StageBlocks: newStages}
+	if err := tiling.validateStages(); err != nil {
+		return nil, err
 	}
 	// blockHome[b] locates block b in the saved partition: which stage
 	// holds it and at which stage-local index.
@@ -688,18 +611,15 @@ func writeShardFile(path string, sh *RankShard) (uint32, error) {
 		if err := binary.Write(cw, binary.LittleEndian, uint32(len(sh.Blocks))); err != nil {
 			return err
 		}
-		for b, blk := range sh.Blocks {
+		for b := range sh.Blocks {
+			blk := &sh.Blocks[b]
 			if len(blk.M) != len(blk.W) || len(blk.V) != len(blk.W) {
 				return fmt.Errorf("ckpt: shard (%d,%d) block %d has mismatched W/M/V lengths", sh.T, sh.F, b)
 			}
-			if err := writeF32Section(cw, blk.W); err != nil {
-				return err
-			}
-			if err := writeF32Section(cw, blk.M); err != nil {
-				return err
-			}
-			if err := writeF32Section(cw, blk.V); err != nil {
-				return err
+			for _, field := range blockFields {
+				if err := writeF32Section(cw, *field(blk)); err != nil {
+					return err
+				}
 			}
 		}
 		crc = cw.sum
@@ -708,9 +628,8 @@ func writeShardFile(path string, sh *RankShard) (uint32, error) {
 	return crc, err
 }
 
-// readShard parses a shard file's bytes. The binary layout is
-// unchanged since version 2 (integrity is the manifest's whole-file
-// digest, not in-band checksums), so readers accept both.
+// readShard parses a shard file's bytes. Integrity is the manifest's
+// whole-file digest, not in-band checksums.
 func readShard(r io.Reader, path string) (*RankShard, error) {
 	head := make([]byte, 4)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -723,7 +642,7 @@ func readShard(r io.Reader, path string) (*RankShard, error) {
 	if err := binary.Read(r, binary.LittleEndian, &ver); err != nil {
 		return nil, err
 	}
-	if ver < 2 || ver > Version {
+	if ver != Version {
 		return nil, fmt.Errorf("ckpt: unsupported shard version %d in %s", ver, path)
 	}
 	var t16, f16 uint16

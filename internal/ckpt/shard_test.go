@@ -3,6 +3,7 @@ package ckpt
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"orbit/internal/tensor"
@@ -85,7 +86,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if !HasManifest(dir) {
 		t.Fatal("manifest missing after save")
 	}
-	backMan, backShards, err := LoadSharded(dir)
+	backMan, backShards, err := loadShardedFrom(dir, ManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,23 +94,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 		backMan.OptStep != man.OptStep || backMan.RNG != man.RNG {
 		t.Errorf("manifest mismatch: %+v vs %+v", backMan, man)
 	}
-	if len(backShards) != len(shards) {
-		t.Fatalf("%d shards back, want %d", len(backShards), len(shards))
-	}
-	for i, sh := range shards {
-		back := backShards[i]
-		if back.T != sh.T || back.F != sh.F {
-			t.Fatalf("shard %d position (%d,%d), want (%d,%d)", i, back.T, back.F, sh.T, sh.F)
-		}
-		for b := range sh.Blocks {
-			for j := range sh.Blocks[b].W {
-				if back.Blocks[b].W[j] != sh.Blocks[b].W[j] ||
-					back.Blocks[b].M[j] != sh.Blocks[b].M[j] ||
-					back.Blocks[b].V[j] != sh.Blocks[b].V[j] {
-					t.Fatalf("shard (%d,%d) block %d elem %d mismatch", sh.T, sh.F, b, j)
-				}
-			}
-		}
+	if !reflect.DeepEqual(backShards, shards) {
+		t.Error("shards did not round-trip: positions or payloads differ")
 	}
 }
 
@@ -170,14 +156,8 @@ func TestReshardGrowAndShrinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sh := range shards {
-		for b := range sh.Blocks {
-			for j := range sh.Blocks[b].W {
-				if back[i].Blocks[b].W[j] != sh.Blocks[b].W[j] {
-					t.Fatalf("round trip diverged at shard %d block %d elem %d", i, b, j)
-				}
-			}
-		}
+	if !reflect.DeepEqual(back, shards) {
+		t.Error("2→3→2 reshard did not return the original shards")
 	}
 }
 
@@ -198,13 +178,13 @@ func TestLoadShardedIncompleteDir(t *testing.T) {
 	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, ShardFileName(man.Step, 0, 1))); err != nil {
+	if err := os.Remove(filepath.Join(dir, ShardFileName(man.Step, 0, 0, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSharded(dir); err == nil {
+	if _, _, err := loadShardedFrom(dir, ManifestName); err == nil {
 		t.Error("expected error for a checkpoint missing a shard file")
 	}
-	if _, _, err := LoadSharded(t.TempDir()); err == nil {
+	if _, _, err := loadShardedFrom(t.TempDir(), ManifestName); err == nil {
 		t.Error("expected error for a directory with no manifest")
 	}
 }
@@ -219,10 +199,9 @@ func TestOverwritingSaveKeepsOldCheckpointLoadable(t *testing.T) {
 	if err := SaveShardedKeep(dir, man1, shards1, 1); err != nil {
 		t.Fatal(err)
 	}
-	old1 := filepath.Join(dir, ShardFileName(man1.Step, 0, 0))
-	raw1, err := os.ReadFile(old1)
-	if err != nil {
-		t.Fatal(err)
+	old1 := filepath.Join(dir, ShardFileName(man1.Step, 0, 0, 0))
+	if _, err := os.Stat(old1); err != nil {
+		t.Fatal(err) // the prune check below must not pass vacuously
 	}
 
 	man2, shards2 := buildShards(1, 2, []int{8})
@@ -237,17 +216,12 @@ func TestOverwritingSaveKeepsOldCheckpointLoadable(t *testing.T) {
 	if _, err := os.Stat(old1); !os.IsNotExist(err) {
 		t.Errorf("superseded shard %s not pruned (err=%v)", old1, err)
 	}
-	backMan, backShards, err := LoadSharded(dir)
+	backMan, backShards, err := loadShardedFrom(dir, ManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if backMan.Step != man2.Step || backShards[0].Blocks[0].W[0] != 777 {
 		t.Error("latest checkpoint not the one loaded")
-	}
-	// And the old bytes were written via rename, never truncated in
-	// place: a copy taken before the second save is still intact.
-	if len(raw1) == 0 {
-		t.Fatal("old shard bytes empty")
 	}
 }
 
@@ -296,13 +270,13 @@ func TestShardFileCorruptedMagic(t *testing.T) {
 	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, ShardFileName(man.Step, 0, 0))
+	path := filepath.Join(dir, ShardFileName(man.Step, 0, 0, 0))
 	raw, _ := os.ReadFile(path)
 	copy(raw, "JUNK")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSharded(dir); err == nil {
+	if _, _, err := loadShardedFrom(dir, ManifestName); err == nil {
 		t.Error("expected error for corrupted shard magic")
 	}
 }

@@ -55,7 +55,7 @@ func SaveTrainState(path string, st *TrainState, half bool) error {
 	}
 	return atomicWrite(path, func(w io.Writer) error {
 		cw := newCRCWriter(w)
-		if err := writeModel(cw, st.Model, half, kindTrain); err != nil {
+		if err := writeModel(cw, st.Model, kindTrain, floatDtype(half)); err != nil {
 			return err
 		}
 		metaJSON, err := json.Marshal(st.Meta)
@@ -90,7 +90,7 @@ func SaveTrainState(path string, st *TrainState, half bool) error {
 }
 
 // LoadTrainState reads a training-state checkpoint written by
-// SaveTrainState. Version-3 section checksums are verified before
+// SaveTrainState. Section checksums are verified before
 // deserializing; structural or checksum failures come back as a
 // *CorruptError. Passing a weights-only checkpoint is a usage error,
 // not corruption, and stays a plain error.

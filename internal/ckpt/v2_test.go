@@ -1,10 +1,10 @@
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,14 +15,20 @@ import (
 	"orbit/internal/vit"
 )
 
-// writeV1 emits the exact version-1 on-disk format (no kind byte),
-// which PR ≤ 2 builds produced, so the backward-compat contract is
-// pinned against real bytes rather than against the current writer.
-func writeV1(t *testing.T, path string, m *vit.Model, half bool) {
-	t.Helper()
+// writeV1 and writeV2 emit the exact version-1 (no kind byte) and
+// version-2 (a kind byte, no section checksums) on-disk formats, so
+// the rejection is pinned against real bytes rather than against the
+// current writer.
+func writeV1(t *testing.T, path string, m *vit.Model) { writeOld(t, path, m, 1) }
+func writeV2(t *testing.T, path string, m *vit.Model) { writeOld(t, path, m, 2) }
+
+func writeOld(t *testing.T, path string, m *vit.Model, ver uint32) {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
-	binary.Write(&buf, binary.LittleEndian, uint32(1))
+	binary.Write(&buf, binary.LittleEndian, ver)
+	if ver == 2 {
+		buf.WriteByte(kindWeights)
+	}
 	cfgJSON, err := json.Marshal(m.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -31,94 +37,56 @@ func writeV1(t *testing.T, path string, m *vit.Model, half bool) {
 	buf.Write(cfgJSON)
 	params := m.Params()
 	binary.Write(&buf, binary.LittleEndian, uint32(len(params)))
-	w := bufio.NewWriter(&buf)
 	for _, p := range params {
-		if err := writeParam(w, p, half); err != nil {
+		if err := writeParam(&buf, p, dtypeF32); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.Flush()
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLoadVersion1BackwardCompat pins the promise that a version-1
-// weights-only file written by an older build still loads.
+// TestLoadVersion1BackwardCompat pins where backward compatibility
+// ends: the readers accept only Version, so a version-1 file is a
+// *CorruptError naming the version, never a misread model.
 func TestLoadVersion1BackwardCompat(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v1.orbt")
-	m, err := vit.New(vit.Tiny(3, 8, 16), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeV1(t, path, m, false)
-	back, err := Load(path)
-	if err != nil {
-		t.Fatalf("loading version-1 file: %v", err)
-	}
-	rng := tensor.NewRNG(3)
-	x := tensor.Randn(rng, 1, 3, 8, 16)
-	if !tensor.AllClose(back.Forward(x, 24), m.Forward(x, 24), 0, 0) {
-		t.Error("version-1 fp32 load should be bit exact")
-	}
+	path := filepath.Join(t.TempDir(), "v1.orbt")
+	m, _ := vit.New(vit.Tiny(2, 8, 8), 1)
+	writeV1(t, path, m)
+	_, err := Load(path)
+	wantCorrupt(t, err, "unsupported version 1")
 }
 
-// writeV2 emits the exact version-2 on-disk format (kind byte, no
-// section checksums), which PR 3–6 builds produced, so the
-// backward-compat contract is pinned against real bytes rather than
-// against the current writer.
-func writeV2(t *testing.T, path string, m *vit.Model, half bool, kind uint8) {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	binary.Write(&buf, binary.LittleEndian, uint32(2))
-	buf.WriteByte(kind)
-	cfgJSON, err := json.Marshal(m.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.Write(&buf, binary.LittleEndian, uint32(len(cfgJSON)))
-	buf.Write(cfgJSON)
-	params := m.Params()
-	binary.Write(&buf, binary.LittleEndian, uint32(len(params)))
-	w := bufio.NewWriter(&buf)
-	for _, p := range params {
-		if err := writeParam(w, p, half); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLoadVersion2BackwardCompat pins the promise that a version-2
-// file written by an older build — no section checksums — still
-// loads bit-exactly.
+// TestLoadVersion2BackwardCompat: a version-2 file and a version-2
+// shard behind a valid digest are each a *CorruptError naming the
+// version.
 func TestLoadVersion2BackwardCompat(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "v2.orbt")
-	m, err := vit.New(vit.Tiny(3, 8, 16), 5)
-	if err != nil {
+	m, _ := vit.New(vit.Tiny(2, 8, 8), 1)
+	writeV2(t, filepath.Join(dir, "v2.orbt"), m)
+	_, err := Load(filepath.Join(dir, "v2.orbt"))
+	wantCorrupt(t, err, "unsupported version 2")
+	man, shards := buildShards(1, 1, []int{8})
+	if err := SaveShardedKeep(dir, man, shards, 1); err != nil {
 		t.Fatal(err)
 	}
-	writeV2(t, path, m, false, kindWeights)
-	back, err := Load(path)
-	if err != nil {
-		t.Fatalf("loading version-2 file: %v", err)
+	path := filepath.Join(dir, man.Shards[0])
+	data, _ := os.ReadFile(path)
+	binary.LittleEndian.PutUint32(data[4:], 2)
+	man.ShardCRCs[0] = crc32.Checksum(data, castagnoli)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	rng := tensor.NewRNG(3)
-	x := tensor.Randn(rng, 1, 3, 8, 16)
-	if !tensor.AllClose(back.Forward(x, 24), m.Forward(x, 24), 0, 0) {
-		t.Error("version-2 fp32 load should be bit exact")
+	if err := writeManifest(dir, man, ManifestName); err != nil {
+		t.Fatal(err)
 	}
+	_, _, err = loadShardedFrom(dir, ManifestName)
+	wantCorrupt(t, err, "unsupported shard version 2")
 }
 
 func TestSaveWritesVersion3(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.orbt")
+	path := filepath.Join(t.TempDir(), "m.orbt")
 	m, _ := vit.New(vit.Tiny(2, 8, 8), 1)
 	if err := Save(path, m, false); err != nil {
 		t.Fatal(err)
@@ -136,8 +104,7 @@ func TestSaveWritesVersion3(t *testing.T) {
 }
 
 func TestLoadRejectsFutureVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.orbt")
+	path := filepath.Join(t.TempDir(), "m.orbt")
 	m, _ := vit.New(vit.Tiny(2, 8, 8), 1)
 	if err := Save(path, m, false); err != nil {
 		t.Fatal(err)
@@ -147,9 +114,8 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Error("expected error for future format version")
-	}
+	_, err := Load(path)
+	wantCorrupt(t, err, "unsupported version 99")
 }
 
 // --- bf16 dtype edge cases -------------------------------------------

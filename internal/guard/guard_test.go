@@ -31,7 +31,7 @@ func baseElastic(t *testing.T, layout core.Layout, nodes, gpn int) train.Elastic
 // bit-exact comparison.
 func finalWeights(t *testing.T, dir string) (int, [][]float32) {
 	t.Helper()
-	man, shards, err := ckpt.LoadSharded(dir)
+	man, shards, _, err := ckpt.LoadShardedLatestValid(dir)
 	if err != nil {
 		t.Fatalf("loading final checkpoint from %s: %v", dir, err)
 	}
@@ -311,7 +311,7 @@ func TestWatchdogRecoversStalledTPRank(t *testing.T) {
 // shard file.
 func corruptNewestShard(t *testing.T, dir string, step int) {
 	t.Helper()
-	path := filepath.Join(dir, ckpt.ShardFileName(step, 0, 0))
+	path := filepath.Join(dir, ckpt.ShardFileName(step, 0, 0, 0))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("corrupting %s: %v", path, err)

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -77,9 +78,9 @@ func TestGoldenRollout(t *testing.T) {
 	jsonPath := filepath.Join("testdata", "golden", "rollout.json")
 
 	if *update {
-		// The checkpoint is frozen: it is an ORBT v2 file, and the only
-		// gate that a file of that version still loads to these values.
-		// Only a checkout that has none gets one from today's writer.
+		// The checkpoint is frozen: its bytes pin the reader to these
+		// values, so -update never rewrites it. Only a checkout that has
+		// none gets one from today's writer.
 		if _, err := os.Stat(ckptPath); errors.Is(err, os.ErrNotExist) {
 			m, err := vit.New(goldenConfig(), goldenModelSeed)
 			if err != nil {
@@ -130,6 +131,13 @@ func TestGoldenRollout(t *testing.T) {
 		t.Fatalf("golden metadata drifted from the test constants: %+v", g)
 	}
 
+	raw, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[4:8]); v != ckpt.Version {
+		t.Fatalf("%s stores format version %d, want ckpt.Version %d", ckptPath, v, ckpt.Version)
+	}
 	m, err := LoadModel(ckptPath)
 	if err != nil {
 		t.Fatalf("loading frozen checkpoint: %v", err)

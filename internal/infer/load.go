@@ -10,9 +10,9 @@ import (
 )
 
 // LoadModel loads a full ORBIT model for inference from a checkpoint
-// file: version-1 weights-only, version-2 weights-only, or a version-2
-// training-state checkpoint (the optimizer sections are skipped — an
-// inference engine has no use for Adam moments).
+// file of any kind: weights-only, quantized, or training-state (the
+// optimizer sections are skipped — an inference engine has no use for
+// Adam moments).
 func LoadModel(path string) (*vit.Model, error) {
 	st, err := os.Stat(path)
 	if err != nil {

@@ -68,7 +68,7 @@ func TestLoadModelKinds(t *testing.T) {
 	if err := os.MkdirAll(sh, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(sh, ckpt.ManifestName), []byte("{}"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(sh, ckpt.GenManifestName(1)), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = LoadModel(sh)

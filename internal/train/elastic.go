@@ -525,9 +525,8 @@ func (j *elasticJob) stageLens() (lensTP [][]int, stageBlocks [][2]int) {
 
 // save writes a sharded checkpoint: each (P,T,F) position of the D=0
 // plane contributes exactly its own chunk weights and moments. A
-// pipelined job records the stage geometry in the manifest (stage
-// shard files are stage-scoped); a PP=1 checkpoint is byte-identical
-// to the pre-pipeline format.
+// pipelined job records the stage geometry in the manifest; a PP=1
+// manifest omits it, and a TP>1 one records every TP row's lengths.
 func (j *elasticJob) save() error {
 	lensTP, stageBlocks := j.stageLens()
 	man := &ckpt.Manifest{
