@@ -100,7 +100,8 @@ cover:
 	sh scripts/check_coverage.sh
 
 # One-iteration sanity pass over the attention hot path, a transformer
-# block's forward+backward, the planner's query family and the bench
+# block's forward+backward, the planner's query family, its 64-GPU
+# query on the default knob grid (bucket variants included) and the bench
 # model's planned forward (f32 and int8, batch 8): catches
 # regressions that only appear under the benchmark harness (buffer
 # reuse across iterations, kernel dispatch, the replay scratch across
@@ -116,7 +117,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=2000x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkRowKernels$$' -benchtime=2000x -cpu 1 ./internal/tensor/
-	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$' -benchtime=1x ./internal/plan/
+	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$|BenchmarkBest4Large$$' -benchtime=1x ./internal/plan/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanForward$$' -benchtime=1x ./internal/infer/
 
 # Full hot-path benchmark set with allocation counters — compare

@@ -42,6 +42,10 @@ func main() {
 
 	ran := false
 	if *auto {
+		if err := checkAutoFlags(*nodes, *globalBatch, *computeScale); err != nil {
+			fmt.Fprintln(os.Stderr, "orbit-scaling:", err)
+			os.Exit(2)
+		}
 		runAuto(*nodes, *globalBatch, *computeScale)
 		ran = true
 	}
@@ -70,6 +74,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// checkAutoFlags rejects the -auto settings that cannot describe a
+// cluster or a workload: the planner would report an empty grid for no
+// devices, and ScaledPlanShape ignores a scale it cannot apply.
+func checkAutoFlags(nodes, globalBatch int, computeScale float64) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d: need at least one node", nodes)
+	case globalBatch < 1:
+		return fmt.Errorf("-global-batch %d: need at least one sample", globalBatch)
+	case !(computeScale > 0) || math.IsInf(computeScale, 1):
+		return fmt.Errorf("-compute-scale %g: need a finite scale > 0", computeScale)
+	}
+	return nil
 }
 
 // runAuto compares planner predictions against ground-truth

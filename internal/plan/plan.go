@@ -81,6 +81,10 @@
 // that could win: every rank spends at least its program's solo run on
 // each step — each collective at the cheapest price its ranks pay, no
 // partner to wait for — and the pre-compile bound is at most that run.
+// Candidates that differ only in prefetch depth are enumerated, and
+// with equal bounds walked, next to each other, so the scratch keeps the
+// last layout's topology, rank classes and pre-bound (which no knob but
+// the DDP bucket size enters) for the next candidate.
 //
 // # Key types
 //

@@ -333,11 +333,19 @@ type replay struct {
 	cut   cut     // the candidate's stages and schedules
 	tcs   int     // TP rank classes with a program of their own: 1 or 2
 	probe program // preBound's: one program's slots at a time
-	// Shared by a query's candidates, for memoW and memoSpec.
-	memoW    Workload
-	memoSpec cluster.Spec
-	cuts     map[[2]int]cut
-	sums     map[[2]int][4]passSums
+	// Shared by a query's candidates, for memoW and memoC.
+	memoW Workload
+	memoC ClusterShape
+	cuts  map[[2]int]cut
+	sums  map[[2]int][4]passSums
+	// Shared by a layout's knob variants: the layout progOf and the
+	// topology are wired for (zero when none is), partition's group class
+	// count (0 until it has coloured them), and the pre-bound at DDP
+	// bucket size preBucket (pre < 0 until it is computed).
+	topo         pp.Layout
+	groupClasses int
+	pre          float64
+	preBucket    int
 
 	// Concrete topology: members holds rank<<3|role entries group by
 	// group; bind[rank*roleCount+role] is the rank's group for a role
@@ -488,18 +496,27 @@ func (sc *replay) wire(gi int32, gpn int, spec cluster.Spec) {
 	}
 }
 
-// buildTopology wires each stage's inner TP×FSDP×DDP grid over the
-// stage's contiguous device window, one group per core.Layout.Line as
+// buildTopology maps ranks to programs, one per (stage, TP rank 0 or
+// not), and wires each stage's inner TP×FSDP×DDP grid over the stage's
+// contiguous device window, one group per core.Layout.Line as
 // core.BuildGroupsOver builds them, and one two-rank link group per
-// (adjacent-stage pair, direction, inner rank), as pp.Build does.
+// (adjacent-stage pair, direction, inner rank), as pp.Build does. It
+// drops the colouring and pre-bound of the previous layout.
 func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
 	R := layout.Ranks()
+	sc.topo, sc.groupClasses, sc.pre = layout, 0, -1
+	sc.tcs = min(layout.TP, 2)
+	sc.progOf = resize(sc.progOf, R)
+	for r := range sc.progOf {
+		c4 := layout.CoordOf(r)
+		sc.progOf[r] = int32(c4.P*sc.tcs + min(c4.T, sc.tcs-1))
+	}
 	sc.groups, sc.members = sc.groups[:0], sc.members[:0]
 	sc.bind = resize(sc.bind, R*roleCount)
 	for i := range sc.bind {
 		sc.bind[i] = -1
 	}
-	sc.spans = resize(sc.spans, len(sc.cut.stages)*sc.tcs*roleCount)
+	sc.spans = resize(sc.spans, layout.PP*sc.tcs*roleCount)
 	clear(sc.spans)
 	inner := layout.Inner()
 	innerN := inner.Ranks()
@@ -772,8 +789,9 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 	return sc.run()
 }
 
-// header validates the candidate, cuts its stages, maps ranks to
-// programs and wires the topology, or says why it cannot run.
+// header validates the candidate and cuts its stages, or says why it
+// cannot run, and builds the layout's topology unless the scratch
+// holds it from the previous candidate.
 func (sc *replay) header(w Workload, c ClusterShape, cand Candidate4) (note string) {
 	if err := w.Validate(); err != nil {
 		return err.Error()
@@ -806,8 +824,9 @@ func (sc *replay) header(w Workload, c ClusterShape, cand Candidate4) (note stri
 		return fmt.Sprintf("plan: global batch %d not divisible by %d data ranks (FSDP %d × DDP %d)",
 			w.GlobalBatch, dataRanks, layout.FSDP, layout.DDP)
 	}
-	if sc.memoW != w || sc.memoSpec != c.Spec {
-		sc.memoW, sc.memoSpec, sc.cuts, sc.sums = w, c.Spec, map[[2]int]cut{}, map[[2]int][4]passSums{}
+	if sc.memoW != w || sc.memoC != c {
+		sc.memoW, sc.memoC, sc.cuts, sc.sums = w, c, map[[2]int]cut{}, map[[2]int][4]passSums{}
+		sc.topo = pp.Layout{} // never valid, so the topology is rewired
 	}
 	if sc.cut, note = sc.cutFor(w.Layers, S, w.GlobalBatch/dataRanks); note != "" {
 		return note
@@ -816,14 +835,9 @@ func (sc *replay) header(w Workload, c ClusterShape, cand Candidate4) (note stri
 	pc.w, pc.layout, pc.opts, pc.spec = w, layout, opts, c.Spec
 	pc.actBytes = core.ActivationBytes(w.Dim, w.Heads/layout.TP)
 	pc.flops = core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
-	// One program per (stage, TP rank 0 or not).
-	sc.tcs = min(layout.TP, 2)
-	sc.progOf = resize(sc.progOf, R)
-	for r := range sc.progOf {
-		c4 := layout.CoordOf(r)
-		sc.progOf[r] = int32(c4.P*sc.tcs + min(c4.T, sc.tcs-1))
+	if layout != sc.topo { // else a knob variant of the layout just wired
+		sc.buildTopology(layout, c.GPUsPerNode, c.Spec)
 	}
-	sc.buildTopology(layout, c.GPUsPerNode, c.Spec)
 	return ""
 }
 
@@ -873,15 +887,20 @@ func (sc *replay) price(pi int, slots []costSlot) []float64 {
 // every TP all-reduce and receive (awaited right after their posts), or
 // a role's stream total (all awaited in the step) — from sumPasses
 // times the schedule's runs, plus the stage links. It is +Inf when a
-// program's persistent bytes alone exceed the device.
+// program's persistent bytes alone exceed the device. Of the knobs only
+// the DDP bucket size enters it.
 func (sc *replay) preBound() float64 {
 	pc, p, S := &sc.ctx, &sc.probe, len(sc.cut.stages)
+	if sc.pre >= 0 && sc.preBucket == pc.opts.DDPBucketBytes {
+		return sc.pre
+	}
 	best := math.Inf(1)
 	for pi := 0; pi < S*sc.tcs; pi++ {
 		st := pi / sc.tcs
 		L := sc.cut.stages[st][1] - sc.cut.stages[st][0]
 		if pc.begin(p, L, pi%sc.tcs, st == 0, st == S-1); p.mem > pc.spec.MemPerGPU {
-			return math.Inf(1)
+			best = math.Inf(1)
+			break
 		}
 		costs, sums, n := sc.price(pi, p.slots), sc.sumPasses(L), sc.cut.runs[st] // n: see cut.runs
 		var stream [roleCount]float64
@@ -905,6 +924,7 @@ func (sc *replay) preBound() float64 {
 		serial := compute + stream[roleTP] + stream[roleFwdIn] + stream[roleBwdIn]
 		best = min(best, max(serial, slices.Max(stream[:])))
 	}
+	sc.pre, sc.preBucket = best, pc.opts.DDPBucketBytes
 	return best
 }
 
@@ -941,11 +961,14 @@ func (sc *replay) bound(limit float64) float64 {
 	return best
 }
 
-// run, the second half, partitions the ranks into classes and replays a
-// warm-up and two measured steps.
+// run, the second half, partitions the ranks into classes (once per
+// topology) and replays a warm-up and two measured steps.
 func (sc *replay) run() Prediction {
 	R := sc.ctx.layout.Ranks()
-	sc.bindClasses(R, sc.partition(R))
+	if sc.groupClasses == 0 {
+		sc.groupClasses = sc.partition(R)
+	}
+	sc.bindClasses(R, sc.groupClasses)
 
 	const measured = 2
 	if err := sc.runStep(); err != nil { // warm-up

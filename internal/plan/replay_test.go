@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"orbit/internal/core"
@@ -60,9 +61,11 @@ func BenchmarkBest4Large(b *testing.B) {
 // TestRankAllocs: pricing allocates little per candidate. The replay's
 // programs, topology and run state live in one scratch per Best4 query,
 // which also memoizes the stage cuts and schedules per (PP,
-// micro-batches) and the pass sums per (blocks, TP); what is left is
+// micro-batches) and the pass sums per (blocks, TP), and keeps the last
+// layout's topology, colouring and pre-bound in place; what is left is
 // those memo entries, the walk order and the enumeration. Measured: 215
-// allocations over the 140 candidates, 1.5 each.
+// allocations over the 140 candidates, 1.5 each (as before the layout
+// was kept).
 func TestRankAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -87,7 +90,9 @@ func TestRankAllocs(t *testing.T) {
 
 // TestPredictRejectsMalformedLayouts: Predict4 is reachable with
 // hand-built candidates (orbit.PredictPlan), so a layout no engine can
-// build must come back infeasible, not panic or be priced.
+// build must come back infeasible, not panic or be priced. Simulate4
+// (orbit.SimulatePlan) runs exactly the steps it is asked for, so it
+// refuses fewer than one rather than measure some other count.
 func TestPredictRejectsMalformedLayouts(t *testing.T) {
 	w := testWorkload() // 4 heads
 	c := ScaledShape(2, 1e-3)
@@ -114,6 +119,12 @@ func TestPredictRejectsMalformedLayouts(t *testing.T) {
 			}
 		})
 	}
+	t.Run("Simulate4 measured 0", func(t *testing.T) {
+		m := Simulate4(w, c, cand4(pp.Layout{TP: 2, PP: 1, FSDP: 2, DDP: 2}, w.GlobalBatch), 0)
+		if want := "plan: Simulate4 needs at least one measured step, got 0"; m.Err == nil || m.Err.Error() != want {
+			t.Errorf("error %v, want %q", m.Err, want)
+		}
+	})
 }
 
 // randomTriple draws one (workload, shape, candidate) the engines can
@@ -212,68 +223,120 @@ func TestReplayClassesMatchFullReplay(t *testing.T) {
 
 // TestReplayBoundIsLowerBound: the bounds Best4 prunes on never exceed
 // the step time the replay then predicts, and the pre-compile bound
-// never exceeds the compiled one, each up to rounding — over the seeded triples of
-// TestReplayClassesMatchFullReplay and every candidate of the
-// benchmark's query family — so pruning cannot drop a winner. The
-// family shares one scratch, as a Best4 query does, and each pre-bound
-// must equal, bit for bit, the one a fresh scratch computes without its
-// memo. Neither bound is vacuous: on the family each alone exceeds the
-// best step time on more than half of the candidates.
+// never exceeds the compiled one, each up to rounding — over the seeded
+// triples of TestReplayClassesMatchFullReplay and every candidate of the
+// benchmark's query family — so pruning cannot drop a winner. Neither
+// bound is vacuous: on the family each alone exceeds the best step time
+// on more than half of the candidates.
+//
+// Every candidate is priced on one shared scratch, as a Best4 query
+// prices them, and on a fresh one: the note, both bounds and the whole
+// prediction must agree bit for bit, so no layout memo (topology,
+// partition, pre-bound) may go stale. The family runs under the
+// benchmark's knob grid and the default one (bucket variants included),
+// in enumeration order with an infeasible candidate between the first
+// twins and then in a seeded shuffle of all four queries; one layout is
+// then priced under another batch and under dearer links.
 func TestReplayBoundIsLowerBound(t *testing.T) {
 	var sc replay
-	check := func(w Workload, c ClusterShape, cand Candidate4) (pre, bound, step float64) {
+	check := func(w Workload, c ClusterShape, cand Candidate4) (pre, bound, step float64, ok bool) {
 		t.Helper()
-		if note := sc.header(w, c, cand); note != "" {
-			t.Fatalf("%+v %+v: %s", w, cand, note)
-		}
-		pre = sc.preBound()
 		var fresh replay
-		if fresh.header(w, c, cand); fresh.preBound() != pre {
+		note := sc.header(w, c, cand)
+		if want := fresh.header(w, c, cand); note != want {
+			t.Fatalf("%+v %+v: note %q, fresh %q", w, cand, note, want)
+		}
+		if note != "" {
+			return 0, 0, 0, false
+		}
+		if pre = sc.preBound(); fresh.preBound() != pre {
 			t.Fatalf("%+v %+v: memoized pre-bound %.17g, fresh %.17g", w, cand, pre, fresh.preBound())
 		}
 		sc.compile()
-		bound, step = sc.bound(math.Inf(1)), sc.run().StepTime
+		fresh.compile()
+		if bound = sc.bound(math.Inf(1)); fresh.bound(math.Inf(1)) != bound {
+			t.Fatalf("%+v %+v: bound %.17g, fresh %.17g", w, cand, bound, fresh.bound(math.Inf(1)))
+		}
+		got, want := sc.run(), fresh.run()
+		if got != want {
+			t.Fatalf("%+v %+v on %d nodes:\n shared %+v\n fresh  %+v", w, cand, c.Nodes, got, want)
+		}
 		// The two bounds sum the same prices in different orders, so
 		// they round apart: where they agree exactly, the pre-bound can
 		// land an ulp above (TP2×PP3 at GB 1 on three nodes does).
-		if pre > bound*(1+boundSlack) || max(pre, bound) > step*(1+boundSlack) {
+		if step = got.StepTime; pre > bound*(1+boundSlack) || max(pre, bound) > step*(1+boundSlack) {
 			t.Fatalf("%+v %+v on %d nodes: pre-bound %.17g, bound %.17g, step time %.17g", w, cand, c.Nodes, pre, bound, step)
 		}
-		return pre, bound, step
+		return pre, bound, step, true
 	}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 240; i++ {
 		check(randomTriple(rng))
 	}
-	ws, cs, cons := benchFamily()
+	ws, cs, benchCons := benchFamily()
+	type member struct {
+		q    int // index into ws and cs
+		cand Candidate4
+	}
+	type priced struct {
+		q          int
+		pre, bound float64
+	}
 	var cands, prePruned, pruned int
-	for q := range ws {
-		all, err := Enumerate4(ws[q], cs[q], cons)
-		if err != nil {
-			t.Fatal(err)
+	for _, cons := range []Constraints{benchCons, {}} {
+		var family []member
+		for q := range ws {
+			all, err := Enumerate4(ws[q], cs[q], cons)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cand := range all {
+				family = append(family, member{q, cand})
+			}
 		}
-		best := math.Inf(1)
-		var bounds [][2]float64
-		for _, cand := range all {
-			pre, b, step := check(ws[q], cs[q], cand)
-			best = min(best, step)
-			bounds = append(bounds, [2]float64{pre, b})
+		if family[0].cand.Layout != family[1].cand.Layout {
+			t.Fatalf("the first two candidates %+v and %+v are not twins", family[0].cand, family[1].cand)
+		}
+		// Five stages on four layers: refused after the memo checks.
+		family = slices.Insert(family, 1, member{0, Candidate4{Layout: pp.Layout{TP: 1, PP: 5, FSDP: 1, DDP: 1}}})
+		best := slices.Repeat([]float64{math.Inf(1)}, len(ws))
+		var bounds []priced
+		for _, m := range family {
+			if pre, b, step, ok := check(ws[m.q], cs[m.q], m.cand); ok {
+				best[m.q] = min(best[m.q], step)
+				bounds = append(bounds, priced{m.q, pre, b})
+			}
+		}
+		if len(bounds) != len(family)-1 {
+			t.Fatalf("%d of %d candidates refused, want only the inserted one", len(family)-len(bounds), len(family))
+		}
+		rng.Shuffle(len(family), func(i, j int) { family[i], family[j] = family[j], family[i] })
+		for _, m := range family {
+			check(ws[m.q], cs[m.q], m.cand)
 		}
 		for _, b := range bounds {
-			if b[0] > best*(1+boundSlack) {
+			limit := best[b.q] * (1 + boundSlack)
+			if b.pre > limit {
 				prePruned++
 			}
-			if b[1] > best*(1+boundSlack) {
+			if b.bound > limit {
 				pruned++
 			}
 		}
-		cands += len(all)
+		cands += len(bounds)
 	}
 	t.Logf("of %d family candidates the pre-bound exceeds the best step time on %d, the compiled bound on %d", cands, prePruned, pruned)
 	if 2*prePruned <= cands || 2*pruned <= cands {
 		t.Errorf("the bounds exceed the best step time on only %d (pre-compile) and %d (compiled) of %d family candidates",
 			prePruned, pruned, cands)
 	}
+	w, c := ws[0], cs[0]
+	cand := Candidate4{Layout: pp.Layout{TP: 2, PP: 2, FSDP: 2, DDP: 1}, Knobs: Knobs{PrefetchDepth: 1}}
+	check(w, c, cand)
+	w.GlobalBatch *= 2
+	check(w, c, cand)
+	c.Spec.IntraNodeLatency *= 1e3
+	check(w, c, cand)
 }
 
 // TestReplayBoundTakesTheCheapestRun: both bounds take the fastest

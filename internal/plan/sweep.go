@@ -31,10 +31,11 @@ type Measured4 struct {
 
 // Simulate4 runs `measured` real engine steps of the candidate (after
 // one warm-up step) through the 1F1B schedule and returns the
-// observed step time and memory peak. The functional math runs for
-// real — gradients flow, clocks advance — but no optimizer step is
-// taken: parameter values do not affect the communication schedule,
-// and the planner only needs the clocks.
+// observed step time and memory peak; fewer than one measured step is
+// an error, as is a candidate Predict4 refuses. The functional math
+// runs for real — gradients flow, clocks advance — but no optimizer
+// step is taken: parameter values do not affect the communication
+// schedule, and the planner only needs the clocks.
 func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measured4 {
 	out := Measured4{Candidate4: cand}
 	var sc replay // refuses what Predict4 refuses, with the same note
@@ -43,7 +44,8 @@ func Simulate4(w Workload, c ClusterShape, cand Candidate4, measured int) Measur
 		return out
 	}
 	if measured < 1 {
-		measured = 2
+		out.Err = fmt.Errorf("plan: Simulate4 needs at least one measured step, got %d", measured)
+		return out
 	}
 	layout := cand.Layout
 	m := c.Machine()

@@ -454,9 +454,9 @@ func PredictPlan(w PlanWorkload, c ClusterShape, cand PlanCandidate) plan.Predic
 	return plan.Predict4(w, c, cand)
 }
 
-// SimulatePlan measures a candidate by running the real functional
-// engines over the simulated cluster — the ground truth the planner's
-// predictions are calibrated against.
+// SimulatePlan measures a candidate by running `steps` real engine
+// steps (steps ≥ 1, after one warm-up) over the simulated cluster — the
+// ground truth the planner's predictions are calibrated against.
 func SimulatePlan(w PlanWorkload, c ClusterShape, cand PlanCandidate, steps int) PlanMeasured {
 	return plan.Simulate4(w, c, cand, steps)
 }
