@@ -117,7 +117,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=2000x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkRowKernels$$' -benchtime=2000x -cpu 1 ./internal/tensor/
-	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$|BenchmarkBest4Large$$' -benchtime=1x ./internal/plan/
+	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$|BenchmarkBest4Large$$|BenchmarkBest4Paper512$$' -benchtime=1x ./internal/plan/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanForward$$' -benchtime=1x ./internal/infer/
 
 # Full hot-path benchmark set with allocation counters — compare

@@ -51,6 +51,9 @@ func (o Options) Validate() error {
 	if o.PrefetchDepth < 0 {
 		return fmt.Errorf("core: negative prefetch depth %d", o.PrefetchDepth)
 	}
+	if o.DDPBucketBytes < 0 {
+		return fmt.Errorf("core: negative DDP bucket size %d", o.DDPBucketBytes)
+	}
 	return nil
 }
 

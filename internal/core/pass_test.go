@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -144,6 +145,7 @@ func checkPassInvariants(t *testing.T, opts Options, n, ddp int, qk bool) {
 			t.Fatalf("pass %s compiled to\n%s\nafter\n%s", key, passString(steps), prev)
 		}
 		seen[key] = passString(steps)
+		checkExposed(t, opts, steps, fmt.Sprintf("qk=%v pass %c", qk, pass))
 		computed := make([]int, n)
 		joined := make([]uint8, n) // bit h: half h's TP all-reduce awaited
 		tpOpen := -1               // the block whose TP all-reduce is in flight
@@ -279,5 +281,45 @@ func checkPassInvariants(t *testing.T, opts Options, n, ddp int, qk bool) {
 			}
 		}
 		recomputed = pass == 'c'
+	}
+}
+
+// checkExposed checks the order internal/plan's pre-bound charges as
+// exposed waits: no compute from a pass's first DDP post to its last
+// DDP await; block 0's reduce-scatter posted after the pass's last
+// compute and awaited within the pass; under LayerWrapping the pass's
+// first awaited gather posted in the pass, and awaited before its first
+// compute.
+func checkExposed(t *testing.T, opts Options, steps []Step, at string) {
+	t.Helper()
+	find := func(op StepOp, block int) int {
+		return slices.IndexFunc(steps, func(s Step) bool { return s.Op == op && (block < 0 || s.Block == block) })
+	}
+	computes := func(from, to int) bool {
+		return slices.ContainsFunc(steps[from:to], func(s Step) bool { return s.Op == StepCompute })
+	}
+	lastAwait := -1
+	for i, s := range steps {
+		if s.Op == StepAwaitDDP {
+			lastAwait = i
+		}
+	}
+	if p := find(StepPostDDP, -1); p >= 0 && computes(p, lastAwait) {
+		t.Fatalf("%s: computes while the DDP all-reduces are in flight", at)
+	}
+	if p := find(StepPostRS, 0); p >= 0 {
+		awaited := slices.ContainsFunc(steps[p:], func(s Step) bool { return s.Op == StepAwaitRS && s.Block == 0 })
+		if computes(p, len(steps)) || !awaited {
+			t.Fatalf("%s: computes after block 0's reduce-scatter, or leaves it to a later pass", at)
+		}
+	}
+	if a := find(StepAwaitGather, -1); opts.LayerWrapping {
+		g := -1
+		if a >= 0 {
+			g = find(StepGather, steps[a].Block)
+		}
+		if g < 0 || g > a || computes(0, a) {
+			t.Fatalf("%s: the first gather is not posted in the pass and awaited before its first compute", at)
+		}
 	}
 }

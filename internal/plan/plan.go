@@ -75,12 +75,12 @@
 // schedules and topology, no program compiled (replay.preBound); the
 // bound is +Inf when persistent bytes alone overflow the device. It
 // then walks them best bound first, stops at the first bound above the
-// best step time so far, and compiles only what it reaches; a compiled
-// candidate that would OOM, or whose solo-run bound (replay.bound) is
-// above that step time, is not replayed. Neither bound drops a plan
-// that could win: every rank spends at least its program's solo run on
-// each step — each collective at the cheapest price its ranks pay, no
-// partner to wait for — and the pre-compile bound is at most that run.
+// best step time so far, and compiles and replays only what it reaches,
+// unless it would OOM. The bound drops no plan that could win: each
+// step, some rank spends at least its program's serial chain — compute,
+// TP all-reduces, receives and the waits core's pass order exposes, each
+// at the cheapest price its ranks pay — and a stage-0 rank, which ends
+// every step last, also waits out the 1F1B fill and drain.
 // Candidates that differ only in prefetch depth are enumerated, and
 // with equal bounds walked, next to each other, so the scratch keeps the
 // last layout's topology, rank classes and pre-bound (which no knob but
@@ -317,6 +317,11 @@ func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, err
 	if buckets == nil {
 		buckets = DefaultBucketBytes
 	}
+	for _, b := range buckets {
+		if err := (core.Options{DDPBucketBytes: b}).Validate(); err != nil {
+			return nil, err
+		}
+	}
 	pipeOK := w.Opts.LayerWrapping && w.Opts.ActivationCheckpoint
 	var out []Candidate4
 	for tp := 1; tp <= w.Heads && tp <= devs; tp++ {
@@ -403,12 +408,11 @@ func (sc *replay) walk(w Workload, c ClusterShape, cands []Candidate4, order []b
 	var best Plan4
 	at := -1 // best's enumeration index
 	for _, b := range order {
-		limit := best.Pred.StepTime * (1 + boundSlack)
-		if at >= 0 && b.pre > limit {
+		if at >= 0 && b.pre > best.Pred.StepTime*(1+boundSlack) {
 			break
 		}
 		sc.header(w, c, cands[b.i])
-		if sc.compile(); sc.mem.OOM || at >= 0 && sc.bound(limit) > limit {
+		if sc.compile(); sc.mem.OOM {
 			continue
 		}
 		p := Plan4{Candidate4: cands[b.i], Pred: sc.run()}

@@ -112,9 +112,9 @@ func TestEnumerateConstraints(t *testing.T) {
 	}
 }
 
-// TestEnumerateRejectsBadConstraints: a negative pin, rank cap or
-// prefetch depth is an error naming the field, not "unpinned", "the
-// whole cluster" or a search that finds nothing to run.
+// TestEnumerateRejectsBadConstraints: a negative pin, rank cap, prefetch
+// depth or DDP bucket size is an error naming the field, not
+// "unpinned", "the whole cluster" or a search that finds nothing to run.
 func TestEnumerateRejectsBadConstraints(t *testing.T) {
 	w := testWorkload()
 	for _, tc := range []struct {
@@ -125,6 +125,7 @@ func TestEnumerateRejectsBadConstraints(t *testing.T) {
 		{Constraints{FixPP: -2}, "plan: negative FixPP -2"},
 		{Constraints{MaxRanks: -8}, "plan: negative MaxRanks -8"},
 		{Constraints{PrefetchDepths: []int{1, -1}}, "core: negative prefetch depth -1"},
+		{Constraints{BucketBytes: []int{0, -64}}, "core: negative DDP bucket size -64"},
 	} {
 		if _, err := Enumerate4(w, Shape(1), tc.cons); err == nil || err.Error() != tc.want {
 			t.Errorf("Enumerate4(%+v): error %v, want %q", tc.cons, err, tc.want)
@@ -227,9 +228,8 @@ func TestBest4MatchesExhaustive(t *testing.T) {
 
 	// An exact tie on step time: on one rank, prefetch depth changes
 	// only the memory, and the later candidate (depth 0) holds less. Its
-	// bound, the rank's solo run, lands one rounding step above the step
-	// time the replay measures as a difference of clocks, so it must be
-	// replayed, not pruned.
+	// bound, the rank's solo run, equals the incumbent's step time, so it
+	// must be replayed, not pruned.
 	w = Workload{Dim: 32, Heads: 4, Layers: 2, Tokens: 16, QKNorm: true, GlobalBatch: 1, Opts: core.DefaultOptions()}
 	cons := Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}
 	if p := checkBest4(t, w, Shape(1), cons); p.Knobs.PrefetchDepth != 0 {
@@ -272,6 +272,23 @@ func TestBest4KeepsTheFirstAmongEquals(t *testing.T) {
 	c.Spec.PeakFLOPS = math.Inf(1)
 	if p := checkBest4(t, w, c, Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}); p.Knobs.PrefetchDepth != 0 || p.Pred.StepTime != 0 {
 		t.Errorf("free compute chose %v, want depth 0 at step time 0", p)
+	}
+
+	// A bound may land a rounding step above the step time it bounds: the
+	// pre-bound sums the prices in another order than the replay's clocks.
+	// With each bound set one step above its candidate's step time, the
+	// walk must still replay the tied depth-0 candidate and keep it.
+	c, cons = ScaledShape(1, 1e-3), Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}
+	if cands, err = Enumerate4(w, c, cons); err != nil {
+		t.Fatal(err)
+	}
+	order = order[:0]
+	for k, cand := range cands {
+		order = append(order, bounded{math.Nextafter(Predict4(w, c, cand).StepTime, math.Inf(1)), k})
+	}
+	got, err = sc.walk(w, c, cands, order)
+	if want, wantErr = exhaustiveBest(w, c, cons); !reflect.DeepEqual(got, want) || err != nil || want.Knobs.PrefetchDepth != 0 {
+		t.Errorf("bounds an ulp above: %v (%v), exhaustive %v (%v)", got, err, want, wantErr)
 	}
 }
 

@@ -372,7 +372,6 @@ type replay struct {
 	// spans[prog*roleCount+role] has bit 1 (2) set when a rank running
 	// prog has its role group within a node (across nodes).
 	spans []uint8
-	done  []float64
 }
 
 // cut is the stage ranges and 1F1B schedules of S stages, and per stage
@@ -882,27 +881,50 @@ func (sc *replay) price(pi int, slots []costSlot) []float64 {
 	return sc.costs
 }
 
-// preBound is Best4's bound from the header alone: the least over
-// programs of what a solo run (see bound) must spend — its compute plus
-// every TP all-reduce and receive (awaited right after their posts), or
-// a role's stream total (all awaited in the step) — from sumPasses
-// times the schedule's runs, plus the stage links. It is +Inf when a
-// program's persistent bytes alone exceed the device. Of the knobs only
-// the DDP bucket size enters it.
+// preBound is Best4's bound from the header alone, priced by price from
+// sumPasses times the schedule's runs. It is the larger of two bounds:
+//
+//   - the least over programs of a solo run: the serial chain — compute,
+//     every TP all-reduce and receive, and the waits core's pass order
+//     exposes (a backward's DDP all-reduces, posted together and awaited
+//     in order; its last reduce-scatter, block 0's, posted after the last
+//     compute and awaited first; under LayerWrapping every pass's first
+//     gather, as no block is live when a pass starts), each awaited right
+//     after its post — or a role's stream total, all awaited in the step;
+//   - the 1F1B chain P = max over s of W_s plus Σ_{s'<s} (F + c_fwd +
+//     c_bwd + B): W_s stage s's serial chain without receives, F one
+//     forward pass with its TP all-reduces and first gather, B the
+//     backward lowered after the receive of the stage's last op, c the
+//     links to the next stage; each the least over the stage's TP programs.
+//
+// P holds because a stage-s rank ends its step when its last backward
+// send completes, the moment its stage-(s−1) partner's receive does: a
+// stage-0 rank ends every step last, and between two of its step ends its
+// clock passes through the fill to stage s, W_s and the drain back. The
+// bound is +Inf when a program's persistent bytes alone exceed the device.
+// Of the knobs only the DDP bucket size enters it.
 func (sc *replay) preBound() float64 {
 	pc, p, S := &sc.ctx, &sc.probe, len(sc.cut.stages)
 	if sc.pre >= 0 && sc.preBucket == pc.opts.DDPBucketBytes {
 		return sc.pre
 	}
-	best := math.Inf(1)
+	// chain is P over the stages so far and fill their Σ; work and hop
+	// are the current stage's least W and F + c_fwd + c_bwd + B.
+	solo, chain, fill, work, hop := math.Inf(1), 0.0, 0.0, math.Inf(1), math.Inf(1)
 	for pi := 0; pi < S*sc.tcs; pi++ {
-		st := pi / sc.tcs
+		st, tc := pi/sc.tcs, pi%sc.tcs
 		L := sc.cut.stages[st][1] - sc.cut.stages[st][0]
-		if pc.begin(p, L, pi%sc.tcs, st == 0, st == S-1); p.mem > pc.spec.MemPerGPU {
-			best = math.Inf(1)
+		if pc.begin(p, L, tc, st == 0, st == S-1); p.mem > pc.spec.MemPerGPU {
+			solo = math.Inf(1)
 			break
 		}
 		costs, sums, n := sc.price(pi, p.slots), sc.sumPasses(L), sc.cut.runs[st] // n: see cut.runs
+		cost := func(slot uint8) float64 {
+			if slot == noSlot {
+				return 0
+			}
+			return costs[slot]
+		}
 		var stream [roleCount]float64
 		add := func(slot uint8, times float64) {
 			if slot != noSlot {
@@ -917,48 +939,32 @@ func (sc *replay) preBound() float64 {
 		add(pc.fwdOut, n[0])
 		add(pc.bwdIn, bwds)
 		add(pc.bwdOut, bwds)
+		drain := cost(pc.rs)
 		for _, slot := range pc.ddp {
 			add(slot, bwds)
+			drain += costs[slot]
 		}
-		compute := n[0]*sums[0].compute + n[1]*sums[1].compute + n[2]*(sums[2].compute+sums[3].compute)
-		serial := compute + stream[roleTP] + stream[roleFwdIn] + stream[roleBwdIn]
-		best = min(best, max(serial, slices.Max(stream[:])))
+		first := 0.0 // the gather no block's compute hides
+		if pc.opts.LayerWrapping {
+			first = cost(pc.gather)
+		}
+		var pass [4]float64 // fwd, bwd, rec, bwdRec as the serial chain charges them
+		for i, s := range sums {
+			pass[i] = s.compute + s.posts[2]*cost(pc.ar) + s.posts[3]*cost(pc.qk) + first + float64(i%2)*drain
+		}
+		w := n[0]*pass[0] + n[1]*pass[1] + n[2]*(pass[2]+pass[3])
+		solo = min(solo, max(w+stream[roleFwdIn]+stream[roleBwdIn], slices.Max(stream[:])))
+		b := pass[1]
+		if sched := sc.cut.scheds[st]; sched[len(sched)-1].Recompute {
+			b = pass[3]
+		}
+		work, hop = min(work, w), min(hop, pass[0]+cost(pc.fwdOut)+cost(pc.bwdIn)+b)
+		if tc == sc.tcs-1 { // the stage's last program
+			chain, fill, work, hop = max(chain, fill+work), fill+hop, math.Inf(1), math.Inf(1)
+		}
 	}
-	sc.pre, sc.preBucket = best, pc.opts.DDPBucketBytes
-	return best
-}
-
-// bound is Best4's lower bound on the step time of the candidate just
-// compiled: the shortest solo run of any program, each collective
-// priced by price, with no partner to wait for. It stops once the
-// bound's side of limit is settled and returns a value on that side.
-func (sc *replay) bound(limit float64) float64 {
-	best := math.Inf(1)
-	for pi := range sc.progs {
-		p := &sc.progs[pi]
-		costs := sc.price(pi, p.slots)
-		sc.done = resize(sc.done, int(slices.Max(p.posts[:]))*roleCount) // by seq, then role
-		clock, last := 0.0, [roleCount]float64{}
-		for _, in := range p.instrs {
-			switch in.op {
-			case opCompute:
-				clock += in.sec
-			case opPost:
-				last[in.role] = max(clock, last[in.role]) + costs[in.slot]
-				sc.done[int(in.seq)*roleCount+int(in.role)] = last[in.role]
-			case opWait:
-				clock = max(clock, sc.done[int(in.seq)*roleCount+int(in.role)])
-			}
-			if clock > limit {
-				break // this program's solo run is above limit
-			}
-		}
-		if clock <= limit {
-			return clock
-		}
-		best = min(best, clock)
-	}
-	return best
+	sc.pre, sc.preBucket = max(solo, chain), pc.opts.DDPBucketBytes
+	return sc.pre
 }
 
 // run, the second half, partitions the ranks into classes (once per
