@@ -72,19 +72,19 @@
 // # Choosing a plan
 //
 // Best4 first bounds every candidate from its header alone — stages,
-// schedules and topology, no program compiled (replay.preBound); the
-// bound is +Inf when persistent bytes alone overflow the device. It
-// then walks them best bound first, stops at the first bound above the
-// best step time so far, and compiles and replays only what it reaches,
-// unless it would OOM. The bound drops no plan that could win: each
-// step, some rank spends at least its program's serial chain — compute,
-// TP all-reduces, receives and the waits core's pass order exposes, each
-// at the cheapest price its ranks pay — and a stage-0 rank, which ends
-// every step last, also waits out the 1F1B fill and drain.
-// Candidates that differ only in prefetch depth are enumerated, and
-// with equal bounds walked, next to each other, so the scratch keeps the
-// last layout's topology, rank classes and pre-bound (which no knob but
-// the DDP bucket size enters) for the next candidate.
+// schedules and, from the layout's arithmetic, the link classes each
+// program's groups span; no group wired, no program compiled
+// (replay.preBound), +Inf when persistent bytes alone overflow the device.
+// It then walks them best bound first, stops at the first bound above the
+// best step time so far, and wires, compiles and replays only what it
+// reaches, unless it would OOM. The bound drops no plan that could win:
+// each step, some rank spends at least its program's serial chain —
+// compute, TP all-reduces, receives and the waits core's pass order
+// exposes, each at the cheapest price its ranks pay — and a stage-0 rank,
+// which ends every step last, also waits out the 1F1B fill and drain.
+// Prefetch twins, equal in bound, are enumerated and walked next to each
+// other, so the scratch keeps the last layout's span bits and pre-bound,
+// and the last compiled layout's topology and rank classes.
 //
 // # Key types
 //

@@ -41,11 +41,10 @@ const (
 
 // simGroup is one communicator of the replay's topology: its members
 // are the size entries of replay.members starting at first, and link
-// is the link class they span.
+// indexes the link class they span in replay.links.
 type simGroup struct {
-	size  int
-	link  comm.Link
-	first int
+	size, first int
+	link        uint8
 }
 
 // Wait-phase attribution labels.
@@ -338,14 +337,15 @@ type replay struct {
 	memoC ClusterShape
 	cuts  map[[2]int]cut
 	sums  map[[2]int][4]passSums
-	// Shared by a layout's knob variants: the layout progOf and the
-	// topology are wired for (zero when none is), partition's group class
-	// count (0 until it has coloured them), and the pre-bound at DDP
-	// bucket size preBucket (pre < 0 until it is computed).
-	topo         pp.Layout
-	groupClasses int
-	pre          float64
-	preBucket    int
+	links [2]comm.Link // within a node, across
+	// Shared by a layout's knob variants: the layout spans and the
+	// pre-bound at DDP bucket size preBucket are for (pre < 0 until it is
+	// computed), and the one the topology is wired and coloured for, with
+	// partition's group class count.
+	spanned, topo pp.Layout
+	groupClasses  int
+	pre           float64
+	preBucket     int
 
 	// Concrete topology: members holds rank<<3|role entries group by
 	// group; bind[rank*roleCount+role] is the rank's group for a role
@@ -466,32 +466,16 @@ func (pc *progCtx) begin(p *program, L, tc int, first, last bool) {
 	}
 }
 
-// newGroup opens an empty group; join adds its members; wire picks
-// its link class once they are all in and marks it in the spans of the
-// members' programs: bit 1 within a node, 2 across.
-func (sc *replay) newGroup() int32 {
-	sc.groups = append(sc.groups, simGroup{first: len(sc.members)})
-	return int32(len(sc.groups) - 1)
-}
-
-func (sc *replay) join(g int32, rank int, role int) {
-	sc.members = append(sc.members, int32(rank<<3|role))
-	sc.bind[rank*roleCount+role] = g
-	sc.groups[g].size++
-}
-
-func (sc *replay) wire(gi int32, gpn int, spec cluster.Spec) {
-	g := &sc.groups[gi]
-	node, bit := int(sc.members[g.first]>>3)/gpn, uint8(1)
-	for _, m := range sc.members[g.first+1 : g.first+g.size] {
-		if int(m>>3)/gpn != node {
-			bit = 2
-			break
-		}
-	}
-	g.link = comm.LinkFor(spec, bit == 1)
-	for _, m := range sc.members[g.first : g.first+g.size] {
-		sc.spans[int(sc.progOf[m>>3])*roleCount+int(m&7)] |= bit
+// group wires the group of ranks first + i·stride, i < size, the first
+// in role head and the rest in role tail. Its link class is that of its
+// first and last members, as they ascend.
+func (sc *replay) group(gpn, first, stride, size, head, tail int) {
+	g, last := int32(len(sc.groups)), first+(size-1)*stride
+	sc.groups = append(sc.groups, simGroup{size: size, first: len(sc.members), link: uint8(min(1, last/gpn-first/gpn))})
+	for i, role := 0, head; i < size; i, role = i+1, tail {
+		r := first + i*stride
+		sc.members = append(sc.members, int32(r<<3|role))
+		sc.bind[r*roleCount+role] = g
 	}
 }
 
@@ -499,52 +483,68 @@ func (sc *replay) wire(gi int32, gpn int, spec cluster.Spec) {
 // not), and wires each stage's inner TP×FSDP×DDP grid over the stage's
 // contiguous device window, one group per core.Layout.Line as
 // core.BuildGroupsOver builds them, and one two-rank link group per
-// (adjacent-stage pair, direction, inner rank), as pp.Build does. It
-// drops the colouring and pre-bound of the previous layout.
-func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
+// (adjacent-stage pair, direction, inner rank), as pp.Build does.
+func (sc *replay) buildTopology(layout pp.Layout, gpn int) {
 	R := layout.Ranks()
-	sc.topo, sc.groupClasses, sc.pre = layout, 0, -1
-	sc.tcs = min(layout.TP, 2)
+	sc.topo = layout
 	sc.progOf = resize(sc.progOf, R)
-	for r := range sc.progOf {
-		c4 := layout.CoordOf(r)
-		sc.progOf[r] = int32(c4.P*sc.tcs + min(c4.T, sc.tcs-1))
+	inner, innerN := layout.Inner(), layout.Inner().Ranks()
+	for r := range sc.progOf { // stage r/innerN, TP rank r%TP
+		sc.progOf[r] = int32(r/innerN*sc.tcs + min(r%layout.TP, sc.tcs-1))
 	}
 	sc.groups, sc.members = sc.groups[:0], sc.members[:0]
 	sc.bind = resize(sc.bind, R*roleCount)
 	for i := range sc.bind {
 		sc.bind[i] = -1
 	}
-	sc.spans = resize(sc.spans, layout.PP*sc.tcs*roleCount)
-	clear(sc.spans)
-	inner := layout.Inner()
-	innerN := inner.Ranks()
 	for base := 0; base < R; base += innerN {
 		for axis := core.AxisTP; axis <= core.AxisDDP; axis++ {
 			for r := 0; r < innerN; r++ {
-				first, stride, size := inner.Line(axis, inner.CoordOf(r))
-				if first != r {
-					continue
+				if first, stride, size := inner.Line(axis, inner.CoordOf(r)); first == r {
+					sc.group(gpn, base+first, stride, size, int(axis), int(axis))
 				}
-				g := sc.newGroup()
-				for i := 0; i < size; i++ {
-					sc.join(g, base+first+i*stride, int(axis))
-				}
-				sc.wire(g, gpn, spec)
 			}
 		}
 	}
 	for up := 0; up+innerN < R; up++ {
-		down := up + innerN
-		g := sc.newGroup()
-		sc.join(g, up, roleFwdOut)
-		sc.join(g, down, roleFwdIn)
-		sc.wire(g, gpn, spec)
-		g = sc.newGroup()
-		sc.join(g, down, roleBwdOut)
-		sc.join(g, up, roleBwdIn)
-		sc.wire(g, gpn, spec)
+		sc.group(gpn, up, innerN, 2, roleFwdOut, roleFwdIn)
+		sc.group(gpn, up, innerN, 2, roleBwdIn, roleBwdOut)
 	}
+}
+
+// markSpans sets layout l's span bits on nodes of gpn devices from the
+// grid's arithmetic, as wiring its groups would mark them: stage p's
+// window starts at p·n, program p·tcs+tc runs its ranks with T in [t0,
+// t1), and a group is first + i·stride or a stage link (up, up+n).
+func (sc *replay) markSpans(l pp.Layout, gpn int) {
+	sc.spanned, sc.pre = l, -1 // drops the pre-bound
+	sc.spans = resize(sc.spans, l.PP*sc.tcs*roleCount)
+	clear(sc.spans)
+	n := l.Inner().Ranks()
+	for pi := range l.PP * sc.tcs {
+		base, t0, t1 := pi/sc.tcs*n, pi%sc.tcs, max(1, pi%sc.tcs*l.TP)
+		s := sc.spans[pi*roleCount:]
+		s[roleTP] = spanBits(gpn, base, l.TP, l.FSDP*l.DDP, 0, 1, l.TP-1) // every TP group starts at T = 0
+		s[roleFSDP] = spanBits(gpn, base, l.TP*l.FSDP, l.DDP, t0, t1, (l.FSDP-1)*l.TP)
+		s[roleDDP] = spanBits(gpn, base, l.TP, l.FSDP, t0, t1, (l.DDP-1)*l.TP*l.FSDP)
+		if pi/sc.tcs+1 < l.PP {
+			link := spanBits(gpn, base, l.TP, l.FSDP*l.DDP, t0, t1, n)
+			s[roleFwdOut], s[roleBwdIn], s[sc.tcs*roleCount+roleFwdIn], s[sc.tcs*roleCount+roleBwdOut] = link, link, link, link
+		}
+	}
+}
+
+// spanBits has bit 1 (2) set when one of the groups whose first ranks
+// are base + a·stride + b, a < n and t0 ≤ b < t1, ends reach ranks later
+// within its first's node (past it). Offsets in a node repeat once a or b
+// has run over gpn values, so neither loop runs longer.
+func spanBits(gpn, base, stride, n, t0, t1, reach int) (bits uint8) {
+	for a := 0; a < min(n, gpn) && bits != 3; a++ {
+		for b := t0; b < min(t1, t0+gpn); b++ {
+			bits |= 1 << min(1, ((base+a*stride+b)%gpn+reach)/gpn)
+		}
+	}
+	return bits
 }
 
 // cmpGroups orders groups by (size, link class, member signature);
@@ -552,13 +552,7 @@ func (sc *replay) buildTopology(layout pp.Layout, gpn int, spec cluster.Spec) {
 // rank colouring.
 func (sc *replay) cmpGroups(a, b int32) int {
 	ga, gb := &sc.groups[a], &sc.groups[b]
-	if c := cmp.Compare(ga.size, gb.size); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(ga.link.Latency, gb.link.Latency); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(ga.link.Bandwidth, gb.link.Bandwidth); c != 0 {
+	if c := cmp.Or(cmp.Compare(ga.size, gb.size), cmp.Compare(ga.link, gb.link)); c != 0 {
 		return c
 	}
 	return slices.Compare(sc.sig[ga.first:ga.first+ga.size], sc.sig[gb.first:gb.first+gb.size])
@@ -682,7 +676,7 @@ func (sc *replay) bindClasses(R, groupClasses int) {
 		}
 		for _, s := range cl.prog.slots {
 			g := &sc.groups[sc.bind[r*roleCount+int(s.role)]]
-			sc.costs = append(sc.costs, g.link.Cost(s.kind, g.size, s.n))
+			sc.costs = append(sc.costs, sc.links[g.link].Cost(s.kind, g.size, s.n))
 		}
 		sc.classes = append(sc.classes, cl)
 	}
@@ -789,8 +783,7 @@ func (sc *replay) predict(w Workload, c ClusterShape, cand Candidate4) Predictio
 }
 
 // header validates the candidate and cuts its stages, or says why it
-// cannot run, and builds the layout's topology unless the scratch
-// holds it from the previous candidate.
+// cannot run.
 func (sc *replay) header(w Workload, c ClusterShape, cand Candidate4) (note string) {
 	if err := w.Validate(); err != nil {
 		return err.Error()
@@ -825,7 +818,8 @@ func (sc *replay) header(w Workload, c ClusterShape, cand Candidate4) (note stri
 	}
 	if sc.memoW != w || sc.memoC != c {
 		sc.memoW, sc.memoC, sc.cuts, sc.sums = w, c, map[[2]int]cut{}, map[[2]int][4]passSums{}
-		sc.topo = pp.Layout{} // never valid, so the topology is rewired
+		sc.links = [2]comm.Link{comm.LinkFor(c.Spec, true), comm.LinkFor(c.Spec, false)}
+		sc.spanned, sc.topo = pp.Layout{}, pp.Layout{} // never valid, so both are redone
 	}
 	if sc.cut, note = sc.cutFor(w.Layers, S, w.GlobalBatch/dataRanks); note != "" {
 		return note
@@ -834,16 +828,19 @@ func (sc *replay) header(w Workload, c ClusterShape, cand Candidate4) (note stri
 	pc.w, pc.layout, pc.opts, pc.spec = w, layout, opts, c.Spec
 	pc.actBytes = core.ActivationBytes(w.Dim, w.Heads/layout.TP)
 	pc.flops = core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
-	if layout != sc.topo { // else a knob variant of the layout just wired
-		sc.buildTopology(layout, c.GPUsPerNode, c.Spec)
-	}
+	sc.tcs = min(layout.TP, 2)
 	return ""
 }
 
-// compile compiles the header's programs and fills sc.mem.
+// compile wires and colours the header's topology unless the scratch
+// holds it, compiles its programs and fills sc.mem.
 func (sc *replay) compile() {
 	pc, S, tcs := &sc.ctx, len(sc.cut.stages), sc.tcs
-	sc.progs = resize(sc.progs, S*tcs)
+	sc.progs = resize(sc.progs, S*tcs) // partition starts from one colour per program
+	if pc.layout != sc.topo {
+		sc.buildTopology(pc.layout, sc.memoC.GPUsPerNode)
+		sc.groupClasses = sc.partition(pc.layout.Ranks())
+	}
 	w4 := pc.w // the heaviest stage, for the analytic breakdown
 	sc.mem, w4.Layers = Prediction{}, 0
 	for p, rng := range sc.cut.stages {
@@ -867,12 +864,12 @@ func (sc *replay) compile() {
 // price sets sc.costs to each of program pi's slots at the cheaper link
 // class its ranks have for the slot's role, over the role's extent.
 func (sc *replay) price(pi int, slots []costSlot) []float64 {
-	l, spec := sc.ctx.layout, sc.ctx.spec
+	l := sc.ctx.layout
 	extent := [roleCount]int{l.TP, l.FSDP, l.DDP, 2, 2, 2, 2}
 	sc.costs = resize(sc.costs, len(slots)) // bindClasses rebuilds it
 	for i, s := range slots {
 		sc.costs[i] = math.Inf(1)
-		for k, link := range [2]comm.Link{comm.LinkFor(spec, true), comm.LinkFor(spec, false)} {
+		for k, link := range sc.links {
 			if sc.spans[pi*roleCount+int(s.role)]&(1<<k) != 0 {
 				sc.costs[i] = min(sc.costs[i], link.Cost(s.kind, extent[s.role], s.n))
 			}
@@ -905,6 +902,9 @@ func (sc *replay) price(pi int, slots []costSlot) []float64 {
 // Of the knobs only the DDP bucket size enters it.
 func (sc *replay) preBound() float64 {
 	pc, p, S := &sc.ctx, &sc.probe, len(sc.cut.stages)
+	if pc.layout != sc.spanned { // else a knob variant of the layout just bounded
+		sc.markSpans(pc.layout, sc.memoC.GPUsPerNode)
+	}
 	if sc.pre >= 0 && sc.preBucket == pc.opts.DDPBucketBytes {
 		return sc.pre
 	}
@@ -967,14 +967,10 @@ func (sc *replay) preBound() float64 {
 	return sc.pre
 }
 
-// run, the second half, partitions the ranks into classes (once per
-// topology) and replays a warm-up and two measured steps.
+// run, the second half, binds the rank classes compile coloured and
+// replays a warm-up and two measured steps.
 func (sc *replay) run() Prediction {
-	R := sc.ctx.layout.Ranks()
-	if sc.groupClasses == 0 {
-		sc.groupClasses = sc.partition(R)
-	}
-	sc.bindClasses(R, sc.groupClasses)
+	sc.bindClasses(sc.ctx.layout.Ranks(), sc.groupClasses)
 
 	const measured = 2
 	if err := sc.runStep(); err != nil { // warm-up

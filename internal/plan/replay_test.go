@@ -78,13 +78,36 @@ func BenchmarkBest4Paper512(b *testing.B) {
 	}
 }
 
+// BenchmarkBest4Paper49152 is BenchmarkBest4Paper512's workload on
+// Shape(6144), 49 152 GPUs — the scale of the paper's Hybrid-STOP runs.
+// It fails unless the plan is TP16×PP1×FSDP24×DDP64 at prefetch depth 2
+// with 1 MiB DDP buckets.
+func BenchmarkBest4Paper49152(b *testing.B) {
+	w := Workload{Dim: 1024, Heads: 16, Layers: 56, Tokens: 64, GlobalBatch: 1536,
+		Opts: core.Options{LayerWrapping: true, ActivationCheckpoint: true}}
+	for i := 0; i < b.N; i++ {
+		p, err := Best4(w, Shape(6144), Constraints{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := Candidate4{Layout: pp.Layout{TP: 16, PP: 1, FSDP: 24, DDP: 64},
+			Knobs: Knobs{PrefetchDepth: 2, DDPBucketBytes: 1 << 20, MicroBatches: 1}}
+		if p.Candidate4 != want {
+			b.Fatalf("chose %v, want %+v", p, want)
+		}
+		b.ReportMetric(p.Pred.StepTime, "step-s")
+		benchSink = p
+	}
+}
+
 // TestRankAllocs: pricing allocates little per candidate. The replay's
 // programs, topology and run state live in one scratch per Best4 query,
 // which also memoizes the stage cuts and schedules per (PP,
 // micro-batches) and the pass sums per (blocks, TP), and keeps the last
-// layout's topology, colouring and pre-bound in place; what is left is
-// those memo entries, the walk order and the enumeration. Measured: 190
-// allocations over the 140 candidates, 1.4 each.
+// layout's span bits and pre-bound and the last compiled layout's
+// topology and colouring in place; what is left is those memo entries,
+// the walk order and the enumeration. Measured: 183 allocations over the
+// 140 candidates, 1.3 each.
 func TestRankAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -100,10 +123,54 @@ func TestRankAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const perCandidate = 16
+	const perCandidate = 2
 	if per := allocs / float64(len(cands)); per > perCandidate {
 		t.Errorf("Best4 made %.0f allocations over %d candidates (%.1f each, budget %d)",
 			allocs, len(cands), per, perCandidate)
+	}
+}
+
+// TestSpanBitsMatchWiring: the span bits markSpans derives from the
+// grid's arithmetic equal the bits marked from buildTopology's wired
+// groups — a group lies within a node iff all its members do — over
+// seeded layouts on nodes of 1, 2, 3, 4, 6 and 8 devices, with stage
+// windows that straddle node boundaries and TP groups wider than a node.
+func TestSpanBitsMatchWiring(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var sc replay
+	var want []uint8
+	straddle, wide := 0, 0
+	for i := 0; i < 600; i++ {
+		gpn := []int{1, 2, 3, 4, 6, 8}[i%6]
+		l := pp.Layout{TP: 1 + rng.Intn(8), PP: 1 + rng.Intn(4), FSDP: 1 + rng.Intn(5), DDP: 1 + rng.Intn(4)}
+		sc.tcs = min(l.TP, 2) // as header sets it
+		sc.markSpans(l, gpn)
+		sc.buildTopology(l, gpn)
+		want = resize(want, len(sc.spans))
+		clear(want)
+		for _, g := range sc.groups {
+			ms, bit := sc.members[g.first:g.first+g.size], uint8(1)
+			for _, m := range ms {
+				if int(m>>3)/gpn != int(ms[0]>>3)/gpn {
+					bit = 2
+				}
+			}
+			for _, m := range ms {
+				want[int(sc.progOf[m>>3])*roleCount+int(m&7)] |= bit
+			}
+		}
+		if !slices.Equal(sc.spans, want) {
+			t.Fatalf("%v on %d-GPU nodes: span bits %v, wired %v", l, gpn, sc.spans, want)
+		}
+		if l.PP > 1 && l.Inner().Ranks()%gpn != 0 {
+			straddle++
+		}
+		if l.TP > gpn {
+			wide++
+		}
+	}
+	if straddle == 0 || wide == 0 {
+		t.Errorf("%d layouts with straddling stage windows, %d with TP wider than a node; want some of each", straddle, wide)
 	}
 }
 
@@ -276,7 +343,7 @@ func TestReplayClassesMatchFullReplay(t *testing.T) {
 // benchmark's knob grid and the default one (bucket variants included),
 // in enumeration order with an infeasible candidate between the first
 // twins and then in a seeded shuffle of all four queries; one layout is
-// then priced under another batch and under dearer links.
+// then priced under another batch, under dearer links and on 5-GPU nodes.
 func TestReplayBoundIsLowerBound(t *testing.T) {
 	var sc replay
 	check := func(w Workload, c ClusterShape, cand Candidate4) (pre, step float64, ok bool) {
@@ -366,6 +433,8 @@ func TestReplayBoundIsLowerBound(t *testing.T) {
 	check(w, c, cand)
 	c.Spec.IntraNodeLatency *= 1e3
 	check(w, c, cand)
+	c.Nodes, c.GPUsPerNode = 2, 5 // the same ranks, now across a node boundary
+	check(w, c, cand)
 }
 
 // TestPreBoundRandomSweep: the pre-bound stays at or below the replayed
@@ -411,8 +480,7 @@ func TestStageZeroEndsEveryStepLast(t *testing.T) {
 			t.Fatal(note)
 		}
 		sc.compile()
-		R := cand.Layout.Ranks()
-		sc.bindClasses(R, sc.partition(R))
+		sc.bindClasses(cand.Layout.Ranks(), sc.groupClasses)
 		for step := 0; step < 3; step++ {
 			if err := sc.runStep(); err != nil {
 				t.Fatal(err)

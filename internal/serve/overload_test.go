@@ -6,91 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// measureSaturation drives the server closed-loop with enough workers
-// to keep the queue full and returns the achieved throughput in
-// requests/second — the saturation point of this replica pool on this
-// machine (race detector and all), so overload multiples computed from
-// it are machine-independent.
-func measureSaturation(tb testing.TB, s *Server, workers int, window time.Duration) float64 {
-	tb.Helper()
-	var served atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_, err := s.Do(context.Background(), Request{Start: (w*31 + i) % fixDSLen, Steps: 1})
-				if err == nil {
-					served.Add(1)
-				}
-			}
-		}(w)
-	}
-	start := time.Now()
-	time.Sleep(window)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	return float64(served.Load()) / elapsed
-}
-
-// offerLoad offers open-loop arrivals at rps (arrivals do not wait for
-// completions — what makes overload possible) until n requests have
-// been issued, classifying outcomes and recording served latencies.
-// Arrivals spawn in 1ms groups so the offered rate holds even when it
-// outruns per-request timer resolution.
-func offerLoad(tb testing.TB, rps float64, n int, do func(ctx context.Context, req Request) error) (served, shed, failed int64, lats []time.Duration) {
-	tb.Helper()
-	var servedN, shedN, failedN atomic.Int64
-	var failOnce sync.Once
-	var latMu sync.Mutex
-	var wg sync.WaitGroup
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	perTick := rps / 1000
-	acc := 0.0
-	for launched := 0; launched < n; {
-		<-tick.C
-		acc += perTick
-		k := int(acc)
-		acc -= float64(k)
-		for j := 0; j < k && launched < n; j++ {
-			i := launched
-			launched++
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				t0 := time.Now()
-				err := do(context.Background(), Request{Start: i % fixDSLen, Steps: 1})
-				d := time.Since(t0)
-				switch {
-				case err == nil:
-					servedN.Add(1)
-					latMu.Lock()
-					lats = append(lats, d)
-					latMu.Unlock()
-				case errors.Is(err, ErrOverloaded):
-					shedN.Add(1)
-				default:
-					failedN.Add(1)
-					failOnce.Do(func() { tb.Logf("offerLoad: request %d failed: %v", i, err) })
-				}
-			}(i)
-		}
-	}
-	wg.Wait()
-	return servedN.Load(), shedN.Load(), failedN.Load(), lats
-}
 
 // TestOverloadShedsAndBoundsLatency is the acceptance drill, in
 // discrete time so that a stalled host cannot fail it: the replica
