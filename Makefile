@@ -80,12 +80,16 @@ stress:
 	$(GO) test -count=20 -cpu 1,2 ./internal/comm/... ./internal/pp/... ./internal/core/... ./internal/train/... ./internal/guard/...
 
 # Documentation gates: every package must carry a package comment
-# (scripts/check_pkgdoc.sh), and the checker proves it can fail via
-# its own negative self-test. Run alongside `examples` to keep the
-# README's code paths compiling and asserting.
+# (scripts/check_pkgdoc.sh), and every -flag in README.md's
+# command-line table must be defined by its binary
+# (scripts/check_flags.sh); each checker proves it can fail via its own
+# negative self-test. Run alongside `examples` to keep the README's
+# code paths compiling and asserting.
 docs-check:
 	sh scripts/check_pkgdoc.sh
 	sh scripts/check_pkgdoc.sh --selftest
+	sh scripts/check_flags.sh
+	sh scripts/check_flags.sh --selftest
 
 # The runnable documentation: Example* functions in
 # orbit_example_test.go are the README quickstart and planner usage,

@@ -34,8 +34,6 @@ type options struct {
 	queueCap     int
 	degradeDepth int
 	shedLowDepth int
-	maxRetries   int
-	retryBackoff time.Duration
 	deadline     time.Duration
 }
 
@@ -57,6 +55,9 @@ type app struct {
 // newApp builds the model (checkpoint or fine-tuned demo), the replica
 // pool, and the resilient serving front end.
 func newApp(opts options) (*app, error) {
+	if opts.replicas < 1 {
+		return nil, fmt.Errorf("orbit-serve: -replicas %d, need at least 1", opts.replicas)
+	}
 	vars := orbit.RegistrySmall()
 	const height, width = 16, 32
 	chans := []int{4, 7, 1, 2} // z500, t850, t2m, u10
@@ -124,9 +125,6 @@ func newApp(opts options) (*app, error) {
 	evalDS.OutputChans = chans
 	sc := orbit.NewScoreCache(evalDS, chans)
 
-	if opts.replicas < 1 {
-		opts.replicas = 1
-	}
 	pool := make([]*orbit.ServeReplica, opts.replicas)
 	for i := range pool {
 		eng, err := orbit.NewInferenceEngine(model, orbit.InferConfig{
@@ -148,8 +146,6 @@ func newApp(opts options) (*app, error) {
 		MaxSteps:     opts.stepsCap,
 		DegradeDepth: opts.degradeDepth,
 		ShedLowDepth: opts.shedLowDepth,
-		MaxRetries:   opts.maxRetries,
-		RetryBackoff: opts.retryBackoff,
 	}, pool)
 	if err != nil {
 		return nil, err

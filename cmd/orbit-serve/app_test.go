@@ -117,6 +117,20 @@ func postForecast(t *testing.T, base string, body string) (int, map[string]any, 
 	return resp.StatusCode, m, resp.Header
 }
 
+// TestNewAppRejectsBadFlags: a pool needs a replica, and a negative
+// serving setting is an error, not a silent default.
+func TestNewAppRejectsBadFlags(t *testing.T) {
+	for _, opts := range []options{
+		{trainSteps: 1, replicas: 0},
+		{trainSteps: 1, replicas: -2},
+		{trainSteps: 1, replicas: 1, queueCap: -1},
+	} {
+		if _, err := newApp(opts); err == nil {
+			t.Errorf("newApp(%+v) accepted", opts)
+		}
+	}
+}
+
 // TestServeQuantized boots the server with -quantize q4: the demo
 // model is block-quantized in memory, /v1/model reports the format,
 // and forecasts serve through the dequant-fused kernels end to end.

@@ -33,7 +33,6 @@ package main
 import (
 	"flag"
 	"log"
-	"time"
 )
 
 func main() {
@@ -49,8 +48,6 @@ func main() {
 	flag.IntVar(&opts.queueCap, "queue-cap", 0, "admission queue capacity; beyond it requests shed with 429 (0 = 4x max-batch)")
 	flag.IntVar(&opts.degradeDepth, "degrade-depth", 0, "queue depth at which normal requests skip scoring and return raw rollouts (0 = never)")
 	flag.IntVar(&opts.shedLowDepth, "shed-low-depth", 0, "queue depth at which low-priority requests shed (0 = only at queue-cap)")
-	flag.IntVar(&opts.maxRetries, "max-retries", 0, "max replica failovers per batch (0 = replicas-1, min 1)")
-	flag.DurationVar(&opts.retryBackoff, "retry-backoff", time.Millisecond, "base jittered backoff between failover attempts")
 	flag.DurationVar(&opts.deadline, "deadline", 0, "default per-request deadline; expiry answers 504 (0 = none)")
 	flag.Parse()
 

@@ -17,8 +17,9 @@ import (
 // past the device's current simulated clock. The clock only advances
 // while a forward is in flight, so the kill fires *during* replica 0's
 // next batch — the first four queued requests — and latches at the
-// post-batch health check: the batch's results are discarded and
-// retried on replica 1. Both replicas shard the same model with the
+// post-batch health check: the batch's results are discarded and its
+// requests go back to the head of the queue, which replica 1 drains
+// once its plug clears. Both replicas shard the same model with the
 // same TP width, so the reduction order is identical and the retried
 // results must be bit-identical to a run that never saw a fault. No
 // request may be lost.
@@ -53,7 +54,7 @@ func TestChaosTPReplicaKilledMidBatch(t *testing.T) {
 	inj.KillDeviceAtTime(0, repA.Engine.Machine().Devices[0].Clock()+1e-12)
 	inj.Arm(repA.Engine.Machine())
 	gA.open()
-	waitFor(t, "the failed-over batch to reach replica B", func() bool { return gB.held.Load() == 2 })
+	waitFor(t, "replica A's batch to fail", func() bool { return s.Stats().ReplicaFailures == 1 })
 	gB.open()
 
 	for i, p := range plugs {

@@ -70,7 +70,7 @@ type modelRun struct {
 	openGate  func()
 	inHook    atomic.Int64
 	inHookRep []atomic.Int64
-	killed    atomic.Bool // set before the first Kill: failovers may now pile onto a replica
+	killed    atomic.Bool // set before the first Kill: a pool error is possible from then on
 
 	// entered / returned bracket every Do call; their difference is the
 	// number of live callers.
@@ -90,8 +90,6 @@ func newModelRun(t *testing.T, m *vit.Model, sc *infer.ScoreCache, ref *modelRef
 	if rng.Intn(2) == 0 {
 		r.cfg.DegradeDepth = 1 + rng.Intn(r.cfg.QueueCap)
 	}
-	r.cfg.RetryBackoff = 50 * time.Microsecond
-	r.cfg.Seed = rng.Int63()
 	nrep := 1 + rng.Intn(3)
 	r.inHookRep = make([]atomic.Int64, nrep)
 	var pool []*Replica
@@ -121,14 +119,13 @@ func newModelRun(t *testing.T, m *vit.Model, sc *infer.ScoreCache, ref *modelRef
 }
 
 // batchRunning is every replica's AfterRun: a batch is on a worker of
-// replica i. Never more of them than workers — per replica until the
-// first kill, after which a failed-over batch keeps its dead replica's
-// worker while it runs on another replica.
+// replica i. Never more of them than workers, in the pool and per
+// replica, before and after kills alike.
 func (r *modelRun) batchRunning(i int) {
 	if n := r.inHook.Add(1); n > int64(r.slots) {
 		r.t.Errorf("%d batches running on %d replica workers", n, r.slots)
 	}
-	if n := r.inHookRep[i].Add(1); n > int64(r.workers[i]) && !r.killed.Load() {
+	if n := r.inHookRep[i].Add(1); n > int64(r.workers[i]) {
 		r.t.Errorf("%d batches running on replica %d's %d workers", n, i, r.workers[i])
 	}
 	<-r.gate
@@ -166,8 +163,7 @@ func (r *modelRun) do(ctx context.Context, req Request) (*Response, error) {
 			r.t.Errorf("request %+v: %v from a live context", req, err)
 		}
 	default:
-		// A dead pool or an exhausted retry budget: only once replicas
-		// have been killed.
+		// A dead pool: only once replicas have been killed.
 		r.poolErr.Add(1)
 		if !r.killed.Load() {
 			r.t.Errorf("request %+v: %v with every replica alive", req, err)

@@ -86,7 +86,7 @@ func (r *Replica) checkErr() error {
 	return nil
 }
 
-// Healthy reports whether the dispatcher may place batches here. A
+// Healthy reports whether the scheduler may place batches here. A
 // cluster death observed here is latched, so the replica never flaps
 // back.
 func (r *Replica) Healthy() bool {
@@ -100,8 +100,8 @@ func (r *Replica) Healthy() bool {
 // run executes one coalesced batch on this replica, filling each
 // call's result buffers. Health is checked before and after the
 // forward: a replica killed mid-batch returns an error and its
-// (complete but untrusted) results are discarded, so the dispatcher's
-// retry on a healthy replica regenerates them bit-identically.
+// (complete but untrusted) results are discarded, so the rerun of the
+// re-queued calls on a healthy replica regenerates them bit-identically.
 func (r *Replica) run(batch []*call) error {
 	if err := r.checkErr(); err != nil {
 		return err

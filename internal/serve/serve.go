@@ -1,32 +1,30 @@
 // Package serve is the serving resilience layer: a bounded admission
 // queue with priority-aware load shedding, work-conserving batch
 // formation, graceful degradation under overload, and a health-checked
-// replica pool that retries a failed batch on a healthy replica — the
+// replica pool whose failed batches go back to the queue — the
 // overload-safe, fault-tolerant front end the ROADMAP's "millions of
 // users" item requires in front of internal/infer.
 //
 // Dataflow:
 //
 //	Do(ctx, req) ── admission (capacity / priority shed, degrade mark)
-//	            └─► pending queue ── a replica worker is free: it takes
-//	                             up to MaxBatch live calls (an idle
-//	                             worker takes a lone call at once; calls
-//	                             pile up only behind busy workers)
-//	                             └─► dispatch ── that replica
-//	                                         ├─ ok: deliver responses
-//	                                         └─ replica dead: jittered
-//	                                            backoff, retry whole
-//	                                            batch on next healthy
-//	                                            replica (bit-identical
-//	                                            results, no request
-//	                                            ever lost)
+//	            └─► pending queue ◄──────────────────────────────┐
+//	                 │ a healthy replica's worker is free: it    │
+//	                 │ takes up to MaxBatch live calls (an idle  │
+//	                 │ worker takes a lone call at once; calls   │
+//	                 │ pile up only behind busy workers)         │
+//	                 └─► runBatch on that worker                 │
+//	                      ├─ ok: deliver responses               │
+//	                      └─ replica dead: latch it, put the ────┘
+//	                         unanswered calls back at the head
+//	                         (bit-identical results, no request
+//	                         ever lost)
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -43,8 +41,8 @@ var ErrClosed = errors.New("serve: server closed")
 // Retry-After hint.
 var ErrOverloaded = errors.New("serve: overloaded, retry later")
 
-// ErrNoHealthyReplica is returned when a batch cannot be placed: every
-// replica is dead or the failover retry budget is exhausted.
+// ErrNoHealthyReplica is returned when a call cannot be placed: every
+// replica is dead and no batch is left running.
 var ErrNoHealthyReplica = errors.New("serve: no healthy replica")
 
 // Priority orders requests under overload. The zero value is
@@ -101,7 +99,8 @@ type Response struct {
 	Coalesced int
 	// Replica identifies the replica that produced the result.
 	Replica int
-	// Retries counts replica failovers the batch survived.
+	// Retries counts the replica failures this request survived: each
+	// put it back in the queue.
 	Retries int
 	// Degraded marks a rollout served without scoring (overload mode):
 	// Scores is nil and Means carries the raw rollout summary.
@@ -115,7 +114,9 @@ type Response struct {
 }
 
 // Config tunes the resilience layer. Zero values take the documented
-// defaults; DegradeDepth and ShedLowDepth are disabled at 0.
+// defaults; DegradeDepth and ShedLowDepth are disabled at 0. NewServer
+// rejects a negative value and a MaxBatch wider than a replica's
+// engine batch.
 type Config struct {
 	// MaxBatch is the coalesced batch width (default: the smallest
 	// replica engine's fused batch width).
@@ -140,23 +141,12 @@ type Config struct {
 	// ShedLowDepth is the queue depth at which PriorityLow requests
 	// are shed (0 = low priority sheds only at QueueCap).
 	ShedLowDepth int
-	// MaxRetries bounds batch failovers across replicas (default:
-	// number of replicas − 1, at least 1).
-	MaxRetries int
-	// RetryBackoff is the base of the jittered exponential backoff
-	// between failover attempts (default 1ms).
-	RetryBackoff time.Duration
-	// Seed makes the backoff jitter reproducible (default 1).
-	Seed int64
 }
 
 // Server is the resilient serving front end over a replica pool.
 type Server struct {
 	cfg      Config
 	replicas []*Replica
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	// mu guards the one queue → batch → replica state machine: the
 	// pending queue, each call's answered flag, the replicas' busy
@@ -180,6 +170,7 @@ type call struct {
 	degraded bool
 	admitted time.Time
 	answered bool // guarded by Server.mu; set once, by whoever answers the caller
+	retries  int  // replica failures survived; guarded by Server.mu
 	scores   []infer.StepScore
 	means    [][]float64
 	ch       chan callResult
@@ -195,6 +186,9 @@ func NewServer(cfg Config, replicas []*Replica) (*Server, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("serve: need at least one replica")
 	}
+	// A batch holds one engine worker, so it must fit one fused forward
+	// of every replica: a wider one would split across several workers.
+	width := 0
 	seen := make(map[int]bool, len(replicas))
 	for _, r := range replicas {
 		if r == nil || r.Engine == nil || r.Scores == nil {
@@ -204,36 +198,29 @@ func NewServer(cfg Config, replicas []*Replica) (*Server, error) {
 			return nil, fmt.Errorf("serve: duplicate replica id %d", r.ID)
 		}
 		seen[r.ID] = true
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = replicas[0].Engine.Cfg.MaxBatch
-		for _, r := range replicas[1:] {
-			if b := r.Engine.Cfg.MaxBatch; b < cfg.MaxBatch {
-				cfg.MaxBatch = b
-			}
+		if b := r.Engine.Cfg.MaxBatch; width == 0 || b < width {
+			width = b
 		}
 	}
-	if cfg.QueueCap <= 0 {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"MaxBatch", cfg.MaxBatch}, {"QueueCap", cfg.QueueCap}, {"MaxSteps", cfg.MaxSteps},
+		{"DegradeDepth", cfg.DegradeDepth}, {"ShedLowDepth", cfg.ShedLowDepth}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("serve: negative %s %d", f.name, f.v)
+		}
+	}
+	if cfg.MaxBatch > width {
+		return nil, fmt.Errorf("serve: MaxBatch %d above the smallest replica engine's batch width %d", cfg.MaxBatch, width)
+	}
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = width
+	}
+	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 4 * cfg.MaxBatch
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = len(replicas) - 1
-		if cfg.MaxRetries < 1 {
-			cfg.MaxRetries = 1
-		}
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = time.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	return &Server{
-		cfg:      cfg,
-		replicas: replicas,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		busy:     make([]int, len(replicas)),
-	}, nil
+	return &Server{cfg: cfg, replicas: replicas, busy: make([]int, len(replicas))}, nil
 }
 
 // Config returns the server's effective (defaulted) configuration.
@@ -399,125 +386,48 @@ func (s *Server) takeLocked() []*call {
 }
 
 // runBatch runs one batch on replica i's free worker, then hands the
-// worker back and reschedules.
+// worker back and reschedules. A replica's results are delivered only
+// after it passes the post-batch health check. When it fails instead,
+// it is latched dead and the batch's unanswered calls go back to the
+// head of the queue in their order, so scheduleLocked places them on a
+// healthy replica's free worker as it places every batch. The rerun is
+// bit-identical to a no-fault run, and no request is ever lost.
 func (s *Server) runBatch(i int, batch []*call) {
-	s.dispatch(s.replicas[i], batch)
+	r := s.replicas[i]
+	err := r.run(batch)
+	if err != nil {
+		r.markDead(err)
+	}
 	s.mu.Lock()
 	s.busy[i]--
 	s.running--
+	if err == nil {
+		for _, c := range batch {
+			s.answerLocked(c, &Response{
+				Start:     c.req.Start,
+				Steps:     c.req.Steps,
+				Coalesced: len(batch),
+				Replica:   r.ID,
+				Retries:   c.retries,
+				Degraded:  c.degraded,
+				Scores:    c.scores,
+				Means:     c.means,
+			}, nil)
+		}
+	} else {
+		s.st.replicaFailures.Add(1)
+		retry := slices.DeleteFunc(batch, func(c *call) bool { return c.answered })
+		for _, c := range retry {
+			c.retries++
+		}
+		if len(retry) > 0 {
+			s.st.retries.Add(1)
+			s.pending = slices.Insert(s.pending, 0, retry...)
+		}
+	}
 	s.scheduleLocked()
 	s.mu.Unlock()
 	s.inflight.Done()
-}
-
-// answerAll answers every call of a batch with the same error.
-func (s *Server) answerAll(batch []*call, err error) {
-	s.mu.Lock()
-	for _, c := range batch {
-		s.answerLocked(c, nil, err)
-	}
-	s.mu.Unlock()
-}
-
-// dispatch runs a batch on replica r; when the replica dies (before,
-// during, or after the forward) the whole batch is retried on the
-// next healthy replica after a jittered exponential backoff. A
-// replica's results are delivered only after it passes the post-batch
-// health check, so a batch from a dead replica is discarded and rerun
-// — which is why retried results are bit-identical to a no-fault run
-// and no request is ever lost.
-func (s *Server) dispatch(r *Replica, batch []*call) {
-	var tried map[int]bool // replicas that failed this batch
-	retries := 0
-	for {
-		err := r.run(batch)
-		if err == nil {
-			s.mu.Lock()
-			for _, c := range batch {
-				s.answerLocked(c, &Response{
-					Start:     c.req.Start,
-					Steps:     c.req.Steps,
-					Coalesced: len(batch),
-					Replica:   r.ID,
-					Retries:   retries,
-					Degraded:  c.degraded,
-					Scores:    c.scores,
-					Means:     c.means,
-				}, nil)
-			}
-			s.mu.Unlock()
-			return
-		}
-		r.markDead(err)
-		s.st.replicaFailures.Add(1)
-		if tried == nil {
-			tried = make(map[int]bool)
-		}
-		tried[r.ID] = true
-		retries++
-		if retries > s.cfg.MaxRetries {
-			s.answerAll(batch, fmt.Errorf("serve: batch failed after %d failovers: %w", retries-1, err))
-			return
-		}
-		s.st.retries.Add(1)
-		time.Sleep(s.backoff(retries))
-		// Callers may have given up or expired during the backoff; drop
-		// them before occupying another replica.
-		s.mu.Lock()
-		live := batch[:0]
-		for _, c := range batch {
-			if c.answered {
-				continue
-			}
-			if cerr := c.ctx.Err(); cerr != nil {
-				s.st.droppedExpired.Add(1)
-				s.answerLocked(c, nil, cerr)
-				continue
-			}
-			live = append(live, c)
-		}
-		s.mu.Unlock()
-		if batch = live; len(batch) == 0 {
-			return
-		}
-		if r = s.pick(tried); r == nil {
-			s.answerAll(batch, fmt.Errorf("%w (last failure: %v)", ErrNoHealthyReplica, err))
-			return
-		}
-	}
-}
-
-// pick returns the next healthy replica that has not failed this
-// batch, round-robin, or nil when none remains. A failed-over batch
-// keeps the dead replica's worker and queues for a worker of the one
-// it lands on inside that replica's engine.
-func (s *Server) pick(tried map[int]bool) *Replica {
-	s.mu.Lock()
-	start := s.rr
-	s.rr++
-	s.mu.Unlock()
-	n := len(s.replicas)
-	for i := 0; i < n; i++ {
-		r := s.replicas[(start+i)%n]
-		if tried[r.ID] || !r.Healthy() {
-			continue
-		}
-		return r
-	}
-	return nil
-}
-
-// backoff returns the jittered exponential failover delay for the
-// given (1-based) retry attempt, capped at 100ms.
-func (s *Server) backoff(attempt int) time.Duration {
-	d := s.cfg.RetryBackoff << uint(attempt-1)
-	if max := 100 * time.Millisecond; d > max {
-		d = max
-	}
-	s.rngMu.Lock()
-	j := 0.5 + s.rng.Float64() // uniform in [0.5, 1.5)
-	s.rngMu.Unlock()
-	return time.Duration(float64(d) * j)
 }
 
 // Close stops admission and waits until every admitted request has

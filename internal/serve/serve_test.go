@@ -328,9 +328,10 @@ func TestFailoverMidBatchBitIdentical(t *testing.T) {
 		queued[i] = submit(t, s, context.Background(), Request{Start: 10 + i, Steps: 1 + i%2}, 3+i)
 	}
 	// A's plug completes, A takes the four queued requests as one batch
-	// and dies under it; the retry lands on B, which is released last.
+	// and dies under it; they go back to the queue, and B takes them
+	// once its plug is released.
 	gA.open()
-	waitFor(t, "the failed-over batch to reach replica B", func() bool { return gB.held.Load() == 2 })
+	waitFor(t, "replica A's batch to fail", func() bool { return s.Stats().ReplicaFailures == 1 })
 	gB.open()
 
 	for i, p := range plugs {
@@ -367,6 +368,73 @@ func TestFailoverMidBatchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRequeuedCallExpires kills a replica under a batch of four and
+// checks what happens to callers that give up around the failure: one
+// that abandons its call while the batch runs is answered at once and
+// not re-queued; one canceled, and one found past its deadline, while
+// the failed batch waits in the queue are answered once with their
+// context error, counted as dropped, and never reach a replica again.
+// The live call is rerun alone on the surviving replica.
+func TestRequeuedCallExpires(t *testing.T) {
+	m, sc := fixtureModel(t, 31)
+	repA := newReplica(t, 0, m, sc, 4, 0)
+	repB := newReplica(t, 1, m, sc, 4, 0)
+	gA, gB := gateReplica(repA), gateReplica(repB)
+	holdA, failing := repA.AfterRun, make(chan struct{})
+	var runsA atomic.Int64
+	repA.AfterRun = func() {
+		if runsA.Add(1) == 2 {
+			repA.Kill() // the batch after the plug dies, held until failing closes
+			<-failing
+		}
+		holdA()
+	}
+	s, err := NewServer(Config{MaxBatch: 4}, []*Replica{repA, repB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	plug(t, s, gA, gB)
+	abandonCtx, abandon := context.WithCancel(context.Background())
+	cancelCtx, cancel := context.WithCancel(context.Background())
+	stale := &staleCtx{Context: context.Background()}
+	abandoned := submit(t, s, abandonCtx, Request{Start: 20, Steps: 1}, 3)
+	canceled := submit(t, s, cancelCtx, Request{Start: 21, Steps: 1}, 4)
+	expired := submit(t, s, stale, Request{Start: 22, Steps: 1}, 5)
+	live := submit(t, s, context.Background(), Request{Start: 23, Steps: 2}, 6)
+
+	gA.open()
+	waitFor(t, "the four calls to run on replica A", func() bool { return runsA.Load() == 2 })
+	abandon()
+	if o := <-abandoned; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("call abandoned on the failing replica returned %+v, %v", o.resp, o.err)
+	}
+	close(failing)
+	waitFor(t, "replica A's batch to fail", func() bool { return s.Stats().ReplicaFailures == 1 })
+	cancel()
+	if o := <-canceled; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("call canceled while re-queued returned %+v, %v", o.resp, o.err)
+	}
+	stale.expired.Store(true)
+	gB.open()
+	if o := <-expired; !errors.Is(o.err, context.DeadlineExceeded) {
+		t.Fatalf("call expired while re-queued returned %+v, %v", o.resp, o.err)
+	}
+	o := <-live
+	if o.err != nil || o.resp.Replica != repB.ID || o.resp.Retries != 1 || o.resp.Coalesced != 1 {
+		t.Fatalf("live call: %+v, %v; want it rerun alone on replica %d after one failure", o.resp, o.err, repB.ID)
+	}
+	if gB.held.Load() != 2 {
+		t.Fatalf("replica B ran %d batches, want its plug and the live call's", gB.held.Load())
+	}
+	st := s.Stats()
+	if st.DroppedExpired != 2 || st.Failed != 3 || st.Completed != 3 || st.Batches != 4 ||
+		st.Retries != 1 || st.QueueDepth != 0 || st.Accepted != st.Completed+st.Failed {
+		t.Fatalf("stats after the re-queued expiries: %+v", st)
+	}
+}
+
 // TestNoHealthyReplica proves pool exhaustion fails requests with a
 // typed error instead of hanging or losing them.
 func TestNoHealthyReplica(t *testing.T) {
@@ -383,6 +451,40 @@ func TestNoHealthyReplica(t *testing.T) {
 	}
 	if st := s.Stats(); st.QueueDepth != 0 || st.Failed != 1 {
 		t.Fatalf("failed request still holds a slot: %+v", st)
+	}
+}
+
+// TestNewServerRejectsBadConfigs pins the configurations NewServer
+// refuses: a negative setting, which would otherwise read as a default
+// or as "never", and a batch wider than a replica engine's fused batch,
+// which would run on several engine workers while holding one.
+func TestNewServerRejectsBadConfigs(t *testing.T) {
+	m, sc := fixtureModel(t, 32)
+	pool := []*Replica{newReplica(t, 0, m, sc, 8, 0), newReplica(t, 1, m, sc, 4, 0)}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MaxBatch above an engine's", Config{MaxBatch: 5}},
+		{"negative MaxBatch", Config{MaxBatch: -1}},
+		{"negative QueueCap", Config{QueueCap: -1}},
+		{"negative MaxSteps", Config{MaxSteps: -1}},
+		{"negative DegradeDepth", Config{DegradeDepth: -1}},
+		{"negative ShedLowDepth", Config{ShedLowDepth: -1}},
+	} {
+		if _, err := NewServer(c.cfg, pool); err == nil {
+			t.Errorf("%s: %+v accepted", c.name, c.cfg)
+		}
+	}
+	if _, err := NewServer(Config{MaxBatch: 4}, pool); err != nil {
+		t.Fatalf("MaxBatch equal to the narrowest engine's: %v", err)
+	}
+	s, err := NewServer(Config{}, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := s.Config(); cfg.MaxBatch != 4 || cfg.QueueCap != 16 {
+		t.Fatalf("defaults: %+v; want MaxBatch 4, QueueCap 16", cfg)
 	}
 }
 

@@ -73,15 +73,16 @@ type Stats struct {
 	ShedCapacity int64 `json:"shed_capacity"`
 	ShedPriority int64 `json:"shed_priority"`
 	// DroppedExpired counts requests whose caller gave up (deadline or
-	// cancellation) while they were queued, or waiting out a failover
-	// backoff: dead clients dropped before a replica ran them. They are
-	// also counted in Failed.
+	// cancellation) while they were queued, first or again after a
+	// replica failure: dead clients dropped before a replica ran them.
+	// They are also counted in Failed.
 	DroppedExpired int64 `json:"dropped_expired"`
 	// Degraded counts responses served without scoring under overload.
 	Degraded int64 `json:"degraded"`
 	Batches  int64 `json:"batches"`
-	// Retries counts batch failovers; ReplicaFailures counts replicas
-	// found dead at (or after) a batch.
+	// Retries counts failed batches whose unanswered calls went back to
+	// the queue; ReplicaFailures counts batches whose replica was found
+	// dead at (or after) them.
 	Retries         int64 `json:"retries"`
 	ReplicaFailures int64 `json:"replica_failures"`
 	QueueDepth      int   `json:"queue_depth"`

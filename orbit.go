@@ -317,8 +317,9 @@ type RolloutRequestError = infer.RequestError
 // --- resilient serving (admission control, deadlines, failover) ---
 
 // ServeConfig tunes the resilient serving front end: the batch width,
-// the bounded admission queue, priority shedding, degraded mode, and
-// failover retry policy.
+// the bounded admission queue, the request horizon cap, priority
+// shedding and degraded mode. Failover needs no knob: a dead replica's
+// calls go back to the queue, and the pool size bounds their retries.
 type ServeConfig = serve.Config
 
 // ServeRequest is the resilient serving unit; its response is
