@@ -80,16 +80,20 @@ stress:
 	$(GO) test -count=20 -cpu 1,2 ./internal/comm/... ./internal/pp/... ./internal/core/... ./internal/train/... ./internal/guard/...
 
 # Documentation gates: every package must carry a package comment
-# (scripts/check_pkgdoc.sh), and every -flag in README.md's
-# command-line table must be defined by its binary
-# (scripts/check_flags.sh); each checker proves it can fail via its own
-# negative self-test. Run alongside `examples` to keep the README's
+# (scripts/check_pkgdoc.sh), every -flag in README.md's command-line
+# table must be defined by its binary (scripts/check_flags.sh), and
+# every backticked `pkg.Name` of an internal package in README.md,
+# ARCHITECTURE.md and PERFORMANCE.md must be declared there
+# (scripts/check_docrefs.sh); each checker proves it can fail via its
+# own negative self-test. Run alongside `examples` to keep the README's
 # code paths compiling and asserting.
 docs-check:
 	sh scripts/check_pkgdoc.sh
 	sh scripts/check_pkgdoc.sh --selftest
 	sh scripts/check_flags.sh
 	sh scripts/check_flags.sh --selftest
+	sh scripts/check_docrefs.sh
+	sh scripts/check_docrefs.sh --selftest
 
 # The runnable documentation: Example* functions in
 # orbit_example_test.go are the README quickstart and planner usage,

@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"time"
 
@@ -68,9 +69,17 @@ func main() {
 	killNodeStep := flag.Int("kill-node-step", 0, "simulate a whole-node failure at this step (-layout mode)")
 	stallNodeStep := flag.Int("stall-node-step", 0, "simulate a node hanging (not dying) mid-step at this step; the watchdog must detect it (-layout mode)")
 	stepDeadline := flag.Duration("step-deadline", 0, "hang watchdog: declare the run stalled when no rank makes progress for this long (0 disables; -layout mode)")
-	maxRollbacks := flag.Int("max-rollbacks", 2, "divergence supervisor: checkpoint rollbacks to attempt before giving up (-layout mode)")
+	maxRollbacks := flag.Int("max-rollbacks", 2, "divergence supervisor: checkpoint rollbacks to attempt before giving up, at least 1 (-layout mode)")
 	computeScale := flag.Float64("compute-scale", 1e-3, "device-throughput scale for -layout mode: the functional workload is toy-sized, so scaling compute down gives the simulated machine (and the auto-planner) a production compute/communication ratio (1 = full-speed Frontier)")
 	flag.Parse()
+	if err := checkFlags(limits{
+		steps: *steps, nodes: *nodes, ckptEvery: *ckptEvery, keep: *keep, killStep: *killStep,
+		killNodeStep: *killNodeStep, stallNodeStep: *stallNodeStep, maxRollbacks: *maxRollbacks,
+		stepDeadline: *stepDeadline, computeScale: *computeScale,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "orbit-pretrain:", err)
+		os.Exit(2)
+	}
 
 	if *sweep {
 		sc := orbit.QuickScale()
@@ -173,6 +182,42 @@ func main() {
 		}
 		fmt.Printf("checkpoint written to %s (bf16)\n", *save)
 	}
+}
+
+// limits holds the flags checkFlags bounds.
+type limits struct {
+	steps, nodes, maxRollbacks                             int
+	ckptEvery, keep, killStep, killNodeStep, stallNodeStep int
+	stepDeadline                                           time.Duration
+	computeScale                                           float64
+}
+
+// checkFlags rejects the settings no run can honour, naming the flag.
+// A negative count or deadline is not "off", and the supervisor reads
+// -max-rollbacks 0 as its default of 2, so 0 cannot mean "no rollback".
+func checkFlags(l limits) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-ckpt-every", l.ckptEvery}, {"-keep", l.keep}, {"-kill-step", l.killStep},
+		{"-kill-node-step", l.killNodeStep}, {"-stall-node-step", l.stallNodeStep}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: need 0 (off) or a positive value", f.name, f.v)
+		}
+	}
+	switch {
+	case l.stepDeadline < 0:
+		return fmt.Errorf("-step-deadline %v: need 0 (off) or a positive deadline", l.stepDeadline)
+	case l.steps < 1:
+		return fmt.Errorf("-steps %d: need at least one step", l.steps)
+	case l.nodes < 1:
+		return fmt.Errorf("-nodes %d: need at least one node", l.nodes)
+	case l.maxRollbacks < 1:
+		return fmt.Errorf("-max-rollbacks %d: need at least 1 (the supervisor reads 0 as its default of 2, so rollback cannot be turned off)", l.maxRollbacks)
+	case !(l.computeScale > 0) || math.IsInf(l.computeScale, 1):
+		return fmt.Errorf("-compute-scale %g: need a finite scale > 0", l.computeScale)
+	}
+	return nil
 }
 
 // runGuarded is the -layout mode: distributed Hybrid-STOP training of

@@ -47,7 +47,7 @@ type Config struct {
 
 	// StepDeadline is how long the run may go without any rank making
 	// progress before the watchdog declares the slowest rank dead.
-	// 0 disables the watchdog.
+	// 0 disables the watchdog; a negative deadline is an error.
 	StepDeadline time.Duration
 	// MaxWatchdogKills bounds how many devices the watchdog will shoot
 	// before it gives the whole run up (default 3).
@@ -56,9 +56,9 @@ type Config struct {
 	// watchdog re-arms, jittered ±50% (default StepDeadline/2).
 	RetryBackoff time.Duration
 
-	// MaxRollbacks bounds divergence rollbacks (default 2: one plain
-	// replay for transient faults, one salted replay for
-	// data-dependent ones).
+	// MaxRollbacks bounds divergence rollbacks (0 = default 2: one
+	// plain replay for transient faults, one salted replay for
+	// data-dependent ones; a negative budget is an error).
 	MaxRollbacks int
 	// SpikeFactor flags a step whose gradient norm exceeds
 	// SpikeFactor × its EWMA (default 10; NaN/Inf are always flagged).
@@ -123,6 +123,12 @@ func (e *DivergenceError) Error() string {
 // and retrying through the configured fault budget. The returned
 // Result is non-nil even on error (partial progress, events).
 func Run(cfg Config) (*Result, error) {
+	switch {
+	case cfg.StepDeadline < 0:
+		return &Result{}, fmt.Errorf("guard: negative StepDeadline %v", cfg.StepDeadline)
+	case cfg.MaxRollbacks < 0:
+		return &Result{}, fmt.Errorf("guard: negative MaxRollbacks %d", cfg.MaxRollbacks)
+	}
 	if cfg.MaxWatchdogKills == 0 {
 		cfg.MaxWatchdogKills = 3
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,6 +243,27 @@ func TestRollbackBudgetExhausted(t *testing.T) {
 	}
 	if !gaveUp {
 		t.Fatalf("no giveup event; events: %+v", res.Events)
+	}
+}
+
+// TestRunRejectsNegativeLimits: a negative StepDeadline would silently
+// turn the watchdog off and a negative MaxRollbacks would give up at the
+// first divergence; both are errors before any step runs.
+func TestRunRejectsNegativeLimits(t *testing.T) {
+	for _, cfg := range []Config{
+		{StepDeadline: -time.Second},
+		{StepDeadline: -1},
+		{MaxRollbacks: -1},
+		{StepDeadline: time.Second, MaxRollbacks: -3},
+	} {
+		cfg.Elastic = baseElastic(t, core.Layout{TP: 1, FSDP: 1, DDP: 1}, 1, 1)
+		res, err := Run(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "guard: negative ") {
+			t.Errorf("deadline %v, rollbacks %d: error %v, want a negative-limit error", cfg.StepDeadline, cfg.MaxRollbacks, err)
+		}
+		if res == nil || len(res.Runs) != 0 {
+			t.Errorf("deadline %v, rollbacks %d: result %+v, want an empty one", cfg.StepDeadline, cfg.MaxRollbacks, res)
+		}
 	}
 }
 

@@ -69,9 +69,8 @@ func TestRolloutStepAllocs(t *testing.T) {
 	}
 }
 
-// TestF32PlanHoldsOneCopyOfTheWeights pins what plan.ServingMemory
-// prices an f32 replica at: the model's weights once, plus the plan's
-// activation buffers. NewPlan allocates those buffers; the first
+// TestF32PlanHoldsOneCopyOfTheWeights pins what an f32 replica holds:
+// the model's weights once, plus the plan's activation buffers. NewPlan allocates those buffers; the first
 // forward at MaxBatch then builds its tensor headers and nothing
 // weight-sized — the kernel reads the model's weights in place, so a
 // plan that grew by as much as one block's weights would be keeping a

@@ -276,37 +276,58 @@ func TestMemoryBound4DBeats3D(t *testing.T) {
 
 // TestPredictedMemoryExact pins the simulated-accounting memory
 // prediction byte-for-byte against cluster.Device.MemPeak, for
-// unpipelined and pipelined layouts alike.
+// unpipelined and pipelined layouts alike, with each option flag off
+// at least once and every prefetch depth of the default grid.
 func TestPredictedMemoryExact(t *testing.T) {
-	w := testWorkload()
 	c := ScaledShape(2, 1e-3)
-	for _, cand := range []Candidate4{
-		{Layout: pp.Layout{TP: 2, PP: 1, FSDP: 4, DDP: 2}, Knobs: Knobs{PrefetchDepth: 1, MicroBatches: 8}},
-		{Layout: pp.Layout{TP: 1, PP: 1, FSDP: 8, DDP: 1}, Knobs: Knobs{PrefetchDepth: 2, MicroBatches: 8}},
-		{Layout: pp.Layout{TP: 4, PP: 1, FSDP: 2, DDP: 2}, Knobs: Knobs{MicroBatches: 16}},
-		cand4(pp.Layout{TP: 1, PP: 3, FSDP: 4, DDP: 1}, w.GlobalBatch),
-		cand4(pp.Layout{TP: 2, PP: 2, FSDP: 2, DDP: 2}, w.GlobalBatch),
+	base := testWorkload()
+	// The added rows run a global batch of 16, two to four micro-batches
+	// per data rank: a pipelined stage still fills its 1F1B warm-up, and
+	// the simulation is cheaper.
+	small := base
+	small.GlobalBatch = 16
+	off := func(w Workload, clear func(*core.Options)) Workload {
+		clear(&w.Opts)
+		return w
+	}
+	noCkpt := func(o *core.Options) { o.ActivationCheckpoint = false }
+	noWrap := off(small, func(o *core.Options) { o.LayerWrapping = false })
+	fp32 := off(small, func(o *core.Options) { o.MixedPrecision = false })
+	bare := off(small, func(o *core.Options) { *o = core.Options{} })
+	noQK := small
+	noQK.QKNorm = false
+	for _, row := range []struct {
+		w      Workload
+		l      pp.Layout
+		depth  int
+		bucket int
+	}{
+		{base, pp.Layout{TP: 2, PP: 1, FSDP: 4, DDP: 2}, 1, 0},
+		{base, pp.Layout{TP: 1, PP: 1, FSDP: 8, DDP: 1}, 2, 0},
+		{base, pp.Layout{TP: 4, PP: 1, FSDP: 2, DDP: 2}, 0, 0},
+		{base, pp.Layout{TP: 1, PP: 3, FSDP: 4, DDP: 1}, 1, 0},
+		{base, pp.Layout{TP: 2, PP: 2, FSDP: 2, DDP: 2}, 1, 0},
+		{small, pp.Layout{TP: 1, PP: 2, FSDP: 4, DDP: 2}, 2, 1 << 10},
+		{small, pp.Layout{TP: 2, PP: 2, FSDP: 4, DDP: 1}, 0, 0},
+		{noWrap, pp.Layout{TP: 2, PP: 1, FSDP: 4, DDP: 2}, 0, 0},
+		{noWrap, pp.Layout{TP: 1, PP: 1, FSDP: 4, DDP: 1}, 2, 0},
+		{off(base, noCkpt), pp.Layout{TP: 2, PP: 1, FSDP: 2, DDP: 1}, 1, 0},
+		{off(small, noCkpt), pp.Layout{TP: 1, PP: 1, FSDP: 4, DDP: 2}, 2, 0},
+		{fp32, pp.Layout{TP: 2, PP: 1, FSDP: 4, DDP: 2}, 0, 0},
+		{fp32, pp.Layout{TP: 1, PP: 2, FSDP: 4, DDP: 2}, 2, 0},
+		{bare, pp.Layout{TP: 2, PP: 1, FSDP: 2, DDP: 2}, 1, 1 << 10},
+		{noQK, pp.Layout{TP: 4, PP: 1, FSDP: 2, DDP: 2}, 1, 0},
 	} {
-		pred := Predict4(w, c, cand)
-		meas := Simulate4(w, c, cand, 1)
+		cand := Candidate4{Layout: row.l, Knobs: Knobs{PrefetchDepth: row.depth, DDPBucketBytes: row.bucket,
+			MicroBatches: row.w.GlobalBatch / (row.l.FSDP * row.l.DDP)}}
+		pred := Predict4(row.w, c, cand)
+		meas := Simulate4(row.w, c, cand, 1)
 		if meas.Err != nil {
-			t.Fatalf("%+v: %v", cand.Layout, meas.Err)
+			t.Fatalf("%+v %+v: %v", row.w.Opts, cand.Layout, meas.Err)
 		}
 		if pred.DeviceBytes != meas.MemPeak {
-			t.Errorf("layout %+v knobs %+v: predicted %d bytes, simulated peak %d",
-				cand.Layout, cand.Knobs, pred.DeviceBytes, meas.MemPeak)
+			t.Errorf("options %+v layout %+v knobs %+v: predicted %d bytes, simulated peak %d",
+				row.w.Opts, cand.Layout, cand.Knobs, pred.DeviceBytes, meas.MemPeak)
 		}
-	}
-	// The memory-model variant without activation checkpointing.
-	w2 := w
-	w2.Opts.ActivationCheckpoint = false
-	cand := Candidate4{Layout: pp.Layout{TP: 2, PP: 1, FSDP: 2, DDP: 1}, Knobs: Knobs{PrefetchDepth: 1, MicroBatches: 32}}
-	pred := Predict4(w2, c, cand)
-	meas := Simulate4(w2, c, cand, 1)
-	if meas.Err != nil {
-		t.Fatal(meas.Err)
-	}
-	if pred.DeviceBytes != meas.MemPeak {
-		t.Errorf("no-checkpoint: predicted %d bytes, simulated peak %d", pred.DeviceBytes, meas.MemPeak)
 	}
 }

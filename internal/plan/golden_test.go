@@ -91,9 +91,7 @@ func goldenLine(name string, p Prediction) string {
 	for _, f := range []float64{p.StepTime, p.ComputeTime, p.GatherWait, p.TPWait, p.RSWait, p.DDPWait, p.PPWait} {
 		fmt.Fprintf(&b, " %016x", math.Float64bits(f))
 	}
-	m := p.Memory
-	fmt.Fprintf(&b, " | %d %t %q | %d %d %d %d %d %d", p.DeviceBytes, p.OOM, p.Note,
-		m.ParamBytes, m.GradBytes, m.MomentBytes, m.ActivationBytes, m.GatherBytes, m.TotalBytes)
+	fmt.Fprintf(&b, " | %d %t %q", p.DeviceBytes, p.OOM, p.Note)
 	return b.String()
 }
 

@@ -58,16 +58,12 @@
 // the full replay through the same code, and a differential test
 // holds the quotient to it bit for bit on every Prediction field.
 //
-// Memory comes from two models. The simulated-accounting prediction
-// (Prediction.DeviceBytes) replays the engine's exact Alloc/Free
-// sequence — persistent fp32 chunk weights+gradients of the rank's
-// stage, gather staging (depth+1 layer buffers live under prefetch),
-// activation residency under checkpointing — and must equal
-// cluster.Device.MemPeak to the byte (pinned by test). The analytic
-// breakdown (MemBreakdown) additionally itemizes what a real training
-// process holds — parameters, gradients, AdamW moments, activations,
-// gather staging — which is what a capacity decision on real hardware
-// needs.
+// Memory comes from one model. Prediction.DeviceBytes replays the
+// engine's exact Alloc/Free sequence — persistent fp32 chunk
+// weights+gradients of the rank's stage, gather staging (depth+1 layer
+// buffers live under prefetch), activation residency under
+// checkpointing — and must equal cluster.Device.MemPeak to the byte
+// (pinned by test). It decides OOM and bounds Best4's search.
 //
 // # Choosing a plan
 //
@@ -125,13 +121,6 @@ type Workload struct {
 	// trainer's divisibility requirement).
 	GlobalBatch int
 	Opts        core.Options
-	// ParamDtype / GradDtype price the persistent parameter and
-	// gradient storage in the analytic memory breakdown. The zero value
-	// is float32 — the training engine's master precision — so existing
-	// plans are byte-identical. DtypeNone gradients mark a forward-only
-	// workload: no gradient or optimizer-moment bytes are charged.
-	ParamDtype Dtype
-	GradDtype  Dtype
 }
 
 // Validate reports impossible workloads.
@@ -226,9 +215,6 @@ type Constraints struct {
 	// even on rebuild — ckpt.ReshardPP regroups stage shards
 	// losslessly, so a checkpoint survives any PP change.
 	FixPP int
-	// MaxRanks caps the device count a plan may occupy (0 = the whole
-	// cluster).
-	MaxRanks int
 	// PrefetchDepths / BucketBytes are the knob grids (nil = defaults:
 	// depths {0, 1, 2}, buckets {0, 1 MiB}).
 	PrefetchDepths []int
@@ -241,6 +227,42 @@ var (
 	DefaultPrefetchDepths = []int{0, 1, 2}
 	DefaultBucketBytes    = []int{0, 1 << 20}
 )
+
+// Prediction is the machine-readable pricing of one candidate: the
+// predicted step time with its critical-rank breakdown (compute vs.
+// per-phase communication waits — waits count only the gap local
+// compute did not already cover, so a fully hidden gather contributes
+// zero) and the byte-exact simulated-accounting memory peak.
+type Prediction struct {
+	// StepTime is the predicted wall time of one optimizer step
+	// (micro-batched over the data ranks) in simulated seconds.
+	StepTime float64 `json:"step_time_s"`
+	// ComputeTime is the critical rank's per-step block compute.
+	ComputeTime float64 `json:"compute_s"`
+	// GatherWait / TPWait / RSWait / DDPWait itemize the critical
+	// rank's un-hidden communication stalls per step: FSDP parameter
+	// gathers, TP activation all-reduces, the gradient reduce-scatter
+	// drain, and the outer DDP bucket all-reduces.
+	GatherWait float64 `json:"fsdp_gather_wait_s"`
+	TPWait     float64 `json:"tp_allreduce_wait_s"`
+	RSWait     float64 `json:"reduce_scatter_wait_s"`
+	DDPWait    float64 `json:"ddp_allreduce_wait_s"`
+	// PPWait is the critical rank's un-hidden pipeline stall: time
+	// spent blocked on cross-stage activation/gradient transfers and
+	// schedule bubbles (warmup/cooldown idling surfaces as waiting on
+	// the first transfer a stage consumes). It falls out of replaying
+	// the 1F1B instruction stream, not an analytic bubble formula.
+	PPWait float64 `json:"pp_wait_s,omitempty"`
+	// DeviceBytes is the predicted cluster.Device.MemPeak — the exact
+	// simulated accounting (chunk weights+grads, live gather staging,
+	// checkpoint-dependent activations), pinned byte-for-byte against
+	// the functional engine by TestPredictedMemoryExact.
+	DeviceBytes int64 `json:"device_bytes"`
+	// OOM marks plans whose DeviceBytes exceed device capacity (or
+	// that are structurally impossible — see Note).
+	OOM  bool   `json:"oom,omitempty"`
+	Note string `json:"note,omitempty"`
+}
 
 // Plan4 is a priced candidate.
 type Plan4 struct {
@@ -292,15 +314,13 @@ func Enumerate4(w Workload, c ClusterShape, cons Constraints) ([]Candidate4, err
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	for i, v := range []int{cons.FixTP, cons.FixPP, cons.MaxRanks} {
-		if v < 0 {
-			return nil, fmt.Errorf("plan: negative %s %d", [...]string{"FixTP", "FixPP", "MaxRanks"}[i], v)
-		}
+	switch {
+	case cons.FixTP < 0:
+		return nil, fmt.Errorf("plan: negative FixTP %d", cons.FixTP)
+	case cons.FixPP < 0:
+		return nil, fmt.Errorf("plan: negative FixPP %d", cons.FixPP)
 	}
 	devs := c.Devices()
-	if cons.MaxRanks > 0 && cons.MaxRanks < devs {
-		devs = cons.MaxRanks
-	}
 	if devs < 1 {
 		return nil, fmt.Errorf("plan: cluster has no devices")
 	}

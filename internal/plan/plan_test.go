@@ -24,6 +24,12 @@ func testWorkload() Workload {
 	}
 }
 
+// oneGPU is c cut down to a single device.
+func oneGPU(c ClusterShape) ClusterShape {
+	c.Nodes, c.GPUsPerNode = 1, 1
+	return c
+}
+
 // TestShardNumel pins the analytic shard geometry against the real
 // construction: the planner's parameter counts must equal what
 // parallel.NewTPBlock + FlattenParams actually produce, for every TP
@@ -100,21 +106,11 @@ func TestEnumerateConstraints(t *testing.T) {
 			t.Errorf("FixTP=2 enumeration produced TP=%d", cand.Layout.TP)
 		}
 	}
-	// MaxRanks caps the occupied devices (elastic shrink).
-	capped, err := Enumerate4(w, c, Constraints{MaxRanks: 8, FixPP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cand := range capped {
-		if cand.Layout.Ranks() > 8 {
-			t.Errorf("MaxRanks=8 enumeration produced %d ranks", cand.Layout.Ranks())
-		}
-	}
 }
 
-// TestEnumerateRejectsBadConstraints: a negative pin, rank cap, prefetch
-// depth or DDP bucket size is an error naming the field, not
-// "unpinned", "the whole cluster" or a search that finds nothing to run.
+// TestEnumerateRejectsBadConstraints: a negative pin, prefetch depth or
+// DDP bucket size is an error naming the field, not "unpinned" or a
+// search that finds nothing to run.
 func TestEnumerateRejectsBadConstraints(t *testing.T) {
 	w := testWorkload()
 	for _, tc := range []struct {
@@ -123,7 +119,6 @@ func TestEnumerateRejectsBadConstraints(t *testing.T) {
 	}{
 		{Constraints{FixTP: -1}, "plan: negative FixTP -1"},
 		{Constraints{FixPP: -2}, "plan: negative FixPP -2"},
-		{Constraints{MaxRanks: -8}, "plan: negative MaxRanks -8"},
 		{Constraints{PrefetchDepths: []int{1, -1}}, "core: negative prefetch depth -1"},
 		{Constraints{BucketBytes: []int{0, -64}}, "core: negative DDP bucket size -64"},
 	} {
@@ -231,8 +226,8 @@ func TestBest4MatchesExhaustive(t *testing.T) {
 	// bound, the rank's solo run, equals the incumbent's step time, so it
 	// must be replayed, not pruned.
 	w = Workload{Dim: 32, Heads: 4, Layers: 2, Tokens: 16, QKNorm: true, GlobalBatch: 1, Opts: core.DefaultOptions()}
-	cons := Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}
-	if p := checkBest4(t, w, Shape(1), cons); p.Knobs.PrefetchDepth != 0 {
+	cons := Constraints{PrefetchDepths: []int{1, 0}}
+	if p := checkBest4(t, w, oneGPU(Shape(1)), cons); p.Knobs.PrefetchDepth != 0 {
 		t.Errorf("tie broke toward prefetch depth %d, want the smaller footprint of depth 0", p.Knobs.PrefetchDepth)
 	}
 }
@@ -270,7 +265,7 @@ func TestBest4KeepsTheFirstAmongEquals(t *testing.T) {
 	// 0, so the later depth-0 candidate's bound equals the incumbent's
 	// step time exactly. It holds less, so it must still be replayed.
 	c.Spec.PeakFLOPS = math.Inf(1)
-	if p := checkBest4(t, w, c, Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}); p.Knobs.PrefetchDepth != 0 || p.Pred.StepTime != 0 {
+	if p := checkBest4(t, w, oneGPU(c), Constraints{PrefetchDepths: []int{1, 0}}); p.Knobs.PrefetchDepth != 0 || p.Pred.StepTime != 0 {
 		t.Errorf("free compute chose %v, want depth 0 at step time 0", p)
 	}
 
@@ -278,7 +273,7 @@ func TestBest4KeepsTheFirstAmongEquals(t *testing.T) {
 	// pre-bound sums the prices in another order than the replay's clocks.
 	// With each bound set one step above its candidate's step time, the
 	// walk must still replay the tied depth-0 candidate and keep it.
-	c, cons = ScaledShape(1, 1e-3), Constraints{MaxRanks: 1, PrefetchDepths: []int{1, 0}}
+	c, cons = oneGPU(ScaledShape(1, 1e-3)), Constraints{PrefetchDepths: []int{1, 0}}
 	if cands, err = Enumerate4(w, c, cons); err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +310,8 @@ func TestExplainIsMachineReadable(t *testing.T) {
 	if decoded.Prediction.StepTime <= 0 {
 		t.Errorf("explanation lacks a positive step-time prediction")
 	}
-	if decoded.Prediction.Memory.TotalBytes <= 0 {
-		t.Errorf("explanation lacks the analytic memory breakdown")
+	if decoded.Prediction.DeviceBytes <= 0 {
+		t.Errorf("explanation lacks the device memory prediction")
 	}
 	if !strings.Contains(top.Explain(), "step_time_s") {
 		t.Errorf("explanation missing step_time_s field")

@@ -841,11 +841,9 @@ func (sc *replay) compile() {
 		sc.buildTopology(pc.layout, sc.memoC.GPUsPerNode)
 		sc.groupClasses = sc.partition(pc.layout.Ranks())
 	}
-	w4 := pc.w // the heaviest stage, for the analytic breakdown
-	sc.mem, w4.Layers = Prediction{}, 0
+	sc.mem = Prediction{}
 	for p, rng := range sc.cut.stages {
 		L := rng[1] - rng[0]
-		w4.Layers = max(w4.Layers, L)
 		for tc := 0; tc < tcs; tc++ {
 			pc.begin(&sc.progs[p*tcs+tc], L, tc, p == 0, p == S-1)
 			pc.buildStep4(sc.cut.scheds[p], L)
@@ -855,7 +853,6 @@ func (sc *replay) compile() {
 	// Every program allocates gather staging above its persistent
 	// bytes, so the peak exceeds capacity exactly when some Alloc does.
 	sc.mem.OOM = sc.mem.DeviceBytes > pc.spec.MemPerGPU
-	sc.mem.Memory = analyticMemory(w4, pc.layout.Inner(), pc.opts) // per-block chunks are stage-independent
 	if sc.mem.OOM {
 		sc.mem.Note = "predicted device memory exceeds capacity"
 	}

@@ -70,19 +70,6 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// BytesPerParam returns the amortized storage cost of one parameter at
-// kind k, scales included (exact when rows is a multiple of Block).
-func BytesPerParam(k Kind) float64 {
-	switch k {
-	case Int8:
-		return 1 + 4.0/Block
-	case Q4_0:
-		return 0.5 + 4.0/Block
-	default:
-		return 4
-	}
-}
-
 // BlocksPerPanel returns the number of scale blocks covering one
 // panel of `rows` elements (the final block may be partial).
 func BlocksPerPanel(rows int) int { return (rows + Block - 1) / Block }

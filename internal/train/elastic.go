@@ -222,14 +222,22 @@ func (j *elasticJob) sample(stepSeed uint64, g int) *tensor.Tensor {
 	return s.x
 }
 
+// workload is the stack and batch the planner prices for this run.
+func (cfg ElasticConfig) workload() plan.Workload {
+	return plan.Workload{
+		Dim: cfg.Dim, Heads: cfg.Heads, Layers: cfg.Layers, Tokens: cfg.Tokens, QKNorm: true,
+		GlobalBatch: cfg.GlobalBatch, Opts: cfg.Opts,
+	}
+}
+
 // RunElastic executes an elastic fault-tolerant training run. inj may
 // be nil for a fault-free run (still checkpointing, still resumable).
 func RunElastic(cfg ElasticConfig, inj *cluster.FaultInjector) (*ElasticResult, error) {
-	if cfg.Dim == 0 || cfg.Heads == 0 || cfg.Layers == 0 || cfg.Tokens == 0 {
-		return nil, fmt.Errorf("train: elastic config needs Dim/Heads/Layers/Tokens")
+	if cfg.TotalSteps <= 0 {
+		return nil, fmt.Errorf("train: elastic config needs TotalSteps")
 	}
-	if cfg.TotalSteps <= 0 || cfg.GlobalBatch <= 0 {
-		return nil, fmt.Errorf("train: elastic config needs TotalSteps and GlobalBatch")
+	if err := cfg.workload().Validate(); err != nil {
+		return nil, fmt.Errorf("train: elastic config: %w", err)
 	}
 	if cfg.DataSeed == 0 {
 		cfg.DataSeed = cfg.Seed + 1
@@ -406,11 +414,7 @@ func (j *elasticJob) handleFault() error {
 // job pins PP=1 and keeps searching exactly the (TP, FSDP, DDP) space.
 func (j *elasticJob) chooseLayout() (pp.Layout, error) {
 	if j.cfg.AutoPlan {
-		w := plan.Workload{
-			Dim: j.cfg.Dim, Heads: j.cfg.Heads, Layers: j.cfg.Layers,
-			Tokens: j.cfg.Tokens, QKNorm: true,
-			GlobalBatch: j.cfg.GlobalBatch, Opts: j.cfg.Opts,
-		}
+		w := j.cfg.workload()
 		shape := plan.ClusterShape{Nodes: j.nodes, GPUsPerNode: j.gpn, Spec: j.spec()}
 		cons := plan.Constraints{FixTP: j.layout.TP}
 		if j.layout.PP == 1 {

@@ -323,3 +323,27 @@ func TestRunElasticTPNotDividingHeads(t *testing.T) {
 		t.Fatalf("RunElastic with TP 3 over 4 heads: got %v, want an error naming the heads and the TP size", err)
 	}
 }
+
+// TestRunElasticRejectsBadStack: a stack shape plan.Workload.Validate
+// refuses is an error from RunElastic, not a panic in tensor or nn.
+func TestRunElasticRejectsBadStack(t *testing.T) {
+	for _, tc := range []struct {
+		set  func(*ElasticConfig)
+		want string
+	}{
+		{func(c *ElasticConfig) { c.Dim = -8 }, "positive Dim/Heads/Layers/Tokens"},
+		{func(c *ElasticConfig) { c.Heads = 0 }, "positive Dim/Heads/Layers/Tokens"},
+		{func(c *ElasticConfig) { c.Layers = -1 }, "positive Dim/Heads/Layers/Tokens"},
+		{func(c *ElasticConfig) { c.Tokens = -5 }, "positive Dim/Heads/Layers/Tokens"},
+		{func(c *ElasticConfig) { c.Dim, c.Heads = 10, 4 }, "dim 10 not divisible by 4 heads"},
+		{func(c *ElasticConfig) { c.GlobalBatch = 0 }, "positive GlobalBatch"},
+		{func(c *ElasticConfig) { c.TotalSteps = 0 }, "needs TotalSteps"},
+	} {
+		cfg := elasticBase(t, core.Layout{TP: 1, FSDP: 1, DDP: 1}, 1, 1)
+		tc.set(&cfg)
+		if _, err := RunElastic(cfg, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("dim %d, heads %d, layers %d, tokens %d, batch %d, steps %d: error %v, want %q",
+				cfg.Dim, cfg.Heads, cfg.Layers, cfg.Tokens, cfg.GlobalBatch, cfg.TotalSteps, err, tc.want)
+		}
+	}
+}
