@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	orbit "orbit"
@@ -24,9 +25,10 @@ func section(name string) {
 func main() {
 	scale := flag.String("scale", "quick", "empirical experiment scale: quick or full")
 	flag.Parse()
-	sc := orbit.QuickScale()
-	if *scale == "full" {
-		sc = orbit.FullScale()
+	sc, err := orbit.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "orbit-figures:", err)
+		os.Exit(2)
 	}
 
 	section("Fig. 5: maximal model size")

@@ -24,9 +24,10 @@ func main() {
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	flag.Parse()
 
-	sc := orbit.QuickScale()
-	if *scale == "full" {
-		sc = orbit.FullScale()
+	sc, err := orbit.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "orbit-finetune:", err)
+		os.Exit(2)
 	}
 	ran := false
 	if *compare {

@@ -80,12 +80,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "orbit-pretrain:", err)
 		os.Exit(2)
 	}
+	sc, err := orbit.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "orbit-pretrain:", err)
+		os.Exit(2)
+	}
 
 	if *sweep {
-		sc := orbit.QuickScale()
-		if *scale == "full" {
-			sc = orbit.FullScale()
-		}
 		fmt.Println(orbit.FormatFig8(orbit.Fig8(sc)))
 		return
 	}

@@ -46,45 +46,6 @@ type SpectralLayer struct {
 	// work grids and output buffers reused across steps
 	work, gwork *fft.Grid
 	out, dx     *tensor.Tensor
-
-	mul  specMulJob // persistent forward-multiply job (zero-alloc dispatch)
-	bmul specBwdJob // persistent backward-multiply job
-}
-
-// specMulJob applies one channel's spectral multiplier over frequency
-// bins [i0, i1): data[i] *= (wre[i], wim[i]). Bins are disjoint, so
-// any tile split matches the serial loop bit-for-bit. The channel
-// loop above it stays serial: the FFTs inside it dispatch their own
-// tiles, and Tile must never nest a dispatch.
-type specMulJob struct {
-	data     []complex128
-	wre, wim []float32
-}
-
-func (j *specMulJob) Tile(_, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		j.data[i] *= complex(float64(j.wre[i]), float64(j.wim[i]))
-	}
-}
-
-// specBwdJob is the adjoint multiply over bins [i0, i1): it
-// accumulates gw = conj(u) ⊙ gz into the multiplier gradients and
-// writes gu = conj(w) ⊙ gz. Every bin's gradient cell is touched by
-// exactly one item, so there is no cross-tile reduction.
-type specBwdJob struct {
-	gz, u, gu          []complex128
-	wre, wim, gre, gim []float32
-}
-
-func (j *specBwdJob) Tile(_, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		z := j.gz[i]
-		gw := complex(real(j.u[i]), -imag(j.u[i])) * z
-		j.gre[i] += float32(real(gw))
-		j.gim[i] += float32(imag(gw))
-		w := complex(float64(j.wre[i]), -float64(j.wim[i]))
-		j.gu[i] = w * z
-	}
 }
 
 // NewSpectralLayer initializes multipliers near identity (1 + noise).
@@ -124,8 +85,10 @@ func (l *SpectralLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
 		g.SetReal(x.Data()[d*hw : (d+1)*hw])
 		fft.Forward2D(g)
 		l.u[d].CopyFrom(g)
-		l.mul = specMulJob{data: g.Data, wre: wre[d*hw : (d+1)*hw], wim: wim[d*hw : (d+1)*hw]}
-		tensor.ParallelFor(hw, tensor.OpSpectralMul.Flops(hw), &l.mul)
+		wr, wi := wre[d*hw:(d+1)*hw], wim[d*hw:(d+1)*hw]
+		for i := range g.Data {
+			g.Data[i] *= complex(float64(wr[i]), float64(wi[i]))
+		}
 		fft.Inverse2D(g)
 		g.Real(l.out.Data()[d*hw : (d+1)*hw])
 	}
@@ -143,12 +106,17 @@ func (l *SpectralLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	for d := 0; d < l.Dim; d++ {
 		gz.SetReal(dy.Data()[d*hw : (d+1)*hw])
 		fft.Forward2D(gz)
-		l.bmul = specBwdJob{
-			gz: gz.Data, u: l.u[d].Data, gu: gu.Data,
-			wre: wre[d*hw : (d+1)*hw], wim: wim[d*hw : (d+1)*hw],
-			gre: gre[d*hw : (d+1)*hw], gim: gim[d*hw : (d+1)*hw],
+		// gw = conj(u) ⊙ gz accumulates into the multiplier
+		// gradients; gu = conj(w) ⊙ gz.
+		u := l.u[d].Data
+		wr, wi := wre[d*hw:(d+1)*hw], wim[d*hw:(d+1)*hw]
+		gr, gi := gre[d*hw:(d+1)*hw], gim[d*hw:(d+1)*hw]
+		for i, z := range gz.Data {
+			gw := complex(real(u[i]), -imag(u[i])) * z
+			gr[i] += float32(real(gw))
+			gi[i] += float32(imag(gw))
+			gu.Data[i] = complex(float64(wr[i]), -float64(wi[i])) * z
 		}
-		tensor.ParallelFor(hw, tensor.OpSpectralMulBwd.Flops(hw), &l.bmul)
 		fft.Inverse2D(gu)
 		gu.Real(l.dx.Data()[d*hw : (d+1)*hw])
 	}

@@ -48,6 +48,18 @@ func FullScale() Scale {
 	}
 }
 
+// ParseScale maps a -scale flag value to its Scale: "quick" or "full",
+// nothing else.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return QuickScale(), nil
+	case "full":
+		return FullScale(), nil
+	}
+	return Scale{}, fmt.Errorf("-scale %q: want quick or full", name)
+}
+
 // sizeName maps the scaled-down ladder onto the paper's labels.
 func sizeName(i int) string {
 	names := []string{"115M-scale", "1B-scale", "10B-scale", "113B-scale"}

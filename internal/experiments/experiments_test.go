@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -224,4 +225,30 @@ func TestFig10Decreasing(t *testing.T) {
 	// recorded in EXPERIMENTS.md (convergence detection needs more
 	// than a handful of evaluation points to be meaningful).
 	FormatFig10(rows)
+}
+
+// TestParseScale pins the -scale values the commands accept: exactly
+// "quick" and "full"; anything else is an error naming the flag.
+func TestParseScale(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{"quick", QuickScale(), true},
+		{"full", FullScale(), true},
+		{"", Scale{}, false},
+		{"fulll", Scale{}, false},
+		{"Full", Scale{}, false},
+		{"quick ", Scale{}, false},
+		{"medium", Scale{}, false},
+	} {
+		sc, err := ParseScale(c.name)
+		if c.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("ParseScale(%q) error %v, want ok=%v or an error naming -scale", c.name, err, c.ok)
+		}
+		if !reflect.DeepEqual(sc, c.want) {
+			t.Errorf("ParseScale(%q) = %+v, want %+v", c.name, sc, c.want)
+		}
+	}
 }

@@ -22,8 +22,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-
-	"orbit/internal/tensor"
 )
 
 // plan holds the precomputed tables for one transform size.
@@ -178,82 +176,36 @@ const colPanel = 8
 // pointers so Put does not allocate an interface box).
 var colPanelPool = sync.Pool{New: func() any { return new([]complex128) }}
 
-// rowsJob transforms rows [r0, r1) of a grid — each row is an
-// independent 1-D FFT, so any tile split is bit-identical to the
-// serial pass.
-type rowsJob struct {
-	g       *Grid
-	inverse bool
-}
-
-func (j *rowsJob) Tile(_, r0, r1 int) {
-	w := j.g.W
-	for r := r0; r < r1; r++ {
-		transform(j.g.Data[r*w:(r+1)*w], j.inverse)
+func transform2D(g *Grid, inverse bool) {
+	// Rows: already contiguous, each an independent 1-D transform.
+	for r := 0; r < g.H; r++ {
+		transform(g.Data[r*g.W:(r+1)*g.W], inverse)
 	}
-}
-
-// panelsJob transforms column panels [p0, p1): panel p owns columns
-// [p·colPanel, (p+1)·colPanel), disjoint from every other panel, with
-// its own pooled scratch. Panel boundaries are fixed by colPanel, so
-// the decomposition never moves with the worker count.
-type panelsJob struct {
-	g       *Grid
-	inverse bool
-}
-
-func (j *panelsJob) Tile(_, p0, p1 int) {
-	g := j.g
+	// Columns: gather a panel of colPanel columns into contiguous
+	// scratch, transform each, and scatter back. One pass over the
+	// grid per panel touches each cache line once instead of once per
+	// column.
 	bufp := colPanelPool.Get().(*[]complex128)
 	if cap(*bufp) < colPanel*g.H {
 		*bufp = make([]complex128, colPanel*g.H)
 	}
 	buf := (*bufp)[:colPanel*g.H]
-	for p := p0; p < p1; p++ {
-		c0 := p * colPanel
-		cw := colPanel
-		if c0+cw > g.W {
-			cw = g.W - c0
-		}
+	for c0 := 0; c0 < g.W; c0 += colPanel {
+		cw := min(colPanel, g.W-c0)
 		for r := 0; r < g.H; r++ {
-			row := g.Data[r*g.W+c0 : r*g.W+c0+cw]
-			for jj, v := range row {
-				buf[jj*g.H+r] = v
+			for j, v := range g.Data[r*g.W+c0 : r*g.W+c0+cw] {
+				buf[j*g.H+r] = v
 			}
 		}
-		for jj := 0; jj < cw; jj++ {
-			transform(buf[jj*g.H:(jj+1)*g.H], j.inverse)
+		for j := 0; j < cw; j++ {
+			transform(buf[j*g.H:(j+1)*g.H], inverse)
 		}
 		for r := 0; r < g.H; r++ {
 			row := g.Data[r*g.W+c0 : r*g.W+c0+cw]
-			for jj := range row {
-				row[jj] = buf[jj*g.H+r]
+			for j := range row {
+				row[j] = buf[j*g.H+r]
 			}
 		}
 	}
 	colPanelPool.Put(bufp)
-}
-
-var (
-	rowsJobPool   = sync.Pool{New: func() any { return new(rowsJob) }}
-	panelsJobPool = sync.Pool{New: func() any { return new(panelsJob) }}
-)
-
-func transform2D(g *Grid, inverse bool) {
-	work := g.H * g.W * bits.Len(uint(g.H*g.W)) // tensor.OpFFTRows says what is charged
-	// Rows: already contiguous, one item per row.
-	rj := rowsJobPool.Get().(*rowsJob)
-	rj.g, rj.inverse = g, inverse
-	tensor.ParallelFor(g.H, tensor.OpFFTRows.Flops(work), rj)
-	rj.g = nil
-	rowsJobPool.Put(rj)
-	// Columns: gather a panel of colPanel columns into contiguous
-	// scratch, transform each, and scatter back. One pass over the
-	// grid per panel touches each cache line once instead of once per
-	// column; panels parallelize with per-tile scratch.
-	pj := panelsJobPool.Get().(*panelsJob)
-	pj.g, pj.inverse = g, inverse
-	tensor.ParallelFor((g.W+colPanel-1)/colPanel, tensor.OpFFTCols.Flops(work), pj)
-	pj.g = nil
-	panelsJobPool.Put(pj)
 }

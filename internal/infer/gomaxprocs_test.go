@@ -9,8 +9,9 @@ import (
 
 // TestGoldenRolloutDeterministicAcrossGOMAXPROCS reruns the golden
 // rollout at GOMAXPROCS 1, 4 and 8 and requires every predicted value
-// to be bit-identical: the threaded kernels' fixed tile ownership
-// means inference output cannot depend on how many workers ran it.
+// to be bit-identical: the engine's forward workers run concurrently,
+// and a kernel's bits depend only on its operands, so inference output
+// cannot depend on how many Ps ran it.
 func TestGoldenRolloutDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref [][]float32

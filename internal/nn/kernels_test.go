@@ -7,12 +7,11 @@ import (
 	"orbit/internal/tensor"
 )
 
-// The shared forward kernels are called two ways: the nn modules tile
-// them over row ranges and pass their backward caches, infer.Plan runs
-// each once over all rows with the caches nil. Both must see the same
-// bits, so the contract — out is a function of the operands alone, not
-// of the row split or of which caches were asked for — is a property
-// checked over random shapes.
+// The shared forward kernels are called two ways: the nn modules pass
+// their backward caches, infer.Plan runs each with the caches nil. Both
+// must see the same bits, so the contract — out is a function of the
+// operands alone, not of the row split or of which caches were asked
+// for — is a property checked over random shapes.
 
 // sameBits reports the first index at which a and b differ in bits.
 func sameBits(t *testing.T, what string, a, b []float32) {

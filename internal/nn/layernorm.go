@@ -28,16 +28,15 @@ type LayerNorm struct {
 	out  *tensor.Tensor // owned output buffer
 	dx   *tensor.Tensor // owned input-gradient buffer
 
-	fwd lnFwdJob // persistent forward job (zero-alloc dispatch)
-	bwd lnBwdJob // persistent backward job + dγ/dβ run scratch
+	bwd lnBackward // backward operands + dγ/dβ run scratch
 }
 
 // LayerNormRows is the layer-norm forward over rows [r0, r1) of x, each
 // len(gamma) wide: out = (x-μ)/√(σ²+ε)·γ + β in float32. It is the one
-// definition of that rounding sequence: LayerNorm.Forward tiles it
-// through ParallelFor and keeps x̂ and 1/σ for Backward, inference
-// (infer.Plan) runs it serially on its own buffers with xhat and rstd
-// nil. The operands are explicit and nothing is retained, so callers
+// definition of that rounding sequence: LayerNorm.Forward runs it over
+// every row and keeps x̂ and 1/σ for Backward, inference (infer.Plan)
+// runs it on its own buffers with xhat and rstd nil. The operands are
+// explicit and nothing is retained, so callers
 // may share weights across goroutines; rows are independent, so any
 // split of [r0, r1) and either choice of caches produce the same bits
 // in out. Each row's two sums run in eight-lane order — column c into
@@ -80,41 +79,18 @@ func LayerNormRows(out, xhat, rstd, x, gamma, beta []float32, eps float64, r0, r
 	}
 }
 
-// lnGroup is the dispatch item of LayerNorm's forward and of its input
-// gradient: sixteen rows, four of the vector kernels' four-row groups.
-// A group's statistics are one chain of dependent operations (row sums,
-// divide, square root, reciprocal) that the CPU overlaps only with the
-// groups of the same call; were the item one row, NumTiles would hand
-// every tile of a 32-row block a single row, and the kernels would run
-// at most one group per call (docs/PERFORMANCE.md, "The row loops").
-// Rows are independent, so the grouping moves no bit.
-const lnGroup = 16
-
-// lnFwdJob is LayerNormRows with its operands bound, for ParallelFor
-// over groups of lnGroup rows.
-type lnFwdJob struct {
-	xd, hd, od, g, b, rstd []float32
-	eps                    float64
-}
-
-func (j *lnFwdJob) Tile(_, g0, g1 int) {
-	LayerNormRows(j.od, j.hd, j.rstd, j.xd, j.g, j.b, j.eps, g0*lnGroup, min(g1*lnGroup, len(j.rstd)))
-}
-
-// lnBwdJob computes the input gradient of rows grouped as in the
-// forward. The loop is the definition, its row sums in the forward's
-// eight-lane order; tensor.LayerNormDxVec is its vector form.
-type lnBwdJob struct {
+// lnBackward computes the input gradient of every row. The loop is the
+// definition, its row sums in the forward's eight-lane order;
+// tensor.LayerNormDxVec is its vector form.
+type lnBackward struct {
 	dyd, hd, dxd, g, rstd []float32
 	pg, pb                []float32 // [dim] partial dγ/dβ of one run of rows
 }
 
-func (j *lnBwdJob) Tile(_, g0, g1 int) {
-	dim := len(j.g)
-	r0, r1 := g0*lnGroup, min(g1*lnGroup, len(j.rstd))
-	r0 += tensor.LayerNormDxVec(j.dxd, j.dyd, j.hd, j.g, j.rstd, r0, r1)
+func (j *lnBackward) inputGrad() {
+	dim, rows := len(j.g), len(j.rstd)
 	n := float32(dim)
-	for r := r0; r < r1; r++ {
+	for r := tensor.LayerNormDxVec(j.dxd, j.dyd, j.hd, j.g, j.rstd, 0, rows); r < rows; r++ {
 		dyr := j.dyd[r*dim : (r+1)*dim]
 		hr := j.hd[r*dim : (r+1)*dim][:dim]
 		dxr := j.dxd[r*dim : (r+1)*dim][:dim]
@@ -131,21 +107,24 @@ func (j *lnBwdJob) Tile(_, g0, g1 int) {
 	}
 }
 
+// lnParamRuns is the most runs dγ/dβ sums its rows in.
+const lnParamRuns = 32
+
 // paramGrads adds this backward's dγ/dβ to dg and db. The reduction
 // runs across rows, so its order is fixed as a function of the row
-// count alone: runs of ⌈rows / NumTiles(rows)⌉ rows are summed from
-// zero — float32 multiply, then add — and each run's partial is added
-// to the gradient, runs in order. (That is the tile-ordered merge of
-// per-tile partials, minus the all-zero partials of trailing empty
-// tiles: g + 0 is g unless g is −0, and a sum begun at +0 never is.)
-// The loop is the definition; tensor.LayerNormParamGradVec is its
-// vector form and takes the leading whole vectors of columns.
-func (j *lnBwdJob) paramGrads(dg, db []float32) {
+// count alone: runs of ⌈rows / min(rows, lnParamRuns)⌉ rows are summed
+// from zero — float32 multiply, then add — and each run's partial is
+// added to the gradient, runs in order. The stored training
+// trajectories (train's TestTrainTrajectoryGolden) pin that order. The
+// loop is the definition; tensor.LayerNormParamGradVec is its vector
+// form and takes the leading whole vectors of columns.
+func (j *lnBackward) paramGrads(dg, db []float32) {
 	dim, rows := len(j.g), len(j.rstd)
 	if rows == 0 {
 		return
 	}
-	chunk := (rows + tensor.NumTiles(rows) - 1) / tensor.NumTiles(rows)
+	runs := min(rows, lnParamRuns)
+	chunk := (rows + runs - 1) / runs
 	c0 := tensor.LayerNormParamGradVec(dg, db, j.dyd, j.hd, rows, chunk)
 	if c0 == dim {
 		return
@@ -193,34 +172,28 @@ func (l *LayerNorm) rows(x *tensor.Tensor, op string) int {
 
 // Forward normalizes every trailing-dimension vector of x.
 func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
-	rows, dim := l.rows(x, "Forward"), l.Dim
+	rows := l.rows(x, "Forward")
 	l.xhat = tensor.Ensure(l.xhat, x.Shape()...)
 	if cap(l.rstd) < rows {
 		l.rstd = make([]float32, rows)
 	}
 	l.rstd = l.rstd[:rows]
 	l.out = tensor.Ensure(l.out, x.Shape()...)
-	l.fwd = lnFwdJob{
-		xd: x.Data(), hd: l.xhat.Data(), od: l.out.Data(),
-		g: l.Gamma.W.Data(), b: l.Beta.W.Data(),
-		rstd: l.rstd, eps: l.Eps,
-	}
-	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, tensor.OpLayerNorm.Flops(rows*dim), &l.fwd)
+	LayerNormRows(l.out.Data(), l.xhat.Data(), l.rstd, x.Data(), l.Gamma.W.Data(), l.Beta.W.Data(), l.Eps, 0, rows)
 	return l.out
 }
 
 // Backward computes input gradients and accumulates dγ, dβ using the
 // standard layer-norm backward:
 // dx = rstd/D · (D·dxhat − Σdxhat − xhat·Σ(dxhat⊙xhat)) with
-// dxhat = dy ⊙ γ. dx is dispatched over row groups; dγ/dβ reduce across
-// every row and are summed on the caller in a fixed order
-// (lnBwdJob.paramGrads), so neither depends on the worker count.
+// dxhat = dy ⊙ γ. dγ/dβ reduce across every row in a fixed order
+// (lnBackward.paramGrads).
 func (l *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	rows, dim := l.rows(dy, "Backward"), l.Dim
+	rows := l.rows(dy, "Backward")
 	l.dx = tensor.Ensure(l.dx, dy.Shape()...)
 	l.bwd.dyd, l.bwd.hd, l.bwd.dxd = dy.Data(), l.xhat.Data(), l.dx.Data()
 	l.bwd.g, l.bwd.rstd = l.Gamma.W.Data(), l.rstd[:rows]
-	tensor.ParallelFor((rows+lnGroup-1)/lnGroup, tensor.OpLayerNormBwd.Flops(rows*dim), &l.bwd)
+	l.bwd.inputGrad()
 	l.bwd.paramGrads(l.Gamma.Grad.Data(), l.Beta.Grad.Data())
 	return l.dx
 }

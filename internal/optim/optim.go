@@ -30,32 +30,23 @@ type AdamW struct {
 	params []*nn.Param
 	m, v   []*tensor.Tensor
 	step   int
-	job    adamwJob // persistent update job (zero-alloc dispatch)
 }
 
-// adamwJob applies the AdamW update over elements [j0, j1) of one
+// adamwUpdate applies the AdamW update to every element of one
 // parameter in float32, with Step's coefficients (the bias corrections
 // as reciprocals, so an element costs one division and one square
 // root). Each element's update reads and writes only its own w/g/m/v
-// cells, so any tile split is bit-identical to the serial loop. The
-// loop below is the definition of the update; tensor.AdamWVec is its
-// vector form (same operations, same bits) and takes the tile's leading
-// whole vectors where the CPU has it.
-type adamwJob struct {
-	w, g, m, v []float32
-	c          tensor.AdamWCoef
-}
-
-func (a *adamwJob) Tile(_, j0, j1 int) {
-	c := &a.c
-	j0 += tensor.AdamWVec(a.w[j0:j1], a.g[j0:j1], a.m[j0:j1], a.v[j0:j1], c)
-	for j := j0; j < j1; j++ {
-		g := a.g[j]
-		m := c.B1*a.m[j] + c.C1*g
-		v := c.B2*a.v[j] + c.C2*g*g
-		a.m[j], a.v[j] = m, v
-		w := a.w[j]
-		a.w[j] = w - c.LR*((m*c.IBC1)/(float32(math.Sqrt(float64(v*c.IBC2)))+c.Eps)+c.WD*w)
+// cells. The loop below is the definition of the update;
+// tensor.AdamWVec is its vector form (same operations, same bits) and
+// takes the leading whole vectors where the CPU has it.
+func adamwUpdate(w, g, m, v []float32, c *tensor.AdamWCoef) {
+	for j := tensor.AdamWVec(w, g, m, v, c); j < len(w); j++ {
+		gj := g[j]
+		mj := c.B1*m[j] + c.C1*gj
+		vj := c.B2*v[j] + c.C2*gj*gj
+		m[j], v[j] = mj, vj
+		wj := w[j]
+		w[j] = wj - c.LR*((mj*c.IBC1)/(float32(math.Sqrt(float64(vj*c.IBC2)))+c.Eps)+c.WD*wj)
 	}
 }
 
@@ -84,9 +75,7 @@ func (a *AdamW) Step(lr float64) {
 		Eps:  float32(a.Eps), WD: float32(a.WeightDecay), LR: float32(lr),
 	}
 	for i, p := range a.params {
-		a.job = adamwJob{w: p.W.Data(), g: p.Grad.Data(), m: a.m[i].Data(), v: a.v[i].Data(), c: c}
-		n := p.W.Len()
-		tensor.ParallelFor(n, tensor.OpAdamW.Flops(n), &a.job)
+		adamwUpdate(p.W.Data(), p.Grad.Data(), a.m[i].Data(), a.v[i].Data(), &c)
 		p.W.Bump()
 	}
 }

@@ -2,8 +2,8 @@ package tensor
 
 // Vector forms of the step's elementwise float32 loops, as rowvec.go
 // holds its row loops. The loops — the definitions — stay where they
-// were: exp32's in expSlice (below), elemJob.Tile and softmaxRow
-// (elem.go, ops.go), AddInto, AddInPlace,
+// were: exp32's in expSlice (below), the softmax and GELU loops,
+// softmaxRow, AddInto, AddInPlace,
 // ScaleInPlace, SumRowsAccInto (ops.go), MaxAbs (tensor.go),
 // packTranspose (pack.go) and train's gradient accumulate. Each
 // function here runs the leading whole vectors of one of them through
@@ -85,7 +85,7 @@ func transposeBlocks(dst, src []float32, rows, cols int) (r8, c8 int) {
 	return r8, c8
 }
 
-// geluSlice is the OpGELU loop over the first len(x)&^7
+// geluSlice is GELUCachedInto's loop over the first len(x)&^7
 // elements.
 func geluSlice(dst, sig, x []float32) int {
 	n := whole(len(x))
@@ -95,8 +95,8 @@ func geluSlice(dst, sig, x []float32) int {
 	return n
 }
 
-// geluBwdSlice is the OpGELUBwd loop over the first len(x)&^7
-// elements.
+// geluBwdSlice is GELUBackwardCachedInto's loop over the first
+// len(x)&^7 elements.
 func geluBwdSlice(dst, x, sig, dy []float32) int {
 	n := whole(len(x))
 	if n > 0 {
@@ -116,8 +116,8 @@ func softmaxRows(out, in []float32, cols, r0, r1 int) int {
 	return rows
 }
 
-// softmaxBwdRows is the OpSoftmaxBwd loop over the leading groups of
-// four rows of [r0, r1), cols wide.
+// softmaxBwdRows is SoftmaxBackwardInto's loop over the leading groups
+// of four rows of [r0, r1), cols wide.
 func softmaxBwdRows(out, y, dy []float32, cols, r0, r1 int) int {
 	rows := rowGroups(cols, r0, r1)
 	if rows > 0 {

@@ -80,7 +80,7 @@ exp_loop:
 
 // func geluVec(dst, sig, x *float32, n int)
 //
-// n (a multiple of 8) elements of the OpGELU loop:
+// n (a multiple of 8) elements of the GELUCachedInto loop:
 //   s = 1/(1 + exp32(x·(k0 + k1·x·x)));  sig = s;  dst = x·s
 // dst may be x, and sig may be dst (the sig store lands first).
 TEXT ·geluVec(SB), NOSPLIT, $0-32
@@ -115,7 +115,7 @@ gelu_loop:
 
 // func geluBwdVec(dst, x, sig, dy *float32, n int)
 //
-// n (a multiple of 8) elements of the OpGELUBwd loop, s the cached σ:
+// n (a multiple of 8) elements of the GELUBackwardCachedInto loop, s the cached σ:
 //   dst = dy·(s - x·s·(1-s)·(k0 + k3·x·x))
 // dst may be dy.
 TEXT ·geluBwdVec(SB), NOSPLIT, $0-40

@@ -49,7 +49,8 @@ func matMulBias(dst, t, u, bias *Tensor, op string) *Tensor {
 		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v @ %v", op, t.shape, u.shape))
 	}
 	checkDst(dst, m, n, op)
-	dispatchOuter(mulTask(dst.data, t.data, u.data, biasData(bias, n, op), m, k, n), 1)
+	o := mulTask(dst.data, t.data, u.data, biasData(bias, n, op), m, k, n)
+	o.run(1)
 	return dst
 }
 
@@ -76,7 +77,8 @@ func MatMulTransBInto(dst, t, u *Tensor) *Tensor {
 	checkDst(dst, m, n, "MatMulTransBInto")
 	ut := getPack(k * n)
 	packTranspose(*ut, u.data, n, k)
-	dispatchOuter(mulTask(dst.data, t.data, *ut, nil, m, k, n), 1)
+	o := mulTask(dst.data, t.data, *ut, nil, m, k, n)
+	o.run(1)
 	putPack(ut)
 	return dst
 }
@@ -102,7 +104,7 @@ func matMulTransA(dst, t, u *Tensor, acc bool) *Tensor {
 	checkDst(dst, m, n, "MatMulTransAInto")
 	o := mulTransATask(dst.data, t.data, u.data, m, k, n)
 	o.acc = acc
-	dispatchOuter(o, 1)
+	o.run(1)
 	return dst
 }
 
@@ -123,7 +125,8 @@ func BatchedMatMulInto(dst, t, u *Tensor) *Tensor {
 	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulInto shapes %v @ %v -> %v", t.shape, u.shape, dst.shape))
 	}
-	dispatchOuter(mulTask(dst.data, t.data, u.data, nil, m, k, n), b)
+	o := mulTask(dst.data, t.data, u.data, nil, m, k, n)
+	o.run(b)
 	return dst
 }
 
@@ -137,10 +140,12 @@ func BatchedMatMulTransBScaledInto(dst, t, u *Tensor, scale float32) *Tensor {
 		panic(fmt.Sprintf("tensor: BatchedMatMulTransBScaledInto shapes %v @ %vᵀ -> %v", t.shape, u.shape, dst.shape))
 	}
 	ut := getPack(b * k * n)
-	packBatched(*ut, u.data, b, n, k)
+	for h, size := 0, n*k; h < b; h++ {
+		packTranspose((*ut)[h*size:(h+1)*size], u.data[h*size:(h+1)*size], n, k)
+	}
 	o := mulTask(dst.data, t.data, *ut, nil, m, k, n)
 	o.scale = scale
-	dispatchOuter(o, b)
+	o.run(b)
 	putPack(ut)
 	return dst
 }
@@ -152,7 +157,8 @@ func BatchedMatMulTransAInto(dst, t, u *Tensor) *Tensor {
 	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
 		panic(fmt.Sprintf("tensor: BatchedMatMulTransAInto shapes %vᵀ @ %v -> %v", t.shape, u.shape, dst.shape))
 	}
-	dispatchOuter(mulTransATask(dst.data, t.data, u.data, m, k, n), b)
+	o := mulTransATask(dst.data, t.data, u.data, m, k, n)
+	o.run(b)
 	return dst
 }
 

@@ -134,11 +134,15 @@ func SoftmaxInto(dst, t *Tensor) *Tensor {
 	dst.mustMatch(t, "SoftmaxInto")
 	cols := t.shape[len(t.shape)-1]
 	rows := len(t.data) / cols
-	dispatchElem(elemJob{kind: OpSoftmax, x: t.data, out: dst.data, rows: rows, cols: cols},
-		(rows+softmaxGroup-1)/softmaxGroup, len(t.data))
+	for r := softmaxRows(dst.data, t.data, cols, 0, rows); r < rows; r++ {
+		softmaxRow(t.data[r*cols:(r+1)*cols], dst.data[r*cols:(r+1)*cols])
+	}
 	return dst
 }
 
+// softmaxRow is the definition of one softmax row; softmaxRows
+// (elemvec.go) is its vector form over groups of four rows, the same
+// bits per row.
 func softmaxRow(in, out []float32) {
 	maxv := in[0]
 	for _, v := range in[1:] {
@@ -170,8 +174,18 @@ func SoftmaxBackwardInto(dst, y, dy *Tensor) *Tensor {
 	dst.mustMatch(y, "SoftmaxBackward")
 	cols := y.shape[len(y.shape)-1]
 	rows := len(y.data) / cols
-	dispatchElem(elemJob{kind: OpSoftmaxBwd, x: y.data, dy: dy.data, out: dst.data, rows: rows, cols: cols},
-		(rows+softmaxGroup-1)/softmaxGroup, len(y.data))
+	for r := softmaxBwdRows(dst.data, y.data, dy.data, cols, 0, rows); r < rows; r++ {
+		yr := y.data[r*cols : (r+1)*cols]
+		dr := dy.data[r*cols : (r+1)*cols]
+		or := dst.data[r*cols : (r+1)*cols]
+		var dot float64
+		for i := range yr {
+			dot += float64(yr[i]) * float64(dr[i])
+		}
+		for i := range yr {
+			or[i] = yr[i] * (dr[i] - float32(dot))
+		}
+	}
 	return dst
 }
 
@@ -197,12 +211,18 @@ const (
 // alias either.
 func GELUCachedInto(dst, sig, x *Tensor) *Tensor {
 	dst.mustMatch(x, "GELUCachedInto")
-	j := elemJob{kind: OpGELU, x: x.data, out: dst.data}
+	xd, d := x.data, dst.data
+	sd := d // no cache wanted: the σ store lands in dst and is overwritten
 	if sig != nil {
 		sig.mustMatch(x, "GELUCachedInto")
-		j.sig = sig.data
+		sd = sig.data
 	}
-	dispatchElem(j, len(x.data), len(x.data))
+	for i := geluSlice(d, sd, xd); i < len(xd); i++ {
+		v := xd[i]
+		s := 1 / (1 + exp32(v*(geluK0+geluK1*v*v)))
+		sd[i] = s
+		d[i] = v * s
+	}
 	return dst
 }
 
@@ -213,8 +233,12 @@ func GELUBackwardCachedInto(dst, x, sig, dy *Tensor) *Tensor {
 	x.mustMatch(dy, "GELUBackwardCached")
 	dst.mustMatch(x, "GELUBackwardCached")
 	sig.mustMatch(x, "GELUBackwardCached")
-	dispatchElem(elemJob{kind: OpGELUBwd, x: x.data, sig: sig.data, dy: dy.data, out: dst.data},
-		len(x.data), len(x.data))
+	xd, sd, dyd, d := x.data, sig.data, dy.data, dst.data
+	for i := geluBwdSlice(d, xd, sd, dyd); i < len(xd); i++ {
+		v, s := xd[i], sd[i]
+		dz := geluK0 + geluK3*v*v
+		d[i] = dyd[i] * (s - v*s*(1-s)*dz)
+	}
 	return dst
 }
 

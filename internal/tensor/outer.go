@@ -1,7 +1,5 @@
 package tensor
 
-import "sync"
-
 // This file holds the matrix micro-kernel. A product is accumulated as
 // k rank-1 updates of a 4×16 register block of dst: step i loads
 // u[i, c:c+16] once and multiplies it into one accumulator pair per
@@ -18,9 +16,8 @@ import "sync"
 // loop — followed by one store that may scale it, add a bias and add
 // what dst held, each a separately rounded operation in that order.
 // There is no horizontal reduction and no packing. The chain never
-// depends on which block, panel, tile or batch entry the element falls
-// in, so any split of the rows or columns is bit-identical to the
-// whole.
+// depends on which block, panel or batch entry the element falls in,
+// so any split of the rows or columns is bit-identical to the whole.
 
 // product is one panel's product in the kernel's terms:
 //
@@ -37,12 +34,9 @@ type product struct {
 	acc       bool // dst += instead of dst =
 }
 
-// outerTask is one product over `batch` independent panels of m output
-// rows stored back to back: panel h is the embedded product moved on
-// by h·m·dn in dst, h·m·k in t and h·k·un in u. It is a Job whose
-// items are the flattened (panel, 4-row block) pairs, so all heads of
-// an attention product share one fixed tile decomposition and a tile
-// never cuts a register block.
+// outerTask is one product over a batch of independent panels of m
+// output rows stored back to back: panel h is the embedded product
+// moved on by h·m·dn in dst, h·m·k in t and h·k·un in u.
 type outerTask struct {
 	product
 	m int
@@ -65,36 +59,15 @@ const (
 	outerColPanel = 16
 )
 
-// blocks is the number of row blocks per panel.
-func (o *outerTask) blocks() int { return (o.m + outerRowBlock - 1) / outerRowBlock }
-
-// Tile implements Job over flattened (panel, row-block) items.
-func (o *outerTask) Tile(_, x0, x1 int) {
-	blocks := o.blocks()
-	for x0 < x1 {
-		h := x0 / blocks
-		b0 := x0 - h*blocks
-		b1 := min(b0+(x1-x0), blocks)
-		p := o.product
-		p.dst = p.dst[h*o.m*p.dn : (h+1)*o.m*p.dn]
-		p.t = p.t[h*o.m*p.k : (h+1)*o.m*p.k]
-		p.u = p.u[h*p.k*p.un : (h+1)*p.k*p.un]
-		p.rows(b0*outerRowBlock, min(b1*outerRowBlock, o.m))
-		x0 += b1 - b0
+// run computes all `batch` panels of the product.
+func (o *outerTask) run(batch int) {
+	p := o.product
+	for h := 0; h < batch; h++ {
+		p.dst = o.dst[h*o.m*p.dn : (h+1)*o.m*p.dn]
+		p.t = o.t[h*o.m*p.k : (h+1)*o.m*p.k]
+		p.u = o.u[h*p.k*p.un : (h+1)*p.k*p.un]
+		p.rows(0, o.m)
 	}
-}
-
-// outerTaskPool recycles the boxed outerTask a dispatch hands to
-// ParallelFor.
-var outerTaskPool = sync.Pool{New: func() any { return new(outerTask) }}
-
-// dispatchOuter runs a product over its batch·⌈m/4⌉ row blocks.
-func dispatchOuter(o outerTask, batch int) {
-	p := outerTaskPool.Get().(*outerTask)
-	*p = o
-	ParallelFor(batch*o.blocks(), OpMatMul.Flops(batch*o.m*o.k*o.n), p)
-	*p = outerTask{}
-	outerTaskPool.Put(p)
 }
 
 // outerMask holds the lane masks of a short last column panel:

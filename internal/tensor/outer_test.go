@@ -68,7 +68,7 @@ func (c outerCase) run(vector bool) []float32 {
 	useFMA = vector
 	o := c.task
 	o.dst = append([]float32(nil), o.dst...)
-	o.Tile(0, 0, c.b*o.blocks())
+	o.run(c.b)
 	return o.dst
 }
 
@@ -143,7 +143,7 @@ func TestOuterKernelMatchesPortable(t *testing.T) {
 
 // TestOuterSplitInvariance pins the rule every differential gate above
 // this package leans on: an output element's bits may not depend on
-// which tile, block or panel computed it. Rows [0,s) and [s,m)
+// which block or panel computed it. Rows [0,s) and [s,m)
 // computed separately must equal the whole for EVERY split s, and so
 // must columns [0,s) and [s,n) — the second half reading its slice of
 // u from a compact strip of its own, as the quantized product does —
@@ -203,10 +203,10 @@ func TestOuterSplitInvariance(t *testing.T) {
 	}
 }
 
-// TestOuterForkedMatchesSerial runs shapes past the parallel threshold
-// through the worker pool and compares them bitwise with one serial
-// pass: the (panel, row-block) flattening must address every panel of
-// both layouts.
+// TestOuterForkedMatchesSerial runs a batched product through its
+// entry point and compares it bitwise with each panel run as a product
+// of its own: the panel addressing must reach every panel of both
+// layouts.
 func TestOuterForkedMatchesSerial(t *testing.T) {
 	rng := NewRNG(1603)
 	const b, k, m, n = 5, 32, 38, 52
@@ -214,12 +214,17 @@ func TestOuterForkedMatchesSerial(t *testing.T) {
 		for _, mode := range outerModes {
 			c := newOuterCase(rng, transA, mode, b, k, m, n, 0, 0)
 			want := c.run(useFMA)
-			task := c.task
-			items := b * task.blocks()
-			forkTiles(items, NumTiles(items), &task)
+			got := append([]float32(nil), c.task.dst...)
+			for h := 0; h < b; h++ {
+				o := c.task
+				o.dst = got[h*m*n : (h+1)*m*n]
+				o.t = o.t[h*m*k : (h+1)*m*k]
+				o.u = o.u[h*k*n : (h+1)*k*n]
+				o.run(1)
+			}
 			for i, v := range want {
-				if task.dst[i] != v {
-					t.Fatalf("%s: forked product diverges at %d: %v != %v", c.what, i, task.dst[i], v)
+				if got[i] != v {
+					t.Fatalf("%s: panel-by-panel product diverges at %d: %v != %v", c.what, i, got[i], v)
 				}
 			}
 		}

@@ -8,34 +8,6 @@ import "sync"
 // into a buffer the layer keeps (TransposeInto) — and the product runs
 // as t @ u.
 
-// packBatch is the Job that transposes every batch entry's operand
-// panel ahead of a batched product: item h packs src entry h
-// ([rows, cols]) into dst entry h.
-type packBatch struct {
-	dst, src   []float32
-	rows, cols int
-}
-
-// Tile implements Job over batch entries.
-func (p *packBatch) Tile(_, h0, h1 int) {
-	size := p.rows * p.cols
-	for h := h0; h < h1; h++ {
-		packTranspose(p.dst[h*size:(h+1)*size], p.src[h*size:(h+1)*size], p.rows, p.cols)
-	}
-}
-
-var packBatchPool = sync.Pool{New: func() any { return new(packBatch) }}
-
-// packBatched transposes all `batch` panels of src ([rows, cols]
-// each) into dst, in parallel across entries when large enough.
-func packBatched(dst, src []float32, batch, rows, cols int) {
-	p := packBatchPool.Get().(*packBatch)
-	*p = packBatch{dst: dst, src: src, rows: rows, cols: cols}
-	ParallelFor(batch, OpTranspose.Flops(batch*rows*cols), p)
-	*p = packBatch{}
-	packBatchPool.Put(p)
-}
-
 // packPool recycles the buffers operands are transposed or dequantized
 // into. The pool stores *[]float32 rather than []float32: putting a
 // bare slice would box its header into an interface and allocate on

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 
 	"orbit/internal/quant"
 )
@@ -38,41 +37,6 @@ func DequantizeTensor(q *Quantized) *Tensor {
 	return t
 }
 
-// quantTask is one dequant-fused matmul dispatch: dst = a·W (+bias)
-// where W lives in a quantized container. The Job item space is the
-// kernel's 16-column panels: the 16 quantized columns of one are
-// dequantized exactly once per dispatch, into the tile's own [k, 16]
-// strip of the scratch, and all m rows sweep that strip through the
-// matrix kernel as a product whose u is the strip and whose dst is
-// those columns. An output element's chain does not depend on the
-// panel it falls in (outer.go), so the result is bit-identical to
-// MatMulBiasInto over the dequantized weight, at any worker count.
-type quantTask struct {
-	product // dst, t, bias and strides of the whole product; u, n and un are set per column panel
-	scratch []float32
-	q       *Quantized
-	m       int
-}
-
-var quantTaskPool = sync.Pool{New: func() any { return new(quantTask) }}
-
-// Tile implements Job over column panels.
-func (t *quantTask) Tile(tile, g0, g1 int) {
-	n := t.q.Cols()
-	strip := t.scratch[tile*outerColPanel*t.k : (tile+1)*outerColPanel*t.k]
-	for g := g0; g < g1; g++ {
-		c := g * outerColPanel
-		w := min(outerColPanel, n-c)
-		dequantStrip(strip, t.q, c, w)
-		p := t.product
-		p.dst, p.u, p.n, p.un = p.dst[c:], strip, w, w
-		if p.bias != nil {
-			p.bias = p.bias[c:]
-		}
-		p.rows(0, t.m)
-	}
-}
-
 // dequantStrip writes panels [c, c+w) of q into strip as the row-major
 // [k, w] operand of their product: the vector kernel takes the leading
 // k&^7 rows of the leading w&^7 panels, eight by eight, and
@@ -98,11 +62,14 @@ func dequantStrip(strip []float32, q *Quantized, c, w int) {
 }
 
 // MatMulQuantInto computes dst = t·W (+ bias) where W is a quantized
-// [k, n] weight, fusing block dequantization into the matrix kernel:
-// each tile dequantizes its column panels into pooled scratch and runs
-// them through the same kernel as the f32 path. The steady state
-// allocates nothing and the result is bit-identical to MatMulBiasInto
-// over the dequantized weight at any worker count.
+// [k, n] weight, fusing block dequantization into the matrix kernel.
+// The 16 quantized columns of each of the kernel's column panels are
+// dequantized once, into a pooled [k, 16] strip, and all m rows sweep
+// that strip through the matrix kernel as a product whose u is the
+// strip and whose dst is those columns. An output element's chain does
+// not depend on the panel it falls in (outer.go), so the result is
+// bit-identical to MatMulBiasInto over the dequantized weight. The
+// steady state allocates nothing.
 func MatMulQuantInto(dst, t *Tensor, q *Quantized, bias *Tensor) *Tensor {
 	if len(t.shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMulQuantInto requires a 2-D input, got %v", t.shape))
@@ -116,14 +83,18 @@ func MatMulQuantInto(dst, t *Tensor, q *Quantized, bias *Tensor) *Tensor {
 	if m == 0 {
 		return dst // no row to slice a column panel out of
 	}
-	groups := (n + outerColPanel - 1) / outerColPanel
-	scratch := getPack(NumTiles(groups) * outerColPanel * k)
-	qt := quantTaskPool.Get().(*quantTask)
-	*qt = quantTask{product: mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), m, k, n).product,
-		scratch: *scratch, q: q, m: m}
-	ParallelFor(groups, OpQuantMatMul.Flops(m*k*n), qt)
-	*qt = quantTask{}
-	quantTaskPool.Put(qt)
-	putPack(scratch)
+	strip := getPack(outerColPanel * k)
+	all := mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), m, k, n).product
+	for c := 0; c < n; c += outerColPanel {
+		w := min(outerColPanel, n-c)
+		dequantStrip(*strip, q, c, w)
+		p := all
+		p.dst, p.u, p.n, p.un = p.dst[c:], *strip, w, w
+		if p.bias != nil {
+			p.bias = p.bias[c:]
+		}
+		p.rows(0, m)
+	}
+	putPack(strip)
 	return dst
 }

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"orbit/internal/quant"
@@ -13,40 +12,35 @@ import (
 // DequantizeTensor(q) — same micro-kernel, same chain, whatever strip
 // or panel an element falls in — across shapes that hit the partial
 // column group, the masked panel and short row blocks, with and
-// without bias, for both formats, at every worker count.
+// without bias, for both formats.
 func TestMatMulQuantMatchesF32(t *testing.T) {
 	var seed uint64 = 1100
 	shapes := []struct{ m, k, n int }{
 		{1, 32, 32},   // single row
 		{8, 32, 32},   // block-sized
 		{5, 33, 7},    // odd everything: partial blocks, one masked group, odd rows
-		{16, 128, 96}, // over the parallel threshold with larger k
+		{16, 128, 96}, // larger k
 		{3, 8, 4},     // minimal k of one vector
 		{2, 7, 5},     // k below one vector
 		{9, 40, 53},   // three full groups and a 5-column tail
 	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
-			for _, sh := range shapes {
-				seed++
-				x := randMat(seed, sh.m, sh.k)
-				w := randMat(seed+500, sh.k, sh.n)
-				bias := randMat(seed+900, 1, sh.n)
-				q := QuantizeTensor(w, kind)
-				deq := DequantizeTensor(q)
-				for _, b := range []*Tensor{nil, bias} {
-					got := New(sh.m, sh.n)
-					want := New(sh.m, sh.n)
-					MatMulQuantInto(got, x, q, b)
-					MatMulBiasInto(want, x, deq, b)
-					for i := range got.Data() {
-						if got.Data()[i] != want.Data()[i] {
-							t.Fatalf("GOMAXPROCS=%d %s m=%d k=%d n=%d bias=%v: element %d quant=%g f32=%g (must be bit-identical)",
-								procs, kind, sh.m, sh.k, sh.n, b != nil, i, got.Data()[i], want.Data()[i])
-						}
+	for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
+		for _, sh := range shapes {
+			seed++
+			x := randMat(seed, sh.m, sh.k)
+			w := randMat(seed+500, sh.k, sh.n)
+			bias := randMat(seed+900, 1, sh.n)
+			q := QuantizeTensor(w, kind)
+			deq := DequantizeTensor(q)
+			for _, b := range []*Tensor{nil, bias} {
+				got := New(sh.m, sh.n)
+				want := New(sh.m, sh.n)
+				MatMulQuantInto(got, x, q, b)
+				MatMulBiasInto(want, x, deq, b)
+				for i := range got.Data() {
+					if got.Data()[i] != want.Data()[i] {
+						t.Fatalf("%s m=%d k=%d n=%d bias=%v: element %d quant=%g f32=%g (must be bit-identical)",
+							kind, sh.m, sh.k, sh.n, b != nil, i, got.Data()[i], want.Data()[i])
 					}
 				}
 			}
@@ -135,12 +129,8 @@ func sentinelStrip(n int) []float32 {
 	return s
 }
 
-// TestMatMulQuantAllocs asserts the 0 allocs/op steady state on both
-// the serial path and (via forkTiles-sized work) the pooled parallel
-// path. AllocsPerRun pins GOMAXPROCS to 1, so the large shape below
-// exercises the pooled scratch and task reuse serially — the parallel
-// handoff itself is already pinned allocation-free by
-// TestParallelForAllocs.
+// TestMatMulQuantAllocs asserts the 0 allocs/op steady state of a
+// small and a larger product: the strip comes from the pooled scratch.
 func TestMatMulQuantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; zero-alloc assertion only valid in normal builds")

@@ -74,11 +74,9 @@ func sentinel(n int) []float32 {
 	return s
 }
 
-// adamwLengths holds one parameter length of every class: below 225
-// elements Step's tiles are shorter than a vector (loop only), from
-// 225 on the tile length walks through every n%8 tail (8 … 15 per tile)
-// and tile starts fall anywhere in a vector, then lengths whose tiles
-// hold several vectors.
+// adamwLengths holds parameter lengths shorter than a vector (loop
+// only), lengths that walk through every n%8 tail, and lengths that
+// hold many vectors.
 var adamwLengths = []int{1, 3, 7, 8, 9, 33, 97, 225, 257, 289, 321, 353, 385, 417, 449, 1000, 4099, 16389}
 
 // adamwState returns n weights, gradients and moments over twelve
@@ -134,14 +132,14 @@ func TestAdamWVecMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestAdamWVecSpecialValues puts every special value at every position
-// of the first two tiles of a 257-element parameter (tiles of nine: a
-// vector's eight lanes and a one-element tail) in each of w, g, m and
-// v. A NaN there must leave a NaN weight under both settings: the
-// guard's sentinel is a NaN that survives.
+// TestAdamWVecSpecialValues puts every special value in every lane of
+// the first two vectors of a 257-element parameter and at its
+// one-element tail, in each of w, g, m and v. A NaN there must leave a
+// NaN weight under both settings: the guard's sentinel is a NaN that
+// survives.
 func TestAdamWVecSpecialValues(t *testing.T) {
 	const n = 257
-	for p := 0; p < 18; p++ {
+	for _, p := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, n - 1} {
 		for _, val := range special {
 			for k, into := range []string{"w", "g", "m", "v"} {
 				w, g, m, v := adamwState(n)
@@ -356,9 +354,8 @@ func lnBackward(x, dy1, dy2 *tensor.Tensor, gamma, beta, seed []float32) []float
 // TestLayerNormBackwardVecMatchesScalar compares dx, dγ and dβ of the
 // module's backward over every width 1…80 (the input gradient takes
 // groups of four rows of whole eight-lane vectors, the parameter
-// gradients the leading eight-column blocks) and lnBackwardRows, whose
-// larger counts cut into sixteen-row dispatch items with and without a
-// tail. The gradients take two backward passes, so the += is covered.
+// gradients the leading eight-column blocks) and lnBackwardRows. The
+// gradients take two backward passes, so the += is covered.
 func TestLayerNormBackwardVecMatchesScalar(t *testing.T) {
 	rng := tensor.NewRNG(82)
 	for dim := 1; dim <= 80; dim++ {
@@ -593,8 +590,8 @@ func gelu(x, dy []float32) []float32 {
 }
 
 // TestGELUVecMatchesScalar covers every length 1…40 (each n%8 tail, one
-// to five vectors) and a 4 099-element tensor, which ParallelFor cuts
-// into tiles that start anywhere in a vector; then every special value
+// to five vectors) and a 4 099-element tensor (512 vectors and a
+// three-element tail); then every special value
 // in every lane and tail position of x and of dy. A NaN activation must
 // come out of both passes as NaN, kernel and loop alike: the guard's
 // sentinel is a NaN that survives to the loss.
@@ -650,7 +647,7 @@ func softmax(x, dy []float32, rows, cols int) []float32 {
 // TestSoftmaxVecMatchesScalar sweeps every width 1…80 (a width that is
 // not a multiple of 8 takes the row loop under either setting) × 1…13
 // rows — the four-row body and the one- to three-row tail — plus three
-// shapes whose tiles hold several groups. Row 0 is constant (every
+// larger shapes. Row 0 is constant (every
 // element the maximum, every probability equal) and meets an upstream
 // gradient of cancelling pairs ±2^k at random columns: the float64 dot
 // then keeps or loses the small terms between a pair depending on the

@@ -1,7 +1,7 @@
 package tensor
 
 // Vector forms of the training step's row loops. The loops — the
-// definitions — stay with their owners: optim's adamwJob.Tile, comm's
+// definitions — stay with their owners: optim's adamwUpdate, comm's
 // reduceTwo, nn's LayerNormRows and LayerNorm backward. Each function
 // here runs the leading whole vectors (AdamW, the reduce) or groups of
 // four rows (LayerNorm) of one loop through an AVX2 kernel that

@@ -10,11 +10,9 @@ import (
 // TestElasticStepDeterministicAcrossGOMAXPROCS runs the same
 // Hybrid-STOP elastic training job at GOMAXPROCS 1, 4 and 8 and
 // requires a bit-identical loss trajectory. The per-rank goroutines
-// all dispatch threaded kernels into the shared worker pool
-// concurrently; fixed tile ownership keeps every gradient reduction's
-// sequence independent of which worker executes which tile. The
-// shapes are chosen so the attention and MLP matmuls cross the
-// parallel threshold and actually fork.
+// run their kernels concurrently on however many Ps there are; every
+// reduction's order is fixed by the layout, never by which rank's
+// goroutine runs first.
 func TestElasticStepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	testElasticGOMAXPROCS(t, 1)
 }

@@ -10,13 +10,13 @@
 //
 //   - Parallelism: the paper's Hybrid-STOP algorithm runs as a real
 //     SPMD program over a simulated Frontier-like cluster
-//     (NewCluster, NewHybridSTOP, the internal/core engine); its FSDP
+//     (NewCluster, HybridSTOPEngine, the internal/core engine); its FSDP
 //     and DDP baselines are the TP=1 and TP=FSDP=1 layouts of the
 //     same engine.
 //
 //   - Scaling analysis: the calibrated analytical model that
 //     regenerates the paper's Frontier-scale tables and figures
-//     (MaxModelSize, StepTime, and the experiment runners re-exported
+//     (MaxModelSize and the experiment runners re-exported
 //     from internal/experiments).
 //
 // # Performance architecture
@@ -29,17 +29,15 @@
 //   - Every kernel is destination-passing (MatMulInto,
 //     MatMulTransAInto, MatMulTransBInto, SoftmaxInto, AddInto, …),
 //     writing into caller-owned buffers.
-//   - Matrix products run on one of two micro-kernels, fixed per
-//     entry point by operand layout: a 2×4 register-blocked dot
-//     kernel streams panels whose reduction axis is innermost (a
-//     right operand that is not is transposed once into a pooled
-//     packing buffer), and a 4×16 outer-product kernel computes tᵀ@u
-//     — every weight gradient — reading both operands in place. On
-//     amd64 with AVX2+FMA both run in assembly at eight lanes per
-//     instruction (runtime feature detection; the portable scalar
-//     kernels are the reference the property tests compare against).
-//   - Large dispatches run on a lazily-started persistent worker pool
-//     shared by all kernels — no per-call goroutine fan-out.
+//   - Every matrix product runs on one 4×16 outer-product kernel that
+//     reads both operands in place; only a t@uᵀ right operand is
+//     transposed once into a pooled buffer. On amd64 with AVX2+FMA it
+//     runs in assembly at eight lanes per instruction (runtime feature
+//     detection; the portable loop is the reference the property
+//     tests compare against).
+//   - Every kernel runs on its calling goroutine. Parallelism lives in
+//     the goroutines above the kernels: SPMD ranks, inference engine
+//     workers and serving replicas.
 //   - Modules (Linear, LayerNorm, MLP, attention) own their output
 //     and scratch buffers and reuse them across steps: a returned
 //     tensor is valid until the module's next call. Multi-head
@@ -51,9 +49,8 @@
 //     and transforms 2-D grids in column panels, feeding the AFNO
 //     spectral layer's reused grid buffers.
 //
-// Run `go test -bench=. -benchmem` and compare against
-// BENCH_PR1.json; the transformer step benchmarks must stay at
-// 0 allocs/op (enforced by nn's AllocsPerRun tests).
+// The transformer step must stay at 0 allocs/op (enforced by nn's
+// AllocsPerRun tests); `bash bench/run.sh` is the benchmark.
 //
 // See the examples/ directory for runnable programs and EXPERIMENTS.md
 // for the paper-versus-measured record of every table and figure.
@@ -518,8 +515,10 @@ var (
 	FormatFig10  = experiments.FormatFig10
 )
 
-// QuickScale finishes in seconds; FullScale in minutes.
+// QuickScale finishes in seconds; FullScale in minutes. ParseScale
+// maps a -scale flag value, "quick" or "full", to one of them.
 var (
 	QuickScale = experiments.QuickScale
 	FullScale  = experiments.FullScale
+	ParseScale = experiments.ParseScale
 )
