@@ -63,7 +63,10 @@
 // weights+gradients of the rank's stage, gather staging (depth+1 layer
 // buffers live under prefetch), activation residency under
 // checkpointing — and must equal cluster.Device.MemPeak to the byte
-// (pinned by test). It decides OOM and bounds Best4's search.
+// (pinned by test). It decides OOM and bounds Best4's search. Neither
+// the engine nor the replay charges optimizer state: AdamW's two fp32
+// moments, 8 B per owned parameter, are not counted, so an OOM verdict
+// under-counts a training rank by that much.
 //
 // # Choosing a plan
 //
@@ -256,7 +259,9 @@ type Prediction struct {
 	// DeviceBytes is the predicted cluster.Device.MemPeak — the exact
 	// simulated accounting (chunk weights+grads, live gather staging,
 	// checkpoint-dependent activations), pinned byte-for-byte against
-	// the functional engine by TestPredictedMemoryExact.
+	// the functional engine by TestPredictedMemoryExact. It charges no
+	// optimizer state: AdamW's two fp32 moments, 8 B per owned
+	// parameter, are left out, so a training rank needs that much more.
 	DeviceBytes int64 `json:"device_bytes"`
 	// OOM marks plans whose DeviceBytes exceed device capacity (or
 	// that are structurally impossible — see Note).

@@ -88,19 +88,22 @@ func underFences(t *testing.T, sweep func(atEnd bool, running *string)) {
 	}
 }
 
-// TestOuterTileStaysInsideOperands sweeps every m%4 row tail and every
-// n%16 column tail of outerTile4x16 through product.rows, both left
-// operand layouts, with and without bias and accumulation.
+// TestOuterTileStaysInsideOperands sweeps every m%6 row tail of
+// outerTile6x16 — the four-row loop's one to four rows and the six-row
+// loop's five, alone and after a whole block — and every n%16 column
+// tail through product.rows, at an odd and an even k (the k loop's odd
+// first step, with and without pairs after it), both left operand
+// layouts, with and without bias and accumulation.
 func TestOuterTileStaysInsideOperands(t *testing.T) {
-	const maxM, maxN, maxK = 9, 33, 5
+	const maxM, maxN, maxK = 12, 33, 5
 	gd, gt, gu, gb := newGuarded(t, 4*maxM*maxN), newGuarded(t, 4*maxM*maxK), newGuarded(t, 4*maxK*maxN), newGuarded(t, 4*maxN)
 	underFences(t, func(atEnd bool, running *string) {
 		for m := 1; m <= maxM; m++ {
 			for n := 1; n <= maxN; n++ {
-				for _, k := range []int{1, maxK} {
+				for _, k := range []int{1, 4, maxK} {
 					for variant := 0; variant < 8; variant++ {
 						transA, withBias, acc := variant&1 != 0, variant&2 != 0, variant&4 != 0
-						*running = fmt.Sprintf("outerTile4x16 m=%d k=%d n=%d transA=%v bias=%v acc=%v", m, k, n, transA, withBias, acc)
+						*running = fmt.Sprintf("outerTile6x16 m=%d k=%d n=%d transA=%v bias=%v acc=%v", m, k, n, transA, withBias, acc)
 						p := product{
 							dst: guardedSlice(gd, m*n, atEnd), t: guardedSlice(gt, m*k, atEnd),
 							u: guardedSlice(gu, k*n, atEnd), k: k, n: n, tk: 1, tr: k, un: n, dn: n, scale: 0.5, acc: acc,

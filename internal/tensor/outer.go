@@ -1,7 +1,7 @@
 package tensor
 
 // This file holds the matrix micro-kernel. A product is accumulated as
-// k rank-1 updates of a 4×16 register block of dst: step i loads
+// k rank-1 updates of a 6×16 register block of dst: step i loads
 // u[i, c:c+16] once and multiplies it into one accumulator pair per
 // output row by a broadcast of the left operand's element (i, r+j).
 // The right operand is always row-major [k, n], read in place. The
@@ -55,7 +55,7 @@ func mulTransATask(dst, t, u []float32, m, k, n int) outerTask {
 // outerRowBlock and outerColPanel are the kernel's register-block
 // height in output rows and width in output columns.
 const (
-	outerRowBlock = 4
+	outerRowBlock = 6
 	outerColPanel = 16
 )
 
@@ -77,7 +77,7 @@ var outerMask = [2 * outerColPanel]int32{
 }
 
 // rows computes output rows [r0, r1) of the panel. With AVX2+FMA each
-// 16-column panel of u stays in cache while the 4-row blocks sweep it
+// 16-column panel of u stays in cache while the 6-row blocks sweep it
 // through the assembly kernel, short blocks and the short last panel
 // included (same chain, fewer rows or masked lanes); otherwise the
 // portable loop below does the same chain one row at a time. An empty
@@ -98,7 +98,7 @@ func (p *product) rows(r0, r1 int) {
 			bias = &p.bias[c]
 		}
 		for r := r0; r < r1; r += outerRowBlock {
-			outerTile4x16(&p.dst[r*p.dn+c], &p.t[r*p.tr], &p.u[c], p.k, p.tk, p.tr, p.un, p.dn,
+			outerTile6x16(&p.dst[r*p.dn+c], &p.t[r*p.tr], &p.u[c], p.k, p.tk, p.tr, p.un, p.dn,
 				min(outerRowBlock, r1-r), mask, bias, p.scale, p.acc)
 		}
 	}

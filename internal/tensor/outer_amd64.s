@@ -2,27 +2,49 @@
 
 #include "textflag.h"
 
-// OUTER_STEP is one reduction step of outerTile4x16 once Y8:Y9 hold
-// u[i, 0:16]: four broadcasts of the left operand's element (i, j),
-// eight FMAs into the row accumulator pairs Y0:Y1 … Y6:Y7, and the
-// step to i+1.
-#define OUTER_STEP \
-	VBROADCASTSS (SI), Y10; \
-	VBROADCASTSS (SI)(R10*1), Y11; \
-	VBROADCASTSS (SI)(R11*1), Y12; \
-	VBROADCASTSS (SI)(R12*1), Y13; \
-	VFMADD231PS  Y8, Y10, Y0; \
-	VFMADD231PS  Y9, Y10, Y1; \
-	VFMADD231PS  Y8, Y11, Y2; \
-	VFMADD231PS  Y9, Y11, Y3; \
-	VFMADD231PS  Y8, Y12, Y4; \
-	VFMADD231PS  Y9, Y12, Y5; \
-	VFMADD231PS  Y8, Y13, Y6; \
-	VFMADD231PS  Y9, Y13, Y7; \
-	ADDQ         R8, SI; \
-	ADDQ         R9, DI
+// Register use of outerTile6x16: Y0…Y11 are the accumulator pairs of
+// output rows 0…5, Y12:Y13 hold u[i, 0:16], Y14 the broadcast of the
+// left operand's element, and Y15 a lane mask, reloaded before each
+// masked access. SI walks t and DI walks u; row j of the left operand
+// is read at SI plus the byte offset in 0, R10, R11, R12, BX or AX.
 
-// OUTER_ALL applies one two-operand instruction to the eight
+// OUTER_LOAD loads u[i, 0:16] into Y12:Y13.
+#define OUTER_LOAD \
+	VMOVUPS (DI), Y12; \
+	VMOVUPS 32(DI), Y13
+
+// OUTER_MLOAD(r) loads the enabled lanes of the 16 floats at r into
+// Y12:Y13, zeroing the others.
+#define OUTER_MLOAD(r) \
+	VMOVDQU    (R13), Y15; \
+	VMASKMOVPS (r), Y15, Y12; \
+	VMOVDQU    32(R13), Y15; \
+	VMASKMOVPS 32(r), Y15, Y13
+
+// OUTER_ROW(off, a, b) multiplies u[i, 0:16] into the accumulator pair
+// a:b by a broadcast of the left operand's element at off.
+#define OUTER_ROW(off, a, b) \
+	VBROADCASTSS off, Y14; \
+	VFMADD231PS  Y12, Y14, a; \
+	VFMADD231PS  Y13, Y14, b
+
+// OUTER_FMA4 is the rest of one reduction step for a block of at most
+// four rows: the pairs Y0:Y1 … Y6:Y7, and the step to i+1.
+#define OUTER_FMA4 \
+	OUTER_ROW((SI), Y0, Y1); \
+	OUTER_ROW((SI)(R10*1), Y2, Y3); \
+	OUTER_ROW((SI)(R11*1), Y4, Y5); \
+	OUTER_ROW((SI)(R12*1), Y6, Y7); \
+	ADDQ R8, SI; \
+	ADDQ R9, DI
+
+// OUTER_FMA6 is OUTER_FMA4 with rows 4 and 5 first.
+#define OUTER_FMA6 \
+	OUTER_ROW((SI)(BX*1), Y8, Y9); \
+	OUTER_ROW((SI)(AX*1), Y10, Y11); \
+	OUTER_FMA4
+
+// OUTER_ALL applies one two-operand instruction to the twelve
 // accumulators, even registers from a, odd ones from b.
 #define OUTER_ALL(op, a, b) \
 	op a, Y0, Y0; \
@@ -32,9 +54,47 @@
 	op a, Y4, Y4; \
 	op b, Y5, Y5; \
 	op a, Y6, Y6; \
-	op b, Y7, Y7
+	op b, Y7, Y7; \
+	op a, Y8, Y8; \
+	op b, Y9, Y9; \
+	op a, Y10, Y10; \
+	op b, Y11, Y11
 
-// func outerTile4x16(dst, t, u *float32, k, tk, tr, un, dn, rows int, mask *int32, bias *float32, scale float32, acc bool)
+// The four row stores — full or masked panel, with or without acc —
+// each write the accumulator pair a:b to the dst row at DX, adding what
+// it held first when accumulating, then move to the next row and leave
+// once AX rows are stored.
+#define OUTER_NEXT \
+	ADDQ R9, DX; \
+	DECQ AX; \
+	JZ   done
+
+#define OUTER_STORE(a, b) \
+	VMOVUPS a, (DX); \
+	VMOVUPS b, 32(DX); \
+	OUTER_NEXT
+
+#define OUTER_STORE_ACC(a, b) \
+	VADDPS  (DX), a, a; \
+	VADDPS  32(DX), b, b; \
+	VMOVUPS a, (DX); \
+	VMOVUPS b, 32(DX); \
+	OUTER_NEXT
+
+#define OUTER_MSTORE(a, b) \
+	VMOVDQU    (R13), Y15; \
+	VMASKMOVPS a, Y15, (DX); \
+	VMOVDQU    32(R13), Y15; \
+	VMASKMOVPS b, Y15, 32(DX); \
+	OUTER_NEXT
+
+#define OUTER_MSTORE_ACC(a, b) \
+	OUTER_MLOAD(DX); \
+	VADDPS     Y12, a, a; \
+	VADDPS     Y13, b, b; \
+	OUTER_MSTORE(a, b)
+
+// func outerTile6x16(dst, t, u *float32, k, tk, tr, un, dn, rows int, mask *int32, bias *float32, scale float32, acc bool)
 //
 // Computes the rows×16 block of L@u whose corner is dst, where element
 // (i, j) of the left operand L is t[i*tk + j*tr] and row i of u starts
@@ -43,47 +103,44 @@
 // broadcast of L(i, j) —
 //   acc[j] = fma(t[i*tk + j*tr], u[i*un : i*un+16], acc[j]),  i = 0 … k-1
 // — so every output element is one k-ordered FMA chain from zero,
-// whatever block it falls in. k must be at least 1. rows (1…4) is the
-// number of valid output rows: a short block re-reads its last valid
-// row of L, so nothing outside t is touched, and stores only `rows`
-// rows, dn elements apart. mask (nil = all 16 columns) points at 16
-// int32 lane masks for a short last panel: masked lanes of u, bias and
-// dst are neither read nor written. The store applies, in this order,
-// ·scale (skipped when it is 1), +bias[0:16] (nil = none) and +dst
-// (acc), each separately rounded.
-TEXT ·outerTile4x16(SB), NOSPLIT, $0-93
-	MOVQ dst+0(FP), DX
+// whatever block it falls in. The k loop runs an odd first step alone
+// and the rest two steps per pass; k must be at least 1. rows (1…6) is
+// the number of valid output rows. A block of at most four runs a loop
+// of four rows on Y0…Y7, one of five or six the loop of six. Either
+// re-reads its last valid row of L for the rows past it, so nothing
+// outside t is touched, and stores only `rows` rows, dn elements apart.
+// mask (nil = all 16 columns) points at 16 int32 lane masks for a short
+// last panel: masked lanes of u, bias and dst are neither read nor
+// written. The store applies, in this order, ·scale (skipped when it is
+// 1), +bias[0:16] (nil = none) and +dst (acc), each separately rounded.
+TEXT ·outerTile6x16(SB), NOSPLIT, $0-93
 	MOVQ t+8(FP), SI
 	MOVQ u+16(FP), DI
 	MOVQ k+24(FP), CX
 	MOVQ tk+32(FP), R8
-	MOVQ tr+40(FP), BX
+	MOVQ tr+40(FP), R10
 	MOVQ un+48(FP), R9
 	MOVQ rows+64(FP), AX
 	MOVQ mask+72(FP), R13
-	SHLQ $2, R8 // step of t per reduction index, in bytes
-	SHLQ $2, BX // step of t per output row, in bytes
-	SHLQ $2, R9 // u row stride in bytes
+	SHLQ $2, R8  // step of t per reduction index, in bytes
+	SHLQ $2, R10 // step of t per output row, in bytes
+	SHLQ $2, R9  // u row stride in bytes
 
-	// Byte offsets of output rows 1…3 within the left operand, clamped
-	// to the last valid one.
-	XORQ R10, R10
-	XORQ R11, R11
-	XORQ R12, R12
-	CMPQ AX, $2
-	JLT  offsets_done
-	MOVQ BX, R10
-	MOVQ BX, R11
-	MOVQ BX, R12
-	CMPQ AX, $3
-	JLT  offsets_done
-	ADDQ BX, R11
-	MOVQ R11, R12
-	CMPQ AX, $4
-	JLT  offsets_done
-	ADDQ BX, R12
+	// Byte offsets of output rows 1…5 within the left operand. Rows 1…3
+	// are clamped to the last valid row's, (rows-1)·tr, which is row 5's
+	// whatever rows is; row 4 is read only when rows is 5 or 6.
+	DECQ    AX
+	IMULQ   R10, AX
+	LEAQ    (R10)(R10*1), R11
+	LEAQ    (R11)(R10*1), R12
+	LEAQ    (R11)(R11*1), BX
+	CMPQ    R10, AX
+	CMOVQGT AX, R10
+	CMPQ    R11, AX
+	CMOVQGT AX, R11
+	CMPQ    R12, AX
+	CMOVQGT AX, R12
 
-offsets_done:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -92,85 +149,163 @@ offsets_done:
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	CMPQ   rows+64(FP), $4
+	JGT    six
 	TESTQ  R13, R13
-	JNZ    masked
+	JNZ    masked4
 
-	// Full panel: plain loads of u, and an all-ones mask for the loads
-	// of the store phase.
-	VPCMPEQD Y14, Y14, Y14
-	VMOVDQA  Y14, Y15
+	// Up to four rows: Y0…Y7 only.
+	TESTQ $1, CX
+	JZ    pairs4
+	OUTER_LOAD
+	OUTER_FMA4
 
-outer_loop:
-	VMOVUPS (DI), Y8
-	VMOVUPS 32(DI), Y9
-	OUTER_STEP
-	DECQ    CX
-	JNZ     outer_loop
-	JMP     finish
+pairs4:
+	SHRQ $1, CX
+	JZ   finish
+
+loop4:
+	OUTER_LOAD
+	OUTER_FMA4
+	OUTER_LOAD
+	OUTER_FMA4
+	DECQ CX
+	JNZ  loop4
+	JMP  finish
+
+masked4:
+	TESTQ $1, CX
+	JZ    masked_pairs4
+	OUTER_MLOAD(DI)
+	OUTER_FMA4
+
+masked_pairs4:
+	SHRQ $1, CX
+	JZ   finish
+
+masked_loop4:
+	OUTER_MLOAD(DI)
+	OUTER_FMA4
+	OUTER_MLOAD(DI)
+	OUTER_FMA4
+	DECQ CX
+	JNZ  masked_loop4
+	JMP  finish
+
+six:
+	TESTQ R13, R13
+	JNZ   masked
+
+	// Full panel: plain loads of u.
+	TESTQ $1, CX
+	JZ    pairs
+	OUTER_LOAD
+	OUTER_FMA6
+
+pairs:
+	SHRQ $1, CX
+	JZ   finish
+
+loop:
+	OUTER_LOAD
+	OUTER_FMA6
+	OUTER_LOAD
+	OUTER_FMA6
+	DECQ CX
+	JNZ  loop
+	JMP  finish
 
 masked:
-	VMOVDQU (R13), Y14
-	VMOVDQU 32(R13), Y15
+	TESTQ $1, CX
+	JZ    masked_pairs
+	OUTER_MLOAD(DI)
+	OUTER_FMA6
+
+masked_pairs:
+	SHRQ $1, CX
+	JZ   finish
 
 masked_loop:
-	VMASKMOVPS (DI), Y14, Y8
-	VMASKMOVPS 32(DI), Y15, Y9
-	OUTER_STEP
-	DECQ       CX
-	JNZ        masked_loop
+	OUTER_MLOAD(DI)
+	OUTER_FMA6
+	OUTER_MLOAD(DI)
+	OUTER_FMA6
+	DECQ CX
+	JNZ  masked_loop
 
-	// The chains are complete; SI, DI, CX, BX and R8…R12 are free.
+	// The chains are complete; every general register but R13 is free,
+	// and so are Y12…Y15.
 finish:
 	MOVL scale+88(FP), CX
 	CMPL CX, $0x3f800000 // 1.0
 	JEQ  scaled
-	VBROADCASTSS scale+88(FP), Y8
-	OUTER_ALL(VMULPS, Y8, Y8)
+	VBROADCASTSS scale+88(FP), Y12
+	OUTER_ALL(VMULPS, Y12, Y12)
 
 scaled:
 	MOVQ  bias+80(FP), SI
 	TESTQ SI, SI
 	JZ    biased
-	VMASKMOVPS (SI), Y14, Y8
-	VMASKMOVPS 32(SI), Y15, Y9
-	OUTER_ALL(VADDPS, Y8, Y9)
+	TESTQ R13, R13
+	JNZ   bias_masked
+	VMOVUPS (SI), Y12
+	VMOVUPS 32(SI), Y13
+	JMP     bias_add
+
+bias_masked:
+	OUTER_MLOAD(SI)
+
+bias_add:
+	OUTER_ALL(VADDPS, Y12, Y13)
 
 biased:
+	MOVQ    dst+0(FP), DX
 	MOVQ    dn+56(FP), R9
 	SHLQ    $2, R9 // dst row stride in bytes
+	MOVQ    rows+64(FP), AX
 	MOVBLZX acc+92(FP), BX
+	TESTQ   R13, R13
+	JNZ     store_masked
+	TESTQ   BX, BX
+	JNZ     store_acc
+	OUTER_STORE(Y0, Y1)
+	OUTER_STORE(Y2, Y3)
+	OUTER_STORE(Y4, Y5)
+	OUTER_STORE(Y6, Y7)
+	OUTER_STORE(Y8, Y9)
+	OUTER_STORE(Y10, Y11)
 
-	// Store one row per pass from Y0:Y1, rotating the next row's
-	// accumulators down.
-store_row:
-	TESTQ      BX, BX
-	JZ         store
-	VMASKMOVPS (DX), Y14, Y8
-	VMASKMOVPS 32(DX), Y15, Y9
-	VADDPS     Y8, Y0, Y0
-	VADDPS     Y9, Y1, Y1
-
-store:
-	TESTQ      R13, R13
-	JNZ        store_masked
-	VMOVUPS    Y0, (DX)
-	VMOVUPS    Y1, 32(DX)
-	JMP        next_row
+store_acc:
+	OUTER_STORE_ACC(Y0, Y1)
+	OUTER_STORE_ACC(Y2, Y3)
+	OUTER_STORE_ACC(Y4, Y5)
+	OUTER_STORE_ACC(Y6, Y7)
+	OUTER_STORE_ACC(Y8, Y9)
+	OUTER_STORE_ACC(Y10, Y11)
 
 store_masked:
-	VMASKMOVPS Y0, Y14, (DX)
-	VMASKMOVPS Y1, Y15, 32(DX)
+	TESTQ BX, BX
+	JNZ   store_masked_acc
+	OUTER_MSTORE(Y0, Y1)
+	OUTER_MSTORE(Y2, Y3)
+	OUTER_MSTORE(Y4, Y5)
+	OUTER_MSTORE(Y6, Y7)
+	OUTER_MSTORE(Y8, Y9)
+	OUTER_MSTORE(Y10, Y11)
 
-next_row:
-	VMOVAPS Y2, Y0
-	VMOVAPS Y3, Y1
-	VMOVAPS Y4, Y2
-	VMOVAPS Y5, Y3
-	VMOVAPS Y6, Y4
-	VMOVAPS Y7, Y5
-	ADDQ    R9, DX
-	DECQ    AX
-	JNZ     store_row
+store_masked_acc:
+	OUTER_MSTORE_ACC(Y0, Y1)
+	OUTER_MSTORE_ACC(Y2, Y3)
+	OUTER_MSTORE_ACC(Y4, Y5)
+	OUTER_MSTORE_ACC(Y6, Y7)
+	OUTER_MSTORE_ACC(Y8, Y9)
+	OUTER_MSTORE_ACC(Y10, Y11)
+
+done:
 	VZEROUPPER
 	RET
 

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// outerShape draws a product shape that covers every tail of the 4×16
-// register block with probability bounded away from zero: m % 4,
-// n % 16, n % 8 and k (1, below 8, not a multiple of 8) all range over
-// their residues.
+// outerShape draws a product shape that covers every tail of the 6×16
+// register block with probability bounded away from zero: m runs
+// through three whole 6-row blocks and a tail, and m % 6, n % 16,
+// n % 8, k % 2 (the k loop's odd first step) and k (1, below 8, not a
+// multiple of 8) all range over their residues.
 func outerShape(rng *RNG) (k, m, n int) {
 	return 1 + rng.Intn(41), 1 + rng.Intn(23), 1 + rng.Intn(53)
 }
@@ -116,12 +117,12 @@ func (c outerCase) intact(got []float32) bool {
 // the n valid columns of their rows.
 func TestOuterKernelMatchesPortable(t *testing.T) {
 	rng := NewRNG(1601)
-	rowTails, colTails := map[int]bool{}, map[int]bool{}
+	rowTails, colTails, kParities := map[int]bool{}, map[int]bool{}, map[int]bool{}
 	for trial := 0; trial < 300; trial++ {
 		k, m, n := outerShape(rng)
 		b := 1 + rng.Intn(3)
 		padU, padD := rng.Intn(3)*rng.Intn(9), rng.Intn(3)*rng.Intn(9)
-		rowTails[m%4], colTails[n%16] = true, true
+		rowTails[m%outerRowBlock], colTails[n%outerColPanel], kParities[k%2] = true, true, true
 		for _, transA := range []bool{false, true} {
 			for _, mode := range outerModes {
 				c := newOuterCase(rng, transA, mode, b, k, m, n, padU, padD)
@@ -136,8 +137,9 @@ func TestOuterKernelMatchesPortable(t *testing.T) {
 			}
 		}
 	}
-	if len(rowTails) != 4 || len(colTails) != 16 {
-		t.Fatalf("shapes covered %d of 4 row tails and %d of 16 column tails", len(rowTails), len(colTails))
+	if len(rowTails) != outerRowBlock || len(colTails) != outerColPanel || len(kParities) != 2 {
+		t.Fatalf("shapes covered %d of %d row tails, %d of %d column tails and %d of 2 parities of k",
+			len(rowTails), outerRowBlock, len(colTails), outerColPanel, len(kParities))
 	}
 }
 

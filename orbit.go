@@ -29,12 +29,12 @@
 //   - Every kernel is destination-passing (MatMulInto,
 //     MatMulTransAInto, MatMulTransBInto, SoftmaxInto, AddInto, …),
 //     writing into caller-owned buffers.
-//   - Every matrix product runs on one 4×16 outer-product kernel that
+//   - Every matrix product runs on one 6×16 outer-product kernel that
 //     reads both operands in place; only a t@uᵀ right operand is
 //     transposed once into a pooled buffer. On amd64 with AVX2+FMA it
-//     runs in assembly at eight lanes per instruction (runtime feature
-//     detection; the portable loop is the reference the property
-//     tests compare against).
+//     runs in assembly at eight lanes per instruction, twelve
+//     accumulators per block (runtime feature detection; the portable
+//     loop is the reference the property tests compare against).
 //   - Every kernel runs on its calling goroutine. Parallelism lives in
 //     the goroutines above the kernels: SPMD ranks, inference engine
 //     workers and serving replicas.
