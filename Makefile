@@ -98,9 +98,17 @@ docs-check:
 # The runnable documentation: Example* functions in
 # orbit_example_test.go are the README quickstart and planner usage,
 # compiled and output-asserted by go test. -count=2 catches examples
-# that leak state between runs.
+# that leak state between runs. Then every examples/* program runs once
+# (≈ 1 s in all), built into and run from a temporary directory, since
+# quickstart writes its checkpoint into the working directory; faults
+# and parallelism exit non-zero when their trajectory checks fail.
 examples:
 	$(GO) test -count=2 -run '^Example' .
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./examples/... && cd "$$dir" && \
+	for e in *; do \
+		echo "examples/$$e"; ./$$e >/dev/null || exit 1; \
+	done
 
 # Coverage gate over the checkpoint/restart-critical packages, with
 # checked-in minimum thresholds (scripts/check_coverage.sh).

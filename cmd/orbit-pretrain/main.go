@@ -255,7 +255,6 @@ func runGuarded(layoutSpec string, nodes, dim, heads, layers, tokens, globalBatc
 		cfg.Layout = best.Layout.Inner()
 		cfg.PP = best.Layout.PP
 		cfg.Opts = best.Options(cfg.Opts)
-		cfg.AutoPlan = true // replan on every post-fault rebuild too
 	} else {
 		l4, err := orbit.ParseLayout(layoutSpec)
 		if err != nil {
@@ -298,7 +297,7 @@ func runGuarded(layoutSpec string, nodes, dim, heads, layers, tokens, globalBatc
 	}
 	el := res.Elastic
 	fmt.Printf("trained %d steps at final layout TP=%d PP=%d FSDP=%d DDP=%d on %d nodes (%d rebuilds, %d rollbacks, %d watchdog kills)\n",
-		steps, el.FinalLayout.TP, el.FinalPP, el.FinalLayout.FSDP, el.FinalLayout.DDP, el.FinalNodes, el.Rebuilds,
+		steps, el.FinalLayout.TP, el.FinalLayout.PP, el.FinalLayout.FSDP, el.FinalLayout.DDP, el.FinalNodes, el.Rebuilds,
 		res.Rollbacks, res.WatchdogKills)
 	fmt.Printf("loss: %.4f -> %.4f\n", res.Losses[0], res.Losses[len(res.Losses)-1])
 }

@@ -4,9 +4,10 @@
 // nodes) checkpoints every 5 steps in the sharded format — each (TP,
 // FSDP) grid position saves only its own parameter/optimizer chunks.
 // At step 12 a whole node is killed. The job notices at the step
-// boundary, rebuilds the machine without the dead node, shrinks the
-// layout to the surviving 8 GPUs (DDP 2 → 1; the FSDP chunks reshard
-// on load), restores the newest checkpoint, and finishes the run.
+// boundary and rebuilds the machine without the dead node. The 16-rank
+// layout no longer fits the surviving 8 GPUs, so the auto-planner picks
+// one that does (TP stays 2: TP shards cannot reshard), the FSDP chunks
+// reshard on load from the newest checkpoint, and the run finishes.
 //
 // Because the global batch is fixed and every checkpoint captures the
 // optimizer moments, step counters, and the data-stream RNG, the loss

@@ -17,7 +17,7 @@
 //     device progress clocks; a rank that stops progressing without
 //     dying (the failure health checks cannot see) is declared dead
 //     after StepDeadline, which routes the run through the elastic
-//     shrink-and-rebuild path.
+//     rebuild path.
 //
 // The supervisor composes with user hooks and never changes the
 // training math: phase-separated steps (see train.runStep) mean a
@@ -49,34 +49,29 @@ type Config struct {
 	// progress before the watchdog declares the slowest rank dead.
 	// 0 disables the watchdog; a negative deadline is an error.
 	StepDeadline time.Duration
-	// MaxWatchdogKills bounds how many devices the watchdog will shoot
-	// before it gives the whole run up (default 3).
-	MaxWatchdogKills int
-	// RetryBackoff is the base pause after a watchdog kill before the
-	// watchdog re-arms, jittered ±50% (default StepDeadline/2).
-	RetryBackoff time.Duration
-
 	// MaxRollbacks bounds divergence rollbacks (0 = default 2: one
 	// plain replay for transient faults, one salted replay for
 	// data-dependent ones; a negative budget is an error).
 	MaxRollbacks int
-	// SpikeFactor flags a step whose gradient norm exceeds
-	// SpikeFactor × its EWMA (default 10; NaN/Inf are always flagged).
-	SpikeFactor float64
-	// Alpha is the EWMA smoothing factor (default 0.3).
-	Alpha float64
-	// WarmupSteps is how many steps feed the EWMA before spike
-	// detection arms (default 3).
-	WarmupSteps int
-	// SaltWindow is how many steps from the diverging one get salted
-	// data when a plain replay diverges at the same step again
-	// (default: CkptEvery, minimum 1).
-	SaltWindow int
-
-	// Seed drives the supervisor's own randomness (watchdog jitter,
-	// salt values); 0 means 1.
-	Seed uint64
 }
+
+// The supervisor's fixed policy.
+const (
+	// maxWatchdogKills bounds how many nodes the watchdog evicts before
+	// it gives the whole run up.
+	maxWatchdogKills = 3
+	// spikeFactor flags a step whose gradient norm exceeds spikeFactor ×
+	// its EWMA (NaN/Inf are always flagged).
+	spikeFactor = 10
+	// ewmaAlpha is the EWMA smoothing factor.
+	ewmaAlpha = 0.3
+	// spikeWarmup is how many steps feed the EWMA before spike
+	// detection arms.
+	spikeWarmup = 3
+	// supervisorSeed drives the supervisor's own randomness (watchdog
+	// jitter, salt values).
+	supervisorSeed = 1
+)
 
 // Event is one supervisor action.
 type Event struct {
@@ -129,33 +124,11 @@ func Run(cfg Config) (*Result, error) {
 	case cfg.MaxRollbacks < 0:
 		return &Result{}, fmt.Errorf("guard: negative MaxRollbacks %d", cfg.MaxRollbacks)
 	}
-	if cfg.MaxWatchdogKills == 0 {
-		cfg.MaxWatchdogKills = 3
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = cfg.StepDeadline / 2
-	}
 	if cfg.MaxRollbacks == 0 {
 		cfg.MaxRollbacks = 2
 	}
-	if cfg.SpikeFactor == 0 {
-		cfg.SpikeFactor = 10
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.3
-	}
-	if cfg.WarmupSteps == 0 {
-		cfg.WarmupSteps = 3
-	}
-	if cfg.SaltWindow == 0 {
-		cfg.SaltWindow = cfg.Elastic.CkptEvery
-	}
-	if cfg.SaltWindow < 1 {
-		cfg.SaltWindow = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
+	// A salted replay covers the steps up to the next checkpoint.
+	saltWindow := max(cfg.Elastic.CkptEvery, 1)
 
 	res := &Result{Losses: make([]float64, cfg.Elastic.TotalSteps)}
 	var mu sync.Mutex // guards res.Events (the watchdog appends concurrently)
@@ -165,17 +138,16 @@ func Run(cfg Config) (*Result, error) {
 		mu.Unlock()
 	}
 
-	sent := &sentinel{alpha: cfg.Alpha, spike: cfg.SpikeFactor, warmup: cfg.WarmupSteps}
+	sent := &sentinel{}
 
 	var wd *watchdog
 	if cfg.StepDeadline > 0 {
-		wd = newWatchdog(cfg.StepDeadline, cfg.RetryBackoff, cfg.MaxWatchdogKills, cfg.Seed,
-			func(step int, detail string) {
-				mu.Lock()
-				res.WatchdogKills++
-				mu.Unlock()
-				event(step, "watchdog-kill", detail)
-			})
+		wd = newWatchdog(cfg.StepDeadline, func(step int, detail string) {
+			mu.Lock()
+			res.WatchdogKills++
+			mu.Unlock()
+			event(step, "watchdog-kill", detail)
+		})
 		defer wd.stop()
 	}
 
@@ -211,11 +183,11 @@ func Run(cfg Config) (*Result, error) {
 			// data-dependent, not transient. Salt the data stream over
 			// the offending window so the replay sees different
 			// samples; all later steps keep their original seeds.
-			for s := div.Step; s < div.Step+cfg.SaltWindow && s < ecfg.TotalSteps; s++ {
-				ecfg.StepSalt[s] ^= saltValue(cfg.Seed, uint64(res.Rollbacks), uint64(s))
+			for s := div.Step; s < div.Step+saltWindow && s < ecfg.TotalSteps; s++ {
+				ecfg.StepSalt[s] ^= saltValue(supervisorSeed, uint64(res.Rollbacks), uint64(s))
 			}
 			event(div.Step, "salt", fmt.Sprintf("salted data stream for steps [%d,%d)",
-				div.Step, min(div.Step+cfg.SaltWindow, ecfg.TotalSteps)))
+				div.Step, min(div.Step+saltWindow, ecfg.TotalSteps)))
 		}
 		lastDiverged = div.Step
 		sent.reset()

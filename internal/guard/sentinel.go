@@ -9,17 +9,13 @@ import "math"
 // Two triggers:
 //
 //   - Non-finite loss or gradient norm — always fatal, from step 0.
-//   - Gradient-norm spike: gradNorm > spike × EWMA(gradNorm), armed
-//     only after `warmup` steps have fed the average. The EWMA tracks
-//     the healthy trajectory's scale, so a genuine loss-landscape
-//     cliff early in warmup doesn't false-positive.
+//   - Gradient-norm spike: gradNorm > spikeFactor × EWMA(gradNorm),
+//     armed only after spikeWarmup steps have fed the average. The
+//     EWMA tracks the healthy trajectory's scale, so a genuine
+//     loss-landscape cliff early in warmup doesn't false-positive.
 //
 // Not concurrency-safe: called from the single host-side OnStep hook.
 type sentinel struct {
-	alpha  float64 // EWMA smoothing
-	spike  float64 // trigger factor over the EWMA
-	warmup int     // steps before spike detection arms
-
 	n    int     // healthy steps observed since reset
 	ewma float64 // EWMA of the gradient norm
 }
@@ -35,14 +31,14 @@ func (s *sentinel) check(step int, loss, gradNorm float64) error {
 		return &DivergenceError{Step: step, Loss: loss, GradNorm: gradNorm, EWMA: s.ewma,
 			Reason: "non-finite grad norm"}
 	}
-	if s.n >= s.warmup && s.ewma > 0 && gradNorm > s.spike*s.ewma {
+	if s.n >= spikeWarmup && s.ewma > 0 && gradNorm > spikeFactor*s.ewma {
 		return &DivergenceError{Step: step, Loss: loss, GradNorm: gradNorm, EWMA: s.ewma,
 			Reason: "grad norm spike"}
 	}
 	if s.n == 0 {
 		s.ewma = gradNorm
 	} else {
-		s.ewma = s.alpha*gradNorm + (1-s.alpha)*s.ewma
+		s.ewma = ewmaAlpha*gradNorm + (1-ewmaAlpha)*s.ewma
 	}
 	s.n++
 	return nil

@@ -24,16 +24,14 @@ import (
 // node's device operations, where only death (not comm poison) unwinds
 // them — and the elastic rebuild drops the entire node anyway. The
 // eviction converts the invisible hang into honest device deaths,
-// which the shrink-and-rebuild path already recovers from.
+// which the rebuild path already recovers from.
 //
-// Kills are rate-limited by a jittered backoff (the rebuild needs time
-// to make progress before the next verdict) and bounded by maxKills;
-// an exhausted budget kills the remaining machine so the run fails
-// loudly instead of hanging forever.
+// Kills are rate-limited by a jittered pause (the rebuild needs time to
+// make progress before the next verdict) and bounded by
+// maxWatchdogKills; an exhausted budget kills the remaining machine so
+// the run fails loudly instead of hanging forever.
 type watchdog struct {
 	deadline time.Duration
-	backoff  time.Duration
-	maxKills int
 	onKill   func(step int, detail string)
 
 	beatNS   atomic.Int64 // wall-clock ns of the last host/rank heartbeat
@@ -43,7 +41,7 @@ type watchdog struct {
 	machine     *cluster.Machine
 	ranks       int
 	kills       int
-	muzzleUntil time.Time // backoff: no verdicts before this instant
+	muzzleUntil time.Time // after a kill: no verdicts before this instant
 	rng         *rand.Rand
 
 	stopCh   chan struct{}
@@ -51,14 +49,11 @@ type watchdog struct {
 	stopOnce sync.Once
 }
 
-func newWatchdog(deadline, backoff time.Duration, maxKills int, seed uint64,
-	onKill func(step int, detail string)) *watchdog {
+func newWatchdog(deadline time.Duration, onKill func(step int, detail string)) *watchdog {
 	w := &watchdog{
 		deadline: deadline,
-		backoff:  backoff,
-		maxKills: maxKills,
 		onKill:   onKill,
-		rng:      rand.New(rand.NewSource(int64(seed))),
+		rng:      rand.New(rand.NewSource(supervisorSeed)),
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -136,7 +131,7 @@ func (w *watchdog) inspect() {
 	step := int(w.lastStep.Load())
 
 	w.mu.Lock()
-	if w.kills >= w.maxKills {
+	if w.kills >= maxWatchdogKills {
 		w.mu.Unlock()
 		// Budget exhausted and still hung: fail the run loudly rather
 		// than hang forever — kill everything so the step unwinds into
@@ -146,13 +141,13 @@ func (w *watchdog) inspect() {
 				d.Kill()
 			}
 		}
-		w.onKill(step, fmt.Sprintf("kill budget (%d) exhausted with run still hung: killing remaining machine", w.maxKills))
+		w.onKill(step, fmt.Sprintf("kill budget (%d) exhausted with run still hung: killing remaining machine", maxWatchdogKills))
 		return
 	}
 	w.kills++
-	// Jittered backoff before the next verdict: the kill triggers an
-	// elastic rebuild that needs wall-clock time to show progress.
-	w.muzzleUntil = time.Now().Add(w.backoff + time.Duration(w.rng.Int63n(int64(w.backoff)+1)))
+	// The kill triggers an elastic rebuild that needs wall-clock time
+	// to show progress before the next verdict.
+	w.muzzleUntil = time.Now().Add(w.pause())
 	w.mu.Unlock()
 
 	victim := pickStraggler(m.Devices[:ranks])
@@ -173,6 +168,15 @@ func (w *watchdog) inspect() {
 	w.beatNS.Store(time.Now().UnixNano()) // restart the progress clock
 	w.onKill(step, fmt.Sprintf("no progress for %v: declared straggler device %d dead, evicted node %d (%d devices)",
 		w.deadline, victim.ID, victim.Node, evicted))
+}
+
+// pause draws the quiet time after a kill: a backoff of half the
+// deadline plus a uniform jitter of up to one backoff more, so it lies
+// in [deadline/2, deadline]. Callers hold w.mu (the rng is not
+// concurrency-safe).
+func (w *watchdog) pause() time.Duration {
+	backoff := w.deadline / 2
+	return backoff + time.Duration(w.rng.Int63n(int64(backoff)+1))
 }
 
 // pickStraggler returns the participant to shoot: alive, preferring

@@ -2,6 +2,7 @@ package guard
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestSentinelTriggers(t *testing.T) {
-	s := &sentinel{alpha: 0.3, spike: 10, warmup: 2}
+	s := &sentinel{}
 	for step, gn := range []float64{1.0, 1.1, 0.9} {
 		if err := s.check(step, 0.5, gn); err != nil {
 			t.Fatalf("healthy step %d flagged: %v", step, err)
@@ -37,7 +38,7 @@ func TestSentinelTriggers(t *testing.T) {
 }
 
 func TestSentinelSpikeUnarmedDuringWarmup(t *testing.T) {
-	s := &sentinel{alpha: 0.3, spike: 10, warmup: 3}
+	s := &sentinel{}
 	if err := s.check(0, 0.5, 1e-6); err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +94,20 @@ func TestPickStragglerPrefersNonWaiting(t *testing.T) {
 }
 
 func TestWatchdogKillBudgetExhaustedKillsMachine(t *testing.T) {
-	// Two single-device nodes: the first verdict evicts one node, the
-	// exhausted budget then kills the other.
-	m := cluster.NewMachine(cluster.Frontier(), 2, 1)
+	// One single-device node more than the kill budget: each verdict
+	// evicts one node, the exhausted budget then kills the last.
+	m := cluster.NewMachine(cluster.Frontier(), maxWatchdogKills+1, 1)
 	var mu sync.Mutex
 	var details []string
-	w := newWatchdog(10*time.Millisecond, 5*time.Millisecond, 1, 1,
-		func(step int, detail string) {
-			mu.Lock()
-			details = append(details, detail)
-			mu.Unlock()
-		})
+	w := newWatchdog(10*time.Millisecond, func(step int, detail string) {
+		mu.Lock()
+		details = append(details, detail)
+		mu.Unlock()
+	})
 	defer w.stop()
-	w.watch(m, 2)
-	// Nothing ever progresses: the watchdog kills its one allowed
-	// victim, then — still no progress — gives up by killing the rest.
+	w.watch(m, maxWatchdogKills+1)
+	// Nothing ever progresses: the watchdog kills its allowed victims,
+	// then — still no progress — gives up by killing the rest.
 	// A verdict kills before it notifies, so wait on the notification.
 	gaveUp := func() bool {
 		mu.Lock()
@@ -121,13 +121,36 @@ func TestWatchdogKillBudgetExhaustedKillsMachine(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if m.FirstDead() < 0 || m.Devices[0].Alive() || m.Devices[1].Alive() {
-		t.Fatal("an exhausted budget must kill the whole machine")
+	for _, d := range m.Devices {
+		if d.Alive() {
+			t.Fatalf("device %d alive: an exhausted budget must kill the whole machine", d.ID)
+		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(details) < 2 {
-		t.Fatalf("want a kill and a giveup notification, got %v", details)
+	if len(details) < maxWatchdogKills+1 {
+		t.Fatalf("want %d kills and a giveup notification, got %v", maxWatchdogKills, details)
+	}
+	for _, d := range details[:maxWatchdogKills] {
+		if !strings.Contains(d, "evicted node") {
+			t.Fatalf("want %d evictions before the giveup, got %v", maxWatchdogKills, details)
+		}
+	}
+}
+
+// TestWatchdogPauseRange pins the quiet time after a kill to
+// [deadline/2, deadline]: a backoff of half the deadline plus a jitter
+// of up to one backoff more — never below the backoff.
+func TestWatchdogPauseRange(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	w := &watchdog{deadline: deadline, rng: rand.New(rand.NewSource(supervisorSeed))}
+	lo, hi := deadline, time.Duration(0)
+	for i := 0; i < 1000; i++ {
+		p := w.pause()
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	if lo < deadline/2 || hi > deadline || lo > deadline*11/20 || hi < deadline*19/20 {
+		t.Fatalf("1000 pauses span [%v, %v], want them to fill [%v, %v]", lo, hi, deadline/2, deadline)
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 // degenerate layouts) through a training loop that survives device and
 // node failures: at every step boundary the job health-checks the
 // machine; on a failure it tears the job down, rebuilds the machine
-// without the dead node, shrinks the parallelism layout to fit the
-// surviving devices, reloads the newest sharded checkpoint (resharding
-// the FSDP chunks when the layout changed), and continues.
+// without the dead node, keeps the parallelism layout while it fits
+// the surviving devices (else re-plans it), reloads the newest sharded
+// checkpoint (resharding it when the layout changed), and continues.
 //
 // Two determinism invariants make resumption testable:
 //
@@ -39,20 +39,21 @@ import (
 //     index). Losses then match an uninterrupted run up to float32
 //     reduction-grouping error (≪ 1e-6 per step).
 type ElasticConfig struct {
-	// Layout is the initial TP×FSDP×DDP grid. TP is preserved across
-	// recoveries (TP shards partition individual weight matrices, so
-	// changing TP would need a different checkpoint transform); DDP and
-	// FSDP shrink as nodes are lost.
+	// Layout is the initial TP×FSDP×DDP grid. A rebuild keeps it (and
+	// PP) while it fits the surviving devices; otherwise it adopts the
+	// planner's layout for the survivors, with TP pinned (TP shards
+	// partition individual weight matrices, so changing TP would need a
+	// different checkpoint transform).
 	Layout core.Layout
 	// PP is the pipeline-parallel stage count (0 or 1 = no
 	// pipelining). With PP > 1 the job runs the full TP×PP×FSDP×DDP
 	// composition: the transformer stack is cut into PP contiguous
 	// stages (uniform cut — the elastic stack's blocks are equal-cost)
 	// and micro-batches stream through the 1F1B schedule. Requires
-	// Opts.LayerWrapping and Opts.ActivationCheckpoint. PP shrinks on
-	// node loss after DDP and before FSDP (ShrinkLayout4), and
-	// checkpoints reshard across PP changes bit-identically
-	// (ckpt.ReshardPP regroups whole blocks; no chunk is re-split).
+	// Opts.LayerWrapping and Opts.ActivationCheckpoint. A replan after
+	// a node loss may change PP, and checkpoints reshard across PP
+	// changes bit-identically (ckpt.ReshardPP regroups whole blocks; no
+	// chunk is re-split). An unpipelined job stays at PP=1.
 	PP int
 	// Nodes is the simulated machine size; 0 fits the layout exactly.
 	Nodes int
@@ -114,17 +115,6 @@ type ElasticConfig struct {
 	// unsupervised with zero overhead.
 	Hooks *Hooks
 
-	// AutoPlan consults the parallelism auto-planner (internal/plan)
-	// on every rebuild after a node loss, replacing the fixed
-	// ShrinkLayout4 heuristic: the planner enumerates every layout that
-	// fits the surviving devices (TP pinned — TP shards partition
-	// individual weight matrices and cannot reshard across a
-	// checkpoint reload), predicts step time and memory with the comm
-	// clock model, and adopts the fastest plan's layout and tuning
-	// knobs. When no planner layout is feasible the job falls back to
-	// ShrinkLayout4, so fault recovery never regresses.
-	AutoPlan bool
-
 	Opts core.Options
 }
 
@@ -140,42 +130,13 @@ type ElasticResult struct {
 	// Losses holds the per-step global-batch mean loss, indexed by
 	// step. A run resumed from a checkpoint only fills the steps it
 	// executed.
-	Losses      []float64
-	Events      []ElasticEvent
-	Rebuilds    int
-	FinalLayout core.Layout
-	// FinalPP is the surviving pipeline stage count (1 = none left /
-	// never configured); FinalLayout is the per-stage inner grid.
-	FinalPP int
+	Losses   []float64
+	Events   []ElasticEvent
+	Rebuilds int
+	// FinalLayout is the TP×PP×FSDP×DDP grid the job ended on.
+	FinalLayout pp.Layout
 	// FinalNodes is the surviving machine size.
 	FinalNodes int
-}
-
-// ShrinkLayout4 reduces a 4D layout to at most `ranks` ranks,
-// preserving TP and dropping DDP first, then pipeline stages, then
-// FSDP: DDP replicas are free to drop, collapsing stages only
-// regroups whole blocks in the checkpoint (ckpt.ReshardPP is
-// bit-identical), while an FSDP change re-chunks every parameter.
-func ShrinkLayout4(l pp.Layout, ranks int) (pp.Layout, error) {
-	for l.Ranks() > ranks {
-		switch {
-		case l.DDP > 1 && l.DDP%2 == 0:
-			l.DDP /= 2
-		case l.DDP > 1:
-			l.DDP = 1
-		case l.PP > 1 && l.PP%2 == 0:
-			l.PP /= 2
-		case l.PP > 1:
-			l.PP = 1
-		case l.FSDP > 1 && l.FSDP%2 == 0:
-			l.FSDP /= 2
-		case l.FSDP > 1:
-			l.FSDP = 1
-		default:
-			return l, fmt.Errorf("train: cannot shrink layout TP=%d below %d ranks", l.TP, l.Ranks())
-		}
-	}
-	return l, nil
 }
 
 // elasticJob is the mutable state of one RunElastic invocation.
@@ -300,8 +261,7 @@ func RunElastic(cfg ElasticConfig, inj *cluster.FaultInjector) (*ElasticResult, 
 			j.event(0, "restart", "no checkpoint available, restarting from scratch")
 		}
 	}
-	j.res.FinalLayout = j.layout.Inner()
-	j.res.FinalPP = j.layout.PP
+	j.res.FinalLayout = j.layout
 	j.res.FinalNodes = j.nodes
 	return j.res, nil
 }
@@ -343,7 +303,7 @@ func (j *elasticJob) trainUntilFaultOrDone() (restart bool, err error) {
 				return true, nil
 			}
 			// Anything else (e.g. OOM on rebuild-sized devices, a
-			// supervisor abort) is not recoverable by shrinking.
+			// supervisor abort) is not recoverable by a rebuild.
 			return false, err
 		}
 		j.res.Losses[j.step] = loss
@@ -370,8 +330,8 @@ func (j *elasticJob) isMidStepFault(err error) bool {
 	return errors.Is(err, errPeerAborted) && j.machine.FirstDead() >= 0
 }
 
-// handleFault records the failure and shrinks the job to the surviving
-// nodes. Every node with a dead device is dropped — simultaneous
+// handleFault records the failure and picks the layout for the
+// surviving nodes. Every node with a dead device is dropped — simultaneous
 // multi-node failures (e.g. a shared power domain) must all be counted
 // before the rebuild, or a lost node would silently come back healthy.
 func (j *elasticJob) handleFault() error {
@@ -389,46 +349,37 @@ func (j *elasticJob) handleFault() error {
 	if j.nodes < 1 {
 		return fmt.Errorf("train: no healthy nodes left after fault at step %d", j.step)
 	}
-	newLayout, err := j.chooseLayout()
-	if err != nil {
+	if err := j.chooseLayout(); err != nil {
 		return err
 	}
-	if j.cfg.GlobalBatch%(newLayout.FSDP*newLayout.DDP) != 0 {
-		return fmt.Errorf("train: global batch %d not divisible by %d data ranks after shrink",
-			j.cfg.GlobalBatch, newLayout.FSDP*newLayout.DDP)
-	}
 	j.res.Rebuilds++
-	j.layout = newLayout
 	j.event(j.step, "rebuild", fmt.Sprintf("%d nodes, layout %s", j.nodes, j.layoutStr()))
 	return nil
 }
 
-// chooseLayout picks the post-fault layout for the surviving
-// machine: the auto-planner's fastest predicted plan when AutoPlan is
-// set (TP pinned, since the sharded checkpoint cannot reshard across
-// a TP change), the DDP-before-PP-before-FSDP shrink heuristic
-// otherwise — and as the fallback when the planner finds no feasible
-// layout at the surviving device count. A pipelined job leaves PP
-// free, so the rebuilt layout may trade stages for data ranks (or
-// vice versa; ReshardPP regroups blocks losslessly); an unpipelined
-// job pins PP=1 and keeps searching exactly the (TP, FSDP, DDP) space.
-func (j *elasticJob) chooseLayout() (pp.Layout, error) {
-	if j.cfg.AutoPlan {
-		w := j.cfg.workload()
-		shape := plan.ClusterShape{Nodes: j.nodes, GPUsPerNode: j.gpn, Spec: j.spec()}
-		cons := plan.Constraints{FixTP: j.layout.TP}
-		if j.layout.PP == 1 {
-			cons.FixPP = 1
-		}
-		best, err := plan.Best4(w, shape, cons)
-		if err == nil {
-			j.cfg.Opts = best.Options(j.cfg.Opts)
-			j.event(j.step, "plan", best.String())
-			return best.Layout, nil
-		}
-		j.event(j.step, "plan", fmt.Sprintf("planner found no feasible layout (%v), falling back to ShrinkLayout4", err))
+// chooseLayout picks the post-fault layout for the surviving machine.
+// The current layout stays while it fits, so the resume is
+// bit-identical. Otherwise the job adopts the planner's fastest plan
+// for the survivors: TP pinned, since the sharded checkpoint cannot
+// reshard across a TP change, and PP pinned to 1 for an unpipelined
+// job. A pipelined job leaves PP free, so the new layout may trade
+// stages for data ranks (ReshardPP regroups blocks losslessly).
+func (j *elasticJob) chooseLayout() error {
+	if j.layout.Ranks() <= j.nodes*j.gpn {
+		return nil
 	}
-	return ShrinkLayout4(j.layout, j.nodes*j.gpn)
+	cons := plan.Constraints{FixTP: j.layout.TP}
+	if j.layout.PP == 1 {
+		cons.FixPP = 1
+	}
+	best, err := plan.Best4(j.cfg.workload(), plan.ClusterShape{Nodes: j.nodes, GPUsPerNode: j.gpn, Spec: j.spec()}, cons)
+	if err != nil {
+		return fmt.Errorf("train: no layout for %d surviving devices: %w", j.nodes*j.gpn, err)
+	}
+	j.cfg.Opts = best.Options(j.cfg.Opts)
+	j.layout = best.Layout
+	j.event(j.step, "plan", best.String())
+	return nil
 }
 
 // spec returns the machine specification of this job: Frontier, with

@@ -2,12 +2,14 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
+	"orbit/internal/plan"
 	"orbit/internal/tensor"
 )
 
@@ -45,7 +47,7 @@ func testKillResumeBitIdentical(t *testing.T, layout core.Layout) {
 	if gotRes.Rebuilds != 1 {
 		t.Fatalf("Rebuilds = %d, want 1 (events: %+v)", gotRes.Rebuilds, gotRes.Events)
 	}
-	if gotRes.FinalLayout != layout {
+	if gotRes.FinalLayout.Inner() != layout {
 		t.Fatalf("layout changed to %+v on a machine that still fits %+v", gotRes.FinalLayout, layout)
 	}
 	if gotRes.FinalNodes != 1 {
@@ -76,10 +78,11 @@ func TestKillResumeBitIdenticalHybridSTOP(t *testing.T) {
 }
 
 // TestKillReshardResume16To8 is the layout-change property: a 16-rank
-// Hybrid-STOP run (TP=2, FSDP=4, DDP=2) loses a node, resumes on the
-// surviving 8 devices (DDP halves to 1, FSDP chunks reshard), and the
-// loss trajectory matches the uninterrupted 16-rank run within 1e-6 —
-// the only divergence source is float32 reduction grouping.
+// Hybrid-STOP run (TP=2, FSDP=4, DDP=2) loses a node, so its layout no
+// longer fits the surviving 8 devices. The rebuild adopts the planner's
+// layout for them (TP pinned), the FSDP chunks reshard, and the loss
+// trajectory matches the uninterrupted 16-rank run within 1e-6 — the
+// only divergence source is float32 reduction grouping.
 func TestKillReshardResume16To8(t *testing.T) {
 	layout := core.Layout{TP: 2, FSDP: 4, DDP: 2}
 	ref := elasticBase(t, layout, 2, 8)
@@ -97,10 +100,7 @@ func TestKillReshardResume16To8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Layout{TP: 2, FSDP: 4, DDP: 1}
-	if gotRes.FinalLayout != want {
-		t.Fatalf("resumed layout %+v, want %+v", gotRes.FinalLayout, want)
-	}
+	wantReplanned(t, faulted, gotRes, 1)
 	// Pre-fault steps ran at the original layout: bit-identical.
 	for s := 0; s < 8; s++ {
 		if gotRes.Losses[s] != refRes.Losses[s] {
@@ -108,70 +108,57 @@ func TestKillReshardResume16To8(t *testing.T) {
 		}
 	}
 	// Replayed + post-resume steps ran on half the ranks: within 1e-6.
-	for s := 8; s < len(refRes.Losses); s++ {
-		diff := math.Abs(gotRes.Losses[s] - refRes.Losses[s])
-		tol := 1e-6 * math.Max(1, math.Abs(refRes.Losses[s]))
-		if diff > tol {
-			t.Fatalf("post-reshard step %d: |%v - %v| = %v > %v",
-				s, gotRes.Losses[s], refRes.Losses[s], diff, tol)
-		}
+	if err := lossesNear(refRes.Losses, gotRes.Losses); err != nil {
+		t.Fatalf("post-reshard %v", err)
 	}
 }
 
-// TestAutoPlanRecovery replaces ShrinkLayout with the parallelism
-// auto-planner on rebuild: after a node loss the job must adopt a
-// planner-chosen layout that fits the survivors, preserve TP (the
-// sharded checkpoint cannot reshard across a TP change), and keep the
-// loss trajectory within reduction-grouping error of the
-// uninterrupted run — the same determinism property the heuristic
-// path guarantees.
-func TestAutoPlanRecovery(t *testing.T) {
-	layout := core.Layout{TP: 2, FSDP: 4, DDP: 2}
-	ref := elasticBase(t, layout, 2, 8)
-	ref.GlobalBatch = 8
-	refRes, err := RunElastic(ref, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	auto := elasticBase(t, layout, 2, 8)
-	auto.GlobalBatch = 8
-	auto.AutoPlan = true
-	inj := cluster.NewFaultInjector()
-	inj.KillNodeAtStep(1, 9)
-	gotRes, err := RunElastic(auto, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRes.Rebuilds != 1 {
-		t.Fatalf("Rebuilds = %d, want 1 (events: %+v)", gotRes.Rebuilds, gotRes.Events)
-	}
-	if gotRes.FinalLayout.TP != layout.TP {
-		t.Fatalf("auto-plan changed TP to %d; sharded checkpoints cannot reshard TP", gotRes.FinalLayout.TP)
-	}
-	if ranks := gotRes.FinalLayout.Ranks(); ranks > 8 {
-		t.Fatalf("auto-plan layout %+v needs %d ranks on an 8-GPU survivor", gotRes.FinalLayout, ranks)
+// wantReplanned checks a run whose one rebuild left a machine of
+// `nodes` nodes that its layout no longer fits: the rebuild consulted
+// the planner, kept TP, fits the survivors, and ended on exactly the
+// layout plan.Best4 picks for them.
+func wantReplanned(t *testing.T, cfg ElasticConfig, res *ElasticResult, nodes int) {
+	t.Helper()
+	if res.Rebuilds != 1 {
+		t.Fatalf("Rebuilds = %d, want 1 (events: %+v)", res.Rebuilds, res.Events)
 	}
 	planned := false
-	for _, ev := range gotRes.Events {
-		if ev.Kind == "plan" {
-			planned = true
-		}
+	for _, ev := range res.Events {
+		planned = planned || ev.Kind == "plan"
 	}
 	if !planned {
-		t.Fatalf("no plan event recorded; events: %+v", gotRes.Events)
+		t.Fatalf("no plan event recorded; events: %+v", res.Events)
 	}
-	// The planner may choose a different data-rank split than the
-	// heuristic, but the fixed-global-batch determinism property must
-	// hold regardless of the layout it picks.
-	for s := 8; s < len(refRes.Losses); s++ {
-		diff := math.Abs(gotRes.Losses[s] - refRes.Losses[s])
-		tol := 1e-6 * math.Max(1, math.Abs(refRes.Losses[s]))
-		if diff > tol {
-			t.Fatalf("auto-plan post-rebuild step %d: |%v - %v| = %v > %v",
-				s, gotRes.Losses[s], refRes.Losses[s], diff, tol)
+	if res.FinalLayout.TP != cfg.Layout.TP {
+		t.Fatalf("rebuild changed TP to %d; sharded checkpoints cannot reshard TP", res.FinalLayout.TP)
+	}
+	if ranks := res.FinalLayout.Ranks(); ranks > nodes*cfg.GPUsPerNode {
+		t.Fatalf("layout %+v needs %d ranks on %d surviving devices", res.FinalLayout, ranks, nodes*cfg.GPUsPerNode)
+	}
+	cons := plan.Constraints{FixTP: cfg.Layout.TP}
+	if cfg.PP <= 1 {
+		cons.FixPP = 1
+	}
+	j := &elasticJob{cfg: cfg}
+	best, err := plan.Best4(cfg.workload(), plan.ClusterShape{Nodes: nodes, GPUsPerNode: cfg.GPUsPerNode, Spec: j.spec()}, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FinalLayout != best.Layout {
+		t.Fatalf("final layout %+v, planner's %+v", res.FinalLayout, best.Layout)
+	}
+}
+
+// lossesNear holds a trajectory to a reference within 1e-6 (relative
+// above 1), the float32 reduction-grouping envelope of a layout change.
+func lossesNear(ref, got []float64) error {
+	for s := range ref {
+		diff := math.Abs(got[s] - ref[s])
+		if tol := 1e-6 * math.Max(1, math.Abs(ref[s])); diff > tol {
+			return fmt.Errorf("step %d: |%v - %v| = %v > %v", s, got[s], ref[s], diff, tol)
 		}
 	}
+	return nil
 }
 
 // TestColdResumeContinuesTrajectory stops a run (as a process exit

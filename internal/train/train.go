@@ -11,9 +11,10 @@
 // through CaptureState/RestoreTrainer so a resumed run continues
 // bit-identically. RunElastic (elastic.go) is the distributed
 // fault-tolerant loop over Hybrid-STOP engines on the simulated
-// cluster: sharded checkpoints, node-loss recovery with resharding,
-// and — with ElasticConfig.AutoPlan — the parallelism auto-planner
-// (internal/plan) choosing the post-fault layout and tuning knobs.
+// cluster: sharded checkpoints and node-loss recovery with
+// resharding. A rebuild keeps the layout while it fits the survivors,
+// and otherwise the parallelism auto-planner (internal/plan) chooses
+// the post-fault layout and tuning knobs.
 // Its invariant: the global batch is fixed in the config and each
 // sample is a pure function of (step seed, global index), so the loss
 // trajectory is layout-independent up to float32 reduction grouping.

@@ -165,9 +165,8 @@ func LoadLatestTrainerState(path string) (*TrainState, string, []string, error) 
 // --- training-run supervision ---
 
 // GuardConfig configures a supervised training run: the wrapped
-// elastic job plus the divergence-rollback policy (spike factor,
-// rollback budget, data-salt window) and the hang/straggler watchdog
-// (step deadline, kill budget).
+// elastic job, its fault plan, the hang/straggler watchdog's step
+// deadline and the divergence-rollback budget.
 type GuardConfig = guard.Config
 
 // GuardResult reports a supervised run: merged losses across rollback

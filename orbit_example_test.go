@@ -68,12 +68,12 @@ func Example_bestPlan() {
 	// prediction is feasible: true
 }
 
-// Example_elasticAutoPlan runs elastic distributed training with the
-// planner in the loop: a node dies mid-run, the job reloads the
-// newest sharded checkpoint, and the auto-planner (TP pinned — the
-// checkpoint cannot reshard across a TP change) picks the layout for
-// the surviving machine.
-func Example_elasticAutoPlan() {
+// Example_elasticReplan runs elastic distributed training with the
+// planner in the loop: a node dies mid-run, the 16-rank layout no
+// longer fits the surviving machine, so the auto-planner (TP pinned —
+// the checkpoint cannot reshard across a TP change) picks the layout
+// the job reloads the newest sharded checkpoint onto.
+func Example_elasticReplan() {
 	dir, err := os.MkdirTemp("", "orbit-elastic")
 	if err != nil {
 		log.Fatal(err)
@@ -87,8 +87,7 @@ func Example_elasticAutoPlan() {
 		GlobalBatch: 8, LR: 1e-2, MinLR: 1e-3, WarmupSteps: 2,
 		TotalSteps: 12, Seed: 3, DataSeed: 7,
 		CkptDir: dir, CkptEvery: 4,
-		AutoPlan: true,
-		Opts:     orbit.DefaultOptions(),
+		Opts: orbit.DefaultOptions(),
 	}
 	inj := orbit.NewFaultInjector()
 	inj.KillNodeAtStep(1, 9)
