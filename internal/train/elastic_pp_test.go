@@ -115,3 +115,34 @@ func TestKillStageNodeResumesAtSamePP(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoPlan4DRecovery runs the kill-a-stage scenario on a machine at
+// Frontier's full compute. There the planner gives the survivors a
+// different split than on the 1e-4 machine of
+// TestKillStageNodeReshardsAcrossPP (one rank rather than two data
+// ranks), so the regrouped stages also change their reduction
+// grouping. The rebuild must adopt exactly plan.Best4's 4D layout (TP
+// pinned, PP free) and hold the fixed-global-batch trajectory within
+// 1e-6 of the uninterrupted PP=2 run.
+func TestAutoPlan4DRecovery(t *testing.T) {
+	layout := core.Layout{TP: 1, FSDP: 2, DDP: 1}
+	ref := elasticBase(t, layout, 2, 2)
+	ref.PP = 2
+	refRes, err := RunElastic(ref, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faulted := ref
+	faulted.CkptDir = t.TempDir()
+	inj := cluster.NewFaultInjector()
+	inj.KillNodeAtStep(1, 9)
+	gotRes, err := RunElastic(faulted, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReplanned(t, faulted, gotRes, 1)
+	if err := lossesNear(refRes.Losses, gotRes.Losses); err != nil {
+		t.Fatalf("replanned 4D %v", err)
+	}
+}

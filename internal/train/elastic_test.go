@@ -113,6 +113,58 @@ func TestKillReshardResume16To8(t *testing.T) {
 	}
 }
 
+// TestAutoPlanRecovery pins when the rebuild consults the planner: only
+// when the layout no longer fits the survivors. An 8-rank Hybrid-STOP
+// job on two 8-GPU nodes loses a node and still fits, so it keeps its
+// layout and records no plan event. The same job at 16 ranks does not
+// fit; it adopts plan.Best4's layout with TP kept and PP held at 1
+// (the job is unpipelined), and its loss trajectory stays within 1e-6
+// of the uninterrupted run.
+func TestAutoPlanRecovery(t *testing.T) {
+	kill := func(cfg ElasticConfig) *ElasticResult {
+		t.Helper()
+		inj := cluster.NewFaultInjector()
+		inj.KillNodeAtStep(1, 9)
+		res, err := RunElastic(cfg, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	fits := core.Layout{TP: 2, FSDP: 4, DDP: 1}
+	kept := kill(elasticBase(t, fits, 2, 8))
+	if kept.Rebuilds != 1 {
+		t.Fatalf("Rebuilds = %d, want 1 (events: %+v)", kept.Rebuilds, kept.Events)
+	}
+	for _, ev := range kept.Events {
+		if ev.Kind == "plan" {
+			t.Fatalf("planner consulted although %+v fits the survivors: %+v", fits, ev)
+		}
+	}
+	if kept.FinalLayout.Inner() != fits || kept.FinalLayout.PP != 1 {
+		t.Fatalf("layout changed to %+v on a machine that still fits %+v", kept.FinalLayout, fits)
+	}
+
+	layout := core.Layout{TP: 2, FSDP: 4, DDP: 2}
+	ref := elasticBase(t, layout, 2, 8)
+	ref.GlobalBatch = 8
+	refRes, err := RunElastic(ref, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := elasticBase(t, layout, 2, 8)
+	faulted.GlobalBatch = 8
+	gotRes := kill(faulted)
+	wantReplanned(t, faulted, gotRes, 1)
+	if gotRes.FinalLayout.PP != 1 {
+		t.Fatalf("unpipelined job replanned to PP=%d", gotRes.FinalLayout.PP)
+	}
+	if err := lossesNear(refRes.Losses, gotRes.Losses); err != nil {
+		t.Fatalf("replanned %v", err)
+	}
+}
+
 // wantReplanned checks a run whose one rebuild left a machine of
 // `nodes` nodes that its layout no longer fits: the rebuild consulted
 // the planner, kept TP, fits the survivors, and ended on exactly the
@@ -151,10 +203,11 @@ func wantReplanned(t *testing.T, cfg ElasticConfig, res *ElasticResult, nodes in
 
 // lossesNear holds a trajectory to a reference within 1e-6 (relative
 // above 1), the float32 reduction-grouping envelope of a layout change.
+// A NaN loss fails it.
 func lossesNear(ref, got []float64) error {
 	for s := range ref {
 		diff := math.Abs(got[s] - ref[s])
-		if tol := 1e-6 * math.Max(1, math.Abs(ref[s])); diff > tol {
+		if tol := 1e-6 * math.Max(1, math.Abs(ref[s])); !(diff <= tol) {
 			return fmt.Errorf("step %d: |%v - %v| = %v > %v", s, got[s], ref[s], diff, tol)
 		}
 	}
