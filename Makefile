@@ -128,13 +128,15 @@ cover:
 # LayerNorm forward / backward) and the float32 elementwise ones (GELU,
 # softmax, adds, scale, bias-gradient sum, transpose) print ns per
 # element at the workload sizes the same way, assembly off and on, on
-# one P.
+# one P. One elastic training step (every micro-batch and AdamW) of the
+# benchmark's train shape runs on one worker and on TP2×PP2×FSDP2.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulKernel$$' -benchtime=2000x ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkRowKernels$$' -benchtime=2000x -cpu 1 ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkBest4Family$$|BenchmarkBest4Large$$|BenchmarkBest4Paper512$$' -benchtime=1x ./internal/plan/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanForward$$' -benchtime=1x ./internal/infer/
+	$(GO) test -run '^$$' -bench 'BenchmarkElasticStep$$' -benchtime=1x -benchmem ./internal/train/
 
 # Full hot-path benchmark set with allocation counters — compare
 # against BENCH_PR1.json (interleave seed and PR runs when updating

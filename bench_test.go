@@ -283,7 +283,8 @@ func BenchmarkCommCollectives(b *testing.B) {
 }
 
 // BenchmarkHybridSTOPStep measures one functional Hybrid-STOP
-// training step (TP 2 × FSDP 2 on 4 simulated GPUs).
+// training step (TP 2 × FSDP 2 on 4 simulated GPUs): ZeroGrad, one
+// forward and one backward per rank.
 func BenchmarkHybridSTOPStep(b *testing.B) {
 	layout := core.Layout{TP: 2, FSDP: 2, DDP: 1}
 	m := cluster.NewMachine(cluster.Frontier(), 1, 0)
@@ -315,6 +316,7 @@ func BenchmarkHybridSTOPStep(b *testing.B) {
 			go func(rank int) {
 				defer wg.Done()
 				c := layout.CoordOf(rank)
+				engines[rank].ZeroGrad()
 				if _, err := engines[rank].Forward(xs[c.F]); err != nil {
 					b.Error(err)
 					return

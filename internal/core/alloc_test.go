@@ -9,7 +9,7 @@ import (
 )
 
 // TestHybridSTOPStepSteadyStateAllocs: after warmup, a full
-// Hybrid-STOP training step (forward + backward on every rank of a
+// Hybrid-STOP training step (ZeroGrad, forward, backward on every rank of a
 // TP 2 × FSDP 2 grid) performs zero heap allocations — the compiled
 // pass's step buffer, the pending-collective records and the TP
 // residual scratch must all recycle. Rank goroutines persist across
@@ -48,6 +48,7 @@ func TestHybridSTOPStepSteadyStateAllocs(t *testing.T) {
 		go func(rank int) {
 			c := layout.CoordOf(rank)
 			for range jobs[rank].start {
+				engines[rank].ZeroGrad()
 				if _, err := engines[rank].Forward(xs[c.F]); err != nil {
 					panic(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"orbit/internal/cluster"
 	"orbit/internal/comm"
@@ -203,13 +204,15 @@ func TestBuildGroupsRejectsTooFewDevices(t *testing.T) {
 
 // --- numerical equivalence (paper Fig. 3 mechanism) ---
 
-// hybridStep runs one forward/backward on every rank. Data: the
-// sample for grid column (d,f) is xs[d*FSDP+f]; TP ranks share it.
+// hybridStep runs one step, a ZeroGrad and one forward/backward, on
+// every rank. Data: the sample for grid column (d,f) is
+// xs[d*FSDP+f]; TP ranks share it.
 func hybridStep(engines []*Engine, layout Layout, xs, targets []*tensor.Tensor) []float64 {
 	losses := make([]float64, layout.Ranks())
 	runSPMD(layout.Ranks(), func(rank int) {
 		c := layout.CoordOf(rank)
 		sample := c.D*layout.FSDP + c.F
+		engines[rank].ZeroGrad()
 		y, err := engines[rank].Forward(xs[sample])
 		if err != nil {
 			panic(err)
@@ -480,13 +483,22 @@ func TestMoreFSDPShardsLowerPersistentMemory(t *testing.T) {
 
 // TestEngineParamsAreViewsOfOneBuffer pins the flat-parameter layout:
 // every weight and gradient of a block is the view at its running
-// offset of the block's two flat vectors, the rank's chunk is the slice
-// [F·n, (F+1)·n) of both, and no step — gathers, reduce-scatters, the
-// optimizer — re-points a tensor or writes the padding tail. With every
-// tensor a view, the parameter state an engine holds on the host is
-// exactly 2·Σ len(flatW[b]) floats: there is no staging copy beside it.
+// offset of the block's two flat vectors, the rank's weight chunk is
+// the slice [F·n, (F+1)·n) of flatW, and no step — gathers,
+// reduce-scatters, the optimizer — re-points a tensor or writes the
+// padding tail. The chunk gradient is the same slice of flatG when no
+// collective reads a micro-batch's gradient (one rank here), and a
+// buffer of n floats of its own, the step's sum, otherwise (TP2×FSDP3,
+// whose 476 / 460 floats per shard both pad). The parameter state an
+// engine holds on the host is then 2·Σ len(flatW[b]) floats, plus Σ n
+// for those step sums: there is no staging copy beside them.
 func TestEngineParamsAreViewsOfOneBuffer(t *testing.T) {
-	layout := Layout{TP: 2, FSDP: 3, DDP: 1} // 476 / 460 floats per shard: both pad
+	for _, layout := range []Layout{{TP: 1, FSDP: 1, DDP: 1}, {TP: 2, FSDP: 3, DDP: 1}} {
+		testParamViews(t, layout)
+	}
+}
+
+func testParamViews(t *testing.T, layout Layout) {
 	engines, _ := buildEngines(t, layout, DefaultOptions(), 31)
 	check := func(when string) {
 		t.Helper()
@@ -506,8 +518,8 @@ func TestEngineParamsAreViewsOfOneBuffer(t *testing.T) {
 					}
 					off += p.W.Len()
 				}
-				if off != e.logicalLen[b] || off == len(flatW) {
-					t.Fatalf("%s: rank %d block %d params cover %d of %d floats, want %d and a padding tail", when, r, b, off, len(flatW), e.logicalLen[b])
+				if off != e.logicalLen[b] || (off == len(flatW)) != (layout.FSDP == 1) {
+					t.Fatalf("%s: rank %d block %d params cover %d of %d floats, want %d and a padding tail at FSDP > 1", when, r, b, off, len(flatW), e.logicalLen[b])
 				}
 				for i := off; i < len(flatW); i++ {
 					if flatW[i] != 0 || flatG[i] != 0 {
@@ -516,8 +528,13 @@ func TestEngineParamsAreViewsOfOneBuffer(t *testing.T) {
 				}
 				n := len(flatW) / layout.FSDP
 				c := e.chunks[b]
-				if c.W.Len() != n || c.Grad.Len() != n || &c.W.Data()[0] != &flatW[e.Coord.F*n] || &c.Grad.Data()[0] != &flatG[e.Coord.F*n] {
-					t.Errorf("%s: rank %d block %d chunk is not [F·n, (F+1)·n) of the flat vectors", when, r, b)
+				if c.W.Len() != n || c.Grad.Len() != n || &c.W.Data()[0] != &flatW[e.Coord.F*n] {
+					t.Errorf("%s: rank %d block %d weight chunk is not [F·n, (F+1)·n) of flatW", when, r, b)
+				}
+				g := &c.Grad.Data()[0]
+				inFlat := uintptr(unsafe.Pointer(g))-uintptr(unsafe.Pointer(&flatG[0])) < uintptr(4*len(flatG))
+				if e.perMicro != (layout.FSDP > 1) || e.perMicro == inFlat || !e.perMicro && g != &flatG[e.Coord.F*n] {
+					t.Errorf("%s: rank %d block %d chunk gradient: per-micro %v, inside flatG %v", when, r, b, e.perMicro, inFlat)
 				}
 			}
 		}

@@ -70,8 +70,16 @@ func DefaultOptions() Options {
 // from its StepGather to its StepRelease. On the host each block has one
 // persistent flat weight vector and one flat gradient vector (the
 // FlatParameter of PyTorch FSDP): the block's parameters and the rank's
-// chunk are all views of the two, so the FSDP collectives run in place
-// and nothing is copied between a rank's own buffers.
+// weight chunk are all views of the two, so the FSDP collectives run in
+// place and nothing is copied between a rank's own buffers.
+//
+// A step's gradient is the sum of its micro-batches' (ZeroGrad, then
+// one Backward per micro-batch). When no collective reads a single
+// micro-batch's gradient — FSDP and DDP of one rank, no TP QK-norm sum
+// — the flat gradient vector is that sum itself and the rank's chunk
+// gradient is all of it. Otherwise the flat vector holds one
+// micro-batch's gradient at a time and the chunk gradient is a buffer
+// of its own, into which the chunk's last collective's result is added.
 type Engine struct {
 	Rank   int
 	Coord  Coord
@@ -90,8 +98,9 @@ type Engine struct {
 	actBytes    []int64
 	// sets holds the activation sets (UseActivationSet); blocks is the
 	// one Forward, ChargeForward and Backward run on.
-	sets [][]*nn.TransformerBlock
-	qk   bool // the backward sums the QK-norm gradients (QKNorm, TP > 1)
+	sets     [][]*nn.TransformerBlock
+	qk       bool // the backward sums the QK-norm gradients (QKNorm, TP > 1)
+	perMicro bool // a collective reads each micro-batch's gradient (see Engine)
 
 	// What the last compiled pass left live, and the buffer run executes.
 	pass  PassState
@@ -194,6 +203,12 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 			}
 		}
 	}
+	e.perMicro = groups.FSDP.Size() > 1 || groups.DDP.Size() > 1 || e.qk
+	if e.perMicro {
+		for _, c := range e.chunks {
+			c.Grad = tensor.New(c.W.Len())
+		}
+	}
 	e.sets = [][]*nn.TransformerBlock{e.blocks}
 	e.pass.Reset(len(ref))
 	e.gatherH = make([]comm.Handle, len(ref))
@@ -257,7 +272,24 @@ func BlockFLOPs(tokens, dim, tp int) int64 {
 }
 
 // Chunks exposes the rank-owned parameter chunks for the optimizer.
+// Chunks()[b].Grad holds the sum of the gradients of every Backward
+// since the last ZeroGrad.
 func (e *Engine) Chunks() []*nn.Param { return e.chunks }
+
+// ZeroGrad starts a step: it clears the chunk gradients, which each
+// Backward then adds its micro-batch's gradient into.
+func (e *Engine) ZeroGrad() {
+	for _, c := range e.chunks {
+		clear(c.Grad.Data())
+	}
+}
+
+// slot is the rank's FSDP slot of block b's flat gradient, where its
+// reduce-scatter lands: the chunk gradient itself unless perMicro.
+func (e *Engine) slot(b int) []float32 {
+	n := e.chunks[b].W.Len()
+	return e.flatG[b][e.Coord.F*n : (e.Coord.F+1)*n]
+}
 
 // LogicalFlatLens returns the unpadded flattened parameter length of
 // each block's TP shard — what a sharded checkpoint manifest records
@@ -389,9 +421,12 @@ func (e *Engine) ChargeForward(x *tensor.Tensor) error {
 // recompute, computes shard gradients, and posts their FSDP
 // reduce-scatter asynchronously so the reduction overlaps earlier
 // blocks' backward compute; all reductions are drained before the
-// outer DDP-group averaging. Gradients land in Chunks()[b].Grad,
-// complete when Backward returns. The recompute is never re-run on the
-// host: the active set's caches already hold what it would reproduce.
+// outer DDP-group averaging. The micro-batch's gradient is added into
+// Chunks()[b].Grad, complete when Backward returns: each parameter
+// receives exactly one add per Backward, so the sum after a ZeroGrad
+// and k Backwards is bit for bit the sequential sum of the k gradients.
+// The recompute is never re-run on the host: the active set's caches
+// already hold what it would reproduce.
 func (e *Engine) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	e.steps = AppendBackward(e.steps[:0], e.Opts, &e.pass, e.ddpN, e.qk)
 	return e.run(dy, true)
@@ -423,8 +458,8 @@ func (e *Engine) run(x *tensor.Tensor, compute bool) (*tensor.Tensor, error) {
 		case StepCompute:
 			e.chargeCompute(b, x, s.Mult)
 			if compute {
-				if s.Half == 2 {
-					clear(e.flatG[b]) // every parameter gradient of the block, and the chunk's
+				if s.Half == 2 && e.perMicro {
+					clear(e.flatG[b]) // every parameter gradient of the block
 				}
 				e.blocks[b].Half(int(s.Half), x)
 			}
@@ -440,37 +475,45 @@ func (e *Engine) run(x *tensor.Tensor, compute bool) (*tensor.Tensor, error) {
 			if compute {
 				x = e.blocks[b].Join(int(s.Half))
 			}
-		case StepPostRS: // in place: the rank's chunk gradient is its own slot of flatG[b]
-			e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.chunks[b].Grad.Data())
+		case StepPostRS: // in place: the rank's slot of flatG[b]
+			e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.slot(b))
 		case StepAwaitRS:
 			e.rsH[b].Wait()
-		case StepPostDDP: // one gradient reduction per step (Fig. 4)
-			buf, packed := e.ddpSpan(b)
-			off := 0
-			for _, c := range packed {
-				off += copy(buf[off:], c.Grad.Data())
+			if e.perMicro && e.ddpN == 0 {
+				tensor.AddSlice(e.chunks[b].Grad.Data(), e.slot(b))
+			}
+		case StepPostDDP: // one gradient reduction per backward (Fig. 4)
+			buf, lo, hi := e.ddpSpan(b)
+			if e.ddpBuf != nil {
+				off := 0
+				for c := lo; c < hi; c++ {
+					off += copy(buf[off:], e.slot(c))
+				}
 			}
 			e.ddpH[b] = e.Groups.DDP.IAllReduceMean(e.Coord.D, buf, buf)
 		case StepAwaitDDP:
 			e.ddpH[b].Wait()
-			buf, packed := e.ddpSpan(b)
+			buf, lo, hi := e.ddpSpan(b)
 			off := 0
-			for _, c := range packed {
-				off += copy(c.Grad.Data(), buf[off:])
+			for c := lo; c < hi; c++ {
+				g := e.chunks[c].Grad.Data()
+				tensor.AddSlice(g, buf[off:off+len(g)])
+				off += len(g)
 			}
 		}
 	}
 	return x, nil
 }
 
-// ddpSpan returns outer all-reduce i's buffer and the chunks packed into
-// it: bucket i's (bit-identical to per-chunk reductions), or chunk i's.
-func (e *Engine) ddpSpan(i int) ([]float32, []*nn.Param) {
+// ddpSpan returns outer all-reduce i's buffer and the range [lo, hi)
+// of chunks it carries: bucket i's (bit-identical to per-chunk
+// reductions), or chunk i's slot of flatG[i].
+func (e *Engine) ddpSpan(i int) (buf []float32, lo, hi int) {
 	if e.ddpBuf == nil {
-		return e.chunks[i].Grad.Data(), nil
+		return e.slot(i), i, i + 1
 	}
 	r := e.ddpBuckets[i]
-	return e.ddpBuf[i], e.chunks[r[0]:r[1]]
+	return e.ddpBuf[i], r[0], r[1]
 }
 
 // UseActivationSet points Forward, ChargeForward and Backward at

@@ -28,8 +28,9 @@ import (
 //
 // Kills are rate-limited by a jittered pause (the rebuild needs time to
 // make progress before the next verdict) and bounded by
-// maxWatchdogKills; an exhausted budget kills the remaining machine so
-// the run fails loudly instead of hanging forever.
+// maxWatchdogKills; an exhausted budget kills the remaining machine,
+// once per watched machine, so the run fails loudly instead of hanging
+// forever.
 type watchdog struct {
 	deadline time.Duration
 	onKill   func(step int, detail string)
@@ -41,6 +42,7 @@ type watchdog struct {
 	machine     *cluster.Machine
 	ranks       int
 	kills       int
+	gaveUp      bool      // the budget ran out on this machine and it was killed
 	muzzleUntil time.Time // after a kill: no verdicts before this instant
 	rng         *rand.Rand
 
@@ -69,6 +71,7 @@ func (w *watchdog) watch(m *cluster.Machine, ranks int) {
 	w.mu.Lock()
 	w.machine = m
 	w.ranks = ranks
+	w.gaveUp = false
 	w.mu.Unlock()
 	w.beatNS.Store(time.Now().UnixNano())
 }
@@ -132,7 +135,12 @@ func (w *watchdog) inspect() {
 
 	w.mu.Lock()
 	if w.kills >= maxWatchdogKills {
+		gaveUp := w.gaveUp
+		w.gaveUp = true
 		w.mu.Unlock()
+		if gaveUp {
+			return // the machine is dead already; the run is unwinding
+		}
 		// Budget exhausted and still hung: fail the run loudly rather
 		// than hang forever — kill everything so the step unwinds into
 		// a terminal "no healthy nodes" error.

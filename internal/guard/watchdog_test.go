@@ -138,6 +138,33 @@ func TestWatchdogKillBudgetExhaustedKillsMachine(t *testing.T) {
 	}
 }
 
+// TestWatchdogGivesUpOnce drives inspect on a machine that never
+// progresses with the kill budget spent: the first verdict kills the
+// machine and notifies, every later one is silent. A fresh watch (a
+// rebuilt machine) may give up once more. No timer runs: the watchdog
+// is built without its polling goroutine, and a zero heartbeat and
+// devices that never ran look stale at once.
+func TestWatchdogGivesUpOnce(t *testing.T) {
+	notes := 0
+	w := &watchdog{deadline: time.Second, onKill: func(int, string) { notes++ },
+		rng: rand.New(rand.NewSource(supervisorSeed)), kills: maxWatchdogKills}
+	for _, m := range []*cluster.Machine{cluster.NewMachine(cluster.Frontier(), 2, 1), cluster.NewMachine(cluster.Frontier(), 2, 1)} {
+		w.watch(m, 2)
+		w.beatNS.Store(0)
+		for i := 0; i < 100; i++ {
+			w.inspect()
+		}
+		for _, d := range m.Devices {
+			if d.Alive() {
+				t.Fatalf("device %d alive after the budget ran out", d.ID)
+			}
+		}
+	}
+	if notes != 2 {
+		t.Fatalf("%d give-up notifications over 100 verdicts on each of two machines, want 2", notes)
+	}
+}
+
 // TestWatchdogPauseRange pins the quiet time after a kill to
 // [deadline/2, deadline]: a backoff of half the deadline plus a jitter
 // of up to one backoff more — never below the backoff.

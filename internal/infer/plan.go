@@ -297,12 +297,9 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 	tTot := n * p.t
 	ed, ve := bb.e.Data(), m.Agg.VarEmbed.W.Data()
 	for ci := 0; ci < p.c; ci++ {
-		vb := ci * p.d
+		v := ve[ci*p.d : (ci+1)*p.d]
 		for ti := 0; ti < tTot; ti++ {
-			base := (ci*tTot + ti) * p.d
-			for k := 0; k < p.d; k++ {
-				ed[base+k] += ve[vb+k]
-			}
+			tensor.AddSlice(ed[(ci*tTot+ti)*p.d:], v)
 		}
 	}
 	nn.AggregationKey(p.aggKey, m.Agg.WK.Weight.W.Data(), m.Agg.Query.W.Data())
@@ -311,13 +308,10 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 
 	// Positional embedding per sample, lead-time conditioning per
 	// sample (leads may differ across a coalesced batch).
-	pos := m.Pos.Embed.W.Data()
+	pos := m.Pos.Embed.W.Data()[:p.t*p.d]
 	xd := bb.x.Data()
 	for b := 0; b < n; b++ {
-		base := b * p.t * p.d
-		for i := 0; i < p.t*p.d; i++ {
-			xd[base+i] += pos[i]
-		}
+		tensor.AddSlice(xd[b*len(pos):], pos)
 	}
 	for b := 0; b < n; b++ {
 		nn.LeadTimeFeatures(p.leadFeat.Data(), leads[b])

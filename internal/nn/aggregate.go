@@ -62,11 +62,10 @@ func (va *VariableAggregation) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 	// e[c,t,:] = x[c,t,:] + varEmbed[c,:]
 	va.e = tensor.Ensure(va.e, c*t, d)
-	ed, xd, ve := va.e.Data(), x.Data(), va.VarEmbed.W.Data()
+	ed, ve := va.e.Data(), va.VarEmbed.W.Data()
+	copy(ed, x.Data())
 	for r := 0; r < c*t; r++ {
-		for k, v := range ve[r/t*d : (r/t+1)*d] {
-			ed[r*d+k] = xd[r*d+k] + v
-		}
+		tensor.AddSlice(ed[r*d:], ve[r/t*d:(r/t+1)*d])
 	}
 
 	AggregationKey(va.kq, va.WK.Weight.W.Data(), va.Query.W.Data())

@@ -84,7 +84,7 @@ func LayerNormRows(out, xhat, rstd, x, gamma, beta []float32, eps float64, r0, r
 // tensor.LayerNormDxVec is its vector form.
 type lnBackward struct {
 	dyd, hd, dxd, g, rstd []float32
-	pg, pb                []float32 // [dim] partial dγ/dβ of one run of rows
+	pg, pb                []float32 // [dim] this backward's dγ/dβ, summed from zero
 }
 
 func (j *lnBackward) inputGrad() {
@@ -110,11 +110,12 @@ func (j *lnBackward) inputGrad() {
 // lnParamRuns is the most runs dγ/dβ sums its rows in.
 const lnParamRuns = 32
 
-// paramGrads adds this backward's dγ/dβ to dg and db. The reduction
-// runs across rows, so its order is fixed as a function of the row
-// count alone: runs of ⌈rows / min(rows, lnParamRuns)⌉ rows are summed
-// from zero — float32 multiply, then add — and each run's partial is
-// added to the gradient, runs in order. The stored training
+// paramGrads adds this backward's dγ/dβ to dg and db, one add per
+// element. The reduction runs across rows, so its order is fixed as a
+// function of the row count alone: runs of ⌈rows / min(rows,
+// lnParamRuns)⌉ rows are summed from zero — float32 multiply, then add
+// — and the runs' partials are added in order into pg / pb, zeroed
+// first, which are then added to the gradient. The stored training
 // trajectories (train's TestTrainTrajectoryGolden) pin that order. The
 // loop is the definition; tensor.LayerNormParamGradVec is its vector
 // form and takes the leading whole vectors of columns.
@@ -125,29 +126,26 @@ func (j *lnBackward) paramGrads(dg, db []float32) {
 	}
 	runs := min(rows, lnParamRuns)
 	chunk := (rows + runs - 1) / runs
-	c0 := tensor.LayerNormParamGradVec(dg, db, j.dyd, j.hd, rows, chunk)
-	if c0 == dim {
-		return
-	}
 	if cap(j.pg) < dim {
 		j.pg, j.pb = make([]float32, dim), make([]float32, dim)
 	}
 	pg, pb := j.pg[:dim], j.pb[:dim]
-	for r0 := 0; r0 < rows; r0 += chunk {
-		clear(pg[c0:])
-		clear(pb[c0:])
-		for r := r0; r < min(r0+chunk, rows); r++ {
-			for c := c0; c < dim; c++ {
+	clear(pg)
+	clear(pb)
+	for c := tensor.LayerNormParamGradVec(pg, pb, j.dyd, j.hd, rows, chunk); c < dim; c++ {
+		for r0 := 0; r0 < rows; r0 += chunk {
+			var sg, sb float32
+			for r := r0; r < min(r0+chunk, rows); r++ {
 				dyv := j.dyd[r*dim+c]
-				pg[c] += dyv * j.hd[r*dim+c]
-				pb[c] += dyv
+				sg += dyv * j.hd[r*dim+c]
+				sb += dyv
 			}
-		}
-		for c := c0; c < dim; c++ {
-			dg[c] += pg[c]
-			db[c] += pb[c]
+			pg[c] += sg
+			pb[c] += sb
 		}
 	}
+	tensor.AddSlice(dg, pg)
+	tensor.AddSlice(db, pb)
 }
 
 // NewLayerNorm builds a layer norm over vectors of length dim with

@@ -18,6 +18,7 @@ type Linear struct {
 	x  *tensor.Tensor // cached input for backward
 	y  *tensor.Tensor // owned output buffer
 	dx *tensor.Tensor // owned input-gradient buffer
+	db *tensor.Tensor // this backward's bias gradient, summed from zero
 
 	// wt caches Wᵀ [out, in], the right operand of dx = dy·Wᵀ, valid
 	// while wtVer == Weight.W.Version()+1. Weights only change at
@@ -72,13 +73,18 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMulBiasInto(l.y, x, l.Weight.W, bias)
 }
 
-// Backward accumulates dW += xᵀdy, db += Σrows dy directly into the
-// gradient accumulators, and returns dx = dy Wᵀ.
+// Backward accumulates dW += xᵀdy and db += Σrows dy into the gradient
+// accumulators, and returns dx = dy Wᵀ. Each gets one add: the product
+// is one chain from zero added at its store, and the rows of dy are
+// summed into a zeroed scratch first, so the accumulator after several
+// backwards is the sequential sum of their gradients.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	checkRank("Linear", dy, 2)
 	tensor.MatMulTransAAccInto(l.Weight.Grad, l.x, dy)
 	if l.Bias != nil {
-		tensor.SumRowsAccInto(l.Bias.Grad, dy)
+		l.db = tensor.Ensure(l.db, l.Out)
+		l.db.Zero()
+		l.Bias.Grad.AddInPlace(tensor.SumRowsAccInto(l.db, dy))
 	}
 	if l.wtVer != l.Weight.W.Version()+1 {
 		l.wt = tensor.TransposeInto(tensor.Ensure(l.wt, l.Out, l.In), l.Weight.W)

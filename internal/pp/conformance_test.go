@@ -55,15 +55,16 @@ func lossGrad(y *tensor.Tensor) (float64, *tensor.Tensor) {
 }
 
 // stepResult collects one run's observables: per-(F,D) micro-summed
-// losses and per-(T,F,global block) accumulated chunk gradients.
+// losses and per-(T,F,global block) chunk gradients, the engines' sums
+// over the step's micro-batches.
 type stepResult struct {
 	loss  map[[2]int]float64
 	grads map[[3]int][]float32
 }
 
-// runReference executes one step of today's 3D engine (the
-// single-stage reference): per rank, Forward/Backward per micro in
-// order with host-side gradient accumulation.
+// runReference executes one step of the 3D engine (the single-stage
+// reference): per rank, a ZeroGrad, then Forward/Backward per micro in
+// order, the engine summing the gradients.
 func runReference(t *testing.T, l3 core.Layout, layers, micros int, qk bool, opts core.Options) stepResult {
 	t.Helper()
 	m := cluster.NewMachine(cluster.Frontier(), (l3.Ranks()+7)/8, 0)
@@ -90,10 +91,7 @@ func runReference(t *testing.T, l3 core.Layout, layers, micros int, qk bool, opt
 			defer wg.Done()
 			e := engines[rank]
 			d := e.Coord.D*l3.FSDP + e.Coord.F
-			accum := make([][]float32, layers)
-			for b, c := range e.Chunks() {
-				accum[b] = make([]float32, c.Grad.Len())
-			}
+			e.ZeroGrad()
 			var lsum float64
 			for m := 0; m < micros; m++ {
 				y, err := e.Forward(sampleX(d, m))
@@ -107,19 +105,14 @@ func runReference(t *testing.T, l3 core.Layout, layers, micros int, qk bool, opt
 					errs[rank] = err
 					return
 				}
-				for b, c := range e.Chunks() {
-					for i, v := range c.Grad.Data() {
-						accum[b][i] += v
-					}
-				}
 			}
 			if e.Coord.D == 0 {
 				mu.Lock()
 				if e.Coord.T == 0 {
 					res.loss[[2]int{e.Coord.F, 0}] = lsum
 				}
-				for b := range accum {
-					res.grads[[3]int{e.Coord.T, e.Coord.F, b}] = accum[b]
+				for b, c := range e.Chunks() {
+					res.grads[[3]int{e.Coord.T, e.Coord.F, b}] = c.Grad.Data()
 				}
 				mu.Unlock()
 			} else if e.Coord.T == 0 {
@@ -162,22 +155,11 @@ func runPipeline(t *testing.T, l Layout, layers, micros int, qk bool, opts core.
 			defer wg.Done()
 			e := engines[rank]
 			d := e.Coord.D*l.FSDP + e.Coord.F
-			accum := make([][]float32, len(e.Stage.Chunks())) // per local block
-			for b, p := range e.Stage.Chunks() {
-				accum[b] = make([]float32, p.Grad.Len())
-			}
 			loss, err := e.RunStep(micros, StepIO{
 				Shape: []int{confTokens, confDim},
 				Input: func(mu int) *tensor.Tensor { return sampleX(d, mu) },
 				LossGrad: func(mu int, y *tensor.Tensor) (float64, *tensor.Tensor) {
 					return lossGrad(y)
-				},
-				OnMicroGrads: func(mu int) {
-					for b, p := range e.Stage.Chunks() {
-						for i, v := range p.Grad.Data() {
-							accum[b][i] += v
-						}
-					}
 				},
 			})
 			if err != nil {
@@ -190,8 +172,8 @@ func runPipeline(t *testing.T, l Layout, layers, micros int, qk bool, opts core.
 			}
 			if e.Coord.D == 0 {
 				start := stages[e.Coord.P][0]
-				for b := range accum {
-					res.grads[[3]int{e.Coord.T, e.Coord.F, start + b}] = accum[b]
+				for b, c := range e.Stage.Chunks() {
+					res.grads[[3]int{e.Coord.T, e.Coord.F, start + b}] = c.Grad.Data()
 				}
 			}
 			mu.Unlock()

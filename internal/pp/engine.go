@@ -128,9 +128,9 @@ func Build(l Layout, stageRanges [][2]int, m *cluster.Machine, ref []*nn.Transfo
 // micro-batch activation shape every stage exchanges (e.g.
 // [1, tokens, dim]); Input is consulted only on first-stage ranks,
 // LossGrad only on last-stage ranks, and OnMicroGrads (optional) fires
-// after each micro-batch's backward so the caller can accumulate
-// Stage.Chunks() gradients — invoked in ascending micro order,
-// matching the reference accumulation order bit for bit.
+// after each micro-batch's backward, in ascending micro order — a
+// per-micro-batch beat on every stage. The gradients need no caller:
+// the stage engine sums them into Stage.Chunks().
 type StepIO struct {
 	Shape        []int
 	Input        func(mu int) *tensor.Tensor
@@ -230,7 +230,10 @@ func (sc *stepScratch) send(link *comm.Group, buf, src *tensor.Tensor) {
 // asynchronously at production and drained at the end of the step, so
 // downstream transfer overlaps this stage's remaining compute;
 // receives block at consumption. The returned loss is the sum over
-// micro-batches on last-stage ranks and 0 elsewhere.
+// micro-batches on last-stage ranks and 0 elsewhere. The step starts
+// with Stage.ZeroGrad, and on return Stage.Chunks() hold the sum of the
+// micro-batches' gradients, added in ascending micro order — bit for
+// bit the 3D engine's sum over the same micro-batches.
 //
 // Each micro-batch's forward runs on a free activation set of the
 // stage and its backward on the same set, which still holds the
@@ -245,6 +248,7 @@ func (e *Engine) RunStep(micros int, io StepIO) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	e.Stage.ZeroGrad()
 	first, last := e.fwdIn == nil, e.fwdOut == nil
 	var lossSum float64
 	for _, op := range sc.ops {

@@ -3,14 +3,13 @@ package tensor
 // Vector forms of the step's elementwise float32 loops, as rowvec.go
 // holds its row loops. The loops — the definitions — stay where they
 // were: exp32's in expSlice (below), the softmax and GELU loops,
-// softmaxRow, AddInto, AddInPlace,
-// ScaleInPlace, SumRowsAccInto (ops.go), MaxAbs (tensor.go),
-// packTranspose (pack.go) and train's gradient accumulate. Each
-// function here runs the leading whole vectors of one of them through
-// an AVX2 kernel that reproduces the loop bit for bit (elemvec_amd64.s)
-// and returns how many items that was; the loop finishes the rest,
-// which is everything when the CPU gate is off or the build is not
-// amd64.
+// softmaxRow, AddInto, AddRowVectorInto, AddSlice, ScaleInPlace,
+// SumRowsAccInto (ops.go), MaxAbs (tensor.go) and packTranspose
+// (pack.go). Each function here runs the leading whole vectors of one
+// of them through an AVX2 kernel that reproduces the loop bit for bit
+// (elemvec_amd64.s) and returns how many items that was; the loop
+// finishes the rest, which is everything when the CPU gate is off or
+// the build is not amd64.
 
 // whole returns n rounded down to whole eight-lane vectors, or 0 with
 // the CPU gate off.

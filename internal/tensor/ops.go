@@ -31,8 +31,15 @@ func SubInto(dst, t, u *Tensor) *Tensor {
 func (t *Tensor) AddInPlace(u *Tensor) {
 	t.ver++
 	t.mustMatch(u, "AddInPlace")
-	for i := AddVec(t.data, u.data); i < len(u.data); i++ {
-		t.data[i] += u.data[i]
+	AddSlice(t.data, u.data)
+}
+
+// AddSlice adds src into the first len(src) elements of dst, one IEEE
+// add per element: AddVec's whole vectors, then the loop.
+func AddSlice(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i := AddVec(dst, src); i < len(src); i++ {
+		dst[i] += src[i]
 	}
 }
 
@@ -57,7 +64,7 @@ func AddRowVectorInto(dst, t, v *Tensor) *Tensor {
 	for r := 0; r < rows; r++ {
 		tr := t.data[r*cols : (r+1)*cols]
 		or := dst.data[r*cols : (r+1)*cols]
-		for c := 0; c < cols; c++ {
+		for c := addSlices(or, tr, vd); c < cols; c++ {
 			or[c] = tr[c] + vd[c]
 		}
 	}

@@ -722,9 +722,11 @@ func TestSoftmaxVecSpecialValues(t *testing.T) {
 
 // TestStreamingVecMatchesScalar runs the float32 streaming loops over
 // every length 1…40 and 4 099: AddInto into a third tensor and into
-// either operand, AddInPlace, AddVec plus its caller's tail,
-// ScaleInPlace, MaxAbs; the first elements pair every special value
-// with every other. A NaN must come out of each as a NaN.
+// either operand, AddInPlace, AddVec plus its caller's tail, AddSlice,
+// AddRowVectorInto over three rows of that width (every cols%8 tail)
+// into a third tensor and in place, ScaleInPlace, MaxAbs; the first
+// elements pair every special value with every other. A NaN must come
+// out of each as a NaN.
 func TestStreamingVecMatchesScalar(t *testing.T) {
 	for n := 1; n <= 41; n++ {
 		if n == 41 {
@@ -745,12 +747,18 @@ func TestStreamingVecMatchesScalar(t *testing.T) {
 				acc[i] += b[i]
 			}
 			out = append(append(out, ca.Data()...), acc...)
+			acc = append([]float32(nil), a...)
+			tensor.AddSlice(acc, b)
+			out = append(out, acc...)
+			rows := tensor.FromSlice(append(append(append([]float32(nil), a...), b...), a...), 3, n)
+			out = append(out, tensor.AddRowVectorInto(tensor.FromSlice(sentinel(3*n), 3, n), rows, bt).Data()...)
+			out = append(out, tensor.AddRowVectorInto(rows, rows, at).Data()...)
 			ca = at.Clone()
 			ca.ScaleInPlace(0.17677669)
 			return append(append(out, ca.Data()...), bt.MaxAbs(), tensor.FromSlice(magnitudes(tensor.NewRNG(uint64(n)), n), n).MaxAbs())
 		}
 		scalar, vector := bothWays(t, run)
-		sameBits(t, fmt.Sprintf("streaming n=%d (four AddInto, AddInPlace, AddVec, ScaleInPlace, two MaxAbs)", n), vector, scalar, true)
+		sameBits(t, fmt.Sprintf("streaming n=%d (four AddInto, AddInPlace, AddVec, AddSlice, two AddRowVectorInto, ScaleInPlace, two MaxAbs)", n), vector, scalar, true)
 		if nan := scalar[len(scalar)-2]; n > 7 && nan == nan {
 			t.Fatalf("MaxAbs over a NaN is %v", nan)
 		}

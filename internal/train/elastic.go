@@ -150,7 +150,7 @@ type elasticJob struct {
 	machine *cluster.Machine
 	engines []*pp.Engine
 	opts    []*optim.AdamW
-	accum   [][][]float32    // [rank][block] micro-batch gradient accumulators
+	grads   [][][]float32    // [rank][block] the chunk gradients, as GradHook sees them
 	samples []sampleSlot     // [global sample] the current step's inputs
 	grad    []*tensor.Tensor // [rank] last-stage target / residual / loss gradient
 	sched   optim.CosineSchedule
@@ -426,7 +426,7 @@ func (j *elasticJob) build(resume bool) error {
 	j.engines = engines
 	ranks := len(engines)
 	j.opts = make([]*optim.AdamW, ranks)
-	j.accum = make([][][]float32, ranks)
+	j.grads = make([][][]float32, ranks)
 	j.grad = make([]*tensor.Tensor, ranks)
 	j.samples = make([]sampleSlot, j.cfg.GlobalBatch)
 	for g := range j.samples {
@@ -435,9 +435,8 @@ func (j *elasticJob) build(resume bool) error {
 	for r, e := range engines {
 		chunks := e.Stage.Chunks()
 		j.opts[r] = optim.NewAdamW(chunks, j.cfg.WeightDecay)
-		j.accum[r] = make([][]float32, len(chunks))
-		for b, c := range chunks {
-			j.accum[r][b] = make([]float32, c.W.Len())
+		for _, c := range chunks {
+			j.grads[r] = append(j.grads[r], c.Grad.Data())
 		}
 		if e.Coord.P == j.layout.PP-1 {
 			j.grad[r] = tensor.New(j.cfg.Tokens, j.cfg.Dim)
@@ -599,18 +598,16 @@ func (j *elasticJob) load() error {
 }
 
 // runStep executes one SPMD optimizer step over the global batch, in
-// two phases with the supervisor hooks between them:
+// three phases:
 //
-//	A. every rank forward/backwards its micro-batches, accumulating
-//	   gradients into j.accum (no weight mutation);
+//	A. every rank forward/backwards its micro-batches, the engines
+//	   summing the step's gradient into the chunk gradients (no weight
+//	   mutation);
 //	B. host hooks run (GradHook, then the grad norm + OnStep verdict);
-//	C. every rank copies its accumulator into the chunk grads and
-//	   applies the optimizer.
+//	C. every rank applies the optimizer to its chunk gradients.
 //
 // Because weights only change in phase C, an OnStep abort leaves the
-// model exactly at the last step boundary — clean for rollback. The
-// math is identical to the single-phase form: the per-rank sequence of
-// float operations is unchanged.
+// model exactly at the last step boundary — clean for rollback.
 func (j *elasticJob) runStep() (float64, error) {
 	stepSeed := j.dataRNG.Uint64() // exactly one draw per step (checkpointed stream)
 	if salt, ok := j.cfg.StepSalt[j.step]; ok {
@@ -664,7 +661,7 @@ func (j *elasticJob) runStep() (float64, error) {
 	if h := j.cfg.Hooks; h != nil {
 		if h.GradHook != nil {
 			for r := range j.engines {
-				h.GradHook(j.step, stepSeed, r, j.accum[r])
+				h.GradHook(j.step, stepSeed, r, j.grads[r])
 			}
 		}
 		if h.OnStep != nil {
@@ -677,9 +674,6 @@ func (j *elasticJob) runStep() (float64, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			for b, cp := range j.engines[rank].Stage.Chunks() {
-				copy(cp.Grad.Data(), j.accum[rank][b])
-			}
 			j.opts[rank].Step(lr)
 		}(r)
 	}
@@ -704,7 +698,7 @@ func (j *elasticJob) gradNorm() float64 {
 		go func(r int) {
 			defer wg.Done()
 			var s float64
-			for _, a := range j.accum[r] {
+			for _, a := range j.grads[r] {
 				for _, v := range a {
 					s += float64(v) * float64(v)
 				}
@@ -721,28 +715,22 @@ func (j *elasticJob) gradNorm() float64 {
 }
 
 // rankAccumulate is one rank's phase A: the rank's slots of the 1F1B
-// schedule over `micros` micro-batches, with gradient accumulation
-// into j.accum. Weights and optimizer state are untouched — phase C
-// applies them. With PP=1 the schedule degenerates to the plain
-// forward/backward alternation, and the per-rank float operation
-// sequence is bit-identical to the pre-pipeline loop (pinned by the
-// conformance suite in internal/pp).
+// schedule over `micros` micro-batches, the stage engine summing their
+// gradients into its chunk gradients. Weights and optimizer state are
+// untouched — phase C applies them. With PP=1 the schedule degenerates
+// to the plain forward/backward alternation, and the per-rank float
+// operation sequence is bit-identical to the pre-pipeline loop (pinned
+// by the conformance suite in internal/pp).
 func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossOut *float64) error {
 	e := j.engines[rank]
 	c := e.Coord
 	dataRank := c.D*j.layout.FSDP + c.F
-	accum := j.accum[rank]
-	for b := range accum {
-		for i := range accum[b] {
-			accum[b][i] = 0
-		}
-	}
 	beat := func(int, int) {}
 	if h := j.cfg.Hooks; h != nil && h.OnBeat != nil {
 		beat = h.OnBeat
 	}
 	invMicros := float32(1) / float32(micros)
-	loss, err := e.RunStep(micros, pp.StepIO{
+	io := pp.StepIO{
 		Shape: []int{j.cfg.Tokens, j.cfg.Dim},
 		Input: func(mu int) *tensor.Tensor {
 			beat(rank, j.step)
@@ -760,21 +748,13 @@ func (j *elasticJob) rankAccumulate(rank int, stepSeed uint64, micros int, lossO
 			g.ScaleInPlace(2 / float32(y.Len()) * invMicros)
 			return loss / float64(micros), g
 		},
-		OnMicroGrads: func(mu int) {
-			if c.P != 0 {
-				// Non-first stages never run Input; their per-micro
-				// heartbeat fires at each backward instead.
-				beat(rank, j.step)
-			}
-			for b, cp := range e.Stage.Chunks() {
-				g := cp.Grad.Data()
-				a := accum[b]
-				for i := tensor.AddVec(a, g); i < len(g); i++ {
-					a[i] += g[i]
-				}
-			}
-		},
-	})
+	}
+	if c.P != 0 {
+		// Non-first stages never run Input; their per-micro heartbeat
+		// fires at each backward instead.
+		io.OnMicroGrads = func(int) { beat(rank, j.step) }
+	}
+	loss, err := e.RunStep(micros, io)
 	if err != nil {
 		return err
 	}

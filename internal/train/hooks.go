@@ -24,10 +24,12 @@ type Hooks struct {
 	// concurrently.
 	OnBeat func(rank, step int)
 	// GradHook runs on the host after all ranks finished their
-	// forward/backward accumulation and before gradients are applied,
-	// once per rank in rank order. It may mutate grads in place —
-	// fault-injection tests model silent data corruption of a step's
-	// gradients with it. stepSeed is the step's data-stream seed (after
+	// forward/backward passes and before gradients are applied, once per
+	// rank in rank order. grads are the rank's chunk gradients
+	// (Stage.Chunks()[b].Grad), each the step's sum over its
+	// micro-batches, and the optimizer applies what they hold: it may
+	// mutate them in place — fault-injection tests model silent data
+	// corruption of a step's gradients with it. stepSeed is the step's data-stream seed (after
 	// any StepSalt), so an injected fault can be made data-dependent.
 	GradHook func(step int, stepSeed uint64, rank int, grads [][]float32)
 	// OnStep fires once per step with the global-batch mean loss and

@@ -370,7 +370,10 @@ type Layout = core.Layout
 // Options are the paper's Sec. III-B training optimizations.
 type Options = core.Options
 
-// HybridSTOPEngine is one rank's Hybrid-STOP instance.
+// HybridSTOPEngine is one rank's Hybrid-STOP instance. A step is
+// ZeroGrad, then one Forward/Backward per micro-batch: each Backward
+// adds its gradient into Chunks()[b].Grad, which the optimizer then
+// reads as the step's sum.
 type HybridSTOPEngine = core.Engine
 
 // DefaultOptions enables all optimizations (Table I's last column).
