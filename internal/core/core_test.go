@@ -362,6 +362,11 @@ func TestHybridSTOPMatchesSerialFullGrid(t *testing.T) {
 	verifyChunkGrads(t, engines, layout, serial, 1e-3)
 }
 
+// TestHybridSTOPTrainingTrajectoryMatchesSerial runs three AdamW steps
+// on TP2×FSDP2 and on the serial stack. Before each update every
+// rank's chunk gradient must match the serial one, so an engine that
+// carries a step's gradient into the next fails here, not only on a
+// loss that AdamW's normalization can hide.
 func TestHybridSTOPTrainingTrajectoryMatchesSerial(t *testing.T) {
 	layout := Layout{TP: 2, FSDP: 2, DDP: 1}
 	engines, _ := buildEngines(t, layout, Options{LayerWrapping: true}, 55)
@@ -374,8 +379,9 @@ func TestHybridSTOPTrainingTrajectoryMatchesSerial(t *testing.T) {
 	for step := 0; step < 3; step++ {
 		xs, targets := testBatch(uint64(200+step), layout.FSDP)
 		serialLoss := serialStep(serial, xs, targets)
-		serialOpt.Step(1e-3)
 		losses := hybridStep(engines, layout, xs, targets)
+		verifyChunkGrads(t, engines, layout, serial, 1e-3)
+		serialOpt.Step(1e-3)
 		runSPMD(layout.Ranks(), func(rank int) { opts[rank].Step(1e-3) })
 		for r, l := range losses {
 			if math.Abs(l-serialLoss) > 1e-4*(1+math.Abs(serialLoss)) {

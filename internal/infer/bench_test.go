@@ -213,37 +213,41 @@ func BenchmarkRolloutStepUnscored(b *testing.B) {
 // BenchmarkPlanForward times one planned forward of the bench model —
 // climate.RegistrySmall's eight variables on the 16×32 grid, vit.Tiny
 // widened to dim 64 and 4 layers, four output channels — over a batch
-// of 8, with f32 weights and with int8 containers. It is what
-// `bash bench/run.sh` reports as infer.plan_forward_ms, without bench/:
+// of 8 and of 1, with f32 weights and with int8 containers. The int8
+// batch-8 row is what `bash bench/run.sh` reports as
+// infer.plan_forward_ms and the batch-1 rows are serve_steady's
+// forward, without bench/:
 //
 //	go test ./internal/infer -run '^$' -bench PlanForward
 func BenchmarkPlanForward(b *testing.B) {
 	cfg := vit.Tiny(len(climate.RegistrySmall()), 16, 32)
 	cfg.EmbedDim, cfg.Layers, cfg.OutChannels = 64, 4, 4
 	for _, kind := range []string{"f32", "int8"} {
-		b.Run(kind, func(b *testing.B) {
-			m, err := vit.New(cfg, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var qs map[string]*tensor.Quantized
-			if kind == "int8" {
-				if qs, err = ckpt.QuantizeModel(m, quant.Int8); err != nil {
+		for _, batch := range []int{8, 1} {
+			b.Run(kind+"/"+byteSize(batch), func(b *testing.B) {
+				m, err := vit.New(cfg, 1)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			p := NewPlanQ(m, 8, qs)
-			rng := tensor.NewRNG(9)
-			xs, leads := make([]*tensor.Tensor, 8), make([]float64, 8)
-			for i := range xs {
-				xs[i], leads[i] = tensor.Randn(rng, 1, cfg.Channels, cfg.Height, cfg.Width), 24
-			}
-			p.Forward(xs, leads)
-			b.ReportAllocs()
-			for b.Loop() {
+				var qs map[string]*tensor.Quantized
+				if kind == "int8" {
+					if qs, err = ckpt.QuantizeModel(m, quant.Int8); err != nil {
+						b.Fatal(err)
+					}
+				}
+				p := NewPlanQ(m, batch, qs)
+				rng := tensor.NewRNG(9)
+				xs, leads := make([]*tensor.Tensor, batch), make([]float64, batch)
+				for i := range xs {
+					xs[i], leads[i] = tensor.Randn(rng, 1, cfg.Channels, cfg.Height, cfg.Width), 24
+				}
 				p.Forward(xs, leads)
-			}
-		})
+				b.ReportAllocs()
+				for b.Loop() {
+					p.Forward(xs, leads)
+				}
+			})
+		}
 	}
 }
 

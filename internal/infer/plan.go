@@ -11,7 +11,8 @@
 // memory inference never uses. The Plan in this file runs the model
 // forward over inference-only buffers with a fused batch dimension
 // (B samples run as one [B·T, D] token matrix through every linear
-// layer and as a [B·H, T, d] stack through attention). It owns that
+// layer and through attention, whose B·H per-head products read and
+// write each head's column block of that matrix in place). It owns that
 // orchestration — buffer planning, batch fusion, the quantized weight
 // operands — and none of the arithmetic: every matrix product is a
 // tensor kernel and every other leaf (layer-norm rows, the
@@ -65,31 +66,24 @@ type blockSites struct {
 // MaxBatch), so building the set for a new n costs only slice headers
 // and happens once per distinct size.
 type batchBufs struct {
-	patches    *tensor.Tensor   // [n·T, P²] per-channel patch staging
-	e          *tensor.Tensor   // [C·n·T, D] aggregation input
-	eC         []*tensor.Tensor // per-channel [n·T, D] views of e
-	mix        *tensor.Tensor   // [n·T, D] aggregation mix, the value projection's input
-	x          *tensor.Tensor   // [n·T, D] token stream (stem out, block in/out)
-	lnBuf      *tensor.Tensor   // [n·T, D] layer-norm output
-	q, k, v    *tensor.Tensor   // [n·T, D]
-	qh, kh, vh *tensor.Tensor   // [n·H, T, d] head-major stacks
-	qn, kn     *tensor.Tensor   // post-QK-norm stacks (alias qh/kh without QKNorm)
-	probs      *tensor.Tensor   // [n·H, T, T]
-	outH       *tensor.Tensor   // [n·H, T, d]
-	concat     *tensor.Tensor   // [n·T, D]
-	attnOut    *tensor.Tensor   // [n·T, D]
-	h          *tensor.Tensor   // [n·T, D] post-attention residual
-	fc1        *tensor.Tensor   // [n·T, 4D] MLP pre-activation, then its GELU in place
-	mlpOut     *tensor.Tensor   // [n·T, D]
-	headTok    *tensor.Tensor   // [n·T, P²·OutC]
+	patches *tensor.Tensor   // [n·T, P²] per-channel patch staging
+	e       *tensor.Tensor   // [C·n·T, D] aggregation input
+	eC      []*tensor.Tensor // per-channel [n·T, D] views of e
+	mix     *tensor.Tensor   // [n·T, D] aggregation mix, the value projection's input
+	x       *tensor.Tensor   // [n·T, D] token stream (stem out, block in/out)
+	lnBuf   *tensor.Tensor   // [n·T, D] layer-norm output
+	q, k, v *tensor.Tensor   // [n·T, D], head h in columns [h·d, (h+1)·d)
+	qn, kn  *tensor.Tensor   // post-QK-norm q/k (alias q/k without QKNorm)
+	probs   *tensor.Tensor   // [n·H, T, T]
+	concat  *tensor.Tensor   // [n·T, D] context, written per head in place
+	attnOut *tensor.Tensor   // [n·T, D]
+	h       *tensor.Tensor   // [n·T, D] post-attention residual
+	fc1     *tensor.Tensor   // [n·T, 4D] MLP pre-activation, then its GELU in place
+	mlpOut  *tensor.Tensor   // [n·T, D]
+	headTok *tensor.Tensor   // [n·T, P²·OutC]
 
-	// Per-sample views for the token-major ⇄ head-major regroups.
-	xRows               []*tensor.Tensor // [T, D] rows of x
-	qRows, kRows, vRows []*tensor.Tensor // [T, D] rows of q/k/v
-	qhB, khB, vhB       []*tensor.Tensor // [H, T, d] slices of qh/kh/vh
-	outHB               []*tensor.Tensor // [H, T, d] slices of outH
-	concatRows          []*tensor.Tensor // [T, D] rows of concat
-	outs                []*tensor.Tensor // [OutC, H, W] per-sample outputs
+	xRows []*tensor.Tensor // [T, D] rows of x per sample
+	outs  []*tensor.Tensor // [OutC, H, W] per-sample outputs
 }
 
 // Plan is a pre-planned zero-allocation forward executor for a model
@@ -109,15 +103,15 @@ type Plan struct {
 	headW  siteW
 
 	// Backing arrays sized for MaxBatch, shared by every batchBufs.
-	patchesB, eB, mixB                []float32
-	xB, lnB, qB, kB, vB               []float32
-	qhB, khB, vhB, qnB, knB           []float32
-	probsB, outHB, concatB, attnB, hB []float32
-	fc1B, mlpB, headB                 []float32
-	outsB                             []float32
-	aggRow                            []float32 // one token's aggregation weights
-	aggKey                            []float32 // the aggregation's key W_K·q
-	leadFeat, leadOff                 *tensor.Tensor
+	patchesB, eB, mixB         []float32
+	xB, lnB, qB, kB, vB        []float32
+	qnB, knB                   []float32
+	probsB, concatB, attnB, hB []float32
+	fc1B, mlpB, headB          []float32
+	outsB                      []float32
+	aggRow                     []float32 // eight tokens' aggregation weights
+	aggKey                     []float32 // the aggregation's key W_K·q
+	leadFeat, leadOff          *tensor.Tensor
 
 	sized map[int]*batchBufs
 }
@@ -186,7 +180,7 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 	pp := p.p * p.p
 	p.patchesB = make([]float32, B*T*pp)
 	p.eB = make([]float32, C*B*T*D)
-	for _, buf := range []*[]float32{&p.mixB, &p.xB, &p.lnB, &p.qB, &p.kB, &p.vB, &p.qhB, &p.khB, &p.vhB, &p.outHB, &p.concatB, &p.attnB, &p.hB, &p.mlpB} {
+	for _, buf := range []*[]float32{&p.mixB, &p.xB, &p.lnB, &p.qB, &p.kB, &p.vB, &p.concatB, &p.attnB, &p.hB, &p.mlpB} {
 		*buf = make([]float32, B*T*D)
 	}
 	if cfg.QKNorm {
@@ -197,7 +191,7 @@ func NewPlanQ(m *vit.Model, maxBatch int, qs map[string]*tensor.Quantized) *Plan
 	p.fc1B = make([]float32, B*T*4*D)
 	p.headB = make([]float32, B*T*pp*p.outC)
 	p.outsB = make([]float32, B*p.outC*p.h*p.w)
-	p.aggRow = make([]float32, C)
+	p.aggRow = make([]float32, 8*C)
 	p.aggKey = make([]float32, D)
 	p.leadFeat = tensor.New(1, D)
 	p.leadOff = tensor.New(1, D)
@@ -212,7 +206,7 @@ func (p *Plan) bufs(n int) *batchBufs {
 	if n < 1 || n > p.MaxBatch {
 		panic(fmt.Sprintf("infer: batch %d outside plan capacity [1,%d]", n, p.MaxBatch))
 	}
-	T, D, C, H, hd := p.t, p.d, p.c, p.heads, p.hd
+	T, D, C, H := p.t, p.d, p.c, p.heads
 	pp := p.p * p.p
 	bb := &batchBufs{
 		patches: tensor.FromSlice(p.patchesB[:n*T*pp], n*T, pp),
@@ -223,11 +217,7 @@ func (p *Plan) bufs(n int) *batchBufs {
 		q:       tensor.FromSlice(p.qB[:n*T*D], n*T, D),
 		k:       tensor.FromSlice(p.kB[:n*T*D], n*T, D),
 		v:       tensor.FromSlice(p.vB[:n*T*D], n*T, D),
-		qh:      tensor.FromSlice(p.qhB[:n*T*D], n*H, T, hd),
-		kh:      tensor.FromSlice(p.khB[:n*T*D], n*H, T, hd),
-		vh:      tensor.FromSlice(p.vhB[:n*T*D], n*H, T, hd),
 		probs:   tensor.FromSlice(p.probsB[:n*H*T*T], n*H, T, T),
-		outH:    tensor.FromSlice(p.outHB[:n*T*D], n*H, T, hd),
 		concat:  tensor.FromSlice(p.concatB[:n*T*D], n*T, D),
 		attnOut: tensor.FromSlice(p.attnB[:n*T*D], n*T, D),
 		h:       tensor.FromSlice(p.hB[:n*T*D], n*T, D),
@@ -236,30 +226,16 @@ func (p *Plan) bufs(n int) *batchBufs {
 		headTok: tensor.FromSlice(p.headB[:n*T*pp*p.outC], n*T, pp*p.outC),
 	}
 	if p.Model.Config.QKNorm {
-		bb.qn = tensor.FromSlice(p.qnB[:n*T*D], n*H, T, hd)
-		bb.kn = tensor.FromSlice(p.knB[:n*T*D], n*H, T, hd)
+		bb.qn = tensor.FromSlice(p.qnB[:n*T*D], n*T, D)
+		bb.kn = tensor.FromSlice(p.knB[:n*T*D], n*T, D)
 	} else {
-		bb.qn, bb.kn = bb.qh, bb.kh
+		bb.qn, bb.kn = bb.q, bb.k
 	}
 	for c := 0; c < C; c++ {
 		bb.eC = append(bb.eC, tensor.FromSlice(p.eB[c*n*T*D:(c+1)*n*T*D], n*T, D))
 	}
 	for b := 0; b < n; b++ {
-		rows := func(back []float32) *tensor.Tensor {
-			return tensor.FromSlice(back[b*T*D:(b+1)*T*D], T, D)
-		}
-		bb.xRows = append(bb.xRows, rows(p.xB))
-		bb.qRows = append(bb.qRows, rows(p.qB))
-		bb.kRows = append(bb.kRows, rows(p.kB))
-		bb.vRows = append(bb.vRows, rows(p.vB))
-		bb.concatRows = append(bb.concatRows, rows(p.concatB))
-		stack := func(back []float32) *tensor.Tensor {
-			return tensor.FromSlice(back[b*H*T*hd:(b+1)*H*T*hd], H, T, hd)
-		}
-		bb.qhB = append(bb.qhB, stack(p.qhB))
-		bb.khB = append(bb.khB, stack(p.khB))
-		bb.vhB = append(bb.vhB, stack(p.vhB))
-		bb.outHB = append(bb.outHB, stack(p.outHB))
+		bb.xRows = append(bb.xRows, tensor.FromSlice(p.xB[b*T*D:(b+1)*T*D], T, D))
 		sz := p.outC * p.h * p.w
 		bb.outs = append(bb.outs, tensor.FromSlice(p.outsB[b*sz:(b+1)*sz], p.outC, p.h, p.w))
 	}
@@ -319,9 +295,11 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 		tensor.AddRowVectorInto(bb.xRows[b], bb.xRows[b], p.leadOff)
 	}
 
-	// Transformer blocks, token rows fused across the batch; attention
-	// runs head-major with n·H batch entries so per-head products stay
-	// per-sample.
+	// Transformer blocks, token rows fused across the batch. Attention
+	// runs n·H batch entries, one per (sample, head): the products read
+	// each head's column block of q, k and v where the projections wrote
+	// it and write its context into its block of concat. The QK-norm
+	// rows are the same d-wide rows in either layout.
 	scale := float32(1 / math.Sqrt(float64(p.hd)))
 	for li, blk := range m.Blocks {
 		ws := &p.blocks[li]
@@ -329,21 +307,13 @@ func (p *Plan) Forward(xs []*tensor.Tensor, leads []float64) []*tensor.Tensor {
 		ws.wq.matmul(bb.q, bb.lnBuf, blk.Attn.WQ.Weight.W, blk.Attn.WQ.Bias.W)
 		ws.wk.matmul(bb.k, bb.lnBuf, blk.Attn.WK.Weight.W, blk.Attn.WK.Bias.W)
 		ws.wv.matmul(bb.v, bb.lnBuf, blk.Attn.WV.Weight.W, blk.Attn.WV.Bias.W)
-		for b := 0; b < n; b++ {
-			tensor.SplitHeadsInto(bb.qhB[b], bb.qRows[b], p.heads)
-			tensor.SplitHeadsInto(bb.khB[b], bb.kRows[b], p.heads)
-			tensor.SplitHeadsInto(bb.vhB[b], bb.vRows[b], p.heads)
-		}
 		if blk.Attn.QKNorm {
-			layerNorm(bb.qn, bb.qh, blk.Attn.QNorm)
-			layerNorm(bb.kn, bb.kh, blk.Attn.KNorm)
+			layerNorm(bb.qn, bb.q, blk.Attn.QNorm)
+			layerNorm(bb.kn, bb.k, blk.Attn.KNorm)
 		}
 		tensor.BatchedMatMulTransBScaledInto(bb.probs, bb.qn, bb.kn, scale)
 		tensor.SoftmaxInto(bb.probs, bb.probs)
-		tensor.BatchedMatMulInto(bb.outH, bb.probs, bb.vh)
-		for b := 0; b < n; b++ {
-			tensor.MergeHeadsInto(bb.concatRows[b], bb.outHB[b], p.heads)
-		}
+		tensor.BatchedMatMulInto(bb.concat, bb.probs, bb.v)
 		ws.wo.matmul(bb.attnOut, bb.concat, blk.Attn.WO.Weight.W, blk.Attn.WO.Bias.W)
 		tensor.AddInto(bb.h, bb.x, bb.attnOut)
 

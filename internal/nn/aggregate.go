@@ -32,7 +32,7 @@ type VariableAggregation struct {
 	de    *tensor.Tensor // owned input-gradient buffer [C, T, D]
 	kq    []float32      // W_K·q
 	dkq   []float32      // its gradient
-	row   []float32      // one token's scores, then weights, then their gradients
+	row   []float32      // eight tokens' weights [8, C]; the backward's first C hold one token's gradients
 	tOut  int
 }
 
@@ -47,7 +47,7 @@ func NewVariableAggregation(name string, channels, dim int, rng *tensor.RNG) *Va
 		WV:       NewLinear(name+".wv", dim, dim, false, rng),
 		kq:       make([]float32, dim),
 		dkq:      make([]float32, dim),
-		row:      make([]float32, channels),
+		row:      make([]float32, 8*channels),
 	}
 }
 
@@ -91,41 +91,56 @@ func AggregationKey(kq, wk, q []float32) {
 }
 
 // AggregateTokens is the aggregation's cross-attention over tokens
-// [t0, t1) of `tokens`: with C = len(row) channels and D = len(kq), e
-// is channel-major [C·tokens, D] and, per token t,
+// [t0, t1) of `tokens`: with C channels and D = len(kq), e is
+// channel-major [C·tokens, D] and, per token t,
 //
-//	row[c]   = softmax_c((e[c,t,:] · kq) / √D)
-//	out[t,:] = Σ_c row[c] · e[c,t,:]
+//	w[c]     = softmax_c((e[c,t,:] · kq) / √D)
+//	out[t,:] = Σ_c w[c] · e[c,t,:]
 //
-// out is the mix the value projection then maps. row is one token's
-// scratch; alpha [tokens, C], when not nil, keeps every token's weights
-// (the module's backward cache). Like LayerNormRows it is the one
-// definition of this rounding sequence — float32 dot and mix in channel
-// order, float64 softmax sum — shared by VariableAggregation.Forward
-// and infer.Plan; tokens are independent, so out does not depend on how
-// [t0, t1) is split or on alpha.
+// out is the mix the value projection then maps. row is scratch for
+// eight tokens' weights, len(row) = 8·C; alpha [tokens, C], when not
+// nil, keeps every token's weights (the module's backward cache). Like
+// LayerNormRows it is the one definition of this rounding sequence —
+// float32 dot and mix in channel order, float64 softmax sum — shared by
+// VariableAggregation.Forward and infer.Plan. The loops below are that
+// definition; each whole group of eight tokens runs its dots through
+// tensor.AggregateDotsVec (a token per lane, the same j-ordered chain)
+// and each token its mix through tensor.AggregateMixVec (a column per
+// lane, the same channel-ordered chain from +0), and the loops finish
+// the columns past the last whole vector. Tokens are independent, so
+// out does not depend on how [t0, t1) is split or on alpha.
 func AggregateTokens(out, alpha, row, e, kq []float32, tokens, t0, t1 int) {
-	c, d := len(row), len(kq)
+	c, d, stride := len(row)/8, len(kq), tokens*len(kq)
 	scale := float32(1 / math.Sqrt(float64(d)))
-	for ti := t0; ti < t1; ti++ {
-		for ci := range row {
-			eb := e[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
-			var s float32
-			for j, kv := range kq {
-				s += eb[j] * kv
+	for g := t0; g < t1; g += 8 {
+		j0 := 0
+		if g+8 <= t1 {
+			j0 = tensor.AggregateDotsVec(row, e[g*d:], kq, stride, d)
+		}
+		for ti := g; ti < min(g+8, t1); ti++ {
+			w, et := row[(ti-g)*c:(ti-g+1)*c], e[ti*d:]
+			for ci := range w {
+				var s float32
+				if j0 > 0 {
+					s = w[ci]
+				}
+				eb := et[ci*stride : ci*stride+d]
+				for j := j0; j < d; j++ {
+					s += float32(eb[j] * kq[j])
+				}
+				w[ci] = s * scale
 			}
-			row[ci] = s * scale
-		}
-		softmaxRowInto(row, row)
-		if alpha != nil {
-			copy(alpha[ti*c:(ti+1)*c], row)
-		}
-		ob := out[ti*d : (ti+1)*d]
-		clear(ob)
-		for ci, a := range row {
-			eb := e[(ci*tokens+ti)*d : (ci*tokens+ti+1)*d]
-			for j := range ob {
-				ob[j] += a * eb[j]
+			softmaxRowInto(w, w)
+			if alpha != nil {
+				copy(alpha[ti*c:(ti+1)*c], w)
+			}
+			ob := out[ti*d : (ti+1)*d]
+			for j := tensor.AggregateMixVec(ob, et, w, stride); j < d; j++ {
+				var s float32
+				for ci, a := range w {
+					s += float32(a * et[ci*stride+j])
+				}
+				ob[j] = s
 			}
 		}
 	}
@@ -162,7 +177,7 @@ func (va *VariableAggregation) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dmd := va.WV.Backward(dy).Data() // dmix [T, D]
 	va.de = tensor.Ensure(va.de, c, t, d)
 	ded, ed, dved := va.de.Data(), va.e.Data(), va.VarEmbed.Grad.Data()
-	dr, kq, dkq := va.row, va.kq, va.dkq
+	dr, kq, dkq := va.row[:c], va.kq, va.dkq
 	clear(dkq)
 	for ti := 0; ti < t; ti++ {
 		dmix := dmd[ti*d : (ti+1)*d]

@@ -20,11 +20,12 @@ import (
 // builds it from the exported fields). The serial block and the shard
 // therefore run the same code and cannot drift apart.
 //
-// All heads are computed in one batched head-major pass: Q/K/V are
-// regrouped once into [H, T, d] stacks, every per-head product goes
-// through the batched kernels and the context is merged back to
-// token-major — no per-head Split/Concat copies. Scratch is owned by
-// the module and reused across steps, so a steady-state
+// All heads are computed in one batched pass, one entry per head. V,
+// the context, dOut and dV stay token-major [T, H·d]: the batched
+// kernels read and write each head's column block in place. Q and K
+// are regrouped into [H, T, d] stacks, and dQ and dK merged back, because
+// QK-norm's dγ/dβ sum their rows in head-major order. Scratch is owned
+// by the module and reused across steps, so a steady-state
 // Forward+Backward allocates nothing.
 type MultiHeadAttention struct {
 	Dim, Heads, HeadDim int
@@ -33,17 +34,16 @@ type MultiHeadAttention struct {
 	WQ, WK, WV, WO *Linear
 	QNorm, KNorm   *LayerNorm // per-head LN over HeadDim, nil unless QKNorm
 
-	qh, kh, vh *tensor.Tensor // regrouped projections [H, T, d]
-	qn, kn     *tensor.Tensor // effective (post-norm) Q/K stacks
-	probs      *tensor.Tensor // softmax outputs [H, T, T]
-	outH       *tensor.Tensor // per-head context [H, T, d]
-	concat     *tensor.Tensor // merged context [T, H·d]
-	maxLogit   float32        // max |scaled logit| of the last Forward
+	qh, kh   *tensor.Tensor // regrouped Q/K projections [H, T, d]
+	qn, kn   *tensor.Tensor // effective (post-norm) Q/K stacks
+	v        *tensor.Tensor // WV's output [T, H·d], read in place
+	probs    *tensor.Tensor // softmax outputs [H, T, T]
+	concat   *tensor.Tensor // context [T, H·d]
+	maxLogit float32        // max |scaled logit| of the last Forward
 
-	dOutH         *tensor.Tensor // upstream per-head gradient [H, T, d]
-	dProbs        *tensor.Tensor // dp then ds, in place [H, T, T]
-	dqh, dkh, dvh *tensor.Tensor // head-major grads [H, T, d]
-	dq, dk, dv    *tensor.Tensor // token-major grads [T, H·d]
+	dProbs     *tensor.Tensor // dp then ds, in place [H, T, T]
+	dqh, dkh   *tensor.Tensor // head-major grads [H, T, d]
+	dq, dk, dv *tensor.Tensor // token-major grads [T, H·d]
 }
 
 // NewMultiHeadAttention builds an attention block. dim must be
@@ -74,11 +74,11 @@ func NewMultiHeadAttention(name string, dim, heads int, qkNorm bool, rng *tensor
 // resident (see MaxAttentionLogit).
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkRank("MultiHeadAttention", x, 2)
-	q, k, v := a.WQ.Forward(x), a.WK.Forward(x), a.WV.Forward(x)
+	q, k := a.WQ.Forward(x), a.WK.Forward(x)
+	a.v = a.WV.Forward(x)
 	t, h, hd := q.Dim(0), a.Heads, a.HeadDim
 	a.qh = tensor.SplitHeadsInto(tensor.Ensure(a.qh, h, t, hd), q, h)
 	a.kh = tensor.SplitHeadsInto(tensor.Ensure(a.kh, h, t, hd), k, h)
-	a.vh = tensor.SplitHeadsInto(tensor.Ensure(a.vh, h, t, hd), v, h)
 	if a.QKNorm {
 		// One LN over the [H, T, d] stack normalizes every head's every
 		// token vector; the per-head parameters are shared across heads.
@@ -92,24 +92,22 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tensor.BatchedMatMulTransBScaledInto(a.probs, a.qn, a.kn, scale)
 	a.maxLogit = a.probs.MaxAbs()
 	tensor.SoftmaxInto(a.probs, a.probs)
-	a.outH = tensor.Ensure(a.outH, h, t, hd)
-	tensor.BatchedMatMulInto(a.outH, a.probs, a.vh)
-	a.concat = tensor.MergeHeadsInto(tensor.Ensure(a.concat, t, h*hd), a.outH, h)
+	a.concat = tensor.Ensure(a.concat, t, h*hd)
+	tensor.BatchedMatMulInto(a.concat, a.probs, a.v)
 	return a.WO.Forward(a.concat)
 }
 
 // Backward propagates gradients through the attention block,
 // accumulating parameter gradients, and returns dL/dx.
 func (a *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dConcat := a.WO.Backward(dy)
-	t, h, hd := dConcat.Dim(0), a.Heads, a.HeadDim
-	a.dOutH = tensor.SplitHeadsInto(tensor.Ensure(a.dOutH, h, t, hd), dConcat, h)
+	dOut := a.WO.Backward(dy)
+	t, h, hd := dOut.Dim(0), a.Heads, a.HeadDim
 
 	// dV_h = P_hᵀ dOut_h; dP_h = dOut_h V_hᵀ; dS_h = softmax'(P_h, dP_h).
-	a.dvh = tensor.Ensure(a.dvh, h, t, hd)
-	tensor.BatchedMatMulTransAInto(a.dvh, a.probs, a.dOutH)
+	a.dv = tensor.Ensure(a.dv, t, h*hd)
+	tensor.BatchedMatMulTransAInto(a.dv, a.probs, dOut)
 	a.dProbs = tensor.Ensure(a.dProbs, h, t, t)
-	tensor.BatchedMatMulTransBScaledInto(a.dProbs, a.dOutH, a.vh, 1)
+	tensor.BatchedMatMulTransBScaledInto(a.dProbs, dOut, a.v, 1)
 	tensor.SoftmaxBackwardInto(a.dProbs, a.probs, a.dProbs)
 	scale := float32(1 / math.Sqrt(float64(hd)))
 	a.dProbs.ScaleInPlace(scale)
@@ -127,7 +125,6 @@ func (a *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	a.dq = tensor.MergeHeadsInto(tensor.Ensure(a.dq, t, h*hd), dqh, h)
 	a.dk = tensor.MergeHeadsInto(tensor.Ensure(a.dk, t, h*hd), dkh, h)
-	a.dv = tensor.MergeHeadsInto(tensor.Ensure(a.dv, t, h*hd), a.dvh, h)
 
 	dx := a.WQ.Backward(a.dq)
 	dx.AddInPlace(a.WK.Backward(a.dk))

@@ -98,7 +98,7 @@ func TestAggregateTokensSplitAndCacheInvariance(t *testing.T) {
 		c, tokens, d := 1+int(rng.Uint64()%9), 1+int(rng.Uint64()%20), 1+int(rng.Uint64()%33)
 		e := tensor.Randn(rng, 2, c*tokens, d).Data()
 		kq := tensor.Randn(rng, 1, d).Data()
-		row := make([]float32, c)
+		row := make([]float32, 8*c)
 
 		out, alpha := sentinel(tokens*d), sentinel(tokens*c)
 		AggregateTokens(out, alpha, row, e, kq, tokens, 0, tokens)

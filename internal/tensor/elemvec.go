@@ -74,13 +74,13 @@ func sumRowsCols(dst, t []float32, rows, cols int) int {
 }
 
 // transposeBlocks is packTranspose over the leading rows&^7 × cols&^7
-// corner of src; it returns the corner's extents.
-func transposeBlocks(dst, src []float32, rows, cols int) (r8, c8 int) {
+// corner of src (row stride ld); it returns the corner's extents.
+func transposeBlocks(dst, src []float32, rows, cols, ld int) (r8, c8 int) {
 	r8, c8 = whole(rows), whole(cols)
 	if r8 == 0 || c8 == 0 {
 		return 0, 0
 	}
-	transposeVec(span(dst, 0, rows*cols), span(src, 0, rows*cols), rows, cols, r8, c8)
+	transposeVec(span(dst, 0, rows*cols), span(src, 0, (rows-1)*ld+cols), rows, ld, r8, c8)
 	return r8, c8
 }
 

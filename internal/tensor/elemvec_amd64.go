@@ -2,8 +2,8 @@
 
 package tensor
 
-// The kernels of elemvec.go and of quantmatmul.go's dequantStrip, in
-// elemvec_amd64.s; n, cols, r8, c8 and rows arrive already rounded to
+// The kernels of elemvec.go, of quantmatmul.go's dequantStrip and of
+// rowvec.go's aggregation wrappers, in elemvec_amd64.s; n, cols, r8, c8 and rows arrive already rounded to
 // whole vectors.
 
 //go:noescape
@@ -34,7 +34,13 @@ func maxAbsVec(p *float32, n int) uint32
 func sumRowsVec(dst, t *float32, rows, cols, stride int)
 
 //go:noescape
-func transposeVec(dst, src *float32, rows, cols, r8, c8 int)
+func transposeVec(dst, src *float32, rows, ld, r8, c8 int)
 
 //go:noescape
 func dequantVec(dst *float32, data *byte, scales *float32, rows, stride, pb, nb int, q4 bool)
+
+//go:noescape
+func aggDotVec(w, e, kq *float32, c, stride, ld, d8 int)
+
+//go:noescape
+func aggMixVec(out, e, a *float32, c, stride, d8 int)

@@ -78,26 +78,110 @@ exp_loop:
 	VZEROUPPER
 	RET
 
+// PAIR applies op to stream A (first operands) and stream B (second).
+#define PAIR(op, a1, a2, b1, b2) \
+	op a1, a2; \
+	op b1, b2
+#define PAIR3(op, a1, a2, a3, b1, b2, b3) \
+	op a1, a2, a3; \
+	op b1, b2, b3
+
 // func geluVec(dst, sig, x *float32, n int)
 //
 // n (a multiple of 8) elements of the GELUCachedInto loop:
 //   s = 1/(1 + exp32(x·(k0 + k1·x·x)));  sig = s;  dst = x·s
-// dst may be x, and sig may be dst (the sig store lands first).
+// dst may be x, and sig may be dst (the sig stores land first). Two
+// independent vectors run interleaved, A in Y0…Y4 (x, z, nf, r, p) and
+// B in Y5…Y9, each step EXPCORE's and EXPCLAMP's, with k1, k0, log2e,
+// ½ and 1 held in Y15…Y11 and the other constants broadcast once per
+// pair into Y10. When n/8 is odd the last vector takes one pass of the
+// one-vector form, EXPCORE and EXPCLAMP, which leave Y11…Y15 alone.
 TEXT ·geluVec(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ sig+8(FP), DX
 	MOVQ x+16(FP), SI
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
-	VBROADCASTSS ev_geluk1(SB), Y9
-	VBROADCASTSS ev_geluk0(SB), Y10
+	VBROADCASTSS ev_geluk1(SB), Y15
+	VBROADCASTSS ev_geluk0(SB), Y14
+	VBROADCASTSS mvc_log2e(SB), Y13
 	VBROADCASTSS mvc_one(SB), Y12
+	VBROADCASTSS mvc_half(SB), Y11
+	MOVQ CX, BX
+	ANDQ $-16, BX
+	JZ   gelu_one
 
-gelu_loop:
+gelu_pair:
+	VMOVUPS (SI)(AX*4), Y0
+	VMOVUPS 32(SI)(AX*4), Y5
+	PAIR3(VMULPS, Y0, Y15, Y1, Y5, Y15, Y6)
+	PAIR3(VMULPS, Y0, Y1, Y1, Y5, Y6, Y6)
+	PAIR3(VADDPS, Y1, Y14, Y1, Y6, Y14, Y6)
+	PAIR3(VMULPS, Y1, Y0, Y1, Y6, Y5, Y6) // the exponent z = -2u
+	PAIR3(VMULPS, Y13, Y1, Y2, Y13, Y6, Y7)
+	PAIR3(VADDPS, Y11, Y2, Y2, Y11, Y7, Y7)
+	PAIR3(VROUNDPS, $1, Y2, Y2, $1, Y7, Y7) // nf
+	VBROADCASTSS mvc_expc1(SB), Y10
+	PAIR3(VMULPS, Y10, Y2, Y3, Y10, Y7, Y8)
+	PAIR3(VSUBPS, Y3, Y1, Y3, Y8, Y6, Y8)
+	VBROADCASTSS mvc_expc2(SB), Y10
+	PAIR3(VMULPS, Y10, Y2, Y4, Y10, Y7, Y9)
+	PAIR3(VSUBPS, Y4, Y3, Y3, Y9, Y8, Y8) // r
+	VBROADCASTSS mvc_ep0(SB), Y4
+	VMOVAPS      Y4, Y9
+	PAIR3(VMULPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	VBROADCASTSS mvc_ep1(SB), Y10
+	PAIR3(VADDPS, Y10, Y4, Y4, Y10, Y9, Y9)
+	PAIR3(VMULPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	VBROADCASTSS mvc_ep2(SB), Y10
+	PAIR3(VADDPS, Y10, Y4, Y4, Y10, Y9, Y9)
+	PAIR3(VMULPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	VBROADCASTSS mvc_ep3(SB), Y10
+	PAIR3(VADDPS, Y10, Y4, Y4, Y10, Y9, Y9)
+	PAIR3(VMULPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	VBROADCASTSS mvc_ep4(SB), Y10
+	PAIR3(VADDPS, Y10, Y4, Y4, Y10, Y9, Y9)
+	PAIR3(VMULPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	PAIR3(VADDPS, Y11, Y4, Y4, Y11, Y9, Y9)
+	PAIR3(VMULPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	PAIR3(VMULPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	PAIR3(VADDPS, Y3, Y4, Y4, Y8, Y9, Y9)
+	PAIR3(VADDPS, Y12, Y4, Y4, Y12, Y9, Y9) // the polynomial
+	PAIR(VCVTTPS2DQ, Y2, Y2, Y7, Y7)
+	VPBROADCASTD mvc_i127(SB), Y10
+	PAIR3(VPADDD, Y10, Y2, Y2, Y10, Y7, Y7)
+	PAIR3(VPSLLD, $23, Y2, Y2, $23, Y7, Y7)
+	PAIR3(VMULPS, Y2, Y4, Y4, Y7, Y9, Y9) // ·2^nf
+	VBROADCASTSS mvc_maxarg(SB), Y10
+	VCMPPS       $0x0e, Y10, Y1, Y2
+	VCMPPS       $0x0e, Y10, Y6, Y7
+	VBROADCASTSS mvc_maxf32(SB), Y10
+	VBLENDVPS    Y2, Y10, Y4, Y4
+	VBLENDVPS    Y7, Y10, Y9, Y9
+	VBROADCASTSS mvc_minarg(SB), Y10
+	VCMPPS       $0x01, Y10, Y1, Y2
+	VCMPPS       $0x01, Y10, Y6, Y7
+	VXORPS       Y10, Y10, Y10
+	VBLENDVPS    Y2, Y10, Y4, Y4
+	VBLENDVPS    Y7, Y10, Y9, Y9
+	PAIR3(VADDPS, Y4, Y12, Y4, Y9, Y12, Y9)
+	PAIR3(VDIVPS, Y4, Y12, Y4, Y9, Y12, Y9) // s = σ(2u)
+	VMOVUPS Y4, (DX)(AX*4)
+	VMOVUPS Y9, 32(DX)(AX*4)
+	PAIR3(VMULPS, Y4, Y0, Y4, Y9, Y5, Y9)
+	VMOVUPS Y4, (DI)(AX*4)
+	VMOVUPS Y9, 32(DI)(AX*4)
+	ADDQ    $16, AX
+	CMPQ    AX, BX
+	JLT     gelu_pair
+	CMPQ    AX, CX
+	JGE     gelu_done
+
+gelu_one:
 	VMOVUPS (SI)(AX*4), Y8
-	VMULPS  Y8, Y9, Y0
+	VMULPS  Y8, Y15, Y0
 	VMULPS  Y8, Y0, Y0
-	VADDPS  Y0, Y10, Y0
+	VADDPS  Y0, Y14, Y0
 	VMULPS  Y0, Y8, Y0          // the exponent z = -2u
 	VMOVAPS Y0, Y1
 	EXPCORE
@@ -107,9 +191,8 @@ gelu_loop:
 	VMOVUPS Y5, (DX)(AX*4)
 	VMULPS  Y5, Y8, Y5
 	VMOVUPS Y5, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JLT     gelu_loop
+
+gelu_done:
 	VZEROUPPER
 	RET
 
@@ -511,9 +594,9 @@ sumrows_done:
 	VMOVUPS     lo, x \
 	VINSERTF128 $1, hi, y, y
 
-// func transposeVec(dst, src *float32, rows, cols, r8, c8 int)
+// func transposeVec(dst, src *float32, rows, ld, r8, c8 int)
 //
-// dst[c·rows + r] = src[r·cols + c] over r < r8, c < c8 (multiples of
+// dst[c·rows + r] = src[r·ld + c] over r < r8, c < c8 (multiples of
 // 8), one 8×8 block at a time: each YMM loads columns c…c+3 (then
 // c+4…c+7) of rows r+i and r+4+i into its two halves, so COLS4x8 leaves
 // one whole column of the block per register.
@@ -521,7 +604,7 @@ TEXT ·transposeVec(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), AX
 	MOVQ src+8(FP), R8
 	MOVQ rows+16(FP), R10
-	MOVQ cols+24(FP), R12
+	MOVQ ld+24(FP), R12
 	MOVQ r8+32(FP), BX
 	SHLQ $2, R10            // dst row stride in bytes
 	SHLQ $2, R12            // src row stride in bytes
@@ -564,6 +647,211 @@ tr_block:
 	ADDQ        $32, AX
 	DECQ        BX
 	JNZ         tr_rows
+	VZEROUPPER
+	RET
+
+// TOKCOLS loads columns j…j+3 (off bytes past p and q) of eight token
+// rows — p, p+ld, p+2·ld, p+3·ld and q = p+4·ld on, ld bytes in R12,
+// 3·ld in R13 — and leaves column j+i, lane = token, in oi.
+#define TOKCOLS(p, q, off, o0, o1, o2, o3) \
+	HALVES(off(p), off(q), Y0, X0)                 \
+	HALVES(off(p)(R12*1), off(q)(R12*1), Y1, X1)   \
+	HALVES(off(p)(R12*2), off(q)(R12*2), Y2, X2)   \
+	HALVES(off(p)(R13*1), off(q)(R13*1), Y3, X3)   \
+	COLS4x8(Y0, Y1, Y2, Y3, o0, o1, o2, o3)
+
+// DOT1 and DOT2 take one step of the chain, acc += col·kq[j] with kq[j]
+// at m, for channel A (Y14) or channels A and B (Y14, Y15).
+#define DOT1(m, ca) \
+	VBROADCASTSS m, Y12;  \
+	VMULPS       Y12, ca, ca; \
+	VADDPS       ca, Y14, Y14
+#define DOT2(m, ca, cb) \
+	DOT1(m, ca);               \
+	VMULPS       Y12, cb, cb; \
+	VADDPS       cb, Y15, Y15
+
+// LANES stores the eight lanes of y to AX, AX+R9, …, AX+7·R9 (x is y's
+// low half); clobbers AX, BX.
+#define LANES(y, x) \
+	VMOVSS       x, (AX)          \
+	VEXTRACTPS   $1, x, (AX)(R9*1) \
+	VEXTRACTPS   $2, x, (AX)(R9*2) \
+	LEAQ         (AX)(R9*2), BX   \
+	VEXTRACTPS   $3, x, (BX)(R9*1) \
+	LEAQ         (AX)(R9*4), AX   \
+	VEXTRACTF128 $1, y, x         \
+	VMOVSS       x, (AX)          \
+	VEXTRACTPS   $1, x, (AX)(R9*1) \
+	VEXTRACTPS   $2, x, (AX)(R9*2) \
+	LEAQ         (AX)(R9*2), BX   \
+	VEXTRACTPS   $3, x, (BX)(R9*1)
+
+// func aggDotVec(w, e, kq *float32, c, stride, ld, d8 int)
+//
+// The channel dots of nn.AggregateTokens for eight tokens: token l's
+// row of channel i starts at e[i·stride + l·ld], and
+//   w[l·c + i] = Σ_{j<d8} e[i·stride + l·ld + j]·kq[j]
+// is lane l's chain from +0 in j order, separate multiply and add. The
+// eight rows of a channel are transposed four columns at a time so that
+// a lane is a token; two channels run side by side, sharing kq[j].
+TEXT ·aggDotVec(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), DI
+	MOVQ e+8(FP), SI
+	MOVQ c+24(FP), CX
+	MOVQ stride+32(FP), R8
+	MOVQ ld+40(FP), R12
+	LEAQ (CX*4), R9         // w's lane stride in bytes
+	SHLQ $2, R8             // channel stride in bytes
+	SHLQ $2, R12            // token row stride in bytes
+	LEAQ (R12)(R12*2), R13
+
+dot_pair:
+	CMPQ   CX, $2
+	JLT    dot_one
+	LEAQ   (SI)(R12*4), DX
+	LEAQ   (SI)(R8*1), R10
+	LEAQ   (R10)(R12*4), R11
+	MOVQ   kq+16(FP), BX
+	MOVQ   d8+48(FP), AX
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+
+dot_pair_j:
+	TOKCOLS(SI, DX, 0, Y4, Y5, Y6, Y7)
+	TOKCOLS(R10, R11, 0, Y8, Y9, Y10, Y11)
+	DOT2(0(BX), Y4, Y8)
+	DOT2(4(BX), Y5, Y9)
+	DOT2(8(BX), Y6, Y10)
+	DOT2(12(BX), Y7, Y11)
+	TOKCOLS(SI, DX, 16, Y4, Y5, Y6, Y7)
+	TOKCOLS(R10, R11, 16, Y8, Y9, Y10, Y11)
+	DOT2(16(BX), Y4, Y8)
+	DOT2(20(BX), Y5, Y9)
+	DOT2(24(BX), Y6, Y10)
+	DOT2(28(BX), Y7, Y11)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $32, BX
+	SUBQ $8, AX
+	JNZ  dot_pair_j
+	MOVQ DI, AX
+	LANES(Y14, X14)
+	LEAQ 4(DI), AX
+	LANES(Y15, X15)
+	MOVQ d8+48(FP), AX      // SI back to its channel's first column, on by two channels
+	SHLQ $2, AX
+	SUBQ AX, SI
+	LEAQ (SI)(R8*2), SI
+	ADDQ $8, DI
+	SUBQ $2, CX
+	JMP  dot_pair
+
+dot_one:
+	TESTQ  CX, CX
+	JZ     dot_done
+	LEAQ   (SI)(R12*4), DX
+	MOVQ   kq+16(FP), BX
+	MOVQ   d8+48(FP), AX
+	VXORPS Y14, Y14, Y14
+
+dot_one_j:
+	TOKCOLS(SI, DX, 0, Y4, Y5, Y6, Y7)
+	DOT1(0(BX), Y4)
+	DOT1(4(BX), Y5)
+	DOT1(8(BX), Y6)
+	DOT1(12(BX), Y7)
+	TOKCOLS(SI, DX, 16, Y4, Y5, Y6, Y7)
+	DOT1(16(BX), Y4)
+	DOT1(20(BX), Y5)
+	DOT1(24(BX), Y6)
+	DOT1(28(BX), Y7)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, BX
+	SUBQ $8, AX
+	JNZ  dot_one_j
+	MOVQ DI, AX
+	LANES(Y14, X14)
+
+dot_done:
+	VZEROUPPER
+	RET
+
+// MIXCOL adds column block off of channel DX, scaled by Y8, into acc.
+#define MIXCOL(off, t, acc) \
+	VMULPS off(DX), Y8, t; \
+	VADDPS t, acc, acc
+
+// func aggMixVec(out, e, a *float32, c, stride, d8 int)
+//
+// The mix of nn.AggregateTokens for one token over d8 columns:
+//   out[j] = Σ_i a[i]·e[i·stride + j]
+// summed from +0 in channel order, separate multiply and add; four
+// column vectors at a time, then one.
+TEXT ·aggMixVec(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ e+8(FP), SI
+	MOVQ a+16(FP), BX
+	MOVQ c+24(FP), CX
+	MOVQ stride+32(FP), R8
+	MOVQ d8+40(FP), AX
+	SHLQ $2, R8
+
+mix_four:
+	CMPQ   AX, $32
+	JLT    mix_one
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, DX
+	MOVQ   BX, R10
+	MOVQ   CX, R11
+
+mix_four_c:
+	VBROADCASTSS (R10), Y8
+	MIXCOL(0, Y4, Y0)
+	MIXCOL(32, Y5, Y1)
+	MIXCOL(64, Y6, Y2)
+	MIXCOL(96, Y7, Y3)
+	ADDQ         R8, DX
+	ADDQ         $4, R10
+	DECQ         R11
+	JNZ          mix_four_c
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	ADDQ         $128, SI
+	ADDQ         $128, DI
+	SUBQ         $32, AX
+	JMP          mix_four
+
+mix_one:
+	TESTQ  AX, AX
+	JZ     mix_done
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, DX
+	MOVQ   BX, R10
+	MOVQ   CX, R11
+
+mix_one_c:
+	VBROADCASTSS (R10), Y8
+	MIXCOL(0, Y4, Y0)
+	ADDQ         R8, DX
+	ADDQ         $4, R10
+	DECQ         R11
+	JNZ          mix_one_c
+	VMOVUPS      Y0, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	SUBQ         $8, AX
+	JMP          mix_one
+
+mix_done:
 	VZEROUPPER
 	RET
 

@@ -15,9 +15,11 @@ func addVec(dst, a, b *float32, n int)                    { panic("tensor: vecto
 func scaleVec(dst *float32, n int, s float32)             { panic("tensor: vector kernel unavailable") }
 func maxAbsVec(p *float32, n int) uint32                  { panic("tensor: vector kernel unavailable") }
 func sumRowsVec(dst, t *float32, rows, cols, stride int)  { panic("tensor: vector kernel unavailable") }
-func transposeVec(dst, src *float32, rows, cols, r8, c8 int) {
+func transposeVec(dst, src *float32, rows, ld, r8, c8 int) {
 	panic("tensor: vector kernel unavailable")
 }
 func dequantVec(dst *float32, data *byte, scales *float32, rows, stride, pb, nb int, q4 bool) {
 	panic("tensor: vector kernel unavailable")
 }
+func aggDotVec(w, e, kq *float32, c, stride, ld, d8 int) { panic("tensor: vector kernel unavailable") }
+func aggMixVec(out, e, a *float32, c, stride, d8 int)    { panic("tensor: vector kernel unavailable") }

@@ -166,16 +166,19 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 
 // TestElemKernelsStayInsideOperands sweeps every length tail of the
 // GELU, streaming and exp kernels (expVec has been in no such test
-// since it was written), every row-group tail and width of the softmax
-// kernels, every column tail of the bias-gradient sum, every rows%8 ×
-// cols%8 edge of the transpose, and the quantized strip writer over
-// row tails, partial scale blocks and partial column groups, its last
-// panel's bytes and scales against the fence.
+// since it was written; GELU's two-vector passes with and without the
+// one-vector pass after them), every row-group tail and width of the
+// softmax kernels, every column tail of the bias-gradient sum, every
+// rows%8 × cols%8 edge of the transpose, dense and from a strided
+// source, the aggregation's dots and mix over one to three channels
+// and widths with and without a tail, and the quantized strip writer
+// over row tails, partial scale blocks and partial column groups, its
+// last panel's bytes and scales against the fence.
 func TestElemKernelsStayInsideOperands(t *testing.T) {
-	const maxN, maxRows, maxCols, maxK = 21, 9, 41, 40
+	const maxN, maxRows, maxCols, maxK, maxC = 33, 9, 41, 40, 3
 	var g [4]*guarded
 	for i := range g {
-		g[i] = newGuarded(t, 4*maxRows*maxCols)
+		g[i] = newGuarded(t, 4*max(maxRows*(maxCols+3), maxC*8*maxK))
 	}
 	gs := newGuarded(t, 4*maxK*outerColPanel)
 	underFences(t, func(atEnd bool, running *string) {
@@ -214,6 +217,14 @@ func TestElemKernelsStayInsideOperands(t *testing.T) {
 				}
 			}
 		}
+		for c := 1; c <= maxC; c++ {
+			for _, d := range []int{8, 13, 16, maxK} {
+				*running = fmt.Sprintf("aggDotVec C=%d D=%d", c, d)
+				AggregateDotsVec(f32(0, 8*c), f32(1, c*8*d), f32(2, d), 8*d, d)
+				*running = fmt.Sprintf("aggMixVec C=%d D=%d", c, d)
+				AggregateMixVec(f32(0, d), f32(1, (c-1)*8*d+d), f32(2, c), 8*d)
+			}
+		}
 		for rows := 1; rows <= maxRows; rows++ {
 			for cols := 1; cols <= maxCols; cols++ {
 				n := rows * cols
@@ -229,7 +240,9 @@ func TestElemKernelsStayInsideOperands(t *testing.T) {
 				*running = fmt.Sprintf("sumRowsVec [%d,%d]", rows, cols)
 				sumRowsCols(f32(0, cols), f32(1, n), rows, cols)
 				*running = fmt.Sprintf("transposeVec [%d,%d]", rows, cols)
-				transposeBlocks(f32(0, n), f32(1, n), rows, cols)
+				transposeBlocks(f32(0, n), f32(1, n), rows, cols, cols)
+				*running = fmt.Sprintf("transposeVec [%d,%d] row stride %d", rows, cols, cols+3)
+				transposeBlocks(f32(0, n), f32(1, (rows-1)*(cols+3)+cols), rows, cols, cols+3)
 			}
 		}
 	})

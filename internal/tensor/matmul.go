@@ -49,8 +49,8 @@ func matMulBias(dst, t, u, bias *Tensor, op string) *Tensor {
 		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v @ %v", op, t.shape, u.shape))
 	}
 	checkDst(dst, m, n, op)
-	o := mulTask(dst.data, t.data, u.data, biasData(bias, n, op), m, k, n)
-	o.run(1)
+	o := mulTask(dst.data, t.data, u.data, biasData(bias, n, op), k, n)
+	o.rows(0, m)
 	return dst
 }
 
@@ -76,9 +76,9 @@ func MatMulTransBInto(dst, t, u *Tensor) *Tensor {
 	}
 	checkDst(dst, m, n, "MatMulTransBInto")
 	ut := getPack(k * n)
-	packTranspose(*ut, u.data, n, k)
-	o := mulTask(dst.data, t.data, *ut, nil, m, k, n)
-	o.run(1)
+	packTranspose(*ut, u.data, n, k, k)
+	o := mulTask(dst.data, t.data, *ut, nil, k, n)
+	o.rows(0, m)
 	putPack(ut)
 	return dst
 }
@@ -104,61 +104,125 @@ func matMulTransA(dst, t, u *Tensor, acc bool) *Tensor {
 	checkDst(dst, m, n, "MatMulTransAInto")
 	o := mulTransATask(dst.data, t.data, u.data, m, k, n)
 	o.acc = acc
-	o.run(1)
+	o.rows(0, m)
 	return dst
 }
 
-// --- batched (head-major) products over rank-3 tensors ---
+// --- batched (per-head) products ---
+//
+// A batched product runs b independent products, one per entry. An
+// operand holds its b entries in one of two layouts:
+//
+//   - a rank-3 head-major stack [b, r, c]: entry e is the e-th [r, c]
+//     block;
+//   - a rank-2 token-major matrix [s·r, H·c] with b = s·H, as the
+//     attention projections write it: entry e = i·H + h is head h's
+//     column block of sample i's r rows, read and written in place with
+//     row stride H·c.
+//
+// Both are one addressing — entry e starts at (e/H)·ss + (e%H)·hs and
+// has row stride ld; the stack is H = 1, ld = c — so every batched
+// product runs one path, and no caller regroups heads to call it. The
+// score operand (t of BatchedMatMulInto and BatchedMatMulTransAInto,
+// dst of BatchedMatMulTransBScaledInto) is always a stack: it fixes b
+// and its entry shape, from which a token-major operand's H follows.
 
-func checkBatched(dst, t, u *Tensor, op string) (b, m, k, k2, n int) {
-	if len(t.shape) != 3 || len(u.shape) != 3 || len(dst.shape) != 3 ||
-		t.shape[0] != u.shape[0] || dst.shape[0] != t.shape[0] {
-		panic(fmt.Sprintf("tensor: %s shapes %v, %v -> %v", op, t.shape, u.shape, dst.shape))
+// stack addresses the entries of one batched operand.
+type stack struct {
+	data      []float32
+	heads, ld int // entries per sample, row stride
+	hs, ss    int // steps from one head and from one sample to the next
+}
+
+// at returns entry e's data, from its first element on.
+func (s stack) at(e int) []float32 { return s.data[e/s.heads*s.ss+e%s.heads*s.hs:] }
+
+// scoreDims returns the entry count and entry shape of a batched
+// product's score operand, which must be a stack.
+func scoreDims(x *Tensor, op string) (b, r, c int) {
+	if len(x.shape) != 3 {
+		panic(fmt.Sprintf("tensor: %s score operand %v, want a [b, r, c] stack", op, x.shape))
 	}
-	return t.shape[0], t.shape[1], t.shape[2], u.shape[1], u.shape[2]
+	return x.shape[0], x.shape[1], x.shape[2]
+}
+
+// entryCols returns the column count of x's entries when x holds b
+// entries of r rows, or -1 when it cannot.
+func entryCols(x *Tensor, b, r int) int {
+	switch {
+	case len(x.shape) == 3:
+		return x.shape[2]
+	case len(x.shape) == 2 && r > 0 && x.shape[0]%r == 0 && x.shape[0] > 0 && b%(x.shape[0]/r) == 0:
+		return x.shape[1] / (b / (x.shape[0] / r))
+	}
+	return -1
+}
+
+// stackOf views x as b entries of [r, c] in whichever layout it has.
+func stackOf(x *Tensor, b, r, c int, op string) stack {
+	switch len(x.shape) {
+	case 3:
+		if x.shape[0] == b && x.shape[1] == r && x.shape[2] == c {
+			return stack{x.data, 1, c, 0, r * c}
+		}
+	case 2:
+		if s := x.shape[0] / max(r, 1); s > 0 && x.shape[0] == s*r && b%s == 0 && x.shape[1] == b/s*c {
+			h := b / s
+			return stack{x.data, h, h * c, c, r * h * c}
+		}
+	}
+	panic(fmt.Sprintf("tensor: %s operand %v does not hold %d entries of [%d %d]", op, x.shape, b, r, c))
+}
+
+// batched runs p over b entries of m output rows, reading t and u and
+// writing dst at each entry's place in its stack.
+func (p product) batched(b, m int, dst, t, u stack) {
+	for e := 0; e < b; e++ {
+		p.dst, p.t, p.u = dst.at(e), t.at(e), u.at(e)
+		p.rows(0, m)
+	}
 }
 
 // BatchedMatMulInto computes dst[i] = t[i] @ u[i] batchwise:
-// [b,m,k] @ [b,k,n] -> [b,m,n].
+// [b,m,k] @ [b,k,n] -> [b,m,n], t a stack.
 func BatchedMatMulInto(dst, t, u *Tensor) *Tensor {
-	b, m, k, k2, n := checkBatched(dst, t, u, "BatchedMatMulInto")
-	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
-		panic(fmt.Sprintf("tensor: BatchedMatMulInto shapes %v @ %v -> %v", t.shape, u.shape, dst.shape))
-	}
-	o := mulTask(dst.data, t.data, u.data, nil, m, k, n)
-	o.run(b)
+	const op = "BatchedMatMulInto"
+	b, m, k := scoreDims(t, op)
+	n := entryCols(u, b, k)
+	ds, ts, us := stackOf(dst, b, m, n, op), stackOf(t, b, m, k, op), stackOf(u, b, k, n, op)
+	p := product{k: k, n: n, tk: 1, tr: ts.ld, un: us.ld, dn: ds.ld, scale: 1}
+	p.batched(b, m, ds, ts, us)
 	return dst
 }
 
 // BatchedMatMulTransBScaledInto computes dst[i] = scale·(t[i] @ u[i]ᵀ)
-// batchwise: [b,m,k] @ ([b,n,k])ᵀ -> [b,m,n], transposing every u[i]
-// into a pooled buffer first. With scale = 1/√d this is the fused
-// attention-score kernel for all heads at once.
+// batchwise: [b,m,k] @ ([b,n,k])ᵀ -> [b,m,n], dst a stack, transposing
+// every u[i] into a pooled buffer first. With scale = 1/√d this is the
+// fused attention-score kernel for all heads at once.
 func BatchedMatMulTransBScaledInto(dst, t, u *Tensor, scale float32) *Tensor {
-	b, m, k, n, k2 := checkBatched(dst, t, u, "BatchedMatMulTransBScaledInto")
-	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
-		panic(fmt.Sprintf("tensor: BatchedMatMulTransBScaledInto shapes %v @ %vᵀ -> %v", t.shape, u.shape, dst.shape))
-	}
+	const op = "BatchedMatMulTransBScaledInto"
+	b, m, n := scoreDims(dst, op)
+	k := entryCols(t, b, m)
+	ds, ts, us := stackOf(dst, b, m, n, op), stackOf(t, b, m, k, op), stackOf(u, b, n, k, op)
 	ut := getPack(b * k * n)
-	for h, size := 0, n*k; h < b; h++ {
-		packTranspose((*ut)[h*size:(h+1)*size], u.data[h*size:(h+1)*size], n, k)
+	for e := 0; e < b; e++ {
+		packTranspose((*ut)[e*k*n:(e+1)*k*n], us.at(e), n, k, us.ld)
 	}
-	o := mulTask(dst.data, t.data, *ut, nil, m, k, n)
-	o.scale = scale
-	o.run(b)
+	p := product{k: k, n: n, tk: 1, tr: ts.ld, un: n, dn: ds.ld, scale: scale}
+	p.batched(b, m, ds, ts, stack{*ut, 1, n, 0, k * n})
 	putPack(ut)
 	return dst
 }
 
 // BatchedMatMulTransAInto computes dst[i] = t[i]ᵀ @ u[i] batchwise:
-// ([b,k,m])ᵀ @ [b,k,n] -> [b,m,n].
+// ([b,k,m])ᵀ @ [b,k,n] -> [b,m,n], t a stack.
 func BatchedMatMulTransAInto(dst, t, u *Tensor) *Tensor {
-	b, k, m, k2, n := checkBatched(dst, t, u, "BatchedMatMulTransAInto")
-	if k != k2 || dst.shape[1] != m || dst.shape[2] != n {
-		panic(fmt.Sprintf("tensor: BatchedMatMulTransAInto shapes %vᵀ @ %v -> %v", t.shape, u.shape, dst.shape))
-	}
-	o := mulTransATask(dst.data, t.data, u.data, m, k, n)
-	o.run(b)
+	const op = "BatchedMatMulTransAInto"
+	b, k, m := scoreDims(t, op)
+	n := entryCols(u, b, k)
+	ds, ts, us := stackOf(dst, b, m, n, op), stackOf(t, b, k, m, op), stackOf(u, b, k, n, op)
+	p := product{k: k, n: n, tk: ts.ld, tr: 1, un: us.ld, dn: ds.ld, scale: 1}
+	p.batched(b, m, ds, ts, us)
 	return dst
 }
 

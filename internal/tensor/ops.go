@@ -131,7 +131,7 @@ func TransposeInto(dst, t *Tensor) *Tensor {
 	check2D(dst, t, "TransposeInto")
 	rows, cols := t.shape[0], t.shape[1]
 	checkDst(dst, cols, rows, "TransposeInto")
-	packTranspose(dst.data, t.data, rows, cols)
+	packTranspose(dst.data, t.data, rows, cols, cols)
 	return dst
 }
 

@@ -34,22 +34,14 @@ type product struct {
 	acc       bool // dst += instead of dst =
 }
 
-// outerTask is one product over a batch of independent panels of m
-// output rows stored back to back: panel h is the embedded product
-// moved on by h·m·dn in dst, h·m·k in t and h·k·un in u.
-type outerTask struct {
-	product
-	m int
-}
-
 // mulTask is dst = t @ u (+ bias) for row-major t [m,k], u [k,n].
-func mulTask(dst, t, u, bias []float32, m, k, n int) outerTask {
-	return outerTask{product{dst: dst, t: t, u: u, bias: bias, k: k, n: n, tk: 1, tr: k, un: n, dn: n, scale: 1}, m}
+func mulTask(dst, t, u, bias []float32, k, n int) product {
+	return product{dst: dst, t: t, u: u, bias: bias, k: k, n: n, tk: 1, tr: k, un: n, dn: n, scale: 1}
 }
 
 // mulTransATask is dst = tᵀ @ u for t [k,m], u [k,n].
-func mulTransATask(dst, t, u []float32, m, k, n int) outerTask {
-	return outerTask{product{dst: dst, t: t, u: u, k: k, n: n, tk: m, tr: 1, un: n, dn: n, scale: 1}, m}
+func mulTransATask(dst, t, u []float32, m, k, n int) product {
+	return product{dst: dst, t: t, u: u, k: k, n: n, tk: m, tr: 1, un: n, dn: n, scale: 1}
 }
 
 // outerRowBlock and outerColPanel are the kernel's register-block
@@ -58,17 +50,6 @@ const (
 	outerRowBlock = 6
 	outerColPanel = 16
 )
-
-// run computes all `batch` panels of the product.
-func (o *outerTask) run(batch int) {
-	p := o.product
-	for h := 0; h < batch; h++ {
-		p.dst = o.dst[h*o.m*p.dn : (h+1)*o.m*p.dn]
-		p.t = o.t[h*o.m*p.k : (h+1)*o.m*p.k]
-		p.u = o.u[h*p.k*p.un : (h+1)*p.k*p.un]
-		p.rows(0, o.m)
-	}
-}
 
 // outerMask holds the lane masks of a short last column panel:
 // outerMask[16-w:] is w enabled lanes followed by 16-w disabled ones.

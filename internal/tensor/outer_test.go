@@ -27,18 +27,18 @@ var outerModes = []string{"overwrite", "accumulate", "bias", "scale"}
 // that exceed n by padU and padD.
 type outerCase struct {
 	what string
-	task outerTask
-	b    int
+	task product
+	b, m int
 }
 
 func newOuterCase(rng *RNG, transA bool, mode string, b, k, m, n, padU, padD int) outerCase {
 	un, dn := n+padU, n+padD
-	o := outerTask{product{
+	o := product{
 		dst: make([]float32, b*m*dn+32),
 		t:   Randn(rng, 1, b*m*k).data,
 		u:   Randn(rng, 1, b*k*un).data,
 		k:   k, n: n, tk: 1, tr: k, un: un, dn: dn, scale: 1,
-	}, m}
+	}
 	if transA {
 		o.tk, o.tr = m, 1
 	}
@@ -58,8 +58,15 @@ func newOuterCase(rng *RNG, transA bool, mode string, b, k, m, n, padU, padD int
 	}
 	return outerCase{
 		what: fmt.Sprintf("transA=%v %s b=%d k=%d m=%d n=%d un=%d dn=%d", transA, mode, b, k, m, n, un, dn),
-		task: o, b: b,
+		task: o, b: b, m: m,
 	}
+}
+
+// runPanels runs o over b panels of m rows stored back to back: panel
+// h is o moved on by h·m·dn in dst, h·m·k in t and h·k·un in u.
+func runPanels(o product, b, m int) {
+	panels := func(s []float32, size int) stack { return stack{s, 1, 0, 0, size} }
+	o.batched(b, m, panels(o.dst, m*o.dn), panels(o.t, m*o.k), panels(o.u, o.k*o.un))
 }
 
 // run executes the case on a copy of its destination, through the
@@ -69,7 +76,7 @@ func (c outerCase) run(vector bool) []float32 {
 	useFMA = vector
 	o := c.task
 	o.dst = append([]float32(nil), o.dst...)
-	o.run(c.b)
+	runPanels(o, c.b, c.m)
 	return o.dst
 }
 
@@ -78,8 +85,8 @@ func (c outerCase) reference() []float32 {
 	o := c.task
 	want := append([]float32(nil), o.dst...)
 	for h := 0; h < c.b; h++ {
-		t, u, d := o.t[h*o.m*o.k:], o.u[h*o.k*o.un:], want[h*o.m*o.dn:]
-		for r := 0; r < o.m; r++ {
+		t, u, d := o.t[h*c.m*o.k:], o.u[h*o.k*o.un:], want[h*c.m*o.dn:]
+		for r := 0; r < c.m; r++ {
 			for col := 0; col < o.n; col++ {
 				var s float64
 				for i := 0; i < o.k; i++ {
@@ -162,7 +169,7 @@ func TestOuterSplitInvariance(t *testing.T) {
 			for _, transA := range []bool{false, true} {
 				for _, mode := range outerModes {
 					c := newOuterCase(rng, transA, mode, 1, k, m, n, rng.Intn(5), 0)
-					whole := c.task.product
+					whole := c.task
 					whole.dst = append([]float32(nil), whole.dst...)
 					whole.rows(0, m)
 					same := func(split string, s int, got []float32) {
@@ -174,14 +181,14 @@ func TestOuterSplitInvariance(t *testing.T) {
 						}
 					}
 					for s := 0; s <= m; s++ {
-						parts := c.task.product
+						parts := c.task
 						parts.dst = append([]float32(nil), parts.dst...)
 						parts.rows(s, m)
 						parts.rows(0, s)
 						same("row", s, parts.dst)
 					}
 					for s := 0; s <= n; s++ {
-						left := c.task.product
+						left := c.task
 						left.dst = append([]float32(nil), left.dst...)
 						left.n = s
 						left.rows(0, m)
@@ -222,7 +229,7 @@ func TestOuterForkedMatchesSerial(t *testing.T) {
 				o.dst = got[h*m*n : (h+1)*m*n]
 				o.t = o.t[h*m*k : (h+1)*m*k]
 				o.u = o.u[h*k*n : (h+1)*k*n]
-				o.run(1)
+				o.rows(0, m)
 			}
 			for i, v := range want {
 				if got[i] != v {

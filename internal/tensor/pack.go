@@ -25,27 +25,29 @@ func getPack(n int) *[]float32 {
 
 func putPack(p *[]float32) { packPool.Put(p) }
 
-// packTranspose writes srcᵀ into dst: src is [rows, cols] row-major,
-// dst becomes [cols, rows]. transposeBlocks takes the leading corner of
-// whole 8×8 blocks; the loop — the definition — does the right and
-// bottom edges, which is everything with the CPU gate off.
-func packTranspose(dst, src []float32, rows, cols int) {
-	r8, c8 := transposeBlocks(dst, src, rows, cols)
-	transposeRange(dst, src, rows, cols, 0, r8, c8, cols)
-	transposeRange(dst, src, rows, cols, r8, rows, 0, cols)
+// packTranspose writes srcᵀ into dst: src is [rows, cols] with row
+// stride ld (cols when dense, H·cols for one head's column block of a
+// token-major matrix), dst becomes dense [cols, rows]. transposeBlocks
+// takes the leading corner of whole 8×8 blocks; the loop — the
+// definition — does the right and bottom edges, which is everything
+// with the CPU gate off.
+func packTranspose(dst, src []float32, rows, cols, ld int) {
+	r8, c8 := transposeBlocks(dst, src, rows, cols, ld)
+	transposeRange(dst, src, rows, cols, ld, 0, r8, c8, cols)
+	transposeRange(dst, src, rows, cols, ld, r8, rows, 0, cols)
 }
 
-// transposeRange writes dst[c·rows+r] = src[r·cols+c] over rows
+// transposeRange writes dst[c·rows+r] = src[r·ld+c] over rows
 // [r0, r1) and columns [c0, c1), in 32×32 blocks so that a matrix
 // beyond L1 stays cache friendly.
-func transposeRange(dst, src []float32, rows, cols, r0, r1, c0, c1 int) {
+func transposeRange(dst, src []float32, rows, cols, ld, r0, r1, c0, c1 int) {
 	const bs = 32
 	for rb := r0; rb < r1; rb += bs {
 		re := min(rb+bs, r1)
 		for cb := c0; cb < c1; cb += bs {
 			ce := min(cb+bs, c1)
 			for r := rb; r < re; r++ {
-				row := src[r*cols : r*cols+cols]
+				row := src[r*ld : r*ld+cols]
 				for c := cb; c < ce; c++ {
 					dst[c*rows+r] = row[c]
 				}

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +158,82 @@ func TestXavierUniformBounds(t *testing.T) {
 	for _, v := range w.Data() {
 		if v > limit || v < -limit {
 			t.Fatalf("Xavier value %v outside ±%v", v, limit)
+		}
+	}
+}
+
+// TestPropertyStridedHeadsMatchStacks pins the batched products' one
+// addressing. Every operand read or written in place as head h's
+// column block of a token-major [n·T, H·d] matrix must give, under
+// Float32bits, what the same product gives over the head-major
+// [n·H, T, d] stacks SplitHeadsInto / MergeHeadsInto regroup it into,
+// on the vector and the portable path; and the Kᵀ pack from a strided
+// source must equal its definition. Heads 1–4, d ∈ {4, 8, 12, 16, 24},
+// T 1–23 (every residue of 6 and 8), n 1–3 samples taken in turn as T
+// steps.
+func TestPropertyStridedHeadsMatchStacks(t *testing.T) {
+	defer func(v bool) { useFMA = v }(useFMA)
+	same := func(what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: element %d is %v, head-major stack gives %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	rng := NewRNG(1701)
+	for _, vec := range []bool{false, useFMA} {
+		useFMA = vec
+		for heads := 1; heads <= 4; heads++ {
+			for _, d := range []int{4, 8, 12, 16, 24} {
+				for tok := 1; tok <= 23; tok++ {
+					n := 1 + tok%3
+					what := fmt.Sprintf("vector=%v H=%d d=%d T=%d n=%d", vec, heads, d, tok, n)
+					b, w := n*heads, heads*d
+					toStack := func(x *Tensor) *Tensor {
+						s := New(b, tok, d)
+						for i := 0; i < n; i++ {
+							SplitHeadsInto(FromSlice(s.data[i*tok*w:(i+1)*tok*w], heads, tok, d), FromSlice(x.data[i*tok*w:(i+1)*tok*w], tok, w), heads)
+						}
+						return s
+					}
+					fromStack := func(s *Tensor) []float32 {
+						x := New(n*tok, w)
+						for i := 0; i < n; i++ {
+							MergeHeadsInto(FromSlice(x.data[i*tok*w:(i+1)*tok*w], tok, w), FromSlice(s.data[i*tok*w:(i+1)*tok*w], heads, tok, d), heads)
+						}
+						return x.data
+					}
+					q, k, v := Randn(rng, 1, n*tok, w), Randn(rng, 1, n*tok, w), Randn(rng, 1, n*tok, w)
+					qs, ks, vs := toStack(q), toStack(k), toStack(v)
+					p := Randn(rng, 1, b, tok, tok)
+
+					want := BatchedMatMulTransBScaledInto(New(b, tok, tok), qs, ks, 0.37).data
+					same(what+" Q·Kᵀ", BatchedMatMulTransBScaledInto(New(b, tok, tok), q, k, 0.37).data, want)
+					same(what+" Q·Kᵀ, K a stack", BatchedMatMulTransBScaledInto(New(b, tok, tok), q, ks, 0.37).data, want)
+					same(what+" Q·Kᵀ, Q a stack", BatchedMatMulTransBScaledInto(New(b, tok, tok), qs, k, 0.37).data, want)
+
+					want = fromStack(BatchedMatMulInto(New(b, tok, d), p, vs))
+					same(what+" P·V", BatchedMatMulInto(New(n*tok, w), p, v).data, want)
+					same(what+" P·V, V a stack", BatchedMatMulInto(New(n*tok, w), p, vs).data, want)
+
+					want = fromStack(BatchedMatMulTransAInto(New(b, tok, d), p, vs))
+					same(what+" Pᵀ·dO", BatchedMatMulTransAInto(New(n*tok, w), p, v).data, want)
+
+					for h := 0; h < heads; h++ {
+						src := k.data[h*d:]
+						got := make([]float32, tok*d)
+						packTranspose(got, src, tok, d, w)
+						for c := 0; c < d; c++ {
+							for r := 0; r < tok; r++ {
+								if got[c*tok+r] != src[r*w+c] {
+									t.Fatalf("%s head %d: packed Kᵀ[%d,%d] = %v, want %v", what, h, c, r, got[c*tok+r], src[r*w+c])
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -84,7 +84,7 @@ func MatMulQuantInto(dst, t *Tensor, q *Quantized, bias *Tensor) *Tensor {
 		return dst // no row to slice a column panel out of
 	}
 	strip := getPack(outerColPanel * k)
-	all := mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), m, k, n).product
+	all := mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), k, n)
 	for c := 0; c < n; c += outerColPanel {
 		w := min(outerColPanel, n-c)
 		dequantStrip(*strip, q, c, w)

@@ -15,8 +15,8 @@ import (
 // Contract of the row kernels (rowvec_amd64.s, elemvec_amd64.s): each
 // equals, bit for bit, the loop it is the vector form of — optim's
 // AdamW update, comm's two-rank reduce, nn's LayerNorm forward and
-// backward, and this package's GELU, softmax, streaming and transpose
-// loops. Those loops live in their owners' packages, so every test
+// backward and variable aggregation, and this package's GELU, softmax,
+// streaming and transpose loops. Those loops live in their owners' packages, so every test
 // drives the owner's public entry point twice, CPU gate off (the loop
 // alone) and on (kernel body, loop tail), and compares bits. AdamW and
 // LayerNorm were float64 loops before they were float32 ones; the old
@@ -816,8 +816,54 @@ func TestTransposeVecMatchesScalar(t *testing.T) {
 	}
 }
 
+// aggregate runs nn.AggregateTokens over tokens [t0, t1) of e
+// (channel-major [C·tokens, D]) into sentinel-filled out and alpha and
+// returns both.
+func aggregate(e, kq []float32, c, tokens, t0, t1 int) []float32 {
+	d := len(kq)
+	out, alpha := sentinel(tokens*d), sentinel(tokens*c)
+	nn.AggregateTokens(out, alpha, make([]float32, 8*c), e, kq, tokens, t0, t1)
+	return append(out, alpha...)
+}
+
+// TestAggregateTokensVecMatchesScalar covers C 1…9 channels, 1…19
+// tokens (no, one and two whole groups of eight, every tail) and widths
+// D with and without a vector tail, over every token and over an inner
+// range whose outside must keep its sentinels; then every special value
+// at a spread of places in e and in kq. The dots (a token per lane) and
+// the mix (a column per lane) must give the loop's bits.
+func TestAggregateTokensVecMatchesScalar(t *testing.T) {
+	rng := tensor.NewRNG(84)
+	for c := 1; c <= 9; c++ {
+		for tokens := 1; tokens <= 19; tokens++ {
+			for _, d := range []int{1, 7, 8, 13, 16, 24, 33, 64} {
+				e, kq := tensor.Randn(rng, 2, c*tokens*d).Data(), tensor.Randn(rng, 1, d).Data()
+				t0 := rng.Intn(tokens)
+				t1 := t0 + 1 + rng.Intn(tokens-t0)
+				for _, r := range [][2]int{{0, tokens}, {t0, t1}} {
+					scalar, vector := bothWays(t, func() []float32 { return aggregate(e, kq, c, tokens, r[0], r[1]) })
+					sameBits(t, fmt.Sprintf("AggregateTokens C=%d tokens=%d D=%d range %v (out, alpha)", c, tokens, d, r), vector, scalar, false)
+				}
+			}
+		}
+	}
+	const c, tokens, d = 3, 17, 19
+	for _, v := range special {
+		for _, into := range []string{"e", "kq"} {
+			n := map[string]int{"e": c * tokens * d, "kq": d}[into]
+			for p := 0; p < n; p += 1 + n/40 {
+				e, kq := tensor.Randn(rng, 1, c*tokens*d).Data(), tensor.Randn(rng, 1, d).Data()
+				map[string][]float32{"e": e, "kq": kq}[into][p] = v
+				scalar, vector := bothWays(t, func() []float32 { return aggregate(e, kq, c, tokens, 0, tokens) })
+				sameBits(t, fmt.Sprintf("AggregateTokens with %v at %s[%d] (out, alpha)", v, into, p), vector, scalar, true)
+			}
+		}
+	}
+}
+
 // BenchmarkRowKernels prints ns per element of the row loops (AdamW,
-// the two-rank reduce, LayerNorm) and of the float32 elementwise loops at the bench workloads' sizes
+// the two-rank reduce, LayerNorm, the variable aggregation) and of the
+// float32 elementwise loops at the bench workloads' sizes
 // (TP2's halves included), assembly on and off — the one-line
 // reproducer of a row-kernel regression:
 //
@@ -875,6 +921,16 @@ func BenchmarkRowKernels(b *testing.B) {
 	for _, s := range [][2]int{{64, 64}, {64, 256}} {
 		src, dst := tensor.Randn(rng, 1, s[0], s[1]), tensor.New(s[1], s[0])
 		rows = append(rows, row{fmt.Sprintf("Transpose/[%d,%d]", s[0], s[1]), s[0] * s[1], func() { tensor.TransposeInto(dst, src) }})
+	}
+	// The served model's aggregation (8 channels, 32 tokens a sample,
+	// D 64) at batch 8 (forecast_batch_int8) and batch 1 (serve_steady).
+	for _, tokens := range []int{256, 32} {
+		const c, d = 8, 64
+		e, kq := tensor.Randn(rng, 1, c*tokens*d).Data(), tensor.Randn(rng, 1, d).Data()
+		out, scratch := make([]float32, tokens*d), make([]float32, 8*c)
+		rows = append(rows, row{fmt.Sprintf("AggregateTokens/[%d,%d,%d]", c, tokens, d), c * tokens * d, func() {
+			nn.AggregateTokens(out, nil, scratch, e, kq, tokens, 0, tokens)
+		}})
 	}
 	defer tensor.SetVector(true)
 	for _, r := range rows {

@@ -95,3 +95,29 @@ func LayerNormParamGradVec(dg, db, dy, xhat []float32, rows, chunk int) int {
 	lnParamGradVec(&dg[0], span(db, 0, dim), span(dy, 0, rows*dim), span(xhat, 0, rows*dim), dim, cols, rows, chunk)
 	return cols
 }
+
+// AggregateDotsVec is nn.AggregateTokens' channel dots for eight
+// tokens over the first len(kq)&^7 columns: token l's row of channel i
+// starts at e[i·stride + l·ld], and lane l of channel i runs the
+// j-ordered chain into w[l·c + i], c = len(w)/8. It returns that column
+// count.
+func AggregateDotsVec(w, e, kq []float32, stride, ld int) int {
+	c, d8 := len(w)/8, whole(len(kq))
+	if c == 0 || d8 == 0 {
+		return 0
+	}
+	aggDotVec(span(w, 0, 8*c), span(e, 0, (c-1)*stride+7*ld+d8), &kq[0], c, stride, ld, d8)
+	return d8
+}
+
+// AggregateMixVec is nn.AggregateTokens' mix of one token over the
+// first len(out)&^7 columns, out[j] = Σ_i a[i]·e[i·stride + j] summed
+// from +0 in channel order; it returns that column count.
+func AggregateMixVec(out, e, a []float32, stride int) int {
+	c, d8 := len(a), whole(len(out))
+	if c == 0 || d8 == 0 {
+		return 0
+	}
+	aggMixVec(&out[0], span(e, 0, (c-1)*stride+d8), &a[0], c, stride, d8)
+	return d8
+}
