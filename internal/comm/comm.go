@@ -18,8 +18,11 @@
 // all-gather's shard the rank's own slot of its dst
 // (dst[rank·n : (rank+1)·n]). The data movement skips whatever already
 // sits where it belongs, so an in-place collective on a one-rank group
-// moves nothing. No buffer may overlap another in any other way.
-// Every collective has two entry points onto it:
+// moves nothing. No buffer may overlap another in any other way. A
+// reduce-scatter either stores its chunk in dst or, posted as
+// IReduceScatterMeanAcc, adds it there, so a sharded gradient sum takes
+// each reduction with no landing slot and no second pass. Every
+// collective has two entry points onto it:
 //
 //   - Asynchronous (IAllGather, IAllReduceSum, …): posts the
 //     collective and returns a Handle immediately so the rank can keep
@@ -68,8 +71,8 @@ import (
 )
 
 // pending is one in-flight collective: per-rank input and destination
-// buffers and its Rendezvous. The op kind, scale and cost must agree
-// across ranks, so SPMD ordering violations fail loudly instead of
+// buffers and its Rendezvous. The op kind, scale, add bit and cost must
+// agree across ranks, so SPMD ordering violations fail loudly instead of
 // mixing data. Records are recycled through the group's free list once
 // every rank has waited, so steady-state collectives allocate nothing.
 type pending struct {
@@ -77,6 +80,7 @@ type pending struct {
 	seq    int
 	op     Kind
 	scale  float64 // applied to reductions (1 = sum, 1/p = mean)
+	acc    bool    // a reduce-scatter adds its result into dst
 	waited int
 	done   bool
 	ins    [][]float32
@@ -171,15 +175,16 @@ func (g *Group) cost(kind Kind, n int) float64 {
 
 // pendingFor locates (or creates) the in-flight record for a posting
 // sequence number. Caller holds g.mu.
-func (g *Group) pendingFor(seq int, op Kind, scale, cost float64) *pending {
+func (g *Group) pendingFor(seq int, op Kind, scale float64, acc bool, cost float64) *pending {
 	for _, p := range g.inflight {
 		if p.seq == seq {
-			if p.op != op || p.scale != scale || p.Cost != cost {
-				// Op kind, reduction scale (sum vs mean), and modeled
-				// cost (a function of buffer length) must agree across
-				// ranks; any divergence is an SPMD ordering violation.
-				panic(fmt.Sprintf("comm: collective ordering violation at seq %d: %v(scale %v, cost %v) posted against %v(scale %v, cost %v)",
-					seq, op, scale, cost, p.op, p.scale, p.Cost))
+			if p.op != op || p.scale != scale || p.acc != acc || p.Cost != cost {
+				// Op kind, reduction scale (sum vs mean), store vs add,
+				// and modeled cost (a function of buffer length) must
+				// agree across ranks; any divergence is an SPMD
+				// ordering violation.
+				panic(fmt.Sprintf("comm: collective ordering violation at seq %d: %v(scale %v, add %v, cost %v) posted against %v(scale %v, add %v, cost %v)",
+					seq, op, scale, acc, cost, p.op, p.scale, p.acc, p.Cost))
 			}
 			return p
 		}
@@ -195,7 +200,7 @@ func (g *Group) pendingFor(seq int, op Kind, scale, cost float64) *pending {
 			dsts: make([][]float32, len(g.devices)),
 		}
 	}
-	p.seq, p.op, p.scale, p.Rendezvous = seq, op, scale, Rendezvous{Cost: cost}
+	p.seq, p.op, p.scale, p.acc, p.Rendezvous = seq, op, scale, acc, Rendezvous{Cost: cost}
 	p.waited, p.done = 0, false
 	g.inflight = append(g.inflight, p)
 	return p
@@ -223,7 +228,7 @@ func (g *Group) recycle(p *pending) {
 // post deposits one rank's buffers for its next collective; the last
 // rank to arrive executes the data movement and fixes the completion
 // time. Returns a handle the rank must Wait on exactly once.
-func (g *Group) post(op Kind, rank int, in, dst []float32, scale, cost float64) Handle {
+func (g *Group) post(op Kind, rank int, in, dst []float32, scale float64, acc bool, cost float64) Handle {
 	clk := g.devices[rank].Clock()
 	g.mu.Lock()
 	if g.poisoned {
@@ -245,7 +250,7 @@ func (g *Group) post(op Kind, rank int, in, dst []float32, scale, cost float64) 
 	}()
 	seq := g.postSeq[rank]
 	g.postSeq[rank]++
-	p := g.pendingFor(seq, op, scale, cost)
+	p := g.pendingFor(seq, op, scale, acc, cost)
 	p.ins[rank] = in
 	p.dsts[rank] = dst
 	if p.Post(clk, 1, len(g.devices), &g.streamFree) {
@@ -301,7 +306,7 @@ func (g *Group) complete(p *pending) {
 			// Each dst may be its rank's own input: the first takes the
 			// reduction before the second is overwritten with it.
 			sameLen(p.ins)
-			reduceTwo(first, p.ins[0], p.ins[1], p.scale)
+			reduceTwo(first, p.ins[0], p.ins[1], p.scale, false)
 		default:
 			for i, v := range g.reduce(p.ins) {
 				first[i] = float32(v * p.scale)
@@ -311,23 +316,33 @@ func (g *Group) complete(p *pending) {
 			copy(dst, first)
 		}
 	case ReduceScatter:
+		// Each size stores its rank's chunk of the reduction in dst, or
+		// with acc adds it there: the stored value, then one float32 add.
 		if size == 1 {
-			copyUnlessSame(p.dsts[0], p.ins[0]) // one rank owns the one chunk; see AllReduce
+			// One rank owns the one chunk; see AllReduce.
+			if p.acc {
+				tensor.AddSlice(p.dsts[0], p.ins[0])
+			} else {
+				copyUnlessSame(p.dsts[0], p.ins[0])
+			}
 			break
 		}
 		if size == 2 {
 			chunk := sameLen(p.ins) / 2
 			for r, dst := range p.dsts {
-				reduceTwo(dst, p.ins[0][r*chunk:(r+1)*chunk], p.ins[1][r*chunk:(r+1)*chunk], p.scale)
+				reduceTwo(dst, p.ins[0][r*chunk:(r+1)*chunk], p.ins[1][r*chunk:(r+1)*chunk], p.scale, p.acc)
 			}
 			break
 		}
 		sum := g.reduce(p.ins)
 		chunk := len(sum) / size
 		for r, dst := range p.dsts {
-			off := r * chunk
-			for i := 0; i < chunk; i++ {
-				dst[i] = float32(sum[off+i] * p.scale)
+			for i, v := range sum[r*chunk : (r+1)*chunk] {
+				if p.acc {
+					dst[i] += float32(v * p.scale)
+				} else {
+					dst[i] = float32(v * p.scale)
+				}
 			}
 		}
 	case P2P:
@@ -369,15 +384,24 @@ func copyUnlessSame(dst, src []float32) {
 }
 
 // reduceTwo is the two-rank reduction, one fused pass with no float64
-// scratch: dst = float32((float64(a)+float64(b))·scale), dst free to be
-// a or b. float64(a)+float64(b) is exactly the scratch accumulation
-// 0+a+b, so the bits are the general path's (but for −0 + −0, which
-// keeps its sign as the one-rank copy does). The loop is the
-// definition; tensor.Sum2ScaledVec is its vector form and takes the
-// leading whole vectors where the CPU has it.
-func reduceTwo(dst, a, b []float32, scale float64) {
-	for i := tensor.Sum2ScaledVec(dst, a, b, scale); i < len(dst); i++ {
-		dst[i] = float32((float64(a[i]) + float64(b[i])) * scale)
+// scratch: dst = float32((float64(a)+float64(b))·scale), or with acc
+// dst += that, dst free to be a or b. float64(a)+float64(b) is exactly
+// the scratch accumulation 0+a+b, so the bits are the general path's
+// (but for −0 + −0, which keeps its sign as the one-rank copy does).
+// The loop is the definition; tensor.Sum2ScaledVec and
+// tensor.Sum2ScaledAccVec are its vector forms and take the leading
+// whole vectors where the CPU has them.
+func reduceTwo(dst, a, b []float32, scale float64, acc bool) {
+	vec := tensor.Sum2ScaledVec
+	if acc {
+		vec = tensor.Sum2ScaledAccVec
+	}
+	for i := vec(dst, a, b, scale); i < len(dst); i++ {
+		v := float32((float64(a[i]) + float64(b[i])) * scale)
+		if acc {
+			v = dst[i] + v
+		}
+		dst[i] = v
 	}
 }
 
@@ -422,7 +446,7 @@ func (g *Group) IAllGather(rank int, shard, dst []float32) Handle {
 	if dst != nil && len(dst) != len(shard)*len(g.devices) {
 		panic(fmt.Sprintf("comm: AllGather dst length %d, want %d×%d", len(dst), len(shard), len(g.devices)))
 	}
-	return g.post(AllGather, rank, shard, dst, 1, g.cost(AllGather, len(shard)))
+	return g.post(AllGather, rank, shard, dst, 1, false, g.cost(AllGather, len(shard)))
 }
 
 // IAllReduceSum posts an elementwise float64-accumulated sum of
@@ -436,7 +460,7 @@ func (g *Group) IAllReduceSum(rank int, buf, dst []float32) Handle {
 	if dst != nil && len(dst) != len(buf) {
 		panic(fmt.Sprintf("comm: AllReduce dst length %d, want %d", len(dst), len(buf)))
 	}
-	return g.post(AllReduce, rank, buf, dst, 1, g.cost(AllReduce, len(buf)))
+	return g.post(AllReduce, rank, buf, dst, 1, false, g.cost(AllReduce, len(buf)))
 }
 
 // IAllReduceMean is IAllReduceSum divided by the rank count.
@@ -444,7 +468,7 @@ func (g *Group) IAllReduceMean(rank int, buf, dst []float32) Handle {
 	if dst != nil && len(dst) != len(buf) {
 		panic(fmt.Sprintf("comm: AllReduce dst length %d, want %d", len(dst), len(buf)))
 	}
-	return g.post(AllReduce, rank, buf, dst, 1/float64(len(g.devices)), g.cost(AllReduce, len(buf)))
+	return g.post(AllReduce, rank, buf, dst, 1/float64(len(g.devices)), false, g.cost(AllReduce, len(buf)))
 }
 
 // IReduceScatterSum posts a sum reduction scattering contiguous
@@ -452,16 +476,25 @@ func (g *Group) IAllReduceMean(rank int, buf, dst []float32) Handle {
 // may alias the rank's own chunk of buf
 // (buf[rank·chunk : (rank+1)·chunk]) but no other region.
 func (g *Group) IReduceScatterSum(rank int, buf, dst []float32) Handle {
-	return g.iReduceScatter(rank, buf, dst, 1)
+	return g.iReduceScatter(rank, buf, dst, 1, false)
 }
 
 // IReduceScatterMean is IReduceScatterSum divided by the rank count —
 // the gradient-averaging step of FSDP's backward pass (paper Fig. 2b).
 func (g *Group) IReduceScatterMean(rank int, buf, dst []float32) Handle {
-	return g.iReduceScatter(rank, buf, dst, 1/float64(len(g.devices)))
+	return g.iReduceScatter(rank, buf, dst, 1/float64(len(g.devices)), false)
 }
 
-func (g *Group) iReduceScatter(rank int, buf, dst []float32, scale float64) Handle {
+// IReduceScatterMeanAcc is IReduceScatterMean adding into dst instead
+// of storing: dst += the rank's chunk of the mean, with the bits of the
+// store followed by tensor.AddSlice — FSDP reducing a micro-batch's
+// gradient straight into the sharded gradient sum. Every rank of the
+// collective must post this form; dst must not overlap buf.
+func (g *Group) IReduceScatterMeanAcc(rank int, buf, dst []float32) Handle {
+	return g.iReduceScatter(rank, buf, dst, 1/float64(len(g.devices)), true)
+}
+
+func (g *Group) iReduceScatter(rank int, buf, dst []float32, scale float64, acc bool) Handle {
 	p := len(g.devices)
 	if len(buf)%p != 0 {
 		panic(fmt.Sprintf("comm: ReduceScatter length %d not divisible by %d ranks", len(buf), p))
@@ -469,7 +502,7 @@ func (g *Group) iReduceScatter(rank int, buf, dst []float32, scale float64) Hand
 	if len(dst) != len(buf)/p {
 		panic(fmt.Sprintf("comm: ReduceScatter dst length %d, want %d", len(dst), len(buf)/p))
 	}
-	return g.post(ReduceScatter, rank, buf, dst, scale, g.cost(ReduceScatter, len(buf)))
+	return g.post(ReduceScatter, rank, buf, dst, scale, acc, g.cost(ReduceScatter, len(buf)))
 }
 
 // --- synchronous destination-passing collectives ---

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"orbit/internal/cluster"
+	"orbit/internal/tensor"
 )
 
 // runSPMD launches one goroutine per rank and waits for completion.
@@ -473,6 +474,68 @@ func TestInPlaceCollectivesMatchOutOfPlace(t *testing.T) {
 	}
 }
 
+// TestReduceScatterAccMatchesStoreThenAdd: the adding reduce-scatter
+// gives, under Float32bits, the bits of the storing one into a slot
+// followed by tensor.AddSlice of the slot into the destination — at
+// every group size that takes its own path through complete (the
+// one-rank add, the two-rank fused pass, the float64 scratch), over an
+// odd chunk (the vector kernels' eight- and four-lane passes and a
+// tail), with ±0, ±Inf and NaN in every rank's input and in the
+// destination.
+func TestReduceScatterAccMatchesStoreThenAdd(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	edge := []float32{0, negZero, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-45, 1, -1.5}
+	const chunk = 77
+	rng := rand.New(rand.NewSource(29))
+	random := func() float32 { return math.Float32frombits(rng.Uint32() &^ (1 << 23)) }
+	for size := 1; size <= 3; size++ {
+		g := newGroup(size)
+		ins := make([][]float32, size)
+		dst0 := make([][]float32, size)
+		for r := range ins {
+			ins[r] = make([]float32, size*chunk)
+			for i := range ins[r] {
+				// The first len(edge)² elements of each chunk pair every
+				// edge value of rank 0 with every one of rank 1.
+				switch j := i % chunk; {
+				case j >= len(edge)*len(edge) || r > 1:
+					ins[r][i] = random()
+				case r == 0:
+					ins[r][i] = edge[j/len(edge)]
+				default:
+					ins[r][i] = edge[j%len(edge)]
+				}
+			}
+			dst0[r] = make([]float32, chunk)
+			for i := range dst0[r] {
+				dst0[r][i] = random()
+				if i%3 == 0 {
+					dst0[r][i] = edge[(i/3)%len(edge)]
+				}
+			}
+		}
+		want, got := make([][]float32, size), make([][]float32, size)
+		runSPMD(size, func(r int) {
+			slot := make([]float32, chunk)
+			g.IReduceScatterMean(r, append([]float32(nil), ins[r]...), slot).Wait()
+			want[r] = append([]float32(nil), dst0[r]...)
+			tensor.AddSlice(want[r], slot)
+		})
+		runSPMD(size, func(r int) {
+			got[r] = append([]float32(nil), dst0[r]...)
+			g.IReduceScatterMeanAcc(r, append([]float32(nil), ins[r]...), got[r]).Wait()
+		})
+		for r := range want {
+			for i := range want[r] {
+				if math.Float32bits(got[r][i]) != math.Float32bits(want[r][i]) {
+					t.Fatalf("%d ranks, rank %d element %d: adding reduce-scatter %v (%#08x), store then add %v (%#08x)",
+						size, r, i, got[r][i], math.Float32bits(got[r][i]), want[r][i], math.Float32bits(want[r][i]))
+				}
+			}
+		}
+	}
+}
+
 // TestAllGatherNilDestination: a rank that posts no destination still
 // contributes its shard and pays for the collective, its peers receive
 // everything, and nothing of its own is written.
@@ -654,6 +717,9 @@ func TestPanicInsidePostPoisonsGroup(t *testing.T) {
 		{"ordering violation in pendingFor",
 			func(g *Group) Handle { return g.IAllReduceSum(0, buf, dst) },
 			func(g *Group) Handle { return g.IAllGather(1, buf, make([]float32, 8)) }},
+		{"add bit disagreeing in pendingFor",
+			func(g *Group) Handle { return g.IReduceScatterMean(0, buf, dst[:2]) },
+			func(g *Group) Handle { return g.IReduceScatterMeanAcc(1, buf, make([]float32, 2)) }},
 		{"send without a sender in complete",
 			func(g *Group) Handle { return g.IRecv(0, dst) },
 			func(g *Group) Handle { return g.IRecv(1, make([]float32, 4)) }},

@@ -25,7 +25,7 @@ func (g *Group) ISend(rank int, buf []float32) Handle {
 	if buf == nil {
 		panic("comm: ISend requires a non-nil buffer")
 	}
-	return g.post(P2P, rank, buf, nil, 1, g.cost(P2P, len(buf)))
+	return g.post(P2P, rank, buf, nil, 1, false, g.cost(P2P, len(buf)))
 }
 
 // IRecv posts the receiving side of a point-to-point send: dst is
@@ -36,7 +36,7 @@ func (g *Group) IRecv(rank int, dst []float32) Handle {
 	if dst == nil {
 		panic("comm: IRecv requires a non-nil destination")
 	}
-	return g.post(P2P, rank, nil, dst, 1, g.cost(P2P, len(dst)))
+	return g.post(P2P, rank, nil, dst, 1, false, g.cost(P2P, len(dst)))
 }
 
 // SendTo is the synchronous form of ISend.

@@ -13,12 +13,16 @@ import (
 // TestStepGradientIsSumOfMicroGradients pins the step's gradient
 // accumulation: after one ZeroGrad and three Forward/Backward pairs the
 // chunk gradients must equal, bit for bit, the sequential host sum
-// 0 + g₁ + g₂ + g₃ of what a twin set of engines holds after each pair
-// on its own (each pair after its own ZeroGrad). It covers both paths:
+// 0 + g₁ + g₂ + g₃ of what a fresh twin set of engines holds after
+// each pair on its own. It covers both paths:
 // the flat gradient vector as the step's sum (one rank; TP2 with
 // QK-norm off) and the per-micro-batch reduction added into a chunk
 // accumulator (FSDP2; DDP2 with and without buckets; TP2 with QK-norm
-// on, whose backward all-reduces the QK-norm gradients).
+// on, whose backward all-reduces the QK-norm gradients; TP2×FSDP2 with
+// QK-norm on). On that path the backward stores each micro-batch's
+// gradient over the last one and the reduce-scatter adds into the
+// chunk, so a layer that adds in store mode, or a reduce-scatter that
+// stores, fails here.
 func TestStepGradientIsSumOfMicroGradients(t *testing.T) {
 	const micros = 3
 	for _, tc := range []struct {
@@ -33,6 +37,7 @@ func TestStepGradientIsSumOfMicroGradients(t *testing.T) {
 		{Layout{TP: 1, FSDP: 1, DDP: 2}, true, 0, true},
 		{Layout{TP: 1, FSDP: 1, DDP: 2}, true, 256, true},
 		{Layout{TP: 2, FSDP: 1, DDP: 1}, true, 0, true},
+		{Layout{TP: 2, FSDP: 2, DDP: 1}, true, 0, true},
 	} {
 		label := fmt.Sprintf("TP%d×FSDP%d×DDP%d qk=%v bucket=%d", tc.layout.TP, tc.layout.FSDP, tc.layout.DDP, tc.qk, tc.bucket)
 		opts := DefaultOptions()
@@ -63,13 +68,17 @@ func TestStepGradientIsSumOfMicroGradients(t *testing.T) {
 			}
 		})
 
-		twin := accumEngines(t, tc.layout, tc.qk, opts)
-		sums := make([][][]float32, len(twin))
-		runSPMD(len(twin), func(r int) {
-			for _, c := range twin[r].Chunks() {
+		// Each pair runs on a fresh twin set, so nothing one pair leaves
+		// in an engine (a flat gradient, a slot) reaches the next.
+		sums := make([][][]float32, len(step))
+		for r, e := range step {
+			for _, c := range e.Chunks() {
 				sums[r] = append(sums[r], make([]float32, c.Grad.Len()))
 			}
-			for mu := 0; mu < micros; mu++ {
+		}
+		for mu := 0; mu < micros; mu++ {
+			twin := accumEngines(t, tc.layout, tc.qk, opts)
+			runSPMD(len(twin), func(r int) {
 				twin[r].ZeroGrad()
 				pair(twin[r], mu)
 				for b, c := range twin[r].Chunks() {
@@ -77,8 +86,8 @@ func TestStepGradientIsSumOfMicroGradients(t *testing.T) {
 						sums[r][b][i] += v
 					}
 				}
-			}
-		})
+			})
+		}
 
 		for r, e := range step {
 			for b, c := range e.Chunks() {

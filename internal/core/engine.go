@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"orbit/internal/cluster"
 	"orbit/internal/comm"
@@ -77,9 +78,11 @@ func DefaultOptions() Options {
 // one Backward per micro-batch). When no collective reads a single
 // micro-batch's gradient — FSDP and DDP of one rank, no TP QK-norm sum
 // — the flat gradient vector is that sum itself and the rank's chunk
-// gradient is all of it. Otherwise the flat vector holds one
-// micro-batch's gradient at a time and the chunk gradient is a buffer
-// of its own, into which the chunk's last collective's result is added.
+// gradient is all of it. Otherwise (perMicro) the flat vector holds one
+// micro-batch's gradient at a time, stored by the backward over the
+// last one (nn.Param.StoreGrad, so nothing clears it), and the chunk
+// gradient is a buffer of its own: the reduce-scatter adds the mean
+// into it, or with a DDP level the outer all-reduce's result is added.
 type Engine struct {
 	Rank   int
 	Coord  Coord
@@ -101,6 +104,10 @@ type Engine struct {
 	sets     [][]*nn.TransformerBlock
 	qk       bool // the backward sums the QK-norm gradients (QKNorm, TP > 1)
 	perMicro bool // a collective reads each micro-batch's gradient (see Engine)
+	// normSpans[b] holds the [lo, hi) ranges of chunk b that
+	// GradSumSquares counts: all of it, but off TP rank 0 not the
+	// parameters every TP rank holds whole (parallel.Replicated).
+	normSpans [][][2]int
 
 	// What the last compiled pass left live, and the buffer run executes.
 	pass  PassState
@@ -180,6 +187,11 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 		grads := parallel.BindFlat(flat, params)
 		chunkLen := len(flat) / groups.FSDP.Size()
 		lo, hi := e.Coord.F*chunkLen, (e.Coord.F+1)*chunkLen
+		var rep []*nn.Param
+		if e.Coord.T > 0 {
+			rep = parallel.Replicated(b)
+		}
+		e.normSpans = append(e.normSpans, chunkSpans(params, rep, lo, hi))
 		e.chunks = append(e.chunks, &nn.Param{
 			Name: fmt.Sprintf("hstop.block%d.chunk", i),
 			W:    tensor.FromSlice(flat[lo:hi], chunkLen),
@@ -207,6 +219,11 @@ func NewEngine(rank int, layout Layout, groups *Groups, ref []*nn.TransformerBlo
 	if e.perMicro {
 		for _, c := range e.chunks {
 			c.Grad = tensor.New(c.W.Len())
+		}
+		for _, ps := range e.blockParams {
+			for _, p := range ps {
+				p.StoreGrad = true
+			}
 		}
 	}
 	e.sets = [][]*nn.TransformerBlock{e.blocks}
@@ -284,8 +301,45 @@ func (e *Engine) ZeroGrad() {
 	}
 }
 
-// slot is the rank's FSDP slot of block b's flat gradient, where its
-// reduce-scatter lands: the chunk gradient itself unless perMicro.
+// GradSumSquares returns the sum of squares of the rank's chunk
+// gradients, each TP-replicated parameter counted on TP rank 0 only, so
+// the sum over one DDP replica's ranks counts every logical parameter
+// once.
+func (e *Engine) GradSumSquares() float64 {
+	var s float64
+	for b, spans := range e.normSpans {
+		g := e.chunks[b].Grad.Data()
+		for _, r := range spans {
+			s += tensor.SumSquares(g[r[0]:r[1]])
+		}
+	}
+	return s
+}
+
+// chunkSpans returns the ranges of the flat chunk [lo, hi), relative
+// to lo, that hold none of skip's elements; params lie in flat order.
+func chunkSpans(params, skip []*nn.Param, lo, hi int) [][2]int {
+	var out [][2]int
+	start, off := lo, 0
+	for _, p := range params {
+		end := off + p.W.Len()
+		if a, z := max(off, lo), min(end, hi); a < z && slices.Contains(skip, p) {
+			if start < a {
+				out = append(out, [2]int{start - lo, a - lo})
+			}
+			start = z
+		}
+		off = end
+	}
+	if start < hi {
+		out = append(out, [2]int{start - lo, hi - lo})
+	}
+	return out
+}
+
+// slot is the rank's FSDP slot of block b's flat gradient, where a
+// storing reduce-scatter lands: the chunk gradient itself unless
+// perMicro.
 func (e *Engine) slot(b int) []float32 {
 	n := e.chunks[b].W.Len()
 	return e.flatG[b][e.Coord.F*n : (e.Coord.F+1)*n]
@@ -458,9 +512,6 @@ func (e *Engine) run(x *tensor.Tensor, compute bool) (*tensor.Tensor, error) {
 		case StepCompute:
 			e.chargeCompute(b, x, s.Mult)
 			if compute {
-				if s.Half == 2 && e.perMicro {
-					clear(e.flatG[b]) // every parameter gradient of the block
-				}
 				e.blocks[b].Half(int(s.Half), x)
 			}
 		case StepPostTP:
@@ -475,13 +526,17 @@ func (e *Engine) run(x *tensor.Tensor, compute bool) (*tensor.Tensor, error) {
 			if compute {
 				x = e.blocks[b].Join(int(s.Half))
 			}
-		case StepPostRS: // in place: the rank's slot of flatG[b]
-			e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.slot(b))
+		case StepPostRS:
+			// Straight into the chunk's sum on the per-micro path without
+			// a DDP level; else in place, into the rank's slot of flatG[b]
+			// (the step's sum, or what the DDP all-reduce reads).
+			if e.perMicro && e.ddpN == 0 {
+				e.rsH[b] = e.Groups.FSDP.IReduceScatterMeanAcc(e.Coord.F, e.flatG[b], e.chunks[b].Grad.Data())
+			} else {
+				e.rsH[b] = e.Groups.FSDP.IReduceScatterMean(e.Coord.F, e.flatG[b], e.slot(b))
+			}
 		case StepAwaitRS:
 			e.rsH[b].Wait()
-			if e.perMicro && e.ddpN == 0 {
-				tensor.AddSlice(e.chunks[b].Grad.Data(), e.slot(b))
-			}
 		case StepPostDDP: // one gradient reduction per backward (Fig. 4)
 			buf, lo, hi := e.ddpSpan(b)
 			if e.ddpBuf != nil {

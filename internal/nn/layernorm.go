@@ -111,27 +111,28 @@ func (j *lnBackward) inputGrad() {
 const lnParamRuns = 32
 
 // paramGrads adds this backward's dγ/dβ to dg and db, one add per
-// element. The reduction runs across rows, so its order is fixed as a
-// function of the row count alone: runs of ⌈rows / min(rows,
-// lnParamRuns)⌉ rows are summed from zero — float32 multiply, then add
-// — and the runs' partials are added in order into pg / pb, zeroed
-// first, which are then added to the gradient. The stored training
+// element, or with store writes them there. The reduction runs across
+// rows, so its order is fixed as a function of the row count alone:
+// runs of ⌈rows / min(rows, lnParamRuns)⌉ rows are summed from zero —
+// float32 multiply, then add — and the runs' partials are added in
+// order into pg / pb, zeroed first, which are then added to the
+// gradient (with store, pg / pb are dg / db). The stored training
 // trajectories (train's TestTrainTrajectoryGolden) pin that order. The
 // loop is the definition; tensor.LayerNormParamGradVec is its vector
 // form and takes the leading whole vectors of columns.
-func (j *lnBackward) paramGrads(dg, db []float32) {
+func (j *lnBackward) paramGrads(dg, db []float32, store bool) {
 	dim, rows := len(j.g), len(j.rstd)
-	if rows == 0 {
-		return
+	pg, pb := dg, db
+	if !store {
+		if cap(j.pg) < dim {
+			j.pg, j.pb = make([]float32, dim), make([]float32, dim)
+		}
+		pg, pb = j.pg[:dim], j.pb[:dim]
 	}
-	runs := min(rows, lnParamRuns)
-	chunk := (rows + runs - 1) / runs
-	if cap(j.pg) < dim {
-		j.pg, j.pb = make([]float32, dim), make([]float32, dim)
-	}
-	pg, pb := j.pg[:dim], j.pb[:dim]
 	clear(pg)
 	clear(pb)
+	runs := min(rows, lnParamRuns) // no rows: no run, and pg / pb stay zero
+	chunk := (rows + runs - 1) / max(runs, 1)
 	for c := tensor.LayerNormParamGradVec(pg, pb, j.dyd, j.hd, rows, chunk); c < dim; c++ {
 		for r0 := 0; r0 < rows; r0 += chunk {
 			var sg, sb float32
@@ -144,8 +145,10 @@ func (j *lnBackward) paramGrads(dg, db []float32) {
 			pb[c] += sb
 		}
 	}
-	tensor.AddSlice(dg, pg)
-	tensor.AddSlice(db, pb)
+	if !store {
+		tensor.AddSlice(dg, pg)
+		tensor.AddSlice(db, pb)
+	}
 }
 
 // NewLayerNorm builds a layer norm over vectors of length dim with
@@ -192,7 +195,7 @@ func (l *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	l.bwd.dyd, l.bwd.hd, l.bwd.dxd = dy.Data(), l.xhat.Data(), l.dx.Data()
 	l.bwd.g, l.bwd.rstd = l.Gamma.W.Data(), l.rstd[:rows]
 	l.bwd.inputGrad()
-	l.bwd.paramGrads(l.Gamma.Grad.Data(), l.Beta.Grad.Data())
+	l.bwd.paramGrads(l.Gamma.Grad.Data(), l.Beta.Grad.Data(), l.Gamma.StoreGrad)
 	return l.dx
 }
 

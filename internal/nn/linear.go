@@ -77,14 +77,22 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // accumulators, and returns dx = dy Wᵀ. Each gets one add: the product
 // is one chain from zero added at its store, and the rows of dy are
 // summed into a zeroed scratch first, so the accumulator after several
-// backwards is the sequential sum of their gradients.
+// backwards is the sequential sum of their gradients. A StoreGrad
+// parameter takes the same chain, or the same row sum, as a store.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	checkRank("Linear", dy, 2)
-	tensor.MatMulTransAAccInto(l.Weight.Grad, l.x, dy)
-	if l.Bias != nil {
+	if l.Weight.StoreGrad {
+		tensor.MatMulTransAInto(l.Weight.Grad, l.x, dy)
+	} else {
+		tensor.MatMulTransAAccInto(l.Weight.Grad, l.x, dy)
+	}
+	if b := l.Bias; b != nil && b.StoreGrad {
+		b.Grad.Zero()
+		tensor.SumRowsAccInto(b.Grad, dy)
+	} else if b != nil {
 		l.db = tensor.Ensure(l.db, l.Out)
 		l.db.Zero()
-		l.Bias.Grad.AddInPlace(tensor.SumRowsAccInto(l.db, dy))
+		b.Grad.AddInPlace(tensor.SumRowsAccInto(l.db, dy))
 	}
 	if l.wtVer != l.Weight.W.Version()+1 {
 		l.wt = tensor.TransposeInto(tensor.Ensure(l.wt, l.Out, l.In), l.Weight.W)

@@ -9,7 +9,8 @@
 // consume them in Backward; a layer therefore processes one sample (or
 // one fused batch matrix) at a time, which is how the trainer drives
 // it. Gradients accumulate into Param.Grad until explicitly zeroed, so
-// micro-batching sums gradients naturally.
+// micro-batching sums gradients naturally — unless the Param is marked
+// StoreGrad, when each Backward overwrites Grad with its own gradient.
 //
 // # Buffer ownership
 //
@@ -38,6 +39,15 @@ type Param struct {
 	Name string
 	W    *tensor.Tensor
 	Grad *tensor.Tensor
+	// StoreGrad makes the owning layer's Backward store this backward's
+	// gradient in Grad instead of adding it, so no clear is needed
+	// between backwards. Each layer writes each of its parameters once
+	// per Backward, so the stored value is the accumulator's after a
+	// ZeroGrad, up to the sign of a zero. It is set on all of a layer's
+	// parameters together (LayerNorm reads γ's): core.NewEngine sets it
+	// on its block copies when a collective reads every micro-batch's
+	// gradient.
+	StoreGrad bool
 }
 
 // NewParam wraps a weight tensor in a Param with a zero gradient.

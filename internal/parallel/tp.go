@@ -85,3 +85,15 @@ func NewTPBlock(rank, tp int, ref *nn.TransformerBlock) *nn.TransformerBlock {
 		MLP:  shardMLP(ref.MLP, rank, tp),
 	}
 }
+
+// Replicated returns the parameters NewTPBlock copies whole onto every
+// rank of the TP group — the layer norms, QK-norm's included — where
+// each rank holds its own cut of every other weight. A sum over the
+// group's parameters counts these on one rank only.
+func Replicated(b *nn.TransformerBlock) []*nn.Param {
+	ps := append(b.LN1.Params(), b.LN2.Params()...)
+	if a := b.Attn; a.QKNorm {
+		ps = append(append(ps, a.QNorm.Params()...), a.KNorm.Params()...)
+	}
+	return ps
+}

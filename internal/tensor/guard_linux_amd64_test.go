@@ -123,7 +123,7 @@ func TestOuterTileStaysInsideOperands(t *testing.T) {
 }
 
 // TestRowKernelsStayInsideOperands sweeps every length tail of the
-// AdamW and two-rank reduce kernels, and the LayerNorm kernels over 1…9
+// AdamW, two-rank reduce (store and add) and sum-of-squares kernels, and the LayerNorm kernels over 1…9
 // rows (none, one and two four-row groups) of widths 4…24 in steps of
 // four: the forward and dx kernels, with and without the rstd cache and
 // with x̂ in out, at the widths of whole vectors, and the dγ/dβ kernel's
@@ -145,6 +145,10 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 			Sum2ScaledVec(f32(0, n), f32(1, n), f32(2, n), 0.5)
 			a := f32(1, n)
 			Sum2ScaledVec(a, a, f32(2, n), 0.5)
+			*running = fmt.Sprintf("sum2AccVec n=%d", n)
+			Sum2ScaledAccVec(f32(0, n), f32(1, n), f32(2, n), 0.5)
+			*running = fmt.Sprintf("sumSquaresVec n=%d", n)
+			SumSquares(f32(0, n))
 		}
 		for dim := 4; dim <= maxDim; dim += 4 {
 			for rows := 1; rows <= maxRows; rows++ {

@@ -236,9 +236,10 @@ func reduceInputs(rng *tensor.RNG, n int) (a, b []float32) {
 
 // TestSum2VecMatchesScalar runs the two-rank all-reduce and
 // reduce-scatter, sum (scale 1) and mean (scale 1/2), in place and into
-// separate destinations, over lengths with every n%4 tail and odd
-// reduce-scatter chunks, so that the second rank's chunk starts in the
-// middle of a vector.
+// separate destinations, and the adding reduce-scatter (mean, into
+// separate destinations that hold the special values and magnitudes),
+// over lengths with every n%8 tail and odd reduce-scatter chunks, so
+// that the second rank's chunk starts in the middle of a vector.
 func TestSum2VecMatchesScalar(t *testing.T) {
 	g := comm.NewGroup(cluster.NewMachine(cluster.Frontier(), 1, 8).Devices[:2])
 	post := func(op string, mean bool, rank int, buf, dst []float32) comm.Handle {
@@ -247,23 +248,30 @@ func TestSum2VecMatchesScalar(t *testing.T) {
 			return g.IAllReduceMean(rank, buf, dst)
 		case op == "all-reduce":
 			return g.IAllReduceSum(rank, buf, dst)
+		case op == "reduce-scatter add":
+			return g.IReduceScatterMeanAcc(rank, buf, dst)
 		case mean:
 			return g.IReduceScatterMean(rank, buf, dst)
 		}
 		return g.IReduceScatterSum(rank, buf, dst)
 	}
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 101, 130, 131, 4099} {
-		for _, op := range []string{"all-reduce", "reduce-scatter"} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 33, 101, 130, 131, 4099} {
+		for _, op := range []string{"all-reduce", "reduce-scatter", "reduce-scatter add"} {
 			for _, mean := range []bool{false, true} {
 				for _, inPlace := range []bool{false, true} {
+					if op == "reduce-scatter add" && (!mean || inPlace) {
+						continue
+					}
 					run := func() []float32 {
 						a, b := reduceInputs(tensor.NewRNG(uint64(n)), n)
 						size := n
-						if op == "reduce-scatter" {
+						if op != "all-reduce" {
 							a, b = append(a, b...), append(b, a...) // 2n elements: two chunks of n
 						}
 						d0, d1 := sentinel(size), sentinel(size)
-						if inPlace && op == "all-reduce" {
+						if op == "reduce-scatter add" {
+							d1, d0 = reduceInputs(tensor.NewRNG(uint64(n)+1), n)
+						} else if inPlace && op == "all-reduce" {
 							d0, d1 = a, b
 						} else if inPlace {
 							d0, d1 = a[:n], b[n:]
@@ -276,6 +284,89 @@ func TestSum2VecMatchesScalar(t *testing.T) {
 					scalar, vector := bothWays(t, run)
 					sameBits(t, fmt.Sprintf("%s n=%d mean=%v inPlace=%v", op, n, mean, inPlace), vector, scalar, true)
 				}
+			}
+		}
+	}
+}
+
+// TestSum2ScaledKernelsMatchLoop holds tensor.Sum2ScaledVec and
+// Sum2ScaledAccVec, finished by the loop, to the loop alone —
+// dst = float32((float64(a)+float64(b))·scale), or dst += that — at
+// every length 0…37 (eight-lane passes, the four-lane pass, the tail),
+// into a third buffer and onto a, with the special values in a, b and
+// the destination.
+func TestSum2ScaledKernelsMatchLoop(t *testing.T) {
+	if !tensor.HostVector {
+		t.Skip("vector kernels unavailable on this CPU")
+	}
+	loop := func(dst, a, b []float32, scale float64, acc bool, from int) {
+		for i := from; i < len(dst); i++ {
+			v := float32((float64(a[i]) + float64(b[i])) * scale)
+			if acc {
+				v = dst[i] + v
+			}
+			dst[i] = v
+		}
+	}
+	for n := 0; n <= 37; n++ {
+		for _, acc := range []bool{false, true} {
+			for _, onA := range []bool{false, true} {
+				run := func(vector bool) []float32 {
+					a, b := reduceInputs(tensor.NewRNG(uint64(n)+1), n)
+					dst := make([]float32, n)
+					for i := range dst {
+						dst[i] = special[(3*i+1)%len(special)]
+					}
+					if onA {
+						dst = a
+					}
+					i := 0
+					switch {
+					case vector && acc:
+						i = tensor.Sum2ScaledAccVec(dst, a, b, 0.5)
+					case vector:
+						i = tensor.Sum2ScaledVec(dst, a, b, 0.5)
+					}
+					loop(dst, a, b, 0.5, acc, i)
+					return dst
+				}
+				sameBits(t, fmt.Sprintf("n=%d acc=%v onA=%v", n, acc, onA), run(true), run(false), true)
+			}
+		}
+	}
+}
+
+// TestSumSquaresMatchesFloat64Sum: tensor.SumSquares gives the same
+// bits with the CPU gate off (the loop) and on (kernel, loop tail) and
+// on a second call, and stays within 1e-12 relative of the sequential
+// float64 sum, at lengths through every tail of its sixteen-element
+// groups; a NaN or an Inf among the values reaches the result.
+func TestSumSquaresMatchesFloat64Sum(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 15, 16, 17, 31, 32, 33, 47, 100, 257, 4099, 25000} {
+		x := magnitudes(tensor.NewRNG(uint64(n)+7), n)
+		scalar, vector := bothWays(t, func() float64 { return tensor.SumSquares(x) })
+		if math.Float64bits(scalar) != math.Float64bits(vector) {
+			t.Fatalf("n=%d: kernel %v, loop %v", n, vector, scalar)
+		}
+		if again := tensor.SumSquares(x); math.Float64bits(again) != math.Float64bits(vector) {
+			t.Fatalf("n=%d: second call %v, first %v", n, again, vector)
+		}
+		var ref float64
+		for _, v := range x {
+			ref += float64(v) * float64(v)
+		}
+		if math.Abs(vector-ref) > 1e-12*ref {
+			t.Fatalf("n=%d: %v, sequential float64 sum %v (relative %.3g)", n, vector, ref, math.Abs(vector-ref)/ref)
+		}
+	}
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(-1))} {
+		x := magnitudes(tensor.NewRNG(3), 40)
+		x[21] = v
+		scalar, vector := bothWays(t, func() float64 { return tensor.SumSquares(x) })
+		want := float64(v) * float64(v)
+		for _, got := range []float64{scalar, vector} {
+			if math.IsNaN(want) != math.IsNaN(got) || !math.IsNaN(want) && got != want {
+				t.Fatalf("%v among the values: got %v, want %v", v, got, want)
 			}
 		}
 	}
@@ -862,7 +953,8 @@ func TestAggregateTokensVecMatchesScalar(t *testing.T) {
 }
 
 // BenchmarkRowKernels prints ns per element of the row loops (AdamW,
-// the two-rank reduce, LayerNorm, the variable aggregation) and of the
+// the two-rank reduce — all-reduce, reduce-scatter storing and adding —,
+// the sum of squares, LayerNorm, the variable aggregation) and of the
 // float32 elementwise loops at the bench workloads' sizes
 // (TP2's halves included), assembly on and off — the one-line
 // reproducer of a row-kernel regression:
@@ -882,6 +974,19 @@ func BenchmarkRowKernels(b *testing.B) {
 	g := comm.NewGroup(cluster.NewMachine(cluster.Frontier(), 1, 8).Devices[:2])
 	ra, rb := tensor.Randn(rng, 1, nReduce).Data(), tensor.Randn(rng, 1, nReduce).Data()
 	d0, d1 := make([]float32, nReduce), make([]float32, nReduce)
+	// One TP2 shard of a train-shape block (Dim 64, QK-norm) is 25 248
+	// floats: train_hybrid4d's reduce-scatter, a 12 624-float chunk per
+	// FSDP rank, stored or added, and the grad norm's sum over a chunk.
+	const nFlat, nChunk = 25248, 25248 / 2
+	fa, fb := tensor.Randn(rng, 1, nFlat).Data(), tensor.Randn(rng, 1, nFlat).Data()
+	c0, c1 := make([]float32, nChunk), make([]float32, nChunk)
+	rs := func(post func(rank int, buf, dst []float32) comm.Handle) func() {
+		return func() {
+			h0, h1 := post(0, fa, c0), post(1, fb, c1)
+			h0.Wait()
+			h1.Wait()
+		}
+	}
 	rows := []row{
 		{fmt.Sprintf("AdamW/%d", nAdam), nAdam, func() { opt.Step(1e-3) }},
 		{fmt.Sprintf("AllReduce2/%d", nReduce), nReduce, func() {
@@ -889,6 +994,9 @@ func BenchmarkRowKernels(b *testing.B) {
 			h0.Wait()
 			h1.Wait()
 		}},
+		{fmt.Sprintf("ReduceScatter2/%d", nFlat), nFlat, rs(g.IReduceScatterMean)},
+		{fmt.Sprintf("ReduceScatter2Acc/%d", nFlat), nFlat, rs(g.IReduceScatterMeanAcc)},
+		{fmt.Sprintf("SumSquares/%d", nChunk), nChunk, func() { tensor.SumSquares(fa[:nChunk]) }},
 	}
 	for _, s := range [][2]int{{32, 64}, {64, 16}, {128, 16}} {
 		ln := nn.NewLayerNorm("b", s[1])

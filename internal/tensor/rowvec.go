@@ -2,11 +2,11 @@ package tensor
 
 // Vector forms of the training step's row loops. The loops — the
 // definitions — stay with their owners: optim's adamwUpdate, comm's
-// reduceTwo, nn's LayerNormRows and LayerNorm backward. Each function
-// here runs the leading whole vectors (AdamW, the reduce) or groups of
-// four rows (LayerNorm) of one loop through an AVX2 kernel that
-// reproduces it bit for bit (rowvec_amd64.s) and returns how many items
-// that was; the owner's loop finishes the rest. The LayerNorm loops
+// reduceTwo, nn's LayerNormRows and LayerNorm backward (SumSquares keeps
+// its own). Each function here runs the leading whole vectors (AdamW,
+// the reduce) or groups of four rows (LayerNorm) of one loop through an
+// AVX2 kernel that reproduces it bit for bit (rowvec_amd64.s) and
+// returns how many items that was; the owner's loop finishes the rest. The LayerNorm loops
 // keep each row sum in eight float32 partial sums, column c in sum c%8,
 // added by HSum8, so the kernels run along the row with no transpose.
 
@@ -44,6 +44,42 @@ func Sum2ScaledVec(dst, a, b []float32, scale float64) int {
 	}
 	sum2Vec(&dst[0], span(a, 0, n), span(b, 0, n), n, scale)
 	return n
+}
+
+// Sum2ScaledAccVec adds Sum2ScaledVec's value to the first len(dst)&^3
+// elements of dst: the two roundings of a store then an AddSlice.
+func Sum2ScaledAccVec(dst, a, b []float32, scale float64) int {
+	n := len(dst) &^ 3
+	if !useFMA || n == 0 {
+		return 0
+	}
+	sum2AccVec(&dst[0], span(a, 0, n), span(b, 0, n), n, scale)
+	return n
+}
+
+// SumSquares returns Σ x[i]² in float64, in one fixed order: element i
+// is added to partial sum i%16 in index order and the sixteen partials
+// are added by the tree below, so the result depends on x alone. The
+// loop is the definition; sumSquaresVec runs the leading whole groups
+// of sixteen.
+func SumSquares(x []float32) float64 {
+	var s [16]float64
+	n := 0
+	if useFMA {
+		n = len(x) &^ 15
+	}
+	if n > 0 {
+		sumSquaresVec(&x[0], n, &s)
+	}
+	for i := n; i < len(x); i++ {
+		v := float64(x[i])
+		s[i&15] += v * v
+	}
+	var t [4]float64
+	for l := range t {
+		t[l] = (s[l] + s[4+l]) + (s[8+l] + s[12+l])
+	}
+	return (t[0] + t[2]) + (t[1] + t[3])
 }
 
 // rowGroups returns how many rows of [r0, r1), dim wide, the four-row

@@ -12,6 +12,12 @@ func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef)
 func sum2Vec(dst, a, b *float32, n int, scale float64)
 
 //go:noescape
+func sum2AccVec(dst, a, b *float32, n int, scale float64)
+
+//go:noescape
+func sumSquaresVec(x *float32, n int, s *[16]float64)
+
+//go:noescape
 func lnFwdVec(out, xhat, rstd, x, gamma, beta *float32, eps float32, dim, groups int)
 
 //go:noescape

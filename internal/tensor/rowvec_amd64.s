@@ -4,15 +4,16 @@
 
 // AVX2 forms of the training step's row loops: the AdamW update
 // (optim) and LayerNorm forward / backward (nn) in eight float32 lanes,
-// the two-rank reduce (comm) in four float64 lanes. Each runs its Go
-// loop's IEEE operations one for one — separate multiply, add, divide
-// and square root, no FMA contraction — so every lane holds the loop's
-// exact bits (rowkernels_test.go). The LayerNorm loops keep each row
-// sum in eight partial sums, column c in lane c%8, and add them by
-// tensor.HSum8's tree; the kernels run four rows side by side so that
-// the rows' dependency chains overlap and one HSUM4 and one packed
-// divide / square root serve all four. No kernel touches memory outside
-// the element ranges it is given.
+// the two-rank reduce (comm) and the gradient's sum of squares in
+// float64 lanes. Each runs its Go loop's IEEE operations one for one —
+// separate multiply, add, divide and square root, no FMA contraction
+// (the sum of squares' FMA rounds as its add: the product is exact) —
+// so every lane holds the loop's exact bits (rowkernels_test.go). The
+// LayerNorm loops keep each row sum in eight partial sums, column c in
+// lane c%8, and add them by tensor.HSum8's tree; the kernels run four
+// rows side by side so that the rows' dependency chains overlap and one
+// HSUM4 and one packed divide / square root serve all four. No kernel
+// touches memory outside the element ranges it is given.
 
 // func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef)
 //
@@ -65,30 +66,122 @@ adamw_loop:
 	VZEROUPPER
 	RET
 
+// SUM2 leaves in xr the four results float32((a+b)·scale) of the
+// elements at off(SI) and off(DX), Y2 holding scale; clobbers yt.
+#define SUM2(off, yr, xr, yt) \
+	VCVTPS2PD  off(SI), yr; \
+	VCVTPS2PD  off(DX), yt; \
+	VADDPD     yt, yr, yr;  \
+	VMULPD     Y2, yr, yr;  \
+	VCVTPD2PSY yr, xr
+
 // func sum2Vec(dst, a, b *float32, n int, scale float64)
 //
 // n (a multiple of 4) elements of comm's two-rank reduce:
-// dst = float32((float64(a)+float64(b))·scale). dst may be a or b.
+// dst = float32((float64(a)+float64(b))·scale), eight per pass, then
+// one pass of four. dst may be a or b: a pass loads before it stores.
 TEXT ·sum2Vec(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
 	MOVQ n+24(FP), CX
 	VBROADCASTSD scale+32(FP), Y2
-	SHRQ $2, CX
+	SUBQ $8, CX
+	JLT  sum2_four
 
 sum2_loop:
-	VCVTPS2PD  (SI), Y0
-	VCVTPS2PD  (DX), Y1
-	VADDPD     Y1, Y0, Y0
-	VMULPD     Y2, Y0, Y0
-	VCVTPD2PSY Y0, X0
-	VMOVUPS    X0, (DI)
-	ADDQ       $16, SI
-	ADDQ       $16, DX
-	ADDQ       $16, DI
-	DECQ       CX
-	JNZ        sum2_loop
+	SUM2(0, Y0, X0, Y1)
+	SUM2(16, Y3, X3, Y4)
+	VMOVUPS X0, (DI)
+	VMOVUPS X3, 16(DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JGE     sum2_loop
+
+sum2_four:
+	ADDQ    $8, CX
+	JZ      sum2_done
+	SUM2(0, Y0, X0, Y1)
+	VMOVUPS X0, (DI)
+
+sum2_done:
+	VZEROUPPER
+	RET
+
+// func sum2AccVec(dst, a, b *float32, n int, scale float64)
+//
+// sum2Vec, then dst += the result: one float32 add, dst's old value the
+// first operand, as AddSlice takes it. dst may be a or b.
+TEXT ·sum2AccVec(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD scale+32(FP), Y2
+	SUBQ $8, CX
+	JLT  sum2acc_four
+
+sum2acc_loop:
+	SUM2(0, Y0, X0, Y1)
+	SUM2(16, Y3, X3, Y4)
+	VMOVUPS (DI), X5
+	VMOVUPS 16(DI), X6
+	VADDPS  X0, X5, X0
+	VADDPS  X3, X6, X3
+	VMOVUPS X0, (DI)
+	VMOVUPS X3, 16(DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JGE     sum2acc_loop
+
+sum2acc_four:
+	ADDQ    $8, CX
+	JZ      sum2acc_done
+	SUM2(0, Y0, X0, Y1)
+	VMOVUPS (DI), X5
+	VADDPS  X0, X5, X0
+	VMOVUPS X0, (DI)
+
+sum2acc_done:
+	VZEROUPPER
+	RET
+
+// func sumSquaresVec(x *float32, n int, s *[16]float64)
+//
+// SumSquares over n (a multiple of 16) elements: element i squared and
+// added, in float64, to partial sum i%16 — lane i%4 of accumulator
+// (i%16)/4 — which are stored to s. A float32's square is exact in
+// float64, so each fused multiply-add rounds once, as the loop's add.
+TEXT ·sumSquaresVec(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), SI
+	MOVQ   n+8(FP), CX
+	MOVQ   s+16(FP), DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	SHRQ   $4, CX
+
+sq_loop:
+	VCVTPS2PD   (SI), Y4
+	VCVTPS2PD   16(SI), Y5
+	VCVTPS2PD   32(SI), Y6
+	VCVTPS2PD   48(SI), Y7
+	VFMADD231PD Y4, Y4, Y0
+	VFMADD231PD Y5, Y5, Y1
+	VFMADD231PD Y6, Y6, Y2
+	VFMADD231PD Y7, Y7, Y3
+	ADDQ        $64, SI
+	DECQ        CX
+	JNZ         sq_loop
+	VMOVUPD     Y0, (DI)
+	VMOVUPD     Y1, 32(DI)
+	VMOVUPD     Y2, 64(DI)
+	VMOVUPD     Y3, 96(DI)
 	VZEROUPPER
 	RET
 

@@ -11,6 +11,10 @@ func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef) {
 
 func sum2Vec(dst, a, b *float32, n int, scale float64) { panic("tensor: vector kernel unavailable") }
 
+func sum2AccVec(dst, a, b *float32, n int, scale float64) { panic("tensor: vector kernel unavailable") }
+
+func sumSquaresVec(x *float32, n int, s *[16]float64) { panic("tensor: vector kernel unavailable") }
+
 func lnFwdVec(out, xhat, rstd, x, gamma, beta *float32, eps float32, dim, groups int) {
 	panic("tensor: vector kernel unavailable")
 }

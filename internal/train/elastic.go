@@ -682,34 +682,16 @@ func (j *elasticJob) runStep() (float64, error) {
 }
 
 // gradNorm is the global L2 norm of the step's accumulated gradient,
-// summed over the D=0 plane (whose (T,F) chunks partition the logical
-// parameters exactly once; DDP replicas are identical). Computed only
-// when an OnStep hook wants it.
+// summed over the D=0 plane, whose (P,T,F) chunks hold every logical
+// parameter (DDP replicas are identical): core.Engine.GradSumSquares
+// counts a TP-replicated one on T=0 only. It runs on the host, in rank
+// order, and only when an OnStep hook wants it.
 func (j *elasticJob) gradNorm() float64 {
-	// One rank per goroutine: the reduction runs every supervised step
-	// and is the dominant term of the supervision tax on small models.
-	sums := make([]float64, len(j.engines))
-	var wg sync.WaitGroup
-	for r, e := range j.engines {
-		if e.Coord.D != 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			var s float64
-			for _, a := range j.grads[r] {
-				for _, v := range a {
-					s += float64(v) * float64(v)
-				}
-			}
-			sums[r] = s
-		}(r)
-	}
-	wg.Wait()
 	var sum float64
-	for _, s := range sums {
-		sum += s
+	for r := range j.engines {
+		if e := j.engines[r]; e.Coord.D == 0 {
+			sum += e.Stage.GradSumSquares()
+		}
 	}
 	return math.Sqrt(sum)
 }
