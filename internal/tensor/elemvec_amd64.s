@@ -66,6 +66,7 @@ TEXT ·expVec(SB), NOSPLIT, $0-24
 	MOVQ n+16(FP), CX
 	XORQ AX, AX
 
+	PCALIGN $64
 exp_loop:
 	VMOVUPS (SI)(AX*4), Y0 // x, kept for EXPCLAMP
 	VMOVAPS Y0, Y1
@@ -111,6 +112,7 @@ TEXT ·geluVec(SB), NOSPLIT, $0-32
 	ANDQ $-16, BX
 	JZ   gelu_one
 
+	PCALIGN $64
 gelu_pair:
 	VMOVUPS (SI)(AX*4), Y0
 	VMOVUPS 32(SI)(AX*4), Y5
@@ -212,6 +214,7 @@ TEXT ·geluBwdVec(SB), NOSPLIT, $0-40
 	VBROADCASTSS ev_geluk0(SB), Y10
 	VBROADCASTSS ev_geluk3(SB), Y11
 
+	PCALIGN $64
 gelub_loop:
 	VMOVUPS (SI)(AX*4), Y0      // x
 	VMOVUPS (DX)(AX*4), Y1      // s
@@ -290,6 +293,7 @@ sm_maxrow:
 	VBROADCASTSS (R8), Y0
 	XORQ         DX, DX
 
+	PCALIGN $64
 sm_maxcol:
 	VMOVUPS (R8)(DX*1), Y1
 	VMAXPS  Y0, Y1, Y0      // v > max ? v : max
@@ -318,6 +322,7 @@ sm_maxcol:
 	VXORPD Y6, Y6, Y6
 	XORQ   DX, DX
 
+	PCALIGN $64
 sm_block:
 	SOFTMAXEXP(SI, Y12, Y8)
 	SOFTMAXEXP(R8, Y13, Y9)
@@ -356,6 +361,7 @@ sm_scalerow:
 	VBROADCASTSS row-16(SP)(CX*4), Y0
 	XORQ         DX, DX
 
+	PCALIGN $64
 sm_scalecol:
 	VMULPS  (AX)(DX*1), Y0, Y1
 	VMOVUPS Y1, (AX)(DX*1)
@@ -407,6 +413,7 @@ smb_group:
 	MOVQ   R8, R10
 	XORQ   DX, DX
 
+	PCALIGN $64
 smb_block:
 	LOADROWS(R9)
 	COLS4x8(Y8, Y9, Y10, Y11, Y0, Y1, Y2, Y3)
@@ -441,6 +448,7 @@ smb_row:
 	VBROADCASTSS dot-16(SP)(CX*4), Y0
 	XORQ         DX, DX
 
+	PCALIGN $64
 smb_col:
 	VMOVUPS (R8)(DX*1), Y1
 	VSUBPS  Y0, Y1, Y1
@@ -470,6 +478,7 @@ TEXT ·addVec(SB), NOSPLIT, $0-32
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
 
+	PCALIGN $64
 add_loop:
 	VMOVUPS (SI)(AX*4), Y0
 	VADDPS  (DX)(AX*4), Y0, Y0
@@ -489,6 +498,7 @@ TEXT ·scaleVec(SB), NOSPLIT, $0-20
 	VBROADCASTSS s+16(FP), Y1
 	XORQ AX, AX
 
+	PCALIGN $64
 scale_loop:
 	VMULPS  (DI)(AX*4), Y1, Y0
 	VMOVUPS Y0, (DI)(AX*4)
@@ -509,6 +519,7 @@ TEXT ·maxAbsVec(SB), NOSPLIT, $0-20
 	VPXOR        Y0, Y0, Y0
 	XORQ         AX, AX
 
+	PCALIGN $64
 maxabs_loop:
 	VPAND   (SI)(AX*4), Y2, Y1
 	VPMAXUD Y1, Y0, Y0
@@ -549,6 +560,7 @@ sumrows_32:
 	MOVQ    SI, DX
 	MOVQ    R8, CX
 
+	PCALIGN $64
 sumrows_32row:
 	VADDPS (DX), Y0, Y0
 	VADDPS 32(DX), Y1, Y1
@@ -573,6 +585,7 @@ sumrows_8:
 	MOVQ    SI, DX
 	MOVQ    R8, CX
 
+	PCALIGN $64
 sumrows_8row:
 	VADDPS (DX), Y0, Y0
 	ADDQ   R9, DX
@@ -618,6 +631,7 @@ tr_rows:
 	MOVQ c8+40(FP), CX
 	SHRQ $3, CX
 
+	PCALIGN $64
 tr_block:
 	LEAQ (SI)(R12*4), DX    // row r+4
 	LEAQ (DI)(R10*4), R9    // dst row c+4
@@ -717,6 +731,7 @@ dot_pair:
 	VXORPS Y14, Y14, Y14
 	VXORPS Y15, Y15, Y15
 
+	PCALIGN $64
 dot_pair_j:
 	TOKCOLS(SI, DX, 0, Y4, Y5, Y6, Y7)
 	TOKCOLS(R10, R11, 0, Y8, Y9, Y10, Y11)
@@ -757,6 +772,7 @@ dot_one:
 	MOVQ   d8+48(FP), AX
 	VXORPS Y14, Y14, Y14
 
+	PCALIGN $64
 dot_one_j:
 	TOKCOLS(SI, DX, 0, Y4, Y5, Y6, Y7)
 	DOT1(0(BX), Y4)
@@ -811,6 +827,7 @@ mix_four:
 	MOVQ   BX, R10
 	MOVQ   CX, R11
 
+	PCALIGN $64
 mix_four_c:
 	VBROADCASTSS (R10), Y8
 	MIXCOL(0, Y4, Y0)
@@ -838,6 +855,7 @@ mix_one:
 	MOVQ   BX, R10
 	MOVQ   CX, R11
 
+	PCALIGN $64
 mix_one_c:
 	VBROADCASTSS (R10), Y8
 	MIXCOL(0, Y4, Y0)
@@ -915,6 +933,7 @@ TEXT ·dequantVec(SB), NOSPLIT, $0-57
 	VPBROADCASTD ev_dq+36(SB), Y15
 	XORQ         AX, AX
 
+	PCALIGN $64
 dq_block:
 	TESTQ      $31, AX
 	JNZ        dq_widen

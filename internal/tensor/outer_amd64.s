@@ -168,6 +168,7 @@ pairs4:
 	SHRQ $1, CX
 	JZ   finish
 
+	PCALIGN $64
 loop4:
 	OUTER_LOAD
 	OUTER_FMA4
@@ -187,6 +188,7 @@ masked_pairs4:
 	SHRQ $1, CX
 	JZ   finish
 
+	PCALIGN $64
 masked_loop4:
 	OUTER_MLOAD(DI)
 	OUTER_FMA4
@@ -210,6 +212,7 @@ pairs:
 	SHRQ $1, CX
 	JZ   finish
 
+	PCALIGN $64
 loop:
 	OUTER_LOAD
 	OUTER_FMA6
@@ -229,6 +232,7 @@ masked_pairs:
 	SHRQ $1, CX
 	JZ   finish
 
+	PCALIGN $64
 masked_loop:
 	OUTER_MLOAD(DI)
 	OUTER_FMA6
@@ -307,35 +311,4 @@ store_masked_acc:
 
 done:
 	VZEROUPPER
-	RET
-
-// func cpuHasAVX2FMA() bool
-TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
-	// CPUID leaf 1: ECX bit 12 = FMA, bit 27 = OSXSAVE, bit 28 = AVX.
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, R8
-	BTL  $12, R8
-	JNC  no
-	BTL  $27, R8
-	JNC  no
-	BTL  $28, R8
-	JNC  no
-	// XGETBV: XCR0 bits 1 and 2 = XMM and YMM state enabled by the OS.
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	// CPUID leaf 7 subleaf 0: EBX bit 5 = AVX2.
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX
-	JNC  no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
 	RET

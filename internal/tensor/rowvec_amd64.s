@@ -38,6 +38,7 @@ TEXT ·adamwVec(SB), NOSPLIT, $0-48
 	VBROADCASTSS 32(AX), Y15 // lr
 	XORQ AX, AX
 
+	PCALIGN $64
 adamw_loop:
 	VMOVUPS (SI)(AX*4), Y0     // g
 	VMULPS  (DX)(AX*4), Y7, Y1 // β1·m
@@ -89,6 +90,7 @@ TEXT ·sum2Vec(SB), NOSPLIT, $0-40
 	SUBQ $8, CX
 	JLT  sum2_four
 
+	PCALIGN $64
 sum2_loop:
 	SUM2(0, Y0, X0, Y1)
 	SUM2(16, Y3, X3, Y4)
@@ -123,6 +125,7 @@ TEXT ·sum2AccVec(SB), NOSPLIT, $0-40
 	SUBQ $8, CX
 	JLT  sum2acc_four
 
+	PCALIGN $64
 sum2acc_loop:
 	SUM2(0, Y0, X0, Y1)
 	SUM2(16, Y3, X3, Y4)
@@ -166,6 +169,7 @@ TEXT ·sumSquaresVec(SB), NOSPLIT, $0-24
 	VXORPD Y3, Y3, Y3
 	SHRQ   $4, CX
 
+	PCALIGN $64
 sq_loop:
 	VCVTPS2PD   (SI), Y4
 	VCVTPS2PD   16(SI), Y5
@@ -245,6 +249,7 @@ lnf_group:
 	MOVQ   SI, AX
 	LEAQ   (SI)(R12*1), CX         // the end of row 0
 
+	PCALIGN $64
 lnf_mean:
 	VADDPS (AX), Y0, Y0
 	VADDPS (AX)(R12*1), Y1, Y1
@@ -266,6 +271,7 @@ lnf_mean:
 	VXORPS       Y3, Y3, Y3
 	MOVQ         SI, AX
 
+	PCALIGN $64
 lnf_var:
 	VMOVUPS (AX), Y8
 	VSUBPS  Y4, Y8, Y8
@@ -306,6 +312,7 @@ lnf_affine:
 	VBROADCASTSS rs-4(SP), Y3
 	XORQ         DX, DX
 
+	PCALIGN $64
 lnf_col:
 	LEAQ    (SI)(DX*1), AX
 	LEAQ    (R8)(DX*1), CX
@@ -377,6 +384,7 @@ lnb_group:
 	VXORPS Y7, Y7, Y7
 	XORQ   DX, DX
 
+	PCALIGN $64
 lnb_sums:
 	LEAQ    (SI)(DX*1), AX
 	LEAQ    (R8)(DX*1), CX
@@ -408,6 +416,7 @@ lnb_sums:
 	VBROADCASTSS 12(R9), Y11
 	XORQ         DX, DX
 
+	PCALIGN $64
 lnb_col:
 	LEAQ    (SI)(DX*1), AX
 	LEAQ    (R8)(DX*1), CX
@@ -463,6 +472,7 @@ lnp_run:
 	VXORPS  Y0, Y0, Y0
 	VXORPS  Y1, Y1, Y1
 
+	PCALIGN $64
 lnp_row:
 	VMOVUPS (R11), Y2
 	VMULPS  (R12), Y2, Y3
