@@ -2,33 +2,21 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX2FMA() bool
-TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
-	// CPUID leaf 1: ECX bit 12 = FMA, bit 27 = OSXSAVE, bit 28 = AVX.
-	MOVL $1, AX
-	XORL CX, CX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	MOVL CX, R8
-	BTL  $12, R8
-	JNC  no
-	BTL  $27, R8
-	JNC  no
-	BTL  $28, R8
-	JNC  no
-	// XGETBV: XCR0 bits 1 and 2 = XMM and YMM state enabled by the OS.
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	// CPUID leaf 7 subleaf 0: EBX bit 5 = AVX2.
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX
-	JNC  no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

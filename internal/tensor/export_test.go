@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // The external tests of this directory run the row loops of nn, optim
 // and comm with the assembly kernels on and off (rowkernels_test.go);
 // those packages import this one, so only an external test package can
@@ -11,3 +13,25 @@ var HostVector = useFMA
 // SetVector turns the assembly kernels on (where the CPU has them) or
 // off. Not safe beside running kernels.
 func SetVector(on bool) { useFMA = on && HostVector }
+
+// hostTiles are the matrix tiles this CPU runs: the 6×16 one on every
+// AVX2+FMA host (and, never entered, on one without), the 8×32 one too
+// on an AVX-512 host. The tests that hold the kernel to its contract
+// run once per tile (withTile).
+var hostTiles = func() []outerKernel {
+	if useWide {
+		return []outerKernel{tile6x16, tile8x32}
+	}
+	return []outerKernel{tile6x16}
+}()
+
+// String names a tile by its block, as in "8x32".
+func (k outerKernel) String() string { return fmt.Sprintf("%dx%d", k.rows, k.cols) }
+
+// withTile runs f with the matrix kernel on tile k, then restores the
+// CPU's choice. Not safe beside running kernels.
+func withTile(k outerKernel, f func()) {
+	defer func(o outerKernel) { outer = o }(outer)
+	outer = k
+	f()
+}

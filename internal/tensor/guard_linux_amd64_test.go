@@ -88,14 +88,22 @@ func underFences(t *testing.T, sweep func(atEnd bool, running *string)) {
 	}
 }
 
-// TestOuterTileStaysInsideOperands sweeps every m%6 row tail of
-// outerTile6x16 — the four-row loop's one to four rows and the six-row
-// loop's five, alone and after a whole block — and every n%16 column
-// tail through product.rows, at an odd and an even k (the k loop's odd
-// first step, with and without pairs after it), both left operand
-// layouts, with and without bias and accumulation.
+// TestOuterTileStaysInsideOperands sweeps, on each tile the CPU has,
+// every m%rows row tail — alone and after a whole block; for the 6×16
+// tile the four-row loop's one to four rows and the six-row loop's
+// five — and every n%cols column tail through product.rows, at an odd
+// and an even k (the 6×16 k loop's odd first step, with and without
+// pairs after it), both left operand layouts, with and without bias
+// and accumulation.
 func TestOuterTileStaysInsideOperands(t *testing.T) {
-	const maxM, maxN, maxK = 12, 33, 5
+	for _, tile := range hostTiles {
+		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterTileStaysInsideOperands(t, tile) }) })
+	}
+}
+
+func testOuterTileStaysInsideOperands(t *testing.T, tile outerKernel) {
+	const maxK = 5
+	maxM, maxN := 2*tile.rows, 2*tile.cols+1
 	gd, gt, gu, gb := newGuarded(t, 4*maxM*maxN), newGuarded(t, 4*maxM*maxK), newGuarded(t, 4*maxK*maxN), newGuarded(t, 4*maxN)
 	underFences(t, func(atEnd bool, running *string) {
 		for m := 1; m <= maxM; m++ {
@@ -103,7 +111,7 @@ func TestOuterTileStaysInsideOperands(t *testing.T) {
 				for _, k := range []int{1, 4, maxK} {
 					for variant := 0; variant < 8; variant++ {
 						transA, withBias, acc := variant&1 != 0, variant&2 != 0, variant&4 != 0
-						*running = fmt.Sprintf("outerTile6x16 m=%d k=%d n=%d transA=%v bias=%v acc=%v", m, k, n, transA, withBias, acc)
+						*running = fmt.Sprintf("outerTile%v m=%d k=%d n=%d transA=%v bias=%v acc=%v", tile, m, k, n, transA, withBias, acc)
 						p := product{
 							dst: guardedSlice(gd, m*n, atEnd), t: guardedSlice(gt, m*k, atEnd),
 							u: guardedSlice(gu, k*n, atEnd), k: k, n: n, tk: 1, tr: k, un: n, dn: n, scale: 0.5, acc: acc,
@@ -184,7 +192,7 @@ func TestElemKernelsStayInsideOperands(t *testing.T) {
 	for i := range g {
 		g[i] = newGuarded(t, 4*max(maxRows*(maxCols+3), maxC*8*maxK))
 	}
-	gs := newGuarded(t, 4*maxK*outerColPanel)
+	gs := newGuarded(t, 4*maxK*tile8x32.cols)
 	underFences(t, func(atEnd bool, running *string) {
 		f32 := func(i, n int) []float32 { return guardedSlice(g[i], n, atEnd) }
 		for n := 0; n <= maxN; n++ {
@@ -207,16 +215,18 @@ func TestElemKernelsStayInsideOperands(t *testing.T) {
 		}
 		for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
 			for _, k := range []int{8, 33, maxK} {
-				for _, n := range []int{8, 13, 16, 24} {
-					*running = fmt.Sprintf("dequantVec %s k=%d n=%d", kind, k, n)
+				for _, n := range []int{8, 13, 16, 24, 32, 45} {
 					pb, nb := quant.PanelBytes(kind, k), quant.BlocksPerPanel(k)
 					q, err := quant.FromParts(kind, k, n, guardedBytes(g[0], n*pb, atEnd), f32(1, n*nb))
 					if err != nil {
 						t.Fatal(err)
 					}
-					for c := 0; c < n; c += outerColPanel {
-						w := min(outerColPanel, n-c)
-						dequantStrip(guardedSlice(gs, k*w, atEnd), q, c, w)
+					for _, tile := range hostTiles {
+						*running = fmt.Sprintf("dequantVec %s k=%d n=%d in %d-column strips", kind, k, n, tile.cols)
+						for c := 0; c < n; c += tile.cols {
+							w := min(tile.cols, n-c)
+							dequantStrip(guardedSlice(gs, k*w, atEnd), q, c, w)
+						}
 					}
 				}
 			}

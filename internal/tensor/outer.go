@@ -1,23 +1,26 @@
 package tensor
 
 // This file holds the matrix micro-kernel. A product is accumulated as
-// k rank-1 updates of a 6×16 register block of dst: step i loads
-// u[i, c:c+16] once and multiplies it into one accumulator pair per
-// output row by a broadcast of the left operand's element (i, r+j).
-// The right operand is always row-major [k, n], read in place. The
-// left operand is addressed by two strides, so both layouts the
-// training step meets are read in place too:
+// k rank-1 updates of a register block of dst, rows×cols at a time:
+// step i loads u[i, c:c+cols] once and multiplies it into one
+// accumulator row per output row by a broadcast of the left operand's
+// element (i, r+j). The block is the tile's: 8×32 on a CPU with
+// AVX-512F, 6×16 on one with only AVX2 and FMA. The right operand is
+// always row-major [k, n], read in place. The left operand is
+// addressed by two strides, so both layouts the training step meets
+// are read in place too:
 //
 //	tᵀ @ u   t is [k, m]   element (i, r) = t[i·m + r]   (tk, tr) = (m, 1)
 //	t  @ u   t is [m, k]   element (i, r) = t[r·k + i]   (tk, tr) = (1, k)
 //
 // Every output element is one k-ordered multiply-add chain from zero —
-// fused in the AVX2+FMA kernel, separately rounded in the portable
-// loop — followed by one store that may scale it, add a bias and add
-// what dst held, each a separately rounded operation in that order.
-// There is no horizontal reduction and no packing. The chain never
-// depends on which block, panel or batch entry the element falls in,
-// so any split of the rows or columns is bit-identical to the whole.
+// fused in either tile, separately rounded in the portable loop —
+// followed by one store that may scale it, add a bias and add what dst
+// held, each a separately rounded operation in that order. There is no
+// horizontal reduction and no packing. The chain never depends on
+// which tile, block, panel or batch entry the element falls in, so any
+// split of the rows or columns is bit-identical to the whole, and so
+// are the two tiles.
 
 // product is one panel's product in the kernel's terms:
 //
@@ -44,43 +47,59 @@ func mulTransATask(dst, t, u []float32, m, k, n int) product {
 	return product{dst: dst, t: t, u: u, k: k, n: n, tk: m, tr: 1, un: n, dn: n, scale: 1}
 }
 
-// outerRowBlock and outerColPanel are the kernel's register-block
-// height in output rows and width in output columns.
-const (
-	outerRowBlock = 6
-	outerColPanel = 16
+// outerKernel is a register tile and the block it computes per call:
+// up to rows output rows by cols output columns.
+type outerKernel struct {
+	tile       func(dst, t, u *float32, k, tk, tr, un, dn, rows int, mask *int32, bias *float32, scale float32, acc bool)
+	rows, cols int
+}
+
+var (
+	tile6x16 = outerKernel{outerTile6x16, 6, 16}
+	tile8x32 = outerKernel{outerTile8x32, 8, 32}
 )
 
+// outer is the tile this CPU runs, chosen once at startup.
+var outer = func() outerKernel {
+	if useWide {
+		return tile8x32
+	}
+	return tile6x16
+}()
+
 // outerMask holds the lane masks of a short last column panel:
-// outerMask[16-w:] is w enabled lanes followed by 16-w disabled ones.
-var outerMask = [2 * outerColPanel]int32{
+// outerMask[32-w:] is w enabled lanes followed by disabled ones, as
+// many as either tile reads.
+var outerMask = [64]int32{
+	-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
 	-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
 }
 
-// rows computes output rows [r0, r1) of the panel. With AVX2+FMA each
-// 16-column panel of u stays in cache while the 6-row blocks sweep it
-// through the assembly kernel, short blocks and the short last panel
-// included (same chain, fewer rows or masked lanes); otherwise the
-// portable loop below does the same chain one row at a time. An empty
-// reduction takes the portable loop too: the kernel's k loop counts
-// down from k and must not be entered with zero.
+// rows computes output rows [r0, r1) of the panel. With the assembly
+// kernels on, each column panel of u, as wide as the tile, stays in
+// cache while the tile's row blocks sweep it, short blocks and the
+// short last panel included (same chain, fewer rows or masked lanes);
+// otherwise the portable loop below does the same chain one row at a
+// time. An empty reduction takes the portable loop too: the tiles' k
+// loops count down from k and must not be entered with zero.
 func (p *product) rows(r0, r1 int) {
 	if !useFMA || p.k == 0 {
 		p.rowsPortable(r0, r1)
 		return
 	}
-	for c := 0; c < p.n; c += outerColPanel {
+	tile, rb, cp := outer.tile, outer.rows, outer.cols
+	for c := 0; c < p.n; c += cp {
 		var mask *int32
-		if w := p.n - c; w < outerColPanel {
-			mask = &outerMask[outerColPanel-w]
+		if w := p.n - c; w < cp {
+			mask = &outerMask[32-w]
 		}
 		var bias *float32
 		if p.bias != nil {
 			bias = &p.bias[c]
 		}
-		for r := r0; r < r1; r += outerRowBlock {
-			outerTile6x16(&p.dst[r*p.dn+c], &p.t[r*p.tr], &p.u[c], p.k, p.tk, p.tr, p.un, p.dn,
-				min(outerRowBlock, r1-r), mask, bias, p.scale, p.acc)
+		for r := r0; r < r1; r += rb {
+			tile(&p.dst[r*p.dn+c], &p.t[r*p.tr], &p.u[c], p.k, p.tk, p.tr, p.un, p.dn,
+				min(rb, r1-r), mask, bias, p.scale, p.acc)
 		}
 	}
 }

@@ -312,3 +312,193 @@ store_masked_acc:
 done:
 	VZEROUPPER
 	RET
+
+// Register use of outerTile8x32: Z0…Z15 are the accumulator pairs of
+// output rows 0…7, Z16:Z17 hold u[i, 0:32], Z18…Z25 the broadcasts of
+// the left operand's elements, and K1:K2 the lane mask of columns 0:16
+// and 16:32 (all set for a full panel). SI walks t and DI walks u; row
+// j of the left operand is read at SI plus the byte offset in 0, R10,
+// R11, R12, R13, AX, BX or DX.
+
+// WIDE_ROW(off, x, a, b) multiplies u[i, 0:32] into the accumulator
+// pair a:b by a broadcast, in x, of the left operand's element at off.
+#define WIDE_ROW(off, x, a, b) \
+	VBROADCASTSS off, x; \
+	VFMADD231PS  Z16, x, a; \
+	VFMADD231PS  Z17, x, b
+
+// WIDE_ALL applies one two-operand instruction to the sixteen
+// accumulators, even registers from a, odd ones from b.
+#define WIDE_ALL(op, a, b) \
+	op a, Z0, Z0; \
+	op b, Z1, Z1; \
+	op a, Z2, Z2; \
+	op b, Z3, Z3; \
+	op a, Z4, Z4; \
+	op b, Z5, Z5; \
+	op a, Z6, Z6; \
+	op b, Z7, Z7; \
+	op a, Z8, Z8; \
+	op b, Z9, Z9; \
+	op a, Z10, Z10; \
+	op b, Z11, Z11; \
+	op a, Z12, Z12; \
+	op b, Z13, Z13; \
+	op a, Z14, Z14; \
+	op b, Z15, Z15
+
+// The two row stores write the enabled lanes of the accumulator pair
+// a:b to the dst row at DX, adding what it held first when
+// accumulating, then move to the next row and leave once AX rows are
+// stored.
+#define WIDE_STORE(a, b) \
+	VMOVUPS a, K1, (DX); \
+	VMOVUPS b, K2, 64(DX); \
+	ADDQ    R9, DX; \
+	DECQ    AX; \
+	JZ      wide_done
+
+#define WIDE_STORE_ACC(a, b) \
+	VMOVUPS.Z (DX), K1, Z16; \
+	VMOVUPS.Z 64(DX), K2, Z17; \
+	VADDPS    Z16, a, a; \
+	VADDPS    Z17, b, b; \
+	WIDE_STORE(a, b)
+
+// func outerTile8x32(dst, t, u *float32, k, tk, tr, un, dn, rows int, mask *int32, bias *float32, scale float32, acc bool)
+//
+// outerTile6x16 on an 8×32 block in sixteen 16-lane accumulators, for
+// CPUs with AVX-512F: the same arguments, the same k-ordered FMA chain
+// from zero per output element and the same store, so every element
+// has the bits the 6×16 tile gives it. The k loop runs one step per
+// pass; k must be at least 1. rows (1…8) is the number of valid output
+// rows; the rows past it re-read the last valid row of L. mask (nil =
+// all 32 columns) points at 32 int32 lane masks, which become K1:K2:
+// the loads of u, bias and dst and the stores to dst run under them,
+// so masked lanes are neither read nor written.
+TEXT ·outerTile8x32(SB), NOSPLIT, $0-93
+	MOVQ t+8(FP), SI
+	MOVQ u+16(FP), DI
+	MOVQ k+24(FP), CX
+	MOVQ tk+32(FP), R8
+	MOVQ tr+40(FP), R10
+	MOVQ un+48(FP), R9
+	MOVQ mask+72(FP), R13
+	SHLQ $2, R8  // step of t per reduction index, in bytes
+	SHLQ $2, R10 // step of t per output row, in bytes
+	SHLQ $2, R9  // u row stride in bytes
+
+	KXNORW    K1, K1, K1
+	KXNORW    K2, K2, K2
+	TESTQ     R13, R13
+	JZ        wide_offsets
+	VMOVDQU32 (R13), Z16
+	VPTESTMD  Z16, Z16, K1
+	VMOVDQU32 64(R13), Z17
+	VPTESTMD  Z17, Z17, K2
+
+	// Byte offsets of output rows 1…7 within the left operand. DX, row
+	// 7's, is that of the last valid row, (rows-1)·tr, and rows 1…6 are
+	// clamped to it.
+wide_offsets:
+	MOVQ    rows+64(FP), DX
+	DECQ    DX
+	IMULQ   R10, DX
+	LEAQ    (R10)(R10*1), R11
+	LEAQ    (R11)(R10*1), R12
+	LEAQ    (R11)(R11*1), R13
+	LEAQ    (R13)(R10*1), AX
+	LEAQ    (R12)(R12*1), BX
+	CMPQ    R10, DX
+	CMOVQGT DX, R10
+	CMPQ    R11, DX
+	CMOVQGT DX, R11
+	CMPQ    R12, DX
+	CMOVQGT DX, R12
+	CMPQ    R13, DX
+	CMOVQGT DX, R13
+	CMPQ    AX, DX
+	CMOVQGT DX, AX
+	CMPQ    BX, DX
+	CMOVQGT DX, BX
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+
+	PCALIGN $64
+wide_loop:
+	VMOVUPS.Z (DI), K1, Z16
+	VMOVUPS.Z 64(DI), K2, Z17
+	WIDE_ROW((SI), Z18, Z0, Z1)
+	WIDE_ROW((SI)(R10*1), Z19, Z2, Z3)
+	WIDE_ROW((SI)(R11*1), Z20, Z4, Z5)
+	WIDE_ROW((SI)(R12*1), Z21, Z6, Z7)
+	WIDE_ROW((SI)(R13*1), Z22, Z8, Z9)
+	WIDE_ROW((SI)(AX*1), Z23, Z10, Z11)
+	WIDE_ROW((SI)(BX*1), Z24, Z12, Z13)
+	WIDE_ROW((SI)(DX*1), Z25, Z14, Z15)
+	ADDQ R8, SI
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  wide_loop
+
+	// The chains are complete; every general register is free, and so
+	// are Z16…Z31.
+	MOVL scale+88(FP), CX
+	CMPL CX, $0x3f800000 // 1.0
+	JEQ  wide_scaled
+	VBROADCASTSS scale+88(FP), Z16
+	WIDE_ALL(VMULPS, Z16, Z16)
+
+wide_scaled:
+	MOVQ      bias+80(FP), SI
+	TESTQ     SI, SI
+	JZ        wide_biased
+	VMOVUPS.Z (SI), K1, Z16
+	VMOVUPS.Z 64(SI), K2, Z17
+	WIDE_ALL(VADDPS, Z16, Z17)
+
+wide_biased:
+	MOVQ    dst+0(FP), DX
+	MOVQ    dn+56(FP), R9
+	SHLQ    $2, R9 // dst row stride in bytes
+	MOVQ    rows+64(FP), AX
+	MOVBLZX acc+92(FP), BX
+	TESTQ   BX, BX
+	JNZ     wide_store_acc
+	WIDE_STORE(Z0, Z1)
+	WIDE_STORE(Z2, Z3)
+	WIDE_STORE(Z4, Z5)
+	WIDE_STORE(Z6, Z7)
+	WIDE_STORE(Z8, Z9)
+	WIDE_STORE(Z10, Z11)
+	WIDE_STORE(Z12, Z13)
+	WIDE_STORE(Z14, Z15)
+
+wide_store_acc:
+	WIDE_STORE_ACC(Z0, Z1)
+	WIDE_STORE_ACC(Z2, Z3)
+	WIDE_STORE_ACC(Z4, Z5)
+	WIDE_STORE_ACC(Z6, Z7)
+	WIDE_STORE_ACC(Z8, Z9)
+	WIDE_STORE_ACC(Z10, Z11)
+	WIDE_STORE_ACC(Z12, Z13)
+	WIDE_STORE_ACC(Z14, Z15)
+
+wide_done:
+	VZEROUPPER
+	RET

@@ -2,16 +2,18 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// outerShape draws a product shape that covers every tail of the 6×16
-// register block with probability bounded away from zero: m runs
-// through three whole 6-row blocks and a tail, and m % 6, n % 16,
-// n % 8, k % 2 (the k loop's odd first step) and k (1, below 8, not a
-// multiple of 8) all range over their residues.
-func outerShape(rng *RNG) (k, m, n int) {
-	return 1 + rng.Intn(41), 1 + rng.Intn(23), 1 + rng.Intn(53)
+// outerShape draws a product shape that covers every tail of the
+// tile's register block with probability bounded away from zero: m runs
+// through three whole row blocks and a tail, n through two whole column
+// panels and a tail, and m % rows, n % cols, n % 8, k % 2 (the 6×16 k
+// loop's odd first step) and k (1, below 8, not a multiple of 8) all
+// range over their residues.
+func outerShape(rng *RNG, tile outerKernel) (k, m, n int) {
+	return 1 + rng.Intn(41), 1 + rng.Intn(4*tile.rows-1), 1 + rng.Intn(2*tile.cols+21)
 }
 
 // outerSentinel fills every cell of a test destination the kernel must
@@ -119,17 +121,23 @@ func (c outerCase) intact(got []float32) bool {
 // TestOuterKernelMatchesPortable is the property test of the kernel's
 // contract: over random shapes, both left-operand layouts and all four
 // stores, single and batched, with u and dst strides that differ (the
-// quantized strip) or not, the assembly kernel and the portable loop
-// must both agree with the defining formula and write nothing outside
+// quantized strip) or not, each tile the CPU has and the portable loop
+// must all agree with the defining formula and write nothing outside
 // the n valid columns of their rows.
 func TestOuterKernelMatchesPortable(t *testing.T) {
+	for _, tile := range hostTiles {
+		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterKernelMatchesPortable(t, tile) }) })
+	}
+}
+
+func testOuterKernelMatchesPortable(t *testing.T, tile outerKernel) {
 	rng := NewRNG(1601)
 	rowTails, colTails, kParities := map[int]bool{}, map[int]bool{}, map[int]bool{}
 	for trial := 0; trial < 300; trial++ {
-		k, m, n := outerShape(rng)
+		k, m, n := outerShape(rng, tile)
 		b := 1 + rng.Intn(3)
 		padU, padD := rng.Intn(3)*rng.Intn(9), rng.Intn(3)*rng.Intn(9)
-		rowTails[m%outerRowBlock], colTails[n%outerColPanel], kParities[k%2] = true, true, true
+		rowTails[m%tile.rows], colTails[n%tile.cols], kParities[k%2] = true, true, true
 		for _, transA := range []bool{false, true} {
 			for _, mode := range outerModes {
 				c := newOuterCase(rng, transA, mode, b, k, m, n, padU, padD)
@@ -144,9 +152,9 @@ func TestOuterKernelMatchesPortable(t *testing.T) {
 			}
 		}
 	}
-	if len(rowTails) != outerRowBlock || len(colTails) != outerColPanel || len(kParities) != 2 {
+	if len(rowTails) != tile.rows || len(colTails) != tile.cols || len(kParities) != 2 {
 		t.Fatalf("shapes covered %d of %d row tails, %d of %d column tails and %d of 2 parities of k",
-			len(rowTails), outerRowBlock, len(colTails), outerColPanel, len(kParities))
+			len(rowTails), tile.rows, len(colTails), tile.cols, len(kParities))
 	}
 }
 
@@ -157,15 +165,21 @@ func TestOuterKernelMatchesPortable(t *testing.T) {
 // must columns [0,s) and [s,n) — the second half reading its slice of
 // u from a compact strip of its own, as the quantized product does —
 // on both the vector and the portable path, in both layouts, under
-// every store. A short block or a masked panel therefore has to run
-// the same chain as a full one.
+// every store, with each tile the CPU has. A short block or a masked
+// panel therefore has to run the same chain as a full one.
 func TestOuterSplitInvariance(t *testing.T) {
+	for _, tile := range hostTiles {
+		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterSplitInvariance(t, tile) }) })
+	}
+}
+
+func testOuterSplitInvariance(t *testing.T, tile outerKernel) {
 	defer func(v bool) { useFMA = v }(useFMA)
 	for _, vec := range []bool{false, useFMA} {
 		useFMA = vec
 		rng := NewRNG(1602)
 		for trial := 0; trial < 40; trial++ {
-			k, m, n := outerShape(rng)
+			k, m, n := outerShape(rng, tile)
 			for _, transA := range []bool{false, true} {
 				for _, mode := range outerModes {
 					c := newOuterCase(rng, transA, mode, 1, k, m, n, rng.Intn(5), 0)
@@ -241,11 +255,17 @@ func TestOuterForkedMatchesSerial(t *testing.T) {
 }
 
 // TestOuterZeroAllocs pins the steady state of the products the
-// training step and the served forward call.
+// training step and the served forward call, on each tile the CPU has.
 func TestOuterZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; zero-alloc assertion only valid in normal builds")
 	}
+	for _, tile := range hostTiles {
+		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterZeroAllocs(t) }) })
+	}
+}
+
+func testOuterZeroAllocs(t *testing.T) {
 	rng := NewRNG(1604)
 	x := Randn(rng, 1, 32, 64)
 	w := Randn(rng, 1, 64, 192)
@@ -328,4 +348,79 @@ func TestMatMulZeroExtents(t *testing.T) {
 	// input may still have no rows.
 	q := QuantizeTensor(Randn(rng, 1, 32, 40), QuantInt8)
 	MatMulQuantInto(filled(0, 40), filled(0, 32), q, nil)
+}
+
+// TestWideTileMatchesNarrowBits is the differential of the two tiles:
+// on an AVX-512 host every output element of the 8×32 tile must have
+// the 6×16 tile's bits (math.Float32bits, so ±0 count), at every mask
+// width (n from 1 to 70), k at 1, 2, 3 and either side of 16 and at 64,
+// m drawn from 1 to 40, both left-operand layouts and all four stores;
+// then through the batched entry points on token-major strided stacks,
+// and through the quantized product, whose strips are as wide as the
+// tile. A quarter of u's columns are zero, so with k ≤ 3 many chains
+// are sums of -0 products: a tile that starts a chain with a multiply
+// instead of an add into +0 stores -0 there.
+func TestWideTileMatchesNarrowBits(t *testing.T) {
+	if !useWide {
+		t.Skip("this CPU has no AVX-512 tile")
+	}
+	rng := NewRNG(1606)
+	same := func(what string, run func() []float32) {
+		t.Helper()
+		var narrow, wide []float32
+		withTile(tile6x16, func() { narrow = run() })
+		withTile(tile8x32, func() { wide = run() })
+		for i, v := range narrow {
+			if math.Float32bits(wide[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: element %d is %v (%#x) on the 8×32 tile, %v (%#x) on the 6×16 one",
+					what, i, wide[i], math.Float32bits(wide[i]), v, math.Float32bits(v))
+			}
+		}
+	}
+	zeroColumns := func(u []float32, k, n, un int) {
+		for c := 0; c < n; c++ {
+			if rng.Intn(4) == 0 {
+				for i := 0; i < k; i++ {
+					u[i*un+c] = 0
+				}
+			}
+		}
+	}
+	ks := []int{1, 2, 3, 15, 16, 17, 64}
+	for n := 1; n <= 70; n++ {
+		for _, k := range ks {
+			m := 1 + rng.Intn(40)
+			for _, transA := range []bool{false, true} {
+				for _, mode := range outerModes {
+					c := newOuterCase(rng, transA, mode, 1, k, m, n, rng.Intn(3), rng.Intn(3))
+					zeroColumns(c.task.u, k, n, c.task.un)
+					same(c.what, func() []float32 { return c.run(true) })
+				}
+			}
+		}
+	}
+	for n := 1; n <= 70; n++ {
+		k, m := ks[rng.Intn(len(ks))], 1+rng.Intn(40)
+		s, h := 1+rng.Intn(2), 1+rng.Intn(3)
+		b := s * h
+		what := fmt.Sprintf("%d samples × %d heads, m=%d k=%d n=%d", s, h, m, k, n)
+		u := Randn(rng, 1, s*k, h*n)
+		zeroColumns(u.data, s*k, h*n, h*n)
+		t3, t3T, tm, um := Randn(rng, 1, b, m, k), Randn(rng, 1, b, k, m), Randn(rng, 1, s*m, h*k), Randn(rng, 1, s*n, h*k)
+		same("BatchedMatMulInto "+what, func() []float32 { return BatchedMatMulInto(New(s*m, h*n), t3, u).data })
+		same("BatchedMatMulTransAInto "+what, func() []float32 { return BatchedMatMulTransAInto(New(s*m, h*n), t3T, u).data })
+		same("BatchedMatMulTransBScaledInto "+what, func() []float32 {
+			return BatchedMatMulTransBScaledInto(New(b, m, n), tm, um, 0.25).data
+		})
+	}
+	for n := 1; n <= 70; n++ {
+		k, m := ks[rng.Intn(len(ks))], 1+rng.Intn(40)
+		x, bias := Randn(rng, 1, m, k), Randn(rng, 1, n)
+		for _, kind := range []QuantKind{QuantInt8, QuantQ4} {
+			q := QuantizeTensor(Randn(rng, 1, k, n), kind)
+			what := fmt.Sprintf("MatMulQuantInto %s m=%d k=%d n=%d", kind, m, k, n)
+			same(what, func() []float32 { return MatMulQuantInto(New(m, n), x, q, nil).data })
+			same(what+" biased", func() []float32 { return MatMulQuantInto(New(m, n), x, q, bias).data })
+		}
+	}
 }

@@ -83,10 +83,11 @@ func MatMulQuantInto(dst, t *Tensor, q *Quantized, bias *Tensor) *Tensor {
 	if m == 0 {
 		return dst // no row to slice a column panel out of
 	}
-	strip := getPack(outerColPanel * k)
+	cp := outer.cols
+	strip := getPack(cp * k)
 	all := mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), k, n)
-	for c := 0; c < n; c += outerColPanel {
-		w := min(outerColPanel, n-c)
+	for c := 0; c < n; c += cp {
+		w := min(cp, n-c)
 		dequantStrip(*strip, q, c, w)
 		p := all
 		p.dst, p.u, p.n, p.un = p.dst[c:], *strip, w, w

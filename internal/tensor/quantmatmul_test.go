@@ -60,8 +60,8 @@ var stripScales = []float32{0, math.Float32frombits(1), math.Float32frombits(0x0
 // and on, for both formats: the bytes are every value in every lane
 // (at k = 256, n = 133 each byte value meets each byte%8 and panel%8,
 // which the test checks), k covers whole and partial scale blocks, and
-// n ends in a partial 16-column group with and without a whole
-// eight-panel half.
+// n, cut into the column groups of each tile the CPU has, ends in a
+// partial group with and without a whole eight-panel part.
 func TestDequantStripMatchesPanels(t *testing.T) {
 	if !useFMA {
 		t.Skip("vector kernels unavailable on this CPU")
@@ -84,24 +84,26 @@ func TestDequantStripMatchesPanels(t *testing.T) {
 					t.Fatal(err)
 				}
 				var seen [256][8][8]bool
-				for c := 0; c < n; c += outerColPanel {
-					w := min(outerColPanel, n-c)
-					want := make([]float32, k*w)
-					q.DequantPanelsInto(want, c, c+w)
-					for _, vector := range []bool{false, true} {
-						useFMA = vector
-						got := sentinelStrip(k * w)
-						dequantStrip(got, q, c, w)
-						for i := range want {
-							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-								t.Fatalf("%s k=%d n=%d panels [%d, %d) vector=%v: row %d panel %d is %v (%#x), DequantPanelsInto %v (%#x)",
-									kind, k, n, c, c+w, vector, i/w, c+i%w, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				for _, tile := range hostTiles {
+					for c := 0; c < n; c += tile.cols {
+						w := min(tile.cols, n-c)
+						want := make([]float32, k*w)
+						q.DequantPanelsInto(want, c, c+w)
+						for _, vector := range []bool{false, true} {
+							useFMA = vector
+							got := sentinelStrip(k * w)
+							dequantStrip(got, q, c, w)
+							for i := range want {
+								if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+									t.Fatalf("%s k=%d n=%d panels [%d, %d) vector=%v: row %d panel %d is %v (%#x), DequantPanelsInto %v (%#x)",
+										kind, k, n, c, c+w, vector, i/w, c+i%w, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+								}
 							}
 						}
-					}
-					for p := c; p < c+w&^7; p++ {
-						for i := 0; i < pb; i++ {
-							seen[data[p*pb+i]][i%8][p%8] = true
+						for p := c; p < c+w&^7; p++ {
+							for i := 0; i < pb; i++ {
+								seen[data[p*pb+i]][i%8][p%8] = true
+							}
 						}
 					}
 				}
