@@ -87,7 +87,7 @@ func (p *product) rows(r0, r1 int) {
 		p.rowsPortable(r0, r1)
 		return
 	}
-	tile, rb, cp := outer.tile, outer.rows, outer.cols
+	cp := outer.cols
 	for c := 0; c < p.n; c += cp {
 		var mask *int32
 		if w := p.n - c; w < cp {
@@ -97,9 +97,9 @@ func (p *product) rows(r0, r1 int) {
 		if p.bias != nil {
 			bias = &p.bias[c]
 		}
-		for r := r0; r < r1; r += rb {
-			tile(&p.dst[r*p.dn+c], &p.t[r*p.tr], &p.u[c], p.k, p.tk, p.tr, p.un, p.dn,
-				min(rb, r1-r), mask, bias, p.scale, p.acc)
+		for r := r0; r < r1; r += outer.rows {
+			outer.tile(&p.dst[r*p.dn+c], &p.t[r*p.tr], &p.u[c], p.k, p.tk, p.tr, p.un, p.dn,
+				min(outer.rows, r1-r), mask, bias, p.scale, p.acc)
 		}
 	}
 }

@@ -31,17 +31,17 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0; only valid where CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// hostCPU reads the words chooseKernels decides from.
+// hostCPU reads the words chooseKernels decides from. Reading leaf 7
+// is harmless on a CPU without it; chooseKernels ignores the answer.
+// XGETBV is only executed where OSXSAVE says it exists.
 func hostCPU() cpuWords {
 	var w cpuWords
 	w.maxLeaf, _, _, _ = cpuid(0, 0)
 	_, _, w.ecx1, _ = cpuid(1, 0)
+	_, w.ebx7, _, _ = cpuid(7, 0)
 	if w.ecx1&(1<<27) != 0 {
 		lo, hi := xgetbv()
 		w.xcr0 = uint64(hi)<<32 | uint64(lo)
-	}
-	if w.maxLeaf >= 7 {
-		_, w.ebx7, _, _ = cpuid(7, 0)
 	}
 	return w
 }

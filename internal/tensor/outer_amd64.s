@@ -327,6 +327,12 @@ done:
 	VFMADD231PS  Z16, x, a; \
 	VFMADD231PS  Z17, x, b
 
+// WIDE_HALF(off, x, a) is WIDE_ROW for a panel of at most 16 columns:
+// u[i, 0:16] into the accumulator a alone.
+#define WIDE_HALF(off, x, a) \
+	VBROADCASTSS off, x; \
+	VFMADD231PS  Z16, x, a
+
 // WIDE_ALL applies one two-operand instruction to the sixteen
 // accumulators, even registers from a, odd ones from b.
 #define WIDE_ALL(op, a, b) \
@@ -375,7 +381,9 @@ done:
 // rows; the rows past it re-read the last valid row of L. mask (nil =
 // all 32 columns) points at 32 int32 lane masks, which become K1:K2:
 // the loads of u, bias and dst and the stores to dst run under them,
-// so masked lanes are neither read nor written.
+// so masked lanes are neither read nor written. A panel of at most 16
+// columns (K2 empty) runs a loop of half the width, on the even
+// accumulators.
 TEXT ·outerTile8x32(SB), NOSPLIT, $0-93
 	MOVQ t+8(FP), SI
 	MOVQ u+16(FP), DI
@@ -439,6 +447,9 @@ wide_offsets:
 	VPXORD Z14, Z14, Z14
 	VPXORD Z15, Z15, Z15
 
+	KORTESTW K2, K2
+	JZ       wide_half
+
 	PCALIGN $64
 wide_loop:
 	VMOVUPS.Z (DI), K1, Z16
@@ -458,6 +469,7 @@ wide_loop:
 
 	// The chains are complete; every general register is free, and so
 	// are Z16…Z31.
+wide_chains:
 	MOVL scale+88(FP), CX
 	CMPL CX, $0x3f800000 // 1.0
 	JEQ  wide_scaled
@@ -502,3 +514,20 @@ wide_store_acc:
 wide_done:
 	VZEROUPPER
 	RET
+
+	PCALIGN $64
+wide_half:
+	VMOVUPS.Z (DI), K1, Z16
+	WIDE_HALF((SI), Z18, Z0)
+	WIDE_HALF((SI)(R10*1), Z19, Z2)
+	WIDE_HALF((SI)(R11*1), Z20, Z4)
+	WIDE_HALF((SI)(R12*1), Z21, Z6)
+	WIDE_HALF((SI)(R13*1), Z22, Z8)
+	WIDE_HALF((SI)(AX*1), Z23, Z10)
+	WIDE_HALF((SI)(BX*1), Z24, Z12)
+	WIDE_HALF((SI)(DX*1), Z25, Z14)
+	ADDQ R8, SI
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  wide_half
+	JMP  wide_chains

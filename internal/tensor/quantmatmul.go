@@ -83,16 +83,15 @@ func MatMulQuantInto(dst, t *Tensor, q *Quantized, bias *Tensor) *Tensor {
 	if m == 0 {
 		return dst // no row to slice a column panel out of
 	}
-	cp := outer.cols
-	strip := getPack(cp * k)
-	all := mulTask(dst.data, t.data, nil, biasData(bias, n, "MatMulQuantInto"), k, n)
-	for c := 0; c < n; c += cp {
-		w := min(cp, n-c)
+	strip := getPack(outer.cols * k)
+	b := biasData(bias, n, "MatMulQuantInto")
+	p := mulTask(nil, t.data, nil, nil, k, n)
+	for c := 0; c < n; c += outer.cols {
+		w := min(outer.cols, n-c)
 		dequantStrip(*strip, q, c, w)
-		p := all
-		p.dst, p.u, p.n, p.un = p.dst[c:], *strip, w, w
-		if p.bias != nil {
-			p.bias = p.bias[c:]
+		p.dst, p.u, p.n, p.un = dst.data[c:], *strip, w, w
+		if b != nil {
+			p.bias = b[c:]
 		}
 		p.rows(0, m)
 	}

@@ -464,6 +464,7 @@ lnp_block:
 	MOVQ    CX, R12
 	MOVQ    R9, R13         // rows left
 
+	PCALIGN $64
 lnp_run:
 	MOVQ    R10, AX
 	CMPQ    R13, AX
@@ -472,7 +473,6 @@ lnp_run:
 	VXORPS  Y0, Y0, Y0
 	VXORPS  Y1, Y1, Y1
 
-	PCALIGN $64
 lnp_row:
 	VMOVUPS (R11), Y2
 	VMULPS  (R12), Y2, Y3
