@@ -123,14 +123,15 @@ func (c outerCase) intact(got []float32) bool {
 // stores, single and batched, with u and dst strides that differ (the
 // quantized strip) or not, each tile the CPU has and the portable loop
 // must all agree with the defining formula and write nothing outside
-// the n valid columns of their rows.
+// the n valid columns of their rows. The portable loop, which no tile
+// changes, runs beside the first tile only.
 func TestOuterKernelMatchesPortable(t *testing.T) {
-	for _, tile := range hostTiles {
-		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterKernelMatchesPortable(t, tile) }) })
+	for i, tile := range hostTiles {
+		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterKernelMatchesPortable(t, tile, i == 0) }) })
 	}
 }
 
-func testOuterKernelMatchesPortable(t *testing.T, tile outerKernel) {
+func testOuterKernelMatchesPortable(t *testing.T, tile outerKernel, portable bool) {
 	rng := NewRNG(1601)
 	rowTails, colTails, kParities := map[int]bool{}, map[int]bool{}, map[int]bool{}
 	for trial := 0; trial < 300; trial++ {
@@ -142,7 +143,7 @@ func testOuterKernelMatchesPortable(t *testing.T, tile outerKernel) {
 			for _, mode := range outerModes {
 				c := newOuterCase(rng, transA, mode, b, k, m, n, padU, padD)
 				want := FromSlice(c.reference(), len(c.task.dst))
-				for _, vector := range []bool{false, useFMA} {
+				for _, vector := range arms(portable) {
 					got := c.run(vector)
 					requireClose(t, FromSlice(got, len(got)), want, fmt.Sprintf("%s vector=%v", c.what, vector))
 					if !c.intact(got) {
@@ -165,17 +166,27 @@ func testOuterKernelMatchesPortable(t *testing.T, tile outerKernel) {
 // must columns [0,s) and [s,n) — the second half reading its slice of
 // u from a compact strip of its own, as the quantized product does —
 // on both the vector and the portable path, in both layouts, under
-// every store, with each tile the CPU has. A short block or a masked
-// panel therefore has to run the same chain as a full one.
+// every store, with each tile the CPU has (the portable loop beside the
+// first only). A short block or a masked panel therefore has to run the
+// same chain as a full one.
 func TestOuterSplitInvariance(t *testing.T) {
-	for _, tile := range hostTiles {
-		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterSplitInvariance(t, tile) }) })
+	for i, tile := range hostTiles {
+		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterSplitInvariance(t, tile, i == 0) }) })
 	}
 }
 
-func testOuterSplitInvariance(t *testing.T, tile outerKernel) {
+// arms are the paths a per-tile test runs: the tile, and the portable
+// loop too when portable is set.
+func arms(portable bool) []bool {
+	if portable {
+		return []bool{false, useFMA}
+	}
+	return []bool{useFMA}
+}
+
+func testOuterSplitInvariance(t *testing.T, tile outerKernel, portable bool) {
 	defer func(v bool) { useFMA = v }(useFMA)
-	for _, vec := range []bool{false, useFMA} {
+	for _, vec := range arms(portable) {
 		useFMA = vec
 		rng := NewRNG(1602)
 		for trial := 0; trial < 40; trial++ {
