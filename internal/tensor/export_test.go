@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"testing"
+)
 
 // The external tests of this directory run the row loops of nn, optim
 // and comm with the assembly kernels on and off (rowkernels_test.go);
@@ -17,7 +20,7 @@ func SetVector(on bool) { useFMA = on && HostVector }
 // hostTiles are the matrix tiles this CPU runs: the 6×16 one on every
 // AVX2+FMA host (and, never entered, on one without), the 8×32 one too
 // on an AVX-512 host. The tests that hold the kernel to its contract
-// run once per tile (withTile).
+// run once per tile (eachTile).
 var hostTiles = func() []outerKernel {
 	if useWide {
 		return []outerKernel{tile6x16, tile8x32}
@@ -34,4 +37,12 @@ func withTile(k outerKernel, f func()) {
 	defer func(o outerKernel) { outer = o }(outer)
 	outer = k
 	f()
+}
+
+// eachTile runs f as one subtest per tile the CPU has, named by the
+// tile, with the matrix kernel on it; first is set for the first tile.
+func eachTile(t *testing.T, f func(t *testing.T, tile outerKernel, first bool)) {
+	for i, tile := range hostTiles {
+		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { f(t, tile, i == 0) }) })
+	}
 }

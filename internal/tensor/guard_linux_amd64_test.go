@@ -95,13 +95,9 @@ func underFences(t *testing.T, sweep func(atEnd bool, running *string)) {
 // and an even k (the 6×16 k loop's odd first step, with and without
 // pairs after it), both left operand layouts, with and without bias
 // and accumulation.
-func TestOuterTileStaysInsideOperands(t *testing.T) {
-	for _, tile := range hostTiles {
-		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterTileStaysInsideOperands(t, tile) }) })
-	}
-}
+func TestOuterTileStaysInsideOperands(t *testing.T) { eachTile(t, testOuterTileStaysInsideOperands) }
 
-func testOuterTileStaysInsideOperands(t *testing.T, tile outerKernel) {
+func testOuterTileStaysInsideOperands(t *testing.T, tile outerKernel, _ bool) {
 	const maxK = 5
 	maxM, maxN := 2*tile.rows, 2*tile.cols+1
 	gd, gt, gu, gb := newGuarded(t, 4*maxM*maxN), newGuarded(t, 4*maxM*maxK), newGuarded(t, 4*maxK*maxN), newGuarded(t, 4*maxN)

@@ -125,11 +125,7 @@ func (c outerCase) intact(got []float32) bool {
 // must all agree with the defining formula and write nothing outside
 // the n valid columns of their rows. The portable loop, which no tile
 // changes, runs beside the first tile only.
-func TestOuterKernelMatchesPortable(t *testing.T) {
-	for i, tile := range hostTiles {
-		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterKernelMatchesPortable(t, tile, i == 0) }) })
-	}
-}
+func TestOuterKernelMatchesPortable(t *testing.T) { eachTile(t, testOuterKernelMatchesPortable) }
 
 func testOuterKernelMatchesPortable(t *testing.T, tile outerKernel, portable bool) {
 	rng := NewRNG(1601)
@@ -169,11 +165,7 @@ func testOuterKernelMatchesPortable(t *testing.T, tile outerKernel, portable boo
 // every store, with each tile the CPU has (the portable loop beside the
 // first only). A short block or a masked panel therefore has to run the
 // same chain as a full one.
-func TestOuterSplitInvariance(t *testing.T) {
-	for i, tile := range hostTiles {
-		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterSplitInvariance(t, tile, i == 0) }) })
-	}
-}
+func TestOuterSplitInvariance(t *testing.T) { eachTile(t, testOuterSplitInvariance) }
 
 // arms are the paths a per-tile test runs: the tile, and the portable
 // loop too when portable is set.
@@ -271,12 +263,10 @@ func TestOuterZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; zero-alloc assertion only valid in normal builds")
 	}
-	for _, tile := range hostTiles {
-		t.Run(tile.String(), func(t *testing.T) { withTile(tile, func() { testOuterZeroAllocs(t) }) })
-	}
+	eachTile(t, testOuterZeroAllocs)
 }
 
-func testOuterZeroAllocs(t *testing.T) {
+func testOuterZeroAllocs(t *testing.T, _ outerKernel, _ bool) {
 	rng := NewRNG(1604)
 	x := Randn(rng, 1, 32, 64)
 	w := Randn(rng, 1, 64, 192)
