@@ -124,11 +124,13 @@ cover:
 # candidates) without paying full benchmark time in CI. The matrix
 # kernel runs 2000 calls per workload shape (under a second in all) so
 # that the GFLOP/s it prints mean something: the one-line reproducer of
-# a kernel regression. The row kernels (AdamW, two-rank reduce,
-# LayerNorm forward / backward) and the float32 elementwise ones (GELU,
-# softmax, adds, scale, bias-gradient sum, transpose) print ns per
-# element at the workload sizes the same way, assembly off and on, on
-# one P. One elastic training step (every micro-batch and AdamW) of the
+# a kernel regression. The row kernels (AdamW, two-rank reduce storing
+# and adding, sum of squares, LayerNorm forward / backward, the
+# aggregation), the float32 elementwise ones (GELU, softmax, adds,
+# scale, bias-gradient sum, max-abs, transpose), the quantized strip
+# writer and one training-shape product print ns per element (per
+# multiply-add for the product) at the workload sizes, Go loop and
+# assembly, on one P: a row per kernel of PERFORMANCE.md's table. One elastic training step (every micro-batch and AdamW) of the
 # benchmark's train shape runs on one worker and on TP2×PP2×FSDP2.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAttentionForward$$|BenchmarkTransformerBlockFwdBwd$$' -benchtime=1x .

@@ -21,11 +21,11 @@ func TestReshardRejectsLegacyTPManifest(t *testing.T) {
 	for _, n := range []int{32, 32, 24, 24} {
 		grid = append(grid, &RankShard{T: len(grid) / 2, F: len(grid) % 2, Blocks: []BlockShard{{W: make([]float32, n), M: make([]float32, n), V: make([]float32, n)}}})
 	}
-	if _, err := Reshard(man, grid, 1); err == nil {
+	if _, err := Reshard(man, grid, nil, 1); err == nil {
 		t.Error("resharding a TP>1 manifest without flat_lens_tp must be rejected")
 	}
 	man.FlatLensTP = [][]int{{64}, {48}}
-	if _, err := Reshard(man, grid, 1); err != nil {
+	if _, err := Reshard(man, grid, nil, 1); err != nil {
 		t.Errorf("reshard with per-TP lengths: %v", err)
 	}
 }

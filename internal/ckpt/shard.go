@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 
+	"orbit/internal/parallel"
 	"orbit/internal/tensor"
 )
 
@@ -226,10 +227,6 @@ func ShardFileName(step, p, t, f int) string {
 	return fmt.Sprintf("shard-s%d-p%d-t%d-f%d.bin", step, p, t, f)
 }
 
-// PaddedLen returns the flat length after padding logical length l to
-// a multiple of the FSDP extent f (parallel.FlattenParams' rule).
-func PaddedLen(l, f int) int { return (l + f - 1) / f * f }
-
 // GenManifestName returns the step-scoped generation manifest name
 // inside a checkpoint dir. ManifestName is the newest-commit pointer,
 // a byte-identical copy of the newest generation manifest.
@@ -418,7 +415,7 @@ func loadShardedFrom(dir, manifestFile string) (*Manifest, []*RankShard, error) 
 						Err: fmt.Errorf("shard (%d,%d,%d) has %d blocks, stage owns %d", p, t, f, len(sh.Blocks), rng[1]-rng[0])}
 				}
 				for b, blk := range sh.Blocks {
-					if want := PaddedLen(man.FlatLensFor(t)[rng[0]+b], man.Layout.FSDP) / man.Layout.FSDP; len(blk.W) != want {
+					if want := parallel.Padded(man.FlatLensFor(t)[rng[0]+b], man.Layout.FSDP) / man.Layout.FSDP; len(blk.W) != want {
 						return nil, nil, &CorruptError{Path: path,
 							Err: fmt.Errorf("shard (%d,%d,%d) block %d chunk length %d, want %d", p, t, f, rng[0]+b, len(blk.W), want)}
 					}
@@ -480,111 +477,89 @@ var blockFields = []func(*BlockShard) *[]float32{
 	func(b *BlockShard) *[]float32 { return &b.V },
 }
 
-// Reshard redistributes a loaded checkpoint onto a new FSDP extent,
-// returning shards in (T,F') order. The TP extent cannot change — TP
-// shards partition individual weight matrices, not the flat vector.
-// Chunk weights and optimizer moments are plain slices of the logical
-// flat vector, so resharding is exact (bit-identical values).
-func Reshard(man *Manifest, shards []*RankShard, newFSDP int) ([]*RankShard, error) {
-	if newFSDP < 1 {
-		return nil, fmt.Errorf("ckpt: reshard to FSDP=%d", newFSDP)
+// Reshard redistributes a loaded checkpoint onto new pipeline stages —
+// block ranges that must tile the manifest's block list, nil for one
+// stage — and a new FSDP extent, returning shards in (P',T,F') order.
+// The TP extent cannot change: TP shards partition individual weight
+// matrices, not the flat vector. A block's FSDP chunks depend only on
+// (T, F, logical length), never on which stage held it, so the regroup
+// moves whole blocks; the chunks are plain slices of the logical flat
+// vector, so the re-chunk is exact too. Every value comes through
+// bit-identical; an unchanged layout returns shards itself.
+func Reshard(man *Manifest, shards []*RankShard, stages [][2]int, fsdp int) ([]*RankShard, error) {
+	if fsdp < 1 {
+		return nil, fmt.Errorf("ckpt: reshard to FSDP=%d", fsdp)
 	}
-	stages := man.Layout.Stages()
-	if len(shards) != stages*man.Layout.TP*man.Layout.FSDP {
-		return nil, fmt.Errorf("ckpt: %d shards for a %d×%d×%d grid", len(shards), stages, man.Layout.TP, man.Layout.FSDP)
-	}
-	if newFSDP == man.Layout.FSDP {
-		return shards, nil
-	}
-	oldF := man.Layout.FSDP
-	out := make([]*RankShard, 0, stages*man.Layout.TP*newFSDP)
-	for pt := 0; pt < stages*man.Layout.TP; pt++ {
-		p, t := pt/man.Layout.TP, pt%man.Layout.TP
-		rng := man.StageRange(p)
-		row := shards[pt*oldF : (pt+1)*oldF]
-		newRow := make([]*RankShard, newFSDP)
-		for f := range newRow {
-			newRow[f] = &RankShard{P: p, T: t, F: f, Blocks: make([]BlockShard, rng[1]-rng[0])}
-		}
-		// Logical lengths are per TP row: T>0 shards are shorter than
-		// T=0 (the unsharded output biases live only on rank 0). A
-		// stage's shards hold its block range's rows of that column.
-		for b, logical := range man.FlatLensFor(t)[rng[0]:rng[1]] {
-			for _, field := range blockFields {
-				// Reassemble the logical flat vector from the old chunks…
-				full := make([]float32, 0, PaddedLen(logical, oldF))
-				for _, sh := range row {
-					full = append(full, *field(&sh.Blocks[b])...)
-				}
-				if len(full) < logical {
-					return nil, fmt.Errorf("ckpt: block %d flat length %d < logical %d", b, len(full), logical)
-				}
-				full = full[:logical]
-				// …then re-pad and slice for the new extent.
-				newPad := PaddedLen(logical, newFSDP)
-				chunkLen := newPad / newFSDP
-				for f := 0; f < newFSDP; f++ {
-					chunk := make([]float32, chunkLen)
-					lo := f * chunkLen
-					if lo < logical {
-						hi := lo + chunkLen
-						if hi > logical {
-							hi = logical
-						}
-						copy(chunk, full[lo:hi])
-					}
-					*field(&newRow[f].Blocks[b]) = chunk
-				}
-			}
-		}
-		out = append(out, newRow...)
-	}
-	return out, nil
-}
-
-// ReshardPP regroups a loaded checkpoint onto a different pipeline
-// partition — newStages block ranges (which must tile the manifest's
-// block list) replacing the saved ones — keeping TP and FSDP fixed.
-// A block's FSDP chunks depend only on (T, F, logical length), never
-// on which stage held it, so repartitioning moves whole BlockShards
-// between shards without touching a single value: the rebuild is
-// bit-identical. Shards return in (P',T,F) order; pass the result to
-// Reshard to change the FSDP extent afterwards (elastic rebuilds that
-// lose a stage do exactly that).
-func ReshardPP(man *Manifest, shards []*RankShard, newStages [][2]int) ([]*RankShard, error) {
+	tp, oldF := man.Layout.TP, man.Layout.FSDP
 	oldStages := man.Layout.Stages()
-	if len(shards) != oldStages*man.Layout.TP*man.Layout.FSDP {
-		return nil, fmt.Errorf("ckpt: %d shards for a %d×%d×%d grid", len(shards), oldStages, man.Layout.TP, man.Layout.FSDP)
+	if len(shards) != oldStages*tp*oldF {
+		return nil, fmt.Errorf("ckpt: %d shards for a %d×%d×%d grid", len(shards), oldStages, tp, oldF)
 	}
-	if len(newStages) == 0 {
-		newStages = [][2]int{{0, len(man.FlatLens)}}
+	if len(stages) == 0 {
+		stages = [][2]int{{0, len(man.FlatLens)}}
 	}
-	tiling := Manifest{Layout: ShardLayout{PP: len(newStages)}, FlatLens: man.FlatLens, StageBlocks: newStages}
+	tiling := Manifest{Layout: ShardLayout{PP: len(stages)}, FlatLens: man.FlatLens, StageBlocks: stages}
 	if err := tiling.validateStages(); err != nil {
 		return nil, err
 	}
-	// blockHome[b] locates block b in the saved partition: which stage
-	// holds it and at which stage-local index.
-	type home struct{ p, local int }
-	blockHome := make([]home, len(man.FlatLens))
+	same := fsdp == oldF && len(stages) == oldStages
+	for p := 0; same && p < oldStages; p++ {
+		same = stages[p] == man.StageRange(p)
+	}
+	if same {
+		return shards, nil
+	}
+	// home[b] locates block b in the saved partition: the T = 0 row
+	// (P·TP) of the stage that holds it and its stage-local index.
+	type loc struct{ row, local int }
+	home := make([]loc, len(man.FlatLens))
 	for p := 0; p < oldStages; p++ {
 		rng := man.StageRange(p)
 		for b := rng[0]; b < rng[1]; b++ {
-			blockHome[b] = home{p: p, local: b - rng[0]}
+			home[b] = loc{row: p * tp, local: b - rng[0]}
 		}
 	}
-	out := make([]*RankShard, 0, len(newStages)*man.Layout.TP*man.Layout.FSDP)
-	for p, rng := range newStages {
-		for t := 0; t < man.Layout.TP; t++ {
-			for f := 0; f < man.Layout.FSDP; f++ {
-				sh := &RankShard{P: p, T: t, F: f, Blocks: make([]BlockShard, rng[1]-rng[0])}
-				for b := rng[0]; b < rng[1]; b++ {
-					h := blockHome[b]
-					src := shards[(h.p*man.Layout.TP+t)*man.Layout.FSDP+f]
-					sh.Blocks[b-rng[0]] = src.Blocks[h.local]
-				}
-				out = append(out, sh)
+	out := make([]*RankShard, 0, len(stages)*tp*fsdp)
+	for p, rng := range stages {
+		for t := 0; t < tp; t++ {
+			row := make([]*RankShard, fsdp)
+			for f := range row {
+				row[f] = &RankShard{P: p, T: t, F: f, Blocks: make([]BlockShard, rng[1]-rng[0])}
 			}
+			// Logical lengths are per TP row: T>0 shards are shorter
+			// than T=0 (the unsharded output biases live only on rank 0).
+			lens := man.FlatLensFor(t)
+			for b := rng[0]; b < rng[1]; b++ {
+				h := home[b]
+				old := shards[(h.row+t)*oldF : (h.row+t+1)*oldF]
+				if fsdp == oldF {
+					for f, sh := range old {
+						row[f].Blocks[b-rng[0]] = sh.Blocks[h.local]
+					}
+					continue
+				}
+				logical := lens[b]
+				for _, field := range blockFields {
+					// Reassemble the logical flat vector from the old chunks…
+					full := make([]float32, 0, parallel.Padded(logical, oldF))
+					for _, sh := range old {
+						full = append(full, *field(&sh.Blocks[h.local])...)
+					}
+					if len(full) < logical {
+						return nil, fmt.Errorf("ckpt: block %d flat length %d < logical %d", b, len(full), logical)
+					}
+					// …then re-pad and slice for the new extent.
+					chunkLen := parallel.Padded(logical, fsdp) / fsdp
+					for f := range row {
+						chunk := make([]float32, chunkLen)
+						if lo := f * chunkLen; lo < logical {
+							copy(chunk, full[lo:min(lo+chunkLen, logical)])
+						}
+						*field(&row[f].Blocks[b-rng[0]]) = chunk
+					}
+				}
+			}
+			out = append(out, row...)
 		}
 	}
 	return out, nil

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"orbit/internal/parallel"
 	"orbit/internal/tensor"
 	"orbit/internal/vit"
 )
@@ -54,7 +55,7 @@ func buildShards(tp, fsdp int, flatLens []int) (*Manifest, []*RankShard) {
 		for f := 0; f < fsdp; f++ {
 			sh := &RankShard{T: t, F: f}
 			for b, l := range man.FlatLensFor(t) {
-				chunkLen := PaddedLen(l, fsdp) / fsdp
+				chunkLen := parallel.Padded(l, fsdp) / fsdp
 				blk := BlockShard{
 					W: make([]float32, chunkLen),
 					M: make([]float32, chunkLen),
@@ -105,7 +106,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 // for TP rows of unequal length (row 1's blocks are 8 and 4 long).
 func TestReshardHalvesExactly(t *testing.T) {
 	man, shards := buildShards(2, 4, []int{10, 6})
-	newShards, err := Reshard(man, shards, 2)
+	newShards, err := Reshard(man, shards, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestReshardHalvesExactly(t *testing.T) {
 	}
 	for tp := 0; tp < 2; tp++ {
 		for b, l := range man.FlatLensFor(tp) {
-			chunkLen := PaddedLen(l, 2) / 2
+			chunkLen := parallel.Padded(l, 2) / 2
 			for f := 0; f < 2; f++ {
 				sh := newShards[tp*2+f]
 				if sh.T != tp || sh.F != f {
@@ -146,13 +147,13 @@ func TestReshardHalvesExactly(t *testing.T) {
 // original chunks back bit-identically.
 func TestReshardGrowAndShrinkRoundTrip(t *testing.T) {
 	man, shards := buildShards(1, 2, []int{7})
-	grown, err := Reshard(man, shards, 3)
+	grown, err := Reshard(man, shards, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	man3 := *man
 	man3.Layout.FSDP = 3
-	back, err := Reshard(&man3, grown, 2)
+	back, err := Reshard(&man3, grown, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestReshardGrowAndShrinkRoundTrip(t *testing.T) {
 
 func TestReshardSameLayoutIsIdentity(t *testing.T) {
 	man, shards := buildShards(1, 2, []int{8})
-	out, err := Reshard(man, shards, 2)
+	out, err := Reshard(man, shards, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"orbit/internal/parallel"
 	"orbit/internal/tensor"
 )
 
@@ -35,7 +36,7 @@ func buildStageShards(pp, tp, fsdp int, flatLens []int, stages [][2]int) (*Manif
 				sh := &RankShard{P: p, T: t, F: f}
 				for b := rng[0]; b < rng[1]; b++ {
 					l := flatLens[b]
-					chunkLen := PaddedLen(l, fsdp) / fsdp
+					chunkLen := parallel.Padded(l, fsdp) / fsdp
 					blk := BlockShard{
 						W: make([]float32, chunkLen),
 						M: make([]float32, chunkLen),
@@ -123,7 +124,7 @@ func TestReshardPPBitIdentical(t *testing.T) {
 	}
 	want := collapse(man, man.StageBlocks, shards)
 
-	one, err := ReshardPP(man, shards, nil)
+	one, err := Reshard(man, shards, nil, man.Layout.FSDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestReshardPPBitIdentical(t *testing.T) {
 		t.Fatal("PP=2 → PP=1 changed block payloads")
 	}
 
-	three, err := ReshardPP(man, shards, [][2]int{{0, 2}, {2, 3}, {3, 4}})
+	three, err := Reshard(man, shards, [][2]int{{0, 2}, {2, 3}, {3, 4}}, man.Layout.FSDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,20 +145,20 @@ func TestReshardPPBitIdentical(t *testing.T) {
 	man1 := *man
 	man1.Layout.PP = 1
 	man1.StageBlocks = nil
-	viaPP, err := Reshard(&man1, one, 4)
+	viaPP, err := Reshard(&man1, one, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := ReshardPP(man, shards, nil) // fresh copy for the direct path
+	flat, err := Reshard(man, shards, nil, man.Layout.FSDP) // fresh copy for the direct path
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Reshard(&man1, flat, 4)
+	direct, err := Reshard(&man1, flat, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(viaPP, direct) {
-		t.Fatal("FSDP reshard after ReshardPP diverged")
+		t.Fatal("FSDP reshard after the stage regroup diverged")
 	}
 }
 
@@ -165,7 +166,7 @@ func TestReshardStageAwareFSDP(t *testing.T) {
 	// FSDP resharding without collapsing stages: each stage's row
 	// reshards independently and keeps its stage coordinate.
 	man, shards := buildStageShards(2, 1, 4, []int{10, 6}, [][2]int{{0, 1}, {1, 2}})
-	out, err := Reshard(man, shards, 2)
+	out, err := Reshard(man, shards, man.StageBlocks, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestReshardStageAwareFSDP(t *testing.T) {
 		for b, blk := range sh.Blocks {
 			global := rng[0] + b
 			l := man.FlatLens[global]
-			chunkLen := PaddedLen(l, 2) / 2
+			chunkLen := parallel.Padded(l, 2) / 2
 			for i := 0; i < chunkLen; i++ {
 				logical := sh.F*chunkLen + i
 				var want float32
@@ -235,7 +236,7 @@ func TestStageManifestValidate(t *testing.T) {
 
 func TestReshardPPErrors(t *testing.T) {
 	man, shards := buildStageShards(2, 1, 1, []int{10, 6}, [][2]int{{0, 1}, {1, 2}})
-	if _, err := ReshardPP(man, shards[:1], nil); err == nil {
+	if _, err := Reshard(man, shards[:1], nil, 1); err == nil {
 		t.Fatal("short shard list accepted")
 	}
 	for _, bad := range [][][2]int{
@@ -244,7 +245,7 @@ func TestReshardPPErrors(t *testing.T) {
 		{{0, 1}},
 		{{1, 2}, {0, 1}},
 	} {
-		if _, err := ReshardPP(man, shards, bad); err == nil {
+		if _, err := Reshard(man, shards, bad, 1); err == nil {
 			t.Fatalf("bad new stages %v accepted", bad)
 		}
 	}

@@ -388,15 +388,11 @@ func copyUnlessSame(dst, src []float32) {
 // dst += that, dst free to be a or b. float64(a)+float64(b) is exactly
 // the scratch accumulation 0+a+b, so the bits are the general path's
 // (but for −0 + −0, which keeps its sign as the one-rank copy does).
-// The loop is the definition; tensor.Sum2ScaledVec and
-// tensor.Sum2ScaledAccVec are its vector forms and take the leading
-// whole vectors where the CPU has them.
+// The loop is the definition; tensor.Sum2ScaledVec is its vector form,
+// one kernel for both modes, and takes the leading whole vectors where
+// the CPU has them.
 func reduceTwo(dst, a, b []float32, scale float64, acc bool) {
-	vec := tensor.Sum2ScaledVec
-	if acc {
-		vec = tensor.Sum2ScaledAccVec
-	}
-	for i := vec(dst, a, b, scale); i < len(dst); i++ {
+	for i := tensor.Sum2ScaledVec(dst, a, b, scale, acc); i < len(dst); i++ {
 		v := float32((float64(a[i]) + float64(b[i])) * scale)
 		if acc {
 			v = dst[i] + v

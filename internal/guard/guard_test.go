@@ -27,16 +27,16 @@ func baseElastic(t *testing.T, layout core.Layout, nodes, gpn int) train.Elastic
 	}
 }
 
-// finalWeights loads a run's final checkpoint and reshards it to a
-// single FSDP chunk per TP row: a layout-independent flat view for
-// bit-exact comparison.
+// finalWeights loads a run's final checkpoint and reshards it to one
+// stage and a single FSDP chunk per TP row: a layout-independent flat
+// view for bit-exact comparison.
 func finalWeights(t *testing.T, dir string) (int, [][]float32) {
 	t.Helper()
 	man, shards, _, err := ckpt.LoadShardedLatestValid(dir)
 	if err != nil {
 		t.Fatalf("loading final checkpoint from %s: %v", dir, err)
 	}
-	resh, err := ckpt.Reshard(man, shards, 1)
+	resh, err := ckpt.Reshard(man, shards, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

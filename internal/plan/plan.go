@@ -215,7 +215,7 @@ type Constraints struct {
 	FixTP int
 	// FixPP pins the pipeline-stage count (> 0); FixPP = 1 is the
 	// unpipelined (TP, FSDP, DDP) search. PP is normally left free
-	// even on rebuild — ckpt.ReshardPP regroups stage shards
+	// even on rebuild — ckpt.Reshard regroups stage shards
 	// losslessly, so a checkpoint survives any PP change.
 	FixPP int
 	// PrefetchDepths / BucketBytes are the knob grids (nil = defaults:

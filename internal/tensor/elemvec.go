@@ -2,14 +2,14 @@ package tensor
 
 // Vector forms of the step's elementwise float32 loops, as rowvec.go
 // holds its row loops. The loops — the definitions — stay where they
-// were: exp32's in expSlice (below), the softmax and GELU loops,
-// softmaxRow, AddInto, AddRowVectorInto, AddSlice, ScaleInPlace,
-// SumRowsAccInto (ops.go), MaxAbs (tensor.go) and packTranspose
-// (pack.go). Each function here runs the leading whole vectors of one
-// of them through an AVX2 kernel that reproduces the loop bit for bit
-// (elemvec_amd64.s) and returns how many items that was; the loop
-// finishes the rest, which is everything when the CPU gate is off or
-// the build is not amd64.
+// were: the GELU loops, softmaxRow and the softmax backward loop,
+// AddInto, AddRowVectorInto, AddSlice, ScaleInPlace, SumRowsAccInto
+// (ops.go), MaxAbs (tensor.go) and packTranspose (pack.go). Each
+// function here runs the leading whole vectors of one of them through
+// an AVX2 kernel that reproduces the loop bit for bit (elemvec_amd64.s)
+// and returns how many items that was; the loop finishes the rest,
+// which is everything when the CPU gate is off or the build is not
+// amd64.
 
 // whole returns n rounded down to whole eight-lane vectors, or 0 with
 // the CPU gate off.
@@ -19,21 +19,6 @@ func whole(n int) int {
 	}
 	return n &^ 7
 }
-
-// expSlice writes exp32(src[i]) to dst[i], the leading whole vectors
-// through the kernel; dst may be src.
-func expSlice(dst, src []float32) {
-	n := whole(len(src))
-	if n > 0 {
-		expVec(span(dst, 0, n), &src[0], n)
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] = exp32(src[i])
-	}
-}
-
-// AddVec adds src to the first len(dst)&^7 elements of dst.
-func AddVec(dst, src []float32) int { return addSlices(dst, dst, src) }
 
 // addSlices writes a + b to the first len(dst)&^7 elements of dst,
 // which may be a or b.

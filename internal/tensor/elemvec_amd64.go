@@ -7,9 +7,6 @@ package tensor
 // whole vectors.
 
 //go:noescape
-func expVec(dst, src *float32, n int)
-
-//go:noescape
 func geluVec(dst, sig, x *float32, n int)
 
 //go:noescape

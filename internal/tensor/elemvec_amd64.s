@@ -3,17 +3,18 @@
 #include "textflag.h"
 #include "mathvec_amd64.h"
 
-// Eight-lane AVX2 forms of the step's float32 loops: exp32 (mathfast.go),
-// GELU forward and backward, softmax forward and backward (elem.go), the
-// streaming adds,
-// scale, bias-gradient sum and |max| scan (ops.go, tensor.go), the
-// transpose (pack.go) and the quantized strip writer (quantmatmul.go).
-// Each runs the Go loop's IEEE operations one for one — separate
-// multiply and add, no FMA contraction — so every lane holds the loop's
-// exact bits (rowkernels_test.go, quantmatmul_test.go). Softmax's float64
-// row sums are sequential along a row, so those two kernels take four
-// rows at a time with one row per float64 lane. No kernel touches
-// memory outside the element ranges it is given.
+// Eight-lane AVX2 forms of the step's float32 loops: GELU and softmax,
+// forward and backward (ops.go; the two forwards run mathfast.go's exp32
+// through mathvec_amd64.h's macros), the streaming adds, scale,
+// bias-gradient sum and |max| scan (ops.go, tensor.go), the transpose
+// (pack.go), the variable aggregation's dots and mix (nn) and the
+// quantized strip writer (quantmatmul.go). Each runs the Go loop's IEEE
+// operations one for one — separate multiply and add, no FMA
+// contraction — so every lane holds the loop's exact bits
+// (rowkernels_test.go, quantmatmul_test.go). Softmax's float64 row sums
+// are sequential along a row, so those two kernels take four rows at a
+// time with one row per float64 lane. No kernel touches memory outside
+// the element ranges it is given.
 
 // The constants of the exp32 macros in mathvec_amd64.h (float32 bit
 // patterns; see mathfast.go for values).
@@ -56,28 +57,6 @@ GLOBL ev_geluk1(SB), RODATA|NOPTR, $4
 GLOBL ev_geluk3(SB), RODATA|NOPTR, $4
 DATA ev_one64+0(SB)/8, $0x3ff0000000000000 // 1.0
 GLOBL ev_one64(SB), RODATA|NOPTR, $8
-
-// func expVec(dst, src *float32, n int)
-//
-// exp32 over n (a multiple of 8) elements; dst may be src.
-TEXT ·expVec(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-
-	PCALIGN $64
-exp_loop:
-	VMOVUPS (SI)(AX*4), Y0 // x, kept for EXPCLAMP
-	VMOVAPS Y0, Y1
-	EXPCORE
-	EXPCLAMP
-	VMOVUPS Y5, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JLT     exp_loop
-	VZEROUPPER
-	RET
 
 // PAIR applies op to stream A (first operands) and stream B (second).
 #define PAIR(op, a1, a2, b1, b2) \

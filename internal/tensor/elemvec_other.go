@@ -6,7 +6,6 @@ package tensor
 // their callers' scalar loops do all the work, and dequantStrip takes
 // DequantPanelsInto for every strip.
 
-func expVec(dst, src *float32, n int)                     { panic("tensor: vector kernel unavailable") }
 func geluVec(dst, sig, x *float32, n int)                 { panic("tensor: vector kernel unavailable") }
 func geluBwdVec(dst, x, sig, dy *float32, n int)          { panic("tensor: vector kernel unavailable") }
 func softmaxVec(out, in *float32, cols, groups int)       { panic("tensor: vector kernel unavailable") }

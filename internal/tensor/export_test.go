@@ -17,6 +17,15 @@ var HostVector = useFMA
 // off. Not safe beside running kernels.
 func SetVector(on bool) { useFMA = on && HostVector }
 
+// DequantStrips writes every panel of q through dequantStrip, one strip
+// of the matrix tile's width at a time, as MatMulQuantInto does; strip
+// holds q.Rows() × 32 floats.
+func DequantStrips(strip []float32, q *Quantized) {
+	for c := 0; c < q.Cols(); c += outer.cols {
+		dequantStrip(strip, q, c, min(outer.cols, q.Cols()-c))
+	}
+}
+
 // hostTiles are the matrix tiles this CPU runs: the 6×16 one on every
 // AVX2+FMA host (and, never entered, on one without), the 8×32 one too
 // on an AVX-512 host. The tests that hold the kernel to its contract

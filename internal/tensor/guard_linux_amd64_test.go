@@ -145,12 +145,12 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 		for n := 0; n <= maxN; n++ {
 			*running = fmt.Sprintf("adamwVec n=%d", n)
 			AdamWVec(f32(0, n), f32(1, n), f32(2, n), f32(3, n), coef)
-			*running = fmt.Sprintf("sum2Vec n=%d", n)
-			Sum2ScaledVec(f32(0, n), f32(1, n), f32(2, n), 0.5)
-			a := f32(1, n)
-			Sum2ScaledVec(a, a, f32(2, n), 0.5)
-			*running = fmt.Sprintf("sum2AccVec n=%d", n)
-			Sum2ScaledAccVec(f32(0, n), f32(1, n), f32(2, n), 0.5)
+			for _, acc := range []bool{false, true} {
+				*running = fmt.Sprintf("sum2Vec n=%d acc=%v", n, acc)
+				Sum2ScaledVec(f32(0, n), f32(1, n), f32(2, n), 0.5, acc)
+				a := f32(1, n)
+				Sum2ScaledVec(a, a, f32(2, n), 0.5, acc)
+			}
 			*running = fmt.Sprintf("sumSquaresVec n=%d", n)
 			SumSquares(f32(0, n))
 		}
@@ -173,11 +173,10 @@ func TestRowKernelsStayInsideOperands(t *testing.T) {
 }
 
 // TestElemKernelsStayInsideOperands sweeps every length tail of the
-// GELU, streaming and exp kernels (expVec has been in no such test
-// since it was written; GELU's two-vector passes with and without the
-// one-vector pass after them), every row-group tail and width of the
-// softmax kernels, every column tail of the bias-gradient sum, every
-// rows%8 × cols%8 edge of the transpose, dense and from a strided
+// GELU and streaming kernels (GELU's two-vector passes with and
+// without the one-vector pass after them), every row-group tail and
+// width of the softmax kernels, every column tail of the bias-gradient
+// sum, every rows%8 × cols%8 edge of the transpose, dense and from a strided
 // source, the aggregation's dots and mix over one to three channels
 // and widths with and without a tail, and the quantized strip writer
 // over row tails, partial scale blocks and partial column groups, its
@@ -192,8 +191,6 @@ func TestElemKernelsStayInsideOperands(t *testing.T) {
 	underFences(t, func(atEnd bool, running *string) {
 		f32 := func(i, n int) []float32 { return guardedSlice(g[i], n, atEnd) }
 		for n := 0; n <= maxN; n++ {
-			*running = fmt.Sprintf("expVec n=%d", n)
-			expSlice(f32(0, n), f32(1, n))
 			*running = fmt.Sprintf("geluVec n=%d", n)
 			geluSlice(f32(0, n), f32(1, n), f32(2, n))
 			x := f32(2, n)
@@ -203,7 +200,8 @@ func TestElemKernelsStayInsideOperands(t *testing.T) {
 			geluBwdSlice(dy, f32(0, n), f32(1, n), dy)
 			*running = fmt.Sprintf("addVec n=%d", n)
 			addSlices(f32(0, n), f32(1, n), f32(2, n))
-			AddVec(f32(0, n), f32(1, n))
+			d := f32(0, n)
+			addSlices(d, d, f32(1, n))
 			*running = fmt.Sprintf("scaleVec n=%d", n)
 			scaleSlice(f32(0, n), 0.5)
 			*running = fmt.Sprintf("maxAbsVec n=%d", n)

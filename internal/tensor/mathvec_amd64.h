@@ -1,9 +1,9 @@
 // The exp32 lane arithmetic of mathfast.go as assembler macros for
-// elemvec_amd64.s: expVec, and the GELU and softmax kernels, which keep
-// the value in registers between the exponential and the loop around
-// it. Every step mirrors the scalar function with separate multiply
-// and add (no FMA contraction), so each lane computes its exact bits.
-// The constants are elemvec_amd64.s's.
+// elemvec_amd64.s's GELU and softmax kernels, which keep the value in
+// registers between the exponential and the loop around it. Every step
+// mirrors the scalar function with separate multiply and add (no FMA
+// contraction), so each lane computes its exact bits. The constants are
+// elemvec_amd64.s's.
 
 // EXPCORE computes Y5 = exp-polynomial(Y1) without range clamps,
 // clobbering Y2, Y3, Y4. Mirrors exp32's op sequence exactly:

@@ -35,10 +35,10 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 }
 
 // AddSlice adds src into the first len(src) elements of dst, one IEEE
-// add per element: AddVec's whole vectors, then the loop.
+// add per element: addSlices' whole vectors, then the loop.
 func AddSlice(dst, src []float32) {
 	dst = dst[:len(src)]
-	for i := AddVec(dst, src); i < len(src); i++ {
+	for i := addSlices(dst, dst, src); i < len(src); i++ {
 		dst[i] += src[i]
 	}
 }
@@ -157,12 +157,9 @@ func softmaxRow(in, out []float32) {
 			maxv = v
 		}
 	}
-	// Shift then exponentiate through the (vectorized) slice kernel —
-	// bit-identical to the elementwise exp32 loop.
 	for i, v := range in {
-		out[i] = v - maxv
+		out[i] = exp32(v - maxv)
 	}
-	expSlice(out, out)
 	var sum float64
 	for _, e := range out {
 		sum += float64(e)

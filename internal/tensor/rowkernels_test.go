@@ -289,12 +289,12 @@ func TestSum2VecMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSum2ScaledKernelsMatchLoop holds tensor.Sum2ScaledVec and
-// Sum2ScaledAccVec, finished by the loop, to the loop alone —
+// TestSum2ScaledKernelsMatchLoop holds tensor.Sum2ScaledVec, storing
+// and adding, finished by the loop, to the loop alone —
 // dst = float32((float64(a)+float64(b))·scale), or dst += that — at
-// every length 0…37 (eight-lane passes, the four-lane pass, the tail),
-// into a third buffer and onto a, with the special values in a, b and
-// the destination.
+// every length 0…37 (eight-element passes and every tail), into a third
+// buffer and onto a, with the special values in a, b and the
+// destination.
 func TestSum2ScaledKernelsMatchLoop(t *testing.T) {
 	if !tensor.HostVector {
 		t.Skip("vector kernels unavailable on this CPU")
@@ -321,11 +321,8 @@ func TestSum2ScaledKernelsMatchLoop(t *testing.T) {
 						dst = a
 					}
 					i := 0
-					switch {
-					case vector && acc:
-						i = tensor.Sum2ScaledAccVec(dst, a, b, 0.5)
-					case vector:
-						i = tensor.Sum2ScaledVec(dst, a, b, 0.5)
+					if vector {
+						i = tensor.Sum2ScaledVec(dst, a, b, 0.5, acc)
 					}
 					loop(dst, a, b, 0.5, acc, i)
 					return dst
@@ -779,9 +776,9 @@ func TestSoftmaxVecMatchesScalar(t *testing.T) {
 // TestSoftmaxVecSpecialValues puts every special value at every
 // position of a [5,16] tensor (the four-row kernel's two vectors of
 // every lane, and the row loop's row 4) and of a [5,11] one (the row
-// loop with expVec's three-element tail), in the logits and in the
-// upstream gradient. A NaN logit must turn its whole row of
-// probabilities into NaN under both settings.
+// loop alone), in the logits and in the upstream gradient. A NaN logit
+// must turn its whole row of probabilities into NaN under both
+// settings.
 func TestSoftmaxVecSpecialValues(t *testing.T) {
 	rng := tensor.NewRNG(85)
 	const rows = 5
@@ -813,11 +810,10 @@ func TestSoftmaxVecSpecialValues(t *testing.T) {
 
 // TestStreamingVecMatchesScalar runs the float32 streaming loops over
 // every length 1…40 and 4 099: AddInto into a third tensor and into
-// either operand, AddInPlace, AddVec plus its caller's tail, AddSlice,
-// AddRowVectorInto over three rows of that width (every cols%8 tail)
-// into a third tensor and in place, ScaleInPlace, MaxAbs; the first
-// elements pair every special value with every other. A NaN must come
-// out of each as a NaN.
+// either operand, AddInPlace, AddSlice, AddRowVectorInto over three
+// rows of that width (every cols%8 tail) into a third tensor and in
+// place, ScaleInPlace, MaxAbs; the first elements pair every special
+// value with every other. A NaN must come out of each as a NaN.
 func TestStreamingVecMatchesScalar(t *testing.T) {
 	for n := 1; n <= 41; n++ {
 		if n == 41 {
@@ -833,12 +829,8 @@ func TestStreamingVecMatchesScalar(t *testing.T) {
 			out = append(out, tensor.AddInto(cb, at, cb).Data()...)
 			ca = at.Clone()
 			ca.AddInPlace(bt)
+			out = append(out, ca.Data()...)
 			acc := append([]float32(nil), a...)
-			for i := tensor.AddVec(acc, b); i < n; i++ {
-				acc[i] += b[i]
-			}
-			out = append(append(out, ca.Data()...), acc...)
-			acc = append([]float32(nil), a...)
 			tensor.AddSlice(acc, b)
 			out = append(out, acc...)
 			rows := tensor.FromSlice(append(append(append([]float32(nil), a...), b...), a...), 3, n)
@@ -849,7 +841,7 @@ func TestStreamingVecMatchesScalar(t *testing.T) {
 			return append(append(out, ca.Data()...), bt.MaxAbs(), tensor.FromSlice(magnitudes(tensor.NewRNG(uint64(n)), n), n).MaxAbs())
 		}
 		scalar, vector := bothWays(t, run)
-		sameBits(t, fmt.Sprintf("streaming n=%d (four AddInto, AddInPlace, AddVec, AddSlice, two AddRowVectorInto, ScaleInPlace, two MaxAbs)", n), vector, scalar, true)
+		sameBits(t, fmt.Sprintf("streaming n=%d (four AddInto, AddInPlace, AddSlice, two AddRowVectorInto, ScaleInPlace, two MaxAbs)", n), vector, scalar, true)
 		if nan := scalar[len(scalar)-2]; n > 7 && nan == nan {
 			t.Fatalf("MaxAbs over a NaN is %v", nan)
 		}
@@ -953,11 +945,13 @@ func TestAggregateTokensVecMatchesScalar(t *testing.T) {
 }
 
 // BenchmarkRowKernels prints ns per element of the row loops (AdamW,
-// the two-rank reduce — all-reduce, reduce-scatter storing and adding —,
-// the sum of squares, LayerNorm, the variable aggregation) and of the
-// float32 elementwise loops at the bench workloads' sizes
-// (TP2's halves included), assembly on and off — the one-line
-// reproducer of a row-kernel regression:
+// the two-rank reduce — all-reduce, reduce-scatter storing and adding,
+// sum2Vec's two modes —, the sum of squares, LayerNorm, the variable
+// aggregation), of the float32 elementwise loops, of the quantized
+// strip writer and, per multiply-add, of one training-shape product
+// (the host's matrix tile against the portable loop) at the bench
+// workloads' sizes (TP2's halves included), assembly on and off — the
+// one-line reproducer of a row-kernel regression:
 //
 //	go test ./internal/tensor -run '^$' -bench RowKernels -cpu 1
 func BenchmarkRowKernels(b *testing.B) {
@@ -1039,6 +1033,15 @@ func BenchmarkRowKernels(b *testing.B) {
 		rows = append(rows, row{fmt.Sprintf("AggregateTokens/[%d,%d,%d]", c, tokens, d), c * tokens * d, func() {
 			nn.AggregateTokens(out, nil, scratch, e, kq, tokens, 0, tokens)
 		}})
+	}
+	mx, mw, md := tensor.Randn(rng, 1, 32, 64), tensor.Randn(rng, 1, 64, 192), tensor.New(32, 192)
+	rows = append(rows, row{"MatMul/[32,64]@[64,192]", 32 * 64 * 192, func() { tensor.MatMulInto(md, mx, mw) }})
+	// The served model's quantized [64,256] weight, written strip by
+	// strip as MatMulQuantInto does.
+	for _, kind := range []tensor.QuantKind{tensor.QuantInt8, tensor.QuantQ4} {
+		const k, n = 64, 256
+		q, strip := tensor.QuantizeTensor(tensor.Randn(rng, 1, k, n), kind), make([]float32, k*32)
+		rows = append(rows, row{fmt.Sprintf("DequantStrip/%s/[%d,%d]", kind, k, n), k * n, func() { tensor.DequantStrips(strip, q) }})
 	}
 	defer tensor.SetVector(true)
 	for _, r := range rows {

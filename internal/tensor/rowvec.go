@@ -2,11 +2,13 @@ package tensor
 
 // Vector forms of the training step's row loops. The loops — the
 // definitions — stay with their owners: optim's adamwUpdate, comm's
-// reduceTwo, nn's LayerNormRows and LayerNorm backward (SumSquares keeps
-// its own). Each function here runs the leading whole vectors (AdamW,
-// the reduce) or groups of four rows (LayerNorm) of one loop through an
-// AVX2 kernel that reproduces it bit for bit (rowvec_amd64.s) and
-// returns how many items that was; the owner's loop finishes the rest. The LayerNorm loops
+// reduceTwo (storing and adding: one kernel, one flag), nn's
+// LayerNormRows, LayerNorm backward and AggregateTokens (SumSquares
+// keeps its own). Each function here runs the leading whole vectors
+// (AdamW, the reduce, the aggregation) or groups of four rows
+// (LayerNorm) of one loop through an AVX2 kernel that reproduces it bit
+// for bit (rowvec_amd64.s, elemvec_amd64.s) and returns how many items
+// that was; the owner's loop finishes the rest. The LayerNorm loops
 // keep each row sum in eight float32 partial sums, column c in sum c%8,
 // added by HSum8, so the kernels run along the row with no transpose.
 
@@ -36,24 +38,14 @@ func AdamWVec(w, g, m, v []float32, c *AdamWCoef) int {
 }
 
 // Sum2ScaledVec writes float32((float64(a[i])+float64(b[i]))·scale) to
-// the first len(dst)&^3 elements of dst, which may be a or b.
-func Sum2ScaledVec(dst, a, b []float32, scale float64) int {
-	n := len(dst) &^ 3
-	if !useFMA || n == 0 {
-		return 0
+// the first len(dst)&^7 elements of dst, which may be a or b; with acc
+// it adds that value to dst[i] instead: the two roundings of a store
+// then an AddSlice.
+func Sum2ScaledVec(dst, a, b []float32, scale float64, acc bool) int {
+	n := whole(len(dst))
+	if n > 0 {
+		sum2Vec(&dst[0], span(a, 0, n), span(b, 0, n), n, scale, acc)
 	}
-	sum2Vec(&dst[0], span(a, 0, n), span(b, 0, n), n, scale)
-	return n
-}
-
-// Sum2ScaledAccVec adds Sum2ScaledVec's value to the first len(dst)&^3
-// elements of dst: the two roundings of a store then an AddSlice.
-func Sum2ScaledAccVec(dst, a, b []float32, scale float64) int {
-	n := len(dst) &^ 3
-	if !useFMA || n == 0 {
-		return 0
-	}
-	sum2AccVec(&dst[0], span(a, 0, n), span(b, 0, n), n, scale)
 	return n
 }
 

@@ -9,10 +9,7 @@ package tensor
 func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef)
 
 //go:noescape
-func sum2Vec(dst, a, b *float32, n int, scale float64)
-
-//go:noescape
-func sum2AccVec(dst, a, b *float32, n int, scale float64)
+func sum2Vec(dst, a, b *float32, n int, scale float64, acc bool)
 
 //go:noescape
 func sumSquaresVec(x *float32, n int, s *[16]float64)

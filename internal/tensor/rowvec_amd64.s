@@ -76,80 +76,39 @@ adamw_loop:
 	VMULPD     Y2, yr, yr;  \
 	VCVTPD2PSY yr, xr
 
-// func sum2Vec(dst, a, b *float32, n int, scale float64)
+// func sum2Vec(dst, a, b *float32, n int, scale float64, acc bool)
 //
-// n (a multiple of 4) elements of comm's two-rank reduce:
-// dst = float32((float64(a)+float64(b))·scale), eight per pass, then
-// one pass of four. dst may be a or b: a pass loads before it stores.
-TEXT ·sum2Vec(SB), NOSPLIT, $0-40
+// n (a multiple of 8) elements of comm's two-rank reduce:
+// r = float32((float64(a)+float64(b))·scale); dst = r, or with acc
+// dst += r, one float32 add with dst's old value the first operand, as
+// AddSlice takes it. dst may be a or b: a pass loads before it stores.
+TEXT ·sum2Vec(SB), NOSPLIT, $0-41
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
 	MOVQ n+24(FP), CX
 	VBROADCASTSD scale+32(FP), Y2
-	SUBQ $8, CX
-	JLT  sum2_four
+	MOVBLZX acc+40(FP), BX
 
 	PCALIGN $64
 sum2_loop:
 	SUM2(0, Y0, X0, Y1)
 	SUM2(16, Y3, X3, Y4)
-	VMOVUPS X0, (DI)
-	VMOVUPS X3, 16(DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JGE     sum2_loop
-
-sum2_four:
-	ADDQ    $8, CX
-	JZ      sum2_done
-	SUM2(0, Y0, X0, Y1)
-	VMOVUPS X0, (DI)
-
-sum2_done:
-	VZEROUPPER
-	RET
-
-// func sum2AccVec(dst, a, b *float32, n int, scale float64)
-//
-// sum2Vec, then dst += the result: one float32 add, dst's old value the
-// first operand, as AddSlice takes it. dst may be a or b.
-TEXT ·sum2AccVec(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD scale+32(FP), Y2
-	SUBQ $8, CX
-	JLT  sum2acc_four
-
-	PCALIGN $64
-sum2acc_loop:
-	SUM2(0, Y0, X0, Y1)
-	SUM2(16, Y3, X3, Y4)
+	TESTQ   BX, BX
+	JZ      sum2_store
 	VMOVUPS (DI), X5
 	VMOVUPS 16(DI), X6
 	VADDPS  X0, X5, X0
 	VADDPS  X3, X6, X3
+
+sum2_store:
 	VMOVUPS X0, (DI)
 	VMOVUPS X3, 16(DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DX
 	ADDQ    $32, DI
 	SUBQ    $8, CX
-	JGE     sum2acc_loop
-
-sum2acc_four:
-	ADDQ    $8, CX
-	JZ      sum2acc_done
-	SUM2(0, Y0, X0, Y1)
-	VMOVUPS (DI), X5
-	VADDPS  X0, X5, X0
-	VMOVUPS X0, (DI)
-
-sum2acc_done:
+	JNZ     sum2_loop
 	VZEROUPPER
 	RET
 

@@ -9,9 +9,9 @@ func adamwVec(w, grad, m, v *float32, n int, c *AdamWCoef) {
 	panic("tensor: vector kernel unavailable")
 }
 
-func sum2Vec(dst, a, b *float32, n int, scale float64) { panic("tensor: vector kernel unavailable") }
-
-func sum2AccVec(dst, a, b *float32, n int, scale float64) { panic("tensor: vector kernel unavailable") }
+func sum2Vec(dst, a, b *float32, n int, scale float64, acc bool) {
+	panic("tensor: vector kernel unavailable")
+}
 
 func sumSquaresVec(x *float32, n int, s *[16]float64) { panic("tensor: vector kernel unavailable") }
 

@@ -52,7 +52,7 @@ type ElasticConfig struct {
 	// and micro-batches stream through the 1F1B schedule. Requires
 	// Opts.LayerWrapping and Opts.ActivationCheckpoint. A replan after
 	// a node loss may change PP, and checkpoints reshard across PP
-	// changes bit-identically (ckpt.ReshardPP regroups whole blocks; no
+	// changes bit-identically (ckpt.Reshard regroups whole blocks; no
 	// chunk is re-split). An unpipelined job stays at PP=1.
 	PP int
 	// Nodes is the simulated machine size; 0 fits the layout exactly.
@@ -363,7 +363,7 @@ func (j *elasticJob) handleFault() error {
 // for the survivors: TP pinned, since the sharded checkpoint cannot
 // reshard across a TP change, and PP pinned to 1 for an unpipelined
 // job. A pipelined job leaves PP free, so the new layout may trade
-// stages for data ranks (ReshardPP regroups blocks losslessly).
+// stages for data ranks (ckpt.Reshard regroups blocks losslessly).
 func (j *elasticJob) chooseLayout() error {
 	if j.layout.Ranks() <= j.nodes*j.gpn {
 		return nil
@@ -554,26 +554,14 @@ func (j *elasticJob) load() error {
 			return fmt.Errorf("train: block %d flat length %d in checkpoint, %d in model", b, man.FlatLens[b], l)
 		}
 	}
-	// Two-transform reload: ReshardPP regroups whole blocks from the
-	// checkpoint's stage partition to the current one (bit-identical —
-	// FSDP chunking of a block never depends on its stage), then
-	// Reshard re-chunks across any FSDP change within each stage row.
+	// Reshard regroups whole blocks from the checkpoint's stage
+	// partition to the current one and re-chunks them across any FSDP
+	// change, bit-identically.
 	var newStages [][2]int
 	if j.layout.PP > 1 {
 		newStages = stageBlocks
 	}
-	regrouped, err := ckpt.ReshardPP(man, shards, newStages)
-	if err != nil {
-		return err
-	}
-	man2 := *man
-	man2.Layout.PP = 0
-	man2.StageBlocks = nil
-	if j.layout.PP > 1 {
-		man2.Layout.PP = j.layout.PP
-		man2.StageBlocks = newStages
-	}
-	reshards, err := ckpt.Reshard(&man2, regrouped, j.layout.FSDP)
+	reshards, err := ckpt.Reshard(man, shards, newStages, j.layout.FSDP)
 	if err != nil {
 		return err
 	}
